@@ -21,7 +21,7 @@ BENCH_JSON_BENCHES = BenchmarkBatchGate|BenchmarkStreamGate|BenchmarkCircuitMul|
 # fails (see cmd/benchjson).
 BENCH_TOLERANCE = 0.25
 
-.PHONY: all build test test-purego race cover fuzz-regress bench bench-smoke bench-stream bench-json bench-check lint fmt fmt-check vet docs
+.PHONY: all build test test-purego race cover fuzz-regress bench bench-smoke bench-stream bench-json bench-check lint fmt fmt-check vet no-deprecated docs
 
 all: build test
 
@@ -100,7 +100,7 @@ bench-check:
 	$(GO) run ./cmd/benchjson -bench bench-new.out -o BENCH_new.json
 	$(GO) run ./cmd/benchjson -compare -tol $(BENCH_TOLERANCE) BENCH_pbs.json BENCH_new.json
 
-lint: fmt-check vet
+lint: fmt-check vet no-deprecated
 
 # Documentation gate: every internal package needs a package comment and
 # every exported identifier a doc comment (see cmd/doccheck).
@@ -116,3 +116,8 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# A superseded identifier is deleted with its last caller, not kept as an
+# alias: any Deprecated: marker in non-test Go source fails the build.
+no-deprecated:
+	@! git grep -n 'Deprecated:' -- '*.go' ':!*_test.go'

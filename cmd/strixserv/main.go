@@ -6,12 +6,8 @@
 // secret keys and upload only evaluation keys and ciphertexts; the server
 // computes blindly. Endpoints (JSON frames, base64 binary fields):
 //
-//	POST   /v2/eval                versioned evaluation envelope (kind + payload + opts)
+//	POST   /v2/eval                every evaluation: kind gate|lut|multilut|circuit|infer + payload + opts
 //	POST   /v1/register-key        upload a client's evaluation keys
-//	POST   /v1/gate-batch          shim: evaluate a boolean gate over ciphertext pairs
-//	POST   /v1/lut-batch           shim: apply a lookup table via PBS + keyswitch
-//	POST   /v1/multilut-batch      shim: k tables per blind rotation
-//	POST   /v1/circuit-batch       shim: a serialized scheduler DAG
 //	GET    /v1/stats               per-session metrics (requests, streams, op mix)
 //	GET    /v1/healthz             readiness (503 once draining)
 //	GET    /v1/sessions            live sessions across warm and durable tiers

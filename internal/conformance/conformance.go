@@ -159,7 +159,7 @@ func NewFixture(seed int64) (*Fixture, error) {
 		return nil, err
 	}
 
-	batch := engine.New(ek, engine.Config{Workers: 2, ChunkSize: 1})
+	batch := engine.New(ek, engine.Config{Workers: 2})
 	stream := engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: 2, KSWorkers: 2})
 	runner := &sched.Runner{Batch: batch, Stream: stream}
 	// The optimized backend runs the full pass pipeline, with the
@@ -293,7 +293,7 @@ func (b batchBackend) MultiLUT(cts []tfhe.LWECiphertext, space int, tables [][]i
 
 func (b batchBackend) Circuit(circ *sched.Circuit, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	r := &sched.Runner{Batch: b.eng}
-	return r.Run(circ, sched.Config{Mode: sched.BatchOnly}, inputs)
+	return r.Run(circ, sched.Config{}, inputs)
 }
 
 func (b batchBackend) Infer(features []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
@@ -323,7 +323,7 @@ func (s streamBackend) MultiLUT(cts []tfhe.LWECiphertext, space int, tables [][]
 
 func (s streamBackend) Circuit(circ *sched.Circuit, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	r := &sched.Runner{Stream: s.eng}
-	return r.Run(circ, sched.Config{Mode: sched.StreamOnly}, inputs)
+	return r.Run(circ, sched.Config{}, inputs)
 }
 
 func (s streamBackend) Infer(features []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {

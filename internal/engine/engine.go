@@ -14,10 +14,6 @@ type Config struct {
 	// Workers is the number of worker goroutines (and private evaluators).
 	// 0 means runtime.NumCPU().
 	Workers int
-	// ChunkSize is the number of items a worker claims at a time. 0 picks
-	// a size that gives each worker ~4 chunks per batch, balancing claim
-	// overhead against tail latency.
-	ChunkSize int
 }
 
 // Engine executes batched TFHE operations over a pool of evaluators. Its
@@ -27,7 +23,6 @@ type Engine struct {
 	mu      sync.Mutex
 	params  tfhe.Params
 	evals   []*tfhe.Evaluator
-	chunk   int
 	batches int64 // completed batch calls, for diagnostics
 }
 
@@ -38,7 +33,7 @@ func New(ek tfhe.EvaluationKeys, cfg Config) *Engine {
 	if w <= 0 {
 		w = runtime.NumCPU()
 	}
-	e := &Engine{params: ek.Params, evals: make([]*tfhe.Evaluator, w), chunk: cfg.ChunkSize}
+	e := &Engine{params: ek.Params, evals: make([]*tfhe.Evaluator, w)}
 	for i := range e.evals {
 		e.evals[i] = tfhe.NewEvaluator(ek)
 	}
@@ -75,11 +70,9 @@ func (e *Engine) ResetCounters() {
 	}
 }
 
-// chunkFor picks the claim granularity for a batch of n items.
+// chunkFor picks how many items a worker claims at a time for a batch of
+// n: ~4 chunks per worker, balancing claim overhead against tail latency.
 func (e *Engine) chunkFor(n int) int {
-	if e.chunk > 0 {
-		return e.chunk
-	}
 	c := n / (4 * len(e.evals))
 	if c < 1 {
 		c = 1

@@ -43,7 +43,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	sk, ek, cts, pts := testSetup(t, 42, 24)
 
 	e1 := New(ek, Config{Workers: 1})
-	e8 := New(ek, Config{Workers: 8, ChunkSize: 1})
+	e8 := New(ek, Config{Workers: 8})
 
 	a1, err := e1.BatchGate(NAND, cts[:12], cts[12:])
 	if err != nil {
@@ -107,7 +107,7 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 // chunks landed on workers.
 func TestCounters(t *testing.T) {
 	_, ek, cts, _ := testSetup(t, 3, 16)
-	eng := New(ek, Config{Workers: 5, ChunkSize: 3})
+	eng := New(ek, Config{Workers: 5})
 
 	if c := eng.Counters(); c.PBSCount != 0 {
 		t.Fatalf("fresh engine PBSCount = %d", c.PBSCount)

@@ -47,7 +47,7 @@ func TestBatchMultiLUTMatchesSequential(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 3, 8} {
-		eng := New(ek, Config{Workers: workers, ChunkSize: 1})
+		eng := New(ek, Config{Workers: workers})
 		got, err := eng.BatchMultiLUT(cts, space, fs)
 		if err != nil {
 			t.Fatal(err)
@@ -82,8 +82,8 @@ func TestStreamMultiLUTMatchesSequential(t *testing.T) {
 	}
 
 	for _, cfg := range []StreamConfig{
-		{RotateWorkers: 1, KSWorkers: 1, Depth: 1},
-		{RotateWorkers: 3, KSWorkers: 2, Depth: 2},
+		{RotateWorkers: 1, KSWorkers: 1},
+		{RotateWorkers: 3, KSWorkers: 2},
 		{RotateWorkers: 8, KSWorkers: 3},
 	} {
 		s := NewStreaming(ek, cfg)

@@ -43,7 +43,6 @@ type StreamingEngine struct {
 	ks     []*tfhe.Evaluator // keyswitch stage worker pool
 	signTV tfhe.GLWECiphertext
 
-	depth   int
 	streams int64 // completed stream calls, for diagnostics
 }
 
@@ -56,10 +55,6 @@ type StreamConfig struct {
 	// max(1, RotateWorkers/4), matching keyswitching's share of the gate
 	// workload (Fig 1).
 	KSWorkers int
-	// Depth is the channel buffer depth between stages. 0 picks
-	// 2·RotateWorkers, enough slack that a fast stage never stalls on a
-	// momentarily busy neighbour.
-	Depth int
 }
 
 // NewStreaming builds a streaming engine over the evaluation keys. The
@@ -77,17 +72,12 @@ func NewStreaming(ek tfhe.EvaluationKeys, cfg StreamConfig) *StreamingEngine {
 			kw = 1
 		}
 	}
-	depth := cfg.Depth
-	if depth <= 0 {
-		depth = 2 * rw
-	}
 	s := &StreamingEngine{
 		params: ek.Params,
 		prep:   tfhe.NewEvaluator(ek),
 		rot:    make([]*tfhe.Evaluator, rw),
 		ext:    tfhe.NewEvaluator(ek),
 		ks:     make([]*tfhe.Evaluator, kw),
-		depth:  depth,
 	}
 	for i := range s.rot {
 		s.rot[i] = tfhe.NewEvaluator(ek)
@@ -164,9 +154,12 @@ type streamItem struct {
 // keeps results bitwise stable across pool widths. Callers hold s.mu.
 func (s *StreamingEngine) streamMulti(n int, testVec tfhe.GLWECiphertext, prepare func(ev *tfhe.Evaluator, i int) (ct tfhe.LWECiphertext, done bool), extract func(ev *tfhe.Evaluator, acc tfhe.GLWECiphertext) []tfhe.LWECiphertext, doKS bool) [][]tfhe.LWECiphertext {
 	out := make([][]tfhe.LWECiphertext, n)
-	rotated := make(chan streamItem, s.depth)
-	extracted := make(chan streamItem, s.depth)
-	toRotate := make(chan streamItem, s.depth)
+	// Two items of buffer per rotate worker between stages: enough slack
+	// that a fast stage never stalls on a momentarily busy neighbour.
+	depth := 2 * len(s.rot)
+	rotated := make(chan streamItem, depth)
+	extracted := make(chan streamItem, depth)
+	toRotate := make(chan streamItem, depth)
 
 	// Stage 1 — prepare: per-item linear op, modulus switch, initial
 	// rotation of the shared test vector (Algorithm 1 lines 2–4).

@@ -15,9 +15,9 @@ import (
 // the sequential evaluator for every one of them.
 func streamConfigs() []StreamConfig {
 	cfgs := []StreamConfig{
-		{RotateWorkers: 1, KSWorkers: 1, Depth: 1},
+		{RotateWorkers: 1, KSWorkers: 1},
 		{RotateWorkers: 2, KSWorkers: 1},
-		{RotateWorkers: 3, KSWorkers: 2, Depth: 2},
+		{RotateWorkers: 3, KSWorkers: 2},
 		{}, // defaults: NumCPU rotate workers
 	}
 	if n := runtime.NumCPU(); n > 3 {
@@ -47,7 +47,7 @@ func TestStreamGateMatchesSequential(t *testing.T) {
 
 	for _, cfg := range streamConfigs() {
 		cfg := cfg
-		t.Run(fmt.Sprintf("rot=%d_ks=%d_depth=%d", cfg.RotateWorkers, cfg.KSWorkers, cfg.Depth), func(t *testing.T) {
+		t.Run(fmt.Sprintf("rot=%d_ks=%d", cfg.RotateWorkers, cfg.KSWorkers), func(t *testing.T) {
 			s := NewStreaming(ek, cfg)
 			for _, op := range ops {
 				var got []tfhe.LWECiphertext

@@ -50,16 +50,9 @@ type Evaluator struct {
 // New wraps a TFHE evaluator (the sequential backend).
 func New(ev *tfhe.Evaluator) *Evaluator { return &Evaluator{Eval: ev} }
 
-// NewScheduled builds an evaluator over the levelizing scheduler with the
-// default cost model.
+// NewScheduled builds an evaluator over the levelizing scheduler, with
+// circuits compiled exactly as built.
 func NewScheduled(r *sched.Runner) *Evaluator { return &Evaluator{runner: r} }
-
-// NewScheduledConfig builds a scheduled evaluator with an explicit
-// compile configuration (cost-model threshold, forced routing, or
-// optimizer passes).
-func NewScheduledConfig(r *sched.Runner, cfg sched.Config) *Evaluator {
-	return &Evaluator{runner: r, cfg: cfg}
-}
 
 // NewOptimized builds a scheduled evaluator with the full optimizer
 // pass pipeline, its multi-value packing budget bound to params so

@@ -20,12 +20,12 @@ func init() {
 }
 
 // scheduledEvaluator builds an evaluator over fresh engines (small pools
-// keep the tests fast; MinStream 4 exercises both routing paths).
+// keep the tests fast).
 func scheduledEvaluator() *Evaluator {
-	return NewScheduledConfig(&sched.Runner{
+	return NewScheduled(&sched.Runner{
 		Batch:  engine.New(testEK, engine.Config{Workers: 3}),
 		Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 2}),
-	}, sched.Config{MinStream: 4})
+	})
 }
 
 func TestEncryptDecryptRoundtrip(t *testing.T) {
@@ -406,7 +406,7 @@ func TestMulSchedulePlan(t *testing.T) {
 	x, _ := Encrypt(rng, testSK, 10, 3)
 	y, _ := Encrypt(rng, testSK, 9, 3)
 	r := &sched.Runner{Batch: eng}
-	if _, err := r.Run(circ, sched.Config{Mode: sched.BatchOnly}, append(append([]tfhe.LWECiphertext{}, x.Digits...), y.Digits...)); err != nil {
+	if _, err := r.Run(circ, sched.Config{}, append(append([]tfhe.LWECiphertext{}, x.Digits...), y.Digits...)); err != nil {
 		t.Fatal(err)
 	}
 	if got := eng.Counters().PBSCount; got != int64(st.TotalPBS) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -175,10 +176,6 @@ type ClusterResponse struct {
 //
 //	POST   /v2/eval                  forwarded to the client's shard
 //	POST   /v1/register-key          forwarded; pins the session
-//	POST   /v1/gate-batch            forwarded (v1 shim on the shard)
-//	POST   /v1/lut-batch             forwarded
-//	POST   /v1/multilut-batch        forwarded
-//	POST   /v1/circuit-batch         forwarded
 //	GET    /v1/stats                 merged across healthy backends
 //	GET    /v1/sessions              merged across healthy backends
 //	GET    /v1/healthz               router + pool health
@@ -188,10 +185,6 @@ func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v2/eval", r.forwardByBody)
 	mux.HandleFunc("POST /v1/register-key", r.forwardByBody)
-	mux.HandleFunc("POST /v1/gate-batch", r.forwardByBody)
-	mux.HandleFunc("POST /v1/lut-batch", r.forwardByBody)
-	mux.HandleFunc("POST /v1/multilut-batch", r.forwardByBody)
-	mux.HandleFunc("POST /v1/circuit-batch", r.forwardByBody)
 	mux.HandleFunc("GET /v1/stats", r.handleStats)
 	mux.HandleFunc("GET /v1/sessions", r.handleSessions)
 	mux.HandleFunc("GET /v1/healthz", r.handleHealthz)
@@ -355,12 +348,10 @@ type refusal struct {
 func readRefusal(resp *http.Response) refusal {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, maxRefusalBody))
 	resp.Body.Close()
-	ref := refusal{contentType: resp.Header.Get("Content-Type"), body: body}
-	if secs, err := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After"))); err == nil && secs > 0 {
-		ref.retryAfter = time.Duration(secs) * time.Second
-		if ref.retryAfter > server.MaxBackoff {
-			ref.retryAfter = server.MaxBackoff
-		}
+	ref := refusal{
+		contentType: resp.Header.Get("Content-Type"),
+		body:        body,
+		retryAfter:  server.ParseRetryAfter(resp.Header),
 	}
 	var er server.ErrorResponse
 	if json.Unmarshal(body, &er) == nil {
@@ -504,7 +495,7 @@ func (r *Router) handleDeleteSession(w http.ResponseWriter, req *http.Request) {
 		writeRouterError(w, http.StatusServiceUnavailable, server.CodeOverloaded, "router: no healthy backend")
 		return
 	}
-	delReq, err := http.NewRequest(http.MethodDelete, b.url+"/v1/sessions/"+id, nil)
+	delReq, err := http.NewRequest(http.MethodDelete, b.url+"/v1/sessions/"+url.PathEscape(id), nil)
 	if err != nil {
 		writeRouterError(w, http.StatusInternalServerError, server.CodeInternal, err.Error())
 		return

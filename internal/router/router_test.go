@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -569,5 +570,97 @@ func TestShuttingDown503Ejects(t *testing.T) {
 	}
 	if r.pool.backends[0].isHealthy() {
 		t.Error("draining backend still admitted after FailThreshold refusals")
+	}
+}
+
+// TestDeleteSessionEscapesClientID pins the delete path for IDs with URL
+// metacharacters, dialled direct and through the router: exactly the
+// named session disappears. Unescaped, "a?b" deleted session "a" and
+// "a/b", "a#b" could never be deleted over HTTP.
+func TestDeleteSessionEscapesClientID(t *testing.T) {
+	_, ek := testKeys(t)
+	awkward := []string{"a?b", "a/b", "a b", "a#b", "a%2Fb"}
+	for _, mode := range []string{"direct", "routed"} {
+		t.Run(mode, func(t *testing.T) {
+			srv, ts := newBackend(t)
+			base := ts.URL
+			if mode == "routed" {
+				_, rts := newRouter(t, fastConfig(ts.URL))
+				base = rts.URL
+			}
+			for _, id := range append([]string{"a"}, awkward...) {
+				if err := srv.RegisterKey(id, ek); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cl := server.Dial(base, "admin")
+			for _, id := range awkward {
+				want := sessionIDs(srv)
+				delete(want, id)
+				resp, err := cl.DeleteSession(id)
+				if err != nil || !resp.Warm {
+					t.Errorf("DeleteSession(%q) = %+v, %v; want warm, nil", id, resp, err)
+				}
+				if got := sessionIDs(srv); !reflect.DeepEqual(got, want) {
+					t.Fatalf("after DeleteSession(%q): sessions %v, want %v", id, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestRouteTable pins the HTTP surface of a node and of the router:
+// /v2/eval is the only evaluation entry, the retired /v1/*-batch paths
+// answer the mux's 404, and every surviving route is served. A route
+// counts as served when the reply is one of the API's JSON frames — the
+// mux's own 404 and 405 are text/plain.
+func TestRouteTable(t *testing.T) {
+	_, ts := newBackend(t)
+	_, rts := newRouter(t, fastConfig(ts.URL))
+
+	type route struct{ method, path string }
+	surviving := []route{
+		{"POST", "/v2/eval"},
+		{"POST", "/v1/register-key"},
+		{"GET", "/v1/stats"},
+		{"GET", "/v1/healthz"},
+		{"GET", "/v1/sessions"},
+		{"DELETE", "/v1/sessions/ghost"},
+	}
+	var retired []route
+	for _, kind := range []string{"gate", "lut", "multilut", "circuit"} {
+		retired = append(retired, route{"POST", "/v1/" + kind + "-batch"})
+	}
+	probe := func(base string, rt route) (status int, served bool) {
+		t.Helper()
+		req, err := http.NewRequest(rt.method, base+rt.path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get("Content-Type") == "application/json"
+	}
+	for _, front := range []struct {
+		name, base string
+		extra      []route
+		absent     []route
+	}{
+		{"server", ts.URL, nil, []route{{"GET", "/v1/cluster"}}},
+		{"router", rts.URL, []route{{"GET", "/v1/cluster"}}, nil},
+	} {
+		for _, rt := range append(surviving, front.extra...) {
+			if status, served := probe(front.base, rt); !served {
+				t.Errorf("%s: %s %s is not served (HTTP %d)", front.name, rt.method, rt.path, status)
+			}
+		}
+		for _, rt := range append(retired, front.absent...) {
+			if status, served := probe(front.base, rt); served || status != http.StatusNotFound {
+				t.Errorf("%s: %s %s answers HTTP %d (served=%v), want the mux's 404", front.name, rt.method, rt.path, status, served)
+			}
+		}
 	}
 }

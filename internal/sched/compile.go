@@ -6,47 +6,20 @@ import (
 	"strings"
 )
 
-// Mode constrains the compile-time batch-vs-stream routing decision.
-type Mode uint8
-
-// The routing modes. Auto applies the cost model per dispatch; the forced
-// modes exist for benchmarking the two engines against each other and for
-// executors that only have one engine (the gate service streams
-// everything, so it compiles with StreamOnly).
-const (
-	Auto Mode = iota
-	BatchOnly
-	StreamOnly
-)
-
-// DefaultMinStream is the Auto-mode threshold of the cost model: a
-// dispatch of at least this many ciphertexts goes to the streaming
-// pipeline, a smaller one to the flat worker pool. The streaming engine
+// DefaultMinStream is the cost model's routing threshold: a dispatch of
+// at least this many blind rotations is marked for the streaming
+// pipeline, a smaller one for the flat worker pool. The streaming engine
 // only wins once its fixed costs — filling and draining the staged
 // pipeline (≈ channel depth items of ramp) and encoding the shared test
 // vector — amortize over the stream, while the flat pool's per-item
-// claim overhead is near zero for short batches.
+// claim overhead is near zero for short batches. The mark only decides
+// anything for an executor that holds both engines (see Runner); one
+// with a single engine, like the gate service's sessions, runs every
+// dispatch on it.
 const DefaultMinStream = 32
 
 // Config tunes compilation.
 type Config struct {
-	// Mode constrains batch-vs-stream routing. The zero value (Auto)
-	// applies the MinStream cost model per dispatch.
-	Mode Mode
-	// MinStream overrides the Auto-mode threshold. 0 means
-	// DefaultMinStream.
-	MinStream int
-	// MultiValue enables multi-value packing of plain LUT fan-out with
-	// this cap per group.
-	//
-	// Deprecated: it is an alias for Opt.MultiValue — the packing that
-	// used to happen opportunistically at dispatch assembly is now the
-	// optimizer's DAG rewrite (see OptConfig.MultiValue for the exact
-	// semantics, which are unchanged: decode-identical, not bitwise, and
-	// the executing parameter set must satisfy space·k ≤ N). Ignored
-	// when Opt.MultiValue is set. Explicit Builder.MultiLUT groups
-	// always execute multi-value, knob or not.
-	MultiValue int
 	// Opt selects optimizer passes to run on the circuit before
 	// levelization (see OptConfig and OptAll). The zero value compiles
 	// the circuit exactly as built, bitwise-faithful to RunSequential.
@@ -238,18 +211,10 @@ func multiLUTDispatchKey(space int, tables [][]int) string {
 // Execute is still called with the source circuit, whose inputs and
 // output order the rewrite preserves.
 func Compile(c *Circuit, cfg Config) (*Schedule, error) {
-	minStream := cfg.MinStream
-	if minStream <= 0 {
-		minStream = DefaultMinStream
-	}
-	opt := cfg.Opt
-	if opt.MultiValue == 0 && cfg.MultiValue >= 2 {
-		opt.MultiValue = cfg.MultiValue // deprecated alias
-	}
 	exec, passes := c, []PassStat(nil)
-	if opt.enabled() {
+	if cfg.Opt.enabled() {
 		var err error
-		exec, passes, err = Optimize(c, opt)
+		exec, passes, err = Optimize(c, cfg.Opt)
 		if err != nil {
 			return nil, err
 		}
@@ -341,14 +306,7 @@ func Compile(c *Circuit, cfg Config) (*Schedule, error) {
 	for l := range s.levels {
 		for di := range s.levels[l].Dispatches {
 			d := &s.levels[l].Dispatches[di]
-			switch cfg.Mode {
-			case BatchOnly:
-				d.Stream = false
-			case StreamOnly:
-				d.Stream = true
-			default:
-				d.Stream = d.Groups() >= minStream
-			}
+			d.Stream = d.Groups() >= DefaultMinStream
 			s.stats.Dispatches++
 			if d.Stream {
 				s.stats.Streamed++

@@ -116,24 +116,23 @@ func TestScheduledMultiLUTMatchesSequential(t *testing.T) {
 		}
 	}
 
-	r := &Runner{
-		Batch:  engine.New(testEK, engine.Config{Workers: 2}),
-		Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 2}),
-	}
-	for _, mode := range []Mode{BatchOnly, StreamOnly} {
-		got, err := r.Run(circ, Config{Mode: mode}, in)
+	for name, r := range map[string]*Runner{
+		"batch":  {Batch: engine.New(testEK, engine.Config{Workers: 2})},
+		"stream": {Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 2})},
+	} {
+		got, err := r.Run(circ, Config{}, in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
 			if !sameCT(got[i], want[i]) {
-				t.Fatalf("mode %d: scheduled output %d differs from sequential", mode, i)
+				t.Fatalf("%s runner: scheduled output %d differs from sequential", name, i)
 			}
 		}
 	}
 }
 
-// TestMultiValueFanOutFusing: with Config.MultiValue the compiler packs
+// TestMultiValueFanOutFusing: with Opt.MultiValue the compiler packs
 // independent same-input LUT nodes into shared rotations; outputs must
 // decode identically to the unfused execution (bitwise equality is not
 // expected — the packed rotation differs).
@@ -155,7 +154,7 @@ func TestMultiValueFanOutFusing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sch, err := Compile(circ, Config{MultiValue: 2})
+	sch, err := Compile(circ, Config{Opt: OptConfig{MultiValue: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +187,7 @@ func TestMultiValueFanOutFusing(t *testing.T) {
 
 	// Determinism: recompiling and re-running the fused schedule must
 	// reproduce the same bits.
-	sch2, err := Compile(circ, Config{MultiValue: 2})
+	sch2, err := Compile(circ, Config{Opt: OptConfig{MultiValue: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

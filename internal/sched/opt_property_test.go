@@ -208,7 +208,7 @@ func TestOptimizePassesPreserveDecoding(t *testing.T) {
 				t.Fatalf("trial %d %s: optimized PBS %d exceeds naive %d", trial, cfg.name, got, naivePBS)
 			}
 			tc.checkDecoded(t, fmt.Sprintf("trial %d %s sequential", trial, cfg.name), seqBits(t, oc, ins))
-			sch, err := Compile(tc.circ, Config{MinStream: 4, Opt: cfg.opt})
+			sch, err := Compile(tc.circ, Config{Opt: cfg.opt})
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, cfg.name, err)
 			}

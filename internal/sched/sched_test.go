@@ -121,31 +121,40 @@ func TestCompileGroupsLUTsByTable(t *testing.T) {
 	}
 }
 
+// TestCostModelRouting pins the fixed routing rule at compile time: a
+// dispatch is marked for the streaming engine from DefaultMinStream
+// rotations up, for the flat engine below.
 func TestCostModelRouting(t *testing.T) {
-	b := NewBuilder()
-	in := b.Inputs(8)
-	for _, w := range in {
-		b.Output(b.Gate(engine.NAND, w, w))
-	}
-	circ, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
-		cfg  Config
-		want bool
+		width int
+		want  bool
 	}{
-		{Config{Mode: Auto, MinStream: 4}, true},
-		{Config{Mode: Auto, MinStream: 9}, false},
-		{Config{Mode: StreamOnly, MinStream: 100}, true},
-		{Config{Mode: BatchOnly, MinStream: 1}, false},
+		{8, false},
+		{DefaultMinStream - 1, false},
+		{DefaultMinStream, true},
+		{2 * DefaultMinStream, true},
 	} {
-		sch, err := Compile(circ, tc.cfg)
+		b := NewBuilder()
+		for _, w := range b.Inputs(tc.width) {
+			b.Output(b.Gate(engine.NAND, w, w))
+		}
+		circ, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sch, err := Compile(circ, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := sch.Levels()[0].Dispatches[0].Stream; got != tc.want {
-			t.Errorf("cfg %+v: stream = %v, want %v", tc.cfg, got, tc.want)
+			t.Errorf("%d-wide dispatch: stream = %v, want %v", tc.width, got, tc.want)
+		}
+		wantStreamed := 0
+		if tc.want {
+			wantStreamed = 1
+		}
+		if st := sch.Stats(); st.Dispatches != 1 || st.Streamed != wantStreamed {
+			t.Errorf("%d-wide dispatch: stats %+v, want 1 dispatch, %d streamed", tc.width, st, wantStreamed)
 		}
 	}
 }
@@ -213,17 +222,46 @@ func randomCircuit(t *testing.T, rng *rand.Rand, inputs, extra int) *Circuit {
 }
 
 // TestScheduledMatchesSequential is the core equivalence property: for
-// random circuits and every compile mode, engine execution is bitwise
-// identical to the sequential evaluator.
+// random circuits and every engine attachment (both, flat only, streaming
+// only), engine execution is bitwise identical to the sequential
+// evaluator.
 func TestScheduledMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ev := tfhe.NewEvaluator(testEK)
-	runner := &Runner{
-		Batch:  engine.New(testEK, engine.Config{Workers: 3}),
-		Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 2}),
+	batch := engine.New(testEK, engine.Config{Workers: 3})
+	stream := engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 2})
+	runners := []struct {
+		name string
+		r    *Runner
+	}{
+		{"both", &Runner{Batch: batch, Stream: stream}},
+		{"batch-only", &Runner{Batch: batch}},
+		{"stream-only", &Runner{Stream: stream}},
 	}
-	for trial := 0; trial < 4; trial++ {
-		circ := randomCircuit(t, rng, 4, 12)
+	circuits := make([]*Circuit, 4, 5)
+	for i := range circuits {
+		circuits[i] = randomCircuit(t, rng, 4, 12)
+	}
+	// The random circuits' levels are all narrower than DefaultMinStream.
+	// One more circuit has a level exactly that wide feeding a narrow one,
+	// so the both-engines runner sends one dispatch to each engine.
+	wb := NewBuilder()
+	wins := wb.Inputs(DefaultMinStream)
+	wide := make([]Wire, len(wins))
+	for i := range wins {
+		wide[i] = wb.Gate(engine.NAND, wins[i], wins[(i+1)%len(wins)])
+	}
+	wb.Output(wb.Gate(engine.XOR, wide[0], wide[1]))
+	wb.Output(wide[2])
+	wideCirc, err := wb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sch, err := Compile(wideCirc, Config{}); err != nil || sch.Stats().Streamed != 1 || sch.Stats().Dispatches != 2 {
+		t.Fatalf("wide circuit: err=%v, schedule %v, want 2 dispatches with 1 streamed", err, sch)
+	}
+	circuits = append(circuits, wideCirc)
+	for trial, circ := range circuits {
 		ins := make([]tfhe.LWECiphertext, circ.NumInputs())
 		for i := range ins {
 			ins[i] = testSK.EncryptBool(rng, rng.Intn(2) == 0)
@@ -232,21 +270,17 @@ func TestScheduledMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cfg := range []Config{
-			{Mode: Auto, MinStream: 2},
-			{Mode: BatchOnly},
-			{Mode: StreamOnly},
-		} {
-			got, err := runner.Run(circ, cfg, ins)
+		for _, rn := range runners {
+			got, err := rn.r.Run(circ, Config{}, ins)
 			if err != nil {
-				t.Fatalf("trial %d cfg %+v: %v", trial, cfg, err)
+				t.Fatalf("trial %d runner %s: %v", trial, rn.name, err)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("trial %d: %d outputs, want %d", trial, len(got), len(want))
 			}
 			for k := range got {
 				if !sameCT(got[k], want[k]) {
-					t.Errorf("trial %d cfg %+v: output %d differs from sequential", trial, cfg, k)
+					t.Errorf("trial %d runner %s: output %d differs from sequential", trial, rn.name, k)
 				}
 			}
 		}
@@ -377,30 +411,5 @@ func TestRunnerWithoutEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	if _, err := r.Run(circ, Config{}, []tfhe.LWECiphertext{testSK.EncryptBool(rng, true)}); err == nil {
 		t.Error("runner without engines should error")
-	}
-}
-
-func TestRunnerSingleEngineFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	b := NewBuilder()
-	x, y := b.Input(), b.Input()
-	b.Output(b.Gate(engine.NAND, x, y))
-	circ, _ := b.Build()
-	ins := []tfhe.LWECiphertext{testSK.EncryptBool(rng, true), testSK.EncryptBool(rng, false)}
-	want, err := RunSequential(circ, tfhe.NewEvaluator(testEK), ins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// StreamOnly compile but only a batch engine available — and vice versa.
-	batchOnly := &Runner{Batch: engine.New(testEK, engine.Config{Workers: 1})}
-	streamOnly := &Runner{Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 1})}
-	for name, r := range map[string]*Runner{"batch": batchOnly, "stream": streamOnly} {
-		got, err := r.Run(circ, Config{Mode: StreamOnly}, ins)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !sameCT(got[0], want[0]) {
-			t.Errorf("%s fallback output differs", name)
-		}
 	}
 }

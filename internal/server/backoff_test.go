@@ -67,7 +67,7 @@ func TestBackoffCaps(t *testing.T) {
 // TestRetryAfterOf covers the Retry-After parse: whole seconds floor the
 // retry, anything else (absent, malformed, HTTP-date, non-positive)
 // yields no floor, and hostile values clamp to MaxBackoff.
-func TestRetryAfterOf(t *testing.T) {
+func TestParseRetryAfter(t *testing.T) {
 	cases := []struct {
 		header string
 		want   time.Duration
@@ -82,12 +82,12 @@ func TestRetryAfterOf(t *testing.T) {
 		{"99999", MaxBackoff},
 	}
 	for _, tc := range cases {
-		resp := &http.Response{Header: http.Header{}}
+		h := http.Header{}
 		if tc.header != "" {
-			resp.Header.Set("Retry-After", tc.header)
+			h.Set("Retry-After", tc.header)
 		}
-		if got := retryAfterOf(resp); got != tc.want {
-			t.Errorf("retryAfterOf(%q) = %v, want %v", tc.header, got, tc.want)
+		if got := ParseRetryAfter(h); got != tc.want {
+			t.Errorf("ParseRetryAfter(%q) = %v, want %v", tc.header, got, tc.want)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -134,7 +135,7 @@ func decodeReply(resp *http.Response, out any) error {
 		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		apiErr := &APIError{Status: resp.StatusCode, Code: CodeInternal, RetryAfter: retryAfterOf(resp)}
+		apiErr := &APIError{Status: resp.StatusCode, Code: CodeInternal, RetryAfter: ParseRetryAfter(resp.Header)}
 		var er ErrorResponse
 		if json.Unmarshal(data, &er) == nil && er.Error != "" {
 			apiErr.Message = er.Error
@@ -151,12 +152,12 @@ func decodeReply(resp *http.Response, out any) error {
 	return json.Unmarshal(data, out)
 }
 
-// retryAfterOf parses a response's Retry-After delay. Both the server
+// ParseRetryAfter parses a response's Retry-After delay. Both the server
 // and the router send it as whole seconds on 503s; an absent, malformed,
 // or HTTP-date header yields 0 (no floor), and the result is clamped to
-// MaxBackoff so a hostile header cannot park the client.
-func retryAfterOf(resp *http.Response) time.Duration {
-	secs, err := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After")))
+// MaxBackoff so a hostile header cannot park the caller.
+func ParseRetryAfter(h http.Header) time.Duration {
+	secs, err := strconv.Atoi(strings.TrimSpace(h.Get("Retry-After")))
 	if err != nil || secs <= 0 {
 		return 0
 	}
@@ -195,6 +196,19 @@ func (c *Client) eval(req EvalRequest) ([]tfhe.LWECiphertext, int, error) {
 	return out, resp.K, nil
 }
 
+// evalGrouped is eval for the kinds that answer k outputs per input
+// (multilut, infer): out[i][j] is output j of input i.
+func (c *Client) evalGrouped(req EvalRequest) ([][]tfhe.LWECiphertext, error) {
+	flat, k, err := c.eval(req)
+	if err != nil {
+		return nil, err
+	}
+	if k <= 0 || len(flat)%k != 0 {
+		return nil, fmt.Errorf("server: eval reply shape %d outputs / k=%d", len(flat), k)
+	}
+	return regroup(flat, k), nil
+}
+
 // GateBatch evaluates out[i] = op(a[i], b[i]) on the server. For the unary
 // NOT, b must be nil.
 func (c *Client) GateBatch(op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
@@ -231,13 +245,6 @@ func (c *Client) CircuitBatchOpts(circ *sched.Circuit, inputs []tfhe.LWECipherte
 	return out, err
 }
 
-// CircuitBatchOptimized is CircuitBatchOpts with Optimize set.
-//
-// Deprecated: use CircuitBatchOpts(circ, inputs, EvalOpts{Optimize: true}).
-func (c *Client) CircuitBatchOptimized(circ *sched.Circuit, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	return c.CircuitBatchOpts(circ, inputs, EvalOpts{Optimize: true})
-}
-
 // LUTBatch applies the lookup table (length space, entries in
 // {0..space-1}) to every ciphertext on the server.
 func (c *Client) LUTBatch(cts []tfhe.LWECiphertext, space int, table []int) ([]tfhe.LWECiphertext, error) {
@@ -250,18 +257,7 @@ func (c *Client) LUTBatch(cts []tfhe.LWECiphertext, space int, table []int) ([]t
 // one blind rotation per input serves all k tables. out[i][j] is table j
 // applied to cts[i].
 func (c *Client) MultiLUTBatch(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
-	flat, k, err := c.eval(EvalRequest{Kind: EvalKindMultiLUT, Space: space, Tables: tables, Cts: encodeCiphertexts(cts)})
-	if err != nil {
-		return nil, err
-	}
-	if k <= 0 || len(flat)%k != 0 {
-		return nil, fmt.Errorf("server: eval reply shape %d outputs / k=%d", len(flat), k)
-	}
-	out := make([][]tfhe.LWECiphertext, 0, len(flat)/k)
-	for i := 0; i < len(flat); i += k {
-		out = append(out, flat[i:i+k])
-	}
-	return out, nil
+	return c.evalGrouped(EvalRequest{Kind: EvalKindMultiLUT, Space: space, Tables: tables, Cts: encodeCiphertexts(cts)})
 }
 
 // Infer runs the server's built-in cellCNN-style inference model over a
@@ -273,18 +269,7 @@ func (c *Client) MultiLUTBatch(cts []tfhe.LWECiphertext, space int, tables [][]i
 // opts with Optimize runs the model through the server-side optimizer
 // pass pipeline first.
 func (c *Client) Infer(features []tfhe.LWECiphertext, opts EvalOpts) ([][]tfhe.LWECiphertext, error) {
-	flat, k, err := c.eval(EvalRequest{Kind: EvalKindInfer, Inputs: encodeCiphertexts(features), Opts: opts})
-	if err != nil {
-		return nil, err
-	}
-	if k <= 0 || len(flat)%k != 0 {
-		return nil, fmt.Errorf("server: eval reply shape %d outputs / k=%d", len(flat), k)
-	}
-	out := make([][]tfhe.LWECiphertext, 0, len(flat)/k)
-	for i := 0; i < len(flat); i += k {
-		out = append(out, flat[i:i+k])
-	}
-	return out, nil
+	return c.evalGrouped(EvalRequest{Kind: EvalKindInfer, Inputs: encodeCiphertexts(features), Opts: opts})
 }
 
 // Stats fetches the service metrics snapshot.
@@ -340,6 +325,6 @@ func (c *Client) Sessions() ([]SessionInfo, error) {
 // *APIError with code unknown_session.
 func (c *Client) DeleteSession(clientID string) (DeleteSessionResponse, error) {
 	var resp DeleteSessionResponse
-	err := c.do(http.MethodDelete, "/v1/sessions/"+clientID, nil, &resp)
+	err := c.do(http.MethodDelete, "/v1/sessions/"+url.PathEscape(clientID), nil, &resp)
 	return resp, err
 }

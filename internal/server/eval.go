@@ -16,8 +16,7 @@ import (
 // multi-value LUT, circuit — travels as one versioned frame through
 // POST /v2/eval, so a routing tier can forward, retry, and account for
 // all evaluation traffic uniformly instead of knowing one endpoint per
-// op shape. The /v1/* batch endpoints remain as thin shims that build
-// an EvalRequest and reshape the response into their legacy frames.
+// op shape. It is the only evaluation entry of the HTTP API.
 
 // Eval envelope kinds: the Kind field of an EvalRequest.
 const (
@@ -197,9 +196,8 @@ func parseEvalRequest(r io.Reader) (EvalRequest, evalOperands, error) {
 }
 
 // evalDecoded dispatches one shape-validated, wire-decoded envelope to
-// the session core — the single execution path every evaluation
-// endpoint (v2 and the v1 shims) funnels through. It returns the flat
-// output batch and the outputs-per-input count k.
+// the session core. It returns the flat output batch and the
+// outputs-per-input count k.
 func (s *Server) evalDecoded(req EvalRequest, ops evalOperands) ([]tfhe.LWECiphertext, int, error) {
 	switch req.Kind {
 	case EvalKindGate:
@@ -224,7 +222,7 @@ func (s *Server) evalDecoded(req EvalRequest, ops evalOperands) ([]tfhe.LWECiphe
 		}
 		return flat, k, nil
 	case EvalKindCircuit:
-		out, err := s.circuitBatch(req.ClientID, req.Nodes, req.Outputs, ops.a, req.Opts.Optimize)
+		out, err := s.CircuitBatch(req.ClientID, req.Nodes, req.Outputs, ops.a, req.Opts.Optimize)
 		return out, 1, err
 	case EvalKindInfer:
 		out, err := s.InferBatch(req.ClientID, ops.a, req.Opts.Optimize)
@@ -235,8 +233,7 @@ func (s *Server) evalDecoded(req EvalRequest, ops evalOperands) ([]tfhe.LWECiphe
 
 // Eval executes one v2 evaluation envelope: shape validation, ciphertext
 // decode, dispatch to the session core, and re-encode of the outputs.
-// It is the programmatic form of POST /v2/eval, and what the v1 batch
-// handlers shim onto.
+// It is the programmatic form of POST /v2/eval.
 func (s *Server) Eval(req EvalRequest) (EvalResponse, error) {
 	ops, err := decodeEvalOperands(&req)
 	if err != nil {

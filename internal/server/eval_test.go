@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -53,97 +52,6 @@ func TestEvalShapeValidation(t *testing.T) {
 	okInfer := EvalRequest{Kind: EvalKindInfer, Opts: EvalOpts{Optimize: true}}
 	if err := validateEvalShape(&okInfer); err != nil {
 		t.Errorf("optimize on infer rejected: %v", err)
-	}
-}
-
-// TestV1ShimParity proves the /v1/* batch endpoints are true shims: the
-// legacy frames produce bitwise the same ciphertexts as the v2 envelope
-// the client now sends, for every kind.
-func TestV1ShimParity(t *testing.T) {
-	sk, ek := testKeys(t, 1)
-	srv := New(Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	client := Dial(ts.URL, "alice")
-	if err := client.RegisterKey(ek); err != nil {
-		t.Fatal(err)
-	}
-
-	postV1 := func(t *testing.T, path string, req, out any) {
-		t.Helper()
-		body, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: HTTP %d: %s", path, resp.StatusCode, data)
-		}
-		if err := json.Unmarshal(data, out); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Gate: v1 frame vs the client's v2 path.
-	bits := []bool{true, false, true, true}
-	shift := []bool{false, true, true, false}
-	a := encryptBools(sk, 500, bits)
-	b := encryptBools(sk, 600, shift)
-	v2Gate, err := client.GateBatch(engine.NAND, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gateResp BatchResponse
-	postV1(t, "/v1/gate-batch", GateBatchRequest{
-		ClientID: "alice", Op: "NAND", A: encodeCiphertexts(a), B: encodeCiphertexts(b),
-	}, &gateResp)
-	if !reflect.DeepEqual(gateResp.Out, encodeCiphertexts(v2Gate)) {
-		t.Error("v1 gate-batch shim differs from v2 eval")
-	}
-
-	// LUT.
-	table := []int{0, 1, 4, 1, 0, 1, 4, 1}
-	lutIn := encryptInts(sk, 800, []int{2, 6, 3}, 8)
-	v2LUT, err := client.LUTBatch(lutIn, 8, table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lutResp BatchResponse
-	postV1(t, "/v1/lut-batch", LUTBatchRequest{
-		ClientID: "alice", Space: 8, Table: table, Cts: encodeCiphertexts(lutIn),
-	}, &lutResp)
-	if !reflect.DeepEqual(lutResp.Out, encodeCiphertexts(v2LUT)) {
-		t.Error("v1 lut-batch shim differs from v2 eval")
-	}
-
-	// MultiLUT: the v1 shim regroups the flat v2 response back into the
-	// legacy nested frame.
-	tables := [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}}
-	mlutIn := encryptInts(sk, 900, []int{1, 3}, 4)
-	v2MLUT, err := client.MultiLUTBatch(mlutIn, 4, tables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mlutResp MultiLUTBatchResponse
-	postV1(t, "/v1/multilut-batch", MultiLUTBatchRequest{
-		ClientID: "alice", Space: 4, Tables: tables, Cts: encodeCiphertexts(mlutIn),
-	}, &mlutResp)
-	if len(mlutResp.Out) != len(v2MLUT) {
-		t.Fatalf("v1 multilut groups = %d, v2 = %d", len(mlutResp.Out), len(v2MLUT))
-	}
-	for i := range v2MLUT {
-		if !reflect.DeepEqual(mlutResp.Out[i], encodeCiphertexts(v2MLUT[i])) {
-			t.Errorf("v1 multilut-batch shim group %d differs from v2 eval", i)
-		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"repro/internal/sched"
 	"repro/internal/tfhe"
 	"repro/internal/wire"
 )
@@ -45,60 +44,6 @@ type RegisterKeyResponse struct {
 	KeyBytes int    `json:"key_bytes"` // decoded key size, for sanity checks
 }
 
-// GateBatchRequest frames POST /v1/gate-batch.
-type GateBatchRequest struct {
-	ClientID string   `json:"client_id"`
-	Op       string   `json:"op"`          // gate mnemonic, e.g. "NAND"
-	A        [][]byte `json:"a"`           // wire-encoded LWE ciphertexts
-	B        [][]byte `json:"b,omitempty"` // absent for the unary NOT
-}
-
-// LUTBatchRequest frames POST /v1/lut-batch.
-type LUTBatchRequest struct {
-	ClientID string   `json:"client_id"`
-	Space    int      `json:"space"` // message space of the table
-	Table    []int    `json:"table"` // length Space, entries in {0..Space-1}
-	Cts      [][]byte `json:"cts"`   // wire-encoded LWE ciphertexts
-}
-
-// MultiLUTBatchRequest frames POST /v1/multilut-batch: k lookup tables
-// applied to every ciphertext with one blind rotation per input.
-type MultiLUTBatchRequest struct {
-	ClientID string   `json:"client_id"`
-	Space    int      `json:"space"`  // message space shared by every table
-	Tables   [][]int  `json:"tables"` // k tables, each length Space, entries in {0..Space-1}
-	Cts      [][]byte `json:"cts"`    // wire-encoded LWE ciphertexts
-}
-
-// MultiLUTBatchResponse carries the k result ciphertexts per input of a
-// multi-value batch: Out[i][j] is table j applied to input i.
-type MultiLUTBatchResponse struct {
-	Out [][][]byte `json:"out"`
-}
-
-// CircuitBatchRequest frames POST /v1/circuit-batch: a serialized sched
-// circuit plus its input ciphertexts. Node references are indices into
-// the nodes list; outputs select the wires to return.
-type CircuitBatchRequest struct {
-	ClientID string           `json:"client_id"`
-	Nodes    []sched.NodeSpec `json:"nodes"`
-	Outputs  []int            `json:"outputs"`
-	Inputs   [][]byte         `json:"inputs"` // wire-encoded LWE ciphertexts
-	// Optimize asks the server to run the scheduler's full optimizer
-	// pass pipeline (CSE, pruning, linear folding, bootstrap fusion,
-	// multi-value packing bounded by the session's parameter set) before
-	// execution. Outputs then decode identically to the unoptimized
-	// circuit but are not bitwise identical; leave false for the
-	// bitwise-reproducible path.
-	Optimize bool `json:"optimize,omitempty"`
-}
-
-// BatchResponse carries the result ciphertexts of a gate, LUT, or
-// circuit batch.
-type BatchResponse struct {
-	Out [][]byte `json:"out"` // wire-encoded LWE ciphertexts, input order
-}
-
 // ErrorResponse is the JSON body of every non-2xx reply. Error is the
 // human-readable message (kept for older clients and for logs); Code is
 // the machine-readable error code clients should dispatch on — one of
@@ -129,30 +74,20 @@ type DeleteSessionResponse struct {
 
 // Handler returns the HTTP API of the service:
 //
-//	POST /v2/eval            EvalRequest           → EvalResponse
-//	POST /v1/register-key    RegisterKeyRequest    → RegisterKeyResponse
-//	POST /v1/gate-batch      GateBatchRequest      → BatchResponse
-//	POST /v1/lut-batch       LUTBatchRequest       → BatchResponse
-//	POST /v1/multilut-batch  MultiLUTBatchRequest  → MultiLUTBatchResponse
-//	POST   /v1/circuit-batch          CircuitBatchRequest   → BatchResponse
-//	GET    /v1/stats                                        → Stats
-//	GET    /v1/healthz                                      → HealthResponse
-//	GET    /v1/sessions                                     → SessionsResponse
-//	DELETE /v1/sessions/{client_id}                         → DeleteSessionResponse
+//	POST   /v2/eval                  EvalRequest         → EvalResponse
+//	POST   /v1/register-key          RegisterKeyRequest  → RegisterKeyResponse
+//	GET    /v1/stats                                     → Stats
+//	GET    /v1/healthz                                   → HealthResponse
+//	GET    /v1/sessions                                  → SessionsResponse
+//	DELETE /v1/sessions/{client_id}                      → DeleteSessionResponse
 //
-// /v2/eval is the single versioned evaluation envelope (see eval.go);
-// the /v1/* batch endpoints are thin shims that translate their legacy
-// frames onto the same core. Every non-2xx reply is an ErrorResponse
-// carrying a machine-readable code (see errors.go); 503 replies also
-// carry a Retry-After header.
+// /v2/eval is the single versioned evaluation envelope (see eval.go).
+// Every non-2xx reply is an ErrorResponse carrying a machine-readable
+// code (see errors.go); 503 replies also carry a Retry-After header.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v2/eval", s.handleEval)
 	mux.HandleFunc("POST /v1/register-key", s.handleRegisterKey)
-	mux.HandleFunc("POST /v1/gate-batch", s.handleGateBatch)
-	mux.HandleFunc("POST /v1/lut-batch", s.handleLUTBatch)
-	mux.HandleFunc("POST /v1/multilut-batch", s.handleMultiLUTBatch)
-	mux.HandleFunc("POST /v1/circuit-batch", s.handleCircuitBatch)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/sessions", s.handleSessions)
@@ -226,85 +161,6 @@ func (s *Server) handleRegisterKey(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, RegisterKeyResponse{Params: p.Name, KeyBytes: len(req.EvalKey)})
-}
-
-// handleGateBatch is the v1 shim: a GateBatchRequest is a gate-kind
-// eval envelope with a BatchResponse reply.
-func (s *Server) handleGateBatch(w http.ResponseWriter, r *http.Request) {
-	var req GateBatchRequest
-	if err := decodeJSON(w, r, &req, MaxBatchBodyBytes); err != nil {
-		writeError(w, fmt.Errorf("server: bad gate-batch request: %w", err))
-		return
-	}
-	resp, err := s.Eval(EvalRequest{
-		ClientID: req.ClientID, Kind: EvalKindGate, Op: req.Op, A: req.A, B: req.B,
-	})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, BatchResponse{Out: resp.Out})
-}
-
-// handleLUTBatch is the v1 shim: a LUTBatchRequest is a lut-kind eval
-// envelope with a BatchResponse reply.
-func (s *Server) handleLUTBatch(w http.ResponseWriter, r *http.Request) {
-	var req LUTBatchRequest
-	if err := decodeJSON(w, r, &req, MaxBatchBodyBytes); err != nil {
-		writeError(w, fmt.Errorf("server: bad lut-batch request: %w", err))
-		return
-	}
-	resp, err := s.Eval(EvalRequest{
-		ClientID: req.ClientID, Kind: EvalKindLUT, Space: req.Space, Table: req.Table, Cts: req.Cts,
-	})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, BatchResponse{Out: resp.Out})
-}
-
-// handleMultiLUTBatch is the v1 shim: a MultiLUTBatchRequest is a
-// multilut-kind eval envelope whose flat response regroups into the
-// legacy nested MultiLUTBatchResponse.
-func (s *Server) handleMultiLUTBatch(w http.ResponseWriter, r *http.Request) {
-	var req MultiLUTBatchRequest
-	if err := decodeJSON(w, r, &req, MaxBatchBodyBytes); err != nil {
-		writeError(w, fmt.Errorf("server: bad multilut-batch request: %w", err))
-		return
-	}
-	resp, err := s.Eval(EvalRequest{
-		ClientID: req.ClientID, Kind: EvalKindMultiLUT, Space: req.Space, Tables: req.Tables, Cts: req.Cts,
-	})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	nested := MultiLUTBatchResponse{Out: make([][][]byte, 0, len(req.Cts))}
-	for i := 0; i < len(resp.Out); i += resp.K {
-		nested.Out = append(nested.Out, resp.Out[i:i+resp.K])
-	}
-	writeJSON(w, http.StatusOK, nested)
-}
-
-// handleCircuitBatch is the v1 shim: a CircuitBatchRequest is a
-// circuit-kind eval envelope with a BatchResponse reply.
-func (s *Server) handleCircuitBatch(w http.ResponseWriter, r *http.Request) {
-	var req CircuitBatchRequest
-	if err := decodeJSON(w, r, &req, MaxBatchBodyBytes); err != nil {
-		writeError(w, fmt.Errorf("server: bad circuit-batch request: %w", err))
-		return
-	}
-	resp, err := s.Eval(EvalRequest{
-		ClientID: req.ClientID, Kind: EvalKindCircuit,
-		Nodes: req.Nodes, Outputs: req.Outputs, Inputs: req.Inputs,
-		Opts: EvalOpts{Optimize: req.Optimize},
-	})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, BatchResponse{Out: resp.Out})
 }
 
 // handleStats reports the service metrics snapshot.

@@ -152,13 +152,13 @@ func TestHTTPErrors(t *testing.T) {
 	if resp := post("/v1/register-key", `{"client_id":"x","eval_key":"AAAA"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad eval key: status %d, want 400", resp.StatusCode)
 	}
-	if resp := post("/v1/gate-batch", `{"client_id":"ghost","op":"NAND","a":[],"b":[]}`); resp.StatusCode != http.StatusNotFound {
+	if resp := post("/v2/eval", `{"client_id":"ghost","kind":"gate","op":"NAND","a":[],"b":[]}`); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown session: status %d, want 404", resp.StatusCode)
 	}
-	if resp := post("/v1/gate-batch", `{"client_id":"x","op":"FROB","a":[],"b":[]}`); resp.StatusCode != http.StatusBadRequest {
+	if resp := post("/v2/eval", `{"client_id":"x","kind":"gate","op":"FROB","a":[],"b":[]}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown op: status %d, want 400", resp.StatusCode)
 	}
-	if resp := post("/v1/gate-batch", `{"client_id":"x","op":"NAND","a":[],"b":[],"zzz":1}`); resp.StatusCode != http.StatusBadRequest {
+	if resp := post("/v2/eval", `{"client_id":"x","kind":"gate","op":"NAND","a":[],"b":[],"zzz":1}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
 	}
 
@@ -168,9 +168,9 @@ func TestHTTPErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := encryptBools(sk, 1, []bool{true, true, true})
-	req := GateBatchRequest{ClientID: "alice", Op: "NAND", A: encodeCiphertexts(big), B: encodeCiphertexts(big)}
+	req := EvalRequest{ClientID: "alice", Kind: EvalKindGate, Op: "NAND", A: encodeCiphertexts(big), B: encodeCiphertexts(big)}
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/v1/gate-batch", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v2/eval", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +185,12 @@ func TestHTTPErrors(t *testing.T) {
 	}
 
 	// Method/path mismatches.
-	if resp, err := http.Get(ts.URL + "/v1/gate-batch"); err != nil {
+	if resp, err := http.Get(ts.URL + "/v2/eval"); err != nil {
 		t.Fatal(err)
 	} else {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("GET gate-batch: status %d, want 405", resp.StatusCode)
+			t.Errorf("GET eval: status %d, want 405", resp.StatusCode)
 		}
 	}
 	if resp, err := http.Get(ts.URL + "/v1/nope"); err != nil {
@@ -248,13 +248,13 @@ func TestHTTPCircuitBatch(t *testing.T) {
 	}
 }
 
-// TestHTTPCircuitBatchOptimized runs the multiplication DAG through the
+// TestHTTPCircuitBatchOptimize runs the multiplication DAG through the
 // circuit endpoint with the optimize flag: the server-side pass pipeline
 // rewrites the circuit (fewer rotations than the naive schedule), and
 // the outputs still decrypt to the right product. Bitwise equality with
 // the unoptimized reply is explicitly NOT promised — fusion and packing
 // re-synthesize bootstraps — so this test pins the decode contract.
-func TestHTTPCircuitBatchOptimized(t *testing.T) {
+func TestHTTPCircuitBatchOptimize(t *testing.T) {
 	sk, ek := testKeys(t, 1)
 	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
@@ -276,7 +276,7 @@ func TestHTTPCircuitBatchOptimized(t *testing.T) {
 	y, _ := intops.Encrypt(rng, sk, 9, digits)
 	inputs := append(append([]tfhe.LWECiphertext{}, x.Digits...), y.Digits...)
 
-	got, err := client.CircuitBatchOptimized(circ, inputs)
+	got, err := client.CircuitBatchOpts(circ, inputs, EvalOpts{Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func (s *Server) InferBatch(clientID string, features []tfhe.LWECiphertext, opti
 	if err != nil {
 		return nil, err
 	}
-	return sched.Execute(circ, schedule, features, sessionExecutor{sess})
+	return sched.Execute(circ, schedule, features, sess)
 }
 
 // validateInfer bounds an inference request and compiles the model for
@@ -67,12 +67,7 @@ func (s *session) validateInfer(features []tfhe.LWECiphertext, cfg Config, optim
 	if err != nil {
 		return fail(err)
 	}
-	scfg := sched.Config{Mode: sched.StreamOnly}
-	if optimize {
-		scfg.Opt = sched.OptAll()
-		scfg.Opt.MultiValueBudget = s.params.N
-	}
-	schedule, err := sched.Compile(circ, scfg)
+	schedule, err := s.compile(circ, optimize)
 	if err != nil {
 		return fail(err)
 	}

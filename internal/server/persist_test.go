@@ -330,8 +330,8 @@ func TestHTTPErrorCodes(t *testing.T) {
 	}
 
 	gate := func(id string) (int, ErrorResponse) {
-		body := fmt.Sprintf(`{"client_id":%q,"op":"NAND","a":[],"b":[]}`, id)
-		resp, err := http.Post(ts.URL+"/v1/gate-batch", "application/json", strings.NewReader(body))
+		body := fmt.Sprintf(`{"client_id":%q,"kind":"gate","op":"NAND","a":[],"b":[]}`, id)
+		resp, err := http.Post(ts.URL+"/v2/eval", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,8 +344,8 @@ func TestHTTPErrorCodes(t *testing.T) {
 	// Empty batches short-circuit before session lookup only after the
 	// session resolves; use a one-ciphertext batch for the evicted case.
 	ct := encodeCiphertexts(encryptBools(sk, 1, []bool{true}))
-	evictedBody, _ := json.Marshal(GateBatchRequest{ClientID: "a", Op: "NOT", A: ct})
-	resp, err := http.Post(ts.URL+"/v1/gate-batch", "application/json", bytes.NewReader(evictedBody))
+	evictedBody, _ := json.Marshal(EvalRequest{ClientID: "a", Kind: EvalKindGate, Op: "NOT", A: ct})
+	resp, err := http.Post(ts.URL+"/v2/eval", "application/json", bytes.NewReader(evictedBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestHTTPErrorCodes(t *testing.T) {
 		t.Errorf("unknown: %d/%s, want 404/%s", status, er.Code, CodeUnknownSession)
 	}
 	// Malformed requests carry bad_request.
-	resp2, err := http.Post(ts.URL+"/v1/gate-batch", "application/json", strings.NewReader("{not json"))
+	resp2, err := http.Post(ts.URL+"/v2/eval", "application/json", strings.NewReader("{not json"))
 	if err != nil {
 		t.Fatal(err)
 	}

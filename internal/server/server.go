@@ -472,13 +472,7 @@ func (s *Server) GateBatch(clientID string, op engine.GateOp, a, b []tfhe.LWECip
 	if len(a) == 0 {
 		return nil, nil
 	}
-	eng := sess.eng
-	return sess.submit("g:"+op.String(), a, b, 1, func(ga, gb []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-		if op == engine.NOT {
-			return eng.StreamGate(op, ga, nil)
-		}
-		return eng.StreamGate(op, ga, gb)
-	})
+	return sess.Gate(sched.Dispatch{Op: op}, a, b)
 }
 
 // LUTBatch applies the lookup table (length space, entries in
@@ -500,47 +494,7 @@ func (s *Server) LUTBatch(clientID string, cts []tfhe.LWECiphertext, space int, 
 	if len(cts) == 0 {
 		return nil, nil
 	}
-	eng := sess.eng
-	return sess.submit(lutKey(space, table), cts, nil, 1, func(ga, _ []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-		return eng.StreamLUT(ga, space, func(m int) int { return table[m] }), nil
-	})
-}
-
-// lutKey is the coalescing key of a LUT request: streams merge only when
-// the whole table is identical.
-func lutKey(space int, table []int) string {
-	return fmt.Sprintf("l:%d:%v", space, table)
-}
-
-// multiLUTKey is the coalescing key of a multi-value LUT request: streams
-// merge only when the whole table list is identical, so every request of
-// a group shares one packed test vector and fan-out k.
-func multiLUTKey(space int, tables [][]int) string {
-	return fmt.Sprintf("m:%d:%v", space, tables)
-}
-
-// runMultiLUT streams one coalesced multi-value batch and flattens the
-// per-input output groups input-major, the layout submit scatters.
-func runMultiLUT(eng *engine.StreamingEngine, cts []tfhe.LWECiphertext, space int, tables [][]int) ([]tfhe.LWECiphertext, error) {
-	groups, err := eng.StreamMultiLUT(cts, space, tfhe.TableFuncs(tables))
-	if err != nil {
-		return nil, err
-	}
-	flat := make([]tfhe.LWECiphertext, 0, len(cts)*len(tables))
-	for _, outs := range groups {
-		flat = append(flat, outs...)
-	}
-	return flat, nil
-}
-
-// regroup splits a flat input-major output slice back into k outputs per
-// input.
-func regroup(flat []tfhe.LWECiphertext, k int) [][]tfhe.LWECiphertext {
-	out := make([][]tfhe.LWECiphertext, len(flat)/k)
-	for g := range out {
-		out[g] = flat[g*k : (g+1)*k : (g+1)*k]
-	}
-	return out
+	return sess.LUT(sched.Dispatch{Space: space, Table: table}, cts)
 }
 
 // MultiLUTBatch applies the k lookup tables (each length space, entries
@@ -564,15 +518,7 @@ func (s *Server) MultiLUTBatch(clientID string, cts []tfhe.LWECiphertext, space 
 	if len(cts) == 0 {
 		return nil, nil
 	}
-	eng := sess.eng
-	k := len(tables)
-	flat, err := sess.submit(multiLUTKey(space, tables), cts, nil, k, func(ga, _ []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-		return runMultiLUT(eng, ga, space, tables)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return regroup(flat, k), nil
+	return sess.MultiLUT(sched.Dispatch{Space: space, Tables: tables}, cts)
 }
 
 // CircuitBatch compiles a levelized schedule for the circuit described by
@@ -580,23 +526,12 @@ func (s *Server) MultiLUTBatch(clientID string, cts []tfhe.LWECiphertext, space 
 // dispatch (one gate op, or one exact lookup table, across the whole
 // level) goes through the session's group-commit path, so concurrent
 // circuits — and plain gate/LUT batches — coalesce into shared engine
-// streams whenever their dispatch keys match.
-func (s *Server) CircuitBatch(clientID string, specs []sched.NodeSpec, outputs []int, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	return s.circuitBatch(clientID, specs, outputs, inputs, false)
-}
-
-// CircuitBatchOptimized is CircuitBatch with the scheduler's optimizer
-// pass pipeline enabled: the circuit is rewritten (CSE, pruning, linear
-// folding, bootstrap fusion, multi-value packing bounded by the
-// session's parameter set) before levelization. Outputs decode
-// identically to CircuitBatch's but are not bitwise identical.
-func (s *Server) CircuitBatchOptimized(clientID string, specs []sched.NodeSpec, outputs []int, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	return s.circuitBatch(clientID, specs, outputs, inputs, true)
-}
-
-// circuitBatch is the shared circuit-batch path; optimize selects the
-// optimizer pass pipeline.
-func (s *Server) circuitBatch(clientID string, specs []sched.NodeSpec, outputs []int, inputs []tfhe.LWECiphertext, optimize bool) ([]tfhe.LWECiphertext, error) {
+// streams whenever their dispatch keys match. optimize first runs the
+// scheduler's optimizer pass pipeline (CSE, pruning, linear folding,
+// bootstrap fusion, multi-value packing bounded by the session's
+// parameter set); outputs then decode identically but are not bitwise
+// identical.
+func (s *Server) CircuitBatch(clientID string, specs []sched.NodeSpec, outputs []int, inputs []tfhe.LWECiphertext, optimize bool) ([]tfhe.LWECiphertext, error) {
 	if err := s.begin(); err != nil {
 		return nil, err
 	}
@@ -609,47 +544,7 @@ func (s *Server) circuitBatch(clientID string, specs []sched.NodeSpec, outputs [
 	if err != nil {
 		return nil, err
 	}
-	return sched.Execute(circ, schedule, inputs, sessionExecutor{sess})
-}
-
-// sessionExecutor dispatches schedule levels through the session's
-// coalescing submit path. Dispatch keys match GateBatch/LUTBatch keys, so
-// circuit levels and standalone batches share streams.
-type sessionExecutor struct {
-	sess *session
-}
-
-// Gate implements sched.Executor over the session.
-func (x sessionExecutor) Gate(d sched.Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	eng := x.sess.eng
-	return x.sess.submit("g:"+d.Op.String(), a, b, 1, func(ga, gb []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-		return eng.StreamGate(d.Op, ga, gb)
-	})
-}
-
-// LUT implements sched.Executor over the session.
-func (x sessionExecutor) LUT(d sched.Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	eng := x.sess.eng
-	table := d.Table
-	return x.sess.submit(lutKey(d.Space, d.Table), in, nil, 1, func(ga, _ []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-		return eng.StreamLUT(ga, d.Space, func(m int) int { return table[m] }), nil
-	})
-}
-
-// MultiLUT implements sched.Executor over the session: multi-value
-// circuit dispatches share coalescing keys with standalone multilut-batch
-// traffic, so scheduler fan-out and direct requests merge into the same
-// packed streams.
-func (x sessionExecutor) MultiLUT(d sched.Dispatch, in []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
-	eng := x.sess.eng
-	k := len(d.Tables)
-	flat, err := x.sess.submit(multiLUTKey(d.Space, d.Tables), in, nil, k, func(ga, _ []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-		return runMultiLUT(eng, ga, d.Space, d.Tables)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return regroup(flat, k), nil
+	return sched.Execute(circ, schedule, inputs, sess)
 }
 
 // SessionStats is one session's metrics snapshot.

@@ -467,7 +467,7 @@ func TestCircuitBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := srv.CircuitBatch("alice", circ.Specs(), circ.OutputWires(), inputs)
+	got, err := srv.CircuitBatch("alice", circ.Specs(), circ.OutputWires(), inputs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,27 +494,27 @@ func TestCircuitBatchValidation(t *testing.T) {
 	}
 	in := encryptBools(sk, 9, []bool{true})
 
-	if _, err := srv.CircuitBatch("nobody", []sched.NodeSpec{{Kind: sched.SpecInput}}, nil, in); !errors.Is(err, ErrUnknownSession) {
+	if _, err := srv.CircuitBatch("nobody", []sched.NodeSpec{{Kind: sched.SpecInput}}, nil, in, false); !errors.Is(err, ErrUnknownSession) {
 		t.Errorf("unknown session: %v", err)
 	}
-	if _, err := srv.CircuitBatch("alice", make([]sched.NodeSpec, 9), nil, nil); !errors.Is(err, ErrBatchTooLarge) {
+	if _, err := srv.CircuitBatch("alice", make([]sched.NodeSpec, 9), nil, nil, false); !errors.Is(err, ErrBatchTooLarge) {
 		t.Error("oversized circuit accepted")
 	}
 	// Outputs amplify the response; a tiny circuit must not be able to
 	// request the same wire an unbounded number of times.
 	manyOuts := make([]int, 9)
-	if _, err := srv.CircuitBatch("alice", []sched.NodeSpec{{Kind: sched.SpecInput}}, manyOuts, in); !errors.Is(err, ErrBatchTooLarge) {
+	if _, err := srv.CircuitBatch("alice", []sched.NodeSpec{{Kind: sched.SpecInput}}, manyOuts, in, false); !errors.Is(err, ErrBatchTooLarge) {
 		t.Error("oversized outputs accepted")
 	}
-	if _, err := srv.CircuitBatch("alice", []sched.NodeSpec{{Kind: "bogus"}}, nil, nil); err == nil {
+	if _, err := srv.CircuitBatch("alice", []sched.NodeSpec{{Kind: "bogus"}}, nil, nil, false); err == nil {
 		t.Error("unknown node kind accepted")
 	}
-	if _, err := srv.CircuitBatch("alice", []sched.NodeSpec{{Kind: sched.SpecInput}}, nil, nil); err == nil {
+	if _, err := srv.CircuitBatch("alice", []sched.NodeSpec{{Kind: sched.SpecInput}}, nil, nil, false); err == nil {
 		t.Error("input count mismatch accepted")
 	}
 	// Forward wire reference must be rejected by the rebuilt builder.
 	bad := []sched.NodeSpec{{Kind: sched.SpecInput}, {Kind: sched.SpecGate, Op: "AND", A: 0, B: 2}}
-	if _, err := srv.CircuitBatch("alice", bad, nil, in); err == nil {
+	if _, err := srv.CircuitBatch("alice", bad, nil, in, false); err == nil {
 		t.Error("forward reference accepted")
 	}
 	// LUT space beyond the parameter set's N must be rejected even though
@@ -524,7 +524,7 @@ func TestCircuitBatchValidation(t *testing.T) {
 		{Kind: sched.SpecInput},
 		{Kind: sched.SpecLUT, In: 0, Space: hugeSpace, Table: make([]int, hugeSpace)},
 	}
-	if _, err := srv.CircuitBatch("alice", spec, []int{1}, in); err == nil {
+	if _, err := srv.CircuitBatch("alice", spec, []int{1}, in, false); err == nil {
 		t.Error("LUT space beyond N accepted")
 	}
 	if rej := srv.Stats().Sessions[0].Rejected; rej == 0 {
@@ -561,7 +561,7 @@ func TestCircuitBatchCoalesces(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				out, err := srv.CircuitBatch("alice", circ.Specs(), circ.OutputWires(), inputs)
+				out, err := srv.CircuitBatch("alice", circ.Specs(), circ.OutputWires(), inputs, false)
 				if err == nil && len(out) != digits {
 					err = fmt.Errorf("got %d outputs", len(out))
 				}

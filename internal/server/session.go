@@ -195,6 +195,59 @@ func (s *session) acquireSlot() error {
 	}
 }
 
+// The session is the sched.Executor of its own circuits, and the typed
+// batch methods on Server validate and then call the same three methods:
+// each kind's coalescing key and engine call are spelled once, so circuit
+// levels and standalone batches share streams whenever the keys match.
+
+// Gate implements sched.Executor: d.Op over (a, b); b is nil for NOT.
+func (s *session) Gate(d sched.Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
+	return s.submit("g:"+d.Op.String(), a, b, 1, func(ga, gb []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
+		return s.eng.StreamGate(d.Op, ga, gb)
+	})
+}
+
+// LUT implements sched.Executor. Streams merge only when the whole table
+// is identical.
+func (s *session) LUT(d sched.Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
+	return s.submit(fmt.Sprintf("l:%d:%v", d.Space, d.Table), in, nil, 1, func(ga, _ []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
+		return s.eng.StreamLUT(ga, d.Space, func(m int) int { return d.Table[m] }), nil
+	})
+}
+
+// MultiLUT implements sched.Executor: one blind rotation per input serves
+// all of d.Tables. Streams merge only when the whole table list is
+// identical, so every request of a group shares one packed test vector
+// and fan-out k. The stream's per-input output groups are flattened
+// input-major for submit to scatter, then regrouped for the caller.
+func (s *session) MultiLUT(d sched.Dispatch, in []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
+	k := len(d.Tables)
+	flat, err := s.submit(fmt.Sprintf("m:%d:%v", d.Space, d.Tables), in, nil, k, func(ga, _ []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
+		groups, err := s.eng.StreamMultiLUT(ga, d.Space, tfhe.TableFuncs(d.Tables))
+		if err != nil {
+			return nil, err
+		}
+		flat := make([]tfhe.LWECiphertext, 0, len(ga)*k)
+		for _, outs := range groups {
+			flat = append(flat, outs...)
+		}
+		return flat, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return regroup(flat, k), nil
+}
+
+// regroup splits a flat input-major ciphertext slice into k per input.
+func regroup(flat []tfhe.LWECiphertext, k int) [][]tfhe.LWECiphertext {
+	out := make([][]tfhe.LWECiphertext, len(flat)/k)
+	for g := range out {
+		out[g] = flat[g*k : (g+1)*k : (g+1)*k]
+	}
+	return out
+}
+
 // validateGate rejects malformed gate requests before they can join a
 // coalescing group (one bad request must never poison a shared stream).
 func (s *session) validateGate(op engine.GateOp, a, b []tfhe.LWECiphertext, maxBatch int) error {
@@ -289,12 +342,8 @@ func (s *session) validateMultiLUT(cts []tfhe.LWECiphertext, space int, tables [
 // the accepted ones. The circuit is rebuilt through the sched builder (so
 // references, ops, and tables are fully validated against untrusted
 // input), then each compiled dispatch is bounded like a standalone batch.
-// StreamOnly routing matches what the executor actually does: a session
-// only has a streaming engine, and coalescing happens per dispatch key.
-// optimize enables the full optimizer pass pipeline, with the
-// multi-value budget bound to the session's parameter set so the
-// rewrite never packs past space·k ≤ N; node and dispatch bounds apply
-// to the incoming specs and to the schedule that actually executes.
+// Node and dispatch bounds apply to the incoming specs and to the
+// schedule that actually executes (see compile for optimize).
 func (s *session) validateCircuit(specs []sched.NodeSpec, outputs []int, inputs []tfhe.LWECiphertext, cfg Config, optimize bool) (*sched.Circuit, *sched.Schedule, error) {
 	fail := func(err error) (*sched.Circuit, *sched.Schedule, error) {
 		s.rejected.Add(1)
@@ -322,12 +371,7 @@ func (s *session) validateCircuit(specs []sched.NodeSpec, outputs []int, inputs 
 	if err := s.checkDims(inputs); err != nil {
 		return fail(err)
 	}
-	scfg := sched.Config{Mode: sched.StreamOnly}
-	if optimize {
-		scfg.Opt = sched.OptAll()
-		scfg.Opt.MultiValueBudget = s.params.N
-	}
-	schedule, err := sched.Compile(circ, scfg)
+	schedule, err := s.compile(circ, optimize)
 	if err != nil {
 		return fail(fmt.Errorf("server: bad circuit: %w", err))
 	}
@@ -347,6 +391,18 @@ func (s *session) validateCircuit(specs []sched.NodeSpec, outputs []int, inputs 
 		}
 	}
 	return circ, schedule, nil
+}
+
+// compile levelizes a circuit for this session. optimize enables the
+// full optimizer pass pipeline, with the multi-value budget bound to the
+// session's parameter set so the rewrite never packs past space·k ≤ N.
+func (s *session) compile(circ *sched.Circuit, optimize bool) (*sched.Schedule, error) {
+	var cfg sched.Config
+	if optimize {
+		cfg.Opt = sched.OptAll()
+		cfg.Opt.MultiValueBudget = s.params.N
+	}
+	return sched.Compile(circ, cfg)
 }
 
 // checkDims verifies every ciphertext has the session's LWE dimension.

@@ -84,7 +84,7 @@ func TestBuildInferAgainstReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := &sched.Runner{Stream: engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: 2})}
-	got, err := r.Run(circ, sched.Config{Mode: sched.StreamOnly}, cts)
+	got, err := r.Run(circ, sched.Config{}, cts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,7 +217,7 @@ func TestBuildNNAgainstReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := &sched.Runner{Batch: engine.New(ek, engine.Config{Workers: 2})}
-	got, err := r.Run(c, sched.Config{Mode: sched.BatchOnly}, cts)
+	got, err := r.Run(c, sched.Config{}, cts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -255,8 +255,8 @@ type CircuitBuilder = sched.Builder
 // grouped into per-op / per-table dispatches with batch-vs-stream routing.
 type Schedule = sched.Schedule
 
-// ScheduleConfig tunes circuit compilation: the batch-vs-stream cost
-// model threshold, or a forced routing mode.
+// ScheduleConfig tunes circuit compilation: which optimizer passes run
+// before levelization.
 type ScheduleConfig = sched.Config
 
 // CircuitRunner executes schedules over a batch engine and a streaming
@@ -278,9 +278,9 @@ func (c *FHEContext) Runner() *CircuitRunner {
 	return &sched.Runner{Batch: c.Engine(), Stream: c.StreamEngine()}
 }
 
-// RunCircuit compiles the circuit with the default cost model and
-// executes it level by level on the default engines. Results are bitwise
-// identical to evaluating the circuit node by node with Eval.
+// RunCircuit compiles the circuit exactly as built and executes it level
+// by level on the default engines. Results are bitwise identical to
+// evaluating the circuit node by node with Eval.
 func (c *FHEContext) RunCircuit(circ *Circuit, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	return c.Runner().Run(circ, ScheduleConfig{}, inputs)
 }
