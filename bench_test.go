@@ -29,7 +29,6 @@ import (
 	"repro/internal/intops"
 	"repro/internal/sched"
 	"repro/internal/tfhe"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -529,12 +528,15 @@ func BenchmarkCircuitMul(b *testing.B) {
 func BenchmarkSessionRestore(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	sk, ek := tfhe.GenerateKeys(rng, tfhe.ParamsTest)
-	blob, err := wire.MarshalEvalKey(ek)
-	if err != nil {
-		b.Fatal(err)
-	}
 	ct := sk.EncryptBool(rng, true)
 	const id = "bench-restore"
+	// persist fills a store the way a registration does.
+	persist := func(b *testing.B, store SessionStore) {
+		b.Helper()
+		if err := NewGateService(ServiceConfig{Store: store}).RegisterKey(id, ek); err != nil {
+			b.Fatal(err)
+		}
+	}
 
 	run := func(b *testing.B, store SessionStore) {
 		b.Helper()
@@ -551,9 +553,7 @@ func BenchmarkSessionRestore(b *testing.B) {
 
 	b.Run("mem", func(b *testing.B) {
 		store := NewMemStore()
-		if err := store.Put(id, tfhe.ParamsTest, blob); err != nil {
-			b.Fatal(err)
-		}
+		persist(b, store)
 		b.ResetTimer()
 		run(b, store)
 	})
@@ -564,9 +564,7 @@ func BenchmarkSessionRestore(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer store.Close()
-		if err := store.Put(id, tfhe.ParamsTest, blob); err != nil {
-			b.Fatal(err)
-		}
+		persist(b, store)
 		b.ResetTimer()
 		run(b, store)
 	})

@@ -11,8 +11,9 @@
 // retried with jittered backoff; and a router-level inflight cap refuses
 // excess load with the typed overloaded code before it reaches any node.
 //
-// Endpoints are strixserv's, routed: POST /v2/eval and the /v1/* shims
-// forward to the owning shard, GET /v1/stats and /v1/sessions merge
+// Endpoints are strixserv's, routed: POST /v2/eval and the key upload
+// POST /v1/sessions/{id} (piped through, never buffered) forward to the
+// owning shard, DELETE /v1/sessions/{id} forwards and unpins, GET /v1/stats and /v1/sessions merge
 // across the pool, and GET /v1/cluster reports the router's own view
 // (backend health, pins). SIGINT/SIGTERM drain gracefully: new work is
 // refused shutting_down while in-flight forwards finish.

@@ -4,10 +4,12 @@
 //
 // The trust split is the classic FHE service model: clients keep their
 // secret keys and upload only evaluation keys and ciphertexts; the server
-// computes blindly. Endpoints (JSON frames, base64 binary fields):
+// computes blindly. Endpoints (JSON frames with base64 ciphertext
+// fields, except the key upload, whose body is the raw wire encoding,
+// streamed and never buffered):
 //
 //	POST   /v2/eval                every evaluation: kind gate|lut|multilut|circuit|infer + payload + opts
-//	POST   /v1/register-key        upload a client's evaluation keys
+//	POST   /v1/sessions/{id}       upload a client's evaluation keys (octet-stream, Content-Length required)
 //	GET    /v1/stats               per-session metrics (requests, streams, op mix)
 //	GET    /v1/healthz             readiness (503 once draining)
 //	GET    /v1/sessions            live sessions across warm and durable tiers

@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/server"
@@ -175,7 +175,7 @@ type ClusterResponse struct {
 // strixserv node, plus GET /v1/cluster for pool introspection:
 //
 //	POST   /v2/eval                  forwarded to the client's shard
-//	POST   /v1/register-key          forwarded; pins the session
+//	POST   /v1/sessions/{client_id}  key upload, piped to the shard; pins the session
 //	GET    /v1/stats                 merged across healthy backends
 //	GET    /v1/sessions              merged across healthy backends
 //	GET    /v1/healthz               router + pool health
@@ -184,7 +184,7 @@ type ClusterResponse struct {
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v2/eval", r.forwardByBody)
-	mux.HandleFunc("POST /v1/register-key", r.forwardByBody)
+	mux.HandleFunc("POST /v1/sessions/{client_id}", r.handleRegisterKey)
 	mux.HandleFunc("GET /v1/stats", r.handleStats)
 	mux.HandleFunc("GET /v1/sessions", r.handleSessions)
 	mux.HandleFunc("GET /v1/healthz", r.handleHealthz)
@@ -227,8 +227,8 @@ func (r *Router) admitOne(w http.ResponseWriter) (release func(), ok bool) {
 	return func() { <-r.admit }, true
 }
 
-// clientIDOf extracts the routing key from a request body: every
-// evaluation and registration frame carries client_id at the top level.
+// clientIDOf extracts the routing key from an evaluation envelope, which
+// carries client_id at the top level.
 func clientIDOf(body []byte) string {
 	var frame struct {
 		ClientID string `json:"client_id"`
@@ -239,9 +239,10 @@ func clientIDOf(body []byte) string {
 	return frame.ClientID
 }
 
-// forwardByBody routes one POST by the client_id inside its JSON body:
-// admission, shard pick, bounded-retry forward, verbatim response
-// passthrough.
+// forwardByBody routes one /v2/eval envelope by the client_id inside its
+// JSON body: admission, shard pick, bounded-retry forward, verbatim
+// response passthrough. The body is buffered to find the ID, which also
+// makes it replayable on any attempt.
 func (r *Router) forwardByBody(w http.ResponseWriter, req *http.Request) {
 	release, ok := r.admitOne(w)
 	if !ok {
@@ -249,13 +250,15 @@ func (r *Router) forwardByBody(w http.ResponseWriter, req *http.Request) {
 	}
 	defer release()
 
-	limit := int64(server.MaxBatchBodyBytes)
-	if req.URL.Path == "/v1/register-key" {
-		limit = server.MaxKeyBodyBytes
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, limit))
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, server.MaxBatchBodyBytes))
 	if err != nil {
-		writeRouterError(w, http.StatusRequestEntityTooLarge, server.CodeTooLarge, "request body too large")
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeRouterError(w, http.StatusRequestEntityTooLarge, server.CodeTooLarge, "request body too large")
+		} else {
+			writeRouterError(w, http.StatusBadRequest, server.CodeBadRequest,
+				fmt.Sprintf("router: reading request body: %v", err))
+		}
 		return
 	}
 	id := clientIDOf(body)
@@ -263,17 +266,123 @@ func (r *Router) forwardByBody(w http.ResponseWriter, req *http.Request) {
 		writeRouterError(w, http.StatusBadRequest, server.CodeBadRequest, "router: missing client_id")
 		return
 	}
-	r.forward(w, req.URL.Path, id, body, req.URL.Path == "/v1/register-key")
+	r.forward(w, id, outbound{
+		path:   "/v2/eval",
+		header: http.Header{"Content-Type": {"application/json"}},
+		size:   int64(len(body)),
+		body:   func() io.Reader { return bytes.NewReader(body) },
+	})
 }
 
-// forward sends body to id's shard, retrying temporary failures with
-// jittered backoff. A pinned client always re-targets its home node —
-// its eval key lives nowhere else, so the retry rides out the node's
-// ejection and lands once probes re-admit it. Unpinned requests re-pick
-// among the remaining healthy backends each attempt.
-func (r *Router) forward(w http.ResponseWriter, path, id string, body []byte, pinOnSuccess bool) {
+// handleRegisterKey routes one key upload by the client ID on its request
+// line and pipes the body to the shard as the backend's connection takes
+// it: nothing of the key is held here. The declared size travels on, so
+// the backend — the one judge of an upload's size — can refuse it ahead of
+// the body, and Expect: 100-continue keeps the body unread until a backend
+// has admitted the request, which is what lets forward try another one.
+func (r *Router) handleRegisterKey(w http.ResponseWriter, req *http.Request) {
+	release, ok := r.admitOne(w)
+	if !ok {
+		return
+	}
+	defer release()
+
+	id := req.PathValue("client_id")
+	in := &inboundBody{r: req.Body}
+	r.forward(drainFirst{w, in}, id, outbound{
+		path:   server.SessionPath(id),
+		header: http.Header{"Content-Type": req.Header["Content-Type"], "Expect": {"100-continue"}},
+		size:   req.ContentLength,
+		body: func() io.Reader {
+			if in.read.Load() {
+				return nil
+			}
+			return in
+		},
+		pin: true,
+	})
+}
+
+// inboundBody is a request body being piped to a backend. It records
+// whether the transport has asked it for a byte yet — until then the
+// request can still go to another backend — and marks its own failures, so
+// a client that hung up is not taken for a backend that did.
+type inboundBody struct {
+	r    io.Reader
+	read atomic.Bool
+}
+
+// inboundError is a failed read of the inbound body.
+type inboundError struct{ err error }
+
+func (e *inboundError) Error() string { return e.err.Error() }
+
+// Read implements io.Reader.
+func (b *inboundBody) Read(p []byte) (int, error) {
+	b.read.Store(true)
+	n, err := b.r.Read(p)
+	if err != nil && err != io.EOF {
+		err = &inboundError{err}
+	}
+	return n, err
+}
+
+// Close implements io.Closer as a no-op: the transport closes what it
+// sends, and the inbound body belongs to the HTTP server, not to one
+// forward attempt.
+func (b *inboundBody) Close() error { return nil }
+
+// drainFirst answers an upload only once the inbound body is used up. A
+// backend answers after it has taken the whole key, so there is then
+// nothing left; but when a backend dies partway the client is still
+// sending, and a reply written under it would reach it as a connection
+// reset instead of the retryable 503 it is.
+type drainFirst struct {
+	http.ResponseWriter
+	in *inboundBody
+}
+
+// WriteHeader implements http.ResponseWriter.
+func (d drainFirst) WriteHeader(status int) {
+	if d.in.read.Load() {
+		_, _ = io.Copy(io.Discard, d.in.r)
+	}
+	d.ResponseWriter.WriteHeader(status)
+}
+
+// outbound is what forward sends to a backend.
+type outbound struct {
+	path   string
+	header http.Header
+	size   int64
+	// body returns the body for one more attempt, from its first byte, or
+	// nil when it cannot be sent again.
+	body func() io.Reader
+	pin  bool // a 200 pins the client to the backend that gave it
+}
+
+// post sends one attempt to b.
+func (r *Router) post(b *backend, out outbound, body io.Reader) (*http.Response, error) {
+	req, err := http.NewRequest(http.MethodPost, b.url+out.path, body)
+	if err != nil {
+		return nil, err
+	}
+	req.Header = out.header
+	req.ContentLength = out.size // declared even for a piped body: never chunked
+	return r.hc.Do(req)
+}
+
+// forward sends out to id's shard, retrying temporary failures with
+// jittered backoff for as long as the body can be sent again. A pinned
+// client always re-targets its home node — its eval key lives nowhere
+// else, so the retry rides out the node's ejection and lands once probes
+// re-admit it. Unpinned requests re-pick among the remaining healthy
+// backends each attempt. A piped body that a failed attempt has started
+// to consume ends the retries here: the 503 goes back and the client's own
+// loop re-sends.
+func (r *Router) forward(w http.ResponseWriter, id string, out outbound) {
 	tried := make(map[*backend]bool)
-	var lastErr error
+	body := out.body()
 	for attempt := 0; ; attempt++ {
 		b := r.pool.pick(id, tried)
 		if b == nil {
@@ -281,13 +390,18 @@ func (r *Router) forward(w http.ResponseWriter, path, id string, body []byte, pi
 			return
 		}
 		tried[b] = true
-		resp, err := r.hc.Post(b.url+path, "application/json", bytes.NewReader(body))
+		resp, err := r.post(b, out, body)
 		if err != nil {
+			var in *inboundError
+			if errors.As(err, &in) {
+				writeRouterError(w, http.StatusBadRequest, server.CodeBadRequest,
+					fmt.Sprintf("router: reading request body: %v", in))
+				return
+			}
 			b.noteFailure(r.cfg.FailThreshold)
-			lastErr = err
-			if attempt >= r.cfg.MaxRetries {
+			if body = out.body(); body == nil || attempt >= r.cfg.MaxRetries {
 				writeRouterError(w, http.StatusServiceUnavailable, server.CodeOverloaded,
-					fmt.Sprintf("router: backend unreachable: %v", lastErr))
+					fmt.Sprintf("router: backend unreachable: %v", err))
 				return
 			}
 			time.Sleep(server.Backoff(r.cfg.RetryBase, attempt))
@@ -305,7 +419,7 @@ func (r *Router) forward(w http.ResponseWriter, path, id string, body []byte, pi
 			if refusal.code == server.CodeShuttingDown {
 				b.noteFailure(r.cfg.FailThreshold)
 			}
-			if attempt < r.cfg.MaxRetries {
+			if body = out.body(); body != nil && attempt < r.cfg.MaxRetries {
 				d := server.Backoff(r.cfg.RetryBase, attempt)
 				if refusal.retryAfter > d {
 					d = refusal.retryAfter
@@ -320,7 +434,7 @@ func (r *Router) forward(w http.ResponseWriter, path, id string, body []byte, pi
 		}
 		if resp.StatusCode == http.StatusOK {
 			b.noteForwardSuccess()
-			if pinOnSuccess {
+			if out.pin {
 				r.pool.pin(id, b)
 			}
 		}
@@ -495,7 +609,7 @@ func (r *Router) handleDeleteSession(w http.ResponseWriter, req *http.Request) {
 		writeRouterError(w, http.StatusServiceUnavailable, server.CodeOverloaded, "router: no healthy backend")
 		return
 	}
-	delReq, err := http.NewRequest(http.MethodDelete, b.url+"/v1/sessions/"+url.PathEscape(id), nil)
+	delReq, err := http.NewRequest(http.MethodDelete, b.url+server.SessionPath(id), nil)
 	if err != nil {
 		writeRouterError(w, http.StatusInternalServerError, server.CodeInternal, err.Error())
 		return

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -75,15 +74,28 @@ func retryable(err error) bool {
 	return errors.As(err, &api) && api.Temporary()
 }
 
-// do sends one request, retrying temporary refusals, and decodes the
-// reply into out. body is re-readable across attempts because it is a
-// byte slice. A Retry-After the server sent with the refusal floors the
+// do sends one request with an optional JSON body through retry.
+func (c *Client) do(method, path string, body []byte, out any) error {
+	return c.retry(func() (*http.Request, error) {
+		if body == nil {
+			return http.NewRequest(method, c.base+path, nil)
+		}
+		req, err := http.NewRequest(method, c.base+path, bytes.NewReader(body))
+		if err == nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		return req, err
+	}, out)
+}
+
+// retry sends the request newReq builds — a fresh one per attempt, so its
+// body starts over — retrying temporary refusals, and decodes the reply
+// into out. A Retry-After the server sent with the refusal floors the
 // jittered backoff for that attempt: the server knows how long its
 // overload or drain will last better than the client's schedule does.
-func (c *Client) do(method, path string, body []byte, out any) error {
-	var err error
+func (c *Client) retry(newReq func() (*http.Request, error), out any) error {
 	for attempt := 0; ; attempt++ {
-		err = c.doOnce(method, path, body, out)
+		err := c.send(newReq, out)
 		if err == nil || !retryable(err) || attempt >= c.maxRetries {
 			return err
 		}
@@ -96,18 +108,11 @@ func (c *Client) do(method, path string, body []byte, out any) error {
 	}
 }
 
-// doOnce sends exactly one request.
-func (c *Client) doOnce(method, path string, body []byte, out any) error {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, c.base+path, rd)
+// send sends exactly one request.
+func (c *Client) send(newReq func() (*http.Request, error), out any) error {
+	req, err := newReq()
 	if err != nil {
 		return err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -169,14 +174,37 @@ func ParseRetryAfter(h http.Header) time.Duration {
 }
 
 // RegisterKey uploads the evaluation keys, creating (or replacing) this
-// client's session.
+// client's session. The body is the raw wire encoding, produced from ek as
+// the connection takes it — the key never exists encoded on this side —
+// with its exact length declared. Expect: 100-continue holds the body back
+// until the server has admitted the request, so a refusal (draining, a
+// router without a backend) costs a header exchange, not 49 MB.
 func (c *Client) RegisterKey(ek tfhe.EvaluationKeys) error {
-	blob, err := wire.MarshalEvalKey(ek)
+	_, size, err := wire.EncodeEvalKey(ek)
 	if err != nil {
 		return err
 	}
+	// The transport calls GetBody to resend on a connection that died
+	// idle; every body, first or resent, is a fresh encoder.
+	newBody := func() (io.ReadCloser, error) {
+		enc, _, err := wire.EncodeEvalKey(ek)
+		return io.NopCloser(enc), err
+	}
 	var resp RegisterKeyResponse
-	return c.post("/v1/register-key", RegisterKeyRequest{ClientID: c.id, EvalKey: blob}, &resp)
+	return c.retry(func() (*http.Request, error) {
+		req, err := http.NewRequest(http.MethodPost, c.base+SessionPath(c.id), nil)
+		if err != nil {
+			return nil, err
+		}
+		if req.Body, err = newBody(); err != nil {
+			return nil, err
+		}
+		req.GetBody = newBody
+		req.ContentLength = size
+		req.Header.Set("Content-Type", "application/octet-stream")
+		req.Header.Set("Expect", "100-continue")
+		return req, nil
+	}, &resp)
 }
 
 // eval posts one v2 evaluation envelope under this client's ID and
@@ -325,6 +353,6 @@ func (c *Client) Sessions() ([]SessionInfo, error) {
 // *APIError with code unknown_session.
 func (c *Client) DeleteSession(clientID string) (DeleteSessionResponse, error) {
 	var resp DeleteSessionResponse
-	err := c.do(http.MethodDelete, "/v1/sessions/"+url.PathEscape(clientID), nil, &resp)
+	err := c.do(http.MethodDelete, SessionPath(clientID), nil, &resp)
 	return resp, err
 }

@@ -2,7 +2,9 @@ package server
 
 import (
 	"fmt"
+	"hash"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -150,12 +152,42 @@ func paramsFileFor(keyFile string) string {
 
 // Put implements SessionStore: key file first, WAL record second, so a
 // crash between the two leaves an orphan file (collected on next open),
-// never a committed record pointing at missing bytes.
-func (s *DiskStore) Put(clientID string, p tfhe.Params, blob []byte) error {
+// never a committed record pointing at missing bytes. The key streams into
+// a temp file and is fsynced outside the lock — that is the 49 MB part —
+// so listings, restores and other uploads proceed meanwhile; the lock
+// covers only the commit: sequence number, renames, directory sync, WAL
+// append. A Put that fails at any step leaves no temp file and no record.
+func (s *DiskStore) Put(clientID string, size int64, fill func(w io.Writer) (tfhe.Params, error)) error {
+	keysDir := filepath.Join(s.dir, keysDirName)
+	crc := crc32.NewIEEE()
+	var p tfhe.Params
+	keyTmp, err := writeTempSync(keysDir, func(f *os.File) error {
+		var err error
+		if p, err = fill(io.MultiWriter(f, crc)); err != nil {
+			return err
+		}
+		fi, err := f.Stat()
+		if err == nil && fi.Size() != size {
+			err = errShortFill(clientID, fi.Size(), size)
+		}
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	defer os.Remove(keyTmp) // a no-op once renamed
 	paramsBlob, err := wire.MarshalParams(p)
 	if err != nil {
 		return fmt.Errorf("server: persist params for %q: %w", clientID, err)
 	}
+	paramsTmp, err := writeTempSync(keysDir, func(f *os.File) error {
+		_, err := f.Write(paramsBlob)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("server: persist params for %q: %w", clientID, err)
+	}
+	defer os.Remove(paramsTmp)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -165,19 +197,17 @@ func (s *DiskStore) Put(clientID string, p tfhe.Params, blob []byte) error {
 	s.seq++
 	rec := walRecord{
 		Op: walOpRegister, Seq: s.seq, ClientID: clientID,
-		File: keyFileFor(s.seq), KeyBytes: int64(len(blob)),
-		KeyCRC: crc32.ChecksumIEEE(blob), Params: p.Name,
+		File: keyFileFor(s.seq), KeyBytes: size,
+		KeyCRC: crc.Sum32(), Params: p.Name,
 	}
 	framed, err := appendWALRecord(nil, rec)
 	if err != nil {
 		return err
 	}
-
-	keysDir := filepath.Join(s.dir, keysDirName)
-	if err := writeFileSync(filepath.Join(keysDir, rec.File), blob); err != nil {
+	if err := os.Rename(keyTmp, filepath.Join(keysDir, rec.File)); err != nil {
 		return fmt.Errorf("server: persist key for %q: %w", clientID, err)
 	}
-	if err := writeFileSync(filepath.Join(keysDir, paramsFileFor(rec.File)), paramsBlob); err != nil {
+	if err := os.Rename(paramsTmp, filepath.Join(keysDir, paramsFileFor(rec.File))); err != nil {
 		return fmt.Errorf("server: persist params for %q: %w", clientID, err)
 	}
 	if err := syncDir(keysDir); err != nil {
@@ -208,28 +238,50 @@ func (s *DiskStore) appendSync(framed []byte) error {
 	return nil
 }
 
-// Get implements SessionStore, verifying the blob against the CRC-32 the
-// WAL committed for it.
-func (s *DiskStore) Get(clientID string) ([]byte, error) {
+// Get implements SessionStore. The returned reader checks the key against
+// the length and CRC-32 the WAL committed for it as it is read.
+func (s *DiskStore) Get(clientID string) (io.ReadCloser, int64, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, ErrStoreClosed
+		return nil, 0, ErrStoreClosed
 	}
 	e, ok := s.entries[clientID]
 	s.mu.Unlock()
 	if !ok {
-		return nil, ErrNotPersisted
+		return nil, 0, ErrNotPersisted
 	}
-	blob, err := os.ReadFile(filepath.Join(s.dir, keysDirName, e.file))
+	f, err := os.Open(filepath.Join(s.dir, keysDirName, e.file))
 	if err != nil {
-		return nil, fmt.Errorf("server: read persisted key for %q: %w", clientID, err)
+		return nil, 0, fmt.Errorf("server: read persisted key for %q: %w", clientID, err)
 	}
-	if int64(len(blob)) != e.keyBytes || crc32.ChecksumIEEE(blob) != e.keyCRC {
-		return nil, fmt.Errorf("server: persisted key for %q fails its checksum (%d bytes)", clientID, len(blob))
-	}
-	return blob, nil
+	return &checkedKey{f: f, id: clientID, want: e, crc: crc32.NewIEEE()}, e.keyBytes, nil
 }
+
+// checkedKey reads one key file, turning the io.EOF of a file whose
+// length or checksum differs from its WAL record into an error — silent
+// corruption must not become a poisoned session.
+type checkedKey struct {
+	f    *os.File
+	id   string
+	want diskEntry
+	crc  hash.Hash32
+	n    int64
+}
+
+// Read implements io.Reader.
+func (c *checkedKey) Read(p []byte) (int, error) {
+	n, err := c.f.Read(p)
+	c.crc.Write(p[:n])
+	c.n += int64(n)
+	if err == io.EOF && (c.n != c.want.keyBytes || c.crc.Sum32() != c.want.keyCRC) {
+		err = fmt.Errorf("server: persisted key for %q fails its checksum (%d bytes)", c.id, c.n)
+	}
+	return n, err
+}
+
+// Close implements io.Closer.
+func (c *checkedKey) Close() error { return c.f.Close() }
 
 // Delete implements SessionStore: the tombstone record commits the
 // delete; file removal after it is best-effort cleanup (a crash between
@@ -287,26 +339,41 @@ func (s *DiskStore) Close() error {
 	return s.wal.Close()
 }
 
+// writeTempSync creates a temp file in dir, lets write fill it, fsyncs and
+// closes it, and returns its name for the caller to rename into place.
+// On failure the file is removed.
+func writeTempSync(dir string, write func(f *os.File) error) (name string, err error) {
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	if err != nil {
+		return "", err
+	}
+	defer func() {
+		if err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	if err := write(tmp); err != nil {
+		return "", err
+	}
+	if err := tmp.Sync(); err != nil {
+		return "", err
+	}
+	return tmp.Name(), tmp.Close()
+}
+
 // writeFileSync writes data to path atomically: temp file in the same
 // directory, fsync, rename. Readers never observe a half-written file.
 func writeFileSync(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	tmp, err := writeTempSync(filepath.Dir(path), func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	defer os.Remove(tmp)
+	return os.Rename(tmp, path)
 }
 
 // syncDir fsyncs a directory so completed renames inside it are durable.

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,13 +13,36 @@ import (
 )
 
 // storeBlob is a small stand-in key blob (the store treats blobs as
-// opaque bytes; only Put's params argument is interpreted).
+// opaque bytes; only the parameter set its fill returns is interpreted).
 func storeBlob(seed byte, n int) []byte {
 	b := make([]byte, n)
 	for i := range b {
 		b[i] = seed + byte(i)
 	}
 	return b
+}
+
+// putBlob stores blob under id the way the server would: written through
+// the store's writer, with ParamsTest as the decoded parameter set.
+func putBlob(s SessionStore, id string, blob []byte) error {
+	return s.Put(id, int64(len(blob)), func(w io.Writer) (tfhe.Params, error) {
+		_, err := w.Write(blob)
+		return tfhe.ParamsTest, err
+	})
+}
+
+// getBlob reads id's stored key to its end.
+func getBlob(s SessionStore, id string) ([]byte, error) {
+	r, size, err := s.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	blob, err := io.ReadAll(r)
+	if err == nil && int64(len(blob)) != size {
+		err = fmt.Errorf("Get announced %d bytes and yielded %d", size, len(blob))
+	}
+	return blob, err
 }
 
 // TestDiskStoreRoundTrip pins put/get/list/delete on a fresh store.
@@ -29,17 +54,17 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	defer s.Close()
 
 	blob := storeBlob(1, 100)
-	if err := s.Put("alice", tfhe.ParamsTest, blob); err != nil {
+	if err := putBlob(s, "alice", blob); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get("alice")
+	got, err := getBlob(s, "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, blob) {
 		t.Error("Get returned different bytes than Put stored")
 	}
-	if _, err := s.Get("bob"); !errors.Is(err, ErrNotPersisted) {
+	if _, err := getBlob(s, "bob"); !errors.Is(err, ErrNotPersisted) {
 		t.Errorf("missing key: %v, want ErrNotPersisted", err)
 	}
 
@@ -56,7 +81,7 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if err != nil || ok {
 		t.Fatalf("second Delete = %v, %v; want false, nil", ok, err)
 	}
-	if _, err := s.Get("alice"); !errors.Is(err, ErrNotPersisted) {
+	if _, err := getBlob(s, "alice"); !errors.Is(err, ErrNotPersisted) {
 		t.Errorf("deleted key: %v, want ErrNotPersisted", err)
 	}
 }
@@ -69,13 +94,13 @@ func TestDiskStoreReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("alice", tfhe.ParamsTest, storeBlob(1, 50)); err != nil {
+	if err := putBlob(s, "alice", storeBlob(1, 50)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("bob", tfhe.ParamsTest, storeBlob(2, 60)); err != nil {
+	if err := putBlob(s, "bob", storeBlob(2, 60)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("alice", tfhe.ParamsTest, storeBlob(3, 70)); err != nil { // replace
+	if err := putBlob(s, "alice", storeBlob(3, 70)); err != nil { // replace
 		t.Fatal(err)
 	}
 	if _, err := s.Delete("bob"); err != nil {
@@ -87,7 +112,7 @@ func TestDiskStoreReopen(t *testing.T) {
 	if err := s.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if err := s.Put("x", tfhe.ParamsTest, nil); !errors.Is(err, ErrStoreClosed) {
+	if err := putBlob(s, "x", nil); !errors.Is(err, ErrStoreClosed) {
 		t.Errorf("Put after Close: %v, want ErrStoreClosed", err)
 	}
 
@@ -96,14 +121,14 @@ func TestDiskStoreReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	got, err := r.Get("alice")
+	got, err := getBlob(r, "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, storeBlob(3, 70)) {
 		t.Error("reopened store returned stale alice blob")
 	}
-	if _, err := r.Get("bob"); !errors.Is(err, ErrNotPersisted) {
+	if _, err := getBlob(r, "bob"); !errors.Is(err, ErrNotPersisted) {
 		t.Errorf("tombstoned bob after reopen: %v, want ErrNotPersisted", err)
 	}
 	// A replacement and a delete leave exactly one live key (+ params
@@ -130,10 +155,10 @@ func TestDiskStoreTornWALTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("alice", tfhe.ParamsTest, storeBlob(1, 40)); err != nil {
+	if err := putBlob(s, "alice", storeBlob(1, 40)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("bob", tfhe.ParamsTest, storeBlob(2, 40)); err != nil {
+	if err := putBlob(s, "bob", storeBlob(2, 40)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -156,7 +181,7 @@ func TestDiskStoreTornWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"alice", "bob"} {
-		if _, err := r.Get(id); err != nil {
+		if _, err := getBlob(r, id); err != nil {
 			t.Errorf("session %s lost to a torn tail: %v", id, err)
 		}
 	}
@@ -170,7 +195,7 @@ func TestDiskStoreTornWALTail(t *testing.T) {
 		t.Errorf("WAL after repair is %d bytes, want the clean %d", len(repaired), len(clean))
 	}
 	// And the store must keep working after the repair.
-	if err := r.Put("carol", tfhe.ParamsTest, storeBlob(3, 40)); err != nil {
+	if err := putBlob(r, "carol", storeBlob(3, 40)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Close(); err != nil {
@@ -181,7 +206,7 @@ func TestDiskStoreTornWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Close()
-	if _, err := r2.Get("carol"); err != nil {
+	if _, err := getBlob(r2, "carol"); err != nil {
 		t.Errorf("post-repair registration lost: %v", err)
 	}
 }
@@ -196,7 +221,7 @@ func TestDiskStoreCorruptKeyFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Put("alice", tfhe.ParamsTest, storeBlob(1, 80)); err != nil {
+	if err := putBlob(s, "alice", storeBlob(1, 80)); err != nil {
 		t.Fatal(err)
 	}
 	keysDir := filepath.Join(dir, keysDirName)
@@ -218,7 +243,7 @@ func TestDiskStoreCorruptKeyFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Get("alice"); err == nil {
+	if _, err := getBlob(s, "alice"); err == nil {
 		t.Error("Get returned a corrupted blob without error")
 	}
 }
@@ -231,7 +256,7 @@ func TestDiskStoreMissingKeyFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("alice", tfhe.ParamsTest, storeBlob(1, 30)); err != nil {
+	if err := putBlob(s, "alice", storeBlob(1, 30)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -249,7 +274,7 @@ func TestDiskStoreMissingKeyFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := r.Get("alice"); !errors.Is(err, ErrNotPersisted) {
+	if _, err := getBlob(r, "alice"); !errors.Is(err, ErrNotPersisted) {
 		t.Errorf("Get with missing key file: %v, want ErrNotPersisted", err)
 	}
 	if got := r.List(); len(got) != 0 {
@@ -265,7 +290,7 @@ func TestDiskStoreOrphanGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("alice", tfhe.ParamsTest, storeBlob(1, 30)); err != nil {
+	if err := putBlob(s, "alice", storeBlob(1, 30)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -284,7 +309,7 @@ func TestDiskStoreOrphanGC(t *testing.T) {
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Error("orphan key file survived open")
 	}
-	if _, err := r.Get("alice"); err != nil {
+	if _, err := getBlob(r, "alice"); err != nil {
 		t.Errorf("live session lost to GC: %v", err)
 	}
 }
@@ -293,14 +318,14 @@ func TestDiskStoreOrphanGC(t *testing.T) {
 // the reference implementation.
 func TestMemStoreConformance(t *testing.T) {
 	m := NewMemStore()
-	if err := m.Put("alice", tfhe.ParamsTest, storeBlob(1, 10)); err != nil {
+	if err := putBlob(m, "alice", storeBlob(1, 10)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.Get("alice")
+	got, err := getBlob(m, "alice")
 	if err != nil || !bytes.Equal(got, storeBlob(1, 10)) {
 		t.Fatalf("Get = %v, %v", got, err)
 	}
-	if _, err := m.Get("bob"); !errors.Is(err, ErrNotPersisted) {
+	if _, err := getBlob(m, "bob"); !errors.Is(err, ErrNotPersisted) {
 		t.Errorf("missing: %v, want ErrNotPersisted", err)
 	}
 	if list := m.List(); len(list) != 1 || list[0].KeyBytes != 10 {
@@ -315,7 +340,7 @@ func TestMemStoreConformance(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Put("x", tfhe.ParamsTest, nil); !errors.Is(err, ErrStoreClosed) {
+	if err := putBlob(m, "x", nil); !errors.Is(err, ErrStoreClosed) {
 		t.Errorf("Put after Close: %v, want ErrStoreClosed", err)
 	}
 }

@@ -23,10 +23,11 @@
 //
 // Sessions can be durable. A SessionStore (MemStore, or the crash-safe
 // DiskStore opened via Open/Config.DataDir) turns the LRU into a warm
-// tier: registration persists the exact uploaded key bytes before the
-// session becomes visible, eviction is transparent, and a warm miss
-// restores the session from the store — singleflighted per client ID —
-// with bitwise-identical results and no re-upload. DiskStore pairs
+// tier: registration streams the exact uploaded key bytes into the store
+// and commits them before the session becomes visible, eviction is
+// transparent, and a warm miss restores the session from the store —
+// singleflighted per client ID — with bitwise-identical results and no
+// re-upload. DiskStore pairs
 // CRC-checked key files with an append-only WAL (fsync-ordered so a
 // record never points at missing bytes) and replays the longest valid
 // prefix on open, truncating torn tails. Drain flips the server to
@@ -35,10 +36,16 @@
 // not-ready at the flip.
 //
 // The HTTP layer (Handler, Dial) frames the binary wire encoding in JSON:
-// ciphertexts and keys travel as base64 []byte fields, everything else as
-// plain JSON — trivially debuggable with curl, with the hot bytes still in
-// the canonical binary codec. Every non-2xx response carries a
-// machine-readable code (see ErrorResponse), surfaced client-side as a
-// typed *APIError; the Client transparently retries the two Temporary
-// codes (overloaded, shutting_down) with bounded jittered backoff.
+// ciphertexts travel as base64 []byte fields, everything else as plain
+// JSON — trivially debuggable with curl, with the hot bytes still in the
+// canonical binary codec. The evaluation key, the one large object, is the
+// exception: POST /v1/sessions/{client_id} takes its raw wire encoding as
+// the body and streams it — the client encodes as the connection takes
+// bytes, the server decodes chunk by chunk while teeing the same bytes
+// into the store — so no side ever holds the encoded key whole, and
+// restore reads a stored key back through the same decoder. Every non-2xx
+// response carries a machine-readable code (see ErrorResponse), surfaced
+// client-side as a typed *APIError; the Client transparently retries the
+// two Temporary codes (overloaded, shutting_down) with bounded jittered
+// backoff.
 package server

@@ -14,9 +14,10 @@ import (
 // FuzzEvalDecode pins the v2 eval envelope decoder's contract: it never
 // panics on arbitrary bytes (the body is attacker-controlled), it only
 // accepts envelopes whose payload matches their kind, and any ciphertext
-// it accepts is canonical under the wire codec. Since every evaluation
-// endpoint — /v2/eval and the /v1/* shims — funnels through this parse
-// path, this is the single fuzz target for the whole evaluation API.
+// it accepts is canonical under the wire codec. POST /v2/eval is the only
+// evaluation endpoint and this is its parse path, so this is the single
+// fuzz target for the whole evaluation API (the key upload's body is the
+// wire codec's own fuzz surface, FuzzUnmarshalEvalKey).
 // Plain `go test` replays the f.Add seeds plus the committed corpus
 // under testdata/fuzz/ in regression mode; the nightly workflow gives it
 // a real exploration budget.

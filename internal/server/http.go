@@ -3,45 +3,49 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 
 	"repro/internal/tfhe"
 	"repro/internal/wire"
 )
 
-// Request body bounds. The whole body is buffered and base64-decoded
-// before the wire codec can reject it, so these are sized to the largest
-// legitimate payload rather than "big enough for anything" — an
-// unauthenticated peer should not be able to park gigabytes in server
-// memory per connection.
+// Request body bounds, sized to the largest legitimate payload rather than
+// "big enough for anything" — an unauthenticated peer should not be able
+// to park gigabytes in server memory per connection.
 const (
-	// MaxKeyBodyBytes bounds a register-key request. Evaluation keys
-	// dominate everything else: sets I–III are ~46–62 MB in base64, but
-	// the high-precision set IV key is ~1.09 GB binary / ~1.45 GB base64,
-	// which this limit must still admit. The connection timeouts on
-	// strix.Serve keep a slow-drip peer from parking such a buffer
-	// indefinitely.
+	// MaxKeyBodyBytes bounds the declared size of a key upload.
+	// Evaluation keys dominate everything else: sets I–III are 35–47 MB,
+	// but the high-precision set IV key is ~1.09 GB, which this limit must
+	// still admit. The upload is never buffered — it streams through one
+	// decoder chunk into the store and the decoded key, and its size must
+	// match the parameter header before the first key byte is stored — so
+	// what a peer can make the server hold is the decoded form of the
+	// bytes it has actually sent. The connection timeouts on strix.Serve
+	// keep a slow-drip peer from parking that indefinitely.
 	MaxKeyBodyBytes = 2 << 30
-	// MaxBatchBodyBytes bounds gate/lut batch requests and replies: a
-	// maximal default batch (4096 set-I ciphertext pairs) is ~22 MB of
-	// base64.
+	// MaxBatchBodyBytes bounds gate/lut batch requests and replies, which
+	// are buffered and base64-decoded whole: a maximal default batch (4096
+	// set-I ciphertext pairs) is ~22 MB of base64.
 	MaxBatchBodyBytes = 64 << 20
 )
 
-// The JSON frames of the HTTP API. Binary fields ([]byte) carry the
+// SessionPath returns the request path of clientID's session, the target
+// of a key upload (POST) and of a delete. The ID is one escaped path
+// segment, so IDs holding '/', '?', '#' or '%' name exactly themselves.
+func SessionPath(clientID string) string {
+	return "/v1/sessions/" + url.PathEscape(clientID)
+}
+
+// The JSON frames of the HTTP API. Ciphertext fields ([]byte) carry the
 // internal/wire encoding and appear as base64 strings on the wire, the
 // standard encoding/json treatment.
 
-// RegisterKeyRequest frames POST /v1/register-key.
-type RegisterKeyRequest struct {
-	ClientID string `json:"client_id"`
-	EvalKey  []byte `json:"eval_key"` // wire-encoded evaluation keys
-}
-
-// RegisterKeyResponse acknowledges a key registration.
+// RegisterKeyResponse acknowledges a key upload.
 type RegisterKeyResponse struct {
 	Params   string `json:"params"`    // parameter set name of the session
-	KeyBytes int    `json:"key_bytes"` // decoded key size, for sanity checks
+	KeyBytes int64  `json:"key_bytes"` // encoded key size, for sanity checks
 }
 
 // ErrorResponse is the JSON body of every non-2xx reply. Error is the
@@ -75,32 +79,26 @@ type DeleteSessionResponse struct {
 // Handler returns the HTTP API of the service:
 //
 //	POST   /v2/eval                  EvalRequest         → EvalResponse
-//	POST   /v1/register-key          RegisterKeyRequest  → RegisterKeyResponse
+//	POST   /v1/sessions/{client_id}  raw encoded key     → RegisterKeyResponse
 //	GET    /v1/stats                                     → Stats
 //	GET    /v1/healthz                                   → HealthResponse
 //	GET    /v1/sessions                                  → SessionsResponse
 //	DELETE /v1/sessions/{client_id}                      → DeleteSessionResponse
 //
-// /v2/eval is the single versioned evaluation envelope (see eval.go).
+// /v2/eval is the single versioned evaluation envelope (see eval.go). The
+// key upload is the one non-JSON request: its body is the
+// wire.EncodeEvalKey bytes, Content-Length required (see handleRegisterKey).
 // Every non-2xx reply is an ErrorResponse carrying a machine-readable
 // code (see errors.go); 503 replies also carry a Retry-After header.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v2/eval", s.handleEval)
-	mux.HandleFunc("POST /v1/register-key", s.handleRegisterKey)
+	mux.HandleFunc("POST /v1/sessions/{client_id}", s.handleRegisterKey)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/sessions", s.handleSessions)
 	mux.HandleFunc("DELETE /v1/sessions/{client_id}", s.handleDeleteSession)
 	return mux
-}
-
-// decodeJSON reads one size-bounded JSON request body.
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any, limit int64) error {
-	body := http.MaxBytesReader(w, r.Body, limit)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	return dec.Decode(dst)
 }
 
 // writeJSON writes a JSON response with status code.
@@ -146,21 +144,48 @@ func encodeCiphertexts(cts []tfhe.LWECiphertext) [][]byte {
 	return out
 }
 
-// handleRegisterKey decodes and registers a client's evaluation keys.
+// handleRegisterKey streams one uploaded key into a session. The body is
+// the raw wire.EncodeEvalKey bytes and must declare its size (a chunked
+// upload is refused): the size is what the parameter header is checked
+// against, and what the store allocates. A bad size, a draining server and
+// a bad ID are all refused before the first body byte is read, so a peer
+// that waits for 100 Continue never sends the key.
 func (s *Server) handleRegisterKey(w http.ResponseWriter, r *http.Request) {
-	var req RegisterKeyRequest
-	if err := decodeJSON(w, r, &req, MaxKeyBodyBytes); err != nil {
-		writeError(w, fmt.Errorf("server: bad register-key request: %w", err))
+	size := r.ContentLength
+	switch {
+	case size <= 0:
+		writeJSON(w, http.StatusLengthRequired, ErrorResponse{
+			Error: "server: key upload needs a Content-Length and a body", Code: CodeBadRequest})
+		return
+	case size > MaxKeyBodyBytes:
+		writeError(w, fmt.Errorf("server: key upload of %d bytes: %w", size, ErrBatchTooLarge))
 		return
 	}
-	// The encoded path persists the exact uploaded bytes instead of
-	// re-marshaling the decoded key.
-	p, err := s.RegisterKeyEncoded(req.ClientID, req.EvalKey)
+	body := &touchReader{r: r.Body}
+	p, err := s.registerFrom(r.PathValue("client_id"), size, body)
 	if err != nil {
+		if body.touched {
+			// The peer is still sending. Answering now would close the
+			// connection under it, and it would see a reset, not this
+			// error: take the rest of what it declared first.
+			_, _ = io.Copy(io.Discard, r.Body)
+		}
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, RegisterKeyResponse{Params: p.Name, KeyBytes: len(req.EvalKey)})
+	writeJSON(w, http.StatusOK, RegisterKeyResponse{Params: p.Name, KeyBytes: size})
+}
+
+// touchReader records whether its source has been read.
+type touchReader struct {
+	r       io.Reader
+	touched bool
+}
+
+// Read implements io.Reader.
+func (t *touchReader) Read(p []byte) (int, error) {
+	t.touched = true
+	return t.r.Read(p)
 }
 
 // handleStats reports the service metrics snapshot.

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -146,11 +147,17 @@ func TestHTTPErrors(t *testing.T) {
 		return resp
 	}
 
-	if resp := post("/v1/register-key", "{not json"); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad JSON: status %d, want 400", resp.StatusCode)
-	}
-	if resp := post("/v1/register-key", `{"client_id":"x","eval_key":"AAAA"}`); resp.StatusCode != http.StatusBadRequest {
+	if resp := post("/v1/sessions/x", "not a key"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad eval key: status %d, want 400", resp.StatusCode)
+	}
+	if resp := post("/v1/sessions/x", ""); resp.StatusCode != http.StatusLengthRequired {
+		t.Errorf("empty key upload: status %d, want 411", resp.StatusCode)
+	}
+	// A body of unknown length travels chunked: refused unread.
+	if resp, err := http.Post(ts.URL+"/v1/sessions/x", "application/octet-stream", io.MultiReader(strings.NewReader("chunked"))); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusLengthRequired {
+		t.Errorf("chunked key upload: status %d, want 411", resp.StatusCode)
 	}
 	if resp := post("/v2/eval", `{"client_id":"ghost","kind":"gate","op":"NAND","a":[],"b":[]}`); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown session: status %d, want 404", resp.StatusCode)

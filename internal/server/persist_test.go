@@ -252,7 +252,7 @@ func TestDrain(t *testing.T) {
 		t.Errorf("DeleteSession while draining: %v", err)
 	}
 	// The store was closed by the drain.
-	if err := store.Put("x", tfhe.ParamsTest, nil); !errors.Is(err, ErrStoreClosed) {
+	if err := putBlob(store, "x", nil); !errors.Is(err, ErrStoreClosed) {
 		t.Errorf("store after drain: %v, want ErrStoreClosed", err)
 	}
 	// Idempotent.

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"container/list"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -208,48 +210,82 @@ func validateClientID(clientID string) error {
 // becomes visible, so a crash after a successful RegisterKey never loses
 // the registration.
 func (s *Server) RegisterKey(clientID string, ek tfhe.EvaluationKeys) error {
-	return s.register(clientID, ek, nil)
+	enc, size, err := wire.EncodeEvalKey(ek) // validates ek
+	if err != nil {
+		return fmt.Errorf("server: rejecting eval key for %q: %w", clientID, err)
+	}
+	_, err = s.register(clientID, size, func(w io.Writer) (tfhe.EvaluationKeys, error) {
+		_, err := io.Copy(storeWriter{w}, enc)
+		return ek, err
+	})
+	return err
 }
 
-// RegisterKeyEncoded registers a wire-encoded evaluation key, reusing the
-// encoded bytes for persistence instead of re-marshaling — the path the
-// HTTP handler takes, since clients upload the encoding. Returns the
+// RegisterKeyEncoded registers a wire-encoded evaluation key. Returns the
 // decoded parameter set for the acknowledgment.
 func (s *Server) RegisterKeyEncoded(clientID string, blob []byte) (tfhe.Params, error) {
-	ek, err := wire.UnmarshalEvalKey(blob)
-	if err != nil {
-		return tfhe.Params{}, fmt.Errorf("server: bad eval key: %w", err)
-	}
-	return ek.Params, s.register(clientID, ek, blob)
+	return s.registerFrom(clientID, int64(len(blob)), bytes.NewReader(blob))
 }
 
-// register is the shared registration path. blob, when non-nil, is the
-// wire encoding of ek (trusted to match because RegisterKeyEncoded just
-// decoded ek from it).
-func (s *Server) register(clientID string, ek tfhe.EvaluationKeys, blob []byte) error {
+// registerFrom registers the size-byte wire encoding that body yields, in
+// one pass and without ever holding it whole: each chunk the decoder pulls
+// is teed into the store on its way, so the durable copy is the exact
+// uploaded bytes. It is the path of the HTTP upload.
+func (s *Server) registerFrom(clientID string, size int64, body io.Reader) (tfhe.Params, error) {
+	return s.register(clientID, size, func(w io.Writer) (tfhe.EvaluationKeys, error) {
+		ek, err := wire.DecodeEvalKey(io.TeeReader(body, storeWriter{w}), size)
+		if err != nil {
+			return ek, fmt.Errorf("server: bad eval key: %w", err)
+		}
+		return ek, nil
+	})
+}
+
+// storeWriter marks the failures of a store's writer, so that a full disk
+// under a tee surfaces as 500/internal and not as the bad key the decoder
+// would otherwise make of its failed read.
+type storeWriter struct{ w io.Writer }
+
+// Write implements io.Writer.
+func (s storeWriter) Write(p []byte) (int, error) {
+	n, err := s.w.Write(p)
+	if err != nil {
+		err = fmt.Errorf("%w: %v", errStoreFailure, err)
+	}
+	return n, err
+}
+
+// register is the one registration path: admit, check the ID — both
+// before load touches its source — then load the keys, commit them to the
+// store, and only then make the session visible. load returns the
+// validated keys and writes their size-byte wire encoding to w as it goes
+// (to nowhere when there is no store). Nothing changes unless every step
+// succeeds: the ID's previous session keeps serving.
+func (s *Server) register(clientID string, size int64, load func(w io.Writer) (tfhe.EvaluationKeys, error)) (tfhe.Params, error) {
 	if err := s.begin(); err != nil {
-		return err
+		return tfhe.Params{}, err
 	}
 	defer s.end()
 	if err := validateClientID(clientID); err != nil {
-		return err
+		return tfhe.Params{}, err
 	}
-	if err := ek.Validate(); err != nil {
-		return fmt.Errorf("server: rejecting eval key for %q: %w", clientID, err)
-	}
-	if s.store != nil {
-		if blob == nil {
-			var err error
-			blob, err = wire.MarshalEvalKey(ek)
-			if err != nil {
-				return fmt.Errorf("server: encoding eval key for %q: %w", clientID, err)
-			}
-		}
+	var ek tfhe.EvaluationKeys
+	var loadErr error
+	if s.store == nil {
+		ek, loadErr = load(io.Discard)
+	} else {
 		// Durable-first: the WAL record commits before the session is
 		// visible, so no acknowledged registration can be lost.
-		if err := s.store.Put(clientID, ek.Params, blob); err != nil {
-			return fmt.Errorf("%w: persisting key for %q: %v", errStoreFailure, clientID, err)
+		err := s.store.Put(clientID, size, func(w io.Writer) (tfhe.Params, error) {
+			ek, loadErr = load(w)
+			return ek.Params, loadErr
+		})
+		if err != nil && loadErr == nil {
+			return tfhe.Params{}, fmt.Errorf("%w: persisting key for %q: %v", errStoreFailure, clientID, err)
 		}
+	}
+	if loadErr != nil {
+		return tfhe.Params{}, loadErr
 	}
 	// Build the engine outside the lock: key material is large and engine
 	// construction allocates per-worker evaluators.
@@ -262,7 +298,7 @@ func (s *Server) register(clientID string, ek tfhe.EvaluationKeys, blob []byte) 
 	}
 	s.evicted.remove(clientID)
 	s.install(sess)
-	return nil
+	return ek.Params, nil
 }
 
 // install adds a built session to the warm tier and applies the LRU
@@ -335,14 +371,15 @@ func (s *Server) session(clientID string) (*session, error) {
 // build. The restored session computes on byte-identical key material,
 // so its gate results are bitwise identical to the pre-restart session's.
 func (s *Server) restore(clientID string) (*session, error) {
-	blob, err := s.store.Get(clientID)
+	key, size, err := s.store.Get(clientID)
 	if errors.Is(err, ErrNotPersisted) {
 		return nil, ErrUnknownSession
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: restoring %q: %v", errStoreFailure, clientID, err)
 	}
-	ek, err := wire.UnmarshalEvalKey(blob)
+	defer key.Close()
+	ek, err := wire.DecodeEvalKey(key, size)
 	if err != nil {
 		return nil, fmt.Errorf("%w: persisted key for %q does not decode: %v", errStoreFailure, clientID, err)
 	}

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"sort"
 	"sync"
 
@@ -32,18 +35,23 @@ type StoreEntry struct {
 // register, reads back on a warm-tier miss, and tombstones on explicit
 // delete. Implementations must be safe for concurrent use.
 //
-// Blobs are opaque to the store — they are exactly the
-// wire.MarshalEvalKey bytes the client uploaded, so a restored session is
-// rebuilt from byte-identical key material and produces bitwise-identical
-// gate results.
+// Keys pass through as streams, never as whole buffers, and are opaque to
+// the store — exactly the wire.EncodeEvalKey bytes the client uploaded, so
+// a restored session is rebuilt from byte-identical key material and
+// produces bitwise-identical gate results.
 type SessionStore interface {
-	// Put durably stores the wire-encoded evaluation key for clientID,
-	// replacing any previous key. p is the decoded parameter set of the
-	// blob (callers have always just validated the key), recorded so
-	// List never has to decode key material.
-	Put(clientID string, p tfhe.Params, blob []byte) error
-	// Get returns the stored key blob for clientID, or ErrNotPersisted.
-	Get(clientID string) ([]byte, error)
+	// Put durably stores the size-byte encoded key that fill writes to w,
+	// replacing any previous key of clientID. fill returns the parameter
+	// set it decoded on the way (callers always validate what they store),
+	// recorded so List never has to decode key material. When fill fails,
+	// or writes anything but size bytes, Put fails, nothing is stored and
+	// the previous key stays. size is only declared by whoever is
+	// uploading: the caller bounds it.
+	Put(clientID string, size int64, fill func(w io.Writer) (tfhe.Params, error)) error
+	// Get opens the stored key of clientID for one sequential read and
+	// returns its length, or ErrNotPersisted. A key that no longer matches
+	// what Put stored fails the read that would have returned io.EOF.
+	Get(clientID string) (io.ReadCloser, int64, error)
 	// Delete removes clientID's key, reporting whether one was stored.
 	// Deleting an absent key is not an error.
 	Delete(clientID string) (bool, error)
@@ -75,32 +83,44 @@ func NewMemStore() *MemStore {
 	return &MemStore{blobs: make(map[string]memEntry)}
 }
 
-// Put implements SessionStore. The blob is copied, so callers may reuse
-// their buffer.
-func (m *MemStore) Put(clientID string, p tfhe.Params, blob []byte) error {
+// errShortFill reports a fill that wrote a different byte count than it
+// declared.
+func errShortFill(clientID string, got, want int64) error {
+	return fmt.Errorf("server: key for %q is %d bytes, declared %d", clientID, got, want)
+}
+
+// Put implements SessionStore. The key is filled into one buffer of the
+// declared size, outside the lock.
+func (m *MemStore) Put(clientID string, size int64, fill func(w io.Writer) (tfhe.Params, error)) error {
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	p, err := fill(buf)
+	if err != nil {
+		return err
+	}
+	if int64(buf.Len()) != size {
+		return errShortFill(clientID, int64(buf.Len()), size)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return ErrStoreClosed
 	}
-	cp := make([]byte, len(blob))
-	copy(cp, blob)
-	m.blobs[clientID] = memEntry{params: p.Name, blob: cp}
+	m.blobs[clientID] = memEntry{params: p.Name, blob: buf.Bytes()}
 	return nil
 }
 
 // Get implements SessionStore.
-func (m *MemStore) Get(clientID string) ([]byte, error) {
+func (m *MemStore) Get(clientID string) (io.ReadCloser, int64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, ErrStoreClosed
+		return nil, 0, ErrStoreClosed
 	}
 	e, ok := m.blobs[clientID]
 	if !ok {
-		return nil, ErrNotPersisted
+		return nil, 0, ErrNotPersisted
 	}
-	return e.blob, nil
+	return io.NopCloser(bytes.NewReader(e.blob)), int64(len(e.blob)), nil
 }
 
 // Delete implements SessionStore.

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/fft"
 	"repro/internal/tfhe"
 	"repro/internal/torus"
 )
@@ -25,9 +24,12 @@ func GLWESize(k, n int) int { return headerSize + 8 + 4*(k+1)*n }
 // ParamsSize returns the encoded size of a parameter set.
 func ParamsSize(p tfhe.Params) int { return headerSize + paramsPayloadSize(p) }
 
-// paramsPayloadSize is the header-less parameter payload size: name length
-// byte + name + eight u32 fields + two f64 noise parameters.
-func paramsPayloadSize(p tfhe.Params) int { return 1 + len(p.Name) + 8*4 + 2*8 }
+// paramsFixedSize is the header-less parameter payload without the name:
+// name length byte + eight u32 fields + two f64 noise parameters.
+const paramsFixedSize = 1 + 8*4 + 2*8
+
+// paramsPayloadSize is the header-less parameter payload size.
+func paramsPayloadSize(p tfhe.Params) int { return paramsFixedSize + len(p.Name) }
 
 // EvalKeySize returns the encoded size of the evaluation keys for a
 // parameter set. The second return is false if the dimensions overflow a
@@ -279,137 +281,6 @@ func UnmarshalGLWE(data []byte) (tfhe.GLWECiphertext, error) {
 		return tfhe.GLWECiphertext{}, err
 	}
 	return ct, nil
-}
-
-// ---------------------------------------------------------------------------
-// Evaluation keys
-
-// MarshalEvalKey encodes the evaluation keys: the parameter payload,
-// followed by the Fourier-domain BSK and the raw KSK, both with shapes
-// fully determined by the parameters (no per-object framing).
-func MarshalEvalKey(ek tfhe.EvaluationKeys) ([]byte, error) {
-	if err := ek.Validate(); err != nil {
-		return nil, err
-	}
-	if len(ek.Params.Name) > MaxName {
-		return nil, fmt.Errorf("wire: parameter set name %q longer than %d bytes", ek.Params.Name, MaxName)
-	}
-	size, ok := EvalKeySize(ek.Params)
-	if !ok {
-		return nil, fmt.Errorf("wire: evaluation key size overflows for set %q", ek.Params.Name)
-	}
-	dst := make([]byte, 0, size)
-	dst = appendHeader(dst, KindEvalKey)
-	dst = appendParamsPayload(dst, ek.Params)
-	for _, g := range ek.BSK {
-		for _, rows := range g.Rows {
-			for _, row := range rows {
-				for _, fp := range row {
-					for _, c := range fp {
-						dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(real(c)))
-						dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(imag(c)))
-					}
-				}
-			}
-		}
-	}
-	for _, levels := range ek.KSK {
-		for _, ct := range levels {
-			dst = appendLWEBody(dst, ct)
-		}
-	}
-	return dst, nil
-}
-
-// appendLWEBody appends an LWE ciphertext without length prefix (the
-// dimension is implied by the parameter set).
-func appendLWEBody(dst []byte, ct tfhe.LWECiphertext) []byte {
-	for _, a := range ct.A {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(a))
-	}
-	return binary.LittleEndian.AppendUint32(dst, uint32(ct.B))
-}
-
-// UnmarshalEvalKey decodes evaluation keys. The parameter payload is
-// validated first and the exact remaining byte count is checked against
-// the shapes it dictates before any key storage is allocated, so hostile
-// headers cannot trigger large allocations.
-func UnmarshalEvalKey(data []byte) (tfhe.EvaluationKeys, error) {
-	r := &reader{buf: data}
-	r.header(KindEvalKey)
-	p := decodeParamsPayload(r)
-	if r.err != nil {
-		return tfhe.EvaluationKeys{}, r.err
-	}
-	bsk, ok1 := bskBytes(p)
-	ksk, ok2 := kskBytes(p)
-	if !ok1 || !ok2 {
-		return tfhe.EvaluationKeys{}, fmt.Errorf("wire: evaluation key size overflows for set %q", p.Name)
-	}
-	if want, have := bsk+ksk, int64(r.remaining()); want != have {
-		return tfhe.EvaluationKeys{}, fmt.Errorf("wire: evaluation key payload is %d bytes, want %d for set %q", have, want, p.Name)
-	}
-
-	ek := tfhe.EvaluationKeys{Params: p}
-	m := p.N / 2
-	ek.BSK = make([]tfhe.GGSWFourier, p.SmallN)
-	for i := range ek.BSK {
-		rows := make([][][]fft.FourierPoly, p.K+1)
-		for j := range rows {
-			rows[j] = make([][]fft.FourierPoly, p.PBSLevel)
-			for l := range rows[j] {
-				row := make([]fft.FourierPoly, p.K+1)
-				for c := range row {
-					fp, err := readFourierPoly(r, m)
-					if err != nil {
-						return tfhe.EvaluationKeys{}, err
-					}
-					row[c] = fp
-				}
-				rows[j][l] = row
-			}
-		}
-		ek.BSK[i] = tfhe.GGSWFourier{Rows: rows}
-	}
-
-	big := p.ExtractedN()
-	ek.KSK = make([][]tfhe.LWECiphertext, big)
-	for j := range ek.KSK {
-		ek.KSK[j] = make([]tfhe.LWECiphertext, p.KSLevel)
-		for l := range ek.KSK[j] {
-			ct := tfhe.NewLWECiphertext(p.SmallN)
-			readTorusInto(r, ct.A)
-			ct.B = torus.Torus32(r.u32())
-			ek.KSK[j][l] = ct
-		}
-	}
-	if err := r.done(); err != nil {
-		return tfhe.EvaluationKeys{}, err
-	}
-	if err := ek.Validate(); err != nil {
-		return tfhe.EvaluationKeys{}, fmt.Errorf("wire: decoded key fails validation: %v", err)
-	}
-	return ek, nil
-}
-
-// readFourierPoly decodes one Fourier polynomial of m complex values,
-// rejecting non-finite coefficients (they would silently poison every
-// external product computed with the key).
-func readFourierPoly(r *reader, m int) (fft.FourierPoly, error) {
-	raw := r.bytes(16 * m)
-	if raw == nil {
-		return nil, r.err
-	}
-	fp := make(fft.FourierPoly, m)
-	for i := 0; i < m; i++ {
-		re := math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i:]))
-		im := math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i+8:]))
-		if !finite(re) || !finite(im) {
-			return nil, fmt.Errorf("wire: non-finite Fourier coefficient in bootstrapping key")
-		}
-		fp[i] = complex(re, im)
-	}
-	return fp, nil
 }
 
 // ---------------------------------------------------------------------------

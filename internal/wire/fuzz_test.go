@@ -3,7 +3,9 @@ package wire
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/tfhe"
 )
@@ -126,12 +128,22 @@ func FuzzUnmarshalParams(f *testing.F) {
 	})
 }
 
+// FuzzUnmarshalEvalKey also runs every input through the decoder behind a
+// reader that splits it into short reads — the shape a network body has —
+// and requires the same verdict and the same key as the one-buffer decode.
 func FuzzUnmarshalEvalKey(f *testing.F) {
 	addMutations(f, fuzzSeedEvalKey())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ek, err := UnmarshalEvalKey(data)
+		chunked, cerr := DecodeEvalKey(iotest.HalfReader(bytes.NewReader(data)), int64(len(data)))
+		if (err == nil) != (cerr == nil) {
+			t.Fatalf("one buffer: %v; short reads: %v", err, cerr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(ek, chunked) {
+			t.Fatal("short reads decoded a different key")
 		}
 		if err := ek.Validate(); err != nil {
 			t.Fatalf("decoder accepted invalid eval key: %v", err)

@@ -392,7 +392,7 @@ func NewMemStore() *MemStore {
 // http.Server carries connection timeouts so unauthenticated peers cannot
 // park half-read bodies or idle connections indefinitely; the read
 // timeout is generous because evaluation-key uploads are legitimately
-// large (set IV is ~1.45 GB of base64). There is deliberately no write
+// large (set IV is ~1.09 GB, streamed). There is deliberately no write
 // timeout: a response is only written after the FHE computation, which
 // can itself take minutes on full-scale parameters.
 func Serve(l net.Listener, srv *GateService) error {
