@@ -7,21 +7,13 @@ GO ?= go
 # ratchet: raise it when coverage genuinely rises, never lower it to get a
 # PR past CI. The value lives ONLY here — CI consumes it through
 # `make cover`. Ratcheted 70 → 72 when the cross-backend conformance
-# suite landed; current total is ~73%.
-COVER_FLOOR ?= 73.0
+# suite landed; 73 → 80 when the modes of strixbench that duplicated the
+# benchmark left the denominator (its package main runs only as a
+# subprocess, so it reads 0% in the profile). The total then was 82.1%;
+# the floor is the total minus 1.5, rounded down.
+COVER_FLOOR ?= 80.0
 
-# The benchmarks behind the perf trajectory (BENCH_pbs.json): the two
-# engines, the circuit scheduler, multi-value PBS, the fast-vs-
-# reference FFT kernel comparison, the routed cluster scale-out pair,
-# and the encrypted-inference coalescing pair. benchjson derives the
-# CI-gated machine-portable ratios from these, so the regexp must keep
-# matching every benchmark cmd/benchjson's gatedRatios table names.
-BENCH_JSON_BENCHES = BenchmarkBatchGate|BenchmarkStreamGate|BenchmarkCircuitMul|BenchmarkMultiLUT|BenchmarkSessionRestore|BenchmarkPBS|BenchmarkClusterGate|BenchmarkInfer
-# Allowed fractional regression of a gated ratio before the perf CI job
-# fails (see cmd/benchjson).
-BENCH_TOLERANCE = 0.25
-
-.PHONY: all build test test-purego race cover fuzz-regress bench bench-smoke bench-stream bench-json bench-check lint fmt fmt-check vet no-deprecated docs
+.PHONY: all build test test-purego race cover fuzz-regress bench bench-compare bench-smoke lint fmt fmt-check vet no-deprecated no-retired-gate docs
 
 all: build test
 
@@ -71,44 +63,31 @@ cover:
 fuzz-regress:
 	$(GO) test -run '^Fuzz' ./internal/wire/... ./internal/server/... ./internal/tfhe/... ./internal/sched/...
 
+# The repository's performance numbers come from one place, the benchmark
+# in benchmark/ (BENCHMARK.json: four workloads at parameter set I, ten
+# round-robin passes, ~15 minutes). `make bench` records a fresh run file
+# and `make bench-compare` sets it beside the committed
+# BENCH_baseline.jsonl, failing when a median is worse than the baseline's
+# by more than its BENCHMARK.json bound or the baseline's own spread
+# exceeds it. To re-record the baseline when the performance legitimately
+# changes: `make bench && mv BENCH_run.jsonl BENCH_baseline.jsonl`, on a
+# quiet machine. It was recorded on 2 CPUs: a wider machine passes the
+# timed metrics trivially, and alloc_mb_per_op, which does not depend on
+# the host, is then the tripwire.
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	rm -f BENCH_run.jsonl && bash benchmark/all.sh BENCH_run.jsonl
 
-# One iteration per benchmark: proves every benchmark still runs without
-# paying for stable numbers. `./...` includes the BenchmarkFFT* kernel
-# benchmarks in internal/fft and BenchmarkPBS at the root, so both fast
-# and reference kernel paths get exercised on every CI run.
+bench-compare:
+	bash benchmark/run.sh --compare BENCH_baseline.jsonl BENCH_run.jsonl
+
+# One iteration per Go benchmark: proves every benchmark still runs
+# without paying for stable numbers. `./...` includes the BenchmarkFFT*
+# kernel benchmarks in internal/fft and BenchmarkPBS at the root, so both
+# fast and reference kernel paths get exercised on every CI run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
-# The streaming-pipeline benchmarks on their own: the measured PBS/s rows
-# the two-level batching thesis is judged by.
-bench-stream:
-	$(GO) test -run '^$$' -bench 'BenchmarkStream' -benchtime=1x .
-
-# Regenerate the committed perf baseline (BENCH_pbs.json): run the key
-# engine/scheduler benchmarks and serialize them with the gated ratios.
-# Commit the result when the perf characteristics legitimately change.
-# Run this on hardware representative of CI (multicore): the gated
-# speedup ratios scale with core count, so a baseline generated on a
-# narrow machine (the JSON records its "cpus"; benchjson warns when CI
-# runs wider) sets a lenient floor — it still catches regressions worse
-# than the tolerance below that machine's ratio and benchmarks that
-# vanish, but not a loss of multicore speedup the narrow machine never
-# exhibited. Regenerate on wide hardware to make the floor meaningful.
-bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_JSON_BENCHES)' -benchtime 5x -count 1 . > bench.out
-	$(GO) run ./cmd/benchjson -bench bench.out -o BENCH_pbs.json
-
-# The CI perf gate: fresh benchmark run compared against the committed
-# baseline; fails when a gated (machine-portable) ratio regresses more
-# than BENCH_TOLERANCE.
-bench-check:
-	$(GO) test -run '^$$' -bench '$(BENCH_JSON_BENCHES)' -benchtime 5x -count 1 . > bench-new.out
-	$(GO) run ./cmd/benchjson -bench bench-new.out -o BENCH_new.json
-	$(GO) run ./cmd/benchjson -compare -tol $(BENCH_TOLERANCE) BENCH_pbs.json BENCH_new.json
-
-lint: fmt-check vet no-deprecated
+lint: fmt-check vet no-deprecated no-retired-gate
 
 # Documentation gate: every internal package needs a package comment and
 # every exported identifier a doc comment (see cmd/doccheck).
@@ -129,3 +108,9 @@ vet:
 # alias: any Deprecated: marker in non-test Go source fails the build.
 no-deprecated:
 	@! git grep -n 'Deprecated:' -- '*.go' ':!*_test.go'
+
+# The ratio gate that benchmark/ replaced (its JSON file, its tool, its two
+# targets) is deleted, not parked: nothing but the history files may name
+# it. The pattern is spelled in pieces so this recipe does not match itself.
+no-retired-gate:
+	@! git grep -n 'BENCH_''pbs\|bench''json\|bench-''check\|bench-''json' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'

@@ -1,6 +1,9 @@
 // Command strixbench regenerates the tables and figures of the Strix paper
-// (MICRO 2023) from the models in this repository, and measures the
-// software batch-bootstrapping engine against the model's predictions.
+// (MICRO 2023) from the models in this repository, and runs the two
+// multi-bit scenarios whose set-I correctness the ROADMAP tracks: a
+// scheduled multi-digit multiply and encrypted inference over the gate
+// service. Engine, scheduler, service and router throughput are measured
+// by the benchmark ledger (benchmark/, `make bench`), not here.
 //
 // Usage:
 //
@@ -8,376 +11,34 @@
 //	strixbench -exp all
 //	strixbench -exp table5 -format csv
 //	strixbench -exp fig1 -full         # Fig 1 with full-scale set I (slow)
-//	strixbench -batch 256              # measured vs predicted PBS/s, NumCPU workers
-//	strixbench -batch 256 -parallel 4  # ... with an explicit worker count
-//	strixbench -batch 64 -set I        # ... on a full-scale parameter set (slow)
-//	strixbench -batch 256 -kernel ref  # ... on the pure-Go reference FFT kernels
-//	strixbench -stream 256             # two-level streaming pipeline PBS/s
-//	strixbench -stream 256 -parallel 4 # ... with 4 blind-rotate workers
-//	strixbench -serve -clients 4       # end-to-end gate service PBS/s
-//	strixbench -serve -clients 8 -gates 32 -parallel 4
 //	strixbench -circuit 4              # scheduled vs sequential multiply PBS/s
 //	strixbench -circuit 4 -parallel 8  # ... with explicit engine widths
-//	strixbench -multilut 4             # multi-value PBS vs 4 independent LUTs
+//	strixbench -circuit 3 -set I       # ... on a full-scale parameter set (slow)
+//	strixbench -circuit 4 -kernel ref  # ... on the pure-Go reference FFT kernels
 //	strixbench -infer 64               # encrypted cellCNN-style inference inf/s
 //	strixbench -infer 64 -clients 4    # ... coalesced across concurrent sessions
-//	strixbench -restore 4              # cold-start session restore latency
-//	strixbench -cluster 2              # routed scale-out: 2 nodes vs 1 node PBS/s
-//	strixbench -cluster 2 -clients 8 -gates 32
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"math/rand"
 	"net"
 	"os"
-	"os/exec"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
-	strix "repro"
 	"repro/internal/arch"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/fft"
 	"repro/internal/intops"
 	"repro/internal/sched"
+	"repro/internal/server"
 	"repro/internal/tfhe"
+	"repro/internal/workload"
 )
-
-// runBatch measures the worker-pool engine on a batch of real PBS+KS gate
-// pipelines and prints the measured throughput next to the accelerator
-// model's prediction for the same parameter set.
-func runBatch(set string, batch, workers int) error {
-	p, err := tfhe.ParamsByName(set)
-	if err != nil {
-		return err
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-
-	fmt.Printf("batch mode: set %s, %d PBS+KS per batch, %d workers\n", p.Name, batch, workers)
-	fmt.Print("generating keys... ")
-	start := time.Now()
-	rng := rand.New(rand.NewSource(1))
-	sk, ek := tfhe.GenerateKeys(rng, p)
-	fmt.Printf("done (%.2fs)\n", time.Since(start).Seconds())
-
-	cts := make([]tfhe.LWECiphertext, batch)
-	for i := range cts {
-		cts[i] = sk.EncryptBool(rng, i%2 == 0)
-	}
-
-	// Warm one batch (first-touch twiddle tables, pool buffers), then time.
-	eng := engine.New(ek, engine.Config{Workers: workers})
-	if _, err := eng.BatchGate(engine.NAND, cts[:min(8, batch)], cts[:min(8, batch)]); err != nil {
-		return err
-	}
-	eng.ResetCounters()
-
-	start = time.Now()
-	if _, err := eng.BatchGate(engine.NAND, cts, cts); err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	counters := eng.Counters()
-	measured := float64(counters.PBSCount) / elapsed.Seconds()
-
-	fmt.Printf("software : %d PBS (+KS) in %v  =  %.1f PBS/s  (%d workers)\n",
-		counters.PBSCount, elapsed.Round(time.Millisecond), measured, workers)
-
-	model, err := arch.NewModel(arch.DefaultConfig(), p)
-	if err != nil {
-		fmt.Printf("accelerator model unavailable for set %s: %v\n", p.Name, err)
-		return nil
-	}
-	predicted := model.ThroughputPBS()
-	fmt.Printf("strix    : predicted %.1f PBS/s  (%.0f× the software pool)\n",
-		predicted, predicted/measured)
-	return nil
-}
-
-// runStream measures the two-level streaming pipeline (modswitch → blind
-// rotate → extract → fused keyswitch, shared sign test vector) on a batch
-// of gate pipelines and prints measured PBS/s next to the accelerator
-// model's prediction, on the same axis as -batch.
-func runStream(set string, batch, workers int) error {
-	p, err := tfhe.ParamsByName(set)
-	if err != nil {
-		return err
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-
-	fmt.Printf("stream mode: set %s, %d PBS+KS per stream, %d rotate workers\n", p.Name, batch, workers)
-	fmt.Print("generating keys... ")
-	start := time.Now()
-	rng := rand.New(rand.NewSource(1))
-	sk, ek := tfhe.GenerateKeys(rng, p)
-	fmt.Printf("done (%.2fs)\n", time.Since(start).Seconds())
-
-	cts := make([]tfhe.LWECiphertext, batch)
-	for i := range cts {
-		cts[i] = sk.EncryptBool(rng, i%2 == 0)
-	}
-
-	// Warm one short stream (twiddle tables, stage goroutine paths), then time.
-	s := engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: workers})
-	if _, err := s.StreamGate(engine.NAND, cts[:min(8, batch)], cts[:min(8, batch)]); err != nil {
-		return err
-	}
-	s.ResetCounters()
-
-	start = time.Now()
-	if _, err := s.StreamGate(engine.NAND, cts, cts); err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	counters := s.Counters()
-	measured := float64(counters.PBSCount) / elapsed.Seconds()
-
-	fmt.Printf("software : %d PBS (+fused KS) in %v  =  %.1f PBS/s  (%d rotate + %d KS workers)\n",
-		counters.PBSCount, elapsed.Round(time.Millisecond), measured, s.RotateWorkers(), s.KSWorkers())
-
-	model, err := arch.NewModel(arch.DefaultConfig(), p)
-	if err != nil {
-		fmt.Printf("accelerator model unavailable for set %s: %v\n", p.Name, err)
-		return nil
-	}
-	predicted := model.ThroughputPBS()
-	fmt.Printf("strix    : predicted %.1f PBS/s  (%.0f× the software pipeline)\n",
-		predicted, predicted/measured)
-	return nil
-}
-
-// runServe measures the networked gate service end to end: it starts an
-// in-process strixserv-equivalent HTTP server, registers `clients`
-// sessions (each with its own keys — the session-sharded multi-user
-// scenario), fires one gate batch per client concurrently, and prints the
-// end-to-end PBS/s (HTTP framing + wire codec + coalescing + streaming
-// engines) next to the in-process streaming number for the same workload.
-func runServe(set string, clients, gates, workers int) error {
-	p, err := tfhe.ParamsByName(set)
-	if err != nil {
-		return err
-	}
-	if clients < 1 {
-		return fmt.Errorf("-clients must be >= 1, got %d", clients)
-	}
-	if gates < 1 {
-		return fmt.Errorf("-gates must be >= 1, got %d", gates)
-	}
-
-	fmt.Printf("serve mode: set %s, %d clients x %d gates, %d rotate workers/session\n",
-		p.Name, clients, gates, workers)
-
-	srv := strix.NewGateService(strix.ServiceConfig{
-		Stream: engine.StreamConfig{RotateWorkers: workers},
-	})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer l.Close()
-	go func() { _ = strix.Serve(l, srv) }()
-	base := "http://" + l.Addr().String()
-
-	type clientState struct {
-		sk   tfhe.SecretKeys
-		cl   *strix.GateClient
-		a, b []tfhe.LWECiphertext
-		bits []bool
-	}
-	fmt.Print("generating keys + registering sessions... ")
-	start := time.Now()
-	states := make([]*clientState, clients)
-	for i := range states {
-		rng := rand.New(rand.NewSource(int64(i + 1)))
-		sk, ek := tfhe.GenerateKeys(rng, p)
-		cl := strix.Dial(base, fmt.Sprintf("load-client-%d", i))
-		if err := cl.RegisterKey(ek); err != nil {
-			return err
-		}
-		st := &clientState{sk: sk, cl: cl}
-		st.bits = make([]bool, gates)
-		st.a = make([]tfhe.LWECiphertext, gates)
-		st.b = make([]tfhe.LWECiphertext, gates)
-		for g := 0; g < gates; g++ {
-			st.bits[g] = (i+g)%2 == 0
-			st.a[g] = sk.EncryptBool(rng, st.bits[g])
-			st.b[g] = sk.EncryptBool(rng, (g%3) == 0)
-		}
-		states[i] = st
-	}
-	fmt.Printf("done (%.2fs)\n", time.Since(start).Seconds())
-
-	// Warm every session (twiddle tables, HTTP connections), then time.
-	for _, st := range states {
-		if _, err := st.cl.GateBatch(engine.NAND, st.a[:min(4, gates)], st.b[:min(4, gates)]); err != nil {
-			return err
-		}
-	}
-
-	start = time.Now()
-	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	for i, st := range states {
-		wg.Add(1)
-		go func(i int, st *clientState) {
-			defer wg.Done()
-			out, err := st.cl.GateBatch(engine.NAND, st.a, st.b)
-			if err == nil && len(out) != gates {
-				err = fmt.Errorf("client %d: got %d outputs, want %d", i, len(out), gates)
-			}
-			errs[i] = err
-		}(i, st)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	total := clients * gates
-	e2e := float64(total) / elapsed.Seconds()
-	fmt.Printf("service  : %d PBS (+fused KS) over HTTP in %v  =  %.1f PBS/s  (%d sessions)\n",
-		total, elapsed.Round(time.Millisecond), e2e, clients)
-
-	// In-process streaming baseline: the same gate count through one
-	// streaming engine, no network and no codec.
-	rng := rand.New(rand.NewSource(999))
-	sk, ek := tfhe.GenerateKeys(rng, p)
-	a := make([]tfhe.LWECiphertext, total)
-	b := make([]tfhe.LWECiphertext, total)
-	for i := range a {
-		a[i] = sk.EncryptBool(rng, i%2 == 0)
-		b[i] = sk.EncryptBool(rng, i%3 == 0)
-	}
-	s := engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: workers})
-	if _, err := s.StreamGate(engine.NAND, a[:min(8, total)], b[:min(8, total)]); err != nil {
-		return err
-	}
-	start = time.Now()
-	if _, err := s.StreamGate(engine.NAND, a, b); err != nil {
-		return err
-	}
-	inproc := float64(total) / time.Since(start).Seconds()
-	fmt.Printf("in-proc  : %.1f PBS/s streaming  (service overhead %.1f%%)\n",
-		inproc, 100*(1-e2e/inproc))
-
-	model, err := arch.NewModel(arch.DefaultConfig(), p)
-	if err != nil {
-		fmt.Printf("accelerator model unavailable for set %s: %v\n", p.Name, err)
-		return nil
-	}
-	predicted := model.ThroughputPBS()
-	fmt.Printf("strix    : predicted %.1f PBS/s  (%.0f× the service)\n", predicted, predicted/e2e)
-	return nil
-}
-
-// runMultiLUT measures multi-value PBS against k independent LUT
-// evaluations over the same inputs — the fan-out workload where one blind
-// rotation serves k lookup tables. Before timing, it verifies the
-// multi-value outputs decode identically to k independent EvalLUT calls
-// for every message in the space, that the k=1 lane is bitwise identical
-// to the plain EvalLUT path, and that the streaming engine reproduces the
-// sequential multi-value path bitwise.
-func runMultiLUT(set string, k, workers int) error {
-	p, err := tfhe.ParamsByName(set)
-	if err != nil {
-		return err
-	}
-	const space = 4
-	if err := p.ValidateMultiLUT(space, k); err != nil {
-		return err
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-
-	fmt.Printf("multilut mode: set %s, space %d, k=%d tables per rotation\n", p.Name, space, k)
-	fmt.Print("generating keys... ")
-	start := time.Now()
-	rng := rand.New(rand.NewSource(1))
-	sk, ek := tfhe.GenerateKeys(rng, p)
-	fmt.Printf("done (%.2fs)\n", time.Since(start).Seconds())
-
-	fs := make([]func(int) int, k)
-	for i := range fs {
-		i := i
-		fs[i] = func(m int) int { return (m*m + i) % space }
-	}
-
-	// Verify across the whole message space before timing anything.
-	ev := tfhe.NewEvaluator(ek)
-	ref := tfhe.NewEvaluator(ek)
-	s := engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: workers})
-	for m := 0; m < space; m++ {
-		ct := sk.LWE.Encrypt(rng, tfhe.EncodePBSMessage(m, space), p.LWEStdDev)
-		multi := ev.EvalMultiLUTKS(ct, space, fs)
-		streamed, err := s.StreamMultiLUT([]tfhe.LWECiphertext{ct}, space, fs)
-		if err != nil {
-			return err
-		}
-		for j := range fs {
-			indep := ref.EvalLUTKS(ct, space, fs[j])
-			got := tfhe.DecodePBSMessage(sk.LWE.Phase(multi[j]), space)
-			want := tfhe.DecodePBSMessage(sk.LWE.Phase(indep), space)
-			if got != want || want != fs[j](m) {
-				return fmt.Errorf("m=%d table %d: multi-value decodes to %d, independent EvalLUT to %d, plaintext %d", m, j, got, want, fs[j](m))
-			}
-			if !sameLWE(multi[j], streamed[0][j]) {
-				return fmt.Errorf("m=%d table %d: streaming engine differs from sequential multi-value path", m, j)
-			}
-			if k == 1 && !sameLWE(multi[j], indep) {
-				return fmt.Errorf("m=%d: k=1 multi-value output is not bitwise identical to EvalLUT", m)
-			}
-		}
-	}
-	fmt.Printf("verified : all %d messages decode like %d independent EvalLUT calls; streaming bitwise = sequential", space, k)
-	if k == 1 {
-		fmt.Print("; k=1 lane bitwise = EvalLUT")
-	}
-	fmt.Println()
-
-	// Time the two strategies over one batch on one evaluator, so the
-	// ratio isolates the algorithmic saving (k outputs per rotation).
-	const batch = 32
-	cts := make([]tfhe.LWECiphertext, batch)
-	for i := range cts {
-		cts[i] = sk.LWE.Encrypt(rng, tfhe.EncodePBSMessage(i%space, space), p.LWEStdDev)
-	}
-	ev.Counters.Reset()
-	start = time.Now()
-	for _, ct := range cts {
-		for j := range fs {
-			ref.EvalLUTKS(ct, space, fs[j])
-		}
-	}
-	klut := time.Since(start)
-	start = time.Now()
-	for _, ct := range cts {
-		ev.EvalMultiLUTKS(ct, space, fs)
-	}
-	multi := time.Since(start)
-	outs := batch * k
-	fmt.Printf("k·LUT    : %d outputs via %d rotations in %v  =  %.1f LUT/s\n",
-		outs, outs, klut.Round(time.Millisecond), float64(outs)/klut.Seconds())
-	fmt.Printf("multilut : %d outputs via %d rotations in %v  =  %.1f LUT/s  (%.1f rotations/s, %.2fx k·LUT)\n",
-		outs, ev.Counters.PBSCount, multi.Round(time.Millisecond), float64(outs)/multi.Seconds(),
-		float64(ev.Counters.PBSCount)/multi.Seconds(), klut.Seconds()/multi.Seconds())
-	fmt.Printf("saved    : %d of %d rotations (%.0f%%)\n",
-		ev.Counters.MultiValueOuts-ev.Counters.MultiValuePBS, outs,
-		100*float64(ev.Counters.MultiValueOuts-ev.Counters.MultiValuePBS)/float64(outs))
-	return nil
-}
 
 // runInfer measures the encrypted cellCNN-style inference scenario end
 // to end: an in-process gate service, clients uploading encrypted
@@ -400,40 +61,40 @@ func runInfer(set string, count, clients, workers int) error {
 	}
 
 	fmt.Printf("infer mode: set %s, %d clients x %d inferences (%d features each)\n",
-		p.Name, clients, count, strix.InferFeatures)
-	sweep := strix.InferSweep()
-	srv := strix.NewGateService(strix.ServiceConfig{
+		p.Name, clients, count, workload.InferFeatures)
+	sweep := workload.InferSweep()
+	srv := server.New(server.Config{
 		Stream:   engine.StreamConfig{RotateWorkers: workers},
-		MaxBatch: strix.InferFeatures * max(len(sweep), clients*count),
+		MaxBatch: workload.InferFeatures * max(len(sweep), clients*count),
 	})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
 	defer l.Close()
-	go func() { _ = strix.Serve(l, srv) }()
+	go func() { _ = srv.Serve(l, nil) }()
 	base := "http://" + l.Addr().String()
 
 	fmt.Print("generating keys + registering sessions... ")
 	start := time.Now()
 	type clientState struct {
 		sk  tfhe.SecretKeys
-		cl  *strix.GateClient
+		cl  *server.Client
 		cts []tfhe.LWECiphertext
 	}
 	states := make([]*clientState, clients)
 	for i := range states {
 		rng := rand.New(rand.NewSource(int64(i + 1)))
 		sk, ek := tfhe.GenerateKeys(rng, p)
-		cl := strix.Dial(base, fmt.Sprintf("infer-client-%d", i))
+		cl := server.Dial(base, fmt.Sprintf("infer-client-%d", i))
 		if err := cl.RegisterKey(ek); err != nil {
 			return err
 		}
 		st := &clientState{sk: sk, cl: cl}
 		for v := 0; v < count; v++ {
-			for m := 0; m < strix.InferFeatures; m++ {
+			for m := 0; m < workload.InferFeatures; m++ {
 				st.cts = append(st.cts, sk.LWE.Encrypt(rng,
-					tfhe.EncodePBSMessage(rng.Intn(strix.InferDigitMax+1), strix.InferSpace), p.LWEStdDev))
+					tfhe.EncodePBSMessage(rng.Intn(workload.InferDigitMax+1), workload.InferSpace), p.LWEStdDev))
 			}
 		}
 		states[i] = st
@@ -448,27 +109,27 @@ func runInfer(set string, count, clients, workers int) error {
 	for _, v := range sweep {
 		for _, m := range v {
 			sweepCts = append(sweepCts, st0.sk.LWE.Encrypt(rng,
-				tfhe.EncodePBSMessage(m, strix.InferSpace), p.LWEStdDev))
+				tfhe.EncodePBSMessage(m, workload.InferSpace), p.LWEStdDev))
 		}
 	}
-	got, err := st0.cl.Infer(sweepCts, strix.EvalOpts{Optimize: true})
+	got, err := st0.cl.Infer(sweepCts, server.EvalOpts{Optimize: true})
 	if err != nil {
 		return err
 	}
 	agree := 0
 	for i, v := range sweep {
-		want, err := strix.InferReference(v)
+		want, err := workload.InferReference(v)
 		if err != nil {
 			return err
 		}
-		dec := make([]int, strix.InferClasses)
+		dec := make([]int, workload.InferClasses)
 		for k := range dec {
-			dec[k] = tfhe.DecodePBSMessage(st0.sk.LWE.Phase(got[i][k]), strix.InferSpace)
+			dec[k] = tfhe.DecodePBSMessage(st0.sk.LWE.Phase(got[i][k]), workload.InferSpace)
 			if dec[k] != want[k] {
 				return fmt.Errorf("sweep vector %v score %d decodes to %d, want %d", v, k, dec[k], want[k])
 			}
 		}
-		if strix.InferPredict(dec) == strix.InferPredict(want) {
+		if workload.InferPredict(dec) == workload.InferPredict(want) {
 			agree++
 		}
 	}
@@ -478,14 +139,14 @@ func runInfer(set string, count, clients, workers int) error {
 	// Time the client batches concurrently (one infer envelope per
 	// session — concurrent sessions coalesce in the service's
 	// group-commit window), plain and optimized.
-	for _, opts := range []strix.EvalOpts{{}, {Optimize: true}} {
+	for _, opts := range []server.EvalOpts{{}, {Optimize: true}} {
 		label := "plain    "
 		if opts.Optimize {
 			label = "optimized"
 		}
 		// Warm sessions and HTTP connections.
 		for _, st := range states {
-			if _, err := st.cl.Infer(st.cts[:strix.InferFeatures], opts); err != nil {
+			if _, err := st.cl.Infer(st.cts[:workload.InferFeatures], opts); err != nil {
 				return err
 			}
 		}
@@ -514,338 +175,6 @@ func runInfer(set string, count, clients, workers int) error {
 		fmt.Printf("%s: %d inferences over HTTP in %v  =  %.1f inf/s\n",
 			label, total, elapsed.Round(time.Millisecond), float64(total)/elapsed.Seconds())
 	}
-	return nil
-}
-
-// sameLWE compares two LWE ciphertexts bitwise.
-func sameLWE(a, b tfhe.LWECiphertext) bool { return tfhe.EqualLWE(a, b) }
-
-// runNode is the hidden -node mode: this process becomes one cluster
-// backend, a full gate service on an ephemeral port with a single rotate
-// worker per session so that -cluster measures scale-out across nodes,
-// not within one. The parent reads the announced address from stdout.
-func runNode(workers int) error {
-	if workers <= 0 {
-		workers = 1
-	}
-	srv := strix.NewGateService(strix.ServiceConfig{
-		Stream: engine.StreamConfig{RotateWorkers: workers},
-	})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("strixbench-node: listening on %s\n", l.Addr())
-	return strix.Serve(l, srv)
-}
-
-// startNode re-execs this binary as one cluster backend (-node) with
-// GOMAXPROCS pinned to 1 — every node gets the same fixed hardware share
-// — and returns its base URL and a stopper.
-func startNode() (string, func(), error) {
-	cmd := exec.Command(os.Args[0], "-node")
-	cmd.Env = append(os.Environ(), "GOMAXPROCS=1")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return "", nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return "", nil, err
-	}
-	stop := func() { cmd.Process.Kill(); cmd.Wait() }
-	scanner := bufio.NewScanner(stdout)
-	if !scanner.Scan() {
-		stop()
-		return "", nil, fmt.Errorf("cluster node produced no output")
-	}
-	line := scanner.Text()
-	const prefix = "strixbench-node: listening on "
-	if !strings.HasPrefix(line, prefix) {
-		stop()
-		return "", nil, fmt.Errorf("unexpected node announcement %q", line)
-	}
-	go func() { // drain so the child never blocks on a full pipe
-		for scanner.Scan() {
-		}
-	}()
-	return "http://" + strings.TrimPrefix(line, prefix), stop, nil
-}
-
-// clusterPass routes one timed workload through a fresh router over the
-// given backends: `clients` sessions with shard-balanced IDs, a warm
-// batch each, then one timed concurrent gate batch per session. Outputs
-// are decrypted and checked before the aggregate PBS/s is returned.
-func clusterPass(p tfhe.Params, urls []string, clients, gates int, label string) (float64, error) {
-	rt, err := strix.NewRouter(strix.RouterConfig{Backends: urls})
-	if err != nil {
-		return 0, err
-	}
-	defer rt.Close()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
-	}
-	defer l.Close()
-	go func() { _ = strix.ServeRouter(l, rt) }()
-	base := "http://" + l.Addr().String()
-
-	// Shard-balanced client IDs: walk candidates until every backend has
-	// its quota, so the measured scale-out is placement-independent.
-	quota := make(map[string]int, len(urls))
-	for i, u := range urls {
-		quota[u] = clients / len(urls)
-		if i < clients%len(urls) {
-			quota[u]++
-		}
-	}
-	ids := make([]string, 0, clients)
-	for i := 0; len(ids) < clients; i++ {
-		id := fmt.Sprintf("%s-%d", label, i)
-		if u := rt.ShardOf(id); quota[u] > 0 {
-			quota[u]--
-			ids = append(ids, id)
-		}
-	}
-
-	type clientState struct {
-		sk   tfhe.SecretKeys
-		cl   *strix.GateClient
-		a, b []tfhe.LWECiphertext
-		want []bool
-	}
-	states := make([]*clientState, clients)
-	for i, id := range ids {
-		rng := rand.New(rand.NewSource(int64(i + 1)))
-		sk, ek := tfhe.GenerateKeys(rng, p)
-		cl := strix.Dial(base, id)
-		if err := cl.RegisterKey(ek); err != nil {
-			return 0, err
-		}
-		st := &clientState{sk: sk, cl: cl}
-		st.a = make([]tfhe.LWECiphertext, gates)
-		st.b = make([]tfhe.LWECiphertext, gates)
-		st.want = make([]bool, gates)
-		for g := 0; g < gates; g++ {
-			x, y := (i+g)%2 == 0, g%3 == 0
-			st.a[g] = sk.EncryptBool(rng, x)
-			st.b[g] = sk.EncryptBool(rng, y)
-			st.want[g] = !(x && y)
-		}
-		states[i] = st
-	}
-
-	// Warm every session (twiddle tables, HTTP connections), then time.
-	for _, st := range states {
-		if _, err := st.cl.GateBatch(engine.NAND, st.a[:min(4, gates)], st.b[:min(4, gates)]); err != nil {
-			return 0, err
-		}
-	}
-	start := time.Now()
-	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	for i, st := range states {
-		wg.Add(1)
-		go func(i int, st *clientState) {
-			defer wg.Done()
-			out, err := st.cl.GateBatch(engine.NAND, st.a, st.b)
-			if err == nil && len(out) != gates {
-				err = fmt.Errorf("client %s: got %d outputs, want %d", ids[i], len(out), gates)
-			}
-			if err == nil {
-				for g := range out {
-					if st.sk.DecryptBool(out[g]) != st.want[g] {
-						err = fmt.Errorf("client %s gate %d: wrong NAND output", ids[i], g)
-						break
-					}
-				}
-			}
-			errs[i] = err
-		}(i, st)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	return float64(clients*gates) / elapsed.Seconds(), nil
-}
-
-// runCluster measures scale-out through the routing tier: N single-worker
-// backend nodes are booted as subprocesses (GOMAXPROCS=1 each — fixed
-// per-node hardware), a router consistent-hashes sessions across them,
-// and the same concurrent multi-client workload is timed against 1 node
-// and all N, reporting aggregate PBS/s and the scaling ratio.
-func runCluster(set string, nodes, clients, gates int) error {
-	p, err := tfhe.ParamsByName(set)
-	if err != nil {
-		return err
-	}
-	if nodes < 1 || nodes > 16 {
-		return fmt.Errorf("-cluster node count must be in [1,16], got %d", nodes)
-	}
-	if gates < 1 {
-		return fmt.Errorf("-gates must be >= 1, got %d", gates)
-	}
-	if clients < nodes {
-		clients = 2 * nodes // at least two sessions per shard
-	}
-	fmt.Printf("cluster mode: set %s, %d nodes (GOMAXPROCS=1 each), %d clients x %d gates\n",
-		p.Name, nodes, clients, gates)
-
-	fmt.Print("booting nodes... ")
-	start := time.Now()
-	urls := make([]string, nodes)
-	for i := range urls {
-		u, stop, err := startNode()
-		if err != nil {
-			return err
-		}
-		defer stop()
-		urls[i] = u
-	}
-	fmt.Printf("done (%.2fs)\n", time.Since(start).Seconds())
-
-	single, err := clusterPass(p, urls[:1], clients, gates, "cluster-single")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("1 node   : %.1f PBS/s aggregate  (%d sessions on one backend)\n", single, clients)
-	multi, err := clusterPass(p, urls, clients, gates, "cluster-multi")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d nodes  : %.1f PBS/s aggregate  (sessions sharded by client ID)\n", nodes, multi)
-	fmt.Printf("scale-out: %.2fx with %dx the nodes\n", multi/single, nodes)
-	return nil
-}
-
-// runRestore measures cold-start session restore: sessions are
-// registered against a durable gate service, the service is drained and
-// a fresh one is opened over the same data directory (the crash/restart
-// path strixserv -data takes on SIGTERM), and the first post-restart
-// batch per session is timed — disk read + checksum + key decode +
-// engine rebuild, amortized over the batch. Post-restart outputs are
-// verified bitwise against the pre-restart ones, the durability
-// contract.
-func runRestore(set string, sessions, workers int) error {
-	p, err := tfhe.ParamsByName(set)
-	if err != nil {
-		return err
-	}
-	if sessions < 1 {
-		return fmt.Errorf("-restore session count must be >= 1, got %d", sessions)
-	}
-	const gates = 8
-
-	dir, err := os.MkdirTemp("", "strixbench-restore-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	fmt.Printf("restore mode: set %s, %d sessions x %d gates, data dir %s\n", p.Name, sessions, gates, dir)
-
-	serveOnce := func() (string, chan<- struct{}, <-chan error, error) {
-		srv, err := strix.OpenGateService(strix.ServiceConfig{
-			DataDir: dir,
-			Stream:  engine.StreamConfig{RotateWorkers: workers},
-		})
-		if err != nil {
-			return "", nil, nil, err
-		}
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return "", nil, nil, err
-		}
-		drain := make(chan struct{})
-		done := make(chan error, 1)
-		go func() { done <- strix.ServeDrain(l, srv, drain) }()
-		return "http://" + l.Addr().String(), drain, done, nil
-	}
-
-	type clientState struct {
-		id   string
-		a, b []tfhe.LWECiphertext
-		pre  []tfhe.LWECiphertext // pre-restart outputs, the bitwise oracle
-	}
-
-	fmt.Print("registering sessions + evaluating pre-restart batches... ")
-	start := time.Now()
-	base, drain, done, err := serveOnce()
-	if err != nil {
-		return err
-	}
-	states := make([]*clientState, sessions)
-	for i := range states {
-		rng := rand.New(rand.NewSource(int64(i + 1)))
-		sk, ek := tfhe.GenerateKeys(rng, p)
-		st := &clientState{id: fmt.Sprintf("restore-client-%d", i)}
-		cl := strix.Dial(base, st.id)
-		if err := cl.RegisterKey(ek); err != nil {
-			return err
-		}
-		st.a = make([]tfhe.LWECiphertext, gates)
-		st.b = make([]tfhe.LWECiphertext, gates)
-		for g := 0; g < gates; g++ {
-			st.a[g] = sk.EncryptBool(rng, (i+g)%2 == 0)
-			st.b[g] = sk.EncryptBool(rng, (g%3) == 0)
-		}
-		out, err := cl.GateBatch(engine.NAND, st.a, st.b)
-		if err != nil {
-			return err
-		}
-		st.pre = out
-		states[i] = st
-	}
-	close(drain)
-	if err := <-done; err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	fmt.Printf("done (%.2fs)\n", time.Since(start).Seconds())
-
-	// Restart over the same data directory: every first request restores
-	// its session from the store.
-	base, drain, done, err = serveOnce()
-	if err != nil {
-		return err
-	}
-	defer func() { close(drain); <-done }()
-
-	start = time.Now()
-	for _, st := range states {
-		cl := strix.Dial(base, st.id)
-		out, err := cl.GateBatch(engine.NAND, st.a, st.b)
-		if err != nil {
-			return fmt.Errorf("post-restart batch for %s: %w", st.id, err)
-		}
-		for g := range out {
-			if !sameLWE(out[g], st.pre[g]) {
-				return fmt.Errorf("session %s gate %d: post-restart output differs from pre-restart", st.id, g)
-			}
-		}
-	}
-	cold := time.Since(start)
-
-	// Warm pass: same sessions, now resident — isolates the restore cost.
-	start = time.Now()
-	for _, st := range states {
-		cl := strix.Dial(base, st.id)
-		if _, err := cl.GateBatch(engine.NAND, st.a, st.b); err != nil {
-			return err
-		}
-	}
-	warm := time.Since(start)
-
-	coldPer := cold / time.Duration(sessions)
-	warmPer := warm / time.Duration(sessions)
-	fmt.Printf("cold     : %d sessions restored+evaluated in %v  =  %v/session  (%.1f sessions/s)\n",
-		sessions, cold.Round(time.Millisecond), coldPer.Round(time.Microsecond), float64(sessions)/cold.Seconds())
-	fmt.Printf("warm     : same batches resident in %v  =  %v/session\n",
-		warm.Round(time.Millisecond), warmPer.Round(time.Microsecond))
-	fmt.Printf("restore  : ~%v/session overhead (disk read + checksum + key decode + engine build)\n",
-		(coldPer - warmPer).Round(time.Microsecond))
-	fmt.Printf("verified : post-restart outputs bitwise identical to pre-restart, no key re-upload\n")
 	return nil
 }
 
@@ -936,7 +265,7 @@ func runCircuit(set string, digits, workers int) error {
 
 	// Verify: bitwise-identical ciphertexts and the correct product.
 	for i := range seqOut {
-		if !sameLWE(seqOut[i], schedOut[i]) {
+		if !tfhe.EqualLWE(seqOut[i], schedOut[i]) {
 			return fmt.Errorf("scheduled output %d differs from sequential", i)
 		}
 	}
@@ -990,19 +319,11 @@ func main() {
 	format := flag.String("format", "text", "output format: text or csv")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	full := flag.Bool("full", false, "run fig1 with full-scale parameter set I (slow)")
-	batch := flag.Int("batch", 0, "software batch mode: PBS per batch (enables the mode)")
-	stream := flag.Int("stream", 0, "streaming pipeline mode: PBS per stream (enables the mode)")
 	circuit := flag.Int("circuit", 0, "circuit scheduler mode: multiply digit count (enables the mode)")
-	multilut := flag.Int("multilut", 0, "multi-value PBS mode: LUT outputs per blind rotation (enables the mode)")
 	infer := flag.Int("infer", 0, "encrypted inference mode: inferences per client batch (enables the mode)")
-	serve := flag.Bool("serve", false, "gate service mode: end-to-end PBS/s through an HTTP server")
-	restore := flag.Int("restore", 0, "durable restart mode: session count for cold-start restore latency (enables the mode)")
-	cluster := flag.Int("cluster", 0, "cluster mode: backend node count for routed scale-out (enables the mode)")
-	nodeMode := flag.Bool("node", false, "internal: run as one cluster backend node (used by -cluster)")
-	clients := flag.Int("clients", 4, "serve mode: concurrent client sessions")
-	gates := flag.Int("gates", 64, "serve mode: gates per client batch")
-	parallel := flag.Int("parallel", 0, "batch/stream/serve mode: worker count (0 = NumCPU)")
-	set := flag.String("set", "test", "batch/stream/serve mode: parameter set")
+	clients := flag.Int("clients", 4, "infer mode: concurrent client sessions")
+	parallel := flag.Int("parallel", 0, "circuit/infer mode: worker count (0 = NumCPU)")
+	set := flag.String("set", "test", "circuit/infer mode: parameter set")
 	kernel := flag.String("kernel", "fast", "FFT kernel set: fast (unsafe-vectorized, default) or ref (pure-Go reference)")
 	flag.Parse()
 
@@ -1019,136 +340,57 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *nodeMode {
-		if err := runNode(*parallel); err != nil {
-			fmt.Fprintln(os.Stderr, "strixbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *list {
+	var err error
+	switch {
+	case *list:
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)
 		}
-		return
-	}
-
-	modes := 0
-	for _, on := range []bool{*batch != 0, *stream != 0, *circuit != 0, *multilut != 0, *infer != 0, *serve, *restore != 0, *cluster != 0} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "strixbench: -batch, -stream, -circuit, -multilut, -infer, -serve, -restore, and -cluster are mutually exclusive; run them separately")
-		os.Exit(1)
-	}
-
-	if *infer != 0 {
-		if err := runInfer(*set, *infer, *clients, *parallel); err != nil {
-			fmt.Fprintln(os.Stderr, "strixbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *cluster != 0 {
-		if err := runCluster(*set, *cluster, *clients, *gates); err != nil {
-			fmt.Fprintln(os.Stderr, "strixbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *restore != 0 {
-		if err := runRestore(*set, *restore, *parallel); err != nil {
-			fmt.Fprintln(os.Stderr, "strixbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serve {
-		if err := runServe(*set, *clients, *gates, *parallel); err != nil {
-			fmt.Fprintln(os.Stderr, "strixbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *batch != 0 {
-		if *batch < 0 {
-			fmt.Fprintf(os.Stderr, "strixbench: -batch must be positive, got %d\n", *batch)
-			os.Exit(1)
-		}
-		if err := runBatch(*set, *batch, *parallel); err != nil {
-			fmt.Fprintln(os.Stderr, "strixbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *stream != 0 {
-		if *stream < 0 {
-			fmt.Fprintf(os.Stderr, "strixbench: -stream must be positive, got %d\n", *stream)
-			os.Exit(1)
-		}
-		if err := runStream(*set, *stream, *parallel); err != nil {
-			fmt.Fprintln(os.Stderr, "strixbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *circuit != 0 {
-		if err := runCircuit(*set, *circuit, *parallel); err != nil {
-			fmt.Fprintln(os.Stderr, "strixbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *multilut != 0 {
-		if *multilut < 0 {
-			fmt.Fprintf(os.Stderr, "strixbench: -multilut must be positive, got %d\n", *multilut)
-			os.Exit(1)
-		}
-		if err := runMultiLUT(*set, *multilut, *parallel); err != nil {
-			fmt.Fprintln(os.Stderr, "strixbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	var reports []experiments.Report
-	var err error
-	switch {
-	case *exp == "fig1" && *full:
-		var r experiments.Report
-		r, err = experiments.Fig1(tfhe.ParamsI, 1)
-		reports = []experiments.Report{r}
-	case *exp == "all":
-		reports, err = experiments.RunAll()
+	case *circuit != 0 && *infer != 0:
+		err = fmt.Errorf("-circuit and -infer are mutually exclusive; run them separately")
+	case *infer != 0:
+		err = runInfer(*set, *infer, *clients, *parallel)
+	case *circuit != 0:
+		err = runCircuit(*set, *circuit, *parallel)
 	default:
-		var r experiments.Report
-		r, err = experiments.Run(*exp)
-		reports = []experiments.Report{r}
+		err = runExperiments(*exp, *format, *full)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "strixbench:", err)
 		os.Exit(1)
 	}
+}
 
+// runExperiments regenerates one experiment, or all of them, and prints
+// each report as text or CSV.
+func runExperiments(exp, format string, full bool) error {
+	var reports []experiments.Report
+	var err error
+	switch {
+	case exp == "fig1" && full:
+		var r experiments.Report
+		r, err = experiments.Fig1(tfhe.ParamsI, 1)
+		reports = []experiments.Report{r}
+	case exp == "all":
+		reports, err = experiments.RunAll()
+	default:
+		var r experiments.Report
+		r, err = experiments.Run(exp)
+		reports = []experiments.Report{r}
+	}
+	if err != nil {
+		return err
+	}
 	for i, r := range reports {
 		if i > 0 {
 			fmt.Println()
 		}
-		switch *format {
+		switch format {
 		case "csv":
 			fmt.Print(r.CSV())
 		default:
 			fmt.Print(r.Text())
 		}
 	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"repro/cmd/internal/cmdtest"
@@ -15,33 +16,10 @@ func TestSmoke(t *testing.T) {
 		cmdtest.WantSubstrings(t, out, "fig1", "table5")
 	})
 
-	t.Run("batch", func(t *testing.T) {
-		out := cmdtest.Run(t, bin, "-batch", "8", "-parallel", "2", "-set", "test")
-		cmdtest.WantSubstrings(t, out, "batch mode: set test", "software :", "PBS/s")
-	})
-
-	t.Run("stream", func(t *testing.T) {
-		out := cmdtest.Run(t, bin, "-stream", "8", "-parallel", "2", "-set", "test")
-		cmdtest.WantSubstrings(t, out, "stream mode: set test", "software :", "PBS/s")
-	})
-
 	t.Run("circuit", func(t *testing.T) {
 		out := cmdtest.Run(t, bin, "-circuit", "2", "-parallel", "2", "-set", "test")
 		cmdtest.WantSubstrings(t, out, "circuit mode: set test, 2-digit multiply",
 			"plan     :", "sequential:", "scheduled :", "verified  :", "bitwise identical")
-	})
-
-	t.Run("multilut", func(t *testing.T) {
-		out := cmdtest.Run(t, bin, "-multilut", "2", "-parallel", "2", "-set", "test")
-		cmdtest.WantSubstrings(t, out, "multilut mode: set test, space 4, k=2",
-			"verified :", "streaming bitwise = sequential", "multilut :", "rotations/s", "saved    :")
-	})
-
-	t.Run("multilut overpacked rejected", func(t *testing.T) {
-		out, err := cmdtest.RunErr(t, bin, "-multilut", "999999", "-set", "test")
-		if err == nil {
-			t.Errorf("space·k > N succeeded:\n%s", out)
-		}
 	})
 
 	t.Run("circuit bad digits", func(t *testing.T) {
@@ -51,23 +29,10 @@ func TestSmoke(t *testing.T) {
 		}
 	})
 
-	t.Run("serve", func(t *testing.T) {
-		out := cmdtest.Run(t, bin, "-serve", "-clients", "2", "-gates", "4", "-parallel", "2", "-set", "test")
-		cmdtest.WantSubstrings(t, out, "serve mode: set test, 2 clients x 4 gates",
-			"service  :", "in-proc  :", "PBS/s")
-	})
-
-	t.Run("cluster", func(t *testing.T) {
-		out := cmdtest.Run(t, bin, "-cluster", "2", "-clients", "2", "-gates", "4", "-set", "test")
-		cmdtest.WantSubstrings(t, out, "cluster mode: set test, 2 nodes",
-			"1 node   :", "2 nodes  :", "scale-out:", "PBS/s aggregate")
-	})
-
-	t.Run("cluster bad node count", func(t *testing.T) {
-		out, err := cmdtest.RunErr(t, bin, "-cluster", "99")
-		if err == nil {
-			t.Errorf("oversized node count succeeded:\n%s", out)
-		}
+	t.Run("infer", func(t *testing.T) {
+		out := cmdtest.Run(t, bin, "-infer", "1", "-clients", "1", "-set", "test")
+		cmdtest.WantSubstrings(t, out, "infer mode: set test, 1 clients x 1 inferences",
+			"verified : all 256 sweep vectors", "plain    :", "optimized:", "inf/s")
 	})
 
 	t.Run("one experiment", func(t *testing.T) {
@@ -76,16 +41,31 @@ func TestSmoke(t *testing.T) {
 	})
 
 	t.Run("exclusive modes rejected", func(t *testing.T) {
-		out, err := cmdtest.RunErr(t, bin, "-batch", "4", "-stream", "4")
+		out, err := cmdtest.RunErr(t, bin, "-circuit", "2", "-infer", "1")
 		if err == nil {
-			t.Errorf("-batch with -stream succeeded:\n%s", out)
+			t.Errorf("-circuit with -infer succeeded:\n%s", out)
 		}
 	})
 
 	t.Run("bad set rejected", func(t *testing.T) {
-		out, err := cmdtest.RunErr(t, bin, "-serve", "-clients", "1", "-gates", "1", "-set", "nope")
+		out, err := cmdtest.RunErr(t, bin, "-circuit", "1", "-set", "nope")
 		if err == nil {
 			t.Errorf("unknown set succeeded:\n%s", out)
+		}
+	})
+
+	// The modes the benchmark ledger replaced are gone, flags and all: each
+	// is refused by the flag package before anything runs.
+	t.Run("retired flags rejected", func(t *testing.T) {
+		for _, args := range [][]string{
+			{"-batch", "8"}, {"-stream", "8"}, {"-serve"}, {"-multilut", "2"},
+			{"-restore", "1"}, {"-cluster", "2"}, {"-node"}, {"-gates", "4"},
+		} {
+			out, err := cmdtest.RunErr(t, bin, args...)
+			if err == nil {
+				t.Errorf("strixbench %s succeeded:\n%s", strings.Join(args, " "), out)
+			}
+			cmdtest.WantSubstrings(t, out, "flag provided but not defined: "+args[0], "Usage of")
 		}
 	})
 }

@@ -35,7 +35,7 @@ import (
 	"strings"
 	"syscall"
 
-	strix "repro"
+	"repro/internal/router"
 )
 
 func main() {
@@ -52,7 +52,7 @@ func main() {
 			pool = append(pool, b)
 		}
 	}
-	rt, err := strix.NewRouter(strix.RouterConfig{
+	rt, err := router.New(router.Config{
 		Backends:      pool,
 		ProbeInterval: *probeInterval,
 		MaxInflight:   *maxInflight,
@@ -82,7 +82,7 @@ func main() {
 		close(drain)
 	}()
 
-	if err := strix.ServeRouterDrain(l, rt, drain); err != nil && !errors.Is(err, net.ErrClosed) {
+	if err := rt.Serve(l, drain); err != nil && !errors.Is(err, net.ErrClosed) {
 		fmt.Fprintln(os.Stderr, "strixrouter:", err)
 		os.Exit(1)
 	}

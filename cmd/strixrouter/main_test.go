@@ -11,9 +11,9 @@ import (
 	"testing"
 	"time"
 
-	strix "repro"
 	"repro/cmd/internal/cmdtest"
 	"repro/internal/engine"
+	"repro/internal/server"
 	"repro/internal/tfhe"
 )
 
@@ -93,7 +93,7 @@ func TestClusterSmoke(t *testing.T) {
 	// The whole single-node API must work through the routing tier.
 	rng := rand.New(rand.NewSource(11))
 	sk, ek := tfhe.GenerateKeys(rng, tfhe.ParamsTest)
-	cl := strix.Dial("http://"+rtAddr, "smoke-client")
+	cl := server.Dial("http://"+rtAddr, "smoke-client")
 	if err := cl.RegisterKey(ek); err != nil {
 		t.Fatalf("register through router: %v", err)
 	}

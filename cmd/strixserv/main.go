@@ -39,8 +39,8 @@ import (
 	"os/signal"
 	"syscall"
 
-	strix "repro"
 	"repro/internal/engine"
+	"repro/internal/server"
 )
 
 func main() {
@@ -54,7 +54,7 @@ func main() {
 	ksWorkers := flag.Int("ks-workers", 0, "keyswitch workers per session engine (0 = rotate/4)")
 	flag.Parse()
 
-	srv, err := strix.OpenGateService(strix.ServiceConfig{
+	srv, err := server.Open(server.Config{
 		MaxSessions: *maxSessions,
 		MaxPending:  *maxPending,
 		MaxBatch:    *maxBatch,
@@ -88,7 +88,7 @@ func main() {
 		close(drain)
 	}()
 
-	if err := strix.ServeDrain(l, srv, drain); err != nil && !errors.Is(err, net.ErrClosed) {
+	if err := srv.Serve(l, drain); err != nil && !errors.Is(err, net.ErrClosed) {
 		fmt.Fprintln(os.Stderr, "strixserv:", err)
 		os.Exit(1)
 	}

@@ -11,9 +11,9 @@ import (
 	"testing"
 	"time"
 
-	strix "repro"
 	"repro/cmd/internal/cmdtest"
 	"repro/internal/engine"
+	"repro/internal/server"
 	"repro/internal/tfhe"
 )
 
@@ -92,7 +92,7 @@ func TestRestartPersistence(t *testing.T) {
 	}
 
 	cmd1, addr1 := startServer(t, bin, "-addr", "127.0.0.1:0", "-data", dataDir)
-	cl1 := strix.Dial("http://"+addr1, "durable-client")
+	cl1 := server.Dial("http://"+addr1, "durable-client")
 	if err := cl1.RegisterKey(ek); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRestartPersistence(t *testing.T) {
 
 	// Second process, same directory: the session must already be there.
 	cmd2, addr2 := startServer(t, bin, "-addr", "127.0.0.1:0", "-data", dataDir)
-	cl2 := strix.Dial("http://"+addr2, "durable-client")
+	cl2 := server.Dial("http://"+addr2, "durable-client")
 
 	infos, err := cl2.Sessions()
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -140,6 +141,21 @@ func (r *Router) Drain() {
 	r.mu.Lock()
 	r.draining = true
 	r.mu.Unlock()
+}
+
+// Serve runs the router's HTTP API on the listener, under the connection
+// timeouts of server.ServeHandler, until drain is closed, then shuts down
+// gracefully: new work is refused with the typed shutting_down code while
+// every in-flight forward runs to completion on its backend. It returns
+// nil after a clean drain, or the listener's error if serving failed
+// first; either way the probe loop is stopped when it returns. A nil
+// drain serves until the listener fails.
+func (r *Router) Serve(l net.Listener, drain <-chan struct{}) error {
+	defer r.Close()
+	return server.ServeHandler(l, r.Handler(), drain, func() error {
+		r.Drain()
+		return nil
+	})
 }
 
 // Draining reports whether Drain has been called.

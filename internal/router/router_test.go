@@ -666,3 +666,56 @@ func TestRouteTable(t *testing.T) {
 		}
 	}
 }
+
+// TestServeStopsProbesOnEveryExit pins what Serve owns: however it comes
+// to return — asked to drain, or with the listener failing underneath a
+// router nobody asked to drain — the probe loop has stopped, and no probe
+// reaches a backend afterwards.
+func TestServeStopsProbesOnEveryExit(t *testing.T) {
+	for _, exit := range []string{"drained", "listener closed"} {
+		t.Run(exit, func(t *testing.T) {
+			var probes atomic.Int64
+			backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+				probes.Add(1)
+				writeOK(w, server.HealthResponse{Status: "ok"})
+			}))
+			defer backend.Close()
+			cfg := fastConfig(backend.URL)
+			r, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			drain := make(chan struct{})
+			done := make(chan error, 1)
+			go func() { done <- r.Serve(l, drain) }()
+			eventually(t, "the probe loop reaches the backend", func() bool { return probes.Load() > 0 })
+
+			if exit == "drained" {
+				close(drain)
+			} else {
+				l.Close()
+			}
+			err = <-done
+			if exit == "drained" && err != nil {
+				t.Errorf("Serve after a drain = %v, want nil", err)
+			}
+			if exit == "listener closed" && !errors.Is(err, net.ErrClosed) {
+				t.Errorf("Serve over a closed listener = %v, want net.ErrClosed", err)
+			}
+			if !r.Draining() {
+				t.Error("router still admits work after Serve returned")
+			}
+			// A round that was under way when Serve returned may still land.
+			time.Sleep(3 * cfg.ProbeInterval)
+			settled := probes.Load()
+			time.Sleep(10 * cfg.ProbeInterval)
+			if n := probes.Load(); n != settled {
+				t.Errorf("%d probes reached the backend after Serve returned", n-settled)
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -353,5 +354,72 @@ func TestClientIDsWithURLMetacharacters(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDotClientIDsRefused pins that "." and ".." are not client IDs on
+// any path in: a mux cleans either out of a request line, so such a
+// session could be neither addressed nor deleted over HTTP. In process,
+// from the Go client, and from a peer that escapes the dots so that they
+// do reach the handler, direct and routed, register and delete answer
+// bad_request and register nothing.
+func TestDotClientIDsRefused(t *testing.T) {
+	_, ek := testKeys(t)
+	blob := encodedKey(t, ek)
+	srv, ts := newBackend(t)
+	_, rts := newRouter(t, fastConfig(ts.URL))
+	if err := srv.RegisterKey("a", ek); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"a": true}
+	check := func(what string, err error) {
+		t.Helper()
+		var api *server.APIError
+		if !errors.As(err, &api) || api.Code != server.CodeBadRequest || api.Status != http.StatusBadRequest {
+			t.Errorf("%s = %v, want HTTP 400 %s", what, err, server.CodeBadRequest)
+		}
+		if got := sessionIDs(srv); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %s: sessions %v, want %v", what, got, want)
+		}
+	}
+	// raw sends the request a peer would that escapes the dots, and
+	// returns the reply as the Go client would have decoded it.
+	raw := func(method, base, id string, body []byte) error {
+		t.Helper()
+		req, err := http.NewRequest(method, base+"/v1/sessions/"+strings.ReplaceAll(id, ".", "%2E"), bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Expect", "100-continue") // a refused key is never sent
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er server.ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+			return fmt.Errorf("HTTP %d with no error frame: %v", resp.StatusCode, err)
+		}
+		return &server.APIError{Code: er.Code, Status: resp.StatusCode, Message: er.Error}
+	}
+	for _, id := range []string{".", ".."} {
+		err := srv.RegisterKey(id, ek)
+		if err == nil {
+			t.Errorf("in-process RegisterKey(%q) succeeded", id)
+		}
+		if _, _, err := srv.DeleteSession(id); err == nil || errors.Is(err, server.ErrUnknownSession) {
+			t.Errorf("in-process DeleteSession(%q) = %v, want the ID refused", id, err)
+		}
+		if got := sessionIDs(srv); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after in-process %q: sessions %v, want %v", id, got, want)
+		}
+		for _, front := range []struct{ name, base string }{{"direct", ts.URL}, {"routed", rts.URL}} {
+			cl := server.Dial(front.base, id)
+			check(fmt.Sprintf("%s Client.RegisterKey as %q", front.name, id), cl.RegisterKey(ek))
+			_, err := cl.DeleteSession(id)
+			check(fmt.Sprintf("%s Client.DeleteSession(%q)", front.name, id), err)
+			check(fmt.Sprintf("%s escaped POST %q", front.name, id), raw(http.MethodPost, front.base, id, blob))
+			check(fmt.Sprintf("%s escaped DELETE %q", front.name, id), raw(http.MethodDelete, front.base, id, nil))
+		}
 	}
 }

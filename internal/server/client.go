@@ -43,12 +43,15 @@ type Client struct {
 
 // Dial returns a client for the service at baseURL (e.g.
 // "http://127.0.0.1:8475") acting as clientID. No connection is made
-// until the first request.
+// until the first request. No endpoint of the service redirects, so the
+// client follows none: a 3xx is an error, never some other path's reply.
 func Dial(baseURL, clientID string) *Client {
 	return &Client{
-		base:       strings.TrimRight(baseURL, "/"),
-		id:         clientID,
-		hc:         &http.Client{},
+		base: strings.TrimRight(baseURL, "/"),
+		id:   clientID,
+		hc: &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
+			return http.ErrUseLastResponse
+		}},
 		maxRetries: DefaultMaxRetries,
 		retryBase:  DefaultRetryBase,
 	}
@@ -66,6 +69,15 @@ func (c *Client) SetRetry(maxRetries int, base time.Duration) {
 
 // ClientID returns the client ID requests are issued under.
 func (c *Client) ClientID() string { return c.id }
+
+// checkClientID refuses, before anything is sent, an ID the server would
+// refuse, with the error its reply would have decoded to.
+func checkClientID(clientID string) error {
+	if err := validateClientID(clientID); err != nil {
+		return &APIError{Code: CodeBadRequest, Status: http.StatusBadRequest, Message: err.Error()}
+	}
+	return nil
+}
 
 // retryable reports whether the failure is worth re-sending: the server
 // explicitly asked for a retry (503 overloaded/shutting_down).
@@ -180,6 +192,9 @@ func ParseRetryAfter(h http.Header) time.Duration {
 // until the server has admitted the request, so a refusal (draining, a
 // router without a backend) costs a header exchange, not 49 MB.
 func (c *Client) RegisterKey(ek tfhe.EvaluationKeys) error {
+	if err := checkClientID(c.id); err != nil {
+		return err
+	}
 	_, size, err := wire.EncodeEvalKey(ek)
 	if err != nil {
 		return err
@@ -353,6 +368,9 @@ func (c *Client) Sessions() ([]SessionInfo, error) {
 // *APIError with code unknown_session.
 func (c *Client) DeleteSession(clientID string) (DeleteSessionResponse, error) {
 	var resp DeleteSessionResponse
+	if err := checkClientID(clientID); err != nil {
+		return resp, err
+	}
 	err := c.do(http.MethodDelete, SessionPath(clientID), nil, &resp)
 	return resp, err
 }

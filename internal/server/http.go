@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strings"
 
 	"repro/internal/tfhe"
 	"repro/internal/wire"
@@ -22,7 +23,7 @@ const (
 	// decoder chunk into the store and the decoded key, and its size must
 	// match the parameter header before the first key byte is stored — so
 	// what a peer can make the server hold is the decoded form of the
-	// bytes it has actually sent. The connection timeouts on strix.Serve
+	// bytes it has actually sent. The connection timeouts of ServeHandler
 	// keep a slow-drip peer from parking that indefinitely.
 	MaxKeyBodyBytes = 2 << 30
 	// MaxBatchBodyBytes bounds gate/lut batch requests and replies, which
@@ -34,9 +35,19 @@ const (
 // SessionPath returns the request path of clientID's session, the target
 // of a key upload (POST) and of a delete. The ID is one escaped path
 // segment, so IDs holding '/', '?', '#' or '%' name exactly themselves.
+// The dot segments are escaped too, which PathEscape leaves alone: the
+// server refuses them as IDs, and written out they reach it to be refused
+// instead of being cleaned into another path by a mux on the way.
 func SessionPath(clientID string) string {
+	if dotSegment(clientID) {
+		return "/v1/sessions/" + strings.ReplaceAll(clientID, ".", "%2E")
+	}
 	return "/v1/sessions/" + url.PathEscape(clientID)
 }
+
+// dotSegment reports whether s is one of the two path segments that
+// request-line cleaning removes.
+func dotSegment(s string) bool { return s == "." || s == ".." }
 
 // The JSON frames of the HTTP API. Ciphertext fields ([]byte) carry the
 // internal/wire encoding and appear as base64 strings on the wire, the

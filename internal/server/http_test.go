@@ -3,13 +3,16 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/engine"
@@ -297,5 +300,58 @@ func TestHTTPCircuitBatchOptimize(t *testing.T) {
 	}
 	if dec := intops.Decrypt(sk, intops.Int{Digits: plain}); dec != (13*9)%16 {
 		t.Errorf("unoptimized product = %d, want %d", dec, (13*9)%16)
+	}
+}
+
+// closeCountingStore is a MemStore that records how often it is closed.
+type closeCountingStore struct {
+	*MemStore
+	closes atomic.Int32
+}
+
+// Close implements SessionStore.
+func (s *closeCountingStore) Close() error {
+	s.closes.Add(1)
+	return s.MemStore.Close()
+}
+
+// TestServeClosesStoreOnEveryExit pins what Serve owns: however it comes
+// to return — asked to drain, or with the listener failing underneath a
+// server nobody asked to drain — the session store has been closed, once.
+func TestServeClosesStoreOnEveryExit(t *testing.T) {
+	for _, exit := range []string{"drained", "listener closed"} {
+		t.Run(exit, func(t *testing.T) {
+			store := &closeCountingStore{MemStore: NewMemStore()}
+			srv := New(Config{Store: store})
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			drain := make(chan struct{})
+			done := make(chan error, 1)
+			go func() { done <- srv.Serve(l, drain) }()
+			if _, err := Dial("http://"+l.Addr().String(), "probe").Healthz(); err != nil {
+				t.Fatalf("healthz while serving: %v", err)
+			}
+
+			if exit == "drained" {
+				close(drain)
+			} else {
+				l.Close()
+			}
+			err = <-done
+			if exit == "drained" && err != nil {
+				t.Errorf("Serve after a drain = %v, want nil", err)
+			}
+			if exit == "listener closed" && !errors.Is(err, net.ErrClosed) {
+				t.Errorf("Serve over a closed listener = %v, want net.ErrClosed", err)
+			}
+			if n := store.closes.Load(); n != 1 {
+				t.Errorf("store closed %d times, want exactly once", n)
+			}
+			if !srv.Draining() {
+				t.Error("server still admits work after Serve returned")
+			}
+		})
 	}
 }

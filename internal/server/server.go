@@ -192,10 +192,16 @@ func (s *Server) Drain() error {
 	return nil
 }
 
-// validateClientID rejects empty and absurdly long IDs.
+// validateClientID rejects empty and absurdly long IDs, and the two dot
+// segments: every HTTP hop cleans "/v1/sessions/." into the listing's
+// path, so a session under that name could be neither addressed nor
+// deleted over the wire.
 func validateClientID(clientID string) error {
 	if clientID == "" {
 		return ErrEmptyClientID
+	}
+	if dotSegment(clientID) {
+		return fmt.Errorf("server: client id %q is a path dot segment", clientID)
 	}
 	if len(clientID) > MaxClientIDBytes {
 		return fmt.Errorf("server: client id is %d bytes, max %d", len(clientID), MaxClientIDBytes)

@@ -1,10 +1,6 @@
 package strix
 
-import (
-	"testing"
-
-	"repro/internal/tfhe"
-)
+import "testing"
 
 func TestFHEContextGateRoundtrip(t *testing.T) {
 	ctx, err := NewFHEContext("test", 1)
@@ -52,7 +48,7 @@ func TestFHEContextBatchGate(t *testing.T) {
 			t.Errorf("NAND[%d] = %v, want %v", i, got, want)
 		}
 	}
-	if c := ctx.Engine().Counters(); c.PBSCount != int64(len(xs)) {
+	if c := ctx.defaultEngine().Counters(); c.PBSCount != int64(len(xs)) {
 		t.Errorf("engine PBSCount = %d, want %d", c.PBSCount, len(xs))
 	}
 
@@ -68,64 +64,6 @@ func TestFHEContextBatchGate(t *testing.T) {
 
 	if ctx.NewEngine(2).Workers() != 2 {
 		t.Error("NewEngine(2) should build a 2-worker pool")
-	}
-}
-
-func TestFHEContextStream(t *testing.T) {
-	ctx, err := NewFHEContext("test", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := []bool{true, false, true, true}
-	ys := []bool{true, true, false, true}
-	as := ctx.EncryptBools(xs)
-	bs := ctx.EncryptBools(ys)
-
-	outs, err := ctx.Stream(NAND, as, bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, got := range ctx.DecryptBools(outs) {
-		if want := !(xs[i] && ys[i]); got != want {
-			t.Errorf("Stream NAND[%d] = %v, want %v", i, got, want)
-		}
-	}
-
-	// Streamed and flat-batched gates must agree bitwise (both pin to the
-	// sequential evaluator).
-	flat, err := ctx.BatchGate(NAND, as, bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range outs {
-		if outs[i].B != flat[i].B {
-			t.Errorf("Stream and BatchGate disagree on output %d body", i)
-		}
-		for j := range outs[i].A {
-			if outs[i].A[j] != flat[i].A[j] {
-				t.Fatalf("Stream and BatchGate disagree on output %d mask coefficient %d", i, j)
-			}
-		}
-	}
-
-	// LUT streaming through the facade.
-	msgs := []int{3, 5, 0}
-	ints := make([]tfhe.LWECiphertext, len(msgs))
-	for i, m := range msgs {
-		ints[i] = ctx.EncryptInt(m, 8)
-	}
-	double := func(x int) int { return (2 * x) % 8 }
-	for i, out := range ctx.StreamLUT(ints, 8, double) {
-		if got := ctx.DecryptInt(out, 8); got != double(msgs[i]) {
-			t.Errorf("StreamLUT[%d] = %d, want %d", i, got, double(msgs[i]))
-		}
-	}
-
-	if s := ctx.NewStreamingEngine(StreamConfig{RotateWorkers: 2, KSWorkers: 1}); s.RotateWorkers() != 2 {
-		t.Error("NewStreamingEngine(2) should build a 2-worker rotate pool")
-	}
-	if want := int64(len(xs) + len(msgs)); ctx.StreamEngine().Counters().PBSCount != want {
-		t.Errorf("stream engine PBSCount = %d, want %d", ctx.StreamEngine().Counters().PBSCount, want)
 	}
 }
 
@@ -169,195 +107,5 @@ func TestAcceleratorRunPBS(t *testing.T) {
 	}
 	if r.PBSCount != 1000 || r.Seconds <= 0 {
 		t.Errorf("RunPBS result %+v", r)
-	}
-}
-
-func TestRunExperimentFacade(t *testing.T) {
-	ids := ExperimentIDs()
-	if len(ids) < 9 {
-		t.Fatalf("%d experiments, want >= 9 (every table and figure plus ablations)", len(ids))
-	}
-	r, err := RunExperiment("table5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.ID != "table5" || len(r.Rows) == 0 {
-		t.Errorf("bad report %+v", r.ID)
-	}
-	if _, err := RunExperiment("bogus"); err == nil {
-		t.Error("bogus experiment should error")
-	}
-}
-
-// TestFHEContextRunCircuit is the facade-level scheduler acceptance: a
-// full-adder circuit built with the public CircuitBuilder runs levelized
-// on the default engines and matches both the truth table and the
-// node-by-node sequential evaluation bitwise.
-func TestFHEContextRunCircuit(t *testing.T) {
-	ctx, err := NewFHEContext("test", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One-bit full adder: sum = a⊕b⊕cin, carry = maj(a,b,cin).
-	build := func() *Circuit {
-		b := NewCircuitBuilder()
-		a, bb, cin := b.Input(), b.Input(), b.Input()
-		axb := b.Gate(XOR, a, bb)
-		sum := b.Gate(XOR, axb, cin)
-		ab := b.Gate(AND, a, bb)
-		axbc := b.Gate(AND, axb, cin)
-		carry := b.Gate(OR, ab, axbc)
-		b.Output(sum, carry)
-		circ, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return circ
-	}
-	circ := build()
-
-	sch, err := ctx.Compile(circ, ScheduleConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := sch.Stats(); st.Levels != 3 || st.TotalPBS != 5 {
-		t.Fatalf("full adder schedule = %+v, want 3 levels / 5 PBS", st)
-	}
-
-	for _, bits := range [][3]bool{{false, false, false}, {true, false, false}, {true, true, false}, {true, true, true}} {
-		ins := ctx.EncryptBools(bits[:])
-		outs, err := ctx.RunCircuit(circ, ins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for _, b := range bits {
-			if b {
-				n++
-			}
-		}
-		wantSum, wantCarry := n%2 == 1, n >= 2
-		if got := ctx.DecryptBools(outs); got[0] != wantSum || got[1] != wantCarry {
-			t.Errorf("adder(%v) = %v, want [%v %v]", bits, got, wantSum, wantCarry)
-		}
-
-		// Reusing the compiled schedule must give the identical result.
-		again, err := ctx.RunSchedule(circ, sch, ins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range again {
-			if again[k].B != outs[k].B {
-				t.Errorf("RunSchedule output %d differs from RunCircuit", k)
-			}
-		}
-	}
-}
-
-func TestFHEContextMultiLUT(t *testing.T) {
-	ctx, err := NewFHEContext("test", 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const space = 4
-	double := func(x int) int { return (2 * x) % space }
-	inc := func(x int) int { return (x + 1) % space }
-
-	// Sequential facade: one rotation, two outputs.
-	ct := ctx.EncryptInt(3, space)
-	outs := ctx.EvalMultiLUT(ct, space, double, inc)
-	if got := ctx.DecryptInt(outs[0], space); got != double(3) {
-		t.Errorf("EvalMultiLUT[0](3) = %d, want %d", got, double(3))
-	}
-	if got := ctx.DecryptInt(outs[1], space); got != inc(3) {
-		t.Errorf("EvalMultiLUT[1](3) = %d, want %d", got, inc(3))
-	}
-
-	// Batch and stream facades must match the sequential path bitwise.
-	cts := []tfhe.LWECiphertext{ctx.EncryptInt(1, space), ctx.EncryptInt(2, space)}
-	want := [][]tfhe.LWECiphertext{
-		ctx.EvalMultiLUT(cts[0], space, double, inc),
-		ctx.EvalMultiLUT(cts[1], space, double, inc),
-	}
-	batch, err := ctx.BatchMultiLUT(cts, space, double, inc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := ctx.StreamMultiLUT(cts, space, double, inc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		for j := range want[i] {
-			if !tfhe.EqualLWE(batch[i][j], want[i][j]) || !tfhe.EqualLWE(stream[i][j], want[i][j]) {
-				t.Fatalf("engine multi-LUT output [%d][%d] differs from sequential", i, j)
-			}
-		}
-	}
-
-	// The circuit builder's multi-value group goes through the scheduler.
-	b := NewCircuitBuilder()
-	in := b.Input()
-	ws := b.MultiLUTFunc(in, space, double, inc)
-	b.Output(ws...)
-	circ, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ctx.RunCircuit(circ, []tfhe.LWECiphertext{ctx.EncryptInt(2, space)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d0 := ctx.DecryptInt(got[0], space); d0 != double(2) {
-		t.Errorf("circuit MultiLUT output 0 = %d, want %d", d0, double(2))
-	}
-	if d1 := ctx.DecryptInt(got[1], space); d1 != inc(2) {
-		t.Errorf("circuit MultiLUT output 1 = %d, want %d", d1, inc(2))
-	}
-}
-
-// TestFHEContextOptimized covers the facade's optimizer surface: the
-// full-adder circuit compiled under OptimizedConfig fuses its gate
-// chains to fewer rotations, RunCircuitOptimized still decodes to the
-// truth table, and standalone Optimize reports the pass accounting.
-func TestFHEContextOptimized(t *testing.T) {
-	ctx, err := NewFHEContext("test", 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewCircuitBuilder()
-	x, y := b.Input(), b.Input()
-	// AND feeding NAND with no other consumer: fuses to one rotation.
-	b.Output(b.Gate(NAND, b.Gate(AND, x, y), b.Not(y)))
-	circ, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	oc, passes, err := Optimize(circ, OptAll())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oc == circ || len(passes) == 0 {
-		t.Fatal("Optimize reported no work on a fusible circuit")
-	}
-
-	sch, err := ctx.Compile(circ, ctx.OptimizedConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := sch.Stats(); st.TotalPBS >= 2 || len(st.OptPasses) == 0 {
-		t.Fatalf("optimized schedule = %+v, want the 2-gate chain fused below 2 PBS", st)
-	}
-
-	for _, bits := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
-		outs, err := ctx.RunCircuitOptimized(circ, ctx.EncryptBools(bits[:]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := !((bits[0] && bits[1]) && !bits[1])
-		if got := ctx.DecryptBool(outs[0]); got != want {
-			t.Errorf("optimized circuit(%v) = %v, want %v", bits, got, want)
-		}
 	}
 }
