@@ -231,8 +231,10 @@ func TestMultiLUTConform(t *testing.T) {
 }
 
 // conformanceCircuit builds a mixed circuit touching every node kind:
-// boolean gates, a free linear NOT, an explicit multi-value group, and a
-// downstream LUT consuming one of its outputs.
+// boolean gates (three distinct ops on the first level and two on the
+// second, so every scheduled backend runs mixed-op dispatches), a free
+// linear NOT, an explicit multi-value group, and a downstream LUT
+// consuming one of its outputs.
 func conformanceCircuit(t *testing.T) (*sched.Circuit, []tfhe.LWECiphertext) {
 	t.Helper()
 	const space = 4
@@ -241,8 +243,10 @@ func conformanceCircuit(t *testing.T) (*sched.Circuit, []tfhe.LWECiphertext) {
 	v := b.Input() // integer input for the LUT side
 	s := b.Gate(engine.XOR, x, y)
 	c := b.Gate(engine.AND, x, y)
+	o := b.Gate(engine.OR, x, y)
 	b.Output(b.Gate(engine.NAND, s, c))
 	b.Output(b.Not(c))
+	b.Output(b.Gate(engine.NOR, o, c))
 	ws := b.MultiLUT(v, space, [][]int{{1, 2, 3, 0}, {0, 0, 2, 2}, {3, 3, 3, 3}})
 	b.Output(ws...)
 	b.Output(b.LUT(ws[0], space, []int{3, 2, 1, 0}))
@@ -268,9 +272,9 @@ func TestCircuitConform(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Plaintext reference: x=1 y=0 v=2.
-	// s = XOR = 1, c = AND = 0, NAND(s,c) = 1, NOT(c) = 1,
-	// mlut(2) = {3, 2, 3}, LUT[3..0](3) = 0.
-	wantBits := []bool{true, true}
+	// s = XOR = 1, c = AND = 0, o = OR = 1, NAND(s,c) = 1, NOT(c) = 1,
+	// NOR(o,c) = 0, mlut(2) = {3, 2, 3}, LUT[3..0](3) = 0.
+	wantBits := []bool{true, true, false}
 	for i, wb := range wantBits {
 		if got := fixture.SK.DecryptBool(want[i]); got != wb {
 			t.Fatalf("sequential circuit output %d decrypts to %v, want %v", i, got, wb)
@@ -278,8 +282,8 @@ func TestCircuitConform(t *testing.T) {
 	}
 	wantInts := []int{3, 2, 3, 0}
 	for i, wi := range wantInts {
-		if got := tfhe.DecodePBSMessage(fixture.SK.LWE.Phase(want[2+i]), 4); got != wi {
-			t.Fatalf("sequential circuit output %d decodes to %d, want %d", 2+i, got, wi)
+		if got := tfhe.DecodePBSMessage(fixture.SK.LWE.Phase(want[len(wantBits)+i]), 4); got != wi {
+			t.Fatalf("sequential circuit output %d decodes to %d, want %d", len(wantBits)+i, got, wi)
 		}
 	}
 	for _, be := range fixture.Backends()[1:] {
@@ -294,8 +298,8 @@ func TestCircuitConform(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d outputs, want %d", be.Name(), len(got), len(want))
 		}
-		requireBools(t, be.Name(), got[:2], wantBits)
-		requireInts(t, be.Name(), got[2:], 4, wantInts)
+		requireBools(t, be.Name(), got[:len(wantBits)], wantBits)
+		requireInts(t, be.Name(), got[len(wantBits):], 4, wantInts)
 	}
 }
 

@@ -41,16 +41,14 @@ func ParseGate(s string) (GateOp, error) {
 	return 0, fmt.Errorf("engine: unknown gate %q", s)
 }
 
-// applyGate dispatches one whole gate on one worker's evaluator: the
-// linear stage (gateInput, the single op switch shared with the streaming
-// pipeline) followed by the sign bootstrap and keyswitch, unless the gate
-// is fully linear. Identical to calling the evaluator's gate method.
-func applyGate(ev *tfhe.Evaluator, op GateOp, a, b tfhe.LWECiphertext) tfhe.LWECiphertext {
-	in, done := gateInput(ev, op, a, b)
-	if done {
-		return in
+// Repeat returns n copies of op: the per-item op list of a batch that
+// applies one gate throughout.
+func (op GateOp) Repeat(n int) []GateOp {
+	ops := make([]GateOp, n)
+	for i := range ops {
+		ops[i] = op
 	}
-	return ev.KeySwitch(ev.Bootstrap(in, ev.SignTestVector()))
+	return ops
 }
 
 // Eval returns the plaintext truth value of the gate — the reference the
@@ -103,16 +101,14 @@ func (e *Engine) EvalCircuit(inputs []tfhe.LWECiphertext, gates []Gate) ([]tfhe.
 			return nil, fmt.Errorf("engine: gate %d (%s): input B=%d out of range [0,%d)", gi, g.Op, g.B, len(inputs))
 		}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]tfhe.LWECiphertext, len(gates))
-	e.run(len(gates), func(ev *tfhe.Evaluator, i int) {
-		g := gates[i]
-		if g.Op == NOT {
-			out[i] = applyGate(ev, NOT, inputs[g.A], tfhe.LWECiphertext{})
-		} else {
-			out[i] = applyGate(ev, g.Op, inputs[g.A], inputs[g.B])
+	ops := make([]GateOp, len(gates))
+	a := make([]tfhe.LWECiphertext, len(gates))
+	b := make([]tfhe.LWECiphertext, len(gates))
+	for i, g := range gates {
+		ops[i], a[i] = g.Op, inputs[g.A]
+		if g.Op != NOT {
+			b[i] = inputs[g.B]
 		}
-	})
-	return out, nil
+	}
+	return e.gates(ops, a, b), nil
 }

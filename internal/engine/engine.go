@@ -23,7 +23,8 @@ type Engine struct {
 	mu      sync.Mutex
 	params  tfhe.Params
 	evals   []*tfhe.Evaluator
-	batches int64 // completed batch calls, for diagnostics
+	signTV  tfhe.GLWECiphertext // shared read-only by every gate bootstrap
+	batches int64               // completed batch calls, for diagnostics
 }
 
 // New builds an engine over the evaluation keys. The keys are shared
@@ -37,6 +38,7 @@ func New(ek tfhe.EvaluationKeys, cfg Config) *Engine {
 	for i := range e.evals {
 		e.evals[i] = tfhe.NewEvaluator(ek)
 	}
+	e.signTV = e.evals[0].SignTestVector() // once, not once per gate
 	return e
 }
 
@@ -188,42 +190,59 @@ func (e *Engine) BatchMultiLUT(cts []tfhe.LWECiphertext, space int, fs []func(in
 }
 
 // validateGateOperands rejects unknown ops and mismatched operand lengths
-// or dimensions for the pairwise gate APIs (BatchGate, StreamGate) before
-// any worker goroutine starts, so every failure surfaces as an error or a
-// recoverable caller-side panic — never a panic inside a worker.
-func validateGateOperands(api string, params tfhe.Params, op GateOp, a, b []tfhe.LWECiphertext) error {
-	if op < 0 || int(op) >= len(gateNames) {
-		return fmt.Errorf("engine: %s: unknown gate %d", api, int(op))
+// or dimensions for the pairwise gate APIs (BatchGates, StreamGates)
+// before any worker goroutine starts, so every failure surfaces as an
+// error or a recoverable caller-side panic — never a panic inside a
+// worker. b may be nil only when every op is the unary NOT.
+func validateGateOperands(api string, params tfhe.Params, ops []GateOp, a, b []tfhe.LWECiphertext) error {
+	if len(ops) != len(a) || (b != nil && len(b) != len(a)) {
+		return fmt.Errorf("engine: %s: length mismatch: %d ops over %d and %d operands", api, len(ops), len(a), len(b))
 	}
-	if op == NOT {
-		if b != nil && len(b) != len(a) {
-			return fmt.Errorf("engine: %s: NOT takes one operand, got b of length %d", api, len(b))
+	for i, op := range ops {
+		if op < 0 || int(op) >= len(gateNames) {
+			return fmt.Errorf("engine: %s: item %d: unknown gate %d", api, i, int(op))
 		}
-	} else if len(a) != len(b) {
-		return fmt.Errorf("engine: %s: operand length mismatch: %d vs %d", api, len(a), len(b))
+		if op != NOT && b == nil {
+			return fmt.Errorf("engine: %s: item %d: %s takes two operands, got no b", api, i, op)
+		}
 	}
 	checkDims(api, a, params.SmallN)
-	if op != NOT {
-		checkDims(api, b, params.SmallN)
-	}
+	checkDims(api, b, params.SmallN)
 	return nil
 }
 
-// BatchGate applies one binary gate pairwise: out[i] = op(a[i], b[i]).
-// For the unary NOT, b may be nil.
-func (e *Engine) BatchGate(op GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	if err := validateGateOperands("BatchGate", e.params, op, a, b); err != nil {
-		return nil, err
-	}
+// gates is the flat engine's one gate core: item i runs the free linear
+// stage of ops[i] over (a[i], b[i]) (gateInput, the op switch shared with
+// the streaming pipeline), then the sign bootstrap and keyswitch every
+// binary gate shares. Operands are already validated.
+func (e *Engine) gates(ops []GateOp, a, b []tfhe.LWECiphertext) []tfhe.LWECiphertext {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]tfhe.LWECiphertext, len(a))
-	e.run(len(a), func(ev *tfhe.Evaluator, i int) {
-		if op == NOT {
-			out[i] = applyGate(ev, op, a[i], tfhe.LWECiphertext{})
-		} else {
-			out[i] = applyGate(ev, op, a[i], b[i])
+	out := make([]tfhe.LWECiphertext, len(ops))
+	e.run(len(ops), func(ev *tfhe.Evaluator, i int) {
+		in, done := gateInput(ev, ops[i], a, b, i)
+		if !done {
+			in = ev.KeySwitch(ev.Bootstrap(in, e.signTV))
 		}
+		out[i] = in
 	})
-	return out, nil
+	return out
+}
+
+// BatchGates applies one gate per item: out[i] = ops[i](a[i], b[i]). The
+// ops may differ freely: every binary gate bootstraps against the same
+// sign test vector, and the op only selects the linear stage in front of
+// it. Where ops[i] is the unary NOT b[i] is unused; b may be nil when
+// every op is.
+func (e *Engine) BatchGates(ops []GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
+	if err := validateGateOperands("BatchGates", e.params, ops, a, b); err != nil {
+		return nil, err
+	}
+	return e.gates(ops, a, b), nil
+}
+
+// BatchGate applies one gate pairwise: out[i] = op(a[i], b[i]). For the
+// unary NOT, b may be nil.
+func (e *Engine) BatchGate(op GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
+	return e.BatchGates(op.Repeat(len(a)), a, b)
 }

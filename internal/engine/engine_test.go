@@ -91,7 +91,7 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 4; i++ {
-			want := applyGate(serial, op, cts[i], cts[4+i])
+			want := seqGate(serial, op, cts[i], cts[4+i])
 			if !ctEqual(got[i], want) {
 				t.Fatalf("%s output %d differs from the serial evaluator", op, i)
 			}

@@ -1,0 +1,100 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/tfhe"
+)
+
+// seqGate is the reference every gate test compares against: the
+// sequential evaluator's own gate method, one call per item.
+func seqGate(ev *tfhe.Evaluator, op GateOp, a, b tfhe.LWECiphertext) tfhe.LWECiphertext {
+	switch op {
+	case NAND:
+		return ev.NAND(a, b)
+	case AND:
+		return ev.AND(a, b)
+	case OR:
+		return ev.OR(a, b)
+	case NOR:
+		return ev.NOR(a, b)
+	case XOR:
+		return ev.XOR(a, b)
+	case XNOR:
+		return ev.XNOR(a, b)
+	case NOT:
+		return ev.NOT(a)
+	default:
+		panic(fmt.Sprintf("seqGate: unknown gate %d", int(op)))
+	}
+}
+
+// TestMixedOpBatchesMatchSequential is the per-item-op property: a batch
+// whose items each carry their own op (NOT included) comes back bitwise
+// equal to the sequential evaluator from both engines, at one to four
+// workers. Runs under -race (make race): ops, a and b are read by every
+// worker of the batch.
+func TestMixedOpBatchesMatchSequential(t *testing.T) {
+	_, ek, cts, _ := testSetup(t, 57, 16)
+	serial := tfhe.NewEvaluator(ek)
+	rng := rand.New(rand.NewSource(58))
+	for workers := 1; workers <= 4; workers++ {
+		flat := New(ek, Config{Workers: workers})
+		stream := NewStreaming(ek, StreamConfig{RotateWorkers: workers})
+		for trial := 0; trial < 3; trial++ {
+			n := rng.Intn(10)
+			ops := make([]GateOp, n)
+			a := make([]tfhe.LWECiphertext, n)
+			b := make([]tfhe.LWECiphertext, n)
+			want := make([]tfhe.LWECiphertext, n)
+			for i := range ops {
+				ops[i] = GateOp(rng.Intn(len(gateNames)))
+				a[i], b[i] = cts[rng.Intn(len(cts))], cts[rng.Intn(len(cts))]
+				want[i] = seqGate(serial, ops[i], a[i], b[i])
+			}
+			for name, run := range map[string]func([]GateOp, []tfhe.LWECiphertext, []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error){
+				"BatchGates": flat.BatchGates, "StreamGates": stream.StreamGates,
+			} {
+				got, err := run(ops, a, b)
+				if err != nil {
+					t.Fatalf("%s workers=%d %v: %v", name, workers, ops, err)
+				}
+				if len(got) != n {
+					t.Fatalf("%s workers=%d: %d outputs for %d items", name, workers, len(got), n)
+				}
+				for i := range got {
+					if !ctEqual(got[i], want[i]) {
+						t.Fatalf("%s workers=%d %v: item %d (%s) differs bitwise from the sequential evaluator", name, workers, ops, i, ops[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGatesRejectsBadOperands covers what only the per-item entry points
+// can get wrong: an op list of the wrong length, and a binary op with no
+// second operand list.
+func TestGatesRejectsBadOperands(t *testing.T) {
+	_, ek, cts, _ := testSetup(t, 59, 4)
+	flat := New(ek, Config{Workers: 1})
+	stream := NewStreaming(ek, StreamConfig{RotateWorkers: 1})
+	for name, run := range map[string]func([]GateOp, []tfhe.LWECiphertext, []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error){
+		"BatchGates": flat.BatchGates, "StreamGates": stream.StreamGates,
+	} {
+		if _, err := run([]GateOp{AND}, cts[:2], cts[2:]); err == nil {
+			t.Errorf("%s: 1 op for 2 items accepted", name)
+		}
+		if _, err := run([]GateOp{NOT, AND}, cts[:2], nil); err == nil {
+			t.Errorf("%s: AND with no second operand list accepted", name)
+		}
+		if _, err := run([]GateOp{NOT, GateOp(99)}, cts[:2], cts[2:]); err == nil {
+			t.Errorf("%s: unknown op accepted", name)
+		}
+		if out, err := run([]GateOp{NOT, NOT}, cts[:2], nil); err != nil || len(out) != 2 {
+			t.Errorf("%s: all-NOT batch without b: %d outputs, err %v", name, len(out), err)
+		}
+	}
+}

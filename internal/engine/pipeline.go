@@ -306,44 +306,48 @@ func (s *StreamingEngine) StreamMultiLUT(cts []tfhe.LWECiphertext, space int, fs
 	}, true), nil
 }
 
-// gateInput dispatches the pre-bootstrap linear stage of one gate on the
-// prepare evaluator. NOT is fully linear: it completes in the prepare
-// stage and bypasses the PBS pipeline.
-func gateInput(ev *tfhe.Evaluator, op GateOp, a, b tfhe.LWECiphertext) (tfhe.LWECiphertext, bool) {
+// gateInput dispatches the pre-bootstrap linear stage of gate i of a
+// batch. NOT is fully linear: it completes here, bypasses the PBS and
+// never reads b.
+func gateInput(ev *tfhe.Evaluator, op GateOp, a, b []tfhe.LWECiphertext, i int) (tfhe.LWECiphertext, bool) {
 	switch op {
 	case NAND:
-		return ev.NANDInput(a, b), false
+		return ev.NANDInput(a[i], b[i]), false
 	case AND:
-		return ev.ANDInput(a, b), false
+		return ev.ANDInput(a[i], b[i]), false
 	case OR:
-		return ev.ORInput(a, b), false
+		return ev.ORInput(a[i], b[i]), false
 	case NOR:
-		return ev.NORInput(a, b), false
+		return ev.NORInput(a[i], b[i]), false
 	case XOR:
-		return ev.XORInput(a, b), false
+		return ev.XORInput(a[i], b[i]), false
 	case XNOR:
-		return ev.XNORInput(a, b), false
+		return ev.XNORInput(a[i], b[i]), false
 	case NOT:
-		return ev.NOT(a), true
+		return ev.NOT(a[i]), true
 	default:
 		panic(fmt.Sprintf("engine: unknown gate %d", int(op)))
 	}
 }
 
-// StreamGate streams one binary gate pairwise over two ciphertext slices:
-// out[i] = op(a[i], b[i]). The shared sign test vector is encoded once for
-// the stream; each lane is linear combination → PBS → fused keyswitch.
-// For the unary NOT, b may be nil.
-func (s *StreamingEngine) StreamGate(op GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	if err := validateGateOperands("StreamGate", s.params, op, a, b); err != nil {
+// StreamGates streams one gate per item: out[i] = ops[i](a[i], b[i]). The
+// ops may differ freely: the whole stream shares the sign test vector
+// encoded at construction, and each lane is its own op's linear
+// combination → PBS → fused keyswitch. Where ops[i] is the unary NOT b[i]
+// is unused; b may be nil when every op is.
+func (s *StreamingEngine) StreamGates(ops []GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
+	if err := validateGateOperands("StreamGates", s.params, ops, a, b); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stream(len(a), s.signTV, func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
-		if op == NOT {
-			return gateInput(ev, op, a[i], tfhe.LWECiphertext{})
-		}
-		return gateInput(ev, op, a[i], b[i])
+	return s.stream(len(ops), s.signTV, func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
+		return gateInput(ev, ops[i], a, b, i)
 	}, true), nil
+}
+
+// StreamGate streams one gate pairwise: out[i] = op(a[i], b[i]). For the
+// unary NOT, b may be nil.
+func (s *StreamingEngine) StreamGate(op GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
+	return s.StreamGates(op.Repeat(len(a)), a, b)
 }

@@ -40,7 +40,7 @@ func TestStreamGateMatchesSequential(t *testing.T) {
 	for _, op := range ops {
 		ref := make([]tfhe.LWECiphertext, 8)
 		for i := range ref {
-			ref[i] = applyGate(serial, op, cts[i], cts[8+i])
+			ref[i] = seqGate(serial, op, cts[i], cts[8+i])
 		}
 		want[op] = ref
 	}

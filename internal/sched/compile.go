@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/engine"
 )
 
 // DefaultMinStream is the cost model's routing threshold: a dispatch of
@@ -29,9 +31,9 @@ type Config struct {
 // DispatchKind discriminates what a dispatch executes.
 type DispatchKind uint8
 
-// The dispatch kinds: one boolean gate op batched pairwise, one shared
-// lookup table batched over a ciphertext slice, or one shared multi-value
-// table group batched over the group input ciphertexts.
+// The dispatch kinds: boolean gates batched pairwise under one op each,
+// one shared lookup table batched over a ciphertext slice, or one shared
+// multi-value table group batched over the group input ciphertexts.
 const (
 	DispatchGate DispatchKind = iota
 	DispatchLUT
@@ -39,17 +41,19 @@ const (
 )
 
 // Dispatch is one engine call of a level: every PBS node of the level
-// that shares this gate op (or this exact lookup table, or this exact
-// multi-value table list), batched together. Nodes lists the node wires
-// in build order. For DispatchMultiLUT, Nodes is group-major with stride
-// k = len(Tables): Nodes[g·k+i] receives table i's output for group g,
-// and every node of a group reads the same input wire.
+// that shares a test vector, batched together. That is every binary gate
+// (the sign test vector; Ops[j], node j's op, only selects its free linear
+// pre-stage), or every node with this exact lookup table or multi-value
+// table list. Nodes lists the node wires in build order. For
+// DispatchMultiLUT, Nodes is group-major with stride k = len(Tables):
+// Nodes[g·k+i] receives table i's output for group g, and every node of a
+// group reads the same input wire.
 type Dispatch struct {
 	Kind   DispatchKind
-	Op     GateOp  // DispatchGate
-	Space  int     // DispatchLUT, DispatchMultiLUT
-	Table  []int   // DispatchLUT; shared by every node of the dispatch
-	Tables [][]int // DispatchMultiLUT; shared by every group of the dispatch
+	Ops    []GateOp // DispatchGate; one per node
+	Space  int      // DispatchLUT, DispatchMultiLUT
+	Table  []int    // DispatchLUT; shared by every node of the dispatch
+	Tables [][]int  // DispatchMultiLUT; shared by every group of the dispatch
 	Nodes  []Wire
 	Stream bool // cost-model routing: streaming pipeline vs worker pool
 }
@@ -154,7 +158,7 @@ func (s *Schedule) Describe() string {
 			b.WriteByte(' ')
 			switch d.Kind {
 			case DispatchGate:
-				fmt.Fprintf(&b, "gate:%s x%d", d.Op, len(d.Nodes))
+				fmt.Fprintf(&b, "gate x%d (%s)", len(d.Nodes), opMix(d.Ops))
 			case DispatchLUT:
 				fmt.Fprintf(&b, "lut:s%d x%d", d.Space, len(d.Nodes))
 			case DispatchMultiLUT:
@@ -168,6 +172,22 @@ func (s *Schedule) Describe() string {
 	}
 	fmt.Fprintf(&b, "linear nodes: %d\n", s.stats.LinearNodes)
 	return b.String()
+}
+
+// opMix renders a gate dispatch's op counts in GateOp order, e.g.
+// "AND×4 XOR×4".
+func opMix(ops []GateOp) string {
+	var counts [engine.NOT + 1]int
+	for _, op := range ops {
+		counts[op]++
+	}
+	var parts []string
+	for op, n := range counts {
+		if n > 0 {
+			parts = append(parts, fmt.Sprintf("%s×%d", GateOp(op), n))
+		}
+	}
+	return strings.Join(parts, " ")
 }
 
 // lutDispatchKey is the grouping key of a LUT node: dispatches merge only
@@ -205,11 +225,11 @@ func multiLUTDispatchKey(space int, tables [][]int) string {
 // and groups each level into batched dispatches. Each PBS node's level
 // is its longest-path PBS depth from the inputs (linear nodes are free
 // and add no depth) — the maximal independent sets the paper's scheduler
-// dispatches as epochs. Within a level, gates group by op and LUTs by
-// exact table, since each engine call shares one operation (and one test
-// vector) across its batch. The schedule carries the optimized circuit:
-// Execute is still called with the source circuit, whose inputs and
-// output order the rewrite preserves.
+// dispatches as epochs. Within a level, nodes group by the test vector an
+// engine call shares across its batch: all binary gates join one dispatch
+// (the sign test vector), LUTs group by exact table. The schedule carries
+// the optimized circuit: Execute is still called with the source circuit,
+// whose inputs and output order the rewrite preserves.
 func Compile(c *Circuit, cfg Config) (*Schedule, error) {
 	exec, passes := c, []PassStat(nil)
 	if cfg.Opt.enabled() {
@@ -262,8 +282,8 @@ func Compile(c *Circuit, cfg Config) (*Schedule, error) {
 	groupIdx := make([]map[string]int, maxLvl)
 	// join appends the node wires to the level-l dispatch for key,
 	// creating it from proto on first appearance, and charges the level
-	// rotations blind rotations.
-	join := func(l int, key string, proto Dispatch, rotations int, ws ...Wire) {
+	// one blind rotation. It returns the dispatch.
+	join := func(l int, key string, proto Dispatch, ws ...Wire) *Dispatch {
 		if groupIdx[l] == nil {
 			groupIdx[l] = make(map[string]int)
 		}
@@ -273,17 +293,20 @@ func Compile(c *Circuit, cfg Config) (*Schedule, error) {
 			groupIdx[l][key] = di
 			s.levels[l].Dispatches = append(s.levels[l].Dispatches, proto)
 		}
-		s.levels[l].Dispatches[di].Nodes = append(s.levels[l].Dispatches[di].Nodes, ws...)
-		s.levels[l].PBS += rotations
+		d := &s.levels[l].Dispatches[di]
+		d.Nodes = append(d.Nodes, ws...)
+		s.levels[l].PBS++
+		return d
 	}
 	for i, n := range exec.nodes {
 		switch n.kind {
 		case kindLin:
 			s.linAt[lvl[i]] = append(s.linAt[lvl[i]], Wire(i))
 		case kindGate:
-			join(lvl[i]-1, "g:"+n.op.String(), Dispatch{Kind: DispatchGate, Op: n.op}, 1, Wire(i))
+			d := join(lvl[i]-1, "g", Dispatch{Kind: DispatchGate}, Wire(i))
+			d.Ops = append(d.Ops, n.op)
 		case kindLUT:
-			join(lvl[i]-1, lutDispatchKey(n.space, n.table), Dispatch{Kind: DispatchLUT, Space: n.space, Table: n.table}, 1, Wire(i))
+			join(lvl[i]-1, lutDispatchKey(n.space, n.table), Dispatch{Kind: DispatchLUT, Space: n.space, Table: n.table}, Wire(i))
 		case kindMultiLUT:
 			// The head sibling carries the whole group; the group's k
 			// contiguous wires share one rotation.
@@ -296,7 +319,7 @@ func Compile(c *Circuit, cfg Config) (*Schedule, error) {
 				ws[j] = Wire(i + j)
 			}
 			join(lvl[i]-1, multiLUTDispatchKey(n.space, n.tables),
-				Dispatch{Kind: DispatchMultiLUT, Space: n.space, Tables: n.tables}, 1, ws...)
+				Dispatch{Kind: DispatchMultiLUT, Space: n.space, Tables: n.tables}, ws...)
 			s.stats.MultiValueOuts += k
 			s.stats.RotationsSaved += k - 1
 		}

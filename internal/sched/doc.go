@@ -8,9 +8,11 @@
 // batches. This package is that someone: a Builder records the circuit as
 // a DAG, Compile levelizes it into maximal dependency-free levels
 // (longest-path depth over the PBS nodes, the epoch schedule of the
-// paper's accelerator), groups each level into per-gate-op and
-// per-lookup-table dispatches, and a cost model routes every dispatch to
-// either the flat worker-pool Engine or the staged StreamingEngine.
+// paper's accelerator), groups each level into one dispatch per test
+// vector (all of the level's binary gates together, since they share the
+// sign test vector and differ only in a free linear pre-stage; lookup
+// tables by exact table), and a cost model routes every dispatch to either
+// the flat worker-pool Engine or the staged StreamingEngine.
 // Execute then walks the schedule over any Executor — the in-process
 // Runner, or the gate service's group-commit session path.
 //

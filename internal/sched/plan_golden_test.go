@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/intops"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -22,6 +23,33 @@ import (
 // grouping, or an optimizer pass changed shape — review the new plan
 // before committing it.
 var updatePlans = flag.Bool("update-plans", false, "rewrite the golden plan fixtures")
+
+// adderCircuit4 is the 4-bit ripple-carry adder of the benchmark workload
+// adder4_sched_I: 17 gates of three ops in 7 levels, 8 wide then 2, 1, 2,
+// 1, 2, 1. Its plan pins that a level's gates are one dispatch.
+func adderCircuit4(t *testing.T) *sched.Circuit {
+	t.Helper()
+	b := sched.NewBuilder()
+	x, y := b.Inputs(4), b.Inputs(4)
+	var carry sched.Wire
+	for i := range x {
+		p := b.Gate(engine.XOR, x[i], y[i])
+		g := b.Gate(engine.AND, x[i], y[i])
+		if i == 0 {
+			b.Output(p)
+			carry = g
+			continue
+		}
+		b.Output(b.Gate(engine.XOR, p, carry))
+		carry = b.Gate(engine.OR, g, b.Gate(engine.AND, p, carry))
+	}
+	b.Output(carry)
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 // mulCircuit3 is the 3-digit radix-4 multiplier — the bench circuit the
 // optimized_vs_naive ratio gate runs.
@@ -63,6 +91,7 @@ func TestGoldenPlans(t *testing.T) {
 		build func(*testing.T) *sched.Circuit
 		cfg   sched.Config
 	}{
+		{"adder4_naive", adderCircuit4, sched.Config{}},
 		{"mul3_naive", mulCircuit3, sched.Config{}},
 		{"mul3_optimized", mulCircuit3, sched.Config{Opt: sched.OptAll()}},
 		{"nn_naive", nnCircuit, sched.Config{}},

@@ -13,7 +13,7 @@ import (
 // sequential evaluator (both engines and the gate service's session path
 // qualify).
 type Executor interface {
-	// Gate evaluates out[i] = d.Op(a[i], b[i]).
+	// Gate evaluates out[i] = d.Ops[i](a[i], b[i]).
 	Gate(d Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error)
 	// LUT applies d.Table (message space d.Space) to every ciphertext.
 	LUT(d Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error)
@@ -262,9 +262,9 @@ func (r *Runner) Gate(d Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWECipherte
 		return nil, err
 	}
 	if stream {
-		return r.Stream.StreamGate(d.Op, a, b)
+		return r.Stream.StreamGates(d.Ops, a, b)
 	}
-	return r.Batch.BatchGate(d.Op, a, b)
+	return r.Batch.BatchGates(d.Ops, a, b)
 }
 
 // LUT implements Executor over the engines.

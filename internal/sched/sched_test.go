@@ -81,9 +81,14 @@ func TestCompileLevels(t *testing.T) {
 	if st.Levels != 3 || st.TotalPBS != 4 || st.MaxLevelPBS != 2 {
 		t.Fatalf("stats = %+v, want 3 levels, 4 PBS, max 2", st)
 	}
-	// Level 1 has two dispatches (XOR and AND cannot share a batch).
-	if got := len(sch.Levels()[0].Dispatches); got != 2 {
-		t.Fatalf("level 1 has %d dispatches, want 2", got)
+	// Level 1 is one dispatch: XOR and AND bootstrap against the same sign
+	// test vector, so they share a batch, each node under its own op.
+	lvl1 := sch.Levels()[0].Dispatches
+	if len(lvl1) != 1 {
+		t.Fatalf("level 1 has %d dispatches, want 1", len(lvl1))
+	}
+	if d := lvl1[0]; len(d.Nodes) != 2 || len(d.Ops) != 2 || d.Ops[0] != engine.XOR || d.Ops[1] != engine.AND {
+		t.Fatalf("level 1 dispatch = nodes %v ops %v, want [XOR AND] in build order", d.Nodes, d.Ops)
 	}
 	if sch.String() == "" {
 		t.Error("empty plan summary")

@@ -498,8 +498,10 @@ func (s *Server) Evictions() int64 { return s.evictions.Load() }
 func (s *Server) Restores() int64 { return s.restores.Load() }
 
 // GateBatch evaluates out[i] = op(a[i], b[i]) on clientID's session. For
-// the unary NOT, b must be nil. Concurrent calls for the same session and
-// op may be coalesced into one engine stream.
+// the unary NOT, b must be nil. Concurrent calls for the same session may
+// be coalesced into one engine stream whatever their binary ops (and with
+// the gate levels of concurrent circuits); NOT batches coalesce only with
+// each other.
 func (s *Server) GateBatch(clientID string, op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	if err := s.begin(); err != nil {
 		return nil, err
@@ -515,7 +517,7 @@ func (s *Server) GateBatch(clientID string, op engine.GateOp, a, b []tfhe.LWECip
 	if len(a) == 0 {
 		return nil, nil
 	}
-	return sess.Gate(sched.Dispatch{Op: op}, a, b)
+	return sess.Gate(sched.Dispatch{Ops: op.Repeat(len(a))}, a, b)
 }
 
 // LUTBatch applies the lookup table (length space, entries in
@@ -566,10 +568,11 @@ func (s *Server) MultiLUTBatch(clientID string, cts []tfhe.LWECiphertext, space 
 
 // CircuitBatch compiles a levelized schedule for the circuit described by
 // specs/outputs and executes it on clientID's session. Every level
-// dispatch (one gate op, or one exact lookup table, across the whole
-// level) goes through the session's group-commit path, so concurrent
-// circuits — and plain gate/LUT batches — coalesce into shared engine
-// streams whenever their dispatch keys match. optimize first runs the
+// dispatch (all of the level's binary gates, or one exact lookup table
+// across the whole level) goes through the session's group-commit path,
+// so concurrent circuits — and plain gate/LUT batches — coalesce into
+// shared engine streams whenever their dispatch keys match (any two
+// binary-gate dispatches do). optimize first runs the
 // scheduler's optimizer pass pipeline (CSE, pruning, linear folding,
 // bootstrap fusion, multi-value packing bounded by the session's
 // parameter set); outputs then decode identically but are not bitwise

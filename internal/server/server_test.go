@@ -151,79 +151,113 @@ func TestLUTBatchMatchesInProcess(t *testing.T) {
 }
 
 // TestCoalescing holds the engine busy (execMu) while several requests
-// arrive, then releases it: all requests must ride one stream.
+// arrive, then releases it: all binary-gate requests must ride one stream,
+// whether they carry the same op or not (they share the sign test
+// vector), a NOT request must not join them (it has no second operand),
+// and each caller gets its own slice back, bitwise what the sequential
+// evaluator computes for its op.
 func TestCoalescing(t *testing.T) {
 	sk, ek := testKeys(t, 1)
-	srv := New(Config{})
-	if err := srv.RegisterKey("alice", ek); err != nil {
-		t.Fatal(err)
+	serial := tfhe.NewEvaluator(ek)
+	seqGate := map[engine.GateOp]func(a, b tfhe.LWECiphertext) tfhe.LWECiphertext{
+		engine.NAND: serial.NAND, engine.AND: serial.AND, engine.XOR: serial.XOR,
+		engine.NOT: func(a, _ tfhe.LWECiphertext) tfhe.LWECiphertext { return serial.NOT(a) },
 	}
-	sess, err := srv.session("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Stall the engine the way an in-flight stream would.
-	sess.execMu.Lock()
-
-	const requests = 4
-	bits := []bool{true, false}
-	var wg sync.WaitGroup
-	results := make([][]tfhe.LWECiphertext, requests)
-	errs := make([]error, requests)
-	for r := 0; r < requests; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			a := encryptBools(sk, int64(1000+r), bits)
-			b := encryptBools(sk, int64(2000+r), bits)
-			results[r], errs[r] = srv.GateBatch("alice", engine.NAND, a, b)
-		}(r)
-	}
-
-	// Wait until one leader is parked on execMu and every other request
-	// has joined the open group.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		sess.mu.Lock()
-		g := sess.groups["g:NAND"]
-		joined := 0
-		if g != nil {
-			joined = len(g.waiters)
-		}
-		sess.mu.Unlock()
-		if joined == requests {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d requests joined the group", joined, requests)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	sess.execMu.Unlock()
-	wg.Wait()
-
-	for r := range errs {
-		if errs[r] != nil {
-			t.Fatalf("request %d: %v", r, errs[r])
-		}
-		for i := range results[r] {
-			// NAND(x, x) == !x.
-			if dec := sk.DecryptBool(results[r][i]); dec != !bits[i] {
-				t.Errorf("request %d item %d: wrong bit", r, i)
+	for _, tc := range []struct {
+		name      string
+		ops       []engine.GateOp
+		streams   int64
+		coalesced int64
+	}{
+		{"one_op", []engine.GateOp{engine.NAND, engine.NAND, engine.NAND, engine.NAND}, 1, 4},
+		{"mixed_ops", []engine.GateOp{engine.AND, engine.XOR, engine.NAND, engine.XOR, engine.AND, engine.NAND}, 1, 6},
+		{"not_apart", []engine.GateOp{engine.AND, engine.NOT, engine.XOR}, 2, 2},
+	} {
+		ops := tc.ops
+		t.Run(tc.name, func(t *testing.T) {
+			srv := New(Config{})
+			if err := srv.RegisterKey("alice", ek); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
+			sess, err := srv.session("alice")
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	st := sess.statsSnapshot()
-	if st.Streams != 1 {
-		t.Errorf("coalesced batch ran %d streams, want 1", st.Streams)
-	}
-	if st.Coalesced != requests {
-		t.Errorf("coalesced count %d, want %d", st.Coalesced, requests)
-	}
-	if st.Items != int64(requests*len(bits)) {
-		t.Errorf("items %d, want %d", st.Items, requests*len(bits))
+			// Stall the engine the way an in-flight stream would.
+			sess.execMu.Lock()
+
+			bits := []bool{true, false}
+			var wg sync.WaitGroup
+			a := make([][]tfhe.LWECiphertext, len(ops))
+			b := make([][]tfhe.LWECiphertext, len(ops))
+			results := make([][]tfhe.LWECiphertext, len(ops))
+			errs := make([]error, len(ops))
+			for r, op := range ops {
+				a[r] = encryptBools(sk, int64(1000+r), bits)
+				if op != engine.NOT {
+					b[r] = encryptBools(sk, int64(2000+r), []bool{true, true})
+				}
+				wg.Add(1)
+				go func(r int, op engine.GateOp) {
+					defer wg.Done()
+					results[r], errs[r] = srv.GateBatch("alice", op, a[r], b[r])
+				}(r, op)
+			}
+
+			// Wait until every request is in an open group, its leader
+			// parked on execMu.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				sess.mu.Lock()
+				joined := 0
+				for _, g := range sess.groups {
+					joined += len(g.waiters)
+				}
+				sess.mu.Unlock()
+				if joined == len(ops) {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("only %d/%d requests joined a group", joined, len(ops))
+				}
+				time.Sleep(time.Millisecond)
+			}
+			sess.execMu.Unlock()
+			wg.Wait()
+
+			for r, op := range ops {
+				if errs[r] != nil {
+					t.Fatalf("request %d: %v", r, errs[r])
+				}
+				if len(results[r]) != len(bits) {
+					t.Fatalf("request %d (%s): %d outputs, want %d", r, op, len(results[r]), len(bits))
+				}
+				for i, got := range results[r] {
+					var bi tfhe.LWECiphertext
+					if op != engine.NOT {
+						bi = b[r][i]
+					}
+					if !tfhe.EqualLWE(got, seqGate[op](a[r][i], bi)) {
+						t.Errorf("request %d (%s) item %d differs bitwise from the sequential evaluator", r, op, i)
+					}
+					if dec := sk.DecryptBool(got); dec != op.Eval(bits[i], true) {
+						t.Errorf("request %d (%s) item %d: wrong bit", r, op, i)
+					}
+				}
+			}
+
+			st := sess.statsSnapshot()
+			if st.Streams != tc.streams {
+				t.Errorf("coalesced batch ran %d streams, want %d", st.Streams, tc.streams)
+			}
+			if st.Coalesced != tc.coalesced {
+				t.Errorf("coalesced count %d, want %d", st.Coalesced, tc.coalesced)
+			}
+			if st.Items != int64(len(ops)*len(bits)) {
+				t.Errorf("items %d, want %d", st.Items, len(ops)*len(bits))
+			}
+		})
 	}
 }
 
@@ -526,6 +560,36 @@ func TestCircuitBatchValidation(t *testing.T) {
 	}
 	if _, err := srv.CircuitBatch("alice", spec, []int{1}, in, false); err == nil {
 		t.Error("LUT space beyond N accepted")
+	}
+	// A level's binary gates are one dispatch whatever their ops, so the
+	// batch bound sees the whole level: 3 ANDs + 2 XORs over MaxBatch 4 is
+	// refused, 2 + 2 runs.
+	in2 := encryptBools(sk, 10, []bool{true, false})
+	level := func(ands, xors int) ([]sched.NodeSpec, []int) {
+		specs := []sched.NodeSpec{{Kind: sched.SpecInput}, {Kind: sched.SpecInput}}
+		var outs []int
+		for i := 0; i < ands+xors; i++ {
+			op := "AND"
+			if i >= ands {
+				op = "XOR"
+			}
+			specs = append(specs, sched.NodeSpec{Kind: sched.SpecGate, Op: op, A: 0, B: 1})
+			outs = append(outs, len(specs)-1)
+		}
+		return specs, outs
+	}
+	specs, outs := level(3, 2)
+	if _, err := srv.CircuitBatch("alice", specs, outs, in2, false); !errors.Is(err, ErrBatchTooLarge) {
+		t.Errorf("mixed-op level of 5 over MaxBatch 4: %v, want ErrBatchTooLarge", err)
+	}
+	specs, outs = level(2, 2)
+	if out, err := srv.CircuitBatch("alice", specs, outs, in2, false); err != nil || len(out) != 4 {
+		t.Errorf("mixed-op level of 4 at MaxBatch 4: %d outputs, err %v", len(out), err)
+	}
+	// No level is wider than its circuit, so under the defaults the node
+	// bound already keeps every level inside the batch bound.
+	if def := (Config{}).withDefaults(); def.MaxCircuitNodes > def.MaxBatch {
+		t.Errorf("default MaxCircuitNodes %d > MaxBatch %d: a valid circuit could trip the level bound", def.MaxCircuitNodes, def.MaxBatch)
 	}
 	if rej := srv.Stats().Sessions[0].Rejected; rej == 0 {
 		t.Error("circuit rejections not counted")

@@ -64,9 +64,11 @@ func newSession(id string, ek tfhe.EvaluationKeys, cfg Config) *session {
 	}
 }
 
-// group is one group-commit batch: the concatenated operands of every
-// request that joined, and the waiters to scatter the results back to.
+// group is one group-commit batch: the concatenated operands (and, for
+// gates, per-item ops) of every request that joined, and the waiters to
+// scatter the results back to.
 type group struct {
+	ops     []engine.GateOp
 	a, b    []tfhe.LWECiphertext
 	waiters []*waiter
 }
@@ -85,11 +87,12 @@ type groupResult struct {
 
 // submit runs (a, b) through the session's engine under the coalescing
 // protocol. Requests with equal keys that arrive while the engine is busy
-// are merged into one stream; run receives the concatenated operands and
-// must return outPerIn outputs per input, input-major (1 for gates and
-// LUTs, the table count for multi-value LUTs — equal keys imply equal
-// fan-out). The caller's slice of the stream output is returned in
-// request order.
+// are merged into one stream; run receives the sealed group (concatenated
+// operands, and the per-item ops of gate requests: ops is nil for every
+// other kind) and must return outPerIn outputs per input, input-major (1
+// for gates and LUTs, the table count for multi-value LUTs — equal keys
+// imply equal fan-out). The caller's slice of the stream output is
+// returned in request order.
 //
 // The protocol is group-commit: the first request to open a group for a
 // key is its leader. The leader queues for the engine (execMu); while it
@@ -97,7 +100,7 @@ type groupResult struct {
 // leader acquires the engine it seals the group (removing it from the
 // map, so later arrivals open a fresh group behind it), runs one stream
 // over the whole batch, and scatters results to every waiter.
-func (s *session) submit(key string, a, b []tfhe.LWECiphertext, outPerIn int, run func(a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error)) ([]tfhe.LWECiphertext, error) {
+func (s *session) submit(key string, ops []engine.GateOp, a, b []tfhe.LWECiphertext, outPerIn int, run func(g *group) ([]tfhe.LWECiphertext, error)) ([]tfhe.LWECiphertext, error) {
 	// Backpressure: wait (bounded) until the session has room for this
 	// request. A saturated queue past the timeout means the session is
 	// overloaded — refuse so the client can back off, instead of letting
@@ -120,6 +123,7 @@ func (s *session) submit(key string, a, b []tfhe.LWECiphertext, outPerIn int, ru
 		leader = true
 	}
 	w.off = len(g.a)
+	g.ops = append(g.ops, ops...)
 	g.a = append(g.a, a...)
 	g.b = append(g.b, b...)
 	g.waiters = append(g.waiters, w)
@@ -129,14 +133,14 @@ func (s *session) submit(key string, a, b []tfhe.LWECiphertext, outPerIn int, ru
 		s.execMu.Lock()
 		s.mu.Lock()
 		// Seal: only remove the map entry if it is still ours — a
-		// follower may have already replaced a full group.
+		// follower may have already replaced a full group. Either way
+		// nothing appends to g from here on.
 		if s.groups[key] == g {
 			delete(s.groups, key)
 		}
-		ga, gb, waiters := g.a, g.b, g.waiters
 		s.mu.Unlock()
 
-		out, err := run(ga, gb)
+		out, err := run(g)
 		// Snapshot the engine counters while still holding execMu: every
 		// engine call goes through submit, so the engine is idle here and
 		// Counters() cannot block.
@@ -147,13 +151,13 @@ func (s *session) submit(key string, a, b []tfhe.LWECiphertext, outPerIn int, ru
 		s.execMu.Unlock()
 
 		s.streams.Add(1)
-		if len(waiters) > 1 {
-			s.coalesced.Add(int64(len(waiters)))
+		if len(g.waiters) > 1 {
+			s.coalesced.Add(int64(len(g.waiters)))
 		}
-		if err == nil && len(out) != len(ga)*outPerIn {
-			err = fmt.Errorf("server: engine returned %d outputs for %d inputs (want %d per input)", len(out), len(ga), outPerIn)
+		if err == nil && len(out) != len(g.a)*outPerIn {
+			err = fmt.Errorf("server: engine returned %d outputs for %d inputs (want %d per input)", len(out), len(g.a), outPerIn)
 		}
-		for _, wt := range waiters {
+		for _, wt := range g.waiters {
 			if err != nil {
 				wt.ch <- groupResult{err: err}
 				continue
@@ -200,18 +204,25 @@ func (s *session) acquireSlot() error {
 // each kind's coalescing key and engine call are spelled once, so circuit
 // levels and standalone batches share streams whenever the keys match.
 
-// Gate implements sched.Executor: d.Op over (a, b); b is nil for NOT.
+// Gate implements sched.Executor: d.Ops[i] over (a[i], b[i]). Binary
+// gates coalesce under one key whatever their ops, since they share the
+// sign test vector. A NOT batch (b nil, uniform by validateGate) keeps its
+// own key: it carries no b to concatenate and costs no PBS.
 func (s *session) Gate(d sched.Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	return s.submit("g:"+d.Op.String(), a, b, 1, func(ga, gb []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-		return s.eng.StreamGate(d.Op, ga, gb)
+	key := "g"
+	if b == nil {
+		key = "not"
+	}
+	return s.submit(key, d.Ops, a, b, 1, func(g *group) ([]tfhe.LWECiphertext, error) {
+		return s.eng.StreamGates(g.ops, g.a, g.b)
 	})
 }
 
 // LUT implements sched.Executor. Streams merge only when the whole table
 // is identical.
 func (s *session) LUT(d sched.Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	return s.submit(fmt.Sprintf("l:%d:%v", d.Space, d.Table), in, nil, 1, func(ga, _ []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-		return s.eng.StreamLUT(ga, d.Space, func(m int) int { return d.Table[m] }), nil
+	return s.submit(fmt.Sprintf("l:%d:%v", d.Space, d.Table), nil, in, nil, 1, func(g *group) ([]tfhe.LWECiphertext, error) {
+		return s.eng.StreamLUT(g.a, d.Space, func(m int) int { return d.Table[m] }), nil
 	})
 }
 
@@ -222,12 +233,12 @@ func (s *session) LUT(d sched.Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiph
 // input-major for submit to scatter, then regrouped for the caller.
 func (s *session) MultiLUT(d sched.Dispatch, in []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
 	k := len(d.Tables)
-	flat, err := s.submit(fmt.Sprintf("m:%d:%v", d.Space, d.Tables), in, nil, k, func(ga, _ []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-		groups, err := s.eng.StreamMultiLUT(ga, d.Space, tfhe.TableFuncs(d.Tables))
+	flat, err := s.submit(fmt.Sprintf("m:%d:%v", d.Space, d.Tables), nil, in, nil, k, func(g *group) ([]tfhe.LWECiphertext, error) {
+		groups, err := s.eng.StreamMultiLUT(g.a, d.Space, tfhe.TableFuncs(d.Tables))
 		if err != nil {
 			return nil, err
 		}
-		flat := make([]tfhe.LWECiphertext, 0, len(ga)*k)
+		flat := make([]tfhe.LWECiphertext, 0, len(g.a)*k)
 		for _, outs := range groups {
 			flat = append(flat, outs...)
 		}
