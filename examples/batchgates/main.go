@@ -16,6 +16,7 @@ import (
 	"time"
 
 	strix "repro"
+	"repro/internal/tfhe"
 )
 
 const bits = 64
@@ -51,16 +52,26 @@ func main() {
 
 	// --- A dependency-free circuit level --------------------------------
 	// First level of a ripple-free popcount-ish circuit: pairwise XOR/AND
-	// over adjacent input wires, all gates independent.
-	gates := make([]strix.Gate, 0, bits)
+	// over adjacent input wires. The gates are independent, and all of
+	// them bootstrap against the same sign test vector, so the mixed ops
+	// run as one batch.
+	var ops []strix.GateOp
+	var ga, gb []tfhe.LWECiphertext
+	var want []bool
 	for i := 0; i+1 < bits; i += 2 {
-		gates = append(gates,
-			strix.Gate{Op: strix.XOR, A: i, B: i + 1},
-			strix.Gate{Op: strix.AND, A: i, B: i + 1})
+		ops = append(ops, strix.XOR, strix.AND)
+		ga = append(ga, as[i], as[i])
+		gb = append(gb, as[i+1], as[i+1])
+		want = append(want, xs[i] != xs[i+1], xs[i] && xs[i+1])
 	}
-	level, err := ctx.EvalCircuit(as, gates)
+	level, err := ctx.NewEngine(0).Gates(ops, ga, gb)
 	if err != nil {
 		log.Fatal(err)
+	}
+	for g, got := range ctx.DecryptBools(level) {
+		if got != want[g] {
+			log.Fatalf("level gate %d (%s): got %v, want %v", g, ops[g], got, want[g])
+		}
 	}
 	fmt.Printf("circuit level: %d gates in one batch\n", len(level))
 

@@ -169,8 +169,8 @@ func NewFixture(seed int64) (*Fixture, error) {
 	opt.MultiValueBudget = tfhe.ParamsTest.N
 	f.backends = []Backend{
 		seqBackend{ev: tfhe.NewEvaluator(ek)},
-		batchBackend{eng: batch},
-		streamBackend{eng: stream},
+		engineBackend{name: "batch", ops: &batch.Ops, r: &sched.Runner{Batch: batch}},
+		engineBackend{name: "streaming", ops: &stream.Ops, r: &sched.Runner{Stream: stream}},
 		schedBackend{r: runner},
 		serverBackend{cl: cl},
 		restoredBackend{serverBackend{cl: clRest}},
@@ -270,64 +270,38 @@ func (s seqBackend) Infer(features []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext
 	return inferViaCircuit(s, features)
 }
 
-// batchBackend is the flat worker-pool engine.
-type batchBackend struct {
-	eng *engine.Engine
+// engineBackend is one in-process engine reached directly through the
+// engine.Ops vocabulary: "batch" is the flat worker pool, "streaming" the
+// staged pipeline. Circuits run through a Runner holding that engine
+// alone, so every dispatch lands on it whatever the cost model says.
+type engineBackend struct {
+	name string
+	ops  *engine.Ops
+	r    *sched.Runner
 }
 
-func (b batchBackend) Name() string { return "batch" }
+func (e engineBackend) Name() string { return e.name }
 
-func (b batchBackend) Bitwise() bool { return true }
+func (e engineBackend) Bitwise() bool { return true }
 
-func (b batchBackend) Gate(op engine.GateOp, a, bb []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	return b.eng.BatchGate(op, a, bb)
+func (e engineBackend) Gate(op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
+	return e.ops.Gates(op.Repeat(len(a)), a, b)
 }
 
-func (b batchBackend) LUT(cts []tfhe.LWECiphertext, space int, table []int) ([]tfhe.LWECiphertext, error) {
-	return b.eng.BatchEvalLUT(cts, space, func(m int) int { return table[m] }), nil
+func (e engineBackend) LUT(cts []tfhe.LWECiphertext, space int, table []int) ([]tfhe.LWECiphertext, error) {
+	return e.ops.LUT(cts, space, func(m int) int { return table[m] }), nil
 }
 
-func (b batchBackend) MultiLUT(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
-	return b.eng.BatchMultiLUT(cts, space, tfhe.TableFuncs(tables))
+func (e engineBackend) MultiLUT(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
+	return e.ops.MultiLUT(cts, space, tfhe.TableFuncs(tables))
 }
 
-func (b batchBackend) Circuit(circ *sched.Circuit, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	r := &sched.Runner{Batch: b.eng}
-	return r.Run(circ, sched.Config{}, inputs)
+func (e engineBackend) Circuit(circ *sched.Circuit, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
+	return e.r.Run(circ, sched.Config{}, inputs)
 }
 
-func (b batchBackend) Infer(features []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
-	return inferViaCircuit(b, features)
-}
-
-// streamBackend is the staged pipeline engine.
-type streamBackend struct {
-	eng *engine.StreamingEngine
-}
-
-func (s streamBackend) Name() string { return "streaming" }
-
-func (s streamBackend) Bitwise() bool { return true }
-
-func (s streamBackend) Gate(op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	return s.eng.StreamGate(op, a, b)
-}
-
-func (s streamBackend) LUT(cts []tfhe.LWECiphertext, space int, table []int) ([]tfhe.LWECiphertext, error) {
-	return s.eng.StreamLUT(cts, space, func(m int) int { return table[m] }), nil
-}
-
-func (s streamBackend) MultiLUT(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
-	return s.eng.StreamMultiLUT(cts, space, tfhe.TableFuncs(tables))
-}
-
-func (s streamBackend) Circuit(circ *sched.Circuit, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	r := &sched.Runner{Stream: s.eng}
-	return r.Run(circ, sched.Config{}, inputs)
-}
-
-func (s streamBackend) Infer(features []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
-	return inferViaCircuit(s, features)
+func (e engineBackend) Infer(features []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
+	return inferViaCircuit(e, features)
 }
 
 // schedBackend reaches every operation through the levelizing scheduler:

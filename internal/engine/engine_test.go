@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -68,8 +69,8 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	for j := range tv.Body().Coeffs {
 		tv.Body().Coeffs[j] = uint32(j) << 20
 	}
-	b1 := e1.BatchBootstrap(cts, tv)
-	b8 := e8.BatchBootstrap(cts, tv)
+	b1 := e1.Bootstrap(cts, tv)
+	b8 := e8.Bootstrap(cts, tv)
 	for i := range b1 {
 		if !ctEqual(b1[i], b8[i]) {
 			t.Fatalf("bootstrap output %d differs between workers=1 and workers=8", i)
@@ -77,27 +78,114 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestMatchesSerialEvaluator pins the engine to the plain evaluator: a
-// batched gate must equal the one the unbatched API computes.
+// TestMatchesSerialEvaluator is the engines' contract, stated once: every
+// operation of the Ops vocabulary, run by either executor at any width,
+// returns ciphertexts bitwise equal to the sequential tfhe.Evaluator's.
+// Runs under -race (make race): operands and the test vector are read by
+// every worker of a batch.
 func TestMatchesSerialEvaluator(t *testing.T) {
-	sk, ek, cts, pts := testSetup(t, 7, 8)
-	_ = sk
-	eng := New(ek, Config{Workers: 4})
+	const space, batch = 8, 10
+	rng := rand.New(rand.NewSource(7))
+	sk, ek := tfhe.GenerateKeys(rng, tfhe.ParamsTest)
 	serial := tfhe.NewEvaluator(ek)
 
-	for _, op := range []GateOp{NAND, AND, OR, NOR, XOR, XNOR} {
-		got, err := eng.BatchGate(op, cts[:4], cts[4:])
-		if err != nil {
-			t.Fatal(err)
+	bits, ints := make([]tfhe.LWECiphertext, batch), make([]tfhe.LWECiphertext, batch)
+	for i := range bits {
+		bits[i] = sk.EncryptBool(rng, rng.Intn(2) == 1)
+		ints[i] = sk.LWE.Encrypt(rng, tfhe.EncodePBSMessage(rng.Intn(space), space), tfhe.ParamsTest.LWEStdDev)
+	}
+	tv := tfhe.NewGLWECiphertext(tfhe.ParamsTest.K, tfhe.ParamsTest.N)
+	for j := range tv.Body().Coeffs {
+		tv.Body().Coeffs[j] = uint32(j) << 19
+	}
+	table := rng.Perm(space)
+	lut := func(m int) int { return table[m] }
+
+	// One gate of every kind, NOT among them. Where the op is NOT, b[i] is
+	// a zero-value placeholder the engines must never look at.
+	gates := []GateOp{NAND, AND, OR, NOT, NOR, XOR, XNOR, NOT, AND, XOR}
+	b := make([]tfhe.LWECiphertext, batch)
+	for i, g := range gates {
+		if g != NOT {
+			b[i] = bits[(i+3)%batch]
 		}
-		for i := 0; i < 4; i++ {
-			want := seqGate(serial, op, cts[i], cts[4+i])
-			if !ctEqual(got[i], want) {
-				t.Fatalf("%s output %d differs from the serial evaluator", op, i)
-			}
-			if dec := sk.DecryptBool(got[i]); dec != op.Eval(pts[i], pts[4+i]) {
-				t.Fatalf("%s output %d decrypts to %v, want %v", op, i, dec, op.Eval(pts[i], pts[4+i]))
-			}
+	}
+
+	// one wraps a single-output result in the per-item shape MultiLUT has.
+	one := func(cts []tfhe.LWECiphertext, err error) ([][]tfhe.LWECiphertext, error) {
+		out := make([][]tfhe.LWECiphertext, len(cts))
+		for i, ct := range cts {
+			out[i] = []tfhe.LWECiphertext{ct}
+		}
+		return out, err
+	}
+	multi := func(k int) func(o *Ops) ([][]tfhe.LWECiphertext, error) {
+		return func(o *Ops) ([][]tfhe.LWECiphertext, error) { return o.MultiLUT(ints, space, multiTables(space, k)) }
+	}
+	cases := []struct {
+		name string
+		run  func(o *Ops) ([][]tfhe.LWECiphertext, error)
+		seq  func(i int) []tfhe.LWECiphertext // the sequential evaluator on item i
+	}{
+		{"Bootstrap",
+			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.Bootstrap(bits, tv), nil) },
+			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.Bootstrap(bits[i], tv)} }},
+		{"LUT",
+			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.LUT(ints, space, lut), nil) },
+			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.EvalLUTKS(ints[i], space, lut)} }},
+		{"MultiLUT-k1", multi(1),
+			func(i int) []tfhe.LWECiphertext { return serial.EvalMultiLUTKS(ints[i], space, multiTables(space, 1)) }},
+		{"MultiLUT-k3", multi(3),
+			func(i int) []tfhe.LWECiphertext { return serial.EvalMultiLUTKS(ints[i], space, multiTables(space, 3)) }},
+		{"Gates-mixed",
+			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.Gates(gates, bits, b)) },
+			func(i int) []tfhe.LWECiphertext {
+				return []tfhe.LWECiphertext{seqGate(serial, gates[i], bits[i], b[i])}
+			}},
+		{"Gates-NOT-nil-b",
+			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.Gates(NOT.Repeat(batch), bits, nil)) },
+			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.NOT(bits[i])} }},
+	}
+	want := make([][][]tfhe.LWECiphertext, len(cases))
+	for c, tc := range cases {
+		want[c] = make([][]tfhe.LWECiphertext, batch)
+		for i := range want[c] {
+			want[c][i] = tc.seq(i)
+		}
+	}
+
+	type executor struct {
+		name string
+		ops  *Ops
+	}
+	var executors []executor
+	for _, w := range []int{1, 3, 8} {
+		executors = append(executors, executor{fmt.Sprintf("batch/workers=%d", w), &New(ek, Config{Workers: w}).Ops})
+	}
+	for _, cfg := range []StreamConfig{{RotateWorkers: 1, KSWorkers: 1}, {RotateWorkers: 3, KSWorkers: 2}, {RotateWorkers: 8, KSWorkers: 3}} {
+		executors = append(executors, executor{fmt.Sprintf("streaming/rot=%d_ks=%d", cfg.RotateWorkers, cfg.KSWorkers), &NewStreaming(ek, cfg).Ops})
+	}
+	for _, ex := range executors {
+		for c, tc := range cases {
+			t.Run(ex.name+"/"+tc.name, func(t *testing.T) {
+				got, err := tc.run(ex.ops)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != batch {
+					t.Fatalf("%d outputs for %d items", len(got), batch)
+				}
+				for i := range got {
+					if len(got[i]) != len(want[c][i]) {
+						t.Fatalf("item %d has %d outputs, want %d", i, len(got[i]), len(want[c][i]))
+					}
+					for j := range got[i] {
+						if !ctEqual(got[i][j], want[c][i][j]) {
+							t.Fatalf("output [%d][%d] differs bitwise from the sequential evaluator", i, j)
+						}
+					}
+				}
+			})
 		}
 	}
 }
@@ -123,71 +211,17 @@ func TestCounters(t *testing.T) {
 		t.Fatalf("SampleExtracts = %d, want 8", c.SampleExtracts)
 	}
 
-	out := eng.BatchBootstrap(cts, tfhe.NewGLWECiphertext(tfhe.ParamsTest.K, tfhe.ParamsTest.N))
+	out := eng.Bootstrap(cts, tfhe.NewGLWECiphertext(tfhe.ParamsTest.K, tfhe.ParamsTest.N))
 	if len(out) != 16 {
-		t.Fatalf("BatchBootstrap returned %d outputs", len(out))
+		t.Fatalf("Bootstrap returned %d outputs", len(out))
 	}
 	if c = eng.Counters(); c.PBSCount != 24 {
 		t.Fatalf("PBSCount = %d, want 24", c.PBSCount)
-	}
-	if eng.Batches() != 2 {
-		t.Fatalf("Batches = %d, want 2", eng.Batches())
 	}
 
 	eng.ResetCounters()
 	if c = eng.Counters(); c != (tfhe.OpCounters{}) {
 		t.Fatalf("counters not zero after reset: %+v", c)
-	}
-}
-
-// TestEvalCircuit runs a dependency-free level (a 1-bit full adder's first
-// level plus assorted gates) and checks every output against plaintext
-// logic.
-func TestEvalCircuit(t *testing.T) {
-	sk, ek, cts, pts := testSetup(t, 11, 6)
-	eng := New(ek, Config{Workers: 3})
-
-	gates := []Gate{
-		{Op: XOR, A: 0, B: 1},
-		{Op: AND, A: 0, B: 1},
-		{Op: OR, A: 2, B: 3},
-		{Op: NAND, A: 4, B: 5},
-		{Op: NOT, A: 2},
-		{Op: XNOR, A: 1, B: 4},
-	}
-	out, err := eng.EvalCircuit(cts, gates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(gates) {
-		t.Fatalf("EvalCircuit returned %d outputs for %d gates", len(out), len(gates))
-	}
-	for i, g := range gates {
-		var want bool
-		if g.Op == NOT {
-			want = g.Op.Eval(pts[g.A], false)
-		} else {
-			want = g.Op.Eval(pts[g.A], pts[g.B])
-		}
-		if got := sk.DecryptBool(out[i]); got != want {
-			t.Fatalf("gate %d (%s %d,%d) decrypts to %v, want %v", i, g.Op, g.A, g.B, got, want)
-		}
-	}
-
-	// Level-by-level: feed outputs back as the next level's inputs
-	// (sum/carry of the full adder).
-	lvl2 := []Gate{{Op: XOR, A: 0, B: 2}, {Op: AND, A: 0, B: 2}}
-	out2, err := eng.EvalCircuit(out, lvl2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s0 := pts[0] != pts[1]
-	cin := pts[2] || pts[3]
-	if got := sk.DecryptBool(out2[0]); got != (s0 != cin) {
-		t.Fatalf("level-2 sum decrypts to %v, want %v", got, s0 != cin)
-	}
-	if got := sk.DecryptBool(out2[1]); got != (s0 && cin) {
-		t.Fatalf("level-2 carry decrypts to %v, want %v", got, s0 && cin)
 	}
 }
 
@@ -202,15 +236,6 @@ func TestValidation(t *testing.T) {
 	if _, err := eng.BatchGate(GateOp(99), cts[:2], cts[:2]); err == nil {
 		t.Fatal("BatchGate accepted an unknown op")
 	}
-	if _, err := eng.EvalCircuit(cts, []Gate{{Op: AND, A: 0, B: 7}}); err == nil {
-		t.Fatal("EvalCircuit accepted an out-of-range wire index")
-	}
-	if _, err := eng.EvalCircuit(cts, []Gate{{Op: AND, A: -1, B: 0}}); err == nil {
-		t.Fatal("EvalCircuit accepted a negative wire index")
-	}
-	if _, err := eng.EvalCircuit(cts, []Gate{{Op: GateOp(99), A: 0, B: 1}}); err == nil {
-		t.Fatal("EvalCircuit accepted an unknown op")
-	}
 	if _, err := ParseGate("FROB"); err == nil {
 		t.Fatal("ParseGate accepted an unknown mnemonic")
 	}
@@ -222,58 +247,41 @@ func TestValidation(t *testing.T) {
 	if out, err := eng.BatchGate(OR, nil, nil); err != nil || len(out) != 0 {
 		t.Fatalf("empty BatchGate: %v, %v", out, err)
 	}
-	if out := eng.BatchKeySwitch(nil); len(out) != 0 {
-		t.Fatalf("empty BatchKeySwitch returned %d outputs", len(out))
+	if out := eng.Bootstrap(nil, tfhe.NewGLWECiphertext(tfhe.ParamsTest.K, tfhe.ParamsTest.N)); len(out) != 0 {
+		t.Fatalf("empty Bootstrap returned %d outputs", len(out))
 	}
 }
 
 // TestDimensionPanics checks that wrong-dimension inputs are rejected
 // up front, from the caller's goroutine — recoverable, instead of an
-// unrecoverable panic inside a worker.
+// unrecoverable panic inside a worker — by every operation, on both
+// executors.
 func TestDimensionPanics(t *testing.T) {
 	_, ek, cts, _ := testSetup(t, 13, 4)
-	eng := New(ek, Config{Workers: 2})
-	big := eng.BatchBootstrap(cts, tfhe.NewGLWECiphertext(tfhe.ParamsTest.K, tfhe.ParamsTest.N))
+	tv := tfhe.NewGLWECiphertext(tfhe.ParamsTest.K, tfhe.ParamsTest.N)
+	for name, o := range map[string]*Ops{
+		"batch":     &New(ek, Config{Workers: 2}).Ops,
+		"streaming": &NewStreaming(ek, StreamConfig{RotateWorkers: 2}).Ops,
+	} {
+		big := o.Bootstrap(cts, tv)
+		mustPanic := func(api string, f func()) {
+			t.Helper()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: %s accepted wrong-dimension ciphertexts", name, api)
+				}
+			}()
+			f()
+		}
+		mustPanic("Bootstrap", func() { o.Bootstrap(big, tv) })
+		mustPanic("LUT", func() { o.LUT(big, 8, func(x int) int { return x }) })
+		mustPanic("MultiLUT", func() { _, _ = o.MultiLUT(big, 4, multiTables(4, 2)) })
+		mustPanic("Gates a", func() { _, _ = o.Gates([]GateOp{AND, AND}, big[:2], cts[2:]) })
+		mustPanic("Gates b", func() { _, _ = o.Gates([]GateOp{NOT, AND}, cts[:2], big[2:]) })
 
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s accepted wrong-dimension ciphertexts", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("BatchBootstrap", func() { eng.BatchBootstrap(big, tfhe.NewGLWECiphertext(tfhe.ParamsTest.K, tfhe.ParamsTest.N)) })
-	mustPanic("BatchKeySwitch", func() { eng.BatchKeySwitch(cts) })
-	mustPanic("BatchEvalLUT", func() { eng.BatchEvalLUT(big, 8, func(x int) int { return x }) })
-	mustPanic("BatchGate", func() { eng.BatchGate(AND, big[:2], big[2:]) })
-	mustPanic("EvalCircuit", func() { eng.EvalCircuit(big, []Gate{{Op: AND, A: 0, B: 1}}) })
-
-	// The engine must still be usable after a recovered panic.
-	if out := eng.BatchKeySwitch(big); len(out) != len(big) {
-		t.Fatalf("engine unusable after recovered panic: %d outputs", len(out))
-	}
-}
-
-// TestBatchEvalLUT checks the PBS+KS pipeline over an integer batch.
-func TestBatchEvalLUT(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	sk, ek := tfhe.GenerateKeys(rng, tfhe.ParamsTest)
-	eng := New(ek, Config{Workers: 4})
-
-	const space = 8
-	msgs := make([]int, 12)
-	cts := make([]tfhe.LWECiphertext, len(msgs))
-	for i := range cts {
-		msgs[i] = rng.Intn(space)
-		cts[i] = sk.LWE.Encrypt(rng, tfhe.EncodePBSMessage(msgs[i], space), tfhe.ParamsTest.LWEStdDev)
-	}
-	sq := func(x int) int { return (x * x) % space }
-	out := eng.BatchEvalLUT(cts, space, sq)
-	for i := range out {
-		if got := tfhe.DecodePBSMessage(sk.LWE.Phase(out[i]), space); got != sq(msgs[i]) {
-			t.Fatalf("LUT output %d = %d, want %d", i, got, sq(msgs[i]))
+		// The engine must still be usable after a recovered panic.
+		if out, err := o.Gates([]GateOp{NAND, NOT}, cts[:2], cts[2:]); err != nil || len(out) != 2 {
+			t.Fatalf("%s: engine unusable after recovered panic: %v, %v", name, out, err)
 		}
 	}
 }

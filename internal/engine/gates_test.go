@@ -34,8 +34,9 @@ func seqGate(ev *tfhe.Evaluator, op GateOp, a, b tfhe.LWECiphertext) tfhe.LWECip
 // TestMixedOpBatchesMatchSequential is the per-item-op property: a batch
 // whose items each carry their own op (NOT included) comes back bitwise
 // equal to the sequential evaluator from both engines, at one to four
-// workers. Runs under -race (make race): ops, a and b are read by every
-// worker of the batch.
+// workers. Where the op is NOT, b[i] is a zero-value placeholder: a NOT
+// lane has no second operand to validate or read. Runs under -race (make
+// race): ops, a and b are read by every worker of the batch.
 func TestMixedOpBatchesMatchSequential(t *testing.T) {
 	_, ek, cts, _ := testSetup(t, 57, 16)
 	serial := tfhe.NewEvaluator(ek)
@@ -52,10 +53,13 @@ func TestMixedOpBatchesMatchSequential(t *testing.T) {
 			for i := range ops {
 				ops[i] = GateOp(rng.Intn(len(gateNames)))
 				a[i], b[i] = cts[rng.Intn(len(cts))], cts[rng.Intn(len(cts))]
+				if ops[i] == NOT {
+					b[i] = tfhe.LWECiphertext{}
+				}
 				want[i] = seqGate(serial, ops[i], a[i], b[i])
 			}
 			for name, run := range map[string]func([]GateOp, []tfhe.LWECiphertext, []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error){
-				"BatchGates": flat.BatchGates, "StreamGates": stream.StreamGates,
+				"batch": flat.Gates, "streaming": stream.Gates,
 			} {
 				got, err := run(ops, a, b)
 				if err != nil {
@@ -82,7 +86,7 @@ func TestGatesRejectsBadOperands(t *testing.T) {
 	flat := New(ek, Config{Workers: 1})
 	stream := NewStreaming(ek, StreamConfig{RotateWorkers: 1})
 	for name, run := range map[string]func([]GateOp, []tfhe.LWECiphertext, []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error){
-		"BatchGates": flat.BatchGates, "StreamGates": stream.StreamGates,
+		"batch": flat.Gates, "streaming": stream.Gates,
 	} {
 		if _, err := run([]GateOp{AND}, cts[:2], cts[2:]); err == nil {
 			t.Errorf("%s: 1 op for 2 items accepted", name)

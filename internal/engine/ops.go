@@ -1,0 +1,186 @@
+package engine
+
+import (
+	"fmt"
+	"sync"
+
+	"repro/internal/tfhe"
+)
+
+// op is one batched PBS operation, described as data. Every operation the
+// engines run is this shape, and an executor needs to know nothing else.
+type op struct {
+	// n is the number of items.
+	n int
+	// testVec is the test vector the whole batch bootstraps against,
+	// read-only and shared by every worker.
+	testVec tfhe.GLWECiphertext
+	// prepare is the per-item linear stage: it returns the LWE input to
+	// bootstrap for item i. done=true finishes the item with ct as its
+	// single output and no PBS (the free NOT gate).
+	prepare func(ev *tfhe.Evaluator, i int) (ct tfhe.LWECiphertext, done bool)
+	// extract fans one rotated accumulator out into the item's big-key
+	// outputs: one for a plain PBS, k for a multi-value one.
+	extract func(ev *tfhe.Evaluator, acc tfhe.GLWECiphertext) []tfhe.LWECiphertext
+	// keyswitch brings every extracted output back to dimension n.
+	keyswitch bool
+}
+
+// Ops is the operation vocabulary of both engines: Gates, LUT, MultiLUT
+// and Bootstrap are defined here once, as op descriptions, and Engine and
+// StreamingEngine each embed Ops over their own executor. It validates
+// operands in the caller's goroutine, so every failure is an error or a
+// recoverable panic and never a panic inside a worker, and serializes
+// operations, so its methods are safe for concurrent use.
+type Ops struct {
+	mu     sync.Mutex
+	params tfhe.Params
+	// evals is every evaluator the executor owns, for counter aggregation;
+	// evals[0] also encodes test vectors.
+	evals  []*tfhe.Evaluator
+	signTV tfhe.GLWECiphertext // shared read-only by every gate bootstrap
+	// exec runs one operation and returns each item's outputs in input
+	// order. It is called with mu held.
+	exec func(op) [][]tfhe.LWECiphertext
+}
+
+// newOps binds the vocabulary to an executor and the evaluators it owns.
+func newOps(params tfhe.Params, evals []*tfhe.Evaluator, exec func(op) [][]tfhe.LWECiphertext) Ops {
+	// The sign test vector is a constant of the parameter set: encode it
+	// once, not once per gate.
+	return Ops{params: params, evals: evals, signTV: evals[0].SignTestVector(), exec: exec}
+}
+
+// Counters returns the operation counters aggregated across every worker
+// since construction (or the last ResetCounters).
+func (o *Ops) Counters() tfhe.OpCounters {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	var total tfhe.OpCounters
+	for _, ev := range o.evals {
+		total.Add(ev.Counters)
+	}
+	return total
+}
+
+// ResetCounters zeroes every worker's counters.
+func (o *Ops) ResetCounters() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, ev := range o.evals {
+		ev.Counters.Reset()
+	}
+}
+
+// run executes one operation; out[i] is item i's outputs.
+func (o *Ops) run(p op) [][]tfhe.LWECiphertext {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.exec(p)
+}
+
+// runOne is run for the single-output operations: it supplies the plain
+// one-extraction fan-out and flattens the result to one ciphertext per
+// item.
+func (o *Ops) runOne(p op) []tfhe.LWECiphertext {
+	p.extract = func(ev *tfhe.Evaluator, acc tfhe.GLWECiphertext) []tfhe.LWECiphertext {
+		return []tfhe.LWECiphertext{ev.Extract(acc)}
+	}
+	out := make([]tfhe.LWECiphertext, p.n)
+	for i, outs := range o.run(p) {
+		out[i] = outs[0]
+	}
+	return out
+}
+
+// checkDim panics (from the caller's goroutine, so it is recoverable and
+// carries the item index) unless ciphertext i of an operation has the
+// small LWE dimension n. The underlying tfhe evaluator panics on dimension
+// mismatch too, but from inside a worker goroutine, which would abort the
+// whole process.
+func (o *Ops) checkDim(api string, i int, ct tfhe.LWECiphertext) {
+	if got, want := ct.N(), o.params.SmallN; got != want {
+		panic(fmt.Sprintf("engine: %s: ciphertext %d has LWE dimension %d, want %d", api, i, got, want))
+	}
+}
+
+// checkDims is checkDim over a whole operand list.
+func (o *Ops) checkDims(api string, cts []tfhe.LWECiphertext) {
+	for i, ct := range cts {
+		o.checkDim(api, i, ct)
+	}
+}
+
+// Gates applies one gate per item: out[i] = ops[i](a[i], b[i]), each the
+// full PBS + keyswitch. The ops may differ freely: every binary gate
+// bootstraps against the same sign test vector, and the op only selects
+// the linear stage in front of it. Where ops[i] is the unary NOT, b[i] is
+// unused and may be a zero-value placeholder; b may be nil when every op
+// is NOT.
+func (o *Ops) Gates(ops []GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
+	if len(ops) != len(a) || (b != nil && len(b) != len(a)) {
+		return nil, fmt.Errorf("engine: Gates: length mismatch: %d ops over %d and %d operands", len(ops), len(a), len(b))
+	}
+	for i, g := range ops {
+		if g < 0 || int(g) >= len(gateNames) {
+			return nil, fmt.Errorf("engine: Gates: item %d: unknown gate %d", i, int(g))
+		}
+		if g != NOT && b == nil {
+			return nil, fmt.Errorf("engine: Gates: item %d: %s takes two operands, got no b", i, g)
+		}
+	}
+	o.checkDims("Gates", a)
+	for i, g := range ops {
+		if g != NOT {
+			o.checkDim("Gates", i, b[i])
+		}
+	}
+	return o.runOne(op{n: len(ops), testVec: o.signTV, keyswitch: true,
+		prepare: func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
+			return gateInput(ev, ops[i], a, b, i)
+		}}), nil
+}
+
+// LUT applies the lookup table f (on {0..space-1}) to every ciphertext:
+// the table is encoded once and shared by the whole batch, and each item
+// is shift → PBS → keyswitch, the full §IV-C pipeline. Dimension-n outputs
+// return in input order.
+func (o *Ops) LUT(cts []tfhe.LWECiphertext, space int, f func(int) int) []tfhe.LWECiphertext {
+	o.checkDims("LUT", cts)
+	return o.runOne(op{n: len(cts), testVec: o.evals[0].LUTTestVector(space, f), keyswitch: true,
+		prepare: func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
+			return ev.ShiftForLUT(cts[i], space), false
+		}})
+}
+
+// MultiLUT applies k lookup tables to every ciphertext with one blind
+// rotation per item: the packed test vector is encoded once and shared by
+// the whole batch, and each rotated accumulator fans out into k sample
+// extractions and keyswitches. out[i][j] is table j applied to cts[i], at
+// dimension n.
+func (o *Ops) MultiLUT(cts []tfhe.LWECiphertext, space int, fs []func(int) int) ([][]tfhe.LWECiphertext, error) {
+	k := len(fs)
+	if err := o.params.ValidateMultiLUT(space, k); err != nil {
+		return nil, err
+	}
+	o.checkDims("MultiLUT", cts)
+	offsets := o.params.MultiLUTOffsets(space, k)
+	return o.run(op{n: len(cts), testVec: o.evals[0].NewMultiLUTTestVector(space, fs), keyswitch: true,
+		prepare: func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
+			return ev.ShiftForMultiLUT(cts[i], space, k), false
+		},
+		extract: func(ev *tfhe.Evaluator, acc tfhe.GLWECiphertext) []tfhe.LWECiphertext {
+			return ev.ExtractMulti(acc, offsets)
+		}}), nil
+}
+
+// Bootstrap runs the raw programmable bootstrap (Algorithm 1) on every
+// ciphertext against the shared test vector, with no keyswitch: big-key
+// (k·N) outputs return in input order.
+func (o *Ops) Bootstrap(cts []tfhe.LWECiphertext, testVec tfhe.GLWECiphertext) []tfhe.LWECiphertext {
+	o.checkDims("Bootstrap", cts)
+	return o.runOne(op{n: len(cts), testVec: testVec,
+		prepare: func(_ *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
+			return cts[i], false
+		}})
+}

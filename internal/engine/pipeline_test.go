@@ -74,7 +74,7 @@ func TestStreamGateMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestStreamLUTMatchesSequential pins StreamLUT to the sequential
+// TestStreamLUTMatchesSequential pins the pipeline's LUT to the sequential
 // EvalLUTKS (§IV-C pipeline) bitwise, across random lookup tables and
 // messages, for every stage/worker configuration.
 func TestStreamLUTMatchesSequential(t *testing.T) {
@@ -105,7 +105,7 @@ func TestStreamLUTMatchesSequential(t *testing.T) {
 		}
 		for _, cfg := range streamConfigs() {
 			s := NewStreaming(ek, cfg)
-			got := s.StreamLUT(cts, space, f)
+			got := s.LUT(cts, space, f)
 			for i := range got {
 				if !ctEqual(got[i], want[i]) {
 					t.Fatalf("round %d cfg %+v: LUT output %d differs bitwise from EvalLUTKS", round, cfg, i)
@@ -113,32 +113,6 @@ func TestStreamLUTMatchesSequential(t *testing.T) {
 				if dec := tfhe.DecodePBSMessage(sk.LWE.Phase(got[i]), space); dec != f(msgs[i]) {
 					t.Fatalf("LUT output %d decrypts to %d, want %d", i, dec, f(msgs[i]))
 				}
-			}
-		}
-	}
-}
-
-// TestStreamBootstrapMatchesSequential pins the raw streamed PBS (no
-// keyswitch) to the sequential Bootstrap bitwise, sharing one test vector
-// across the stream.
-func TestStreamBootstrapMatchesSequential(t *testing.T) {
-	_, ek, cts, _ := testSetup(t, 35, 12)
-	serial := tfhe.NewEvaluator(ek)
-
-	tv := tfhe.NewGLWECiphertext(tfhe.ParamsTest.K, tfhe.ParamsTest.N)
-	for j := range tv.Body().Coeffs {
-		tv.Body().Coeffs[j] = uint32(j) << 19
-	}
-	want := make([]tfhe.LWECiphertext, len(cts))
-	for i := range want {
-		want[i] = serial.Bootstrap(cts[i], tv)
-	}
-	for _, cfg := range streamConfigs() {
-		s := NewStreaming(ek, cfg)
-		got := s.StreamBootstrap(cts, tv)
-		for i := range got {
-			if !ctEqual(got[i], want[i]) {
-				t.Fatalf("cfg %+v: bootstrap output %d differs bitwise from sequential", cfg, i)
 			}
 		}
 	}
@@ -194,9 +168,6 @@ func TestStreamCounters(t *testing.T) {
 	if c.PBSCount != 4 || c.KSCount != 4 {
 		t.Fatalf("NOT performed a bootstrap: PBS=%d KS=%d", c.PBSCount, c.KSCount)
 	}
-	if s.Streams() != 2 {
-		t.Fatalf("Streams = %d, want 2", s.Streams())
-	}
 
 	s.ResetCounters()
 	if c = s.Counters(); c != (tfhe.OpCounters{}) {
@@ -221,27 +192,11 @@ func TestStreamValidation(t *testing.T) {
 	if out, err := s.StreamGate(OR, nil, nil); err != nil || len(out) != 0 {
 		t.Fatalf("empty StreamGate: %v, %v", out, err)
 	}
-	if out := s.StreamLUT(nil, 8, func(x int) int { return x }); len(out) != 0 {
-		t.Fatalf("empty StreamLUT returned %d outputs", len(out))
+	if out := s.LUT(nil, 8, func(x int) int { return x }); len(out) != 0 {
+		t.Fatalf("empty LUT stream returned %d outputs", len(out))
 	}
-
-	big := s.StreamBootstrap(cts, tfhe.NewGLWECiphertext(tfhe.ParamsTest.K, tfhe.ParamsTest.N))
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s accepted wrong-dimension ciphertexts", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("StreamBootstrap", func() { s.StreamBootstrap(big, tfhe.NewGLWECiphertext(tfhe.ParamsTest.K, tfhe.ParamsTest.N)) })
-	mustPanic("StreamLUT", func() { s.StreamLUT(big, 8, func(x int) int { return x }) })
-	mustPanic("StreamGate", func() { s.StreamGate(AND, big[:2], big[2:]) })
-
-	// The engine must still be usable after a recovered panic.
-	if out, err := s.StreamGate(NAND, cts[:2], cts[2:]); err != nil || len(out) != 2 {
-		t.Fatalf("engine unusable after recovered panic: %v, %v", out, err)
+	if out, err := s.MultiLUT(nil, 4, multiTables(4, 2)); err != nil || len(out) != 0 {
+		t.Fatalf("empty MultiLUT stream: %v, %v", out, err)
 	}
 }
 

@@ -27,58 +27,61 @@ type Config struct {
 	// ProbeInterval is the period between /v1/healthz probe rounds
 	// (default 1s).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe request (default 2s).
-	ProbeTimeout time.Duration
-	// FailThreshold ejects a backend after this many consecutive failed
-	// probes or forwards (default 3).
-	FailThreshold int
-	// RecoverThreshold re-admits an ejected backend after this many
-	// consecutive successful probes (default 2).
-	RecoverThreshold int
 
 	// MaxInflight caps concurrently forwarded eval/register requests
 	// across the whole cluster (default 256). Observability endpoints
 	// are exempt.
 	MaxInflight int
-	// AdmitTimeout is how long a request waits for an inflight slot
-	// before the router refuses it as overloaded (default 2s).
-	AdmitTimeout time.Duration
 
 	// MaxRetries re-forwards an idempotent request that failed
 	// temporarily — connection error or 503 — up to this many times
 	// (default 3). Batch evaluation is idempotent, so replays are safe.
 	MaxRetries int
-	// RetryBase seeds the jittered exponential backoff between forward
-	// attempts (default 50ms).
-	RetryBase time.Duration
+
+	// The rest are constants to every caller outside this package; its
+	// tests shorten them so ejection, re-admission and backoff take
+	// milliseconds. Zero means the constant.
+
+	// failThreshold ejects a backend after this many consecutive failed
+	// probes or forwards (3).
+	failThreshold int
+	// recoverThreshold re-admits an ejected backend after this many
+	// consecutive successful probes (2).
+	recoverThreshold int
+	// admitTimeout is how long a request waits for an inflight slot
+	// before the router refuses it as overloaded (2s).
+	admitTimeout time.Duration
+	// retryBase seeds the jittered exponential backoff between forward
+	// attempts (50ms).
+	retryBase time.Duration
 }
+
+// probeTimeout bounds one probe request.
+const probeTimeout = 2 * time.Second
 
 func (cfg *Config) applyDefaults() {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 3
-	}
-	if cfg.RecoverThreshold <= 0 {
-		cfg.RecoverThreshold = 2
-	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 256
-	}
-	if cfg.AdmitTimeout <= 0 {
-		cfg.AdmitTimeout = 2 * time.Second
 	}
 	if cfg.MaxRetries < 0 {
 		cfg.MaxRetries = 0
 	} else if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = 3
 	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 50 * time.Millisecond
+	if cfg.failThreshold == 0 {
+		cfg.failThreshold = 3
+	}
+	if cfg.recoverThreshold == 0 {
+		cfg.recoverThreshold = 2
+	}
+	if cfg.admitTimeout == 0 {
+		cfg.admitTimeout = 2 * time.Second
+	}
+	if cfg.retryBase == 0 {
+		cfg.retryBase = 50 * time.Millisecond
 	}
 }
 
@@ -121,11 +124,11 @@ func New(cfg Config) (*Router, error) {
 		cfg:   cfg,
 		pool:  newPool(urls),
 		hc:    &http.Client{},
-		probe: &http.Client{Timeout: cfg.ProbeTimeout},
+		probe: &http.Client{Timeout: probeTimeout},
 		admit: make(chan struct{}, cfg.MaxInflight),
 		stop:  make(chan struct{}),
 	}
-	go r.pool.probeLoop(r.probe, cfg.ProbeInterval, cfg.FailThreshold, cfg.RecoverThreshold, r.stop)
+	go r.pool.probeLoop(r.probe, cfg.ProbeInterval, cfg.failThreshold, cfg.recoverThreshold, r.stop)
 	return r, nil
 }
 
@@ -222,7 +225,7 @@ func writeRouterError(w http.ResponseWriter, status int, code, msg string) {
 
 // admitOne takes one cluster-wide inflight slot, refusing with
 // shutting_down when draining and overloaded when the cap stays full
-// past AdmitTimeout. The release func must be called exactly once.
+// past admitTimeout. The release func must be called exactly once.
 func (r *Router) admitOne(w http.ResponseWriter) (release func(), ok bool) {
 	if r.Draining() {
 		writeRouterError(w, http.StatusServiceUnavailable, server.CodeShuttingDown, "router is draining")
@@ -231,7 +234,7 @@ func (r *Router) admitOne(w http.ResponseWriter) (release func(), ok bool) {
 	select {
 	case r.admit <- struct{}{}:
 	default:
-		t := time.NewTimer(r.cfg.AdmitTimeout)
+		t := time.NewTimer(r.cfg.admitTimeout)
 		defer t.Stop()
 		select {
 		case r.admit <- struct{}{}:
@@ -414,13 +417,13 @@ func (r *Router) forward(w http.ResponseWriter, id string, out outbound) {
 					fmt.Sprintf("router: reading request body: %v", in))
 				return
 			}
-			b.noteFailure(r.cfg.FailThreshold)
+			b.noteFailure(r.cfg.failThreshold)
 			if body = out.body(); body == nil || attempt >= r.cfg.MaxRetries {
 				writeRouterError(w, http.StatusServiceUnavailable, server.CodeOverloaded,
 					fmt.Sprintf("router: backend unreachable: %v", err))
 				return
 			}
-			time.Sleep(server.Backoff(r.cfg.RetryBase, attempt))
+			time.Sleep(server.Backoff(r.cfg.retryBase, attempt))
 			continue
 		}
 		if resp.StatusCode == http.StatusServiceUnavailable {
@@ -433,10 +436,10 @@ func (r *Router) forward(w http.ResponseWriter, id string, out outbound) {
 			// backoff, floored by the node's own Retry-After.
 			refusal := readRefusal(resp)
 			if refusal.code == server.CodeShuttingDown {
-				b.noteFailure(r.cfg.FailThreshold)
+				b.noteFailure(r.cfg.failThreshold)
 			}
 			if body = out.body(); body != nil && attempt < r.cfg.MaxRetries {
-				d := server.Backoff(r.cfg.RetryBase, attempt)
+				d := server.Backoff(r.cfg.retryBase, attempt)
 				if refusal.retryAfter > d {
 					d = refusal.retryAfter
 				}
@@ -632,7 +635,7 @@ func (r *Router) handleDeleteSession(w http.ResponseWriter, req *http.Request) {
 	}
 	resp, err := r.hc.Do(delReq)
 	if err != nil {
-		b.noteFailure(r.cfg.FailThreshold)
+		b.noteFailure(r.cfg.failThreshold)
 		writeRouterError(w, http.StatusServiceUnavailable, server.CodeOverloaded,
 			fmt.Sprintf("router: backend unreachable: %v", err))
 		return

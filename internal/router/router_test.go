@@ -50,10 +50,10 @@ func fastConfig(backends ...string) Config {
 	return Config{
 		Backends:         backends,
 		ProbeInterval:    20 * time.Millisecond,
-		FailThreshold:    1,
-		RecoverThreshold: 1,
+		failThreshold:    1,
+		recoverThreshold: 1,
 		MaxRetries:       5,
-		RetryBase:        30 * time.Millisecond,
+		retryBase:        30 * time.Millisecond,
 	}
 }
 
@@ -419,7 +419,7 @@ func TestAdmissionControl(t *testing.T) {
 
 	cfg := fastConfig(slow.URL)
 	cfg.MaxInflight = 1
-	cfg.AdmitTimeout = 50 * time.Millisecond
+	cfg.admitTimeout = 50 * time.Millisecond
 	cfg.MaxRetries = 1
 	r, rts := newRouter(t, cfg)
 
@@ -519,7 +519,7 @@ func postEval(t *testing.T, url string) (int, server.ErrorResponse) {
 // TestOverloaded503NotEjected pins the health semantics of a busy node:
 // a backend answering 503 overloaded is alive and doing work, so the
 // router must retry against it and relay the refusal — but never count
-// it toward FailThreshold. Ejecting nodes exactly when the cluster is
+// it toward failThreshold. Ejecting nodes exactly when the cluster is
 // busiest would cascade their load onto the survivors.
 func TestOverloaded503NotEjected(t *testing.T) {
 	var hits atomic.Int64
@@ -527,9 +527,9 @@ func TestOverloaded503NotEjected(t *testing.T) {
 	r, rts := newRouter(t, Config{
 		Backends:      []string{ts.URL},
 		ProbeInterval: time.Hour, // no probe interference
-		FailThreshold: 1,
+		failThreshold: 1,
 		MaxRetries:    2,
-		RetryBase:     time.Millisecond,
+		retryBase:     time.Millisecond,
 	})
 
 	status, er := postEval(t, rts.URL)
@@ -546,19 +546,19 @@ func TestOverloaded503NotEjected(t *testing.T) {
 
 // TestShuttingDown503Ejects pins the complementary case: a node that
 // announces shutting_down is leaving, so its refusals do count toward
-// FailThreshold and probes gate its re-admission.
+// failThreshold and probes gate its re-admission.
 func TestShuttingDown503Ejects(t *testing.T) {
 	var hits atomic.Int64
 	ts := stub503(t, server.CodeShuttingDown, &hits)
 	r, rts := newRouter(t, Config{
 		Backends:      []string{ts.URL},
 		ProbeInterval: time.Hour,
-		FailThreshold: 1,
+		failThreshold: 1,
 		MaxRetries:    1,
-		RetryBase:     time.Millisecond,
+		retryBase:     time.Millisecond,
 	})
 
-	// The first shutting_down refusal ejects the node (FailThreshold 1);
+	// The first shutting_down refusal ejects the node (failThreshold 1);
 	// the unpinned retry then finds no healthy backend, so the router
 	// answers with its own 503.
 	status, _ := postEval(t, rts.URL)
@@ -569,7 +569,7 @@ func TestShuttingDown503Ejects(t *testing.T) {
 		t.Errorf("backend saw %d attempts, want 1 (ejected after the first)", got)
 	}
 	if r.pool.backends[0].isHealthy() {
-		t.Error("draining backend still admitted after FailThreshold refusals")
+		t.Error("draining backend still admitted after failThreshold refusals")
 	}
 }
 

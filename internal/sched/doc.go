@@ -12,7 +12,9 @@
 // vector (all of the level's binary gates together, since they share the
 // sign test vector and differ only in a free linear pre-stage; lookup
 // tables by exact table), and a cost model routes every dispatch to either
-// the flat worker-pool Engine or the staged StreamingEngine.
+// the flat worker-pool Engine or the staged StreamingEngine. Both speak
+// the one engine.Ops vocabulary, so the Runner resolves a dispatch to an
+// engine once and each dispatch kind is a single Ops call.
 // Execute then walks the schedule over any Executor — the in-process
 // Runner, or the gate service's group-commit session path.
 //

@@ -241,58 +241,44 @@ type Runner struct {
 	Stream *engine.StreamingEngine
 }
 
-// useStream resolves a dispatch's routing against the available engines.
-func (r *Runner) useStream(d Dispatch) (bool, error) {
-	if r.Stream == nil && r.Batch == nil {
-		return false, fmt.Errorf("sched: runner has no engine")
+// ops resolves a dispatch's routing against the available engines. Both
+// speak engine.Ops, so this is the only place the Runner tells them apart.
+func (r *Runner) ops(d Dispatch) (*engine.Ops, error) {
+	switch {
+	case r.Stream != nil && (d.Stream || r.Batch == nil):
+		return &r.Stream.Ops, nil
+	case r.Batch != nil:
+		return &r.Batch.Ops, nil
 	}
-	if r.Stream == nil {
-		return false, nil
-	}
-	if r.Batch == nil {
-		return true, nil
-	}
-	return d.Stream, nil
+	return nil, fmt.Errorf("sched: runner has no engine")
 }
 
 // Gate implements Executor over the engines.
 func (r *Runner) Gate(d Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	stream, err := r.useStream(d)
+	o, err := r.ops(d)
 	if err != nil {
 		return nil, err
 	}
-	if stream {
-		return r.Stream.StreamGates(d.Ops, a, b)
-	}
-	return r.Batch.BatchGates(d.Ops, a, b)
+	return o.Gates(d.Ops, a, b)
 }
 
 // LUT implements Executor over the engines.
 func (r *Runner) LUT(d Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	stream, err := r.useStream(d)
+	o, err := r.ops(d)
 	if err != nil {
 		return nil, err
 	}
-	table := d.Table
-	f := func(m int) int { return table[m] }
-	if stream {
-		return r.Stream.StreamLUT(in, d.Space, f), nil
-	}
-	return r.Batch.BatchEvalLUT(in, d.Space, f), nil
+	return o.LUT(in, d.Space, func(m int) int { return d.Table[m] }), nil
 }
 
 // MultiLUT implements Executor over the engines: one blind rotation per
 // group input, fanned out into the group's table outputs.
 func (r *Runner) MultiLUT(d Dispatch, in []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
-	stream, err := r.useStream(d)
+	o, err := r.ops(d)
 	if err != nil {
 		return nil, err
 	}
-	fs := tfhe.TableFuncs(d.Tables)
-	if stream {
-		return r.Stream.StreamMultiLUT(in, d.Space, fs)
-	}
-	return r.Batch.BatchMultiLUT(in, d.Space, fs)
+	return o.MultiLUT(in, d.Space, tfhe.TableFuncs(d.Tables))
 }
 
 // Run compiles the circuit under cfg and executes it — the one-call path

@@ -11,17 +11,17 @@ import (
 	"sync"
 
 	"repro/internal/tfhe"
-	"repro/internal/wire"
 )
 
 // DiskStore is the durable SessionStore: evaluation keys as wire-codec
-// files on disk (one .key blob plus a small .params sidecar per session,
-// both in the internal/wire encoding) fronted by the checksummed
-// write-ahead log of wal.go. Durability discipline, in commit order:
+// files on disk (one .key blob per session, in the internal/wire
+// encoding) fronted by the checksummed write-ahead log of wal.go, whose
+// records carry everything else a listing or restore needs. Durability
+// discipline, in commit order:
 //
-//  1. the key and params files are written to temp names, fsynced, and
-//     renamed into keys/ (a crash here leaves only orphan files);
-//  2. the keys/ directory is fsynced so the renames are durable;
+//  1. the key file is written to a temp name, fsynced, and renamed into
+//     keys/ (a crash here leaves only an orphan file);
+//  2. the keys/ directory is fsynced so the rename is durable;
 //  3. the WAL record referencing the key file is appended and fsynced —
 //     only now is the registration committed.
 //
@@ -123,13 +123,13 @@ func OpenDiskStore(dir string) (*DiskStore, error) {
 // Dir returns the store's root directory.
 func (s *DiskStore) Dir() string { return s.dir }
 
-// gcOrphans removes key/params files not referenced by any live manifest
-// row — leftovers of replaced registrations, crashed puts, or deletes.
+// gcOrphans removes files not referenced by any live manifest row:
+// leftovers of replaced registrations, crashed puts or deletes, and the
+// .params sidecar that older versions of the store wrote beside each key.
 func (s *DiskStore) gcOrphans(keysDir string) {
-	live := make(map[string]bool, 2*len(s.entries))
+	live := make(map[string]bool, len(s.entries))
 	for _, e := range s.entries {
 		live[e.file] = true
-		live[paramsFileFor(e.file)] = true
 	}
 	names, err := os.ReadDir(keysDir)
 	if err != nil {
@@ -145,17 +145,12 @@ func (s *DiskStore) gcOrphans(keysDir string) {
 // keyFileFor returns the key blob file name for a sequence number.
 func keyFileFor(seq uint32) string { return fmt.Sprintf("s%08d.key", seq) }
 
-// paramsFileFor returns the params sidecar name for a key file name.
-func paramsFileFor(keyFile string) string {
-	return keyFile[:len(keyFile)-len(".key")] + ".params"
-}
-
 // Put implements SessionStore: key file first, WAL record second, so a
 // crash between the two leaves an orphan file (collected on next open),
 // never a committed record pointing at missing bytes. The key streams into
 // a temp file and is fsynced outside the lock — that is the 49 MB part —
 // so listings, restores and other uploads proceed meanwhile; the lock
-// covers only the commit: sequence number, renames, directory sync, WAL
+// covers only the commit: sequence number, rename, directory sync, WAL
 // append. A Put that fails at any step leaves no temp file and no record.
 func (s *DiskStore) Put(clientID string, size int64, fill func(w io.Writer) (tfhe.Params, error)) error {
 	keysDir := filepath.Join(s.dir, keysDirName)
@@ -176,18 +171,6 @@ func (s *DiskStore) Put(clientID string, size int64, fill func(w io.Writer) (tfh
 		return err
 	}
 	defer os.Remove(keyTmp) // a no-op once renamed
-	paramsBlob, err := wire.MarshalParams(p)
-	if err != nil {
-		return fmt.Errorf("server: persist params for %q: %w", clientID, err)
-	}
-	paramsTmp, err := writeTempSync(keysDir, func(f *os.File) error {
-		_, err := f.Write(paramsBlob)
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("server: persist params for %q: %w", clientID, err)
-	}
-	defer os.Remove(paramsTmp)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -207,9 +190,6 @@ func (s *DiskStore) Put(clientID string, size int64, fill func(w io.Writer) (tfh
 	if err := os.Rename(keyTmp, filepath.Join(keysDir, rec.File)); err != nil {
 		return fmt.Errorf("server: persist key for %q: %w", clientID, err)
 	}
-	if err := os.Rename(paramsTmp, filepath.Join(keysDir, paramsFileFor(rec.File))); err != nil {
-		return fmt.Errorf("server: persist params for %q: %w", clientID, err)
-	}
 	if err := syncDir(keysDir); err != nil {
 		return fmt.Errorf("server: sync key dir: %w", err)
 	}
@@ -218,9 +198,8 @@ func (s *DiskStore) Put(clientID string, size int64, fill func(w io.Writer) (tfh
 	}
 
 	if old, ok := s.entries[clientID]; ok && old.file != rec.File {
-		// The replacement is committed; the old files are now orphans.
+		// The replacement is committed; the old file is now an orphan.
 		_ = os.Remove(filepath.Join(keysDir, old.file))
-		_ = os.Remove(filepath.Join(keysDir, paramsFileFor(old.file)))
 	}
 	s.entries[clientID] = diskEntry{file: rec.File, params: rec.Params, keyBytes: rec.KeyBytes, keyCRC: rec.KeyCRC}
 	return nil
@@ -305,9 +284,7 @@ func (s *DiskStore) Delete(clientID string) (bool, error) {
 		return false, err
 	}
 	delete(s.entries, clientID)
-	keysDir := filepath.Join(s.dir, keysDirName)
-	_ = os.Remove(filepath.Join(keysDir, e.file))
-	_ = os.Remove(filepath.Join(keysDir, paramsFileFor(e.file)))
+	_ = os.Remove(filepath.Join(s.dir, keysDirName, e.file))
 	return true, nil
 }
 

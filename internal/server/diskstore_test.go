@@ -131,18 +131,18 @@ func TestDiskStoreReopen(t *testing.T) {
 	if _, err := getBlob(r, "bob"); !errors.Is(err, ErrNotPersisted) {
 		t.Errorf("tombstoned bob after reopen: %v, want ErrNotPersisted", err)
 	}
-	// A replacement and a delete leave exactly one live key (+ params
-	// sidecar) after orphan GC.
+	// A replacement and a delete leave exactly one live key after orphan
+	// GC.
 	names, err := os.ReadDir(filepath.Join(dir, keysDirName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 2 {
+	if len(names) != 1 || filepath.Ext(names[0].Name()) != ".key" {
 		var ls []string
 		for _, de := range names {
 			ls = append(ls, de.Name())
 		}
-		t.Errorf("keys/ after reopen has %v, want exactly one .key + one .params", ls)
+		t.Errorf("keys/ after reopen has %v, want exactly one .key", ls)
 	}
 }
 
@@ -283,7 +283,9 @@ func TestDiskStoreMissingKeyFile(t *testing.T) {
 }
 
 // TestDiskStoreOrphanGC proves unreferenced files in keys/ are collected
-// on open (crashed puts leave exactly such orphans).
+// on open: the orphan a crashed put leaves, and the .params sidecar older
+// versions of the store kept beside a live key. Such a directory still
+// opens, and its sessions list and restore from the WAL record alone.
 func TestDiskStoreOrphanGC(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenDiskStore(dir)
@@ -297,20 +299,27 @@ func TestDiskStoreOrphanGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	keysDir := filepath.Join(dir, keysDirName)
-	orphan := filepath.Join(keysDir, "s99999999.key")
-	if err := os.WriteFile(orphan, []byte("crashed put"), 0o644); err != nil {
-		t.Fatal(err)
+	leftovers := []string{"s99999999.key", "s00000001.params"}
+	for _, name := range leftovers {
+		if err := os.WriteFile(filepath.Join(keysDir, name), []byte("leftover"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	r, err := OpenDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Error("orphan key file survived open")
+	for _, name := range leftovers {
+		if _, err := os.Stat(filepath.Join(keysDir, name)); !os.IsNotExist(err) {
+			t.Errorf("unreferenced %s survived open", name)
+		}
 	}
 	if _, err := getBlob(r, "alice"); err != nil {
 		t.Errorf("live session lost to GC: %v", err)
+	}
+	if got := r.List(); len(got) != 1 || got[0].ClientID != "alice" || got[0].KeyBytes != 30 {
+		t.Errorf("List after GC = %+v, want alice with 30 key bytes", got)
 	}
 }
 

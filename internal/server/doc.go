@@ -17,7 +17,7 @@
 // clients send small batches. Backpressure is a bounded per-session slot
 // count: when too many requests are queued, new ones block until the
 // backlog drains (and are refused with ErrOverloaded once they have
-// waited past Config.QueueTimeout). Per-session metrics
+// waited a minute). Per-session metrics
 // (request/item/stream/coalesce counts plus the engine's aggregated
 // tfhe.OpCounters) are exported via Stats and the HTTP stats endpoint.
 //

@@ -43,7 +43,7 @@ func TestMultiLUTBatchMatchesInProcess(t *testing.T) {
 	}
 
 	eng := engine.NewStreaming(ek, engine.StreamConfig{})
-	want, err := eng.StreamMultiLUT(cts, space, tfhe.TableFuncs(tables))
+	want, err := eng.MultiLUT(cts, space, tfhe.TableFuncs(tables))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +224,11 @@ func TestHTTPMultiLUTBatch(t *testing.T) {
 	}
 }
 
-// TestCircuitBatchMultiLUT runs a circuit containing an explicit
+// TestCircuitMultiLUTGroup runs a circuit containing an explicit
 // multi-value group through the HTTP circuit-batch path and pins it to
 // the sequential reference bitwise — the scheduler's fan-out dispatch
 // rides the same session coalescing machinery as standalone requests.
-func TestCircuitBatchMultiLUT(t *testing.T) {
+func TestCircuitMultiLUTGroup(t *testing.T) {
 	sk, ek := testKeys(t, 1)
 	const space = 4
 	b := sched.NewBuilder()

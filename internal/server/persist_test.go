@@ -265,7 +265,8 @@ func TestDrain(t *testing.T) {
 // ErrOverloaded instead of blocking forever.
 func TestOverloaded(t *testing.T) {
 	_, ek := testKeys(t, 1)
-	sess := newSession("x", ek, Config{QueueTimeout: time.Millisecond}.withDefaults())
+	sess := newSession("x", ek, Config{}.withDefaults())
+	sess.queueTimeout = time.Millisecond
 	// Saturate the backpressure bound directly — deterministic, no racing
 	// goroutines needed.
 	for i := 0; i < cap(sess.slots); i++ {

@@ -25,7 +25,7 @@ type Config struct {
 	MaxSessions int
 	// MaxPending is the per-session backpressure bound: at most this many
 	// requests may be queued or in flight per session; further requests
-	// wait up to QueueTimeout for the backlog to drain, then are refused
+	// wait up to queueTimeout for the backlog to drain, then are refused
 	// with ErrOverloaded. 0 means 64.
 	MaxPending int
 	// MaxBatch caps the ciphertext count of a single request. 0 means 4096.
@@ -33,14 +33,6 @@ type Config struct {
 	// MaxCoalesce caps how many ciphertexts are merged into one engine
 	// stream. 0 means 8192.
 	MaxCoalesce int
-	// MaxCircuitNodes caps the node count of a circuit-batch request.
-	// 0 means 4096.
-	MaxCircuitNodes int
-	// QueueTimeout bounds how long a request may wait for a session slot
-	// before being refused with ErrOverloaded (HTTP 503, code
-	// "overloaded") — the signal well-behaved clients back off on.
-	// 0 means 60s; negative means wait indefinitely.
-	QueueTimeout time.Duration
 	// Store is the durable tier behind the warm session LRU: registered
 	// eval keys are written through to it and evicted or restarted
 	// sessions are restored from it on demand. nil means no persistence
@@ -68,14 +60,18 @@ func (c Config) withDefaults() Config {
 	if c.MaxCoalesce <= 0 {
 		c.MaxCoalesce = 8192
 	}
-	if c.MaxCircuitNodes <= 0 {
-		c.MaxCircuitNodes = 4096
-	}
-	if c.QueueTimeout == 0 {
-		c.QueueTimeout = time.Minute
-	}
 	return c
 }
+
+const (
+	// maxCircuitNodes caps the node count, and the output count, of a
+	// circuit-batch request.
+	maxCircuitNodes = 4096
+	// queueTimeout bounds how long a request may wait for a session slot
+	// before being refused with ErrOverloaded (HTTP 503, code
+	// "overloaded") — the signal well-behaved clients back off on.
+	queueTimeout = time.Minute
+)
 
 // MaxClientIDBytes bounds a client ID. IDs are keys in the session map,
 // the WAL, and on-disk manifests; a megabyte "ID" is hostile input, not

@@ -522,7 +522,7 @@ func TestCircuitBatchMatchesSequential(t *testing.T) {
 // circuit endpoint.
 func TestCircuitBatchValidation(t *testing.T) {
 	sk, ek := testKeys(t, 1)
-	srv := New(Config{MaxBatch: 4, MaxCircuitNodes: 8})
+	srv := New(Config{MaxBatch: 4})
 	if err := srv.RegisterKey("alice", ek); err != nil {
 		t.Fatal(err)
 	}
@@ -531,12 +531,12 @@ func TestCircuitBatchValidation(t *testing.T) {
 	if _, err := srv.CircuitBatch("nobody", []sched.NodeSpec{{Kind: sched.SpecInput}}, nil, in, false); !errors.Is(err, ErrUnknownSession) {
 		t.Errorf("unknown session: %v", err)
 	}
-	if _, err := srv.CircuitBatch("alice", make([]sched.NodeSpec, 9), nil, nil, false); !errors.Is(err, ErrBatchTooLarge) {
+	if _, err := srv.CircuitBatch("alice", make([]sched.NodeSpec, maxCircuitNodes+1), nil, nil, false); !errors.Is(err, ErrBatchTooLarge) {
 		t.Error("oversized circuit accepted")
 	}
 	// Outputs amplify the response; a tiny circuit must not be able to
 	// request the same wire an unbounded number of times.
-	manyOuts := make([]int, 9)
+	manyOuts := make([]int, maxCircuitNodes+1)
 	if _, err := srv.CircuitBatch("alice", []sched.NodeSpec{{Kind: sched.SpecInput}}, manyOuts, in, false); !errors.Is(err, ErrBatchTooLarge) {
 		t.Error("oversized outputs accepted")
 	}
@@ -588,8 +588,8 @@ func TestCircuitBatchValidation(t *testing.T) {
 	}
 	// No level is wider than its circuit, so under the defaults the node
 	// bound already keeps every level inside the batch bound.
-	if def := (Config{}).withDefaults(); def.MaxCircuitNodes > def.MaxBatch {
-		t.Errorf("default MaxCircuitNodes %d > MaxBatch %d: a valid circuit could trip the level bound", def.MaxCircuitNodes, def.MaxBatch)
+	if def := (Config{}).withDefaults(); maxCircuitNodes > def.MaxBatch {
+		t.Errorf("maxCircuitNodes %d > default MaxBatch %d: a valid circuit could trip the level bound", maxCircuitNodes, def.MaxBatch)
 	}
 	if rej := srv.Stats().Sessions[0].Rejected; rej == 0 {
 		t.Error("circuit rejections not counted")

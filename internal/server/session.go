@@ -24,7 +24,8 @@ type session struct {
 
 	// slots is the backpressure bound: one token per queued or in-flight
 	// request. Acquiring blocks when the session is saturated, for at
-	// most queueTimeout (negative: forever) before ErrOverloaded.
+	// most queueTimeout before ErrOverloaded (the package constant; a
+	// field so that a test can shorten it).
 	slots        chan struct{}
 	queueTimeout time.Duration
 
@@ -58,7 +59,7 @@ func newSession(id string, ek tfhe.EvaluationKeys, cfg Config) *session {
 		params:       ek.Params,
 		eng:          engine.NewStreaming(ek, cfg.Stream),
 		slots:        make(chan struct{}, cfg.MaxPending),
-		queueTimeout: cfg.QueueTimeout,
+		queueTimeout: queueTimeout,
 		groups:       make(map[string]*group),
 		maxCoalesce:  cfg.MaxCoalesce,
 	}
@@ -184,10 +185,6 @@ func (s *session) acquireSlot() error {
 		return nil
 	default:
 	}
-	if s.queueTimeout < 0 {
-		s.slots <- struct{}{}
-		return nil
-	}
 	t := time.NewTimer(s.queueTimeout)
 	defer t.Stop()
 	select {
@@ -214,7 +211,7 @@ func (s *session) Gate(d sched.Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWEC
 		key = "not"
 	}
 	return s.submit(key, d.Ops, a, b, 1, func(g *group) ([]tfhe.LWECiphertext, error) {
-		return s.eng.StreamGates(g.ops, g.a, g.b)
+		return s.eng.Gates(g.ops, g.a, g.b)
 	})
 }
 
@@ -222,7 +219,7 @@ func (s *session) Gate(d sched.Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWEC
 // is identical.
 func (s *session) LUT(d sched.Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	return s.submit(fmt.Sprintf("l:%d:%v", d.Space, d.Table), nil, in, nil, 1, func(g *group) ([]tfhe.LWECiphertext, error) {
-		return s.eng.StreamLUT(g.a, d.Space, func(m int) int { return d.Table[m] }), nil
+		return s.eng.LUT(g.a, d.Space, func(m int) int { return d.Table[m] }), nil
 	})
 }
 
@@ -234,7 +231,7 @@ func (s *session) LUT(d sched.Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiph
 func (s *session) MultiLUT(d sched.Dispatch, in []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
 	k := len(d.Tables)
 	flat, err := s.submit(fmt.Sprintf("m:%d:%v", d.Space, d.Tables), nil, in, nil, k, func(g *group) ([]tfhe.LWECiphertext, error) {
-		groups, err := s.eng.StreamMultiLUT(g.a, d.Space, tfhe.TableFuncs(d.Tables))
+		groups, err := s.eng.MultiLUT(g.a, d.Space, tfhe.TableFuncs(d.Tables))
 		if err != nil {
 			return nil, err
 		}
@@ -360,14 +357,14 @@ func (s *session) validateCircuit(specs []sched.NodeSpec, outputs []int, inputs 
 		s.rejected.Add(1)
 		return nil, nil, err
 	}
-	if len(specs) > cfg.MaxCircuitNodes {
-		return fail(fmt.Errorf("%w: %d nodes > %d", ErrBatchTooLarge, len(specs), cfg.MaxCircuitNodes))
+	if len(specs) > maxCircuitNodes {
+		return fail(fmt.Errorf("%w: %d nodes > %d", ErrBatchTooLarge, len(specs), maxCircuitNodes))
 	}
 	// Outputs amplify the response (each entry re-encodes a ciphertext),
 	// so they are bounded like nodes — otherwise a tiny circuit listing
 	// one wire millions of times would balloon server memory.
-	if len(outputs) > cfg.MaxCircuitNodes {
-		return fail(fmt.Errorf("%w: %d outputs > %d", ErrBatchTooLarge, len(outputs), cfg.MaxCircuitNodes))
+	if len(outputs) > maxCircuitNodes {
+		return fail(fmt.Errorf("%w: %d outputs > %d", ErrBatchTooLarge, len(outputs), maxCircuitNodes))
 	}
 	if len(inputs) > cfg.MaxBatch {
 		return fail(fmt.Errorf("%w: %d inputs > %d", ErrBatchTooLarge, len(inputs), cfg.MaxBatch))

@@ -284,73 +284,6 @@ func UnmarshalGLWE(data []byte) (tfhe.GLWECiphertext, error) {
 }
 
 // ---------------------------------------------------------------------------
-// encoding.BinaryMarshaler wrappers
-
-// LWE wraps an LWE ciphertext as a standard BinaryMarshaler/Unmarshaler.
-type LWE struct{ Ct tfhe.LWECiphertext }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (w LWE) MarshalBinary() ([]byte, error) { return MarshalLWE(w.Ct), nil }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (w *LWE) UnmarshalBinary(data []byte) error {
-	ct, err := UnmarshalLWE(data)
-	if err != nil {
-		return err
-	}
-	w.Ct = ct
-	return nil
-}
-
-// GLWE wraps a GLWE ciphertext as a standard BinaryMarshaler/Unmarshaler.
-type GLWE struct{ Ct tfhe.GLWECiphertext }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (w GLWE) MarshalBinary() ([]byte, error) { return MarshalGLWE(w.Ct) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (w *GLWE) UnmarshalBinary(data []byte) error {
-	ct, err := UnmarshalGLWE(data)
-	if err != nil {
-		return err
-	}
-	w.Ct = ct
-	return nil
-}
-
-// ParamSet wraps a parameter set as a standard BinaryMarshaler/Unmarshaler.
-type ParamSet struct{ Params tfhe.Params }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (w ParamSet) MarshalBinary() ([]byte, error) { return MarshalParams(w.Params) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (w *ParamSet) UnmarshalBinary(data []byte) error {
-	p, err := UnmarshalParams(data)
-	if err != nil {
-		return err
-	}
-	w.Params = p
-	return nil
-}
-
-// EvalKey wraps evaluation keys as a standard BinaryMarshaler/Unmarshaler.
-type EvalKey struct{ Keys tfhe.EvaluationKeys }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (w EvalKey) MarshalBinary() ([]byte, error) { return MarshalEvalKey(w.Keys) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (w *EvalKey) UnmarshalBinary(data []byte) error {
-	ek, err := UnmarshalEvalKey(data)
-	if err != nil {
-		return err
-	}
-	w.Keys = ek
-	return nil
-}
-
-// ---------------------------------------------------------------------------
 // Digests
 
 // Digest returns the hex SHA-256 of data — the fingerprint primitive of

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding"
 	"math"
 	"math/rand"
 	"reflect"
@@ -165,48 +164,6 @@ func TestEvalKeyDecodedIsFunctional(t *testing.T) {
 		if got := sk.DecryptBool(ev.NAND(ca, cb)); got != !(tc.a && tc.b) {
 			t.Errorf("NAND(%v,%v) decrypted to %v via decoded key", tc.a, tc.b, got)
 		}
-	}
-}
-
-func TestBinaryMarshalerWrappers(t *testing.T) {
-	sk, ek := testKeys(t, "test")
-	rng := rand.New(rand.NewSource(5))
-
-	// Compile-time interface checks.
-	var (
-		_ encoding.BinaryMarshaler   = LWE{}
-		_ encoding.BinaryUnmarshaler = &LWE{}
-		_ encoding.BinaryMarshaler   = GLWE{}
-		_ encoding.BinaryUnmarshaler = &GLWE{}
-		_ encoding.BinaryMarshaler   = ParamSet{}
-		_ encoding.BinaryUnmarshaler = &ParamSet{}
-		_ encoding.BinaryMarshaler   = EvalKey{}
-		_ encoding.BinaryUnmarshaler = &EvalKey{}
-	)
-
-	ct := sk.EncryptBool(rng, true)
-	data, err := LWE{Ct: ct}.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lw LWE
-	if err := lw.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(lw.Ct, ct) {
-		t.Error("LWE wrapper round trip mismatch")
-	}
-
-	var ps ParamSet
-	data, err = ParamSet{Params: ek.Params}.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if ps.Params != ek.Params {
-		t.Error("ParamSet wrapper round trip mismatch")
 	}
 }
 

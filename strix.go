@@ -98,9 +98,6 @@ func (c *FHEContext) DecryptInt(ct tfhe.LWECiphertext, space int) int {
 // GateOp identifies a boolean gate for the batch APIs.
 type GateOp = engine.GateOp
 
-// Gate is one gate of a dependency-free circuit level (see EvalCircuit).
-type Gate = engine.Gate
-
 // Gate mnemonics, re-exported so callers outside the module never touch
 // the internal engine package.
 const (
@@ -149,12 +146,6 @@ func (c *FHEContext) DecryptBools(cts []tfhe.LWECiphertext) []bool {
 // default engine: out[i] = op(a[i], b[i]), all items in parallel.
 func (c *FHEContext) BatchGate(op GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	return c.defaultEngine().BatchGate(op, a, b)
-}
-
-// EvalCircuit evaluates a dependency-free gate list over the input wires
-// on the default engine, one output per gate.
-func (c *FHEContext) EvalCircuit(inputs []tfhe.LWECiphertext, gates []Gate) ([]tfhe.LWECiphertext, error) {
-	return c.defaultEngine().EvalCircuit(inputs, gates)
 }
 
 // Accelerator wraps the Strix performance model and epoch scheduler.

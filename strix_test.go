@@ -52,18 +52,15 @@ func TestFHEContextBatchGate(t *testing.T) {
 		t.Errorf("engine PBSCount = %d, want %d", c.PBSCount, len(xs))
 	}
 
-	// A dependency-free circuit level through the public facade.
-	outs, err = ctx.EvalCircuit(as, []Gate{{Op: XOR, A: 0, B: 1}, {Op: NOT, A: 2}})
+	// A dependency-free circuit level, mixed ops in one batch, on an
+	// engine of explicit size. The NOT lane's second operand is unused.
+	outs, err = ctx.NewEngine(2).Gates([]GateOp{XOR, NOT}, as[:2], bs[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
 	dec := ctx.DecryptBools(outs)
-	if dec[0] != (xs[0] != xs[1]) || dec[1] != !xs[2] {
-		t.Errorf("EvalCircuit decryptions = %v", dec)
-	}
-
-	if ctx.NewEngine(2).Workers() != 2 {
-		t.Error("NewEngine(2) should build a 2-worker pool")
+	if dec[0] != (xs[0] != ys[0]) || dec[1] != !xs[1] {
+		t.Errorf("Gates decryptions = %v", dec)
 	}
 }
 
