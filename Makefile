@@ -32,13 +32,14 @@ test-purego:
 	$(GO) test -tags purego ./internal/fft/... ./internal/tfhe/... ./internal/conformance/...
 
 # The concurrent packages: the worker-pool and streaming engines, the
-# circuit scheduler that feeds them, the shared FFT processor pool they
-# lean on, the session-sharded gate service (group-commit coalescing)
-# with its wire codec, the multi-node routing tier in front of it, and
-# the cross-backend conformance suite that runs every public op through
-# all the execution paths.
+# tfhe tile loops their stages run, the circuit scheduler that feeds
+# them, the shared FFT processor pool they lean on, the session-sharded
+# gate service (group-commit coalescing) with its wire codec, the
+# multi-node routing tier in front of it, and the cross-backend
+# conformance suite that runs every public op through all the execution
+# paths.
 race:
-	$(GO) test -race ./internal/conformance/... ./internal/engine/... ./internal/fft/... ./internal/router/... ./internal/sched/... ./internal/server/... ./internal/wire/...
+	$(GO) test -race ./internal/conformance/... ./internal/engine/... ./internal/fft/... ./internal/router/... ./internal/sched/... ./internal/server/... ./internal/tfhe/... ./internal/wire/...
 
 # Full suite under the race detector with a coverage floor: catches both
 # data races anywhere and silent loss of test coverage. ./benchmark runs

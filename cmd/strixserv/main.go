@@ -50,8 +50,8 @@ func main() {
 	maxPending := flag.Int("max-pending", 0, "per-session backpressure bound (0 = default 64)")
 	maxBatch := flag.Int("max-batch", 0, "max ciphertexts per request (0 = default 4096)")
 	maxCoalesce := flag.Int("max-coalesce", 0, "max ciphertexts merged into one stream (0 = default 8192)")
-	rotateWorkers := flag.Int("rotate-workers", 0, "blind-rotate workers per session engine (0 = NumCPU)")
-	ksWorkers := flag.Int("ks-workers", 0, "keyswitch workers per session engine (0 = rotate/4)")
+	rotateWorkers := flag.Int("rotate-workers", 0, "blind-rotate workers per session engine (0 = GOMAXPROCS)")
+	ksWorkers := flag.Int("ks-workers", 0, "keyswitch workers per session engine (0 = rotate-workers: a job is a whole tile, and a short stream's tiles finish together)")
 	flag.Parse()
 
 	srv, err := server.Open(server.Config{

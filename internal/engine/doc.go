@@ -15,16 +15,19 @@
 // serializes operations, and counter aggregation. Each engine embeds Ops
 // and adds only a constructor and one exec:
 //
-//   - Engine is the flat worker pool: each worker takes an item through
-//     its whole PBS(+KS) end to end. Items are split into chunks that
-//     workers claim from an atomic cursor, which load-balances the tail
-//     without a scheduler.
+//   - Engine is the flat worker pool: each worker takes a chunk of items
+//     through its whole PBS(+KS) end to end, as one tile. Workers claim
+//     chunks from an atomic cursor, which load-balances the tail without
+//     a scheduler.
 //   - StreamingEngine (pipeline.go) mirrors the paper's streaming
-//     architecture with two-level ciphertext batching (§IV): ciphertexts
-//     flow through channel-connected specialized stages (modswitch →
-//     blind rotate → sample extract → fused keyswitch), the encoded test
-//     vector/LUT is shared by the whole stream, and each CMux step's
-//     decompositions and forward FFTs run as one batched burst.
+//     architecture with two-level ciphertext batching (§IV): tiles of
+//     ciphertexts flow through channel-connected specialized stages
+//     (modswitch → blind rotate → sample extract → fused keyswitch), and
+//     the encoded test vector/LUT is shared by the whole stream.
+//
+// The tile is the unit of both: a run of consecutive items that share one
+// pass over the evaluation key, the only amortisation TFHE, which cannot
+// pack, allows (tfhe.Evaluator.BlindRotateTile, KeySwitchTile).
 //
 // Each worker goroutine owns a private tfhe.Evaluator (evaluators carry
 // scratch buffers and must not be shared), all built from one shared,

@@ -11,7 +11,8 @@ import (
 // Config tunes the engine.
 type Config struct {
 	// Workers is the number of worker goroutines (and private evaluators).
-	// 0 means runtime.NumCPU().
+	// 0 means runtime.GOMAXPROCS(0): the CPUs the process may use; workers
+	// beyond them would only be time-sliced.
 	Workers int
 }
 
@@ -26,7 +27,7 @@ type Engine struct {
 func New(ek tfhe.EvaluationKeys, cfg Config) *Engine {
 	w := cfg.Workers
 	if w <= 0 {
-		w = runtime.NumCPU()
+		w = runtime.GOMAXPROCS(0)
 	}
 	evals := make([]*tfhe.Evaluator, w)
 	for i := range evals {
@@ -39,10 +40,11 @@ func New(ek tfhe.EvaluationKeys, cfg Config) *Engine {
 
 // exec distributes the items of one operation over the worker pool: each
 // worker claims chunks from an atomic cursor (~4 chunks per worker,
-// balancing claim overhead against tail latency) and composes the tfhe
-// stage primitives per item, in the sequential evaluator's order.
-func (e *Engine) exec(p op) [][]tfhe.LWECiphertext {
-	out := make([][]tfhe.LWECiphertext, p.n)
+// balancing claim overhead against tail latency) and takes a chunk through
+// its whole PBS(+KS) as one tile, composing the tfhe stage primitives in
+// the sequential evaluator's order.
+func (e *Engine) exec(p op) []tfhe.LWECiphertext {
+	out := make([]tfhe.LWECiphertext, p.n*p.k)
 	workers := min(len(e.evals), p.n)
 	chunk := max(p.n/(4*len(e.evals)), 1)
 	var cursor atomic.Int64
@@ -51,11 +53,33 @@ func (e *Engine) exec(p op) [][]tfhe.LWECiphertext {
 		wg.Add(1)
 		go func(ev *tfhe.Evaluator) {
 			defer wg.Done()
+			// A tile is a run of consecutive items that bootstrap: it ends
+			// with the chunk, or at an item prepare finishes (the free NOT).
+			cts := make([]tfhe.LWECiphertext, 0, chunk)
+			flush := func(next int) {
+				if len(cts) == 0 {
+					return
+				}
+				outs := p.slots(out, next-len(cts), len(cts))
+				p.extractTile(ev, ev.BlindRotateBatch(cts, p.testVec), outs)
+				if p.keyswitch {
+					ev.KeySwitchTile(outs)
+				}
+				cts = cts[:0]
+			}
 			for {
 				end := int(cursor.Add(int64(chunk)))
-				for i := end - chunk; i < min(end, p.n); i++ {
-					out[i] = p.item(ev, i)
+				hi := min(end, p.n)
+				for i := end - chunk; i < hi; i++ {
+					ct, done := p.prepare(ev, i)
+					if done {
+						flush(i)
+						out[i*p.k] = ct
+						continue
+					}
+					cts = append(cts, ct)
 				}
+				flush(hi)
 				if end >= p.n {
 					return
 				}
@@ -64,21 +88,6 @@ func (e *Engine) exec(p op) [][]tfhe.LWECiphertext {
 	}
 	wg.Wait()
 	return out
-}
-
-// item runs item i of the operation start to finish on one evaluator.
-func (p op) item(ev *tfhe.Evaluator, i int) []tfhe.LWECiphertext {
-	ct, done := p.prepare(ev, i)
-	if done {
-		return []tfhe.LWECiphertext{ct}
-	}
-	outs := p.extract(ev, ev.BlindRotate(ct, p.testVec))
-	if p.keyswitch {
-		for j, big := range outs {
-			outs[j] = ev.KeySwitch(big)
-		}
-	}
-	return outs
 }
 
 // BatchGate applies one gate pairwise: out[i] = op(a[i], b[i]). For the

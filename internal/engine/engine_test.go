@@ -126,29 +126,36 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 		name string
 		run  func(o *Ops) ([][]tfhe.LWECiphertext, error)
 		seq  func(i int) []tfhe.LWECiphertext // the sequential evaluator on item i
+		n    int                              // items the case runs
 	}{
 		{"Bootstrap",
 			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.Bootstrap(bits, tv), nil) },
-			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.Bootstrap(bits[i], tv)} }},
+			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.Bootstrap(bits[i], tv)} }, batch},
 		{"LUT",
 			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.LUT(ints, space, lut), nil) },
-			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.EvalLUTKS(ints[i], space, lut)} }},
+			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.EvalLUTKS(ints[i], space, lut)} }, batch},
 		{"MultiLUT-k1", multi(1),
-			func(i int) []tfhe.LWECiphertext { return serial.EvalMultiLUTKS(ints[i], space, multiTables(space, 1)) }},
+			func(i int) []tfhe.LWECiphertext { return serial.EvalMultiLUTKS(ints[i], space, multiTables(space, 1)) }, batch},
 		{"MultiLUT-k3", multi(3),
-			func(i int) []tfhe.LWECiphertext { return serial.EvalMultiLUTKS(ints[i], space, multiTables(space, 3)) }},
+			func(i int) []tfhe.LWECiphertext { return serial.EvalMultiLUTKS(ints[i], space, multiTables(space, 3)) }, batch},
 		{"Gates-mixed",
 			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.Gates(gates, bits, b)) },
 			func(i int) []tfhe.LWECiphertext {
 				return []tfhe.LWECiphertext{seqGate(serial, gates[i], bits[i], b[i])}
-			}},
+			}, batch},
 		{"Gates-NOT-nil-b",
 			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.Gates(NOT.Repeat(batch), bits, nil)) },
-			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.NOT(bits[i])} }},
+			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.NOT(bits[i])} }, batch},
+		// Nine items against a tile cap of 8 (below): the streaming rows cut
+		// them 8+1, 3+3+3 and 2+2+2+2+1 where the ten above go 8+2, 4+4+2
+		// and 2×5, so full and ragged tiles both occur at every width.
+		{"LUT-9-items",
+			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.LUT(ints[:9], space, lut), nil) },
+			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.EvalLUTKS(ints[i], space, lut)} }, 9},
 	}
 	want := make([][][]tfhe.LWECiphertext, len(cases))
 	for c, tc := range cases {
-		want[c] = make([][]tfhe.LWECiphertext, batch)
+		want[c] = make([][]tfhe.LWECiphertext, tc.n)
 		for i := range want[c] {
 			want[c][i] = tc.seq(i)
 		}
@@ -163,7 +170,11 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 		executors = append(executors, executor{fmt.Sprintf("batch/workers=%d", w), &New(ek, Config{Workers: w}).Ops})
 	}
 	for _, cfg := range []StreamConfig{{RotateWorkers: 1, KSWorkers: 1}, {RotateWorkers: 3, KSWorkers: 2}, {RotateWorkers: 8, KSWorkers: 3}} {
-		executors = append(executors, executor{fmt.Sprintf("streaming/rot=%d_ks=%d", cfg.RotateWorkers, cfg.KSWorkers), &NewStreaming(ek, cfg).Ops})
+		s := NewStreaming(ek, cfg)
+		// Set I's cap. The test set's own (its accumulators are 2 KB) is 52
+		// and would never bind.
+		s.tileCap = 8
+		executors = append(executors, executor{fmt.Sprintf("streaming/rot=%d_ks=%d", cfg.RotateWorkers, cfg.KSWorkers), &s.Ops})
 	}
 	for _, ex := range executors {
 		for c, tc := range cases {
@@ -172,8 +183,8 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(got) != batch {
-					t.Fatalf("%d outputs for %d items", len(got), batch)
+				if len(got) != len(want[c]) {
+					t.Fatalf("%d outputs for %d items", len(got), len(want[c]))
 				}
 				for i := range got {
 					if len(got[i]) != len(want[c][i]) {

@@ -10,8 +10,9 @@ import (
 // op is one batched PBS operation, described as data. Every operation the
 // engines run is this shape, and an executor needs to know nothing else.
 type op struct {
-	// n is the number of items.
-	n int
+	// n is the number of items, k the number of outputs each yields: one
+	// for a plain PBS, the table count for a multi-value one.
+	n, k int
 	// testVec is the test vector the whole batch bootstraps against,
 	// read-only and shared by every worker.
 	testVec tfhe.GLWECiphertext
@@ -19,11 +20,25 @@ type op struct {
 	// bootstrap for item i. done=true finishes the item with ct as its
 	// single output and no PBS (the free NOT gate).
 	prepare func(ev *tfhe.Evaluator, i int) (ct tfhe.LWECiphertext, done bool)
-	// extract fans one rotated accumulator out into the item's big-key
-	// outputs: one for a plain PBS, k for a multi-value one.
-	extract func(ev *tfhe.Evaluator, acc tfhe.GLWECiphertext) []tfhe.LWECiphertext
+	// extract fans one rotated accumulator out into the item's k big-key
+	// outputs.
+	extract func(ev *tfhe.Evaluator, acc tfhe.GLWECiphertext, outs []tfhe.LWECiphertext)
 	// keyswitch brings every extracted output back to dimension n.
 	keyswitch bool
+}
+
+// slots returns the output slots of the count items from lo on: where a
+// tile's extraction lands and its keyswitch runs in place.
+func (p op) slots(out []tfhe.LWECiphertext, lo, count int) []tfhe.LWECiphertext {
+	return out[lo*p.k : (lo+count)*p.k]
+}
+
+// extractTile fans every rotated accumulator of a tile out into its
+// item's k slots of outs.
+func (p op) extractTile(ev *tfhe.Evaluator, accs []tfhe.GLWECiphertext, outs []tfhe.LWECiphertext) {
+	for j, acc := range accs {
+		p.extract(ev, acc, outs[j*p.k:(j+1)*p.k])
+	}
 }
 
 // Ops is the operation vocabulary of both engines: Gates, LUT, MultiLUT
@@ -39,13 +54,13 @@ type Ops struct {
 	// evals[0] also encodes test vectors.
 	evals  []*tfhe.Evaluator
 	signTV tfhe.GLWECiphertext // shared read-only by every gate bootstrap
-	// exec runs one operation and returns each item's outputs in input
-	// order. It is called with mu held.
-	exec func(op) [][]tfhe.LWECiphertext
+	// exec runs one operation and returns the outputs in input order, item
+	// i's k at [i·k, (i+1)·k). It is called with mu held.
+	exec func(op) []tfhe.LWECiphertext
 }
 
 // newOps binds the vocabulary to an executor and the evaluators it owns.
-func newOps(params tfhe.Params, evals []*tfhe.Evaluator, exec func(op) [][]tfhe.LWECiphertext) Ops {
+func newOps(params tfhe.Params, evals []*tfhe.Evaluator, exec func(op) []tfhe.LWECiphertext) Ops {
 	// The sign test vector is a constant of the parameter set: encode it
 	// once, not once per gate.
 	return Ops{params: params, evals: evals, signTV: evals[0].SignTestVector(), exec: exec}
@@ -72,25 +87,21 @@ func (o *Ops) ResetCounters() {
 	}
 }
 
-// run executes one operation; out[i] is item i's outputs.
-func (o *Ops) run(p op) [][]tfhe.LWECiphertext {
+// run executes one operation; see exec for the layout of the result.
+func (o *Ops) run(p op) []tfhe.LWECiphertext {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.exec(p)
 }
 
 // runOne is run for the single-output operations: it supplies the plain
-// one-extraction fan-out and flattens the result to one ciphertext per
-// item.
+// one-extraction fan-out.
 func (o *Ops) runOne(p op) []tfhe.LWECiphertext {
-	p.extract = func(ev *tfhe.Evaluator, acc tfhe.GLWECiphertext) []tfhe.LWECiphertext {
-		return []tfhe.LWECiphertext{ev.Extract(acc)}
+	p.k = 1
+	p.extract = func(ev *tfhe.Evaluator, acc tfhe.GLWECiphertext, outs []tfhe.LWECiphertext) {
+		outs[0] = ev.Extract(acc)
 	}
-	out := make([]tfhe.LWECiphertext, p.n)
-	for i, outs := range o.run(p) {
-		out[i] = outs[0]
-	}
-	return out
+	return o.run(p)
 }
 
 // checkDim panics (from the caller's goroutine, so it is recoverable and
@@ -165,13 +176,18 @@ func (o *Ops) MultiLUT(cts []tfhe.LWECiphertext, space int, fs []func(int) int) 
 	}
 	o.checkDims("MultiLUT", cts)
 	offsets := o.params.MultiLUTOffsets(space, k)
-	return o.run(op{n: len(cts), testVec: o.evals[0].NewMultiLUTTestVector(space, fs), keyswitch: true,
+	flat := o.run(op{n: len(cts), k: k, testVec: o.evals[0].NewMultiLUTTestVector(space, fs), keyswitch: true,
 		prepare: func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
 			return ev.ShiftForMultiLUT(cts[i], space, k), false
 		},
-		extract: func(ev *tfhe.Evaluator, acc tfhe.GLWECiphertext) []tfhe.LWECiphertext {
-			return ev.ExtractMulti(acc, offsets)
-		}}), nil
+		extract: func(ev *tfhe.Evaluator, acc tfhe.GLWECiphertext, outs []tfhe.LWECiphertext) {
+			copy(outs, ev.ExtractMulti(acc, offsets))
+		}})
+	out := make([][]tfhe.LWECiphertext, len(cts))
+	for i := range out {
+		out[i] = flat[i*k : (i+1)*k : (i+1)*k]
+	}
+	return out, nil
 }
 
 // Bootstrap runs the raw programmable bootstrap (Algorithm 1) on every

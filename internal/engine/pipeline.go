@@ -12,25 +12,28 @@ import (
 // flat Engine), ciphertexts flow through a channel-connected pipeline of
 // specialized stages,
 //
-//	prepare (linear op + modswitch + init rotation)
-//	  → blind rotate (n CMux steps; the dominant stage, a worker pool)
+//	prepare (linear op + modswitch + init rotation; assembles tiles)
+//	  → blind rotate (n CMux steps, key-major over a tile; the dominant
+//	    stage, a worker pool)
 //	  → sample extract
-//	  → keyswitch (fused §IV-C handoff, a worker pool)
+//	  → keyswitch (fused §IV-C handoff, key-major over the same tile; a
+//	    worker pool)
 //
-// with two levels of batching. Level 1 batches across ciphertexts: every
-// stage works on a different ciphertext at the same time, and stage setup
-// (the encoded test vector or LUT, built once in prepare) is shared by the
-// whole stream. Level 2 batches within a stage: each CMux step streams
-// all (k+1)·lb digit polynomials of the step through fused decompose→FFT
-// bursts — digit extraction writes twisted Fourier points directly, with
-// no intermediate digit staging (see tfhe.ExternalProductAcc and
-// fft.Processor.ForwardDecompose). The PBS→KS handoff is fused into the
-// pipeline, so extraction output never round-trips through the caller.
+// with two levels of batching. Level 1 batches across the stream: every
+// stage works on a different tile at the same time, and stage setup (the
+// encoded test vector or LUT, built once in prepare) is shared by the
+// whole stream. Level 2 is the tile, the core-level batch: TFHE cannot
+// pack, so the 49 MB evaluation key is amortised by letting one fetch
+// serve many ciphertexts. A tile takes each CMux step together
+// (tfhe.Evaluator.BlindRotateTile: one bsk_i fetch, many accumulators)
+// and is keyswitched together (KeySwitchTile: each key row read once
+// across the tile's outputs). The PBS→KS handoff is fused into the
+// pipeline, so extraction output never surfaces to the caller.
 //
 // Every stage runs the exact computation of the sequential
 // tfhe.Evaluator's corresponding step, in the same per-ciphertext order,
-// so results are bitwise identical to sequential evaluation for any stage
-// or worker configuration.
+// so results are bitwise identical to sequential evaluation for any
+// stage, worker or tile configuration.
 type StreamingEngine struct {
 	Ops
 
@@ -38,18 +41,32 @@ type StreamingEngine struct {
 	rot  []*tfhe.Evaluator // blind-rotate stage worker pool
 	ext  *tfhe.Evaluator   // sample-extract stage evaluator
 	ks   []*tfhe.Evaluator // keyswitch stage worker pool
+
+	tileCap int // most ciphertexts a tile may hold (see tileBudgetBytes)
 }
 
-// StreamConfig tunes the streaming pipeline's stage widths.
+// StreamConfig tunes the streaming pipeline's stage widths. The tile size
+// is not configured: it is min(⌈items/RotateWorkers⌉, cap) — every rotate
+// worker busy first, the key amortised second — with cap derived from the
+// parameter set (tileBudgetBytes).
 type StreamConfig struct {
 	// RotateWorkers is the worker count of the blind-rotate stage, the
-	// pipeline's dominant stage. 0 means runtime.NumCPU().
+	// pipeline's dominant stage. 0 means runtime.GOMAXPROCS(0): the CPUs
+	// the process may use; workers beyond them would only be time-sliced.
 	RotateWorkers int
 	// KSWorkers is the worker count of the keyswitch stage. 0 picks
-	// max(1, RotateWorkers/4), matching keyswitching's share of the gate
-	// workload (Fig 1).
+	// RotateWorkers: a keyswitch job is a whole tile (milliseconds), and
+	// the rotate workers finish the tiles of a short stream together, so
+	// with fewer keyswitch workers the last tiles queue behind one another
+	// (about 6 ms of a 120 ms set-I op on two CPUs).
 	KSWorkers int
 }
+
+// tileBudgetBytes bounds a tile's working set in the rotate loop — its
+// accumulators plus the one GGSW being applied — so that it stays
+// cache-resident while the key streams past. At set I (8 KB accumulators,
+// 64 KB GGSW) that is 8 ciphertexts; the large-N sets run tiles of one.
+const tileBudgetBytes = 128 << 10
 
 // NewStreaming builds a streaming engine over the evaluation keys. The
 // keys are shared read-only by every stage worker; each worker owns a
@@ -57,20 +74,20 @@ type StreamConfig struct {
 func NewStreaming(ek tfhe.EvaluationKeys, cfg StreamConfig) *StreamingEngine {
 	rw := cfg.RotateWorkers
 	if rw <= 0 {
-		rw = runtime.NumCPU()
+		rw = runtime.GOMAXPROCS(0)
 	}
 	kw := cfg.KSWorkers
 	if kw <= 0 {
-		kw = rw / 4
-		if kw < 1 {
-			kw = 1
-		}
+		kw = rw
 	}
+	p := ek.Params
+	accBytes := int64(p.K+1) * int64(p.N) * 4
 	s := &StreamingEngine{
-		prep: tfhe.NewEvaluator(ek),
-		rot:  make([]*tfhe.Evaluator, rw),
-		ext:  tfhe.NewEvaluator(ek),
-		ks:   make([]*tfhe.Evaluator, kw),
+		prep:    tfhe.NewEvaluator(ek),
+		rot:     make([]*tfhe.Evaluator, rw),
+		ext:     tfhe.NewEvaluator(ek),
+		ks:      make([]*tfhe.Evaluator, kw),
+		tileCap: int(max(1, (tileBudgetBytes-ek.BSKBytes()/int64(p.SmallN))/accBytes)),
 	}
 	for i := range s.rot {
 		s.rot[i] = tfhe.NewEvaluator(ek)
@@ -82,56 +99,73 @@ func NewStreaming(ek tfhe.EvaluationKeys, cfg StreamConfig) *StreamingEngine {
 	return s
 }
 
-// streamItem is one ciphertext in flight between stages: one accumulator
-// fanning out into one or more extracted outputs.
-type streamItem struct {
-	idx  int
-	ms   tfhe.ModSwitched
-	acc  tfhe.GLWECiphertext
-	bigs []tfhe.LWECiphertext
+// tile is what flows between the stages: a run of consecutive items, from
+// lo on, that share one pass over the keys. Outputs land in the items' own
+// slots of the stream's result, so a tile carries none.
+type tile struct {
+	lo  int
+	ms  []tfhe.ModSwitched
+	acc []tfhe.GLWECiphertext
 }
 
 // exec pushes the items of one operation through the staged pipeline.
 // p.prepare runs in the first stage on the prepare evaluator, p.extract
 // in the third on the extract-stage evaluator, and p.testVec is shared by
 // the whole stream. When p.keyswitch is false the fused keyswitch stage
-// is bypassed and outputs stay at dimension k·N; each KS worker otherwise
-// keyswitches a whole item's outputs in order, which keeps results
-// bitwise stable across pool widths.
-func (s *StreamingEngine) exec(p op) [][]tfhe.LWECiphertext {
-	out := make([][]tfhe.LWECiphertext, p.n)
-	// Two items of buffer per rotate worker between stages: enough slack
+// is bypassed and outputs stay at dimension k·N.
+func (s *StreamingEngine) exec(p op) []tfhe.LWECiphertext {
+	out := make([]tfhe.LWECiphertext, p.n*p.k)
+	size := min((p.n+len(s.rot)-1)/len(s.rot), s.tileCap)
+	// Two tiles of buffer per rotate worker between stages: enough slack
 	// that a fast stage never stalls on a momentarily busy neighbour.
 	depth := 2 * len(s.rot)
-	rotated := make(chan streamItem, depth)
-	extracted := make(chan streamItem, depth)
-	toRotate := make(chan streamItem, depth)
+	toRotate := make(chan tile, depth)
+	rotated := make(chan tile, depth)
+	extracted := make(chan tile, depth)
 
 	// Stage 1 — prepare: per-item linear op, modulus switch, initial
-	// rotation of the shared test vector (Algorithm 1 lines 2–4).
+	// rotation of the shared test vector (Algorithm 1 lines 2–4). It emits
+	// a tile when it is full, when an item that needs no PBS (the free
+	// NOT) interrupts the run, or when the stream ends.
 	go func() {
 		defer close(toRotate)
+		var t tile
+		flush := func() {
+			if len(t.acc) > 0 {
+				toRotate <- t
+				t = tile{}
+			}
+		}
 		for i := 0; i < p.n; i++ {
 			ct, done := p.prepare(s.prep, i)
 			if done {
-				out[i] = []tfhe.LWECiphertext{ct}
+				flush()
+				out[i*p.k] = ct
 				continue
 			}
+			if t.acc == nil {
+				t = tile{lo: i, ms: make([]tfhe.ModSwitched, 0, size), acc: make([]tfhe.GLWECiphertext, 0, size)}
+			}
 			ms := s.prep.ModSwitchLWE(ct)
-			toRotate <- streamItem{idx: i, ms: ms, acc: s.prep.BlindRotateInit(p.testVec, ms)}
+			t.ms = append(t.ms, ms)
+			t.acc = append(t.acc, s.prep.BlindRotateInit(p.testVec, ms))
+			if len(t.acc) == size {
+				flush()
+			}
 		}
+		flush()
 	}()
 
-	// Stage 2 — blind rotate: the n CMux iterations (lines 5–12), with
-	// level-2 batched decompose/FFT inside each step.
+	// Stage 2 — blind rotate: the n CMux iterations (lines 5–12), each
+	// applied across the whole tile before the next GGSW is fetched.
 	var rotWG sync.WaitGroup
 	for _, ev := range s.rot {
 		rotWG.Add(1)
 		go func(ev *tfhe.Evaluator) {
 			defer rotWG.Done()
-			for it := range toRotate {
-				ev.BlindRotateSteps(it.acc, it.ms)
-				rotated <- it
+			for t := range toRotate {
+				ev.BlindRotateTile(t.acc, t.ms)
+				rotated <- t
 			}
 		}(ev)
 	}
@@ -140,45 +174,33 @@ func (s *StreamingEngine) exec(p op) [][]tfhe.LWECiphertext {
 		close(rotated)
 	}()
 
-	// Stage 3 — sample extract (line 13), fanning the accumulator out
-	// into the item's outputs.
+	// Stage 3 — sample extract (line 13), fanning each accumulator out
+	// into its item's outputs.
 	go func() {
 		defer close(extracted)
-		for it := range rotated {
-			it.bigs = p.extract(s.ext, it.acc)
-			if !p.keyswitch {
-				out[it.idx] = it.bigs
-				continue
+		for t := range rotated {
+			p.extractTile(s.ext, t.acc, p.slots(out, t.lo, len(t.acc)))
+			if p.keyswitch {
+				extracted <- t
 			}
-			extracted <- it
 		}
 	}()
 
-	// Stage 4 — fused keyswitch (Algorithm 2, the §IV-C handoff): the
-	// extracted ciphertexts go straight to the KS pool without ever
-	// surfacing to the caller. A KS-less stream (Bootstrap) skips the
-	// pool; draining the closed channel is the completion barrier
-	// that orders the extract stage's out writes before the return.
-	if !p.keyswitch {
-		for range extracted {
-		}
-	} else {
-		var ksWG sync.WaitGroup
-		for _, ev := range s.ks {
-			ksWG.Add(1)
-			go func(ev *tfhe.Evaluator) {
-				defer ksWG.Done()
-				for it := range extracted {
-					outs := make([]tfhe.LWECiphertext, len(it.bigs))
-					for j, big := range it.bigs {
-						outs[j] = ev.KeySwitch(big)
-					}
-					out[it.idx] = outs
-				}
-			}(ev)
-		}
-		ksWG.Wait()
+	// Stage 4 — fused keyswitch (Algorithm 2, the §IV-C handoff): a tile's
+	// extracted ciphertexts are keyswitched in place, together. A KS-less
+	// stream (Bootstrap) sends nothing here; the closed channel is then
+	// the barrier that orders the extract stage's writes before the return.
+	var ksWG sync.WaitGroup
+	for _, ev := range s.ks {
+		ksWG.Add(1)
+		go func(ev *tfhe.Evaluator) {
+			defer ksWG.Done()
+			for t := range extracted {
+				ev.KeySwitchTile(p.slots(out, t.lo, len(t.acc)))
+			}
+		}(ev)
 	}
+	ksWG.Wait()
 	return out
 }
 

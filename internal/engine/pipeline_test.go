@@ -11,14 +11,14 @@ import (
 
 // streamConfigs returns the stage/worker configurations the equivalence
 // tests sweep: degenerate single-worker pipelines, skewed stage widths,
-// and the NumCPU default. The streaming contract is bitwise equality with
+// and the GOMAXPROCS default. The streaming contract is bitwise equality with
 // the sequential evaluator for every one of them.
 func streamConfigs() []StreamConfig {
 	cfgs := []StreamConfig{
 		{RotateWorkers: 1, KSWorkers: 1},
 		{RotateWorkers: 2, KSWorkers: 1},
 		{RotateWorkers: 3, KSWorkers: 2},
-		{}, // defaults: NumCPU rotate workers
+		{}, // defaults: GOMAXPROCS rotate and keyswitch workers
 	}
 	if n := runtime.NumCPU(); n > 3 {
 		cfgs = append(cfgs, StreamConfig{RotateWorkers: n, KSWorkers: n})
@@ -230,5 +230,25 @@ func TestStreamConcurrentCalls(t *testing.T) {
 	}
 	if c := s.Counters(); c.PBSCount != 16 {
 		t.Fatalf("PBSCount = %d after 4 concurrent streams of 4, want 16", c.PBSCount)
+	}
+}
+
+// TestWorkerDefaultsFollowGOMAXPROCS pins what a zero worker count means:
+// the CPUs the process may use. Sized by the host's CPUs instead, a
+// CPU-limited process would build one rotate worker per host CPU and
+// time-slice them.
+func TestWorkerDefaultsFollowGOMAXPROCS(t *testing.T) {
+	_, ek, _, _ := testSetup(t, 47, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := NewStreaming(ek, StreamConfig{})
+	if len(s.rot) != 1 || len(s.ks) != 1 {
+		t.Errorf("NewStreaming under GOMAXPROCS(1): %d rotate and %d keyswitch evaluators, want 1 and 1", len(s.rot), len(s.ks))
+	}
+	if e := New(ek, Config{}); len(e.evals) != 1 {
+		t.Errorf("New under GOMAXPROCS(1): %d evaluators, want 1", len(e.evals))
+	}
+	runtime.GOMAXPROCS(3)
+	if s := NewStreaming(ek, StreamConfig{}); len(s.rot) != 3 || len(s.ks) != 3 {
+		t.Errorf("NewStreaming under GOMAXPROCS(3): %d rotate and %d keyswitch evaluators, want 3 and 3", len(s.rot), len(s.ks))
 	}
 }

@@ -23,6 +23,25 @@ import (
 // must hold exactly dec.Level buffers of size M; each is fully
 // overwritten. src is read-only.
 func (p *Processor) ForwardDecompose(dsts []FourierPoly, dec poly.Decomposer, src poly.Poly) {
+	p.forwardDecompose(dsts, dec, src, 0, false)
+}
+
+// ForwardDecomposeRotSub is ForwardDecompose of src·X^e − src, the
+// operand of a CMux step (Algorithm 1 line 6), without ever forming it:
+// the value decomposed at index x is ±src[(x−e) mod N] − src[x], an index
+// offset and a sign on the load instead of a rotate pass, a copy and a
+// subtract pass; bitwise identical to MulByMonomialTo → SubTo →
+// ForwardDecompose. e may be any integer; it is reduced modulo 2N. src is
+// only read during the call, so it may be the polynomial the caller later
+// adds the external product into.
+func (p *Processor) ForwardDecomposeRotSub(dsts []FourierPoly, dec poly.Decomposer, src poly.Poly, e int) {
+	p.forwardDecompose(dsts, dec, src, ((e%(2*p.n))+2*p.n)%(2*p.n), true)
+}
+
+// forwardDecompose validates, runs the fused load — of src itself, or of
+// src·X^e − src with e already in [0, 2N) when rotSub is set — and then
+// the butterfly stages of every level.
+func (p *Processor) forwardDecompose(dsts []FourierPoly, dec poly.Decomposer, src poly.Poly, e int, rotSub bool) {
 	lb := dec.Level
 	if len(dsts) != lb {
 		panic(fmt.Sprintf("fft: ForwardDecompose level mismatch (got %d buffers, decomposer level %d)", len(dsts), lb))
@@ -36,36 +55,11 @@ func (p *Processor) ForwardDecompose(dsts []FourierPoly, dec poly.Decomposer, sr
 		}
 	}
 	if fastKernelOn() {
-		p.decompLoadFast(dsts, dec, src)
+		p.decompLoadFast(dsts, dec, src, e, rotSub)
 	} else {
-		p.decompLoadRef(dsts, dec, src)
+		p.decompLoadRef(dsts, dec, src, e, rotSub)
 	}
 	for l := range dsts {
 		p.forwardStages(dsts[l])
-	}
-}
-
-// decompLoadRef is the reference fused load: per folded coefficient pair,
-// extract all digits via Decomposer.DigitsTo into stack scratch and write
-// each level with the twist applied. NewDecomposer caps Level at 32, so
-// the scratch stays on the stack; a hand-built larger decomposer falls
-// back to the heap.
-func (p *Processor) decompLoadRef(dsts []FourierPoly, dec poly.Decomposer, src poly.Poly) {
-	lb := dec.Level
-	var stackA, stackB [32]int32
-	da, db := stackA[:], stackB[:]
-	if lb > len(da) {
-		da, db = make([]int32, lb), make([]int32, lb)
-	}
-	da, db = da[:lb], db[:lb]
-	m := p.m
-	for j := 0; j < m; j++ {
-		dec.DigitsTo(da, src.Coeffs[j])
-		dec.DigitsTo(db, src.Coeffs[j+m])
-		tr, ti := p.twist[2*j], p.twist[2*j+1]
-		for l := 0; l < lb; l++ {
-			ar, ai := float64(da[l]), float64(db[l])
-			dsts[l][j] = complex(ar*tr-ai*ti, ar*ti+ai*tr)
-		}
 	}
 }

@@ -310,29 +310,35 @@ func mulFast(dst, a, b FourierPoly) {
 	}
 }
 
-// decompLoadFast is the fast fused decompose+twist load. Digit extraction
-// is branchless — rounding folds into a masked add, and the balanced-range
-// borrow becomes carry = (d + B/2 - 1) >> baseLog, which is 1 exactly when
-// the digit exceeds B/2 — and the twisted complex points are stored
-// through per-level walking pointers. The digits are identical to
-// Decomposer.DigitsTo's (integer math is exact; pinned by test). BaseLog
-// 32 would overflow the branchless carry, so it falls back to the
-// reference load.
-func (p *Processor) decompLoadFast(dsts []FourierPoly, dec poly.Decomposer, src poly.Poly) {
+// decompLoadFast is the fast fused decompose+twist load, of src itself or
+// of src·X^e − src (rotSub, e in [0, 2N)). Digit extraction is branchless —
+// rounding folds into a masked add, and the balanced-range borrow becomes
+// carry = (d + B/2 - 1) >> baseLog, which is 1 exactly when the digit
+// exceeds B/2 — and for the level counts the paper's parameter sets use
+// (2 and 3) the digits of a coefficient pair never leave registers. The
+// digits are identical to Decomposer.DigitsTo's (pinned by test). BaseLog
+// 32 would overflow the branchless carry and falls back to the reference.
+//
+// The rotation costs an index offset and a sign mask, not a pass: with
+// k = e mod N, the coefficient decomposed at x is
+// (src[(x−k) mod N] ^ neg) − neg − (src[x] & sub), where neg is all ones
+// when exactly one of "x−k wrapped below zero" and "e ≥ N" holds, and sub
+// is all ones for the rot-sub load and zero for the plain one (k = 0: the
+// value is src[x]). Both halves of a folded pair keep their offset and
+// sign on either side of j = k mod N/2, so the walk is two straight runs.
+func (p *Processor) decompLoadFast(dsts []FourierPoly, dec poly.Decomposer, src poly.Poly, e int, rotSub bool) {
 	lb := dec.Level
 	bl := uint(dec.BaseLog)
 	if bl >= 32 || lb > 32 {
-		p.decompLoadRef(dsts, dec, src)
+		p.decompLoadRef(dsts, dec, src, e, rotSub)
 		return
 	}
-	m := p.m
+	m, n := p.m, p.n
 	var dp [32]unsafe.Pointer
 	for l := 0; l < lb; l++ {
 		dp[l] = unsafe.Pointer(unsafe.SliceData(dsts[l]))
 	}
-	sp := unsafe.Pointer(unsafe.SliceData(src.Coeffs))
-	sph := unsafe.Add(sp, uintptr(m)*4)
-	tp := unsafe.Pointer(unsafe.SliceData(p.twist))
+	d0, d1, d2 := dp[0], dp[1], dp[2]
 	rshift := 32 - bl*uint(lb)
 	rmask := ^uint32(0)
 	var rhalf uint32
@@ -342,30 +348,84 @@ func (p *Processor) decompLoadFast(dsts []FourierPoly, dec poly.Decomposer, src 
 	}
 	mask := uint32(1)<<bl - 1
 	half := uint32(1) << (bl - 1)
-	var da, db [32]int32
-	for j := 0; j < m; j++ {
-		ra := (*(*uint32)(sp) + rhalf) & rmask
-		rb := (*(*uint32)(sph) + rhalf) & rmask
-		ca, cb := uint32(0), uint32(0)
-		sh := rshift
-		for l := lb - 1; l >= 0; l-- {
-			d := (ra>>sh)&mask + ca
-			ca = (d + half - 1) >> bl
-			da[l] = int32(d - ca<<bl)
-			d = (rb>>sh)&mask + cb
-			cb = (d + half - 1) >> bl
-			db[l] = int32(d - cb<<bl)
-			sh += bl
+	sh1, sh2 := rshift+bl, rshift+2*bl
+
+	var da, db [32]int32 // digits of one pair, for the general level count
+	var k int
+	var flip, sub uint32
+	if rotSub {
+		k, sub = e, ^uint32(0)
+		if k >= n {
+			k, flip = k-n, ^uint32(0)
 		}
-		tr, ti := f64(tp, 0), f64(tp, 8)
-		for l := 0; l < lb; l++ {
-			ar, ai := float64(da[l]), float64(db[l])
-			*(*float64)(dp[l]) = ar*tr - ai*ti
-			*(*float64)(unsafe.Add(dp[l], 8)) = ar*ti + ai*tr
-			dp[l] = unsafe.Add(dp[l], 16)
-		}
-		sp = unsafe.Add(sp, 4)
-		sph = unsafe.Add(sph, 4)
-		tp = unsafe.Add(tp, 16)
 	}
+	sp := unsafe.Pointer(unsafe.SliceData(src.Coeffs))
+	tp := unsafe.Pointer(unsafe.SliceData(p.twist))
+	for lo, hi := 0, k%m; lo < m; lo, hi = hi, m {
+		// Over [lo, hi) neither rotated index wraps and neither sign
+		// changes, so each is fixed once per run.
+		oa, ob := -k, m-k
+		na, nb := flip, flip
+		if lo+oa < 0 {
+			oa, na = oa+n, ^flip
+		}
+		if lo+ob < 0 {
+			ob, nb = ob+n, ^flip
+		}
+		for j := lo; j < hi; j++ {
+			ra := ((u32(sp, j+oa) ^ na) - na - (u32(sp, j) & sub) + rhalf) & rmask
+			rb := ((u32(sp, j+ob) ^ nb) - nb - (u32(sp, j+m) & sub) + rhalf) & rmask
+			off := uintptr(j) * 16
+			tr, ti := f64(tp, off), f64(tp, off+8)
+			switch lb {
+			case 2:
+				a1, ca := digitFast(ra, rshift, bl, mask, half, 0)
+				a0, _ := digitFast(ra, sh1, bl, mask, half, ca)
+				b1, cb := digitFast(rb, rshift, bl, mask, half, 0)
+				b0, _ := digitFast(rb, sh1, bl, mask, half, cb)
+				storeTwistedFast(unsafe.Add(d0, off), a0, b0, tr, ti)
+				storeTwistedFast(unsafe.Add(d1, off), a1, b1, tr, ti)
+			case 3:
+				a2, ca := digitFast(ra, rshift, bl, mask, half, 0)
+				a1, ca := digitFast(ra, sh1, bl, mask, half, ca)
+				a0, _ := digitFast(ra, sh2, bl, mask, half, ca)
+				b2, cb := digitFast(rb, rshift, bl, mask, half, 0)
+				b1, cb := digitFast(rb, sh1, bl, mask, half, cb)
+				b0, _ := digitFast(rb, sh2, bl, mask, half, cb)
+				storeTwistedFast(unsafe.Add(d0, off), a0, b0, tr, ti)
+				storeTwistedFast(unsafe.Add(d1, off), a1, b1, tr, ti)
+				storeTwistedFast(unsafe.Add(d2, off), a2, b2, tr, ti)
+			default:
+				ca, cb := uint32(0), uint32(0)
+				sh := rshift
+				for l := lb - 1; l >= 0; l-- {
+					da[l], ca = digitFast(ra, sh, bl, mask, half, ca)
+					db[l], cb = digitFast(rb, sh, bl, mask, half, cb)
+					sh += bl
+				}
+				for l := 0; l < lb; l++ {
+					storeTwistedFast(unsafe.Add(dp[l], off), da[l], db[l], tr, ti)
+				}
+			}
+		}
+	}
+}
+
+// u32 loads the uint32 at index i of the array at p.
+func u32(p unsafe.Pointer, i int) uint32 { return *(*uint32)(unsafe.Add(p, uintptr(i)*4)) }
+
+// digitFast extracts the balanced digit of the rounded value r at bit
+// offset sh, given the carry out of the level below it, and returns the
+// digit with its own carry.
+func digitFast(r uint32, sh, bl uint, mask, half, carry uint32) (int32, uint32) {
+	d := (r>>sh)&mask + carry
+	carry = (d + half - 1) >> bl
+	return int32(d - carry<<bl), carry
+}
+
+// storeTwistedFast stores the folded pair (a, b) times the twist factor.
+func storeTwistedFast(dp unsafe.Pointer, a, b int32, tr, ti float64) {
+	ar, ai := float64(a), float64(b)
+	*(*float64)(dp) = ar*tr - ai*ti
+	*(*float64)(unsafe.Add(dp, 8)) = ar*ti + ai*tr
 }

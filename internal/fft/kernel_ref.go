@@ -1,6 +1,9 @@
 package fft
 
-import "repro/internal/torus"
+import (
+	"repro/internal/poly"
+	"repro/internal/torus"
+)
 
 // Reference kernels: plain bounds-checked Go implementations of the
 // butterfly stages and the fused load/fold passes. These are the bitwise
@@ -32,6 +35,51 @@ func loadIntRef(dst FourierPoly, src []int32, twist []float64) {
 		ai := float64(src[j+m])
 		tr, ti := twist[2*j], twist[2*j+1]
 		dst[j] = complex(ar*tr-ai*ti, ar*ti+ai*tr)
+	}
+}
+
+// decompLoadRef is the reference fused decompose+twist load: per folded
+// coefficient pair, extract all digits via Decomposer.DigitsTo into stack
+// scratch and write each level with the twist applied. The value
+// decomposed is src's coefficient, or that of src·X^e − src when rotSub is
+// set. NewDecomposer caps Level at 32, so the scratch stays on the stack;
+// a hand-built larger decomposer falls back to the heap.
+func (p *Processor) decompLoadRef(dsts []FourierPoly, dec poly.Decomposer, src poly.Poly, e int, rotSub bool) {
+	lb := dec.Level
+	var stackA, stackB [32]int32
+	da, db := stackA[:], stackB[:]
+	if lb > len(da) {
+		da, db = make([]int32, lb), make([]int32, lb)
+	}
+	da, db = da[:lb], db[:lb]
+	m := p.m
+	for j := 0; j < m; j++ {
+		a, b := src.Coeffs[j], src.Coeffs[j+m]
+		if rotSub {
+			a, b = rotSubRef(src.Coeffs, j, e), rotSubRef(src.Coeffs, j+m, e)
+		}
+		dec.DigitsTo(da, a)
+		dec.DigitsTo(db, b)
+		tr, ti := p.twist[2*j], p.twist[2*j+1]
+		for l := 0; l < lb; l++ {
+			ar, ai := float64(da[l]), float64(db[l])
+			dsts[l][j] = complex(ar*tr-ai*ti, ar*ti+ai*tr)
+		}
+	}
+}
+
+// rotSubRef returns coefficient x of src·X^e − src for e in [0, 2N): the
+// coefficient that lands at x started at x−e, and every wrap past a
+// multiple of N on the way negates it.
+func rotSubRef(src []torus.Torus32, x, e int) torus.Torus32 {
+	n := len(src)
+	switch i := x - e; {
+	case i >= 0:
+		return src[i] - src[x]
+	case i >= -n:
+		return -src[i+n] - src[x]
+	default:
+		return src[i+2*n] - src[x]
 	}
 }
 

@@ -1,6 +1,8 @@
 package fft
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -98,6 +100,36 @@ func TestRoundToTorusBoundaries(t *testing.T) {
 			t.Errorf("roundToTorus(%v) = %#x, want %#x", c.in, got, c.want)
 		}
 	}
+
+	// roundToTorus spells the rounding without math.Round; math.Round
+	// stays the definition. Ties, their float64 neighbours, and random
+	// values of every binade the kernels can produce must agree with it.
+	viaMathRound := func(x float64) torus.Torus32 { return torus.Torus32(int64(math.Round(x))) }
+	check := func(x float64) {
+		if got, want := roundToTorus(x), viaMathRound(x); got != want {
+			t.Fatalf("roundToTorus(%v) = %#x, math.Round gives %#x", x, got, want)
+		}
+	}
+	ties := []float64{0.5, 1.5, 2.5, 0.49999999999999994, 1<<52 - 1, 1<<52 + 1, 1<<53 - 1, 4503599627370495.5}
+	for _, x := range ties {
+		for _, y := range []float64{x, -x} {
+			check(y)
+			check(math.Nextafter(y, math.Inf(1)))
+			check(math.Nextafter(y, math.Inf(-1)))
+		}
+	}
+	rng := rand.New(rand.NewSource(43))
+	for exp := -2; exp < 61; exp++ {
+		for i := 0; i < 1_000_000; i++ {
+			// A uniform mantissa in [1, 2) scaled into the binade, either sign.
+			bits := rng.Uint64()
+			x := math.Ldexp(1+float64(bits>>12)/(1<<52), exp)
+			if bits&1 == 1 {
+				x = -x
+			}
+			check(x)
+		}
+	}
 }
 
 func TestRoundToTorusDoublePrecisionCliff(t *testing.T) {
@@ -146,6 +178,58 @@ func TestForwardDecomposeMatchesUnfused(t *testing.T) {
 				if fused[l][j] != unfused[l][j] {
 					t.Fatalf("n=%d level %d slot %d: fused %v != unfused %v", n, l, j, fused[l][j], unfused[l][j])
 				}
+			}
+		}
+	}
+}
+
+func TestForwardDecomposeRotSubMatchesThreePasses(t *testing.T) {
+	// The fused rotate-subtract-decompose load must be bitwise identical to
+	// MulByMonomialTo -> SubTo -> ForwardDecompose: every e in [0, 2N) at
+	// the small sizes (each wrap and sign case, e = 0 and e = N included),
+	// random e (negative and beyond 2N too) at the paper's sizes, for the
+	// register-held level counts 2 and 3, the general loop, and a gadget
+	// that uses all 32 bits.
+	decs := []poly.Decomposer{poly.NewDecomposer(10, 2), poly.NewDecomposer(8, 3), poly.NewDecomposer(5, 4), poly.NewDecomposer(7, 1), poly.NewDecomposer(16, 2)}
+	kernels := []bool{false}
+	if FastKernelAvailable() {
+		kernels = append(kernels, true)
+	}
+	for _, n := range []int{16, 64, 1024, 2048} {
+		p := NewProcessor(n)
+		rng := rand.New(rand.NewSource(int64(n)))
+		src, rot := poly.New(n), poly.New(n)
+		poly.Uniform(rng, src)
+		es := make([]int, 0, 2*n)
+		if n <= 64 {
+			for e := 0; e < 2*n; e++ {
+				es = append(es, e)
+			}
+		} else {
+			es = append(es, 0, n, n/2, 3*n/2, 2*n-1, -1, -n, 5*n+3)
+			for len(es) < 40 {
+				es = append(es, rng.Intn(2*n))
+			}
+		}
+		for _, dec := range decs {
+			fused := p.NewFourierPolyBatch(dec.Level)
+			want := p.NewFourierPolyBatch(dec.Level)
+			for _, fast := range kernels {
+				withKernel(fast, func() {
+					for _, e := range es {
+						poly.MulByMonomialTo(rot, src, e)
+						poly.SubTo(rot, src)
+						p.ForwardDecompose(want, dec, rot)
+						p.ForwardDecomposeRotSub(fused, dec, src, e)
+						for l := range fused {
+							for j := range fused[l] {
+								if fused[l][j] != want[l][j] {
+									t.Fatalf("n=%d gadget %v fast=%v e=%d level %d slot %d: fused %v != three-pass %v", n, dec, fast, e, l, j, fused[l][j], want[l][j])
+								}
+							}
+						}
+					}
+				})
 			}
 		}
 	}
@@ -307,10 +391,18 @@ func BenchmarkFFTForwardDecompose(b *testing.B) {
 	src := poly.New(1024)
 	poly.Uniform(rng, src)
 	dsts := p.NewFourierPolyBatch(dec.Level)
-	benchKernels(b, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p.ForwardDecompose(dsts, dec, src)
-		}
-	})
+	for _, rotSub := range []bool{false, true} {
+		b.Run(fmt.Sprintf("rotsub=%v", rotSub), func(b *testing.B) {
+			benchKernels(b, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if rotSub {
+						p.ForwardDecomposeRotSub(dsts, dec, src, 2*i+1)
+					} else {
+						p.ForwardDecompose(dsts, dec, src)
+					}
+				}
+			})
+		})
+	}
 }

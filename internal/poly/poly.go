@@ -122,16 +122,6 @@ func MulByMonomialTo(dst, p Poly, k int) {
 	}
 }
 
-// RotateSub returns p - p*X^k, the fused "rotate and subtract" of
-// Algorithm 1 line 6 computed by the Rotator Unit. (Blind rotation
-// accumulates tv ← tv + c_i·(tv·X^{a_i} − tv) via the external product; the
-// rotator's contribution is the rotated difference.)
-func RotateSub(p Poly, k int) Poly {
-	r := MulByMonomial(p, k)
-	SubTo(r, p)
-	return r
-}
-
 // MulNaive returns the negacyclic product p*q where q has small signed
 // integer coefficients (passed as int32). Quadratic; reference implementation
 // used to validate the FFT path.

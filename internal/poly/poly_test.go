@@ -103,15 +103,6 @@ func TestMonomialMatchesNaiveMul(t *testing.T) {
 	}
 }
 
-func TestRotateSub(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	p := randPoly(rng, 64)
-	want := Sub(MulByMonomial(p, 7), p)
-	if !RotateSub(p, 7).Equal(want) {
-		t.Error("RotateSub != p*X^k - p")
-	}
-}
-
 func TestMulNaiveDistributesOverAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	n := 32

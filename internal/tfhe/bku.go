@@ -93,8 +93,6 @@ func (e *Evaluator) BlindRotateUnrolled(c LWECiphertext, testVec GLWECiphertext,
 
 	base := acc.Copy() // scratch for the pre-iteration accumulator
 	e.ensureRotateScratch()
-	diff := e.diff
-	rot := e.rot
 
 	for i := 0; i < len(u.Pairs); i++ {
 		a1 := torus.ModSwitch(c.A[2*i], twoN)
@@ -110,19 +108,12 @@ func (e *Evaluator) BlindRotateUnrolled(c LWECiphertext, testVec GLWECiphertext,
 			if e2 == 0 {
 				continue // X^0 − 1 = 0: the term contributes nothing
 			}
-			base.RotateTo(rot, e2)
-			e.Counters.Rotations++
-			for j := range diff.Polys {
-				copy(diff.Polys[j].Coeffs, rot.Polys[j].Coeffs)
-				poly.SubTo(diff.Polys[j], base.Polys[j])
-			}
-			ExternalProductAcc(acc, diff, u.Pairs[i][term], e.gadget, e.proc, e.epBuf, &e.Counters)
+			ExternalProductRotSubAcc(acc, base, e2, u.Pairs[i][term], e.gadget, e.proc, e.epBuf, &e.Counters)
 		}
 	}
 	if u.Tail != nil {
-		aBar := torus.ModSwitch(c.A[p.SmallN-1], twoN)
-		if aBar != 0 {
-			CMuxRotateAcc(acc, aBar, *u.Tail, e.gadget, e.proc, e.epBuf, diff, rot, &e.Counters)
+		if aBar := torus.ModSwitch(c.A[p.SmallN-1], twoN); aBar != 0 {
+			ExternalProductRotSubAcc(acc, acc, aBar, *u.Tail, e.gadget, e.proc, e.epBuf, &e.Counters)
 		}
 	}
 	return acc

@@ -11,7 +11,7 @@ import "fmt"
 // Validate checks that every component of the key set has exactly the
 // shape the parameter set dictates: SmallN GGSW ciphertexts of
 // (k+1)·lb·(k+1) Fourier polynomials of N/2 coefficients in the BSK, and
-// k·N × lk LWE ciphertexts of dimension n in the KSK. A decoded key that
+// k·N × lk rows of n+1 words in the KSK slab. A decoded key that
 // passes Validate can be used by an Evaluator without any further bounds
 // concern.
 func (ek EvaluationKeys) Validate() error {
@@ -43,19 +43,8 @@ func (ek EvaluationKeys) Validate() error {
 			}
 		}
 	}
-	big := p.ExtractedN()
-	if len(ek.KSK) != big {
-		return fmt.Errorf("tfhe: KSK has %d entries, want kN=%d", len(ek.KSK), big)
-	}
-	for j, levels := range ek.KSK {
-		if len(levels) != p.KSLevel {
-			return fmt.Errorf("tfhe: KSK[%d] has %d levels, want lk=%d", j, len(levels), p.KSLevel)
-		}
-		for l, ct := range levels {
-			if ct.N() != p.SmallN {
-				return fmt.Errorf("tfhe: KSK[%d][%d] has LWE dimension %d, want n=%d", j, l, ct.N(), p.SmallN)
-			}
-		}
+	if len(ek.KSK) != p.KSKWords() {
+		return fmt.Errorf("tfhe: KSK has %d words, want kN·lk·(n+1)=%d", len(ek.KSK), p.KSKWords())
 	}
 	return nil
 }

@@ -21,14 +21,17 @@ type Evaluator struct {
 	gadget   poly.Decomposer
 	ksGadget poly.Decomposer
 
-	// scratch; the blind-rotation buffers (epBuf, diff, rot) are built
-	// lazily on the first CMux so specialized pipeline-stage evaluators
-	// that never rotate (prepare, extract, keyswitch pools) stay light.
+	// scratch; the external-product buffers are built lazily on the first
+	// CMux so specialized pipeline-stage evaluators that never rotate
+	// (prepare, extract, keyswitch pools) stay light.
 	epBuf    *externalProductBuffers
-	diff     GLWECiphertext
-	rot      GLWECiphertext
-	ksDigits []int32
-	msBuf    []int // modswitch scratch for the sequential BlindRotate
+	ksDigits []int32         // keyswitch digits of one mask index, lk per tile input
+	ksOuts   []LWECiphertext // keyswitch outputs of the tile in flight
+	// BlindRotateBatch's tile: rotation amounts (n per item, in msBuf)
+	// and accumulators.
+	msBuf   []int
+	msTile  []ModSwitched
+	accTile []GLWECiphertext
 }
 
 // NewEvaluator builds an evaluator around the evaluation keys.
@@ -40,43 +43,44 @@ func NewEvaluator(ek EvaluationKeys) *Evaluator {
 		proc:     fft.SharedProcessor(p.N),
 		gadget:   poly.NewDecomposer(p.PBSBaseLog, p.PBSLevel),
 		ksGadget: poly.NewDecomposer(p.KSBaseLog, p.KSLevel),
-		ksDigits: make([]int32, p.KSLevel),
 	}
 }
 
-// ensureRotateScratch allocates the blind-rotation scratch buffers on
+// ensureRotateScratch allocates the external-product scratch buffers on
 // first use.
 func (e *Evaluator) ensureRotateScratch() {
-	if e.epBuf != nil {
-		return
+	if e.epBuf == nil {
+		e.epBuf = newExternalProductBuffers(e.Params.K, e.Params.N, e.Params.PBSLevel, e.proc)
 	}
-	p := e.Params
-	e.diff = NewGLWECiphertext(p.K, p.N)
-	e.rot = NewGLWECiphertext(p.K, p.N)
-	e.epBuf = newExternalProductBuffers(p.K, p.N, p.PBSLevel, e.proc)
 }
 
 // BlindRotate runs the blind-rotation loop of Algorithm 1 on the test
 // vector testVec driven by ciphertext c, returning the rotated accumulator.
-// testVec is not modified. It composes the pipeline stage primitives of
-// stages.go (modswitch → init → CMux steps) back-to-back, so the
-// sequential path and the streaming engine execute the same code.
+// testVec is not modified. It is the batch-of-one call of BlindRotateBatch.
 func (e *Evaluator) BlindRotate(c LWECiphertext, testVec GLWECiphertext) GLWECiphertext {
-	ms := e.modSwitchScratch(c)           // Algorithm 1 lines 2–3
-	acc := e.BlindRotateInit(testVec, ms) // line 4: rotate 'left' by -b̄
-	e.BlindRotateSteps(acc, ms)           // lines 5–12: n CMux iterations
-	return acc
+	return e.BlindRotateBatch([]LWECiphertext{c}, testVec)[0]
 }
 
-// modSwitchScratch is ModSwitchLWE into evaluator-owned scratch: the
-// sequential path consumes the rotation amounts before returning, so it
-// can skip the per-call allocation the streaming engine needs to hand
-// items between stages.
-func (e *Evaluator) modSwitchScratch(c LWECiphertext) ModSwitched {
-	if e.msBuf == nil {
-		e.msBuf = make([]int, e.Params.SmallN)
+// BlindRotateBatch blind-rotates testVec once per ciphertext, the batch
+// taking the CMux loop as one tile (one pass over the BSK). It composes
+// the pipeline stage primitives of stages.go (modswitch → init → CMux
+// steps) back-to-back, so the sequential path and the streaming engine
+// execute the same code. The accumulators are fresh; the slice holding
+// them is evaluator scratch, valid until the next call.
+func (e *Evaluator) BlindRotateBatch(cts []LWECiphertext, testVec GLWECiphertext) []GLWECiphertext {
+	n := e.Params.SmallN
+	if cap(e.msBuf) < len(cts)*n {
+		e.msBuf = make([]int, len(cts)*n)
 	}
-	return e.modSwitchInto(c, e.msBuf)
+	mss, accs := e.msTile[:0], e.accTile[:0]
+	for j, c := range cts {
+		ms := e.modSwitchInto(c, e.msBuf[j*n:(j+1)*n]) // Algorithm 1 lines 2–3
+		mss = append(mss, ms)
+		accs = append(accs, e.BlindRotateInit(testVec, ms)) // line 4: rotate 'left' by -b̄
+	}
+	e.BlindRotateTile(accs, mss) // lines 5–12: n CMux iterations
+	e.msTile, e.accTile = mss, accs
+	return accs
 }
 
 // Bootstrap performs the full PBS (Algorithm 1): blind rotation of testVec
@@ -87,33 +91,65 @@ func (e *Evaluator) Bootstrap(c LWECiphertext, testVec GLWECiphertext) LWECipher
 }
 
 // KeySwitch converts an LWE ciphertext of dimension k·N (post-extraction)
-// back to dimension n under the original key — Algorithm 2.
+// back to dimension n under the original key — Algorithm 2. It is the
+// tile-of-one call of KeySwitchTile.
 func (e *Evaluator) KeySwitch(c LWECiphertext) LWECiphertext {
+	cs := [1]LWECiphertext{c}
+	e.KeySwitchTile(cs[:])
+	return cs[0]
+}
+
+// KeySwitchTile keyswitches every ciphertext of a tile in place: cs[b], of
+// dimension k·N, is replaced by a fresh ciphertext of dimension n. The
+// loop is key-major: for each mask index j it decomposes a_j of every
+// input, then streams the lk key rows of j once across all outputs, so
+// the key (16 MB at set I) is read once per tile, not once per ciphertext.
+// Each output sees its own sequence of wrap-around subtractions, so it is
+// bitwise identical to keyswitching alone.
+func (e *Evaluator) KeySwitchTile(cs []LWECiphertext) {
 	p := e.Params
-	big := p.ExtractedN()
-	if c.N() != big {
-		panic(fmt.Sprintf("tfhe: KeySwitch expects LWE dimension kN=%d, got %d", big, c.N()))
+	big, n, lk := p.ExtractedN(), p.SmallN, p.KSLevel
+	outs := e.ksOuts[:0]
+	for _, c := range cs {
+		if c.N() != big {
+			panic(fmt.Sprintf("tfhe: KeySwitch expects LWE dimension kN=%d, got %d", big, c.N()))
+		}
+		out := NewLWECiphertext(n)
+		out.B = c.B // Algorithm 2 line 2
+		outs = append(outs, out)
 	}
-	out := NewLWECiphertext(p.SmallN)
-	out.B = c.B // Algorithm 2 line 2
+	if cap(e.ksDigits) < len(cs)*lk {
+		e.ksDigits = make([]int32, len(cs)*lk)
+	}
+	digits := e.ksDigits[:len(cs)*lk]
+	ksk := e.Keys.KSK
 	for j := 0; j < big; j++ {
-		e.ksGadget.DigitsTo(e.ksDigits, c.A[j]) // line 3: decomposition
-		e.Counters.KSDecompScalar++
-		for l, d := range e.ksDigits {
-			if d == 0 {
-				continue
+		for b, c := range cs {
+			e.ksGadget.DigitsTo(digits[b*lk:(b+1)*lk], c.A[j]) // line 3: decomposition
+		}
+		for l := 0; l < lk; l++ {
+			row := ksk[:n+1] // n mask words, then the body
+			ksk = ksk[n+1:]
+			for b := range outs {
+				d := digits[b*lk+l]
+				if d == 0 {
+					continue
+				}
+				// Lines 4–6: o -= d · ksk[j][l] (vector-matrix multiply).
+				a := outs[b].A[:n]
+				for i, w := range row[:n] {
+					a[i] -= torus.Torus32(int32(w) * d)
+				}
+				outs[b].B -= torus.Torus32(int32(row[n]) * d)
+				e.Counters.KSMACs += int64(n + 1)
 			}
-			// Lines 4–6: o -= d · ksk[j][l] (vector-matrix multiply).
-			k := e.Keys.KSK[j][l]
-			for i := range out.A {
-				out.A[i] -= torus.Torus32(int32(k.A[i]) * d)
-			}
-			out.B -= torus.Torus32(int32(k.B) * d)
-			e.Counters.KSMACs += int64(p.SmallN + 1)
 		}
 	}
-	e.Counters.KSCount++
-	return out
+	copy(cs, outs)
+	clear(outs) // the scratch must not keep the caller's outputs alive
+	e.ksOuts = outs
+	e.Counters.KSDecompScalar += int64(len(cs) * big)
+	e.Counters.KSCount += int64(len(cs))
 }
 
 // EncodePBSMessage encodes m ∈ {0..space-1} for PBS with a padding bit:

@@ -79,50 +79,53 @@ func newExternalProductBuffers(k, n, level int, proc *fft.Processor) *externalPr
 // time. counters, if non-nil, records the operation mix for the Fig 1
 // experiment.
 func ExternalProductAcc(out, d GLWECiphertext, g GGSWFourier, gadget poly.Decomposer, proc *fft.Processor, buf *externalProductBuffers, counters *OpCounters) {
-	k := d.K()
 	lb := gadget.Level
-	// Phase 1: fused decompose + forward transform, component-major.
-	for j := 0; j <= k; j++ {
-		proc.ForwardDecompose(buf.fdig[j*lb:(j+1)*lb], gadget, d.Polys[j])
-		if counters != nil {
-			counters.Decompositions++
-			counters.ForwardFFTs += int64(lb)
-		}
+	for j, dj := range d.Polys {
+		proc.ForwardDecompose(buf.fdig[j*lb:(j+1)*lb], gadget, dj)
 	}
-	// Phase 2: Fourier MAC against the GGSW rows, then batched inverse.
-	for c := 0; c <= k; c++ {
-		fft.Clear(buf.acc[c])
-	}
-	for j := 0; j <= k; j++ {
-		for l := 0; l < lb; l++ {
-			fdig := buf.fdig[j*lb+l]
-			for c := 0; c <= k; c++ {
-				fft.MulAcc(buf.acc[c], fdig, g.Rows[j][l][c])
-				if counters != nil {
-					counters.VMAMuls += int64(proc.M())
-				}
-			}
-		}
-	}
-	proc.InverseBatchTo(out.Polys, buf.acc)
-	if counters != nil {
-		counters.InverseFFTs += int64(k + 1)
-		counters.Accumulations += int64((k + 1) * proc.N())
-	}
+	buf.macInverse(out, g, lb, proc, counters)
 }
 
-// CMuxRotateAcc performs one blind-rotation iteration (Algorithm 1 lines
-// 6–12): tv ← tv + GGSW(s_i) ⊡ (tv·X^e − tv), which equals tv·X^e when
-// s_i = 1 and tv when s_i = 0. diff and rot are caller scratch.
-func CMuxRotateAcc(tv GLWECiphertext, e int, g GGSWFourier, gadget poly.Decomposer, proc *fft.Processor, buf *externalProductBuffers, diff, rot GLWECiphertext, counters *OpCounters) {
-	tv.RotateTo(rot, e)
+// ExternalProductRotSubAcc computes out += GGSW ⊡ (src·X^e − src) without
+// forming the rotated difference: rotation and subtraction happen inside
+// the decompose load (fft.Processor.ForwardDecomposeRotSub), bitwise
+// identical to rotating, subtracting and calling ExternalProductAcc. Every
+// load precedes the first inverse transform, so out may be src, which is a
+// blind-rotation iteration (Algorithm 1 lines 6–12): tv ← tv + GGSW(s_i) ⊡
+// (tv·X^e − tv) equals tv·X^e when s_i = 1 and tv when s_i = 0.
+func ExternalProductRotSubAcc(out, src GLWECiphertext, e int, g GGSWFourier, gadget poly.Decomposer, proc *fft.Processor, buf *externalProductBuffers, counters *OpCounters) {
+	lb := gadget.Level
+	for j, sj := range src.Polys {
+		proc.ForwardDecomposeRotSub(buf.fdig[j*lb:(j+1)*lb], gadget, sj, e)
+	}
 	if counters != nil {
 		counters.Rotations++
 	}
-	// diff = tv·X^e − tv
-	for i := range diff.Polys {
-		copy(diff.Polys[i].Coeffs, rot.Polys[i].Coeffs)
-		poly.SubTo(diff.Polys[i], tv.Polys[i])
+	buf.macInverse(out, g, lb, proc, counters)
+}
+
+// macInverse is the second phase of an external product whose digit
+// transforms sit in b.fdig: the Fourier MAC against the GGSW rows, then
+// the batched inverse transform added into out. It counts both phases.
+func (b *externalProductBuffers) macInverse(out GLWECiphertext, g GGSWFourier, lb int, proc *fft.Processor, counters *OpCounters) {
+	for c := range b.acc {
+		fft.Clear(b.acc[c])
 	}
-	ExternalProductAcc(tv, diff, g, gadget, proc, buf, counters)
+	for j := range g.Rows {
+		for l := 0; l < lb; l++ {
+			fdig := b.fdig[j*lb+l]
+			for c := range b.acc {
+				fft.MulAcc(b.acc[c], fdig, g.Rows[j][l][c])
+			}
+		}
+	}
+	proc.InverseBatchTo(out.Polys, b.acc)
+	if counters != nil {
+		k1 := int64(len(b.acc))
+		counters.Decompositions += k1
+		counters.ForwardFFTs += k1 * int64(lb)
+		counters.VMAMuls += k1 * int64(lb) * k1 * int64(proc.M())
+		counters.InverseFFTs += k1
+		counters.Accumulations += k1 * int64(proc.N())
+	}
 }

@@ -24,9 +24,17 @@ type SecretKeys struct {
 // §II-D.
 type EvaluationKeys struct {
 	Params Params
-	BSK    []GGSWFourier     // length n; BSK[i] encrypts LWE key bit s_i
-	KSK    [][]LWECiphertext // [kN][lk]; KSK[j][l] encrypts s'_j·Q/base^(l+1)
+	BSK    []GGSWFourier // length n; BSK[i] encrypts LWE key bit s_i
+	// KSK is the keyswitching key as one slab in the order KeySwitchTile
+	// reads it, which is also the wire order: row (j, l), at word offset
+	// (j·lk + l)·(n+1), encrypts s'_j·Q/base^(l+1) as n mask words, then
+	// the body.
+	KSK []torus.Torus32
 }
+
+// KSKWords returns the length in words of the keyswitching key: k·N × lk
+// rows of n+1.
+func (p Params) KSKWords() int { return p.ExtractedN() * p.KSLevel * (p.SmallN + 1) }
 
 // GenerateKeys samples a full key set for params using the deterministic
 // source rng.
@@ -49,14 +57,15 @@ func GenerateKeys(rng *rand.Rand, params Params) (SecretKeys, EvaluationKeys) {
 	}
 
 	ksGadget := poly.NewDecomposer(params.KSBaseLog, params.KSLevel)
-	big := params.ExtractedN()
-	ek.KSK = make([][]LWECiphertext, big)
-	for j := 0; j < big; j++ {
-		ek.KSK[j] = make([]LWECiphertext, params.KSLevel)
+	n := params.SmallN
+	ek.KSK = make([]torus.Torus32, params.KSKWords())
+	row := ek.KSK
+	for j := 0; j < params.ExtractedN(); j++ {
 		for l := 0; l < params.KSLevel; l++ {
 			shift := uint(32 - ksGadget.BaseLog*(l+1))
 			mu := torus.Torus32(sk.BigLWE.Bits[j]) << shift
-			ek.KSK[j][l] = sk.LWE.Encrypt(rng, mu, params.LWEStdDev)
+			row[n] = sk.LWE.encryptInto(rng, row[:n], mu, params.LWEStdDev)
+			row = row[n+1:]
 		}
 	}
 	return sk, ek
@@ -74,6 +83,5 @@ func (ek EvaluationKeys) BSKBytes() int64 {
 // KSKBytes returns the size in bytes of the keyswitching key (32-bit
 // entries).
 func (ek EvaluationKeys) KSKBytes() int64 {
-	p := ek.Params
-	return int64(p.ExtractedN()) * int64(p.KSLevel) * int64(p.SmallN+1) * 4
+	return int64(ek.Params.KSKWords()) * 4
 }

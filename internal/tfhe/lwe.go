@@ -101,15 +101,22 @@ func (k LWEKey) N() int { return len(k.Bits) }
 // Encrypt encrypts the torus message mu with gaussian noise stddev sigma.
 func (k LWEKey) Encrypt(rng *rand.Rand, mu torus.Torus32, sigma float64) LWECiphertext {
 	c := NewLWECiphertext(k.N())
+	c.B = k.encryptInto(rng, c.A, mu, sigma)
+	return c
+}
+
+// encryptInto is Encrypt into caller storage: it fills the mask a (length
+// n) and returns the body. GenerateKeys uses it to write keyswitching-key
+// rows straight into their slab.
+func (k LWEKey) encryptInto(rng *rand.Rand, a []torus.Torus32, mu torus.Torus32, sigma float64) torus.Torus32 {
 	var dot torus.Torus32
-	for i := range c.A {
-		c.A[i] = torus.Uniform32(rng)
+	for i := range a {
+		a[i] = torus.Uniform32(rng)
 		if k.Bits[i] == 1 {
-			dot += c.A[i]
+			dot += a[i]
 		}
 	}
-	c.B = dot + torus.Gaussian32(rng, mu, sigma)
-	return c
+	return dot + torus.Gaussian32(rng, mu, sigma)
 }
 
 // Phase returns b - <a,s>, the noisy message.

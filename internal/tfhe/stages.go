@@ -13,8 +13,11 @@ import (
 // stage's setup is amortized across the whole batch. The methods in this
 // file expose exactly those stage boundaries so the streaming engine can
 // place each one in its own pipeline stage, while the sequential
-// Evaluator.Bootstrap composes the same methods back-to-back. Both paths
-// run the identical computation in the identical order, which is what
+// Evaluator.Bootstrap composes the same methods back-to-back. The two
+// stages that read the evaluation key take a tile — a handful of
+// ciphertexts sharing one pass over it (BlindRotateTile, KeySwitchTile) —
+// and the per-ciphertext calls are their tile-of-one case. Both paths run
+// the identical computation in the identical per-ciphertext order, which
 // keeps streamed results bitwise-equal to sequential ones.
 
 // ModSwitched carries an LWE ciphertext across the modulus-switch stage
@@ -29,7 +32,7 @@ type ModSwitched struct {
 // ModSwitchLWE runs the modulus-switch stage on one ciphertext: every
 // coefficient is rescaled from the torus to Z_{2N} (Algorithm 1 lines 2–3).
 // The result owns fresh storage, so it can be handed to another pipeline
-// stage; the sequential path uses evaluator scratch instead.
+// stage; BlindRotateBatch uses evaluator scratch instead.
 func (e *Evaluator) ModSwitchLWE(c LWECiphertext) ModSwitched {
 	return e.modSwitchInto(c, make([]int, e.Params.SmallN))
 }
@@ -67,14 +70,26 @@ func (e *Evaluator) CMuxAt(acc GLWECiphertext, i, aBar int) {
 		return
 	}
 	e.ensureRotateScratch()
-	CMuxRotateAcc(acc, aBar, e.Keys.BSK[i], e.gadget, e.proc, e.epBuf, e.diff, e.rot, &e.Counters)
+	ExternalProductRotSubAcc(acc, acc, aBar, e.Keys.BSK[i], e.gadget, e.proc, e.epBuf, &e.Counters)
 }
 
 // BlindRotateSteps runs all n CMux iterations of the blind-rotation stage
 // (Algorithm 1 lines 5–12) on an accumulator produced by BlindRotateInit.
+// It is the tile-of-one call of BlindRotateTile.
 func (e *Evaluator) BlindRotateSteps(acc GLWECiphertext, ms ModSwitched) {
-	for i, aBar := range ms.A {
-		e.CMuxAt(acc, i, aBar)
+	e.BlindRotateTile([]GLWECiphertext{acc}, []ModSwitched{ms})
+}
+
+// BlindRotateTile runs the n CMux iterations on a tile of accumulators,
+// key-major: iteration i is applied to every accumulator before bsk_{i+1}
+// is touched, so one fetch of each GGSW serves the whole tile — the
+// core-level batch of §IV. accs[j] is driven by mss[j] and sees exactly
+// the CMux steps it would see alone, so the result is bitwise identical.
+func (e *Evaluator) BlindRotateTile(accs []GLWECiphertext, mss []ModSwitched) {
+	for i := 0; i < e.Params.SmallN; i++ {
+		for j, acc := range accs {
+			e.CMuxAt(acc, i, mss[j].A[i])
+		}
 	}
 }
 

@@ -178,8 +178,6 @@ func TestCMuxSelects(t *testing.T) {
 	proc := fft.NewProcessor(p.N)
 	gadget := poly.NewDecomposer(p.PBSBaseLog, p.PBSLevel)
 	buf := newExternalProductBuffers(p.K, p.N, p.PBSLevel, proc)
-	diff := NewGLWECiphertext(p.K, p.N)
-	rot := NewGLWECiphertext(p.K, p.N)
 
 	mu := poly.New(p.N)
 	mu.Coeffs[0] = torus.FromFloat(0.25)
@@ -187,7 +185,7 @@ func TestCMuxSelects(t *testing.T) {
 	for _, bit := range []int32{0, 1} {
 		tv := key.Encrypt(rng, mu, 1e-9)
 		g := EncryptGGSW(rng, key, bit, gadget, p.GLWEStdDev, proc)
-		CMuxRotateAcc(tv, 7, g, gadget, proc, buf, diff, rot, nil)
+		ExternalProductRotSubAcc(tv, tv, 7, g, gadget, proc, buf, nil)
 		phase := key.Phase(tv)
 		want := mu
 		if bit == 1 {

@@ -90,12 +90,12 @@ func (e *evalKeyEncoder) appendRecord(dst []byte, k int) []byte {
 		return dst
 	}
 	// KSK ciphertexts carry no length prefix: the parameters imply it.
+	// The slab is in wire order, so record k is its k-th row.
 	k -= 1 + e.polys
-	ct := e.ek.KSK[k/p.KSLevel][k%p.KSLevel]
-	for _, a := range ct.A {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(a))
+	for _, w := range e.ek.KSK[k*(p.SmallN+1) : (k+1)*(p.SmallN+1)] {
+		dst = binary.LittleEndian.AppendUint32(dst, w)
 	}
-	return binary.LittleEndian.AppendUint32(dst, uint32(ct.B))
+	return dst
 }
 
 // Read implements io.Reader. Records that fit what is left of p are
@@ -250,9 +250,10 @@ func (d *keyDecoder) end() error {
 // DecodeEvalKey decodes evaluation keys from r, which must yield exactly
 // size bytes. The parameter payload is validated first and size is checked
 // against the shapes it dictates before any key storage is allocated; from
-// there storage is allocated a polynomial or ciphertext at a time, just
-// ahead of the bytes that fill it, so neither a hostile header nor a
-// hostile size buys more memory than the bytes actually sent.
+// there storage is allocated just ahead of the bytes that fill it — a BSK
+// polynomial at a time, the KSK slab never larger than what has already
+// arrived — so neither a hostile header nor a hostile size buys more
+// memory than the bytes actually sent.
 func DecodeEvalKey(r io.Reader, size int64) (tfhe.EvaluationKeys, error) {
 	d := &keyDecoder{br: bufio.NewReaderSize(r, keyChunk)}
 	p, err := d.params()
@@ -286,21 +287,17 @@ func DecodeEvalKey(r io.Reader, size int64) (tfhe.EvaluationKeys, error) {
 		}
 		ek.BSK = append(ek.BSK, tfhe.GGSWFourier{Rows: rows})
 	}
-	for big := p.ExtractedN(); len(ek.KSK) < big; {
-		levels := make([]tfhe.LWECiphertext, p.KSLevel)
-		for l := range levels {
-			ct := tfhe.NewLWECiphertext(p.SmallN)
-			if err := d.readTorus(ct.A); err != nil {
-				return tfhe.EvaluationKeys{}, err
-			}
-			b, err := d.take(4)
-			if err != nil {
-				return tfhe.EvaluationKeys{}, err
-			}
-			ct.B = torus.Torus32(binary.LittleEndian.Uint32(b))
-			levels[l] = ct
+	// The KSK slab is in wire order, so rows decode straight into it. Its
+	// capacity never exceeds the words the stream has already delivered:
+	// for every real set (the larger BSK comes first) one exact allocation.
+	for total := p.KSKWords(); len(ek.KSK) < total; {
+		n := len(ek.KSK)
+		grown := make([]torus.Torus32, min(total, max(int(d.off/4), n+1)))
+		copy(grown, ek.KSK)
+		ek.KSK = grown
+		if err := d.readTorus(ek.KSK[n:]); err != nil {
+			return tfhe.EvaluationKeys{}, err
 		}
-		ek.KSK = append(ek.KSK, levels)
 	}
 	if err := d.end(); err != nil {
 		return tfhe.EvaluationKeys{}, err

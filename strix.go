@@ -25,7 +25,7 @@
 //	outs, _ := ctx.BatchGate(strix.NAND, xs, ys) // all four in parallel
 //	fmt.Println(ctx.DecryptBools(outs))          // [false true true false]
 //
-// Worker count defaults to runtime.NumCPU(); NewEngine builds a pool of
+// Worker count defaults to runtime.GOMAXPROCS(0); NewEngine builds a pool of
 // an explicit size.
 //
 // The networked service, the routing tier, the circuit scheduler and the
@@ -119,7 +119,7 @@ func (c *FHEContext) defaultEngine() *engine.Engine {
 }
 
 // NewEngine returns a fresh batch engine over this context's keys with the
-// given worker count (0 = runtime.NumCPU()).
+// given worker count (0 = runtime.GOMAXPROCS(0)).
 func (c *FHEContext) NewEngine(workers int) *engine.Engine {
 	return engine.New(c.EK, engine.Config{Workers: workers})
 }
