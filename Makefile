@@ -13,7 +13,7 @@ GO ?= go
 # the floor is the total minus 1.5, rounded down.
 COVER_FLOOR ?= 80.0
 
-.PHONY: all build test test-purego race cover fuzz-regress bench bench-compare bench-smoke lint fmt fmt-check vet no-deprecated no-retired-gate no-retired-ops docs loc
+.PHONY: all build test test-purego race cover fuzz-regress bench bench-compare bench-smoke lint fmt fmt-check vet vet-arm64 no-deprecated no-retired-gate no-retired-ops no-fma docs loc
 
 all: build test
 
@@ -24,12 +24,12 @@ test:
 	$(GO) test ./...
 
 # The pure-Go build: the `purego` tag excludes the unsafe fast FFT
-# kernels so everything runs on the reference implementations. Keeps the
-# fallback honest — the fast path must stay an optimization, never a
-# requirement.
+# kernels and every assembly file, so everything runs on the reference
+# implementations. Keeps the fallback honest — the fast path must stay an
+# optimization, never a requirement.
 test-purego:
 	$(GO) build -tags purego ./...
-	$(GO) test -tags purego ./internal/fft/... ./internal/tfhe/... ./internal/conformance/...
+	$(GO) test -tags purego ./internal/torus/... ./internal/fft/... ./internal/tfhe/... ./internal/conformance/...
 
 # The concurrent packages: the worker-pool and streaming engines, the
 # tfhe tile loops their stages run, the circuit scheduler that feeds
@@ -37,9 +37,10 @@ test-purego:
 # gate service (group-commit coalescing) with its wire codec, the
 # multi-node routing tier in front of it, and the cross-backend
 # conformance suite that runs every public op through all the execution
-# paths.
+# paths. internal/torus rides along for its assembly-vs-Go test, beside
+# the two in fft and tfhe.
 race:
-	$(GO) test -race ./internal/conformance/... ./internal/engine/... ./internal/fft/... ./internal/router/... ./internal/sched/... ./internal/server/... ./internal/tfhe/... ./internal/wire/...
+	$(GO) test -race ./internal/conformance/... ./internal/engine/... ./internal/fft/... ./internal/router/... ./internal/sched/... ./internal/server/... ./internal/tfhe/... ./internal/torus/... ./internal/wire/...
 
 # Full suite under the race detector with a coverage floor: catches both
 # data races anywhere and silent loss of test coverage. ./benchmark runs
@@ -88,7 +89,7 @@ bench-compare:
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
-lint: fmt-check vet no-deprecated no-retired-gate no-retired-ops
+lint: fmt-check vet vet-arm64 no-deprecated no-retired-gate no-retired-ops no-fma
 
 # Documentation gate: every internal package needs a package comment and
 # every exported identifier a doc comment (see cmd/doccheck).
@@ -104,6 +105,12 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# A build without the amd64 assembly: the fast kernels' Go bodies are the
+# whole fast path there and must keep compiling.
+vet-arm64:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # A superseded identifier is deleted with its last caller, not kept as an
 # alias: any Deprecated: marker in non-test Go source fails the build.
@@ -121,6 +128,11 @@ no-retired-gate:
 # source outside benchmark/ may name them again.
 no-retired-ops:
 	@! git grep -nE 'BatchGates|StreamGates|BatchEvalLUT|StreamLUT\(|BatchMultiLUT|StreamMultiLUT|BatchBootstrap|StreamBootstrap|BatchKeySwitch|EvalCircuit' -- '*.go' ':!benchmark'
+
+# No fused multiply-add in any assembly file: it rounds once where the
+# reference kernels round twice, and fast == ref is bitwise.
+no-fma:
+	@! git grep -nE 'VFN?M(ADD|SUB)' -- '*.s'
 
 # Net non-test lines of Go outside benchmark/: the figure ROADMAP's
 # "net non-test LoC" criteria are read from.

@@ -108,9 +108,10 @@ func BenchmarkTable5FunctionalPBS(b *testing.B) {
 
 // BenchmarkPBS measures the raw programmable bootstrap — modswitch, blind
 // rotation (the CMux/external-product burst), sample extract — under both
-// FFT kernel sets. fast is the unsafe vectorized datapath the engines run
-// by default; ref is the pure-Go bitwise reference. The fast/ref quotient
-// is a same-run ratio, so it holds on any machine, but nothing gates it:
+// FFT kernel sets. fast is the datapath the engines run by default
+// (unchecked pointer walks, AVX2 bodies where the host has them:
+// fft.KernelSet names which); ref is the pure-Go bitwise reference. The
+// fast/ref quotient is a same-run ratio, so it holds on any machine, but nothing gates it:
 // the benchmark ledger has no row for it yet. That the two paths agree
 // bitwise is pinned separately, by the conformance suite's
 // reference-kernel backend.

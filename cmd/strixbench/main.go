@@ -324,20 +324,22 @@ func main() {
 	clients := flag.Int("clients", 4, "infer mode: concurrent client sessions")
 	parallel := flag.Int("parallel", 0, "circuit/infer mode: worker count (0 = NumCPU)")
 	set := flag.String("set", "test", "circuit/infer mode: parameter set")
-	kernel := flag.String("kernel", "fast", "FFT kernel set: fast (unsafe-vectorized, default) or ref (pure-Go reference)")
+	kernel := flag.String("kernel", "fast", "FFT kernel set: fast (unchecked pointer walks, AVX2 assembly where the host has it; default) or ref (bounds-checked reference)")
 	flag.Parse()
 
-	switch *kernel {
-	case "fast":
-		if !fft.FastKernelAvailable() {
-			fmt.Println("kernel   : reference (fast kernels excluded from this build)")
-		}
-	case "ref":
+	note := ""
+	switch {
+	case *kernel == "ref":
 		fft.SetFastKernel(false)
-		fmt.Println("kernel   : reference (forced by -kernel ref)")
-	default:
+		note = " (forced by -kernel ref)"
+	case *kernel != "fast":
 		fmt.Fprintf(os.Stderr, "strixbench: unknown -kernel %q (want fast or ref)\n", *kernel)
 		os.Exit(1)
+	case !fft.FastKernelAvailable():
+		note = " (fast kernels excluded from this build)"
+	}
+	if !*list {
+		fmt.Printf("kernel   : %s%s\n", fft.KernelSet(), note)
 	}
 
 	var err error

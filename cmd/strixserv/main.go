@@ -40,6 +40,7 @@ import (
 	"syscall"
 
 	"repro/internal/engine"
+	"repro/internal/fft"
 	"repro/internal/server"
 )
 
@@ -76,6 +77,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("strixserv: listening on %s\n", l.Addr())
+	fmt.Printf("strixserv: FFT kernels %s\n", fft.KernelSet())
 
 	// SIGINT/SIGTERM trigger a graceful drain: stop admitting work, let
 	// in-flight batches finish, flush and close the session store.

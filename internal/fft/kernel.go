@@ -1,6 +1,10 @@
 package fft
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"repro/internal/torus"
+)
 
 // Kernel selection. Two interchangeable kernel sets implement the butterfly
 // stages, the twist/fold load-store passes, and the pointwise MACs:
@@ -9,12 +13,20 @@ import "sync/atomic"
 //     bitwise-pinned ground truth;
 //   - the fast kernels (kernel_fast.go, excluded by the `purego` build tag):
 //     the same arithmetic with unsafe pointer indexing and unrolled loops.
+//     fwdStage4Fast, invStage4Fast and mulAccFast hand their loop to an
+//     AVX2 body (kernel_amd64.s, two complex values per instruction) when
+//     torus.UseAVX2 reports one; their Go bodies are the fast path on
+//     every other host, for the q = 1 stage and for an odd tail.
 //
-// Both sets spell every floating-point expression with the same shape and
+// Every body spells every floating-point expression with the same shape and
 // evaluation order, so they produce bitwise-identical float64 results up to
 // the sign of zeros — and therefore identical Torus32 outputs on every
-// public operation. The reference-kernel conformance backend re-runs every
-// op with the fast path disabled and requires exact ciphertext equality.
+// public operation. The assembly departs in one place, a commuted add in
+// the complex multiply (bi·wr + br·wi for br·wi + bi·wr), which IEEE 754
+// leaves bitwise equal; and it uses no FMA instruction, which rounds once
+// where the reference rounds twice (`make lint` refuses one: no-fma). The
+// reference-kernel conformance backend re-runs every op with the fast path
+// disabled and requires exact ciphertext equality.
 //
 // fastEnabled is a process-wide runtime switch so one binary can benchmark
 // fast against reference in the same run; it defaults to the fast path when
@@ -24,7 +36,7 @@ var fastEnabled atomic.Bool
 func init() { fastEnabled.Store(fastKernelAvailable) }
 
 // FastKernelAvailable reports whether this binary was built with the
-// unsafe fast kernels (i.e. without the `purego` build tag).
+// fast kernels (i.e. without the `purego` build tag).
 func FastKernelAvailable() bool { return fastKernelAvailable }
 
 // SetFastKernel selects the kernel set used by all processors in the
@@ -36,6 +48,19 @@ func SetFastKernel(on bool) bool {
 	prev := fastEnabled.Load()
 	fastEnabled.Store(on && fastKernelAvailable)
 	return prev
+}
+
+// KernelSet names the kernels the processors run right now: "ref", or for
+// the fast set "avx2" when its assembly bodies are in use (an amd64 host
+// with AVX2) and "go" when only its portable bodies are.
+func KernelSet() string {
+	switch {
+	case !fastKernelOn():
+		return "ref"
+	case torus.UseAVX2():
+		return "avx2"
+	}
+	return "go"
 }
 
 // fastKernelOn is the per-call dispatch check (a single atomic load).

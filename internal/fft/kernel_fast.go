@@ -9,14 +9,10 @@ import (
 	"repro/internal/torus"
 )
 
-// Fast kernels: the same butterfly/load/fold/MAC arithmetic as
-// kernel_ref.go with unsafe pointer indexing instead of bounds-checked
-// slice access, pointer-increment walks instead of computed indices, and
-// (where it pays) unrolled loops. Every floating-point expression keeps
-// the exact shape of its reference twin — complex multiplies as
-// (ar*br-ai*bi, ar*bi+ai*br), i-multiplies as (-di, dr) — so fast and
-// reference produce bitwise-identical Torus32 results on every public
-// operation (the reference-kernel conformance backend enforces this).
+// Fast kernels: the arithmetic of kernel_ref.go, expression shape for
+// expression shape (see kernel.go), with unsafe pointer walks instead of
+// bounds-checked indexing and, where it pays, unrolled loops. The two
+// radix-4 stages and the MAC enter an AVX2 body when the host has one.
 // Excluded from `purego` builds.
 
 const fastKernelAvailable = true
@@ -66,6 +62,10 @@ func loadIntFast(dst FourierPoly, src []int32, twist []float64) {
 
 func fwdStage4Fast(buf []complex128, s int, tw []float64) {
 	q := s >> 2
+	if q >= 2 && torus.UseAVX2() {
+		fwdStage4AVX2(unsafe.SliceData(buf), len(buf), s, unsafe.SliceData(tw))
+		return
+	}
 	qb := uintptr(q) * 16
 	bp := unsafe.Pointer(unsafe.SliceData(buf))
 	twp := unsafe.Pointer(unsafe.SliceData(tw))
@@ -162,6 +162,10 @@ func invFirstFast(dst, src []complex128, size int) {
 
 func invStage4Fast(buf []complex128, s int, tw []float64) {
 	q := s >> 2
+	if q >= 2 && torus.UseAVX2() {
+		invStage4AVX2(unsafe.SliceData(buf), len(buf), s, unsafe.SliceData(tw))
+		return
+	}
 	qb := uintptr(q) * 16
 	bp := unsafe.Pointer(unsafe.SliceData(buf))
 	twp := unsafe.Pointer(unsafe.SliceData(tw))
@@ -262,6 +266,10 @@ func invFoldFast(dst []torus.Torus32, src []complex128, st stage, untwist []floa
 }
 
 func mulAccFast(acc, a, b FourierPoly) {
+	if n := len(acc) &^ 1; n > 0 && torus.UseAVX2() {
+		mulAccAVX2(unsafe.SliceData(acc), unsafe.SliceData(a), unsafe.SliceData(b), n)
+		acc, a, b = acc[n:], a[n:], b[n:] // the Go body takes an odd tail
+	}
 	n := len(acc)
 	cp := unsafe.Pointer(unsafe.SliceData(acc))
 	ap := unsafe.Pointer(unsafe.SliceData(a))

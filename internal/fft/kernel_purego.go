@@ -7,10 +7,10 @@ import (
 	"repro/internal/torus"
 )
 
-// purego build: the unsafe fast kernels are excluded and every dispatch
-// site resolves to the reference implementation. fastKernelAvailable =
-// false keeps SetFastKernel a no-op, so the stubs below are never reached
-// at runtime; they exist only to satisfy the dispatch call sites.
+// purego build: the fast kernels and their assembly are excluded and every
+// dispatch site resolves to the reference implementation.
+// fastKernelAvailable = false keeps SetFastKernel a no-op, so the stubs below
+// are never reached at runtime; they exist only to satisfy the call sites.
 
 const fastKernelAvailable = false
 

@@ -263,7 +263,14 @@ func TestFastMatchesReferenceBitwise(t *testing.T) {
 	if !FastKernelAvailable() {
 		t.Skip("purego build: no fast kernel")
 	}
-	for _, n := range []int{4, 8, 16, 256, 1024} {
+	bothBodies(t, testFastMatchesReferenceBitwise)
+}
+
+func testFastMatchesReferenceBitwise(t *testing.T) {
+	// Every transform size up to set III's, and set IV's: between them
+	// every stage size the kernels see, N = 2048 being the only paper set
+	// whose radix-4 ladder ends in a q = 1 stage.
+	for _, n := range []int{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 16384} {
 		p := NewProcessor(n)
 		rng := rand.New(rand.NewSource(17))
 		src := poly.New(n)
@@ -323,6 +330,99 @@ func TestFastMatchesReferenceBitwise(t *testing.T) {
 	}
 }
 
+// kernelOperands fills buf with what the transforms can hand a butterfly or
+// the VMA: both zeros, magnitudes from below 1 up to 2^52, mixed signs.
+func kernelOperands(rng *rand.Rand, buf []complex128) {
+	part := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		}
+		x := math.Ldexp(rng.Float64(), rng.Intn(54)-1)
+		if rng.Intn(2) == 0 {
+			x = -x
+		}
+		return x
+	}
+	for i := range buf {
+		buf[i] = complex(part(), part())
+	}
+}
+
+// sameBits reports the first index at which a and b differ as bit
+// patterns (so a zero of the other sign is a difference), or -1.
+func sameBits(a, b []complex128) int {
+	for i := range a {
+		if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) || math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+func TestStageKernelsMatchReferenceBitwise(t *testing.T) {
+	// The three kernels that have an assembly body, called directly: every
+	// radix-4 stage of every N in 8 … 16384, forward and inverse tables,
+	// and the VMA at every transform length and at short and odd ones —
+	// each at a buffer offset of zero and of one complex value, one of
+	// which is 16- but not 32-byte aligned whatever the allocator did.
+	if !FastKernelAvailable() {
+		t.Skip("purego build: no fast kernel")
+	}
+	bothBodies(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		lengths := []int{1, 2, 3, 5, 6, 7, 9}
+		for m := 4; m <= 8192; m <<= 1 {
+			lengths = append(lengths, m)
+			fwd, inv := buildStages(m, +1), buildStages(m, -1)
+			for i, st := range fwd {
+				if st.size < 4 {
+					continue
+				}
+				for off := 0; off < 2; off++ {
+					in := make([]complex128, m+off)
+					kernelOperands(rng, in)
+					for _, k := range []struct {
+						name      string
+						fast, ref func([]complex128, int, []float64)
+						tw        []float64
+					}{{"fwdStage4", fwdStage4Fast, fwdStage4Ref, st.tw}, {"invStage4", invStage4Fast, invStage4Ref, inv[i].tw}} {
+						got, want := append([]complex128(nil), in...), append([]complex128(nil), in...)
+						k.fast(got[off:], st.size, k.tw)
+						k.ref(want[off:], st.size, k.tw)
+						if i := sameBits(got, want); i >= 0 {
+							t.Fatalf("%s m=%d s=%d offset %d: slot %d is %v, reference %v", k.name, m, st.size, off, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+		for _, n := range lengths {
+			for off := 0; off < 2; off++ {
+				acc, a, b := make(FourierPoly, n+off), make(FourierPoly, n+off), make(FourierPoly, n+off)
+				kernelOperands(rng, acc)
+				kernelOperands(rng, a)
+				kernelOperands(rng, b)
+				want := Copy(acc)
+				mulAccFast(acc[off:], a[off:], b[off:])
+				mulAccRef(want[off:], a[off:], b[off:])
+				if i := sameBits(acc, want); i >= 0 {
+					t.Fatalf("mulAcc n=%d offset %d: slot %d is %v, reference %v", n, off, i, acc[i], want[i])
+				}
+				// acc may be one of its own operands (MulAcc's contract).
+				x, y := Copy(a), Copy(a)
+				mulAccFast(x[off:], x[off:], b[off:])
+				mulAccRef(y[off:], y[off:], b[off:])
+				if i := sameBits(x, y); i >= 0 {
+					t.Fatalf("mulAcc n=%d offset %d, acc aliasing a: slot %d is %v, reference %v", n, off, i, x[i], y[i])
+				}
+			}
+		}
+	})
+}
+
 func TestInverseToNoAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are unreliable under the race detector")
@@ -339,20 +439,21 @@ func TestInverseToNoAlloc(t *testing.T) {
 	}
 }
 
+// benchKernels runs the benchmark under each kernel set: the fast kernels
+// with their AVX2 bodies, the fast kernels' Go bodies alone, the reference.
 func benchKernels(b *testing.B, run func(b *testing.B)) {
-	b.Run("fast", func(b *testing.B) {
-		if !FastKernelAvailable() {
-			b.Skip("purego build")
-		}
-		prev := SetFastKernel(true)
-		defer SetFastKernel(prev)
-		run(b)
-	})
-	b.Run("ref", func(b *testing.B) {
-		prev := SetFastKernel(false)
-		defer SetFastKernel(prev)
-		run(b)
-	})
+	for _, set := range []string{"avx2", "go", "ref"} {
+		b.Run("kernel="+set, func(b *testing.B) {
+			withKernel(set != "ref", func() {
+				withAVX2(set == "avx2", func() {
+					if KernelSet() != set {
+						b.Skipf("this build and host run %q here", KernelSet())
+					}
+					run(b)
+				})
+			})
+		})
+	}
 }
 
 func BenchmarkFFTForward(b *testing.B) {
@@ -380,6 +481,21 @@ func BenchmarkFFTInverse(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			p.InverseTo(dst, fp)
+		}
+	})
+}
+
+// BenchmarkMulAcc is one VMA pass at set I's transform length.
+func BenchmarkMulAcc(b *testing.B) {
+	rng := rand.New(rand.NewSource(37))
+	acc, x, y := make(FourierPoly, 512), make(FourierPoly, 512), make(FourierPoly, 512)
+	kernelOperands(rng, x)
+	kernelOperands(rng, y)
+	benchKernels(b, func(b *testing.B) {
+		Clear(acc)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			MulAcc(acc, x, y)
 		}
 	})
 }

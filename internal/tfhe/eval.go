@@ -136,10 +136,7 @@ func (e *Evaluator) KeySwitchTile(cs []LWECiphertext) {
 					continue
 				}
 				// Lines 4–6: o -= d · ksk[j][l] (vector-matrix multiply).
-				a := outs[b].A[:n]
-				for i, w := range row[:n] {
-					a[i] -= torus.Torus32(int32(w) * d)
-				}
+				torus.MulSub(outs[b].A[:n], row[:n], d)
 				outs[b].B -= torus.Torus32(int32(row[n]) * d)
 				e.Counters.KSMACs += int64(n + 1)
 			}

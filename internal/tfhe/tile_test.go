@@ -94,17 +94,31 @@ func keySwitchRef(ev *Evaluator, c LWECiphertext) LWECiphertext {
 }
 
 func TestKeySwitchTileMatchesPerCiphertext(t *testing.T) {
+	// At the toy set (n = 64: whole vectors, no tail) and at set I (n = 500:
+	// 62 vectors and a 4-word tail), with the row update's AVX2 body as
+	// detected and forced off.
+	skI, ekI := setI()
+	for _, on := range []bool{true, false} {
+		withAVX2(on, func() {
+			testKeySwitchTile(t, testSK, testEK)
+			testKeySwitchTile(t, skI, ekI)
+		})
+	}
+}
+
+func testKeySwitchTile(t *testing.T, sk SecretKeys, ek EvaluationKeys) {
 	rng := rand.New(rand.NewSource(223))
-	ev := NewEvaluator(testEK)
+	ev := NewEvaluator(ek)
+	p := ek.Params
 	for _, b := range []int{1, 2, 3, 8} {
 		cs := make([]LWECiphertext, b)
 		want := make([]LWECiphertext, b)
 		for i := range cs {
-			cs[i] = testSK.BigLWE.Encrypt(rng, torus.EncodeMessage(i, 8), 1e-8)
+			cs[i] = sk.BigLWE.Encrypt(rng, torus.EncodeMessage(i, 8), 1e-8)
 			if i == b-1 {
 				// A zero mask decomposes to all-zero digits: every row is
 				// skipped and the body passes through.
-				cs[i] = NewLWECiphertext(ParamsTest.ExtractedN())
+				cs[i] = NewLWECiphertext(p.ExtractedN())
 				cs[i].B = torus.EncodeMessage(3, 8)
 			}
 			want[i] = keySwitchRef(ev, cs[i])
@@ -112,18 +126,18 @@ func TestKeySwitchTileMatchesPerCiphertext(t *testing.T) {
 		ev.KeySwitchTile(cs)
 		for i := range cs {
 			if !EqualLWE(cs[i], want[i]) {
-				t.Fatalf("B=%d: output %d differs from the per-ciphertext keyswitch", b, i)
+				t.Fatalf("n=%d B=%d: output %d differs from the per-ciphertext keyswitch", p.SmallN, b, i)
 			}
 		}
-		if last := cs[b-1]; last.B != torus.EncodeMessage(3, 8) || last.N() != ParamsTest.SmallN {
-			t.Fatalf("B=%d: zero-digit input came out as dimension %d body %#x", b, last.N(), last.B)
+		if last := cs[b-1]; last.B != torus.EncodeMessage(3, 8) || last.N() != p.SmallN {
+			t.Fatalf("n=%d B=%d: zero-digit input came out as dimension %d body %#x", p.SmallN, b, last.N(), last.B)
 		}
 	}
 	// A smaller tile after a larger one reuses the scratch and must not
 	// hand back anything of the earlier tile.
-	c := testSK.BigLWE.Encrypt(rng, torus.EncodeMessage(5, 8), 1e-8)
+	c := sk.BigLWE.Encrypt(rng, torus.EncodeMessage(5, 8), 1e-8)
 	if got := ev.KeySwitch(c); !EqualLWE(got, keySwitchRef(ev, c)) {
-		t.Fatal("KeySwitch after a tile of 8 differs from the per-ciphertext keyswitch")
+		t.Fatalf("n=%d: KeySwitch after a tile of 8 differs from the per-ciphertext keyswitch", p.SmallN)
 	}
 }
 
@@ -198,25 +212,33 @@ func BenchmarkBlindRotateTile(b *testing.B) {
 }
 
 // BenchmarkKeySwitchTile reports the cost per ciphertext of the key-major
-// keyswitch at set I; b=1 is the per-ciphertext loop.
+// keyswitch at set I, with the row update's AVX2 body and with its Go loop;
+// b=1 is the per-ciphertext loop.
 func BenchmarkKeySwitchTile(b *testing.B) {
 	sk, ek := setI()
 	ev := NewEvaluator(ek)
 	rng := rand.New(rand.NewSource(233))
 	for _, size := range []int{1, 8} {
-		b.Run(fmt.Sprintf("b=%d", size), func(b *testing.B) {
-			bigs := make([]LWECiphertext, size)
-			for j := range bigs {
-				bigs[j] = sk.BigLWE.Encrypt(rng, boolMu(true), 1e-8)
-			}
-			cs := make([]LWECiphertext, size)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(cs, bigs)
-				ev.KeySwitchTile(cs)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/ct")
-		})
+		bigs := make([]LWECiphertext, size)
+		for j := range bigs {
+			bigs[j] = sk.BigLWE.Encrypt(rng, boolMu(true), 1e-8)
+		}
+		for _, body := range []string{"avx2", "go"} {
+			b.Run(fmt.Sprintf("b=%d/%s", size, body), func(b *testing.B) {
+				if body == "avx2" && !torus.UseAVX2() {
+					b.Skip("no AVX2 body on this build and host")
+				}
+				cs := make([]LWECiphertext, size)
+				b.ReportAllocs()
+				b.ResetTimer()
+				withAVX2(body == "avx2", func() {
+					for i := 0; i < b.N; i++ {
+						copy(cs, bigs)
+						ev.KeySwitchTile(cs)
+					}
+				})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/ct")
+			})
+		}
 	}
 }

@@ -143,3 +143,50 @@ func TestDistanceBoundedProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestMulSubMatchesScalarLoop(t *testing.T) {
+	// Every length around the eight-word vector (no vector, exact
+	// multiples, each tail), the two keyswitch row lengths of the paper's
+	// sets, digits at both ends of int32, and operands that start off a
+	// 32-byte boundary — once as detected and once with the assembly
+	// forced off, so the Go loop stays exercised on an AVX2 host.
+	rng := rand.New(rand.NewSource(7))
+	lengths := []int{500, 630}
+	for n := 0; n <= 40; n++ {
+		lengths = append(lengths, n)
+	}
+	run := func(t *testing.T) {
+		for _, n := range lengths {
+			for _, d := range []int32{-2, -1, 1, math.MinInt32, math.MaxInt32} {
+				for off := 0; off < 3; off++ {
+					buf, src := make([]Torus32, n+off), make([]Torus32, n+off)
+					for i := range buf {
+						buf[i], src[i] = Uniform32(rng), Uniform32(rng)
+					}
+					want := append([]Torus32(nil), buf...)
+					for i := off; i < len(want); i++ {
+						want[i] -= Torus32(int32(src[i]) * d)
+					}
+					MulSub(buf[off:], src[off:], d)
+					for i := range buf {
+						if buf[i] != want[i] {
+							t.Fatalf("n=%d d=%d offset %d: word %d is %#x, want %#x", n, d, off, i, buf[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Run("detected", run)
+	prev := useAVX2
+	useAVX2 = false
+	t.Run("go", run)
+	useAVX2 = prev
+
+	defer func() {
+		if recover() == nil {
+			t.Error("MulSub accepted operands of different lengths")
+		}
+	}()
+	MulSub(make([]Torus32, 8), make([]Torus32, 9), 1)
+}
