@@ -125,9 +125,10 @@ no-retired-gate:
 
 # The per-engine operation methods that engine.Ops replaced (one vocabulary,
 # two executors) and the second circuit form are deleted, not aliased: no Go
-# source outside benchmark/ may name them again.
+# source outside benchmark/ may name them again (BenchmarkStreamGates, the
+# profile harness in internal/engine, is not the retired method: the k).
 no-retired-ops:
-	@! git grep -nE 'BatchGates|StreamGates|BatchEvalLUT|StreamLUT\(|BatchMultiLUT|StreamMultiLUT|BatchBootstrap|StreamBootstrap|BatchKeySwitch|EvalCircuit' -- '*.go' ':!benchmark'
+	@! git grep -nE 'BatchGates|(^|[^k])StreamGates|BatchEvalLUT|StreamLUT\(|BatchMultiLUT|StreamMultiLUT|BatchBootstrap|StreamBootstrap|BatchKeySwitch|EvalCircuit' -- '*.go' ':!benchmark'
 
 # No fused multiply-add in any assembly file: it rounds once where the
 # reference kernels round twice, and fast == ref is bitwise.

@@ -43,6 +43,13 @@ type StreamingEngine struct {
 	ks   []*tfhe.Evaluator // keyswitch stage worker pool
 
 	tileCap int // most ciphertexts a tile may hold (see tileBudgetBytes)
+	// free holds spent tiles for the prepare stage to refill, the way Strix
+	// keeps its accumulators in the local scratchpad (§V-B) instead of
+	// allocating 12 KB per PBS at set I. Four per rotate worker is about
+	// what a full pipeline has in flight (two queued ahead of each worker,
+	// one in its hands, and the extract stage's backlog); a tile that finds
+	// the list full is left to the collector.
+	free chan tile
 }
 
 // StreamConfig tunes the streaming pipeline's stage widths. The tile size
@@ -58,7 +65,8 @@ type StreamConfig struct {
 	// RotateWorkers: a keyswitch job is a whole tile (milliseconds), and
 	// the rotate workers finish the tiles of a short stream together, so
 	// with fewer keyswitch workers the last tiles queue behind one another
-	// (about 6 ms of a 120 ms set-I op on two CPUs).
+	// (one worker against two costs 2–6 ms of a 40 ms set-I op of eight
+	// gates on two CPUs: BenchmarkStreamGates).
 	KSWorkers int
 }
 
@@ -88,6 +96,7 @@ func NewStreaming(ek tfhe.EvaluationKeys, cfg StreamConfig) *StreamingEngine {
 		ext:     tfhe.NewEvaluator(ek),
 		ks:      make([]*tfhe.Evaluator, kw),
 		tileCap: int(max(1, (tileBudgetBytes-ek.BSKBytes()/int64(p.SmallN))/accBytes)),
+		free:    make(chan tile, 4*rw),
 	}
 	for i := range s.rot {
 		s.rot[i] = tfhe.NewEvaluator(ek)
@@ -101,11 +110,40 @@ func NewStreaming(ek tfhe.EvaluationKeys, cfg StreamConfig) *StreamingEngine {
 
 // tile is what flows between the stages: a run of consecutive items, from
 // lo on, that share one pass over the keys. Outputs land in the items' own
-// slots of the stream's result, so a tile carries none.
+// slots of the stream's result, so a tile carries none. It owns its
+// buffers — each ms[j].A and acc[j], allocated once, up to tileCap of
+// them — and exactly one stage holds it at a time: prepare fills it,
+// a rotate worker rotates it in place, and extract, the last reader of
+// both, puts it on the engine's free list; the keyswitch stage gets the
+// output slots only.
 type tile struct {
 	lo  int
 	ms  []tfhe.ModSwitched
 	acc []tfhe.GLWECiphertext
+}
+
+// emptyTile returns a tile for the items from lo on: a spent one with its
+// buffers when the free list has one, a new one otherwise.
+func (s *StreamingEngine) emptyTile(lo int) tile {
+	select {
+	case t := <-s.free:
+		return tile{lo: lo, ms: t.ms[:0], acc: t.acc[:0]}
+	default:
+		return tile{lo: lo, ms: make([]tfhe.ModSwitched, 0, s.tileCap), acc: make([]tfhe.GLWECiphertext, 0, s.tileCap)}
+	}
+}
+
+// add appends ct, modulus-switched, and its initial accumulator to the
+// tile, into the buffers slot j already has or new ones.
+func (t *tile) add(ev *tfhe.Evaluator, testVec tfhe.GLWECiphertext, ct tfhe.LWECiphertext) {
+	j := len(t.acc)
+	t.ms, t.acc = t.ms[:j+1], t.acc[:j+1]
+	if t.ms[j].A == nil {
+		t.ms[j].A = make([]int, ev.Params.SmallN)
+		t.acc[j] = tfhe.NewGLWECiphertext(ev.Params.K, ev.Params.N)
+	}
+	t.ms[j] = ev.ModSwitchLWETo(t.ms[j].A, ct)
+	ev.BlindRotateInitTo(t.acc[j], testVec, t.ms[j])
 }
 
 // exec pushes the items of one operation through the staged pipeline.
@@ -121,7 +159,7 @@ func (s *StreamingEngine) exec(p op) []tfhe.LWECiphertext {
 	depth := 2 * len(s.rot)
 	toRotate := make(chan tile, depth)
 	rotated := make(chan tile, depth)
-	extracted := make(chan tile, depth)
+	extracted := make(chan []tfhe.LWECiphertext, depth)
 
 	// Stage 1 — prepare: per-item linear op, modulus switch, initial
 	// rotation of the shared test vector (Algorithm 1 lines 2–4). It emits
@@ -144,11 +182,9 @@ func (s *StreamingEngine) exec(p op) []tfhe.LWECiphertext {
 				continue
 			}
 			if t.acc == nil {
-				t = tile{lo: i, ms: make([]tfhe.ModSwitched, 0, size), acc: make([]tfhe.GLWECiphertext, 0, size)}
+				t = s.emptyTile(i)
 			}
-			ms := s.prep.ModSwitchLWE(ct)
-			t.ms = append(t.ms, ms)
-			t.acc = append(t.acc, s.prep.BlindRotateInit(p.testVec, ms))
+			t.add(s.prep, p.testVec, ct)
 			if len(t.acc) == size {
 				flush()
 			}
@@ -175,13 +211,18 @@ func (s *StreamingEngine) exec(p op) []tfhe.LWECiphertext {
 	}()
 
 	// Stage 3 — sample extract (line 13), fanning each accumulator out
-	// into its item's outputs.
+	// into its item's outputs; the tile is spent after it.
 	go func() {
 		defer close(extracted)
 		for t := range rotated {
-			p.extractTile(s.ext, t.acc, p.slots(out, t.lo, len(t.acc)))
+			outs := p.slots(out, t.lo, len(t.acc))
+			p.extractTile(s.ext, t.acc, outs)
+			select {
+			case s.free <- t:
+			default:
+			}
 			if p.keyswitch {
-				extracted <- t
+				extracted <- outs
 			}
 		}
 	}()
@@ -195,8 +236,8 @@ func (s *StreamingEngine) exec(p op) []tfhe.LWECiphertext {
 		ksWG.Add(1)
 		go func(ev *tfhe.Evaluator) {
 			defer ksWG.Done()
-			for t := range extracted {
-				ev.KeySwitchTile(p.slots(out, t.lo, len(t.acc)))
+			for outs := range extracted {
+				ev.KeySwitchTile(outs)
 			}
 		}(ev)
 	}

@@ -252,3 +252,62 @@ func TestWorkerDefaultsFollowGOMAXPROCS(t *testing.T) {
 		t.Errorf("NewStreaming under GOMAXPROCS(3): %d rotate and %d keyswitch evaluators, want 3 and 3", len(s.rot), len(s.ks))
 	}
 }
+
+// TestStreamRecycledTilesMatchSequential runs operations of different
+// lengths back to back on ONE engine — 1 gate, 8, 64, then mixed ops with
+// NOTs cutting the tiles short — so the later ones fill tiles the earlier
+// ones spent, at other tile sizes and slot counts. Each comes back
+// bitwise equal to the sequential evaluator, twice over: a tile that kept
+// a stale accumulator or rotation amount would show. Runs under -race.
+func TestStreamRecycledTilesMatchSequential(t *testing.T) {
+	_, ek, cts, _ := testSetup(t, 61, 24)
+	serial := tfhe.NewEvaluator(ek)
+	rng := rand.New(rand.NewSource(62))
+	s := NewStreaming(ek, StreamConfig{RotateWorkers: 2})
+	mixed := make([]GateOp, 13)
+	for i := range mixed {
+		mixed[i] = []GateOp{XOR, NOT, AND, OR, NOT}[i%5]
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, ops := range [][]GateOp{NAND.Repeat(1), NAND.Repeat(8), NAND.Repeat(64), mixed} {
+			a, b := make([]tfhe.LWECiphertext, len(ops)), make([]tfhe.LWECiphertext, len(ops))
+			for i := range ops {
+				a[i], b[i] = cts[rng.Intn(len(cts))], cts[rng.Intn(len(cts))]
+			}
+			got, err := s.Gates(ops, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if !ctEqual(got[i], seqGate(serial, ops[i], a[i], b[i])) {
+					t.Fatalf("pass %d, %d gates: item %d (%s) differs bitwise from the sequential evaluator", pass, len(ops), i, ops[i])
+				}
+			}
+		}
+	}
+	if len(s.free) == 0 {
+		t.Error("no spent tile reached the free list")
+	}
+}
+
+// BenchmarkStreamGates is the shape of the gates_stream_I workload — set
+// I, one streaming engine, eight NANDs per call — as a Go benchmark: the
+// harness for a pprof of that shape, and its B/op (outputs and channels,
+// no accumulators) witnesses the tile recycling.
+func BenchmarkStreamGates(b *testing.B) {
+	rng := rand.New(rand.NewSource(63))
+	sk, ek := tfhe.GenerateKeys(rng, tfhe.ParamsI)
+	x, y := make([]tfhe.LWECiphertext, 8), make([]tfhe.LWECiphertext, 8)
+	for i := range x {
+		x[i], y[i] = sk.EncryptBool(rng, i%2 == 0), sk.EncryptBool(rng, i%3 == 0)
+	}
+	s := NewStreaming(ek, StreamConfig{})
+	ops := NAND.Repeat(len(x))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Gates(ops, x, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

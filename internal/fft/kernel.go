@@ -13,10 +13,14 @@ import (
 //     bitwise-pinned ground truth;
 //   - the fast kernels (kernel_fast.go, excluded by the `purego` build tag):
 //     the same arithmetic with unsafe pointer indexing and unrolled loops.
-//     fwdStage4Fast, invStage4Fast and mulAccFast hand their loop to an
-//     AVX2 body (kernel_amd64.s, two complex values per instruction) when
-//     torus.UseAVX2 reports one; their Go bodies are the fast path on
-//     every other host, for the q = 1 stage and for an odd tail.
+//     Every loop of a CMux step hands its work to an AVX2 body
+//     (kernel_amd64.s, two complex values per instruction) when
+//     torus.UseAVX2 reports one — seven loops: decompLoadFast,
+//     fwdStage4Fast, fwdStage2Fast, mulAccFast, invFirstFast (size 2;
+//     it shares stage2AVX2 with fwdStage2Fast), invStage4Fast and
+//     invFoldFast. Their Go bodies are the fast path on every other host,
+//     and here for what the lanes leave over: the q = 1 stage, the size-4
+//     first inverse stage, a decompose run's last pairs, an odd MAC tail.
 //
 // Every body spells every floating-point expression with the same shape and
 // evaluation order, so they produce bitwise-identical float64 results up to
@@ -25,8 +29,19 @@ import (
 // the complex multiply (bi·wr + br·wi for br·wi + bi·wr), which IEEE 754
 // leaves bitwise equal; and it uses no FMA instruction, which rounds once
 // where the reference rounds twice (`make lint` refuses one: no-fma). The
-// reference-kernel conformance backend re-runs every op with the fast path
-// disabled and requires exact ciphertext equality.
+// decompose load's twisted store commutes nothing: VADDSUBPD of
+// (a, a)·(tr, ti) and (b, b)·(ti, tr) is (a·tr − b·ti, a·ti + b·tr).
+//
+// The fold rounds as roundToTorus does, operation for operation, with
+// VROUNDPD's truncation (there is no packed double→int64 convert below
+// AVX-512DQ, and none is needed): t = trunc x, r = trunc((x − t)·2),
+// s = t + r, each step exact. Then s mod 2^32: hi = (s + 1.5·2^84) −
+// 1.5·2^84 is s to the nearest multiple of 2^32, lo = s − hi is exact with
+// |lo| ≤ 2^31, and lo + 1.5·2^52 holds lo mod 2^32 in its low dword. Equal
+// to roundToTorus for every finite |x| < 2^62, the range it documents.
+//
+// The reference-kernel conformance backend re-runs every op with the fast
+// path disabled and requires exact ciphertext equality.
 //
 // fastEnabled is a process-wide runtime switch so one binary can benchmark
 // fast against reference in the same run; it defaults to the fast path when

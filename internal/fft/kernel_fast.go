@@ -11,9 +11,11 @@ import (
 
 // Fast kernels: the arithmetic of kernel_ref.go, expression shape for
 // expression shape (see kernel.go), with unsafe pointer walks instead of
-// bounds-checked indexing and, where it pays, unrolled loops. The two
-// radix-4 stages and the MAC enter an AVX2 body when the host has one.
-// Excluded from `purego` builds.
+// bounds-checked indexing and, where it pays, unrolled loops. Every loop of
+// a CMux step — decompose load, the radix-4 and radix-2 stages, the MAC,
+// the fold — enters an AVX2 body when the host has one, and keeps its Go
+// body for the other hosts and for what the lanes leave over. Excluded from
+// `purego` builds.
 
 const fastKernelAvailable = true
 
@@ -109,6 +111,10 @@ func fwdStage4Fast(buf []complex128, s int, tw []float64) {
 }
 
 func fwdStage2Fast(buf []complex128) {
+	if len(buf)%4 == 0 && torus.UseAVX2() {
+		stage2AVX2(unsafe.SliceData(buf), unsafe.SliceData(buf), len(buf))
+		return
+	}
 	p := unsafe.Pointer(unsafe.SliceData(buf))
 	for i := 0; i < len(buf); i += 2 {
 		a0r, a0i := f64(p, 0), f64(p, 8)
@@ -122,6 +128,10 @@ func fwdStage2Fast(buf []complex128) {
 }
 
 func invFirstFast(dst, src []complex128, size int) {
+	if size == 2 && len(src)%4 == 0 && torus.UseAVX2() {
+		stage2AVX2(unsafe.SliceData(dst), unsafe.SliceData(src), len(src))
+		return
+	}
 	dp := unsafe.Pointer(unsafe.SliceData(dst))
 	sp := unsafe.Pointer(unsafe.SliceData(src))
 	if size == 2 {
@@ -231,6 +241,12 @@ func invFoldFast(dst []torus.Torus32, src []complex128, st stage, untwist []floa
 		return
 	}
 	q := st.size >> 2
+	if q >= 2 && torus.UseAVX2() {
+		// The fold stage spans the transform (st.size == m): the body
+		// takes both from q.
+		invFoldAVX2(unsafe.SliceData(dst), unsafe.SliceData(src), q, unsafe.SliceData(st.tw), unsafe.SliceData(untwist))
+		return
+	}
 	qb := uintptr(q) * 16
 	p0 := sp
 	p1 := unsafe.Add(p0, qb)
@@ -322,10 +338,9 @@ func mulFast(dst, a, b FourierPoly) {
 // of src·X^e − src (rotSub, e in [0, 2N)). Digit extraction is branchless —
 // rounding folds into a masked add, and the balanced-range borrow becomes
 // carry = (d + B/2 - 1) >> baseLog, which is 1 exactly when the digit
-// exceeds B/2 — and for the level counts the paper's parameter sets use
-// (2 and 3) the digits of a coefficient pair never leave registers. The
-// digits are identical to Decomposer.DigitsTo's (pinned by test). BaseLog
-// 32 would overflow the branchless carry and falls back to the reference.
+// exceeds B/2. The digits are identical to Decomposer.DigitsTo's (pinned by
+// test). BaseLog 32 would overflow the branchless carry and falls back to
+// the reference.
 //
 // The rotation costs an index offset and a sign mask, not a pass: with
 // k = e mod N, the coefficient decomposed at x is
@@ -334,6 +349,10 @@ func mulFast(dst, a, b FourierPoly) {
 // is all ones for the rot-sub load and zero for the plain one (k = 0: the
 // value is src[x]). Both halves of a folded pair keep their offset and
 // sign on either side of j = k mod N/2, so the walk is two straight runs.
+// The AVX2 body takes each run four pairs at a time, general in the level
+// count; the Go loop below takes the up to three pairs a run has left, or
+// the whole run without AVX2, and for the level counts the paper's
+// parameter sets use (2 and 3) keeps a pair's digits in registers.
 func (p *Processor) decompLoadFast(dsts []FourierPoly, dec poly.Decomposer, src poly.Poly, e int, rotSub bool) {
 	lb := dec.Level
 	bl := uint(dec.BaseLog)
@@ -380,7 +399,12 @@ func (p *Processor) decompLoadFast(dsts []FourierPoly, dec poly.Decomposer, src 
 		if lo+ob < 0 {
 			ob, nb = ob+n, ^flip
 		}
-		for j := lo; j < hi; j++ {
+		j := lo
+		if cnt := (hi - lo) &^ 3; cnt > 0 && torus.UseAVX2() {
+			decompLoadAVX2(&dp[0], lb, (*float64)(tp), (*uint32)(sp), oa, ob, m, lo, cnt, na, nb, sub, rhalf, mask, rshift, bl)
+			j += cnt
+		}
+		for ; j < hi; j++ {
 			ra := ((u32(sp, j+oa) ^ na) - na - (u32(sp, j) & sub) + rhalf) & rmask
 			rb := ((u32(sp, j+ob) ^ nb) - nb - (u32(sp, j+m) & sub) + rhalf) & rmask
 			off := uintptr(j) * 16

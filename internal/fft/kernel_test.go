@@ -363,9 +363,10 @@ func sameBits(a, b []complex128) int {
 }
 
 func TestStageKernelsMatchReferenceBitwise(t *testing.T) {
-	// The three kernels that have an assembly body, called directly: every
-	// radix-4 stage of every N in 8 … 16384, forward and inverse tables,
-	// and the VMA at every transform length and at short and odd ones —
+	// The butterfly and VMA kernels that have an assembly body, called
+	// directly: every radix-4 stage of every N in 8 … 16384, forward and
+	// inverse tables, and the radix-2 pass and the VMA at every transform
+	// length and at short and odd ones —
 	// each at a buffer offset of zero and of one complex value, one of
 	// which is 16- but not 32-byte aligned whatever the allocator did.
 	if !FastKernelAvailable() {
@@ -400,6 +401,25 @@ func TestStageKernelsMatchReferenceBitwise(t *testing.T) {
 			}
 		}
 		for _, n := range lengths {
+			for off := 0; off < 2 && n%2 == 0; off++ {
+				// The radix-2 pass: in place as the forward transform ends
+				// with it, out of place as the inverse one starts with it.
+				in := make([]complex128, n+off)
+				kernelOperands(rng, in)
+				got, want := append([]complex128(nil), in...), append([]complex128(nil), in...)
+				fwdStage2Fast(got[off:])
+				fwdStage2Ref(want[off:])
+				if i := sameBits(got, want); i >= 0 {
+					t.Fatalf("fwdStage2 n=%d offset %d: slot %d is %v, reference %v", n, off, i, got[i], want[i])
+				}
+				kernelOperands(rng, got)
+				copy(want, got)
+				invFirstFast(got[off:], in[off:], 2)
+				invFirstRef(want[off:], in[off:], 2)
+				if i := sameBits(got, want); i >= 0 {
+					t.Fatalf("invFirst size 2 n=%d offset %d: slot %d is %v, reference %v", n, off, i, got[i], want[i])
+				}
+			}
 			for off := 0; off < 2; off++ {
 				acc, a, b := make(FourierPoly, n+off), make(FourierPoly, n+off), make(FourierPoly, n+off)
 				kernelOperands(rng, acc)
@@ -417,6 +437,160 @@ func TestStageKernelsMatchReferenceBitwise(t *testing.T) {
 				mulAccRef(y[off:], y[off:], b[off:])
 				if i := sameBits(x, y); i >= 0 {
 					t.Fatalf("mulAcc n=%d offset %d, acc aliasing a: slot %d is %v, reference %v", n, off, i, x[i], y[i])
+				}
+			}
+		}
+	})
+}
+
+func TestDecompLoadMatchesReferenceBitwise(t *testing.T) {
+	// The fused load called directly, against decompLoadRef: every level
+	// count shape (register-held 2 and 3, the general loop, one-bit digits,
+	// gadgets that use all 32 bits so rshift = 0), plain and rot-sub with
+	// the rotation stepping through every run shape — a run empty, shorter
+	// than the four pairs a lane group takes, a multiple of four, with a
+	// tail; first half or second half wrapped; e ≥ N — over sources that
+	// mix random words with 0, 2^31 and 2^32 − 1.
+	if !FastKernelAvailable() {
+		t.Skip("purego build: no fast kernel")
+	}
+	decs := []poly.Decomposer{poly.NewDecomposer(10, 2), poly.NewDecomposer(7, 3), poly.NewDecomposer(4, 8), poly.NewDecomposer(1, 32), poly.NewDecomposer(16, 2), poly.NewDecomposer(8, 4)}
+	bothBodies(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(41))
+		special := []torus.Torus32{0, 1 << 31, 1<<32 - 1, 1<<31 - 1, 1<<31 + 1, 1}
+		for _, n := range []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 16384} {
+			p := NewProcessor(n)
+			m := n / 2
+			random, mixed := poly.New(n), poly.New(n)
+			poly.Uniform(rng, random)
+			for i := range mixed.Coeffs {
+				mixed.Coeffs[i] = special[rng.Intn(len(special))]
+				if rng.Intn(3) == 0 {
+					mixed.Coeffs[i] = random.Coeffs[i]
+				}
+			}
+			var es []int
+			for _, r := range []int{0, 1, 2, 3, 4, 5, m - 3, m - 2, m - 1} {
+				if r >= 0 && r < m {
+					es = append(es, r, r+m, r+n, r+m+n)
+				}
+			}
+			for _, dec := range decs {
+				got, want := p.NewFourierPolyBatch(dec.Level), p.NewFourierPolyBatch(dec.Level)
+				check := func(src poly.Poly, e int, rotSub bool) {
+					for l := range got {
+						for i := range got[l] {
+							got[l][i] = complex(math.NaN(), 1) // a slot the load skips shows
+						}
+					}
+					p.decompLoadFast(got, dec, src, e, rotSub)
+					p.decompLoadRef(want, dec, src, e, rotSub)
+					for l := range got {
+						if i := sameBits(got[l], want[l]); i >= 0 {
+							t.Fatalf("n=%d gadget %v e=%d rotSub=%v level %d slot %d: %v, reference %v", n, dec, e, rotSub, l, i, got[l][i], want[l][i])
+						}
+					}
+				}
+				srcs := []poly.Poly{mixed, random}
+				if n > 2048 {
+					srcs = srcs[:1] // the large sizes add run lengths, not values
+				}
+				for _, src := range srcs {
+					check(src, 0, false)
+					for _, e := range es {
+						check(src, e, true)
+					}
+				}
+			}
+		}
+	})
+}
+
+// foldValues is what TestInvFoldMatchesReferenceBitwise pushes through the
+// rounding lanes one by one: the TestRoundToTorusBoundaries table, exact
+// ties ±(n + ½) with their float64 neighbours, both zeros, and values of
+// every binade from 2^-3 to 2^61 of either sign.
+func foldValues(rng *rand.Rand) []float64 {
+	vals := []float64{0, math.Copysign(0, -1), 0.49, 2147483647, 2147483648, -2147483648, 4294967296, 4294967297,
+		-4294967295, 1152921504606846976, 1152921513196781568, 1<<52 - 1, 1<<52 + 1, 1<<53 - 1}
+	for _, x := range []float64{0.5, 1.5, 2.5, 0.49999999999999994, 2147483647.5, 2147483648.5, 4294967295.5, 4294967296.5,
+		6442450943.5, 1<<40 + 0.5, 1<<51 - 0.5, 4503599627370495.5} {
+		for _, y := range []float64{x, -x} {
+			vals = append(vals, y, math.Nextafter(y, math.Inf(1)), math.Nextafter(y, math.Inf(-1)))
+		}
+	}
+	for exp := -3; exp <= 61; exp++ {
+		for i := 0; i < 16; i++ {
+			x := math.Ldexp(1+float64(rng.Uint64()>>12)/(1<<52), exp)
+			if i%2 == 1 {
+				x = -x
+			}
+			vals = append(vals, x)
+		}
+	}
+	return vals
+}
+
+func TestInvFoldMatchesReferenceBitwise(t *testing.T) {
+	// The fold stage called directly, at every transform length and at a
+	// source offset of zero and of one complex value (16- but not 32-byte
+	// aligned). First through the real tables, with operands of every
+	// binade up to 2^61. Then value by value: with the other three legs'
+	// inputs zero and an all-real untwist table, the four outputs of
+	// butterfly k are all src[k] and its parts reach roundToTorus unchanged,
+	// so every entry of foldValues passes through a rounding lane in every
+	// lane position, and the sum must also be what roundToTorus says.
+	if !FastKernelAvailable() {
+		t.Skip("purego build: no fast kernel")
+	}
+	bothBodies(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(47))
+		vals := foldValues(rng)
+		for m := 2; m <= 8192; m <<= 1 {
+			p := NewProcessor(2 * m)
+			st := p.inv[len(p.inv)-1]
+			q := max(st.size>>2, 1)
+			unit := make([]float64, 2*m)
+			for i := 0; i < m; i++ {
+				unit[2*i] = 1
+			}
+			init := make([]torus.Torus32, 2*m)
+			for i := range init {
+				init[i] = rng.Uint32()
+			}
+			fold := func(what string, src []complex128, untwist []float64) []torus.Torus32 {
+				got, want := append([]torus.Torus32(nil), init...), append([]torus.Torus32(nil), init...)
+				invFoldFast(got, src, st, untwist, m)
+				invFoldRef(want, src, st, untwist, m)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("m=%d %s: coefficient %d is %#x, reference %#x", m, what, i, got[i], want[i])
+					}
+				}
+				return want
+			}
+			for off := 0; off < 2; off++ {
+				buf := make([]complex128, m+off)
+				src := buf[off:]
+				for round := 0; round < 8; round++ {
+					for i := range src {
+						re, im := vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]
+						src[i] = complex(re*rng.Float64(), im*rng.Float64())
+					}
+					fold(fmt.Sprintf("offset %d, real tables", off), src, p.untwist)
+				}
+				for lo := 0; lo < len(vals) && m >= 4; lo += 2 * q {
+					clear(src)
+					for k := 0; k < q; k++ {
+						src[k] = complex(vals[(lo+2*k)%len(vals)], vals[(lo+2*k+1)%len(vals)])
+					}
+					sum := fold(fmt.Sprintf("offset %d, values from %d", off, lo), src, unit)
+					for pos := 0; pos < m; pos++ {
+						y := src[pos%q]
+						if wr, wi := init[pos]+roundToTorus(real(y)), init[pos+m]+roundToTorus(imag(y)); sum[pos] != wr || sum[pos+m] != wi {
+							t.Fatalf("m=%d position %d: %v folded to (%#x, %#x), roundToTorus gives (%#x, %#x)", m, pos, y, sum[pos], sum[pos+m], wr, wi)
+						}
+					}
 				}
 			}
 		}

@@ -74,7 +74,7 @@ func (e *Evaluator) BlindRotateBatch(cts []LWECiphertext, testVec GLWECiphertext
 	}
 	mss, accs := e.msTile[:0], e.accTile[:0]
 	for j, c := range cts {
-		ms := e.modSwitchInto(c, e.msBuf[j*n:(j+1)*n]) // Algorithm 1 lines 2–3
+		ms := e.ModSwitchLWETo(e.msBuf[j*n:(j+1)*n], c) // Algorithm 1 lines 2–3
 		mss = append(mss, ms)
 		accs = append(accs, e.BlindRotateInit(testVec, ms)) // line 4: rotate 'left' by -b̄
 	}

@@ -32,13 +32,15 @@ type ModSwitched struct {
 // ModSwitchLWE runs the modulus-switch stage on one ciphertext: every
 // coefficient is rescaled from the torus to Z_{2N} (Algorithm 1 lines 2–3).
 // The result owns fresh storage, so it can be handed to another pipeline
-// stage; BlindRotateBatch uses evaluator scratch instead.
+// stage.
 func (e *Evaluator) ModSwitchLWE(c LWECiphertext) ModSwitched {
-	return e.modSwitchInto(c, make([]int, e.Params.SmallN))
+	return e.ModSwitchLWETo(make([]int, e.Params.SmallN), c)
 }
 
-// modSwitchInto rescales c into the rotation-amount buffer a.
-func (e *Evaluator) modSwitchInto(c LWECiphertext, a []int) ModSwitched {
+// ModSwitchLWETo is ModSwitchLWE into the caller's rotation-amount buffer
+// a, of length n, which the result holds: BlindRotateBatch passes evaluator
+// scratch, the streaming engine a spent tile's buffer.
+func (e *Evaluator) ModSwitchLWETo(a []int, c LWECiphertext) ModSwitched {
 	p := e.Params
 	if c.N() != p.SmallN {
 		panic(fmt.Sprintf("tfhe: ModSwitchLWE expects LWE dimension n=%d, got %d", p.SmallN, c.N()))
@@ -57,9 +59,15 @@ func (e *Evaluator) modSwitchInto(c LWECiphertext, a []int) ModSwitched {
 // read-only and may be shared across a whole stream.
 func (e *Evaluator) BlindRotateInit(testVec GLWECiphertext, ms ModSwitched) GLWECiphertext {
 	acc := NewGLWECiphertext(e.Params.K, e.Params.N)
+	e.BlindRotateInitTo(acc, testVec, ms)
+	return acc
+}
+
+// BlindRotateInitTo is BlindRotateInit into the caller's accumulator, of
+// testVec's shape, which it fully overwrites whatever it held.
+func (e *Evaluator) BlindRotateInitTo(acc, testVec GLWECiphertext, ms ModSwitched) {
 	testVec.RotateTo(acc, -ms.B)
 	e.Counters.Rotations++
-	return acc
 }
 
 // CMuxAt performs blind-rotation iteration i (Algorithm 1 lines 6–12) on
