@@ -195,7 +195,7 @@ func runCircuit(set string, digits, workers int) error {
 		return fmt.Errorf("-circuit digit count must be in [1,15], got %d", digits)
 	}
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 
 	fmt.Printf("circuit mode: set %s, %d-digit multiply, %d workers\n", p.Name, digits, workers)
@@ -245,11 +245,8 @@ func runCircuit(set string, digits, workers int) error {
 	fmt.Printf("sequential: %d PBS in %v  =  %.1f PBS/s\n",
 		st.TotalPBS, seqElapsed.Round(time.Millisecond), seqRate)
 
-	// Scheduled: levelized dispatches over both engines.
-	runner := &sched.Runner{
-		Batch:  engine.New(ek, engine.Config{Workers: workers}),
-		Stream: engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: workers}),
-	}
+	// Scheduled: levelized dispatches over the streaming engine.
+	runner := &sched.Runner{Stream: engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: workers})}
 	if _, err := runner.RunSchedule(circ, schedule, inputs); err != nil { // warm pools
 		return err
 	}
@@ -322,7 +319,7 @@ func main() {
 	circuit := flag.Int("circuit", 0, "circuit scheduler mode: multiply digit count (enables the mode)")
 	infer := flag.Int("infer", 0, "encrypted inference mode: inferences per client batch (enables the mode)")
 	clients := flag.Int("clients", 4, "infer mode: concurrent client sessions")
-	parallel := flag.Int("parallel", 0, "circuit/infer mode: worker count (0 = NumCPU)")
+	parallel := flag.Int("parallel", 0, "circuit/infer mode: rotate-worker count (0 = GOMAXPROCS)")
 	set := flag.String("set", "test", "circuit/infer mode: parameter set")
 	kernel := flag.String("kernel", "fast", "FFT kernel set: fast (unchecked pointer walks, AVX2 assembly where the host has it; default) or ref (bounds-checked reference)")
 	flag.Parse()

@@ -1,10 +1,10 @@
-// Batchgates: the worker-pool batch engine end to end.
+// Batchgates: the streaming batch engine end to end.
 //
 // Encrypts two bit-vectors, evaluates a batch of gates in parallel on the
-// engine (one PBS + KS per gate, fanned out over per-goroutine
-// evaluators), verifies every decryption, then times workers=1 against
-// workers=NumCPU — the software analogue of the batching the Strix
-// accelerator exploits for throughput.
+// engine (one PBS + KS per gate, streamed through a staged pipeline of
+// per-goroutine evaluators), verifies every decryption, then times
+// workers=1 against workers=NumCPU — the software analogue of the batching
+// the Strix accelerator exploits for throughput.
 //
 // Run with: go run ./examples/batchgates
 package main
@@ -79,12 +79,12 @@ func main() {
 	ncpu := runtime.NumCPU()
 	for _, w := range []int{1, ncpu} {
 		eng := ctx.NewEngine(w)
-		if _, err := eng.BatchGate(strix.NAND, as[:8], bs[:8]); err != nil {
+		if _, err := eng.Gates(strix.NAND.Repeat(8), as[:8], bs[:8]); err != nil {
 			log.Fatal(err) // warm the pool before timing
 		}
 		eng.ResetCounters()
 		start := time.Now()
-		if _, err := eng.BatchGate(strix.NAND, as, bs); err != nil {
+		if _, err := eng.Gates(strix.NAND.Repeat(bits), as, bs); err != nil {
 			log.Fatal(err)
 		}
 		elapsed := time.Since(start)

@@ -159,9 +159,8 @@ func NewFixture(seed int64) (*Fixture, error) {
 		return nil, err
 	}
 
-	batch := engine.New(ek, engine.Config{Workers: 2})
 	stream := engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: 2, KSWorkers: 2})
-	runner := &sched.Runner{Batch: batch, Stream: stream}
+	runner := &sched.Runner{Stream: stream}
 	// The optimized backend runs the full pass pipeline, with the
 	// multi-value budget bound to the fixture's parameter set so packing
 	// stays inside space·k ≤ N.
@@ -169,8 +168,7 @@ func NewFixture(seed int64) (*Fixture, error) {
 	opt.MultiValueBudget = tfhe.ParamsTest.N
 	f.backends = []Backend{
 		seqBackend{ev: tfhe.NewEvaluator(ek)},
-		engineBackend{name: "batch", ops: &batch.Ops, r: &sched.Runner{Batch: batch}},
-		engineBackend{name: "streaming", ops: &stream.Ops, r: &sched.Runner{Stream: stream}},
+		engineBackend{ops: &stream.Ops, r: runner},
 		schedBackend{r: runner},
 		serverBackend{cl: cl},
 		restoredBackend{serverBackend{cl: clRest}},
@@ -182,7 +180,7 @@ func NewFixture(seed int64) (*Fixture, error) {
 	return f, nil
 }
 
-// Backends returns the ten backends; index 0 is the sequential
+// Backends returns the nine backends; index 0 is the sequential
 // reference every other backend must match — bitwise when the backend's
 // Bitwise() promise holds, by decoded plaintext otherwise.
 func (f *Fixture) Backends() []Backend { return f.backends }
@@ -270,17 +268,15 @@ func (s seqBackend) Infer(features []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext
 	return inferViaCircuit(s, features)
 }
 
-// engineBackend is one in-process engine reached directly through the
-// engine.Ops vocabulary: "batch" is the flat worker pool, "streaming" the
-// staged pipeline. Circuits run through a Runner holding that engine
-// alone, so every dispatch lands on it whatever the cost model says.
+// engineBackend is the in-process streaming engine reached directly
+// through the engine.Ops vocabulary. Circuits run through a Runner over
+// the same engine.
 type engineBackend struct {
-	name string
-	ops  *engine.Ops
-	r    *sched.Runner
+	ops *engine.Ops
+	r   *sched.Runner
 }
 
-func (e engineBackend) Name() string { return e.name }
+func (e engineBackend) Name() string { return "streaming" }
 
 func (e engineBackend) Bitwise() bool { return true }
 
@@ -306,7 +302,7 @@ func (e engineBackend) Infer(features []tfhe.LWECiphertext) ([][]tfhe.LWECiphert
 
 // schedBackend reaches every operation through the levelizing scheduler:
 // each call is built as a one-level circuit, compiled, and dispatched to
-// the engines by the cost model — the path whole workloads take.
+// the engine — the path whole workloads take.
 type schedBackend struct {
 	r *sched.Runner
 	// cfg is the compile configuration every operation is scheduled

@@ -397,7 +397,7 @@ func TestInferSweepService(t *testing.T) {
 	}
 }
 
-// TestBackendNames pins that the ten backends are present, uniquely
+// TestBackendNames pins that the nine backends are present, uniquely
 // named, led by the sequential reference, and that exactly the two
 // optimizing backends relax the bitwise promise. The reference-kernel
 // backend promises bitwise equality while running the pure-Go kernels,
@@ -406,7 +406,7 @@ func TestInferSweepService(t *testing.T) {
 // invisible; encrypted-inference rides last and runs the optimizer
 // pass pipeline server-side, so its contract is decode identity.
 func TestBackendNames(t *testing.T) {
-	want := []string{"sequential", "batch", "streaming", "scheduled", "server", "restored-server", "optimized-scheduled", "reference-kernel", "routed-cluster", "encrypted-inference"}
+	want := []string{"sequential", "streaming", "scheduled", "server", "restored-server", "optimized-scheduled", "reference-kernel", "routed-cluster", "encrypted-inference"}
 	nonBitwise := map[string]bool{"optimized-scheduled": true, "encrypted-inference": true}
 	bes := fixture.Backends()
 	if len(bes) != len(want) {
@@ -451,7 +451,7 @@ func TestFixtureClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := f.Backends()[4].(serverBackend).cl.Stats(); err == nil {
+	if _, err := f.Backends()[3].(serverBackend).cl.Stats(); err == nil {
 		t.Fatal("service still reachable after Close")
 	}
 }

@@ -38,19 +38,20 @@ func ctEqual(a, b tfhe.LWECiphertext) bool {
 
 // TestDeterministicAcrossWorkers is the core batching contract: the same
 // batch under the same keys yields bitwise-identical ciphertexts whether
-// one worker or eight execute it. (Server-side TFHE ops are deterministic;
-// this catches aliasing or scratch-sharing bugs across the pool.)
+// one rotate worker or eight execute it. (Server-side TFHE ops are
+// deterministic; this catches aliasing or scratch-sharing bugs across the
+// pool.)
 func TestDeterministicAcrossWorkers(t *testing.T) {
 	sk, ek, cts, pts := testSetup(t, 42, 24)
 
-	e1 := New(ek, Config{Workers: 1})
-	e8 := New(ek, Config{Workers: 8})
+	e1 := NewStreaming(ek, StreamConfig{RotateWorkers: 1})
+	e8 := NewStreaming(ek, StreamConfig{RotateWorkers: 8})
 
-	a1, err := e1.BatchGate(NAND, cts[:12], cts[12:])
+	a1, err := e1.Gates(NAND.Repeat(12), cts[:12], cts[12:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	a8, err := e8.BatchGate(NAND, cts[:12], cts[12:])
+	a8, err := e8.Gates(NAND.Repeat(12), cts[:12], cts[12:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,9 +79,9 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestMatchesSerialEvaluator is the engines' contract, stated once: every
-// operation of the Ops vocabulary, run by either executor at any width,
-// returns ciphertexts bitwise equal to the sequential tfhe.Evaluator's.
+// TestMatchesSerialEvaluator is the engine's contract, stated once: every
+// operation of the Ops vocabulary, run at any stage width, returns
+// ciphertexts bitwise equal to the sequential tfhe.Evaluator's.
 // Runs under -race (make race): operands and the test vector are read by
 // every worker of a batch.
 func TestMatchesSerialEvaluator(t *testing.T) {
@@ -166,9 +167,6 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 		ops  *Ops
 	}
 	var executors []executor
-	for _, w := range []int{1, 3, 8} {
-		executors = append(executors, executor{fmt.Sprintf("batch/workers=%d", w), &New(ek, Config{Workers: w}).Ops})
-	}
 	for _, cfg := range []StreamConfig{{RotateWorkers: 1, KSWorkers: 1}, {RotateWorkers: 3, KSWorkers: 2}, {RotateWorkers: 8, KSWorkers: 3}} {
 		s := NewStreaming(ek, cfg)
 		// Set I's cap. The test set's own (its accumulators are 2 KB) is 52
@@ -206,12 +204,12 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 // chunks landed on workers.
 func TestCounters(t *testing.T) {
 	_, ek, cts, _ := testSetup(t, 3, 16)
-	eng := New(ek, Config{Workers: 5})
+	eng := NewStreaming(ek, StreamConfig{RotateWorkers: 5})
 
 	if c := eng.Counters(); c.PBSCount != 0 {
 		t.Fatalf("fresh engine PBSCount = %d", c.PBSCount)
 	}
-	if _, err := eng.BatchGate(XOR, cts[:8], cts[8:]); err != nil {
+	if _, err := eng.Gates(XOR.Repeat(8), cts[:8], cts[8:]); err != nil {
 		t.Fatal(err)
 	}
 	c := eng.Counters()
@@ -239,13 +237,13 @@ func TestCounters(t *testing.T) {
 // TestValidation covers the error paths.
 func TestValidation(t *testing.T) {
 	_, ek, cts, _ := testSetup(t, 5, 4)
-	eng := New(ek, Config{Workers: 2})
+	eng := NewStreaming(ek, StreamConfig{RotateWorkers: 2})
 
-	if _, err := eng.BatchGate(AND, cts[:2], cts[:3]); err == nil {
-		t.Fatal("BatchGate accepted mismatched operand lengths")
+	if _, err := eng.Gates(AND.Repeat(2), cts[:2], cts[:3]); err == nil {
+		t.Fatal("Gates accepted mismatched operand lengths")
 	}
-	if _, err := eng.BatchGate(GateOp(99), cts[:2], cts[:2]); err == nil {
-		t.Fatal("BatchGate accepted an unknown op")
+	if _, err := eng.Gates(GateOp(99).Repeat(2), cts[:2], cts[:2]); err == nil {
+		t.Fatal("Gates accepted an unknown op")
 	}
 	if _, err := ParseGate("FROB"); err == nil {
 		t.Fatal("ParseGate accepted an unknown mnemonic")
@@ -255,45 +253,44 @@ func TestValidation(t *testing.T) {
 	}
 
 	// Empty batches are no-ops, not panics.
-	if out, err := eng.BatchGate(OR, nil, nil); err != nil || len(out) != 0 {
-		t.Fatalf("empty BatchGate: %v, %v", out, err)
+	if out, err := eng.Gates(nil, nil, nil); err != nil || len(out) != 0 {
+		t.Fatalf("empty Gates: %v, %v", out, err)
 	}
 	if out := eng.Bootstrap(nil, tfhe.NewGLWECiphertext(tfhe.ParamsTest.K, tfhe.ParamsTest.N)); len(out) != 0 {
 		t.Fatalf("empty Bootstrap returned %d outputs", len(out))
 	}
 }
 
-// TestDimensionPanics checks that wrong-dimension inputs are rejected
-// up front, from the caller's goroutine — recoverable, instead of an
-// unrecoverable panic inside a worker — by every operation, on both
-// executors.
+// TestDimensionPanics checks that wrong-dimension inputs and malformed
+// test vectors are rejected up front, from the caller's goroutine —
+// recoverable, instead of an unrecoverable panic inside a worker — by
+// every operation.
 func TestDimensionPanics(t *testing.T) {
 	_, ek, cts, _ := testSetup(t, 13, 4)
-	tv := tfhe.NewGLWECiphertext(tfhe.ParamsTest.K, tfhe.ParamsTest.N)
-	for name, o := range map[string]*Ops{
-		"batch":     &New(ek, Config{Workers: 2}).Ops,
-		"streaming": &NewStreaming(ek, StreamConfig{RotateWorkers: 2}).Ops,
-	} {
-		big := o.Bootstrap(cts, tv)
-		mustPanic := func(api string, f func()) {
-			t.Helper()
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: %s accepted wrong-dimension ciphertexts", name, api)
-				}
-			}()
-			f()
-		}
-		mustPanic("Bootstrap", func() { o.Bootstrap(big, tv) })
-		mustPanic("LUT", func() { o.LUT(big, 8, func(x int) int { return x }) })
-		mustPanic("MultiLUT", func() { _, _ = o.MultiLUT(big, 4, multiTables(4, 2)) })
-		mustPanic("Gates a", func() { _, _ = o.Gates([]GateOp{AND, AND}, big[:2], cts[2:]) })
-		mustPanic("Gates b", func() { _, _ = o.Gates([]GateOp{NOT, AND}, cts[:2], big[2:]) })
+	p := tfhe.ParamsTest
+	tv := tfhe.NewGLWECiphertext(p.K, p.N)
+	o := &NewStreaming(ek, StreamConfig{RotateWorkers: 2}).Ops
+	big := o.Bootstrap(cts, tv)
+	mustPanic := func(api string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s accepted malformed operands", api)
+			}
+		}()
+		f()
+	}
+	mustPanic("Bootstrap", func() { o.Bootstrap(big, tv) })
+	mustPanic("Bootstrap k+1", func() { o.Bootstrap(cts, tfhe.NewGLWECiphertext(p.K+1, p.N)) })
+	mustPanic("Bootstrap N/2", func() { o.Bootstrap(cts, tfhe.NewGLWECiphertext(p.K, p.N/2)) })
+	mustPanic("LUT", func() { o.LUT(big, 8, func(x int) int { return x }) })
+	mustPanic("MultiLUT", func() { _, _ = o.MultiLUT(big, 4, multiTables(4, 2)) })
+	mustPanic("Gates a", func() { _, _ = o.Gates([]GateOp{AND, AND}, big[:2], cts[2:]) })
+	mustPanic("Gates b", func() { _, _ = o.Gates([]GateOp{NOT, AND}, cts[:2], big[2:]) })
 
-		// The engine must still be usable after a recovered panic.
-		if out, err := o.Gates([]GateOp{NAND, NOT}, cts[:2], cts[2:]); err != nil || len(out) != 2 {
-			t.Fatalf("%s: engine unusable after recovered panic: %v, %v", name, out, err)
-		}
+	// The engine must still be usable after a recovered panic.
+	if out, err := o.Gates([]GateOp{NAND, NOT}, cts[:2], cts[2:]); err != nil || len(out) != 2 {
+		t.Fatalf("engine unusable after recovered panic: %v, %v", out, err)
 	}
 }
 
@@ -301,12 +298,12 @@ func TestDimensionPanics(t *testing.T) {
 // the engine serializes them internally. Run with -race in CI.
 func TestConcurrentBatches(t *testing.T) {
 	sk, ek, cts, pts := testSetup(t, 21, 8)
-	eng := New(ek, Config{Workers: runtime.NumCPU()})
+	eng := NewStreaming(ek, StreamConfig{RotateWorkers: runtime.NumCPU()})
 
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
 		go func() {
-			out, err := eng.BatchGate(OR, cts[:4], cts[4:])
+			out, err := eng.Gates(OR.Repeat(4), cts[:4], cts[4:])
 			if err != nil {
 				done <- err
 				return

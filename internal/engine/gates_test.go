@@ -33,18 +33,17 @@ func seqGate(ev *tfhe.Evaluator, op GateOp, a, b tfhe.LWECiphertext) tfhe.LWECip
 
 // TestMixedOpBatchesMatchSequential is the per-item-op property: a batch
 // whose items each carry their own op (NOT included) comes back bitwise
-// equal to the sequential evaluator from both engines, at one to four
-// workers. Where the op is NOT, b[i] is a zero-value placeholder: a NOT
-// lane has no second operand to validate or read. Runs under -race (make
-// race): ops, a and b are read by every worker of the batch.
+// equal to the sequential evaluator, at one rotate worker and at eight.
+// Where the op is NOT, b[i] is a zero-value placeholder: a NOT lane has no
+// second operand to validate or read. Runs under -race (make race): ops, a
+// and b are read by every worker of the batch.
 func TestMixedOpBatchesMatchSequential(t *testing.T) {
 	_, ek, cts, _ := testSetup(t, 57, 16)
 	serial := tfhe.NewEvaluator(ek)
 	rng := rand.New(rand.NewSource(58))
-	for workers := 1; workers <= 4; workers++ {
-		flat := New(ek, Config{Workers: workers})
-		stream := NewStreaming(ek, StreamConfig{RotateWorkers: workers})
-		for trial := 0; trial < 3; trial++ {
+	for _, workers := range []int{1, 8} {
+		s := NewStreaming(ek, StreamConfig{RotateWorkers: workers})
+		for trial := 0; trial < 6; trial++ {
 			n := rng.Intn(10)
 			ops := make([]GateOp, n)
 			a := make([]tfhe.LWECiphertext, n)
@@ -58,20 +57,16 @@ func TestMixedOpBatchesMatchSequential(t *testing.T) {
 				}
 				want[i] = seqGate(serial, ops[i], a[i], b[i])
 			}
-			for name, run := range map[string]func([]GateOp, []tfhe.LWECiphertext, []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error){
-				"batch": flat.Gates, "streaming": stream.Gates,
-			} {
-				got, err := run(ops, a, b)
-				if err != nil {
-					t.Fatalf("%s workers=%d %v: %v", name, workers, ops, err)
-				}
-				if len(got) != n {
-					t.Fatalf("%s workers=%d: %d outputs for %d items", name, workers, len(got), n)
-				}
-				for i := range got {
-					if !ctEqual(got[i], want[i]) {
-						t.Fatalf("%s workers=%d %v: item %d (%s) differs bitwise from the sequential evaluator", name, workers, ops, i, ops[i])
-					}
+			got, err := s.Gates(ops, a, b)
+			if err != nil {
+				t.Fatalf("workers=%d %v: %v", workers, ops, err)
+			}
+			if len(got) != n {
+				t.Fatalf("workers=%d: %d outputs for %d items", workers, len(got), n)
+			}
+			for i := range got {
+				if !ctEqual(got[i], want[i]) {
+					t.Fatalf("workers=%d %v: item %d (%s) differs bitwise from the sequential evaluator", workers, ops, i, ops[i])
 				}
 			}
 		}
@@ -83,22 +78,17 @@ func TestMixedOpBatchesMatchSequential(t *testing.T) {
 // second operand list.
 func TestGatesRejectsBadOperands(t *testing.T) {
 	_, ek, cts, _ := testSetup(t, 59, 4)
-	flat := New(ek, Config{Workers: 1})
-	stream := NewStreaming(ek, StreamConfig{RotateWorkers: 1})
-	for name, run := range map[string]func([]GateOp, []tfhe.LWECiphertext, []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error){
-		"batch": flat.Gates, "streaming": stream.Gates,
-	} {
-		if _, err := run([]GateOp{AND}, cts[:2], cts[2:]); err == nil {
-			t.Errorf("%s: 1 op for 2 items accepted", name)
-		}
-		if _, err := run([]GateOp{NOT, AND}, cts[:2], nil); err == nil {
-			t.Errorf("%s: AND with no second operand list accepted", name)
-		}
-		if _, err := run([]GateOp{NOT, GateOp(99)}, cts[:2], cts[2:]); err == nil {
-			t.Errorf("%s: unknown op accepted", name)
-		}
-		if out, err := run([]GateOp{NOT, NOT}, cts[:2], nil); err != nil || len(out) != 2 {
-			t.Errorf("%s: all-NOT batch without b: %d outputs, err %v", name, len(out), err)
-		}
+	s := NewStreaming(ek, StreamConfig{RotateWorkers: 1})
+	if _, err := s.Gates([]GateOp{AND}, cts[:2], cts[2:]); err == nil {
+		t.Error("1 op for 2 items accepted")
+	}
+	if _, err := s.Gates([]GateOp{NOT, AND}, cts[:2], nil); err == nil {
+		t.Error("AND with no second operand list accepted")
+	}
+	if _, err := s.Gates([]GateOp{NOT, GateOp(99)}, cts[:2], cts[2:]); err == nil {
+		t.Error("unknown op accepted")
+	}
+	if out, err := s.Gates([]GateOp{NOT, NOT}, cts[:2], nil); err != nil || len(out) != 2 {
+		t.Errorf("all-NOT batch without b: %d outputs, err %v", len(out), err)
 	}
 }

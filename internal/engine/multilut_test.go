@@ -39,7 +39,7 @@ func TestMultiLUTSavesRotations(t *testing.T) {
 	_, ek, cts, _ := multiLUTSetup(t, 53, batch, space)
 	fs := multiTables(space, k)
 
-	eng := New(ek, Config{Workers: 2})
+	eng := NewStreaming(ek, StreamConfig{RotateWorkers: 2})
 	if _, err := eng.MultiLUT(cts, space, fs); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestMultiLUTSavesRotations(t *testing.T) {
 	}
 }
 
-// TestMultiLUTValidation: both engines must reject un-packable requests
+// TestMultiLUTValidation: the engine must reject un-packable requests
 // before any worker starts.
 func TestMultiLUTValidation(t *testing.T) {
 	_, ek, cts, _ := multiLUTSetup(t, 54, 2, 4)
@@ -60,15 +60,11 @@ func TestMultiLUTValidation(t *testing.T) {
 	for i := range over {
 		over[i] = func(m int) int { return m }
 	}
-	for name, o := range map[string]*Ops{
-		"batch":     &New(ek, Config{Workers: 1}).Ops,
-		"streaming": &NewStreaming(ek, StreamConfig{RotateWorkers: 1}).Ops,
-	} {
-		if _, err := o.MultiLUT(cts, 2, over); err == nil {
-			t.Fatalf("%s: MultiLUT accepted space·k > N", name)
-		}
-		if _, err := o.MultiLUT(cts, 1, multiTables(4, 2)); err == nil {
-			t.Fatalf("%s: MultiLUT accepted space < 2", name)
-		}
+	s := NewStreaming(ek, StreamConfig{RotateWorkers: 1})
+	if _, err := s.MultiLUT(cts, 2, over); err == nil {
+		t.Fatal("MultiLUT accepted space·k > N")
+	}
+	if _, err := s.MultiLUT(cts, 1, multiTables(4, 2)); err == nil {
+		t.Fatal("MultiLUT accepted space < 2")
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // op is one batched PBS operation, described as data. Every operation the
-// engines run is this shape, and an executor needs to know nothing else.
+// engine runs is this shape, and its executor needs to know nothing else.
 type op struct {
 	// n is the number of items, k the number of outputs each yields: one
 	// for a plain PBS, the table count for a multi-value one.
@@ -27,26 +27,12 @@ type op struct {
 	keyswitch bool
 }
 
-// slots returns the output slots of the count items from lo on: where a
-// tile's extraction lands and its keyswitch runs in place.
-func (p op) slots(out []tfhe.LWECiphertext, lo, count int) []tfhe.LWECiphertext {
-	return out[lo*p.k : (lo+count)*p.k]
-}
-
-// extractTile fans every rotated accumulator of a tile out into its
-// item's k slots of outs.
-func (p op) extractTile(ev *tfhe.Evaluator, accs []tfhe.GLWECiphertext, outs []tfhe.LWECiphertext) {
-	for j, acc := range accs {
-		p.extract(ev, acc, outs[j*p.k:(j+1)*p.k])
-	}
-}
-
-// Ops is the operation vocabulary of both engines: Gates, LUT, MultiLUT
-// and Bootstrap are defined here once, as op descriptions, and Engine and
-// StreamingEngine each embed Ops over their own executor. It validates
-// operands in the caller's goroutine, so every failure is an error or a
-// recoverable panic and never a panic inside a worker, and serializes
-// operations, so its methods are safe for concurrent use.
+// Ops is the operation vocabulary: Gates, LUT, MultiLUT and Bootstrap are
+// defined here once, as op descriptions, and StreamingEngine embeds Ops
+// over its pipeline. It validates operands in the caller's goroutine, so
+// every failure is an error or a recoverable panic and never a panic
+// inside a worker, and serializes operations, so its methods are safe for
+// concurrent use.
 type Ops struct {
 	mu     sync.Mutex
 	params tfhe.Params
@@ -122,6 +108,20 @@ func (o *Ops) checkDims(api string, cts []tfhe.LWECiphertext) {
 	}
 }
 
+// checkTestVec panics, like checkDim, unless testVec has the parameter
+// set's GLWE shape: k+1 polynomials of N coefficients. The prepare stage
+// would otherwise rotate it into an accumulator of that shape and index
+// past one or the other inside a worker.
+func (o *Ops) checkTestVec(api string, testVec tfhe.GLWECiphertext) {
+	ok := testVec.K() == o.params.K
+	for _, p := range testVec.Polys {
+		ok = ok && p.N() == o.params.N
+	}
+	if !ok {
+		panic(fmt.Sprintf("engine: %s: test vector is not a GLWE ciphertext of k=%d, N=%d", api, o.params.K, o.params.N))
+	}
+}
+
 // Gates applies one gate per item: out[i] = ops[i](a[i], b[i]), each the
 // full PBS + keyswitch. The ops may differ freely: every binary gate
 // bootstraps against the same sign test vector, and the op only selects
@@ -194,6 +194,7 @@ func (o *Ops) MultiLUT(cts []tfhe.LWECiphertext, space int, fs []func(int) int) 
 // ciphertext against the shared test vector, with no keyswitch: big-key
 // (k·N) outputs return in input order.
 func (o *Ops) Bootstrap(cts []tfhe.LWECiphertext, testVec tfhe.GLWECiphertext) []tfhe.LWECiphertext {
+	o.checkTestVec("Bootstrap", testVec)
 	o.checkDims("Bootstrap", cts)
 	return o.runOne(op{n: len(cts), testVec: testVec,
 		prepare: func(_ *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {

@@ -8,9 +8,9 @@ import (
 )
 
 // StreamingEngine is the software mirror of the Strix streaming
-// architecture (§IV): instead of assigning one worker a whole PBS (the
-// flat Engine), ciphertexts flow through a channel-connected pipeline of
-// specialized stages,
+// architecture (§IV) and the one executor of the Ops vocabulary: instead
+// of assigning one worker a whole PBS, ciphertexts flow through a
+// channel-connected pipeline of specialized stages,
 //
 //	prepare (linear op + modswitch + init rotation; assembles tiles)
 //	  → blind rotate (n CMux steps, key-major over a tile; the dominant
@@ -215,8 +215,10 @@ func (s *StreamingEngine) exec(p op) []tfhe.LWECiphertext {
 	go func() {
 		defer close(extracted)
 		for t := range rotated {
-			outs := p.slots(out, t.lo, len(t.acc))
-			p.extractTile(s.ext, t.acc, outs)
+			outs := out[t.lo*p.k : (t.lo+len(t.acc))*p.k]
+			for j, acc := range t.acc {
+				p.extract(s.ext, acc, outs[j*p.k:(j+1)*p.k])
+			}
 			select {
 			case s.free <- t:
 			default:
@@ -243,10 +245,4 @@ func (s *StreamingEngine) exec(p op) []tfhe.LWECiphertext {
 	}
 	ksWG.Wait()
 	return out
-}
-
-// StreamGate streams one gate pairwise: out[i] = op(a[i], b[i]). For the
-// unary NOT, b may be nil.
-func (s *StreamingEngine) StreamGate(op GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	return s.Gates(op.Repeat(len(a)), a, b)
 }

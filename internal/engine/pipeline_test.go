@@ -27,7 +27,7 @@ func streamConfigs() []StreamConfig {
 }
 
 // TestStreamGateMatchesSequential is the streaming engine's core property
-// test: for random plaintexts and every gate, StreamGate's output is
+// test: for random plaintexts and every gate, Gates' output is
 // bitwise-equal to the sequential Evaluator's, for every stage/worker
 // configuration. Runs under -race in CI (make race).
 func TestStreamGateMatchesSequential(t *testing.T) {
@@ -53,9 +53,9 @@ func TestStreamGateMatchesSequential(t *testing.T) {
 				var got []tfhe.LWECiphertext
 				var err error
 				if op == NOT {
-					got, err = s.StreamGate(op, cts[:8], nil)
+					got, err = s.Gates(op.Repeat(8), cts[:8], nil)
 				} else {
-					got, err = s.StreamGate(op, cts[:8], cts[8:])
+					got, err = s.Gates(op.Repeat(8), cts[:8], cts[8:])
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -118,30 +118,6 @@ func TestStreamLUTMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesBatchEngine cross-checks the two engines against each
-// other: the flat worker pool and the staged pipeline must agree bitwise
-// on the same batch (both are pinned to the sequential evaluator, so this
-// is a consistency triangle).
-func TestStreamMatchesBatchEngine(t *testing.T) {
-	_, ek, cts, _ := testSetup(t, 37, 12)
-	flat := New(ek, Config{Workers: 3})
-	s := NewStreaming(ek, StreamConfig{RotateWorkers: 3, KSWorkers: 2})
-
-	a, err := flat.BatchGate(XNOR, cts[:6], cts[6:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.StreamGate(XNOR, cts[:6], cts[6:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if !ctEqual(a[i], b[i]) {
-			t.Fatalf("output %d: batch engine and streaming engine disagree", i)
-		}
-	}
-}
-
 // TestStreamCounters checks that the §IV-C fused pipeline accounts for
 // exactly one PBS and one KS per binary gate, aggregated across all stage
 // workers, and that the free NOT bypasses the PBS stages.
@@ -152,7 +128,7 @@ func TestStreamCounters(t *testing.T) {
 	if c := s.Counters(); c.PBSCount != 0 {
 		t.Fatalf("fresh streaming engine PBSCount = %d", c.PBSCount)
 	}
-	if _, err := s.StreamGate(AND, cts[:4], cts[4:]); err != nil {
+	if _, err := s.Gates(AND.Repeat(4), cts[:4], cts[4:]); err != nil {
 		t.Fatal(err)
 	}
 	c := s.Counters()
@@ -161,7 +137,7 @@ func TestStreamCounters(t *testing.T) {
 	}
 
 	// NOT is linear: no PBS, no KS.
-	if _, err := s.StreamGate(NOT, cts[:4], nil); err != nil {
+	if _, err := s.Gates(NOT.Repeat(4), cts[:4], nil); err != nil {
 		t.Fatal(err)
 	}
 	c = s.Counters()
@@ -180,17 +156,17 @@ func TestStreamValidation(t *testing.T) {
 	_, ek, cts, _ := testSetup(t, 41, 4)
 	s := NewStreaming(ek, StreamConfig{RotateWorkers: 2})
 
-	if _, err := s.StreamGate(AND, cts[:2], cts[:3]); err == nil {
-		t.Fatal("StreamGate accepted mismatched operand lengths")
+	if _, err := s.Gates(AND.Repeat(2), cts[:2], cts[:3]); err == nil {
+		t.Fatal("Gates accepted mismatched operand lengths")
 	}
-	if _, err := s.StreamGate(GateOp(99), cts[:2], cts[:2]); err == nil {
-		t.Fatal("StreamGate accepted an unknown op")
+	if _, err := s.Gates(GateOp(99).Repeat(2), cts[:2], cts[:2]); err == nil {
+		t.Fatal("Gates accepted an unknown op")
 	}
-	if _, err := s.StreamGate(NOT, cts[:2], cts[:3]); err == nil {
-		t.Fatal("StreamGate NOT accepted a mismatched second operand")
+	if _, err := s.Gates(NOT.Repeat(2), cts[:2], cts[:3]); err == nil {
+		t.Fatal("Gates NOT accepted a mismatched second operand")
 	}
-	if out, err := s.StreamGate(OR, nil, nil); err != nil || len(out) != 0 {
-		t.Fatalf("empty StreamGate: %v, %v", out, err)
+	if out, err := s.Gates(nil, nil, nil); err != nil || len(out) != 0 {
+		t.Fatalf("empty Gates: %v, %v", out, err)
 	}
 	if out := s.LUT(nil, 8, func(x int) int { return x }); len(out) != 0 {
 		t.Fatalf("empty LUT stream returned %d outputs", len(out))
@@ -209,7 +185,7 @@ func TestStreamConcurrentCalls(t *testing.T) {
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
 		go func() {
-			out, err := s.StreamGate(OR, cts[:4], cts[4:])
+			out, err := s.Gates(OR.Repeat(4), cts[:4], cts[4:])
 			if err != nil {
 				done <- err
 				return
@@ -243,9 +219,6 @@ func TestWorkerDefaultsFollowGOMAXPROCS(t *testing.T) {
 	s := NewStreaming(ek, StreamConfig{})
 	if len(s.rot) != 1 || len(s.ks) != 1 {
 		t.Errorf("NewStreaming under GOMAXPROCS(1): %d rotate and %d keyswitch evaluators, want 1 and 1", len(s.rot), len(s.ks))
-	}
-	if e := New(ek, Config{}); len(e.evals) != 1 {
-		t.Errorf("New under GOMAXPROCS(1): %d evaluators, want 1", len(e.evals))
 	}
 	runtime.GOMAXPROCS(3)
 	if s := NewStreaming(ek, StreamConfig{}); len(s.rot) != 3 || len(s.ks) != 3 {

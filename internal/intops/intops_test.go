@@ -22,10 +22,7 @@ func init() {
 // scheduledEvaluator builds an evaluator over fresh engines (small pools
 // keep the tests fast).
 func scheduledEvaluator() *Evaluator {
-	return NewScheduled(&sched.Runner{
-		Batch:  engine.New(testEK, engine.Config{Workers: 3}),
-		Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 2}),
-	})
+	return NewScheduled(&sched.Runner{Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 2})})
 }
 
 func TestEncryptDecryptRoundtrip(t *testing.T) {
@@ -400,12 +397,12 @@ func TestMulSchedulePlan(t *testing.T) {
 	if st.MaxLevelPBS < 9 {
 		t.Errorf("first level should hold ≥9 parallel pair LUTs, max level = %d", st.MaxLevelPBS)
 	}
-	eng := engine.New(testEK, engine.Config{Workers: 2})
+	eng := engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 2})
 	eng.ResetCounters()
 	rng := rand.New(rand.NewSource(53))
 	x, _ := Encrypt(rng, testSK, 10, 3)
 	y, _ := Encrypt(rng, testSK, 9, 3)
-	r := &sched.Runner{Batch: eng}
+	r := &sched.Runner{Stream: eng}
 	if _, err := r.Run(circ, sched.Config{}, append(append([]tfhe.LWECiphertext{}, x.Digits...), y.Digits...)); err != nil {
 		t.Fatal(err)
 	}
@@ -447,10 +444,7 @@ func TestZeroDigitBuilders(t *testing.T) {
 // still decrypt to the right values on every backend-visible operation.
 func TestOptimizedEvaluator(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	ev := NewOptimized(&sched.Runner{
-		Batch:  engine.New(testEK, engine.Config{Workers: 3}),
-		Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 2}),
-	}, tfhe.ParamsTest)
+	ev := NewOptimized(&sched.Runner{Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 2})}, tfhe.ParamsTest)
 	for _, c := range [][2]int{{0, 0}, {5, 9}, {27, 45}, {63, 63}} {
 		x, _ := Encrypt(rng, testSK, c[0], 3)
 		y, _ := Encrypt(rng, testSK, c[1], 3)

@@ -8,18 +8,6 @@ import (
 	"repro/internal/engine"
 )
 
-// DefaultMinStream is the cost model's routing threshold: a dispatch of
-// at least this many blind rotations is marked for the streaming
-// pipeline, a smaller one for the flat worker pool. The streaming engine
-// only wins once its fixed costs — filling and draining the staged
-// pipeline (≈ channel depth items of ramp) and encoding the shared test
-// vector — amortize over the stream, while the flat pool's per-item
-// claim overhead is near zero for short batches. The mark only decides
-// anything for an executor that holds both engines (see Runner); one
-// with a single engine, like the gate service's sessions, runs every
-// dispatch on it.
-const DefaultMinStream = 32
-
 // Config tunes compilation.
 type Config struct {
 	// Opt selects optimizer passes to run on the circuit before
@@ -55,7 +43,9 @@ type Dispatch struct {
 	Table  []int    // DispatchLUT; shared by every node of the dispatch
 	Tables [][]int  // DispatchMultiLUT; shared by every group of the dispatch
 	Nodes  []Wire
-	Stream bool // cost-model routing: streaming pipeline vs worker pool
+	// Stream is always false: it is read only by benchmark/, and ROADMAP
+	// item 2 deletes it.
+	Stream bool
 }
 
 // Groups returns how many blind rotations a dispatch costs: one per node,
@@ -81,7 +71,9 @@ type Stats struct {
 	TotalPBS    int // total blind rotations per execution
 	MaxLevelPBS int // widest level (rotations)
 	Dispatches  int // engine calls per execution
-	Streamed    int // dispatches routed to the streaming engine
+	// Streamed is always zero: it is read only by benchmark/, and ROADMAP
+	// item 2 deletes it.
+	Streamed    int
 	LinearNodes int // free nodes folded in between levels
 
 	// Multi-value packing: LUT outputs served by shared rotations and
@@ -120,11 +112,11 @@ func (s *Schedule) Levels() []Level { return s.levels }
 func (s *Schedule) Stats() Stats { return s.stats }
 
 // String renders a compact plan summary, e.g.
-// "7 levels, 37 PBS (max 16/level), 12 dispatches (3 streamed), 9 rotations saved (multi-value)".
+// "7 levels, 37 PBS (max 16/level), 12 dispatches, 9 rotations saved (multi-value)".
 func (s *Schedule) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d levels, %d PBS (max %d/level), %d dispatches (%d streamed)",
-		s.stats.Levels, s.stats.TotalPBS, s.stats.MaxLevelPBS, s.stats.Dispatches, s.stats.Streamed)
+	fmt.Fprintf(&b, "%d levels, %d PBS (max %d/level), %d dispatches",
+		s.stats.Levels, s.stats.TotalPBS, s.stats.MaxLevelPBS, s.stats.Dispatches)
 	if s.stats.RotationsSaved > 0 {
 		fmt.Fprintf(&b, ", %d rotations saved (multi-value)", s.stats.RotationsSaved)
 	}
@@ -163,9 +155,6 @@ func (s *Schedule) Describe() string {
 				fmt.Fprintf(&b, "lut:s%d x%d", d.Space, len(d.Nodes))
 			case DispatchMultiLUT:
 				fmt.Fprintf(&b, "mlut:s%dk%d x%d", d.Space, len(d.Tables), d.Groups())
-			}
-			if d.Stream {
-				b.WriteString("[stream]")
 			}
 		}
 		b.WriteByte('\n')
@@ -325,16 +314,8 @@ func Compile(c *Circuit, cfg Config) (*Schedule, error) {
 		}
 	}
 
-	// Cost model: route each dispatch by its rotation count.
 	for l := range s.levels {
-		for di := range s.levels[l].Dispatches {
-			d := &s.levels[l].Dispatches[di]
-			d.Stream = d.Groups() >= DefaultMinStream
-			s.stats.Dispatches++
-			if d.Stream {
-				s.stats.Streamed++
-			}
-		}
+		s.stats.Dispatches += len(s.levels[l].Dispatches)
 		if s.levels[l].PBS > s.stats.MaxLevelPBS {
 			s.stats.MaxLevelPBS = s.levels[l].PBS
 		}

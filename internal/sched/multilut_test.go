@@ -116,18 +116,14 @@ func TestScheduledMultiLUTMatchesSequential(t *testing.T) {
 		}
 	}
 
-	for name, r := range map[string]*Runner{
-		"batch":  {Batch: engine.New(testEK, engine.Config{Workers: 2})},
-		"stream": {Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 2})},
-	} {
-		got, err := r.Run(circ, Config{}, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if !sameCT(got[i], want[i]) {
-				t.Fatalf("%s runner: scheduled output %d differs from sequential", name, i)
-			}
+	r := &Runner{Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 2})}
+	got, err := r.Run(circ, Config{}, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !sameCT(got[i], want[i]) {
+			t.Fatalf("scheduled output %d differs from sequential", i)
 		}
 	}
 }
@@ -171,7 +167,7 @@ func TestMultiValueFanOutFusing(t *testing.T) {
 		testSK.LWE.Encrypt(rng, tfhe.EncodePBSMessage(msgs[0], space), tfhe.ParamsTest.LWEStdDev),
 		testSK.LWE.Encrypt(rng, tfhe.EncodePBSMessage(msgs[1], space), tfhe.ParamsTest.LWEStdDev),
 	}
-	r := &Runner{Batch: engine.New(testEK, engine.Config{Workers: 2})}
+	r := &Runner{Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 2})}
 	got, err := Execute(circ, sch, ins, r)
 	if err != nil {
 		t.Fatal(err)

@@ -176,10 +176,7 @@ func (tc *typedCircuit) checkDecoded(t *testing.T, label string, outs []tfhe.LWE
 // DAGs, executed both sequentially and through the engine-backed
 // scheduler (run under -race by `make race`).
 func TestOptimizePassesPreserveDecoding(t *testing.T) {
-	runner := &Runner{
-		Batch:  engine.New(testEK, engine.Config{Workers: 3}),
-		Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 2}),
-	}
+	runner := &Runner{Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 2})}
 	configs := []struct {
 		name string
 		opt  OptConfig

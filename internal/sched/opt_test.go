@@ -492,7 +492,7 @@ func TestCompileWithOptRunsEndToEnd(t *testing.T) {
 	if d := sch.Describe(); !strings.Contains(d, "pass cse") {
 		t.Fatalf("plan description misses the pass table:\n%s", d)
 	}
-	r := &Runner{Batch: engine.New(testEK, engine.Config{Workers: 2})}
+	r := &Runner{Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 2})}
 	rng := rand.New(rand.NewSource(9))
 	for m := 0; m < space; m++ {
 		ins := []tfhe.LWECiphertext{encMsg(rng, m, space)}

@@ -10,7 +10,7 @@ import (
 // Executor runs one dispatch worth of PBS work. Implementations must
 // return exactly one output per input (one output group per input for
 // MultiLUT), in input order, computing the same per-item operation as the
-// sequential evaluator (both engines and the gate service's session path
+// sequential evaluator (the Runner and the gate service's session path
 // qualify).
 type Executor interface {
 	// Gate evaluates out[i] = d.Ops[i](a[i], b[i]).
@@ -231,21 +231,20 @@ func RunSequential(c *Circuit, ev *tfhe.Evaluator, inputs []tfhe.LWECiphertext) 
 	return outs, nil
 }
 
-// Runner executes schedules over the in-process engines, honoring each
-// dispatch's cost-model routing. Either engine may be nil: dispatches
-// fall back to whichever engine exists.
+// Runner executes schedules over the in-process streaming engine: every
+// dispatch runs on Stream.
 type Runner struct {
-	// Batch is the flat worker-pool engine (short dispatches).
+	// Batch is read only by benchmark/, which sets it beside Stream, and
+	// ROADMAP item 2 deletes it; a Runner without Stream runs on it.
 	Batch *engine.Engine
-	// Stream is the staged pipeline engine (long dispatches).
+	// Stream is the engine every dispatch runs on.
 	Stream *engine.StreamingEngine
 }
 
-// ops resolves a dispatch's routing against the available engines. Both
-// speak engine.Ops, so this is the only place the Runner tells them apart.
-func (r *Runner) ops(d Dispatch) (*engine.Ops, error) {
+// ops returns the engine's operations: Stream if set, else Batch.
+func (r *Runner) ops() (*engine.Ops, error) {
 	switch {
-	case r.Stream != nil && (d.Stream || r.Batch == nil):
+	case r.Stream != nil:
 		return &r.Stream.Ops, nil
 	case r.Batch != nil:
 		return &r.Batch.Ops, nil
@@ -253,28 +252,28 @@ func (r *Runner) ops(d Dispatch) (*engine.Ops, error) {
 	return nil, fmt.Errorf("sched: runner has no engine")
 }
 
-// Gate implements Executor over the engines.
+// Gate implements Executor over the engine.
 func (r *Runner) Gate(d Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	o, err := r.ops(d)
+	o, err := r.ops()
 	if err != nil {
 		return nil, err
 	}
 	return o.Gates(d.Ops, a, b)
 }
 
-// LUT implements Executor over the engines.
+// LUT implements Executor over the engine.
 func (r *Runner) LUT(d Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	o, err := r.ops(d)
+	o, err := r.ops()
 	if err != nil {
 		return nil, err
 	}
 	return o.LUT(in, d.Space, func(m int) int { return d.Table[m] }), nil
 }
 
-// MultiLUT implements Executor over the engines: one blind rotation per
+// MultiLUT implements Executor over the engine: one blind rotation per
 // group input, fanned out into the group's table outputs.
 func (r *Runner) MultiLUT(d Dispatch, in []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
-	o, err := r.ops(d)
+	o, err := r.ops()
 	if err != nil {
 		return nil, err
 	}

@@ -126,44 +126,6 @@ func TestCompileGroupsLUTsByTable(t *testing.T) {
 	}
 }
 
-// TestCostModelRouting pins the fixed routing rule at compile time: a
-// dispatch is marked for the streaming engine from DefaultMinStream
-// rotations up, for the flat engine below.
-func TestCostModelRouting(t *testing.T) {
-	for _, tc := range []struct {
-		width int
-		want  bool
-	}{
-		{8, false},
-		{DefaultMinStream - 1, false},
-		{DefaultMinStream, true},
-		{2 * DefaultMinStream, true},
-	} {
-		b := NewBuilder()
-		for _, w := range b.Inputs(tc.width) {
-			b.Output(b.Gate(engine.NAND, w, w))
-		}
-		circ, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sch, err := Compile(circ, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sch.Levels()[0].Dispatches[0].Stream; got != tc.want {
-			t.Errorf("%d-wide dispatch: stream = %v, want %v", tc.width, got, tc.want)
-		}
-		wantStreamed := 0
-		if tc.want {
-			wantStreamed = 1
-		}
-		if st := sch.Stats(); st.Dispatches != 1 || st.Streamed != wantStreamed {
-			t.Errorf("%d-wide dispatch: stats %+v, want 1 dispatch, %d streamed", tc.width, st, wantStreamed)
-		}
-	}
-}
-
 func TestNotLoweredToLinear(t *testing.T) {
 	b := NewBuilder()
 	x := b.Input()
@@ -182,7 +144,7 @@ func TestNotLoweredToLinear(t *testing.T) {
 	ev := tfhe.NewEvaluator(testEK)
 	rng := rand.New(rand.NewSource(1))
 	ct := testSK.EncryptBool(rng, true)
-	outs, err := Execute(circ, sch, []tfhe.LWECiphertext{ct}, &Runner{Batch: engine.New(testEK, engine.Config{Workers: 1})})
+	outs, err := Execute(circ, sch, []tfhe.LWECiphertext{ct}, &Runner{Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 1})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,31 +189,20 @@ func randomCircuit(t *testing.T, rng *rand.Rand, inputs, extra int) *Circuit {
 }
 
 // TestScheduledMatchesSequential is the core equivalence property: for
-// random circuits and every engine attachment (both, flat only, streaming
-// only), engine execution is bitwise identical to the sequential
-// evaluator.
+// random circuits, engine execution is bitwise identical to the
+// sequential evaluator.
 func TestScheduledMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ev := tfhe.NewEvaluator(testEK)
-	batch := engine.New(testEK, engine.Config{Workers: 3})
-	stream := engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 2})
-	runners := []struct {
-		name string
-		r    *Runner
-	}{
-		{"both", &Runner{Batch: batch, Stream: stream}},
-		{"batch-only", &Runner{Batch: batch}},
-		{"stream-only", &Runner{Stream: stream}},
-	}
+	r := &Runner{Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 2})}
 	circuits := make([]*Circuit, 4, 5)
 	for i := range circuits {
 		circuits[i] = randomCircuit(t, rng, 4, 12)
 	}
-	// The random circuits' levels are all narrower than DefaultMinStream.
-	// One more circuit has a level exactly that wide feeding a narrow one,
-	// so the both-engines runner sends one dispatch to each engine.
+	// The random circuits' levels are all narrow. One more circuit has a
+	// level 32 wide, several tiles of one dispatch, feeding a narrow one.
 	wb := NewBuilder()
-	wins := wb.Inputs(DefaultMinStream)
+	wins := wb.Inputs(32)
 	wide := make([]Wire, len(wins))
 	for i := range wins {
 		wide[i] = wb.Gate(engine.NAND, wins[i], wins[(i+1)%len(wins)])
@@ -262,8 +213,8 @@ func TestScheduledMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sch, err := Compile(wideCirc, Config{}); err != nil || sch.Stats().Streamed != 1 || sch.Stats().Dispatches != 2 {
-		t.Fatalf("wide circuit: err=%v, schedule %v, want 2 dispatches with 1 streamed", err, sch)
+	if sch, err := Compile(wideCirc, Config{}); err != nil || sch.Stats().Dispatches != 2 {
+		t.Fatalf("wide circuit: err=%v, schedule %v, want 2 dispatches", err, sch)
 	}
 	circuits = append(circuits, wideCirc)
 	for trial, circ := range circuits {
@@ -275,18 +226,16 @@ func TestScheduledMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, rn := range runners {
-			got, err := rn.r.Run(circ, Config{}, ins)
-			if err != nil {
-				t.Fatalf("trial %d runner %s: %v", trial, rn.name, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: %d outputs, want %d", trial, len(got), len(want))
-			}
-			for k := range got {
-				if !sameCT(got[k], want[k]) {
-					t.Errorf("trial %d runner %s: output %d differs from sequential", trial, rn.name, k)
-				}
+		got, err := r.Run(circ, Config{}, ins)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d outputs, want %d", trial, len(got), len(want))
+		}
+		for k := range got {
+			if !sameCT(got[k], want[k]) {
+				t.Errorf("trial %d: output %d differs from sequential", trial, k)
 			}
 		}
 	}
@@ -348,7 +297,7 @@ func TestExecuteInputCountMismatch(t *testing.T) {
 	b.Output(b.Input())
 	circ, _ := b.Build()
 	sch, _ := Compile(circ, Config{})
-	r := &Runner{Batch: engine.New(testEK, engine.Config{Workers: 1})}
+	r := &Runner{Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 1})}
 	if _, err := Execute(circ, sch, nil, r); err == nil {
 		t.Error("input count mismatch should error")
 	}
@@ -373,7 +322,7 @@ func TestExecuteRejectsForeignSchedule(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(13))
 	ins := []tfhe.LWECiphertext{testSK.EncryptBool(rng, true), testSK.EncryptBool(rng, false)}
-	r := &Runner{Batch: engine.New(testEK, engine.Config{Workers: 1})}
+	r := &Runner{Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 1})}
 	if _, err := Execute(smallC, bigSched, ins, r); err == nil {
 		t.Error("schedule from a different circuit should error, not panic")
 	}
@@ -401,7 +350,7 @@ func TestEmptyCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := Execute(circ, sch, nil, &Runner{Batch: engine.New(testEK, engine.Config{Workers: 1})})
+	outs, err := Execute(circ, sch, nil, &Runner{Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 1})})
 	if err != nil || len(outs) != 0 {
 		t.Fatalf("empty circuit: outs=%d err=%v", len(outs), err)
 	}

@@ -24,7 +24,7 @@ import (
 // TestHTTPEndToEnd is the acceptance path of the service layer: a client
 // registers its eval key over HTTP, evaluates a gate batch through the
 // JSON-framed-binary API, and the results are bitwise identical to the
-// in-process BatchGate path (hence decrypt to the same bits).
+// in-process engine's (hence decrypt to the same bits).
 func TestHTTPEndToEnd(t *testing.T) {
 	sk, ek := testKeys(t, 1)
 	srv := New(Config{})
@@ -48,12 +48,12 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := engine.New(ek, engine.Config{Workers: 2}).BatchGate(engine.NAND, a, b)
+	want, err := engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: 2}).Gates(engine.NAND.Repeat(len(a)), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("HTTP gate batch differs from in-process BatchGate")
+		t.Error("HTTP gate batch differs from the in-process engine")
 	}
 	for i := range got {
 		if dec := sk.DecryptBool(got[i]); dec != !(bits[i] && shift[i]) {

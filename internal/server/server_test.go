@@ -66,7 +66,7 @@ func decryptInt(sk tfhe.SecretKeys, ct tfhe.LWECiphertext, space int) int {
 }
 
 // TestGateBatchMatchesInProcess pins the service's results to the
-// in-process engine.Engine.BatchGate path bit for bit: the same inputs
+// in-process StreamingEngine.Gates path bit for bit: the same inputs
 // under the same keys must produce identical ciphertexts, and they must
 // decrypt to the gate truth table.
 func TestGateBatchMatchesInProcess(t *testing.T) {
@@ -81,18 +81,18 @@ func TestGateBatchMatchesInProcess(t *testing.T) {
 	a := encryptBools(sk, 100, bits)
 	b := encryptBools(sk, 200, shift)
 
-	ref := engine.New(ek, engine.Config{Workers: 2})
+	ref := engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: 2})
 	for _, op := range []engine.GateOp{engine.NAND, engine.AND, engine.OR, engine.NOR, engine.XOR, engine.XNOR} {
 		got, err := srv.GateBatch("alice", op, a, b)
 		if err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
-		want, err := ref.BatchGate(op, a, b)
+		want, err := ref.Gates(op.Repeat(len(a)), a, b)
 		if err != nil {
 			t.Fatalf("%v reference: %v", op, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v: service ciphertexts differ from in-process BatchGate", op)
+			t.Errorf("%v: service ciphertexts differ from the in-process engine", op)
 		}
 		for i := range got {
 			if dec := sk.DecryptBool(got[i]); dec != op.Eval(bits[i], shift[i]) {

@@ -27,11 +27,7 @@ type Evaluator struct {
 	epBuf    *externalProductBuffers
 	ksDigits []int32         // keyswitch digits of one mask index, lk per tile input
 	ksOuts   []LWECiphertext // keyswitch outputs of the tile in flight
-	// BlindRotateBatch's tile: rotation amounts (n per item, in msBuf)
-	// and accumulators.
-	msBuf   []int
-	msTile  []ModSwitched
-	accTile []GLWECiphertext
+	msBuf    []int           // BlindRotate's rotation amounts, length n
 }
 
 // NewEvaluator builds an evaluator around the evaluation keys.
@@ -56,31 +52,19 @@ func (e *Evaluator) ensureRotateScratch() {
 
 // BlindRotate runs the blind-rotation loop of Algorithm 1 on the test
 // vector testVec driven by ciphertext c, returning the rotated accumulator.
-// testVec is not modified. It is the batch-of-one call of BlindRotateBatch.
+// testVec is not modified; the accumulator is fresh. It composes the
+// pipeline stage primitives of stages.go (modswitch → init → CMux steps)
+// back-to-back, the CMux loop as a tile of one, so the sequential path
+// and the streaming engine execute the same code.
 func (e *Evaluator) BlindRotate(c LWECiphertext, testVec GLWECiphertext) GLWECiphertext {
-	return e.BlindRotateBatch([]LWECiphertext{c}, testVec)[0]
-}
-
-// BlindRotateBatch blind-rotates testVec once per ciphertext, the batch
-// taking the CMux loop as one tile (one pass over the BSK). It composes
-// the pipeline stage primitives of stages.go (modswitch → init → CMux
-// steps) back-to-back, so the sequential path and the streaming engine
-// execute the same code. The accumulators are fresh; the slice holding
-// them is evaluator scratch, valid until the next call.
-func (e *Evaluator) BlindRotateBatch(cts []LWECiphertext, testVec GLWECiphertext) []GLWECiphertext {
-	n := e.Params.SmallN
-	if cap(e.msBuf) < len(cts)*n {
-		e.msBuf = make([]int, len(cts)*n)
+	if e.msBuf == nil {
+		e.msBuf = make([]int, e.Params.SmallN)
 	}
-	mss, accs := e.msTile[:0], e.accTile[:0]
-	for j, c := range cts {
-		ms := e.ModSwitchLWETo(e.msBuf[j*n:(j+1)*n], c) // Algorithm 1 lines 2–3
-		mss = append(mss, ms)
-		accs = append(accs, e.BlindRotateInit(testVec, ms)) // line 4: rotate 'left' by -b̄
-	}
-	e.BlindRotateTile(accs, mss) // lines 5–12: n CMux iterations
-	e.msTile, e.accTile = mss, accs
-	return accs
+	ms := e.ModSwitchLWETo(e.msBuf, c)    // Algorithm 1 lines 2–3
+	acc := e.BlindRotateInit(testVec, ms) // line 4: rotate 'left' by -b̄
+	accs, mss := [1]GLWECiphertext{acc}, [1]ModSwitched{ms}
+	e.BlindRotateTile(accs[:], mss[:]) // lines 5–12: n CMux iterations
+	return acc
 }
 
 // Bootstrap performs the full PBS (Algorithm 1): blind rotation of testVec

@@ -38,7 +38,7 @@ func (e *Evaluator) ModSwitchLWE(c LWECiphertext) ModSwitched {
 }
 
 // ModSwitchLWETo is ModSwitchLWE into the caller's rotation-amount buffer
-// a, of length n, which the result holds: BlindRotateBatch passes evaluator
+// a, of length n, which the result holds: BlindRotate passes evaluator
 // scratch, the streaming engine a spent tile's buffer.
 func (e *Evaluator) ModSwitchLWETo(a []int, c LWECiphertext) ModSwitched {
 	p := e.Params
@@ -79,13 +79,6 @@ func (e *Evaluator) CMuxAt(acc GLWECiphertext, i, aBar int) {
 	}
 	e.ensureRotateScratch()
 	ExternalProductRotSubAcc(acc, acc, aBar, e.Keys.BSK[i], e.gadget, e.proc, e.epBuf, &e.Counters)
-}
-
-// BlindRotateSteps runs all n CMux iterations of the blind-rotation stage
-// (Algorithm 1 lines 5–12) on an accumulator produced by BlindRotateInit.
-// It is the tile-of-one call of BlindRotateTile.
-func (e *Evaluator) BlindRotateSteps(acc GLWECiphertext, ms ModSwitched) {
-	e.BlindRotateTile([]GLWECiphertext{acc}, []ModSwitched{ms})
 }
 
 // BlindRotateTile runs the n CMux iterations on a tile of accumulators,

@@ -159,10 +159,7 @@ func TestGateWorkloadCircuitMatchesExecute(t *testing.T) {
 	if c.NumInputs() != 2 || c.NumOutputs() != 1 {
 		t.Fatalf("circuit shape: %d inputs, %d outputs", c.NumInputs(), c.NumOutputs())
 	}
-	r := &sched.Runner{
-		Batch:  engine.New(ek, engine.Config{Workers: 2}),
-		Stream: engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: 2}),
-	}
+	r := &sched.Runner{Stream: engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: 2})}
 	got, err := r.Run(c, sched.Config{}, []tfhe.LWECiphertext{a, b})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +213,7 @@ func TestBuildNNAgainstReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &sched.Runner{Batch: engine.New(ek, engine.Config{Workers: 2})}
+	r := &sched.Runner{Stream: engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: 2})}
 	got, err := r.Run(c, sched.Config{}, cts)
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +325,7 @@ func TestBuildNNOptimized(t *testing.T) {
 			sch.Stats().TotalPBS, naive.Stats().TotalPBS)
 	}
 
-	r := &sched.Runner{Batch: engine.New(ek, engine.Config{Workers: 2})}
+	r := &sched.Runner{Stream: engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: 2})}
 	got, err := r.RunSchedule(c, sch, cts)
 	if err != nil {
 		t.Fatal(err)

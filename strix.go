@@ -16,21 +16,22 @@
 //	fmt.Println(acc.ThroughputPBS()) // ~74,696 PBS/s
 //
 // Batched execution — the accelerator's raison d'être — has a software
-// counterpart: the context's engine fans independent gates (one PBS + KS
-// each) out over a pool of per-goroutine evaluators, so measured PBS/s can
-// be compared directly with the model's prediction:
+// counterpart: the context's engine streams independent gates (one PBS +
+// KS each) through a staged pipeline of per-goroutine evaluators, tiles of
+// ciphertexts sharing each pass over the keys, so measured PBS/s can be
+// compared directly with the model's prediction:
 //
 //	xs := ctx.EncryptBools([]bool{true, false, true, true})
 //	ys := ctx.EncryptBools([]bool{true, true, false, true})
 //	outs, _ := ctx.BatchGate(strix.NAND, xs, ys) // all four in parallel
 //	fmt.Println(ctx.DecryptBools(outs))          // [false true true false]
 //
-// Worker count defaults to runtime.GOMAXPROCS(0); NewEngine builds a pool of
-// an explicit size.
+// The rotate-stage width defaults to runtime.GOMAXPROCS(0); NewEngine
+// builds an engine of an explicit width.
 //
-// The networked service, the routing tier, the circuit scheduler and the
-// streaming engine are not re-exported here: the binaries under cmd/ use
-// repro/internal/server, router, sched and engine directly.
+// The networked service, the routing tier and the circuit scheduler are
+// not re-exported here: the binaries under cmd/ use repro/internal/server,
+// router, sched and engine directly.
 package strix
 
 import (
@@ -52,7 +53,7 @@ type FHEContext struct {
 	rng    *rand.Rand
 
 	engOnce sync.Once
-	eng     *engine.Engine
+	eng     *engine.StreamingEngine
 }
 
 // NewFHEContext generates keys for the named parameter set ("I".."IV" or
@@ -110,18 +111,18 @@ const (
 	NOT  = engine.NOT
 )
 
-// defaultEngine returns the context's default batch engine (one worker
-// per CPU), building it on first use. The engine shares the context's
-// evaluation keys; see NewEngine for a custom pool size.
-func (c *FHEContext) defaultEngine() *engine.Engine {
-	c.engOnce.Do(func() { c.eng = engine.New(c.EK, engine.Config{}) })
+// defaultEngine returns the context's default streaming engine (one
+// rotate worker per CPU), building it on first use. The engine shares the
+// context's evaluation keys; see NewEngine for a custom width.
+func (c *FHEContext) defaultEngine() *engine.StreamingEngine {
+	c.engOnce.Do(func() { c.eng = engine.NewStreaming(c.EK, engine.StreamConfig{}) })
 	return c.eng
 }
 
-// NewEngine returns a fresh batch engine over this context's keys with the
-// given worker count (0 = runtime.GOMAXPROCS(0)).
-func (c *FHEContext) NewEngine(workers int) *engine.Engine {
-	return engine.New(c.EK, engine.Config{Workers: workers})
+// NewEngine returns a fresh streaming engine over this context's keys with
+// the given rotate-worker count (0 = runtime.GOMAXPROCS(0)).
+func (c *FHEContext) NewEngine(workers int) *engine.StreamingEngine {
+	return engine.NewStreaming(c.EK, engine.StreamConfig{RotateWorkers: workers})
 }
 
 // EncryptBools encrypts a slice of booleans (±1/8 gate encoding).
@@ -145,7 +146,7 @@ func (c *FHEContext) DecryptBools(cts []tfhe.LWECiphertext) []bool {
 // BatchGate applies one gate pairwise over two ciphertext slices on the
 // default engine: out[i] = op(a[i], b[i]), all items in parallel.
 func (c *FHEContext) BatchGate(op GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	return c.defaultEngine().BatchGate(op, a, b)
+	return c.defaultEngine().Gates(op.Repeat(len(a)), a, b)
 }
 
 // Accelerator wraps the Strix performance model and epoch scheduler.
