@@ -36,52 +36,11 @@ func ctEqual(a, b tfhe.LWECiphertext) bool {
 	return true
 }
 
-// TestDeterministicAcrossWorkers is the core batching contract: the same
-// batch under the same keys yields bitwise-identical ciphertexts whether
-// one rotate worker or eight execute it. (Server-side TFHE ops are
-// deterministic; this catches aliasing or scratch-sharing bugs across the
-// pool.)
-func TestDeterministicAcrossWorkers(t *testing.T) {
-	sk, ek, cts, pts := testSetup(t, 42, 24)
-
-	e1 := NewStreaming(ek, StreamConfig{RotateWorkers: 1})
-	e8 := NewStreaming(ek, StreamConfig{RotateWorkers: 8})
-
-	a1, err := e1.Gates(NAND.Repeat(12), cts[:12], cts[12:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	a8, err := e8.Gates(NAND.Repeat(12), cts[:12], cts[12:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a1 {
-		if !ctEqual(a1[i], a8[i]) {
-			t.Fatalf("NAND output %d differs between workers=1 and workers=8", i)
-		}
-		want := !(pts[i] && pts[12+i])
-		if got := sk.DecryptBool(a1[i]); got != want {
-			t.Fatalf("NAND output %d decrypts to %v, want %v", i, got, want)
-		}
-	}
-
-	// Raw bootstraps must agree bitwise too (big-key outputs).
-	tv := tfhe.NewGLWECiphertext(tfhe.ParamsTest.K, tfhe.ParamsTest.N)
-	for j := range tv.Body().Coeffs {
-		tv.Body().Coeffs[j] = uint32(j) << 20
-	}
-	b1 := e1.Bootstrap(cts, tv)
-	b8 := e8.Bootstrap(cts, tv)
-	for i := range b1 {
-		if !ctEqual(b1[i], b8[i]) {
-			t.Fatalf("bootstrap output %d differs between workers=1 and workers=8", i)
-		}
-	}
-}
-
 // TestMatchesSerialEvaluator is the engine's contract, stated once: every
 // operation of the Ops vocabulary, run at any stage width, returns
-// ciphertexts bitwise equal to the sequential tfhe.Evaluator's.
+// ciphertexts bitwise equal to the sequential tfhe.Evaluator's — so also
+// the same ciphertexts at every width, which catches aliasing or scratch
+// shared across workers. The gate rows also decrypt every output.
 // Runs under -race (make race): operands and the test vector are read by
 // every worker of a batch.
 func TestMatchesSerialEvaluator(t *testing.T) {
@@ -91,8 +50,10 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 	serial := tfhe.NewEvaluator(ek)
 
 	bits, ints := make([]tfhe.LWECiphertext, batch), make([]tfhe.LWECiphertext, batch)
+	pts := make([]bool, batch)
 	for i := range bits {
-		bits[i] = sk.EncryptBool(rng, rng.Intn(2) == 1)
+		pts[i] = rng.Intn(2) == 1
+		bits[i] = sk.EncryptBool(rng, pts[i])
 		ints[i] = sk.LWE.Encrypt(rng, tfhe.EncodePBSMessage(rng.Intn(space), space), tfhe.ParamsTest.LWEStdDev)
 	}
 	tv := tfhe.NewGLWECiphertext(tfhe.ParamsTest.K, tfhe.ParamsTest.N)
@@ -123,36 +84,55 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 	multi := func(k int) func(o *Ops) ([][]tfhe.LWECiphertext, error) {
 		return func(o *Ops) ([][]tfhe.LWECiphertext, error) { return o.MultiLUT(ints, space, multiTables(space, k)) }
 	}
-	cases := []struct {
-		name string
-		run  func(o *Ops) ([][]tfhe.LWECiphertext, error)
-		seq  func(i int) []tfhe.LWECiphertext // the sequential evaluator on item i
-		n    int                              // items the case runs
-	}{
+	type gateCase struct {
+		name  string
+		run   func(o *Ops) ([][]tfhe.LWECiphertext, error)
+		seq   func(i int) []tfhe.LWECiphertext // the sequential evaluator on item i
+		n     int                              // items the case runs
+		plain func(i int) bool                 // a gate row's plaintext result, or nil
+	}
+	cases := []gateCase{
 		{"Bootstrap",
 			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.Bootstrap(bits, tv), nil) },
-			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.Bootstrap(bits[i], tv)} }, batch},
+			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.Bootstrap(bits[i], tv)} }, batch, nil},
 		{"LUT",
 			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.LUT(ints, space, lut), nil) },
-			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.EvalLUTKS(ints[i], space, lut)} }, batch},
+			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.EvalLUTKS(ints[i], space, lut)} }, batch, nil},
 		{"MultiLUT-k1", multi(1),
-			func(i int) []tfhe.LWECiphertext { return serial.EvalMultiLUTKS(ints[i], space, multiTables(space, 1)) }, batch},
+			func(i int) []tfhe.LWECiphertext { return serial.EvalMultiLUTKS(ints[i], space, multiTables(space, 1)) }, batch, nil},
 		{"MultiLUT-k3", multi(3),
-			func(i int) []tfhe.LWECiphertext { return serial.EvalMultiLUTKS(ints[i], space, multiTables(space, 3)) }, batch},
+			func(i int) []tfhe.LWECiphertext { return serial.EvalMultiLUTKS(ints[i], space, multiTables(space, 3)) }, batch, nil},
 		{"Gates-mixed",
 			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.Gates(gates, bits, b)) },
 			func(i int) []tfhe.LWECiphertext {
 				return []tfhe.LWECiphertext{seqGate(serial, gates[i], bits[i], b[i])}
-			}, batch},
+			}, batch, func(i int) bool { return gates[i].Eval(pts[i], pts[(i+3)%batch]) }},
 		{"Gates-NOT-nil-b",
 			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.Gates(NOT.Repeat(batch), bits, nil)) },
-			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.NOT(bits[i])} }, batch},
+			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.NOT(bits[i])} }, batch,
+			func(i int) bool { return !pts[i] }},
 		// Nine items against a tile cap of 8 (below): the streaming rows cut
 		// them 8+1, 3+3+3 and 2+2+2+2+1 where the ten above go 8+2, 4+4+2
 		// and 2×5, so full and ragged tiles both occur at every width.
 		{"LUT-9-items",
 			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.LUT(ints[:9], space, lut), nil) },
-			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.EvalLUTKS(ints[i], space, lut)} }, 9},
+			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.EvalLUTKS(ints[i], space, lut)} }, 9, nil},
+	}
+	// Mixed-op gate batches of every width from 1 to 9: at 1–3 rotate
+	// workers the tiles hold 1 to 8 items, so a CMux step's tile MAC runs
+	// every group size of fft.TileGroup and splits 4+1 … 4+4.
+	for n := 1; n <= 9; n++ {
+		ops, a, b := make([]GateOp, n), bits[:n], make([]tfhe.LWECiphertext, n)
+		for i := range ops {
+			ops[i] = GateOp((i + n) % len(gateNames))
+			if ops[i] != NOT {
+				b[i] = bits[(i+n)%batch]
+			}
+		}
+		cases = append(cases, gateCase{fmt.Sprintf("Gates-%d-items", n),
+			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.Gates(ops, a, b)) },
+			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{seqGate(serial, ops[i], a[i], b[i])} }, n,
+			func(i int) bool { return ops[i].Eval(pts[i], pts[(i+n)%batch]) }})
 	}
 	want := make([][][]tfhe.LWECiphertext, len(cases))
 	for c, tc := range cases {
@@ -167,7 +147,9 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 		ops  *Ops
 	}
 	var executors []executor
-	for _, cfg := range []StreamConfig{{RotateWorkers: 1, KSWorkers: 1}, {RotateWorkers: 3, KSWorkers: 2}, {RotateWorkers: 8, KSWorkers: 3}} {
+	// One to three rotate workers, skewed stage widths, eight (more workers
+	// than most batches have tiles) and the GOMAXPROCS defaults.
+	for _, cfg := range []StreamConfig{{RotateWorkers: 1, KSWorkers: 1}, {RotateWorkers: 2, KSWorkers: 1}, {RotateWorkers: 3, KSWorkers: 2}, {RotateWorkers: 8, KSWorkers: 3}, {}} {
 		s := NewStreaming(ek, cfg)
 		// Set I's cap. The test set's own (its accumulators are 2 KB) is 52
 		// and would never bind.
@@ -192,6 +174,9 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 						if !ctEqual(got[i][j], want[c][i][j]) {
 							t.Fatalf("output [%d][%d] differs bitwise from the sequential evaluator", i, j)
 						}
+					}
+					if tc.plain != nil && sk.DecryptBool(got[i][0]) != tc.plain(i) {
+						t.Fatalf("output %d decrypts to %v, want %v", i, !tc.plain(i), tc.plain(i))
 					}
 				}
 			})

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/tfhe"
@@ -28,48 +27,6 @@ func seqGate(ev *tfhe.Evaluator, op GateOp, a, b tfhe.LWECiphertext) tfhe.LWECip
 		return ev.NOT(a)
 	default:
 		panic(fmt.Sprintf("seqGate: unknown gate %d", int(op)))
-	}
-}
-
-// TestMixedOpBatchesMatchSequential is the per-item-op property: a batch
-// whose items each carry their own op (NOT included) comes back bitwise
-// equal to the sequential evaluator, at one rotate worker and at eight.
-// Where the op is NOT, b[i] is a zero-value placeholder: a NOT lane has no
-// second operand to validate or read. Runs under -race (make race): ops, a
-// and b are read by every worker of the batch.
-func TestMixedOpBatchesMatchSequential(t *testing.T) {
-	_, ek, cts, _ := testSetup(t, 57, 16)
-	serial := tfhe.NewEvaluator(ek)
-	rng := rand.New(rand.NewSource(58))
-	for _, workers := range []int{1, 8} {
-		s := NewStreaming(ek, StreamConfig{RotateWorkers: workers})
-		for trial := 0; trial < 6; trial++ {
-			n := rng.Intn(10)
-			ops := make([]GateOp, n)
-			a := make([]tfhe.LWECiphertext, n)
-			b := make([]tfhe.LWECiphertext, n)
-			want := make([]tfhe.LWECiphertext, n)
-			for i := range ops {
-				ops[i] = GateOp(rng.Intn(len(gateNames)))
-				a[i], b[i] = cts[rng.Intn(len(cts))], cts[rng.Intn(len(cts))]
-				if ops[i] == NOT {
-					b[i] = tfhe.LWECiphertext{}
-				}
-				want[i] = seqGate(serial, ops[i], a[i], b[i])
-			}
-			got, err := s.Gates(ops, a, b)
-			if err != nil {
-				t.Fatalf("workers=%d %v: %v", workers, ops, err)
-			}
-			if len(got) != n {
-				t.Fatalf("workers=%d: %d outputs for %d items", workers, len(got), n)
-			}
-			for i := range got {
-				if !ctEqual(got[i], want[i]) {
-					t.Fatalf("workers=%d %v: item %d (%s) differs bitwise from the sequential evaluator", workers, ops, i, ops[i])
-				}
-			}
-		}
 	}
 }
 

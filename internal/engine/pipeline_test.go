@@ -74,50 +74,6 @@ func TestStreamGateMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestStreamLUTMatchesSequential pins the pipeline's LUT to the sequential
-// EvalLUTKS (§IV-C pipeline) bitwise, across random lookup tables and
-// messages, for every stage/worker configuration.
-func TestStreamLUTMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	sk, ek := tfhe.GenerateKeys(rng, tfhe.ParamsTest)
-	serial := tfhe.NewEvaluator(ek)
-
-	const space = 8
-	const batch = 10
-	msgs := make([]int, batch)
-	cts := make([]tfhe.LWECiphertext, batch)
-	for i := range cts {
-		msgs[i] = rng.Intn(space)
-		cts[i] = sk.LWE.Encrypt(rng, tfhe.EncodePBSMessage(msgs[i], space), tfhe.ParamsTest.LWEStdDev)
-	}
-
-	// A random lookup table per round, shared by stream and reference.
-	for round := 0; round < 2; round++ {
-		table := make([]int, space)
-		for i := range table {
-			table[i] = rng.Intn(space)
-		}
-		f := func(x int) int { return table[x] }
-
-		want := make([]tfhe.LWECiphertext, batch)
-		for i := range want {
-			want[i] = serial.EvalLUTKS(cts[i], space, f)
-		}
-		for _, cfg := range streamConfigs() {
-			s := NewStreaming(ek, cfg)
-			got := s.LUT(cts, space, f)
-			for i := range got {
-				if !ctEqual(got[i], want[i]) {
-					t.Fatalf("round %d cfg %+v: LUT output %d differs bitwise from EvalLUTKS", round, cfg, i)
-				}
-				if dec := tfhe.DecodePBSMessage(sk.LWE.Phase(got[i]), space); dec != f(msgs[i]) {
-					t.Fatalf("LUT output %d decrypts to %d, want %d", i, dec, f(msgs[i]))
-				}
-			}
-		}
-	}
-}
-
 // TestStreamCounters checks that the §IV-C fused pipeline accounts for
 // exactly one PBS and one KS per binary gate, aggregated across all stage
 // workers, and that the free NOT bypasses the PBS stages.

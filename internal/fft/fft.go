@@ -45,6 +45,8 @@ type stage struct {
 //     so a Fourier accumulator can be inverse-transformed and then reused.
 //   - Mul / MulAcc: dst/acc may alias a or b; all operands must have equal
 //     length (mismatches panic).
+//   - MulAccTile: every accumulator is fully overwritten and must not
+//     alias a digit or key polynomial.
 type Processor struct {
 	n int // polynomial size N (power of two)
 	m int // FFT size N/2
@@ -297,6 +299,87 @@ func MulAcc(acc, a, b FourierPoly) {
 		return
 	}
 	mulAccRef(acc, a, b)
+}
+
+// TileGroup is the most tile members one pass of MulAccTile serves with
+// each key load: its AVX2 body keeps TileGroup·(k+1) accumulators in
+// registers. A larger tile is walked TileGroup members at a time.
+const TileGroup = 4
+
+// MulAccTile is the Fourier MAC of one CMux step over a tile of ciphertexts
+// (the Strix VMA array, §V-B): for every member t and column c it sets
+//
+//	accs[t][c] = Σ_{j,l} digs[t][j·lb+l] ⊙ key[j][l][c]
+//
+// summing from +0 in (j, l) order, which is bitwise Clear followed by one
+// MulAcc per row. key is a GGSW's [k+1][lb][k+1] row matrix, read once per
+// group of TileGroup members; digs[t] holds that member's (k+1)·lb digit
+// transforms and accs[t] its k+1 accumulators, fully overwritten. Every
+// polynomial must have the same length and no accumulator may alias an
+// operand; a mismatched shape panics.
+func MulAccTile(accs, digs [][]FourierPoly, key [][][]FourierPoly) {
+	if len(accs) == 0 {
+		return
+	}
+	if err := tileShape(accs, digs, key); err != "" {
+		panic("fft: MulAccTile " + err)
+	}
+	if fastKernelOn() {
+		mulAccTileFast(accs, digs, key)
+		return
+	}
+	mulAccTileRef(accs, digs, key)
+}
+
+// tileShape returns what is wrong with MulAccTile's operands, or "".
+func tileShape(accs, digs [][]FourierPoly, key [][][]FourierPoly) string {
+	if len(digs) != len(accs) {
+		return fmt.Sprintf("has %d digit sets for %d members", len(digs), len(accs))
+	}
+	if len(key) == 0 || len(key[0]) == 0 {
+		return "key has no rows"
+	}
+	lb, cols, n := len(key[0]), len(accs[0]), -1
+	if cols == 0 {
+		return "member 0 has no accumulators"
+	}
+	size := func(fp FourierPoly) bool {
+		if n < 0 {
+			n = len(fp)
+		}
+		return len(fp) == n
+	}
+	for _, kj := range key {
+		if len(kj) != lb {
+			return fmt.Sprintf("key is ragged (%d and %d levels)", lb, len(kj))
+		}
+		for _, row := range kj {
+			if len(row) != cols {
+				return fmt.Sprintf("key row has %d columns for %d accumulators", len(row), cols)
+			}
+			for _, w := range row {
+				if !size(w) {
+					return "size mismatch in the key"
+				}
+			}
+		}
+	}
+	for t := range accs {
+		if len(accs[t]) != cols || len(digs[t]) != len(key)*lb {
+			return fmt.Sprintf("member %d has %d accumulators and %d digits, want %d and %d", t, len(accs[t]), len(digs[t]), cols, len(key)*lb)
+		}
+		for _, fp := range accs[t] {
+			if !size(fp) {
+				return fmt.Sprintf("size mismatch in member %d's accumulators", t)
+			}
+		}
+		for _, fp := range digs[t] {
+			if !size(fp) {
+				return fmt.Sprintf("size mismatch in member %d's digits", t)
+			}
+		}
+	}
+	return ""
 }
 
 // Mul sets dst = a ⊙ b. All three operands must have the same length;

@@ -16,11 +16,13 @@ import (
 //     Every loop of a CMux step hands its work to an AVX2 body
 //     (kernel_amd64.s, two complex values per instruction) when
 //     torus.UseAVX2 reports one — seven loops: decompLoadFast,
-//     fwdStage4Fast, fwdStage2Fast, mulAccFast, invFirstFast (size 2;
-//     it shares stage2AVX2 with fwdStage2Fast), invStage4Fast and
-//     invFoldFast. Their Go bodies are the fast path on every other host,
-//     and here for what the lanes leave over: the q = 1 stage, the size-4
-//     first inverse stage, a decompose run's last pairs, an odd MAC tail.
+//     fwdStage4Fast, fwdStage2Fast, mulAccTileFast (the tile MAC, for
+//     k = 1), invFirstFast (size 2; it shares stage2AVX2 with
+//     fwdStage2Fast), invStage4Fast and invFoldFast. Outside the CMux
+//     step, MulAcc's one-row mulAccFast has a body too. Their Go bodies
+//     are the fast path on every other host, and here for what the lanes
+//     leave over: the q = 1 stage, the size-4 first inverse stage, a
+//     decompose run's last pairs, an odd MAC tail.
 //
 // Every body spells every floating-point expression with the same shape and
 // evaluation order, so they produce bitwise-identical float64 results up to
@@ -30,7 +32,12 @@ import (
 // leaves bitwise equal; and it uses no FMA instruction, which rounds once
 // where the reference rounds twice (`make lint` refuses one: no-fma). The
 // decompose load's twisted store commutes nothing: VADDSUBPD of
-// (a, a)·(tr, ti) and (b, b)·(ti, tr) is (a·tr − b·ti, a·ti + b·tr).
+// (a, a)·(tr, ti) and (b, b)·(ti, tr) is (a·tr − b·ti, a·ti + b·tr). The
+// tile MAC holds its sums in registers instead of memory, so it must also
+// sum in the same order: each accumulator starts at +0 (a −0 start would
+// turn a −0 first product into −0 where Clear's +0 gives +0) and adds the
+// rows in (j, l) order, one rounding per row, which is what makes it equal
+// to Clear followed by one mulAccRef per row.
 //
 // The fold rounds as roundToTorus does, operation for operation, with
 // VROUNDPD's truncation (there is no packed double→int64 convert below

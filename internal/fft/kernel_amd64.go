@@ -6,8 +6,9 @@ import "unsafe"
 
 // The AVX2 bodies (kernel_amd64.s), each entered only from the *Fast
 // function of the same loop. n counts complex values; the radix-4 stages
-// and the fold need q = s/4 ≥ 2, mulAcc an even n, stage2 a multiple of
-// four, decompLoad a run of cnt pairs, cnt a positive multiple of four.
+// and the fold need q = s/4 ≥ 2, mulAcc and mulAccTile an even n (the
+// tile also 1–4 members and at least one row), stage2 a multiple of four,
+// decompLoad a run of cnt pairs, cnt a positive multiple of four.
 
 //go:noescape
 func fwdStage4AVX2(buf *complex128, n, s int, tw *float64)
@@ -17,6 +18,9 @@ func invStage4AVX2(buf *complex128, n, s int, tw *float64)
 
 //go:noescape
 func mulAccAVX2(acc, a, b *complex128, n int)
+
+//go:noescape
+func mulAccTileAVX2(acc, dig, key *unsafe.Pointer, members, rows, n int)
 
 //go:noescape
 func stage2AVX2(dst, src *complex128, n int)

@@ -156,6 +156,96 @@ macPair:
 	VZEROUPPER
 	RET
 
+// TILEMAC adds one member's digit, times row r's two key columns, into
+// its accumulators: CMUL with the key split once per row, (wr, wr) and
+// (wi, wi) in Y8/Y9 (column 0) and Y10/Y11 (column 1), and the digit
+// swapped once for both columns. slot is the member's entry in the digit
+// table at R12. Clobbers R11, Y12–Y15.
+#define TILEMAC(slot, acc0, acc1) \
+	MOVQ      slot(R12), R11;     \
+	VMOVUPD   (R11)(AX*1), Y12;   \
+	VPERMILPD $5, Y12, Y13;       \
+	VMULPD    Y8, Y12, Y14;       \
+	VMULPD    Y9, Y13, Y15;       \
+	VADDSUBPD Y15, Y14, Y15;      \
+	VADDPD    Y15, acc0, acc0;    \
+	VMULPD    Y10, Y12, Y14;      \
+	VMULPD    Y11, Y13, Y15;      \
+	VADDSUBPD Y15, Y14, Y15;      \
+	VADDPD    Y15, acc1, acc1
+
+// TILESTORE stores one member's two accumulators through the table at R10.
+#define TILESTORE(off, acc0, acc1) \
+	MOVQ    off(R10), R11;        \
+	VMOVUPD acc0, (R11)(AX*1);    \
+	MOVQ    off+8(R10), R11;      \
+	VMOVUPD acc1, (R11)(AX*1)
+
+// func mulAccTileAVX2(acc, dig, key *unsafe.Pointer, members, rows, n int)
+// The tile MAC for two columns (k = 1), two coefficients per iteration:
+// the 2·members accumulators live in Y0–Y7 from +0 through every row, in
+// row order, and are stored once. key[2r+c] is row r's column c,
+// dig[4r+t] member t's digit r, acc[2t+c] its accumulator c; members is
+// 1–4, rows ≥ 1 and n even.
+TEXT ·mulAccTileAVX2(SB), NOSPLIT, $0-48
+	// AX is the byte offset of the coefficient pair, CX its end; R10 walks
+	// the key table, R12 the digit table, DX counts rows; BX = members.
+	MOVQ members+24(FP), BX
+	MOVQ n+40(FP), CX
+	SHLQ $4, CX
+	XORQ AX, AX
+tilePair:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   key+16(FP), R10
+	MOVQ   dig+8(FP), R12
+	MOVQ   rows+32(FP), DX
+tileRow:
+	MOVQ      (R10), R11
+	VMOVDDUP  (R11)(AX*1), Y8
+	VPERMILPD $15, (R11)(AX*1), Y9
+	MOVQ      8(R10), R11
+	VMOVDDUP  (R11)(AX*1), Y10
+	VPERMILPD $15, (R11)(AX*1), Y11
+	TILEMAC(0, Y0, Y1)
+	CMPQ      BX, $2
+	JB        tileRowDone
+	TILEMAC(8, Y2, Y3)
+	CMPQ      BX, $3
+	JB        tileRowDone
+	TILEMAC(16, Y4, Y5)
+	CMPQ      BX, $4
+	JB        tileRowDone
+	TILEMAC(24, Y6, Y7)
+tileRowDone:
+	ADDQ $16, R10
+	ADDQ $32, R12
+	DECQ DX
+	JNZ  tileRow
+	MOVQ acc+0(FP), R10
+	TILESTORE(0, Y0, Y1)
+	CMPQ BX, $2
+	JB   tileStored
+	TILESTORE(16, Y2, Y3)
+	CMPQ BX, $3
+	JB   tileStored
+	TILESTORE(32, Y4, Y5)
+	CMPQ BX, $4
+	JB   tileStored
+	TILESTORE(48, Y6, Y7)
+tileStored:
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JB   tilePair
+	VZEROUPPER
+	RET
+
 // func stage2AVX2(dst, src *complex128, n int)
 // The radix-2 pass, (a, b) → (a + b, a − b) over adjacent values, four per
 // iteration; n is a positive multiple of four and dst may be src.

@@ -12,7 +12,7 @@ import (
 // Fast kernels: the arithmetic of kernel_ref.go, expression shape for
 // expression shape (see kernel.go), with unsafe pointer walks instead of
 // bounds-checked indexing and, where it pays, unrolled loops. Every loop of
-// a CMux step — decompose load, the radix-4 and radix-2 stages, the MAC,
+// a CMux step — decompose load, the radix-4 and radix-2 stages, the tile MAC,
 // the fold — enters an AVX2 body when the host has one, and keeps its Go
 // body for the other hosts and for what the lanes leave over. Excluded from
 // `purego` builds.
@@ -315,6 +315,101 @@ func mulAccFast(acc, a, b FourierPoly) {
 		ap = unsafe.Add(ap, 16)
 		bp = unsafe.Add(bp, 16)
 		cp = unsafe.Add(cp, 16)
+	}
+}
+
+// maxTileRows bounds the key rows, (k+1)·lb, and 2·maxTileRows the key
+// polynomials, (k+1)·lb·(k+1), of the tile MAC's pointer tables: k = 1 at
+// every level count NewDecomposer allows. A larger key takes the reference.
+const maxTileRows = 64
+
+// mulAccTileFast walks the tile TileGroup members at a time through
+// pointer tables: kp[cols·r+c] is key row r's column c, dp[TileGroup·r+t]
+// member t's digit r and, for the AVX2 body, ap[2t+c] its accumulator c.
+// For two columns (k = 1, every parameter set) the AVX2 body takes the
+// even part of each polynomial; the Go body takes the rest, or all of it
+// on other hosts and shapes.
+func mulAccTileFast(accs, digs [][]FourierPoly, key [][][]FourierPoly) {
+	cols, n := len(accs[0]), len(accs[0][0])
+	rows := len(key) * len(key[0])
+	if rows > maxTileRows || rows*cols > 2*maxTileRows {
+		mulAccTileRef(accs, digs, key)
+		return
+	}
+	var kp [2 * maxTileRows]unsafe.Pointer
+	r := 0
+	for _, kj := range key {
+		for _, row := range kj {
+			for c, w := range row {
+				kp[cols*r+c] = unsafe.Pointer(unsafe.SliceData(w))
+			}
+			r++
+		}
+	}
+	even := 0
+	if cols == 2 && torus.UseAVX2() {
+		even = n &^ 1
+	}
+	for lo := 0; lo < len(accs); lo += TileGroup {
+		g := min(TileGroup, len(accs)-lo)
+		var dp [TileGroup * maxTileRows]unsafe.Pointer
+		for t := 0; t < g; t++ {
+			for r, d := range digs[lo+t] {
+				dp[TileGroup*r+t] = unsafe.Pointer(unsafe.SliceData(d))
+			}
+		}
+		if even > 0 {
+			var ap [2 * TileGroup]unsafe.Pointer
+			for t := 0; t < g; t++ {
+				ap[2*t] = unsafe.Pointer(unsafe.SliceData(accs[lo+t][0]))
+				ap[2*t+1] = unsafe.Pointer(unsafe.SliceData(accs[lo+t][1]))
+			}
+			mulAccTileAVX2(&ap[0], &dp[0], &kp[0], g, rows, even)
+		}
+		for t := 0; t < g && even < n; t++ {
+			for c, out := range accs[lo+t] {
+				mulAccTileGo(out, dp[t:], kp[c:], rows, cols, even)
+			}
+		}
+	}
+}
+
+// mulAccTileGo computes one accumulator of the tile MAC from coefficient lo
+// on, out[i] = Σ_r d_r[i]·w_r[i] with d_r = dp[TileGroup·r] and w_r =
+// kp[cols·r], summed in registers from +0 in row order, two coefficients
+// per pass over the rows.
+func mulAccTileGo(out FourierPoly, dp, kp []unsafe.Pointer, rows, cols, lo int) {
+	op := unsafe.Pointer(unsafe.SliceData(out))
+	i := lo
+	for ; i+2 <= len(out); i += 2 {
+		off := uintptr(i) * 16
+		var sr0, si0, sr1, si1 float64
+		for r := 0; r < rows; r++ {
+			a, b := unsafe.Add(dp[TileGroup*r], off), unsafe.Add(kp[cols*r], off)
+			ar0, ai0 := f64(a, 0), f64(a, 8)
+			br0, bi0 := f64(b, 0), f64(b, 8)
+			ar1, ai1 := f64(a, 16), f64(a, 24)
+			br1, bi1 := f64(b, 16), f64(b, 24)
+			sr0, si0 = sr0+(ar0*br0-ai0*bi0), si0+(ar0*bi0+ai0*br0)
+			sr1, si1 = sr1+(ar1*br1-ai1*bi1), si1+(ar1*bi1+ai1*br1)
+		}
+		p := unsafe.Add(op, off)
+		*(*float64)(p) = sr0
+		*(*float64)(unsafe.Add(p, 8)) = si0
+		*(*float64)(unsafe.Add(p, 16)) = sr1
+		*(*float64)(unsafe.Add(p, 24)) = si1
+	}
+	for ; i < len(out); i++ {
+		off := uintptr(i) * 16
+		var sr, si float64
+		for r := 0; r < rows; r++ {
+			a, b := unsafe.Add(dp[TileGroup*r], off), unsafe.Add(kp[cols*r], off)
+			ar, ai := f64(a, 0), f64(a, 8)
+			br, bi := f64(b, 0), f64(b, 8)
+			sr, si = sr+(ar*br-ai*bi), si+(ar*bi+ai*br)
+		}
+		*(*float64)(unsafe.Add(op, off)) = sr
+		*(*float64)(unsafe.Add(op, off+8)) = si
 	}
 }
 

@@ -10,6 +10,9 @@ func fwdStage4AVX2(buf *complex128, n, s int, tw *float64) { panic("fft: no AVX2
 func invStage4AVX2(buf *complex128, n, s int, tw *float64) { panic("fft: no AVX2 body") }
 func mulAccAVX2(acc, a, b *complex128, n int)              { panic("fft: no AVX2 body") }
 func stage2AVX2(dst, src *complex128, n int)               { panic("fft: no AVX2 body") }
+func mulAccTileAVX2(acc, dig, key *unsafe.Pointer, members, rows, n int) {
+	panic("fft: no AVX2 body")
+}
 func invFoldAVX2(dst *uint32, src *complex128, q int, tw, untwist *float64) {
 	panic("fft: no AVX2 body")
 }

@@ -38,6 +38,10 @@ func mulAccFast(acc, a, b FourierPoly) { mulAccRef(acc, a, b) }
 
 func mulFast(dst, a, b FourierPoly) { mulRef(dst, a, b) }
 
+func mulAccTileFast(accs, digs [][]FourierPoly, key [][][]FourierPoly) {
+	mulAccTileRef(accs, digs, key)
+}
+
 func (p *Processor) decompLoadFast(dsts []FourierPoly, dec poly.Decomposer, src poly.Poly, e int, rotSub bool) {
 	p.decompLoadRef(dsts, dec, src, e, rotSub)
 }

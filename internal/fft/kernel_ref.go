@@ -242,6 +242,22 @@ func mulAccRef(acc, a, b FourierPoly) {
 	}
 }
 
+// mulAccTileRef is the specification of the tile MAC: per member and
+// column, Clear, then mulAccRef row by row in (j, l) order.
+func mulAccTileRef(accs, digs [][]FourierPoly, key [][][]FourierPoly) {
+	lb := len(key[0])
+	for t, acc := range accs {
+		for c, out := range acc {
+			Clear(out)
+			for j := range key {
+				for l, row := range key[j] {
+					mulAccRef(out, digs[t][j*lb+l], row[c])
+				}
+			}
+		}
+	}
+}
+
 // mulRef stores the pointwise complex product: dst = a ⊙ b.
 func mulRef(dst, a, b FourierPoly) {
 	for i := range dst {

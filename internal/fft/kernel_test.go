@@ -674,6 +674,23 @@ func BenchmarkMulAcc(b *testing.B) {
 	})
 }
 
+// BenchmarkMulAccTile is one CMux step's Fourier MAC at set I's shape
+// (m = 512, k = 1, lb = 2) for a group of 1, 2 and 4 members, per
+// ciphertext: what a member costs when the key load is shared.
+func BenchmarkMulAccTile(b *testing.B) {
+	for _, g := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
+			accs, digs, key := tileOperands(rand.New(rand.NewSource(39)), g, 2, 2, 512, false)
+			benchKernels(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					MulAccTile(accs, digs, key)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*g), "ns/ct")
+			})
+		})
+	}
+}
+
 func BenchmarkFFTForwardDecompose(b *testing.B) {
 	p := NewProcessor(1024)
 	dec := poly.NewDecomposer(10, 2)

@@ -92,7 +92,7 @@ func (e *Evaluator) BlindRotateUnrolled(c LWECiphertext, testVec GLWECiphertext,
 	e.Counters.Rotations++
 
 	base := acc.Copy() // scratch for the pre-iteration accumulator
-	e.ensureRotateScratch()
+	e.ensureRotateScratch(1)
 
 	for i := 0; i < len(u.Pairs); i++ {
 		a1 := torus.ModSwitch(c.A[2*i], twoN)

@@ -43,11 +43,13 @@ func NewEvaluator(ek EvaluationKeys) *Evaluator {
 }
 
 // ensureRotateScratch allocates the external-product scratch buffers on
-// first use.
-func (e *Evaluator) ensureRotateScratch() {
+// first use, with a member slot for each of up to fft.TileGroup
+// accumulators a CMux step serves together.
+func (e *Evaluator) ensureRotateScratch(members int) {
 	if e.epBuf == nil {
 		e.epBuf = newExternalProductBuffers(e.Params.K, e.Params.N, e.Params.PBSLevel, e.proc)
 	}
+	e.epBuf.reserve(members, e.proc)
 }
 
 // BlindRotate runs the blind-rotation loop of Algorithm 1 on the test

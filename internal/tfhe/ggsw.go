@@ -44,36 +44,45 @@ func EncryptGGSW(rng *rand.Rand, key GLWEKey, s int32, gadget poly.Decomposer, s
 	return g
 }
 
-// externalProductBuffers holds scratch storage for ExternalProductAcc so the
-// hot path is allocation free. The Fourier burst covers a whole CMux step —
-// all (k+1)·lb digit transforms — and is reused across every CMux of a
-// blind rotation; there is no time-domain digit staging because the fused
-// decompose+transform streams digits straight into the Fourier buffers,
-// exactly as the hardware Decomposer Unit feeds the FFT array (§V-B).
+// externalProductBuffers holds scratch storage for the CMux steps so the
+// hot path is allocation free. Each member slot of a group — one slot for
+// the per-ciphertext calls, up to fft.TileGroup for BlindRotateTile —
+// holds a Fourier burst covering a whole CMux step, all (k+1)·lb digit
+// transforms, and the k+1 Fourier accumulators the tile MAC overwrites;
+// about 48 KB a slot at set I. There is no time-domain digit staging
+// because the fused decompose+transform streams digits straight into the
+// Fourier buffers, exactly as the hardware Decomposer Unit feeds the FFT
+// array (§V-B).
 type externalProductBuffers struct {
-	fdig []fft.FourierPoly // [(k+1)·lb] digit transforms, component-major
-	acc  []fft.FourierPoly // [k+1] Fourier accumulators
+	fdig  [][]fft.FourierPoly // [slot][(k+1)·lb] digit transforms, component-major
+	acc   [][]fft.FourierPoly // [slot][k+1] Fourier accumulators
+	group [fft.TileGroup]GLWECiphertext
 }
 
+// newExternalProductBuffers returns scratch with one member slot.
 func newExternalProductBuffers(k, n, level int, proc *fft.Processor) *externalProductBuffers {
 	if proc.N() != n {
 		panic("tfhe: externalProductBuffers processor size mismatch")
 	}
-	b := &externalProductBuffers{
-		fdig: proc.NewFourierPolyBatch((k + 1) * level),
-		acc:  make([]fft.FourierPoly, k+1),
-	}
-	for c := range b.acc {
-		b.acc[c] = proc.NewFourierPoly()
-	}
+	b := &externalProductBuffers{}
+	b.fdig = append(b.fdig, proc.NewFourierPolyBatch((k+1)*level))
+	b.acc = append(b.acc, proc.NewFourierPolyBatch(k+1))
 	return b
+}
+
+// reserve grows the scratch to min(members, fft.TileGroup) member slots.
+func (b *externalProductBuffers) reserve(members int, proc *fft.Processor) {
+	for len(b.fdig) < min(members, fft.TileGroup) {
+		b.fdig = append(b.fdig, proc.NewFourierPolyBatch(len(b.fdig[0])))
+		b.acc = append(b.acc, proc.NewFourierPolyBatch(len(b.acc[0])))
+	}
 }
 
 // ExternalProductAcc computes out += GGSW ⊡ d (the external product of
 // Algorithm 1 lines 7–10) in two batched phases: every component of d goes
 // through the fused decompose+forward-transform (digit extraction feeding
 // the FFT load directly, no intermediate digit polynomials), and the
-// Fourier MAC loop then accumulates against the GGSW rows before the
+// tile MAC of one member then accumulates against the GGSW rows before the
 // batched inverse transform with rounding. The fused path is bitwise
 // identical to decomposing and transforming one digit polynomial at a
 // time. counters, if non-nil, records the operation mix for the Fig 1
@@ -81,9 +90,10 @@ func newExternalProductBuffers(k, n, level int, proc *fft.Processor) *externalPr
 func ExternalProductAcc(out, d GLWECiphertext, g GGSWFourier, gadget poly.Decomposer, proc *fft.Processor, buf *externalProductBuffers, counters *OpCounters) {
 	lb := gadget.Level
 	for j, dj := range d.Polys {
-		proc.ForwardDecompose(buf.fdig[j*lb:(j+1)*lb], gadget, dj)
+		proc.ForwardDecompose(buf.fdig[0][j*lb:(j+1)*lb], gadget, dj)
 	}
-	buf.macInverse(out, g, lb, proc, counters)
+	outs := [1]GLWECiphertext{out}
+	buf.macInverse(outs[:], g, proc, counters)
 }
 
 // ExternalProductRotSubAcc computes out += GGSW ⊡ (src·X^e − src) without
@@ -94,38 +104,39 @@ func ExternalProductAcc(out, d GLWECiphertext, g GGSWFourier, gadget poly.Decomp
 // blind-rotation iteration (Algorithm 1 lines 6–12): tv ← tv + GGSW(s_i) ⊡
 // (tv·X^e − tv) equals tv·X^e when s_i = 1 and tv when s_i = 0.
 func ExternalProductRotSubAcc(out, src GLWECiphertext, e int, g GGSWFourier, gadget poly.Decomposer, proc *fft.Processor, buf *externalProductBuffers, counters *OpCounters) {
+	buf.loadRotSub(0, src, e, gadget, proc, counters)
+	outs := [1]GLWECiphertext{out}
+	buf.macInverse(outs[:], g, proc, counters)
+}
+
+// loadRotSub is the first phase of a CMux step: the fused rot-sub
+// decompose+transform of src·X^e − src into member slot t.
+func (b *externalProductBuffers) loadRotSub(t int, src GLWECiphertext, e int, gadget poly.Decomposer, proc *fft.Processor, counters *OpCounters) {
 	lb := gadget.Level
 	for j, sj := range src.Polys {
-		proc.ForwardDecomposeRotSub(buf.fdig[j*lb:(j+1)*lb], gadget, sj, e)
+		proc.ForwardDecomposeRotSub(b.fdig[t][j*lb:(j+1)*lb], gadget, sj, e)
 	}
 	if counters != nil {
 		counters.Rotations++
 	}
-	buf.macInverse(out, g, lb, proc, counters)
 }
 
-// macInverse is the second phase of an external product whose digit
-// transforms sit in b.fdig: the Fourier MAC against the GGSW rows, then
-// the batched inverse transform added into out. It counts both phases.
-func (b *externalProductBuffers) macInverse(out GLWECiphertext, g GGSWFourier, lb int, proc *fft.Processor, counters *OpCounters) {
-	for c := range b.acc {
-		fft.Clear(b.acc[c])
+// macInverse is the second phase of the external products whose digit
+// transforms sit in the first len(outs) member slots: one tile MAC of
+// those members against the GGSW rows (fft.MulAccTile, the only MAC of a
+// CMux step), then each member's batched inverse transform added into its
+// outs entry. It counts both phases per member.
+func (b *externalProductBuffers) macInverse(outs []GLWECiphertext, g GGSWFourier, proc *fft.Processor, counters *OpCounters) {
+	fft.MulAccTile(b.acc[:len(outs)], b.fdig[:len(outs)], g.Rows)
+	for t, out := range outs {
+		proc.InverseBatchTo(out.Polys, b.acc[t])
 	}
-	for j := range g.Rows {
-		for l := 0; l < lb; l++ {
-			fdig := b.fdig[j*lb+l]
-			for c := range b.acc {
-				fft.MulAcc(b.acc[c], fdig, g.Rows[j][l][c])
-			}
-		}
-	}
-	proc.InverseBatchTo(out.Polys, b.acc)
 	if counters != nil {
-		k1 := int64(len(b.acc))
-		counters.Decompositions += k1
-		counters.ForwardFFTs += k1 * int64(lb)
-		counters.VMAMuls += k1 * int64(lb) * k1 * int64(proc.M())
-		counters.InverseFFTs += k1
-		counters.Accumulations += k1 * int64(proc.N())
+		k1, lb, members := int64(len(g.Rows)), int64(len(g.Rows[0])), int64(len(outs))
+		counters.Decompositions += members * k1
+		counters.ForwardFFTs += members * k1 * lb
+		counters.VMAMuls += members * k1 * lb * k1 * int64(proc.M())
+		counters.InverseFFTs += members * k1
+		counters.Accumulations += members * k1 * int64(proc.N())
 	}
 }

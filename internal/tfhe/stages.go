@@ -3,6 +3,7 @@ package tfhe
 import (
 	"fmt"
 
+	"repro/internal/fft"
 	"repro/internal/torus"
 )
 
@@ -77,21 +78,41 @@ func (e *Evaluator) CMuxAt(acc GLWECiphertext, i, aBar int) {
 	if aBar == 0 {
 		return
 	}
-	e.ensureRotateScratch()
+	e.ensureRotateScratch(1)
 	ExternalProductRotSubAcc(acc, acc, aBar, e.Keys.BSK[i], e.gadget, e.proc, e.epBuf, &e.Counters)
 }
 
 // BlindRotateTile runs the n CMux iterations on a tile of accumulators,
 // key-major: iteration i is applied to every accumulator before bsk_{i+1}
 // is touched, so one fetch of each GGSW serves the whole tile — the
-// core-level batch of §IV. accs[j] is driven by mss[j] and sees exactly
-// the CMux steps it would see alone, so the result is bitwise identical.
+// core-level batch of §IV. Step i decomposes every accumulator whose
+// rotation amount is nonzero into its own digit slot, runs one tile MAC
+// over them fft.TileGroup at a time (each key element loaded once per
+// group), and inverse-transforms each into its accumulator; an accumulator
+// whose amount is zero is left out of the step, which is the identity for
+// it. accs[j] is driven by mss[j] and sees exactly the CMux steps it would
+// see alone, so the result is bitwise identical.
 func (e *Evaluator) BlindRotateTile(accs []GLWECiphertext, mss []ModSwitched) {
-	for i := 0; i < e.Params.SmallN; i++ {
+	e.ensureRotateScratch(len(accs))
+	b := e.epBuf
+	for i, g := range e.Keys.BSK[:e.Params.SmallN] {
+		group := b.group[:0]
 		for j, acc := range accs {
-			e.CMuxAt(acc, i, mss[j].A[i])
+			aBar := mss[j].A[i]
+			if aBar == 0 {
+				continue
+			}
+			b.loadRotSub(len(group), acc, aBar, e.gadget, e.proc, &e.Counters)
+			if group = append(group, acc); len(group) == fft.TileGroup {
+				b.macInverse(group, g, e.proc, &e.Counters)
+				group = group[:0]
+			}
+		}
+		if len(group) > 0 {
+			b.macInverse(group, g, e.proc, &e.Counters)
 		}
 	}
+	clear(b.group[:]) // the scratch must not keep the caller's accumulators alive
 }
 
 // Extract runs the sample-extraction stage (Algorithm 1 line 13), closing

@@ -20,10 +20,10 @@ func equalGLWE(a, b GLWECiphertext) bool {
 	return true
 }
 
-// zeroMask zeroes mask element i of a test-key ciphertext without moving
+// zeroMask zeroes mask element i of a ciphertext under sk without moving
 // its phase, so blind rotation skips step i.
-func zeroMask(ct LWECiphertext, i int) {
-	if testSK.LWE.Bits[i] == 1 {
+func zeroMask(sk SecretKeys, ct *LWECiphertext, i int) {
+	if sk.LWE.Bits[i] == 1 {
 		ct.B -= ct.A[i]
 	}
 	ct.A[i] = 0
@@ -31,46 +31,91 @@ func zeroMask(ct LWECiphertext, i int) {
 
 func TestBlindRotateTileMatchesOneAtATime(t *testing.T) {
 	// The key-major tile loop must leave every accumulator bitwise equal to
-	// rotating it alone, CMux step by CMux step, for every tile size
-	// around the cap — including items that skip the same step (a zero
-	// rotation amount) and a multi-value fan-out off the rotated tile.
-	rng := rand.New(rand.NewSource(211))
+	// rotating it alone, CMux step by CMux step, and count the same work,
+	// for every tile size around a group of fft.TileGroup and the engine's
+	// cap — including steps every item skips (a zero rotation amount),
+	// steps every other item skips and one that item 1 alone skips, so a
+	// group closes early or is regrouped. At the toy set with a multi-value
+	// fan-out off the rotated tile; at set I with the gates' sign test
+	// vector.
 	const space, k = 4, 3
 	fs := []func(int) int{func(m int) int { return m }, func(m int) int { return (m + 1) % space }, func(m int) int { return 3 - m }}
-	tile, alone := NewEvaluator(testEK), NewEvaluator(testEK)
-	tv := tile.NewMultiLUTTestVector(space, fs)
-	offsets := ParamsTest.MultiLUTOffsets(space, k)
-	for size := 1; size <= 9; size++ {
-		accs := make([]GLWECiphertext, size)
-		mss := make([]ModSwitched, size)
-		want := make([]GLWECiphertext, size)
-		for j := range accs {
-			ct := tile.ShiftForMultiLUT(testSK.LWE.Encrypt(rng, EncodePBSMessage(j%space, space), ParamsTest.LWEStdDev), space, k)
-			zeroMask(ct, 5) // every item skips step 5
-			if j%2 == 0 {
-				zeroMask(ct, 17) // and every other one step 17
-			}
-			mss[j] = tile.ModSwitchLWE(ct)
-			accs[j] = tile.BlindRotateInit(tv, mss[j])
-			want[j] = alone.BlindRotateInit(tv, mss[j])
-			for i, aBar := range mss[j].A {
-				alone.CMuxAt(want[j], i, aBar)
-			}
+	t.Run("test", func(t *testing.T) {
+		ev := NewEvaluator(testEK)
+		offsets := ParamsTest.MultiLUTOffsets(space, k)
+		testBlindRotateTile(t, testSK, testEK, ev.NewMultiLUTTestVector(space, fs),
+			func(rng *rand.Rand, j int) LWECiphertext {
+				return ev.ShiftForMultiLUT(testSK.LWE.Encrypt(rng, EncodePBSMessage(j%space, space), ParamsTest.LWEStdDev), space, k)
+			},
+			func(j int, acc GLWECiphertext) error {
+				for o, out := range ev.ExtractMulti(acc, offsets) {
+					if m := DecodePBSMessage(testSK.BigLWE.Phase(out), space); m != fs[o](j%space) {
+						return fmt.Errorf("table %d decodes to %d, want %d", o, m, fs[o](j%space))
+					}
+				}
+				return nil
+			})
+	})
+	t.Run("I", func(t *testing.T) {
+		sk, ek := setI()
+		ev := NewEvaluator(ek)
+		testBlindRotateTile(t, sk, ek, ev.SignTestVector(),
+			func(rng *rand.Rand, j int) LWECiphertext { return sk.EncryptBool(rng, j%3 == 0) },
+			func(j int, acc GLWECiphertext) error {
+				if got := sk.DecryptBoolBig(ev.Extract(acc)); got != (j%3 == 0) {
+					return fmt.Errorf("sign bootstrap decrypts to %v", got)
+				}
+				return nil
+			})
+	})
+}
+
+// testBlindRotateTile rotates the first size of nine items as one tile, for
+// each size from 1 to 9, against rotating each alone; check decodes item
+// j's rotated accumulator.
+func testBlindRotateTile(t *testing.T, sk SecretKeys, ek EvaluationKeys, tv GLWECiphertext, encrypt func(*rand.Rand, int) LWECiphertext, check func(int, GLWECiphertext) error) {
+	rng := rand.New(rand.NewSource(211))
+	tile, alone := NewEvaluator(ek), NewEvaluator(ek)
+	const items = 9
+	mss := make([]ModSwitched, items)
+	want := make([]GLWECiphertext, items)
+	wantOps := make([]OpCounters, items)
+	for j := range mss {
+		ct := encrypt(rng, j)
+		zeroMask(sk, &ct, 5) // every item skips step 5
+		if j%2 == 0 {
+			zeroMask(sk, &ct, 17) // and every other one step 17
 		}
-		tile.BlindRotateTile(accs, mss)
+		if j == 1 {
+			zeroMask(sk, &ct, 29)
+		}
+		mss[j] = tile.ModSwitchLWE(ct)
+		want[j] = alone.BlindRotateInit(tv, mss[j])
+		alone.Counters.Reset()
+		for i, aBar := range mss[j].A {
+			alone.CMuxAt(want[j], i, aBar)
+		}
+		wantOps[j] = alone.Counters
+		if err := check(j, want[j]); err != nil {
+			t.Fatalf("item %d rotated alone: %v", j, err)
+		}
+	}
+	for size := 1; size <= items; size++ {
+		accs := make([]GLWECiphertext, size)
+		var ops OpCounters
+		for j := range accs {
+			accs[j] = tile.BlindRotateInit(tv, mss[j])
+			ops.Add(wantOps[j])
+		}
+		tile.Counters.Reset()
+		tile.BlindRotateTile(accs, mss[:size])
 		for j := range accs {
 			if !equalGLWE(accs[j], want[j]) {
 				t.Fatalf("tile of %d: accumulator %d differs from rotating it alone", size, j)
 			}
-			got, ref := tile.ExtractMulti(accs[j], offsets), alone.ExtractMulti(want[j], offsets)
-			for o := range got {
-				if !EqualLWE(got[o], ref[o]) {
-					t.Fatalf("tile of %d: item %d output %d differs", size, j, o)
-				}
-				if m := DecodePBSMessage(testSK.BigLWE.Phase(got[o]), space); m != fs[o](j%space) {
-					t.Fatalf("tile of %d: item %d table %d decodes to %d, want %d", size, j, o, m, fs[o](j%space))
-				}
-			}
+		}
+		if tile.Counters != ops {
+			t.Fatalf("tile of %d counts %+v, rotating each alone %+v", size, tile.Counters, ops)
 		}
 	}
 }
@@ -188,13 +233,14 @@ var setI = sync.OnceValues(func() (SecretKeys, EvaluationKeys) {
 
 // BenchmarkBlindRotateTile reports the cost per ciphertext of the
 // key-major rotate loop at set I: t=1 is the one-at-a-time loop, so the
-// ratio to it is what one BSK pass per tile saves.
+// ratio to it is what one BSK pass per tile saves; t=2 is the tile the
+// gate service's sessions run, t=4 one full tile-MAC group and t=8 two.
 func BenchmarkBlindRotateTile(b *testing.B) {
 	sk, ek := setI()
 	ev := NewEvaluator(ek)
 	rng := rand.New(rand.NewSource(229))
 	tv := ev.SignTestVector()
-	for _, size := range []int{1, 4, 8} {
+	for _, size := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("t=%d", size), func(b *testing.B) {
 			accs := make([]GLWECiphertext, size)
 			mss := make([]ModSwitched, size)
