@@ -122,15 +122,19 @@ no-deprecated:
 no-retired-gate:
 	@! git grep -n 'BENCH_''pbs\|bench''json\|bench-''check\|bench-''json' -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'
 
-# The per-engine operation methods that engine.Ops replaced, the second
-# circuit form, the flat worker-pool engine, the scheduler's cost model and
-# the batch blind rotation only that engine used are deleted, not aliased:
-# no Go source outside benchmark/ may name them again (BenchmarkStreamGates,
-# the profile harness in internal/engine, is not the retired method: the
-# k). internal/engine/engine.go keeps the flat engine's names as aliases
-# of the streaming engine's for benchmark/ alone.
+# The per-engine operation methods that the engine's one vocabulary
+# replaced, the second circuit form, the flat worker-pool engine, the
+# scheduler's cost model and the batch blind rotation only that engine used
+# are deleted, not aliased: no Go source outside benchmark/ may name them
+# again (BenchmarkStreamGates, the profile harness in internal/engine, is
+# not the retired method: the k). internal/engine/engine.go keeps the flat
+# engine's names as aliases of the streaming engine's for benchmark/ alone.
+# Nor may any name the nested GGSW shape the one BSK slab layout replaced,
+# the per-polynomial batch transforms, or the Fourier MACs beside the tile
+# MAC (spelled in pieces, so this recipe does not match itself).
 no-retired-ops:
 	@! git grep -nE 'BatchGates|(^|[^k])StreamGates|BatchEvalLUT|StreamLUT\(|BatchMultiLUT|StreamMultiLUT|BatchBootstrap|StreamBootstrap|BatchKeySwitch|EvalCircuit|engine\.New\(|engine\.Config([^A-Za-z0-9_]|$$)|DefaultMinStream|BlindRotateBatch|BlindRotateSteps|Runner\{Batch' -- '*.go' ':!benchmark' ':!internal/engine/engine.go'
+	@! git grep -nE 'GGSWFourier\{''Rows|ForwardTorus''BatchTo|ForwardInt''BatchTo|Inverse''BatchTo|mulAcc''Fast|mulAcc''AVX2|fft\.Mul''\(' -- '*.go'
 
 # No fused multiply-add in any assembly file: it rounds once where the
 # reference kernels round twice, and fast == ref is bitwise.

@@ -168,7 +168,7 @@ func NewFixture(seed int64) (*Fixture, error) {
 	opt.MultiValueBudget = tfhe.ParamsTest.N
 	f.backends = []Backend{
 		seqBackend{ev: tfhe.NewEvaluator(ek)},
-		engineBackend{ops: &stream.Ops, r: runner},
+		engineBackend{eng: stream, r: runner},
 		schedBackend{r: runner},
 		serverBackend{cl: cl},
 		restoredBackend{serverBackend{cl: clRest}},
@@ -269,10 +269,10 @@ func (s seqBackend) Infer(features []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext
 }
 
 // engineBackend is the in-process streaming engine reached directly
-// through the engine.Ops vocabulary. Circuits run through a Runner over
-// the same engine.
+// through its operations. Circuits run through a Runner over the same
+// engine.
 type engineBackend struct {
-	ops *engine.Ops
+	eng *engine.StreamingEngine
 	r   *sched.Runner
 }
 
@@ -281,15 +281,15 @@ func (e engineBackend) Name() string { return "streaming" }
 func (e engineBackend) Bitwise() bool { return true }
 
 func (e engineBackend) Gate(op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	return e.ops.Gates(op.Repeat(len(a)), a, b)
+	return e.eng.Gates(op.Repeat(len(a)), a, b)
 }
 
 func (e engineBackend) LUT(cts []tfhe.LWECiphertext, space int, table []int) ([]tfhe.LWECiphertext, error) {
-	return e.ops.LUT(cts, space, func(m int) int { return table[m] }), nil
+	return e.eng.LUT(cts, space, func(m int) int { return table[m] }), nil
 }
 
 func (e engineBackend) MultiLUT(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
-	return e.ops.MultiLUT(cts, space, tfhe.TableFuncs(tables))
+	return e.eng.MultiLUT(cts, space, tfhe.TableFuncs(tables))
 }
 
 func (e engineBackend) Circuit(circ *sched.Circuit, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {

@@ -6,15 +6,15 @@
 // measured software PBS/s can sit next to the performance model's
 // predicted PBS/s on the same axis.
 //
-// There is one operation vocabulary and one executor under it. Ops
-// (ops.go) spells each operation once, as data: the test vector the batch
-// shares, a per-item linear prepare stage (which may finish the item, as
-// the free NOT gate does), the extract fan-out (one output, or k for a
-// multi-value PBS), and whether to keyswitch. Gates, LUT, MultiLUT and
-// Bootstrap are defined on it, with operand validation, the lock that
-// serializes operations, and counter aggregation. StreamingEngine
-// (pipeline.go) embeds Ops and adds a constructor and the one exec: it
-// mirrors the paper's streaming architecture with two-level ciphertext
+// There is one operation vocabulary and one executor under it, both on
+// StreamingEngine. ops.go spells each operation once, as data: the test
+// vector the batch shares, a per-item linear prepare stage (which may
+// finish the item, as the free NOT gate does), the extract fan-out (one
+// output, or k for a multi-value PBS), and whether to keyswitch. Gates,
+// LUT, MultiLUT and Bootstrap are defined there, with operand validation,
+// the lock that serializes operations, and counter aggregation. The
+// executor (pipeline.go, exec) mirrors the paper's streaming architecture
+// with two-level ciphertext
 // batching (§IV), tiles of ciphertexts flowing through channel-connected
 // specialized stages (modswitch → blind rotate → sample extract → fused
 // keyswitch), with the encoded test vector/LUT shared by the whole stream.

@@ -37,7 +37,7 @@ func ctEqual(a, b tfhe.LWECiphertext) bool {
 }
 
 // TestMatchesSerialEvaluator is the engine's contract, stated once: every
-// operation of the Ops vocabulary, run at any stage width, returns
+// operation of the engine's vocabulary, run at any stage width, returns
 // ciphertexts bitwise equal to the sequential tfhe.Evaluator's — so also
 // the same ciphertexts at every width, which catches aliasing or scratch
 // shared across workers. The gate rows also decrypt every output.
@@ -81,41 +81,45 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 		}
 		return out, err
 	}
-	multi := func(k int) func(o *Ops) ([][]tfhe.LWECiphertext, error) {
-		return func(o *Ops) ([][]tfhe.LWECiphertext, error) { return o.MultiLUT(ints, space, multiTables(space, k)) }
+	multi := func(k int) func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) {
+		return func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) {
+			return o.MultiLUT(ints, space, multiTables(space, k))
+		}
 	}
 	type gateCase struct {
 		name  string
-		run   func(o *Ops) ([][]tfhe.LWECiphertext, error)
+		run   func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error)
 		seq   func(i int) []tfhe.LWECiphertext // the sequential evaluator on item i
 		n     int                              // items the case runs
 		plain func(i int) bool                 // a gate row's plaintext result, or nil
 	}
 	cases := []gateCase{
 		{"Bootstrap",
-			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.Bootstrap(bits, tv), nil) },
+			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) { return one(o.Bootstrap(bits, tv), nil) },
 			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.Bootstrap(bits[i], tv)} }, batch, nil},
 		{"LUT",
-			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.LUT(ints, space, lut), nil) },
+			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) { return one(o.LUT(ints, space, lut), nil) },
 			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.EvalLUTKS(ints[i], space, lut)} }, batch, nil},
 		{"MultiLUT-k1", multi(1),
 			func(i int) []tfhe.LWECiphertext { return serial.EvalMultiLUTKS(ints[i], space, multiTables(space, 1)) }, batch, nil},
 		{"MultiLUT-k3", multi(3),
 			func(i int) []tfhe.LWECiphertext { return serial.EvalMultiLUTKS(ints[i], space, multiTables(space, 3)) }, batch, nil},
 		{"Gates-mixed",
-			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.Gates(gates, bits, b)) },
+			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) { return one(o.Gates(gates, bits, b)) },
 			func(i int) []tfhe.LWECiphertext {
 				return []tfhe.LWECiphertext{seqGate(serial, gates[i], bits[i], b[i])}
 			}, batch, func(i int) bool { return gates[i].Eval(pts[i], pts[(i+3)%batch]) }},
 		{"Gates-NOT-nil-b",
-			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.Gates(NOT.Repeat(batch), bits, nil)) },
+			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) {
+				return one(o.Gates(NOT.Repeat(batch), bits, nil))
+			},
 			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.NOT(bits[i])} }, batch,
 			func(i int) bool { return !pts[i] }},
 		// Nine items against a tile cap of 8 (below): the streaming rows cut
 		// them 8+1, 3+3+3 and 2+2+2+2+1 where the ten above go 8+2, 4+4+2
 		// and 2×5, so full and ragged tiles both occur at every width.
 		{"LUT-9-items",
-			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.LUT(ints[:9], space, lut), nil) },
+			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) { return one(o.LUT(ints[:9], space, lut), nil) },
 			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.EvalLUTKS(ints[i], space, lut)} }, 9, nil},
 	}
 	// Mixed-op gate batches of every width from 1 to 9: at 1–3 rotate
@@ -130,7 +134,7 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 			}
 		}
 		cases = append(cases, gateCase{fmt.Sprintf("Gates-%d-items", n),
-			func(o *Ops) ([][]tfhe.LWECiphertext, error) { return one(o.Gates(ops, a, b)) },
+			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) { return one(o.Gates(ops, a, b)) },
 			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{seqGate(serial, ops[i], a[i], b[i])} }, n,
 			func(i int) bool { return ops[i].Eval(pts[i], pts[(i+n)%batch]) }})
 	}
@@ -144,7 +148,7 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 
 	type executor struct {
 		name string
-		ops  *Ops
+		ops  *StreamingEngine
 	}
 	var executors []executor
 	// One to three rotate workers, skewed stage widths, eight (more workers
@@ -154,7 +158,7 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 		// Set I's cap. The test set's own (its accumulators are 2 KB) is 52
 		// and would never bind.
 		s.tileCap = 8
-		executors = append(executors, executor{fmt.Sprintf("streaming/rot=%d_ks=%d", cfg.RotateWorkers, cfg.KSWorkers), &s.Ops})
+		executors = append(executors, executor{fmt.Sprintf("streaming/rot=%d_ks=%d", cfg.RotateWorkers, cfg.KSWorkers), s})
 	}
 	for _, ex := range executors {
 		for c, tc := range cases {
@@ -254,7 +258,7 @@ func TestDimensionPanics(t *testing.T) {
 	_, ek, cts, _ := testSetup(t, 13, 4)
 	p := tfhe.ParamsTest
 	tv := tfhe.NewGLWECiphertext(p.K, p.N)
-	o := &NewStreaming(ek, StreamConfig{RotateWorkers: 2}).Ops
+	o := NewStreaming(ek, StreamConfig{RotateWorkers: 2})
 	big := o.Bootstrap(cts, tv)
 	mustPanic := func(api string, f func()) {
 		t.Helper()

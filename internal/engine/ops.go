@@ -2,10 +2,15 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/tfhe"
 )
+
+// The operation vocabulary: Gates, LUT, MultiLUT and Bootstrap are defined
+// here once, as op descriptions that StreamingEngine.exec runs. They
+// validate operands in the caller's goroutine, so every failure is an
+// error or a recoverable panic and never a panic inside a worker, and
+// serialize operations, so they are safe for concurrent use.
 
 // op is one batched PBS operation, described as data. Every operation the
 // engine runs is this shape, and its executor needs to know nothing else.
@@ -27,67 +32,43 @@ type op struct {
 	keyswitch bool
 }
 
-// Ops is the operation vocabulary: Gates, LUT, MultiLUT and Bootstrap are
-// defined here once, as op descriptions, and StreamingEngine embeds Ops
-// over its pipeline. It validates operands in the caller's goroutine, so
-// every failure is an error or a recoverable panic and never a panic
-// inside a worker, and serializes operations, so its methods are safe for
-// concurrent use.
-type Ops struct {
-	mu     sync.Mutex
-	params tfhe.Params
-	// evals is every evaluator the executor owns, for counter aggregation;
-	// evals[0] also encodes test vectors.
-	evals  []*tfhe.Evaluator
-	signTV tfhe.GLWECiphertext // shared read-only by every gate bootstrap
-	// exec runs one operation and returns the outputs in input order, item
-	// i's k at [i·k, (i+1)·k). It is called with mu held.
-	exec func(op) []tfhe.LWECiphertext
-}
-
-// newOps binds the vocabulary to an executor and the evaluators it owns.
-func newOps(params tfhe.Params, evals []*tfhe.Evaluator, exec func(op) []tfhe.LWECiphertext) Ops {
-	// The sign test vector is a constant of the parameter set: encode it
-	// once, not once per gate.
-	return Ops{params: params, evals: evals, signTV: evals[0].SignTestVector(), exec: exec}
-}
-
 // Counters returns the operation counters aggregated across every worker
 // since construction (or the last ResetCounters).
-func (o *Ops) Counters() tfhe.OpCounters {
-	o.mu.Lock()
-	defer o.mu.Unlock()
+func (s *StreamingEngine) Counters() tfhe.OpCounters {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var total tfhe.OpCounters
-	for _, ev := range o.evals {
+	for _, ev := range s.evals {
 		total.Add(ev.Counters)
 	}
 	return total
 }
 
 // ResetCounters zeroes every worker's counters.
-func (o *Ops) ResetCounters() {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for _, ev := range o.evals {
+func (s *StreamingEngine) ResetCounters() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, ev := range s.evals {
 		ev.Counters.Reset()
 	}
 }
 
-// run executes one operation; see exec for the layout of the result.
-func (o *Ops) run(p op) []tfhe.LWECiphertext {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.exec(p)
+// run executes one operation under the lock that serializes operations;
+// see exec for the layout of the result.
+func (s *StreamingEngine) run(p op) []tfhe.LWECiphertext {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.exec(p)
 }
 
 // runOne is run for the single-output operations: it supplies the plain
 // one-extraction fan-out.
-func (o *Ops) runOne(p op) []tfhe.LWECiphertext {
+func (s *StreamingEngine) runOne(p op) []tfhe.LWECiphertext {
 	p.k = 1
 	p.extract = func(ev *tfhe.Evaluator, acc tfhe.GLWECiphertext, outs []tfhe.LWECiphertext) {
 		outs[0] = ev.Extract(acc)
 	}
-	return o.run(p)
+	return s.run(p)
 }
 
 // checkDim panics (from the caller's goroutine, so it is recoverable and
@@ -95,16 +76,16 @@ func (o *Ops) runOne(p op) []tfhe.LWECiphertext {
 // small LWE dimension n. The underlying tfhe evaluator panics on dimension
 // mismatch too, but from inside a worker goroutine, which would abort the
 // whole process.
-func (o *Ops) checkDim(api string, i int, ct tfhe.LWECiphertext) {
-	if got, want := ct.N(), o.params.SmallN; got != want {
+func (s *StreamingEngine) checkDim(api string, i int, ct tfhe.LWECiphertext) {
+	if got, want := ct.N(), s.params.SmallN; got != want {
 		panic(fmt.Sprintf("engine: %s: ciphertext %d has LWE dimension %d, want %d", api, i, got, want))
 	}
 }
 
 // checkDims is checkDim over a whole operand list.
-func (o *Ops) checkDims(api string, cts []tfhe.LWECiphertext) {
+func (s *StreamingEngine) checkDims(api string, cts []tfhe.LWECiphertext) {
 	for i, ct := range cts {
-		o.checkDim(api, i, ct)
+		s.checkDim(api, i, ct)
 	}
 }
 
@@ -112,13 +93,13 @@ func (o *Ops) checkDims(api string, cts []tfhe.LWECiphertext) {
 // set's GLWE shape: k+1 polynomials of N coefficients. The prepare stage
 // would otherwise rotate it into an accumulator of that shape and index
 // past one or the other inside a worker.
-func (o *Ops) checkTestVec(api string, testVec tfhe.GLWECiphertext) {
-	ok := testVec.K() == o.params.K
+func (s *StreamingEngine) checkTestVec(api string, testVec tfhe.GLWECiphertext) {
+	ok := testVec.K() == s.params.K
 	for _, p := range testVec.Polys {
-		ok = ok && p.N() == o.params.N
+		ok = ok && p.N() == s.params.N
 	}
 	if !ok {
-		panic(fmt.Sprintf("engine: %s: test vector is not a GLWE ciphertext of k=%d, N=%d", api, o.params.K, o.params.N))
+		panic(fmt.Sprintf("engine: %s: test vector is not a GLWE ciphertext of k=%d, N=%d", api, s.params.K, s.params.N))
 	}
 }
 
@@ -128,7 +109,7 @@ func (o *Ops) checkTestVec(api string, testVec tfhe.GLWECiphertext) {
 // the linear stage in front of it. Where ops[i] is the unary NOT, b[i] is
 // unused and may be a zero-value placeholder; b may be nil when every op
 // is NOT.
-func (o *Ops) Gates(ops []GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
+func (s *StreamingEngine) Gates(ops []GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	if len(ops) != len(a) || (b != nil && len(b) != len(a)) {
 		return nil, fmt.Errorf("engine: Gates: length mismatch: %d ops over %d and %d operands", len(ops), len(a), len(b))
 	}
@@ -140,13 +121,13 @@ func (o *Ops) Gates(ops []GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECipherte
 			return nil, fmt.Errorf("engine: Gates: item %d: %s takes two operands, got no b", i, g)
 		}
 	}
-	o.checkDims("Gates", a)
+	s.checkDims("Gates", a)
 	for i, g := range ops {
 		if g != NOT {
-			o.checkDim("Gates", i, b[i])
+			s.checkDim("Gates", i, b[i])
 		}
 	}
-	return o.runOne(op{n: len(ops), testVec: o.signTV, keyswitch: true,
+	return s.runOne(op{n: len(ops), testVec: s.signTV, keyswitch: true,
 		prepare: func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
 			return gateInput(ev, ops[i], a, b, i)
 		}}), nil
@@ -156,9 +137,9 @@ func (o *Ops) Gates(ops []GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECipherte
 // the table is encoded once and shared by the whole batch, and each item
 // is shift → PBS → keyswitch, the full §IV-C pipeline. Dimension-n outputs
 // return in input order.
-func (o *Ops) LUT(cts []tfhe.LWECiphertext, space int, f func(int) int) []tfhe.LWECiphertext {
-	o.checkDims("LUT", cts)
-	return o.runOne(op{n: len(cts), testVec: o.evals[0].LUTTestVector(space, f), keyswitch: true,
+func (s *StreamingEngine) LUT(cts []tfhe.LWECiphertext, space int, f func(int) int) []tfhe.LWECiphertext {
+	s.checkDims("LUT", cts)
+	return s.runOne(op{n: len(cts), testVec: s.prep.LUTTestVector(space, f), keyswitch: true,
 		prepare: func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
 			return ev.ShiftForLUT(cts[i], space), false
 		}})
@@ -169,14 +150,14 @@ func (o *Ops) LUT(cts []tfhe.LWECiphertext, space int, f func(int) int) []tfhe.L
 // the whole batch, and each rotated accumulator fans out into k sample
 // extractions and keyswitches. out[i][j] is table j applied to cts[i], at
 // dimension n.
-func (o *Ops) MultiLUT(cts []tfhe.LWECiphertext, space int, fs []func(int) int) ([][]tfhe.LWECiphertext, error) {
+func (s *StreamingEngine) MultiLUT(cts []tfhe.LWECiphertext, space int, fs []func(int) int) ([][]tfhe.LWECiphertext, error) {
 	k := len(fs)
-	if err := o.params.ValidateMultiLUT(space, k); err != nil {
+	if err := s.params.ValidateMultiLUT(space, k); err != nil {
 		return nil, err
 	}
-	o.checkDims("MultiLUT", cts)
-	offsets := o.params.MultiLUTOffsets(space, k)
-	flat := o.run(op{n: len(cts), k: k, testVec: o.evals[0].NewMultiLUTTestVector(space, fs), keyswitch: true,
+	s.checkDims("MultiLUT", cts)
+	offsets := s.params.MultiLUTOffsets(space, k)
+	flat := s.run(op{n: len(cts), k: k, testVec: s.prep.NewMultiLUTTestVector(space, fs), keyswitch: true,
 		prepare: func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
 			return ev.ShiftForMultiLUT(cts[i], space, k), false
 		},
@@ -193,10 +174,10 @@ func (o *Ops) MultiLUT(cts []tfhe.LWECiphertext, space int, fs []func(int) int) 
 // Bootstrap runs the raw programmable bootstrap (Algorithm 1) on every
 // ciphertext against the shared test vector, with no keyswitch: big-key
 // (k·N) outputs return in input order.
-func (o *Ops) Bootstrap(cts []tfhe.LWECiphertext, testVec tfhe.GLWECiphertext) []tfhe.LWECiphertext {
-	o.checkTestVec("Bootstrap", testVec)
-	o.checkDims("Bootstrap", cts)
-	return o.runOne(op{n: len(cts), testVec: testVec,
+func (s *StreamingEngine) Bootstrap(cts []tfhe.LWECiphertext, testVec tfhe.GLWECiphertext) []tfhe.LWECiphertext {
+	s.checkTestVec("Bootstrap", testVec)
+	s.checkDims("Bootstrap", cts)
+	return s.runOne(op{n: len(cts), testVec: testVec,
 		prepare: func(_ *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
 			return cts[i], false
 		}})

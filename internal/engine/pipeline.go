@@ -8,7 +8,8 @@ import (
 )
 
 // StreamingEngine is the software mirror of the Strix streaming
-// architecture (§IV) and the one executor of the Ops vocabulary: instead
+// architecture (§IV) and the one executor of the operation vocabulary
+// (Gates, LUT, MultiLUT, Bootstrap; ops.go): instead
 // of assigning one worker a whole PBS, ciphertexts flow through a
 // channel-connected pipeline of specialized stages,
 //
@@ -35,9 +36,12 @@ import (
 // so results are bitwise identical to sequential evaluation for any
 // stage, worker or tile configuration.
 type StreamingEngine struct {
-	Ops
+	mu     sync.Mutex // serializes operations
+	params tfhe.Params
+	evals  []*tfhe.Evaluator   // every stage evaluator, for counter aggregation
+	signTV tfhe.GLWECiphertext // shared read-only by every gate bootstrap
 
-	prep *tfhe.Evaluator   // prepare-stage evaluator
+	prep *tfhe.Evaluator   // prepare-stage evaluator; also encodes test vectors
 	rot  []*tfhe.Evaluator // blind-rotate stage worker pool
 	ext  *tfhe.Evaluator   // sample-extract stage evaluator
 	ks   []*tfhe.Evaluator // keyswitch stage worker pool
@@ -91,6 +95,7 @@ func NewStreaming(ek tfhe.EvaluationKeys, cfg StreamConfig) *StreamingEngine {
 	p := ek.Params
 	accBytes := int64(p.K+1) * int64(p.N) * 4
 	s := &StreamingEngine{
+		params:  p,
 		prep:    tfhe.NewEvaluator(ek),
 		rot:     make([]*tfhe.Evaluator, rw),
 		ext:     tfhe.NewEvaluator(ek),
@@ -104,7 +109,10 @@ func NewStreaming(ek tfhe.EvaluationKeys, cfg StreamConfig) *StreamingEngine {
 	for i := range s.ks {
 		s.ks[i] = tfhe.NewEvaluator(ek)
 	}
-	s.Ops = newOps(ek.Params, append(append([]*tfhe.Evaluator{s.prep, s.ext}, s.rot...), s.ks...), s.exec)
+	s.evals = append(append([]*tfhe.Evaluator{s.prep, s.ext}, s.rot...), s.ks...)
+	// The sign test vector is a constant of the parameter set: encode it
+	// once, not once per gate.
+	s.signTV = s.prep.SignTestVector()
 	return s
 }
 

@@ -10,7 +10,7 @@ import (
 // load: for each folded coefficient pair it extracts all Level digits once
 // and writes each digit level directly into its Fourier buffer with the
 // twist factor applied, then runs the butterfly stages per level. This
-// replaces the DecomposePolyTo → ForwardIntBatchTo sequence in the
+// replaces DecomposePolyTo followed by one ForwardIntTo per level in the
 // external product, eliminating the intermediate [][]int32 digit staging
 // entirely (the Strix Decomposer Unit likewise streams digits straight
 // into the FFT array, §V-B).

@@ -15,7 +15,7 @@ import (
 // the radix-4/radix-2 decimation-in-frequency forward transform emits —
 // not in ascending root order. Kernel order is an implementation detail:
 // it is consistent between the forward and inverse transforms and across
-// the pointwise Mul/MulAcc operations, which is all the negacyclic
+// the pointwise MACs (MulAcc, MulAccTile), which is all the negacyclic
 // convolution needs, and skipping the reordering pass is part of what
 // makes the kernels fast.
 type FourierPoly []complex128
@@ -40,13 +40,13 @@ type stage struct {
 //
 //   - ForwardTorusTo / ForwardIntTo / ForwardDecompose: dst is fully
 //     overwritten; src is read-only. dst must not alias src storage.
-//   - InverseTo / InverseBatchTo: fp is READ-ONLY (the transform runs in
-//     pooled processor scratch) and the rounded result is ADDED into dst,
-//     so a Fourier accumulator can be inverse-transformed and then reused.
-//   - Mul / MulAcc: dst/acc may alias a or b; all operands must have equal
-//     length (mismatches panic).
+//   - InverseTo: fp is READ-ONLY (the transform runs in pooled processor
+//     scratch) and the rounded result is ADDED into dst, so a Fourier
+//     accumulator can be inverse-transformed and then reused.
+//   - MulAcc: acc may alias a or b; all operands must have equal length
+//     (mismatches panic).
 //   - MulAccTile: every accumulator is fully overwritten and must not
-//     alias a digit or key polynomial.
+//     alias a digit or the key.
 type Processor struct {
 	n int // polynomial size N (power of two)
 	m int // FFT size N/2
@@ -132,6 +132,19 @@ func (p *Processor) M() int { return p.m }
 
 // NewFourierPoly allocates a zero FourierPoly of the right size.
 func (p *Processor) NewFourierPoly() FourierPoly { return make(FourierPoly, p.m) }
+
+// NewFourierPolyBatch allocates count zero FourierPolys backed by one
+// contiguous complex slab, so a CMux step's digit transforms or
+// accumulators stay cache-adjacent the way the hardware's ping-pong
+// buffers keep them. Each has length and capacity M.
+func (p *Processor) NewFourierPolyBatch(count int) []FourierPoly {
+	slab := make([]complex128, count*p.m)
+	out := make([]FourierPoly, count)
+	for i := range out {
+		out[i] = slab[i*p.m : (i+1)*p.m : (i+1)*p.m]
+	}
+	return out
+}
 
 // getInvScratch returns an m-sized inverse scratch buffer from the pool.
 func (p *Processor) getInvScratch() *invScratch {
@@ -286,17 +299,15 @@ func roundToTorus(x float64) torus.Torus32 {
 	return torus.Torus32(i + int64(f+f))
 }
 
-// MulAcc sets acc += a ⊙ b (pointwise complex multiply-accumulate). This is
-// the operation of the Strix VMA unit in the frequency domain. All three
-// operands must have the same length; mismatched operands panic (a silent
-// range-truncation here would corrupt ciphertexts noiselessly).
+// MulAcc sets acc += a ⊙ b (pointwise complex multiply-accumulate), one
+// row of the Strix VMA unit in the frequency domain. It has one body, the
+// reference: no CMux step calls it (their MAC is MulAccTile), only GLWE
+// encryption at key generation. All three operands must have the same
+// length; mismatched operands panic (a silent range-truncation here would
+// corrupt ciphertexts noiselessly).
 func MulAcc(acc, a, b FourierPoly) {
 	if len(a) != len(acc) || len(b) != len(acc) {
 		panic(fmt.Sprintf("fft: MulAcc size mismatch (acc %d, a %d, b %d)", len(acc), len(a), len(b)))
-	}
-	if fastKernelOn() {
-		mulAccFast(acc, a, b)
-		return
 	}
 	mulAccRef(acc, a, b)
 }
@@ -309,15 +320,17 @@ const TileGroup = 4
 // MulAccTile is the Fourier MAC of one CMux step over a tile of ciphertexts
 // (the Strix VMA array, §V-B): for every member t and column c it sets
 //
-//	accs[t][c] = Σ_{j,l} digs[t][j·lb+l] ⊙ key[j][l][c]
+//	accs[t][c] = Σ_r digs[t][r] ⊙ key[(r·cols+c)·n : (r·cols+c+1)·n]
 //
-// summing from +0 in (j, l) order, which is bitwise Clear followed by one
-// MulAcc per row. key is a GGSW's [k+1][lb][k+1] row matrix, read once per
-// group of TileGroup members; digs[t] holds that member's (k+1)·lb digit
-// transforms and accs[t] its k+1 accumulators, fully overwritten. Every
-// polynomial must have the same length and no accumulator may alias an
-// operand; a mismatched shape panics.
-func MulAccTile(accs, digs [][]FourierPoly, key [][][]FourierPoly) {
+// summing from +0 in row order, which is bitwise Clear followed by one
+// MulAcc per row. key is one GGSW as a slab in the order this loop reads
+// it, row r = j·lb+l of (k+1)·lb, then column c of cols = k+1, each a
+// polynomial of n values; it is read once per group of TileGroup members.
+// digs[t] holds member t's (k+1)·lb digit transforms and accs[t] its k+1
+// accumulators, fully overwritten. Every polynomial has length n, the key
+// rows·cols·n values, and no accumulator may alias an operand; a
+// mismatched shape panics.
+func MulAccTile(accs, digs [][]FourierPoly, key FourierPoly) {
 	if len(accs) == 0 {
 		return
 	}
@@ -331,68 +344,33 @@ func MulAccTile(accs, digs [][]FourierPoly, key [][][]FourierPoly) {
 	mulAccTileRef(accs, digs, key)
 }
 
-// tileShape returns what is wrong with MulAccTile's operands, or "".
-func tileShape(accs, digs [][]FourierPoly, key [][][]FourierPoly) string {
+// tileShape returns what is wrong with MulAccTile's operands, or "". The
+// shape is member 0's: rows digits and cols accumulators of n values.
+func tileShape(accs, digs [][]FourierPoly, key FourierPoly) string {
 	if len(digs) != len(accs) {
 		return fmt.Sprintf("has %d digit sets for %d members", len(digs), len(accs))
 	}
-	if len(key) == 0 || len(key[0]) == 0 {
-		return "key has no rows"
+	rows, cols := len(digs[0]), len(accs[0])
+	if rows == 0 || cols == 0 {
+		return fmt.Sprintf("member 0 has %d digits and %d accumulators", rows, cols)
 	}
-	lb, cols, n := len(key[0]), len(accs[0]), -1
-	if cols == 0 {
-		return "member 0 has no accumulators"
-	}
-	size := func(fp FourierPoly) bool {
-		if n < 0 {
-			n = len(fp)
+	n := len(accs[0][0])
+	for t := range accs {
+		if len(accs[t]) != cols || len(digs[t]) != rows {
+			return fmt.Sprintf("member %d has %d accumulators and %d digits, want %d and %d", t, len(accs[t]), len(digs[t]), cols, rows)
 		}
-		return len(fp) == n
-	}
-	for _, kj := range key {
-		if len(kj) != lb {
-			return fmt.Sprintf("key is ragged (%d and %d levels)", lb, len(kj))
-		}
-		for _, row := range kj {
-			if len(row) != cols {
-				return fmt.Sprintf("key row has %d columns for %d accumulators", len(row), cols)
-			}
-			for _, w := range row {
-				if !size(w) {
-					return "size mismatch in the key"
+		for _, fps := range [2][]FourierPoly{accs[t], digs[t]} {
+			for _, fp := range fps {
+				if len(fp) != n {
+					return fmt.Sprintf("member %d has a polynomial of %d values, want %d", t, len(fp), n)
 				}
 			}
 		}
 	}
-	for t := range accs {
-		if len(accs[t]) != cols || len(digs[t]) != len(key)*lb {
-			return fmt.Sprintf("member %d has %d accumulators and %d digits, want %d and %d", t, len(accs[t]), len(digs[t]), cols, len(key)*lb)
-		}
-		for _, fp := range accs[t] {
-			if !size(fp) {
-				return fmt.Sprintf("size mismatch in member %d's accumulators", t)
-			}
-		}
-		for _, fp := range digs[t] {
-			if !size(fp) {
-				return fmt.Sprintf("size mismatch in member %d's digits", t)
-			}
-		}
+	if len(key) != rows*cols*n {
+		return fmt.Sprintf("key has %d values, want %d rows × %d columns × %d", len(key), rows, cols, n)
 	}
 	return ""
-}
-
-// Mul sets dst = a ⊙ b. All three operands must have the same length;
-// mismatched operands panic.
-func Mul(dst, a, b FourierPoly) {
-	if len(a) != len(dst) || len(b) != len(dst) {
-		panic(fmt.Sprintf("fft: Mul size mismatch (dst %d, a %d, b %d)", len(dst), len(a), len(b)))
-	}
-	if fastKernelOn() {
-		mulFast(dst, a, b)
-		return
-	}
-	mulRef(dst, a, b)
 }
 
 // Clear zeroes fp.

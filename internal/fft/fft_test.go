@@ -134,7 +134,7 @@ func TestNegacyclicProductMatchesNaive(t *testing.T) {
 		fa := p.ForwardTorus(a)
 		fd := p.ForwardInt(digits)
 		prod := p.NewFourierPoly()
-		Mul(prod, fa, fd)
+		MulAcc(prod, fa, fd)
 		got := p.Inverse(prod)
 
 		// With N=1024 the products reach ~2^51; allow a few ulps of
@@ -162,7 +162,7 @@ func TestNegacyclicWraparoundSign(t *testing.T) {
 	digits := make([]int32, n)
 	digits[1] = 1 // X
 	prod := p.NewFourierPoly()
-	Mul(prod, p.ForwardTorus(a), p.ForwardInt(digits))
+	MulAcc(prod, p.ForwardTorus(a), p.ForwardInt(digits))
 	got := p.Inverse(prod)
 	want := poly.New(n)
 	want.Coeffs[0] = -torus.FromFloat(0.25)
@@ -247,6 +247,26 @@ func TestNewProcessorValidation(t *testing.T) {
 	}
 }
 
+// TestNewFourierPolyBatch checks the contiguous slab layout: every
+// FourierPoly has length M, capacity clipped at M, and writes to one
+// never alias a neighbour.
+func TestNewFourierPolyBatch(t *testing.T) {
+	p := NewProcessor(32)
+	batch := p.NewFourierPolyBatch(3)
+	if len(batch) != 3 {
+		t.Fatalf("batch length %d, want 3", len(batch))
+	}
+	for i, fp := range batch {
+		if len(fp) != p.M() || cap(fp) != p.M() {
+			t.Fatalf("poly %d: len=%d cap=%d, want %d/%d", i, len(fp), cap(fp), p.M(), p.M())
+		}
+	}
+	batch[1][0] = complex(1, 2)
+	if batch[0][p.M()-1] != 0 || batch[2][0] != 0 {
+		t.Fatal("write to one batch poly leaked into a neighbour")
+	}
+}
+
 func TestCopyAndClear(t *testing.T) {
 	p := NewProcessor(8)
 	fp := p.NewFourierPoly()
@@ -289,7 +309,8 @@ func BenchmarkNegacyclicProduct1024(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.ForwardIntTo(fd, digits)
-		Mul(prod, fa, fd)
+		Clear(prod)
+		MulAcc(prod, fa, fd)
 		p.InverseTo(dst, prod)
 	}
 }

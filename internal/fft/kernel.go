@@ -7,7 +7,7 @@ import (
 )
 
 // Kernel selection. Two interchangeable kernel sets implement the butterfly
-// stages, the twist/fold load-store passes, and the pointwise MACs:
+// stages, the twist/fold load-store passes, and the tile MAC:
 //
 //   - the reference kernels (kernel_ref.go): plain bounds-checked Go, the
 //     bitwise-pinned ground truth;
@@ -18,11 +18,11 @@ import (
 //     torus.UseAVX2 reports one — seven loops: decompLoadFast,
 //     fwdStage4Fast, fwdStage2Fast, mulAccTileFast (the tile MAC, for
 //     k = 1), invFirstFast (size 2; it shares stage2AVX2 with
-//     fwdStage2Fast), invStage4Fast and invFoldFast. Outside the CMux
-//     step, MulAcc's one-row mulAccFast has a body too. Their Go bodies
-//     are the fast path on every other host, and here for what the lanes
+//     fwdStage2Fast), invStage4Fast and invFoldFast. Their Go bodies are
+//     the fast path on every other host, and here for what the lanes
 //     leave over: the q = 1 stage, the size-4 first inverse stage, a
-//     decompose run's last pairs, an odd MAC tail.
+//     decompose run's last pairs, an odd MAC tail. MulAcc, the one-row MAC
+//     outside the CMux step (key generation), runs the reference alone.
 //
 // Every body spells every floating-point expression with the same shape and
 // evaluation order, so they produce bitwise-identical float64 results up to

@@ -135,27 +135,6 @@ invPair:
 	VZEROUPPER
 	RET
 
-// func mulAccAVX2(acc, a, b *complex128, n int)
-// acc[i] += a[i]·b[i], two per iteration; n is even.
-TEXT ·mulAccAVX2(SB), NOSPLIT, $0-32
-	MOVQ acc+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ n+24(FP), CX
-macPair:
-	VMOVUPD (SI), Y0
-	VMOVUPD (DX), Y1
-	CMUL(Y0, Y1, Y2, Y3)
-	VADDPD  (DI), Y2, Y2
-	VMOVUPD Y2, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DX
-	ADDQ    $32, DI
-	SUBQ    $2, CX
-	JNZ     macPair
-	VZEROUPPER
-	RET
-
 // TILEMAC adds one member's digit, times row r's two key columns, into
 // its accumulators: CMUL with the key split once per row, (wr, wr) and
 // (wi, wi) in Y8/Y9 (column 0) and Y10/Y11 (column 1), and the digit

@@ -281,70 +281,29 @@ func invFoldFast(dst []torus.Torus32, src []complex128, st stage, untwist []floa
 	}
 }
 
-func mulAccFast(acc, a, b FourierPoly) {
-	if n := len(acc) &^ 1; n > 0 && torus.UseAVX2() {
-		mulAccAVX2(unsafe.SliceData(acc), unsafe.SliceData(a), unsafe.SliceData(b), n)
-		acc, a, b = acc[n:], a[n:], b[n:] // the Go body takes an odd tail
-	}
-	n := len(acc)
-	cp := unsafe.Pointer(unsafe.SliceData(acc))
-	ap := unsafe.Pointer(unsafe.SliceData(a))
-	bp := unsafe.Pointer(unsafe.SliceData(b))
-	i := 0
-	for ; i+2 <= n; i += 2 {
-		ar0, ai0 := f64(ap, 0), f64(ap, 8)
-		br0, bi0 := f64(bp, 0), f64(bp, 8)
-		cr0, ci0 := f64(cp, 0), f64(cp, 8)
-		ar1, ai1 := f64(ap, 16), f64(ap, 24)
-		br1, bi1 := f64(bp, 16), f64(bp, 24)
-		cr1, ci1 := f64(cp, 16), f64(cp, 24)
-		*(*float64)(cp) = cr0 + (ar0*br0 - ai0*bi0)
-		*(*float64)(unsafe.Add(cp, 8)) = ci0 + (ar0*bi0 + ai0*br0)
-		*(*float64)(unsafe.Add(cp, 16)) = cr1 + (ar1*br1 - ai1*bi1)
-		*(*float64)(unsafe.Add(cp, 24)) = ci1 + (ar1*bi1 + ai1*br1)
-		ap = unsafe.Add(ap, 32)
-		bp = unsafe.Add(bp, 32)
-		cp = unsafe.Add(cp, 32)
-	}
-	for ; i < n; i++ {
-		ar, ai := f64(ap, 0), f64(ap, 8)
-		br, bi := f64(bp, 0), f64(bp, 8)
-		cr, ci := f64(cp, 0), f64(cp, 8)
-		*(*float64)(cp) = cr + (ar*br - ai*bi)
-		*(*float64)(unsafe.Add(cp, 8)) = ci + (ar*bi + ai*br)
-		ap = unsafe.Add(ap, 16)
-		bp = unsafe.Add(bp, 16)
-		cp = unsafe.Add(cp, 16)
-	}
-}
-
 // maxTileRows bounds the key rows, (k+1)·lb, and 2·maxTileRows the key
 // polynomials, (k+1)·lb·(k+1), of the tile MAC's pointer tables: k = 1 at
 // every level count NewDecomposer allows. A larger key takes the reference.
 const maxTileRows = 64
 
 // mulAccTileFast walks the tile TileGroup members at a time through
-// pointer tables: kp[cols·r+c] is key row r's column c, dp[TileGroup·r+t]
-// member t's digit r and, for the AVX2 body, ap[2t+c] its accumulator c.
-// For two columns (k = 1, every parameter set) the AVX2 body takes the
-// even part of each polynomial; the Go body takes the rest, or all of it
-// on other hosts and shapes.
-func mulAccTileFast(accs, digs [][]FourierPoly, key [][][]FourierPoly) {
+// pointer tables: kp[cols·r+c] is key row r's column c, the slab's
+// polynomial at (cols·r+c)·n, dp[TileGroup·r+t] member t's digit r and,
+// for the AVX2 body, ap[2t+c] its accumulator c. For two columns (k = 1,
+// every parameter set) the AVX2 body takes the even part of each
+// polynomial; the Go body takes the rest, or all of it on other hosts and
+// shapes.
+func mulAccTileFast(accs, digs [][]FourierPoly, key FourierPoly) {
 	cols, n := len(accs[0]), len(accs[0][0])
-	rows := len(key) * len(key[0])
+	rows := len(digs[0])
 	if rows > maxTileRows || rows*cols > 2*maxTileRows {
 		mulAccTileRef(accs, digs, key)
 		return
 	}
 	var kp [2 * maxTileRows]unsafe.Pointer
-	r := 0
-	for _, kj := range key {
-		for _, row := range kj {
-			for c, w := range row {
-				kp[cols*r+c] = unsafe.Pointer(unsafe.SliceData(w))
-			}
-			r++
-		}
+	kb := unsafe.Pointer(unsafe.SliceData(key))
+	for i := range rows * cols {
+		kp[i] = unsafe.Add(kb, uintptr(i*n)*16)
 	}
 	even := 0
 	if cols == 2 && torus.UseAVX2() {
@@ -410,22 +369,6 @@ func mulAccTileGo(out FourierPoly, dp, kp []unsafe.Pointer, rows, cols, lo int) 
 		}
 		*(*float64)(unsafe.Add(op, off)) = sr
 		*(*float64)(unsafe.Add(op, off+8)) = si
-	}
-}
-
-func mulFast(dst, a, b FourierPoly) {
-	n := len(dst)
-	dp := unsafe.Pointer(unsafe.SliceData(dst))
-	ap := unsafe.Pointer(unsafe.SliceData(a))
-	bp := unsafe.Pointer(unsafe.SliceData(b))
-	for i := 0; i < n; i++ {
-		ar, ai := f64(ap, 0), f64(ap, 8)
-		br, bi := f64(bp, 0), f64(bp, 8)
-		*(*float64)(dp) = ar*br - ai*bi
-		*(*float64)(unsafe.Add(dp, 8)) = ar*bi + ai*br
-		ap = unsafe.Add(ap, 16)
-		bp = unsafe.Add(bp, 16)
-		dp = unsafe.Add(dp, 16)
 	}
 }
 

@@ -8,7 +8,6 @@ import "unsafe"
 // kernels never leave their Go bodies and these are never called.
 func fwdStage4AVX2(buf *complex128, n, s int, tw *float64) { panic("fft: no AVX2 body") }
 func invStage4AVX2(buf *complex128, n, s int, tw *float64) { panic("fft: no AVX2 body") }
-func mulAccAVX2(acc, a, b *complex128, n int)              { panic("fft: no AVX2 body") }
 func stage2AVX2(dst, src *complex128, n int)               { panic("fft: no AVX2 body") }
 func mulAccTileAVX2(acc, dig, key *unsafe.Pointer, members, rows, n int) {
 	panic("fft: no AVX2 body")

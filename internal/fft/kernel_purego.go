@@ -34,13 +34,7 @@ func invFoldFast(dst []torus.Torus32, src []complex128, st stage, untwist []floa
 	invFoldRef(dst, src, st, untwist, m)
 }
 
-func mulAccFast(acc, a, b FourierPoly) { mulAccRef(acc, a, b) }
-
-func mulFast(dst, a, b FourierPoly) { mulRef(dst, a, b) }
-
-func mulAccTileFast(accs, digs [][]FourierPoly, key [][][]FourierPoly) {
-	mulAccTileRef(accs, digs, key)
-}
+func mulAccTileFast(accs, digs [][]FourierPoly, key FourierPoly) { mulAccTileRef(accs, digs, key) }
 
 func (p *Processor) decompLoadFast(dsts []FourierPoly, dec poly.Decomposer, src poly.Poly, e int, rotSub bool) {
 	p.decompLoadRef(dsts, dec, src, e, rotSub)

@@ -243,26 +243,17 @@ func mulAccRef(acc, a, b FourierPoly) {
 }
 
 // mulAccTileRef is the specification of the tile MAC: per member and
-// column, Clear, then mulAccRef row by row in (j, l) order.
-func mulAccTileRef(accs, digs [][]FourierPoly, key [][][]FourierPoly) {
-	lb := len(key[0])
+// column, Clear, then mulAccRef row by row, against the key slab's
+// polynomial at (r·cols + c)·n.
+func mulAccTileRef(accs, digs [][]FourierPoly, key FourierPoly) {
+	cols, n := len(accs[0]), len(accs[0][0])
 	for t, acc := range accs {
 		for c, out := range acc {
 			Clear(out)
-			for j := range key {
-				for l, row := range key[j] {
-					mulAccRef(out, digs[t][j*lb+l], row[c])
-				}
+			for r, d := range digs[t] {
+				off := (r*cols + c) * n
+				mulAccRef(out, d, key[off:off+n])
 			}
 		}
-	}
-}
-
-// mulRef stores the pointwise complex product: dst = a ⊙ b.
-func mulRef(dst, a, b FourierPoly) {
-	for i := range dst {
-		ar, ai := real(a[i]), imag(a[i])
-		br, bi := real(b[i]), imag(b[i])
-		dst[i] = complex(ar*br-ai*bi, ar*bi+ai*br)
 	}
 }

@@ -61,12 +61,6 @@ func TestMulSizeMismatchPanics(t *testing.T) {
 	long := make(FourierPoly, p.M()+1)
 	// Both directions: an undersized operand must not silently truncate
 	// the loop, and an oversized one must not silently drop its tail.
-	expectPanic(t, "Mul dst short", func() { Mul(short, good, good) })
-	expectPanic(t, "Mul a short", func() { Mul(good, short, good) })
-	expectPanic(t, "Mul b short", func() { Mul(good, good, short) })
-	expectPanic(t, "Mul dst long", func() { Mul(long, good, good) })
-	expectPanic(t, "Mul a long", func() { Mul(good, long, good) })
-	expectPanic(t, "Mul b long", func() { Mul(good, good, long) })
 	expectPanic(t, "MulAcc acc short", func() { MulAcc(short, good, good) })
 	expectPanic(t, "MulAcc a short", func() { MulAcc(good, short, good) })
 	expectPanic(t, "MulAcc b short", func() { MulAcc(good, good, short) })
@@ -158,7 +152,7 @@ func TestRoundToTorusDoublePrecisionCliff(t *testing.T) {
 
 func TestForwardDecomposeMatchesUnfused(t *testing.T) {
 	// The fused decompose+load must be bitwise identical to the
-	// DecomposePolyTo -> ForwardIntBatchTo sequence it replaces.
+	// DecomposePolyTo -> ForwardIntTo per level sequence it replaces.
 	for _, n := range []int{16, 256, 1024} {
 		p := NewProcessor(n)
 		dec := poly.NewDecomposer(8, 3)
@@ -169,9 +163,10 @@ func TestForwardDecomposeMatchesUnfused(t *testing.T) {
 		fused := p.NewFourierPolyBatch(dec.Level)
 		p.ForwardDecompose(fused, dec, src)
 
-		digits := dec.DecomposePoly(src)
 		unfused := p.NewFourierPolyBatch(dec.Level)
-		p.ForwardIntBatchTo(unfused, digits)
+		for l, digits := range dec.DecomposePoly(src) {
+			p.ForwardIntTo(unfused[l], digits)
+		}
 
 		for l := range fused {
 			for j := range fused[l] {
@@ -363,18 +358,18 @@ func sameBits(a, b []complex128) int {
 }
 
 func TestStageKernelsMatchReferenceBitwise(t *testing.T) {
-	// The butterfly and VMA kernels that have an assembly body, called
-	// directly: every radix-4 stage of every N in 8 … 16384, forward and
-	// inverse tables, and the radix-2 pass and the VMA at every transform
-	// length and at short and odd ones —
-	// each at a buffer offset of zero and of one complex value, one of
-	// which is 16- but not 32-byte aligned whatever the allocator did.
+	// The butterfly kernels that have an assembly body, called directly:
+	// every radix-4 stage of every N in 8 … 16384, forward and inverse
+	// tables, and the radix-2 pass at every transform length and at short
+	// ones — each at a buffer offset of zero and of one complex value, one
+	// of which is 16- but not 32-byte aligned whatever the allocator did.
+	// (The VMA's body is the tile MAC's: TestMulAccTileMatchesReferenceBitwise.)
 	if !FastKernelAvailable() {
 		t.Skip("purego build: no fast kernel")
 	}
 	bothBodies(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(31))
-		lengths := []int{1, 2, 3, 5, 6, 7, 9}
+		lengths := []int{2, 6}
 		for m := 4; m <= 8192; m <<= 1 {
 			lengths = append(lengths, m)
 			fwd, inv := buildStages(m, +1), buildStages(m, -1)
@@ -401,7 +396,7 @@ func TestStageKernelsMatchReferenceBitwise(t *testing.T) {
 			}
 		}
 		for _, n := range lengths {
-			for off := 0; off < 2 && n%2 == 0; off++ {
+			for off := 0; off < 2; off++ {
 				// The radix-2 pass: in place as the forward transform ends
 				// with it, out of place as the inverse one starts with it.
 				in := make([]complex128, n+off)
@@ -418,25 +413,6 @@ func TestStageKernelsMatchReferenceBitwise(t *testing.T) {
 				invFirstRef(want[off:], in[off:], 2)
 				if i := sameBits(got, want); i >= 0 {
 					t.Fatalf("invFirst size 2 n=%d offset %d: slot %d is %v, reference %v", n, off, i, got[i], want[i])
-				}
-			}
-			for off := 0; off < 2; off++ {
-				acc, a, b := make(FourierPoly, n+off), make(FourierPoly, n+off), make(FourierPoly, n+off)
-				kernelOperands(rng, acc)
-				kernelOperands(rng, a)
-				kernelOperands(rng, b)
-				want := Copy(acc)
-				mulAccFast(acc[off:], a[off:], b[off:])
-				mulAccRef(want[off:], a[off:], b[off:])
-				if i := sameBits(acc, want); i >= 0 {
-					t.Fatalf("mulAcc n=%d offset %d: slot %d is %v, reference %v", n, off, i, acc[i], want[i])
-				}
-				// acc may be one of its own operands (MulAcc's contract).
-				x, y := Copy(a), Copy(a)
-				mulAccFast(x[off:], x[off:], b[off:])
-				mulAccRef(y[off:], y[off:], b[off:])
-				if i := sameBits(x, y); i >= 0 {
-					t.Fatalf("mulAcc n=%d offset %d, acc aliasing a: slot %d is %v, reference %v", n, off, i, x[i], y[i])
 				}
 			}
 		}
@@ -655,21 +631,6 @@ func BenchmarkFFTInverse(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			p.InverseTo(dst, fp)
-		}
-	})
-}
-
-// BenchmarkMulAcc is one VMA pass at set I's transform length.
-func BenchmarkMulAcc(b *testing.B) {
-	rng := rand.New(rand.NewSource(37))
-	acc, x, y := make(FourierPoly, 512), make(FourierPoly, 512), make(FourierPoly, 512)
-	kernelOperands(rng, x)
-	kernelOperands(rng, y)
-	benchKernels(b, func(b *testing.B) {
-		Clear(acc)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			MulAcc(acc, x, y)
 		}
 	})
 }

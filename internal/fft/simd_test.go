@@ -30,26 +30,19 @@ func bothBodies(t *testing.T, f func(t *testing.T)) {
 	withAVX2(false, func() { t.Run("go", f) })
 }
 
-// tileOperands returns members groups of digits (rows each) and
-// accumulators (cols each) and a key of rows/lb × lb × cols, all of length
-// n, over kernelOperands; the accumulators start as NaN so an output the
-// MAC does not write shows. Member zero's digits are all zero when
-// zeroMember is set.
-func tileOperands(rng *rand.Rand, members, lb, cols, n int, zeroMember bool) (accs, digs [][]FourierPoly, key [][][]FourierPoly) {
+// tileOperands returns members groups of cols·lb digits and cols
+// accumulators, all of length n, and a key slab of cols·lb rows × cols
+// polynomials, over kernelOperands; the accumulators start as NaN so an
+// output the MAC does not write shows. Member zero's digits are all zero
+// when zeroMember is set.
+func tileOperands(rng *rand.Rand, members, lb, cols, n int, zeroMember bool) (accs, digs [][]FourierPoly, key FourierPoly) {
 	poly := func() FourierPoly {
 		fp := make(FourierPoly, n)
 		kernelOperands(rng, fp)
 		return fp
 	}
-	key = make([][][]FourierPoly, cols)
-	for j := range key {
-		key[j] = make([][]FourierPoly, lb)
-		for l := range key[j] {
-			for c := 0; c < cols; c++ {
-				key[j][l] = append(key[j][l], poly())
-			}
-		}
-	}
+	key = make(FourierPoly, cols*lb*cols*n)
+	kernelOperands(rng, key)
 	for t := 0; t < members; t++ {
 		var acc, dig []FourierPoly
 		for c := 0; c < cols; c++ {
@@ -123,9 +116,9 @@ func TestMulAccTileShapePanics(t *testing.T) {
 	expectPanic(t, "digits short", func() { MulAccTile(accs, [][]FourierPoly{digs[0], digs[1][:3]}, key) })
 	expectPanic(t, "accumulators short", func() { MulAccTile([][]FourierPoly{accs[0], accs[1][:1]}, digs, key) })
 	expectPanic(t, "no key", func() { MulAccTile(accs, digs, nil) })
-	short := [][][]FourierPoly{key[0], {key[1][0], {key[1][1][0], key[1][1][1][:7]}}}
-	expectPanic(t, "key polynomial short", func() { MulAccTile(accs, digs, short) })
-	expectPanic(t, "key ragged", func() { MulAccTile(accs, digs, [][][]FourierPoly{key[0], key[1][:1]}) })
+	expectPanic(t, "key length < rows·cols·n", func() { MulAccTile(accs, digs, key[:len(key)-1]) })
+	expectPanic(t, "key length > rows·cols·n", func() { MulAccTile(accs, digs, append(key, 0)) })
+	expectPanic(t, "no digits", func() { MulAccTile(accs, [][]FourierPoly{nil, nil}, key) })
 	expectPanic(t, "digit short", func() {
 		MulAccTile(accs, [][]FourierPoly{digs[0], {digs[1][0], digs[1][1], digs[1][2], digs[1][3][:7]}}, key)
 	})

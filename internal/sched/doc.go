@@ -13,7 +13,7 @@
 // sign test vector and differ only in a free linear pre-stage; lookup
 // tables by exact table). Execute then walks the schedule over any
 // Executor — the in-process Runner, whose every dispatch kind is a single
-// engine.Ops call on the StreamingEngine, or the gate service's
+// operation of the StreamingEngine, or the gate service's
 // group-commit session path.
 //
 // Every dispatch runs the exact per-item computation of the sequential

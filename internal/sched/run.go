@@ -241,13 +241,14 @@ type Runner struct {
 	Stream *engine.StreamingEngine
 }
 
-// ops returns the engine's operations: Stream if set, else Batch.
-func (r *Runner) ops() (*engine.Ops, error) {
+// ops returns the engine every dispatch runs on: Stream if set, else
+// Batch.
+func (r *Runner) ops() (*engine.StreamingEngine, error) {
 	switch {
 	case r.Stream != nil:
-		return &r.Stream.Ops, nil
+		return r.Stream, nil
 	case r.Batch != nil:
-		return &r.Batch.Ops, nil
+		return r.Batch, nil
 	}
 	return nil, fmt.Errorf("sched: runner has no engine")
 }

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -247,6 +249,30 @@ func TestStoreWriterFailsMidRegister(t *testing.T) {
 	}
 	if got := store.List(); len(got) != 0 {
 		t.Errorf("failed registrations stored %+v", got)
+	}
+}
+
+// TestRegisterKeyRefusesNonFiniteKey: a key with a NaN in its BSK would
+// register and then, once evicted to the store, never decode again. The
+// encoder refuses it as it writes the value, so RegisterKey fails with or
+// without a store, and nothing is installed or stored.
+func TestRegisterKeyRefusesNonFiniteKey(t *testing.T) {
+	_, ek := testKeys(t, 1)
+	bad := ek
+	bad.BSK = slices.Clone(ek.BSK)
+	bad.BSK[2] = slices.Clone(ek.BSK[2])
+	bad.BSK[2][100] = complex(math.NaN(), 0)
+	store := NewMemStore()
+	for name, srv := range map[string]*Server{"storeless": New(Config{}), "MemStore": New(Config{Store: store})} {
+		if err := srv.RegisterKey("a", bad); err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("%s: RegisterKey of a key with a NaN: %v, want a non-finite error", name, err)
+		}
+		if got := srv.Sessions(); len(got) != 0 {
+			t.Errorf("%s: the refused key installed sessions %v", name, got)
+		}
+	}
+	if got := store.List(); len(got) != 0 {
+		t.Errorf("the refused key was stored: %+v", got)
 	}
 }
 

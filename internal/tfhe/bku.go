@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/fft"
-	"repro/internal/poly"
 	"repro/internal/torus"
 )
 
@@ -34,22 +32,19 @@ type UnrolledBSK struct {
 // GenerateUnrolledBSK builds the unrolled key for the secret keys.
 func GenerateUnrolledBSK(rng *rand.Rand, sk SecretKeys) UnrolledBSK {
 	p := sk.Params
-	proc := fft.SharedProcessor(p.N)
-	gadget := poly.NewDecomposer(p.PBSBaseLog, p.PBSLevel)
-
 	n := p.SmallN
 	out := UnrolledBSK{Params: p, Pairs: make([][3]GGSWFourier, n/2)}
 	for i := 0; i < n/2; i++ {
 		s1 := sk.LWE.Bits[2*i]
 		s2 := sk.LWE.Bits[2*i+1]
 		out.Pairs[i] = [3]GGSWFourier{
-			EncryptGGSW(rng, sk.GLWE, s1*(1-s2), gadget, p.GLWEStdDev, proc),
-			EncryptGGSW(rng, sk.GLWE, (1-s1)*s2, gadget, p.GLWEStdDev, proc),
-			EncryptGGSW(rng, sk.GLWE, s1*s2, gadget, p.GLWEStdDev, proc),
+			EncryptGGSW(rng, sk.GLWE, s1*(1-s2), p),
+			EncryptGGSW(rng, sk.GLWE, (1-s1)*s2, p),
+			EncryptGGSW(rng, sk.GLWE, s1*s2, p),
 		}
 	}
 	if n%2 == 1 {
-		g := EncryptGGSW(rng, sk.GLWE, sk.LWE.Bits[n-1], gadget, p.GLWEStdDev, proc)
+		g := EncryptGGSW(rng, sk.GLWE, sk.LWE.Bits[n-1], p)
 		out.Tail = &g
 	}
 	return out
@@ -67,8 +62,7 @@ func (u UnrolledBSK) Iterations() int {
 
 // Bytes returns the Fourier-domain key size (1.5× the standard key).
 func (u UnrolledBSK) Bytes() int64 {
-	p := u.Params
-	perGGSW := int64(p.K+1) * int64(p.PBSLevel) * int64(p.K+1) * int64(p.N/2) * 16
+	perGGSW := int64(u.Params.GGSWValues()) * 16
 	total := int64(len(u.Pairs)) * 3 * perGGSW
 	if u.Tail != nil {
 		total += perGGSW

@@ -20,7 +20,7 @@ func extProdFixture(seed int64) (d GLWECiphertext, g GGSWFourier, gadget poly.De
 	mu := poly.New(p.N)
 	mu.Coeffs[3] = torus.FromFloat(0.25)
 	d = key.Encrypt(rng, mu, 1e-9)
-	g = EncryptGGSW(rng, key, 1, gadget, p.GLWEStdDev, proc)
+	g = EncryptGGSW(rng, key, 1, p)
 	out = NewGLWECiphertext(p.K, p.N)
 	return
 }

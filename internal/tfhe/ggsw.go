@@ -13,32 +13,31 @@ import (
 // Fourier domain, as the Concrete library and Strix both do — the key is
 // transformed once at key-generation time and streamed to the VMA units.
 //
-// Rows[j][l] is the GLWE row encrypting s·g_l·E_j (gadget level l on
-// component j); each row holds k+1 Fourier polynomials.
-type GGSWFourier struct {
-	Rows [][][]fft.FourierPoly // [k+1][lb][k+1]
-}
+// It is one slab of Params.GGSWValues complex values in the order the CMux
+// step's tile MAC reads it (fft.MulAccTile), which is also the wire order:
+// row r = j·lb + l, the GLWE row encrypting s·g_l·E_j (gadget level l on
+// component j), then column c, the polynomial at offset (r·(k+1) + c)·N/2.
+type GGSWFourier fft.FourierPoly
 
 // EncryptGGSW encrypts the bit s under the GLWE key as a Fourier-domain
-// GGSW ciphertext with the given gadget.
-func EncryptGGSW(rng *rand.Rand, key GLWEKey, s int32, gadget poly.Decomposer, sigma float64, proc *fft.Processor) GGSWFourier {
-	k := key.K()
-	g := GGSWFourier{Rows: make([][][]fft.FourierPoly, k+1)}
-	for j := 0; j <= k; j++ {
-		g.Rows[j] = make([][]fft.FourierPoly, gadget.Level)
-		for l := 0; l < gadget.Level; l++ {
-			row := key.EncryptZero(rng, sigma)
+// GGSW ciphertext with p's PBS gadget and noise.
+func EncryptGGSW(rng *rand.Rand, key GLWEKey, s int32, p Params) GGSWFourier {
+	proc := fft.SharedProcessor(p.N)
+	g := make(GGSWFourier, p.GGSWValues())
+	next := g
+	for j := 0; j <= p.K; j++ {
+		for l := 0; l < p.PBSLevel; l++ {
+			row := key.EncryptZero(rng, p.GLWEStdDev)
 			if s != 0 {
 				// Add the constant polynomial s·Q/B^(l+1) to GLWE
 				// component j: row (j,l) encrypts s·g_l·E_j.
-				shift := uint(32 - gadget.BaseLog*(l+1))
+				shift := uint(32 - p.PBSBaseLog*(l+1))
 				row.Polys[j].Coeffs[0] += torus.Torus32(s) << shift
 			}
-			// One batched burst per GLWE row, the same shape in which
-			// the key is later streamed to the VMA units.
-			fr := proc.NewFourierPolyBatch(k + 1)
-			proc.ForwardTorusBatchTo(fr, row.Polys)
-			g.Rows[j][l] = fr
+			for _, c := range row.Polys {
+				proc.ForwardTorusTo(fft.FourierPoly(next[:proc.M()]), c)
+				next = next[proc.M():]
+			}
 		}
 	}
 	return g
@@ -123,19 +122,22 @@ func (b *externalProductBuffers) loadRotSub(t int, src GLWECiphertext, e int, ga
 
 // macInverse is the second phase of the external products whose digit
 // transforms sit in the first len(outs) member slots: one tile MAC of
-// those members against the GGSW rows (fft.MulAccTile, the only MAC of a
-// CMux step), then each member's batched inverse transform added into its
-// outs entry. It counts both phases per member.
+// those members against the GGSW slab (fft.MulAccTile, the only MAC of a
+// CMux step), then each member's inverse transforms added into its outs
+// entry. It counts both phases per member.
 func (b *externalProductBuffers) macInverse(outs []GLWECiphertext, g GGSWFourier, proc *fft.Processor, counters *OpCounters) {
-	fft.MulAccTile(b.acc[:len(outs)], b.fdig[:len(outs)], g.Rows)
+	fft.MulAccTile(b.acc[:len(outs)], b.fdig[:len(outs)], fft.FourierPoly(g))
 	for t, out := range outs {
-		proc.InverseBatchTo(out.Polys, b.acc[t])
+		for c, acc := range b.acc[t] {
+			proc.InverseTo(out.Polys[c], acc)
+		}
 	}
 	if counters != nil {
-		k1, lb, members := int64(len(g.Rows)), int64(len(g.Rows[0])), int64(len(outs))
+		k1, members := int64(len(b.acc[0])), int64(len(outs))
+		rows := int64(len(b.fdig[0]))
 		counters.Decompositions += members * k1
-		counters.ForwardFFTs += members * k1 * lb
-		counters.VMAMuls += members * k1 * lb * k1 * int64(proc.M())
+		counters.ForwardFFTs += members * rows
+		counters.VMAMuls += members * rows * k1 * int64(proc.M())
 		counters.InverseFFTs += members * k1
 		counters.Accumulations += members * k1 * int64(proc.N())
 	}

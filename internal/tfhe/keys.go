@@ -3,7 +3,6 @@ package tfhe
 import (
 	"math/rand"
 
-	"repro/internal/fft"
 	"repro/internal/poly"
 	"repro/internal/torus"
 )
@@ -19,7 +18,7 @@ type SecretKeys struct {
 }
 
 // EvaluationKeys bundles the public material the server (or accelerator)
-// needs: the bootstrapping key (n Fourier-domain GGSW ciphertexts) and the
+// needs: the bootstrapping key (n Fourier-domain GGSW slabs) and the
 // keyswitching key (k·N·lk LWE ciphertexts), exactly the "parameters" of
 // §II-D.
 type EvaluationKeys struct {
@@ -47,13 +46,10 @@ func GenerateKeys(rng *rand.Rand, params Params) (SecretKeys, EvaluationKeys) {
 	sk.GLWE = NewGLWEKey(rng, params.K, params.N)
 	sk.BigLWE = sk.GLWE.ExtractLWEKey()
 
-	proc := fft.SharedProcessor(params.N)
-	gadget := poly.NewDecomposer(params.PBSBaseLog, params.PBSLevel)
-
 	ek := EvaluationKeys{Params: params}
 	ek.BSK = make([]GGSWFourier, params.SmallN)
-	for i := 0; i < params.SmallN; i++ {
-		ek.BSK[i] = EncryptGGSW(rng, sk.GLWE, sk.LWE.Bits[i], gadget, params.GLWEStdDev, proc)
+	for i := range ek.BSK {
+		ek.BSK[i] = EncryptGGSW(rng, sk.GLWE, sk.LWE.Bits[i], params)
 	}
 
 	ksGadget := poly.NewDecomposer(params.KSBaseLog, params.KSLevel)
@@ -72,12 +68,10 @@ func GenerateKeys(rng *rand.Rand, params Params) (SecretKeys, EvaluationKeys) {
 }
 
 // BSKBytes returns the size in bytes of the Fourier-domain bootstrapping
-// key as streamed to the accelerator (N/2 complex values of 16 bytes per
-// polynomial). Used by the memory-traffic models.
+// key as streamed to the accelerator (n GGSW slabs of 16-byte complex
+// values). Used by the memory-traffic models.
 func (ek EvaluationKeys) BSKBytes() int64 {
-	p := ek.Params
-	polys := int64(p.SmallN) * int64(p.K+1) * int64(p.PBSLevel) * int64(p.K+1)
-	return polys * int64(p.N/2) * 16
+	return int64(ek.Params.SmallN) * int64(ek.Params.GGSWValues()) * 16
 }
 
 // KSKBytes returns the size in bytes of the keyswitching key (32-bit

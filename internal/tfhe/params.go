@@ -33,9 +33,11 @@ func (p Params) Validate() error {
 		return fmt.Errorf("tfhe: k=%d must be >= 1", p.K)
 	case p.SmallN < 1:
 		return fmt.Errorf("tfhe: n=%d must be >= 1", p.SmallN)
-	case p.PBSLevel < 1 || p.PBSBaseLog < 1 || p.PBSLevel*p.PBSBaseLog > 32:
+	// level·baseLog ≤ 32, spelled so that no product of two decoded 32-bit
+	// fields can wrap past the check.
+	case p.PBSLevel < 1 || p.PBSBaseLog < 1 || p.PBSLevel > 32/p.PBSBaseLog:
 		return fmt.Errorf("tfhe: invalid PBS gadget (lb=%d, Bg=2^%d)", p.PBSLevel, p.PBSBaseLog)
-	case p.KSLevel < 1 || p.KSBaseLog < 1 || p.KSLevel*p.KSBaseLog > 32:
+	case p.KSLevel < 1 || p.KSBaseLog < 1 || p.KSLevel > 32/p.KSBaseLog:
 		return fmt.Errorf("tfhe: invalid KS gadget (lk=%d, base=2^%d)", p.KSLevel, p.KSBaseLog)
 	case p.LWEStdDev < 0 || p.GLWEStdDev < 0:
 		return fmt.Errorf("tfhe: negative noise stddev")
@@ -45,6 +47,10 @@ func (p Params) Validate() error {
 
 // ExtractedN returns k·N, the LWE dimension after sample extraction.
 func (p Params) ExtractedN() int { return p.K * p.N }
+
+// GGSWValues returns the length in complex values of one Fourier-domain
+// GGSW ciphertext (GGSWFourier): (k+1)·lb rows of k+1 polynomials of N/2.
+func (p Params) GGSWValues() int { return (p.K + 1) * p.PBSLevel * (p.K + 1) * (p.N / 2) }
 
 // ParamsI is parameter set I of Table IV — the 110-bit baseline used by all
 // prior accelerators (Concrete/NuFHE defaults).

@@ -157,7 +157,7 @@ func TestExternalProductSelectsBit(t *testing.T) {
 	d := key.Encrypt(rng, mu, 1e-9)
 
 	for _, bit := range []int32{0, 1} {
-		g := EncryptGGSW(rng, key, bit, gadget, p.GLWEStdDev, proc)
+		g := EncryptGGSW(rng, key, bit, p)
 		out := NewGLWECiphertext(p.K, p.N)
 		ExternalProductAcc(out, d, g, gadget, proc, buf, nil)
 		phase := key.Phase(out)
@@ -184,7 +184,7 @@ func TestCMuxSelects(t *testing.T) {
 
 	for _, bit := range []int32{0, 1} {
 		tv := key.Encrypt(rng, mu, 1e-9)
-		g := EncryptGGSW(rng, key, bit, gadget, p.GLWEStdDev, proc)
+		g := EncryptGGSW(rng, key, bit, p)
 		ExternalProductRotSubAcc(tv, tv, 7, g, gadget, proc, buf, nil)
 		phase := key.Phase(tv)
 		want := mu

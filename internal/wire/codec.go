@@ -32,10 +32,13 @@ const paramsFixedSize = 1 + 8*4 + 2*8
 func paramsPayloadSize(p tfhe.Params) int { return paramsFixedSize + len(p.Name) }
 
 // EvalKeySize returns the encoded size of the evaluation keys for a
-// parameter set. The second return is false if the dimensions overflow a
-// size computation (possible only for hostile parameter values, never for
-// the shipped sets).
+// parameter set. The second return is false for a set the codec refuses
+// (see MarshalParams) or whose key size overflows an int64 (possible only
+// for hostile parameter values, never for the shipped sets).
 func EvalKeySize(p tfhe.Params) (int64, bool) {
+	if checkParams(p) != nil {
+		return 0, false
+	}
 	bsk, ok1 := bskBytes(p)
 	ksk, ok2 := kskBytes(p)
 	if !ok1 || !ok2 {
@@ -58,17 +61,11 @@ func mulSize(a, b int64) (int64, bool) {
 	return a * b, true
 }
 
-// bskBytes is the encoded size of the Fourier-domain bootstrapping key:
-// n·(k+1)·lb·(k+1) polynomials of N/2 complex values, 16 bytes each.
+// bskBytes is the encoded size of the Fourier-domain bootstrapping key: n
+// GGSW slabs of complex values, 16 bytes each. Inside the codec's limits
+// neither factor overflows, but their product can.
 func bskBytes(p tfhe.Params) (int64, bool) {
-	size := int64(1)
-	for _, f := range []int64{int64(p.SmallN), int64(p.K + 1), int64(p.PBSLevel), int64(p.K + 1), int64(p.N / 2), 16} {
-		var ok bool
-		if size, ok = mulSize(size, f); !ok {
-			return 0, false
-		}
-	}
-	return size, true
+	return mulSize(int64(p.SmallN)*16, int64(p.GGSWValues()))
 }
 
 // kskBytes is the encoded size of the keyswitching key: k·N·lk LWE
@@ -87,13 +84,12 @@ func kskBytes(p tfhe.Params) (int64, bool) {
 // ---------------------------------------------------------------------------
 // Parameter sets
 
-// MarshalParams encodes a parameter set.
+// MarshalParams encodes a parameter set. It refuses exactly what
+// UnmarshalParams would: a set that fails tfhe.Params.Validate or exceeds
+// a decoder limit.
 func MarshalParams(p tfhe.Params) ([]byte, error) {
-	if err := p.Validate(); err != nil {
+	if err := checkParams(p); err != nil {
 		return nil, err
-	}
-	if len(p.Name) > MaxName {
-		return nil, fmt.Errorf("wire: parameter set name %q longer than %d bytes", p.Name, MaxName)
 	}
 	dst := make([]byte, 0, ParamsSize(p))
 	dst = appendHeader(dst, KindParams)
@@ -141,29 +137,39 @@ func decodeParamsPayload(r *reader) tfhe.Params {
 	}
 	p.LWEStdDev = r.f64()
 	p.GLWEStdDev = r.f64()
-	if r.err != nil {
-		return tfhe.Params{}
-	}
-	switch {
-	case p.N > MaxPolyDegree:
-		r.failf("polynomial degree %d exceeds %d", p.N, MaxPolyDegree)
-	case p.K > MaxMaskLen:
-		r.failf("GLWE mask length %d exceeds %d", p.K, MaxMaskLen)
-	case p.SmallN > MaxLWEDim:
-		r.failf("LWE dimension %d exceeds %d", p.SmallN, MaxLWEDim)
-	case !finite(p.LWEStdDev) || !finite(p.GLWEStdDev):
-		r.failf("non-finite noise stddev")
-	default:
-		if err := p.Validate(); err != nil {
-			r.failf("invalid parameters: %v", err)
-		} else if p.K*p.N > MaxLWEDim {
-			r.failf("extracted dimension %d exceeds %d", p.K*p.N, MaxLWEDim)
-		}
+	if r.err == nil {
+		r.err = checkParams(p)
 	}
 	if r.err != nil {
 		return tfhe.Params{}
 	}
 	return p
+}
+
+// checkParams returns why the codec refuses p, or nil: the decoder limits
+// (which bound every allocation sized from the parameters), finite noise,
+// and tfhe.Params.Validate. Every encoder and the decoder call it, so
+// nothing encodes that would not decode.
+func checkParams(p tfhe.Params) error {
+	switch {
+	case len(p.Name) > MaxName:
+		return fmt.Errorf("wire: parameter set name %q longer than %d bytes", p.Name, MaxName)
+	case p.N > MaxPolyDegree:
+		return fmt.Errorf("wire: polynomial degree %d exceeds %d", p.N, MaxPolyDegree)
+	case p.K > MaxMaskLen:
+		return fmt.Errorf("wire: GLWE mask length %d exceeds %d", p.K, MaxMaskLen)
+	case p.SmallN > MaxLWEDim:
+		return fmt.Errorf("wire: LWE dimension %d exceeds %d", p.SmallN, MaxLWEDim)
+	case !finite(p.LWEStdDev) || !finite(p.GLWEStdDev):
+		return fmt.Errorf("wire: non-finite noise stddev")
+	}
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("wire: invalid parameters: %v", err)
+	}
+	if p.ExtractedN() > MaxLWEDim {
+		return fmt.Errorf("wire: extracted dimension %d exceeds %d", p.ExtractedN(), MaxLWEDim)
+	}
+	return nil
 }
 
 // finite reports whether f is neither NaN nor infinite.

@@ -4,11 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 
-	"repro/internal/fft"
 	"repro/internal/tfhe"
 	"repro/internal/torus"
 )
@@ -22,12 +22,19 @@ import (
 //
 // Layout: the object header, the parameter payload, then the
 // Fourier-domain BSK and the raw KSK, both with shapes fully determined by
-// the parameters (no per-object framing). A record is the header with the
-// parameters, one BSK polynomial, or one KSK ciphertext.
+// the parameters (no per-object framing). Both keys are slabs in wire
+// order (tfhe.GGSWFourier, EvaluationKeys.KSK), so a record is the header
+// with the parameters, or the next N/2 complex values of a GGSW slab, or
+// the next KSK ciphertext: a slice of a slab either way.
 
 // keyChunk is the decoder's read buffer: the unit in which it pulls from
 // the source, and so the write size a tee in front of it sees.
 const keyChunk = 64 << 10
+
+// errNonFinite is a NaN or infinity in the BSK: it would silently poison
+// every external product computed with the key, so neither direction
+// passes one.
+var errNonFinite = errors.New("wire: non-finite Fourier coefficient in bootstrapping key")
 
 // evalKeyEncoder is the reader EncodeEvalKey returns.
 type evalKeyEncoder struct {
@@ -36,25 +43,28 @@ type evalKeyEncoder struct {
 	polys int    // BSK polynomial records, after the one header record
 	total int    // all records
 	spill []byte // rest of a record that did not fit the caller's buffer
+	err   error  // the first record that could not be encoded
 }
 
 // EncodeEvalKey returns a reader that yields the canonical encoding of ek,
 // and the exact number of bytes it will yield. The encoding is produced as
 // it is read, so a key can be sent without ever existing encoded; ek must
-// not change until the reader is drained.
+// not change until the reader is drained. The parameters and shapes are
+// checked here; a non-finite BSK value, which the decoder would refuse,
+// fails the Read that reaches it.
 func EncodeEvalKey(ek tfhe.EvaluationKeys) (io.Reader, int64, error) {
-	if err := ek.Validate(); err != nil {
+	p := ek.Params
+	if err := checkParams(p); err != nil {
 		return nil, 0, err
 	}
-	p := ek.Params
-	if len(p.Name) > MaxName {
-		return nil, 0, fmt.Errorf("wire: parameter set name %q longer than %d bytes", p.Name, MaxName)
+	if err := ek.Validate(); err != nil {
+		return nil, 0, err
 	}
 	size, ok := EvalKeySize(p)
 	if !ok {
 		return nil, 0, fmt.Errorf("wire: evaluation key size overflows for set %q", p.Name)
 	}
-	polys := p.SmallN * (p.K + 1) * p.PBSLevel * (p.K + 1)
+	polys := p.SmallN * (p.GGSWValues() / (p.N / 2))
 	return &evalKeyEncoder{ek: ek, polys: polys, total: 1 + polys + p.ExtractedN()*p.KSLevel}, size, nil
 }
 
@@ -71,23 +81,24 @@ func (e *evalKeyEncoder) recordSize(k int) int {
 }
 
 // appendRecord appends the encoding of record k.
-func (e *evalKeyEncoder) appendRecord(dst []byte, k int) []byte {
+func (e *evalKeyEncoder) appendRecord(dst []byte, k int) ([]byte, error) {
 	p := e.ek.Params
 	switch {
 	case k == 0:
-		return appendParamsPayload(appendHeader(dst, KindEvalKey), p)
+		return appendParamsPayload(appendHeader(dst, KindEvalKey), p), nil
 	case k <= e.polys:
-		// BSK order: ciphertext, row group, level, column.
-		k--
-		c := k % (p.K + 1)
-		k /= p.K + 1
-		l := k % p.PBSLevel
-		k /= p.PBSLevel
-		for _, v := range e.ek.BSK[k/(p.K+1)].Rows[k%(p.K+1)][l][c] {
+		m := p.N / 2
+		off := (k - 1) * m
+		g := e.ek.BSK[off/p.GGSWValues()]
+		off %= p.GGSWValues()
+		for _, v := range g[off : off+m] {
+			if !finite(real(v)) || !finite(imag(v)) {
+				return dst, errNonFinite
+			}
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(real(v)))
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(imag(v)))
 		}
-		return dst
+		return dst, nil
 	}
 	// KSK ciphertexts carry no length prefix: the parameters imply it.
 	// The slab is in wire order, so record k is its k-th row.
@@ -95,15 +106,16 @@ func (e *evalKeyEncoder) appendRecord(dst []byte, k int) []byte {
 	for _, w := range e.ek.KSK[k*(p.SmallN+1) : (k+1)*(p.SmallN+1)] {
 		dst = binary.LittleEndian.AppendUint32(dst, w)
 	}
-	return dst
+	return dst, nil
 }
 
 // Read implements io.Reader. Records that fit what is left of p are
 // encoded in place; one that does not is encoded aside and handed out
-// across calls.
+// across calls. A record that cannot be encoded ends the stream: that
+// Read and every later one return its error.
 func (e *evalKeyEncoder) Read(p []byte) (int, error) {
 	n := 0
-	for n < len(p) {
+	for n < len(p) && e.err == nil {
 		if len(e.spill) == 0 {
 			if e.next == e.total {
 				break
@@ -111,17 +123,23 @@ func (e *evalKeyEncoder) Read(p []byte) (int, error) {
 			k := e.next
 			e.next++
 			if size := e.recordSize(k); size <= len(p)-n {
-				e.appendRecord(p[n:n:n+size], k)
-				n += size
+				if _, e.err = e.appendRecord(p[n:n:n+size], k); e.err == nil {
+					n += size
+				}
 				continue
 			}
-			e.spill = e.appendRecord(nil, k)
+			if e.spill, e.err = e.appendRecord(nil, k); e.err != nil {
+				break
+			}
 		}
 		c := copy(p[n:], e.spill)
 		e.spill = e.spill[c:]
 		n += c
 	}
-	if n == 0 && len(p) > 0 {
+	switch {
+	case e.err != nil:
+		return n, e.err
+	case n == 0 && len(p) > 0:
 		return 0, io.EOF
 	}
 	return n, nil
@@ -192,10 +210,8 @@ func (d *keyDecoder) params() (tfhe.Params, error) {
 	return p, nil
 }
 
-// readFourier fills dst with m complex values, rejecting non-finite ones
-// (they would silently poison every external product computed with the
-// key).
-func (d *keyDecoder) readFourier(dst fft.FourierPoly) error {
+// readFourier fills dst with complex values, rejecting non-finite ones.
+func (d *keyDecoder) readFourier(dst []complex128) error {
 	for len(dst) > 0 {
 		run := min(len(dst), keyChunk/16)
 		raw, err := d.take(16 * run)
@@ -206,7 +222,7 @@ func (d *keyDecoder) readFourier(dst fft.FourierPoly) error {
 			re := math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i:]))
 			im := math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i+8:]))
 			if !finite(re) || !finite(im) {
-				return fmt.Errorf("wire: non-finite Fourier coefficient in bootstrapping key")
+				return errNonFinite
 			}
 			dst[i] = complex(re, im)
 		}
@@ -247,13 +263,35 @@ func (d *keyDecoder) end() error {
 	}
 }
 
+// fill decodes total values of size bytes each, read by read, into one
+// new slice. The slice grows only behind the bytes the stream has already
+// delivered — to d.off/size values, or to twice the n it holds where that
+// is more (the first GGSW, behind a header of a few dozen bytes: growing
+// it a header's worth at a time would copy it quadratically), never past
+// total — so a hostile header buys no more memory than about twice the
+// bytes actually sent. For every real set each slab after the first GGSW
+// is one exact allocation.
+func fill[T any](d *keyDecoder, total, size int, read func([]T) error) ([]T, error) {
+	var s []T
+	for len(s) < total {
+		n := len(s)
+		grown := make([]T, min(total, max(int(d.off)/size, 2*n+1)))
+		copy(grown, s)
+		s = grown
+		if err := read(s[n:]); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
 // DecodeEvalKey decodes evaluation keys from r, which must yield exactly
 // size bytes. The parameter payload is validated first and size is checked
 // against the shapes it dictates before any key storage is allocated; from
-// there storage is allocated just ahead of the bytes that fill it — a BSK
-// polynomial at a time, the KSK slab never larger than what has already
-// arrived — so neither a hostile header nor a hostile size buys more
-// memory than the bytes actually sent.
+// there each slab — a GGSW of the BSK, then the KSK — is filled straight
+// from the stream and grown only behind the bytes already delivered
+// (fill), so neither a hostile header nor a hostile size buys more memory
+// than about twice the bytes actually sent.
 func DecodeEvalKey(r io.Reader, size int64) (tfhe.EvaluationKeys, error) {
 	d := &keyDecoder{br: bufio.NewReaderSize(r, keyChunk)}
 	p, err := d.params()
@@ -269,35 +307,15 @@ func DecodeEvalKey(r io.Reader, size int64) (tfhe.EvaluationKeys, error) {
 	}
 
 	ek := tfhe.EvaluationKeys{Params: p}
-	m := p.N / 2
 	for len(ek.BSK) < p.SmallN {
-		rows := make([][][]fft.FourierPoly, p.K+1)
-		for j := range rows {
-			rows[j] = make([][]fft.FourierPoly, p.PBSLevel)
-			for l := range rows[j] {
-				row := make([]fft.FourierPoly, p.K+1)
-				for c := range row {
-					row[c] = make(fft.FourierPoly, m)
-					if err := d.readFourier(row[c]); err != nil {
-						return tfhe.EvaluationKeys{}, err
-					}
-				}
-				rows[j][l] = row
-			}
-		}
-		ek.BSK = append(ek.BSK, tfhe.GGSWFourier{Rows: rows})
-	}
-	// The KSK slab is in wire order, so rows decode straight into it. Its
-	// capacity never exceeds the words the stream has already delivered:
-	// for every real set (the larger BSK comes first) one exact allocation.
-	for total := p.KSKWords(); len(ek.KSK) < total; {
-		n := len(ek.KSK)
-		grown := make([]torus.Torus32, min(total, max(int(d.off/4), n+1)))
-		copy(grown, ek.KSK)
-		ek.KSK = grown
-		if err := d.readTorus(ek.KSK[n:]); err != nil {
+		g, err := fill(d, p.GGSWValues(), 16, d.readFourier)
+		if err != nil {
 			return tfhe.EvaluationKeys{}, err
 		}
+		ek.BSK = append(ek.BSK, tfhe.GGSWFourier(g))
+	}
+	if ek.KSK, err = fill(d, p.KSKWords(), 4, d.readTorus); err != nil {
+		return tfhe.EvaluationKeys{}, err
 	}
 	if err := d.end(); err != nil {
 		return tfhe.EvaluationKeys{}, err

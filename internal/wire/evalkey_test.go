@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -180,5 +182,115 @@ func TestDecodeEvalKeySizeCheckedBeforeStorage(t *testing.T) {
 	}
 	if grown := after.TotalAlloc - before.TotalAlloc; grown > 4<<20 {
 		t.Errorf("header-only stream with a %d-byte declared size allocated %d bytes", size, grown)
+	}
+}
+
+// TestDecodeEvalKeyHeaderOnlyMaxN pins where the decoder's allocation
+// stops at the largest polynomial degree it accepts: a header promising an
+// N = 2^20 key (one GGSW of 32 MB) followed by nothing buys storage only
+// behind the header bytes delivered, not a polynomial (8 MB) ahead of them.
+func TestDecodeEvalKeyHeaderOnlyMaxN(t *testing.T) {
+	p := tfhe.Params{Name: "maxN", N: MaxPolyDegree, K: 1, SmallN: 1, PBSLevel: 1, PBSBaseLog: 8,
+		KSLevel: 1, KSBaseLog: 8, LWEStdDev: 1e-9, GLWEStdDev: 1e-9}
+	size, ok := EvalKeySize(p)
+	if !ok {
+		t.Fatalf("EvalKeySize refuses the maximum-N set %+v", p)
+	}
+	header := appendParamsPayload(appendHeader(nil, KindEvalKey), p)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeEvalKey(bytes.NewReader(header), size)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("header-only N = 2^20 stream: error %v, want truncated input", err)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 1<<20 {
+		t.Errorf("header-only N = 2^20 stream of %d bytes allocated %d bytes, want < 1 MB", len(header), grown)
+	}
+}
+
+// TestDecodeEvalKeyAllocatesAboutItsSize pins the other side of growing
+// behind the delivered bytes: a whole key costs about one allocation of
+// its decoded size, because no slab — the first GGSW included, which
+// starts behind a header of a few dozen bytes — is regrown a few values
+// at a time.
+func TestDecodeEvalKeyAllocatesAboutItsSize(t *testing.T) {
+	data, err := MarshalEvalKey(goldenKey())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := UnmarshalEvalKey(data); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > uint64(len(data))*5/4 {
+		t.Errorf("decoding a %d-byte key allocated %d bytes, want at most 1.25× the key", len(data), grown)
+	}
+}
+
+// TestGGSWSlabIsWireOrder checks that the BSK needs no reordering on the
+// wire: GGSW i's slab is the run of N/2-value records from
+// 1 + i·(k+1)·lb·(k+1) on, value for value.
+func TestGGSWSlabIsWireOrder(t *testing.T) {
+	ek := goldenKey()
+	data, err := MarshalEvalKey(ek)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := ek.Params
+	m, perGGSW := p.N/2, (p.K+1)*p.PBSLevel*(p.K+1)
+	hdr := headerSize + paramsPayloadSize(p)
+	for i, g := range ek.BSK {
+		for j, v := range g {
+			rec, at := 1+i*perGGSW+j/m, j%m
+			raw := data[hdr+16*((rec-1)*m+at):]
+			re := math.Float64frombits(binary.LittleEndian.Uint64(raw))
+			im := math.Float64frombits(binary.LittleEndian.Uint64(raw[8:]))
+			if math.Float64bits(re) != math.Float64bits(real(v)) || math.Float64bits(im) != math.Float64bits(imag(v)) {
+				t.Fatalf("BSK[%d] value %d is %v, wire record %d value %d is %v", i, j, v, rec, at, complex(re, im))
+			}
+		}
+	}
+}
+
+// TestEncodersRefuseWhatDecodersRefuse: a key the decoder would reject is
+// not encoded. A NaN in the BSK fails the Read that reaches it, whether the
+// record is encoded in place or across reads, and every Read after it; a
+// parameter set with non-finite noise is refused by MarshalParams and
+// EncodeEvalKey alike.
+func TestEncodersRefuseWhatDecodersRefuse(t *testing.T) {
+	ek := goldenKey()
+	ek.BSK[3][17] = complex(0, math.NaN())
+	if _, err := MarshalEvalKey(ek); !errors.Is(err, errNonFinite) {
+		t.Errorf("MarshalEvalKey of a key with a NaN: error %v, want %v", err, errNonFinite)
+	}
+	for _, bufSize := range []int{7, 32 << 10} {
+		enc, _, err := EncodeEvalKey(ek)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.CopyBuffer(io.Discard, enc, make([]byte, bufSize)); !errors.Is(err, errNonFinite) {
+			t.Errorf("reading %d bytes at a time: error %v, want %v", bufSize, err, errNonFinite)
+		}
+		if n, err := enc.Read(make([]byte, 64)); n != 0 || !errors.Is(err, errNonFinite) {
+			t.Errorf("Read after the failure: %d, %v; want 0, %v", n, err, errNonFinite)
+		}
+	}
+
+	p := tfhe.ParamsTest
+	p.LWEStdDev = math.NaN()
+	if _, err := MarshalParams(p); err == nil {
+		t.Error("MarshalParams accepted a NaN stddev")
+	}
+	p.LWEStdDev, p.GLWEStdDev = 1e-9, math.Inf(1)
+	if _, err := MarshalParams(p); err == nil {
+		t.Error("MarshalParams accepted an infinite stddev")
+	}
+	nanKey := goldenKey()
+	nanKey.Params.GLWEStdDev = math.NaN()
+	if _, _, err := EncodeEvalKey(nanKey); err == nil {
+		t.Error("EncodeEvalKey accepted a NaN stddev")
 	}
 }

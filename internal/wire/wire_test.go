@@ -229,6 +229,17 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 		data []byte
 	}{"params NaN stddev", unParams, nanData})
 
+	// A PBS gadget whose level·baseLog wraps int64 past Validate's ≤ 32:
+	// the key's shape would be sized from the wrapped level.
+	wrapParams := ek.Params
+	wrapParams.PBSLevel, wrapParams.PBSBaseLog = 1<<32-1, 1<<31+1
+	wrapData := appendParamsPayload(appendHeader(nil, KindParams), wrapParams)
+	cases = append(cases, struct {
+		name string
+		fn   func([]byte) error
+		data []byte
+	}{"params gadget product wraps", unParams, wrapData})
+
 	// A non-finite Fourier coefficient inside the BSK: NaN has all-ones
 	// exponent; overwrite the first coefficient's bytes.
 	nanKey := bytes.Clone(evk)
