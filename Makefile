@@ -131,10 +131,14 @@ no-retired-gate:
 # engine's names as aliases of the streaming engine's for benchmark/ alone.
 # Nor may any name the nested GGSW shape the one BSK slab layout replaced,
 # the per-polynomial batch transforms, or the Fourier MACs beside the tile
-# MAC (spelled in pieces, so this recipe does not match itself).
+# MAC (spelled in pieces, so this recipe does not match itself). Nor may
+# any name the streaming engine's staged pipeline that per-tile workers
+# replaced: its keyswitch width (field and flag), its tile free list and
+# the channels that carried tiles between stages.
 no-retired-ops:
 	@! git grep -nE 'BatchGates|(^|[^k])StreamGates|BatchEvalLUT|StreamLUT\(|BatchMultiLUT|StreamMultiLUT|BatchBootstrap|StreamBootstrap|BatchKeySwitch|EvalCircuit|engine\.New\(|engine\.Config([^A-Za-z0-9_]|$$)|DefaultMinStream|BlindRotateBatch|BlindRotateSteps|Runner\{Batch' -- '*.go' ':!benchmark' ':!internal/engine/engine.go'
 	@! git grep -nE 'GGSWFourier\{''Rows|ForwardTorus''BatchTo|ForwardInt''BatchTo|Inverse''BatchTo|mulAcc''Fast|mulAcc''AVX2|fft\.Mul''\(' -- '*.go'
+	@! git grep -nE 'KS''Workers|ks-''workers|empty''Tile|chan ''tile' -- '*.go'
 
 # No fused multiply-add in any assembly file: it rounds once where the
 # reference kernels round twice, and fast == ref is bitwise.

@@ -1,6 +1,7 @@
 // Command strixserv runs the networked FHE gate service: a session-sharded
 // HTTP server that accepts wire-encoded evaluation keys and streams clients'
-// gate/LUT batches through per-session streaming PBS engines.
+// gate/LUT batches through per-session streaming PBS engines, each a set of
+// workers that run a tile of ciphertexts from modulus switch to keyswitch.
 //
 // The trust split is the classic FHE service model: clients keep their
 // secret keys and upload only evaluation keys and ciphertexts; the server
@@ -51,8 +52,7 @@ func main() {
 	maxPending := flag.Int("max-pending", 0, "per-session backpressure bound (0 = default 64)")
 	maxBatch := flag.Int("max-batch", 0, "max ciphertexts per request (0 = default 4096)")
 	maxCoalesce := flag.Int("max-coalesce", 0, "max ciphertexts merged into one stream (0 = default 8192)")
-	rotateWorkers := flag.Int("rotate-workers", 0, "blind-rotate workers per session engine (0 = GOMAXPROCS)")
-	ksWorkers := flag.Int("ks-workers", 0, "keyswitch workers per session engine (0 = rotate-workers: a job is a whole tile, and a short stream's tiles finish together)")
+	rotateWorkers := flag.Int("rotate-workers", 0, "workers per session engine, each running one tile at a time (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	srv, err := server.Open(server.Config{
@@ -61,10 +61,7 @@ func main() {
 		MaxBatch:    *maxBatch,
 		MaxCoalesce: *maxCoalesce,
 		DataDir:     *dataDir,
-		Stream: engine.StreamConfig{
-			RotateWorkers: *rotateWorkers,
-			KSWorkers:     *ksWorkers,
-		},
+		Stream:      engine.StreamConfig{RotateWorkers: *rotateWorkers},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "strixserv:", err)

@@ -1,8 +1,8 @@
 // Batchgates: the streaming batch engine end to end.
 //
 // Encrypts two bit-vectors, evaluates a batch of gates in parallel on the
-// engine (one PBS + KS per gate, streamed through a staged pipeline of
-// per-goroutine evaluators), verifies every decryption, then times
+// engine (one PBS + KS per gate, in tiles that each worker, with its own
+// evaluator, runs start to finish), verifies every decryption, then times
 // workers=1 against workers=NumCPU — the software analogue of the batching
 // the Strix accelerator exploits for throughput.
 //

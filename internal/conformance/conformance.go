@@ -159,7 +159,7 @@ func NewFixture(seed int64) (*Fixture, error) {
 		return nil, err
 	}
 
-	stream := engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: 2, KSWorkers: 2})
+	stream := engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: 2})
 	runner := &sched.Runner{Stream: stream}
 	// The optimized backend runs the full pass pipeline, with the
 	// multi-value budget bound to the fixture's parameter set so packing

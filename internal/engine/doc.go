@@ -14,21 +14,22 @@
 // LUT, MultiLUT and Bootstrap are defined there, with operand validation,
 // the lock that serializes operations, and counter aggregation. The
 // executor (pipeline.go, exec) mirrors the paper's streaming architecture
-// with two-level ciphertext
-// batching (§IV), tiles of ciphertexts flowing through channel-connected
-// specialized stages (modswitch → blind rotate → sample extract → fused
-// keyswitch), with the encoded test vector/LUT shared by the whole stream.
+// with two-level ciphertext batching (§IV): W workers, the streaming
+// cores, each claim a tile of consecutive items and run it start to
+// finish — prepare (linear op, modswitch, initial rotation) → blind rotate
+// → sample extract → fused keyswitch — with the encoded test vector/LUT
+// shared by every worker.
 //
 // The tile is the unit of batching: a run of consecutive items that share
 // one pass over the evaluation key, the only amortisation TFHE, which
 // cannot pack, allows (tfhe.Evaluator.BlindRotateTile, KeySwitchTile).
-// Spent tiles are recycled, so every PBS in the process runs under one
-// tile discipline.
+// Each worker keeps its tile's slots from one tile to the next, so every
+// PBS in the process runs under one tile discipline.
 //
-// Each stage worker owns a private tfhe.Evaluator (evaluators carry
-// scratch buffers and must not be shared), all built from one shared,
-// read-only key set. The stages compose the same tfhe stage primitives per
-// item, in the sequential evaluator's order, and every server-side TFHE
+// Each worker owns a private tfhe.Evaluator (evaluators carry scratch
+// buffers and must not be shared), all built from one shared, read-only
+// key set. The workers compose the same tfhe stage primitives per item,
+// in the sequential evaluator's order, and every server-side TFHE
 // operation is deterministic, so results are bitwise identical to the
-// sequential evaluator for any worker or stage configuration.
+// sequential evaluator for any worker count or tile size.
 package engine

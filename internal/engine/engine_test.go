@@ -37,9 +37,9 @@ func ctEqual(a, b tfhe.LWECiphertext) bool {
 }
 
 // TestMatchesSerialEvaluator is the engine's contract, stated once: every
-// operation of the engine's vocabulary, run at any stage width, returns
+// operation of the engine's vocabulary, run at any worker count, returns
 // ciphertexts bitwise equal to the sequential tfhe.Evaluator's — so also
-// the same ciphertexts at every width, which catches aliasing or scratch
+// the same ciphertexts at every count, which catches aliasing or scratch
 // shared across workers. The gate rows also decrypt every output.
 // Runs under -race (make race): operands and the test vector are read by
 // every worker of a batch.
@@ -115,20 +115,21 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 			},
 			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.NOT(bits[i])} }, batch,
 			func(i int) bool { return !pts[i] }},
-		// Nine items against a tile cap of 8 (below): the streaming rows cut
-		// them 8+1, 3+3+3 and 2+2+2+2+1 where the ten above go 8+2, 4+4+2
-		// and 2×5, so full and ragged tiles both occur at every width.
+		// Nine items against a tile cap of 8 (below): one to three workers
+		// cut them 8+1, 5+4 and 3+3+3 where the ten above go 8+2, 5+5 and
+		// 4+4+2, so full and ragged tiles both occur at every count.
 		{"LUT-9-items",
 			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) { return one(o.LUT(ints[:9], space, lut), nil) },
 			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.EvalLUTKS(ints[i], space, lut)} }, 9, nil},
 	}
-	// Mixed-op gate batches of every width from 1 to 9: at 1–3 rotate
-	// workers the tiles hold 1 to 8 items, so a CMux step's tile MAC runs
-	// every group size of fft.TileGroup and splits 4+1 … 4+4.
-	for n := 1; n <= 9; n++ {
-		ops, a, b := make([]GateOp, n), bits[:n], make([]tfhe.LWECiphertext, n)
+	// Mixed-op gate batches of every width from 1 to 9: at 1–3 workers the
+	// tiles hold 1 to 8 items, so a CMux step's tile MAC runs every group
+	// size of fft.TileGroup and splits 4+1 … 4+4. Seventeen gates make one
+	// worker run three tiles, 8+8+1, with NOTs splitting their keyswitches.
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17} {
+		ops, a, b := make([]GateOp, n), make([]tfhe.LWECiphertext, n), make([]tfhe.LWECiphertext, n)
 		for i := range ops {
-			ops[i] = GateOp((i + n) % len(gateNames))
+			ops[i], a[i] = GateOp((i+n)%len(gateNames)), bits[i%batch]
 			if ops[i] != NOT {
 				b[i] = bits[(i+n)%batch]
 			}
@@ -136,7 +137,7 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 		cases = append(cases, gateCase{fmt.Sprintf("Gates-%d-items", n),
 			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) { return one(o.Gates(ops, a, b)) },
 			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{seqGate(serial, ops[i], a[i], b[i])} }, n,
-			func(i int) bool { return ops[i].Eval(pts[i], pts[(i+n)%batch]) }})
+			func(i int) bool { return ops[i].Eval(pts[i%batch], pts[(i+n)%batch]) }})
 	}
 	want := make([][][]tfhe.LWECiphertext, len(cases))
 	for c, tc := range cases {
@@ -151,14 +152,12 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 		ops  *StreamingEngine
 	}
 	var executors []executor
-	// One to three rotate workers, skewed stage widths, eight (more workers
-	// than most batches have tiles) and the GOMAXPROCS defaults.
-	for _, cfg := range []StreamConfig{{RotateWorkers: 1, KSWorkers: 1}, {RotateWorkers: 2, KSWorkers: 1}, {RotateWorkers: 3, KSWorkers: 2}, {RotateWorkers: 8, KSWorkers: 3}, {}} {
-		s := NewStreaming(ek, cfg)
+	for _, row := range streamConfigs() {
+		s := NewStreaming(ek, row.cfg)
 		// Set I's cap. The test set's own (its accumulators are 2 KB) is 52
 		// and would never bind.
 		s.tileCap = 8
-		executors = append(executors, executor{fmt.Sprintf("streaming/rot=%d_ks=%d", cfg.RotateWorkers, cfg.KSWorkers), s})
+		executors = append(executors, executor{"streaming/" + row.name, s})
 	}
 	for _, ex := range executors {
 		for c, tc := range cases {

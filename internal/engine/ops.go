@@ -38,8 +38,8 @@ func (s *StreamingEngine) Counters() tfhe.OpCounters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var total tfhe.OpCounters
-	for _, ev := range s.evals {
-		total.Add(ev.Counters)
+	for _, w := range s.workers {
+		total.Add(w.ev.Counters)
 	}
 	return total
 }
@@ -48,8 +48,8 @@ func (s *StreamingEngine) Counters() tfhe.OpCounters {
 func (s *StreamingEngine) ResetCounters() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, ev := range s.evals {
-		ev.Counters.Reset()
+	for _, w := range s.workers {
+		w.ev.Counters.Reset()
 	}
 }
 
@@ -90,7 +90,7 @@ func (s *StreamingEngine) checkDims(api string, cts []tfhe.LWECiphertext) {
 }
 
 // checkTestVec panics, like checkDim, unless testVec has the parameter
-// set's GLWE shape: k+1 polynomials of N coefficients. The prepare stage
+// set's GLWE shape: k+1 polynomials of N coefficients. The prepare phase
 // would otherwise rotate it into an accumulator of that shape and index
 // past one or the other inside a worker.
 func (s *StreamingEngine) checkTestVec(api string, testVec tfhe.GLWECiphertext) {
@@ -139,7 +139,7 @@ func (s *StreamingEngine) Gates(ops []GateOp, a, b []tfhe.LWECiphertext) ([]tfhe
 // return in input order.
 func (s *StreamingEngine) LUT(cts []tfhe.LWECiphertext, space int, f func(int) int) []tfhe.LWECiphertext {
 	s.checkDims("LUT", cts)
-	return s.runOne(op{n: len(cts), testVec: s.prep.LUTTestVector(space, f), keyswitch: true,
+	return s.runOne(op{n: len(cts), testVec: s.workers[0].ev.LUTTestVector(space, f), keyswitch: true,
 		prepare: func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
 			return ev.ShiftForLUT(cts[i], space), false
 		}})
@@ -157,7 +157,7 @@ func (s *StreamingEngine) MultiLUT(cts []tfhe.LWECiphertext, space int, fs []fun
 	}
 	s.checkDims("MultiLUT", cts)
 	offsets := s.params.MultiLUTOffsets(space, k)
-	flat := s.run(op{n: len(cts), k: k, testVec: s.prep.NewMultiLUTTestVector(space, fs), keyswitch: true,
+	flat := s.run(op{n: len(cts), k: k, testVec: s.workers[0].ev.NewMultiLUTTestVector(space, fs), keyswitch: true,
 		prepare: func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
 			return ev.ShiftForMultiLUT(cts[i], space, k), false
 		},

@@ -9,27 +9,33 @@ import (
 	"repro/internal/tfhe"
 )
 
-// streamConfigs returns the stage/worker configurations the equivalence
-// tests sweep: degenerate single-worker pipelines, skewed stage widths,
-// and the GOMAXPROCS default. The streaming contract is bitwise equality with
-// the sequential evaluator for every one of them.
-func streamConfigs() []StreamConfig {
-	cfgs := []StreamConfig{
-		{RotateWorkers: 1, KSWorkers: 1},
-		{RotateWorkers: 2, KSWorkers: 1},
-		{RotateWorkers: 3, KSWorkers: 2},
-		{}, // defaults: GOMAXPROCS rotate and keyswitch workers
+// streamConfig is one engine configuration the equivalence tests sweep.
+type streamConfig struct {
+	name string
+	cfg  StreamConfig
+}
+
+// streamConfigs returns the worker counts the equivalence tests sweep: one
+// worker, two and three, eight (more workers than most batches have tiles)
+// and the GOMAXPROCS default. The streaming contract is bitwise equality
+// with the sequential evaluator for every one of them. A row's name is
+// rot=W_ks=K, W its worker count, as it was when the keyswitch ran in a
+// stage of its own K workers wide; the names are kept so that each row's
+// test id stays the same across history.
+func streamConfigs() []streamConfig {
+	return []streamConfig{
+		{"rot=1_ks=1", StreamConfig{RotateWorkers: 1}},
+		{"rot=2_ks=1", StreamConfig{RotateWorkers: 2}},
+		{"rot=3_ks=2", StreamConfig{RotateWorkers: 3}},
+		{"rot=8_ks=3", StreamConfig{RotateWorkers: 8}},
+		{"rot=0_ks=0", StreamConfig{}},
 	}
-	if n := runtime.NumCPU(); n > 3 {
-		cfgs = append(cfgs, StreamConfig{RotateWorkers: n, KSWorkers: n})
-	}
-	return cfgs
 }
 
 // TestStreamGateMatchesSequential is the streaming engine's core property
 // test: for random plaintexts and every gate, Gates' output is
-// bitwise-equal to the sequential Evaluator's, for every stage/worker
-// configuration. Runs under -race in CI (make race).
+// bitwise-equal to the sequential Evaluator's, for every worker count.
+// Runs under -race in CI (make race).
 func TestStreamGateMatchesSequential(t *testing.T) {
 	sk, ek, cts, pts := testSetup(t, 31, 16)
 	serial := tfhe.NewEvaluator(ek)
@@ -45,10 +51,9 @@ func TestStreamGateMatchesSequential(t *testing.T) {
 		want[op] = ref
 	}
 
-	for _, cfg := range streamConfigs() {
-		cfg := cfg
-		t.Run(fmt.Sprintf("rot=%d_ks=%d", cfg.RotateWorkers, cfg.KSWorkers), func(t *testing.T) {
-			s := NewStreaming(ek, cfg)
+	for _, row := range streamConfigs() {
+		t.Run(row.name, func(t *testing.T) {
+			s := NewStreaming(ek, row.cfg)
 			for _, op := range ops {
 				var got []tfhe.LWECiphertext
 				var err error
@@ -75,11 +80,11 @@ func TestStreamGateMatchesSequential(t *testing.T) {
 }
 
 // TestStreamCounters checks that the §IV-C fused pipeline accounts for
-// exactly one PBS and one KS per binary gate, aggregated across all stage
+// exactly one PBS and one KS per binary gate, aggregated across all
 // workers, and that the free NOT bypasses the PBS stages.
 func TestStreamCounters(t *testing.T) {
 	_, ek, cts, _ := testSetup(t, 39, 8)
-	s := NewStreaming(ek, StreamConfig{RotateWorkers: 2, KSWorkers: 2})
+	s := NewStreaming(ek, StreamConfig{RotateWorkers: 2})
 
 	if c := s.Counters(); c.PBSCount != 0 {
 		t.Fatalf("fresh streaming engine PBSCount = %d", c.PBSCount)
@@ -167,32 +172,33 @@ func TestStreamConcurrentCalls(t *testing.T) {
 
 // TestWorkerDefaultsFollowGOMAXPROCS pins what a zero worker count means:
 // the CPUs the process may use. Sized by the host's CPUs instead, a
-// CPU-limited process would build one rotate worker per host CPU and
-// time-slice them.
+// CPU-limited process would build one worker per host CPU and time-slice
+// them.
 func TestWorkerDefaultsFollowGOMAXPROCS(t *testing.T) {
 	_, ek, _, _ := testSetup(t, 47, 1)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	s := NewStreaming(ek, StreamConfig{})
-	if len(s.rot) != 1 || len(s.ks) != 1 {
-		t.Errorf("NewStreaming under GOMAXPROCS(1): %d rotate and %d keyswitch evaluators, want 1 and 1", len(s.rot), len(s.ks))
+	if s := NewStreaming(ek, StreamConfig{}); len(s.workers) != 1 {
+		t.Errorf("NewStreaming under GOMAXPROCS(1): %d workers, want 1", len(s.workers))
 	}
 	runtime.GOMAXPROCS(3)
-	if s := NewStreaming(ek, StreamConfig{}); len(s.rot) != 3 || len(s.ks) != 3 {
-		t.Errorf("NewStreaming under GOMAXPROCS(3): %d rotate and %d keyswitch evaluators, want 3 and 3", len(s.rot), len(s.ks))
+	if s := NewStreaming(ek, StreamConfig{}); len(s.workers) != 3 {
+		t.Errorf("NewStreaming under GOMAXPROCS(3): %d workers, want 3", len(s.workers))
 	}
 }
 
 // TestStreamRecycledTilesMatchSequential runs operations of different
-// lengths back to back on ONE engine — 1 gate, 8, 64, then mixed ops with
-// NOTs cutting the tiles short — so the later ones fill tiles the earlier
-// ones spent, at other tile sizes and slot counts. Each comes back
-// bitwise equal to the sequential evaluator, twice over: a tile that kept
-// a stale accumulator or rotation amount would show. Runs under -race.
+// lengths back to back on ONE engine — 1 gate, 8, 64, then mixed ops whose
+// NOTs split a tile's outputs for the keyswitch gather — so the later ones
+// fill the slots the earlier ones used, at other tile sizes and slot
+// counts. Each comes back bitwise equal to the sequential evaluator, twice
+// over: a slot that kept a stale accumulator or rotation amount would
+// show. Runs under -race.
 func TestStreamRecycledTilesMatchSequential(t *testing.T) {
 	_, ek, cts, _ := testSetup(t, 61, 24)
 	serial := tfhe.NewEvaluator(ek)
 	rng := rand.New(rand.NewSource(62))
 	s := NewStreaming(ek, StreamConfig{RotateWorkers: 2})
+	s.tileCap = 8 // set I's, so that the 64 gates come in tiles of the cap
 	mixed := make([]GateOp, 13)
 	for i := range mixed {
 		mixed[i] = []GateOp{XOR, NOT, AND, OR, NOT}[i%5]
@@ -214,15 +220,18 @@ func TestStreamRecycledTilesMatchSequential(t *testing.T) {
 			}
 		}
 	}
-	if len(s.free) == 0 {
-		t.Error("no spent tile reached the free list")
+	for i, w := range s.workers {
+		if len(w.acc) > s.tileCap || len(w.ms) > s.tileCap {
+			t.Errorf("worker %d holds %d accumulator and %d rotation slots, more than the tile cap %d", i, len(w.acc), len(w.ms), s.tileCap)
+		}
 	}
 }
 
 // BenchmarkStreamGates is the shape of the gates_stream_I workload — set
 // I, one streaming engine, eight NANDs per call — as a Go benchmark: the
-// harness for a pprof of that shape, and its B/op (outputs and channels,
-// no accumulators) witnesses the tile recycling.
+// harness for a pprof of that shape, and its B/op (the outputs and the
+// workers' goroutines, no accumulators) witnesses that the workers keep
+// their slots.
 func BenchmarkStreamGates(b *testing.B) {
 	rng := rand.New(rand.NewSource(63))
 	sk, ek := tfhe.GenerateKeys(rng, tfhe.ParamsI)

@@ -6,8 +6,8 @@ import "sync"
 // immutable after construction, so a single instance per N can serve every
 // goroutine in the process; sync.Map makes the steady-state lookup a single
 // atomic load instead of the mutex-per-call a plain map would need. Key
-// generation, GLWE encryption and the streaming engine's stage workers all
-// hit this path concurrently.
+// generation, GLWE encryption and the streaming engine's workers all hit
+// this path concurrently.
 var sharedProcs sync.Map // int -> *Processor
 
 // SharedProcessor returns the process-wide Processor for polynomial size n,

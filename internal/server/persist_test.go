@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -134,6 +136,115 @@ func TestConcurrentRestoreSingleflight(t *testing.T) {
 	}
 	if srv.Restores() != 1 {
 		t.Errorf("restores = %d, want exactly 1 shared restore", srv.Restores())
+	}
+}
+
+// stallingStore is a MemStore whose first Get reads the stored key and
+// then waits for release before handing it over: a restore caught between
+// its store read and its install.
+type stallingStore struct {
+	*MemStore
+	once    sync.Once
+	reading chan struct{} // closed once the stalled Get has read the key
+	release chan struct{} // closed by the test to let it return
+}
+
+// Get implements SessionStore.
+func (s *stallingStore) Get(clientID string) (io.ReadCloser, int64, error) {
+	stall := false
+	s.once.Do(func() { stall = true })
+	r, size, err := s.MemStore.Get(clientID)
+	if err != nil || !stall {
+		return r, size, err
+	}
+	blob, err := io.ReadAll(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	close(s.reading)
+	<-s.release
+	return io.NopCloser(bytes.NewReader(blob)), size, nil
+}
+
+// startStalledRestore registers "a" (key seed 1) and "b" on a one-session
+// server over a stallingStore, so "a" is evicted, and starts a NOT on "a"
+// whose restore stalls after reading the key. It returns once the key is
+// read, with the channel the NOT's error arrives on.
+func startStalledRestore(t *testing.T) (*Server, *stallingStore, <-chan error) {
+	t.Helper()
+	sk, ekA := testKeys(t, 1)
+	_, ekB := testKeys(t, 2)
+	store := &stallingStore{MemStore: NewMemStore(), reading: make(chan struct{}), release: make(chan struct{})}
+	srv := New(Config{MaxSessions: 1, Store: store})
+	if err := srv.RegisterKey("a", ekA); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.RegisterKey("b", ekB); err != nil { // evicts "a"
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := srv.GateBatch("a", engine.NOT, encryptBools(sk, 1, []bool{true}), nil)
+		done <- err
+	}()
+	<-store.reading
+	return srv, store, done
+}
+
+// TestRegisterDuringRestore: a key registered while a restore of the same
+// ID is in flight wins. The restore read the old key, so it must not
+// install its session over the new one, nor add a second LRU entry.
+func TestRegisterDuringRestore(t *testing.T) {
+	srv, store, done := startStalledRestore(t)
+	sk, ek := testKeys(t, 3)
+	if err := srv.RegisterKey("a", ek); err != nil {
+		t.Fatal(err)
+	}
+	close(store.release)
+	if err := <-done; err != nil {
+		t.Fatalf("request during the restore: %v", err)
+	}
+	if ids := srv.Sessions(); len(ids) != 1 || ids[0] != "a" {
+		t.Errorf("Sessions() = %v, want [a]", ids)
+	}
+	rng := rand.New(rand.NewSource(4))
+	x, y := make([]bool, 32), make([]bool, 32)
+	for i := range x {
+		x[i], y[i] = rng.Intn(2) == 1, rng.Intn(2) == 1
+	}
+	out, err := srv.GateBatch("a", engine.AND, encryptBools(sk, 5, x), encryptBools(sk, 6, y))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := 0
+	for i, ct := range out {
+		if sk.DecryptBool(ct) != (x[i] && y[i]) {
+			wrong++
+		}
+	}
+	if wrong > 0 {
+		t.Errorf("%d of %d ANDs under the newly registered key decrypt wrong", wrong, len(out))
+	}
+}
+
+// TestDeleteDuringRestore: a session deleted while a restore of it is in
+// flight stays deleted, for the request that started the restore and for
+// every later one.
+func TestDeleteDuringRestore(t *testing.T) {
+	srv, store, done := startStalledRestore(t)
+	sk, _ := testKeys(t, 1)
+	if warm, persisted, err := srv.DeleteSession("a"); err != nil || warm || !persisted {
+		t.Fatalf("DeleteSession = %v, %v, %v; want false, true, nil", warm, persisted, err)
+	}
+	close(store.release)
+	if err := <-done; !errors.Is(err, ErrUnknownSession) {
+		t.Errorf("request during the delete: %v, want ErrUnknownSession", err)
+	}
+	if _, err := srv.GateBatch("a", engine.NOT, encryptBools(sk, 2, []bool{true}), nil); !errors.Is(err, ErrUnknownSession) {
+		t.Errorf("request after the delete: %v, want ErrUnknownSession", err)
+	}
+	if ids := srv.Sessions(); len(ids) != 1 || ids[0] != "b" {
+		t.Errorf("Sessions() = %v, want [b]", ids)
 	}
 }
 

@@ -42,7 +42,7 @@ type Config struct {
 	// DiskStore at this directory. New (which cannot fail) rejects a
 	// non-empty DataDir — use Open.
 	DataDir string
-	// Stream configures each session's streaming engine stage widths.
+	// Stream configures each session's streaming engine: its worker count.
 	Stream engine.StreamConfig
 }
 
@@ -95,8 +95,8 @@ type Server struct {
 
 	mu        sync.Mutex
 	sessions  map[string]*session
-	lru       *list.List               // of *session; front = most recently used
-	loading   map[string]chan struct{} // in-flight store restores, by ID
+	lru       *list.List            // of *session; front = most recently used
+	loading   map[string]*restoring // in-flight store restores, by ID
 	evicted   *evictSet
 	evictions atomic.Int64
 	restores  atomic.Int64
@@ -121,7 +121,7 @@ func New(cfg Config) *Server {
 		store:    cfg.Store,
 		sessions: make(map[string]*session),
 		lru:      list.New(),
-		loading:  make(map[string]chan struct{}),
+		loading:  make(map[string]*restoring),
 		evicted:  newEvictSet(4 * cfg.MaxSessions),
 	}
 }
@@ -295,17 +295,18 @@ func (s *Server) register(clientID string, size int64, load func(w io.Writer) (t
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.sessions[clientID]; ok {
-		s.lru.Remove(old.elem)
-	}
 	s.evicted.remove(clientID)
 	s.install(sess)
+	s.supersede(clientID)
 	return ek.Params, nil
 }
 
-// install adds a built session to the warm tier and applies the LRU
-// bound. Called with mu held.
+// install adds a built session to the warm tier, in place of any session
+// of its ID, and applies the LRU bound. Called with mu held.
 func (s *Server) install(sess *session) {
+	if old, ok := s.sessions[sess.id]; ok {
+		s.lru.Remove(old.elem)
+	}
 	sess.elem = s.lru.PushFront(sess)
 	s.sessions[sess.id] = sess
 	for len(s.sessions) > s.cfg.MaxSessions {
@@ -323,9 +324,27 @@ func (s *Server) install(sess *session) {
 	}
 }
 
+// restoring is one in-flight store restore. stale marks that a register
+// or DeleteSession of its ID came after the restore began: what it read
+// may be a key that is no longer current.
+type restoring struct {
+	done  chan struct{} // closed when the restore finishes
+	stale bool
+}
+
+// supersede marks an in-flight restore of clientID stale, so that it
+// discards what it built. Called with mu held.
+func (s *Server) supersede(clientID string) {
+	if r, ok := s.loading[clientID]; ok {
+		r.stale = true
+	}
+}
+
 // session looks up and LRU-touches a session, restoring it from the
 // durable tier on a warm miss. Concurrent misses for one ID share a
-// single restore (the key decode + engine build is expensive).
+// single restore (the key decode + engine build is expensive). A restore
+// overtaken by a register or delete of its ID is discarded and the lookup
+// starts over.
 func (s *Server) session(clientID string) (*session, error) {
 	for {
 		s.mu.Lock()
@@ -342,21 +361,25 @@ func (s *Server) session(clientID string) (*session, error) {
 			}
 			return nil, ErrUnknownSession
 		}
-		if ch, ok := s.loading[clientID]; ok {
+		if r, ok := s.loading[clientID]; ok {
 			// Another request is restoring this session: wait for it,
 			// then re-check the warm tier.
 			s.mu.Unlock()
-			<-ch
+			<-r.done
 			continue
 		}
-		ch := make(chan struct{})
-		s.loading[clientID] = ch
+		r := &restoring{done: make(chan struct{})}
+		s.loading[clientID] = r
 		s.mu.Unlock()
 
 		sess, err := s.restore(clientID)
 		s.mu.Lock()
 		delete(s.loading, clientID)
-		close(ch)
+		close(r.done)
+		if r.stale {
+			s.mu.Unlock()
+			continue
+		}
 		if sess != nil {
 			s.install(sess)
 		}
@@ -389,10 +412,11 @@ func (s *Server) restore(clientID string) (*session, error) {
 	return newSession(clientID, ek, s.cfg), nil
 }
 
-// DeleteSession explicitly evicts clientID everywhere: the warm session
-// is dropped (in-flight work on it still completes) and the durable tier
-// records a tombstone. It reports which tiers held the session; when
-// neither did, the error is ErrUnknownSession.
+// DeleteSession explicitly evicts clientID everywhere: the durable tier
+// records a tombstone and the warm session is dropped (in-flight work on
+// it still completes), in that order, so that no restore can bring the
+// key back. It reports which tiers held the session; when neither did,
+// the error is ErrUnknownSession.
 func (s *Server) DeleteSession(clientID string) (warm, persisted bool, err error) {
 	if err := s.begin(); err != nil {
 		return false, false, err
@@ -400,6 +424,9 @@ func (s *Server) DeleteSession(clientID string) (warm, persisted bool, err error
 	defer s.end()
 	if err := validateClientID(clientID); err != nil {
 		return false, false, err
+	}
+	if s.store != nil {
+		persisted, err = s.store.Delete(clientID)
 	}
 	s.mu.Lock()
 	sess, ok := s.sessions[clientID]
@@ -411,12 +438,10 @@ func (s *Server) DeleteSession(clientID string) (warm, persisted bool, err error
 	// A deleted session is forgotten, not evicted: later requests get
 	// unknown_session.
 	s.evicted.remove(clientID)
+	s.supersede(clientID)
 	s.mu.Unlock()
-	if s.store != nil {
-		persisted, err = s.store.Delete(clientID)
-		if err != nil {
-			return warm, false, fmt.Errorf("%w: deleting %q: %v", errStoreFailure, clientID, err)
-		}
+	if err != nil {
+		return warm, false, fmt.Errorf("%w: deleting %q: %v", errStoreFailure, clientID, err)
 	}
 	if !warm && !persisted {
 		return false, false, ErrUnknownSession

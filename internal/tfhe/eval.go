@@ -22,8 +22,7 @@ type Evaluator struct {
 	ksGadget poly.Decomposer
 
 	// scratch; the external-product buffers are built lazily on the first
-	// CMux so specialized pipeline-stage evaluators that never rotate
-	// (prepare, extract, keyswitch pools) stay light.
+	// CMux, so an evaluator that never rotates stays light.
 	epBuf    *externalProductBuffers
 	ksDigits []int32         // keyswitch digits of one mask index, lk per tile input
 	ksOuts   []LWECiphertext // keyswitch outputs of the tile in flight

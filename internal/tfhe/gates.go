@@ -63,7 +63,7 @@ func (e *Evaluator) signBootstrap(c LWECiphertext) LWECiphertext {
 
 // NANDInput returns the linear combination NAND feeds its sign bootstrap:
 // 1/8 − a − b. The *Input methods expose every gate's pre-PBS linear stage
-// so the streaming pipeline can run it in its prepare stage and share one
+// so the streaming engine can run it in its prepare phase and share one
 // sign test vector across the stream; gate(a,b) ≡ signBootstrap(gateInput).
 func (e *Evaluator) NANDInput(a, b LWECiphertext) LWECiphertext {
 	t := NewLWECiphertext(e.Params.SmallN)

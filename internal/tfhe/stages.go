@@ -13,7 +13,7 @@ import (
 // Fourier MAC → IFFT per CMux), sample extraction, keyswitch — and each
 // stage's setup is amortized across the whole batch. The methods in this
 // file expose exactly those stage boundaries so the streaming engine can
-// place each one in its own pipeline stage, while the sequential
+// run each one over a whole tile in turn, while the sequential
 // Evaluator.Bootstrap composes the same methods back-to-back. The two
 // stages that read the evaluation key take a tile — a handful of
 // ciphertexts sharing one pass over it (BlindRotateTile, KeySwitchTile) —
@@ -40,7 +40,7 @@ func (e *Evaluator) ModSwitchLWE(c LWECiphertext) ModSwitched {
 
 // ModSwitchLWETo is ModSwitchLWE into the caller's rotation-amount buffer
 // a, of length n, which the result holds: BlindRotate passes evaluator
-// scratch, the streaming engine a spent tile's buffer.
+// scratch, the streaming engine a slot its worker keeps across tiles.
 func (e *Evaluator) ModSwitchLWETo(a []int, c LWECiphertext) ModSwitched {
 	p := e.Params
 	if c.N() != p.SmallN {

@@ -17,8 +17,8 @@
 //
 // Batched execution — the accelerator's raison d'être — has a software
 // counterpart: the context's engine streams independent gates (one PBS +
-// KS each) through a staged pipeline of per-goroutine evaluators, tiles of
-// ciphertexts sharing each pass over the keys, so measured PBS/s can be
+// KS each) through workers with an evaluator each, every worker running a
+// tile of ciphertexts that share each pass over the keys, so measured PBS/s can be
 // compared directly with the model's prediction:
 //
 //	xs := ctx.EncryptBools([]bool{true, false, true, true})
@@ -26,8 +26,8 @@
 //	outs, _ := ctx.BatchGate(strix.NAND, xs, ys) // all four in parallel
 //	fmt.Println(ctx.DecryptBools(outs))          // [false true true false]
 //
-// The rotate-stage width defaults to runtime.GOMAXPROCS(0); NewEngine
-// builds an engine of an explicit width.
+// The engine's worker count defaults to runtime.GOMAXPROCS(0); NewEngine
+// builds an engine of an explicit count.
 //
 // The networked service, the routing tier and the circuit scheduler are
 // not re-exported here: the binaries under cmd/ use repro/internal/server,
@@ -112,7 +112,7 @@ const (
 )
 
 // defaultEngine returns the context's default streaming engine (one
-// rotate worker per CPU), building it on first use. The engine shares the
+// worker per CPU the process may use), building it on first use. The engine shares the
 // context's evaluation keys; see NewEngine for a custom width.
 func (c *FHEContext) defaultEngine() *engine.StreamingEngine {
 	c.engOnce.Do(func() { c.eng = engine.NewStreaming(c.EK, engine.StreamConfig{}) })
@@ -120,7 +120,7 @@ func (c *FHEContext) defaultEngine() *engine.StreamingEngine {
 }
 
 // NewEngine returns a fresh streaming engine over this context's keys with
-// the given rotate-worker count (0 = runtime.GOMAXPROCS(0)).
+// the given worker count (0 = runtime.GOMAXPROCS(0)).
 func (c *FHEContext) NewEngine(workers int) *engine.StreamingEngine {
 	return engine.NewStreaming(c.EK, engine.StreamConfig{RotateWorkers: workers})
 }
