@@ -13,7 +13,7 @@ GO ?= go
 # the floor is the total minus 1.5, rounded down.
 COVER_FLOOR ?= 80.0
 
-.PHONY: all build test test-purego race cover fuzz-regress bench bench-compare bench-smoke lint fmt fmt-check vet vet-arm64 no-deprecated no-retired-gate no-retired-ops no-fma docs loc
+.PHONY: all build test test-purego race cover fuzz-regress bench bench-compare bench-smoke lint fmt fmt-check vet vet-arm64 no-deprecated no-retired-gate no-retired-ops no-fma docs loc profile
 
 all: build test
 
@@ -146,6 +146,19 @@ no-fma:
 	@! git grep -nE 'VFN?M(ADD|SUB)' -- '*.s'
 
 # Net non-test lines of Go outside benchmark/: the figure ROADMAP's
-# "net non-test LoC" criteria are read from.
+# "net non-test LoC" criteria are read from; then the lines of assembly,
+# the budget the SIMD bodies are held to.
 loc:
-	@git ls-files '*.go' ':!*_test.go' ':!benchmark' | xargs cat | wc -l
+	@echo "go  $$(git ls-files '*.go' ':!*_test.go' ':!benchmark' | xargs cat | wc -l)"
+	@echo "asm $$(git ls-files '*.s' | xargs cat | wc -l)"
+
+# Where the CPU goes in the gates_stream_I shape: BenchmarkStreamGates (set
+# I, one streaming engine, 8 NANDs per call) for 100 calls under the CPU
+# profiler, reduced to the twelve functions with the most flat time. The
+# test binary and the profile live in a temporary directory that is removed
+# afterwards, so nothing is written into the tree.
+profile:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) test ./internal/engine -run '^$$' -bench '^BenchmarkStreamGates$$' -benchtime 100x \
+		-cpuprofile "$$tmp/cpu.prof" -o "$$tmp/engine.test" && \
+	$(GO) tool pprof -top -nodecount 12 "$$tmp/engine.test" "$$tmp/cpu.prof"

@@ -23,11 +23,14 @@ type FourierPoly []complex128
 // stage is one butterfly pass of the iterative transform. Radix-4 stages
 // carry a packed twiddle table walked sequentially by the inner loop —
 // six floats (w^k, w^2k, w^3k as re/im pairs) per butterfly index k,
-// shared by every block of the stage. The final radix-2 stage of an
-// odd-log2 size (and the trivial first inverse stages) need no twiddles.
+// shared by every block of the stage — and, when q = s/4 ≥ 2, the same
+// twiddles in lane order (laneTable) for the AVX2 body. The final radix-2
+// stage of an odd-log2 size (and the trivial first inverse stages) need no
+// twiddles.
 type stage struct {
-	size int       // butterfly block size s
-	tw   []float64 // packed twiddles; nil for radix-2
+	size  int       // butterfly block size s
+	tw    []float64 // packed twiddles; nil for radix-2
+	lanes []float64 // laneTable(tw, 3); nil for q < 2
 }
 
 // Processor performs folded negacyclic FFTs for a fixed polynomial size N.
@@ -57,8 +60,10 @@ type Processor struct {
 	twist []float64
 	// untwist holds conj(twist[j]) / m as interleaved re/im pairs: the
 	// inverse fold and the 1/m scaling pre-combined, applied inside the
-	// final inverse butterfly stage.
-	untwist []float64
+	// final inverse butterfly stage. untwistLanes is laneTable(untwist, 1),
+	// the fold's AVX2 body's copy.
+	untwist      []float64
+	untwistLanes []float64
 
 	fwd []stage // forward DIF stages, sizes descending m … 4 (then 2)
 	inv []stage // inverse DIT stages, sizes ascending (2) 4 … m
@@ -91,6 +96,7 @@ func NewProcessor(n int) *Processor {
 		p.twist[2*j], p.twist[2*j+1] = c, s
 		p.untwist[2*j], p.untwist[2*j+1] = c*invM, -s*invM
 	}
+	p.untwistLanes = laneTable(p.untwist, 1)
 	p.fwd = buildStages(m, +1)
 	p.inv = buildStages(m, -1)
 	// The inverse runs the mirrored stage sequence smallest-first.
@@ -116,12 +122,35 @@ func buildStages(m int, sign float64) []stage {
 				tw = append(tw, math.Cos(ang), math.Sin(ang))
 			}
 		}
-		stages = append(stages, stage{size: s, tw: tw})
+		st := stage{size: s, tw: tw}
+		if q >= 2 {
+			st.lanes = laneTable(tw, 3)
+		}
+		stages = append(stages, st)
 	}
 	if s == 2 {
 		stages = append(stages, stage{size: 2})
 	}
 	return stages
+}
+
+// laneTable returns nat, a table of per complex constants (re, im) for each
+// index j, in the order the AVX2 bodies' lanes read it. Those bodies hold
+// the values of indices j and j+1 in one register, so for every such pair
+// and each constant c the table stores (re_j, re_j, re_j+1, re_j+1) and then
+// (im_j, im_j, im_j+1, im_j+1): the two factors of a complex multiply,
+// ready to be memory operands. A pair's 8·per floats are contiguous, and the
+// table is twice the size of nat.
+func laneTable(nat []float64, per int) []float64 {
+	n := len(nat) / (2 * per)
+	out := make([]float64, 0, 8*per*(n/2))
+	for j := 0; j+1 < n; j += 2 {
+		for c := 0; c < per; c++ {
+			a, b := nat[2*(j*per+c):], nat[2*((j+1)*per+c):]
+			out = append(out, a[0], a[0], b[0], b[0], a[1], a[1], b[1], b[1])
+		}
+	}
+	return out
 }
 
 // N returns the polynomial size.
@@ -163,7 +192,7 @@ func (p *Processor) forwardStages(buf []complex128) {
 	if fastKernelOn() {
 		for _, st := range p.fwd {
 			if st.size >= 4 {
-				fwdStage4Fast(buf, st.size, st.tw)
+				fwdStage4Fast(buf, st)
 			} else {
 				fwdStage2Fast(buf)
 			}
@@ -172,7 +201,7 @@ func (p *Processor) forwardStages(buf []complex128) {
 	}
 	for _, st := range p.fwd {
 		if st.size >= 4 {
-			fwdStage4Ref(buf, st.size, st.tw)
+			fwdStage4Ref(buf, st)
 		} else {
 			fwdStage2Ref(buf)
 		}
@@ -251,14 +280,14 @@ func (p *Processor) inverseAccTo(dst []torus.Torus32, fp FourierPoly, scratch []
 	last := len(stages) - 1
 	if fastKernelOn() {
 		if last == 0 {
-			invFoldFast(dst, fp, stages[0], p.untwist, p.m)
+			invFoldFast(dst, fp, stages[0], p.untwist, p.untwistLanes, p.m)
 			return
 		}
 		invFirstFast(scratch, fp, stages[0].size)
 		for i := 1; i < last; i++ {
-			invStage4Fast(scratch, stages[i].size, stages[i].tw)
+			invStage4Fast(scratch, stages[i])
 		}
-		invFoldFast(dst, scratch, stages[last], p.untwist, p.m)
+		invFoldFast(dst, scratch, stages[last], p.untwist, p.untwistLanes, p.m)
 		return
 	}
 	if last == 0 {
@@ -267,7 +296,7 @@ func (p *Processor) inverseAccTo(dst []torus.Torus32, fp FourierPoly, scratch []
 	}
 	invFirstRef(scratch, fp, stages[0].size)
 	for i := 1; i < last; i++ {
-		invStage4Ref(scratch, stages[i].size, stages[i].tw)
+		invStage4Ref(scratch, stages[i])
 	}
 	invFoldRef(dst, scratch, stages[last], p.untwist, p.m)
 }

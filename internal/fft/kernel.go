@@ -31,6 +31,12 @@ import (
 // the complex multiply (bi·wr + br·wi for br·wi + bi·wr), which IEEE 754
 // leaves bitwise equal; and it uses no FMA instruction, which rounds once
 // where the reference rounds twice (`make lint` refuses one: no-fma). The
+// radix-4 and fold bodies read the same twiddle and untwist values as the
+// Go bodies, from copies stored in the order their lanes take them
+// (laneTable in fft.go: (wr, wr) and (wi, wi) of two butterflies side by
+// side), so each complex multiply takes its constants as memory operands
+// and shuffles only the data. The reference and Go bodies read the natural
+// (re, im) tables, which stay the specification. The
 // decompose load's twisted store commutes nothing: VADDSUBPD of
 // (a, a)·(tr, ti) and (b, b)·(ti, tr) is (a·tr − b·ti, a·ti + b·tr). The
 // tile MAC holds its sums in registers instead of memory, so it must also

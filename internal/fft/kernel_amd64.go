@@ -8,7 +8,10 @@ import "unsafe"
 // function of the same loop. n counts complex values; the radix-4 stages
 // and the fold need q = s/4 ≥ 2, mulAccTile an even n, 1–4 members and at
 // least one row, stage2 a multiple of four, decompLoad a run of cnt pairs,
-// cnt a positive multiple of four.
+// cnt a positive multiple of four. The stages' and the fold's tw is the
+// stage's lane table (stage.lanes) and the fold's untwist the processor's
+// (untwistLanes), both laneTable's layout; decompLoad's tw is the natural
+// twist table.
 
 //go:noescape
 func fwdStage4AVX2(buf *complex128, n, s int, tw *float64)

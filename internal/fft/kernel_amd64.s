@@ -20,29 +20,20 @@ GLOBL signEven<>(SB), RODATA|NOPTR, $32
 // CMUL sets out = b·w = (br·wr − bi·wi, bi·wr + br·wi), the reference's
 // (br·wr − bi·wi, br·wi + bi·wr) with one commuted add: t = b·(wr, wr),
 // out = (bi, br)·(wi, wi), then t − out on the even lanes and t + out on
-// the odd ones. Clobbers w and t.
-#define CMUL(b, w, out, t) \
-	VMOVDDUP  w, t;        \
-	VMULPD    t, b, t;     \
-	VPERMILPD $15, w, w;   \
-	VPERMILPD $5, b, out;  \
-	VMULPD    w, out, out; \
+// the odd ones. wr and wi are w's two halves in a lane table (laneTable in
+// fft.go), read as memory operands. Clobbers t.
+#define CMUL(b, wr, wi, out, t) \
+	VMULPD    wr, b, t;     \
+	VPERMILPD $5, b, out;   \
+	VMULPD    wi, out, out; \
 	VADDSUBPD out, t, out
 
-// TWIDDLES loads w1, w2, w3 of butterflies k (low halves) and k+1 (high
-// halves) from the packed table at DI, six floats per butterfly.
-#define TWIDDLES \
-	VMOVUPD     (DI), X8;          \
-	VMOVUPD     16(DI), X9;        \
-	VMOVUPD     32(DI), X10;       \
-	VINSERTF128 $1, 48(DI), Y8, Y8; \
-	VINSERTF128 $1, 64(DI), Y9, Y9; \
-	VINSERTF128 $1, 80(DI), Y10, Y10
-
 // func fwdStage4AVX2(buf *complex128, n, s int, tw *float64)
+// tw is the stage's lane table: butterflies k and k+1 take 192 bytes, w1,
+// w2 and w3 in turn, each its (wr, wr) half then its (wi, wi) half.
 TEXT ·fwdStage4AVX2(SB), NOSPLIT, $0-32
 	// SI walks buf and DX is its end; R8 = q·16 is the byte distance
-	// between the four legs, R9 = 3·R8; R10 is the twiddle table.
+	// between the four legs, R9 = 3·R8; R10 is the lane table.
 	MOVQ    buf+0(FP), SI
 	MOVQ    n+8(FP), DX
 	MOVQ    s+16(FP), R8
@@ -71,15 +62,14 @@ fwdPair:
 	VADDPD    Y7, Y5, Y1        // b1 = t1 + t3
 	VSUBPD    Y6, Y4, Y2        // b2 = t0 − t2
 	VSUBPD    Y7, Y5, Y3        // b3 = t1 − t3
-	TWIDDLES
-	CMUL(Y1, Y8, Y4, Y11)
-	CMUL(Y2, Y9, Y5, Y12)
-	CMUL(Y3, Y10, Y6, Y13)
+	CMUL(Y1, (DI), 32(DI), Y4, Y11)
+	CMUL(Y2, 64(DI), 96(DI), Y5, Y12)
+	CMUL(Y3, 128(DI), 160(DI), Y6, Y13)
 	VMOVUPD   Y4, (SI)(R8*1)
 	VMOVUPD   Y5, (SI)(R8*2)
 	VMOVUPD   Y6, (SI)(R9*1)
 	ADDQ      $32, SI
-	ADDQ      $96, DI
+	ADDQ      $192, DI
 	SUBQ      $32, CX
 	JNZ       fwdPair
 	ADDQ      R9, SI
@@ -89,6 +79,7 @@ fwdPair:
 	RET
 
 // func invStage4AVX2(buf *complex128, n, s int, tw *float64)
+// tw is the stage's lane table, laid out as fwdStage4AVX2's.
 TEXT ·invStage4AVX2(SB), NOSPLIT, $0-32
 	MOVQ    buf+0(FP), SI       // registers as in fwdStage4AVX2
 	MOVQ    n+8(FP), DX
@@ -107,10 +98,9 @@ invPair:
 	VMOVUPD   (SI)(R8*1), Y1
 	VMOVUPD   (SI)(R8*2), Y2
 	VMOVUPD   (SI)(R9*1), Y3
-	TWIDDLES
-	CMUL(Y1, Y8, Y4, Y11)       // v1 = x1·w1
-	CMUL(Y2, Y9, Y5, Y12)       // v2 = x2·w2
-	CMUL(Y3, Y10, Y6, Y13)      // v3 = x3·w3
+	CMUL(Y1, (DI), 32(DI), Y4, Y11)     // v1 = x1·w1
+	CMUL(Y2, 64(DI), 96(DI), Y5, Y12)   // v2 = x2·w2
+	CMUL(Y3, 128(DI), 160(DI), Y6, Y13) // v3 = x3·w3
 	VADDPD    Y5, Y0, Y1        // t0 = x0 + v2
 	VSUBPD    Y5, Y0, Y2        // t1 = x0 − v2
 	VADDPD    Y6, Y4, Y3        // t2 = v1 + v3
@@ -126,7 +116,7 @@ invPair:
 	VMOVUPD   Y5, (SI)(R8*2)    // t0 − t2
 	VMOVUPD   Y6, (SI)(R9*1)    // t1 + t3
 	ADDQ      $32, SI
-	ADDQ      $96, DI
+	ADDQ      $192, DI
 	SUBQ      $32, CX
 	JNZ       invPair
 	ADDQ      R9, SI
@@ -259,15 +249,15 @@ DATA foldConst<>+16(SB)/8, $0x0000000400000000
 DATA foldConst<>+24(SB)/8, $0x0000000600000002
 GLOBL foldConst<>(SB), RODATA|NOPTR, $32
 
-// FOLD is foldAccFast for two outputs y at once: x = y·u, roundToTorus op
-// for op — t = trunc x, r = trunc((x − t)·2), s = t + r, each exact — then
-// s mod 2^32 without a 64-bit convert: hi = (s + 1.5·2^84) − 1.5·2^84 is s
-// to the nearest 2^32, lo = s − hi is exact with |lo| ≤ 2^31, and the low
-// dwords of lo + 1.5·2^52 are lo mod 2^32. They are added into dlo (real
-// parts) and dhi (imaginary parts). Clobbers Y1–Y3.
-#define FOLD(y, u, dlo, dhi) \
-	VMOVUPD  u, Y1;        \
-	CMUL(y, Y1, Y2, Y3);   \
+// FOLD is foldAccFast for two outputs y at once: x = y·u, with u's lane
+// halves ur and ui as memory operands, roundToTorus op for op — t = trunc
+// x, r = trunc((x − t)·2), s = t + r, each exact — then s mod 2^32 without a
+// 64-bit convert: hi = (s + 1.5·2^84) − 1.5·2^84 is s to the nearest 2^32,
+// lo = s − hi is exact with |lo| ≤ 2^31, and the low dwords of lo +
+// 1.5·2^52 are lo mod 2^32. They are added into dlo (real parts) and dhi
+// (imaginary parts). Clobbers Y2, Y3.
+#define FOLD(y, ur, ui, dlo, dhi) \
+	CMUL(y, ur, ui, Y2, Y3); \
 	VROUNDPD $3, Y2, Y3;   \
 	VSUBPD   Y3, Y2, Y2;   \
 	VADDPD   Y2, Y2, Y2;   \
@@ -286,10 +276,12 @@ GLOBL foldConst<>(SB), RODATA|NOPTR, $32
 
 // func invFoldAVX2(dst *uint32, src *complex128, q int, tw, untwist *float64)
 // The last inverse stage fused with the fold, two k per iteration: it spans
-// the whole transform, so m = 4q and q ≥ 2 is even.
+// the whole transform, so m = 4q and q ≥ 2 is even. tw is the stage's lane
+// table and untwist the processor's: 64 bytes per pair of positions, the
+// (ur, ur) half then the (ui, ui) half.
 TEXT ·invFoldAVX2(SB), NOSPLIT, $0-40
-	// SI, DI, R8, R9 as in invStage4AVX2; BX walks untwist with the same
-	// leg distance; AX walks dst's real half and DX its imaginary half, 4q
+	// SI, DI, R8, R9 as in invStage4AVX2; BX walks untwist, 2·R8 bytes
+	// between legs; AX walks dst's real half and DX its imaginary half, 4q
 	// bytes (R11, R12 = 3·R11) between legs.
 	MOVQ         dst+0(FP), AX
 	MOVQ         src+8(FP), SI
@@ -311,10 +303,9 @@ foldPair:
 	VMOVUPD   (SI)(R8*1), Y1
 	VMOVUPD   (SI)(R8*2), Y2
 	VMOVUPD   (SI)(R9*1), Y3
-	TWIDDLES
-	CMUL(Y1, Y8, Y4, Y11)       // v1 … v3, then t0 … t3: invStage4AVX2's
-	CMUL(Y2, Y9, Y5, Y11)
-	CMUL(Y3, Y10, Y6, Y11)
+	CMUL(Y1, (DI), 32(DI), Y4, Y11) // v1 … v3, then t0 … t3: invStage4AVX2's
+	CMUL(Y2, 64(DI), 96(DI), Y5, Y11)
+	CMUL(Y3, 128(DI), 160(DI), Y6, Y11)
 	VADDPD    Y5, Y0, Y8
 	VSUBPD    Y5, Y0, Y9
 	VADDPD    Y6, Y4, Y10
@@ -325,13 +316,13 @@ foldPair:
 	VSUBPD    Y7, Y9, Y4        // t1 − t3, at k + q
 	VSUBPD    Y10, Y8, Y5       // t0 − t2, at k + 2q
 	VADDPD    Y7, Y9, Y6        // t1 + t3, at k + 3q
-	FOLD(Y0, (BX), (AX), (DX))
-	FOLD(Y4, (BX)(R8*1), (AX)(R11*1), (DX)(R11*1))
-	FOLD(Y5, (BX)(R8*2), (AX)(R11*2), (DX)(R11*2))
-	FOLD(Y6, (BX)(R9*1), (AX)(R12*1), (DX)(R12*1))
+	FOLD(Y0, (BX), 32(BX), (AX), (DX))
+	FOLD(Y4, (BX)(R8*2), 32(BX)(R8*2), (AX)(R11*1), (DX)(R11*1))
+	FOLD(Y5, (BX)(R8*4), 32(BX)(R8*4), (AX)(R11*2), (DX)(R11*2))
+	FOLD(Y6, (BX)(R9*2), 32(BX)(R9*2), (AX)(R12*1), (DX)(R12*1))
 	ADDQ      $32, SI
-	ADDQ      $96, DI
-	ADDQ      $32, BX
+	ADDQ      $192, DI
+	ADDQ      $64, BX
 	ADDQ      $8, AX
 	ADDQ      $8, DX
 	SUBQ      $32, CX

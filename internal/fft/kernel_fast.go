@@ -62,15 +62,16 @@ func loadIntFast(dst FourierPoly, src []int32, twist []float64) {
 	}
 }
 
-func fwdStage4Fast(buf []complex128, s int, tw []float64) {
+func fwdStage4Fast(buf []complex128, st stage) {
+	s := st.size
 	q := s >> 2
 	if q >= 2 && torus.UseAVX2() {
-		fwdStage4AVX2(unsafe.SliceData(buf), len(buf), s, unsafe.SliceData(tw))
+		fwdStage4AVX2(unsafe.SliceData(buf), len(buf), s, unsafe.SliceData(st.lanes))
 		return
 	}
 	qb := uintptr(q) * 16
 	bp := unsafe.Pointer(unsafe.SliceData(buf))
-	twp := unsafe.Pointer(unsafe.SliceData(tw))
+	twp := unsafe.Pointer(unsafe.SliceData(st.tw))
 	for b := 0; b < len(buf); b += s {
 		p0 := unsafe.Add(bp, uintptr(b)*16)
 		p1 := unsafe.Add(p0, qb)
@@ -170,15 +171,16 @@ func invFirstFast(dst, src []complex128, size int) {
 	}
 }
 
-func invStage4Fast(buf []complex128, s int, tw []float64) {
+func invStage4Fast(buf []complex128, st stage) {
+	s := st.size
 	q := s >> 2
 	if q >= 2 && torus.UseAVX2() {
-		invStage4AVX2(unsafe.SliceData(buf), len(buf), s, unsafe.SliceData(tw))
+		invStage4AVX2(unsafe.SliceData(buf), len(buf), s, unsafe.SliceData(st.lanes))
 		return
 	}
 	qb := uintptr(q) * 16
 	bp := unsafe.Pointer(unsafe.SliceData(buf))
-	twp := unsafe.Pointer(unsafe.SliceData(tw))
+	twp := unsafe.Pointer(unsafe.SliceData(st.tw))
 	for b := 0; b < len(buf); b += s {
 		p0 := unsafe.Add(bp, uintptr(b)*16)
 		p1 := unsafe.Add(p0, qb)
@@ -228,7 +230,9 @@ func foldAccFast(dp, up unsafe.Pointer, mb uintptr, pos int, yr, yi float64) {
 	*(*torus.Torus32)(unsafe.Add(d, mb)) += roundToTorus(yr*ui + yi*ur)
 }
 
-func invFoldFast(dst []torus.Torus32, src []complex128, st stage, untwist []float64, m int) {
+// invFoldFast is invFoldRef; its AVX2 body reads lanes, laneTable(untwist, 1),
+// in place of untwist.
+func invFoldFast(dst []torus.Torus32, src []complex128, st stage, untwist, lanes []float64, m int) {
 	dp := unsafe.Pointer(unsafe.SliceData(dst))
 	up := unsafe.Pointer(unsafe.SliceData(untwist))
 	sp := unsafe.Pointer(unsafe.SliceData(src))
@@ -244,7 +248,7 @@ func invFoldFast(dst []torus.Torus32, src []complex128, st stage, untwist []floa
 	if q >= 2 && torus.UseAVX2() {
 		// The fold stage spans the transform (st.size == m): the body
 		// takes both from q.
-		invFoldAVX2(unsafe.SliceData(dst), unsafe.SliceData(src), q, unsafe.SliceData(st.tw), unsafe.SliceData(untwist))
+		invFoldAVX2(unsafe.SliceData(dst), unsafe.SliceData(src), q, unsafe.SliceData(st.lanes), unsafe.SliceData(lanes))
 		return
 	}
 	qb := uintptr(q) * 16

@@ -22,15 +22,15 @@ func loadIntFast(dst FourierPoly, src []int32, twist []float64) {
 	loadIntRef(dst, src, twist)
 }
 
-func fwdStage4Fast(buf []complex128, s int, tw []float64) { fwdStage4Ref(buf, s, tw) }
+func fwdStage4Fast(buf []complex128, st stage) { fwdStage4Ref(buf, st) }
 
 func fwdStage2Fast(buf []complex128) { fwdStage2Ref(buf) }
 
 func invFirstFast(dst, src []complex128, size int) { invFirstRef(dst, src, size) }
 
-func invStage4Fast(buf []complex128, s int, tw []float64) { invStage4Ref(buf, s, tw) }
+func invStage4Fast(buf []complex128, st stage) { invStage4Ref(buf, st) }
 
-func invFoldFast(dst []torus.Torus32, src []complex128, st stage, untwist []float64, m int) {
+func invFoldFast(dst []torus.Torus32, src []complex128, st stage, untwist, _ []float64, m int) {
 	invFoldRef(dst, src, st, untwist, m)
 }
 

@@ -86,7 +86,8 @@ func rotSubRef(src []torus.Torus32, x, e int) torus.Torus32 {
 // fwdStage4Ref runs one in-place radix-4 DIF pass with block size s over
 // buf, walking the packed twiddle table sequentially (six floats per
 // butterfly index, shared across blocks).
-func fwdStage4Ref(buf []complex128, s int, tw []float64) {
+func fwdStage4Ref(buf []complex128, st stage) {
+	s, tw := st.size, st.tw
 	q := s >> 2
 	for b := 0; b < len(buf); b += s {
 		ti := 0
@@ -154,7 +155,8 @@ func invFirstRef(dst, src []complex128, size int) {
 
 // invStage4Ref runs one in-place radix-4 DIT pass with block size s,
 // using the conjugate twiddle table built for the inverse direction.
-func invStage4Ref(buf []complex128, s int, tw []float64) {
+func invStage4Ref(buf []complex128, st stage) {
+	s, tw := st.size, st.tw
 	q := s >> 2
 	for b := 0; b < len(buf); b += s {
 		ti := 0

@@ -357,6 +357,58 @@ func sameBits(a, b []complex128) int {
 	return -1
 }
 
+func TestLaneTablesReorderNatural(t *testing.T) {
+	// Every constant an AVX2 body multiplies by, read back from the slots
+	// that body reads, for every m in 8 … 8192: in each radix-4 stage with
+	// q ≥ 2 of either direction, butterfly k's w^r as (wr, wr) at float
+	// 24·(k/2) + 8·(r−1) + 2·(k%2) and (wi, wi) four floats later; the
+	// untwist of position p as (ur, ur) at 8·(p/2) + 2·(p%2) and (ui, ui)
+	// four floats later. Each must be the natural table's (re, im).
+	check := func(what string, lanes []float64, i int, want float64) {
+		t.Helper()
+		if lanes[i] != want || lanes[i+1] != want {
+			t.Fatalf("%s: lanes %d, %d hold %v, %v, want %v in both", what, i, i+1, lanes[i], lanes[i+1], want)
+		}
+	}
+	for m := 8; m <= 8192; m <<= 1 {
+		p := NewProcessor(2 * m)
+		for _, dir := range []struct {
+			name   string
+			stages []stage
+		}{{"forward", p.fwd}, {"inverse", p.inv}} {
+			for _, st := range dir.stages {
+				q := st.size >> 2
+				if q < 2 {
+					if st.lanes != nil {
+						t.Fatalf("m=%d %s s=%d: a lane table no body reads", m, dir.name, st.size)
+					}
+					continue
+				}
+				if len(st.lanes) != 2*len(st.tw) {
+					t.Fatalf("m=%d %s s=%d: %d lane floats for %d twiddle floats", m, dir.name, st.size, len(st.lanes), len(st.tw))
+				}
+				for k := 0; k < q; k++ {
+					for r := 1; r <= 3; r++ {
+						what := fmt.Sprintf("m=%d %s s=%d k=%d w^%d", m, dir.name, st.size, k, r)
+						i, nat := 24*(k/2)+8*(r-1)+2*(k%2), 6*k+2*(r-1)
+						check(what+" re", st.lanes, i, st.tw[nat])
+						check(what+" im", st.lanes, i+4, st.tw[nat+1])
+					}
+				}
+			}
+		}
+		if len(p.untwistLanes) != 2*len(p.untwist) {
+			t.Fatalf("m=%d: %d untwist lane floats for %d untwist floats", m, len(p.untwistLanes), len(p.untwist))
+		}
+		for pos := 0; pos < m; pos++ {
+			what := fmt.Sprintf("m=%d untwist position %d", m, pos)
+			i := 8*(pos/2) + 2*(pos%2)
+			check(what+" re", p.untwistLanes, i, p.untwist[2*pos])
+			check(what+" im", p.untwistLanes, i+4, p.untwist[2*pos+1])
+		}
+	}
+}
+
 func TestStageKernelsMatchReferenceBitwise(t *testing.T) {
 	// The butterfly kernels that have an assembly body, called directly:
 	// every radix-4 stage of every N in 8 … 16384, forward and inverse
@@ -382,12 +434,12 @@ func TestStageKernelsMatchReferenceBitwise(t *testing.T) {
 					kernelOperands(rng, in)
 					for _, k := range []struct {
 						name      string
-						fast, ref func([]complex128, int, []float64)
-						tw        []float64
-					}{{"fwdStage4", fwdStage4Fast, fwdStage4Ref, st.tw}, {"invStage4", invStage4Fast, invStage4Ref, inv[i].tw}} {
+						fast, ref func([]complex128, stage)
+						st        stage
+					}{{"fwdStage4", fwdStage4Fast, fwdStage4Ref, st}, {"invStage4", invStage4Fast, invStage4Ref, inv[i]}} {
 						got, want := append([]complex128(nil), in...), append([]complex128(nil), in...)
-						k.fast(got[off:], st.size, k.tw)
-						k.ref(want[off:], st.size, k.tw)
+						k.fast(got[off:], k.st)
+						k.ref(want[off:], k.st)
 						if i := sameBits(got, want); i >= 0 {
 							t.Fatalf("%s m=%d s=%d offset %d: slot %d is %v, reference %v", k.name, m, st.size, off, i, got[i], want[i])
 						}
@@ -534,9 +586,10 @@ func TestInvFoldMatchesReferenceBitwise(t *testing.T) {
 			for i := range init {
 				init[i] = rng.Uint32()
 			}
-			fold := func(what string, src []complex128, untwist []float64) []torus.Torus32 {
+			unitLanes := laneTable(unit, 1)
+			fold := func(what string, src []complex128, untwist, lanes []float64) []torus.Torus32 {
 				got, want := append([]torus.Torus32(nil), init...), append([]torus.Torus32(nil), init...)
-				invFoldFast(got, src, st, untwist, m)
+				invFoldFast(got, src, st, untwist, lanes, m)
 				invFoldRef(want, src, st, untwist, m)
 				for i := range got {
 					if got[i] != want[i] {
@@ -553,14 +606,14 @@ func TestInvFoldMatchesReferenceBitwise(t *testing.T) {
 						re, im := vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]
 						src[i] = complex(re*rng.Float64(), im*rng.Float64())
 					}
-					fold(fmt.Sprintf("offset %d, real tables", off), src, p.untwist)
+					fold(fmt.Sprintf("offset %d, real tables", off), src, p.untwist, p.untwistLanes)
 				}
 				for lo := 0; lo < len(vals) && m >= 4; lo += 2 * q {
 					clear(src)
 					for k := 0; k < q; k++ {
 						src[k] = complex(vals[(lo+2*k)%len(vals)], vals[(lo+2*k+1)%len(vals)])
 					}
-					sum := fold(fmt.Sprintf("offset %d, values from %d", off, lo), src, unit)
+					sum := fold(fmt.Sprintf("offset %d, values from %d", off, lo), src, unit, unitLanes)
 					for pos := 0; pos < m; pos++ {
 						y := src[pos%q]
 						if wr, wi := init[pos]+roundToTorus(real(y)), init[pos+m]+roundToTorus(imag(y)); sum[pos] != wr || sum[pos+m] != wi {
