@@ -23,9 +23,9 @@ build:
 test:
 	$(GO) test ./...
 
-# The pure-Go build: the `purego` tag excludes the unsafe fast FFT
-# kernels and every assembly file, so everything runs on the reference
-# implementations. Keeps the fallback honest — the fast path must stay an
+# The pure-Go build: the `purego` tag excludes only the assembly (and its
+# CPUID probe), so every loop runs its reference body, as on a host
+# without AVX2. Keeps the fallback honest — the AVX2 path must stay an
 # optimization, never a requirement.
 test-purego:
 	$(GO) build -tags purego ./...
@@ -105,8 +105,8 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# A build without the amd64 assembly: the fast kernels' Go bodies are the
-# whole fast path there and must keep compiling.
+# A build without the amd64 assembly: every loop runs its reference body
+# there, and the AVX2 bodies' panic stubs must keep compiling.
 vet-arm64:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./...
@@ -134,11 +134,14 @@ no-retired-gate:
 # MAC (spelled in pieces, so this recipe does not match itself). Nor may
 # any name the streaming engine's staged pipeline that per-tile workers
 # replaced: its keyswitch width (field and flag), its tile free list and
-# the channels that carried tiles between stages.
+# the channels that carried tiles between stages. Nor may any name the
+# portable-Go FFT bodies that ran beside the AVX2 ones and the reference,
+# nor reach another package's unexported names with a linkname directive.
 no-retired-ops:
 	@! git grep -nE 'BatchGates|(^|[^k])StreamGates|BatchEvalLUT|StreamLUT\(|BatchMultiLUT|StreamMultiLUT|BatchBootstrap|StreamBootstrap|BatchKeySwitch|EvalCircuit|engine\.New\(|engine\.Config([^A-Za-z0-9_]|$$)|DefaultMinStream|BlindRotateBatch|BlindRotateSteps|Runner\{Batch' -- '*.go' ':!benchmark' ':!internal/engine/engine.go'
 	@! git grep -nE 'GGSWFourier\{''Rows|ForwardTorus''BatchTo|ForwardInt''BatchTo|Inverse''BatchTo|mulAcc''Fast|mulAcc''AVX2|fft\.Mul''\(' -- '*.go'
 	@! git grep -nE 'KS''Workers|ks-''workers|empty''Tile|chan ''tile' -- '*.go'
+	@! git grep -nE 'loadTorus''Fast|loadInt''Fast|mulAccTile''Go|foldAcc''Fast|digit''Fast|storeTwisted''Fast|go:''linkname' -- '*.go'
 
 # No fused multiply-add in any assembly file: it rounds once where the
 # reference kernels round twice, and fast == ref is bitwise.

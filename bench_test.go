@@ -109,7 +109,7 @@ func BenchmarkTable5FunctionalPBS(b *testing.B) {
 // BenchmarkPBS measures the raw programmable bootstrap — modswitch, blind
 // rotation (the CMux/external-product burst), sample extract — under both
 // FFT kernel sets. fast is the datapath the engines run by default
-// (unchecked pointer walks, AVX2 bodies where the host has them:
+// (the AVX2 bodies where the host has them, else the reference:
 // fft.KernelSet names which); ref is the pure-Go bitwise reference. The
 // fast/ref quotient is a same-run ratio, so it holds on any machine, but nothing gates it:
 // the benchmark ledger has no row for it yet. That the two paths agree
@@ -132,7 +132,7 @@ func BenchmarkPBS(b *testing.B) {
 	}
 	b.Run("fast", func(b *testing.B) {
 		if !fft.FastKernelAvailable() {
-			b.Skip("purego build")
+			b.Skip("no AVX2 bodies on this build and host")
 		}
 		prev := fft.SetFastKernel(true)
 		defer fft.SetFastKernel(prev)

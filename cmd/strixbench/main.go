@@ -321,7 +321,7 @@ func main() {
 	clients := flag.Int("clients", 4, "infer mode: concurrent client sessions")
 	parallel := flag.Int("parallel", 0, "circuit/infer mode: rotate-worker count (0 = GOMAXPROCS)")
 	set := flag.String("set", "test", "circuit/infer mode: parameter set")
-	kernel := flag.String("kernel", "fast", "FFT kernel set: fast (unchecked pointer walks, AVX2 assembly where the host has it; default) or ref (bounds-checked reference)")
+	kernel := flag.String("kernel", "fast", "FFT kernel set: fast (AVX2 assembly where the host has it, the reference elsewhere; default) or ref (bounds-checked reference)")
 	flag.Parse()
 
 	note := ""
@@ -333,7 +333,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "strixbench: unknown -kernel %q (want fast or ref)\n", *kernel)
 		os.Exit(1)
 	case !fft.FastKernelAvailable():
-		note = " (fast kernels excluded from this build)"
+		note = " (no AVX2 on this host or build)"
 	}
 	if !*list {
 		fmt.Printf("kernel   : %s%s\n", fft.KernelSet(), note)

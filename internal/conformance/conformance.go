@@ -285,7 +285,7 @@ func (e engineBackend) Gate(op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe
 }
 
 func (e engineBackend) LUT(cts []tfhe.LWECiphertext, space int, table []int) ([]tfhe.LWECiphertext, error) {
-	return e.eng.LUT(cts, space, func(m int) int { return table[m] }), nil
+	return e.eng.LUT(cts, space, func(m int) int { return table[m] })
 }
 
 func (e engineBackend) MultiLUT(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
@@ -439,14 +439,14 @@ type routedBackend struct {
 
 func (routedBackend) Name() string { return "routed-cluster" }
 
-// referenceKernelBackend is the sequential evaluator with the unsafe fast
-// FFT kernels disabled for the duration of each operation, forcing the
-// pure-Go reference kernels. The fast path promises bitwise-identical
-// arithmetic, so this backend's contract against the (fast-kernel)
-// sequential reference is full bitwise equality: the suite pins
-// fast == reference on every public operation. In a purego build the
-// kernel switch is a no-op and the backend degenerates to a second
-// sequential evaluator. The kernel selection is process-global, so this
+// referenceKernelBackend is the sequential evaluator with the AVX2 bodies
+// — the FFT kernels' and the keyswitch's MulSub — switched off for the
+// duration of each operation, forcing the pure-Go reference. The AVX2
+// path promises bitwise-identical arithmetic, so this backend's contract
+// against the (AVX2) sequential reference is full bitwise equality: the
+// suite pins AVX2 == reference on every public operation. On a host or
+// build without AVX2 the switch is a no-op and the backend degenerates to
+// a second sequential evaluator. The kernel selection is process-global, so this
 // backend must not run concurrently with other backends' operations —
 // the suite runs backends one at a time.
 type referenceKernelBackend struct {

@@ -98,7 +98,7 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) { return one(o.Bootstrap(bits, tv), nil) },
 			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.Bootstrap(bits[i], tv)} }, batch, nil},
 		{"LUT",
-			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) { return one(o.LUT(ints, space, lut), nil) },
+			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) { return one(o.LUT(ints, space, lut)) },
 			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.EvalLUTKS(ints[i], space, lut)} }, batch, nil},
 		{"MultiLUT-k1", multi(1),
 			func(i int) []tfhe.LWECiphertext { return serial.EvalMultiLUTKS(ints[i], space, multiTables(space, 1)) }, batch, nil},
@@ -119,7 +119,7 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 		// cut them 8+1, 5+4 and 3+3+3 where the ten above go 8+2, 5+5 and
 		// 4+4+2, so full and ragged tiles both occur at every count.
 		{"LUT-9-items",
-			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) { return one(o.LUT(ints[:9], space, lut), nil) },
+			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) { return one(o.LUT(ints[:9], space, lut)) },
 			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.EvalLUTKS(ints[i], space, lut)} }, 9, nil},
 	}
 	// Mixed-op gate batches of every width from 1 to 9: at 1–3 workers the
@@ -271,7 +271,7 @@ func TestDimensionPanics(t *testing.T) {
 	mustPanic("Bootstrap", func() { o.Bootstrap(big, tv) })
 	mustPanic("Bootstrap k+1", func() { o.Bootstrap(cts, tfhe.NewGLWECiphertext(p.K+1, p.N)) })
 	mustPanic("Bootstrap N/2", func() { o.Bootstrap(cts, tfhe.NewGLWECiphertext(p.K, p.N/2)) })
-	mustPanic("LUT", func() { o.LUT(big, 8, func(x int) int { return x }) })
+	mustPanic("LUT", func() { _, _ = o.LUT(big, 8, func(x int) int { return x }) })
 	mustPanic("MultiLUT", func() { _, _ = o.MultiLUT(big, 4, multiTables(4, 2)) })
 	mustPanic("Gates a", func() { _, _ = o.Gates([]GateOp{AND, AND}, big[:2], cts[2:]) })
 	mustPanic("Gates b", func() { _, _ = o.Gates([]GateOp{NOT, AND}, cts[:2], big[2:]) })

@@ -136,13 +136,17 @@ func (s *StreamingEngine) Gates(ops []GateOp, a, b []tfhe.LWECiphertext) ([]tfhe
 // LUT applies the lookup table f (on {0..space-1}) to every ciphertext:
 // the table is encoded once and shared by the whole batch, and each item
 // is shift → PBS → keyswitch, the full §IV-C pipeline. Dimension-n outputs
-// return in input order.
-func (s *StreamingEngine) LUT(cts []tfhe.LWECiphertext, space int, f func(int) int) []tfhe.LWECiphertext {
+// return in input order. A space the test vector cannot hold (space > N,
+// the one-table case of Params.ValidateMultiLUT) is an error.
+func (s *StreamingEngine) LUT(cts []tfhe.LWECiphertext, space int, f func(int) int) ([]tfhe.LWECiphertext, error) {
+	if err := s.params.ValidateMultiLUT(space, 1); err != nil {
+		return nil, err
+	}
 	s.checkDims("LUT", cts)
 	return s.runOne(op{n: len(cts), testVec: s.workers[0].ev.LUTTestVector(space, f), keyswitch: true,
 		prepare: func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
 			return ev.ShiftForLUT(cts[i], space), false
-		}})
+		}}), nil
 }
 
 // MultiLUT applies k lookup tables to every ciphertext with one blind

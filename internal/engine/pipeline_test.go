@@ -129,8 +129,11 @@ func TestStreamValidation(t *testing.T) {
 	if out, err := s.Gates(nil, nil, nil); err != nil || len(out) != 0 {
 		t.Fatalf("empty Gates: %v, %v", out, err)
 	}
-	if out := s.LUT(nil, 8, func(x int) int { return x }); len(out) != 0 {
-		t.Fatalf("empty LUT stream returned %d outputs", len(out))
+	if out, err := s.LUT(nil, 8, func(x int) int { return x }); err != nil || len(out) != 0 {
+		t.Fatalf("empty LUT stream: %v, %v", out, err)
+	}
+	if _, err := s.LUT(cts[:1], 2*ek.Params.N, func(x int) int { return x }); err == nil {
+		t.Fatal("LUT accepted a space its test vector cannot hold (space > N)")
 	}
 	if out, err := s.MultiLUT(nil, 4, multiTables(4, 2)); err != nil || len(out) != 0 {
 		t.Fatalf("empty MultiLUT stream: %v, %v", out, err)

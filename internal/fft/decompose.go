@@ -18,8 +18,8 @@ import (
 // The result is bitwise identical to the unfused sequence: digit
 // extraction is exact integer math and the load expression has the same
 // shape as ForwardIntTo's. The reference load extracts digits with
-// Decomposer.DigitsTo; the fast load uses a branchless extractor with
-// unchecked stores, producing identical digits (pinned by test). dsts
+// Decomposer.DigitsTo; the AVX2 load uses a branchless extractor,
+// producing identical digits (pinned by test). dsts
 // must hold exactly dec.Level buffers of size M; each is fully
 // overwritten. src is read-only.
 func (p *Processor) ForwardDecompose(dsts []FourierPoly, dec poly.Decomposer, src poly.Poly) {
@@ -54,11 +54,7 @@ func (p *Processor) forwardDecompose(dsts []FourierPoly, dec poly.Decomposer, sr
 			panic("fft: ForwardDecompose size mismatch")
 		}
 	}
-	if fastKernelOn() {
-		p.decompLoadFast(dsts, dec, src, e, rotSub)
-	} else {
-		p.decompLoadRef(dsts, dec, src, e, rotSub)
-	}
+	p.decompLoadFast(dsts, dec, src, e, rotSub)
 	for l := range dsts {
 		p.forwardStages(dsts[l])
 	}

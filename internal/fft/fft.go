@@ -186,24 +186,13 @@ func (p *Processor) getInvScratch() *invScratch {
 // putInvScratch returns scratch obtained from getInvScratch.
 func (p *Processor) putInvScratch(s *invScratch) { p.invPool.Put(s) }
 
-// forwardStages runs the full forward DIF pass sequence in place on buf,
-// dispatching to the unsafe fast kernels when enabled.
+// forwardStages runs the full forward DIF pass sequence in place on buf.
 func (p *Processor) forwardStages(buf []complex128) {
-	if fastKernelOn() {
-		for _, st := range p.fwd {
-			if st.size >= 4 {
-				fwdStage4Fast(buf, st)
-			} else {
-				fwdStage2Fast(buf)
-			}
-		}
-		return
-	}
 	for _, st := range p.fwd {
 		if st.size >= 4 {
-			fwdStage4Ref(buf, st)
+			fwdStage4Fast(buf, st)
 		} else {
-			fwdStage2Ref(buf)
+			fwdStage2Fast(buf)
 		}
 	}
 }
@@ -216,11 +205,7 @@ func (p *Processor) ForwardTorusTo(dst FourierPoly, src poly.Poly) {
 	if src.N() != p.n || len(dst) != p.m {
 		panic("fft: ForwardTorusTo size mismatch")
 	}
-	if fastKernelOn() {
-		loadTorusFast(dst, src.Coeffs, p.twist)
-	} else {
-		loadTorusRef(dst, src.Coeffs, p.twist)
-	}
+	loadTorusRef(dst, src.Coeffs, p.twist)
 	p.forwardStages(dst)
 }
 
@@ -238,11 +223,7 @@ func (p *Processor) ForwardIntTo(dst FourierPoly, src []int32) {
 	if len(src) != p.n || len(dst) != p.m {
 		panic("fft: ForwardIntTo size mismatch")
 	}
-	if fastKernelOn() {
-		loadIntFast(dst, src, p.twist)
-	} else {
-		loadIntRef(dst, src, p.twist)
-	}
+	loadIntRef(dst, src, p.twist)
 	p.forwardStages(dst)
 }
 
@@ -278,27 +259,15 @@ func (p *Processor) InverseTo(dst poly.Poly, fp FourierPoly) {
 func (p *Processor) inverseAccTo(dst []torus.Torus32, fp FourierPoly, scratch []complex128) {
 	stages := p.inv
 	last := len(stages) - 1
-	if fastKernelOn() {
-		if last == 0 {
-			invFoldFast(dst, fp, stages[0], p.untwist, p.untwistLanes, p.m)
-			return
-		}
-		invFirstFast(scratch, fp, stages[0].size)
-		for i := 1; i < last; i++ {
-			invStage4Fast(scratch, stages[i])
-		}
-		invFoldFast(dst, scratch, stages[last], p.untwist, p.untwistLanes, p.m)
-		return
-	}
 	if last == 0 {
-		invFoldRef(dst, fp, stages[0], p.untwist, p.m)
+		invFoldFast(dst, fp, stages[0], p.untwist, p.untwistLanes, p.m)
 		return
 	}
-	invFirstRef(scratch, fp, stages[0].size)
+	invFirstFast(scratch, fp, stages[0].size)
 	for i := 1; i < last; i++ {
-		invStage4Ref(scratch, stages[i])
+		invStage4Fast(scratch, stages[i])
 	}
-	invFoldRef(dst, scratch, stages[last], p.untwist, p.m)
+	invFoldFast(dst, scratch, stages[last], p.untwist, p.untwistLanes, p.m)
 }
 
 // Inverse transforms back into a fresh polynomial (not additive).
@@ -366,11 +335,7 @@ func MulAccTile(accs, digs [][]FourierPoly, key FourierPoly) {
 	if err := tileShape(accs, digs, key); err != "" {
 		panic("fft: MulAccTile " + err)
 	}
-	if fastKernelOn() {
-		mulAccTileFast(accs, digs, key)
-		return
-	}
-	mulAccTileRef(accs, digs, key)
+	mulAccTileFast(accs, digs, key)
 }
 
 // tileShape returns what is wrong with MulAccTile's operands, or "". The

@@ -1,11 +1,11 @@
-//go:build !amd64 && !purego
+//go:build !amd64 || purego
 
 package fft
 
 import "unsafe"
 
-// No assembly on this architecture: torus.UseAVX2 is false, the fast
-// kernels never leave their Go bodies and these are never called.
+// No assembly in this build: torus.UseAVX2 is false, every loop runs its
+// reference body and these are never called.
 func fwdStage4AVX2(buf *complex128, n, s int, tw *float64) { panic("fft: no AVX2 body") }
 func invStage4AVX2(buf *complex128, n, s int, tw *float64) { panic("fft: no AVX2 body") }
 func stage2AVX2(dst, src *complex128, n int)               { panic("fft: no AVX2 body") }

@@ -7,11 +7,12 @@ import (
 
 // Reference kernels: plain bounds-checked Go implementations of the
 // butterfly stages and the fused load/fold passes. These are the bitwise
-// ground truth the fast kernels are checked against, so every floating-
-// point expression here is written with explicit re/im float64 arithmetic
-// in exactly the shape the fast kernels use — complex multiplies as
+// ground truth the AVX2 bodies are checked against, and the body every
+// loop runs where its AVX2 body does not, so every floating-point
+// expression here is written with explicit re/im float64 arithmetic in
+// exactly the shape the assembly uses — complex multiplies as
 // (ar*br-ai*bi, ar*bi+ai*br), i-multiplies as (-di, dr) — and any change
-// to an expression shape must be mirrored in kernel_fast.go.
+// to an expression shape must be mirrored in kernel_amd64.s.
 
 // loadTorusRef performs the fused fold+twist forward load: the two real
 // halves of src become one complex point per index, multiplied by the
@@ -42,9 +43,11 @@ func loadIntRef(dst FourierPoly, src []int32, twist []float64) {
 // coefficient pair, extract all digits via Decomposer.DigitsTo into stack
 // scratch and write each level with the twist applied. The value
 // decomposed is src's coefficient, or that of src·X^e − src when rotSub is
-// set. NewDecomposer caps Level at 32, so the scratch stays on the stack;
-// a hand-built larger decomposer falls back to the heap.
-func (p *Processor) decompLoadRef(dsts []FourierPoly, dec poly.Decomposer, src poly.Poly, e int, rotSub bool) {
+// set. Only the pairs j in [lo, hi) are written: the whole load is
+// [0, M), and the fast load hands over what its lanes leave. NewDecomposer
+// caps Level at 32, so the scratch stays on the stack; a hand-built larger
+// decomposer falls back to the heap.
+func (p *Processor) decompLoadRef(dsts []FourierPoly, dec poly.Decomposer, src poly.Poly, e int, rotSub bool, lo, hi int) {
 	lb := dec.Level
 	var stackA, stackB [32]int32
 	da, db := stackA[:], stackB[:]
@@ -53,7 +56,7 @@ func (p *Processor) decompLoadRef(dsts []FourierPoly, dec poly.Decomposer, src p
 	}
 	da, db = da[:lb], db[:lb]
 	m := p.m
-	for j := 0; j < m; j++ {
+	for j := lo; j < hi; j++ {
 		a, b := src.Coeffs[j], src.Coeffs[j+m]
 		if rotSub {
 			a, b = rotSubRef(src.Coeffs, j, e), rotSubRef(src.Coeffs, j+m, e)

@@ -246,8 +246,8 @@ func TestForwardDecomposeValidation(t *testing.T) {
 	})
 }
 
-// withKernel runs f under the requested kernel selection and restores the
-// previous one.
+// withKernel runs f with the AVX2 bodies on (where the host has them) or
+// off, and restores the previous setting.
 func withKernel(fast bool, f func()) {
 	prev := SetFastKernel(fast)
 	defer SetFastKernel(prev)
@@ -255,16 +255,14 @@ func withKernel(fast bool, f func()) {
 }
 
 func TestFastMatchesReferenceBitwise(t *testing.T) {
-	if !FastKernelAvailable() {
-		t.Skip("purego build: no fast kernel")
-	}
 	bothBodies(t, testFastMatchesReferenceBitwise)
 }
 
 func testFastMatchesReferenceBitwise(t *testing.T) {
 	// Every transform size up to set III's, and set IV's: between them
 	// every stage size the kernels see, N = 2048 being the only paper set
-	// whose radix-4 ladder ends in a q = 1 stage.
+	// whose radix-4 ladder ends in a q = 1 stage. The "fast" side runs the
+	// kernels as the caller left them, the other with the AVX2 bodies off.
 	for _, n := range []int{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 16384} {
 		p := NewProcessor(n)
 		rng := rand.New(rand.NewSource(17))
@@ -276,19 +274,15 @@ func testFastMatchesReferenceBitwise(t *testing.T) {
 		}
 		dec := poly.NewDecomposer(4, 2)
 
-		var fTorus, fInt, fAcc FourierPoly
-		var fDec []FourierPoly
+		fTorus := p.ForwardTorus(src)
+		fInt := p.ForwardInt(digits)
+		fAcc := p.NewFourierPoly()
+		MulAcc(fAcc, fTorus, fInt)
+		MulAcc(fAcc, fInt, fInt)
 		fInv := poly.New(n)
-		withKernel(true, func() {
-			fTorus = p.ForwardTorus(src)
-			fInt = p.ForwardInt(digits)
-			fAcc = p.NewFourierPoly()
-			MulAcc(fAcc, fTorus, fInt)
-			MulAcc(fAcc, fInt, fInt)
-			p.InverseTo(fInv, fAcc)
-			fDec = p.NewFourierPolyBatch(dec.Level)
-			p.ForwardDecompose(fDec, dec, src)
-		})
+		p.InverseTo(fInv, fAcc)
+		fDec := p.NewFourierPolyBatch(dec.Level)
+		p.ForwardDecompose(fDec, dec, src)
 
 		var rTorus, rInt, rAcc FourierPoly
 		var rDec []FourierPoly
@@ -416,9 +410,6 @@ func TestStageKernelsMatchReferenceBitwise(t *testing.T) {
 	// ones — each at a buffer offset of zero and of one complex value, one
 	// of which is 16- but not 32-byte aligned whatever the allocator did.
 	// (The VMA's body is the tile MAC's: TestMulAccTileMatchesReferenceBitwise.)
-	if !FastKernelAvailable() {
-		t.Skip("purego build: no fast kernel")
-	}
 	bothBodies(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(31))
 		lengths := []int{2, 6}
@@ -479,9 +470,6 @@ func TestDecompLoadMatchesReferenceBitwise(t *testing.T) {
 	// than the four pairs a lane group takes, a multiple of four, with a
 	// tail; first half or second half wrapped; e ≥ N — over sources that
 	// mix random words with 0, 2^31 and 2^32 − 1.
-	if !FastKernelAvailable() {
-		t.Skip("purego build: no fast kernel")
-	}
 	decs := []poly.Decomposer{poly.NewDecomposer(10, 2), poly.NewDecomposer(7, 3), poly.NewDecomposer(4, 8), poly.NewDecomposer(1, 32), poly.NewDecomposer(16, 2), poly.NewDecomposer(8, 4)}
 	bothBodies(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(41))
@@ -512,7 +500,7 @@ func TestDecompLoadMatchesReferenceBitwise(t *testing.T) {
 						}
 					}
 					p.decompLoadFast(got, dec, src, e, rotSub)
-					p.decompLoadRef(want, dec, src, e, rotSub)
+					p.decompLoadRef(want, dec, src, e, rotSub, 0, m)
 					for l := range got {
 						if i := sameBits(got[l], want[l]); i >= 0 {
 							t.Fatalf("n=%d gadget %v e=%d rotSub=%v level %d slot %d: %v, reference %v", n, dec, e, rotSub, l, i, got[l][i], want[l][i])
@@ -532,6 +520,43 @@ func TestDecompLoadMatchesReferenceBitwise(t *testing.T) {
 			}
 		}
 	})
+}
+
+func TestDecompLoadRefPairRange(t *testing.T) {
+	// The reference load over a pair range, as the fast load hands it a
+	// run's leftover pairs: only the slots of [lo, hi) are written, and
+	// they hold what the full-range load puts there, plain and rot-sub.
+	const n = 64
+	p := NewProcessor(n)
+	m := n / 2
+	dec := poly.NewDecomposer(7, 3)
+	src := poly.New(n)
+	poly.Uniform(rand.New(rand.NewSource(53)), src)
+	full, got := p.NewFourierPolyBatch(dec.Level), p.NewFourierPolyBatch(dec.Level)
+	for _, e := range []int{0, 5, m + 3, n + 7} {
+		rotSub := e != 0
+		p.decompLoadRef(full, dec, src, e, rotSub, 0, m)
+		for _, r := range [][2]int{{0, 0}, {0, 3}, {5, 6}, {m - 3, m}, {7, m - 2}, {0, m}} {
+			lo, hi := r[0], r[1]
+			for l := range got {
+				for i := range got[l] {
+					got[l][i] = complex(math.NaN(), math.NaN())
+				}
+			}
+			p.decompLoadRef(got, dec, src, e, rotSub, lo, hi)
+			for l := range got {
+				for j := range got[l] {
+					written := !math.IsNaN(real(got[l][j]))
+					if inside := j >= lo && j < hi; written != inside {
+						t.Fatalf("e=%d [%d, %d) level %d: slot %d written=%v", e, lo, hi, l, j, written)
+					}
+					if written && got[l][j] != full[l][j] {
+						t.Fatalf("e=%d [%d, %d) level %d slot %d: %v, full-range load %v", e, lo, hi, l, j, got[l][j], full[l][j])
+					}
+				}
+			}
+		}
+	}
 }
 
 // foldValues is what TestInvFoldMatchesReferenceBitwise pushes through the
@@ -568,9 +593,6 @@ func TestInvFoldMatchesReferenceBitwise(t *testing.T) {
 	// butterfly k are all src[k] and its parts reach roundToTorus unchanged,
 	// so every entry of foldValues passes through a rounding lane in every
 	// lane position, and the sum must also be what roundToTorus says.
-	if !FastKernelAvailable() {
-		t.Skip("purego build: no fast kernel")
-	}
 	bothBodies(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(47))
 		vals := foldValues(rng)
@@ -642,18 +664,16 @@ func TestInverseToNoAlloc(t *testing.T) {
 	}
 }
 
-// benchKernels runs the benchmark under each kernel set: the fast kernels
-// with their AVX2 bodies, the fast kernels' Go bodies alone, the reference.
+// benchKernels runs the benchmark under each kernel set: the AVX2 bodies,
+// then the reference.
 func benchKernels(b *testing.B, run func(b *testing.B)) {
-	for _, set := range []string{"avx2", "go", "ref"} {
+	for _, set := range []string{"avx2", "ref"} {
 		b.Run("kernel="+set, func(b *testing.B) {
-			withKernel(set != "ref", func() {
-				withAVX2(set == "avx2", func() {
-					if KernelSet() != set {
-						b.Skipf("this build and host run %q here", KernelSet())
-					}
-					run(b)
-				})
+			withKernel(set == "avx2", func() {
+				if KernelSet() != set {
+					b.Skipf("this build and host run %q here", KernelSet())
+				}
+				run(b)
 			})
 		})
 	}

@@ -4,30 +4,16 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	_ "unsafe" // for go:linkname
 )
 
-// torusUseAVX2 is internal/torus's feature switch, reached by name so the
-// tree needs no exported setter for the tests' sake.
-//
-//go:linkname torusUseAVX2 repro/internal/torus.useAVX2
-var torusUseAVX2 bool
-
-// withAVX2 runs f with the AVX2 bodies as detected (on) or forced off, and
-// restores the detected setting. It cannot turn on what the host lacks.
-func withAVX2(on bool, f func()) {
-	prev := torusUseAVX2
-	defer func() { torusUseAVX2 = prev }()
-	torusUseAVX2 = prev && on
-	f()
-}
-
-// bothBodies runs f as a subtest with the fast kernels' bodies as detected
-// and again with the assembly forced off, so the Go bodies cannot rot on
-// an AVX2 host (elsewhere the two runs are the same).
+// bothBodies runs f as a subtest with the kernels as detected and again
+// with the AVX2 bodies switched off, so the reference route a host without
+// AVX2 takes is exercised on an AVX2 host too (elsewhere the two runs are
+// the same). The second subtest keeps the name "go" from when a portable
+// Go body ran there, so the test ids stay stable.
 func bothBodies(t *testing.T, f func(t *testing.T)) {
 	t.Run("detected", f)
-	withAVX2(false, func() { t.Run("go", f) })
+	withKernel(false, func() { t.Run("go", f) })
 }
 
 // tileOperands returns members groups of cols·lb digits and cols
@@ -65,15 +51,12 @@ func tileOperands(rng *rand.Rand, members, lb, cols, n int, zeroMember bool) (ac
 }
 
 func TestMulAccTileMatchesReferenceBitwise(t *testing.T) {
-	// The tile MAC's AVX2 body (two columns, the paper's k = 1) and its Go
-	// body against mulAccTileRef, and MulAccTile under both kernel sets:
-	// groups of one to four and the split of five and eight into groups,
-	// lb = 2 and 3 (sets I and III), a member whose digits are all zero,
-	// operands with both zeros, even, odd and short lengths, and three
-	// columns, which only the Go body takes.
-	if !FastKernelAvailable() {
-		t.Skip("purego build: no fast kernel")
-	}
+	// The tile MAC's dispatch against mulAccTileRef, and MulAccTile under
+	// both kernel sets: groups of one to four and the split of five and
+	// eight into groups, lb = 2 and 3 (sets I and III), a member whose
+	// digits are all zero, operands with both zeros, even, odd and short
+	// lengths, and three columns — odd lengths and three columns are shapes
+	// the AVX2 body (two columns, the paper's k = 1) hands the reference.
 	bothBodies(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(43))
 		for _, cols := range []int{2, 3} {

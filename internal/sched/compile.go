@@ -179,35 +179,38 @@ func opMix(ops []GateOp) string {
 	return strings.Join(parts, " ")
 }
 
-// lutDispatchKey is the grouping key of a LUT node: dispatches merge only
-// when the whole table is identical, mirroring the gate service's
-// coalescing key.
-func lutDispatchKey(space int, table []int) string {
+// Key is the dispatch's grouping key: the scheduler merges a level's
+// nodes into one dispatch, and the gate service coalesces requests into
+// one engine call, exactly when their keys are equal. Every gate dispatch
+// has the key "g" (they share the sign test vector); a LUT or multi-value
+// key spells the kind, the space and every table entry, so only identical
+// tables (count and order too) share a test vector.
+func (d Dispatch) Key() string {
 	var b strings.Builder
-	b.WriteString("l:")
-	b.WriteString(strconv.Itoa(space))
-	for _, v := range table {
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(v))
+	switch d.Kind {
+	case DispatchGate:
+		return "g"
+	case DispatchLUT:
+		b.WriteString("l:")
+		b.WriteString(strconv.Itoa(d.Space))
+		writeTable(&b, d.Table)
+	default:
+		b.WriteString("m:")
+		b.WriteString(strconv.Itoa(d.Space))
+		for _, table := range d.Tables {
+			b.WriteByte('|')
+			writeTable(&b, table)
+		}
 	}
 	return b.String()
 }
 
-// multiLUTDispatchKey is the grouping key of a multi-value group:
-// dispatches merge only when the whole table list (count, order, and
-// every entry) is identical.
-func multiLUTDispatchKey(space int, tables [][]int) string {
-	var b strings.Builder
-	b.WriteString("m:")
-	b.WriteString(strconv.Itoa(space))
-	for _, table := range tables {
-		b.WriteByte('|')
-		for _, v := range table {
-			b.WriteByte(':')
-			b.WriteString(strconv.Itoa(v))
-		}
+// writeTable appends ":v" for every entry of table.
+func writeTable(b *strings.Builder, table []int) {
+	for _, v := range table {
+		b.WriteByte(':')
+		b.WriteString(strconv.Itoa(v))
 	}
-	return b.String()
 }
 
 // Compile optionally optimizes the circuit (cfg.Opt), then levelizes it
@@ -269,13 +272,14 @@ func Compile(c *Circuit, cfg Config) (*Schedule, error) {
 	// groupIdx[l] maps a dispatch key to its index in levels[l].Dispatches,
 	// so grouping preserves first-appearance (build) order.
 	groupIdx := make([]map[string]int, maxLvl)
-	// join appends the node wires to the level-l dispatch for key,
-	// creating it from proto on first appearance, and charges the level
-	// one blind rotation. It returns the dispatch.
-	join := func(l int, key string, proto Dispatch, ws ...Wire) *Dispatch {
+	// join appends the node wires to the level-l dispatch with proto's
+	// key, creating it from proto on first appearance, and charges the
+	// level one blind rotation. It returns the dispatch.
+	join := func(l int, proto Dispatch, ws ...Wire) *Dispatch {
 		if groupIdx[l] == nil {
 			groupIdx[l] = make(map[string]int)
 		}
+		key := proto.Key()
 		di, ok := groupIdx[l][key]
 		if !ok {
 			di = len(s.levels[l].Dispatches)
@@ -292,10 +296,10 @@ func Compile(c *Circuit, cfg Config) (*Schedule, error) {
 		case kindLin:
 			s.linAt[lvl[i]] = append(s.linAt[lvl[i]], Wire(i))
 		case kindGate:
-			d := join(lvl[i]-1, "g", Dispatch{Kind: DispatchGate}, Wire(i))
+			d := join(lvl[i]-1, Dispatch{Kind: DispatchGate}, Wire(i))
 			d.Ops = append(d.Ops, n.op)
 		case kindLUT:
-			join(lvl[i]-1, lutDispatchKey(n.space, n.table), Dispatch{Kind: DispatchLUT, Space: n.space, Table: n.table}, Wire(i))
+			join(lvl[i]-1, Dispatch{Kind: DispatchLUT, Space: n.space, Table: n.table}, Wire(i))
 		case kindMultiLUT:
 			// The head sibling carries the whole group; the group's k
 			// contiguous wires share one rotation.
@@ -307,8 +311,7 @@ func Compile(c *Circuit, cfg Config) (*Schedule, error) {
 			for j := range ws {
 				ws[j] = Wire(i + j)
 			}
-			join(lvl[i]-1, multiLUTDispatchKey(n.space, n.tables),
-				Dispatch{Kind: DispatchMultiLUT, Space: n.space, Tables: n.tables}, ws...)
+			join(lvl[i]-1, Dispatch{Kind: DispatchMultiLUT, Space: n.space, Tables: n.tables}, ws...)
 			s.stats.MultiValueOuts += k
 			s.stats.RotationsSaved += k - 1
 		}

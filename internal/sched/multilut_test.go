@@ -316,3 +316,30 @@ func TestRunSequentialRejectsOverpackedGroup(t *testing.T) {
 		t.Fatal("overpacked multi-value group did not error")
 	}
 }
+
+// TestLUTSpaceBeyondNRefused: a single LUT whose space the test vector
+// cannot hold (space > N, the one-table case of the packing bound) is an
+// error on both the engine-backed and the sequential path, as it is at the
+// gate service, never a wrong answer.
+func TestLUTSpaceBeyondNRefused(t *testing.T) {
+	space := 2 * tfhe.ParamsTest.N
+	table := make([]int, space)
+	for m := range table {
+		table[m] = (m + 1) % space
+	}
+	b := NewBuilder()
+	b.Output(b.LUT(b.Input(), space, table))
+	circ, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(65))
+	ins := []tfhe.LWECiphertext{testSK.LWE.Encrypt(rng, tfhe.EncodePBSMessage(3, space), tfhe.ParamsTest.LWEStdDev)}
+	if _, err := RunSequential(circ, tfhe.NewEvaluator(testEK), ins); err == nil {
+		t.Error("RunSequential accepted a LUT with space > N")
+	}
+	r := &Runner{Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 1})}
+	if _, err := r.Run(circ, Config{}, ins); err == nil {
+		t.Error("Runner.Run accepted a LUT with space > N")
+	}
+}

@@ -57,7 +57,7 @@ func passCSE(c *Circuit) (*Circuit, int) {
 			seen[key] = m[i]
 		case kindLUT:
 			in := m[n.in]
-			key := "t:" + strconv.Itoa(int(in)) + ":" + lutDispatchKey(n.space, n.table)
+			key := "t:" + strconv.Itoa(int(in)) + ":" + Dispatch{Kind: DispatchLUT, Space: n.space, Table: n.table}.Key()
 			if w, ok := seen[key]; ok {
 				m[i] = w
 				merged++
@@ -70,7 +70,7 @@ func passCSE(c *Circuit) (*Circuit, int) {
 			// block onto the kept group's siblings.
 			k := len(n.tables)
 			in := m[n.in]
-			key := "m:" + strconv.Itoa(int(in)) + ":" + multiLUTDispatchKey(n.space, n.tables)
+			key := "m:" + strconv.Itoa(int(in)) + ":" + Dispatch{Kind: DispatchMultiLUT, Space: n.space, Tables: n.tables}.Key()
 			if w, ok := seen[key]; ok {
 				for j := 0; j < k; j++ {
 					m[i+j] = w + Wire(j)

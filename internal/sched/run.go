@@ -202,6 +202,11 @@ func RunSequential(c *Circuit, ev *tfhe.Evaluator, inputs []tfhe.LWECiphertext) 
 			}
 			vals[i] = v
 		case kindLUT:
+			// The one-table case of the packing bound, checked as the
+			// engine's LUT checks it.
+			if err := ev.Params.ValidateMultiLUT(n.space, 1); err != nil {
+				return nil, err
+			}
 			table := n.table
 			vals[i] = ev.EvalLUTKS(vals[n.in], n.space, func(m int) int { return table[m] })
 		case kindMultiLUT:
@@ -268,7 +273,7 @@ func (r *Runner) LUT(d Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiphertext,
 	if err != nil {
 		return nil, err
 	}
-	return o.LUT(in, d.Space, func(m int) int { return d.Table[m] }), nil
+	return o.LUT(in, d.Space, func(m int) int { return d.Table[m] })
 }
 
 // MultiLUT implements Executor over the engine: one blind rotation per

@@ -198,15 +198,16 @@ func (s *session) acquireSlot() error {
 
 // The session is the sched.Executor of its own circuits, and the typed
 // batch methods on Server validate and then call the same three methods:
-// each kind's coalescing key and engine call are spelled once, so circuit
-// levels and standalone batches share streams whenever the keys match.
+// each kind's engine call is spelled once, and its coalescing key is the
+// scheduler's grouping key (sched.Dispatch.Key), so circuit levels and
+// standalone batches share streams whenever the keys match.
 
 // Gate implements sched.Executor: d.Ops[i] over (a[i], b[i]). Binary
 // gates coalesce under one key whatever their ops, since they share the
 // sign test vector. A NOT batch (b nil, uniform by validateGate) keeps its
 // own key: it carries no b to concatenate and costs no PBS.
 func (s *session) Gate(d sched.Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	key := "g"
+	key := d.Key()
 	if b == nil {
 		key = "not"
 	}
@@ -218,8 +219,9 @@ func (s *session) Gate(d sched.Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWEC
 // LUT implements sched.Executor. Streams merge only when the whole table
 // is identical.
 func (s *session) LUT(d sched.Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	return s.submit(fmt.Sprintf("l:%d:%v", d.Space, d.Table), nil, in, nil, 1, func(g *group) ([]tfhe.LWECiphertext, error) {
-		return s.eng.LUT(g.a, d.Space, func(m int) int { return d.Table[m] }), nil
+	d.Kind = sched.DispatchLUT // the Server's batch methods leave it unset
+	return s.submit(d.Key(), nil, in, nil, 1, func(g *group) ([]tfhe.LWECiphertext, error) {
+		return s.eng.LUT(g.a, d.Space, func(m int) int { return d.Table[m] })
 	})
 }
 
@@ -230,7 +232,8 @@ func (s *session) LUT(d sched.Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiph
 // input-major for submit to scatter, then regrouped for the caller.
 func (s *session) MultiLUT(d sched.Dispatch, in []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
 	k := len(d.Tables)
-	flat, err := s.submit(fmt.Sprintf("m:%d:%v", d.Space, d.Tables), nil, in, nil, k, func(g *group) ([]tfhe.LWECiphertext, error) {
+	d.Kind = sched.DispatchMultiLUT
+	flat, err := s.submit(d.Key(), nil, in, nil, k, func(g *group) ([]tfhe.LWECiphertext, error) {
 		groups, err := s.eng.MultiLUT(g.a, d.Space, tfhe.TableFuncs(d.Tables))
 		if err != nil {
 			return nil, err

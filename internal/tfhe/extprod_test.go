@@ -48,7 +48,7 @@ func TestExternalProductFastMatchesReference(t *testing.T) {
 	// fused decompose, forward FFTs, VMA MACs, additive inverse — must be
 	// bitwise identical under the fast and reference kernels.
 	if !fft.FastKernelAvailable() {
-		t.Skip("purego build: no fast kernel")
+		t.Skip("no AVX2 bodies on this build and host")
 	}
 	d, g, gadget, proc, buf, outFast := extProdFixture(37)
 	outRef := NewGLWECiphertext(outFast.K(), outFast.PolyN())
@@ -79,7 +79,7 @@ func BenchmarkExternalProduct(b *testing.B) {
 	}
 	b.Run("fast", func(b *testing.B) {
 		if !fft.FastKernelAvailable() {
-			b.Skip("purego build")
+			b.Skip("no AVX2 bodies on this build and host")
 		}
 		prev := fft.SetFastKernel(true)
 		defer fft.SetFastKernel(prev)

@@ -6,8 +6,18 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fft"
 	"repro/internal/torus"
 )
+
+// withKernel runs f with the AVX2 bodies — the FFT kernels' and the
+// keyswitch row update's — on (where the host has them) or off, and
+// restores the previous setting.
+func withKernel(fast bool, f func()) {
+	prev := fft.SetFastKernel(fast)
+	defer fft.SetFastKernel(prev)
+	f()
+}
 
 func equalGLWE(a, b GLWECiphertext) bool {
 	for c := range a.Polys {
@@ -144,7 +154,7 @@ func TestKeySwitchTileMatchesPerCiphertext(t *testing.T) {
 	// detected and forced off.
 	skI, ekI := setI()
 	for _, on := range []bool{true, false} {
-		withAVX2(on, func() {
+		withKernel(on, func() {
 			testKeySwitchTile(t, testSK, testEK)
 			testKeySwitchTile(t, skI, ekI)
 		})
@@ -271,13 +281,13 @@ func BenchmarkKeySwitchTile(b *testing.B) {
 		}
 		for _, body := range []string{"avx2", "go"} {
 			b.Run(fmt.Sprintf("b=%d/%s", size, body), func(b *testing.B) {
-				if body == "avx2" && !torus.UseAVX2() {
+				if body == "avx2" && !torus.HasAVX2() {
 					b.Skip("no AVX2 body on this build and host")
 				}
 				cs := make([]LWECiphertext, size)
 				b.ReportAllocs()
 				b.ResetTimer()
-				withAVX2(body == "avx2", func() {
+				withKernel(body == "avx2", func() {
 					for i := 0; i < b.N; i++ {
 						copy(cs, bigs)
 						ev.KeySwitchTile(cs)

@@ -178,10 +178,9 @@ func TestMulSubMatchesScalarLoop(t *testing.T) {
 		}
 	}
 	t.Run("detected", run)
-	prev := useAVX2
-	useAVX2 = false
+	prev := SetAVX2(false)
 	t.Run("go", run)
-	useAVX2 = prev
+	SetAVX2(prev)
 
 	defer func() {
 		if recover() == nil {
