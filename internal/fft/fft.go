@@ -54,11 +54,13 @@ type Processor struct {
 	n int // polynomial size N (power of two)
 	m int // FFT size N/2
 
-	// twist holds e^(iπ j / N) as interleaved re/im pairs; multiplied in
-	// during the forward load/convert pass (folding the two real halves
-	// into one complex polynomial).
+	// twist holds e^(iπ j / N) in two planes, the m real parts and then the
+	// m imaginary parts (twist[j], twist[m+j]); multiplied in during the
+	// forward load/convert pass (folding the two real halves into one
+	// complex polynomial). The decompose load's AVX2 body reads four values
+	// of a plane into each register.
 	twist []float64
-	// untwist holds conj(twist[j]) / m as interleaved re/im pairs: the
+	// untwist holds conj(e^(iπ j / N)) / m as interleaved re/im pairs: the
 	// inverse fold and the 1/m scaling pre-combined, applied inside the
 	// final inverse butterfly stage. untwistLanes is laneTable(untwist, 1),
 	// the fold's AVX2 body's copy.
@@ -93,7 +95,7 @@ func NewProcessor(n int) *Processor {
 	for j := 0; j < m; j++ {
 		ang := math.Pi * float64(j) / float64(n)
 		c, s := math.Cos(ang), math.Sin(ang)
-		p.twist[2*j], p.twist[2*j+1] = c, s
+		p.twist[j], p.twist[m+j] = c, s
 		p.untwist[2*j], p.untwist[2*j+1] = c*invM, -s*invM
 	}
 	p.untwistLanes = laneTable(p.untwist, 1)

@@ -15,10 +15,11 @@ import "repro/internal/torus"
 // The dispatch rule (kernel_fast.go): a loop runs its AVX2 body when
 // torus.UseAVX2 holds and its shape fits, and its reference body otherwise
 // — on a host without AVX2, and here for what the lanes leave over: the
-// q = 1 stage, the size-4 first inverse stage, a decompose run's last
-// pairs, a MAC of other than two columns or of odd length. The transform
-// loads (ForwardTorusTo, ForwardIntTo) and MulAcc, the one-row MAC outside
-// the CMux step (key generation), have the reference body alone.
+// q = 1 stage, the size-4 first inverse stage, a decompose run shorter
+// than eight pairs, a MAC of other than two columns or of odd length. The
+// transform loads (ForwardTorusTo, ForwardIntTo) and MulAcc, the one-row
+// MAC outside the CMux step (key generation), have the reference body
+// alone.
 //
 // Both bodies spell every floating-point expression with the same shape
 // and evaluation order, so they produce bitwise-identical float64 results
@@ -32,14 +33,16 @@ import "repro/internal/torus"
 // take them (laneTable in fft.go: (wr, wr) and (wi, wi) of two butterflies
 // side by side), so each complex multiply takes its constants as memory
 // operands and shuffles only the data. The reference reads the natural
-// (re, im) tables, which stay the specification. The decompose load's
-// twisted store commutes nothing: VADDSUBPD of (a, a)·(tr, ti) and
-// (b, b)·(ti, tr) is (a·tr − b·ti, a·ti + b·tr). The tile MAC holds its
-// sums in registers instead of memory, so it must also sum in the same
-// order: each accumulator starts at +0 (a −0 start would turn a −0 first
-// product into −0 where Clear's +0 gives +0) and adds the rows in (j, l)
-// order, one rounding per row, which is what makes it equal to Clear
-// followed by one mulAccRef per row.
+// (re, im) tables, which stay the specification. The decompose load
+// commutes nothing: it reads the twist's two planes (Processor.twist, the
+// real parts and then the imaginary parts), forms re = a·tr − b·ti and
+// im = a·ti + b·tr per plane, four pairs to a register, the reference's
+// expression operand for operand, and interleaves the planes only to
+// store them. The tile MAC holds its sums in registers instead of memory,
+// so it must also sum in the same order: each accumulator starts at +0 (a
+// −0 start would turn a −0 first product into −0 where Clear's +0 gives
+// +0) and adds the rows in (j, l) order, one rounding per row, which is
+// what makes it equal to Clear followed by one mulAccRef per row.
 //
 // The fold rounds as roundToTorus does, operation for operation, with
 // VROUNDPD's truncation (there is no packed double→int64 convert below

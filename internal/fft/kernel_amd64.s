@@ -249,7 +249,7 @@ DATA foldConst<>+16(SB)/8, $0x0000000400000000
 DATA foldConst<>+24(SB)/8, $0x0000000600000002
 GLOBL foldConst<>(SB), RODATA|NOPTR, $32
 
-// FOLD is foldAccFast for two outputs y at once: x = y·u, with u's lane
+// FOLD is foldAccRef for two outputs y at once: x = y·u, with u's lane
 // halves ur and ui as memory operands, roundToTorus op for op — t = trunc
 // x, r = trunc((x − t)·2), s = t + r, each exact — then s mod 2^32 without a
 // 64-bit convert: hi = (s + 1.5·2^84) − 1.5·2^84 is s to the nearest 2^32,
@@ -330,92 +330,103 @@ foldPair:
 	VZEROUPPER
 	RET
 
-// func decompLoadAVX2(dp *unsafe.Pointer, lb int, tw *float64, src *uint32, oa, ob, m, lo, cnt int, na, nb, sub, rhalf, mask uint32, rshift, bl uint)
-// One straight run of decompLoadFast, four folded pairs per iteration: cnt
-// is a positive multiple of four and lb ≥ 1. Integer lanes are XMM dwords;
-// the shifted value is kept between levels, so every shift is by rshift
-// (once) or bl, and decompLoadFast's rmask, which only clears bits that the
-// first shift drops, is not needed.
-TEXT ·decompLoadAVX2(SB), NOSPLIT, $0-112
+// TWIST stores four pairs of one level, digits a in Y6 and b in Y7 as
+// doubles: re = a·tr − b·ti and im = a·ti + b·tr, the reference's
+// expression operand for operand, with tr and ti read from the twist planes
+// at byte tw, then interleaved in-lane (r0 i0 r2 i2 and r1 i1 r3 i3) and
+// stored a half at a time at byte out of the level's buffer. Clobbers Y6–Y9.
+#define TWIST(tw, out) \
+	VMULPD       tw(DI)(AX*2), Y6, Y8;    \
+	VMULPD       tw(R12)(AX*2), Y7, Y9;   \
+	VSUBPD       Y9, Y8, Y8;              \
+	VMULPD       tw(R12)(AX*2), Y6, Y6;   \
+	VMULPD       tw(DI)(AX*2), Y7, Y7;    \
+	VADDPD       Y7, Y6, Y6;              \
+	VUNPCKLPD    Y6, Y8, Y7;              \
+	VUNPCKHPD    Y6, Y8, Y8;              \
+	VMOVUPD      X7, out(DX)(AX*4);       \
+	VMOVUPD      X8, out+16(DX)(AX*4);    \
+	VEXTRACTF128 $1, Y7, out+32(DX)(AX*4); \
+	VEXTRACTF128 $1, Y8, out+48(DX)(AX*4)
+
+// func decompLoadAVX2(dp *unsafe.Pointer, lb int, twr, twi *float64, src *uint32, oa, ob, m, lo, cnt int, na, nb, sub, rhalf, mask, rshift, bl uint32)
+// One straight run of decompLoadFast, eight folded pairs per iteration: cnt
+// is a positive multiple of eight and lb ≥ 1. Integer lanes are YMM dwords,
+// each shift per lane by a broadcast count; the shifted value is kept
+// between levels, so every shift is by rshift (once) or bl, and no mask of
+// the bits the first shift drops is needed. twr and twi are the twist's two
+// planes.
+TEXT ·decompLoadAVX2(SB), NOSPLIT, $0-108
 	// AX = 4j indexes src (R8: the rotated first half, SI: first half, R9:
-	// rotated second half, R11: second half) and, scaled by four, twist
-	// (DI) and each level's buffer (DX, from the table at R10).
+	// rotated second half, R11: second half), scaled by two the twist planes
+	// (DI, R12) and by four each level's buffer (DX, from the table at R10).
 	MOVQ         dp+0(FP), R10
-	MOVQ         tw+16(FP), DI
-	MOVQ         src+24(FP), SI
-	MOVQ         oa+32(FP), R8
-	MOVQ         ob+40(FP), R9
-	MOVQ         m+48(FP), R11
-	MOVQ         lo+56(FP), AX
-	MOVQ         cnt+64(FP), BX
+	MOVQ         twr+16(FP), DI
+	MOVQ         twi+24(FP), R12
+	MOVQ         src+32(FP), SI
+	MOVQ         oa+40(FP), R8
+	MOVQ         ob+48(FP), R9
+	MOVQ         m+56(FP), R11
+	MOVQ         lo+64(FP), AX
+	MOVQ         cnt+72(FP), BX
 	LEAQ         (SI)(R8*4), R8
 	LEAQ         (SI)(R9*4), R9
 	LEAQ         (SI)(R11*4), R11
 	SHLQ         $2, AX
-	VBROADCASTSS sub+80(FP), X14
-	VBROADCASTSS rhalf+84(FP), X15
-	VBROADCASTSS mask+88(FP), X10
-	VPSRLD       $1, X10, X11       // half − 1
-	VMOVQ        rshift+96(FP), X13
-	VMOVQ        bl+104(FP), X12
-decompQuad:
-	VBROADCASTSS na+72(FP), X4
-	VPXOR        (R8)(AX*1), X4, X0
-	VPSUBD       X4, X0, X0
-	VPAND        (SI)(AX*1), X14, X5
-	VPSUBD       X5, X0, X0
-	VPADDD       X15, X0, X0
-	VPSRLD       X13, X0, X0        // ra
-	VBROADCASTSS nb+76(FP), X4
-	VPXOR        (R9)(AX*1), X4, X1
-	VPSUBD       X4, X1, X1
-	VPAND        (R11)(AX*1), X14, X5
-	VPSUBD       X5, X1, X1
-	VPADDD       X15, X1, X1
-	VPSRLD       X13, X1, X1        // rb
-	VPERMILPD    $5, (DI)(AX*4), Y8   // (ti, tr) of pairs 0–1
-	VPERMILPD    $5, 32(DI)(AX*4), Y9 // and of pairs 2–3
-	VPXOR        X2, X2, X2         // carries of a and b
-	VPXOR        X3, X3, X3
+	VBROADCASTSS sub+88(FP), Y14
+	VBROADCASTSS rhalf+92(FP), Y15
+	VBROADCASTSS mask+96(FP), Y10
+	VPSRLD       $1, Y10, Y11       // half − 1
+	VBROADCASTSS rshift+100(FP), Y13
+	VBROADCASTSS bl+104(FP), Y12
+decompOct:
+	VBROADCASTSS na+80(FP), Y4
+	VPXOR        (R8)(AX*1), Y4, Y0
+	VPSUBD       Y4, Y0, Y0
+	VPAND        (SI)(AX*1), Y14, Y5
+	VPSUBD       Y5, Y0, Y0
+	VPADDD       Y15, Y0, Y0
+	VPSRLVD      Y13, Y0, Y0        // ra
+	VBROADCASTSS nb+84(FP), Y4
+	VPXOR        (R9)(AX*1), Y4, Y1
+	VPSUBD       Y4, Y1, Y1
+	VPAND        (R11)(AX*1), Y14, Y5
+	VPSUBD       Y5, Y1, Y1
+	VPADDD       Y15, Y1, Y1
+	VPSRLVD      Y13, Y1, Y1        // rb
+	VPXOR        Y2, Y2, Y2         // carries of a and b
+	VPXOR        Y3, Y3, Y3
 	MOVQ         lb+8(FP), CX
 decompLevel:
-	// digitFast, lowest level first: d = (r & mask) + carry,
+	// Lowest level first: d = (r & mask) + carry,
 	// carry = (d + half − 1) >> bl, digit = d − carry << bl.
-	VPAND      X10, X0, X4
-	VPADDD     X2, X4, X4
-	VPSRLD     X12, X0, X0
-	VPADDD     X11, X4, X2
-	VPSRLD     X12, X2, X2
-	VPSLLD     X12, X2, X6
-	VPSUBD     X6, X4, X4
-	VCVTDQ2PD  X4, Y4               // a0 a1 a2 a3
-	VPAND      X10, X1, X5
-	VPADDD     X3, X5, X5
-	VPSRLD     X12, X1, X1
-	VPADDD     X11, X5, X3
-	VPSRLD     X12, X3, X3
-	VPSLLD     X12, X3, X6
-	VPSUBD     X6, X5, X5
-	VCVTDQ2PD  X5, Y5               // b0 b1 b2 b3
-	// storeTwistedFast: (a·tr − b·ti, a·ti + b·tr) is (a, a)·(tr, ti) ∓
-	// (b, b)·(ti, tr), no operation commuted.
-	MOVQ       -8(R10)(CX*8), DX
-	VPERMPD    $0x50, Y4, Y6
-	VMULPD     (DI)(AX*4), Y6, Y6
-	VPERMPD    $0x50, Y5, Y7
-	VMULPD     Y8, Y7, Y7
-	VADDSUBPD  Y7, Y6, Y6
-	VMOVUPD    Y6, (DX)(AX*4)
-	VPERMPD    $0xFA, Y4, Y6
-	VMULPD     32(DI)(AX*4), Y6, Y6
-	VPERMPD    $0xFA, Y5, Y7
-	VMULPD     Y9, Y7, Y7
-	VADDSUBPD  Y7, Y6, Y6
-	VMOVUPD    Y6, 32(DX)(AX*4)
-	DECQ       CX
-	JNZ        decompLevel
-	ADDQ       $16, AX
-	SUBQ       $4, BX
-	JNZ        decompQuad
+	VPAND        Y10, Y0, Y4
+	VPADDD       Y2, Y4, Y4
+	VPSRLVD      Y12, Y0, Y0
+	VPADDD       Y11, Y4, Y2
+	VPSRLVD      Y12, Y2, Y2
+	VPSLLVD      Y12, Y2, Y6
+	VPSUBD       Y6, Y4, Y4         // a of pairs 0–7
+	VPAND        Y10, Y1, Y5
+	VPADDD       Y3, Y5, Y5
+	VPSRLVD      Y12, Y1, Y1
+	VPADDD       Y11, Y5, Y3
+	VPSRLVD      Y12, Y3, Y3
+	VPSLLVD      Y12, Y3, Y6
+	VPSUBD       Y6, Y5, Y5         // b of pairs 0–7
+	MOVQ         -8(R10)(CX*8), DX
+	VCVTDQ2PD    X4, Y6
+	VCVTDQ2PD    X5, Y7
+	TWIST(0, 0)                     // pairs 0–3
+	VEXTRACTI128 $1, Y4, X6
+	VCVTDQ2PD    X6, Y6
+	VEXTRACTI128 $1, Y5, X7
+	VCVTDQ2PD    X7, Y7
+	TWIST(32, 64)                   // pairs 4–7
+	DECQ         CX
+	JNZ          decompLevel
+	ADDQ         $32, AX
+	SUBQ         $8, BX
+	JNZ          decompOct
 	VZEROUPPER
 	RET

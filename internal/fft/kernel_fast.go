@@ -107,21 +107,24 @@ func mulAccTileFast(accs, digs [][]FourierPoly, key FourierPoly) {
 // is all ones for the rot-sub load and zero for the plain one (k = 0: the
 // value is src[x]). Both halves of a folded pair keep their offset and
 // sign on either side of j = k mod N/2, so the walk is two straight runs.
-// The AVX2 body takes each run four pairs at a time, general in the level
-// count; decompLoadRef takes the up to three pairs a run has left.
+// The AVX2 body takes each run eight pairs at a time, general in the level
+// count, and a run's last group, when eight do not divide it, is the eight
+// pairs ending at hi: it overlaps the group before, and with the run's own
+// offsets and signs it writes the shared pairs with the same bits again.
+// decompLoadRef takes a run shorter than eight pairs.
 func (p *Processor) decompLoadFast(dsts []FourierPoly, dec poly.Decomposer, src poly.Poly, e int, rotSub bool) {
 	lb := dec.Level
-	bl := uint(dec.BaseLog)
 	m, n := p.m, p.n
-	if bl >= 32 || lb > 32 || !torus.UseAVX2() {
+	if uint(dec.BaseLog) >= 32 || lb > 32 || !torus.UseAVX2() {
 		p.decompLoadRef(dsts, dec, src, e, rotSub, 0, m)
 		return
 	}
+	bl := uint32(dec.BaseLog)
 	var dp [32]unsafe.Pointer
 	for l := 0; l < lb; l++ {
 		dp[l] = unsafe.Pointer(unsafe.SliceData(dsts[l]))
 	}
-	rshift := 32 - bl*uint(lb)
+	rshift := 32 - bl*uint32(lb)
 	var rhalf uint32
 	if rshift > 0 {
 		rhalf = 1 << (rshift - 1)
@@ -137,8 +140,12 @@ func (p *Processor) decompLoadFast(dsts []FourierPoly, dec poly.Decomposer, src 
 		}
 	}
 	sp := (*uint32)(unsafe.Pointer(unsafe.SliceData(src.Coeffs)))
-	tp := unsafe.SliceData(p.twist)
+	twr, twi := &p.twist[0], &p.twist[m]
 	for lo, hi := 0, k%m; lo < m; lo, hi = hi, m {
+		if hi-lo < 8 {
+			p.decompLoadRef(dsts, dec, src, e, rotSub, lo, hi)
+			continue
+		}
 		// Over [lo, hi) neither rotated index wraps and neither sign
 		// changes, so each is fixed once per run.
 		oa, ob := -k, m-k
@@ -149,10 +156,10 @@ func (p *Processor) decompLoadFast(dsts []FourierPoly, dec poly.Decomposer, src 
 		if lo+ob < 0 {
 			ob, nb = ob+n, ^flip
 		}
-		cnt := (hi - lo) &^ 3
-		if cnt > 0 {
-			decompLoadAVX2(&dp[0], lb, tp, sp, oa, ob, m, lo, cnt, na, nb, sub, rhalf, mask, rshift, bl)
+		cnt := (hi - lo) &^ 7
+		decompLoadAVX2(&dp[0], lb, twr, twi, sp, oa, ob, m, lo, cnt, na, nb, sub, rhalf, mask, rshift, bl)
+		if lo+cnt < hi {
+			decompLoadAVX2(&dp[0], lb, twr, twi, sp, oa, ob, m, hi-8, 8, na, nb, sub, rhalf, mask, rshift, bl)
 		}
-		p.decompLoadRef(dsts, dec, src, e, rotSub, lo+cnt, hi)
 	}
 }

@@ -15,6 +15,6 @@ func mulAccTileAVX2(acc, dig, key *unsafe.Pointer, members, rows, n int) {
 func invFoldAVX2(dst *uint32, src *complex128, q int, tw, untwist *float64) {
 	panic("fft: no AVX2 body")
 }
-func decompLoadAVX2(dp *unsafe.Pointer, lb int, tw *float64, src *uint32, oa, ob, m, lo, cnt int, na, nb, sub, rhalf, mask uint32, rshift, bl uint) {
+func decompLoadAVX2(dp *unsafe.Pointer, lb int, twr, twi *float64, src *uint32, oa, ob, m, lo, cnt int, na, nb, sub, rhalf, mask, rshift, bl uint32) {
 	panic("fft: no AVX2 body")
 }

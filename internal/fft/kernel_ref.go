@@ -16,14 +16,15 @@ import (
 
 // loadTorusRef performs the fused fold+twist forward load: the two real
 // halves of src become one complex point per index, multiplied by the
-// twist factor e^(iπj/N). Torus values are loaded as signed int32 so the
-// doubles carry centered representatives.
+// twist factor e^(iπj/N), whose real and imaginary parts are twist[j] and
+// twist[m+j]. Torus values are loaded as signed int32 so the doubles carry
+// centered representatives.
 func loadTorusRef(dst FourierPoly, src []torus.Torus32, twist []float64) {
 	m := len(dst)
 	for j := 0; j < m; j++ {
 		ar := float64(int32(src[j]))
 		ai := float64(int32(src[j+m]))
-		tr, ti := twist[2*j], twist[2*j+1]
+		tr, ti := twist[j], twist[m+j]
 		dst[j] = complex(ar*tr-ai*ti, ar*ti+ai*tr)
 	}
 }
@@ -34,7 +35,7 @@ func loadIntRef(dst FourierPoly, src []int32, twist []float64) {
 	for j := 0; j < m; j++ {
 		ar := float64(src[j])
 		ai := float64(src[j+m])
-		tr, ti := twist[2*j], twist[2*j+1]
+		tr, ti := twist[j], twist[m+j]
 		dst[j] = complex(ar*tr-ai*ti, ar*ti+ai*tr)
 	}
 }
@@ -44,7 +45,8 @@ func loadIntRef(dst FourierPoly, src []int32, twist []float64) {
 // scratch and write each level with the twist applied. The value
 // decomposed is src's coefficient, or that of src·X^e − src when rotSub is
 // set. Only the pairs j in [lo, hi) are written: the whole load is
-// [0, M), and the fast load hands over what its lanes leave. NewDecomposer
+// [0, M), and the fast load hands over a run shorter than its eight
+// lanes. NewDecomposer
 // caps Level at 32, so the scratch stays on the stack; a hand-built larger
 // decomposer falls back to the heap.
 func (p *Processor) decompLoadRef(dsts []FourierPoly, dec poly.Decomposer, src poly.Poly, e int, rotSub bool, lo, hi int) {
@@ -63,7 +65,7 @@ func (p *Processor) decompLoadRef(dsts []FourierPoly, dec poly.Decomposer, src p
 		}
 		dec.DigitsTo(da, a)
 		dec.DigitsTo(db, b)
-		tr, ti := p.twist[2*j], p.twist[2*j+1]
+		tr, ti := p.twist[j], p.twist[m+j]
 		for l := 0; l < lb; l++ {
 			ar, ai := float64(da[l]), float64(db[l])
 			dsts[l][j] = complex(ar*tr-ai*ti, ar*ti+ai*tr)

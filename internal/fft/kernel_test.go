@@ -3,8 +3,10 @@ package fft
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/poly"
 	"repro/internal/torus"
@@ -466,10 +468,12 @@ func TestDecompLoadMatchesReferenceBitwise(t *testing.T) {
 	// The fused load called directly, against decompLoadRef: every level
 	// count shape (register-held 2 and 3, the general loop, one-bit digits,
 	// gadgets that use all 32 bits so rshift = 0), plain and rot-sub with
-	// the rotation stepping through every run shape — a run empty, shorter
-	// than the four pairs a lane group takes, a multiple of four, with a
-	// tail; first half or second half wrapped; e ≥ N — over sources that
-	// mix random words with 0, 2^31 and 2^32 − 1.
+	// the rotation stepping through every run shape — a run empty, of one
+	// to seven pairs (the reference's), of exactly the eight a lane group
+	// takes, of nine to fifteen (one group and the overlapped last one),
+	// and every length mod 8 on both runs; first half or second half
+	// wrapped; e ≥ N — over sources that mix random words with 0, 2^31 and
+	// 2^32 − 1.
 	decs := []poly.Decomposer{poly.NewDecomposer(10, 2), poly.NewDecomposer(7, 3), poly.NewDecomposer(4, 8), poly.NewDecomposer(1, 32), poly.NewDecomposer(16, 2), poly.NewDecomposer(8, 4)}
 	bothBodies(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(41))
@@ -486,8 +490,8 @@ func TestDecompLoadMatchesReferenceBitwise(t *testing.T) {
 				}
 			}
 			var es []int
-			for _, r := range []int{0, 1, 2, 3, 4, 5, m - 3, m - 2, m - 1} {
-				if r >= 0 && r < m {
+			for r := 0; r < m; r++ {
+				if r <= 9 || r >= m-9 {
 					es = append(es, r, r+m, r+n, r+m+n)
 				}
 			}
@@ -522,9 +526,86 @@ func TestDecompLoadMatchesReferenceBitwise(t *testing.T) {
 	})
 }
 
+func TestDecompLoadAVX2WritesOnlyItsRun(t *testing.T) {
+	// The AVX2 body called directly over one run [lo, lo+cnt): every level
+	// holds decompLoadRef's bits there and nothing is written outside it,
+	// for the plain load (offsets 0 and m, no sign) and the rot-sub run
+	// [k, m) of e = k < m (offsets −k and m−k, no sign), at four level
+	// counts, one group and several, aligned to eight pairs and not.
+	if !torus.HasAVX2() {
+		t.Skip("no AVX2 body on this build and host")
+	}
+	withKernel(true, func() {
+		const n = 256
+		m := n / 2
+		p := NewProcessor(n)
+		src := poly.New(n)
+		poly.Uniform(rand.New(rand.NewSource(59)), src)
+		for _, dec := range []poly.Decomposer{poly.NewDecomposer(10, 2), poly.NewDecomposer(8, 3), poly.NewDecomposer(1, 32), poly.NewDecomposer(4, 5)} {
+			lb, bl := dec.Level, uint32(dec.BaseLog)
+			rshift := 32 - bl*uint32(lb)
+			var rhalf uint32
+			if rshift > 0 {
+				rhalf = 1 << (rshift - 1)
+			}
+			got, want := p.NewFourierPolyBatch(lb), p.NewFourierPolyBatch(lb)
+			var dp [32]unsafe.Pointer
+			for l := range got {
+				dp[l] = unsafe.Pointer(unsafe.SliceData(got[l]))
+			}
+			for _, k := range []int{0, 3, 37} {
+				rotSub := k != 0
+				var sub uint32
+				if rotSub {
+					sub = ^uint32(0)
+				}
+				p.decompLoadRef(want, dec, src, k, rotSub, 0, m)
+				for _, r := range [][2]int{{k, 8}, {k + 1, 16}, {k + 5, 24}, {m - 8, 8}, {k, (m - k) &^ 7}} {
+					lo, cnt := r[0], r[1]
+					for l := range got {
+						for i := range got[l] {
+							got[l][i] = complex(math.NaN(), math.NaN())
+						}
+					}
+					decompLoadAVX2(&dp[0], lb, &p.twist[0], &p.twist[m], (*uint32)(unsafe.SliceData(src.Coeffs)), -k, m-k, m, lo, cnt, 0, 0, sub, rhalf, uint32(1)<<bl-1, rshift, bl)
+					for l := range got {
+						for j := range got[l] {
+							written := !math.IsNaN(real(got[l][j]))
+							if inside := j >= lo && j < lo+cnt; written != inside {
+								t.Fatalf("gadget %v k=%d [%d, %d) level %d: slot %d written=%v", dec, k, lo, lo+cnt, l, j, written)
+							}
+							if written && sameBits(got[l][j:j+1], want[l][j:j+1]) >= 0 {
+								t.Fatalf("gadget %v k=%d [%d, %d) level %d slot %d: %v, reference %v", dec, k, lo, lo+cnt, l, j, got[l][j], want[l][j])
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+func TestTwistPlanes(t *testing.T) {
+	// The twist table is two planes: e^(iπj/N) has its real part at j and
+	// its imaginary part at m + j, for every m in 2 … 8192.
+	for m := 2; m <= 8192; m <<= 1 {
+		n := 2 * m
+		p := NewProcessor(n)
+		if len(p.twist) != 2*m {
+			t.Fatalf("m=%d: %d twist floats, want %d", m, len(p.twist), 2*m)
+		}
+		for j := 0; j < m; j++ {
+			w := cmplx.Exp(complex(0, math.Pi*float64(j)/float64(n)))
+			if math.Abs(p.twist[j]-real(w)) > 1e-15 || math.Abs(p.twist[m+j]-imag(w)) > 1e-15 {
+				t.Fatalf("m=%d j=%d: planes hold (%v, %v), e^(iπj/N) is %v", m, j, p.twist[j], p.twist[m+j], w)
+			}
+		}
+	}
+}
+
 func TestDecompLoadRefPairRange(t *testing.T) {
 	// The reference load over a pair range, as the fast load hands it a
-	// run's leftover pairs: only the slots of [lo, hi) are written, and
+	// run shorter than eight pairs: only the slots of [lo, hi) are written, and
 	// they hold what the full-range load puts there, plain and rot-sub.
 	const n = 64
 	p := NewProcessor(n)
@@ -725,25 +806,32 @@ func BenchmarkMulAccTile(b *testing.B) {
 	}
 }
 
+// BenchmarkFFTForwardDecompose is the fused decompose load and the forward
+// stages of every level: at set I's N = 1024 and gadget (10, 2) under the
+// bare rotsub= names, and at set III's N = 2048 and gadget (8, 3), whose
+// transform ends in the radix-2 pass, under n=2048.
 func BenchmarkFFTForwardDecompose(b *testing.B) {
-	p := NewProcessor(1024)
-	dec := poly.NewDecomposer(10, 2)
-	rng := rand.New(rand.NewSource(29))
-	src := poly.New(1024)
-	poly.Uniform(rng, src)
-	dsts := p.NewFourierPolyBatch(dec.Level)
-	for _, rotSub := range []bool{false, true} {
-		b.Run(fmt.Sprintf("rotsub=%v", rotSub), func(b *testing.B) {
-			benchKernels(b, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if rotSub {
-						p.ForwardDecomposeRotSub(dsts, dec, src, 2*i+1)
-					} else {
-						p.ForwardDecompose(dsts, dec, src)
+	bench := func(b *testing.B, n int, dec poly.Decomposer) {
+		p := NewProcessor(n)
+		rng := rand.New(rand.NewSource(29))
+		src := poly.New(n)
+		poly.Uniform(rng, src)
+		dsts := p.NewFourierPolyBatch(dec.Level)
+		for _, rotSub := range []bool{false, true} {
+			b.Run(fmt.Sprintf("rotsub=%v", rotSub), func(b *testing.B) {
+				benchKernels(b, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if rotSub {
+							p.ForwardDecomposeRotSub(dsts, dec, src, 2*i+1)
+						} else {
+							p.ForwardDecompose(dsts, dec, src)
+						}
 					}
-				}
+				})
 			})
-		})
+		}
 	}
+	bench(b, 1024, poly.NewDecomposer(10, 2))
+	b.Run("n=2048", func(b *testing.B) { bench(b, 2048, poly.NewDecomposer(8, 3)) })
 }
