@@ -13,7 +13,7 @@ GO ?= go
 # the floor is the total minus 1.5, rounded down.
 COVER_FLOOR ?= 80.0
 
-.PHONY: all build test test-purego race cover fuzz-regress bench bench-compare bench-smoke lint fmt fmt-check vet vet-arm64 no-deprecated no-retired-gate no-retired-ops no-fma docs loc profile
+.PHONY: all build test test-purego race race-engine cover fuzz-regress bench bench-compare bench-smoke lint fmt fmt-check vet vet-arm64 no-deprecated no-retired-gate no-retired-ops no-fma docs loc profile
 
 all: build test
 
@@ -38,8 +38,15 @@ test-purego:
 # conformance suite that runs every public op through all the execution
 # paths. internal/torus rides along for its assembly-vs-Go test, beside
 # the two in fft and tfhe.
-race:
-	$(GO) test -race ./internal/conformance/... ./internal/engine/... ./internal/fft/... ./internal/router/... ./internal/sched/... ./internal/server/... ./internal/tfhe/... ./internal/torus/... ./internal/wire/...
+race: race-engine
+	$(GO) test -race ./internal/conformance/... ./internal/fft/... ./internal/router/... ./internal/sched/... ./internal/server/... ./internal/tfhe/... ./internal/torus/... ./internal/wire/...
+
+# The streaming engine under -race at one, two and four CPUs, since its
+# engines share one CPU budget sized by GOMAXPROCS: at one CPU every
+# contended operation runs as one worker's tiles, at four the budget is
+# wider than a 2-worker engine. CI runs it beside the full -race suite.
+race-engine:
+	$(GO) test -race -cpu 1,2,4 ./internal/engine/...
 
 # Full suite under the race detector with a coverage floor: catches both
 # data races anywhere and silent loss of test coverage. ./benchmark runs

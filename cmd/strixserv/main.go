@@ -52,7 +52,7 @@ func main() {
 	maxPending := flag.Int("max-pending", 0, "per-session backpressure bound (0 = default 64)")
 	maxBatch := flag.Int("max-batch", 0, "max ciphertexts per request (0 = default 4096)")
 	maxCoalesce := flag.Int("max-coalesce", 0, "max ciphertexts merged into one stream (0 = default 8192)")
-	rotateWorkers := flag.Int("rotate-workers", 0, "workers per session engine, each running one tile at a time (0 = GOMAXPROCS)")
+	rotateWorkers := flag.Int("rotate-workers", 0, "workers per session engine, each running one tile at a time (0 = GOMAXPROCS); an operation that starts while other sessions' hold CPUs splits only across the ones left free")
 	flag.Parse()
 
 	srv, err := server.Open(server.Config{

@@ -25,6 +25,10 @@
 // cannot pack, allows (tfhe.Evaluator.BlindRotateTile, KeySwitchTile).
 // Each worker keeps its tile's slots from one tile to the next, so every
 // PBS in the process runs under one tile discipline.
+// The engines of a process are not independent: all draw on one CPU
+// budget. An operation alone tiles min(⌈n/W⌉, cap); one behind others
+// divides by the CPUs they leave free instead, so a four-gate request
+// behind another session's runs as one tile of four, one key pass.
 //
 // Each worker owns a private tfhe.Evaluator (evaluators carry scratch
 // buffers and must not be shared), all built from one shared, read-only

@@ -30,14 +30,47 @@ type StreamingEngine struct {
 }
 
 // StreamConfig sizes the streaming engine. The tile size is not
-// configured: it is min(⌈items/RotateWorkers⌉, cap) — every worker busy
-// first, the key amortised second — with cap derived from the parameter
-// set (tileBudgetBytes).
+// configured: it is min(⌈items/w⌉, cap) — every free CPU busy first, the
+// key amortised second — with w = RotateWorkers for an operation alone in
+// the process (see reserve) and cap derived from the parameter set
+// (tileBudgetBytes).
 type StreamConfig struct {
 	// RotateWorkers is the worker count: how many tiles run at once. 0
 	// means runtime.GOMAXPROCS(0): the CPUs the process may use; workers
 	// beyond them would only be time-sliced.
 	RotateWorkers int
+}
+
+// cpus is the CPU budget all StreamingEngines share: held counts the
+// worker slots, one per goroutine, of the operations running now.
+var cpus struct {
+	sync.Mutex
+	held int
+}
+
+// reserve sizes an n-item operation's tiles and takes a slot per worker it
+// will run, for release to give back. Alone, it splits across all W
+// workers; behind others, only across the CPUs they leave free (at least
+// one), since a worker beyond them would be time-sliced against theirs:
+// its items grow the tiles instead, sharing their key passes.
+func (s *StreamingEngine) reserve(n int) (size, slots int) {
+	cpus.Lock()
+	defer cpus.Unlock()
+	w := len(s.workers)
+	if cpus.held > 0 {
+		w = max(1, min(w, runtime.GOMAXPROCS(0)-cpus.held))
+	}
+	size = min((n+w-1)/w, s.tileCap)
+	slots = min(len(s.workers), (n+size-1)/size)
+	cpus.held += slots
+	return size, slots
+}
+
+// release gives back the slots reserve took.
+func release(slots int) {
+	cpus.Lock()
+	cpus.held -= slots
+	cpus.Unlock()
 }
 
 // tileBudgetBytes bounds a tile's working set in the rotate loop — its
@@ -80,17 +113,18 @@ func NewStreaming(ek tfhe.EvaluationKeys, cfg StreamConfig) *StreamingEngine {
 	return s
 }
 
-// exec runs the items of one operation, split into tiles of
-// min(⌈n/W⌉, tileCap) consecutive items that the workers claim in turn:
-// the caller's goroutine is worker 0, and as many others join as there
-// are tiles for them. out holds item i's k outputs at [i·k, (i+1)·k).
+// exec runs the items of one operation, split into tiles of consecutive
+// items (sized by reserve) that the workers claim in turn: the caller's
+// goroutine is worker 0, and as many others join as there are tiles for
+// them, so a tile beyond the free CPUs runs once one frees up. out holds
+// item i's k outputs at [i·k, (i+1)·k).
 func (s *StreamingEngine) exec(p op) []tfhe.LWECiphertext {
 	out := make([]tfhe.LWECiphertext, p.n*p.k)
 	if p.n == 0 {
 		return out
 	}
-	size := min((p.n+len(s.workers)-1)/len(s.workers), s.tileCap)
-	tiles := (p.n + size - 1) / size
+	size, slots := s.reserve(p.n)
+	defer release(slots)
 	var next atomic.Int64
 	run := func(w *worker) {
 		for {
@@ -102,7 +136,7 @@ func (s *StreamingEngine) exec(p op) []tfhe.LWECiphertext {
 		}
 	}
 	var wg sync.WaitGroup
-	for i := 1; i < min(len(s.workers), tiles); i++ {
+	for i := 1; i < slots; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

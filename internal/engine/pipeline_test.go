@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/tfhe"
 )
@@ -227,6 +229,168 @@ func TestStreamRecycledTilesMatchSequential(t *testing.T) {
 		if len(w.acc) > s.tileCap || len(w.ms) > s.tileCap {
 			t.Errorf("worker %d holds %d accumulator and %d rotation slots, more than the tile cap %d", i, len(w.acc), len(w.ms), s.tileCap)
 		}
+	}
+}
+
+// heldSlots reads the process-wide CPU budget.
+func heldSlots() int {
+	cpus.Lock()
+	defer cpus.Unlock()
+	return cpus.held
+}
+
+// charge makes the budget hold n more slots, as if other operations were
+// running, until the test ends.
+func charge(t *testing.T, n int) {
+	cpus.Lock()
+	cpus.held += n
+	cpus.Unlock()
+	t.Cleanup(func() { release(n) })
+}
+
+// TestConcurrentEnginesMatchSequential drives three engines, each over a
+// key set of its own, from concurrent goroutines, so that their operations
+// contend for the shared CPU budget and tile by what the others leave
+// free. Every output is bitwise equal to its key's sequential evaluator,
+// and once all have returned no slot is held. Runs under -race at 1, 2
+// and 4 CPUs (make race).
+func TestConcurrentEnginesMatchSequential(t *testing.T) {
+	sizes := []int{4, 9, 1, 17, 8}
+	type keyed struct {
+		s          *StreamingEngine
+		ops        []GateOp
+		a, b, want []tfhe.LWECiphertext
+	}
+	engines := make([]keyed, 3)
+	for e := range engines {
+		_, ek, cts, _ := testSetup(t, int64(71+e), 34)
+		serial := tfhe.NewEvaluator(ek)
+		k := keyed{s: NewStreaming(ek, StreamConfig{RotateWorkers: 2}), ops: make([]GateOp, 17), a: cts[:17], b: cts[17:]}
+		k.s.tileCap = 8 // set I's, so that 17 items are more tiles than workers
+		for i := range k.ops {
+			k.ops[i] = []GateOp{NAND, XOR, NOT, AND}[(i+e)%4]
+			k.want = append(k.want, seqGate(serial, k.ops[i], k.a[i], k.b[i]))
+		}
+		engines[e] = k
+	}
+	errs := make(chan error, len(engines))
+	for e, k := range engines {
+		go func() {
+			for _, n := range sizes {
+				got, err := k.s.Gates(k.ops[:n], k.a[:n], k.b[:n])
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i := range got {
+					if !ctEqual(got[i], k.want[i]) {
+						errs <- fmt.Errorf("engine %d, %d gates: item %d (%s) differs bitwise from the sequential evaluator", e, n, i, k.ops[i])
+						return
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range engines {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if h := heldSlots(); h != 0 {
+		t.Errorf("%d budget slots held after every operation returned", h)
+	}
+}
+
+// meetOp is NAND over a and b, except that the first item of each tile of
+// size items waits until every tile has begun: the operation completes
+// promptly only if each of its tiles runs on a worker of its own.
+func meetOp(t *testing.T, s *StreamingEngine, a, b []tfhe.LWECiphertext, size int) op {
+	tiles := len(a) / size
+	var arrived sync.WaitGroup
+	arrived.Add(tiles)
+	met := make(chan struct{})
+	go func() {
+		arrived.Wait()
+		close(met)
+	}()
+	return op{n: len(a), testVec: s.signTV, keyswitch: true,
+		prepare: func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
+			if i%size == 0 {
+				arrived.Done()
+				select {
+				case <-met:
+				case <-time.After(10 * time.Second):
+					t.Errorf("the tile at item %d ran while another of the %d tiles waited", i, tiles)
+				}
+			}
+			return gateInput(ev, NAND, a, b, i)
+		}}
+}
+
+// TestTilesFollowTheBudget pins the tile rule by the workers' counters.
+// Behind operations that hold every CPU, eight gates on a 2-worker engine
+// run as one tile of eight on the caller's worker. Alone, they tile as
+// they always have, min(⌈n/W⌉, cap): two tiles of four on a 2-worker
+// engine, eight of one on an 8-worker engine, one on each worker.
+func TestTilesFollowTheBudget(t *testing.T) {
+	_, ek, cts, _ := testSetup(t, 75, 16)
+	a, b := cts[:8], cts[8:]
+	pbs := func(s *StreamingEngine) []int64 {
+		n := make([]int64, len(s.workers))
+		for i, w := range s.workers {
+			n[i] = w.ev.Counters.PBSCount
+		}
+		return n
+	}
+	t.Run("contended", func(t *testing.T) {
+		s := NewStreaming(ek, StreamConfig{RotateWorkers: 2})
+		s.tileCap = 8
+		charge(t, runtime.GOMAXPROCS(0))
+		if _, err := s.Gates(NAND.Repeat(8), a, b); err != nil {
+			t.Fatal(err)
+		}
+		if got := pbs(s); got[0] != 8 || got[1] != 0 {
+			t.Errorf("PBS per worker %v behind a full budget, want [8 0]: one tile on the caller's worker", got)
+		}
+	})
+	for _, w := range []int{2, 8} {
+		t.Run(fmt.Sprintf("alone_W=%d", w), func(t *testing.T) {
+			s := NewStreaming(ek, StreamConfig{RotateWorkers: w})
+			s.tileCap = 8
+			s.runOne(meetOp(t, s, a, b, 8/w))
+			for i, n := range pbs(s) {
+				if n != int64(8/w) {
+					t.Errorf("worker %d ran %d PBS alone, want one tile of %d", i, n, 8/w)
+				}
+			}
+			if h := heldSlots(); h != 0 {
+				t.Errorf("%d budget slots held after the operation returned", h)
+			}
+		})
+	}
+}
+
+// TestPanicReleasesSlots: a prepare that panics unwinds through exec's
+// deferred release, so the caller that recovers leaves the budget as it
+// found it, and the engine serves its next operation.
+func TestPanicReleasesSlots(t *testing.T) {
+	_, ek, cts, _ := testSetup(t, 77, 8)
+	s := NewStreaming(ek, StreamConfig{RotateWorkers: 1})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the operation did not pass its prepare's panic to the caller")
+			}
+		}()
+		s.runOne(op{n: 4, testVec: s.signTV,
+			prepare: func(*tfhe.Evaluator, int) (tfhe.LWECiphertext, bool) { panic("prepare failed") }})
+	}()
+	if h := heldSlots(); h != 0 {
+		t.Errorf("%d budget slots held after the panic was recovered", h)
+	}
+	if _, err := s.Gates(NAND.Repeat(4), cts[:4], cts[4:]); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -52,7 +52,9 @@ type session struct {
 	counters   tfhe.OpCounters
 }
 
-// newSession builds a session and its private streaming engine.
+// newSession builds a session and its private streaming engine: its own
+// workers, whose operations split only across the CPUs that the other
+// sessions' operations leave free.
 func newSession(id string, ek tfhe.EvaluationKeys, cfg Config) *session {
 	return &session{
 		id:           id,
