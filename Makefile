@@ -13,7 +13,7 @@ GO ?= go
 # the floor is the total minus 1.5, rounded down.
 COVER_FLOOR ?= 80.0
 
-.PHONY: all build test test-purego race race-engine cover fuzz-regress bench bench-compare bench-smoke lint fmt fmt-check vet vet-arm64 no-deprecated no-retired-gate no-retired-ops no-fma docs loc profile
+.PHONY: all build test test-purego race race-engine cover fuzz-regress bench bench-compare bench-smoke lint fmt fmt-check vet vet-cross no-deprecated no-retired-gate no-retired-ops no-fma docs loc profile
 
 all: build test
 
@@ -95,7 +95,7 @@ bench-compare:
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
-lint: fmt-check vet vet-arm64 no-deprecated no-retired-gate no-retired-ops no-fma
+lint: fmt-check vet vet-cross no-deprecated no-retired-gate no-retired-ops no-fma
 
 # Documentation gate: every internal package needs a package comment and
 # every exported identifier a doc comment (see cmd/doccheck).
@@ -112,11 +112,19 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# A build without the amd64 assembly: every loop runs its reference body
-# there, and the AVX2 bodies' panic stubs must keep compiling.
-vet-arm64:
-	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./...
+# Builds without the amd64 assembly, where every loop runs its reference
+# body and the AVX2 bodies' panic stubs must keep compiling: linux/arm64;
+# linux/arm, 32-bit and without syscall.SyncFileRange (the disk store's
+# write-back is a no-op there); linux/s390x, big-endian, where the key
+# codec swaps each word; darwin/arm64, not Linux at all.
+CROSS_TARGETS = linux/arm64 linux/arm linux/s390x darwin/arm64
+
+vet-cross:
+	@set -e; for t in $(CROSS_TARGETS); do \
+		echo "build + vet $$t"; \
+		GOOS=$${t%/*} GOARCH=$${t#*/} $(GO) build ./...; \
+		GOOS=$${t%/*} GOARCH=$${t#*/} $(GO) vet ./...; \
+	done
 
 # A superseded identifier is deleted with its last caller, not kept as an
 # alias: any Deprecated: marker in non-test Go source fails the build.

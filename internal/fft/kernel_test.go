@@ -808,8 +808,10 @@ func BenchmarkMulAccTile(b *testing.B) {
 
 // BenchmarkFFTForwardDecompose is the fused decompose load and the forward
 // stages of every level: at set I's N = 1024 and gadget (10, 2) under the
-// bare rotsub= names, and at set III's N = 2048 and gadget (8, 3), whose
-// transform ends in the radix-2 pass, under n=2048.
+// bare rotsub= names, whose m = 512 transform ends in the radix-2 pass, and
+// at set III's N = 2048 and gadget (8, 3) under n=2048, whose m = 1024 = 4⁵
+// transform ends in the q = 1 radix-4 stage, which has only a reference
+// body.
 func BenchmarkFFTForwardDecompose(b *testing.B) {
 	bench := func(b *testing.B, n int, dec poly.Decomposer) {
 		p := NewProcessor(n)

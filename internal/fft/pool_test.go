@@ -71,7 +71,7 @@ func TestBufferPoolTransformMatchesFresh(t *testing.T) {
 	p := SharedProcessor(64)
 	src := poly.New(64)
 	for j := range src.Coeffs {
-		src.Coeffs[j] = uint32(j*2654435761 + 12345)
+		src.Coeffs[j] = uint32(j)*2654435761 + 12345
 	}
 	want := p.ForwardTorus(src)
 

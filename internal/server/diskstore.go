@@ -149,16 +149,19 @@ func keyFileFor(seq uint32) string { return fmt.Sprintf("s%08d.key", seq) }
 // crash between the two leaves an orphan file (collected on next open),
 // never a committed record pointing at missing bytes. The key streams into
 // a temp file and is fsynced outside the lock — that is the 49 MB part —
-// so listings, restores and other uploads proceed meanwhile; the lock
-// covers only the commit: sequence number, rename, directory sync, WAL
-// append. A Put that fails at any step leaves no temp file and no record.
+// so listings, restores and other uploads proceed meanwhile; the kernel
+// starts writing each completed window of the file back while the rest
+// still streams in (writeBehind), so the fsync finds little left to do.
+// The lock covers only the commit: sequence number, rename, directory
+// sync, WAL append. A Put that fails at any step leaves no temp file and
+// no record.
 func (s *DiskStore) Put(clientID string, size int64, fill func(w io.Writer) (tfhe.Params, error)) error {
 	keysDir := filepath.Join(s.dir, keysDirName)
 	crc := crc32.NewIEEE()
 	var p tfhe.Params
 	keyTmp, err := writeTempSync(keysDir, func(f *os.File) error {
 		var err error
-		if p, err = fill(io.MultiWriter(f, crc)); err != nil {
+		if p, err = fill(io.MultiWriter(&writeBehind{f: f}, crc)); err != nil {
 			return err
 		}
 		fi, err := f.Stat()
@@ -203,6 +206,33 @@ func (s *DiskStore) Put(clientID string, size int64, fill func(w io.Writer) (tfh
 	}
 	s.entries[clientID] = diskEntry{file: rec.File, params: rec.Params, keyBytes: rec.KeyBytes, keyCRC: rec.KeyCRC}
 	return nil
+}
+
+// writeBackWindow is how much of a key file writeBehind lets accumulate
+// before it starts the kernel's write-back of it. Writing 49 MB (a set-I
+// key) in 32 KB writes and then fsyncing took 40–49 ms on a 2-vCPU VM with
+// a virtio disk when the fsync started all the write-back, 25–30 ms with
+// it started every megabyte, 28–34 ms every 256 KB and 30–38 ms every 4 MB.
+const writeBackWindow = 1 << 20
+
+// writeBehind passes writes to a file and, each time another
+// writeBackWindow of it is complete, starts the kernel writing that window
+// back to the device (startWriteBack) without waiting for it.
+type writeBehind struct {
+	f       *os.File
+	written int64 // bytes written to f
+	started int64 // bytes whose write-back has been started
+}
+
+// Write implements io.Writer.
+func (w *writeBehind) Write(p []byte) (int, error) {
+	n, err := w.f.Write(p)
+	w.written += int64(n)
+	if end := w.written - w.written%writeBackWindow; end > w.started {
+		startWriteBack(w.f, w.started, end-w.started)
+		w.started = end
+	}
+	return n, err
 }
 
 // appendSync appends framed bytes to the WAL and fsyncs. Called with mu

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -143,6 +145,103 @@ func TestDiskStoreReopen(t *testing.T) {
 			ls = append(ls, de.Name())
 		}
 		t.Errorf("keys/ after reopen has %v, want exactly one .key", ls)
+	}
+}
+
+// TestDiskStorePutAcrossWriteBackWindows streams a key of a few MB that
+// crosses several write-back windows and ends inside one, in writes that
+// straddle the window edges: it reads back byte for byte, before and after
+// a reopen, under the CRC-32 the WAL recorded. A fill that fails after
+// 2 MB, with write-back already started on the temp file, leaves no temp
+// file and no WAL record.
+func TestDiskStorePutAcrossWriteBackWindows(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+	payload := make([]byte, 3*writeBackWindow+writeBackWindow/3)
+	rand.New(rand.NewSource(17)).Read(payload)
+	fill := func(w io.Writer) (tfhe.Params, error) {
+		for rest := payload; len(rest) > 0; {
+			n := min(len(rest), 100_003)
+			if _, err := w.Write(rest[:n]); err != nil {
+				return tfhe.Params{}, err
+			}
+			rest = rest[n:]
+		}
+		return tfhe.ParamsTest, nil
+	}
+	if err := s.Put("big", int64(len(payload)), fill); err != nil {
+		t.Fatal(err)
+	}
+	// The same writes through a writeBehind of its own: write-back has
+	// started on every whole window and on nothing past them.
+	f, err := os.CreateTemp(t.TempDir(), "wb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	wb := &writeBehind{f: f}
+	if _, err := fill(wb); err != nil {
+		t.Fatal(err)
+	}
+	if wb.written != int64(len(payload)) || wb.started != 3*writeBackWindow {
+		t.Errorf("writeBehind wrote %d bytes and started write-back of %d, want %d and %d",
+			wb.written, wb.started, len(payload), 3*writeBackWindow)
+	}
+	if got, want := s.entries["big"].keyCRC, crc32.ChecksumIEEE(payload); got != want {
+		t.Errorf("WAL recorded CRC-32 %#x, want %#x", got, want)
+	}
+	if got, err := getBlob(s, "big"); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read back %d bytes (error %v), want the %d written", len(got), err, len(payload))
+	}
+
+	walPath := filepath.Join(dir, walFileName)
+	walBefore, err := os.Stat(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := errors.New("upload cut")
+	err = s.Put("cut", int64(len(payload)), func(w io.Writer) (tfhe.Params, error) {
+		if _, err := w.Write(payload[:2<<20]); err != nil {
+			return tfhe.Params{}, err
+		}
+		return tfhe.Params{}, failed
+	})
+	if !errors.Is(err, failed) {
+		t.Fatalf("Put with a failing fill: %v, want %v", err, failed)
+	}
+	names, err := os.ReadDir(filepath.Join(dir, keysDirName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 1 || filepath.Ext(names[0].Name()) != ".key" {
+		var ls []string
+		for _, de := range names {
+			ls = append(ls, de.Name())
+		}
+		t.Errorf("keys/ after a failed Put has %v, want only the committed .key", ls)
+	}
+	if walAfter, err := os.Stat(walPath); err != nil || walAfter.Size() != walBefore.Size() {
+		t.Errorf("WAL grew from %d bytes across a failed Put (%v)", walBefore.Size(), err)
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = OpenDiskStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	if ids := s.List(); len(ids) != 1 || ids[0].ClientID != "big" {
+		t.Errorf("reopened store lists %v, want only big", ids)
+	}
+	if got, want := s.entries["big"].keyCRC, crc32.ChecksumIEEE(payload); got != want {
+		t.Errorf("replayed WAL holds CRC-32 %#x, want %#x", got, want)
+	}
+	if got, err := getBlob(s, "big"); err != nil || !bytes.Equal(got, payload) {
+		t.Errorf("reopened store read back %d bytes (error %v), want the %d written", len(got), err, len(payload))
 	}
 }
 

@@ -1,13 +1,14 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"unsafe"
 
 	"repro/internal/tfhe"
 	"repro/internal/torus"
@@ -17,18 +18,24 @@ import (
 // encoded beside its decoded form (49 MB at set I, 1.09 GB at set IV), so
 // both directions are incremental: EncodeEvalKey is an io.Reader that
 // produces the encoding a record at a time straight from the key, and
-// DecodeEvalKey consumes an io.Reader through one fixed chunk buffer.
-// MarshalEvalKey and UnmarshalEvalKey are those two over a byte slice.
+// DecodeEvalKey reads an io.Reader a chunk at a time straight into the
+// key's slabs. MarshalEvalKey and UnmarshalEvalKey are those two over a
+// byte slice.
 //
 // Layout: the object header, the parameter payload, then the
 // Fourier-domain BSK and the raw KSK, both with shapes fully determined by
 // the parameters (no per-object framing). Both keys are slabs in wire
 // order (tfhe.GGSWFourier, EvaluationKeys.KSK), so a record is the header
 // with the parameters, or the next N/2 complex values of a GGSW slab, or
-// the next KSK ciphertext: a slice of a slab either way.
+// the next KSK ciphertext: a slice of a slab either way. A slab's memory
+// is its wire bytes — little-endian float64 pairs, little-endian uint32
+// words — so both directions move records as bulk byte copies, checking
+// the BSK's values by their exponent bits, and a big-endian host swaps
+// each word in place (swapWords).
 
-// keyChunk is the decoder's read buffer: the unit in which it pulls from
-// the source, and so the write size a tee in front of it sees.
+// keyChunk is the decoder's read size: it reads a slab straight into the
+// slab's memory at most this many bytes at a time, so it is also the
+// largest write a tee in front of it sees.
 const keyChunk = 64 << 10
 
 // errNonFinite is a NaN or infinity in the BSK: it would silently poison
@@ -36,13 +43,62 @@ const keyChunk = 64 << 10
 // passes one.
 var errNonFinite = errors.New("wire: non-finite Fourier coefficient in bootstrapping key")
 
+// bigEndian is whether this host stores words most significant byte
+// first. The slabs' memory is their wire bytes only on a little-endian
+// host; on a big-endian one each word is swapped on its way in and out.
+var bigEndian = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
+
+// bytesOf returns the memory of a slab as bytes.
+func bytesOf[T complex128 | torus.Torus32](s []T) []byte {
+	var zero T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(zero)))
+}
+
+// floatBits returns the memory of complex values as the bits of their
+// float64 parts, real and imaginary in turn.
+func floatBits(s []complex128) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(s))), 2*len(s))
+}
+
+// finiteBits reports whether every float64 whose bits are in w is finite,
+// i.e. has an exponent field that is not all ones. The field plus one
+// carries into the sign bit exactly when it is all ones, so the words are
+// or-ed without a branch, into four accumulators that do not wait on each
+// other (≈ 1.5× one), and tested once.
+func finiteBits(w []uint64) bool {
+	const exp, one = 0x7ff << 52, 1 << 52
+	var c0, c1, c2, c3 uint64
+	i := 0
+	for ; i+4 <= len(w); i += 4 {
+		q := w[i : i+4 : i+4]
+		c0 |= q[0]&exp + one
+		c1 |= q[1]&exp + one
+		c2 |= q[2]&exp + one
+		c3 |= q[3]&exp + one
+	}
+	for _, v := range w[i:] {
+		c0 |= v&exp + one
+	}
+	return (c0|c1|c2|c3)>>63 == 0
+}
+
+// swapWords reverses the bytes of each size-byte word of b in place: the
+// one step between a big-endian host's memory and the little-endian wire,
+// in either direction.
+func swapWords(b []byte, size int) {
+	for i := 0; i+size <= len(b); i += size {
+		slices.Reverse(b[i : i+size])
+	}
+}
+
 // evalKeyEncoder is the reader EncodeEvalKey returns.
 type evalKeyEncoder struct {
 	ek    tfhe.EvaluationKeys
 	next  int    // next record to encode
 	polys int    // BSK polynomial records, after the one header record
 	total int    // all records
-	spill []byte // rest of a record that did not fit the caller's buffer
+	buf   []byte // spill buffer, reused by every record that straddles a Read, grown only for a larger one
+	spill []byte // rest of a record that did not fit the caller's buffer, in buf
 	err   error  // the first record that could not be encoded
 }
 
@@ -80,39 +136,44 @@ func (e *evalKeyEncoder) recordSize(k int) int {
 	return 4 * (p.SmallN + 1)
 }
 
-// appendRecord appends the encoding of record k.
-func (e *evalKeyEncoder) appendRecord(dst []byte, k int) ([]byte, error) {
+// writeRecord writes the encoding of record k to dst, which is
+// recordSize(k) bytes long. A slab record is the slab's bytes, copied
+// after its values are checked.
+func (e *evalKeyEncoder) writeRecord(dst []byte, k int) error {
 	p := e.ek.Params
 	switch {
 	case k == 0:
-		return appendParamsPayload(appendHeader(dst, KindEvalKey), p), nil
+		appendParamsPayload(appendHeader(dst[:0], KindEvalKey), p)
+		return nil
 	case k <= e.polys:
 		m := p.N / 2
 		off := (k - 1) * m
 		g := e.ek.BSK[off/p.GGSWValues()]
 		off %= p.GGSWValues()
-		for _, v := range g[off : off+m] {
-			if !finite(real(v)) || !finite(imag(v)) {
-				return dst, errNonFinite
-			}
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(real(v)))
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(imag(v)))
+		vals := g[off : off+m]
+		if !finiteBits(floatBits(vals)) {
+			return errNonFinite
 		}
-		return dst, nil
+		copy(dst, bytesOf(vals))
+		if bigEndian {
+			swapWords(dst, 8)
+		}
+		return nil
 	}
 	// KSK ciphertexts carry no length prefix: the parameters imply it.
 	// The slab is in wire order, so record k is its k-th row.
 	k -= 1 + e.polys
-	for _, w := range e.ek.KSK[k*(p.SmallN+1) : (k+1)*(p.SmallN+1)] {
-		dst = binary.LittleEndian.AppendUint32(dst, w)
+	copy(dst, bytesOf(e.ek.KSK[k*(p.SmallN+1):(k+1)*(p.SmallN+1)]))
+	if bigEndian {
+		swapWords(dst, 4)
 	}
-	return dst, nil
+	return nil
 }
 
 // Read implements io.Reader. Records that fit what is left of p are
-// encoded in place; one that does not is encoded aside and handed out
-// across calls. A record that cannot be encoded ends the stream: that
-// Read and every later one return its error.
+// encoded in place; one that does not is encoded into the spill buffer and
+// handed out across calls. A record that cannot be encoded ends the
+// stream: that Read and every later one return its error.
 func (e *evalKeyEncoder) Read(p []byte) (int, error) {
 	n := 0
 	for n < len(p) && e.err == nil {
@@ -122,15 +183,20 @@ func (e *evalKeyEncoder) Read(p []byte) (int, error) {
 			}
 			k := e.next
 			e.next++
-			if size := e.recordSize(k); size <= len(p)-n {
-				if _, e.err = e.appendRecord(p[n:n:n+size], k); e.err == nil {
+			size := e.recordSize(k)
+			if size <= len(p)-n {
+				if e.err = e.writeRecord(p[n:n+size:n+size], k); e.err == nil {
 					n += size
 				}
 				continue
 			}
-			if e.spill, e.err = e.appendRecord(nil, k); e.err != nil {
+			if cap(e.buf) < size {
+				e.buf = make([]byte, size)
+			}
+			if e.err = e.writeRecord(e.buf[:size:size], k); e.err != nil {
 				break
 			}
+			e.spill = e.buf[:size]
 		}
 		c := copy(p[n:], e.spill)
 		e.spill = e.spill[c:]
@@ -163,86 +229,84 @@ func UnmarshalEvalKey(data []byte) (tfhe.EvaluationKeys, error) {
 	return DecodeEvalKey(bytes.NewReader(data), int64(len(data)))
 }
 
-// keyDecoder hands out the next bytes of a stream from one chunk buffer.
+// keyDecoder reads a key's bytes from its stream, counting them.
 type keyDecoder struct {
-	br   *bufio.Reader
-	off  int64 // bytes handed out so far
-	held int   // length of the last slice handed out, released by the next take
+	r   io.Reader
+	off int64 // bytes read so far
 }
 
-// take returns the next n bytes (n at most keyChunk), valid until the
-// following call. A stream that ends first is truncated input; any other
-// read failure is reported as the I/O error it is.
-func (d *keyDecoder) take(n int) ([]byte, error) {
-	d.br.Discard(d.held) // cannot fail: held bytes were peeked
-	d.held = 0
-	b, err := d.br.Peek(n)
+// read fills b from the stream. A stream that ends first is truncated
+// input; any other read failure is reported as the I/O error it is.
+func (d *keyDecoder) read(b []byte) error {
+	n, err := io.ReadFull(d.r, b)
+	d.off += int64(n)
 	switch err {
 	case nil:
-		d.held = n
-		d.off += int64(n)
-		return b, nil
-	case io.EOF:
-		return nil, fmt.Errorf("wire: truncated input: need %d bytes at offset %d, have %d", n, d.off, len(b))
+		return nil
+	case io.EOF, io.ErrUnexpectedEOF:
+		return fmt.Errorf("wire: truncated input: need %d bytes at offset %d, have %d", len(b), d.off-int64(n), n)
 	}
-	return nil, fmt.Errorf("wire: reading evaluation key at offset %d: %w", d.off, err)
+	return fmt.Errorf("wire: reading evaluation key at offset %d: %w", d.off, err)
 }
 
 // params decodes the object header and parameter payload. Its length
-// depends on the name-length byte right after the header, so it is peeked
+// depends on the name-length byte right after the header, so it is read
 // in two steps and then parsed by the same cursor as a standalone
 // parameter object; a short stream is left to that cursor to report.
 func (d *keyDecoder) params() (tfhe.Params, error) {
-	prefix, err := d.br.Peek(headerSize + 1)
+	buf := make([]byte, headerSize+paramsFixedSize+math.MaxUint8) // the longest name a length byte allows
+	n, err := io.ReadFull(d.r, buf[:headerSize+1])
 	if err == nil {
-		prefix, err = d.br.Peek(headerSize + paramsFixedSize + int(prefix[headerSize]))
+		var more int
+		more, err = io.ReadFull(d.r, buf[n:headerSize+paramsFixedSize+int(buf[headerSize])])
+		n += more
 	}
-	if err != nil && err != io.EOF {
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
 		return tfhe.Params{}, fmt.Errorf("wire: reading evaluation key header: %w", err)
 	}
-	cur := &reader{buf: prefix}
+	cur := &reader{buf: buf[:n]}
 	cur.header(KindEvalKey)
 	p := decodeParamsPayload(cur)
 	if cur.err != nil {
 		return tfhe.Params{}, cur.err
 	}
-	d.held, d.off = cur.off, int64(cur.off)
+	d.off = int64(cur.off)
 	return p, nil
 }
 
-// readFourier fills dst with complex values, rejecting non-finite ones.
+// readFourier fills dst with complex values straight from the stream, a
+// chunk at a time, and refuses a chunk holding a non-finite one.
 func (d *keyDecoder) readFourier(dst []complex128) error {
 	for len(dst) > 0 {
-		run := min(len(dst), keyChunk/16)
-		raw, err := d.take(16 * run)
-		if err != nil {
+		run := dst[:min(len(dst), keyChunk/16)]
+		raw := bytesOf(run)
+		if err := d.read(raw); err != nil {
 			return err
 		}
-		for i := range dst[:run] {
-			re := math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i:]))
-			im := math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i+8:]))
-			if !finite(re) || !finite(im) {
-				return errNonFinite
-			}
-			dst[i] = complex(re, im)
+		if bigEndian {
+			swapWords(raw, 8)
 		}
-		dst = dst[run:]
+		if !finiteBits(floatBits(run)) {
+			return errNonFinite
+		}
+		dst = dst[len(run):]
 	}
 	return nil
 }
 
-// readTorus fills dst with raw torus values.
+// readTorus fills dst with raw torus values straight from the stream, a
+// chunk at a time.
 func (d *keyDecoder) readTorus(dst []torus.Torus32) error {
 	for len(dst) > 0 {
-		run := min(len(dst), keyChunk/4)
-		raw, err := d.take(4 * run)
-		if err != nil {
+		run := dst[:min(len(dst), keyChunk/4)]
+		raw := bytesOf(run)
+		if err := d.read(raw); err != nil {
 			return err
 		}
-		for i := range dst[:run] {
-			dst[i] = torus.Torus32(binary.LittleEndian.Uint32(raw[4*i:]))
+		if bigEndian {
+			swapWords(raw, 4)
 		}
-		dst = dst[run:]
+		dst = dst[len(run):]
 	}
 	return nil
 }
@@ -252,8 +316,8 @@ func (d *keyDecoder) readTorus(dst []torus.Torus32) error {
 // which a source that verifies itself at EOF (a stored key's checksum)
 // reports a failure.
 func (d *keyDecoder) end() error {
-	d.br.Discard(d.held)
-	switch _, err := d.br.Peek(1); err {
+	var one [1]byte
+	switch _, err := io.ReadFull(d.r, one[:]); err {
 	case io.EOF:
 		return nil
 	case nil:
@@ -293,7 +357,7 @@ func fill[T any](d *keyDecoder, total, size int, read func([]T) error) ([]T, err
 // (fill), so neither a hostile header nor a hostile size buys more memory
 // than about twice the bytes actually sent.
 func DecodeEvalKey(r io.Reader, size int64) (tfhe.EvaluationKeys, error) {
-	d := &keyDecoder{br: bufio.NewReaderSize(r, keyChunk)}
+	d := &keyDecoder{r: r}
 	p, err := d.params()
 	if err != nil {
 		return tfhe.EvaluationKeys{}, err

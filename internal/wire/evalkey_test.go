@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -60,6 +61,126 @@ func TestEncodeEvalKeyGoldenBytes(t *testing.T) {
 	}
 }
 
+// plainWriter discards what it is given and is nothing but an io.Writer:
+// an io.CopyBuffer into it reads through the buffer it is handed, where
+// io.Discard's ReadFrom would pick its own.
+type plainWriter struct{}
+
+func (plainWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// setIKey is a set-I evaluation key, 49 MB encoded.
+func setIKey() tfhe.EvaluationKeys {
+	_, ek := tfhe.GenerateKeys(rand.New(rand.NewSource(7)), tfhe.ParamsI)
+	return ek
+}
+
+// TestEncodeEvalKeyReadsWithoutGarbage reads a set-I key through the
+// buffer sizes transports copy with. Its 8 KB BSK records straddle every
+// such buffer, yet after the first Read the encoder allocates at most one
+// record's spill buffer, however many records it spills.
+func TestEncodeEvalKeyReadsWithoutGarbage(t *testing.T) {
+	ek := setIKey()
+	record := 16 * (ek.Params.N / 2)
+	for _, bufSize := range []int{4 << 10, 8 << 10, 32 << 10} {
+		enc, size, err := EncodeEvalKey(ek)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, bufSize)
+		first, err := enc.Read(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rest, err := io.CopyBuffer(plainWriter{}, enc, buf)
+		runtime.ReadMemStats(&after)
+		if err != nil || int64(first)+rest != size {
+			t.Fatalf("%d-byte reads: %d bytes, error %v; want %d bytes", bufSize, int64(first)+rest, err, size)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > uint64(record) {
+			t.Errorf("%d-byte reads of a %d-byte key allocated %d bytes after the first Read, want at most one %d-byte record",
+				bufSize, size, grown, record)
+		}
+	}
+}
+
+// BenchmarkEvalKeyCodec is the key codec at set I: encode, read through a
+// 32 KB buffer as a transport copies it, and decode from memory.
+func BenchmarkEvalKeyCodec(b *testing.B) {
+	ek := setIKey()
+	data, err := MarshalEvalKey(ek)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		buf := make([]byte, 32<<10)
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			enc, _, err := EncodeEvalKey(ek)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := io.CopyBuffer(plainWriter{}, enc, buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeEvalKey(bytes.NewReader(data), int64(len(data))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestSwapWords runs the big-endian host's one extra step on any host:
+// swapping the words of a big-endian encoding gives the little-endian one,
+// at both word sizes of the key. Then the codec runs as if the host were
+// big-endian: its encoding is the real one with every BSK and KSK word
+// swapped, and it decodes back to the key.
+func TestSwapWords(t *testing.T) {
+	vals := []uint64{0x0102030405060708, 0x7ff0000000000001, 0x8000000000000000, 0xfedcba9876543210}
+	var be8, le8, be4, le4 []byte
+	for _, v := range vals {
+		be8, le8 = binary.BigEndian.AppendUint64(be8, v), binary.LittleEndian.AppendUint64(le8, v)
+		be4, le4 = binary.BigEndian.AppendUint32(be4, uint32(v)), binary.LittleEndian.AppendUint32(le4, uint32(v))
+	}
+	swapWords(be8, 8)
+	swapWords(be4, 4)
+	if !bytes.Equal(be8, le8) || !bytes.Equal(be4, le4) {
+		t.Fatalf("swapWords: 8-byte words % x, want % x; 4-byte words % x, want % x", be8, le8, be4, le4)
+	}
+
+	ek := goldenKey()
+	data, err := MarshalEvalKey(ek)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := headerSize + paramsPayloadSize(ek.Params)
+	bsk, _ := bskBytes(ek.Params)
+	want := bytes.Clone(data)
+	swapWords(want[hdr:hdr+int(bsk)], 8)
+	swapWords(want[hdr+int(bsk):], 4)
+
+	bigEndian = !bigEndian
+	defer func() { bigEndian = !bigEndian }()
+	swapped, err := MarshalEvalKey(ek)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(swapped, want) {
+		t.Error("the encoding with words swapped is not the encoding with each BSK and KSK word reversed")
+	}
+	if got, err := UnmarshalEvalKey(swapped); err != nil || !reflect.DeepEqual(got, ek) {
+		t.Errorf("decoding with words swapped: error %v, same key %v", err, reflect.DeepEqual(got, ek))
+	}
+}
+
 // TestDecodeEvalKeyAnyChunking feeds the decoder through readers that
 // return one byte, half of what is asked, and data together with io.EOF:
 // the key must be bitwise the one UnmarshalEvalKey decodes. A reader that
@@ -110,12 +231,13 @@ func TestDecodeEvalKeyRejects(t *testing.T) {
 		nan[hdr+int(bsk)/2+i] = 0xff // a NaN halfway through the BSK
 	}
 	size := int64(len(data))
-	cases := []struct {
+	type rejectCase struct {
 		name   string
 		stream []byte
 		size   int64
 		want   string
-	}{
+	}
+	cases := []rejectCase{
 		{"empty", nil, size, "truncated"},
 		{"ends in header", data[:headerSize+3], size, "truncated"},
 		{"ends in BSK", data[:hdr+int(bsk)/2], size, "truncated"},
@@ -124,6 +246,13 @@ func TestDecodeEvalKeyRejects(t *testing.T) {
 		{"declared too small", data, size - 4, "want 1972285"},
 		{"declared too large", data, size + 1, "want 1972285"},
 		{"non-finite coefficient", nan, size, "non-finite"},
+	}
+	for _, at := range bskEdges(ek.Params) {
+		for _, bits := range nonFiniteEdges {
+			stream := bytes.Clone(data)
+			binary.LittleEndian.PutUint64(stream[hdr+at.off(ek.Params):], bits)
+			cases = append(cases, rejectCase{fmt.Sprintf("%#x at %s", bits, at.name), stream, size, "non-finite"})
+		}
 	}
 	for _, tc := range cases {
 		for name, wrap := range map[string]func(io.Reader) io.Reader{
@@ -136,6 +265,51 @@ func TestDecodeEvalKeyRejects(t *testing.T) {
 			}
 		}
 	}
+
+	// The finite values next to the refused bit patterns pass, bit for bit.
+	for _, at := range bskEdges(ek.Params) {
+		for _, bits := range finiteEdges {
+			stream := bytes.Clone(data)
+			binary.LittleEndian.PutUint64(stream[hdr+at.off(ek.Params):], bits)
+			got, err := UnmarshalEvalKey(stream)
+			if err != nil {
+				t.Errorf("%#x at %s: %v", bits, at.name, err)
+				continue
+			}
+			if v := *at.bits(got); v != bits {
+				t.Errorf("%#x at %s decodes to %#x", bits, at.name, v)
+			}
+		}
+	}
+}
+
+// The float64 bit patterns at the edge of the finiteness check: +Inf, −Inf
+// and the NaN nearest to +Inf are refused; the largest finite double and
+// −0 are not.
+var (
+	nonFiniteEdges = []uint64{0x7ff0000000000000, 0xfff0000000000000, 0x7ff0000000000001}
+	finiteEdges    = []uint64{0x7fefffffffffffff, 0x8000000000000000}
+)
+
+// bskEdge is a float64 of the BSK: word of GGSW ggsw, the real and
+// imaginary parts of its values in turn.
+type bskEdge struct {
+	name       string
+	ggsw, word int
+}
+
+// off is the edge's byte offset in the encoded BSK.
+func (e bskEdge) off(p tfhe.Params) int { return 16*e.ggsw*p.GGSWValues() + 8*e.word }
+
+// bits points at the edge's bits in ek.
+func (e bskEdge) bits(ek tfhe.EvaluationKeys) *uint64 { return &floatBits(ek.BSK[e.ggsw])[e.word] }
+
+// bskEdges are the two places the finiteness check is tested at: the real
+// part of the first value of GGSW 1, which begins a chunk of the decoder's
+// reads and a record of the encoder's, and the imaginary part of the last
+// value of the BSK, the last float64 before the KSK.
+func bskEdges(p tfhe.Params) []bskEdge {
+	return []bskEdge{{"chunk start", 1, 0}, {"last BSK value", p.SmallN - 1, 2*p.GGSWValues() - 1}}
 }
 
 // countingReader counts the bytes read through it.
@@ -263,19 +437,45 @@ func TestGGSWSlabIsWireOrder(t *testing.T) {
 func TestEncodersRefuseWhatDecodersRefuse(t *testing.T) {
 	ek := goldenKey()
 	ek.BSK[3][17] = complex(0, math.NaN())
-	if _, err := MarshalEvalKey(ek); !errors.Is(err, errNonFinite) {
-		t.Errorf("MarshalEvalKey of a key with a NaN: error %v, want %v", err, errNonFinite)
+	refuse := func(ek tfhe.EvaluationKeys, what string) {
+		t.Helper()
+		if _, err := MarshalEvalKey(ek); !errors.Is(err, errNonFinite) {
+			t.Errorf("MarshalEvalKey of a key with %s: error %v, want %v", what, err, errNonFinite)
+		}
+		for _, bufSize := range []int{7, 32 << 10} {
+			enc, _, err := EncodeEvalKey(ek)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.CopyBuffer(plainWriter{}, enc, make([]byte, bufSize)); !errors.Is(err, errNonFinite) {
+				t.Errorf("%s, reading %d bytes at a time: error %v, want %v", what, bufSize, err, errNonFinite)
+			}
+			if n, err := enc.Read(make([]byte, 64)); n != 0 || !errors.Is(err, errNonFinite) {
+				t.Errorf("%s, Read after the failure: %d, %v; want 0, %v", what, n, err, errNonFinite)
+			}
+		}
 	}
-	for _, bufSize := range []int{7, 32 << 10} {
-		enc, _, err := EncodeEvalKey(ek)
-		if err != nil {
-			t.Fatal(err)
+	refuse(ek, "a NaN")
+	for _, at := range bskEdges(ek.Params) {
+		for _, bits := range nonFiniteEdges {
+			edge := goldenKey()
+			*at.bits(edge) = bits
+			refuse(edge, fmt.Sprintf("%#x at %s", bits, at.name))
 		}
-		if _, err := io.CopyBuffer(io.Discard, enc, make([]byte, bufSize)); !errors.Is(err, errNonFinite) {
-			t.Errorf("reading %d bytes at a time: error %v, want %v", bufSize, err, errNonFinite)
-		}
-		if n, err := enc.Read(make([]byte, 64)); n != 0 || !errors.Is(err, errNonFinite) {
-			t.Errorf("Read after the failure: %d, %v; want 0, %v", n, err, errNonFinite)
+		for _, bits := range finiteEdges {
+			edge := goldenKey()
+			*at.bits(edge) = bits
+			data, err := MarshalEvalKey(edge)
+			if err != nil {
+				t.Errorf("MarshalEvalKey of a key with %#x at %s: %v", bits, at.name, err)
+				continue
+			}
+			got, err := UnmarshalEvalKey(data)
+			if err != nil {
+				t.Errorf("decoding a key with %#x at %s: %v", bits, at.name, err)
+			} else if v := *at.bits(got); v != bits {
+				t.Errorf("%#x at %s round-trips to %#x", bits, at.name, v)
+			}
 		}
 	}
 

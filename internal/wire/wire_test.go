@@ -230,9 +230,12 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 	}{"params NaN stddev", unParams, nanData})
 
 	// A PBS gadget whose level·baseLog wraps int64 past Validate's ≤ 32:
-	// the key's shape would be sized from the wrapped level.
+	// the key's shape would be sized from the wrapped level. (The fields
+	// go through uint32 so that the test compiles where int is 32 bits;
+	// the wire bytes are the same there.)
 	wrapParams := ek.Params
-	wrapParams.PBSLevel, wrapParams.PBSBaseLog = 1<<32-1, 1<<31+1
+	level, baseLog := uint32(1<<32-1), uint32(1<<31+1)
+	wrapParams.PBSLevel, wrapParams.PBSBaseLog = int(level), int(baseLog)
 	wrapData := appendParamsPayload(appendHeader(nil, KindParams), wrapParams)
 	cases = append(cases, struct {
 		name string
