@@ -41,12 +41,13 @@ test-purego:
 race: race-engine
 	$(GO) test -race ./internal/conformance/... ./internal/fft/... ./internal/router/... ./internal/sched/... ./internal/server/... ./internal/tfhe/... ./internal/torus/... ./internal/wire/...
 
-# The streaming engine under -race at one, two and four CPUs, since its
-# engines share one CPU budget sized by GOMAXPROCS: at one CPU every
-# contended operation runs as one worker's tiles, at four the budget is
-# wider than a 2-worker engine. CI runs it beside the full -race suite.
+# The streaming engine and the gate service under -race at one, two and
+# four CPUs, since every engine and every session draws on one worker
+# pool sized by GOMAXPROCS: at one CPU every contended operation runs as
+# one worker's tiles, at four the pool is wider than a 2-worker engine.
+# CI runs it beside the full -race suite.
 race-engine:
-	$(GO) test -race -cpu 1,2,4 ./internal/engine/...
+	$(GO) test -race -cpu 1,2,4 ./internal/engine/... ./internal/server/...
 
 # Full suite under the race detector with a coverage floor: catches both
 # data races anywhere and silent loss of test coverage. ./benchmark runs
@@ -156,7 +157,7 @@ no-retired-gate:
 no-retired-ops:
 	@! git grep -nE 'BatchGates|(^|[^k])StreamGates|BatchEvalLUT|StreamLUT\(|BatchMultiLUT|StreamMultiLUT|BatchBootstrap|StreamBootstrap|BatchKeySwitch|EvalCircuit|engine\.New\(|engine\.Config([^A-Za-z0-9_]|$$)|DefaultMinStream|BlindRotateBatch|BlindRotateSteps|Runner\{Batch' -- '*.go' ':!benchmark' ':!internal/engine/engine.go'
 	@! git grep -nE 'GGSWFourier\{''Rows|ForwardTorus''BatchTo|ForwardInt''BatchTo|Inverse''BatchTo|mulAcc''Fast|mulAcc''AVX2|fft\.Mul''\(' -- '*.go'
-	@! git grep -nE 'KS''Workers|ks-''workers|empty''Tile|chan ''tile' -- '*.go'
+	@! git grep -nE 'KS''Workers|ks-''workers|rotate-''workers|empty''Tile|chan ''tile' -- '*.go'
 	@! git grep -nE 'loadTorus''Fast|loadInt''Fast|mulAccTile''Go|foldAcc''Fast|digit''Fast|storeTwisted''Fast|go:''linkname' -- '*.go' '*.s'
 
 # No fused multiply-add in any assembly file: it rounds once where the

@@ -48,7 +48,7 @@ import (
 // quantized cleartext reference and reports the prediction agreement,
 // then times a `count`-inference batch per client, plain and with the
 // server-side optimizer, reporting inferences/s.
-func runInfer(set string, count, clients, workers int) error {
+func runInfer(set string, count, clients int) error {
 	p, err := tfhe.ParamsByName(set)
 	if err != nil {
 		return err
@@ -64,7 +64,6 @@ func runInfer(set string, count, clients, workers int) error {
 		p.Name, clients, count, workload.InferFeatures)
 	sweep := workload.InferSweep()
 	srv := server.New(server.Config{
-		Stream:   engine.StreamConfig{RotateWorkers: workers},
 		MaxBatch: workload.InferFeatures * max(len(sweep), clients*count),
 	})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -319,7 +318,7 @@ func main() {
 	circuit := flag.Int("circuit", 0, "circuit scheduler mode: multiply digit count (enables the mode)")
 	infer := flag.Int("infer", 0, "encrypted inference mode: inferences per client batch (enables the mode)")
 	clients := flag.Int("clients", 4, "infer mode: concurrent client sessions")
-	parallel := flag.Int("parallel", 0, "circuit/infer mode: rotate-worker count (0 = GOMAXPROCS)")
+	parallel := flag.Int("parallel", 0, "circuit mode: the streaming engine's width (0 = GOMAXPROCS)")
 	set := flag.String("set", "test", "circuit/infer mode: parameter set")
 	kernel := flag.String("kernel", "fast", "FFT kernel set: fast (AVX2 assembly where the host has it, the reference elsewhere; default) or ref (bounds-checked reference)")
 	flag.Parse()
@@ -348,7 +347,7 @@ func main() {
 	case *circuit != 0 && *infer != 0:
 		err = fmt.Errorf("-circuit and -infer are mutually exclusive; run them separately")
 	case *infer != 0:
-		err = runInfer(*set, *infer, *clients, *parallel)
+		err = runInfer(*set, *infer, *clients)
 	case *circuit != 0:
 		err = runCircuit(*set, *circuit, *parallel)
 	default:

@@ -1,7 +1,9 @@
 // Command strixserv runs the networked FHE gate service: a session-sharded
 // HTTP server that accepts wire-encoded evaluation keys and streams clients'
-// gate/LUT batches through per-session streaming PBS engines, each a set of
-// workers that run a tile of ciphertexts from modulus switch to keyswitch.
+// gate/LUT batches through per-session streaming PBS engines. An engine is
+// a handle on its session's keys: every session's operations run on the
+// process's one pool of GOMAXPROCS workers, each running a tile of
+// ciphertexts from modulus switch to keyswitch.
 //
 // The trust split is the classic FHE service model: clients keep their
 // secret keys and upload only evaluation keys and ciphertexts; the server
@@ -28,7 +30,7 @@
 //	strixserv                        # listen on :8475, in-memory sessions
 //	strixserv -addr 127.0.0.1:0      # ephemeral port (printed on stdout)
 //	strixserv -data /var/lib/strix   # durable sessions, graceful drain
-//	strixserv -max-sessions 128 -rotate-workers 8
+//	strixserv -max-sessions 128
 package main
 
 import (
@@ -40,7 +42,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"repro/internal/engine"
 	"repro/internal/fft"
 	"repro/internal/server"
 )
@@ -52,7 +53,6 @@ func main() {
 	maxPending := flag.Int("max-pending", 0, "per-session backpressure bound (0 = default 64)")
 	maxBatch := flag.Int("max-batch", 0, "max ciphertexts per request (0 = default 4096)")
 	maxCoalesce := flag.Int("max-coalesce", 0, "max ciphertexts merged into one stream (0 = default 8192)")
-	rotateWorkers := flag.Int("rotate-workers", 0, "workers per session engine, each running one tile at a time (0 = GOMAXPROCS); an operation that starts while other sessions' hold CPUs splits only across the ones left free")
 	flag.Parse()
 
 	srv, err := server.Open(server.Config{
@@ -61,7 +61,6 @@ func main() {
 		MaxBatch:    *maxBatch,
 		MaxCoalesce: *maxCoalesce,
 		DataDir:     *dataDir,
-		Stream:      engine.StreamConfig{RotateWorkers: *rotateWorkers},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "strixserv:", err)

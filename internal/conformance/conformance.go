@@ -97,7 +97,7 @@ func NewFixture(seed int64) (*Fixture, error) {
 	sk, ek := tfhe.GenerateKeys(rng, tfhe.ParamsTest)
 	f := &Fixture{SK: sk, EK: ek}
 
-	srv := server.New(server.Config{Stream: engine.StreamConfig{RotateWorkers: 2}})
+	srv := server.New(server.Config{})
 	f.ts = httptest.NewServer(srv.Handler())
 	cl := server.Dial(f.ts.URL, "conformance")
 	if err := cl.RegisterKey(ek); err != nil {
@@ -116,7 +116,7 @@ func NewFixture(seed int64) (*Fixture, error) {
 		return nil, err
 	}
 	f.dir = dir
-	pre, err := server.Open(server.Config{DataDir: dir, Stream: engine.StreamConfig{RotateWorkers: 2}})
+	pre, err := server.Open(server.Config{DataDir: dir})
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -129,7 +129,7 @@ func NewFixture(seed int64) (*Fixture, error) {
 		f.Close()
 		return nil, err
 	}
-	restored, err := server.Open(server.Config{DataDir: dir, Stream: engine.StreamConfig{RotateWorkers: 2}})
+	restored, err := server.Open(server.Config{DataDir: dir})
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -143,7 +143,7 @@ func NewFixture(seed int64) (*Fixture, error) {
 	// the routing tier — shard pick, forward, response passthrough — to
 	// the bitwise contract.
 	for i := range f.tsNodes {
-		node := server.New(server.Config{Stream: engine.StreamConfig{RotateWorkers: 2}})
+		node := server.New(server.Config{})
 		f.tsNodes[i] = httptest.NewServer(node.Handler())
 	}
 	rt, err := router.New(router.Config{Backends: []string{f.tsNodes[0].URL, f.tsNodes[1].URL}})

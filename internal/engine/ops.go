@@ -9,8 +9,8 @@ import (
 // The operation vocabulary: Gates, LUT, MultiLUT and Bootstrap are defined
 // here once, as op descriptions that StreamingEngine.exec runs. They
 // validate operands in the caller's goroutine, so every failure is an
-// error or a recoverable panic and never a panic inside a worker, and
-// serialize operations, so they are safe for concurrent use.
+// error or a recoverable panic and never a panic inside a worker. They are
+// safe for concurrent use: each operation runs on workers of its own.
 
 // op is one batched PBS operation, described as data. Every operation the
 // engine runs is this shape, and its executor needs to know nothing else.
@@ -32,43 +32,35 @@ type op struct {
 	keyswitch bool
 }
 
-// Counters returns the operation counters aggregated across every worker
-// since construction (or the last ResetCounters).
+// Counters returns the operation counters of every operation this engine
+// has completed since construction (or the last ResetCounters).
 func (s *StreamingEngine) Counters() tfhe.OpCounters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var total tfhe.OpCounters
-	for _, w := range s.workers {
-		total.Add(w.ev.Counters)
-	}
-	return total
+	return s.counters
 }
 
-// ResetCounters zeroes every worker's counters.
+// ResetCounters zeroes the engine's counters.
 func (s *StreamingEngine) ResetCounters() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, w := range s.workers {
-		w.ev.Counters.Reset()
-	}
+	s.counters.Reset()
 }
 
-// run executes one operation under the lock that serializes operations;
-// see exec for the layout of the result.
-func (s *StreamingEngine) run(p op) []tfhe.LWECiphertext {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.exec(p)
-}
-
-// runOne is run for the single-output operations: it supplies the plain
+// runOne is exec for the single-output operations: it supplies the plain
 // one-extraction fan-out.
 func (s *StreamingEngine) runOne(p op) []tfhe.LWECiphertext {
 	p.k = 1
 	p.extract = func(ev *tfhe.Evaluator, acc tfhe.GLWECiphertext, outs []tfhe.LWECiphertext) {
 		outs[0] = ev.Extract(acc)
 	}
-	return s.run(p)
+	return s.exec(p)
+}
+
+// encoder returns an evaluator of the engine's parameter set for encoding
+// a test vector in the caller's goroutine; it holds no key.
+func (s *StreamingEngine) encoder() *tfhe.Evaluator {
+	return tfhe.NewEvaluator(tfhe.EvaluationKeys{Params: s.keys.Params})
 }
 
 // checkDim panics (from the caller's goroutine, so it is recoverable and
@@ -77,7 +69,7 @@ func (s *StreamingEngine) runOne(p op) []tfhe.LWECiphertext {
 // mismatch too, but from inside a worker goroutine, which would abort the
 // whole process.
 func (s *StreamingEngine) checkDim(api string, i int, ct tfhe.LWECiphertext) {
-	if got, want := ct.N(), s.params.SmallN; got != want {
+	if got, want := ct.N(), s.keys.Params.SmallN; got != want {
 		panic(fmt.Sprintf("engine: %s: ciphertext %d has LWE dimension %d, want %d", api, i, got, want))
 	}
 }
@@ -94,12 +86,12 @@ func (s *StreamingEngine) checkDims(api string, cts []tfhe.LWECiphertext) {
 // would otherwise rotate it into an accumulator of that shape and index
 // past one or the other inside a worker.
 func (s *StreamingEngine) checkTestVec(api string, testVec tfhe.GLWECiphertext) {
-	ok := testVec.K() == s.params.K
+	ok := testVec.K() == s.keys.Params.K
 	for _, p := range testVec.Polys {
-		ok = ok && p.N() == s.params.N
+		ok = ok && p.N() == s.keys.Params.N
 	}
 	if !ok {
-		panic(fmt.Sprintf("engine: %s: test vector is not a GLWE ciphertext of k=%d, N=%d", api, s.params.K, s.params.N))
+		panic(fmt.Sprintf("engine: %s: test vector is not a GLWE ciphertext of k=%d, N=%d", api, s.keys.Params.K, s.keys.Params.N))
 	}
 }
 
@@ -139,11 +131,11 @@ func (s *StreamingEngine) Gates(ops []GateOp, a, b []tfhe.LWECiphertext) ([]tfhe
 // return in input order. A space the test vector cannot hold (space > N,
 // the one-table case of Params.ValidateMultiLUT) is an error.
 func (s *StreamingEngine) LUT(cts []tfhe.LWECiphertext, space int, f func(int) int) ([]tfhe.LWECiphertext, error) {
-	if err := s.params.ValidateMultiLUT(space, 1); err != nil {
+	if err := s.keys.Params.ValidateMultiLUT(space, 1); err != nil {
 		return nil, err
 	}
 	s.checkDims("LUT", cts)
-	return s.runOne(op{n: len(cts), testVec: s.workers[0].ev.LUTTestVector(space, f), keyswitch: true,
+	return s.runOne(op{n: len(cts), testVec: s.encoder().LUTTestVector(space, f), keyswitch: true,
 		prepare: func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
 			return ev.ShiftForLUT(cts[i], space), false
 		}}), nil
@@ -156,12 +148,12 @@ func (s *StreamingEngine) LUT(cts []tfhe.LWECiphertext, space int, f func(int) i
 // dimension n.
 func (s *StreamingEngine) MultiLUT(cts []tfhe.LWECiphertext, space int, fs []func(int) int) ([][]tfhe.LWECiphertext, error) {
 	k := len(fs)
-	if err := s.params.ValidateMultiLUT(space, k); err != nil {
+	if err := s.keys.Params.ValidateMultiLUT(space, k); err != nil {
 		return nil, err
 	}
 	s.checkDims("MultiLUT", cts)
-	offsets := s.params.MultiLUTOffsets(space, k)
-	flat := s.run(op{n: len(cts), k: k, testVec: s.workers[0].ev.NewMultiLUTTestVector(space, fs), keyswitch: true,
+	offsets := s.keys.Params.MultiLUTOffsets(space, k)
+	flat := s.exec(op{n: len(cts), k: k, testVec: s.encoder().NewMultiLUTTestVector(space, fs), keyswitch: true,
 		prepare: func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
 			return ev.ShiftForMultiLUT(cts[i], space, k), false
 		},

@@ -11,7 +11,7 @@ import (
 // StreamingEngine is the software mirror of the Strix streaming
 // architecture (§IV) and the one executor of the operation vocabulary
 // (Gates, LUT, MultiLUT, Bootstrap; ops.go), with its two levels of
-// batching. Level 1: W workers, the TvLP cores, each run a tile of
+// batching. Level 1: workers, the TvLP cores, each run a tile of
 // consecutive items start to finish — prepare (linear op, modswitch,
 // initial rotation) → blind rotate → sample extract → keyswitch, the
 // fused §IV-C handoff — sharing the operation's encoded test vector.
@@ -21,12 +21,16 @@ import (
 // across the tile's outputs). Every phase runs the sequential evaluator's
 // computation in its per-ciphertext order, so results are bitwise
 // identical to sequential evaluation for any worker count or tile size.
+// The engine is a handle on a key set and owns no worker: its operations,
+// concurrent ones too, run on workers the process's pool lends them.
 type StreamingEngine struct {
-	mu      sync.Mutex // serializes operations
-	params  tfhe.Params
+	keys    tfhe.EvaluationKeys
 	signTV  tfhe.GLWECiphertext // shared read-only by every gate bootstrap
-	workers []worker
-	tileCap int // most ciphertexts a tile may hold (see tileBudgetBytes)
+	width   int                 // W: the workers an operation alone splits across
+	tileCap int                 // most ciphertexts a tile may hold (see tileBudgetBytes)
+
+	mu       sync.Mutex // guards counters, never held across an operation
+	counters tfhe.OpCounters
 }
 
 // StreamConfig sizes the streaming engine. The tile size is not
@@ -35,42 +39,70 @@ type StreamingEngine struct {
 // the process (see reserve) and cap derived from the parameter set
 // (tileBudgetBytes).
 type StreamConfig struct {
-	// RotateWorkers is the worker count: how many tiles run at once. 0
-	// means runtime.GOMAXPROCS(0): the CPUs the process may use; workers
-	// beyond them would only be time-sliced.
+	// RotateWorkers is the engine's width: the tiles an operation alone
+	// runs at once. 0 means runtime.GOMAXPROCS(0): the CPUs the process
+	// may use; workers beyond them would only be time-sliced.
 	RotateWorkers int
 }
 
-// cpus is the CPU budget all StreamingEngines share: held counts the
-// worker slots, one per goroutine, of the operations running now.
-var cpus struct {
+// pool is the process's one set of workers and its CPU budget, shared by
+// every StreamingEngine: held counts the workers lent to the operations
+// running now, and idle stacks the others by parameter shape (poolKey). A
+// worker holds no key, so an idle one keeps no session's key alive.
+var pool = struct {
 	sync.Mutex
 	held int
+	idle map[tfhe.Params][]*worker
+}{idle: make(map[tfhe.Params][]*worker)}
+
+// poolKey is the part of a parameter set a worker reads, shapes and gadgets:
+// a NaN noise field would make a whole Params unequal to itself.
+func poolKey(p tfhe.Params) tfhe.Params {
+	p.Name, p.Security, p.LWEStdDev, p.GLWEStdDev = "", 0, 0, 0
+	return p
 }
 
-// reserve sizes an n-item operation's tiles and takes a slot per worker it
-// will run, for release to give back. Alone, it splits across all W
-// workers; behind others, only across the CPUs they leave free (at least
-// one), since a worker beyond them would be time-sliced against theirs:
-// its items grow the tiles instead, sharing their key passes.
-func (s *StreamingEngine) reserve(n int) (size, slots int) {
-	cpus.Lock()
-	defer cpus.Unlock()
-	w := len(s.workers)
-	if cpus.held > 0 {
-		w = max(1, min(w, runtime.GOMAXPROCS(0)-cpus.held))
+// reserve sizes an n-item operation's tiles and lends it a worker per
+// tile it may run at once, the most recently returned first. Alone, it
+// splits across all W of its width; behind others, only across the CPUs
+// they leave free (at least one), since a worker beyond them would be
+// time-sliced against theirs: its items grow the tiles instead, sharing
+// their key passes.
+func (s *StreamingEngine) reserve(n int) (size int, ws []*worker) {
+	key := poolKey(s.keys.Params)
+	pool.Lock()
+	w := s.width
+	if pool.held > 0 {
+		w = max(1, min(w, runtime.GOMAXPROCS(0)-pool.held))
 	}
 	size = min((n+w-1)/w, s.tileCap)
-	slots = min(len(s.workers), (n+size-1)/size)
-	cpus.held += slots
-	return size, slots
+	slots := min(s.width, (n+size-1)/size)
+	pool.held += slots
+	idle := pool.idle[key]
+	k := max(0, len(idle)-slots)
+	ws = append(ws, idle[k:]...)
+	pool.idle[key] = idle[:k]
+	pool.Unlock()
+	for len(ws) < slots {
+		ws = append(ws, &worker{ev: tfhe.NewEvaluator(tfhe.EvaluationKeys{Params: key})})
+	}
+	return size, ws
 }
 
-// release gives back the slots reserve took.
-func release(slots int) {
-	cpus.Lock()
-	cpus.held -= slots
-	cpus.Unlock()
+// release moves the lent workers' counters to the engine and returns the
+// workers to the pool.
+func (s *StreamingEngine) release(ws []*worker) {
+	s.mu.Lock()
+	for _, w := range ws {
+		s.counters.Add(w.ev.Counters)
+		w.ev.Counters.Reset()
+	}
+	s.mu.Unlock()
+	key := poolKey(s.keys.Params)
+	pool.Lock()
+	pool.held -= len(ws)
+	pool.idle[key] = append(pool.idle[key], ws...)
+	pool.Unlock()
 }
 
 // tileBudgetBytes bounds a tile's working set in the rotate loop — its
@@ -79,9 +111,9 @@ func release(slots int) {
 // 64 KB GGSW) that is 8 ciphertexts; the large-N sets run tiles of one.
 const tileBudgetBytes = 128 << 10
 
-// worker is one streaming core: a private evaluator (scratch, counters)
-// and the slots of its tile, reused by every later tile the way Strix
-// keeps its accumulators in the local scratchpad (§V-B).
+// worker is one streaming core: a keyless evaluator (scratch, counters)
+// and the slots of its tile, reused by every later tile of any engine the
+// way Strix keeps its accumulators in the local scratchpad (§V-B).
 type worker struct {
 	ev    *tfhe.Evaluator
 	items []int                 // the tile's bootstrapped items, by slot
@@ -91,7 +123,7 @@ type worker struct {
 }
 
 // NewStreaming builds a streaming engine over the evaluation keys, which
-// every worker shares read-only.
+// the pool's workers read, a tile at a time, and never keep.
 func NewStreaming(ek tfhe.EvaluationKeys, cfg StreamConfig) *StreamingEngine {
 	w := cfg.RotateWorkers
 	if w <= 0 {
@@ -100,31 +132,29 @@ func NewStreaming(ek tfhe.EvaluationKeys, cfg StreamConfig) *StreamingEngine {
 	p := ek.Params
 	accBytes := int64(p.K+1) * int64(p.N) * 4
 	s := &StreamingEngine{
-		params:  p,
-		workers: make([]worker, w),
+		keys:    ek,
+		width:   w,
 		tileCap: int(max(1, (tileBudgetBytes-ek.BSKBytes()/int64(p.SmallN))/accBytes)),
-	}
-	for i := range s.workers {
-		s.workers[i].ev = tfhe.NewEvaluator(ek)
 	}
 	// The sign test vector is a constant of the parameter set: encode it
 	// once, not once per gate.
-	s.signTV = s.workers[0].ev.SignTestVector()
+	s.signTV = s.encoder().SignTestVector()
 	return s
 }
 
 // exec runs the items of one operation, split into tiles of consecutive
-// items (sized by reserve) that the workers claim in turn: the caller's
-// goroutine is worker 0, and as many others join as there are tiles for
-// them, so a tile beyond the free CPUs runs once one frees up. out holds
-// item i's k outputs at [i·k, (i+1)·k).
+// items (sized by reserve) that the lent workers claim in turn: the
+// caller's goroutine runs the first, and as many others join as there are
+// tiles for them, so a tile beyond the free CPUs runs once one frees up.
+// out holds item i's k outputs at [i·k, (i+1)·k). The workers go back once
+// every goroutine is done, even when the caller's own tile panics.
 func (s *StreamingEngine) exec(p op) []tfhe.LWECiphertext {
 	out := make([]tfhe.LWECiphertext, p.n*p.k)
 	if p.n == 0 {
 		return out
 	}
-	size, slots := s.reserve(p.n)
-	defer release(slots)
+	size, ws := s.reserve(p.n)
+	defer s.release(ws)
 	var next atomic.Int64
 	run := func(w *worker) {
 		for {
@@ -132,25 +162,25 @@ func (s *StreamingEngine) exec(p op) []tfhe.LWECiphertext {
 			if lo >= p.n {
 				return
 			}
-			w.tile(p, out, lo, min(lo+size, p.n))
+			w.tile(s.keys, p, out, lo, min(lo+size, p.n))
 		}
 	}
 	var wg sync.WaitGroup
-	for i := 1; i < slots; i++ {
+	defer wg.Wait()
+	for _, w := range ws[1:] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run(&s.workers[i])
+			run(w)
 		}()
 	}
-	run(&s.workers[0])
-	wg.Wait()
+	run(ws[0])
 	return out
 }
 
-// tile runs items [lo, hi) of p through the four phases, writing their
-// outputs into out.
-func (w *worker) tile(p op, out []tfhe.LWECiphertext, lo, hi int) {
+// tile runs items [lo, hi) of p through the four phases under the keys
+// ek, writing their outputs into out.
+func (w *worker) tile(ek tfhe.EvaluationKeys, p op, out []tfhe.LWECiphertext, lo, hi int) {
 	ev := w.ev
 	// Prepare: per-item linear op, modulus switch and initial rotation of
 	// the shared test vector (Algorithm 1 lines 2–4). An item that needs
@@ -177,7 +207,7 @@ func (w *worker) tile(p op, out []tfhe.LWECiphertext, lo, hi int) {
 	}
 	// Rotate: the n CMux iterations (lines 5–12), each applied across the
 	// whole tile before the next GGSW is fetched.
-	ev.BlindRotateTile(w.acc[:m], w.ms[:m])
+	ev.BlindRotateTile(ek.BSK, w.acc[:m], w.ms[:m])
 	// Extract (line 13) each accumulator into its item's outputs, gathered
 	// past any NOT that split the tile.
 	for j, i := range w.items {
@@ -188,7 +218,7 @@ func (w *worker) tile(p op, out []tfhe.LWECiphertext, lo, hi int) {
 	if p.keyswitch {
 		// Keyswitch (Algorithm 2, the §IV-C handoff): the whole tile at
 		// once, written back to the items' slots.
-		ev.KeySwitchTile(w.ks)
+		ev.KeySwitchTile(ek.KSK, w.ks)
 		for j, i := range w.items {
 			copy(out[i*p.k:(i+1)*p.k], w.ks[j*p.k:(j+1)*p.k])
 		}

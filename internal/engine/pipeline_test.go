@@ -2,9 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -143,7 +148,9 @@ func TestStreamValidation(t *testing.T) {
 }
 
 // TestStreamConcurrentCalls submits streams from several goroutines at
-// once; the engine serializes them internally. Run with -race in CI.
+// once to one engine; they run at once, each on the workers the pool lends
+// it, and the engine's counters add up to all of them. Run with -race in
+// CI.
 func TestStreamConcurrentCalls(t *testing.T) {
 	sk, ek, cts, pts := testSetup(t, 43, 8)
 	s := NewStreaming(ek, StreamConfig{})
@@ -177,17 +184,17 @@ func TestStreamConcurrentCalls(t *testing.T) {
 
 // TestWorkerDefaultsFollowGOMAXPROCS pins what a zero worker count means:
 // the CPUs the process may use. Sized by the host's CPUs instead, a
-// CPU-limited process would build one worker per host CPU and time-slice
-// them.
+// CPU-limited process would split an operation across one pool worker
+// per host CPU and time-slice them.
 func TestWorkerDefaultsFollowGOMAXPROCS(t *testing.T) {
 	_, ek, _, _ := testSetup(t, 47, 1)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	if s := NewStreaming(ek, StreamConfig{}); len(s.workers) != 1 {
-		t.Errorf("NewStreaming under GOMAXPROCS(1): %d workers, want 1", len(s.workers))
+	if s := NewStreaming(ek, StreamConfig{}); s.width != 1 {
+		t.Errorf("NewStreaming under GOMAXPROCS(1): %d workers wide, want 1", s.width)
 	}
 	runtime.GOMAXPROCS(3)
-	if s := NewStreaming(ek, StreamConfig{}); len(s.workers) != 3 {
-		t.Errorf("NewStreaming under GOMAXPROCS(3): %d workers, want 3", len(s.workers))
+	if s := NewStreaming(ek, StreamConfig{}); s.width != 3 {
+		t.Errorf("NewStreaming under GOMAXPROCS(3): %d workers wide, want 3", s.width)
 	}
 }
 
@@ -197,11 +204,13 @@ func TestWorkerDefaultsFollowGOMAXPROCS(t *testing.T) {
 // fill the slots the earlier ones used, at other tile sizes and slot
 // counts. Each comes back bitwise equal to the sequential evaluator, twice
 // over: a slot that kept a stale accumulator or rotation amount would
-// show. Runs under -race.
+// show. Afterwards no pool worker holds more slots than the tile cap.
+// Runs under -race.
 func TestStreamRecycledTilesMatchSequential(t *testing.T) {
 	_, ek, cts, _ := testSetup(t, 61, 24)
 	serial := tfhe.NewEvaluator(ek)
 	rng := rand.New(rand.NewSource(62))
+	freshPool(ek.Params)
 	s := NewStreaming(ek, StreamConfig{RotateWorkers: 2})
 	s.tileCap = 8 // set I's, so that the 64 gates come in tiles of the cap
 	mixed := make([]GateOp, 13)
@@ -225,34 +234,73 @@ func TestStreamRecycledTilesMatchSequential(t *testing.T) {
 			}
 		}
 	}
-	for i, w := range s.workers {
+	for i, w := range idleWorkers(ek.Params) {
 		if len(w.acc) > s.tileCap || len(w.ms) > s.tileCap {
 			t.Errorf("worker %d holds %d accumulator and %d rotation slots, more than the tile cap %d", i, len(w.acc), len(w.ms), s.tileCap)
 		}
 	}
 }
 
-// heldSlots reads the process-wide CPU budget.
+// heldSlots reads how many pool workers are lent out.
 func heldSlots() int {
-	cpus.Lock()
-	defer cpus.Unlock()
-	return cpus.held
+	pool.Lock()
+	defer pool.Unlock()
+	return pool.held
 }
 
-// charge makes the budget hold n more slots, as if other operations were
-// running, until the test ends.
+// charge makes the pool count n more workers lent, as if other operations
+// were running, until the test ends.
 func charge(t *testing.T, n int) {
-	cpus.Lock()
-	cpus.held += n
-	cpus.Unlock()
-	t.Cleanup(func() { release(n) })
+	pool.Lock()
+	pool.held += n
+	pool.Unlock()
+	t.Cleanup(func() {
+		pool.Lock()
+		pool.held -= n
+		pool.Unlock()
+	})
+}
+
+// freshPool drops the pool's idle workers of p's shape, so that a test
+// sees there only the workers its own operations return.
+func freshPool(p tfhe.Params) {
+	pool.Lock()
+	defer pool.Unlock()
+	pool.idle[poolKey(p)] = nil
+}
+
+// idleWorkers lists the pool's idle workers of p's shape.
+func idleWorkers(p tfhe.Params) []*worker {
+	pool.Lock()
+	defer pool.Unlock()
+	return slices.Clone(pool.idle[poolKey(p)])
+}
+
+// tally wraps p's prepare to count the items each worker prepared; counts
+// reads them, largest first, once the operation has returned.
+func tally(p op) (_ op, counts func() []int) {
+	var mu sync.Mutex
+	byWorker := make(map[*tfhe.Evaluator]int)
+	prepare := p.prepare
+	p.prepare = func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
+		mu.Lock()
+		byWorker[ev]++
+		mu.Unlock()
+		return prepare(ev, i)
+	}
+	return p, func() []int {
+		n := slices.Collect(maps.Values(byWorker))
+		slices.Sort(n)
+		slices.Reverse(n)
+		return n
+	}
 }
 
 // TestConcurrentEnginesMatchSequential drives three engines, each over a
 // key set of its own, from concurrent goroutines, so that their operations
-// contend for the shared CPU budget and tile by what the others leave
+// contend for the shared worker pool and tile by what the others leave
 // free. Every output is bitwise equal to its key's sequential evaluator,
-// and once all have returned no slot is held. Runs under -race at 1, 2
+// and once all have returned no pool worker is lent. Runs under -race at 1, 2
 // and 4 CPUs (make race).
 func TestConcurrentEnginesMatchSequential(t *testing.T) {
 	sizes := []int{4, 9, 1, 17, 8}
@@ -298,7 +346,7 @@ func TestConcurrentEnginesMatchSequential(t *testing.T) {
 		}
 	}
 	if h := heldSlots(); h != 0 {
-		t.Errorf("%d budget slots held after every operation returned", h)
+		t.Errorf("%d pool workers lent after every operation returned", h)
 	}
 }
 
@@ -328,69 +376,172 @@ func meetOp(t *testing.T, s *StreamingEngine, a, b []tfhe.LWECiphertext, size in
 		}}
 }
 
-// TestTilesFollowTheBudget pins the tile rule by the workers' counters.
-// Behind operations that hold every CPU, eight gates on a 2-worker engine
-// run as one tile of eight on the caller's worker. Alone, they tile as
-// they always have, min(⌈n/W⌉, cap): two tiles of four on a 2-worker
+// TestTilesFollowTheBudget pins the tile rule by the items each lent
+// worker prepared. Behind operations that hold every CPU, eight gates on a
+// 2-worker engine run as one tile of eight on one worker. Alone, they tile
+// as they always have, min(⌈n/W⌉, cap): two tiles of four on a 2-worker
 // engine, eight of one on an 8-worker engine, one on each worker.
 func TestTilesFollowTheBudget(t *testing.T) {
 	_, ek, cts, _ := testSetup(t, 75, 16)
 	a, b := cts[:8], cts[8:]
-	pbs := func(s *StreamingEngine) []int64 {
-		n := make([]int64, len(s.workers))
-		for i, w := range s.workers {
-			n[i] = w.ev.Counters.PBSCount
-		}
-		return n
-	}
 	t.Run("contended", func(t *testing.T) {
 		s := NewStreaming(ek, StreamConfig{RotateWorkers: 2})
 		s.tileCap = 8
 		charge(t, runtime.GOMAXPROCS(0))
-		if _, err := s.Gates(NAND.Repeat(8), a, b); err != nil {
-			t.Fatal(err)
-		}
-		if got := pbs(s); got[0] != 8 || got[1] != 0 {
-			t.Errorf("PBS per worker %v behind a full budget, want [8 0]: one tile on the caller's worker", got)
+		p, counts := tally(op{n: 8, testVec: s.signTV, keyswitch: true,
+			prepare: func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
+				return gateInput(ev, NAND, a, b, i)
+			}})
+		s.runOne(p)
+		if got := counts(); !slices.Equal(got, []int{8}) {
+			t.Errorf("items per worker %v behind a full budget, want [8]: one tile on one worker", got)
 		}
 	})
 	for _, w := range []int{2, 8} {
 		t.Run(fmt.Sprintf("alone_W=%d", w), func(t *testing.T) {
 			s := NewStreaming(ek, StreamConfig{RotateWorkers: w})
 			s.tileCap = 8
-			s.runOne(meetOp(t, s, a, b, 8/w))
-			for i, n := range pbs(s) {
-				if n != int64(8/w) {
-					t.Errorf("worker %d ran %d PBS alone, want one tile of %d", i, n, 8/w)
-				}
+			p, counts := tally(meetOp(t, s, a, b, 8/w))
+			s.runOne(p)
+			if got := counts(); len(got) != w || got[0] != 8/w || got[w-1] != 8/w {
+				t.Errorf("items per worker %v alone, want %d workers with one tile of %d each", got, w, 8/w)
 			}
 			if h := heldSlots(); h != 0 {
-				t.Errorf("%d budget slots held after the operation returned", h)
+				t.Errorf("%d pool workers lent after the operation returned", h)
 			}
 		})
 	}
 }
 
-// TestPanicReleasesSlots: a prepare that panics unwinds through exec's
-// deferred release, so the caller that recovers leaves the budget as it
-// found it, and the engine serves its next operation.
+// TestPanicReleasesSlots: a prepare that panics unwinds through exec, so
+// the caller that recovers leaves the pool as it found it, and the engine
+// serves its next operation. With two workers the caller's tile panics
+// while the other tile is still running: exec returns its workers only
+// after that tile has finished, so none is lent again while it runs.
 func TestPanicReleasesSlots(t *testing.T) {
 	_, ek, cts, _ := testSetup(t, 77, 8)
-	s := NewStreaming(ek, StreamConfig{RotateWorkers: 1})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("the operation did not pass its prepare's panic to the caller")
+	for _, w := range []int{1, 2} {
+		t.Run(fmt.Sprintf("W=%d", w), func(t *testing.T) {
+			s := NewStreaming(ek, StreamConfig{RotateWorkers: w})
+			caller := goid()
+			started := make(chan struct{})
+			var finished atomic.Bool
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("the operation did not pass its prepare's panic to the caller")
+					}
+				}()
+				s.runOne(op{n: w, testVec: s.signTV,
+					prepare: func(_ *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
+						if goid() != caller {
+							close(started)
+							time.Sleep(100 * time.Millisecond)
+							finished.Store(true)
+							return cts[i], false
+						}
+						if w > 1 {
+							<-started
+						}
+						panic("prepare failed")
+					}})
+			}()
+			if w > 1 && !finished.Load() {
+				t.Error("the panic reached the caller while another tile was still running")
 			}
-		}()
-		s.runOne(op{n: 4, testVec: s.signTV,
-			prepare: func(*tfhe.Evaluator, int) (tfhe.LWECiphertext, bool) { panic("prepare failed") }})
-	}()
-	if h := heldSlots(); h != 0 {
-		t.Errorf("%d budget slots held after the panic was recovered", h)
+			if h := heldSlots(); h != 0 {
+				t.Errorf("%d pool workers lent after the panic was recovered", h)
+			}
+			if _, err := s.Gates(NAND.Repeat(4), cts[:4], cts[4:]); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	if _, err := s.Gates(NAND.Repeat(4), cts[:4], cts[4:]); err != nil {
-		t.Fatal(err)
+}
+
+// goid returns the calling goroutine's id, read off its stack header
+// ("goroutine 7 [running]:").
+func goid() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// keyedEngine is one engine over a key set of its own, with four NANDs and
+// their results under that key from the sequential evaluator.
+type keyedEngine struct {
+	s          *StreamingEngine
+	a, b, want []tfhe.LWECiphertext
+}
+
+// newKeyedEngine builds a 1-worker keyedEngine over fresh keys from seed;
+// freed, if not nil, is closed once its bootstrapping key is collected.
+func newKeyedEngine(t *testing.T, seed int64, freed chan struct{}) keyedEngine {
+	_, ek, cts, _ := testSetup(t, seed, 8)
+	serial := tfhe.NewEvaluator(ek)
+	k := keyedEngine{s: NewStreaming(ek, StreamConfig{RotateWorkers: 1}), a: cts[:4], b: cts[4:]}
+	for i := range k.a {
+		k.want = append(k.want, seqGate(serial, NAND, k.a[i], k.b[i]))
+	}
+	if freed != nil {
+		runtime.SetFinalizer(&ek.BSK[0][0], func(*complex128) { close(freed) })
+	}
+	return k
+}
+
+// TestKeysTravelWithTheWork: two engines over different key sets, one
+// worker wide, alternate operations on one CPU, so one pool worker serves
+// both keys. Each output is bitwise equal to its own key's sequential
+// evaluator. Once the second engine is dropped after its last operation,
+// its bootstrapping key is collected: the idle worker keeps no key alive.
+func TestKeysTravelWithTheWork(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	freshPool(tfhe.ParamsTest)
+	freed := make(chan struct{})
+	engines := []keyedEngine{newKeyedEngine(t, 81, nil), newKeyedEngine(t, 82, freed)}
+	for round := 0; round < 3; round++ {
+		for e, k := range engines {
+			got, err := k.s.Gates(NAND.Repeat(len(k.a)), k.a, k.b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if !ctEqual(got[i], k.want[i]) {
+					t.Fatalf("round %d, engine %d: item %d differs bitwise from its key's sequential evaluator", round, e, i)
+				}
+			}
+		}
+	}
+	if n := len(idleWorkers(tfhe.ParamsTest)); n != 1 {
+		t.Errorf("%d idle pool workers after alternating 1-worker operations, want 1 serving both keys", n)
+	}
+	engines[1] = keyedEngine{}
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	t.Error("the dropped engine's bootstrapping key is still reachable after its last operation")
+}
+
+// TestNaNNoiseReusesWorkers: the pool files workers by the parameters an
+// evaluation reads, so an engine over a key whose noise fields are NaN (a
+// value Params.Validate lets through from the wire) reuses its workers,
+// where a map key unequal to itself would build new ones every operation.
+func TestNaNNoiseReusesWorkers(t *testing.T) {
+	_, ek, cts, _ := testSetup(t, 85, 8)
+	ek.Params.LWEStdDev, ek.Params.GLWEStdDev = math.NaN(), math.NaN()
+	freshPool(ek.Params)
+	s := NewStreaming(ek, StreamConfig{RotateWorkers: 1})
+	for i := 0; i < 3; i++ {
+		if _, err := s.Gates(NAND.Repeat(4), cts[:4], cts[4:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(idleWorkers(ek.Params)); n != 1 {
+		t.Errorf("%d idle pool workers after three 1-worker operations, want 1", n)
 	}
 }
 

@@ -5,10 +5,11 @@
 // The trust split follows the classic FHE service model: clients keep
 // their secret keys and upload only evaluation keys and ciphertexts (in
 // the internal/wire encoding); the server holds one session per client ID,
-// each owning the client's evaluation keys and a private
-// engine.StreamingEngine. Sessions are LRU-bounded, so a long-running
-// server sheds the key material of idle clients instead of growing without
-// limit.
+// each owning the client's evaluation keys and an engine.StreamingEngine
+// over them, a handle whose operations run on the process's one worker
+// pool beside every other session's. Sessions are LRU-bounded, so a
+// long-running server sheds the key material of idle clients instead of
+// growing without limit.
 //
 // Within a session, concurrent requests are coalesced group-commit style:
 // while one stream occupies the engine, compatible requests (same gate op,

@@ -91,7 +91,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 // TestHTTPConcurrentClients drives several HTTP clients in parallel — the
 // -race check on the full network path.
 func TestHTTPConcurrentClients(t *testing.T) {
-	srv := New(Config{Stream: engine.StreamConfig{RotateWorkers: 2}})
+	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

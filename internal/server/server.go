@@ -42,8 +42,6 @@ type Config struct {
 	// DiskStore at this directory. New (which cannot fail) rejects a
 	// non-empty DataDir — use Open.
 	DataDir string
-	// Stream configures each session's streaming engine: its worker count.
-	Stream engine.StreamConfig
 }
 
 // withDefaults fills zero fields.

@@ -266,7 +266,7 @@ func TestCoalescing(t *testing.T) {
 func TestConcurrentSessions(t *testing.T) {
 	skA, ekA := testKeys(t, 1)
 	skB, ekB := testKeys(t, 2)
-	srv := New(Config{MaxPending: 4, Stream: engine.StreamConfig{RotateWorkers: 2}})
+	srv := New(Config{MaxPending: 4})
 	if err := srv.RegisterKey("alice", ekA); err != nil {
 		t.Fatal(err)
 	}

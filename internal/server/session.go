@@ -42,24 +42,16 @@ type session struct {
 	streams   atomic.Int64
 	coalesced atomic.Int64
 	rejected  atomic.Int64
-
-	// countersMu guards counters, the engine op-counter snapshot taken
-	// after each completed stream. Stats reads this cache instead of
-	// calling eng.Counters(), which would block behind the engine mutex
-	// for the full duration of an in-flight stream — a metrics endpoint
-	// must not hang under exactly the load it is meant to observe.
-	countersMu sync.Mutex
-	counters   tfhe.OpCounters
 }
 
-// newSession builds a session and its private streaming engine: its own
-// workers, whose operations split only across the CPUs that the other
-// sessions' operations leave free.
+// newSession builds a session and its streaming engine, a handle on the
+// keys: its operations run on the process's one worker pool, beside the
+// other sessions'.
 func newSession(id string, ek tfhe.EvaluationKeys, cfg Config) *session {
 	return &session{
 		id:           id,
 		params:       ek.Params,
-		eng:          engine.NewStreaming(ek, cfg.Stream),
+		eng:          engine.NewStreaming(ek, engine.StreamConfig{}),
 		slots:        make(chan struct{}, cfg.MaxPending),
 		queueTimeout: queueTimeout,
 		groups:       make(map[string]*group),
@@ -144,13 +136,6 @@ func (s *session) submit(key string, ops []engine.GateOp, a, b []tfhe.LWECiphert
 		s.mu.Unlock()
 
 		out, err := run(g)
-		// Snapshot the engine counters while still holding execMu: every
-		// engine call goes through submit, so the engine is idle here and
-		// Counters() cannot block.
-		snap := s.eng.Counters()
-		s.countersMu.Lock()
-		s.counters = snap
-		s.countersMu.Unlock()
 		s.execMu.Unlock()
 
 		s.streams.Add(1)
@@ -428,13 +413,10 @@ func (s *session) checkDims(cts []tfhe.LWECiphertext) error {
 	return nil
 }
 
-// statsSnapshot captures the session's metrics. The engine operation mix
-// is the cached post-stream snapshot, so this never blocks behind an
-// in-flight stream.
+// statsSnapshot captures the session's metrics. The engine's counters sit
+// behind a lock no operation holds while it runs, so this never blocks
+// behind an in-flight stream.
 func (s *session) statsSnapshot() SessionStats {
-	s.countersMu.Lock()
-	counters := s.counters
-	s.countersMu.Unlock()
 	return SessionStats{
 		ID:        s.id,
 		Params:    s.params.Name,
@@ -444,6 +426,6 @@ func (s *session) statsSnapshot() SessionStats {
 		Coalesced: s.coalesced.Load(),
 		Rejected:  s.rejected.Load(),
 		Pending:   len(s.slots),
-		Counters:  counters,
+		Counters:  s.eng.Counters(),
 	}
 }

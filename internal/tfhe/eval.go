@@ -64,7 +64,7 @@ func (e *Evaluator) BlindRotate(c LWECiphertext, testVec GLWECiphertext) GLWECip
 	ms := e.ModSwitchLWETo(e.msBuf, c)    // Algorithm 1 lines 2–3
 	acc := e.BlindRotateInit(testVec, ms) // line 4: rotate 'left' by -b̄
 	accs, mss := [1]GLWECiphertext{acc}, [1]ModSwitched{ms}
-	e.BlindRotateTile(accs[:], mss[:]) // lines 5–12: n CMux iterations
+	e.BlindRotateTile(e.Keys.BSK, accs[:], mss[:]) // lines 5–12: n CMux iterations
 	return acc
 }
 
@@ -80,7 +80,7 @@ func (e *Evaluator) Bootstrap(c LWECiphertext, testVec GLWECiphertext) LWECipher
 // tile-of-one call of KeySwitchTile.
 func (e *Evaluator) KeySwitch(c LWECiphertext) LWECiphertext {
 	cs := [1]LWECiphertext{c}
-	e.KeySwitchTile(cs[:])
+	e.KeySwitchTile(e.Keys.KSK, cs[:])
 	return cs[0]
 }
 
@@ -90,8 +90,9 @@ func (e *Evaluator) KeySwitch(c LWECiphertext) LWECiphertext {
 // input, then streams the lk key rows of j once across all outputs, so
 // the key (16 MB at set I) is read once per tile, not once per ciphertext.
 // Each output sees its own sequence of wrap-around subtractions, so it is
-// bitwise identical to keyswitching alone.
-func (e *Evaluator) KeySwitchTile(cs []LWECiphertext) {
+// bitwise identical to keyswitching alone. ksk is the keyswitching key
+// slab (EvaluationKeys.KSK), passed in like BlindRotateTile's bsk.
+func (e *Evaluator) KeySwitchTile(ksk []torus.Torus32, cs []LWECiphertext) {
 	p := e.Params
 	big, n, lk := p.ExtractedN(), p.SmallN, p.KSLevel
 	outs := e.ksOuts[:0]
@@ -107,7 +108,6 @@ func (e *Evaluator) KeySwitchTile(cs []LWECiphertext) {
 		e.ksDigits = make([]int32, len(cs)*lk)
 	}
 	digits := e.ksDigits[:len(cs)*lk]
-	ksk := e.Keys.KSK
 	for j := 0; j < big; j++ {
 		for b, c := range cs {
 			e.ksGadget.DigitsTo(digits[b*lk:(b+1)*lk], c.A[j]) // line 3: decomposition

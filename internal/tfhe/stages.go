@@ -91,11 +91,13 @@ func (e *Evaluator) CMuxAt(acc GLWECiphertext, i, aBar int) {
 // group), and inverse-transforms each into its accumulator; an accumulator
 // whose amount is zero is left out of the step, which is the identity for
 // it. accs[j] is driven by mss[j] and sees exactly the CMux steps it would
-// see alone, so the result is bitwise identical.
-func (e *Evaluator) BlindRotateTile(accs []GLWECiphertext, mss []ModSwitched) {
+// see alone, so the result is bitwise identical. bsk is the bootstrapping
+// key the tile is rotated under (EvaluationKeys.BSK), passed in so that
+// one evaluator can serve tiles of any key set of its parameters.
+func (e *Evaluator) BlindRotateTile(bsk []GGSWFourier, accs []GLWECiphertext, mss []ModSwitched) {
 	e.ensureRotateScratch(len(accs))
 	b := e.epBuf
-	for i, g := range e.Keys.BSK[:e.Params.SmallN] {
+	for i, g := range bsk[:e.Params.SmallN] {
 		group := b.group[:0]
 		for j, acc := range accs {
 			aBar := mss[j].A[i]

@@ -82,10 +82,11 @@ func TestBlindRotateTileMatchesOneAtATime(t *testing.T) {
 
 // testBlindRotateTile rotates the first size of nine items as one tile, for
 // each size from 1 to 9, against rotating each alone; check decodes item
-// j's rotated accumulator.
+// j's rotated accumulator. The tile's evaluator holds no key: the tile
+// loop reads only the bootstrapping key it is passed.
 func testBlindRotateTile(t *testing.T, sk SecretKeys, ek EvaluationKeys, tv GLWECiphertext, encrypt func(*rand.Rand, int) LWECiphertext, check func(int, GLWECiphertext) error) {
 	rng := rand.New(rand.NewSource(211))
-	tile, alone := NewEvaluator(ek), NewEvaluator(ek)
+	tile, alone := NewEvaluator(EvaluationKeys{Params: ek.Params}), NewEvaluator(ek)
 	const items = 9
 	mss := make([]ModSwitched, items)
 	want := make([]GLWECiphertext, items)
@@ -118,7 +119,7 @@ func testBlindRotateTile(t *testing.T, sk SecretKeys, ek EvaluationKeys, tv GLWE
 			ops.Add(wantOps[j])
 		}
 		tile.Counters.Reset()
-		tile.BlindRotateTile(accs, mss[:size])
+		tile.BlindRotateTile(ek.BSK, accs, mss[:size])
 		for j := range accs {
 			if !equalGLWE(accs[j], want[j]) {
 				t.Fatalf("tile of %d: accumulator %d differs from rotating it alone", size, j)
@@ -178,7 +179,7 @@ func testKeySwitchTile(t *testing.T, sk SecretKeys, ek EvaluationKeys) {
 			}
 			want[i] = keySwitchRef(ev, cs[i])
 		}
-		ev.KeySwitchTile(cs)
+		ev.KeySwitchTile(ek.KSK, cs)
 		for i := range cs {
 			if !EqualLWE(cs[i], want[i]) {
 				t.Fatalf("n=%d B=%d: output %d differs from the per-ciphertext keyswitch", p.SmallN, b, i)
@@ -260,7 +261,7 @@ func BenchmarkBlindRotateTile(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ev.BlindRotateTile(accs, mss)
+				ev.BlindRotateTile(ek.BSK, accs, mss)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/ct")
 		})
@@ -290,7 +291,7 @@ func BenchmarkKeySwitchTile(b *testing.B) {
 				withKernel(body == "avx2", func() {
 					for i := 0; i < b.N; i++ {
 						copy(cs, bigs)
-						ev.KeySwitchTile(cs)
+						ev.KeySwitchTile(ek.KSK, cs)
 					}
 				})
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/ct")

@@ -36,7 +36,6 @@ package strix
 
 import (
 	"math/rand"
-	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/engine"
@@ -51,9 +50,7 @@ type FHEContext struct {
 	EK     tfhe.EvaluationKeys
 	Eval   *tfhe.Evaluator
 	rng    *rand.Rand
-
-	engOnce sync.Once
-	eng     *engine.StreamingEngine
+	eng    *engine.StreamingEngine // the default engine: GOMAXPROCS wide
 }
 
 // NewFHEContext generates keys for the named parameter set ("I".."IV" or
@@ -73,6 +70,7 @@ func NewFHEContext(set string, seed int64) (*FHEContext, error) {
 		EK:     ek,
 		Eval:   tfhe.NewEvaluator(ek),
 		rng:    rng,
+		eng:    engine.NewStreaming(ek, engine.StreamConfig{}),
 	}, nil
 }
 
@@ -111,14 +109,6 @@ const (
 	NOT  = engine.NOT
 )
 
-// defaultEngine returns the context's default streaming engine (one
-// worker per CPU the process may use), building it on first use. The engine shares the
-// context's evaluation keys; see NewEngine for a custom width.
-func (c *FHEContext) defaultEngine() *engine.StreamingEngine {
-	c.engOnce.Do(func() { c.eng = engine.NewStreaming(c.EK, engine.StreamConfig{}) })
-	return c.eng
-}
-
 // NewEngine returns a fresh streaming engine over this context's keys with
 // the given worker count (0 = runtime.GOMAXPROCS(0)).
 func (c *FHEContext) NewEngine(workers int) *engine.StreamingEngine {
@@ -146,7 +136,7 @@ func (c *FHEContext) DecryptBools(cts []tfhe.LWECiphertext) []bool {
 // BatchGate applies one gate pairwise over two ciphertext slices on the
 // default engine: out[i] = op(a[i], b[i]), all items in parallel.
 func (c *FHEContext) BatchGate(op GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	return c.defaultEngine().Gates(op.Repeat(len(a)), a, b)
+	return c.eng.Gates(op.Repeat(len(a)), a, b)
 }
 
 // Accelerator wraps the Strix performance model and epoch scheduler.

@@ -48,7 +48,7 @@ func TestFHEContextBatchGate(t *testing.T) {
 			t.Errorf("NAND[%d] = %v, want %v", i, got, want)
 		}
 	}
-	if c := ctx.defaultEngine().Counters(); c.PBSCount != int64(len(xs)) {
+	if c := ctx.eng.Counters(); c.PBSCount != int64(len(xs)) {
 		t.Errorf("engine PBSCount = %d, want %d", c.PBSCount, len(xs))
 	}
 
