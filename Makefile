@@ -117,7 +117,8 @@ vet:
 # body and the AVX2 bodies' panic stubs must keep compiling: linux/arm64;
 # linux/arm, 32-bit and without syscall.SyncFileRange (the disk store's
 # write-back is a no-op there); linux/s390x, big-endian, where the key
-# codec swaps each word; darwin/arm64, not Linux at all.
+# view is a copy with each word swapped; darwin/arm64, not Linux at all,
+# where the disk store reads key files instead of mapping them.
 CROSS_TARGETS = linux/arm64 linux/arm linux/s390x darwin/arm64
 
 vet-cross:
@@ -153,12 +154,15 @@ no-retired-gate:
 # the channels that carried tiles between stages. Nor may any name the
 # portable-Go FFT bodies that ran beside the AVX2 ones and the reference,
 # in Go or in the assembly's comments, nor reach another package's
-# unexported names with a linkname directive.
+# unexported names with a linkname directive. Nor may any name the
+# slab-filling key decoder that wire.ViewEvalKey replaced (its readers and
+# its generic fill), so that a second key parser does not come back.
 no-retired-ops:
 	@! git grep -nE 'BatchGates|(^|[^k])StreamGates|BatchEvalLUT|StreamLUT\(|BatchMultiLUT|StreamMultiLUT|BatchBootstrap|StreamBootstrap|BatchKeySwitch|EvalCircuit|engine\.New\(|engine\.Config([^A-Za-z0-9_]|$$)|DefaultMinStream|BlindRotateBatch|BlindRotateSteps|Runner\{Batch' -- '*.go' ':!benchmark' ':!internal/engine/engine.go'
 	@! git grep -nE 'GGSWFourier\{''Rows|ForwardTorus''BatchTo|ForwardInt''BatchTo|Inverse''BatchTo|mulAcc''Fast|mulAcc''AVX2|fft\.Mul''\(' -- '*.go'
 	@! git grep -nE 'KS''Workers|ks-''workers|rotate-''workers|empty''Tile|chan ''tile' -- '*.go'
 	@! git grep -nE 'loadTorus''Fast|loadInt''Fast|mulAccTile''Go|foldAcc''Fast|digit''Fast|storeTwisted''Fast|go:''linkname' -- '*.go' '*.s'
+	@! git grep -nE 'readFourier|readTorus([^I]|$$)|fill\[' -- '*.go'
 
 # No fused multiply-add in any assembly file: it rounds once where the
 # reference kernels round twice, and fast == ref is bitwise.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"os"
@@ -35,10 +34,20 @@ type DiskStore struct {
 	dir string
 
 	mu      sync.Mutex
-	wal     *os.File
+	wal     walFile
+	walSize int64 // bytes of committed records (and header) in the WAL
+	broken  error // why the WAL could not be repaired after a failed append
 	seq     uint32
 	entries map[string]diskEntry
 	closed  bool
+}
+
+// walFile is the WAL's open file, appended to by Write.
+type walFile interface {
+	io.Writer
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
 // diskEntry is the in-memory manifest row for one persisted session.
@@ -81,7 +90,7 @@ func OpenDiskStore(dir string) (*DiskStore, error) {
 	}
 	if valid < int64(len(data)) {
 		// Torn or corrupt tail: truncate to the committed prefix so the
-		// next append starts on a record boundary.
+		// next append starts on a record boundary (appendSync keeps it so).
 		if err := os.Truncate(walPath, valid); err != nil {
 			return nil, fmt.Errorf("server: truncate torn WAL tail: %w", err)
 		}
@@ -116,7 +125,7 @@ func OpenDiskStore(dir string) (*DiskStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: open WAL for append: %w", err)
 	}
-	s.wal = wal
+	s.wal, s.walSize = wal, valid
 	return s, nil
 }
 
@@ -148,37 +157,58 @@ func keyFileFor(seq uint32) string { return fmt.Sprintf("s%08d.key", seq) }
 // Put implements SessionStore: key file first, WAL record second, so a
 // crash between the two leaves an orphan file (collected on next open),
 // never a committed record pointing at missing bytes. The key streams into
-// a temp file and is fsynced outside the lock — that is the 49 MB part —
-// so listings, restores and other uploads proceed meanwhile; the kernel
-// starts writing each completed window of the file back while the rest
-// still streams in (writeBehind), so the fsync finds little left to do.
-// The lock covers only the commit: sequence number, rename, directory
-// sync, WAL append. A Put that fails at any step leaves no temp file and
-// no record.
-func (s *DiskStore) Put(clientID string, size int64, fill func(w io.Writer) (tfhe.Params, error)) error {
+// a temp file outside the lock — that is the 49 MB part — so listings,
+// restores and other uploads proceed meanwhile; the kernel starts writing
+// each completed window of the file back while the rest still streams in
+// (writeBehind). The file is then mapped (mapKey) and the mapping checked
+// — the caller views the key there — while it is fsynced, and only a key
+// that passes both is committed, under the lock: sequence number, rename,
+// directory sync, WAL append. A Put that fails at any step leaves no temp
+// file, no record and no mapping.
+func (s *DiskStore) Put(clientID string, size int64, key io.Reader, check func(b []byte) (tfhe.Params, error)) (_ *StoredKey, err error) {
 	keysDir := filepath.Join(s.dir, keysDirName)
-	crc := crc32.NewIEEE()
-	var p tfhe.Params
-	keyTmp, err := writeTempSync(keysDir, func(f *os.File) error {
-		var err error
-		if p, err = fill(io.MultiWriter(&writeBehind{f: f}, crc)); err != nil {
-			return err
-		}
-		fi, err := f.Stat()
-		if err == nil && fi.Size() != size {
-			err = errShortFill(clientID, fi.Size(), size)
-		}
-		return err
-	})
+	f, err := os.CreateTemp(keysDir, ".tmp-*")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer os.Remove(keyTmp) // a no-op once renamed
+	var stored *StoredKey
+	defer func() {
+		if err != nil {
+			f.Close() // a second Close only errors
+			stored.Release()
+		}
+		os.Remove(f.Name()) // a no-op once renamed
+	}()
+	crc := crc32.NewIEEE()
+	n, err := io.Copy(io.MultiWriter(&writeBehind{f: f}, crc), key)
+	if err != nil {
+		return nil, err
+	}
+	if n != size {
+		return nil, errShortFill(clientID, n, size)
+	}
+	// The check reads the whole key while the fsync waits on the device:
+	// run them side by side, and commit only if both succeed.
+	synced := make(chan error, 1)
+	go func() { synced <- f.Sync() }()
+	var p tfhe.Params
+	if stored, err = mapKey(f, size); err == nil {
+		p, err = check(stored.Bytes())
+	}
+	if serr := <-synced; err == nil {
+		err = serr
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := f.Close(); err != nil {
+		return nil, err
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return ErrStoreClosed
+		return nil, ErrStoreClosed
 	}
 	s.seq++
 	rec := walRecord{
@@ -188,16 +218,16 @@ func (s *DiskStore) Put(clientID string, size int64, fill func(w io.Writer) (tfh
 	}
 	framed, err := appendWALRecord(nil, rec)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := os.Rename(keyTmp, filepath.Join(keysDir, rec.File)); err != nil {
-		return fmt.Errorf("server: persist key for %q: %w", clientID, err)
+	if err := os.Rename(f.Name(), filepath.Join(keysDir, rec.File)); err != nil {
+		return nil, fmt.Errorf("server: persist key for %q: %w", clientID, err)
 	}
 	if err := syncDir(keysDir); err != nil {
-		return fmt.Errorf("server: sync key dir: %w", err)
+		return nil, fmt.Errorf("server: sync key dir: %w", err)
 	}
 	if err := s.appendSync(framed); err != nil {
-		return err
+		return nil, err
 	}
 
 	if old, ok := s.entries[clientID]; ok && old.file != rec.File {
@@ -205,7 +235,7 @@ func (s *DiskStore) Put(clientID string, size int64, fill func(w io.Writer) (tfh
 		_ = os.Remove(filepath.Join(keysDir, old.file))
 	}
 	s.entries[clientID] = diskEntry{file: rec.File, params: rec.Params, keyBytes: rec.KeyBytes, keyCRC: rec.KeyCRC}
-	return nil
+	return stored, nil
 }
 
 // writeBackWindow is how much of a key file writeBehind lets accumulate
@@ -235,62 +265,73 @@ func (w *writeBehind) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// appendSync appends framed bytes to the WAL and fsyncs. Called with mu
-// held.
+// appendSync appends framed bytes to the WAL and fsyncs. An append that
+// fails — a short write on a full disk, or a failed fsync — is cut off
+// again, back to the last committed record, and that is made durable:
+// replay stops at the first bad frame, so a torn frame left in place would
+// hide every record appended behind it. If the WAL cannot be cut back,
+// the store fails closed: every later Put and Delete fails. Called with
+// mu held.
 func (s *DiskStore) appendSync(framed []byte) error {
-	if _, err := s.wal.Write(framed); err != nil {
-		return fmt.Errorf("server: append WAL: %w", err)
+	if s.broken != nil {
+		return fmt.Errorf("server: WAL failed closed: %w", s.broken)
 	}
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("server: sync WAL: %w", err)
+	_, err := s.wal.Write(framed)
+	if err == nil {
+		if err = s.wal.Sync(); err == nil {
+			s.walSize += int64(len(framed))
+			return nil
+		}
 	}
-	return nil
+	if terr := s.wal.Truncate(s.walSize); terr != nil {
+		s.broken = terr
+	} else if serr := s.wal.Sync(); serr != nil {
+		s.broken = serr
+	}
+	return fmt.Errorf("server: append WAL: %w", err)
 }
 
-// Get implements SessionStore. The returned reader checks the key against
-// the length and CRC-32 the WAL committed for it as it is read.
-func (s *DiskStore) Get(clientID string) (io.ReadCloser, int64, error) {
+// Get implements SessionStore: the key file mapped, and checked against
+// the length and CRC-32 the WAL committed for it — silent corruption must
+// not become a poisoned session.
+func (s *DiskStore) Get(clientID string) (*StoredKey, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, 0, ErrStoreClosed
+		return nil, ErrStoreClosed
 	}
 	e, ok := s.entries[clientID]
 	s.mu.Unlock()
 	if !ok {
-		return nil, 0, ErrNotPersisted
+		return nil, ErrNotPersisted
 	}
 	f, err := os.Open(filepath.Join(s.dir, keysDirName, e.file))
 	if err != nil {
-		return nil, 0, fmt.Errorf("server: read persisted key for %q: %w", clientID, err)
+		return nil, fmt.Errorf("server: read persisted key for %q: %w", clientID, err)
 	}
-	return &checkedKey{f: f, id: clientID, want: e, crc: crc32.NewIEEE()}, e.keyBytes, nil
-}
-
-// checkedKey reads one key file, turning the io.EOF of a file whose
-// length or checksum differs from its WAL record into an error — silent
-// corruption must not become a poisoned session.
-type checkedKey struct {
-	f    *os.File
-	id   string
-	want diskEntry
-	crc  hash.Hash32
-	n    int64
-}
-
-// Read implements io.Reader.
-func (c *checkedKey) Read(p []byte) (int, error) {
-	n, err := c.f.Read(p)
-	c.crc.Write(p[:n])
-	c.n += int64(n)
-	if err == io.EOF && (c.n != c.want.keyBytes || c.crc.Sum32() != c.want.keyCRC) {
-		err = fmt.Errorf("server: persisted key for %q fails its checksum (%d bytes)", c.id, c.n)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("server: read persisted key for %q: %w", clientID, err)
 	}
-	return n, err
+	if fi.Size() != e.keyBytes {
+		return nil, errChecksum(clientID, fi.Size())
+	}
+	key, err := mapKey(f, e.keyBytes)
+	if err != nil {
+		return nil, err
+	}
+	if crc32.ChecksumIEEE(key.Bytes()) != e.keyCRC {
+		key.Release()
+		return nil, errChecksum(clientID, e.keyBytes)
+	}
+	return key, nil
 }
 
-// Close implements io.Closer.
-func (c *checkedKey) Close() error { return c.f.Close() }
+// errChecksum reports a key file that no longer matches its WAL record.
+func errChecksum(clientID string, n int64) error {
+	return fmt.Errorf("server: persisted key for %q fails its checksum (%d bytes)", clientID, n)
+}
 
 // Delete implements SessionStore: the tombstone record commits the
 // delete; file removal after it is best-effort cleanup (a crash between

@@ -3,19 +3,19 @@ package server
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/tfhe"
 )
 
 // storeBlob is a small stand-in key blob (the store treats blobs as
-// opaque bytes; only the parameter set its fill returns is interpreted).
+// opaque bytes; only the parameter set its check returns is interpreted).
 func storeBlob(seed byte, n int) []byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -24,27 +24,55 @@ func storeBlob(seed byte, n int) []byte {
 	return b
 }
 
-// putBlob stores blob under id the way the server would: written through
-// the store's writer, with ParamsTest as the decoded parameter set.
+// putBlob stores blob under id the way the server would: read from a
+// stream, with ParamsTest as the parameter set its check finds. The stored
+// key it returns is released at once.
 func putBlob(s SessionStore, id string, blob []byte) error {
-	return s.Put(id, int64(len(blob)), func(w io.Writer) (tfhe.Params, error) {
-		_, err := w.Write(blob)
-		return tfhe.ParamsTest, err
-	})
+	key, err := s.Put(id, int64(len(blob)), bytes.NewReader(blob), acceptBlob)
+	key.Release()
+	return err
 }
 
-// getBlob reads id's stored key to its end.
+// acceptBlob is the check of a stand-in blob: any bytes are a ParamsTest
+// key.
+func acceptBlob([]byte) (tfhe.Params, error) { return tfhe.ParamsTest, nil }
+
+// getBlob copies id's stored key out of the store.
 func getBlob(s SessionStore, id string) ([]byte, error) {
-	r, size, err := s.Get(id)
+	key, err := s.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
-	blob, err := io.ReadAll(r)
-	if err == nil && int64(len(blob)) != size {
-		err = fmt.Errorf("Get announced %d bytes and yielded %d", size, len(blob))
+	defer key.Release()
+	return bytes.Clone(key.Bytes()), nil
+}
+
+// writesOf is a key that writes itself to whoever copies it in writes of
+// 100 003 bytes, which straddle the edges of the write-back windows.
+type writesOf []byte
+
+// Read implements io.Reader.
+func (k *writesOf) Read(p []byte) (int, error) {
+	if len(*k) == 0 {
+		return 0, io.EOF
 	}
-	return blob, err
+	n := copy(p, *k)
+	*k = (*k)[n:]
+	return n, nil
+}
+
+// WriteTo implements io.WriterTo.
+func (k *writesOf) WriteTo(w io.Writer) (int64, error) {
+	var n int64
+	for len(*k) > 0 {
+		m, err := w.Write((*k)[:min(len(*k), 100_003)])
+		n += int64(m)
+		*k = (*k)[m:]
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
 }
 
 // TestDiskStoreRoundTrip pins put/get/list/delete on a fresh store.
@@ -163,19 +191,15 @@ func TestDiskStorePutAcrossWriteBackWindows(t *testing.T) {
 	defer func() { s.Close() }()
 	payload := make([]byte, 3*writeBackWindow+writeBackWindow/3)
 	rand.New(rand.NewSource(17)).Read(payload)
-	fill := func(w io.Writer) (tfhe.Params, error) {
-		for rest := payload; len(rest) > 0; {
-			n := min(len(rest), 100_003)
-			if _, err := w.Write(rest[:n]); err != nil {
-				return tfhe.Params{}, err
-			}
-			rest = rest[n:]
-		}
-		return tfhe.ParamsTest, nil
-	}
-	if err := s.Put("big", int64(len(payload)), fill); err != nil {
+	key := writesOf(payload)
+	stored, err := s.Put("big", int64(len(payload)), &key, acceptBlob)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(stored.Bytes(), payload) {
+		t.Error("Put returned different bytes than it stored")
+	}
+	stored.Release()
 	// The same writes through a writeBehind of its own: write-back has
 	// started on every whole window and on nothing past them.
 	f, err := os.CreateTemp(t.TempDir(), "wb")
@@ -184,7 +208,8 @@ func TestDiskStorePutAcrossWriteBackWindows(t *testing.T) {
 	}
 	defer f.Close()
 	wb := &writeBehind{f: f}
-	if _, err := fill(wb); err != nil {
+	key = writesOf(payload)
+	if _, err := key.WriteTo(wb); err != nil {
 		t.Fatal(err)
 	}
 	if wb.written != int64(len(payload)) || wb.started != 3*writeBackWindow {
@@ -204,12 +229,7 @@ func TestDiskStorePutAcrossWriteBackWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	failed := errors.New("upload cut")
-	err = s.Put("cut", int64(len(payload)), func(w io.Writer) (tfhe.Params, error) {
-		if _, err := w.Write(payload[:2<<20]); err != nil {
-			return tfhe.Params{}, err
-		}
-		return tfhe.Params{}, failed
-	})
+	_, err = s.Put("cut", int64(len(payload)), io.MultiReader(bytes.NewReader(payload[:2<<20]), iotest.ErrReader(failed)), acceptBlob)
 	if !errors.Is(err, failed) {
 		t.Fatalf("Put with a failing fill: %v, want %v", err, failed)
 	}

@@ -28,10 +28,13 @@
 // and commits them before the session becomes visible, eviction is
 // transparent, and a warm miss restores the session from the store —
 // singleflighted per client ID — with bitwise-identical results and no
-// re-upload. DiskStore pairs
-// CRC-checked key files with an append-only WAL (fsync-ordered so a
-// record never points at missing bytes) and replays the longest valid
-// prefix on open, truncating torn tails. Drain flips the server to
+// re-upload. A stored key's bytes are the session's key: its slabs are
+// views of them (wire.ViewEvalKey), held by reference (StoredKey) by the
+// warm tier and by each request in flight, so a session holds its key
+// once. DiskStore pairs CRC-checked key files, mapped read-only as
+// sessions' keys, with an append-only WAL (fsync-ordered so a record
+// never points at missing bytes) and replays the longest valid prefix on
+// open, truncating torn tails. Drain flips the server to
 // draining — new work refused with ErrShuttingDown, in-flight streams
 // run to completion — then closes the store; the healthz endpoint goes
 // not-ready at the flip.
@@ -42,9 +45,9 @@
 // canonical binary codec. The evaluation key, the one large object, is the
 // exception: POST /v1/sessions/{client_id} takes its raw wire encoding as
 // the body and streams it — the client encodes as the connection takes
-// bytes, the server decodes chunk by chunk while teeing the same bytes
-// into the store — so no side ever holds the encoded key whole, and
-// restore reads a stored key back through the same decoder. Every non-2xx
+// bytes, the server streams it into the store and views the stored bytes
+// as the key — so no side ever holds the key twice, and restore maps a
+// stored key back without decoding it. Every non-2xx
 // response carries a machine-readable code (see ErrorResponse), surfaced
 // client-side as a typed *APIError; the Client transparently retries the
 // two Temporary codes (overloaded, shutting_down) with bounded jittered

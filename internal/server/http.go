@@ -19,12 +19,13 @@ const (
 	// MaxKeyBodyBytes bounds the declared size of a key upload.
 	// Evaluation keys dominate everything else: sets I–III are 35–47 MB,
 	// but the high-precision set IV key is ~1.09 GB, which this limit must
-	// still admit. The upload is never buffered — it streams through one
-	// decoder chunk into the store and the decoded key, and its size must
-	// match the parameter header before the first key byte is stored — so
-	// what a peer can make the server hold is the decoded form of the
-	// bytes it has actually sent. The connection timeouts of ServeHandler
-	// keep a slow-drip peer from parking that indefinitely.
+	// still admit. The upload is never buffered beside the key — it
+	// streams into the store, whose bytes are the session's key, and its
+	// size must match the parameter header before the first key byte is
+	// stored — so what a peer can make the server hold grows only with
+	// the bytes it has actually sent (wire.ReadSized). The connection
+	// timeouts of ServeHandler keep a slow-drip peer from parking that
+	// indefinitely.
 	MaxKeyBodyBytes = 2 << 30
 	// MaxBatchBodyBytes bounds gate/lut batch requests and replies, which
 	// are buffered and base64-decoded whole: a maximal default batch (4096
@@ -158,7 +159,7 @@ func encodeCiphertexts(cts []tfhe.LWECiphertext) [][]byte {
 // handleRegisterKey streams one uploaded key into a session. The body is
 // the raw wire.EncodeEvalKey bytes and must declare its size (a chunked
 // upload is refused): the size is what the parameter header is checked
-// against, and what the store allocates. A bad size, a draining server and
+// against, and what the store reads. A bad size, a draining server and
 // a bad ID are all refused before the first body byte is read, so a peer
 // that waits for 100 Continue never sends the key.
 func (s *Server) handleRegisterKey(w http.ResponseWriter, r *http.Request) {

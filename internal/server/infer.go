@@ -33,6 +33,7 @@ func (s *Server) InferBatch(clientID string, features []tfhe.LWECiphertext, opti
 	if err != nil {
 		return nil, err
 	}
+	defer sess.release()
 	circ, schedule, err := sess.validateInfer(features, s.cfg, optimize)
 	if err != nil {
 		return nil, err

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -150,20 +149,16 @@ type stallingStore struct {
 }
 
 // Get implements SessionStore.
-func (s *stallingStore) Get(clientID string) (io.ReadCloser, int64, error) {
+func (s *stallingStore) Get(clientID string) (*StoredKey, error) {
 	stall := false
 	s.once.Do(func() { stall = true })
-	r, size, err := s.MemStore.Get(clientID)
+	key, err := s.MemStore.Get(clientID)
 	if err != nil || !stall {
-		return r, size, err
-	}
-	blob, err := io.ReadAll(r)
-	if err != nil {
-		return nil, 0, err
+		return key, err
 	}
 	close(s.reading)
 	<-s.release
-	return io.NopCloser(bytes.NewReader(blob)), size, nil
+	return key, nil
 }
 
 // startStalledRestore registers "a" (key seed 1) and "b" on a one-session
@@ -376,7 +371,7 @@ func TestDrain(t *testing.T) {
 // ErrOverloaded instead of blocking forever.
 func TestOverloaded(t *testing.T) {
 	_, ek := testKeys(t, 1)
-	sess := newSession("x", ek, Config{}.withDefaults())
+	sess := newSession("x", ek, nil, Config{}.withDefaults())
 	sess.queueTimeout = time.Millisecond
 	// Saturate the backpressure bound directly — deterministic, no racing
 	// goroutines needed.

@@ -169,14 +169,21 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // Drain gracefully shuts the service down: new requests (including ones
 // arriving mid-drain) are refused with ErrShuttingDown, every admitted
 // request — and thus every open group-commit stream — runs to
-// completion, and then the session store is flushed and closed. Drain is
-// idempotent and safe to call concurrently; it returns once the server
-// is quiesced and durable.
+// completion, then the warm tier lets its sessions' keys go, and the
+// session store is flushed and closed. Drain is idempotent and safe to
+// call concurrently; it returns once the server is quiesced and durable.
 func (s *Server) Drain() error {
 	s.drainMu.Lock()
 	s.draining.Store(true)
 	s.drainMu.Unlock()
 	s.inflight.Wait()
+	s.mu.Lock()
+	for id, sess := range s.sessions {
+		delete(s.sessions, id)
+		sess.release()
+	}
+	s.lru.Init()
+	s.mu.Unlock()
 	if s.store == nil {
 		return nil
 	}
@@ -208,16 +215,14 @@ func validateClientID(clientID string) error {
 // is built — they typically arrive from an untrusted network peer. With a
 // Store, the wire encoding of the keys is made durable before the session
 // becomes visible, so a crash after a successful RegisterKey never loses
-// the registration.
+// the registration, and the session computes on the stored bytes; without
+// one it computes on ek itself.
 func (s *Server) RegisterKey(clientID string, ek tfhe.EvaluationKeys) error {
 	enc, size, err := wire.EncodeEvalKey(ek) // validates ek
 	if err != nil {
 		return fmt.Errorf("server: rejecting eval key for %q: %w", clientID, err)
 	}
-	_, err = s.register(clientID, size, func(w io.Writer) (tfhe.EvaluationKeys, error) {
-		_, err := io.Copy(storeWriter{w}, enc)
-		return ek, err
-	})
+	_, err = s.register(clientID, size, enc, &ek)
 	return err
 }
 
@@ -227,41 +232,53 @@ func (s *Server) RegisterKeyEncoded(clientID string, blob []byte) (tfhe.Params, 
 	return s.registerFrom(clientID, int64(len(blob)), bytes.NewReader(blob))
 }
 
-// registerFrom registers the size-byte wire encoding that body yields, in
-// one pass and without ever holding it whole: each chunk the decoder pulls
-// is teed into the store on its way, so the durable copy is the exact
-// uploaded bytes. It is the path of the HTTP upload.
+// registerFrom registers the size-byte wire encoding that body yields,
+// without ever holding it but where the session will use it: in the
+// store, or in memory read straight from the stream. It is the path of
+// the HTTP upload.
 func (s *Server) registerFrom(clientID string, size int64, body io.Reader) (tfhe.Params, error) {
-	return s.register(clientID, size, func(w io.Writer) (tfhe.EvaluationKeys, error) {
-		ek, err := wire.DecodeEvalKey(io.TeeReader(body, storeWriter{w}), size)
-		if err != nil {
-			return ek, fmt.Errorf("server: bad eval key: %w", err)
-		}
-		return ek, nil
-	})
+	return s.register(clientID, size, body, nil)
 }
 
-// storeWriter marks the failures of a store's writer, so that a full disk
-// under a tee surfaces as 500/internal and not as the bad key the decoder
-// would otherwise make of its failed read.
-type storeWriter struct{ w io.Writer }
+// upload is the body of a key registration: the size bytes its sender
+// declared. A body that fails, ends short or runs on past size is the
+// sender's fault, and err records it, so that a failed Put is not taken
+// for the store's fault.
+type upload struct {
+	r    io.Reader
+	left int64
+	err  error
+}
 
-// Write implements io.Writer.
-func (s storeWriter) Write(p []byte) (int, error) {
-	n, err := s.w.Write(p)
-	if err != nil {
-		err = fmt.Errorf("%w: %v", errStoreFailure, err)
+// Read implements io.Reader.
+func (u *upload) Read(p []byte) (int, error) {
+	if u.err != nil {
+		return 0, u.err
+	}
+	n, err := u.r.Read(p)
+	u.left -= int64(n)
+	switch {
+	case u.left < 0:
+		u.err = errors.New("server: key upload runs past its declared size")
+	case err == io.EOF && u.left > 0:
+		u.err = fmt.Errorf("server: key upload ends %d bytes short of its declared size", u.left)
+	case err != nil && err != io.EOF:
+		u.err = err
+	}
+	if u.err != nil {
+		return n, u.err
 	}
 	return n, err
 }
 
-// register is the one registration path: admit, check the ID — both
-// before load touches its source — then load the keys, commit them to the
-// store, and only then make the session visible. load returns the
-// validated keys and writes their size-byte wire encoding to w as it goes
-// (to nowhere when there is no store). Nothing changes unless every step
-// succeeds: the ID's previous session keeps serving.
-func (s *Server) register(clientID string, size int64, load func(w io.Writer) (tfhe.EvaluationKeys, error)) (tfhe.Params, error) {
+// register is the one registration path: admit, check the ID and then the
+// key's header against size — all before any storage is written or
+// reserved for it — then bring the key's bytes where the session will use
+// them, view them as the key (wire.ViewEvalKey), commit them to the store,
+// and only then make the session visible. ek, when the caller holds the
+// keys already, is what a storeless session computes on. Nothing changes
+// unless every step succeeds: the ID's previous session keeps serving.
+func (s *Server) register(clientID string, size int64, body io.Reader, ek *tfhe.EvaluationKeys) (tfhe.Params, error) {
 	if err := s.begin(); err != nil {
 		return tfhe.Params{}, err
 	}
@@ -269,34 +286,50 @@ func (s *Server) register(clientID string, size int64, load func(w io.Writer) (t
 	if err := validateClientID(clientID); err != nil {
 		return tfhe.Params{}, err
 	}
-	var ek tfhe.EvaluationKeys
-	var loadErr error
-	if s.store == nil {
-		ek, loadErr = load(io.Discard)
-	} else {
+	hdr, err := wire.ReadEvalKeyHeader(body, size)
+	if err != nil {
+		return tfhe.Params{}, fmt.Errorf("server: bad eval key: %w", err)
+	}
+	src := &upload{r: io.MultiReader(bytes.NewReader(hdr), body), left: size}
+	var keys tfhe.EvaluationKeys
+	var stored *StoredKey
+	switch {
+	case s.store != nil:
 		// Durable-first: the WAL record commits before the session is
 		// visible, so no acknowledged registration can be lost.
-		err := s.store.Put(clientID, size, func(w io.Writer) (tfhe.Params, error) {
-			ek, loadErr = load(w)
-			return ek.Params, loadErr
+		var viewErr error
+		stored, err = s.store.Put(clientID, size, src, func(b []byte) (tfhe.Params, error) {
+			keys, viewErr = wire.ViewEvalKey(b)
+			return keys.Params, viewErr
 		})
-		if err != nil && loadErr == nil {
+		switch {
+		case src.err != nil:
+			err = src.err
+		case err != nil && viewErr == nil:
 			return tfhe.Params{}, fmt.Errorf("%w: persisting key for %q: %v", errStoreFailure, clientID, err)
 		}
+	case ek != nil:
+		// Encoding the caller's keys to nowhere checks them as the view
+		// would have.
+		_, err = io.Copy(io.Discard, src)
+		keys = *ek
+	default:
+		var b []byte
+		if b, err = wire.ReadSized(src, size); err == nil {
+			keys, err = wire.ViewEvalKey(b)
+		}
 	}
-	if loadErr != nil {
-		return tfhe.Params{}, loadErr
+	if err != nil {
+		return tfhe.Params{}, fmt.Errorf("server: bad eval key: %w", err)
 	}
-	// Build the engine outside the lock: key material is large and engine
-	// construction allocates per-worker evaluators.
-	sess := newSession(clientID, ek, s.cfg)
+	sess := newSession(clientID, keys, stored, s.cfg)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.evicted.remove(clientID)
 	s.install(sess)
 	s.supersede(clientID)
-	return ek.Params, nil
+	return keys.Params, nil
 }
 
 // install adds a built session to the warm tier, in place of any session
@@ -304,6 +337,7 @@ func (s *Server) register(clientID string, size int64, load func(w io.Writer) (t
 func (s *Server) install(sess *session) {
 	if old, ok := s.sessions[sess.id]; ok {
 		s.lru.Remove(old.elem)
+		old.release()
 	}
 	sess.elem = s.lru.PushFront(sess)
 	s.sessions[sess.id] = sess
@@ -312,6 +346,7 @@ func (s *Server) install(sess *session) {
 		victim := oldest.Value.(*session)
 		s.lru.Remove(oldest)
 		delete(s.sessions, victim.id)
+		victim.release()
 		s.evictions.Add(1)
 		if s.store == nil {
 			// Without a durable tier the key material is gone; remember
@@ -339,15 +374,17 @@ func (s *Server) supersede(clientID string) {
 }
 
 // session looks up and LRU-touches a session, restoring it from the
-// durable tier on a warm miss. Concurrent misses for one ID share a
-// single restore (the key decode + engine build is expensive). A restore
-// overtaken by a register or delete of its ID is discarded and the lookup
-// starts over.
+// durable tier on a warm miss, and holds its key for the caller, who must
+// release the session when done with it. Concurrent misses for one ID
+// share a single restore (each maps and checksums the key file). A
+// restore overtaken by a register or delete of its ID is discarded and
+// the lookup starts over.
 func (s *Server) session(clientID string) (*session, error) {
 	for {
 		s.mu.Lock()
 		if sess, ok := s.sessions[clientID]; ok {
 			s.lru.MoveToFront(sess.elem)
+			sess.hold()
 			s.mu.Unlock()
 			return sess, nil
 		}
@@ -376,10 +413,14 @@ func (s *Server) session(clientID string) (*session, error) {
 		close(r.done)
 		if r.stale {
 			s.mu.Unlock()
+			if sess != nil {
+				sess.release()
+			}
 			continue
 		}
 		if sess != nil {
 			s.install(sess)
+			sess.hold()
 		}
 		s.mu.Unlock()
 		if err != nil {
@@ -389,25 +430,28 @@ func (s *Server) session(clientID string) (*session, error) {
 	}
 }
 
-// restore rebuilds a session from its persisted key material: disk read,
-// checksum verify, wire decode (which re-validates the key), engine
-// build. The restored session computes on byte-identical key material,
-// so its gate results are bitwise identical to the pre-restart session's.
+// restore rebuilds a session from its persisted key material: the store
+// hands out the stored bytes (DiskStore maps the key file and checks its
+// CRC over the mapping), the key is viewed in them (which re-validates
+// it, without a copy), and the session is a handle on that view. The
+// restored session computes on byte-identical key material, so its gate
+// results are bitwise identical to the pre-restart session's. The
+// session holds the store's reference to the key.
 func (s *Server) restore(clientID string) (*session, error) {
-	key, size, err := s.store.Get(clientID)
+	key, err := s.store.Get(clientID)
 	if errors.Is(err, ErrNotPersisted) {
 		return nil, ErrUnknownSession
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: restoring %q: %v", errStoreFailure, clientID, err)
 	}
-	defer key.Close()
-	ek, err := wire.DecodeEvalKey(key, size)
+	ek, err := wire.ViewEvalKey(key.Bytes())
 	if err != nil {
-		return nil, fmt.Errorf("%w: persisted key for %q does not decode: %v", errStoreFailure, clientID, err)
+		key.Release()
+		return nil, fmt.Errorf("%w: persisted key for %q is not a valid key: %v", errStoreFailure, clientID, err)
 	}
 	s.restores.Add(1)
-	return newSession(clientID, ek, s.cfg), nil
+	return newSession(clientID, ek, key, s.cfg), nil
 }
 
 // DeleteSession explicitly evicts clientID everywhere: the durable tier
@@ -432,6 +476,7 @@ func (s *Server) DeleteSession(clientID string) (warm, persisted bool, err error
 		warm = true
 		s.lru.Remove(sess.elem)
 		delete(s.sessions, clientID)
+		sess.release()
 	}
 	// A deleted session is forgotten, not evicted: later requests get
 	// unknown_session.
@@ -530,6 +575,7 @@ func (s *Server) GateBatch(clientID string, op engine.GateOp, a, b []tfhe.LWECip
 	if err != nil {
 		return nil, err
 	}
+	defer sess.release()
 	if err := sess.validateGate(op, a, b, s.cfg.MaxBatch); err != nil {
 		return nil, err
 	}
@@ -552,6 +598,7 @@ func (s *Server) LUTBatch(clientID string, cts []tfhe.LWECiphertext, space int, 
 	if err != nil {
 		return nil, err
 	}
+	defer sess.release()
 	if err := sess.validateLUT(cts, space, table, s.cfg.MaxBatch); err != nil {
 		return nil, err
 	}
@@ -576,6 +623,7 @@ func (s *Server) MultiLUTBatch(clientID string, cts []tfhe.LWECiphertext, space 
 	if err != nil {
 		return nil, err
 	}
+	defer sess.release()
 	if err := sess.validateMultiLUT(cts, space, tables, s.cfg.MaxBatch); err != nil {
 		return nil, err
 	}
@@ -605,6 +653,7 @@ func (s *Server) CircuitBatch(clientID string, specs []sched.NodeSpec, outputs [
 	if err != nil {
 		return nil, err
 	}
+	defer sess.release()
 	circ, schedule, err := sess.validateCircuit(specs, outputs, inputs, s.cfg, optimize)
 	if err != nil {
 		return nil, err

@@ -13,13 +13,15 @@ import (
 )
 
 // session owns one client's evaluation keys, streaming engine, and
-// metrics. In-flight requests hold a *session directly, so an LRU-evicted
-// session finishes its outstanding work before being garbage collected;
+// metrics. In-flight requests hold a *session directly, and a reference to
+// the memory its keys are views of, so an LRU-evicted, replaced or
+// deleted session finishes its outstanding work before that memory goes;
 // only new lookups see the eviction.
 type session struct {
 	id     string
 	params tfhe.Params
 	eng    *engine.StreamingEngine
+	key    *StoredKey    // the memory eng's keys alias; nil when the caller owns them
 	elem   *list.Element // position in the server's LRU list
 
 	// slots is the backpressure bound: one token per queued or in-flight
@@ -46,18 +48,28 @@ type session struct {
 
 // newSession builds a session and its streaming engine, a handle on the
 // keys: its operations run on the process's one worker pool, beside the
-// other sessions'.
-func newSession(id string, ek tfhe.EvaluationKeys, cfg Config) *session {
+// other sessions'. The session takes over the caller's reference to key,
+// the memory ek's slabs alias (nil when they alias none).
+func newSession(id string, ek tfhe.EvaluationKeys, key *StoredKey, cfg Config) *session {
 	return &session{
 		id:           id,
 		params:       ek.Params,
 		eng:          engine.NewStreaming(ek, engine.StreamConfig{}),
+		key:          key,
 		slots:        make(chan struct{}, cfg.MaxPending),
 		queueTimeout: queueTimeout,
 		groups:       make(map[string]*group),
 		maxCoalesce:  cfg.MaxCoalesce,
 	}
 }
+
+// hold takes a reference to the session's key memory for one more user
+// of the session: a request, beside the warm tier's reference.
+func (s *session) hold() { s.key.hold() }
+
+// release gives up one user's reference; the last one frees the key
+// memory, after which the session must not run.
+func (s *session) release() { s.key.Release() }
 
 // group is one group-commit batch: the concatenated operands (and, for
 // gates, per-item ops) of every request that joined, and the waiters to

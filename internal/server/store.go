@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -9,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/tfhe"
+	"repro/internal/wire"
 )
 
 // ErrNotPersisted is returned by SessionStore.Get when no key is stored
@@ -35,23 +35,26 @@ type StoreEntry struct {
 // register, reads back on a warm-tier miss, and tombstones on explicit
 // delete. Implementations must be safe for concurrent use.
 //
-// Keys pass through as streams, never as whole buffers, and are opaque to
-// the store — exactly the wire.EncodeEvalKey bytes the client uploaded, so
-// a restored session is rebuilt from byte-identical key material and
-// produces bitwise-identical gate results.
+// Keys come in as streams and go out as memory — a StoredKey, the stored
+// bytes themselves, which the server uses as the session's key in place.
+// They are opaque to the store: exactly the wire.EncodeEvalKey bytes the
+// client uploaded, so a restored session computes on byte-identical key
+// material and produces bitwise-identical gate results.
 type SessionStore interface {
-	// Put durably stores the size-byte encoded key that fill writes to w,
-	// replacing any previous key of clientID. fill returns the parameter
-	// set it decoded on the way (callers always validate what they store),
-	// recorded so List never has to decode key material. When fill fails,
-	// or writes anything but size bytes, Put fails, nothing is stored and
-	// the previous key stays. size is only declared by whoever is
-	// uploading: the caller bounds it.
-	Put(clientID string, size int64, fill func(w io.Writer) (tfhe.Params, error)) error
-	// Get opens the stored key of clientID for one sequential read and
-	// returns its length, or ErrNotPersisted. A key that no longer matches
-	// what Put stored fails the read that would have returned io.EOF.
-	Get(clientID string) (io.ReadCloser, int64, error)
+	// Put durably stores the size-byte encoded key that key yields,
+	// replacing any previous key of clientID, and returns the stored
+	// bytes with one reference for the caller. Before anything commits it
+	// hands the stored bytes to check, which returns the key's parameter
+	// set (recorded so List never has to decode key material). When key
+	// fails or yields anything but size bytes, or check fails, Put fails,
+	// nothing is stored and the previous key stays. size is only declared
+	// by whoever is uploading: the caller checks it against the key's
+	// header before calling Put.
+	Put(clientID string, size int64, key io.Reader, check func(b []byte) (tfhe.Params, error)) (*StoredKey, error)
+	// Get returns the stored key of clientID, with one reference for the
+	// caller, or ErrNotPersisted. A key that no longer matches what Put
+	// stored is an error.
+	Get(clientID string) (*StoredKey, error)
 	// Delete removes clientID's key, reporting whether one was stored.
 	// Deleting an absent key is not an error.
 	Delete(clientID string) (bool, error)
@@ -83,44 +86,46 @@ func NewMemStore() *MemStore {
 	return &MemStore{blobs: make(map[string]memEntry)}
 }
 
-// errShortFill reports a fill that wrote a different byte count than it
-// declared.
+// errShortFill reports a key stream that yielded a different byte count
+// than was declared for it.
 func errShortFill(clientID string, got, want int64) error {
 	return fmt.Errorf("server: key for %q is %d bytes, declared %d", clientID, got, want)
 }
 
-// Put implements SessionStore. The key is filled into one buffer of the
-// declared size, outside the lock.
-func (m *MemStore) Put(clientID string, size int64, fill func(w io.Writer) (tfhe.Params, error)) error {
-	buf := bytes.NewBuffer(make([]byte, 0, size))
-	p, err := fill(buf)
+// Put implements SessionStore. The key is read, outside the lock, into
+// one buffer that grows only behind the bytes delivered (wire.ReadSized),
+// and that buffer is both the stored blob and the returned key.
+func (m *MemStore) Put(clientID string, size int64, key io.Reader, check func(b []byte) (tfhe.Params, error)) (*StoredKey, error) {
+	blob, err := wire.ReadSized(key, size)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if int64(buf.Len()) != size {
-		return errShortFill(clientID, int64(buf.Len()), size)
+	p, err := check(blob)
+	if err != nil {
+		return nil, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return ErrStoreClosed
+		return nil, ErrStoreClosed
 	}
-	m.blobs[clientID] = memEntry{params: p.Name, blob: buf.Bytes()}
-	return nil
+	m.blobs[clientID] = memEntry{params: p.Name, blob: blob}
+	return newStoredKey(blob, nil), nil
 }
 
-// Get implements SessionStore.
-func (m *MemStore) Get(clientID string) (io.ReadCloser, int64, error) {
+// Get implements SessionStore: the stored blob itself, which no one
+// writes after Put.
+func (m *MemStore) Get(clientID string) (*StoredKey, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, 0, ErrStoreClosed
+		return nil, ErrStoreClosed
 	}
 	e, ok := m.blobs[clientID]
 	if !ok {
-		return nil, 0, ErrNotPersisted
+		return nil, ErrNotPersisted
 	}
-	return io.NopCloser(bytes.NewReader(e.blob)), int64(len(e.blob)), nil
+	return newStoredKey(e.blob, nil), nil
 }
 
 // Delete implements SessionStore.

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/engine"
@@ -196,32 +197,16 @@ func TestUploadRefusedBeforeBody(t *testing.T) {
 	}
 }
 
-// failingStore is a MemStore whose writer fails once it has taken after
+// failingStore is a MemStore whose storage fails once it has taken after
 // bytes: a disk filling up under an upload.
 type failingStore struct {
 	*MemStore
-	after int
+	after int64
 }
 
-func (f failingStore) Put(clientID string, size int64, fill func(io.Writer) (tfhe.Params, error)) error {
-	return f.MemStore.Put(clientID, size, func(w io.Writer) (tfhe.Params, error) {
-		return fill(&failingWriter{w: w, left: f.after})
-	})
-}
-
-type failingWriter struct {
-	w    io.Writer
-	left int
-}
-
-func (f *failingWriter) Write(p []byte) (int, error) {
-	if len(p) > f.left {
-		n, _ := f.w.Write(p[:f.left])
-		f.left = 0
-		return n, errors.New("no space left on device")
-	}
-	f.left -= len(p)
-	return f.w.Write(p)
+func (f failingStore) Put(clientID string, size int64, key io.Reader, check func([]byte) (tfhe.Params, error)) (*StoredKey, error) {
+	full := iotest.ErrReader(errors.New("no space left on device"))
+	return f.MemStore.Put(clientID, size, io.MultiReader(io.LimitReader(key, f.after), full), check)
 }
 
 // TestStoreWriterFailsMidRegister injects a store whose writer fails
@@ -277,10 +262,11 @@ func TestRegisterKeyRefusesNonFiniteKey(t *testing.T) {
 }
 
 // TestPutAbortedLeavesPreviousKey pins the store half of the durable-first
-// contract on both implementations: a fill that fails, or that writes a
-// different length than it declared, stores nothing — the ID's previous
-// key stays readable, no temp file is left in keys/, and the WAL does not
-// grow by a byte.
+// contract on both implementations: a key stream that fails, or that
+// yields a different length than declared, and a key that its check
+// refuses (the server's view), store nothing — the ID's previous key stays
+// readable, no temp file is left in keys/, and the WAL does not grow by a
+// byte.
 func TestPutAbortedLeavesPreviousKey(t *testing.T) {
 	dir := t.TempDir()
 	disk, err := OpenDiskStore(dir)
@@ -299,19 +285,19 @@ func TestPutAbortedLeavesPreviousKey(t *testing.T) {
 		}
 
 		boom := errors.New("client hung up")
-		err = s.Put("alice", 800, func(w io.Writer) (tfhe.Params, error) {
-			w.Write(storeBlob(2, 400))
-			return tfhe.Params{}, boom
-		})
+		_, err = s.Put("alice", 800, io.MultiReader(bytes.NewReader(storeBlob(2, 400)), iotest.ErrReader(boom)), acceptBlob)
 		if !errors.Is(err, boom) {
-			t.Errorf("%s: Put with a failing fill: %v, want the fill's error", name, err)
+			t.Errorf("%s: Put with a failing key stream: %v, want the stream's error", name, err)
 		}
-		err = s.Put("alice", 800, func(w io.Writer) (tfhe.Params, error) {
-			_, err := w.Write(storeBlob(3, 700))
-			return tfhe.ParamsTest, err
-		})
-		if err == nil {
+		if _, err = s.Put("alice", 800, bytes.NewReader(storeBlob(3, 700)), acceptBlob); err == nil {
 			t.Errorf("%s: Put accepted 700 bytes declared as 800", name)
+		}
+		bad := errors.New("not a key")
+		_, err = s.Put("alice", 800, bytes.NewReader(storeBlob(4, 800)), func([]byte) (tfhe.Params, error) {
+			return tfhe.Params{}, bad
+		})
+		if !errors.Is(err, bad) {
+			t.Errorf("%s: Put of a key its check refuses: %v, want the check's error", name, err)
 		}
 		if got, err := getBlob(s, "alice"); err != nil || !bytes.Equal(got, first) {
 			t.Errorf("%s: after two aborted Puts Get yields %d bytes (%v), want the committed key", name, len(got), err)

@@ -44,7 +44,7 @@ func EvalKeySize(p tfhe.Params) (int64, bool) {
 	if !ok1 || !ok2 {
 		return 0, false
 	}
-	return int64(headerSize+paramsPayloadSize(p)) + bsk + ksk, true
+	return int64(keyHeaderSize(p)) + bsk + ksk, true
 }
 
 // mulSize multiplies non-negative sizes with overflow detection.

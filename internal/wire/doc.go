@@ -12,7 +12,11 @@
 // (locked down by the package's fuzz harnesses).
 //
 // Every encoded object starts with an 8-byte header: the "STRX" magic, a
-// format version, and a kind tag. All integers are little-endian;
+// format version, and a kind tag. Parameter sets and ciphertexts are
+// format version 1 (Version); evaluation keys are version 2
+// (EvalKeyVersion), whose header and parameters are zero-padded to 64
+// bytes so that the key's slabs follow aligned and ViewEvalKey can use
+// the encoded bytes as the key in place. All integers are little-endian;
 // Fourier-domain values are raw IEEE-754 bits, so Unmarshal(Marshal(x)) is
 // bitwise-identical to x. Sizes are fully determined by the parameter
 // set, so the Size accessors give exact buffer lengths for framing.

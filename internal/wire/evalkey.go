@@ -15,27 +15,40 @@ import (
 )
 
 // The evaluation-key codec. The key is the one object too large to hold
-// encoded beside its decoded form (49 MB at set I, 1.09 GB at set IV), so
-// both directions are incremental: EncodeEvalKey is an io.Reader that
-// produces the encoding a record at a time straight from the key, and
-// DecodeEvalKey reads an io.Reader a chunk at a time straight into the
-// key's slabs. MarshalEvalKey and UnmarshalEvalKey are those two over a
-// byte slice.
+// twice (49 MB at set I, 1.09 GB at set IV), so its bytes are the key:
+// EncodeEvalKey is an io.Reader that produces the encoding a record at a
+// time straight from the key, and ViewEvalKey checks an encoding and
+// returns keys whose slabs are views of its bytes, not copies of them.
+// DecodeEvalKey reads a stream into memory and views it; MarshalEvalKey
+// and UnmarshalEvalKey are the two directions over one byte slice.
 //
-// Layout: the object header, the parameter payload, then the
-// Fourier-domain BSK and the raw KSK, both with shapes fully determined by
-// the parameters (no per-object framing). Both keys are slabs in wire
-// order (tfhe.GGSWFourier, EvaluationKeys.KSK), so a record is the header
-// with the parameters, or the next N/2 complex values of a GGSW slab, or
-// the next KSK ciphertext: a slice of a slab either way. A slab's memory
-// is its wire bytes — little-endian float64 pairs, little-endian uint32
-// words — so both directions move records as bulk byte copies, checking
-// the BSK's values by their exponent bits, and a big-endian host swaps
-// each word in place (swapWords).
+// Layout (format version 2): the object header and the parameter payload,
+// zero-padded to a 64-byte boundary (keyHeaderSize); then the
+// Fourier-domain BSK, 64-byte aligned; then the raw KSK, 16-byte aligned
+// behind it. Both keys have shapes fully determined by the parameters (no
+// per-object framing) and are slabs in wire order (tfhe.GGSWFourier,
+// EvaluationKeys.KSK), so GGSW i is the run of GGSWValues complex values
+// at keyHeaderSize + 16·i·GGSWValues, and the KSK the run of KSKWords
+// words after the last. A slab's memory is its wire bytes — little-endian
+// float64 pairs, little-endian uint32 words — so on a little-endian host
+// the slabs alias the encoding; a big-endian host gets a copy with each
+// word swapped (swapWords). The alignment makes the views as well aligned
+// as the slabs key generation allocates, wherever the bytes start on a
+// page: a file mapping, or a large heap buffer.
 
-// keyChunk is the decoder's read size: it reads a slab straight into the
-// slab's memory at most this many bytes at a time, so it is also the
-// largest write a tee in front of it sees.
+// keyAlign is the boundary the key header is padded to: the BSK's
+// alignment in its encoding.
+const keyAlign = 64
+
+// keyHeaderSize is the encoded size of a key's object header, parameter
+// payload and zero pad: the offset of its BSK.
+func keyHeaderSize(p tfhe.Params) int { return padded(headerSize + paramsPayloadSize(p)) }
+
+// padded rounds n up to a multiple of keyAlign.
+func padded(n int) int { return (n + keyAlign - 1) &^ (keyAlign - 1) }
+
+// keyChunk is the size of the pieces ReadSized gathers a stream's first
+// bytes in, before it allocates the whole buffer.
 const keyChunk = 64 << 10
 
 // errNonFinite is a NaN or infinity in the BSK: it would silently poison
@@ -129,7 +142,7 @@ func (e *evalKeyEncoder) recordSize(k int) int {
 	p := e.ek.Params
 	switch {
 	case k == 0:
-		return headerSize + paramsPayloadSize(p)
+		return keyHeaderSize(p)
 	case k <= e.polys:
 		return 16 * (p.N / 2)
 	}
@@ -143,7 +156,7 @@ func (e *evalKeyEncoder) writeRecord(dst []byte, k int) error {
 	p := e.ek.Params
 	switch {
 	case k == 0:
-		appendParamsPayload(appendHeader(dst[:0], KindEvalKey), p)
+		clear(dst[len(appendParamsPayload(appendHeader(dst[:0], KindEvalKey), p)):])
 		return nil
 	case k <= e.polys:
 		m := p.N / 2
@@ -224,168 +237,172 @@ func MarshalEvalKey(ek tfhe.EvaluationKeys) ([]byte, error) {
 	return dst, nil
 }
 
-// UnmarshalEvalKey decodes evaluation keys from one buffer.
+// UnmarshalEvalKey decodes evaluation keys from one buffer: it is
+// ViewEvalKey, so the keys alias data, which must not change while they
+// are in use.
 func UnmarshalEvalKey(data []byte) (tfhe.EvaluationKeys, error) {
-	return DecodeEvalKey(bytes.NewReader(data), int64(len(data)))
+	return ViewEvalKey(data)
 }
 
-// keyDecoder reads a key's bytes from its stream, counting them.
-type keyDecoder struct {
-	r   io.Reader
-	off int64 // bytes read so far
+// ViewEvalKey checks that b is exactly one encoded evaluation key and
+// returns the keys it holds, in one pass: the header and parameters, the
+// size they dictate, the zero pad, and every BSK value finite. On a
+// little-endian host the keys' slabs alias b (unsafe.Slice), so b must
+// not change, nor its memory go away, while the keys are in use; on a
+// big-endian host, or where b's key bytes are not word-aligned, they are
+// a copy.
+func ViewEvalKey(b []byte) (tfhe.EvaluationKeys, error) {
+	p, err := keyHeader(b, int64(len(b)))
+	if err != nil {
+		return tfhe.EvaluationKeys{}, err
+	}
+	values, gv := p.SmallN*p.GGSWValues(), p.GGSWValues()
+	raw := b[keyHeaderSize(p):]
+	var bsk []complex128
+	var ksk []torus.Torus32
+	if bigEndian || uintptr(unsafe.Pointer(unsafe.SliceData(raw)))%8 != 0 {
+		bsk, ksk = make([]complex128, values), make([]torus.Torus32, p.KSKWords())
+		copy(bytesOf(bsk), raw)
+		copy(bytesOf(ksk), raw[16*values:])
+		if bigEndian {
+			swapWords(bytesOf(bsk), 8)
+			swapWords(bytesOf(ksk), 4)
+		}
+	} else {
+		bsk = unsafe.Slice((*complex128)(unsafe.Pointer(unsafe.SliceData(raw))), values)
+		ksk = unsafe.Slice((*torus.Torus32)(unsafe.Pointer(&raw[16*values])), p.KSKWords())
+	}
+	if !finiteBits(floatBits(bsk)) {
+		return tfhe.EvaluationKeys{}, errNonFinite
+	}
+	ek := tfhe.EvaluationKeys{Params: p, BSK: make([]tfhe.GGSWFourier, p.SmallN), KSK: ksk}
+	for i := range ek.BSK {
+		ek.BSK[i] = bsk[i*gv : (i+1)*gv : (i+1)*gv]
+	}
+	return ek, nil
 }
 
-// read fills b from the stream. A stream that ends first is truncated
-// input; any other read failure is reported as the I/O error it is.
-func (d *keyDecoder) read(b []byte) error {
-	n, err := io.ReadFull(d.r, b)
-	d.off += int64(n)
-	switch err {
-	case nil:
-		return nil
-	case io.EOF, io.ErrUnexpectedEOF:
-		return fmt.Errorf("wire: truncated input: need %d bytes at offset %d, have %d", len(b), d.off-int64(n), n)
-	}
-	return fmt.Errorf("wire: reading evaluation key at offset %d: %w", d.off, err)
-}
-
-// params decodes the object header and parameter payload. Its length
-// depends on the name-length byte right after the header, so it is read
-// in two steps and then parsed by the same cursor as a standalone
-// parameter object; a short stream is left to that cursor to report.
-func (d *keyDecoder) params() (tfhe.Params, error) {
-	buf := make([]byte, headerSize+paramsFixedSize+math.MaxUint8) // the longest name a length byte allows
-	n, err := io.ReadFull(d.r, buf[:headerSize+1])
-	if err == nil {
-		var more int
-		more, err = io.ReadFull(d.r, buf[n:headerSize+paramsFixedSize+int(buf[headerSize])])
-		n += more
-	}
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return tfhe.Params{}, fmt.Errorf("wire: reading evaluation key header: %w", err)
-	}
-	cur := &reader{buf: buf[:n]}
+// keyHeader parses the object header, parameters and zero pad at the
+// start of b, and checks the key's declared size against the parameters.
+// The pad must be all zeros: the encoding is canonical, so nothing may
+// hide there.
+func keyHeader(b []byte, size int64) (tfhe.Params, error) {
+	cur := &reader{buf: b}
 	cur.header(KindEvalKey)
 	p := decodeParamsPayload(cur)
 	if cur.err != nil {
 		return tfhe.Params{}, cur.err
 	}
-	d.off = int64(cur.off)
+	hdr := keyHeaderSize(p)
+	want, ok := EvalKeySize(p)
+	switch {
+	case len(b) < hdr:
+		return tfhe.Params{}, fmt.Errorf("wire: truncated input: need %d bytes at offset %d, have %d", hdr-cur.off, cur.off, len(b)-cur.off)
+	case !ok:
+		return tfhe.Params{}, fmt.Errorf("wire: evaluation key size overflows for set %q", p.Name)
+	case want != size:
+		return tfhe.Params{}, fmt.Errorf("wire: evaluation key is %d bytes, want %d for set %q", size, want, p.Name)
+	}
+	for _, c := range b[cur.off:hdr] {
+		if c != 0 {
+			return tfhe.Params{}, fmt.Errorf("wire: nonzero byte in the evaluation key's header pad")
+		}
+	}
 	return p, nil
 }
 
-// readFourier fills dst with complex values straight from the stream, a
-// chunk at a time, and refuses a chunk holding a non-finite one.
-func (d *keyDecoder) readFourier(dst []complex128) error {
-	for len(dst) > 0 {
-		run := dst[:min(len(dst), keyChunk/16)]
-		raw := bytesOf(run)
-		if err := d.read(raw); err != nil {
-			return err
-		}
-		if bigEndian {
-			swapWords(raw, 8)
-		}
-		if !finiteBits(floatBits(run)) {
-			return errNonFinite
-		}
-		dst = dst[len(run):]
+// ReadEvalKeyHeader reads the header, parameters and pad of an evaluation
+// key from r, checks them and the declared size against each other, and
+// returns the bytes it read: the first keyHeaderSize bytes of the key.
+// It is the check a receiver makes before it stores or reserves anything
+// for a key of that size. The header's length depends on the name-length
+// byte right after the object header, so it is read in two steps; a short
+// stream is left to the parse to report.
+func ReadEvalKeyHeader(r io.Reader, size int64) ([]byte, error) {
+	buf := make([]byte, padded(headerSize+paramsFixedSize+math.MaxUint8)) // the longest name a length byte allows
+	n, err := io.ReadFull(r, buf[:headerSize+1])
+	if err == nil {
+		var more int
+		more, err = io.ReadFull(r, buf[n:padded(headerSize+paramsFixedSize+int(buf[headerSize]))])
+		n += more
 	}
-	return nil
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return nil, fmt.Errorf("wire: reading evaluation key header: %w", err)
+	}
+	if _, err := keyHeader(buf[:n], size); err != nil {
+		return nil, err
+	}
+	return buf[:n], nil
 }
 
-// readTorus fills dst with raw torus values straight from the stream, a
-// chunk at a time.
-func (d *keyDecoder) readTorus(dst []torus.Torus32) error {
-	for len(dst) > 0 {
-		run := dst[:min(len(dst), keyChunk/4)]
-		raw := bytesOf(run)
-		if err := d.read(raw); err != nil {
-			return err
-		}
-		if bigEndian {
-			swapWords(raw, 4)
-		}
-		dst = dst[len(run):]
+// ReadSized reads the size bytes r yields into one new buffer, and checks
+// that r ends there. The buffer is allocated whole only once r has
+// delivered an eighth of it; the bytes before that gather in pieces of at
+// most keyChunk. So a stream that declares a size and stops short buys at
+// most eight times the bytes it delivered, plus one piece, and a whole
+// one costs at most 1.125 times its size, plus one piece. A stream that
+// ends early is truncated input; any other read failure is reported as
+// the I/O error it is.
+func ReadSized(r io.Reader, size int64) ([]byte, error) {
+	if size < 0 || size != int64(int(size)) {
+		return nil, fmt.Errorf("wire: cannot hold a %d-byte object", size)
 	}
-	return nil
-}
-
-// end checks that the stream ends where the object does — trailing
-// garbage is a framing bug, not noise to ignore. It is also the read at
-// which a source that verifies itself at EOF (a stored key's checksum)
-// reports a failure.
-func (d *keyDecoder) end() error {
-	var one [1]byte
-	switch _, err := io.ReadFull(d.r, one[:]); err {
-	case io.EOF:
-		return nil
-	case nil:
-		return fmt.Errorf("wire: trailing bytes after object at offset %d", d.off)
-	default:
-		return fmt.Errorf("wire: reading evaluation key at offset %d: %w", d.off, err)
-	}
-}
-
-// fill decodes total values of size bytes each, read by read, into one
-// new slice. The slice grows only behind the bytes the stream has already
-// delivered — to d.off/size values, or to twice the n it holds where that
-// is more (the first GGSW, behind a header of a few dozen bytes: growing
-// it a header's worth at a time would copy it quadratically), never past
-// total — so a hostile header buys no more memory than about twice the
-// bytes actually sent. For every real set each slab after the first GGSW
-// is one exact allocation.
-func fill[T any](d *keyDecoder, total, size int, read func([]T) error) ([]T, error) {
-	var s []T
-	for len(s) < total {
-		n := len(s)
-		grown := make([]T, min(total, max(int(d.off)/size, 2*n+1)))
-		copy(grown, s)
-		s = grown
-		if err := read(s[n:]); err != nil {
+	var pieces [][]byte
+	var got int64
+	for size > keyChunk && got < size/8 {
+		piece := make([]byte, min(keyChunk, size-got))
+		if err := readAt(r, piece, got); err != nil {
 			return nil, err
 		}
+		pieces = append(pieces, piece)
+		got += int64(len(piece))
 	}
-	return s, nil
+	buf := make([]byte, size)
+	at := 0
+	for _, piece := range pieces {
+		at += copy(buf[at:], piece)
+	}
+	if err := readAt(r, buf[at:], got); err != nil {
+		return nil, err
+	}
+	var one [1]byte
+	switch _, err := io.ReadFull(r, one[:]); err {
+	case io.EOF:
+		return buf, nil
+	case nil:
+		return nil, fmt.Errorf("wire: trailing bytes after object at offset %d", size)
+	default:
+		return nil, fmt.Errorf("wire: reading at offset %d: %w", size, err)
+	}
+}
+
+// readAt fills b from r, whose bytes before b's are off.
+func readAt(r io.Reader, b []byte, off int64) error {
+	n, err := io.ReadFull(r, b)
+	switch err {
+	case nil:
+		return nil
+	case io.EOF, io.ErrUnexpectedEOF:
+		return fmt.Errorf("wire: truncated input: need %d bytes at offset %d, have %d", len(b), off, n)
+	}
+	return fmt.Errorf("wire: reading at offset %d: %w", off+int64(n), err)
 }
 
 // DecodeEvalKey decodes evaluation keys from r, which must yield exactly
-// size bytes. The parameter payload is validated first and size is checked
-// against the shapes it dictates before any key storage is allocated; from
-// there each slab — a GGSW of the BSK, then the KSK — is filled straight
-// from the stream and grown only behind the bytes already delivered
-// (fill), so neither a hostile header nor a hostile size buys more memory
-// than about twice the bytes actually sent.
+// size bytes. The header is checked against size before any key storage
+// is allocated (ReadEvalKeyHeader); the stream is then read into memory
+// that grows behind the bytes delivered (ReadSized), so a hostile header
+// or size buys at most eight times the bytes actually sent, and a whole
+// key costs at most 1.125 times its size; the keys are a view of that
+// memory (ViewEvalKey).
 func DecodeEvalKey(r io.Reader, size int64) (tfhe.EvaluationKeys, error) {
-	d := &keyDecoder{r: r}
-	p, err := d.params()
+	hdr, err := ReadEvalKeyHeader(r, size)
 	if err != nil {
 		return tfhe.EvaluationKeys{}, err
 	}
-	want, ok := EvalKeySize(p)
-	if !ok {
-		return tfhe.EvaluationKeys{}, fmt.Errorf("wire: evaluation key size overflows for set %q", p.Name)
-	}
-	if want != size {
-		return tfhe.EvaluationKeys{}, fmt.Errorf("wire: evaluation key is %d bytes, want %d for set %q", size, want, p.Name)
-	}
-
-	ek := tfhe.EvaluationKeys{Params: p}
-	for len(ek.BSK) < p.SmallN {
-		g, err := fill(d, p.GGSWValues(), 16, d.readFourier)
-		if err != nil {
-			return tfhe.EvaluationKeys{}, err
-		}
-		ek.BSK = append(ek.BSK, tfhe.GGSWFourier(g))
-	}
-	if ek.KSK, err = fill(d, p.KSKWords(), 4, d.readTorus); err != nil {
+	b, err := ReadSized(io.MultiReader(bytes.NewReader(hdr), r), size)
+	if err != nil {
 		return tfhe.EvaluationKeys{}, err
 	}
-	if err := d.end(); err != nil {
-		return tfhe.EvaluationKeys{}, err
-	}
-	if err := ek.Validate(); err != nil {
-		return tfhe.EvaluationKeys{}, fmt.Errorf("wire: decoded key fails validation: %v", err)
-	}
-	return ek, nil
+	return ViewEvalKey(b)
 }

@@ -13,18 +13,19 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+	"unsafe"
 
 	"repro/internal/tfhe"
 )
 
 // goldenKey is the test-set evaluation key of seed 42 — the key of the
-// first golden vector — and goldenKeyDigest the SHA-256 of its encoding as
-// the one-shot MarshalEvalKey of format version 1 produced it, recorded
-// before the codec became incremental. Stored keys and old clients depend
-// on these bytes not moving.
+// first golden vector — and goldenKeyDigest the SHA-256 of its encoding in
+// format version 2. Stored keys and clients depend on these bytes not
+// moving. The version 1 encoding (1972285 bytes, SHA-256 9987a576…) was
+// these bytes with version byte 1 and without the 3-byte pad.
 const (
-	goldenKeyBytes  = 1972285
-	goldenKeyDigest = "9987a576c7c2e92ad7d3435df9e1bcb4b6c59c4dad309c686842be9b36325d93"
+	goldenKeyBytes  = 1972288
+	goldenKeyDigest = "d19eb7b2f15a3569b5bbe14f245ee64bad7971b45b7b2626f7e1651c17ded82e"
 )
 
 func goldenKey() tfhe.EvaluationKeys {
@@ -106,7 +107,8 @@ func TestEncodeEvalKeyReadsWithoutGarbage(t *testing.T) {
 }
 
 // BenchmarkEvalKeyCodec is the key codec at set I: encode, read through a
-// 32 KB buffer as a transport copies it, and decode from memory.
+// 32 KB buffer as a transport copies it; view in place; and decode from a
+// stream, read into memory and viewed.
 func BenchmarkEvalKeyCodec(b *testing.B) {
 	ek := setIKey()
 	data, err := MarshalEvalKey(ek)
@@ -127,6 +129,15 @@ func BenchmarkEvalKeyCodec(b *testing.B) {
 			}
 		}
 	})
+	b.Run("view", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ViewEvalKey(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("decode", func(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		b.ReportAllocs()
@@ -142,7 +153,7 @@ func BenchmarkEvalKeyCodec(b *testing.B) {
 // swapping the words of a big-endian encoding gives the little-endian one,
 // at both word sizes of the key. Then the codec runs as if the host were
 // big-endian: its encoding is the real one with every BSK and KSK word
-// swapped, and it decodes back to the key.
+// swapped, and the view of it is a swapped copy, bitwise the key.
 func TestSwapWords(t *testing.T) {
 	vals := []uint64{0x0102030405060708, 0x7ff0000000000001, 0x8000000000000000, 0xfedcba9876543210}
 	var be8, le8, be4, le4 []byte
@@ -161,7 +172,7 @@ func TestSwapWords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr := headerSize + paramsPayloadSize(ek.Params)
+	hdr := keyHeaderSize(ek.Params)
 	bsk, _ := bskBytes(ek.Params)
 	want := bytes.Clone(data)
 	swapWords(want[hdr:hdr+int(bsk)], 8)
@@ -176,8 +187,12 @@ func TestSwapWords(t *testing.T) {
 	if !bytes.Equal(swapped, want) {
 		t.Error("the encoding with words swapped is not the encoding with each BSK and KSK word reversed")
 	}
-	if got, err := UnmarshalEvalKey(swapped); err != nil || !reflect.DeepEqual(got, ek) {
-		t.Errorf("decoding with words swapped: error %v, same key %v", err, reflect.DeepEqual(got, ek))
+	got, err := ViewEvalKey(swapped)
+	if err != nil || !reflect.DeepEqual(got, ek) {
+		t.Fatalf("viewing with words swapped: error %v, same key %v", err, reflect.DeepEqual(got, ek))
+	}
+	if unsafe.Pointer(&got.BSK[0][0]) == unsafe.Pointer(&swapped[hdr]) {
+		t.Error("viewing with words swapped aliased the encoding instead of swapping a copy")
 	}
 }
 
@@ -225,11 +240,14 @@ func TestDecodeEvalKeyRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	bsk, _ := bskBytes(ek.Params)
-	hdr := headerSize + paramsPayloadSize(ek.Params)
+	hdr := keyHeaderSize(ek.Params)
 	nan := bytes.Clone(data)
 	for i := 0; i < 8; i++ {
 		nan[hdr+int(bsk)/2+i] = 0xff // a NaN halfway through the BSK
 	}
+	v1, pad := bytes.Clone(data), bytes.Clone(data)
+	v1[4] = 1
+	pad[hdr-1] = 1
 	size := int64(len(data))
 	type rejectCase struct {
 		name   string
@@ -243,8 +261,11 @@ func TestDecodeEvalKeyRejects(t *testing.T) {
 		{"ends in BSK", data[:hdr+int(bsk)/2], size, "truncated"},
 		{"ends in KSK", data[:len(data)-6], size, "truncated"},
 		{"trailing byte", append(bytes.Clone(data), 0), size, "trailing"},
-		{"declared too small", data, size - 4, "want 1972285"},
-		{"declared too large", data, size + 1, "want 1972285"},
+		{"declared too small", data, size - 4, fmt.Sprintf("want %d", goldenKeyBytes)},
+		{"declared too large", data, size + 1, fmt.Sprintf("want %d", goldenKeyBytes)},
+		{"version 1", v1, size, "unsupported format version 1, want 2"},
+		{"nonzero pad", pad, size, "pad"},
+		{"ends in pad", data[:hdr-1], size, "truncated"},
 		{"non-finite coefficient", nan, size, "non-finite"},
 	}
 	for _, at := range bskEdges(ek.Params) {
@@ -263,6 +284,9 @@ func TestDecodeEvalKeyRejects(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("%s (%s reads): error %v, want one containing %q", tc.name, name, err, tc.want)
 			}
+		}
+		if _, err := ViewEvalKey(tc.stream); err == nil && tc.size == int64(len(tc.stream)) {
+			t.Errorf("%s: ViewEvalKey accepted it", tc.name)
 		}
 	}
 
@@ -384,10 +408,9 @@ func TestDecodeEvalKeyHeaderOnlyMaxN(t *testing.T) {
 }
 
 // TestDecodeEvalKeyAllocatesAboutItsSize pins the other side of growing
-// behind the delivered bytes: a whole key costs about one allocation of
-// its decoded size, because no slab — the first GGSW included, which
-// starts behind a header of a few dozen bytes — is regrown a few values
-// at a time.
+// behind the delivered bytes: a whole key read from a stream costs about
+// one allocation of its size, because the buffer is not regrown as the
+// bytes arrive — only the first eighth of them gathers in pieces first.
 func TestDecodeEvalKeyAllocatesAboutItsSize(t *testing.T) {
 	data, err := MarshalEvalKey(goldenKey())
 	if err != nil {
@@ -395,7 +418,7 @@ func TestDecodeEvalKeyAllocatesAboutItsSize(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := UnmarshalEvalKey(data); err != nil {
+	if _, err := DecodeEvalKey(bytes.NewReader(data), int64(len(data))); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -406,7 +429,9 @@ func TestDecodeEvalKeyAllocatesAboutItsSize(t *testing.T) {
 
 // TestGGSWSlabIsWireOrder checks that the BSK needs no reordering on the
 // wire: GGSW i's slab is the run of N/2-value records from
-// 1 + i·(k+1)·lb·(k+1) on, value for value.
+// 1 + i·(k+1)·lb·(k+1) on, value for value; and that a viewed key uses
+// the bytes in place: each GGSW slab and the KSK start at their offsets
+// in the encoding, the GGSWs 64-byte aligned.
 func TestGGSWSlabIsWireOrder(t *testing.T) {
 	ek := goldenKey()
 	data, err := MarshalEvalKey(ek)
@@ -414,8 +439,22 @@ func TestGGSWSlabIsWireOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := ek.Params
+	view, err := ViewEvalKey(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gv := p.GGSWValues()
+	for i, g := range view.BSK {
+		off := keyHeaderSize(p) + 16*i*gv
+		if off%keyAlign != 0 || unsafe.Pointer(&g[0]) != unsafe.Pointer(&data[off]) {
+			t.Fatalf("viewed GGSW %d starts at %p, want the encoding's byte %d (64-aligned: %v) at %p", i, &g[0], off, off%keyAlign == 0, &data[off])
+		}
+	}
+	if off := keyHeaderSize(p) + 16*p.SmallN*gv; off%16 != 0 || unsafe.Pointer(&view.KSK[0]) != unsafe.Pointer(&data[off]) {
+		t.Errorf("viewed KSK starts at %p, want the encoding's byte %d at %p", &view.KSK[0], off, &data[off])
+	}
 	m, perGGSW := p.N/2, (p.K+1)*p.PBSLevel*(p.K+1)
-	hdr := headerSize + paramsPayloadSize(p)
+	hdr := keyHeaderSize(p)
 	for i, g := range ek.BSK {
 		for j, v := range g {
 			rec, at := 1+i*perGGSW+j/m, j%m
@@ -431,7 +470,9 @@ func TestGGSWSlabIsWireOrder(t *testing.T) {
 
 // TestEncodersRefuseWhatDecodersRefuse: a key the decoder would reject is
 // not encoded. A NaN in the BSK fails the Read that reaches it, whether the
-// record is encoded in place or across reads, and every Read after it; a
+// record is encoded in place or across reads, and every Read after it, and
+// the view refuses the same value written into a valid encoding; the
+// finite values beside the refused ones encode and view bit for bit. A
 // parameter set with non-finite noise is refused by MarshalParams and
 // EncodeEvalKey alike.
 func TestEncodersRefuseWhatDecodersRefuse(t *testing.T) {
@@ -456,11 +497,20 @@ func TestEncodersRefuseWhatDecodersRefuse(t *testing.T) {
 		}
 	}
 	refuse(ek, "a NaN")
+	valid, err := MarshalEvalKey(goldenKey())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, at := range bskEdges(ek.Params) {
 		for _, bits := range nonFiniteEdges {
 			edge := goldenKey()
 			*at.bits(edge) = bits
 			refuse(edge, fmt.Sprintf("%#x at %s", bits, at.name))
+			data := bytes.Clone(valid)
+			binary.LittleEndian.PutUint64(data[keyHeaderSize(ek.Params)+at.off(ek.Params):], bits)
+			if _, err := ViewEvalKey(data); !errors.Is(err, errNonFinite) {
+				t.Errorf("ViewEvalKey of an encoding with %#x at %s: error %v, want %v", bits, at.name, err, errNonFinite)
+			}
 		}
 		for _, bits := range finiteEdges {
 			edge := goldenKey()
@@ -470,9 +520,9 @@ func TestEncodersRefuseWhatDecodersRefuse(t *testing.T) {
 				t.Errorf("MarshalEvalKey of a key with %#x at %s: %v", bits, at.name, err)
 				continue
 			}
-			got, err := UnmarshalEvalKey(data)
+			got, err := ViewEvalKey(data)
 			if err != nil {
-				t.Errorf("decoding a key with %#x at %s: %v", bits, at.name, err)
+				t.Errorf("viewing a key with %#x at %s: %v", bits, at.name, err)
 			} else if v := *at.bits(got); v != bits {
 				t.Errorf("%#x at %s round-trips to %#x", bits, at.name, v)
 			}

@@ -3,7 +3,11 @@ package wire
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/iotest"
 
@@ -128,16 +132,19 @@ func FuzzUnmarshalParams(f *testing.F) {
 	})
 }
 
-// FuzzUnmarshalEvalKey also runs every input through the decoder behind a
-// reader that splits it into short reads — the shape a network body has —
-// and requires the same verdict and the same key as the one-buffer decode.
+// FuzzUnmarshalEvalKey views every input in place (ViewEvalKey) and also
+// runs it through the stream decoder behind a reader that splits it into
+// short reads — the shape a network body has — requiring the same verdict
+// and the same key. The committed corpus holds, beside the valid key, the
+// layout's own refusals: a version 1 key, a nonzero pad byte, and a key
+// that ends inside its pad.
 func FuzzUnmarshalEvalKey(f *testing.F) {
 	addMutations(f, fuzzSeedEvalKey())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ek, err := UnmarshalEvalKey(data)
+		ek, err := ViewEvalKey(data)
 		chunked, cerr := DecodeEvalKey(iotest.HalfReader(bytes.NewReader(data)), int64(len(data)))
 		if (err == nil) != (cerr == nil) {
-			t.Fatalf("one buffer: %v; short reads: %v", err, cerr)
+			t.Fatalf("view: %v; short reads: %v", err, cerr)
 		}
 		if err != nil {
 			return
@@ -156,4 +163,28 @@ func FuzzUnmarshalEvalKey(f *testing.F) {
 			t.Fatal("accepted non-canonical eval key input")
 		}
 	})
+}
+
+// TestEvalKeyCorpusRefusals pins the verdict on the committed corpus
+// seeds of the key layout: the fuzz harness only requires that what is
+// accepted is canonical, so the refusals are asserted here.
+func TestEvalKeyCorpusRefusals(t *testing.T) {
+	for name, want := range map[string]string{
+		"v1-key":           "unsupported format version 1",
+		"nonzero-pad":      "pad",
+		"truncated-in-pad": "truncated",
+	} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzUnmarshalEvalKey", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte("), ")")
+		data, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := ViewEvalKey([]byte(data)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: ViewEvalKey error %v, want one containing %q", name, err, want)
+		}
+	}
 }

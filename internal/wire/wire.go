@@ -10,14 +10,29 @@ import (
 // encoded object.
 const Magic uint32 = 0x58525453
 
-// Version is the current format version. Decoders reject any other value,
-// so the format can evolve without silent misreads.
+// Version is the format version of parameter sets and ciphertexts.
+// Decoders reject any other value, so the format can evolve without
+// silent misreads.
 const Version byte = 1
+
+// EvalKeyVersion is the format version of evaluation keys. Version 2 pads
+// the key's header and parameters with zeros to a 64-byte boundary, so
+// that the bytes of a stored or received key can be used as the key in
+// place (ViewEvalKey); a version 1 key is refused like any other version.
+const EvalKeyVersion byte = 2
+
+// versionOf is the format version of objects of kind k.
+func versionOf(k Kind) byte {
+	if k == KindEvalKey {
+		return EvalKeyVersion
+	}
+	return Version
+}
 
 // Kind tags the object type in the header.
 type Kind byte
 
-// The object kinds of format version 1.
+// The object kinds.
 const (
 	KindParams  Kind = 1 // a tfhe.Params parameter set
 	KindLWE     Kind = 2 // an LWE ciphertext
@@ -59,10 +74,10 @@ const (
 // version u8, kind u8, reserved u16 (zero).
 const headerSize = 8
 
-// appendHeader appends the version-1 object header for kind k.
+// appendHeader appends the object header for kind k.
 func appendHeader(dst []byte, k Kind) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, Magic)
-	dst = append(dst, Version, byte(k), 0, 0)
+	dst = append(dst, versionOf(k), byte(k), 0, 0)
 	return dst
 }
 
@@ -156,8 +171,8 @@ func (r *reader) header(want Kind) {
 		r.failf("bad magic 0x%08x, want 0x%08x", m, Magic)
 		return
 	}
-	if v := r.u8(); v != Version {
-		r.failf("unsupported format version %d, want %d", v, Version)
+	if v := r.u8(); v != versionOf(want) {
+		r.failf("unsupported format version %d, want %d", v, versionOf(want))
 		return
 	}
 	if k := Kind(r.u8()); k != want {

@@ -246,7 +246,7 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 	// A non-finite Fourier coefficient inside the BSK: NaN has all-ones
 	// exponent; overwrite the first coefficient's bytes.
 	nanKey := bytes.Clone(evk)
-	off := headerSize + paramsPayloadSize(ek.Params)
+	off := keyHeaderSize(ek.Params)
 	for i := 0; i < 8; i++ {
 		nanKey[off+i] = 0xff
 	}
