@@ -24,6 +24,10 @@ import (
 //  3. the WAL record referencing the key file is appended and fsynced —
 //     only now is the registration committed.
 //
+// A key file that a replacement or a delete leaves unreferenced is removed
+// in the background after the commit; Close waits for those removals, and
+// one a crash cuts off is garbage the next open collects.
+//
 // Open replays the WAL: the longest valid record prefix is the committed
 // state, a torn or corrupt tail is truncated away, records pointing at
 // missing key files are dropped, and orphan key files not referenced by
@@ -40,6 +44,9 @@ type DiskStore struct {
 	seq     uint32
 	entries map[string]diskEntry
 	closed  bool
+
+	remove   func(name string) error // os.Remove; a test seam
+	removing sync.WaitGroup          // removals handed off and not yet done
 }
 
 // walFile is the WAL's open file, appended to by Write.
@@ -96,7 +103,7 @@ func OpenDiskStore(dir string) (*DiskStore, error) {
 		}
 	}
 
-	s := &DiskStore{dir: dir, entries: make(map[string]diskEntry)}
+	s := &DiskStore{dir: dir, entries: make(map[string]diskEntry), remove: os.Remove}
 	for _, rec := range recs {
 		if rec.Seq > s.seq {
 			s.seq = rec.Seq
@@ -156,15 +163,22 @@ func keyFileFor(seq uint32) string { return fmt.Sprintf("s%08d.key", seq) }
 
 // Put implements SessionStore: key file first, WAL record second, so a
 // crash between the two leaves an orphan file (collected on next open),
-// never a committed record pointing at missing bytes. The key streams into
-// a temp file outside the lock — that is the 49 MB part — so listings,
-// restores and other uploads proceed meanwhile; the kernel starts writing
-// each completed window of the file back while the rest still streams in
-// (writeBehind). The file is then mapped (mapKey) and the mapping checked
-// — the caller views the key there — while it is fsynced, and only a key
-// that passes both is committed, under the lock: sequence number, rename,
-// directory sync, WAL append. A Put that fails at any step leaves no temp
-// file, no record and no mapping.
+// never a committed record pointing at missing bytes. In order:
+//
+//  1. the key streams into a temp file outside the lock — that is the
+//     49 MB part — so listings, restores and other uploads proceed
+//     meanwhile. It is copied in writeBackWindow pieces (copyWindows), and
+//     the kernel starts writing each completed window back while the rest
+//     still streams in (writeBehind);
+//  2. the file is mapped (mapKey) and the mapping checked — the caller
+//     views the key there — while it is fsynced;
+//  3. only a key that passes both is committed, under the lock: sequence
+//     number, rename, directory sync, WAL append;
+//  4. the file the commit superseded, if any, is removed in the
+//     background (removeBehind), after the lock is released.
+//
+// A Put that fails at any step leaves no temp file, no record and no
+// mapping.
 func (s *DiskStore) Put(clientID string, size int64, key io.Reader, check func(b []byte) (tfhe.Params, error)) (_ *StoredKey, err error) {
 	keysDir := filepath.Join(s.dir, keysDirName)
 	f, err := os.CreateTemp(keysDir, ".tmp-*")
@@ -180,7 +194,7 @@ func (s *DiskStore) Put(clientID string, size int64, key io.Reader, check func(b
 		os.Remove(f.Name()) // a no-op once renamed
 	}()
 	crc := crc32.NewIEEE()
-	n, err := io.Copy(io.MultiWriter(&writeBehind{f: f}, crc), key)
+	n, err := copyWindows(io.MultiWriter(&writeBehind{f: f}, crc), key)
 	if err != nil {
 		return nil, err
 	}
@@ -205,6 +219,8 @@ func (s *DiskStore) Put(clientID string, size int64, key io.Reader, check func(b
 		return nil, err
 	}
 
+	var stale string
+	defer func() { s.removeBehind(stale) }() // deferred first, so it runs after the unlock
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -232,18 +248,59 @@ func (s *DiskStore) Put(clientID string, size int64, key io.Reader, check func(b
 
 	if old, ok := s.entries[clientID]; ok && old.file != rec.File {
 		// The replacement is committed; the old file is now an orphan.
-		_ = os.Remove(filepath.Join(keysDir, old.file))
+		stale = s.handOff(old.file)
 	}
 	s.entries[clientID] = diskEntry{file: rec.File, params: rec.Params, keyBytes: rec.KeyBytes, keyCRC: rec.KeyCRC}
 	return stored, nil
 }
 
+// handOff registers the removal of a key file that no committed record
+// references any more and returns its name, for removeBehind once mu is
+// released. Registering under mu is what lets Close wait for every
+// removal: Close sets closed under the same lock, so no removal is
+// registered after it starts waiting. Called with mu held.
+func (s *DiskStore) handOff(file string) string {
+	s.removing.Add(1)
+	return file
+}
+
+// removeBehind removes a handed-off key file in the background, so the
+// request that superseded or deleted it does not wait on the filesystem
+// freeing its blocks (14–23 ms for a set-I key on ext4 on a virtio disk,
+// 2-vCPU VM). The removal is best-effort: if it fails or a crash cuts it
+// off, the next open's gcOrphans collects the file. An empty name is a
+// no-op.
+func (s *DiskStore) removeBehind(file string) {
+	if file == "" {
+		return
+	}
+	go func() {
+		defer s.removing.Done()
+		_ = s.remove(filepath.Join(s.dir, keysDirName, file))
+	}()
+}
+
 // writeBackWindow is how much of a key file writeBehind lets accumulate
-// before it starts the kernel's write-back of it. Writing 49 MB (a set-I
-// key) in 32 KB writes and then fsyncing took 40–49 ms on a 2-vCPU VM with
-// a virtio disk when the fsync started all the write-back, 25–30 ms with
-// it started every megabyte, 28–34 ms every 256 KB and 30–38 ms every 4 MB.
+// before it starts the kernel's write-back of it, and the size of the
+// pieces Put copies an upload in (copyWindows), so one file write can
+// complete a window. Writing 49 MB (a set-I key) in 32 KB writes and then
+// fsyncing took 40–49 ms on a 2-vCPU VM with a virtio disk when the fsync
+// started all the write-back, 25–30 ms with it started every megabyte,
+// 28–34 ms every 256 KB and 30–38 ms every 4 MB.
 const writeBackWindow = 1 << 20
+
+// windowBufs holds copyWindows' buffers, so a Put allocates none.
+var windowBufs = sync.Pool{New: func() any { return new([writeBackWindow]byte) }}
+
+// copyWindows copies src to dst through one pooled writeBackWindow-byte
+// buffer: each read takes as much as src has ready, up to a window, and
+// each is one write to dst. Like io.CopyBuffer, it leaves the copy to src
+// when src is an io.WriterTo (or to dst when it is an io.ReaderFrom).
+func copyWindows(dst io.Writer, src io.Reader) (int64, error) {
+	buf := windowBufs.Get().(*[writeBackWindow]byte)
+	defer windowBufs.Put(buf)
+	return io.CopyBuffer(dst, src, buf[:])
+}
 
 // writeBehind passes writes to a file and, each time another
 // writeBackWindow of it is complete, starts the kernel writing that window
@@ -334,9 +391,12 @@ func errChecksum(clientID string, n int64) error {
 }
 
 // Delete implements SessionStore: the tombstone record commits the
-// delete; file removal after it is best-effort cleanup (a crash between
-// leaves orphans for the next open's GC).
+// delete; file removal after it is best-effort cleanup, handed to the
+// background (removeBehind), and a crash before it is done leaves an
+// orphan for the next open's GC.
 func (s *DiskStore) Delete(clientID string) (bool, error) {
+	var stale string
+	defer func() { s.removeBehind(stale) }() // deferred first, so it runs after the unlock
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -355,7 +415,7 @@ func (s *DiskStore) Delete(clientID string) (bool, error) {
 		return false, err
 	}
 	delete(s.entries, clientID)
-	_ = os.Remove(filepath.Join(s.dir, keysDirName, e.file))
+	stale = s.handOff(e.file)
 	return true, nil
 }
 
@@ -372,8 +432,10 @@ func (s *DiskStore) List() []StoreEntry {
 }
 
 // Close implements SessionStore: a final fsync, then the WAL handle is
-// released. The directory can be re-opened by a later OpenDiskStore.
+// released, and Close returns once the key-file removals handed off before
+// it are done. The directory can be re-opened by a later OpenDiskStore.
 func (s *DiskStore) Close() error {
+	defer s.removing.Wait() // after the unlock below: removals take no lock
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

@@ -3,15 +3,19 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"repro/internal/tfhe"
+	"repro/internal/wire"
 )
 
 // storeBlob is a small stand-in key blob (the store treats blobs as
@@ -471,4 +475,154 @@ func TestMemStoreConformance(t *testing.T) {
 	if err := putBlob(m, "x", nil); !errors.Is(err, ErrStoreClosed) {
 		t.Errorf("Put after Close: %v, want ErrStoreClosed", err)
 	}
+}
+
+// TestDiskStoreRemovesOffRequestPath holds every key-file removal on a
+// channel and requires the store to answer meanwhile: replacing alice's
+// key and deleting bob's return with their removals blocked, and Get, List
+// and another Put complete. Close returns only once the removals are
+// released, and leaves keys/ holding exactly the live key files. Removing
+// the superseded file under the lock, as the store once did, held every
+// other call behind the filesystem.
+func TestDiskStoreRemovesOffRequestPath(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range []string{"alice", "bob"} {
+		if err := putBlob(s, id, storeBlob(byte(i), 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	removing := make(chan string, 2)
+	release := make(chan struct{})
+	s.remove = func(name string) error {
+		removing <- filepath.Base(name)
+		<-release
+		return os.Remove(name)
+	}
+	superseded, deleted := s.entries["alice"].file, s.entries["bob"].file
+
+	within(t, "replacing alice's key", func() error { return putBlob(s, "alice", storeBlob(2, 64)) })
+	within(t, "deleting bob", func() error {
+		if ok, err := s.Delete("bob"); !ok {
+			return fmt.Errorf("Delete = %v, %v; want true, nil", ok, err)
+		}
+		return nil
+	})
+	var removed []string
+	for range 2 {
+		select {
+		case name := <-removing:
+			removed = append(removed, name)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("removals started: %v, want %s and %s", removed, superseded, deleted)
+		}
+	}
+	slices.Sort(removed)
+	if want := []string{superseded, deleted}; !slices.Equal(removed, want) {
+		t.Errorf("removed %v, want %v", removed, want)
+	}
+	within(t, "Get", func() error {
+		got, err := getBlob(s, "alice")
+		if err == nil && !bytes.Equal(got, storeBlob(2, 64)) {
+			err = errors.New("alice reads back her superseded key")
+		}
+		return err
+	})
+	within(t, "List", func() error {
+		if got := s.List(); len(got) != 1 || got[0].ClientID != "alice" {
+			return fmt.Errorf("List = %+v, want only alice", got)
+		}
+		return nil
+	})
+	within(t, "another Put", func() error { return putBlob(s, "carol", storeBlob(3, 64)) })
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while two removals were blocked", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the removals were released")
+	}
+
+	names, err := os.ReadDir(filepath.Join(dir, keysDirName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, de := range names {
+		got = append(got, de.Name())
+	}
+	want := []string{s.entries["alice"].file, s.entries["carol"].file}
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("keys/ after Close holds %v, want the live key files %v", got, want)
+	}
+}
+
+// countingWriter counts the writes it takes.
+type countingWriter struct {
+	writes int
+	n      int64
+}
+
+// Write implements io.Writer.
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	w.n += int64(len(p))
+	return len(p), nil
+}
+
+// TestCopyWindowsWritesWholeWindows: copyWindows moves a source without a
+// WriteTo of its own in writes of whole write-back windows, so 3⅓ windows
+// reach the writer in 4 writes (in io.Copy's 32 KB pieces, they were 107).
+func TestCopyWindowsWritesWholeWindows(t *testing.T) {
+	size := 3*writeBackWindow + writeBackWindow/3
+	var w countingWriter
+	n, err := copyWindows(&w, struct{ io.Reader }{bytes.NewReader(make([]byte, size))})
+	if err != nil || n != int64(size) || w.n != int64(size) {
+		t.Fatalf("copied %d bytes, wrote %d (error %v), want %d", n, w.n, err, size)
+	}
+	if w.writes != 4 {
+		t.Errorf("%d bytes reached the writer in %d writes, want 4", size, w.writes)
+	}
+}
+
+// BenchmarkDiskStorePut re-registers one client's set-I-sized key into a
+// DiskStore, read from a stream without a WriteTo as an HTTP upload is, so
+// every iteration after the first supersedes the file of the one before:
+// temp write, fsync, rename, directory sync, WAL append. Reports ms/op.
+func BenchmarkDiskStorePut(b *testing.B) {
+	s, err := OpenDiskStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	size, ok := wire.EvalKeySize(tfhe.ParamsI)
+	if !ok {
+		b.Fatal("no key size for set I")
+	}
+	blob := make([]byte, size)
+	rand.New(rand.NewSource(1)).Read(blob)
+	b.SetBytes(size)
+	b.ResetTimer()
+	for range b.N {
+		key, err := s.Put("alice", size, struct{ io.Reader }{bytes.NewReader(blob)}, acceptBlob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		key.Release()
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
 }

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -283,6 +285,43 @@ func TestMemStoreRegisterChecksHeaderFirst(t *testing.T) {
 		t.Errorf("a %d-byte upload with a bad header allocated %d bytes", len(blob), grown)
 	}
 
+	headerOnlyUpload(t, srv)
+}
+
+// TestDiskStoreRegisterChecksHeaderFirst: the header-only set IV upload of
+// TestMemStoreRegisterChecksHeaderFirst, into a DiskStore server, buys
+// neither memory (the pooled copy buffer counted) nor a file or record:
+// it leaves no temp file and the WAL as it was.
+func TestDiskStoreRegisterChecksHeaderFirst(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := Open(Config{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Drain()
+	walPath := filepath.Join(dir, walFileName)
+	walBefore, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two collections empty the copy-buffer pool, so the upload's buffer
+	// is allocated inside the measurement.
+	runtime.GC()
+	runtime.GC()
+	headerOnlyUpload(t, srv)
+	if names := tempFiles(t, dir); len(names) != 0 {
+		t.Errorf("a refused upload left temp files %v", names)
+	}
+	if walAfter, err := os.ReadFile(walPath); err != nil || !bytes.Equal(walAfter, walBefore) {
+		t.Errorf("a refused upload changed the WAL from %d to %d bytes (%v)", len(walBefore), len(walAfter), err)
+	}
+}
+
+// headerOnlyUpload uploads a valid set IV key header into srv and then
+// nothing: the upload must be refused as short, having allocated < 4 MB
+// of the gigabyte its header declares, and install no session.
+func headerOnlyUpload(t *testing.T, srv *Server) {
+	t.Helper()
 	// A set IV key's header: its parameter object, retagged and padded.
 	header, err := wire.MarshalParams(tfhe.ParamsIV)
 	if err != nil {
@@ -291,6 +330,7 @@ func TestMemStoreRegisterChecksHeaderFirst(t *testing.T) {
 	header[4], header[5] = wire.EvalKeyVersion, byte(wire.KindEvalKey)
 	header = append(header, make([]byte, -len(header)&63)...)
 	size, _ := wire.EvalKeySize(tfhe.ParamsIV)
+	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err = srv.registerFrom("a", size, bytes.NewReader(header))
 	runtime.ReadMemStats(&after)

@@ -55,7 +55,7 @@ func within(t *testing.T, what string, do func() error) {
 			t.Errorf("%s: %v", what, err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatalf("%s did not answer while an upload was stalled", what)
+		t.Fatalf("%s did not answer within five seconds", what)
 	}
 }
 
