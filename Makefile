@@ -39,15 +39,17 @@ test-purego:
 # paths. internal/torus rides along for its assembly-vs-Go test, beside
 # the two in fft and tfhe.
 race: race-engine
-	$(GO) test -race ./internal/conformance/... ./internal/fft/... ./internal/router/... ./internal/sched/... ./internal/server/... ./internal/tfhe/... ./internal/torus/... ./internal/wire/...
+	$(GO) test -race ./internal/conformance/... ./internal/fft/... ./internal/router/... ./internal/server/... ./internal/tfhe/... ./internal/torus/... ./internal/wire/...
 
-# The streaming engine and the gate service under -race at one, two and
-# four CPUs, since every engine and every session draws on one worker
-# pool sized by GOMAXPROCS: at one CPU every contended operation runs as
-# one worker's tiles, at four the pool is wider than a 2-worker engine.
-# CI runs it beside the full -race suite.
+# The streaming engine, the scheduler and the gate service under -race at
+# one, two and four CPUs, since every engine, every scheduled circuit and
+# every session draws on one worker pool sized by GOMAXPROCS: at one CPU
+# every contended operation runs as one worker's tiles and a circuit runs
+# one dispatch at a time, at four the pool is wider than a 2-worker
+# engine and a circuit's dispatches run several at once. CI runs it
+# beside the full -race suite.
 race-engine:
-	$(GO) test -race -cpu 1,2,4 ./internal/engine/... ./internal/server/...
+	$(GO) test -race -cpu 1,2,4 ./internal/engine/... ./internal/sched/... ./internal/server/...
 
 # Full suite under the race detector with a coverage floor: catches both
 # data races anywhere and silent loss of test coverage. ./benchmark runs

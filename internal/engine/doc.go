@@ -29,7 +29,10 @@
 // operation borrows workers for its tiles and passes them the keys. An
 // operation alone tiles min(⌈n/W⌉, cap); one behind others divides by the
 // CPUs they leave free instead, so a four-gate request behind another
-// session's runs as one tile of four, one key pass. Each worker owns a
+// session's runs as one tile of four, one key pass. A caller that issues
+// several operations at once, as the scheduler does, claims CPUs from
+// the same budget ahead of them (Claim) and runs each operation on its
+// claim (StreamingEngine.On). Each worker owns a
 // private tfhe.Evaluator that holds no key (evaluators carry scratch
 // buffers and must not be shared) and keeps its tile's slots from one
 // tile to the next. The workers compose the same tfhe stage primitives per

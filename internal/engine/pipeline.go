@@ -24,9 +24,16 @@ import (
 // The engine is a handle on a key set and owns no worker: its operations,
 // concurrent ones too, run on workers the process's pool lends them.
 type StreamingEngine struct {
+	*base
+	width   int  // W: the workers an operation alone splits across
+	claimed bool // a handle from On: its workers run on CPUs claimed ahead
+}
+
+// base is what an engine shares with the handles On returns: the keys,
+// what derives from them, and the counters.
+type base struct {
 	keys    tfhe.EvaluationKeys
 	signTV  tfhe.GLWECiphertext // shared read-only by every gate bootstrap
-	width   int                 // W: the workers an operation alone splits across
 	tileCap int                 // most ciphertexts a tile may hold (see tileBudgetBytes)
 
 	mu       sync.Mutex // guards counters, never held across an operation
@@ -46,9 +53,10 @@ type StreamConfig struct {
 }
 
 // pool is the process's one set of workers and its CPU budget, shared by
-// every StreamingEngine: held counts the workers lent to the operations
-// running now, and idle stacks the others by parameter shape (poolKey). A
-// worker holds no key, so an idle one keeps no session's key alive.
+// every StreamingEngine: held counts the CPUs in use, the workers lent to
+// the operations running now and the CPUs claimed ahead (Claim), and idle
+// stacks the workers not lent by parameter shape (poolKey). A worker holds
+// no key, so an idle one keeps no session's key alive.
 var pool = struct {
 	sync.Mutex
 	held int
@@ -68,16 +76,21 @@ func poolKey(p tfhe.Params) tfhe.Params {
 // they leave free (at least one), since a worker beyond them would be
 // time-sliced against theirs: its items grow the tiles instead, sharing
 // their key passes.
+//
+// A handle from On splits across its claimed CPUs instead, and its
+// workers count against the budget only through the claim.
 func (s *StreamingEngine) reserve(n int) (size int, ws []*worker) {
 	key := poolKey(s.keys.Params)
 	pool.Lock()
 	w := s.width
-	if pool.held > 0 {
+	if pool.held > 0 && !s.claimed {
 		w = max(1, min(w, runtime.GOMAXPROCS(0)-pool.held))
 	}
 	size = min((n+w-1)/w, s.tileCap)
 	slots := min(s.width, (n+size-1)/size)
-	pool.held += slots
+	if !s.claimed {
+		pool.held += slots
+	}
 	idle := pool.idle[key]
 	k := max(0, len(idle)-slots)
 	ws = append(ws, idle[k:]...)
@@ -100,9 +113,38 @@ func (s *StreamingEngine) release(ws []*worker) {
 	s.mu.Unlock()
 	key := poolKey(s.keys.Params)
 	pool.Lock()
-	pool.held -= len(ws)
+	if !s.claimed {
+		pool.held -= len(ws)
+	}
 	pool.idle[key] = append(pool.idle[key], ws...)
 	pool.Unlock()
+}
+
+// Claim takes CPUs from the pool's budget for operations the caller will
+// run on them through On: as many as are free, up to most, but at least
+// least even when fewer are free. It returns how many it took; Unclaim
+// gives them back once those operations have returned.
+func Claim(least, most int) int {
+	pool.Lock()
+	defer pool.Unlock()
+	n := min(most, max(least, runtime.GOMAXPROCS(0)-pool.held))
+	pool.held += n
+	return n
+}
+
+// Unclaim returns n CPUs taken by Claim to the pool's budget.
+func Unclaim(n int) {
+	pool.Lock()
+	pool.held -= n
+	pool.Unlock()
+}
+
+// On returns a handle on the engine's keys and counters whose operations
+// run on cpus CPUs the caller has claimed (Claim): each splits across at
+// most that many workers, as if alone in the process, however many others
+// hold.
+func (s *StreamingEngine) On(cpus int) *StreamingEngine {
+	return &StreamingEngine{base: s.base, width: max(1, min(cpus, s.width)), claimed: true}
 }
 
 // tileBudgetBytes bounds a tile's working set in the rotate loop — its
@@ -132,9 +174,11 @@ func NewStreaming(ek tfhe.EvaluationKeys, cfg StreamConfig) *StreamingEngine {
 	p := ek.Params
 	accBytes := int64(p.K+1) * int64(p.N) * 4
 	s := &StreamingEngine{
-		keys:    ek,
-		width:   w,
-		tileCap: int(max(1, (tileBudgetBytes-ek.BSKBytes()/int64(p.SmallN))/accBytes)),
+		base: &base{
+			keys:    ek,
+			tileCap: int(max(1, (tileBudgetBytes-ek.BSKBytes()/int64(p.SmallN))/accBytes)),
+		},
+		width: w,
 	}
 	// The sign test vector is a constant of the parameter set: encode it
 	// once, not once per gate.

@@ -413,6 +413,33 @@ func TestTilesFollowTheBudget(t *testing.T) {
 	}
 }
 
+// TestClaimedHandle: Claim takes nothing from a full budget unless told
+// to, and a handle on two CPUs claimed ahead runs eight gates as two
+// tiles of four, one per worker, behind a full budget, adding nothing to
+// it: its workers count through the claim.
+func TestClaimedHandle(t *testing.T) {
+	_, ek, cts, _ := testSetup(t, 75, 16)
+	a, b := cts[:8], cts[8:]
+	s := NewStreaming(ek, StreamConfig{RotateWorkers: 2})
+	s.tileCap = 8
+	charge(t, runtime.GOMAXPROCS(0))
+	if n := Claim(0, 2); n != 0 {
+		Unclaim(n)
+		t.Fatalf("Claim took %d CPUs of a full budget, want 0", n)
+	}
+	n := Claim(2, 2)
+	defer Unclaim(n)
+	held := heldSlots()
+	p, counts := tally(meetOp(t, s, a, b, 4))
+	s.On(n).runOne(p)
+	if got := counts(); !slices.Equal(got, []int{4, 4}) {
+		t.Errorf("items per worker %v on 2 claimed CPUs, want [4 4]", got)
+	}
+	if h := heldSlots(); h != held {
+		t.Errorf("%d CPUs held after the operation on the claim, %d before", h, held)
+	}
+}
+
 // TestPanicReleasesSlots: a prepare that panics unwinds through exec, so
 // the caller that recovers leaves the pool as it found it, and the engine
 // serves its next operation. With two workers the caller's tile panics

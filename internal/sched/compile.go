@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -28,11 +29,12 @@ const (
 	DispatchMultiLUT
 )
 
-// Dispatch is one engine call of a level: every PBS node of the level
-// that shares a test vector, batched together. That is every binary gate
-// (the sign test vector; Ops[j], node j's op, only selects its free linear
-// pre-stage), or every node with this exact lookup table or multi-value
-// table list. Nodes lists the node wires in build order. For
+// Dispatch is one engine call: PBS nodes that share a test vector,
+// batched together. That is binary gates (the sign test vector; Ops[j],
+// node j's op, only selects its free linear pre-stage), or nodes with one
+// exact lookup table or multi-value table list. A Level's dispatch holds
+// every such node of the level; one Execute issues holds the ready ones
+// of one rank. Nodes lists the node wires in build order. For
 // DispatchMultiLUT, Nodes is group-major with stride k = len(Tables):
 // Nodes[g·k+i] receives table i's output for group g, and every node of a
 // group reads the same input wire.
@@ -46,6 +48,19 @@ type Dispatch struct {
 	// Stream is always false: it is read only by benchmark/, and ROADMAP
 	// item 2 deletes it.
 	Stream bool
+	// cpus is how many CPUs Execute claimed from the worker pool for the
+	// dispatch; 0 when it claimed none.
+	cpus int
+}
+
+// on returns the engine handle the dispatch runs on: e's handle on the
+// CPUs Execute claimed for it, or e itself for a dispatch that holds no
+// claim.
+func (d Dispatch) on(e *engine.StreamingEngine) *engine.StreamingEngine {
+	if d.cpus == 0 {
+		return e
+	}
+	return e.On(d.cpus)
 }
 
 // Groups returns how many blind rotations a dispatch costs: one per node,
@@ -74,7 +89,7 @@ type Stats struct {
 	// Streamed is always zero: it is read only by benchmark/, and ROADMAP
 	// item 2 deletes it.
 	Streamed    int
-	LinearNodes int // free nodes folded in between levels
+	LinearNodes int // free nodes, folded as their operands resolve
 
 	// Multi-value packing: LUT outputs served by shared rotations and
 	// the rotations those shares saved versus one PBS per output.
@@ -87,21 +102,28 @@ type Stats struct {
 	OptPasses []PassStat
 }
 
-// Schedule is a compiled circuit: levelized dispatches plus the free
-// linear nodes to fold in at each level boundary.
+// Schedule is a compiled circuit: the tables Execute dispatches by, and
+// the levelized plan that reports the circuit's shape.
 type Schedule struct {
 	levels []Level
-	// linAt[l] holds the linear nodes whose operands are complete after
-	// PBS level l (linAt[0] depends on inputs only), in build order.
-	linAt [][]Wire
-	stats Stats
+	stats  Stats
 	// nodes is the node count of the source circuit handed to Compile,
 	// so Execute can reject a schedule paired with a different circuit.
 	nodes int
-	// circ is the circuit the levels reference — the optimizer's
-	// rewrite when passes ran, the source circuit itself otherwise.
-	// Execute resolves wires against it.
+	// circ is the circuit the schedule runs — the optimizer's rewrite
+	// when passes ran, the source circuit itself otherwise. Execute
+	// resolves wires against it.
 	circ *Circuit
+
+	// The dispatch tables of circ, indexed by wire. rank[w] is PBS node
+	// w's rank: the longest PBS path from it to an output, itself
+	// included (a multi-value group's, on its head). key[w] numbers its
+	// Dispatch.Key among the schedule's. deps[w] counts the operand
+	// references node w waits for, and users[userAt[w]:userAt[w+1]] lists
+	// the nodes that reference wire w, once per reference. A multi-value
+	// group waits, and is waited for, through its head.
+	rank, key, deps []int32
+	userAt, users   []int32
 }
 
 // Levels returns the levelized dispatches. The slice is shared, not
@@ -213,14 +235,16 @@ func writeTable(b *strings.Builder, table []int) {
 	}
 }
 
-// Compile optionally optimizes the circuit (cfg.Opt), then levelizes it
-// and groups each level into batched dispatches. Each PBS node's level
-// is its longest-path PBS depth from the inputs (linear nodes are free
-// and add no depth) — the maximal independent sets the paper's scheduler
-// dispatches as epochs. Within a level, nodes group by the test vector an
-// engine call shares across its batch: all binary gates join one dispatch
-// (the sign test vector), LUTs group by exact table. The schedule carries
-// the optimized circuit: Execute is still called with the source circuit,
+// Compile optionally optimizes the circuit (cfg.Opt), then records what
+// Execute dispatches by: each PBS node's rank, the longest PBS path from
+// it to an output, and the dependency tables (the users of every wire,
+// the operands every node waits for). It also levelizes the circuit for
+// the report (Levels, Stats, Describe): a PBS node's level is its
+// longest-path PBS depth from the inputs (linear nodes are free and add
+// no depth), and within a level nodes group by the test vector an engine
+// call shares across its batch — all binary gates join one dispatch (the
+// sign test vector), LUTs group by exact table. The schedule carries the
+// optimized circuit: Execute is still called with the source circuit,
 // whose inputs and output order the rewrite preserves.
 func Compile(c *Circuit, cfg Config) (*Schedule, error) {
 	exec, passes := c, []PassStat(nil)
@@ -264,56 +288,37 @@ func Compile(c *Circuit, cfg Config) (*Schedule, error) {
 
 	s := &Schedule{
 		levels: make([]Level, maxLvl),
-		linAt:  make([][]Wire, maxLvl+1),
 		nodes:  len(c.nodes),
 		circ:   exec,
 	}
 	s.stats.OptPasses = passes
+	s.index(exec)
 	// groupIdx[l] maps a dispatch key to its index in levels[l].Dispatches,
 	// so grouping preserves first-appearance (build) order.
-	groupIdx := make([]map[string]int, maxLvl)
-	// join appends the node wires to the level-l dispatch with proto's
-	// key, creating it from proto on first appearance, and charges the
-	// level one blind rotation. It returns the dispatch.
-	join := func(l int, proto Dispatch, ws ...Wire) *Dispatch {
-		if groupIdx[l] == nil {
-			groupIdx[l] = make(map[string]int)
+	groupIdx := make([]map[int32]int, maxLvl)
+	for i, n := range exec.nodes {
+		if n.kind == kindLin {
+			s.stats.LinearNodes++
 		}
-		key := proto.Key()
-		di, ok := groupIdx[l][key]
+		if !n.dispatched() {
+			continue
+		}
+		l := lvl[i] - 1
+		if groupIdx[l] == nil {
+			groupIdx[l] = make(map[int32]int)
+		}
+		di, ok := groupIdx[l][s.key[i]]
 		if !ok {
 			di = len(s.levels[l].Dispatches)
-			groupIdx[l][key] = di
-			s.levels[l].Dispatches = append(s.levels[l].Dispatches, proto)
+			groupIdx[l][s.key[i]] = di
+			s.levels[l].Dispatches = append(s.levels[l].Dispatches, n.dispatch())
 		}
 		d := &s.levels[l].Dispatches[di]
-		d.Nodes = append(d.Nodes, ws...)
+		d.add(exec, Wire(i))
 		s.levels[l].PBS++
-		return d
-	}
-	for i, n := range exec.nodes {
-		switch n.kind {
-		case kindLin:
-			s.linAt[lvl[i]] = append(s.linAt[lvl[i]], Wire(i))
-		case kindGate:
-			d := join(lvl[i]-1, Dispatch{Kind: DispatchGate}, Wire(i))
-			d.Ops = append(d.Ops, n.op)
-		case kindLUT:
-			join(lvl[i]-1, Dispatch{Kind: DispatchLUT, Space: n.space, Table: n.table}, Wire(i))
-		case kindMultiLUT:
-			// The head sibling carries the whole group; the group's k
-			// contiguous wires share one rotation.
-			if n.mvIdx != 0 {
-				continue
-			}
-			k := len(n.tables)
-			ws := make([]Wire, k)
-			for j := range ws {
-				ws[j] = Wire(i + j)
-			}
-			join(lvl[i]-1, Dispatch{Kind: DispatchMultiLUT, Space: n.space, Tables: n.tables}, ws...)
-			s.stats.MultiValueOuts += k
-			s.stats.RotationsSaved += k - 1
+		if n.kind == kindMultiLUT {
+			s.stats.MultiValueOuts += len(n.tables)
+			s.stats.RotationsSaved += len(n.tables) - 1
 		}
 	}
 
@@ -325,8 +330,120 @@ func Compile(c *Circuit, cfg Config) (*Schedule, error) {
 		s.stats.TotalPBS += s.levels[l].PBS
 	}
 	s.stats.Levels = maxLvl
-	for _, lin := range s.linAt {
-		s.stats.LinearNodes += len(lin)
-	}
 	return s, nil
+}
+
+// dispatched reports whether node n is a unit of dispatch: a gate, a LUT,
+// or the head of a multi-value group, which carries the whole group.
+func (n node) dispatched() bool {
+	return n.kind == kindGate || n.kind == kindLUT || (n.kind == kindMultiLUT && n.mvIdx == 0)
+}
+
+// dispatch returns an empty dispatch of the unit n's kind and test vector.
+func (n node) dispatch() Dispatch {
+	switch n.kind {
+	case kindGate:
+		return Dispatch{Kind: DispatchGate}
+	case kindLUT:
+		return Dispatch{Kind: DispatchLUT, Space: n.space, Table: n.table}
+	default:
+		return Dispatch{Kind: DispatchMultiLUT, Space: n.space, Tables: n.tables}
+	}
+}
+
+// add appends the unit at wire w of c to the dispatch: a gate with its
+// op, a LUT, or a multi-value group's k contiguous wires, which share one
+// rotation.
+func (d *Dispatch) add(c *Circuit, w Wire) {
+	switch d.Kind {
+	case DispatchGate:
+		d.Ops = append(d.Ops, c.nodes[w].op)
+		d.Nodes = append(d.Nodes, w)
+	case DispatchLUT:
+		d.Nodes = append(d.Nodes, w)
+	default:
+		for j := range d.Tables {
+			d.Nodes = append(d.Nodes, w+Wire(j))
+		}
+	}
+}
+
+// operands calls f on every wire node n references, once per reference.
+// A multi-value sibling other than the head references none: its group
+// runs with the head.
+func (n node) operands(f func(Wire)) {
+	switch n.kind {
+	case kindLin:
+		for _, t := range n.terms {
+			f(t.W)
+		}
+	case kindGate:
+		f(n.a)
+		f(n.b)
+	case kindLUT:
+		f(n.in)
+	case kindMultiLUT:
+		if n.mvIdx == 0 {
+			f(n.in)
+		}
+	}
+}
+
+// index fills the schedule's dispatch tables for c.
+func (s *Schedule) index(c *Circuit) {
+	n := len(c.nodes)
+	s.deps = make([]int32, n)
+	s.userAt = make([]int32, n+1)
+	for i, nd := range c.nodes {
+		nd.operands(func(w Wire) {
+			s.deps[i]++
+			s.userAt[w+1]++
+		})
+	}
+	for w := range n {
+		s.userAt[w+1] += s.userAt[w]
+	}
+	s.users = make([]int32, s.userAt[n])
+	next := slices.Clone(s.userAt[:n])
+	for i, nd := range c.nodes {
+		nd.operands(func(w Wire) {
+			s.users[next[w]] = int32(i)
+			next[w]++
+		})
+	}
+
+	// Ranks, from the outputs back: a node reaches as far as its furthest
+	// user, one PBS further if it is one itself.
+	s.rank = make([]int32, n)
+	for i := n - 1; i >= 0; i-- {
+		var r int32
+		for _, u := range s.users[s.userAt[i]:s.userAt[i+1]] {
+			r = max(r, s.rank[u])
+		}
+		nd := c.nodes[i]
+		if nd.kind == kindGate || nd.kind == kindLUT || nd.kind == kindMultiLUT {
+			r++
+		}
+		if nd.kind == kindMultiLUT && nd.mvIdx == 0 {
+			for j := 1; j < len(nd.tables); j++ {
+				r = max(r, s.rank[i+j])
+			}
+		}
+		s.rank[i] = r
+	}
+
+	s.key = make([]int32, n)
+	ids := make(map[string]int32)
+	for i, nd := range c.nodes {
+		if !nd.dispatched() {
+			continue
+		}
+		k := nd.dispatch().Key()
+		id, ok := ids[k]
+		if !ok {
+			id = int32(len(ids))
+			ids[k] = id
+		}
+		s.key[i] = id
+	}
 }

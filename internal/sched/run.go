@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/tfhe"
@@ -10,8 +11,8 @@ import (
 // Executor runs one dispatch worth of PBS work. Implementations must
 // return exactly one output per input (one output group per input for
 // MultiLUT), in input order, computing the same per-item operation as the
-// sequential evaluator (the Runner and the gate service's session path
-// qualify).
+// sequential evaluator. Execute calls an Executor from a goroutine of its
+// own, one dispatch at a time; only the Runner takes several at once.
 type Executor interface {
 	// Gate evaluates out[i] = d.Ops[i](a[i], b[i]).
 	Gate(d Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error)
@@ -22,6 +23,13 @@ type Executor interface {
 	// to in[g], all k outputs of a group from one blind rotation.
 	MultiLUT(d Dispatch, in []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error)
 }
+
+// concurrent is implemented by the executors that run concurrent calls
+// at once, each on the CPUs Execute claimed for it: the Runner. Any other
+// executor runs one call at a time anyway, as the gate service's session
+// does, or assumes it, as a tracer that nests each call's span in the one
+// open before it does.
+type concurrent interface{ concurrentCalls() }
 
 // evalLin computes one linear node over the resolved wire values. dim is
 // the circuit's LWE dimension fallback for constant (term-less) nodes,
@@ -53,25 +61,27 @@ func evalLin(n node, vals []tfhe.LWECiphertext, dim int) (tfhe.LWECiphertext, er
 	return out, nil
 }
 
-// runLins folds the linear nodes of one level boundary into vals.
-func runLins(c *Circuit, lins []Wire, vals []tfhe.LWECiphertext, dim int) error {
-	for _, w := range lins {
-		v, err := evalLin(c.nodes[w], vals, dim)
-		if err != nil {
-			return err
-		}
-		vals[w] = v
-	}
-	return nil
-}
-
-// Execute runs a compiled schedule over the inputs, dispatching every
-// level batch through ex and folding the free linear nodes in between.
+// Execute runs a compiled schedule over the inputs. It dispatches by
+// readiness, not by level: whenever the process's worker pool has a free
+// CPU (engine.Claim), it issues one dispatch, the ready PBS nodes of the
+// highest rank that share one Dispatch.Key, in build order. Each
+// completion unblocks the nodes that wait on it, and a free linear node
+// folds the moment its operands resolve. A dispatch issued while other
+// ready work could take the remaining CPUs runs on one of them, as one
+// tile; one that is the only ready work may split across every free CPU
+// it can fill. With nothing in flight, Execute takes a CPU even when none
+// is free, as an operation alone does. An executor other than the Runner
+// gets one dispatch at a time instead, each with every ready node of its
+// key, and runs it by the pool's own tile rule.
+//
 // Wires resolve against the schedule's (possibly optimizer-rewritten)
 // circuit; c must be the source circuit the schedule was compiled from.
 // Outputs are returned in Output declaration order. Output ciphertexts
 // are fresh except when an output wire is itself an input wire (or, in
-// optimized schedules, when outputs merged into one node).
+// optimized schedules, when outputs merged into one node). When a
+// dispatch fails, Execute issues no more and returns once every dispatch
+// in flight has: the first error, or, if a dispatch panicked, that panic,
+// raised again in the caller's goroutine.
 func Execute(c *Circuit, s *Schedule, inputs []tfhe.LWECiphertext, ex Executor) ([]tfhe.LWECiphertext, error) {
 	if s.nodes != len(c.nodes) {
 		return nil, fmt.Errorf("sched: schedule was compiled from a %d-node circuit, got %d nodes", s.nodes, len(c.nodes))
@@ -83,73 +93,243 @@ func Execute(c *Circuit, s *Schedule, inputs []tfhe.LWECiphertext, ex Executor) 
 	if len(inputs) != len(ec.inputs) {
 		return nil, fmt.Errorf("sched: circuit has %d inputs, got %d", len(ec.inputs), len(inputs))
 	}
-	vals := make([]tfhe.LWECiphertext, len(ec.nodes))
-	dim := -1
+	r := &run{s: s, c: ec, ex: ex, dim: -1,
+		vals: make([]tfhe.LWECiphertext, len(ec.nodes)),
+		wait: slices.Clone(s.deps),
+		done: make(chan finished)}
+	_, many := ex.(concurrent)
+	r.serial = !many
+	defer r.drain()
 	for k, w := range ec.inputs {
-		vals[w] = inputs[k]
-		dim = inputs[k].N()
+		r.vals[w] = inputs[k]
+		r.dim = inputs[k].N()
 	}
-	if err := runLins(ec, s.linAt[0], vals, dim); err != nil {
-		return nil, err
+	for _, w := range ec.inputs {
+		r.resolve(w)
 	}
-	for l := range s.levels {
-		for _, d := range s.levels[l].Dispatches {
-			var out []tfhe.LWECiphertext
-			var err error
-			switch d.Kind {
-			case DispatchGate:
-				a := make([]tfhe.LWECiphertext, len(d.Nodes))
-				b := make([]tfhe.LWECiphertext, len(d.Nodes))
-				for j, w := range d.Nodes {
-					a[j] = vals[ec.nodes[w].a]
-					b[j] = vals[ec.nodes[w].b]
-				}
-				out, err = ex.Gate(d, a, b)
-			case DispatchLUT:
-				in := make([]tfhe.LWECiphertext, len(d.Nodes))
-				for j, w := range d.Nodes {
-					in[j] = vals[ec.nodes[w].in]
-				}
-				out, err = ex.LUT(d, in)
-			case DispatchMultiLUT:
-				k := len(d.Tables)
-				in := make([]tfhe.LWECiphertext, len(d.Nodes)/k)
-				for g := range in {
-					in[g] = vals[ec.nodes[d.Nodes[g*k]].in]
-				}
-				var groups [][]tfhe.LWECiphertext
-				groups, err = ex.MultiLUT(d, in)
-				if err == nil {
-					out = make([]tfhe.LWECiphertext, 0, len(d.Nodes))
-					for g, outs := range groups {
-						if len(outs) != k {
-							return nil, fmt.Errorf("sched: executor returned %d outputs for a %d-table group %d", len(outs), k, g)
-						}
-						out = append(out, outs...)
-					}
-				}
-			default:
-				err = fmt.Errorf("sched: unknown dispatch kind %d", d.Kind)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if len(out) != len(d.Nodes) {
-				return nil, fmt.Errorf("sched: executor returned %d outputs for %d items", len(out), len(d.Nodes))
-			}
-			for j, w := range d.Nodes {
-				vals[w] = out[j]
-			}
+	for i, n := range ec.nodes {
+		if n.kind == kindLin && s.deps[i] == 0 {
+			r.fold(Wire(i))
 		}
-		if err := runLins(ec, s.linAt[l+1], vals, dim); err != nil {
-			return nil, err
+	}
+	for {
+		for r.err == nil && r.panicked == nil && len(r.ready) > 0 && (r.inflight == 0 || !r.serial) && r.issue() {
 		}
+		if r.inflight == 0 {
+			break
+		}
+		r.complete(<-r.done)
+	}
+	if r.panicked != nil {
+		panic(r.panicked)
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	outs := make([]tfhe.LWECiphertext, len(ec.outputs))
 	for k, w := range ec.outputs {
-		outs[k] = vals[w]
+		outs[k] = r.vals[w]
 	}
 	return outs, nil
+}
+
+// run is one Execute's state. Only Execute's goroutine touches it; the
+// dispatches it issues get their operands gathered and hand back their
+// outputs on done.
+type run struct {
+	s  *Schedule
+	c  *Circuit
+	ex Executor
+
+	vals     []tfhe.LWECiphertext // resolved wires
+	wait     []int32              // operand references still unresolved, per node
+	ready    []Wire               // units whose operands have all resolved
+	dim      int                  // the inputs' LWE dimension, -1 without inputs
+	inflight int
+	serial   bool // the executor takes one dispatch at a time
+	done     chan finished
+
+	err      error // the first failure: an error,
+	panicked any   // or a dispatch's panic
+}
+
+// finished is one dispatch's outcome.
+type finished struct {
+	d        Dispatch
+	out      []tfhe.LWECiphertext
+	err      error
+	panicked any
+}
+
+// resolve marks wire w resolved: every node waiting on its last operand
+// becomes ready, or, if it is linear, folds at once.
+func (r *run) resolve(w Wire) {
+	for _, u := range r.s.users[r.s.userAt[w]:r.s.userAt[w+1]] {
+		if r.wait[u]--; r.wait[u] > 0 {
+			continue
+		}
+		if r.c.nodes[u].kind == kindLin {
+			r.fold(Wire(u))
+		} else {
+			r.ready = append(r.ready, Wire(u))
+		}
+	}
+}
+
+// fold evaluates the linear node at w and resolves it.
+func (r *run) fold(w Wire) {
+	v, err := evalLin(r.c.nodes[w], r.vals, r.dim)
+	if err != nil {
+		r.fail(err, nil)
+		return
+	}
+	r.vals[w] = v
+	r.resolve(w)
+}
+
+// fail records the first error and the first panic.
+func (r *run) fail(err error, panicked any) {
+	if panicked != nil && r.panicked == nil {
+		r.panicked = panicked
+	}
+	if err != nil && r.err == nil {
+		r.err = err
+	}
+}
+
+// issue claims CPUs for the next dispatch, the ready units of the highest
+// rank that share the key of the first such in build order, and starts
+// it. It reports false, issuing nothing, when no CPU is free. For an
+// executor that takes one dispatch at a time, nothing could run beside
+// the dispatch, so it takes every ready unit of that key, whatever the
+// rank.
+func (r *run) issue() bool {
+	top, first := int32(-1), Wire(-1)
+	for _, w := range r.ready {
+		if rk := r.s.rank[w]; rk > top || (rk == top && w < first) {
+			top, first = rk, w
+		}
+	}
+	key := r.s.key[first]
+	next := func(w Wire) bool { return r.s.key[w] == key && (r.serial || r.s.rank[w] == top) }
+	n := 0
+	for _, w := range r.ready {
+		if next(w) {
+			n++
+		}
+	}
+	// One tile while other ready work could take the CPUs left; else
+	// every free CPU the dispatch can fill. A serial executor claims
+	// none: its one dispatch runs by the pool's own tile rule.
+	cpus := 0
+	if !r.serial {
+		least, most := 0, n
+		if n < len(r.ready) {
+			most = 1
+		}
+		if r.inflight == 0 {
+			least = 1
+		}
+		if cpus = engine.Claim(least, most); cpus == 0 {
+			return false
+		}
+	}
+	units, rest := make([]Wire, 0, n), r.ready[:0]
+	for _, w := range r.ready {
+		if next(w) {
+			units = append(units, w)
+		} else {
+			rest = append(rest, w)
+		}
+	}
+	r.ready = rest
+	slices.Sort(units)
+
+	d := r.c.nodes[first].dispatch()
+	d.cpus = cpus
+	d.Nodes = make([]Wire, 0, n*max(1, len(d.Tables)))
+	a := make([]tfhe.LWECiphertext, len(units))
+	var b []tfhe.LWECiphertext
+	if d.Kind == DispatchGate {
+		b = make([]tfhe.LWECiphertext, len(units))
+	}
+	for j, w := range units {
+		nd := r.c.nodes[w]
+		d.add(r.c, w)
+		if d.Kind == DispatchGate {
+			a[j], b[j] = r.vals[nd.a], r.vals[nd.b]
+		} else {
+			a[j] = r.vals[nd.in]
+		}
+	}
+	r.inflight++
+	go r.dispatch(d, a, b)
+	return true
+}
+
+// dispatch runs d on its operands in a goroutine of its own, and hands
+// back the outcome, a panic too.
+func (r *run) dispatch(d Dispatch, a, b []tfhe.LWECiphertext) {
+	f := finished{d: d}
+	defer func() {
+		f.panicked = recover()
+		r.done <- f
+	}()
+	f.out, f.err = d.run(r.ex, a, b)
+}
+
+// complete takes in a finished dispatch: its CPUs go back to the pool, and
+// its outputs resolve their wires. Its CPUs are free only from here on, so
+// every dispatch issued on them sees what this one unblocked.
+func (r *run) complete(f finished) {
+	r.inflight--
+	engine.Unclaim(f.d.cpus)
+	if f.err == nil && f.panicked == nil && len(f.out) != len(f.d.Nodes) {
+		f.err = fmt.Errorf("sched: executor returned %d outputs for %d items", len(f.out), len(f.d.Nodes))
+	}
+	if f.err != nil || f.panicked != nil {
+		r.fail(f.err, f.panicked)
+		return
+	}
+	for j, w := range f.d.Nodes {
+		r.vals[w] = f.out[j]
+	}
+	for _, w := range f.d.Nodes {
+		r.resolve(w)
+	}
+}
+
+// drain waits for the dispatches still in flight, so that none outlives
+// Execute, even one that panics in its own goroutine.
+func (r *run) drain() {
+	for ; r.inflight > 0; r.inflight-- {
+		engine.Unclaim((<-r.done).d.cpus)
+	}
+}
+
+// run calls the executor method of the dispatch's kind on its gathered
+// operands (b only for gates), flattening multi-value groups into Nodes
+// order.
+func (d Dispatch) run(ex Executor, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
+	switch d.Kind {
+	case DispatchGate:
+		return ex.Gate(d, a, b)
+	case DispatchLUT:
+		return ex.LUT(d, a)
+	}
+	k := len(d.Tables)
+	groups, err := ex.MultiLUT(d, a)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]tfhe.LWECiphertext, 0, len(d.Nodes))
+	for g, outs := range groups {
+		if len(outs) != k {
+			return nil, fmt.Errorf("sched: executor returned %d outputs for a %d-table group %d", len(outs), k, g)
+		}
+		out = append(out, outs...)
+	}
+	return out, nil
 }
 
 // seqGate dispatches one gate on the sequential evaluator.
@@ -237,7 +417,8 @@ func RunSequential(c *Circuit, ev *tfhe.Evaluator, inputs []tfhe.LWECiphertext) 
 }
 
 // Runner executes schedules over the in-process streaming engine: every
-// dispatch runs on Stream.
+// dispatch runs on Stream, on the CPUs Execute claimed for it, several at
+// once.
 type Runner struct {
 	// Batch is read only by benchmark/, which sets it beside Stream, and
 	// ROADMAP item 2 deletes it; a Runner without Stream runs on it.
@@ -258,13 +439,17 @@ func (r *Runner) ops() (*engine.StreamingEngine, error) {
 	return nil, fmt.Errorf("sched: runner has no engine")
 }
 
+// concurrentCalls marks the Runner as concurrent: each dispatch is its
+// own engine operation, and the engine takes concurrent ones.
+func (r *Runner) concurrentCalls() {}
+
 // Gate implements Executor over the engine.
 func (r *Runner) Gate(d Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	o, err := r.ops()
 	if err != nil {
 		return nil, err
 	}
-	return o.Gates(d.Ops, a, b)
+	return d.on(o).Gates(d.Ops, a, b)
 }
 
 // LUT implements Executor over the engine.
@@ -273,7 +458,7 @@ func (r *Runner) LUT(d Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiphertext,
 	if err != nil {
 		return nil, err
 	}
-	return o.LUT(in, d.Space, func(m int) int { return d.Table[m] })
+	return d.on(o).LUT(in, d.Space, func(m int) int { return d.Table[m] })
 }
 
 // MultiLUT implements Executor over the engine: one blind rotation per
@@ -283,7 +468,7 @@ func (r *Runner) MultiLUT(d Dispatch, in []tfhe.LWECiphertext) ([][]tfhe.LWECiph
 	if err != nil {
 		return nil, err
 	}
-	return o.MultiLUT(in, d.Space, tfhe.TableFuncs(d.Tables))
+	return d.on(o).MultiLUT(in, d.Space, tfhe.TableFuncs(d.Tables))
 }
 
 // Run compiles the circuit under cfg and executes it — the one-call path

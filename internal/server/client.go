@@ -264,8 +264,8 @@ func (c *Client) GateBatch(op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.
 }
 
 // CircuitBatch runs a built circuit on the server: the DAG ships as
-// serialized node specs, the server levelizes it and coalesces every
-// level dispatch with concurrent session traffic. Outputs return in the
+// serialized node specs, the server compiles it and coalesces every
+// dispatch with concurrent session traffic. Outputs return in the
 // circuit's Output declaration order.
 func (c *Client) CircuitBatch(circ *sched.Circuit, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	return c.CircuitBatchOpts(circ, inputs, EvalOpts{})

@@ -14,7 +14,7 @@ import (
 // (workload.BuildInfer) is compiled server-side and executed through the
 // session's group-commit path, so concurrent inference requests — and
 // any other traffic whose dispatch keys match — coalesce into shared
-// engine streams, level by level.
+// engine streams.
 
 // InferBatch runs the built-in cellCNN-style inference model over a
 // batch of encrypted feature vectors for clientID's session. features is
@@ -38,6 +38,10 @@ func (s *Server) InferBatch(clientID string, features []tfhe.LWECiphertext, opti
 	if err != nil {
 		return nil, err
 	}
+	if err := sess.acquireSlot(); err != nil {
+		return nil, err
+	}
+	defer sess.releaseSlot()
 	return sched.Execute(circ, schedule, features, sess)
 }
 

@@ -582,6 +582,10 @@ func (s *Server) GateBatch(clientID string, op engine.GateOp, a, b []tfhe.LWECip
 	if len(a) == 0 {
 		return nil, nil
 	}
+	if err := sess.acquireSlot(); err != nil {
+		return nil, err
+	}
+	defer sess.releaseSlot()
 	return sess.Gate(sched.Dispatch{Ops: op.Repeat(len(a))}, a, b)
 }
 
@@ -605,6 +609,10 @@ func (s *Server) LUTBatch(clientID string, cts []tfhe.LWECiphertext, space int, 
 	if len(cts) == 0 {
 		return nil, nil
 	}
+	if err := sess.acquireSlot(); err != nil {
+		return nil, err
+	}
+	defer sess.releaseSlot()
 	return sess.LUT(sched.Dispatch{Space: space, Table: table}, cts)
 }
 
@@ -630,16 +638,20 @@ func (s *Server) MultiLUTBatch(clientID string, cts []tfhe.LWECiphertext, space 
 	if len(cts) == 0 {
 		return nil, nil
 	}
+	if err := sess.acquireSlot(); err != nil {
+		return nil, err
+	}
+	defer sess.releaseSlot()
 	return sess.MultiLUT(sched.Dispatch{Space: space, Tables: tables}, cts)
 }
 
-// CircuitBatch compiles a levelized schedule for the circuit described by
-// specs/outputs and executes it on clientID's session. Every level
-// dispatch (all of the level's binary gates, or one exact lookup table
-// across the whole level) goes through the session's group-commit path,
-// so concurrent circuits — and plain gate/LUT batches — coalesce into
-// shared engine streams whenever their dispatch keys match (any two
-// binary-gate dispatches do). optimize first runs the
+// CircuitBatch compiles a schedule for the circuit described by
+// specs/outputs and executes it on clientID's session, one request under
+// one backpressure token. Every dispatch (ready binary gates, or ready
+// nodes of one exact lookup table) goes through the session's
+// group-commit path, so concurrent circuits — and plain gate/LUT batches
+// — coalesce into shared engine streams whenever their dispatch keys
+// match (any two binary-gate dispatches do). optimize first runs the
 // scheduler's optimizer pass pipeline (CSE, pruning, linear folding,
 // bootstrap fusion, multi-value packing bounded by the session's
 // parameter set); outputs then decode identically but are not bitwise
@@ -658,6 +670,10 @@ func (s *Server) CircuitBatch(clientID string, specs []sched.NodeSpec, outputs [
 	if err != nil {
 		return nil, err
 	}
+	if err := sess.acquireSlot(); err != nil {
+		return nil, err
+	}
+	defer sess.releaseSlot()
 	return sched.Execute(circ, schedule, inputs, sess)
 }
 

@@ -644,3 +644,57 @@ func TestCircuitBatchCoalesces(t *testing.T) {
 	}
 	t.Log("no coalescing observed after 5 attempts (scheduling-dependent); correctness already verified")
 }
+
+// TestCircuitDoesNotRefuseItself: a circuit is one request. It holds one
+// backpressure token for its whole run, which its dispatches share, so a
+// session that admits one request at a time, and refuses a second after a
+// millisecond, runs the whole circuit and refuses nothing, even while its
+// first dispatch waits for the session's engine.
+func TestCircuitDoesNotRefuseItself(t *testing.T) {
+	sk, ek := testKeys(t, 1)
+	srv := New(Config{MaxPending: 1})
+	if err := srv.RegisterKey("alice", ek); err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	sess := srv.sessions["alice"]
+	srv.mu.Unlock()
+	sess.queueTimeout = time.Millisecond
+
+	const digits = 2
+	circ, err := intops.MulCircuit(digits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(83))
+	x, _ := intops.Encrypt(rng, sk, 3, digits)
+	y, _ := intops.Encrypt(rng, sk, 5, digits)
+	inputs := append(append([]tfhe.LWECiphertext{}, x.Digits...), y.Digits...)
+	want, err := sched.RunSequential(circ, tfhe.NewEvaluator(ek), inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type result struct {
+		out []tfhe.LWECiphertext
+		err error
+	}
+	done := make(chan result, 1)
+	sess.execMu.Lock()
+	go func() {
+		out, err := srv.CircuitBatch("alice", circ.Specs(), circ.OutputWires(), inputs, false)
+		done <- result{out, err}
+	}()
+	time.Sleep(20 * time.Millisecond)
+	sess.execMu.Unlock()
+	res := <-done
+	if res.err != nil {
+		t.Fatalf("CircuitBatch: %v", res.err)
+	}
+	if !reflect.DeepEqual(res.out, want) {
+		t.Error("service circuit outputs differ from sequential evaluation")
+	}
+	if n := sess.rejected.Load(); n != 0 {
+		t.Errorf("the session refused %d of the circuit's own dispatches", n)
+	}
+}

@@ -25,9 +25,9 @@ type session struct {
 	elem   *list.Element // position in the server's LRU list
 
 	// slots is the backpressure bound: one token per queued or in-flight
-	// request. Acquiring blocks when the session is saturated, for at
-	// most queueTimeout before ErrOverloaded (the package constant; a
-	// field so that a test can shorten it).
+	// request, a circuit's whole run included. Acquiring blocks when the
+	// session is saturated, for at most queueTimeout before ErrOverloaded
+	// (the package constant; a field so that a test can shorten it).
 	slots        chan struct{}
 	queueTimeout time.Duration
 
@@ -108,15 +108,6 @@ type groupResult struct {
 // map, so later arrivals open a fresh group behind it), runs one stream
 // over the whole batch, and scatters results to every waiter.
 func (s *session) submit(key string, ops []engine.GateOp, a, b []tfhe.LWECiphertext, outPerIn int, run func(g *group) ([]tfhe.LWECiphertext, error)) ([]tfhe.LWECiphertext, error) {
-	// Backpressure: wait (bounded) until the session has room for this
-	// request. A saturated queue past the timeout means the session is
-	// overloaded — refuse so the client can back off, instead of letting
-	// waiters pile up without bound.
-	if err := s.acquireSlot(); err != nil {
-		return nil, err
-	}
-	defer func() { <-s.slots }()
-
 	w := &waiter{n: len(a), ch: make(chan groupResult, 1)}
 	s.mu.Lock()
 	g, open := s.groups[key]
@@ -176,8 +167,12 @@ func (s *session) submit(key string, ops []engine.GateOp, a, b []tfhe.LWECiphert
 	return res.out, nil
 }
 
-// acquireSlot takes one backpressure token, waiting up to the session's
-// queue timeout (fast path first, so an idle session never arms a timer).
+// acquireSlot takes one backpressure token for a request, waiting up to
+// the session's queue timeout (fast path first, so an idle session never
+// arms a timer). A saturated queue past the timeout means the session is
+// overloaded: refuse so the client can back off, instead of letting
+// waiters pile up without bound. A circuit is one request: its
+// dispatches share its token.
 func (s *session) acquireSlot() error {
 	select {
 	case s.slots <- struct{}{}:
@@ -195,11 +190,16 @@ func (s *session) acquireSlot() error {
 	}
 }
 
+// releaseSlot gives back a request's backpressure token.
+func (s *session) releaseSlot() { <-s.slots }
+
 // The session is the sched.Executor of its own circuits, and the typed
 // batch methods on Server validate and then call the same three methods:
 // each kind's engine call is spelled once, and its coalescing key is the
-// scheduler's grouping key (sched.Dispatch.Key), so circuit levels and
-// standalone batches share streams whenever the keys match.
+// scheduler's grouping key (sched.Dispatch.Key), so circuit dispatches and
+// standalone batches share streams whenever the keys match. A session runs
+// one engine stream at a time, and the scheduler hands it a circuit's
+// dispatches one at a time, each with every ready node of its key.
 
 // Gate implements sched.Executor: d.Ops[i] over (a[i], b[i]). Binary
 // gates coalesce under one key whatever their ops, since they share the
@@ -403,7 +403,7 @@ func (s *session) validateCircuit(specs []sched.NodeSpec, outputs []int, inputs 
 	return circ, schedule, nil
 }
 
-// compile levelizes a circuit for this session. optimize enables the
+// compile compiles a circuit for this session. optimize enables the
 // full optimizer pass pipeline, with the multi-value budget bound to the
 // session's parameter set so the rewrite never packs past space·k ≤ N.
 func (s *session) compile(circ *sched.Circuit, optimize bool) (*sched.Schedule, error) {
