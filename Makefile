@@ -158,18 +158,31 @@ no-retired-gate:
 # in Go or in the assembly's comments, nor reach another package's
 # unexported names with a linkname directive. Nor may any name the
 # slab-filling key decoder that wire.ViewEvalKey replaced (its readers and
-# its generic fill), so that a second key parser does not come back.
+# its generic fill), so that a second key parser does not come back. Nor
+# may any name the interleaved transform bodies' lane tables, their
+# radix-2 body or their per-pass dispatchers, which the block-planar
+# transforms replaced.
 no-retired-ops:
 	@! git grep -nE 'BatchGates|(^|[^k])StreamGates|BatchEvalLUT|StreamLUT\(|BatchMultiLUT|StreamMultiLUT|BatchBootstrap|StreamBootstrap|BatchKeySwitch|EvalCircuit|engine\.New\(|engine\.Config([^A-Za-z0-9_]|$$)|DefaultMinStream|BlindRotateBatch|BlindRotateSteps|Runner\{Batch' -- '*.go' ':!benchmark' ':!internal/engine/engine.go'
 	@! git grep -nE 'GGSWFourier\{''Rows|ForwardTorus''BatchTo|ForwardInt''BatchTo|Inverse''BatchTo|mulAcc''Fast|mulAcc''AVX2|fft\.Mul''\(' -- '*.go'
 	@! git grep -nE 'KS''Workers|ks-''workers|rotate-''workers|empty''Tile|chan ''tile' -- '*.go'
 	@! git grep -nE 'loadTorus''Fast|loadInt''Fast|mulAccTile''Go|foldAcc''Fast|digit''Fast|storeTwisted''Fast|go:''linkname' -- '*.go' '*.s'
 	@! git grep -nE 'readFourier|readTorus([^I]|$$)|fill\[' -- '*.go'
+	@! git grep -nE 'lane''Table|untwist''Lanes|stage\.lanes|stage2''AVX2|(fwdStage4|fwdStage2|invFirst|invStage4|invFold|decompLoad)''Fast' -- '*.go' '*.s'
 
 # No fused multiply-add in any assembly file: it rounds once where the
-# reference kernels round twice, and fast == ref is bitwise.
+# reference kernels round twice, and fast == ref is bitwise. Nor in what the
+# compiler makes of package fft for arm64, where gc fuses x*y + z into
+# FMADD unless the product is converted (float64(x*y)): the reference
+# kernels must compute the same bits on every architecture's FPU. The
+# cross-build needs no network and leaves nothing in the tree.
 no-fma:
 	@! git grep -nE 'VFN?M(ADD|SUB)' -- '*.s'
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	GOOS=linux GOARCH=arm64 $(GO) build -o "$$tmp/fft.a" ./internal/fft && \
+	$(GO) tool objdump "$$tmp/fft.a" > "$$tmp/fft.asm" && \
+	if grep -E '[[:space:]]FN?M(ADD|SUB)[SD][[:space:]]' "$$tmp/fft.asm"; then \
+		echo "no-fma: fused multiply-add in the arm64 build of internal/fft"; exit 1; fi
 
 # Net non-test lines of Go outside benchmark/: the figure ROADMAP's
 # "net non-test LoC" criteria are read from; then the lines of assembly,

@@ -54,8 +54,15 @@ func (p *Processor) forwardDecompose(dsts []FourierPoly, dec poly.Decomposer, sr
 			panic("fft: ForwardDecompose size mismatch")
 		}
 	}
-	p.decompLoadFast(dsts, dec, src, e, rotSub)
+	if p.planar() {
+		p.decompLoadPlanar(dsts, dec, src, e, rotSub)
+		for l := range dsts {
+			p.forwardPlanar(dsts[l])
+		}
+		return
+	}
+	p.decompLoadRef(dsts, dec, src, e, rotSub, 0, p.m)
 	for l := range dsts {
-		p.forwardStages(dsts[l])
+		p.forwardRef(dsts[l])
 	}
 }

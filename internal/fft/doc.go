@@ -12,4 +12,11 @@
 // transform therefore compute the negacyclic product directly, with no
 // post-transform reordering — the property that lets the hardware pipeline
 // stream polynomials with no matrix transposition.
+//
+// The reference kernels (kernel_ref.go) work on interleaved (re, im)
+// values. The AVX2 path keeps a transform's data block-planar — each run
+// of four values as four real parts, then four imaginary parts — so the
+// real and imaginary datapaths stay apart, as in the paper's FFT units,
+// and converts back before a FourierPoly leaves the transform. Both give
+// the same bits; kernel.go has the rules that make them.
 package fft

@@ -24,13 +24,13 @@ type FourierPoly []complex128
 // carry a packed twiddle table walked sequentially by the inner loop —
 // six floats (w^k, w^2k, w^3k as re/im pairs) per butterfly index k,
 // shared by every block of the stage — and, when q = s/4 ≥ 2, the same
-// twiddles in lane order (laneTable) for the AVX2 body. The final radix-2
-// stage of an odd-log2 size (and the trivial first inverse stages) need no
-// twiddles.
+// twiddles in block-planar order (planarTable) for the AVX2 bodies. The
+// final radix-2 stage of an odd-log2 size (and the trivial first inverse
+// stages) need no twiddles.
 type stage struct {
-	size  int       // butterfly block size s
-	tw    []float64 // packed twiddles; nil for radix-2
-	lanes []float64 // laneTable(tw, 3); nil for q < 2
+	size   int       // butterfly block size s
+	tw     []float64 // packed twiddles; nil for radix-2
+	planar []float64 // planarTable(tw, 3); nil for q < 2
 }
 
 // Processor performs folded negacyclic FFTs for a fixed polynomial size N.
@@ -62,10 +62,10 @@ type Processor struct {
 	twist []float64
 	// untwist holds conj(e^(iπ j / N)) / m as interleaved re/im pairs: the
 	// inverse fold and the 1/m scaling pre-combined, applied inside the
-	// final inverse butterfly stage. untwistLanes is laneTable(untwist, 1),
-	// the fold's AVX2 body's copy.
-	untwist      []float64
-	untwistLanes []float64
+	// final inverse butterfly stage. untwistPlanar is planarTable(untwist,
+	// 1), the fold's AVX2 body's copy.
+	untwist       []float64
+	untwistPlanar []float64
 
 	fwd []stage // forward DIF stages, sizes descending m … 4 (then 2)
 	inv []stage // inverse DIT stages, sizes ascending (2) 4 … m
@@ -98,7 +98,7 @@ func NewProcessor(n int) *Processor {
 		p.twist[j], p.twist[m+j] = c, s
 		p.untwist[2*j], p.untwist[2*j+1] = c*invM, -s*invM
 	}
-	p.untwistLanes = laneTable(p.untwist, 1)
+	p.untwistPlanar = planarTable(p.untwist, 1)
 	p.fwd = buildStages(m, +1)
 	p.inv = buildStages(m, -1)
 	// The inverse runs the mirrored stage sequence smallest-first.
@@ -126,7 +126,7 @@ func buildStages(m int, sign float64) []stage {
 		}
 		st := stage{size: s, tw: tw}
 		if q >= 2 {
-			st.lanes = laneTable(tw, 3)
+			st.planar = planarTable(tw, 3)
 		}
 		stages = append(stages, st)
 	}
@@ -136,20 +136,23 @@ func buildStages(m int, sign float64) []stage {
 	return stages
 }
 
-// laneTable returns nat, a table of per complex constants (re, im) for each
-// index j, in the order the AVX2 bodies' lanes read it. Those bodies hold
-// the values of indices j and j+1 in one register, so for every such pair
-// and each constant c the table stores (re_j, re_j, re_j+1, re_j+1) and then
-// (im_j, im_j, im_j+1, im_j+1): the two factors of a complex multiply,
-// ready to be memory operands. A pair's 8·per floats are contiguous, and the
-// table is twice the size of nat.
-func laneTable(nat []float64, per int) []float64 {
+// planarTable returns nat, a table of per complex constants (re, im) for
+// each index j, in the block-planar order the AVX2 bodies read: for every
+// run of four indices and each constant c, the four real parts and then the
+// four imaginary parts, one register each. A table of two indices (the
+// q = 2 stage) becomes one run that reads them twice, j = 0, 1, 0, 1: the
+// bodies that take it hold two blocks' butterflies side by side. The table
+// is the size of nat, or twice it for two indices.
+func planarTable(nat []float64, per int) []float64 {
 	n := len(nat) / (2 * per)
-	out := make([]float64, 0, 8*per*(n/2))
-	for j := 0; j+1 < n; j += 2 {
+	out := make([]float64, 0, 8*per*max(n/4, 1))
+	for j := 0; j < max(n, 4); j += 4 {
 		for c := 0; c < per; c++ {
-			a, b := nat[2*(j*per+c):], nat[2*((j+1)*per+c):]
-			out = append(out, a[0], a[0], b[0], b[0], a[1], a[1], b[1], b[1])
+			for part := 0; part < 2; part++ {
+				for l := 0; l < 4; l++ {
+					out = append(out, nat[2*(((j+l)%n)*per+c)+part])
+				}
+			}
 		}
 	}
 	return out
@@ -188,13 +191,25 @@ func (p *Processor) getInvScratch() *invScratch {
 // putInvScratch returns scratch obtained from getInvScratch.
 func (p *Processor) putInvScratch(s *invScratch) { p.invPool.Put(s) }
 
-// forwardStages runs the full forward DIF pass sequence in place on buf.
+// forwardStages runs the forward transform in place on buf, which a load
+// has filled with interleaved values: in the AVX2 layout when the call
+// takes it (planar, kernel_fast.go), else through the reference stages.
 func (p *Processor) forwardStages(buf []complex128) {
+	if p.planar() {
+		toPlanar(buf)
+		p.forwardPlanar(buf)
+		return
+	}
+	p.forwardRef(buf)
+}
+
+// forwardRef runs the reference DIF pass sequence in place on buf.
+func (p *Processor) forwardRef(buf []complex128) {
 	for _, st := range p.fwd {
 		if st.size >= 4 {
-			fwdStage4Fast(buf, st)
+			fwdStage4Ref(buf, st)
 		} else {
-			fwdStage2Fast(buf)
+			fwdStage2Ref(buf)
 		}
 	}
 }
@@ -257,19 +272,24 @@ func (p *Processor) InverseTo(dst poly.Poly, fp FourierPoly) {
 // fold — conj(twist)/m, round-to-torus, additive store — fused into its
 // butterflies. scratch must have length m and is fully clobbered.
 // When the transform is a single stage (m ≤ 4) it reads fp and folds
-// directly into dst without touching scratch.
+// directly into dst without touching scratch. The AVX2 layout, when the
+// call takes it, is inversePlanar's.
 func (p *Processor) inverseAccTo(dst []torus.Torus32, fp FourierPoly, scratch []complex128) {
+	if p.planar() {
+		p.inversePlanar(dst, fp, scratch)
+		return
+	}
 	stages := p.inv
 	last := len(stages) - 1
 	if last == 0 {
-		invFoldFast(dst, fp, stages[0], p.untwist, p.untwistLanes, p.m)
+		invFoldRef(dst, fp, stages[0], p.untwist, p.m)
 		return
 	}
-	invFirstFast(scratch, fp, stages[0].size)
+	invFirstRef(scratch, fp, stages[0].size)
 	for i := 1; i < last; i++ {
-		invStage4Fast(scratch, stages[i])
+		invStage4Ref(scratch, stages[i])
 	}
-	invFoldFast(dst, scratch, stages[last], p.untwist, p.untwistLanes, p.m)
+	invFoldRef(dst, scratch, stages[last], p.untwist, p.m)
 }
 
 // Inverse transforms back into a fresh polynomial (not additive).

@@ -2,47 +2,59 @@ package fft
 
 import "repro/internal/torus"
 
-// Kernel selection. Each loop of a CMux step — decompLoadFast,
-// fwdStage4Fast, fwdStage2Fast, mulAccTileFast (the tile MAC, for k = 1),
-// invFirstFast (size 2; it shares stage2AVX2 with fwdStage2Fast),
-// invStage4Fast and invFoldFast — has two bodies:
+// Kernel selection. Each transform of a CMux step — the fused
+// decompose load with the forward stages (ForwardDecompose,
+// ForwardDecomposeRotSub) and the inverse with its fold (InverseTo) — and
+// the tile MAC (MulAccTile) has two bodies:
 //
-//   - the reference (kernel_ref.go): plain bounds-checked Go, the
-//     bitwise-pinned ground truth;
-//   - the AVX2 body (kernel_amd64.s, two complex values per instruction,
-//     excluded by the `purego` build tag).
+//   - the reference (kernel_ref.go): plain bounds-checked Go on
+//     interleaved values, the bitwise-pinned ground truth;
+//   - the AVX2 path (kernel_fast.go, bodies in kernel_amd64.s, excluded by
+//     the `purego` build tag). Inside a transform its data is
+//     block-planar: each run of four complex values is stored as their
+//     four real parts, then their four imaginary parts, so a register
+//     holds one part of four butterflies and a complex multiply is four
+//     multiplies, a subtract and an add. The forward transform's last pass
+//     and the inverse's first convert, so every FourierPoly — what the
+//     MAC, the key and the wire hold — stays interleaved. The tile MAC
+//     keeps two interleaved complex values per register.
 //
-// The dispatch rule (kernel_fast.go): a loop runs its AVX2 body when
-// torus.UseAVX2 holds and its shape fits, and its reference body otherwise
-// — on a host without AVX2, and here for what the lanes leave over: the
-// q = 1 stage, the size-4 first inverse stage, a decompose run shorter
-// than eight pairs, a MAC of other than two columns or of odd length. The
-// transform loads (ForwardTorusTo, ForwardIntTo) and MulAcc, the one-row
-// MAC outside the CMux step (key generation), have the reference body
-// alone.
+// A transform takes the AVX2 path when torus.UseAVX2 holds and M ≥ 16,
+// read once per call (Processor.planar), and the reference throughout
+// otherwise; the MAC when torus.UseAVX2 holds and it has two columns and
+// an even length. Inside the AVX2 path the q = 1 stage (M a power of four)
+// runs its reference body between conversions. The transform loads
+// (ForwardTorusTo, ForwardIntTo) and MulAcc, the one-row MAC outside the
+// CMux step (key generation), have the reference body alone; the loads
+// convert before the AVX2 stages.
 //
-// Both bodies spell every floating-point expression with the same shape
+// Both bodies spell every floating-point expression with the same operands
 // and evaluation order, so they produce bitwise-identical float64 results
-// up to the sign of zeros — and therefore identical Torus32 outputs on
-// every public operation. The assembly departs in one place, a commuted
-// add in the complex multiply (bi·wr + br·wi for br·wi + bi·wr), which
-// IEEE 754 leaves bitwise equal; and it uses no FMA instruction, which
-// rounds once where the reference rounds twice (`make lint` refuses one:
-// no-fma). The radix-4 and fold bodies read the same twiddle and untwist
-// values as the reference, from copies stored in the order their lanes
-// take them (laneTable in fft.go: (wr, wr) and (wi, wi) of two butterflies
-// side by side), so each complex multiply takes its constants as memory
-// operands and shuffles only the data. The reference reads the natural
-// (re, im) tables, which stay the specification. The decompose load
-// commutes nothing: it reads the twist's two planes (Processor.twist, the
-// real parts and then the imaginary parts), forms re = a·tr − b·ti and
-// im = a·ti + b·tr per plane, four pairs to a register, the reference's
-// expression operand for operand, and interleaves the planes only to
-// store them. The tile MAC holds its sums in registers instead of memory,
-// so it must also sum in the same order: each accumulator starts at +0 (a
-// −0 start would turn a −0 first product into −0 where Clear's +0 gives
-// +0) and adds the rows in (j, l) order, one rounding per row, which is
-// what makes it equal to Clear followed by one mulAccRef per row.
+// — and therefore identical Torus32 outputs on every public operation.
+// The block-planar bodies compute each complex multiply as the reference
+// does, operand for operand, from block-planar twiddle and untwist tables
+// (planarTable in fft.go: per four butterflies, four real parts then four
+// imaginary parts) that hold the reference's natural (re, im) values,
+// which stay the specification. They never form the reference's
+// t3 = i·d = (−di, dr): t1 + t3 is (t1r − di, t1i + dr) and t1 − t3 is
+// (t1r + di, t1i − dr), which IEEE 754 makes bitwise equal. The tile MAC
+// departs in one place, a commuted add in its complex multiply
+// (bi·wr + br·wi for br·wi + bi·wr), which IEEE 754 leaves bitwise equal.
+// No body uses an FMA instruction, which rounds once where the reference
+// rounds twice, and the reference writes every product float64(x*y), an
+// explicit conversion that forbids the compiler to fuse it (gc would on
+// arm64); `make lint` refuses either (no-fma). That pins each reference
+// body to one result per input on every FPU. It does not make results
+// equal across architectures: the twiddle, twist and untwist tables come
+// from math.Cos and math.Sin. The decompose load reads the twist's two
+// planes (Processor.twist, the real parts and then the imaginary parts),
+// forms re = a·tr − b·ti and im = a·ti + b·tr per plane, four pairs to a
+// register, and stores the two registers as one block-planar block. The
+// tile MAC holds its sums in registers instead of memory, so it must also
+// sum in the same order: each accumulator starts at +0 (a −0 start would
+// turn a −0 first product into −0 where Clear's +0 gives +0) and adds the
+// rows in (j, l) order, one rounding per row, which is what makes it
+// equal to Clear followed by one mulAccRef per row.
 //
 // The fold rounds as roundToTorus does, operation for operation, with
 // VROUNDPD's truncation (there is no packed double→int64 convert below

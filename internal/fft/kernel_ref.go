@@ -6,13 +6,16 @@ import (
 )
 
 // Reference kernels: plain bounds-checked Go implementations of the
-// butterfly stages and the fused load/fold passes. These are the bitwise
-// ground truth the AVX2 bodies are checked against, and the body every
-// loop runs where its AVX2 body does not, so every floating-point
-// expression here is written with explicit re/im float64 arithmetic in
-// exactly the shape the assembly uses — complex multiplies as
-// (ar*br-ai*bi, ar*bi+ai*br), i-multiplies as (-di, dr) — and any change
-// to an expression shape must be mirrored in kernel_amd64.s.
+// butterfly stages and the fused load/fold passes, on interleaved values.
+// These are the bitwise ground truth the AVX2 bodies are checked against,
+// and the body every loop runs where its AVX2 body does not, so every
+// floating-point expression here is written with explicit re/im float64
+// arithmetic in exactly the shape the assembly uses — complex multiplies
+// as (ar*br-ai*bi, ar*bi+ai*br), i-multiplies as (-di, dr) — and any
+// change to an expression shape must be mirrored in kernel_amd64.s. Every
+// product is written float64(x*y): the conversion rounds it (the Go spec
+// says so of an explicit conversion), so no compiler may fuse it into a
+// multiply-add, as gc does on arm64 otherwise (make lint: no-fma).
 
 // loadTorusRef performs the fused fold+twist forward load: the two real
 // halves of src become one complex point per index, multiplied by the
@@ -25,7 +28,7 @@ func loadTorusRef(dst FourierPoly, src []torus.Torus32, twist []float64) {
 		ar := float64(int32(src[j]))
 		ai := float64(int32(src[j+m]))
 		tr, ti := twist[j], twist[m+j]
-		dst[j] = complex(ar*tr-ai*ti, ar*ti+ai*tr)
+		dst[j] = complex(float64(ar*tr)-float64(ai*ti), float64(ar*ti)+float64(ai*tr))
 	}
 }
 
@@ -36,7 +39,7 @@ func loadIntRef(dst FourierPoly, src []int32, twist []float64) {
 		ar := float64(src[j])
 		ai := float64(src[j+m])
 		tr, ti := twist[j], twist[m+j]
-		dst[j] = complex(ar*tr-ai*ti, ar*ti+ai*tr)
+		dst[j] = complex(float64(ar*tr)-float64(ai*ti), float64(ar*ti)+float64(ai*tr))
 	}
 }
 
@@ -68,7 +71,7 @@ func (p *Processor) decompLoadRef(dsts []FourierPoly, dec poly.Decomposer, src p
 		tr, ti := p.twist[j], p.twist[m+j]
 		for l := 0; l < lb; l++ {
 			ar, ai := float64(da[l]), float64(db[l])
-			dsts[l][j] = complex(ar*tr-ai*ti, ar*ti+ai*tr)
+			dsts[l][j] = complex(float64(ar*tr)-float64(ai*ti), float64(ar*ti)+float64(ai*tr))
 		}
 	}
 }
@@ -114,9 +117,9 @@ func fwdStage4Ref(buf []complex128, st stage) {
 			b2r, b2i := t0r-t2r, t0i-t2i
 			b3r, b3i := t1r-t3r, t1i-t3i
 			buf[b+k] = complex(t0r+t2r, t0i+t2i)
-			buf[b+k+q] = complex(b1r*w1r-b1i*w1i, b1r*w1i+b1i*w1r)
-			buf[b+k+2*q] = complex(b2r*w2r-b2i*w2i, b2r*w2i+b2i*w2r)
-			buf[b+k+3*q] = complex(b3r*w3r-b3i*w3i, b3r*w3i+b3i*w3r)
+			buf[b+k+q] = complex(float64(b1r*w1r)-float64(b1i*w1i), float64(b1r*w1i)+float64(b1i*w1r))
+			buf[b+k+2*q] = complex(float64(b2r*w2r)-float64(b2i*w2i), float64(b2r*w2i)+float64(b2i*w2r))
+			buf[b+k+3*q] = complex(float64(b3r*w3r)-float64(b3i*w3i), float64(b3r*w3i)+float64(b3i*w3r))
 		}
 	}
 }
@@ -174,9 +177,9 @@ func invStage4Ref(buf []complex128, st stage) {
 			w2r, w2i := tw[ti+2], tw[ti+3]
 			w3r, w3i := tw[ti+4], tw[ti+5]
 			ti += 6
-			v1r, v1i := real(x1)*w1r-imag(x1)*w1i, real(x1)*w1i+imag(x1)*w1r
-			v2r, v2i := real(x2)*w2r-imag(x2)*w2i, real(x2)*w2i+imag(x2)*w2r
-			v3r, v3i := real(x3)*w3r-imag(x3)*w3i, real(x3)*w3i+imag(x3)*w3r
+			v1r, v1i := float64(real(x1)*w1r)-float64(imag(x1)*w1i), float64(real(x1)*w1i)+float64(imag(x1)*w1r)
+			v2r, v2i := float64(real(x2)*w2r)-float64(imag(x2)*w2i), float64(real(x2)*w2i)+float64(imag(x2)*w2r)
+			v3r, v3i := float64(real(x3)*w3r)-float64(imag(x3)*w3i), float64(real(x3)*w3i)+float64(imag(x3)*w3r)
 			t0r, t0i := real(x0)+v2r, imag(x0)+v2i
 			t1r, t1i := real(x0)-v2r, imag(x0)-v2i
 			t2r, t2i := v1r+v3r, v1i+v3i
@@ -216,9 +219,9 @@ func invFoldRef(dst []torus.Torus32, src []complex128, st stage, untwist []float
 		w2r, w2i := tw[ti+2], tw[ti+3]
 		w3r, w3i := tw[ti+4], tw[ti+5]
 		ti += 6
-		v1r, v1i := real(x1)*w1r-imag(x1)*w1i, real(x1)*w1i+imag(x1)*w1r
-		v2r, v2i := real(x2)*w2r-imag(x2)*w2i, real(x2)*w2i+imag(x2)*w2r
-		v3r, v3i := real(x3)*w3r-imag(x3)*w3i, real(x3)*w3i+imag(x3)*w3r
+		v1r, v1i := float64(real(x1)*w1r)-float64(imag(x1)*w1i), float64(real(x1)*w1i)+float64(imag(x1)*w1r)
+		v2r, v2i := float64(real(x2)*w2r)-float64(imag(x2)*w2i), float64(real(x2)*w2i)+float64(imag(x2)*w2r)
+		v3r, v3i := float64(real(x3)*w3r)-float64(imag(x3)*w3i), float64(real(x3)*w3i)+float64(imag(x3)*w3r)
 		t0r, t0i := real(x0)+v2r, imag(x0)+v2i
 		t1r, t1i := real(x0)-v2r, imag(x0)-v2i
 		t2r, t2i := v1r+v3r, v1i+v3i
@@ -235,8 +238,8 @@ func invFoldRef(dst []torus.Torus32, src []complex128, st stage, untwist []float
 // both components to the torus and adds them into the two real halves.
 func foldAccRef(dst []torus.Torus32, pos int, yr, yi float64, untwist []float64, m int) {
 	ur, ui := untwist[2*pos], untwist[2*pos+1]
-	dst[pos] += roundToTorus(yr*ur - yi*ui)
-	dst[pos+m] += roundToTorus(yr*ui + yi*ur)
+	dst[pos] += roundToTorus(float64(yr*ur) - float64(yi*ui))
+	dst[pos+m] += roundToTorus(float64(yr*ui) + float64(yi*ur))
 }
 
 // mulAccRef accumulates the pointwise complex product: acc += a ⊙ b.
@@ -245,7 +248,7 @@ func mulAccRef(acc, a, b FourierPoly) {
 		ar, ai := real(a[i]), imag(a[i])
 		br, bi := real(b[i]), imag(b[i])
 		cr, ci := real(acc[i]), imag(acc[i])
-		acc[i] = complex(cr+(ar*br-ai*bi), ci+(ar*bi+ai*br))
+		acc[i] = complex(cr+(float64(ar*br)-float64(ai*bi)), ci+(float64(ar*bi)+float64(ai*br)))
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -261,11 +263,12 @@ func TestFastMatchesReferenceBitwise(t *testing.T) {
 }
 
 func testFastMatchesReferenceBitwise(t *testing.T) {
-	// Every transform size up to set III's, and set IV's: between them
-	// every stage size the kernels see, N = 2048 being the only paper set
-	// whose radix-4 ladder ends in a q = 1 stage. The "fast" side runs the
+	// Every transform size from 4 to set IV's 16384: every stage size the
+	// kernels see, both tails and heads (q = 2 and q = 1), and the sizes
+	// below the AVX2 path's M ≥ 16, N = 2048 being the only paper set whose
+	// radix-4 ladder ends in a q = 1 stage. The "fast" side runs the
 	// kernels as the caller left them, the other with the AVX2 bodies off.
-	for _, n := range []int{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 16384} {
+	for _, n := range []int{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384} {
 		p := NewProcessor(n)
 		rng := rand.New(rand.NewSource(17))
 		src := poly.New(n)
@@ -353,17 +356,19 @@ func sameBits(a, b []complex128) int {
 	return -1
 }
 
-func TestLaneTablesReorderNatural(t *testing.T) {
+func TestPlanarTablesReorderNatural(t *testing.T) {
 	// Every constant an AVX2 body multiplies by, read back from the slots
 	// that body reads, for every m in 8 … 8192: in each radix-4 stage with
-	// q ≥ 2 of either direction, butterfly k's w^r as (wr, wr) at float
-	// 24·(k/2) + 8·(r−1) + 2·(k%2) and (wi, wi) four floats later; the
-	// untwist of position p as (ur, ur) at 8·(p/2) + 2·(p%2) and (ui, ui)
-	// four floats later. Each must be the natural table's (re, im).
-	check := func(what string, lanes []float64, i int, want float64) {
+	// q ≥ 2 of either direction, lane k of the runs of four (k = 0 … 3 when
+	// q = 2, whose runs read k mod 2) takes butterfly k mod q's w^r, its real
+	// part at float 24·(k/4) + 8·(r−1) + k%4 and its imaginary part four
+	// floats later; the untwist of position p has its real part at
+	// 8·(p/4) + p%4 and its imaginary part four floats later. Each must be
+	// the natural table's (re, im).
+	check := func(what string, table []float64, i int, want float64) {
 		t.Helper()
-		if lanes[i] != want || lanes[i+1] != want {
-			t.Fatalf("%s: lanes %d, %d hold %v, %v, want %v in both", what, i, i+1, lanes[i], lanes[i+1], want)
+		if table[i] != want {
+			t.Fatalf("%s: float %d holds %v, want %v", what, i, table[i], want)
 		}
 	}
 	for m := 8; m <= 8192; m <<= 1 {
@@ -375,105 +380,153 @@ func TestLaneTablesReorderNatural(t *testing.T) {
 			for _, st := range dir.stages {
 				q := st.size >> 2
 				if q < 2 {
-					if st.lanes != nil {
-						t.Fatalf("m=%d %s s=%d: a lane table no body reads", m, dir.name, st.size)
+					if st.planar != nil {
+						t.Fatalf("m=%d %s s=%d: a planar table no body reads", m, dir.name, st.size)
 					}
 					continue
 				}
-				if len(st.lanes) != 2*len(st.tw) {
-					t.Fatalf("m=%d %s s=%d: %d lane floats for %d twiddle floats", m, dir.name, st.size, len(st.lanes), len(st.tw))
+				if lanes := max(q, 4); len(st.planar) != 6*lanes {
+					t.Fatalf("m=%d %s s=%d: %d planar floats for %d lanes", m, dir.name, st.size, len(st.planar), lanes)
 				}
-				for k := 0; k < q; k++ {
+				for k := 0; k < max(q, 4); k++ {
 					for r := 1; r <= 3; r++ {
-						what := fmt.Sprintf("m=%d %s s=%d k=%d w^%d", m, dir.name, st.size, k, r)
-						i, nat := 24*(k/2)+8*(r-1)+2*(k%2), 6*k+2*(r-1)
-						check(what+" re", st.lanes, i, st.tw[nat])
-						check(what+" im", st.lanes, i+4, st.tw[nat+1])
+						what := fmt.Sprintf("m=%d %s s=%d lane %d w^%d", m, dir.name, st.size, k, r)
+						i, nat := 24*(k/4)+8*(r-1)+k%4, 6*(k%q)+2*(r-1)
+						check(what+" re", st.planar, i, st.tw[nat])
+						check(what+" im", st.planar, i+4, st.tw[nat+1])
 					}
 				}
 			}
 		}
-		if len(p.untwistLanes) != 2*len(p.untwist) {
-			t.Fatalf("m=%d: %d untwist lane floats for %d untwist floats", m, len(p.untwistLanes), len(p.untwist))
+		if len(p.untwistPlanar) != len(p.untwist) {
+			t.Fatalf("m=%d: %d planar untwist floats for %d untwist floats", m, len(p.untwistPlanar), len(p.untwist))
 		}
 		for pos := 0; pos < m; pos++ {
 			what := fmt.Sprintf("m=%d untwist position %d", m, pos)
-			i := 8*(pos/2) + 2*(pos%2)
-			check(what+" re", p.untwistLanes, i, p.untwist[2*pos])
-			check(what+" im", p.untwistLanes, i+4, p.untwist[2*pos+1])
+			i := 8*(pos/4) + pos%4
+			check(what+" re", p.untwistPlanar, i, p.untwist[2*pos])
+			check(what+" im", p.untwistPlanar, i+4, p.untwist[2*pos+1])
+		}
+	}
+}
+
+func TestPlanarConversionsInvert(t *testing.T) {
+	// toPlanar puts value j's parts at floats 8·(j/4) + j%4 and four on;
+	// toInterleaved restores every bit, zeros' signs and NaNs included.
+	in := make([]complex128, 64)
+	kernelOperands(rand.New(rand.NewSource(67)), in)
+	in[5] = complex(math.NaN(), math.Copysign(0, -1))
+	buf := append([]complex128(nil), in...)
+	toPlanar(buf)
+	f := unsafe.Slice((*float64)(unsafe.Pointer(&buf[0])), 2*len(buf))
+	for j, v := range in {
+		i := 8*(j/4) + j%4
+		if math.Float64bits(f[i]) != math.Float64bits(real(v)) || math.Float64bits(f[i+4]) != math.Float64bits(imag(v)) {
+			t.Fatalf("value %d: planar floats %d and %d hold %v, %v, want %v", j, i, i+4, f[i], f[i+4], v)
+		}
+	}
+	toInterleaved(buf)
+	for j := range in {
+		if math.Float64bits(real(buf[j])) != math.Float64bits(real(in[j])) || math.Float64bits(imag(buf[j])) != math.Float64bits(imag(in[j])) {
+			t.Fatalf("value %d: round trip gives %v, want %v", j, buf[j], in[j])
 		}
 	}
 }
 
 func TestStageKernelsMatchReferenceBitwise(t *testing.T) {
-	// The butterfly kernels that have an assembly body, called directly:
-	// every radix-4 stage of every N in 8 … 16384, forward and inverse
-	// tables, and the radix-2 pass at every transform length and at short
-	// ones — each at a buffer offset of zero and of one complex value, one
-	// of which is 16- but not 32-byte aligned whatever the allocator did.
-	// (The VMA's body is the tile MAC's: TestMulAccTileMatchesReferenceBitwise.)
+	// The butterfly passes that have an AVX2 body, called directly on the
+	// layout the transforms hand them, converted at the test's boundary:
+	// every radix-4 stage with q ≥ 4 of every N in 8 … 16384, forward and
+	// inverse tables, block-planar in and out; the forward tail (the q = 2
+	// stage and the radix-2 pass), block-planar in and interleaved out, and
+	// the inverse head (the radix-2 pass and the q = 2 stage), interleaved in
+	// and block-planar out, at every m = 2·4^j from 32 — each at a buffer
+	// offset of zero and of one complex value, one of which is 16- but not
+	// 32-byte aligned whatever the allocator did. With the AVX2 bodies off
+	// both sides run the reference. (The VMA's body is the tile MAC's:
+	// TestMulAccTileMatchesReferenceBitwise.)
 	bothBodies(t, func(t *testing.T) {
+		avx := torus.UseAVX2()
 		rng := rand.New(rand.NewSource(31))
-		lengths := []int{2, 6}
-		for m := 4; m <= 8192; m <<= 1 {
-			lengths = append(lengths, m)
-			fwd, inv := buildStages(m, +1), buildStages(m, -1)
-			for i, st := range fwd {
-				if st.size < 4 {
-					continue
-				}
-				for off := 0; off < 2; off++ {
-					in := make([]complex128, m+off)
-					kernelOperands(rng, in)
-					for _, k := range []struct {
-						name      string
-						fast, ref func([]complex128, stage)
-						st        stage
-					}{{"fwdStage4", fwdStage4Fast, fwdStage4Ref, st}, {"invStage4", invStage4Fast, invStage4Ref, inv[i]}} {
-						got, want := append([]complex128(nil), in...), append([]complex128(nil), in...)
-						k.fast(got[off:], k.st)
-						k.ref(want[off:], k.st)
-						if i := sameBits(got, want); i >= 0 {
-							t.Fatalf("%s m=%d s=%d offset %d: slot %d is %v, reference %v", k.name, m, st.size, off, i, got[i], want[i])
-						}
-					}
-				}
+		compare := func(what string, got, want []complex128) {
+			t.Helper()
+			if i := sameBits(got, want); i >= 0 {
+				t.Fatalf("%s: slot %d is %v, reference %v", what, i, got[i], want[i])
 			}
 		}
-		for _, n := range lengths {
+		for m := 4; m <= 8192; m <<= 1 {
+			fwd, inv := buildStages(m, +1), buildStages(m, -1)
 			for off := 0; off < 2; off++ {
-				// The radix-2 pass: in place as the forward transform ends
-				// with it, out of place as the inverse one starts with it.
-				in := make([]complex128, n+off)
+				in := make([]complex128, m+off)
 				kernelOperands(rng, in)
-				got, want := append([]complex128(nil), in...), append([]complex128(nil), in...)
-				fwdStage2Fast(got[off:])
-				fwdStage2Ref(want[off:])
-				if i := sameBits(got, want); i >= 0 {
-					t.Fatalf("fwdStage2 n=%d offset %d: slot %d is %v, reference %v", n, off, i, got[i], want[i])
+				for i, st := range fwd {
+					if st.size < 16 {
+						continue
+					}
+					for _, k := range []struct {
+						name string
+						body func(buf *complex128, n, s int, tw *float64)
+						ref  func([]complex128, stage)
+						st   stage
+					}{{"fwdStage4", fwdStage4AVX2, fwdStage4Ref, st}, {"invStage4", invStage4AVX2, invStage4Ref, inv[i]}} {
+						got, want := append([]complex128(nil), in...), append([]complex128(nil), in...)
+						if g := got[off:]; avx {
+							toPlanar(g)
+							k.body(unsafe.SliceData(g), m, k.st.size, unsafe.SliceData(k.st.planar))
+							toInterleaved(g)
+						} else {
+							k.ref(g, k.st)
+						}
+						k.ref(want[off:], k.st)
+						compare(fmt.Sprintf("%s m=%d s=%d offset %d", k.name, m, st.size, off), got, want)
+					}
 				}
+				if m < 32 || fwd[len(fwd)-1].size != 2 {
+					continue
+				}
+				tail, head := fwd[len(fwd)-2], inv[len(inv)-2]
+				got, want := append([]complex128(nil), in...), append([]complex128(nil), in...)
+				if g := got[off:]; avx {
+					toPlanar(g)
+					fwdTailAVX2(unsafe.SliceData(g), m, unsafe.SliceData(tail.planar))
+				} else {
+					fwdStage4Ref(g, tail)
+					fwdStage2Ref(g)
+				}
+				fwdStage4Ref(want[off:], tail)
+				fwdStage2Ref(want[off:])
+				compare(fmt.Sprintf("fwdTail m=%d offset %d", m, off), got, want)
+
 				kernelOperands(rng, got)
 				copy(want, got)
-				invFirstFast(got[off:], in[off:], 2)
-				invFirstRef(want[off:], in[off:], 2)
-				if i := sameBits(got, want); i >= 0 {
-					t.Fatalf("invFirst size 2 n=%d offset %d: slot %d is %v, reference %v", n, off, i, got[i], want[i])
+				src := append([]complex128(nil), in...)
+				if g := got[off:]; avx {
+					invHeadAVX2(unsafe.SliceData(g), unsafe.SliceData(src[off:]), m, unsafe.SliceData(head.planar))
+					toInterleaved(g)
+				} else {
+					invFirstRef(g, src[off:], 2)
+					invStage4Ref(g, head)
 				}
+				invFirstRef(want[off:], in[off:], 2)
+				invStage4Ref(want[off:], head)
+				compare(fmt.Sprintf("invHead m=%d offset %d", m, off), got, want)
+				compare(fmt.Sprintf("invHead m=%d offset %d source", m, off), src, in)
 			}
 		}
 	})
 }
 
 func TestDecompLoadMatchesReferenceBitwise(t *testing.T) {
-	// The fused load called directly, against decompLoadRef: every level
-	// count shape (register-held 2 and 3, the general loop, one-bit digits,
-	// gadgets that use all 32 bits so rshift = 0), plain and rot-sub with
-	// the rotation stepping through every run shape — a run empty, of one
-	// to seven pairs (the reference's), of exactly the eight a lane group
-	// takes, of nine to fifteen (one group and the overlapped last one),
-	// and every length mod 8 on both runs; first half or second half
-	// wrapped; e ≥ N — over sources that mix random words with 0, 2^31 and
-	// 2^32 − 1.
+	// The fused load called directly, against decompLoadRef, its
+	// block-planar output converted back: every level count shape
+	// (register-held 2 and 3, the general loop, one-bit digits, gadgets that
+	// use all 32 bits so rshift = 0), plain and rot-sub with the rotation
+	// stepping through every run shape — the boundary inside a block or on
+	// its edge, a run empty, of one block (the reference's), of exactly the
+	// two blocks an AVX2 step takes, of three (one step and the overlapped
+	// last one), and every length mod 8 on both runs; first half or second
+	// half wrapped; e ≥ N — over sources that mix random words with 0, 2^31
+	// and 2^32 − 1.
 	decs := []poly.Decomposer{poly.NewDecomposer(10, 2), poly.NewDecomposer(7, 3), poly.NewDecomposer(4, 8), poly.NewDecomposer(1, 32), poly.NewDecomposer(16, 2), poly.NewDecomposer(8, 4)}
 	bothBodies(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(41))
@@ -491,7 +544,7 @@ func TestDecompLoadMatchesReferenceBitwise(t *testing.T) {
 			}
 			var es []int
 			for r := 0; r < m; r++ {
-				if r <= 9 || r >= m-9 {
+				if r <= 13 || r >= m-13 {
 					es = append(es, r, r+m, r+n, r+m+n)
 				}
 			}
@@ -503,7 +556,14 @@ func TestDecompLoadMatchesReferenceBitwise(t *testing.T) {
 							got[l][i] = complex(math.NaN(), 1) // a slot the load skips shows
 						}
 					}
-					p.decompLoadFast(got, dec, src, e, rotSub)
+					if p.planar() {
+						p.decompLoadPlanar(got, dec, src, e, rotSub)
+						for l := range got {
+							toInterleaved(got[l])
+						}
+					} else {
+						p.decompLoadRef(got, dec, src, e, rotSub, 0, m)
+					}
 					p.decompLoadRef(want, dec, src, e, rotSub, 0, m)
 					for l := range got {
 						if i := sameBits(got[l], want[l]); i >= 0 {
@@ -527,11 +587,12 @@ func TestDecompLoadMatchesReferenceBitwise(t *testing.T) {
 }
 
 func TestDecompLoadAVX2WritesOnlyItsRun(t *testing.T) {
-	// The AVX2 body called directly over one run [lo, lo+cnt): every level
-	// holds decompLoadRef's bits there and nothing is written outside it,
-	// for the plain load (offsets 0 and m, no sign) and the rot-sub run
-	// [k, m) of e = k < m (offsets −k and m−k, no sign), at four level
-	// counts, one group and several, aligned to eight pairs and not.
+	// The AVX2 body called directly over one run [lo, lo+cnt) of whole
+	// blocks: every level holds decompLoadRef's bits there, block-planar,
+	// and nothing is written outside it, for the plain load (offsets 0 and
+	// m, no sign) and the rot-sub run from k of e = k < m (offsets −k and
+	// m−k, no sign), at four level counts, one step and several, aligned to
+	// eight pairs and not.
 	if !torus.HasAVX2() {
 		t.Skip("no AVX2 body on this build and host")
 	}
@@ -560,14 +621,19 @@ func TestDecompLoadAVX2WritesOnlyItsRun(t *testing.T) {
 					sub = ^uint32(0)
 				}
 				p.decompLoadRef(want, dec, src, k, rotSub, 0, m)
-				for _, r := range [][2]int{{k, 8}, {k + 1, 16}, {k + 5, 24}, {m - 8, 8}, {k, (m - k) &^ 7}} {
+				a := (k + 3) &^ 3 // the first block of the run
+				for _, r := range [][2]int{{a, 8}, {a + 4, 16}, {a + 8, 24}, {m - 8, 8}, {a, (m - a) &^ 7}} {
 					lo, cnt := r[0], r[1]
 					for l := range got {
 						for i := range got[l] {
 							got[l][i] = complex(math.NaN(), math.NaN())
 						}
 					}
-					decompLoadAVX2(&dp[0], lb, &p.twist[0], &p.twist[m], (*uint32)(unsafe.SliceData(src.Coeffs)), -k, m-k, m, lo, cnt, 0, 0, sub, rhalf, uint32(1)<<bl-1, rshift, bl)
+					word := func(x int) *uint32 { return (*uint32)(&src.Coeffs[x]) }
+					decompLoadAVX2(&dp[0], lb, &p.twist[lo], &p.twist[m+lo], word(lo-k), word(lo+m-k), word(lo), word(lo+m), lo, cnt, 0, 0, sub, rhalf, uint32(1)<<bl-1, rshift, bl)
+					for l := range got {
+						toInterleaved(got[l])
+					}
 					for l := range got {
 						for j := range got[l] {
 							written := !math.IsNaN(real(got[l][j]))
@@ -668,13 +734,14 @@ func foldValues(rng *rand.Rand) []float64 {
 func TestInvFoldMatchesReferenceBitwise(t *testing.T) {
 	// The fold stage called directly, at every transform length and at a
 	// source offset of zero and of one complex value (16- but not 32-byte
-	// aligned). First through the real tables, with operands of every
+	// aligned), its AVX2 body (m ≥ 16) on the source made block-planar. First through the real tables, with operands of every
 	// binade up to 2^61. Then value by value: with the other three legs'
 	// inputs zero and an all-real untwist table, the four outputs of
 	// butterfly k are all src[k] and its parts reach roundToTorus unchanged,
 	// so every entry of foldValues passes through a rounding lane in every
 	// lane position, and the sum must also be what roundToTorus says.
 	bothBodies(t, func(t *testing.T) {
+		avx := torus.UseAVX2()
 		rng := rand.New(rand.NewSource(47))
 		vals := foldValues(rng)
 		for m := 2; m <= 8192; m <<= 1 {
@@ -689,10 +756,17 @@ func TestInvFoldMatchesReferenceBitwise(t *testing.T) {
 			for i := range init {
 				init[i] = rng.Uint32()
 			}
-			unitLanes := laneTable(unit, 1)
-			fold := func(what string, src []complex128, untwist, lanes []float64) []torus.Torus32 {
+			unitPlanar := planarTable(unit, 1)
+			fold := func(what string, off int, src []complex128, untwist, planar []float64) []torus.Torus32 {
 				got, want := append([]torus.Torus32(nil), init...), append([]torus.Torus32(nil), init...)
-				invFoldFast(got, src, st, untwist, lanes, m)
+				if avx && m >= 16 {
+					ps := make([]complex128, m+off)[off:]
+					copy(ps, src)
+					toPlanar(ps)
+					invFoldAVX2(unsafe.SliceData(got), unsafe.SliceData(ps), q, unsafe.SliceData(st.planar), unsafe.SliceData(planar))
+				} else {
+					invFoldRef(got, src, st, untwist, m)
+				}
 				invFoldRef(want, src, st, untwist, m)
 				for i := range got {
 					if got[i] != want[i] {
@@ -709,14 +783,14 @@ func TestInvFoldMatchesReferenceBitwise(t *testing.T) {
 						re, im := vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]
 						src[i] = complex(re*rng.Float64(), im*rng.Float64())
 					}
-					fold(fmt.Sprintf("offset %d, real tables", off), src, p.untwist, p.untwistLanes)
+					fold(fmt.Sprintf("offset %d, real tables", off), off, src, p.untwist, p.untwistPlanar)
 				}
 				for lo := 0; lo < len(vals) && m >= 4; lo += 2 * q {
 					clear(src)
 					for k := 0; k < q; k++ {
 						src[k] = complex(vals[(lo+2*k)%len(vals)], vals[(lo+2*k+1)%len(vals)])
 					}
-					sum := fold(fmt.Sprintf("offset %d, values from %d", off, lo), src, unit, unitLanes)
+					sum := fold(fmt.Sprintf("offset %d, values from %d", off, lo), off, src, unit, unitPlanar)
 					for pos := 0; pos < m; pos++ {
 						y := src[pos%q]
 						if wr, wi := init[pos]+roundToTorus(real(y)), init[pos+m]+roundToTorus(imag(y)); sum[pos] != wr || sum[pos+m] != wi {
@@ -727,6 +801,86 @@ func TestInvFoldMatchesReferenceBitwise(t *testing.T) {
 			}
 		}
 	})
+}
+
+func TestKernelSwitchMidRun(t *testing.T) {
+	// One goroutine flips the kernels in a loop while two others transform
+	// at N = 1024: whichever layout each call takes, every output must be
+	// the reference's, bit for bit. A transform that read the switch per
+	// pass, not once per call, would mix the two layouts in one buffer.
+	const n = 1024
+	p := NewProcessor(n)
+	dec := poly.NewDecomposer(10, 2)
+	rng := rand.New(rand.NewSource(61))
+	src := poly.New(n)
+	poly.Uniform(rng, src)
+	es := []int{0, 1, 6, 301, 512, 1030, 2047}
+	fp := p.NewFourierPoly()
+	kernelOperands(rng, fp)
+	for i := range fp {
+		// Magnitudes the fold rounds exactly (below 2^52 after the 1/m).
+		fp[i] = complex(math.Mod(real(fp[i]), 1<<50), math.Mod(imag(fp[i]), 1<<50))
+	}
+	wantDec := make([][]FourierPoly, len(es))
+	wantInv := poly.New(n)
+	withKernel(false, func() {
+		for i, e := range es {
+			wantDec[i] = p.NewFourierPolyBatch(dec.Level)
+			p.ForwardDecomposeRotSub(wantDec[i], dec, src, e)
+		}
+		p.InverseTo(wantInv, fp)
+	})
+
+	prev := SetFastKernel(true)
+	defer SetFastKernel(prev)
+	// The workers go on until the switch has moved often while they ran,
+	// however the scheduler interleaves the three goroutines.
+	var flips atomic.Int64
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				SetFastKernel(flips.Add(1)%2 == 0)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := p.NewFourierPolyBatch(dec.Level)
+			inv := poly.New(n)
+			start := flips.Load()
+			for round := 0; round < 100 || flips.Load()-start < 1e6; round++ {
+				for i, e := range es {
+					p.ForwardDecomposeRotSub(got, dec, src, e)
+					for l := range got {
+						if j := sameBits(got[l], wantDec[i][l]); j >= 0 {
+							t.Errorf("round %d e=%d level %d slot %d: %v, reference %v", round, e, l, j, got[l][j], wantDec[i][l][j])
+							return
+						}
+					}
+				}
+				clear(inv.Coeffs)
+				p.InverseTo(inv, fp)
+				for j := range inv.Coeffs {
+					if inv.Coeffs[j] != wantInv.Coeffs[j] {
+						t.Errorf("round %d InverseTo coefficient %d: %#x, reference %#x", round, j, inv.Coeffs[j], wantInv.Coeffs[j])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-done
 }
 
 func TestInverseToNoAlloc(t *testing.T) {
@@ -836,4 +990,80 @@ func BenchmarkFFTForwardDecompose(b *testing.B) {
 	}
 	bench(b, 1024, poly.NewDecomposer(10, 2))
 	b.Run("n=2048", func(b *testing.B) { bench(b, 2048, poly.NewDecomposer(8, 3)) })
+}
+
+// BenchmarkFFTPasses times each pass of set I's CMux transforms (N = 1024,
+// m = 512, gadget (10, 2)) alone, per kernel set: the forward transform's
+// decompose load (rot-sub, both levels, the rotation stepping), its
+// radix-4 stages and its tail (the q = 2 stage and the radix-2 pass), and
+// the inverse transform's head (the radix-2 pass and the q = 2 stage), its
+// radix-4 stages and its fold. The AVX2 passes take the block-planar
+// layout the transforms give them. The butterfly buffers hold zeros: a
+// pass's time does not depend on the values, bar subnormals, and zeros do
+// not grow into them over repeated calls.
+func BenchmarkFFTPasses(b *testing.B) {
+	const n = 1024
+	p := NewProcessor(n)
+	m := p.m
+	dec := poly.NewDecomposer(10, 2)
+	src := poly.New(n)
+	poly.Uniform(rand.New(rand.NewSource(71)), src)
+	digs := p.NewFourierPolyBatch(dec.Level)
+	buf, scratch := make([]complex128, m), make([]complex128, m)
+	dst := make([]torus.Torus32, n)
+	ptr := func(s []complex128) *complex128 { return unsafe.SliceData(s) }
+	e := 0
+	type pass struct {
+		name     string
+		avx, ref func()
+	}
+	passes := []pass{{"fwd/load",
+		func() { e = (e + 77) % (2 * n); p.decompLoadPlanar(digs, dec, src, e, true) },
+		func() { e = (e + 77) % (2 * n); p.decompLoadRef(digs, dec, src, e, true, 0, m) }}}
+	for _, st := range p.fwd {
+		switch st.size {
+		case 8:
+			passes = append(passes, pass{"fwd/tail",
+				func() { fwdTailAVX2(ptr(buf), m, unsafe.SliceData(st.planar)) },
+				func() { fwdStage4Ref(buf, st); fwdStage2Ref(buf) }})
+		case 2:
+		default:
+			passes = append(passes, pass{fmt.Sprintf("fwd/s=%d", st.size),
+				func() { fwdStage4AVX2(ptr(buf), m, st.size, unsafe.SliceData(st.planar)) },
+				func() { fwdStage4Ref(buf, st) }})
+		}
+	}
+	head, last := p.inv[1], len(p.inv)-1
+	passes = append(passes, pass{"inv/head",
+		func() { invHeadAVX2(ptr(scratch), ptr(buf), m, unsafe.SliceData(head.planar)) },
+		func() { invFirstRef(scratch, buf, 2); invStage4Ref(scratch, head) }})
+	for _, st := range p.inv[2:last] {
+		passes = append(passes, pass{fmt.Sprintf("inv/s=%d", st.size),
+			func() { invStage4AVX2(ptr(scratch), m, st.size, unsafe.SliceData(st.planar)) },
+			func() { invStage4Ref(scratch, st) }})
+	}
+	fold := p.inv[last]
+	passes = append(passes, pass{"inv/fold",
+		func() {
+			invFoldAVX2(unsafe.SliceData(dst), ptr(scratch), m/4, unsafe.SliceData(fold.planar), unsafe.SliceData(p.untwistPlanar))
+		},
+		func() { invFoldRef(dst, scratch, fold, p.untwist, m) }})
+	for _, set := range []string{"avx2", "ref"} {
+		b.Run("kernel="+set, func(b *testing.B) {
+			if set == "avx2" && !FastKernelAvailable() {
+				b.Skip("no AVX2 body on this build and host")
+			}
+			for _, ps := range passes {
+				run := ps.ref
+				if set == "avx2" {
+					run = ps.avx
+				}
+				b.Run(ps.name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						run()
+					}
+				})
+			}
+		})
+	}
 }
