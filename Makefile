@@ -98,10 +98,12 @@ bench-compare:
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
-lint: fmt-check vet vet-cross no-deprecated no-retired-gate no-retired-ops no-fma
+lint: fmt-check vet vet-cross no-deprecated no-retired-gate no-retired-ops no-fma docs
 
 # Documentation gate: every internal package needs a package comment and
-# every exported identifier a doc comment (see cmd/doccheck).
+# every exported identifier a doc comment, and every exported identifier
+# needs a caller outside tests unless cmd/doccheck/allowlist.txt names it
+# with a reason (see cmd/doccheck).
 docs:
 	$(GO) run ./cmd/doccheck ./internal/...
 
@@ -161,7 +163,11 @@ no-retired-gate:
 # its generic fill), so that a second key parser does not come back. Nor
 # may any name the interleaved transform bodies' lane tables, their
 # radix-2 body or their per-pass dispatchers, which the block-planar
-# transforms replaced.
+# transforms replaced. Nor may any name the integer evaluator's
+# constructors, which ran intops circuits beside sched.Runner, or the
+# stream key decoder beside the receiver's ReadEvalKeyHeader, ReadSized
+# and ViewEvalKey, so that a second circuit runner or a second key decoder
+# cannot come back behind a new caller.
 no-retired-ops:
 	@! git grep -nE 'BatchGates|(^|[^k])StreamGates|BatchEvalLUT|StreamLUT\(|BatchMultiLUT|StreamMultiLUT|BatchBootstrap|StreamBootstrap|BatchKeySwitch|EvalCircuit|engine\.New\(|engine\.Config([^A-Za-z0-9_]|$$)|DefaultMinStream|BlindRotateBatch|BlindRotateSteps|Runner\{Batch' -- '*.go' ':!benchmark' ':!internal/engine/engine.go'
 	@! git grep -nE 'GGSWFourier\{''Rows|ForwardTorus''BatchTo|ForwardInt''BatchTo|Inverse''BatchTo|mulAcc''Fast|mulAcc''AVX2|fft\.Mul''\(' -- '*.go'
@@ -169,6 +175,7 @@ no-retired-ops:
 	@! git grep -nE 'loadTorus''Fast|loadInt''Fast|mulAccTile''Go|foldAcc''Fast|digit''Fast|storeTwisted''Fast|go:''linkname' -- '*.go' '*.s'
 	@! git grep -nE 'readFourier|readTorus([^I]|$$)|fill\[' -- '*.go'
 	@! git grep -nE 'lane''Table|untwist''Lanes|stage\.lanes|stage2''AVX2|(fwdStage4|fwdStage2|invFirst|invStage4|invFold|decompLoad)''Fast' -- '*.go' '*.s'
+	@! git grep -nE 'intops\.New''\(|New''Scheduled|New''Optimized|Decode''EvalKey' -- '*.go'
 
 # No fused multiply-add in any assembly file: it rounds once where the
 # reference kernels round twice, and fast == ref is bitwise. Nor in what the

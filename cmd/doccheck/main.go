@@ -5,6 +5,15 @@
 // the whole group). It is the `make docs` / CI gate, a dependency-free
 // stand-in for revive's exported rule.
 //
+// It also requires every exported identifier of a checked package to have
+// a caller: some non-test .go file of the module, or any file under
+// benchmark/, must reference it (see unused). An export that only tests
+// reach is deleted, or its tests move onto the path production runs. The
+// exceptions are the lines of allowlist.txt, beside this file, one
+// "identifier  # reason" each, where the identifier is pkg.Name,
+// pkg.Type.Method, a package directory or a file; a line that no longer
+// matches a finding is itself a finding, so the list cannot go stale.
+//
 // Usage:
 //
 //	doccheck ./internal/...        # check all packages under internal/
@@ -15,6 +24,8 @@
 package main
 
 import (
+	_ "embed"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -26,25 +37,52 @@ import (
 	"strings"
 )
 
+//go:embed allowlist.txt
+var allowlist string
+
+// allowFile names the allowlist in findings, relative to the module root.
+const allowFile = "cmd/doccheck/allowlist.txt"
+
 func main() {
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "doccheck:", err)
+		os.Exit(2)
+	}
 	patterns := os.Args[1:]
 	if len(patterns) == 0 {
 		patterns = []string{"./internal/..."}
 	}
 	dirs, err := expand(patterns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "doccheck:", err)
-		os.Exit(2)
+		fail(err)
+	}
+	root, err := moduleRoot()
+	if err != nil {
+		fail(err)
+	}
+	allow, err := parseAllow(allowlist)
+	if err != nil {
+		fail(err)
 	}
 	var findings []string
+	var exps []export
 	for _, dir := range dirs {
-		fs, err := checkDir(dir)
+		fset, files, err := parseDir(dir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "doccheck:", err)
-			os.Exit(2)
+			fail(err)
 		}
-		findings = append(findings, fs...)
+		findings = append(findings, checkDocs(fset, files)...)
+		rel, err := relDir(root, dir)
+		if err != nil {
+			fail(err)
+		}
+		exps = append(exps, exportsOf(fset, files, rel)...)
 	}
+	orphans, err := unused(root, exps)
+	if err != nil {
+		fail(err)
+	}
+	findings = append(findings, filterAllowed(orphans, allow, allowFile)...)
 	for _, f := range findings {
 		fmt.Println(f)
 	}
@@ -52,6 +90,36 @@ func main() {
 		fmt.Fprintf(os.Stderr, "doccheck: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
+}
+
+// moduleRoot returns the nearest directory at or above the working
+// directory that holds a go.mod.
+func moduleRoot() (string, error) {
+	dir, err := os.Getwd()
+	if err != nil {
+		return "", err
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir, nil
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "", errors.New("no go.mod at or above the working directory")
+		}
+		dir = parent
+	}
+}
+
+// relDir returns dir, relative to the working directory, as a
+// slash-separated path relative to root.
+func relDir(root, dir string) (string, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return "", err
+	}
+	rel, err := filepath.Rel(root, abs)
+	return filepath.ToSlash(rel), err
 }
 
 // expand resolves "dir/..." patterns to the list of directories that
@@ -112,13 +180,12 @@ func hasGoFiles(dir string) bool {
 	return false
 }
 
-// checkDir parses the non-test files of one package directory and returns
-// its findings.
-func checkDir(dir string) ([]string, error) {
+// parseDir parses the non-test files of one package directory.
+func parseDir(dir string) (*token.FileSet, []*ast.File, error) {
 	fset := token.NewFileSet()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var files []*ast.File
 	for _, e := range entries {
@@ -128,12 +195,17 @@ func checkDir(dir string) ([]string, error) {
 		}
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		files = append(files, f)
 	}
+	return fset, files, nil
+}
+
+// checkDocs returns the documentation findings of one package's files.
+func checkDocs(fset *token.FileSet, files []*ast.File) []string {
 	if len(files) == 0 {
-		return nil, nil
+		return nil
 	}
 
 	var findings []string
@@ -166,7 +238,7 @@ func checkDir(dir string) ([]string, error) {
 			}
 		}
 	}
-	return findings, nil
+	return findings
 }
 
 func kindOf(d *ast.FuncDecl) string {
@@ -179,20 +251,26 @@ func kindOf(d *ast.FuncDecl) string {
 // exportedRecv reports whether d is a plain function or a method on an
 // exported type (methods on unexported types are not part of the API).
 func exportedRecv(d *ast.FuncDecl) bool {
-	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return true
-	}
+	return d.Recv == nil || len(d.Recv.List) == 0 || token.IsExported(recvName(d))
+}
+
+// recvName returns the name of a method's receiver type.
+func recvName(d *ast.FuncDecl) string {
 	t := d.Recv.List[0].Type
 	for {
 		switch x := t.(type) {
 		case *ast.StarExpr:
 			t = x.X
+		case *ast.ParenExpr:
+			t = x.X
 		case *ast.IndexExpr: // generic receiver T[P]
 			t = x.X
+		case *ast.IndexListExpr: // T[P, Q]
+			t = x.X
 		case *ast.Ident:
-			return x.IsExported()
+			return x.Name
 		default:
-			return true
+			return ""
 		}
 	}
 }

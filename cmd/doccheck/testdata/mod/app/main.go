@@ -1,0 +1,10 @@
+// Command app is the fixture's production caller.
+package main
+
+import "fixture/internal/lib"
+
+type hider interface{ Hidden() }
+
+var _ hider = lib.Impl{}
+
+func main() { lib.Used() }

@@ -143,13 +143,6 @@ func (m Model) ThroughputPBS() float64 {
 	return perCore * float64(m.Cfg.TvLP)
 }
 
-// KSThroughputLWE returns keyswitch operations per second per chip,
-// assuming the KS clusters of all cores run in parallel.
-func (m Model) KSThroughputLWE() float64 {
-	perCore := m.Cfg.FreqHz / float64(m.KSCyclesPerLWE())
-	return perCore * float64(m.Cfg.TvLP)
-}
-
 // KSHidden reports whether keyswitching is fully hidden behind the next
 // blind rotation (KS time for a core batch <= BR time for a core batch).
 func (m Model) KSHidden() bool {

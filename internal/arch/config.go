@@ -105,11 +105,6 @@ func (c Config) bskBytesPerSec() float64 {
 	return c.HBMBytesPerSec * float64(c.BskChannels) / float64(c.TotalChannels)
 }
 
-// kskBytesPerSec returns the bandwidth share for keyswitching keys.
-func (c Config) kskBytesPerSec() float64 {
-	return c.HBMBytesPerSec * float64(c.KskChannels) / float64(c.TotalChannels)
-}
-
 // MaxCoreBatch returns the largest core-level batch the local scratchpad
 // sustains for params: each in-flight LWE needs its intermediate test
 // vector double-buffered ((k+1)·N 32-bit words, two copies).

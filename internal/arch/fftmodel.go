@@ -50,13 +50,6 @@ func (f FFTUnitModel) AreaMM2() float64 {
 		float64(f.Stages())*fftAreaPerTwiddleMM2
 }
 
-// InitiationIntervalCycles returns the cycles between successive
-// polynomial transforms: M / CLP (§V-A: "it can transform an N−1 degree
-// polynomial every N/CLP clock cycles consecutively").
-func (f FFTUnitModel) InitiationIntervalCycles() int {
-	return f.Points / f.CLP
-}
-
 // LatencyCycles returns the pipeline fill latency, dominated by the delay
 // lines: ≈ M / CLP cycles.
 func (f FFTUnitModel) LatencyCycles() int {

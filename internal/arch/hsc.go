@@ -16,7 +16,6 @@ const (
 	UnitAccum      = "Accum."
 	UnitScratchpad = "Loc. Scrtpd."
 	UnitHBM        = "HBM"
-	UnitKSCluster  = "KS Cluster"
 )
 
 // HSCSim is the cycle-level simulator of one Homomorphic Streaming Core
@@ -31,7 +30,6 @@ type HSCSim struct {
 
 	rotator, decomp, fftU, vma, ifftU, accum *cycle.Resource
 	hbm                                      *cycle.Resource
-	ks                                       *cycle.Resource
 }
 
 // NewHSCSim builds a simulator (with trace recording) for the model.
@@ -48,7 +46,6 @@ func NewHSCSim(m Model) *HSCSim {
 		ifftU:   cycle.NewResource(UnitIFFT, fftLat, tr),
 		accum:   cycle.NewResource(UnitAccum, 4, tr),
 		hbm:     cycle.NewResource(UnitHBM, 0, tr),
-		ks:      cycle.NewResource(UnitKSCluster, 16, tr),
 	}
 	return s
 }
@@ -165,29 +162,4 @@ func (s *HSCSim) SimulateBlindRotate(b, iters int) (BlindRotateResult, error) {
 		}
 	}
 	return BlindRotateResult{Batch: b, Iterations: iters, Makespan: makespan, AccDone: accDone}, nil
-}
-
-// SimulateKeySwitch schedules b keyswitch operations on the KS cluster
-// starting when their inputs are ready, returning the completion time.
-func (s *HSCSim) SimulateKeySwitch(ready []cycle.Time) cycle.Time {
-	occ := cycle.Time(s.Model.KSCyclesPerLWE())
-	var done cycle.Time
-	for j, r := range ready {
-		_, d := s.ks.Claim(r, occ, fmt.Sprintf("%d", j+1))
-		if d > done {
-			done = d
-		}
-	}
-	return done
-}
-
-// SimulatePBSAndKS runs a full core-batch PBS (n blind-rotation
-// iterations) followed by keyswitching of every LWE, returning the final
-// completion time — the per-core critical path of one epoch.
-func (s *HSCSim) SimulatePBSAndKS(b int) (cycle.Time, error) {
-	br, err := s.SimulateBlindRotate(b, s.Model.P.SmallN)
-	if err != nil {
-		return 0, err
-	}
-	return s.SimulateKeySwitch(br.AccDone), nil
 }

@@ -68,28 +68,42 @@ func TestGPUFragmentsEquation2(t *testing.T) {
 	}
 }
 
+// normalizedRun returns RunPBS(set I, count) in units of one blind-rotation
+// batch, the y-axis of Fig 2.
+func normalizedRun(t *testing.T, g GPUModel, count int) float64 {
+	t.Helper()
+	secs, err := g.RunPBS("I", count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return (secs*1e3 - g.LaunchOverheadMs) / g.BatchMs["I"]
+}
+
 func TestGPUDeviceLevelStepFunction(t *testing.T) {
 	// Fig 2 left: flat at 1 through 72 LWEs, 2 through 144, etc.
 	g := NewGPUModel()
-	s := g.DeviceLevelSeries(288)
-	if s[0] != 1 || s[71] != 1 {
-		t.Error("1..72 LWEs should take 1 normalized unit")
+	cases := []struct {
+		lwe   int
+		units float64
+	}{
+		{1, 1}, {72, 1}, {73, 2}, {144, 2}, {145, 3}, {288, 4},
 	}
-	if s[72] != 2 || s[143] != 2 {
-		t.Error("73..144 LWEs should take 2 normalized units")
-	}
-	if s[287] != 4 {
-		t.Error("288 LWEs should take 4 normalized units")
+	for _, c := range cases {
+		if got := normalizedRun(t, g, c.lwe); math.Abs(got-c.units) > 1e-9 {
+			t.Errorf("%d LWEs take %v normalized units, want %v", c.lwe, got, c.units)
+		}
 	}
 }
 
 func TestGPUCoreLevelLinearGrowth(t *testing.T) {
 	// Fig 2 right: core-level batching on the GPU scales time linearly —
-	// no benefit (the paper's motivation for specialized hardware).
+	// no benefit (the paper's motivation for specialized hardware). b
+	// ciphertexts on each of the SMs take b batch times.
 	g := NewGPUModel()
-	s := g.CoreLevelSeries(3)
-	if s[0] != 1 || s[1] != 2 || s[2] != 3 {
-		t.Errorf("core-level series = %v, want [1 2 3]", s)
+	for b := 1; b <= 3; b++ {
+		if got := normalizedRun(t, g, b*g.SMs); math.Abs(got-float64(b)) > 1e-9 {
+			t.Errorf("%d LWEs per core take %v normalized units, want %d", b, got, b)
+		}
 	}
 }
 

@@ -101,35 +101,6 @@ func (g GPUModel) ThroughputPBS(set string) (float64, error) {
 	return float64(g.SMs) / (bt / 1e3), nil
 }
 
-// DeviceLevelSeries returns the normalized execution time for 1..maxLWE
-// ciphertexts under device-level batching — the left plot of Fig 2. The
-// time is normalized to one batch.
-func (g GPUModel) DeviceLevelSeries(maxLWE int) []float64 {
-	out := make([]float64, maxLWE)
-	for i := 1; i <= maxLWE; i++ {
-		out[i-1] = float64(g.Fragments(i) + 1)
-	}
-	return out
-}
-
-// CoreLevelSeries returns the normalized execution time when b ciphertexts
-// are assigned to every SM (core-level batching *on the GPU*) — the right
-// plot of Fig 2: the per-iteration work grows linearly with b, so total
-// time grows with b and core-level batching buys nothing on a GPU.
-func (g GPUModel) CoreLevelSeries(maxPerCore int) []float64 {
-	out := make([]float64, maxPerCore)
-	for b := 1; b <= maxPerCore; b++ {
-		out[b-1] = float64(b)
-	}
-	return out
-}
-
-// FragmentationSlowdown returns total-time ratio of running `count`
-// ciphertexts versus the ideal (single-fragment) time.
-func (g GPUModel) FragmentationSlowdown(count int) float64 {
-	return float64(g.Fragments(count) + 1)
-}
-
 // ScaledBatchMs extrapolates the per-batch time to a different polynomial
 // degree (used by the Fig 7 neural-network experiment, which runs
 // N = 1024/2048/4096). NuFHE's blind-rotation kernel was measured at

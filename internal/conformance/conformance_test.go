@@ -245,7 +245,7 @@ func conformanceCircuit(t *testing.T) (*sched.Circuit, []tfhe.LWECiphertext) {
 	c := b.Gate(engine.AND, x, y)
 	o := b.Gate(engine.OR, x, y)
 	b.Output(b.Gate(engine.NAND, s, c))
-	b.Output(b.Not(c))
+	b.Output(b.Gate(engine.NOT, c, -1))
 	b.Output(b.Gate(engine.NOR, o, c))
 	ws := b.MultiLUT(v, space, [][]int{{1, 2, 3, 0}, {0, 0, 2, 2}, {3, 3, 3, 3}})
 	b.Output(ws...)

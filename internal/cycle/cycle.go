@@ -181,11 +181,3 @@ func (r *Resource) Claim(ready Time, occ Time, label string) (issue, done Time) 
 
 // NextFree returns the earliest time a new job could be issued.
 func (r *Resource) NextFree() Time { return r.nextFree }
-
-// Advance moves the resource's free time forward to at least t (used to
-// model an explicit stall, e.g. waiting for a key fetch).
-func (r *Resource) Advance(t Time) {
-	if t > r.nextFree {
-		r.nextFree = t
-	}
-}

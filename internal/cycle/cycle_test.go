@@ -38,18 +38,6 @@ func TestResourceRespectsReadyTime(t *testing.T) {
 	}
 }
 
-func TestResourceAdvance(t *testing.T) {
-	r := NewResource("u", 0, nil)
-	r.Advance(100)
-	if i, _ := r.Claim(0, 1, ""); i != 100 {
-		t.Errorf("stalled issue %d, want 100", i)
-	}
-	r.Advance(50) // moving backwards is a no-op
-	if r.NextFree() != 101 {
-		t.Errorf("NextFree %d, want 101", r.NextFree())
-	}
-}
-
 func TestUtilizationSimple(t *testing.T) {
 	var tr Trace
 	tr.Record("u", "", 0, 50)

@@ -67,14 +67,24 @@ func TestFig2StepsAtFragmentBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := map[string]string{}
+	device, core := map[string]string{}, map[string]string{}
 	for _, row := range r.Rows {
-		if row[0] == "device-level (# LWE)" {
-			cells[row[1]] = row[2]
+		switch row[0] {
+		case "device-level (# LWE)":
+			device[row[1]] = row[2]
+		case "core-level (# LWE/core)":
+			core[row[1]] = row[2]
 		}
 	}
-	if cells["72"] != "1.0" || cells["73"] != "2.0" || cells["288"] != "4.0" {
-		t.Errorf("device-level series wrong: %v", cells)
+	// Left plot: flat at 1 through 72 LWEs, 2 through 144, 4 at 288.
+	if device["1"] != "1.0" || device["72"] != "1.0" || device["73"] != "2.0" ||
+		device["144"] != "2.0" || device["288"] != "4.0" {
+		t.Errorf("device-level series wrong: %v", device)
+	}
+	// Right plot: core-level batching on the GPU scales time linearly —
+	// no benefit (the paper's motivation for specialized hardware).
+	if core["1"] != "1.0" || core["2"] != "2.0" || core["3"] != "3.0" {
+		t.Errorf("core-level series wrong: %v", core)
 	}
 }
 

@@ -32,12 +32,6 @@ func Registry() map[string]Runner {
 	}
 }
 
-// PaperIDs returns the experiments that correspond to published tables and
-// figures (excluding the extra ablations), in order of appearance.
-func PaperIDs() []string {
-	return []string{"fig1", "fig2", "table3", "table4", "table5", "table6", "table7", "fig7", "fig8"}
-}
-
 // IDs returns the registered experiment IDs in a stable order.
 func IDs() []string {
 	reg := Registry()

@@ -226,13 +226,6 @@ func (p *Processor) ForwardTorusTo(dst FourierPoly, src poly.Poly) {
 	p.forwardStages(dst)
 }
 
-// ForwardTorus is ForwardTorusTo with allocation.
-func (p *Processor) ForwardTorus(src poly.Poly) FourierPoly {
-	dst := p.NewFourierPoly()
-	p.ForwardTorusTo(dst, src)
-	return dst
-}
-
 // ForwardIntTo transforms a small-integer polynomial (e.g. gadget
 // decomposition digits) into the folded Fourier domain. dst is fully
 // overwritten; src is read-only.
@@ -242,13 +235,6 @@ func (p *Processor) ForwardIntTo(dst FourierPoly, src []int32) {
 	}
 	loadIntRef(dst, src, p.twist)
 	p.forwardStages(dst)
-}
-
-// ForwardInt is ForwardIntTo with allocation.
-func (p *Processor) ForwardInt(src []int32) FourierPoly {
-	dst := p.NewFourierPoly()
-	p.ForwardIntTo(dst, src)
-	return dst
 }
 
 // InverseTo transforms back from the Fourier domain, rounding each real
@@ -290,13 +276,6 @@ func (p *Processor) inverseAccTo(dst []torus.Torus32, fp FourierPoly, scratch []
 		invStage4Ref(scratch, stages[i])
 	}
 	invFoldRef(dst, scratch, stages[last], p.untwist, p.m)
-}
-
-// Inverse transforms back into a fresh polynomial (not additive).
-func (p *Processor) Inverse(fp FourierPoly) poly.Poly {
-	dst := poly.New(p.n)
-	p.InverseTo(dst, fp)
-	return dst
 }
 
 // roundToTorus rounds a real value to the nearest integer (halves away
@@ -394,11 +373,4 @@ func Clear(fp FourierPoly) {
 	for i := range fp {
 		fp[i] = 0
 	}
-}
-
-// Copy returns a copy of fp.
-func Copy(fp FourierPoly) FourierPoly {
-	out := make(FourierPoly, len(fp))
-	copy(out, fp)
-	return out
 }

@@ -10,6 +10,26 @@ import (
 	"repro/internal/torus"
 )
 
+// fwdTorus, fwdInt and inverse run ForwardTorusTo, ForwardIntTo and
+// InverseTo into fresh buffers (the inverse then is not additive).
+func fwdTorus(p *Processor, src poly.Poly) FourierPoly {
+	dst := p.NewFourierPoly()
+	p.ForwardTorusTo(dst, src)
+	return dst
+}
+
+func fwdInt(p *Processor, src []int32) FourierPoly {
+	dst := p.NewFourierPoly()
+	p.ForwardIntTo(dst, src)
+	return dst
+}
+
+func inverse(p *Processor, fp FourierPoly) poly.Poly {
+	dst := poly.New(p.N())
+	p.InverseTo(dst, fp)
+	return dst
+}
+
 // naiveEval evaluates the real polynomial with coefficients c at the odd
 // 2N-th root ω^(4k+1) directly — the reference the folded transform must
 // match.
@@ -70,7 +90,7 @@ func TestForwardMatchesNaiveEvaluation(t *testing.T) {
 			src[i] = int32(rng.Intn(2000) - 1000)
 			cf[i] = float64(src[i])
 		}
-		fp := p.ForwardInt(src)
+		fp := fwdInt(p, src)
 		got := forwardPermutation(t, fp, cf)
 		if perm == nil {
 			perm = got
@@ -92,7 +112,7 @@ func TestForwardInverseRoundtripInt(t *testing.T) {
 		for i := range src {
 			src[i] = int32(rng.Intn(1<<20) - 1<<19)
 		}
-		got := p.Inverse(p.ForwardInt(src))
+		got := inverse(p, fwdInt(p, src))
 		for i := range src {
 			if int32(got.Coeffs[i]) != src[i] {
 				t.Fatalf("n=%d coeff %d: got %d want %d", n, i, int32(got.Coeffs[i]), src[i])
@@ -107,7 +127,7 @@ func TestForwardInverseRoundtripTorus(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	src := poly.New(n)
 	poly.Uniform(rng, src)
-	got := p.Inverse(p.ForwardTorus(src))
+	got := inverse(p, fwdTorus(p, src))
 	// Full 32-bit magnitudes: allow tiny rounding noise (a few ulps).
 	for i := range src.Coeffs {
 		d := int32(got.Coeffs[i] - src.Coeffs[i])
@@ -131,11 +151,11 @@ func TestNegacyclicProductMatchesNaive(t *testing.T) {
 		}
 		want := poly.MulNaive(a, digits)
 
-		fa := p.ForwardTorus(a)
-		fd := p.ForwardInt(digits)
+		fa := fwdTorus(p, a)
+		fd := fwdInt(p, digits)
 		prod := p.NewFourierPoly()
 		MulAcc(prod, fa, fd)
-		got := p.Inverse(prod)
+		got := inverse(p, prod)
 
 		// With N=1024 the products reach ~2^51; allow a few ulps of
 		// rounding drift, which becomes (tiny) extra noise in TFHE.
@@ -162,8 +182,8 @@ func TestNegacyclicWraparoundSign(t *testing.T) {
 	digits := make([]int32, n)
 	digits[1] = 1 // X
 	prod := p.NewFourierPoly()
-	MulAcc(prod, p.ForwardTorus(a), p.ForwardInt(digits))
-	got := p.Inverse(prod)
+	MulAcc(prod, fwdTorus(p, a), fwdInt(p, digits))
+	got := inverse(p, prod)
 	want := poly.New(n)
 	want.Coeffs[0] = -torus.FromFloat(0.25)
 	if !got.Equal(want) {
@@ -188,9 +208,9 @@ func TestMulAccAccumulates(t *testing.T) {
 	want := poly.Add(poly.MulNaive(a, d1), poly.MulNaive(b, d2))
 
 	acc := p.NewFourierPoly()
-	MulAcc(acc, p.ForwardTorus(a), p.ForwardInt(d1))
-	MulAcc(acc, p.ForwardTorus(b), p.ForwardInt(d2))
-	got := p.Inverse(acc)
+	MulAcc(acc, fwdTorus(p, a), fwdInt(p, d1))
+	MulAcc(acc, fwdTorus(p, b), fwdInt(p, d2))
+	got := inverse(p, acc)
 	if !got.Equal(want) {
 		t.Fatalf("MulAcc accumulation mismatch: %v", poly.MaxDistance(got, want))
 	}
@@ -201,7 +221,7 @@ func TestInverseToIsAdditive(t *testing.T) {
 	p := NewProcessor(n)
 	src := make([]int32, n)
 	src[3] = 7
-	fp := p.ForwardInt(src)
+	fp := fwdInt(p, src)
 	dst := poly.New(n)
 	// The same Fourier accumulator is inverse-transformed twice: InverseTo
 	// must both add into dst and leave fp intact across calls.
@@ -224,9 +244,9 @@ func TestTransformLinearity(t *testing.T) {
 		b[i] = int32(rng.Intn(1000) - 500)
 		sum[i] = a[i] + b[i]
 	}
-	fa := p.ForwardInt(a)
-	fb := p.ForwardInt(b)
-	fs := p.ForwardInt(sum)
+	fa := fwdInt(p, a)
+	fb := fwdInt(p, b)
+	fs := fwdInt(p, sum)
 	for i := range fa {
 		if cmplx.Abs(fa[i]+fb[i]-fs[i]) > 1e-6*(1+cmplx.Abs(fs[i])) {
 			t.Fatalf("linearity violated at %d", i)
@@ -267,17 +287,13 @@ func TestNewFourierPolyBatch(t *testing.T) {
 	}
 }
 
-func TestCopyAndClear(t *testing.T) {
+func TestClear(t *testing.T) {
 	p := NewProcessor(8)
 	fp := p.NewFourierPoly()
 	fp[0] = 1 + 2i
-	cp := Copy(fp)
 	Clear(fp)
 	if fp[0] != 0 {
 		t.Error("Clear failed")
-	}
-	if cp[0] != 1+2i {
-		t.Error("Copy not deep")
 	}
 }
 
@@ -302,7 +318,7 @@ func BenchmarkNegacyclicProduct1024(b *testing.B) {
 	for i := range digits {
 		digits[i] = int32(rng.Intn(1024) - 512)
 	}
-	fa := p.ForwardTorus(a)
+	fa := fwdTorus(p, a)
 	fd := p.NewFourierPoly()
 	prod := p.NewFourierPoly()
 	dst := poly.New(1024)

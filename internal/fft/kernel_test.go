@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,8 +37,8 @@ func TestInverseToPreservesInput(t *testing.T) {
 		for i := range src {
 			src[i] = int32(rng.Intn(1<<16) - 1<<15)
 		}
-		fp := p.ForwardInt(src)
-		want := Copy(fp)
+		fp := fwdInt(p, src)
+		want := slices.Clone(fp)
 		dst := poly.New(n)
 		p.InverseTo(dst, fp)
 		for i := range fp {
@@ -279,8 +280,8 @@ func testFastMatchesReferenceBitwise(t *testing.T) {
 		}
 		dec := poly.NewDecomposer(4, 2)
 
-		fTorus := p.ForwardTorus(src)
-		fInt := p.ForwardInt(digits)
+		fTorus := fwdTorus(p, src)
+		fInt := fwdInt(p, digits)
 		fAcc := p.NewFourierPoly()
 		MulAcc(fAcc, fTorus, fInt)
 		MulAcc(fAcc, fInt, fInt)
@@ -293,8 +294,8 @@ func testFastMatchesReferenceBitwise(t *testing.T) {
 		var rDec []FourierPoly
 		rInv := poly.New(n)
 		withKernel(false, func() {
-			rTorus = p.ForwardTorus(src)
-			rInt = p.ForwardInt(digits)
+			rTorus = fwdTorus(p, src)
+			rInt = fwdInt(p, digits)
 			rAcc = p.NewFourierPoly()
 			MulAcc(rAcc, rTorus, rInt)
 			MulAcc(rAcc, rInt, rInt)
@@ -890,7 +891,7 @@ func TestInverseToNoAlloc(t *testing.T) {
 	p := NewProcessor(1024)
 	src := make([]int32, 1024)
 	src[1] = 3
-	fp := p.ForwardInt(src)
+	fp := fwdInt(p, src)
 	dst := poly.New(1024)
 	// Warm the scratch pool, then require steady-state zero allocations.
 	p.InverseTo(dst, fp)
@@ -933,7 +934,7 @@ func BenchmarkFFTInverse(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	src := poly.New(1024)
 	poly.Uniform(rng, src)
-	fp := p.ForwardTorus(src)
+	fp := fwdTorus(p, src)
 	dst := poly.New(1024)
 	benchKernels(b, func(b *testing.B) {
 		b.ReportAllocs()

@@ -73,7 +73,7 @@ func TestBufferPoolTransformMatchesFresh(t *testing.T) {
 	for j := range src.Coeffs {
 		src.Coeffs[j] = uint32(j)*2654435761 + 12345
 	}
-	want := p.ForwardTorus(src)
+	want := fwdTorus(p, src)
 
 	buf := p.GetBuffer()
 	p.ForwardTorusTo(buf, src)

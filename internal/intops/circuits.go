@@ -6,10 +6,10 @@ import (
 )
 
 // Circuit constructors: every integer operation is expressed as a sched
-// DAG over digit wires, so one code path serves both the sequential
-// evaluator (sched.RunSequential) and the levelizing scheduler. The
-// builders assume equal-length digit slices — the Evaluator methods
-// validate widths before building.
+// DAG over digit wires, which sched.RunSequential and a sched.Runner run
+// bitwise identically. The builders assume equal-length digit slices: a
+// standalone circuit takes both operands at one width, and running it on
+// any other number of input digits is refused.
 
 // The shared digit lookup tables, all over opSpace. Sharing the slices
 // means equal-table dispatches coalesce by content everywhere (scheduler
@@ -20,54 +20,6 @@ var (
 	// Partial-product tables over a packed pair v = x + Base·y.
 	tblPairLow  = buildTable(func(v int) int { return ((v % Base) * (v / Base)) % Base })
 	tblPairHigh = buildTable(func(v int) int { return ((v % Base) * (v / Base)) / Base })
-	// Packed-pair digit comparison: 1 iff the two digits differ.
-	tblPairNeq = buildTable(func(v int) int {
-		if v%Base == v/Base {
-			return 0
-		}
-		return 1
-	})
-	// Packed-pair trit: 0 equal, 1 less-than, 2 greater-than (x vs y).
-	tblPairTrit = buildTable(func(v int) int {
-		x, y := v%Base, v/Base
-		switch {
-		case x == y:
-			return 0
-		case x < y:
-			return 1
-		default:
-			return 2
-		}
-	})
-	// Zero test: 1 iff v == 0.
-	tblIsZero = buildTable(func(v int) int {
-		if v == 0 {
-			return 1
-		}
-		return 0
-	})
-	// Less-than chain seed: trit==1 → 1, else 0.
-	tblLtInit = buildTable(func(v int) int {
-		if v == 1 {
-			return 1
-		}
-		return 0
-	})
-	// Less-than chain combine over u = trit + 3·rest: equal digits defer
-	// to the lower digits' verdict.
-	tblLtCombine = buildTable(func(v int) int {
-		d, r := v%3, v/3
-		if v > 5 { // unreachable: u ≤ 5
-			return 0
-		}
-		if d == 0 {
-			return r
-		}
-		if d == 1 {
-			return 1
-		}
-		return 0
-	})
 )
 
 // buildTable materializes f over {0..opSpace-1}.
@@ -80,20 +32,13 @@ func buildTable(f func(int) int) []int {
 }
 
 // binaryCircuit builds a standalone two-operand circuit over n-digit
-// inputs — the shape every Evaluator method and external driver
-// (strixbench, the gate service tests) needs.
+// inputs: x's digits then y's.
 func binaryCircuit(n int, build func(b *sched.Builder, x, y []sched.Wire) []sched.Wire) (*sched.Circuit, error) {
 	b := sched.NewBuilder()
 	x := b.Inputs(n)
 	y := b.Inputs(n)
 	b.Output(build(b, x, y)...)
 	return b.Build()
-}
-
-// AddCircuit returns a standalone n-digit addition circuit: inputs are
-// x's digits then y's, outputs the sum's digits.
-func AddCircuit(n int) (*sched.Circuit, error) {
-	return binaryCircuit(n, BuildAdd)
 }
 
 // MulCircuit returns a standalone n-digit multiplication circuit: inputs
@@ -139,50 +84,6 @@ func BuildAdd(b *sched.Builder, x, y []sched.Wire) []sched.Wire {
 		out[i] = b.LUT(s, opSpace, tblDigit)
 	}
 	return out
-}
-
-// BuildAddScalar appends x + c for a plaintext scalar (c reduced mod
-// Base^n first by the caller): the scalar digit enters each linear sum as
-// a plaintext constant, everything else is BuildAdd's carry chain.
-func BuildAddScalar(b *sched.Builder, x []sched.Wire, c int) []sched.Wire {
-	n := len(x)
-	out := make([]sched.Wire, n)
-	carry := sched.Wire(-1)
-	for i := 0; i < n; i++ {
-		d := c % Base
-		c /= Base
-		terms := []sched.Term{{W: x[i], C: 1}}
-		if carry >= 0 {
-			terms = append(terms, sched.Term{W: carry, C: 1})
-		}
-		k := tfhe.EncodePBSMessage(d, opSpace) - tfhe.EncodePBSMessage(0, opSpace)
-		s := b.Lin(k, terms...)
-		if i+1 < n {
-			carry = b.LUT(s, opSpace, tblCarry)
-		}
-		out[i] = b.LUT(s, opSpace, tblDigit)
-	}
-	return out
-}
-
-// BuildMulScalar appends x·c (c ≥ 0) via double-and-add over BuildAdd.
-func BuildMulScalar(b *sched.Builder, x []sched.Wire, c int) []sched.Wire {
-	n := len(x)
-	acc := make([]sched.Wire, n)
-	for i := range acc {
-		acc[i] = zeroDigit(b)
-	}
-	cur := x
-	for c > 0 {
-		if c&1 == 1 {
-			acc = BuildAdd(b, acc, cur)
-		}
-		c >>= 1
-		if c > 0 {
-			cur = BuildAdd(b, cur, cur)
-		}
-	}
-	return acc
 }
 
 // BuildMul appends the full encrypted multiply x·y mod Base^n. Every
@@ -243,43 +144,4 @@ func BuildMul(b *sched.Builder, x, y []sched.Wire) []sched.Wire {
 		rows = next
 	}
 	return rows[0]
-}
-
-// BuildIsEqual appends the equality test: per digit a packed-pair
-// inequality indicator (one LUT, all digits in parallel), a free sum of
-// the indicators, and one zero-test LUT. Requires len(x) < opSpace so
-// the indicator sum stays in the message space. The packed comparison
-// never leaves the padding-bit range, unlike the digit-difference
-// encoding it replaces, whose negacyclic sign flips let +1 and −1 digit
-// differences cancel and report unequal values as equal.
-func BuildIsEqual(b *sched.Builder, x, y []sched.Wire) sched.Wire {
-	ind := make([]sched.Term, len(x))
-	for i := range x {
-		ind[i] = sched.Term{W: b.LUT(pair(b, x[i], y[i]), opSpace, tblPairNeq), C: 1}
-	}
-	total := b.Lin(0, ind...)
-	return b.LUT(total, opSpace, tblIsZero)
-}
-
-// BuildLessThan appends the comparison x < y: per digit a packed-pair
-// trit LUT (all digits in parallel), then a combine chain from the least
-// significant digit up — each more significant digit overrides the
-// verdict below unless the digits are equal. Zero-digit operands yield a
-// constant-0 node (nothing is less than nothing), mirroring
-// BuildIsEqual's constant-1 degenerate case.
-func BuildLessThan(b *sched.Builder, x, y []sched.Wire) sched.Wire {
-	n := len(x)
-	if n == 0 {
-		return b.Lin(tfhe.EncodePBSMessage(0, opSpace))
-	}
-	trits := make([]sched.Wire, n)
-	for i := range x {
-		trits[i] = b.LUT(pair(b, x[i], y[i]), opSpace, tblPairTrit)
-	}
-	r := b.LUT(trits[0], opSpace, tblLtInit)
-	for i := 1; i < n; i++ {
-		u := b.Lin(0, sched.Term{W: trits[i], C: 1}, sched.Term{W: r, C: 3})
-		r = b.LUT(u, opSpace, tblLtCombine)
-	}
-	return r
 }

@@ -2,14 +2,14 @@
 // the TFHE programmable bootstrap — the "operations for integer and
 // fixed-point numbers" extension of TFHE the paper cites (§II-B, refs
 // [34]-[38]). Integers are encrypted digit-wise in radix Base; carry
-// propagation, multiplication, comparison and equality are evaluated with
-// PBS lookup tables, so every digit operation is exactly the PBS+KS
-// workload the Strix accelerator batches.
+// propagation and multiplication are evaluated with PBS lookup tables, so
+// every digit operation is exactly the PBS+KS workload the Strix
+// accelerator batches.
 //
-// Every operation is expressed as a sched circuit (the Build* functions),
-// so the same DAG runs either node-by-node on one evaluator or levelized
-// across the batching engines — bitwise identically. The wide levels come
-// from the carry-chain structure: digit reductions of different positions,
-// partial products of a multiply, and per-digit comparison indicators are
-// all mutually independent.
+// Addition and multiplication are sched circuits (BuildAdd, BuildMul,
+// MulCircuit). The same DAG runs node by node (sched.RunSequential) or
+// dispatched across the streaming engine by a sched.Runner, bitwise
+// identically. The wide dispatches come from the carry-chain structure:
+// digit reductions of different positions and the partial products of a
+// multiply are mutually independent.
 package intops

@@ -168,14 +168,6 @@ func (r *Router) Draining() bool {
 	return r.draining
 }
 
-// ShardOf returns the backend URL the rendezvous hash assigns clientID
-// to, ignoring health and pins — the home node a fresh registration
-// would pick on a fully healthy pool. Deterministic in (clientID,
-// configured backend set).
-func (r *Router) ShardOf(clientID string) string {
-	return rendezvous(clientID, r.pool.backends).url
-}
-
 // BackendStatus describes one pool member in a ClusterResponse.
 type BackendStatus struct {
 	URL     string `json:"url"`

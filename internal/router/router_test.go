@@ -116,10 +116,10 @@ func TestRoutedRegisterAndEval(t *testing.T) {
 		t.Fatalf("placed %d+%d sessions for %d clients", len(idsA), len(idsB), len(clients))
 	}
 	for i, cl := range clients {
-		home := r.ShardOf(cl.ClientID())
+		home := shardOf(r, cl.ClientID())
 		onA := idsA[cl.ClientID()]
 		if (home == tsA.URL) != onA {
-			t.Errorf("client-%d: ShardOf says %s but session on A=%v", i, home, onA)
+			t.Errorf("client-%d: the shard is %s but session on A=%v", i, home, onA)
 		}
 	}
 
@@ -194,7 +194,7 @@ func TestBackendDownAtRegister(t *testing.T) {
 	id := ""
 	for i := 0; i < 256; i++ {
 		candidate := fmt.Sprintf("doomed-%d", i)
-		if r.ShardOf(candidate) == deadURL {
+		if shardOf(r, candidate) == deadURL {
 			id = candidate
 			break
 		}
@@ -459,8 +459,15 @@ func TestRouterDrain(t *testing.T) {
 	if !errors.As(err, &api) || api.Code != server.CodeShuttingDown {
 		t.Errorf("drained router error = %v, want shutting_down", err)
 	}
-	if _, err := cl.Healthz(); !errors.As(err, &api) || api.Code != server.CodeShuttingDown {
-		t.Errorf("drained router healthz = %v, want shutting_down", err)
+	hz, err := http.Get(rts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h server.HealthResponse
+	err = json.NewDecoder(hz.Body).Decode(&h)
+	hz.Body.Close()
+	if err != nil || hz.StatusCode != http.StatusServiceUnavailable || !h.Draining {
+		t.Errorf("drained router healthz = %d %+v (%v), want 503 draining", hz.StatusCode, h, err)
 	}
 
 	resp, err := http.Get(rts.URL + "/v1/cluster")
@@ -718,4 +725,11 @@ func TestServeStopsProbesOnEveryExit(t *testing.T) {
 			}
 		})
 	}
+}
+
+// shardOf returns the backend URL the rendezvous hash assigns clientID
+// to, ignoring health and pins: the home node a fresh registration would
+// pick on a fully healthy pool.
+func shardOf(r *Router, clientID string) string {
+	return rendezvous(clientID, r.pool.backends).url
 }

@@ -204,7 +204,7 @@ func TestUploadRefusedAheadOfBodyRetries(t *testing.T) {
 
 	id := ""
 	for i := 0; i < 256 && id == ""; i++ {
-		if c := fmt.Sprintf("rerouted-%d", i); r.ShardOf(c) == tsA.URL {
+		if c := fmt.Sprintf("rerouted-%d", i); shardOf(r, c) == tsA.URL {
 			id = c
 		}
 	}
@@ -255,7 +255,7 @@ func TestBackendDiesMidUpload(t *testing.T) {
 
 	id := ""
 	for i := 0; i < 256 && id == ""; i++ {
-		if c := fmt.Sprintf("unlucky-%d", i); r.ShardOf(c) == dying.URL {
+		if c := fmt.Sprintf("unlucky-%d", i); shardOf(r, c) == dying.URL {
 			id = c
 		}
 	}

@@ -70,12 +70,6 @@ type Circuit struct {
 // NumInputs returns how many input ciphertexts the circuit consumes.
 func (c *Circuit) NumInputs() int { return len(c.inputs) }
 
-// NumOutputs returns how many output ciphertexts the circuit produces.
-func (c *Circuit) NumOutputs() int { return len(c.outputs) }
-
-// NumNodes returns the total node count (inputs included).
-func (c *Circuit) NumNodes() int { return len(c.nodes) }
-
 // Builder accumulates a circuit node by node. Every method returns the
 // wire of the node it appended; invalid references or parameters record
 // the first error, which Build reports. A Builder must not be reused
@@ -159,9 +153,6 @@ func (b *Builder) Gate(op engine.GateOp, a, bw Wire) Wire {
 	}
 	return b.add(node{kind: kindGate, op: op, a: a, b: bw})
 }
-
-// Not appends the free boolean negation of a (sugar for Gate(NOT, a, _)).
-func (b *Builder) Not(a Wire) Wire { return b.Gate(engine.NOT, a, Wire(-1)) }
 
 // checkTable validates one lookup table of length space with entries in
 // {0..space-1}, recording the first violation.

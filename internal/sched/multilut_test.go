@@ -210,9 +210,9 @@ func TestMultiLUTSpecsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rebuilt.NumNodes() != circ.NumNodes() || rebuilt.NumOutputs() != circ.NumOutputs() {
+	if len(rebuilt.nodes) != len(circ.nodes) || len(rebuilt.outputs) != len(circ.outputs) {
 		t.Fatalf("round-trip changed shape: %d/%d nodes, %d/%d outputs",
-			rebuilt.NumNodes(), circ.NumNodes(), rebuilt.NumOutputs(), circ.NumOutputs())
+			len(rebuilt.nodes), len(circ.nodes), len(rebuilt.outputs), len(circ.outputs))
 	}
 	rng := rand.New(rand.NewSource(63))
 	in := []tfhe.LWECiphertext{testSK.LWE.Encrypt(rng, tfhe.EncodePBSMessage(1, space), tfhe.ParamsTest.LWEStdDev)}

@@ -84,7 +84,7 @@ func genTypedCircuit(rng *rand.Rand, steps int) *typedCircuit {
 			}
 		case 1: // NOT chain: fusion/linfold food
 			a := pickB()
-			w := b.Not(b.Not(b.Not(a.w)))
+			w := not(b, not(b, not(b, a.w)))
 			bools = append(bools, typedWire{w: w, isBool: true, bval: !a.bval})
 		case 2: // plain LUT
 			a := pickM()

@@ -10,6 +10,9 @@ import (
 	"repro/internal/torus"
 )
 
+// not appends the free boolean negation of a.
+func not(b *Builder, a Wire) Wire { return b.Gate(engine.NOT, a, Wire(-1)) }
+
 // encBool / encMsg build test ciphertexts under the package keys.
 func encBool(rng *rand.Rand, v bool) tfhe.LWECiphertext {
 	return testSK.EncryptBool(rng, v)
@@ -29,8 +32,8 @@ func mustOptimize(t *testing.T, c *Circuit, opt OptConfig) (*Circuit, []PassStat
 	if oc.NumInputs() != c.NumInputs() {
 		t.Fatalf("optimizer changed input count: %d -> %d", c.NumInputs(), oc.NumInputs())
 	}
-	if oc.NumOutputs() != c.NumOutputs() {
-		t.Fatalf("optimizer changed output count: %d -> %d", c.NumOutputs(), oc.NumOutputs())
+	if len(oc.outputs) != len(c.outputs) {
+		t.Fatalf("optimizer changed output count: %d -> %d", len(c.outputs), len(oc.outputs))
 	}
 	return oc, stats
 }
@@ -59,8 +62,8 @@ func TestPassPruneDropsDeadKeepsInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	oc, stats := mustOptimize(t, c, OptConfig{Prune: true})
-	if oc.NumNodes() != 4 { // 3 inputs + AND
-		t.Fatalf("pruned circuit has %d nodes, want 4", oc.NumNodes())
+	if len(oc.nodes) != 4 { // 3 inputs + AND
+		t.Fatalf("pruned circuit has %d nodes, want 4", len(oc.nodes))
 	}
 	if len(stats) != 1 || stats[0].Name != "prune" || stats[0].NodesRemoved != 3 || stats[0].PBSRemoved != 2 {
 		t.Fatalf("unexpected prune stats: %+v", stats)
@@ -93,8 +96,8 @@ func TestPassPruneShrinksMultiLUTGroups(t *testing.T) {
 	}
 
 	full, oc := build([]int{0, 2})
-	if oc.NumNodes() != 3 { // input + 2 shrunk siblings
-		t.Fatalf("shrunk circuit has %d nodes, want 3", oc.NumNodes())
+	if len(oc.nodes) != 3 { // input + 2 shrunk siblings
+		t.Fatalf("shrunk circuit has %d nodes, want 3", len(oc.nodes))
 	}
 	rng := rand.New(rand.NewSource(2))
 	for m := 0; m < space; m++ {
@@ -112,8 +115,8 @@ func TestPassPruneShrinksMultiLUTGroups(t *testing.T) {
 
 	// One live sibling degenerates to a plain LUT.
 	_, oc = build([]int{1})
-	if oc.NumNodes() != 2 {
-		t.Fatalf("single-survivor circuit has %d nodes, want 2", oc.NumNodes())
+	if len(oc.nodes) != 2 {
+		t.Fatalf("single-survivor circuit has %d nodes, want 2", len(oc.nodes))
 	}
 	if oc.nodes[1].kind != kindLUT {
 		t.Fatalf("single survivor kept kind %d, want plain LUT", oc.nodes[1].kind)
@@ -129,8 +132,8 @@ func TestPassPruneShrinksMultiLUTGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	oc, _ = mustOptimize(t, c, OptConfig{Prune: true})
-	if oc.NumNodes() != 1 {
-		t.Fatalf("dead group left %d nodes, want 1", oc.NumNodes())
+	if len(oc.nodes) != 1 {
+		t.Fatalf("dead group left %d nodes, want 1", len(oc.nodes))
 	}
 }
 
@@ -185,8 +188,8 @@ func TestPassCSEMergesDuplicatesBitwise(t *testing.T) {
 	}
 	oc, stats := mustOptimize(t, c, OptConfig{CSE: true})
 	// 2 inputs + gate + lin + LUT + 2-sibling group = 7 nodes.
-	if oc.NumNodes() != 7 {
-		t.Fatalf("CSE left %d nodes, want 7", oc.NumNodes())
+	if len(oc.nodes) != 7 {
+		t.Fatalf("CSE left %d nodes, want 7", len(oc.nodes))
 	}
 	if len(stats) != 1 || stats[0].Name != "cse" || stats[0].NodesRemoved != 5 {
 		t.Fatalf("unexpected cse stats: %+v", stats)
@@ -226,7 +229,7 @@ func TestPassFuseGateChains(t *testing.T) {
 		},
 		{
 			"xor of not", // XOR(NOT x, y) stays one gate (free negation folds)
-			func(b *Builder, x, y Wire) Wire { return b.Gate(engine.XOR, b.Not(x), b.Gate(engine.OR, x, y)) },
+			func(b *Builder, x, y Wire) Wire { return b.Gate(engine.XOR, not(b, x), b.Gate(engine.OR, x, y)) },
 			func(x, y bool) bool { return !x != (x || y) },
 			1,
 		},
@@ -244,7 +247,7 @@ func TestPassFuseGateChains(t *testing.T) {
 		},
 		{
 			"not-chain collapse", // AND(NOT NOT x, NOT y)
-			func(b *Builder, x, y Wire) Wire { return b.Gate(engine.AND, b.Not(b.Not(x)), b.Not(y)) },
+			func(b *Builder, x, y Wire) Wire { return b.Gate(engine.AND, not(b, not(b, x)), not(b, y)) },
 			func(x, y bool) bool { return x && !y },
 			1,
 		},

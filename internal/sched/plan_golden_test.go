@@ -1,18 +1,20 @@
-// Golden plan shapes. This file is in package sched_test (the only one
-// in the directory) because it imports intops and workload, which
-// themselves import sched.
+// Golden plan shapes, and the mini deep-NN circuit they pin. This file is
+// in package sched_test (the only one in the directory) because it
+// imports intops, which itself imports sched.
 package sched_test
 
 import (
 	"flag"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/intops"
 	"repro/internal/sched"
-	"repro/internal/workload"
+	"repro/internal/tfhe"
 )
 
 // updatePlans regenerates the golden plan fixtures:
@@ -62,23 +64,164 @@ func mulCircuit3(t *testing.T) *sched.Circuit {
 	return c
 }
 
-// nnCircuit is a small deep-NN workload slice: 3 layers over 3 inputs.
-// Width 4 over 3 wires means exactly one neuron per layer duplicates
-// another's fan-in pair — the plan shows CSE deduplicating that neuron
-// while the rest of the layer survives.
-func nnCircuit(t *testing.T) *sched.Circuit {
+// The mini deep-NN encoding: activations are small digits in
+// {0..nnDigitMax} inside the nnSpace PBS message space, so a fan-in-2
+// linear combination never leaves the padding-bit range.
+const (
+	nnSpace    = 16
+	nnDigitMax = 3
+)
+
+// nnActivation is the mini NN's activation table: a shifted, clamped ReLU
+// mapping any message in {0..nnSpace-1} back into {0..nnDigitMax}, so
+// layer outputs compose.
+func nnActivation(v int) int {
+	return min(max(v-2, 0), nnDigitMax)
+}
+
+// buildNN appends a scaled-down deep-NN circuit: each layer maps the
+// previous activations through `width` neurons, every neuron a free
+// fan-in-2 linear combination followed by one PBS activation — the
+// linear-layer + PBS-ReLU structure of the Zama deep-NN workload. All
+// neurons of a layer are independent.
+func buildNN(b *sched.Builder, inputs []sched.Wire, layers []int) []sched.Wire {
+	prev := inputs
+	for _, width := range layers {
+		cur := make([]sched.Wire, width)
+		for k := range cur {
+			a := prev[k%len(prev)]
+			c := prev[(k+1)%len(prev)]
+			s := b.Lin(0, sched.Term{W: a, C: 1}, sched.Term{W: c, C: 1})
+			cur[k] = b.LUTFunc(s, nnSpace, nnActivation)
+		}
+		prev = cur
+	}
+	return prev
+}
+
+// nnReference computes the plaintext outputs of buildNN's circuit.
+func nnReference(inputs []int, layers []int) []int {
+	prev := inputs
+	for _, width := range layers {
+		cur := make([]int, width)
+		for k := range cur {
+			cur[k] = nnActivation(prev[k%len(prev)] + prev[(k+1)%len(prev)])
+		}
+		prev = cur
+	}
+	return prev
+}
+
+// nnBuild builds buildNN's circuit over n inputs as a standalone circuit.
+func nnBuild(t *testing.T, n int, layers []int) *sched.Circuit {
 	t.Helper()
 	b := sched.NewBuilder()
-	outs, err := workload.BuildNN(b, b.Inputs(3), []int{4, 4, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Output(outs...)
+	b.Output(buildNN(b, b.Inputs(n), layers)...)
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// nnCircuit is a small deep-NN workload slice: 3 layers over 3 inputs.
+// Width 4 over 3 wires means exactly one neuron per layer duplicates
+// another's fan-in pair — the plan shows CSE deduplicating that neuron
+// while the rest of the layer survives.
+func nnCircuit(t *testing.T) *sched.Circuit { return nnBuild(t, 3, []int{4, 4, 2}) }
+
+// encryptNN encrypts the mini NN's input activations.
+func encryptNN(rng *rand.Rand, sk tfhe.SecretKeys, in []int) []tfhe.LWECiphertext {
+	cts := make([]tfhe.LWECiphertext, len(in))
+	for i, m := range in {
+		cts[i] = sk.LWE.Encrypt(rng, tfhe.EncodePBSMessage(m, nnSpace), tfhe.ParamsTest.LWEStdDev)
+	}
+	return cts
+}
+
+// TestNNAgainstReference runs a mini deep NN with a wide first layer node
+// by node and through a Runner: the outputs are bitwise identical and
+// decrypt to the plaintext reference, and since every neuron of a layer
+// shares the activation table, each layer is one dispatch.
+func TestNNAgainstReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	sk, ek := tfhe.GenerateKeys(rng, tfhe.ParamsTest)
+	layers := []int{4, 1, 1}
+	in := []int{1, 3, 0, 2}
+	c := nnBuild(t, len(in), layers)
+	cts := encryptNN(rng, sk, in)
+
+	want := nnReference(in, layers)
+	seq, err := sched.RunSequential(c, tfhe.NewEvaluator(ek), cts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &sched.Runner{Stream: engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: 2})}
+	got, err := r.Run(c, sched.Config{}, cts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d outputs, want %d", len(got), len(want))
+	}
+	for k := range got {
+		if got[k].B != seq[k].B || !slices.Equal(got[k].A, seq[k].A) {
+			t.Errorf("output %d: scheduled differs from sequential", k)
+		}
+		if dec := tfhe.DecodePBSMessage(sk.LWE.Phase(got[k]), nnSpace); dec != want[k] {
+			t.Errorf("output %d decrypts to %d, want %d", k, dec, want[k])
+		}
+	}
+	sch, err := sched.Compile(c, sched.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := sch.Stats(); st.Levels != len(layers) || st.Dispatches != len(layers) {
+		t.Errorf("NN schedule = %+v, want %d levels with 1 dispatch each", st, len(layers))
+	}
+}
+
+// TestNNOptimized runs the mini deep NN through the optimizer pass
+// pipeline: CSE deduplicates neurons that share a fan-in pair (width >
+// fan-in wires guarantees at least one) and the outputs still match the
+// plaintext reference.
+func TestNNOptimized(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sk, ek := tfhe.GenerateKeys(rng, tfhe.ParamsTest)
+	layers := []int{4, 4, 2}
+	in := []int{1, 3, 2}
+	c := nnBuild(t, len(in), layers)
+	cts := encryptNN(rng, sk, in)
+
+	opt := sched.OptAll()
+	opt.MultiValueBudget = tfhe.ParamsTest.N
+	sch, err := sched.Compile(c, sched.Config{Opt: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := sched.Compile(c, sched.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sch.Stats().TotalPBS >= naive.Stats().TotalPBS {
+		t.Errorf("optimizer saved nothing: %d PBS vs naive %d (width 4 over 3 wires must dedup)",
+			sch.Stats().TotalPBS, naive.Stats().TotalPBS)
+	}
+
+	r := &sched.Runner{Stream: engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: 2})}
+	got, err := r.RunSchedule(c, sch, cts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := nnReference(in, layers)
+	if len(got) != len(want) {
+		t.Fatalf("got %d outputs, want %d", len(got), len(want))
+	}
+	for k := range got {
+		if dec := tfhe.DecodePBSMessage(sk.LWE.Phase(got[k]), nnSpace); dec != want[k] {
+			t.Errorf("output %d decrypts to %d, want %d", k, dec, want[k])
+		}
+	}
 }
 
 // TestGoldenPlans pins Schedule.Describe for the benchmark circuits,

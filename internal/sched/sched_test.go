@@ -129,7 +129,7 @@ func TestCompileGroupsLUTsByTable(t *testing.T) {
 func TestNotLoweredToLinear(t *testing.T) {
 	b := NewBuilder()
 	x := b.Input()
-	b.Output(b.Not(x))
+	b.Output(not(b, x))
 	circ, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func TestSpecsRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rebuilt.NumNodes() != circ.NumNodes() || rebuilt.NumOutputs() != circ.NumOutputs() {
+	if len(rebuilt.nodes) != len(circ.nodes) || len(rebuilt.outputs) != len(circ.outputs) {
 		t.Fatal("roundtrip changed circuit shape")
 	}
 	ins := make([]tfhe.LWECiphertext, circ.NumInputs())

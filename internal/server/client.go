@@ -324,34 +324,6 @@ func (c *Client) Stats() (Stats, error) {
 	return st, nil
 }
 
-// Healthz fetches the server's readiness. A draining server answers 503
-// with its HealthResponse body; that surfaces as a shutting_down
-// *APIError alongside the decoded health state, and is never retried —
-// health probes want the current answer, not a lucky one.
-func (c *Client) Healthz() (HealthResponse, error) {
-	resp, err := c.hc.Get(c.base + "/v1/healthz")
-	if err != nil {
-		return HealthResponse{}, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxBatchBodyBytes))
-	if err != nil {
-		return HealthResponse{}, err
-	}
-	var h HealthResponse
-	if err := json.Unmarshal(data, &h); err != nil {
-		return HealthResponse{}, err
-	}
-	if resp.StatusCode == http.StatusOK {
-		return h, nil
-	}
-	code := CodeInternal
-	if h.Draining {
-		code = CodeShuttingDown
-	}
-	return h, &APIError{Code: code, Status: resp.StatusCode, Message: "server is " + h.Status}
-}
-
 // Sessions lists every live session on the server, across both the warm
 // and durable tiers.
 func (c *Client) Sessions() ([]SessionInfo, error) {

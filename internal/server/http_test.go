@@ -227,7 +227,9 @@ func TestHTTPCircuitBatch(t *testing.T) {
 	}
 
 	const digits = 3
-	circ, err := intops.AddCircuit(digits)
+	b := sched.NewBuilder()
+	b.Output(intops.BuildAdd(b, b.Inputs(digits), b.Inputs(digits))...)
+	circ, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,8 +332,8 @@ func TestServeClosesStoreOnEveryExit(t *testing.T) {
 			drain := make(chan struct{})
 			done := make(chan error, 1)
 			go func() { done <- srv.Serve(l, drain) }()
-			if _, err := Dial("http://"+l.Addr().String(), "probe").Healthz(); err != nil {
-				t.Fatalf("healthz while serving: %v", err)
+			if _, status := getHealthz(t, "http://"+l.Addr().String()); status != http.StatusOK {
+				t.Fatalf("healthz while serving: status %d", status)
 			}
 
 			if exit == "drained" {
@@ -354,4 +356,19 @@ func TestServeClosesStoreOnEveryExit(t *testing.T) {
 			}
 		})
 	}
+}
+
+// getHealthz fetches base's /v1/healthz: the decoded body and the status.
+func getHealthz(t *testing.T, base string) (HealthResponse, int) {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h HealthResponse
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatalf("healthz body: %v", err)
+	}
+	return h, resp.StatusCode
 }

@@ -493,9 +493,8 @@ func TestHTTPLifecycle(t *testing.T) {
 	defer ts.Close()
 	cl := Dial(ts.URL, "alice")
 
-	h, err := cl.Healthz()
-	if err != nil || h.Status != "ok" || h.Draining {
-		t.Fatalf("Healthz = %+v, %v; want ok", h, err)
+	if h, status := getHealthz(t, ts.URL); status != http.StatusOK || h.Status != "ok" || h.Draining {
+		t.Fatalf("healthz = %d %+v; want 200 ok", status, h)
 	}
 	if err := cl.RegisterKey(ek); err != nil {
 		t.Fatal(err)
@@ -523,13 +522,8 @@ func TestHTTPLifecycle(t *testing.T) {
 	if err := srv.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = cl.Healthz()
-	var api *APIError
-	if !errors.As(err, &api) || api.Status != http.StatusServiceUnavailable || api.Code != CodeShuttingDown {
-		t.Errorf("Healthz while draining: %v, want 503 shutting_down", err)
-	}
-	if !api.Temporary() {
-		t.Error("shutting_down not Temporary()")
+	if h, status := getHealthz(t, ts.URL); status != http.StatusServiceUnavailable || h.Status != "draining" || !h.Draining {
+		t.Errorf("healthz while draining = %d %+v, want 503 draining", status, h)
 	}
 }
 

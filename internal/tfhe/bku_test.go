@@ -46,10 +46,10 @@ func TestUnrolledBootstrapMatchesStandard(t *testing.T) {
 		ct := sk.EncryptBool(rng, b)
 		std := ev.Bootstrap(ct, tv)
 		unr := ev.BootstrapUnrolled(ct, tv, u)
-		if got, want := sk.DecryptBoolBig(unr), sk.DecryptBoolBig(std); got != want {
+		if got, want := decryptBoolBig(sk, unr), decryptBoolBig(sk, std); got != want {
 			t.Fatalf("trial %d: unrolled %v, standard %v", i, got, want)
 		}
-		if got := sk.DecryptBoolBig(unr); got != b {
+		if got := decryptBoolBig(sk, unr); got != b {
 			t.Fatalf("trial %d: unrolled bootstrap of %v decrypted %v", i, b, got)
 		}
 	}

@@ -30,12 +30,6 @@ func (sk SecretKeys) DecryptBool(c LWECiphertext) bool {
 	return int32(sk.LWE.Phase(c)) > 0
 }
 
-// DecryptBoolBig decrypts a boolean ciphertext of dimension k·N (before
-// keyswitching).
-func (sk SecretKeys) DecryptBoolBig(c LWECiphertext) bool {
-	return int32(sk.BigLWE.Phase(c)) > 0
-}
-
 // SignTestVector returns the constant test vector whose blind rotation
 // computes the sign of the phase: +1/8 for phase in [0,1/2), -1/8 otherwise.
 // It is read-only during PBS, so one copy can be shared across a whole

@@ -73,9 +73,3 @@ func GenerateKeys(rng *rand.Rand, params Params) (SecretKeys, EvaluationKeys) {
 func (ek EvaluationKeys) BSKBytes() int64 {
 	return int64(ek.Params.SmallN) * int64(ek.Params.GGSWValues()) * 16
 }
-
-// KSKBytes returns the size in bytes of the keyswitching key (32-bit
-// entries).
-func (ek EvaluationKeys) KSKBytes() int64 {
-	return int64(ek.Params.KSKWords()) * 4
-}

@@ -129,9 +129,3 @@ func (k LWEKey) Phase(c LWECiphertext) torus.Torus32 {
 	}
 	return c.B - dot
 }
-
-// DecryptMessage decrypts to the nearest message in {0..space-1}, assuming
-// the message was encoded with torus.EncodeMessage.
-func (k LWEKey) DecryptMessage(c LWECiphertext, space int) int {
-	return torus.DecodeMessage(k.Phase(c), space)
-}

@@ -19,7 +19,7 @@ func TestPropertyLWEAdditiveHomomorphism(t *testing.T) {
 		a := key.Encrypt(rng, torus.EncodeMessage(int(m1)%space, space), 1e-9)
 		b := key.Encrypt(rng, torus.EncodeMessage(int(m2)%space, space), 1e-9)
 		a.AddTo(b)
-		return key.DecryptMessage(a, space) == (int(m1)%space+int(m2)%space)%space
+		return torus.DecodeMessage(key.Phase(a), space) == (int(m1)%space+int(m2)%space)%space
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -61,8 +61,8 @@ func TestPropertyKeySwitchLinear(t *testing.T) {
 		rb := ev.KeySwitch(b)
 		ra.AddTo(rb)
 		want := (mm1 + mm2) % space
-		return testSK.LWE.DecryptMessage(lhs, space) == want &&
-			testSK.LWE.DecryptMessage(ra, space) == want
+		return torus.DecodeMessage(testSK.LWE.Phase(lhs), space) == want &&
+			torus.DecodeMessage(testSK.LWE.Phase(ra), space) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)

@@ -55,7 +55,7 @@ func TestLWEEncryptDecrypt(t *testing.T) {
 	space := 8
 	for m := 0; m < space; m++ {
 		c := key.Encrypt(rng, torus.EncodeMessage(m, space), 1e-7)
-		if got := key.DecryptMessage(c, space); got != m {
+		if got := torus.DecodeMessage(key.Phase(c), space); got != m {
 			t.Fatalf("decrypt(encrypt(%d)) = %d", m, got)
 		}
 	}
@@ -68,11 +68,11 @@ func TestLWEHomomorphicAdd(t *testing.T) {
 	a := key.Encrypt(rng, torus.EncodeMessage(3, space), 1e-8)
 	b := key.Encrypt(rng, torus.EncodeMessage(5, space), 1e-8)
 	a.AddTo(b)
-	if got := key.DecryptMessage(a, space); got != 8 {
+	if got := torus.DecodeMessage(key.Phase(a), space); got != 8 {
 		t.Fatalf("3+5 = %d", got)
 	}
 	a.SubTo(b)
-	if got := key.DecryptMessage(a, space); got != 3 {
+	if got := torus.DecodeMessage(key.Phase(a), space); got != 3 {
 		t.Fatalf("8-5 = %d", got)
 	}
 }
@@ -83,11 +83,11 @@ func TestLWEScalarMulAndNegate(t *testing.T) {
 	space := 16
 	c := key.Encrypt(rng, torus.EncodeMessage(3, space), 1e-9)
 	c.MulScalar(4)
-	if got := key.DecryptMessage(c, space); got != 12 {
+	if got := torus.DecodeMessage(key.Phase(c), space); got != 12 {
 		t.Fatalf("3*4 = %d", got)
 	}
 	c.Negate()
-	if got := key.DecryptMessage(c, space); got != 4 {
+	if got := torus.DecodeMessage(key.Phase(c), space); got != 4 {
 		t.Fatalf("-12 mod 16 = %d", got)
 	}
 }
@@ -130,7 +130,7 @@ func TestSampleExtract(t *testing.T) {
 	c := key.Encrypt(rng, mu, 1e-9)
 	lwe := SampleExtract(c)
 	ext := key.ExtractLWEKey()
-	got := torus.ToFloat(ext.Phase(lwe))
+	got := torus.ToSignedFloat(ext.Phase(lwe))
 	if got < 0.299 || got > 0.301 {
 		t.Fatalf("extracted phase %v, want 0.3", got)
 	}
@@ -204,7 +204,7 @@ func TestKeySwitchPreservesMessage(t *testing.T) {
 	for m := 0; m < space; m++ {
 		c := testSK.BigLWE.Encrypt(rng, torus.EncodeMessage(m, space), 1e-8)
 		out := ev.KeySwitch(c)
-		if got := testSK.LWE.DecryptMessage(out, space); got != m {
+		if got := torus.DecodeMessage(testSK.LWE.Phase(out), space); got != m {
 			t.Fatalf("keyswitch(%d) decrypted to %d", m, got)
 		}
 	}
@@ -216,7 +216,7 @@ func TestBlindRotateSign(t *testing.T) {
 	for _, b := range []bool{true, false} {
 		c := testSK.EncryptBool(rng, b)
 		big := ev.signBootstrapBig(c)
-		if got := testSK.DecryptBoolBig(big); got != b {
+		if got := decryptBoolBig(testSK, big); got != b {
 			t.Fatalf("sign bootstrap of %v decrypted to %v", b, got)
 		}
 	}
@@ -377,7 +377,7 @@ func TestKeySizes(t *testing.T) {
 	if bskMB < 10 || bskMB > 500 {
 		t.Errorf("set I bsk = %.1f MB, expected 10s-100s MB", bskMB)
 	}
-	kskMB := float64(ek.KSKBytes()) / (1 << 20)
+	kskMB := float64(ek.Params.KSKWords()*4) / (1 << 20)
 	if kskMB <= 0 {
 		t.Errorf("ksk size must be positive, got %v MB", kskMB)
 	}
@@ -391,4 +391,10 @@ func BenchmarkGateBootstrapTestParams(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ev.NAND(c, c)
 	}
+}
+
+// decryptBoolBig decrypts a boolean ciphertext of dimension k·N, before
+// keyswitching.
+func decryptBoolBig(sk SecretKeys, c LWECiphertext) bool {
+	return int32(sk.BigLWE.Phase(c)) > 0
 }

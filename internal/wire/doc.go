@@ -1,5 +1,5 @@
 // Package wire is the versioned binary codec of the gate service: the
-// canonical byte encoding of LWE and GLWE ciphertexts, parameter sets, and
+// canonical byte encoding of LWE ciphertexts, parameter sets, and
 // evaluation keys (the Fourier-domain BSK plus the KSK) that crosses the
 // client/server boundary.
 //

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -19,7 +18,9 @@ import (
 // EncodeEvalKey is an io.Reader that produces the encoding a record at a
 // time straight from the key, and ViewEvalKey checks an encoding and
 // returns keys whose slabs are views of its bytes, not copies of them.
-// DecodeEvalKey reads a stream into memory and views it; MarshalEvalKey
+// A receiver reads a stream by checking its header (ReadEvalKeyHeader),
+// reading header and rest into memory that grows behind the bytes
+// delivered (ReadSized), and viewing that (ViewEvalKey); MarshalEvalKey
 // and UnmarshalEvalKey are the two directions over one byte slice.
 //
 // Layout (format version 2): the object header and the parameter payload,
@@ -386,23 +387,4 @@ func readAt(r io.Reader, b []byte, off int64) error {
 		return fmt.Errorf("wire: truncated input: need %d bytes at offset %d, have %d", len(b), off, n)
 	}
 	return fmt.Errorf("wire: reading at offset %d: %w", off+int64(n), err)
-}
-
-// DecodeEvalKey decodes evaluation keys from r, which must yield exactly
-// size bytes. The header is checked against size before any key storage
-// is allocated (ReadEvalKeyHeader); the stream is then read into memory
-// that grows behind the bytes delivered (ReadSized), so a hostile header
-// or size buys at most eight times the bytes actually sent, and a whole
-// key costs at most 1.125 times its size; the keys are a view of that
-// memory (ViewEvalKey).
-func DecodeEvalKey(r io.Reader, size int64) (tfhe.EvaluationKeys, error) {
-	hdr, err := ReadEvalKeyHeader(r, size)
-	if err != nil {
-		return tfhe.EvaluationKeys{}, err
-	}
-	b, err := ReadSized(io.MultiReader(bytes.NewReader(hdr), r), size)
-	if err != nil {
-		return tfhe.EvaluationKeys{}, err
-	}
-	return ViewEvalKey(b)
 }

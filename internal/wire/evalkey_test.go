@@ -142,7 +142,7 @@ func BenchmarkEvalKeyCodec(b *testing.B) {
 		b.SetBytes(int64(len(data)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := DecodeEvalKey(bytes.NewReader(data), int64(len(data))); err != nil {
+			if _, err := receiveEvalKey(bytes.NewReader(data), int64(len(data))); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -196,11 +196,29 @@ func TestSwapWords(t *testing.T) {
 	}
 }
 
-// TestDecodeEvalKeyAnyChunking feeds the decoder through readers that
+// receiveEvalKey reads a key of size bytes from r the way the server's
+// registration does: the header is checked against size before anything
+// is stored (ReadEvalKeyHeader), the whole object is read into memory that
+// grows behind the bytes delivered (ReadSized), so a hostile header or
+// size buys at most eight times the bytes actually sent, and the keys are
+// a view of that memory (ViewEvalKey).
+func receiveEvalKey(r io.Reader, size int64) (tfhe.EvaluationKeys, error) {
+	hdr, err := ReadEvalKeyHeader(r, size)
+	if err != nil {
+		return tfhe.EvaluationKeys{}, err
+	}
+	b, err := ReadSized(io.MultiReader(bytes.NewReader(hdr), r), size)
+	if err != nil {
+		return tfhe.EvaluationKeys{}, err
+	}
+	return ViewEvalKey(b)
+}
+
+// TestReceiveEvalKeyAnyChunking feeds the receiver through readers that
 // return one byte, half of what is asked, and data together with io.EOF:
 // the key must be bitwise the one UnmarshalEvalKey decodes. A reader that
 // fails must surface its own error, not a truncation.
-func TestDecodeEvalKeyAnyChunking(t *testing.T) {
+func TestReceiveEvalKeyAnyChunking(t *testing.T) {
 	data, err := MarshalEvalKey(goldenKey())
 	if err != nil {
 		t.Fatal(err)
@@ -214,14 +232,14 @@ func TestDecodeEvalKeyAnyChunking(t *testing.T) {
 		"HalfReader":    iotest.HalfReader,
 		"DataErrReader": iotest.DataErrReader,
 	} {
-		got, err := DecodeEvalKey(wrap(bytes.NewReader(data)), int64(len(data)))
+		got, err := receiveEvalKey(wrap(bytes.NewReader(data)), int64(len(data)))
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 		} else if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: decoded key differs from UnmarshalEvalKey", name)
 		}
 	}
-	got, err := DecodeEvalKey(iotest.TimeoutReader(iotest.HalfReader(bytes.NewReader(data))), int64(len(data)))
+	got, err := receiveEvalKey(iotest.TimeoutReader(iotest.HalfReader(bytes.NewReader(data))), int64(len(data)))
 	if !errors.Is(err, iotest.ErrTimeout) {
 		t.Errorf("TimeoutReader: error %v, want one wrapping iotest.ErrTimeout", err)
 	}
@@ -230,10 +248,10 @@ func TestDecodeEvalKeyAnyChunking(t *testing.T) {
 	}
 }
 
-// TestDecodeEvalKeyRejects covers what only a stream can get wrong: it
+// TestReceiveEvalKeyRejects covers what only a stream can get wrong: it
 // ends inside the header, the BSK or the KSK; it runs on past the object;
 // or it is declared a size its own parameter header contradicts.
-func TestDecodeEvalKeyRejects(t *testing.T) {
+func TestReceiveEvalKeyRejects(t *testing.T) {
 	ek := goldenKey()
 	data, err := MarshalEvalKey(ek)
 	if err != nil {
@@ -280,7 +298,7 @@ func TestDecodeEvalKeyRejects(t *testing.T) {
 			"whole": func(r io.Reader) io.Reader { return r },
 			"half":  iotest.HalfReader,
 		} {
-			_, err := DecodeEvalKey(wrap(bytes.NewReader(tc.stream)), tc.size)
+			_, err := receiveEvalKey(wrap(bytes.NewReader(tc.stream)), tc.size)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("%s (%s reads): error %v, want one containing %q", tc.name, name, err, tc.want)
 			}
@@ -348,18 +366,18 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestDecodeEvalKeySizeCheckedBeforeStorage pins the order of the checks
+// TestReceiveEvalKeySizeCheckedBeforeStorage pins the order of the checks
 // on hostile input: a declared size that disagrees with the parameter
 // header is refused from the header alone — nothing past the first chunk
 // is read — and a header promising a gigabyte key (set IV) followed by
 // nothing costs no key-sized allocation.
-func TestDecodeEvalKeySizeCheckedBeforeStorage(t *testing.T) {
+func TestReceiveEvalKeySizeCheckedBeforeStorage(t *testing.T) {
 	data, err := MarshalEvalKey(goldenKey())
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := &countingReader{r: bytes.NewReader(data)}
-	if _, err := DecodeEvalKey(src, int64(len(data))+16); err == nil {
+	if _, err := receiveEvalKey(src, int64(len(data))+16); err == nil {
 		t.Fatal("declared size disagreeing with the parameter header accepted")
 	}
 	if src.n > keyChunk {
@@ -373,7 +391,7 @@ func TestDecodeEvalKeySizeCheckedBeforeStorage(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = DecodeEvalKey(bytes.NewReader(header), size)
+	_, err = receiveEvalKey(bytes.NewReader(header), size)
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Errorf("header-only set IV stream: error %v, want truncated input", err)
@@ -383,11 +401,11 @@ func TestDecodeEvalKeySizeCheckedBeforeStorage(t *testing.T) {
 	}
 }
 
-// TestDecodeEvalKeyHeaderOnlyMaxN pins where the decoder's allocation
+// TestReceiveEvalKeyHeaderOnlyMaxN pins where the decoder's allocation
 // stops at the largest polynomial degree it accepts: a header promising an
 // N = 2^20 key (one GGSW of 32 MB) followed by nothing buys storage only
 // behind the header bytes delivered, not a polynomial (8 MB) ahead of them.
-func TestDecodeEvalKeyHeaderOnlyMaxN(t *testing.T) {
+func TestReceiveEvalKeyHeaderOnlyMaxN(t *testing.T) {
 	p := tfhe.Params{Name: "maxN", N: MaxPolyDegree, K: 1, SmallN: 1, PBSLevel: 1, PBSBaseLog: 8,
 		KSLevel: 1, KSBaseLog: 8, LWEStdDev: 1e-9, GLWEStdDev: 1e-9}
 	size, ok := EvalKeySize(p)
@@ -397,7 +415,7 @@ func TestDecodeEvalKeyHeaderOnlyMaxN(t *testing.T) {
 	header := appendParamsPayload(appendHeader(nil, KindEvalKey), p)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := DecodeEvalKey(bytes.NewReader(header), size)
+	_, err := receiveEvalKey(bytes.NewReader(header), size)
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Errorf("header-only N = 2^20 stream: error %v, want truncated input", err)
@@ -407,18 +425,18 @@ func TestDecodeEvalKeyHeaderOnlyMaxN(t *testing.T) {
 	}
 }
 
-// TestDecodeEvalKeyAllocatesAboutItsSize pins the other side of growing
+// TestReceiveEvalKeyAllocatesAboutItsSize pins the other side of growing
 // behind the delivered bytes: a whole key read from a stream costs about
 // one allocation of its size, because the buffer is not regrown as the
 // bytes arrive — only the first eighth of them gathers in pieces first.
-func TestDecodeEvalKeyAllocatesAboutItsSize(t *testing.T) {
+func TestReceiveEvalKeyAllocatesAboutItsSize(t *testing.T) {
 	data, err := MarshalEvalKey(goldenKey())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := DecodeEvalKey(bytes.NewReader(data), int64(len(data))); err != nil {
+	if _, err := receiveEvalKey(bytes.NewReader(data), int64(len(data))); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

@@ -37,17 +37,6 @@ func fuzzSeedLWE() []byte {
 	return MarshalLWE(k.Encrypt(rng, 1<<29, 1e-9))
 }
 
-// fuzzSeedGLWE returns a valid small encoded GLWE ciphertext.
-func fuzzSeedGLWE() []byte {
-	rng := rand.New(rand.NewSource(2))
-	key := tfhe.NewGLWEKey(rng, 1, 8)
-	data, err := MarshalGLWE(key.EncryptZero(rng, 1e-9))
-	if err != nil {
-		panic(err)
-	}
-	return data
-}
-
 // fuzzSeedParams returns a valid encoded parameter set.
 func fuzzSeedParams() []byte {
 	data, err := MarshalParams(tfhe.ParamsTest)
@@ -95,23 +84,6 @@ func FuzzUnmarshalLWE(f *testing.F) {
 	})
 }
 
-func FuzzUnmarshalGLWE(f *testing.F) {
-	addMutations(f, fuzzSeedGLWE())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ct, err := UnmarshalGLWE(data)
-		if err != nil {
-			return
-		}
-		again, err := MarshalGLWE(ct)
-		if err != nil {
-			t.Fatalf("decoded GLWE fails to re-marshal: %v", err)
-		}
-		if !bytes.Equal(again, data) {
-			t.Fatal("accepted non-canonical GLWE input")
-		}
-	})
-}
-
 func FuzzUnmarshalParams(f *testing.F) {
 	addMutations(f, fuzzSeedParams())
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -133,16 +105,17 @@ func FuzzUnmarshalParams(f *testing.F) {
 }
 
 // FuzzUnmarshalEvalKey views every input in place (ViewEvalKey) and also
-// runs it through the stream decoder behind a reader that splits it into
-// short reads — the shape a network body has — requiring the same verdict
-// and the same key. The committed corpus holds, beside the valid key, the
+// receives it as a stream (receiveEvalKey, the server's composition of
+// ReadEvalKeyHeader, ReadSized and ViewEvalKey) behind a reader that
+// splits it into short reads — the shape a network body has — requiring
+// the same verdict and the same key. The committed corpus holds, beside the valid key, the
 // layout's own refusals: a version 1 key, a nonzero pad byte, and a key
 // that ends inside its pad.
 func FuzzUnmarshalEvalKey(f *testing.F) {
 	addMutations(f, fuzzSeedEvalKey())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ek, err := ViewEvalKey(data)
-		chunked, cerr := DecodeEvalKey(iotest.HalfReader(bytes.NewReader(data)), int64(len(data)))
+		chunked, cerr := receiveEvalKey(iotest.HalfReader(bytes.NewReader(data)), int64(len(data)))
 		if (err == nil) != (cerr == nil) {
 			t.Fatalf("view: %v; short reads: %v", err, cerr)
 		}

@@ -36,7 +36,7 @@ type Kind byte
 const (
 	KindParams  Kind = 1 // a tfhe.Params parameter set
 	KindLWE     Kind = 2 // an LWE ciphertext
-	KindGLWE    Kind = 3 // a GLWE ciphertext
+	KindGLWE    Kind = 3 // reserved: no GLWE codec, the number stays taken
 	KindEvalKey Kind = 4 // evaluation keys (BSK + KSK)
 )
 

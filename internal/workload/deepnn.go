@@ -17,7 +17,6 @@ type DeepNN struct {
 
 // Zama Deep-NN geometry constants from [34] as quoted in §VI-C.
 const (
-	InputPixels  = 28 * 28 // one LWE ciphertext per pixel
 	ConvOutputs  = 1 * 2 * 21 * 20
 	DenseNeurons = 92
 )

@@ -13,8 +13,7 @@ import (
 // node, nonlinearities as programmable bootstraps). Every value on an
 // encrypted wire is a digit in {0..InferDigitMax} inside the InferSpace
 // PBS message space, and every weight is chosen so intermediate linear
-// sums never leave the padding-bit range — the same discipline as the
-// mini-NN encoding in nn.go.
+// sums never leave the padding-bit range.
 const (
 	// InferSpace is the PBS message space the inference inputs, the conv
 	// pre-activations, and the output scores live in.

@@ -129,3 +129,16 @@ func TestBuildInferSharesRotations(t *testing.T) {
 		t.Fatalf("schedule uses %d blind rotations, want %d (dense stage must share via multi-value PBS)", got, want)
 	}
 }
+
+// sameCT compares two ciphertexts bitwise.
+func sameCT(a, b tfhe.LWECiphertext) bool {
+	if a.N() != b.N() || a.B != b.B {
+		return false
+	}
+	for i := range a.A {
+		if a.A[i] != b.A[i] {
+			return false
+		}
+	}
+	return true
+}
