@@ -33,7 +33,8 @@ test-purego:
 
 # The concurrent packages: the streaming engine, the tfhe tile loops its
 # stages run, the circuit scheduler that feeds it, the shared FFT
-# processor pool it leans on, the session-sharded gate service (group-commit coalescing) with its wire codec, the
+# processor pool it leans on, the session-sharded gate service (concurrent
+# requests and circuit dispatches on one session) with its wire codec, the
 # multi-node routing tier in front of it, and the cross-backend
 # conformance suite that runs every public op through all the execution
 # paths. internal/torus rides along for its assembly-vs-Go test, beside
@@ -167,7 +168,11 @@ no-retired-gate:
 # constructors, which ran intops circuits beside sched.Runner, or the
 # stream key decoder beside the receiver's ReadEvalKeyHeader, ReadSized
 # and ViewEvalKey, so that a second circuit runner or a second key decoder
-# cannot come back behind a new caller.
+# cannot come back behind a new caller. Nor may any Go source, either
+# README or docs/ name the gate service's group commit (its engine lock,
+# its result type, its merge bound and that bound's flag), which merged
+# requests a second time above the worker pool's tiles, so that a second
+# merge layer does not come back.
 no-retired-ops:
 	@! git grep -nE 'BatchGates|(^|[^k])StreamGates|BatchEvalLUT|StreamLUT\(|BatchMultiLUT|StreamMultiLUT|BatchBootstrap|StreamBootstrap|BatchKeySwitch|EvalCircuit|engine\.New\(|engine\.Config([^A-Za-z0-9_]|$$)|DefaultMinStream|BlindRotateBatch|BlindRotateSteps|Runner\{Batch' -- '*.go' ':!benchmark' ':!internal/engine/engine.go'
 	@! git grep -nE 'GGSWFourier\{''Rows|ForwardTorus''BatchTo|ForwardInt''BatchTo|Inverse''BatchTo|mulAcc''Fast|mulAcc''AVX2|fft\.Mul''\(' -- '*.go'
@@ -176,6 +181,7 @@ no-retired-ops:
 	@! git grep -nE 'readFourier|readTorus([^I]|$$)|fill\[' -- '*.go'
 	@! git grep -nE 'lane''Table|untwist''Lanes|stage\.lanes|stage2''AVX2|(fwdStage4|fwdStage2|invFirst|invStage4|invFold|decompLoad)''Fast' -- '*.go' '*.s'
 	@! git grep -nE 'intops\.New''\(|New''Scheduled|New''Optimized|Decode''EvalKey' -- '*.go'
+	@! git grep -nE 'exec''Mu|[Mm]ax''Coalesce|max-''coalesce|group''Result' -- '*.go' README.md docs benchmark/README.md
 
 # No fused multiply-add in any assembly file: it rounds once where the
 # reference kernels round twice, and fast == ref is bitwise. Nor in what the

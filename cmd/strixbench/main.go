@@ -16,7 +16,7 @@
 //	strixbench -circuit 3 -set I       # ... on a full-scale parameter set (slow)
 //	strixbench -circuit 4 -kernel ref  # ... on the pure-Go reference FFT kernels
 //	strixbench -infer 64               # encrypted cellCNN-style inference inf/s
-//	strixbench -infer 64 -clients 4    # ... coalesced across concurrent sessions
+//	strixbench -infer 64 -clients 4    # ... from concurrent client sessions
 package main
 
 import (
@@ -136,8 +136,8 @@ func runInfer(set string, count, clients int) error {
 		len(sweep), agree, len(sweep), 100*float64(agree)/float64(len(sweep)))
 
 	// Time the client batches concurrently (one infer envelope per
-	// session — concurrent sessions coalesce in the service's
-	// group-commit window), plain and optimized.
+	// session; the sessions share the process's worker pool), plain and
+	// optimized.
 	for _, opts := range []server.EvalOpts{{}, {Optimize: true}} {
 		label := "plain    "
 		if opts.Optimize {

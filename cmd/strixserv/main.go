@@ -52,14 +52,12 @@ func main() {
 	maxSessions := flag.Int("max-sessions", 0, "LRU bound on cached client sessions (0 = default 64)")
 	maxPending := flag.Int("max-pending", 0, "per-session backpressure bound (0 = default 64)")
 	maxBatch := flag.Int("max-batch", 0, "max ciphertexts per request (0 = default 4096)")
-	maxCoalesce := flag.Int("max-coalesce", 0, "max ciphertexts merged into one stream (0 = default 8192)")
 	flag.Parse()
 
 	srv, err := server.Open(server.Config{
 		MaxSessions: *maxSessions,
 		MaxPending:  *maxPending,
 		MaxBatch:    *maxBatch,
-		MaxCoalesce: *maxCoalesce,
 		DataDir:     *dataDir,
 	})
 	if err != nil {

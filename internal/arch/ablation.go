@@ -6,10 +6,9 @@ import (
 	"repro/internal/tfhe"
 )
 
-// Ablation models for the design choices DESIGN.md calls out: bootstrapping
-// key unrolling (the Matcha approach §VII, traded against Strix's
-// two-level batching), the core-level batch size, and the external
-// bandwidth provision.
+// Ablation models for three design choices: bootstrapping key unrolling
+// (the Matcha approach §VII, traded against Strix's two-level batching),
+// the core-level batch size, and the external bandwidth provision.
 
 // UnrolledModel extends Model with factor-2 bootstrapping-key unrolling:
 // ceil(n/2) serial iterations, 3 external products (and 1.5× key bytes)

@@ -107,7 +107,7 @@ func (g GPUModel) ThroughputPBS(set string) (float64, error) {
 // N=1024 only; the per-SM FFT work scales as N·log2(N), which is the
 // scaling applied here. (The n and lb dependence is already inside the
 // measured kernel shape; the paper likewise extrapolates its GPU bars for
-// N > 1024 — see EXPERIMENTS.md.)
+// N > 1024.)
 func (g GPUModel) ScaledBatchMs(baseSet string, baseN, n2 int) (float64, error) {
 	bt, err := g.batchTime(baseSet)
 	if err != nil {

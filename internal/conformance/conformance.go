@@ -376,8 +376,8 @@ func (s schedBackend) Infer(features []tfhe.LWECiphertext) ([][]tfhe.LWECipherte
 }
 
 // serverBackend reaches every operation through the gate service's HTTP
-// API: wire codec, JSON framing, session lookup, and the group-commit
-// coalescer all sit between the call and the engine.
+// API: wire codec, JSON framing, session lookup and backpressure all sit
+// between the call and the engine.
 type serverBackend struct {
 	cl *server.Client
 }

@@ -7,9 +7,10 @@ import (
 	"repro/internal/tfhe"
 )
 
-// Ablations beyond the paper's published tables, quantifying the design
-// choices DESIGN.md calls out. They are registered alongside the paper
-// experiments under "ablation-*" IDs.
+// Ablations beyond the paper's published tables, quantifying three design
+// choices: key unrolling, the core-level batch size and the external
+// bandwidth. They are registered alongside the paper experiments under
+// "ablation-*" IDs.
 
 // AblationUnrolling compares standard Strix against a bootstrapping-key
 // unrolled variant (the Matcha technique, §VII): half the serial

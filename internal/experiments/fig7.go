@@ -15,7 +15,7 @@ import (
 //
 // The CPU reference uses cpuThreads worker threads (the Zama deep-NN
 // baseline of ref [34] is a multicore CPU run; 32 threads lands in the
-// paper's reported 33–38x Strix speedup band — see EXPERIMENTS.md).
+// paper's reported 33–38x Strix speedup band).
 func Fig7(cpuThreads int) (Report, error) {
 	cpu := baseline.NewCPUModel()
 	cpu.Threads = cpuThreads

@@ -25,7 +25,7 @@ func Registry() map[string]Runner {
 		"fig7":   func() (Report, error) { return Fig7(20) },
 		"fig8":   Fig8,
 
-		// Ablations beyond the paper (see DESIGN.md).
+		// Ablations beyond the paper (ablations.go).
 		"ablation-unroll":    AblationUnrolling,
 		"ablation-corebatch": AblationCoreBatch,
 		"ablation-bandwidth": AblationBandwidth,

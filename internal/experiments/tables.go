@@ -38,7 +38,7 @@ func Table4() (Report, error) {
 			fmt.Sprintf("2^%d", p.PBSBaseLog),
 			fmt.Sprintf("%d", p.KSLevel), fmt.Sprintf("2^%d", p.KSBaseLog))
 	}
-	r.AddNote("n/k/N/lb/lambda are Table IV values; gadget and KS parameters are library defaults (see DESIGN.md)")
+	r.AddNote("n/k/N/lb/lambda are Table IV values; gadget and KS parameters are library defaults")
 	return r, nil
 }
 

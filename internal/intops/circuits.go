@@ -11,9 +11,8 @@ import (
 // standalone circuit takes both operands at one width, and running it on
 // any other number of input digits is refused.
 
-// The shared digit lookup tables, all over opSpace. Sharing the slices
-// means equal-table dispatches coalesce by content everywhere (scheduler
-// levels, gate-service streams).
+// The shared digit lookup tables, all over opSpace. The scheduler merges
+// ready nodes of equal tables into one dispatch.
 var (
 	tblCarry = buildTable(func(v int) int { return v / Base })
 	tblDigit = buildTable(func(v int) int { return v % Base })

@@ -201,12 +201,12 @@ func opMix(ops []GateOp) string {
 	return strings.Join(parts, " ")
 }
 
-// Key is the dispatch's grouping key: the scheduler merges a level's
-// nodes into one dispatch, and the gate service coalesces requests into
-// one engine call, exactly when their keys are equal. Every gate dispatch
-// has the key "g" (they share the sign test vector); a LUT or multi-value
-// key spells the kind, the space and every table entry, so only identical
-// tables (count and order too) share a test vector.
+// Key is the dispatch's grouping key: the scheduler merges ready nodes
+// into one dispatch, one engine call, exactly when their keys are equal.
+// Every gate dispatch has the key "g" (they share the sign test vector);
+// a LUT or multi-value key spells the kind, the space and every table
+// entry, so only identical tables (count and order too) share a test
+// vector.
 func (d Dispatch) Key() string {
 	var b strings.Builder
 	switch d.Kind {

@@ -12,8 +12,8 @@
 // dependency tables (the users of every wire, the operands every node
 // waits for). Execute then dispatches by readiness over any Executor —
 // the in-process Runner, whose every dispatch kind is a single operation
-// of the StreamingEngine, or the gate service's group-commit session
-// path. Whenever the process's worker pool has a free CPU, it issues the
+// of the StreamingEngine, or the gate service's session, which embeds a
+// Runner. Whenever the process's worker pool has a free CPU, it issues the
 // ready nodes of the highest rank that share a test vector (every binary
 // gate shares the sign test vector; lookup tables group by exact table);
 // each completion unblocks its users, and linear nodes fold the moment

@@ -12,7 +12,8 @@ import (
 // return exactly one output per input (one output group per input for
 // MultiLUT), in input order, computing the same per-item operation as the
 // sequential evaluator. Execute calls an Executor from a goroutine of its
-// own, one dispatch at a time; only the Runner takes several at once.
+// own, one dispatch at a time, unless it is a Runner or embeds one: those
+// take several at once.
 type Executor interface {
 	// Gate evaluates out[i] = d.Ops[i](a[i], b[i]).
 	Gate(d Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error)
@@ -25,10 +26,10 @@ type Executor interface {
 }
 
 // concurrent is implemented by the executors that run concurrent calls
-// at once, each on the CPUs Execute claimed for it: the Runner. Any other
-// executor runs one call at a time anyway, as the gate service's session
-// does, or assumes it, as a tracer that nests each call's span in the one
-// open before it does.
+// at once, each on the CPUs Execute claimed for it: the Runner, and every
+// type that embeds one, which the embedding gives the marker (the gate
+// service's session). Any other executor may assume one call at a time,
+// as a tracer that nests each call's span in the one open before it does.
 type concurrent interface{ concurrentCalls() }
 
 // evalLin computes one linear node over the resolved wire values. dim is
@@ -70,9 +71,9 @@ func evalLin(n node, vals []tfhe.LWECiphertext, dim int) (tfhe.LWECiphertext, er
 // ready work could take the remaining CPUs runs on one of them, as one
 // tile; one that is the only ready work may split across every free CPU
 // it can fill. With nothing in flight, Execute takes a CPU even when none
-// is free, as an operation alone does. An executor other than the Runner
-// gets one dispatch at a time instead, each with every ready node of its
-// key, and runs it by the pool's own tile rule.
+// is free, as an operation alone does. An executor that neither is nor
+// embeds a Runner gets one dispatch at a time instead, each with every
+// ready node of its key, and runs it by the pool's own tile rule.
 //
 // Wires resolve against the schedule's (possibly optimizer-rewritten)
 // circuit; c must be the source circuit the schedule was compiled from.

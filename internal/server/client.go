@@ -252,6 +252,15 @@ func (c *Client) evalGrouped(req EvalRequest) ([][]tfhe.LWECiphertext, error) {
 	return regroup(flat, k), nil
 }
 
+// regroup splits a flat input-major ciphertext slice into k per input.
+func regroup(flat []tfhe.LWECiphertext, k int) [][]tfhe.LWECiphertext {
+	out := make([][]tfhe.LWECiphertext, len(flat)/k)
+	for g := range out {
+		out[g] = flat[g*k : (g+1)*k : (g+1)*k]
+	}
+	return out
+}
+
 // GateBatch evaluates out[i] = op(a[i], b[i]) on the server. For the unary
 // NOT, b must be nil.
 func (c *Client) GateBatch(op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
@@ -264,8 +273,8 @@ func (c *Client) GateBatch(op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.
 }
 
 // CircuitBatch runs a built circuit on the server: the DAG ships as
-// serialized node specs, the server compiles it and coalesces every
-// dispatch with concurrent session traffic. Outputs return in the
+// serialized node specs, and the server compiles it and runs its
+// dispatches on the session's engine. Outputs return in the
 // circuit's Output declaration order.
 func (c *Client) CircuitBatch(circ *sched.Circuit, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	return c.CircuitBatchOpts(circ, inputs, EvalOpts{})

@@ -11,16 +11,16 @@
 // long-running server sheds the key material of idle clients instead of
 // growing without limit.
 //
-// Within a session, concurrent requests are coalesced group-commit style:
-// while one stream occupies the engine, compatible requests (same gate op,
-// or same LUT) pile into a shared group, and the next leader submits the
-// whole group as one stream — so the engine sees long streams even when
-// clients send small batches. Backpressure is a bounded per-session slot
-// count: when too many requests are queued, new ones block until the
-// backlog drains (and are refused with ErrOverloaded once they have
-// waited a minute). Per-session metrics
-// (request/item/stream/coalesce counts plus the engine's aggregated
-// tfhe.OpCounters) are exported via Stats and the HTTP stats endpoint.
+// Within a session, each request is its own engine operation, and a
+// circuit request runs its dispatches through sched.Execute with the
+// session as executor (it embeds a sched.Runner over its engine), so
+// concurrent requests and dispatches share the worker pool, which tiles
+// them side by side. Backpressure is a bounded per-session slot count:
+// when too many requests are queued, new ones block until the backlog
+// drains (and are refused with ErrOverloaded once they have waited a
+// minute). Per-session metrics (request/item/engine-call counts plus the
+// engine's aggregated tfhe.OpCounters) are exported via Stats and the
+// HTTP stats endpoint.
 //
 // Sessions can be durable. A SessionStore (MemStore, or the crash-safe
 // DiskStore opened via Open/Config.DataDir) turns the LRU into a warm
@@ -35,7 +35,7 @@
 // sessions' keys, with an append-only WAL (fsync-ordered so a record
 // never points at missing bytes) and replays the longest valid prefix on
 // open, truncating torn tails. Drain flips the server to
-// draining — new work refused with ErrShuttingDown, in-flight streams
+// draining — new work refused with ErrShuttingDown, in-flight requests
 // run to completion — then closes the store; the healthz endpoint goes
 // not-ready at the flip.
 //

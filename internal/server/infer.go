@@ -11,10 +11,8 @@ import (
 // The encrypted-inference service scenario: a client registers its eval
 // key, uploads encrypted feature vectors, and gets encrypted class
 // scores back, without the server ever seeing a plaintext. The model
-// (workload.BuildInfer) is compiled server-side and executed through the
-// session's group-commit path, so concurrent inference requests — and
-// any other traffic whose dispatch keys match — coalesce into shared
-// engine streams.
+// (workload.BuildInfer) is compiled server-side and executed like any
+// circuit request: the session is the executor of its dispatches.
 
 // InferBatch runs the built-in cellCNN-style inference model over a
 // batch of encrypted feature vectors for clientID's session. features is

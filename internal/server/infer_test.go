@@ -24,8 +24,8 @@ func encryptFeatures(sk tfhe.SecretKeys, seed int64, vecs [][]int) []tfhe.LWECip
 }
 
 // TestInferBatchDecodesToReference runs a two-vector inference through
-// the full service path — HTTP client, v2 infer envelope, group-commit
-// execution — plain and optimized, and checks the encrypted scores
+// the full service path — HTTP client, v2 infer envelope, scheduled
+// execution on the session — plain and optimized, and checks the encrypted scores
 // decode to the quantized cleartext reference.
 func TestInferBatchDecodesToReference(t *testing.T) {
 	sk, ek := testKeys(t, 1)

@@ -4,7 +4,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/sched"
@@ -68,10 +67,10 @@ func TestMultiLUTBatchMatchesInProcess(t *testing.T) {
 // reflectEqualLWE compares two LWE ciphertexts bitwise.
 func reflectEqualLWE(a, b tfhe.LWECiphertext) bool { return tfhe.EqualLWE(a, b) }
 
-// TestMultiLUTCoalescing: concurrent fan-out requests with an identical
-// table list must merge into one engine stream, and every caller must
-// still get its own k outputs back, sliced with the k-wide stride.
-func TestMultiLUTCoalescing(t *testing.T) {
+// TestConcurrentMultiLUTBatches: concurrent fan-out requests with an
+// identical table list each get their own k outputs back per input,
+// bitwise what the sequential evaluator computes.
+func TestConcurrentMultiLUTBatches(t *testing.T) {
 	sk, ek := testKeys(t, 1)
 	const space, k = 4, 2
 	const callers = 4
@@ -81,64 +80,39 @@ func TestMultiLUTCoalescing(t *testing.T) {
 	if err := srv.RegisterKey("c1", ek); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := srv.session("c1")
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// Stall the engine the way an in-flight stream would, so every
-	// request joins one open group.
-	sess.execMu.Lock()
 	var wg sync.WaitGroup
 	outs := make([][][]tfhe.LWECiphertext, callers)
 	errs := make([]error, callers)
 	msgs := make([][]int, callers)
+	cts := make([][]tfhe.LWECiphertext, callers)
 	for c := 0; c < callers; c++ {
 		msgs[c] = []int{c % space, (c + 1) % space}
-		cts := encryptInts(sk, int64(910+c), msgs[c], space)
+		cts[c] = encryptInts(sk, int64(910+c), msgs[c], space)
 		wg.Add(1)
-		go func(c int, cts []tfhe.LWECiphertext) {
+		go func(c int) {
 			defer wg.Done()
-			outs[c], errs[c] = srv.MultiLUTBatch("c1", cts, space, tables)
-		}(c, cts)
+			outs[c], errs[c] = srv.MultiLUTBatch("c1", cts[c], space, tables)
+		}(c)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		sess.mu.Lock()
-		joined := 0
-		for _, g := range sess.groups { // identical table lists: one open group
-			joined = len(g.waiters)
-		}
-		sess.mu.Unlock()
-		if joined == callers {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d requests joined the group", joined, callers)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	sess.execMu.Unlock()
 	wg.Wait()
 
+	ev := tfhe.NewEvaluator(ek)
 	for c := 0; c < callers; c++ {
 		if errs[c] != nil {
 			t.Fatal(errs[c])
 		}
 		for i := range msgs[c] {
+			want := ev.EvalMultiLUTKS(cts[c][i], space, tfhe.TableFuncs(tables))
 			for j := 0; j < k; j++ {
+				if !tfhe.EqualLWE(outs[c][i][j], want[j]) {
+					t.Fatalf("caller %d output [%d][%d] differs bitwise from the sequential evaluator", c, i, j)
+				}
 				if dec := decryptInt(sk, outs[c][i][j], space); dec != tables[j][msgs[c][i]] {
 					t.Fatalf("caller %d output [%d][%d] decodes to %d, want %d", c, i, j, dec, tables[j][msgs[c][i]])
 				}
 			}
 		}
-	}
-	st := sess.statsSnapshot()
-	if st.Streams != 1 {
-		t.Fatalf("coalesced multi-value batch ran %d streams, want 1", st.Streams)
-	}
-	if st.Coalesced != callers {
-		t.Fatalf("coalesced count %d, want %d", st.Coalesced, callers)
 	}
 }
 
@@ -217,8 +191,7 @@ func TestHTTPMultiLUTBatch(t *testing.T) {
 		}
 	}
 
-	// A circuit with an explicit multi-value group goes through the same
-	// coalescing path server-side.
+	// The endpoint validates like the in-process call.
 	if _, err := cl.MultiLUTBatch(cts, 1, [][]int{{0}}); err == nil {
 		t.Fatal("HTTP endpoint accepted space < 2")
 	}
@@ -227,7 +200,7 @@ func TestHTTPMultiLUTBatch(t *testing.T) {
 // TestCircuitMultiLUTGroup runs a circuit containing an explicit
 // multi-value group through the HTTP circuit-batch path and pins it to
 // the sequential reference bitwise — the scheduler's fan-out dispatch
-// rides the same session coalescing machinery as standalone requests.
+// runs through the same session method as standalone requests.
 func TestCircuitMultiLUTGroup(t *testing.T) {
 	sk, ek := testKeys(t, 1)
 	const space = 4

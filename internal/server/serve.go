@@ -54,11 +54,10 @@ func ServeHandler(l net.Listener, h http.Handler, drain <-chan struct{}, quiesce
 // only evaluation keys) — until drain is closed, then shuts down
 // gracefully: the service stops admitting work (healthz flips to
 // draining, new requests get 503 shutting_down), every in-flight request
-// — including open group-commit streams — runs to completion, the session
-// store is flushed and closed, and open connections are torn down. It
-// returns nil after a clean drain, or the listener's error if serving
-// failed first; the store is closed then too. A nil drain serves until
-// the listener fails.
+// runs to completion, the session store is flushed and closed, and open
+// connections are torn down. It returns nil after a clean drain, or the
+// listener's error if serving failed first; the store is closed then too.
+// A nil drain serves until the listener fails.
 func (s *Server) Serve(l net.Listener, drain <-chan struct{}) error {
 	return ServeHandler(l, s.Handler(), drain, s.Drain)
 }

@@ -30,9 +30,6 @@ type Config struct {
 	MaxPending int
 	// MaxBatch caps the ciphertext count of a single request. 0 means 4096.
 	MaxBatch int
-	// MaxCoalesce caps how many ciphertexts are merged into one engine
-	// stream. 0 means 8192.
-	MaxCoalesce int
 	// Store is the durable tier behind the warm session LRU: registered
 	// eval keys are written through to it and evicted or restarted
 	// sessions are restored from it on demand. nil means no persistence
@@ -54,9 +51,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 4096
-	}
-	if c.MaxCoalesce <= 0 {
-		c.MaxCoalesce = 8192
 	}
 	return c
 }
@@ -168,10 +162,10 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain gracefully shuts the service down: new requests (including ones
 // arriving mid-drain) are refused with ErrShuttingDown, every admitted
-// request — and thus every open group-commit stream — runs to
-// completion, then the warm tier lets its sessions' keys go, and the
-// session store is flushed and closed. Drain is idempotent and safe to
-// call concurrently; it returns once the server is quiesced and durable.
+// request runs to completion, then the warm tier lets its sessions' keys
+// go, and the session store is flushed and closed. Drain is idempotent
+// and safe to call concurrently; it returns once the server is quiesced
+// and durable.
 func (s *Server) Drain() error {
 	s.drainMu.Lock()
 	s.draining.Store(true)
@@ -562,10 +556,8 @@ func (s *Server) Evictions() int64 { return s.evictions.Load() }
 func (s *Server) Restores() int64 { return s.restores.Load() }
 
 // GateBatch evaluates out[i] = op(a[i], b[i]) on clientID's session. For
-// the unary NOT, b must be nil. Concurrent calls for the same session may
-// be coalesced into one engine stream whatever their binary ops (and with
-// the gate levels of concurrent circuits); NOT batches coalesce only with
-// each other.
+// the unary NOT, b must be nil. The batch is one engine operation;
+// concurrent ones share the worker pool.
 func (s *Server) GateBatch(clientID string, op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	if err := s.begin(); err != nil {
 		return nil, err
@@ -591,8 +583,7 @@ func (s *Server) GateBatch(clientID string, op engine.GateOp, a, b []tfhe.LWECip
 
 // LUTBatch applies the lookup table (length space, entries in
 // {0..space-1}) to every ciphertext on clientID's session via PBS +
-// keyswitch. Concurrent calls with an identical table may be coalesced
-// into one engine stream.
+// keyswitch, as one engine operation.
 func (s *Server) LUTBatch(clientID string, cts []tfhe.LWECiphertext, space int, table []int) ([]tfhe.LWECiphertext, error) {
 	if err := s.begin(); err != nil {
 		return nil, err
@@ -619,9 +610,7 @@ func (s *Server) LUTBatch(clientID string, cts []tfhe.LWECiphertext, space int, 
 // MultiLUTBatch applies the k lookup tables (each length space, entries
 // in {0..space-1}) to every ciphertext on clientID's session via
 // multi-value PBS: one blind rotation per input ciphertext serves all k
-// tables, and out[i][j] is table j applied to cts[i]. Concurrent calls
-// with an identical table list — the scheduler's fan-out shape — may be
-// coalesced into one engine stream.
+// tables, and out[i][j] is table j applied to cts[i].
 func (s *Server) MultiLUTBatch(clientID string, cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
 	if err := s.begin(); err != nil {
 		return nil, err
@@ -647,11 +636,10 @@ func (s *Server) MultiLUTBatch(clientID string, cts []tfhe.LWECiphertext, space 
 
 // CircuitBatch compiles a schedule for the circuit described by
 // specs/outputs and executes it on clientID's session, one request under
-// one backpressure token. Every dispatch (ready binary gates, or ready
-// nodes of one exact lookup table) goes through the session's
-// group-commit path, so concurrent circuits — and plain gate/LUT batches
-// — coalesce into shared engine streams whenever their dispatch keys
-// match (any two binary-gate dispatches do). optimize first runs the
+// one backpressure token. The session is the circuit's executor: each
+// dispatch (ready binary gates, or ready nodes of one exact lookup table)
+// is one engine operation, and sched.Execute runs several at once, each
+// on the CPUs it claimed from the worker pool. optimize first runs the
 // scheduler's optimizer pass pipeline (CSE, pruning, linear folding,
 // bootstrap fusion, multi-value packing bounded by the session's
 // parameter set); outputs then decode identically but are not bitwise
@@ -681,10 +669,10 @@ func (s *Server) CircuitBatch(clientID string, specs []sched.NodeSpec, outputs [
 type SessionStats struct {
 	ID        string          `json:"id"`
 	Params    string          `json:"params"`
-	Requests  int64           `json:"requests"`  // completed submit calls
-	Items     int64           `json:"items"`     // ciphertexts processed
-	Streams   int64           `json:"streams"`   // engine streams executed
-	Coalesced int64           `json:"coalesced"` // requests that shared a stream
+	Requests  int64           `json:"requests"`  // client requests run; a circuit is one
+	Items     int64           `json:"items"`     // input ciphertexts of the engine calls
+	Streams   int64           `json:"streams"`   // engine calls; a circuit makes one per dispatch
+	Coalesced int64           `json:"coalesced"` // always 0; read only by benchmark/ until ROADMAP item 2 deletes it
 	Rejected  int64           `json:"rejected"`  // requests refused by validation or overload
 	Pending   int             `json:"pending"`   // requests currently queued or in flight
 	Counters  tfhe.OpCounters `json:"counters"`  // engine op mix as of the last completed stream

@@ -150,13 +150,11 @@ func TestLUTBatchMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestCoalescing holds the engine busy (execMu) while several requests
-// arrive, then releases it: all binary-gate requests must ride one stream,
-// whether they carry the same op or not (they share the sign test
-// vector), a NOT request must not join them (it has no second operand),
-// and each caller gets its own slice back, bitwise what the sequential
-// evaluator computes for its op.
-func TestCoalescing(t *testing.T) {
+// TestConcurrentGateBatches runs several gate requests on one session at
+// once, binary gates of one op or of mixed ops and a NOT among them: each
+// caller gets its own slice back, bitwise what the sequential evaluator
+// computes for its op, and each request is one engine call.
+func TestConcurrentGateBatches(t *testing.T) {
 	sk, ek := testKeys(t, 1)
 	serial := tfhe.NewEvaluator(ek)
 	seqGate := map[engine.GateOp]func(a, b tfhe.LWECiphertext) tfhe.LWECiphertext{
@@ -164,14 +162,12 @@ func TestCoalescing(t *testing.T) {
 		engine.NOT: func(a, _ tfhe.LWECiphertext) tfhe.LWECiphertext { return serial.NOT(a) },
 	}
 	for _, tc := range []struct {
-		name      string
-		ops       []engine.GateOp
-		streams   int64
-		coalesced int64
+		name string
+		ops  []engine.GateOp
 	}{
-		{"one_op", []engine.GateOp{engine.NAND, engine.NAND, engine.NAND, engine.NAND}, 1, 4},
-		{"mixed_ops", []engine.GateOp{engine.AND, engine.XOR, engine.NAND, engine.XOR, engine.AND, engine.NAND}, 1, 6},
-		{"not_apart", []engine.GateOp{engine.AND, engine.NOT, engine.XOR}, 2, 2},
+		{"one_op", []engine.GateOp{engine.NAND, engine.NAND, engine.NAND, engine.NAND}},
+		{"mixed_ops", []engine.GateOp{engine.AND, engine.XOR, engine.NAND, engine.XOR, engine.AND, engine.NAND}},
+		{"with_not", []engine.GateOp{engine.AND, engine.NOT, engine.XOR}},
 	} {
 		ops := tc.ops
 		t.Run(tc.name, func(t *testing.T) {
@@ -179,13 +175,6 @@ func TestCoalescing(t *testing.T) {
 			if err := srv.RegisterKey("alice", ek); err != nil {
 				t.Fatal(err)
 			}
-			sess, err := srv.session("alice")
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Stall the engine the way an in-flight stream would.
-			sess.execMu.Lock()
 
 			bits := []bool{true, false}
 			var wg sync.WaitGroup
@@ -204,26 +193,6 @@ func TestCoalescing(t *testing.T) {
 					results[r], errs[r] = srv.GateBatch("alice", op, a[r], b[r])
 				}(r, op)
 			}
-
-			// Wait until every request is in an open group, its leader
-			// parked on execMu.
-			deadline := time.Now().Add(5 * time.Second)
-			for {
-				sess.mu.Lock()
-				joined := 0
-				for _, g := range sess.groups {
-					joined += len(g.waiters)
-				}
-				sess.mu.Unlock()
-				if joined == len(ops) {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("only %d/%d requests joined a group", joined, len(ops))
-				}
-				time.Sleep(time.Millisecond)
-			}
-			sess.execMu.Unlock()
 			wg.Wait()
 
 			for r, op := range ops {
@@ -247,12 +216,9 @@ func TestCoalescing(t *testing.T) {
 				}
 			}
 
-			st := sess.statsSnapshot()
-			if st.Streams != tc.streams {
-				t.Errorf("coalesced batch ran %d streams, want %d", st.Streams, tc.streams)
-			}
-			if st.Coalesced != tc.coalesced {
-				t.Errorf("coalesced count %d, want %d", st.Coalesced, tc.coalesced)
+			st := srv.Stats().Sessions[0]
+			if st.Requests != int64(len(ops)) || st.Streams != int64(len(ops)) {
+				t.Errorf("%d requests ran %d engine calls, want %d of each", st.Requests, st.Streams, len(ops))
 			}
 			if st.Items != int64(len(ops)*len(bits)) {
 				t.Errorf("items %d, want %d", st.Items, len(ops)*len(bits))
@@ -262,7 +228,7 @@ func TestCoalescing(t *testing.T) {
 }
 
 // TestConcurrentSessions hammers two sessions from many goroutines — the
-// -race e2e of the session sharding and group-commit machinery.
+// -race e2e of the session sharding, backpressure and shared worker pool.
 func TestConcurrentSessions(t *testing.T) {
 	skA, ekA := testKeys(t, 1)
 	skB, ekB := testKeys(t, 2)
@@ -332,21 +298,43 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
+// park fills the session's backpressure slots, so that the next request
+// on it stops before the engine, holding its reference to the session's
+// key, and returns the function that frees the slots again. The tokens are
+// interchangeable, so the parked request may take one of the freed slots
+// and give back another.
+func park(sess *session) (unpark func()) {
+	for range cap(sess.slots) {
+		sess.slots <- struct{}{}
+	}
+	return func() {
+		for range cap(sess.slots) {
+			<-sess.slots
+		}
+	}
+}
+
+// warmSession returns the warm tier's session of id without holding it
+// for the caller, so that its key's references are the warm tier's and
+// the requests'.
+func warmSession(srv *Server, id string) *session {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	return srv.sessions[id]
+}
+
 // TestStatsNonBlocking pins the metrics contract: Stats must return
-// promptly even while the session's engine is occupied by an in-flight
-// stream (simulated by holding execMu with a request parked on it).
+// promptly even while a request is parked on the session (its
+// backpressure slots full, the request holding the session).
 func TestStatsNonBlocking(t *testing.T) {
 	sk, ek := testKeys(t, 1)
-	srv := New(Config{})
+	srv := New(Config{Store: NewMemStore()})
 	if err := srv.RegisterKey("alice", ek); err != nil {
 		t.Fatal(err)
 	}
-	sess, err := srv.session("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := warmSession(srv, "alice")
 
-	sess.execMu.Lock() // the engine is "busy"
+	unpark := park(sess)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -356,22 +344,23 @@ func TestStatsNonBlocking(t *testing.T) {
 			t.Errorf("parked request failed: %v", err)
 		}
 	}()
+	waitFor(t, "the request to hold the session", func() bool { return sess.key.refs.Load() == 2 })
 
 	statsCh := make(chan Stats, 1)
 	go func() { statsCh <- srv.Stats() }()
 	select {
 	case st := <-statsCh:
-		if st.Sessions[0].ID != "alice" {
+		if st.Sessions[0].ID != "alice" || st.Sessions[0].Pending != cap(sess.slots) {
 			t.Errorf("stats sessions = %+v", st.Sessions)
 		}
 	case <-time.After(5 * time.Second):
-		t.Error("Stats blocked behind an in-flight stream")
+		t.Error("Stats blocked behind a parked request")
 	}
 
-	sess.execMu.Unlock()
+	unpark()
 	<-done
 	if pbs := sess.statsSnapshot().Counters.PBSCount; pbs == 0 {
-		t.Error("counters snapshot not refreshed after the stream completed")
+		t.Error("counters snapshot not refreshed after the request completed")
 	}
 }
 
@@ -477,7 +466,7 @@ func TestValidation(t *testing.T) {
 
 // TestCircuitBatchMatchesSequential pins the circuit-batch path to the
 // sequential evaluator bit for bit: an intops multiply DAG executed
-// through the session's coalescing dispatches must equal node-by-node
+// through the session's dispatches must equal node-by-node
 // evaluation, and decrypt to the plaintext product.
 func TestCircuitBatchMatchesSequential(t *testing.T) {
 	sk, ek := testKeys(t, 1)
@@ -514,7 +503,7 @@ func TestCircuitBatchMatchesSequential(t *testing.T) {
 
 	st := srv.Stats().Sessions[0]
 	if st.Streams == 0 || st.Items == 0 {
-		t.Errorf("circuit dispatches did not go through the session submit path: %+v", st)
+		t.Errorf("circuit dispatches did not run through the session: %+v", st)
 	}
 }
 
@@ -596,13 +585,10 @@ func TestCircuitBatchValidation(t *testing.T) {
 	}
 }
 
-// TestCircuitBatchCoalesces runs two concurrent identical circuits and
-// checks that at least some of their level dispatches shared a stream
-// (the group-commit window spans the engine-busy period, so with two
-// in-flight circuits of many levels, coalescing is overwhelmingly
-// likely; tolerate zero only by retrying a few times to keep the test
-// deterministic-ish under scheduling noise).
-func TestCircuitBatchCoalesces(t *testing.T) {
+// TestConcurrentCircuitBatches runs four identical circuits on one
+// session at once: each returns its own outputs, bitwise those of the
+// sequential evaluator.
+func TestConcurrentCircuitBatches(t *testing.T) {
 	sk, ek := testKeys(t, 1)
 	srv := New(Config{})
 	if err := srv.RegisterKey("alice", ek); err != nil {
@@ -617,49 +603,46 @@ func TestCircuitBatchCoalesces(t *testing.T) {
 	x, _ := intops.Encrypt(rng, sk, 5, digits)
 	y, _ := intops.Encrypt(rng, sk, 6, digits)
 	inputs := append(append([]tfhe.LWECiphertext{}, x.Digits...), y.Digits...)
+	want, err := sched.RunSequential(circ, tfhe.NewEvaluator(ek), inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	for attempt := 0; attempt < 5; attempt++ {
-		var wg sync.WaitGroup
-		errs := make([]error, 4)
-		for i := range errs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				out, err := srv.CircuitBatch("alice", circ.Specs(), circ.OutputWires(), inputs, false)
-				if err == nil && len(out) != digits {
-					err = fmt.Errorf("got %d outputs", len(out))
-				}
-				errs[i] = err
-			}(i)
+	var wg sync.WaitGroup
+	outs := make([][]tfhe.LWECiphertext, 4)
+	errs := make([]error, len(outs))
+	for i := range outs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i], errs[i] = srv.CircuitBatch("alice", circ.Specs(), circ.OutputWires(), inputs, false)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatal(err)
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if srv.Stats().Sessions[0].Coalesced > 0 {
-			return
+		if !reflect.DeepEqual(outs[i], want) {
+			t.Errorf("circuit %d outputs differ from sequential evaluation", i)
 		}
 	}
-	t.Log("no coalescing observed after 5 attempts (scheduling-dependent); correctness already verified")
 }
 
 // TestCircuitDoesNotRefuseItself: a circuit is one request. It holds one
 // backpressure token for its whole run, which its dispatches share, so a
-// session that admits one request at a time, and refuses a second after a
-// millisecond, runs the whole circuit and refuses nothing, even while its
-// first dispatch waits for the session's engine.
+// session that admits one request at a time runs the whole circuit and
+// refuses nothing, even when the circuit first had to wait for its token.
 func TestCircuitDoesNotRefuseItself(t *testing.T) {
 	sk, ek := testKeys(t, 1)
-	srv := New(Config{MaxPending: 1})
+	srv := New(Config{MaxPending: 1, Store: NewMemStore()})
 	if err := srv.RegisterKey("alice", ek); err != nil {
 		t.Fatal(err)
 	}
-	srv.mu.Lock()
-	sess := srv.sessions["alice"]
-	srv.mu.Unlock()
-	sess.queueTimeout = time.Millisecond
+	sess := warmSession(srv, "alice")
+	// Long enough to outlast the park, short enough that a dispatch
+	// waiting for a second token would fail the test promptly.
+	sess.queueTimeout = 2 * time.Second
 
 	const digits = 2
 	circ, err := intops.MulCircuit(digits)
@@ -680,13 +663,13 @@ func TestCircuitDoesNotRefuseItself(t *testing.T) {
 		err error
 	}
 	done := make(chan result, 1)
-	sess.execMu.Lock()
+	unpark := park(sess)
 	go func() {
 		out, err := srv.CircuitBatch("alice", circ.Specs(), circ.OutputWires(), inputs, false)
 		done <- result{out, err}
 	}()
-	time.Sleep(20 * time.Millisecond)
-	sess.execMu.Unlock()
+	waitFor(t, "the circuit to hold the session", func() bool { return sess.key.refs.Load() == 2 })
+	unpark()
 	res := <-done
 	if res.err != nil {
 		t.Fatalf("CircuitBatch: %v", res.err)
@@ -696,5 +679,114 @@ func TestCircuitDoesNotRefuseItself(t *testing.T) {
 	}
 	if n := sess.rejected.Load(); n != 0 {
 		t.Errorf("the session refused %d of the circuit's own dispatches", n)
+	}
+}
+
+// TestCircuitBesideBatches runs a circuit on a session while gate and
+// multi-value batches run on it too, all on the worker pool at once: every
+// output is bitwise the sequential evaluator's, Requests counts the
+// circuit once, and Streams counts each of its dispatches, at least one
+// per PBS level and at most one per rotation.
+func TestCircuitBesideBatches(t *testing.T) {
+	sk, ek := testKeys(t, 1)
+	srv := New(Config{})
+	if err := srv.RegisterKey("alice", ek); err != nil {
+		t.Fatal(err)
+	}
+
+	const digits = 2
+	circ, err := intops.MulCircuit(digits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedule, err := sched.Compile(circ, sched.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(97))
+	x, _ := intops.Encrypt(rng, sk, 6, digits)
+	y, _ := intops.Encrypt(rng, sk, 7, digits)
+	inputs := append(append([]tfhe.LWECiphertext{}, x.Digits...), y.Digits...)
+	want, err := sched.RunSequential(circ, tfhe.NewEvaluator(ek), inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const callers, rounds = 2, 3
+	const space = 4
+	tables := mvTestTables(space, 2)
+	var wg sync.WaitGroup
+	errs := make(chan error, 1+2*callers)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		got, err := srv.CircuitBatch("alice", circ.Specs(), circ.OutputWires(), inputs, false)
+		if err == nil && !reflect.DeepEqual(got, want) {
+			err = errors.New("circuit outputs differ from sequential evaluation")
+		}
+		if err != nil {
+			errs <- err
+		}
+	}()
+	for c := range callers {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			ev := tfhe.NewEvaluator(ek) // an evaluator is not safe for concurrent use
+			for r := range rounds {
+				a := encryptBools(sk, int64(3000+10*c+r), []bool{true, false})
+				b := encryptBools(sk, int64(4000+10*c+r), []bool{true, true})
+				out, err := srv.GateBatch("alice", engine.XOR, a, b)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i := range out {
+					if !tfhe.EqualLWE(out[i], ev.XOR(a[i], b[i])) {
+						errs <- fmt.Errorf("gate caller %d round %d item %d differs from the sequential evaluator", c, r, i)
+						return
+					}
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			ev := tfhe.NewEvaluator(ek)
+			for r := range rounds {
+				cts := encryptInts(sk, int64(5000+10*c+r), []int{c, r % space}, space)
+				out, err := srv.MultiLUTBatch("alice", cts, space, tables)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for i := range out {
+					if !reflect.DeepEqual(out[i], ev.EvalMultiLUTKS(cts[i], space, tfhe.TableFuncs(tables))) {
+						errs <- fmt.Errorf("multi-value caller %d round %d input %d differs from the sequential evaluator", c, r, i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	st := srv.Stats().Sessions[0]
+	batches := int64(2 * callers * rounds)
+	if st.Requests != 1+batches {
+		t.Errorf("requests %d, want the circuit's 1 + %d batches", st.Requests, batches)
+	}
+	cs := schedule.Stats()
+	if d := st.Streams - batches; d < int64(cs.Levels) || d > int64(cs.TotalPBS) {
+		t.Errorf("the circuit made %d engine calls, want %d..%d", d, cs.Levels, cs.TotalPBS)
+	}
+	if items := int64(cs.TotalPBS) + batches*2; st.Items != items {
+		t.Errorf("items %d, want %d", st.Items, items)
+	}
+	if st.Coalesced != 0 {
+		t.Errorf("coalesced %d, want 0", st.Coalesced)
 	}
 }

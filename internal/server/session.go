@@ -3,7 +3,6 @@ package server
 import (
 	"container/list"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,10 +17,15 @@ import (
 // deleted session finishes its outstanding work before that memory goes;
 // only new lookups see the eviction.
 type session struct {
+	// Runner runs every engine call on the session's streaming engine
+	// (Runner.Stream). Embedding it makes the session the sched.Executor
+	// of its own circuits the way the Runner is: sched.Execute hands it
+	// several dispatches at once, each on the CPUs it claimed from the
+	// worker pool.
+	sched.Runner
 	id     string
 	params tfhe.Params
-	eng    *engine.StreamingEngine
-	key    *StoredKey    // the memory eng's keys alias; nil when the caller owns them
+	key    *StoredKey    // the memory the engine's keys alias; nil when the caller owns them
 	elem   *list.Element // position in the server's LRU list
 
 	// slots is the backpressure bound: one token per queued or in-flight
@@ -31,19 +35,10 @@ type session struct {
 	slots        chan struct{}
 	queueTimeout time.Duration
 
-	// groups holds the open coalescing group per compatibility key. A
-	// group accumulates requests while a leader waits for the engine; see
-	// submit.
-	mu          sync.Mutex
-	groups      map[string]*group
-	execMu      sync.Mutex // serializes engine streams; the coalescing window
-	maxCoalesce int
-
-	requests  atomic.Int64
-	items     atomic.Int64
-	streams   atomic.Int64
-	coalesced atomic.Int64
-	rejected  atomic.Int64
+	requests atomic.Int64
+	items    atomic.Int64
+	streams  atomic.Int64
+	rejected atomic.Int64
 }
 
 // newSession builds a session and its streaming engine, a handle on the
@@ -52,14 +47,12 @@ type session struct {
 // the memory ek's slabs alias (nil when they alias none).
 func newSession(id string, ek tfhe.EvaluationKeys, key *StoredKey, cfg Config) *session {
 	return &session{
+		Runner:       sched.Runner{Stream: engine.NewStreaming(ek, engine.StreamConfig{})},
 		id:           id,
 		params:       ek.Params,
-		eng:          engine.NewStreaming(ek, engine.StreamConfig{}),
 		key:          key,
 		slots:        make(chan struct{}, cfg.MaxPending),
 		queueTimeout: queueTimeout,
-		groups:       make(map[string]*group),
-		maxCoalesce:  cfg.MaxCoalesce,
 	}
 }
 
@@ -70,102 +63,6 @@ func (s *session) hold() { s.key.hold() }
 // release gives up one user's reference; the last one frees the key
 // memory, after which the session must not run.
 func (s *session) release() { s.key.Release() }
-
-// group is one group-commit batch: the concatenated operands (and, for
-// gates, per-item ops) of every request that joined, and the waiters to
-// scatter the results back to.
-type group struct {
-	ops     []engine.GateOp
-	a, b    []tfhe.LWECiphertext
-	waiters []*waiter
-}
-
-// waiter is one request's slice of a group.
-type waiter struct {
-	off, n int
-	ch     chan groupResult
-}
-
-// groupResult is what a leader delivers to each waiter.
-type groupResult struct {
-	out []tfhe.LWECiphertext
-	err error
-}
-
-// submit runs (a, b) through the session's engine under the coalescing
-// protocol. Requests with equal keys that arrive while the engine is busy
-// are merged into one stream; run receives the sealed group (concatenated
-// operands, and the per-item ops of gate requests: ops is nil for every
-// other kind) and must return outPerIn outputs per input, input-major (1
-// for gates and LUTs, the table count for multi-value LUTs — equal keys
-// imply equal fan-out). The caller's slice of the stream output is
-// returned in request order.
-//
-// The protocol is group-commit: the first request to open a group for a
-// key is its leader. The leader queues for the engine (execMu); while it
-// waits, followers append their operands to the open group. When the
-// leader acquires the engine it seals the group (removing it from the
-// map, so later arrivals open a fresh group behind it), runs one stream
-// over the whole batch, and scatters results to every waiter.
-func (s *session) submit(key string, ops []engine.GateOp, a, b []tfhe.LWECiphertext, outPerIn int, run func(g *group) ([]tfhe.LWECiphertext, error)) ([]tfhe.LWECiphertext, error) {
-	w := &waiter{n: len(a), ch: make(chan groupResult, 1)}
-	s.mu.Lock()
-	g, open := s.groups[key]
-	leader := false
-	if !open || len(g.a)+len(a) > s.maxCoalesce {
-		// No open group (or it is full): open a new one and lead it. A
-		// full group stays owned by its own leader; replacing the map
-		// entry just closes it to further joiners.
-		g = &group{}
-		s.groups[key] = g
-		leader = true
-	}
-	w.off = len(g.a)
-	g.ops = append(g.ops, ops...)
-	g.a = append(g.a, a...)
-	g.b = append(g.b, b...)
-	g.waiters = append(g.waiters, w)
-	s.mu.Unlock()
-
-	if leader {
-		s.execMu.Lock()
-		s.mu.Lock()
-		// Seal: only remove the map entry if it is still ours — a
-		// follower may have already replaced a full group. Either way
-		// nothing appends to g from here on.
-		if s.groups[key] == g {
-			delete(s.groups, key)
-		}
-		s.mu.Unlock()
-
-		out, err := run(g)
-		s.execMu.Unlock()
-
-		s.streams.Add(1)
-		if len(g.waiters) > 1 {
-			s.coalesced.Add(int64(len(g.waiters)))
-		}
-		if err == nil && len(out) != len(g.a)*outPerIn {
-			err = fmt.Errorf("server: engine returned %d outputs for %d inputs (want %d per input)", len(out), len(g.a), outPerIn)
-		}
-		for _, wt := range g.waiters {
-			if err != nil {
-				wt.ch <- groupResult{err: err}
-				continue
-			}
-			lo, hi := wt.off*outPerIn, (wt.off+wt.n)*outPerIn
-			wt.ch <- groupResult{out: out[lo:hi:hi]}
-		}
-	}
-
-	res := <-w.ch
-	if res.err != nil {
-		return nil, res.err
-	}
-	s.requests.Add(1)
-	s.items.Add(int64(w.n))
-	return res.out, nil
-}
 
 // acquireSlot takes one backpressure token for a request, waiting up to
 // the session's queue timeout (fast path first, so an idle session never
@@ -190,76 +87,47 @@ func (s *session) acquireSlot() error {
 	}
 }
 
-// releaseSlot gives back a request's backpressure token.
-func (s *session) releaseSlot() { <-s.slots }
-
-// The session is the sched.Executor of its own circuits, and the typed
-// batch methods on Server validate and then call the same three methods:
-// each kind's engine call is spelled once, and its coalescing key is the
-// scheduler's grouping key (sched.Dispatch.Key), so circuit dispatches and
-// standalone batches share streams whenever the keys match. A session runs
-// one engine stream at a time, and the scheduler hands it a circuit's
-// dispatches one at a time, each with every ready node of its key.
-
-// Gate implements sched.Executor: d.Ops[i] over (a[i], b[i]). Binary
-// gates coalesce under one key whatever their ops, since they share the
-// sign test vector. A NOT batch (b nil, uniform by validateGate) keeps its
-// own key: it carries no b to concatenate and costs no PBS.
-func (s *session) Gate(d sched.Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	key := d.Key()
-	if b == nil {
-		key = "not"
-	}
-	return s.submit(key, d.Ops, a, b, 1, func(g *group) ([]tfhe.LWECiphertext, error) {
-		return s.eng.Gates(g.ops, g.a, g.b)
-	})
+// releaseSlot gives back a request's backpressure token and counts the
+// request as run.
+func (s *session) releaseSlot() {
+	<-s.slots
+	s.requests.Add(1)
 }
 
-// LUT implements sched.Executor. Streams merge only when the whole table
-// is identical.
+// The typed batch methods on Server validate and then call the same three
+// methods the scheduler calls for a circuit's dispatches. Each counts one
+// engine call and runs it through the embedded Runner, so each kind's
+// engine call is written once. Concurrent requests and dispatches are
+// separate engine operations; the worker pool tiles them side by side.
+
+// Gate implements sched.Executor: d.Ops[i] over (a[i], b[i]); b is nil
+// for a batch of NOTs.
+func (s *session) Gate(d sched.Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
+	s.count(len(a))
+	return s.Runner.Gate(d, a, b)
+}
+
+// LUT implements sched.Executor: d.Table over every input.
 func (s *session) LUT(d sched.Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	d.Kind = sched.DispatchLUT // the Server's batch methods leave it unset
-	return s.submit(d.Key(), nil, in, nil, 1, func(g *group) ([]tfhe.LWECiphertext, error) {
-		return s.eng.LUT(g.a, d.Space, func(m int) int { return d.Table[m] })
-	})
+	s.count(len(in))
+	return s.Runner.LUT(d, in)
 }
 
 // MultiLUT implements sched.Executor: one blind rotation per input serves
-// all of d.Tables. Streams merge only when the whole table list is
-// identical, so every request of a group shares one packed test vector
-// and fan-out k. The stream's per-input output groups are flattened
-// input-major for submit to scatter, then regrouped for the caller.
+// all of d.Tables.
 func (s *session) MultiLUT(d sched.Dispatch, in []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
-	k := len(d.Tables)
-	d.Kind = sched.DispatchMultiLUT
-	flat, err := s.submit(d.Key(), nil, in, nil, k, func(g *group) ([]tfhe.LWECiphertext, error) {
-		groups, err := s.eng.MultiLUT(g.a, d.Space, tfhe.TableFuncs(d.Tables))
-		if err != nil {
-			return nil, err
-		}
-		flat := make([]tfhe.LWECiphertext, 0, len(g.a)*k)
-		for _, outs := range groups {
-			flat = append(flat, outs...)
-		}
-		return flat, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return regroup(flat, k), nil
+	s.count(len(in))
+	return s.Runner.MultiLUT(d, in)
 }
 
-// regroup splits a flat input-major ciphertext slice into k per input.
-func regroup(flat []tfhe.LWECiphertext, k int) [][]tfhe.LWECiphertext {
-	out := make([][]tfhe.LWECiphertext, len(flat)/k)
-	for g := range out {
-		out[g] = flat[g*k : (g+1)*k : (g+1)*k]
-	}
-	return out
+// count records one engine call over n input ciphertexts.
+func (s *session) count(n int) {
+	s.streams.Add(1)
+	s.items.Add(int64(n))
 }
 
-// validateGate rejects malformed gate requests before they can join a
-// coalescing group (one bad request must never poison a shared stream).
+// validateGate rejects malformed gate requests before they take a
+// backpressure token or reach the engine, whose checks panic.
 func (s *session) validateGate(op engine.GateOp, a, b []tfhe.LWECiphertext, maxBatch int) error {
 	fail := func(err error) error {
 		s.rejected.Add(1)
@@ -289,8 +157,8 @@ func (s *session) validateGate(op engine.GateOp, a, b []tfhe.LWECiphertext, maxB
 	return nil
 }
 
-// validateLUT rejects malformed LUT requests before they can join a
-// coalescing group.
+// validateLUT rejects malformed LUT requests before they take a
+// backpressure token or reach the engine.
 func (s *session) validateLUT(cts []tfhe.LWECiphertext, space int, table []int, maxBatch int) error {
 	fail := func(err error) error {
 		s.rejected.Add(1)
@@ -317,7 +185,7 @@ func (s *session) validateLUT(cts []tfhe.LWECiphertext, space int, table []int, 
 }
 
 // validateMultiLUT rejects malformed multi-value LUT requests before they
-// can join a coalescing group. The response carries k outputs per input,
+// take a backpressure token or reach the engine. The response carries k outputs per input,
 // so the amplified total — not the input count — is held to the batch
 // bound.
 func (s *session) validateMultiLUT(cts []tfhe.LWECiphertext, space int, tables [][]int, maxBatch int) error {
@@ -430,14 +298,13 @@ func (s *session) checkDims(cts []tfhe.LWECiphertext) error {
 // behind an in-flight stream.
 func (s *session) statsSnapshot() SessionStats {
 	return SessionStats{
-		ID:        s.id,
-		Params:    s.params.Name,
-		Requests:  s.requests.Load(),
-		Items:     s.items.Load(),
-		Streams:   s.streams.Load(),
-		Coalesced: s.coalesced.Load(),
-		Rejected:  s.rejected.Load(),
-		Pending:   len(s.slots),
-		Counters:  s.eng.Counters(),
+		ID:       s.id,
+		Params:   s.params.Name,
+		Requests: s.requests.Load(),
+		Items:    s.items.Load(),
+		Streams:  s.streams.Load(),
+		Rejected: s.rejected.Load(),
+		Pending:  len(s.slots),
+		Counters: s.Stream.Counters(),
 	}
 }

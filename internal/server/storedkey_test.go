@@ -49,13 +49,11 @@ func TestMappedKeyOutlivesRequests(t *testing.T) {
 			if err := srv.RegisterKey("a", ekA); err != nil {
 				t.Fatal(err)
 			}
-			srv.mu.Lock()
-			sess := srv.sessions["a"]
-			srv.mu.Unlock()
+			sess := warmSession(srv, "a")
 
-			// Hold the session's engine so the request stops inside it,
+			// Park the request on the session's full backpressure slots,
 			// holding its reference, until the warm tier has let go.
-			sess.execMu.Lock()
+			unpark := park(sess)
 			x := encryptBools(sk, 1, []bool{true, false, true, false})
 			y := encryptBools(sk, 2, []bool{true, true, false, false})
 			type result struct {
@@ -67,15 +65,15 @@ func TestMappedKeyOutlivesRequests(t *testing.T) {
 				out, err := srv.GateBatch("a", engine.NAND, x, y)
 				done <- result{out, err}
 			}()
-			waitFor(t, "the request to queue on the session", func() bool { return len(sess.slots) == 1 })
+			waitFor(t, "the request to hold the session", func() bool { return sess.key.refs.Load() == 2 })
 			if err := drop(srv); err != nil {
-				sess.execMu.Unlock()
+				unpark()
 				t.Fatal(err)
 			}
 			if refs := sess.key.refs.Load(); refs != 1 {
 				t.Errorf("after the warm tier let go the key has %d references, want the request's 1", refs)
 			}
-			sess.execMu.Unlock()
+			unpark()
 
 			res := <-done
 			if res.err != nil {

@@ -161,8 +161,7 @@ func BuildInfer(b *sched.Builder, features []sched.Wire) ([]sched.Wire, error) {
 // BuildInferBatch builds a circuit running the model over batch feature
 // vectors: inputs are batch·InferFeatures wires (vector-major), outputs
 // batch·InferClasses score wires in the same order. All instances are
-// independent, so each model stage is one wide scheduler level and
-// concurrent tenants' inferences coalesce into shared engine streams.
+// independent, so each model stage is one wide scheduler level.
 func BuildInferBatch(batch int) (*sched.Circuit, error) {
 	if batch < 1 {
 		return nil, fmt.Errorf("workload: inference batch %d < 1", batch)
