@@ -13,7 +13,7 @@ GO ?= go
 # the floor is the total minus 1.5, rounded down.
 COVER_FLOOR ?= 80.0
 
-.PHONY: all build test test-purego race race-engine cover fuzz-regress bench bench-compare bench-smoke lint fmt fmt-check vet vet-cross no-deprecated no-retired-gate no-retired-ops no-fma docs loc profile
+.PHONY: all build test test-purego race race-engine cover fuzz-regress bench bench-compare bench-smoke lint fmt fmt-check vet vet-cross no-deprecated no-retired-gate no-retired-ops no-fma docs loc kernels profile
 
 all: build test
 
@@ -204,12 +204,19 @@ loc:
 	@echo "go  $$(git ls-files '*.go' ':!*_test.go' ':!benchmark' | xargs cat | wc -l)"
 	@echo "asm $$(git ls-files '*.s' | xargs cat | wc -l)"
 
+# The FFT kernel sets this build and host offer (ref, avx2, avx512) and the
+# one that runs by default, the fastest: which bodies a green run or a
+# profile exercised.
+kernels:
+	@$(GO) test ./internal/fft -run '^TestDefaultKernelSet$$' -count 1 -v | grep 'kernel sets'
+
 # Where the CPU goes in the gates_stream_I shape: BenchmarkStreamGates (set
 # I, one streaming engine, 8 NANDs per call) for 100 calls under the CPU
 # profiler, reduced to the twelve functions with the most flat time. The
 # test binary and the profile live in a temporary directory that is removed
-# afterwards, so nothing is written into the tree.
-profile:
+# afterwards, so nothing is written into the tree. The kernel sets come
+# first (make kernels).
+profile: kernels
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) test ./internal/engine -run '^$$' -bench '^BenchmarkStreamGates$$' -benchtime 100x \
 		-cpuprofile "$$tmp/cpu.prof" -o "$$tmp/engine.test" && \

@@ -107,14 +107,15 @@ func BenchmarkTable5FunctionalPBS(b *testing.B) {
 }
 
 // BenchmarkPBS measures the raw programmable bootstrap — modswitch, blind
-// rotation (the CMux/external-product burst), sample extract — under both
-// FFT kernel sets. fast is the datapath the engines run by default
-// (the AVX2 bodies where the host has them, else the reference:
-// fft.KernelSet names which); ref is the pure-Go bitwise reference. The
-// fast/ref quotient is a same-run ratio, so it holds on any machine, but nothing gates it:
-// the benchmark ledger has no row for it yet. That the two paths agree
-// bitwise is pinned separately, by the conformance suite's
-// reference-kernel backend.
+// rotation (the CMux/external-product burst), sample extract — under each
+// FFT kernel set the host has: avx512 (the AVX-512 transform bodies, AVX2
+// elsewhere), avx2 and ref, the pure-Go bitwise reference; a set the host
+// lacks is skipped. The fastest set is the datapath the engines run by
+// default (fft.KernelSet names it). The quotients are same-run ratios, so
+// they hold on any machine, but nothing gates them: the benchmark ledger
+// has no row for them yet. That the sets agree bitwise is pinned
+// separately, by the conformance suite's reference-kernel and avx2-kernel
+// backends.
 func BenchmarkPBS(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	sk, ek := tfhe.GenerateKeys(rng, tfhe.ParamsTest)
@@ -130,19 +131,16 @@ func BenchmarkPBS(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "PBS/s")
 		b.ReportMetric(b.Elapsed().Seconds()/float64(b.N)*1e9, "ns/PBS")
 	}
-	b.Run("fast", func(b *testing.B) {
-		if !fft.FastKernelAvailable() {
-			b.Skip("no AVX2 bodies on this build and host")
-		}
-		prev := fft.SetFastKernel(true)
-		defer fft.SetFastKernel(prev)
-		run(b)
-	})
-	b.Run("ref", func(b *testing.B) {
-		prev := fft.SetFastKernel(false)
-		defer fft.SetFastKernel(prev)
-		run(b)
-	})
+	for _, set := range []string{"avx512", "avx2", "ref"} {
+		b.Run(set, func(b *testing.B) {
+			prev := fft.SetKernelSet(set)
+			defer fft.SetKernelSet(prev)
+			if fft.KernelSet() != set {
+				b.Skipf("no %s bodies on this build and host", set)
+			}
+			run(b)
+		})
+	}
 }
 
 // BenchmarkTable6Folding evaluates both FFT configurations and reports the

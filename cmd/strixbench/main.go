@@ -320,13 +320,13 @@ func main() {
 	clients := flag.Int("clients", 4, "infer mode: concurrent client sessions")
 	parallel := flag.Int("parallel", 0, "circuit mode: the streaming engine's width (0 = GOMAXPROCS)")
 	set := flag.String("set", "test", "circuit/infer mode: parameter set")
-	kernel := flag.String("kernel", "fast", "FFT kernel set: fast (AVX2 assembly where the host has it, the reference elsewhere; default) or ref (bounds-checked reference)")
+	kernel := flag.String("kernel", "fast", "FFT kernel set: fast (the host's best, the default: avx512, the AVX-512 transform bodies, where it has AVX-512F and DQ, else avx2, the AVX2 assembly, where it has AVX2, else ref) or ref (the bounds-checked reference)")
 	flag.Parse()
 
 	note := ""
 	switch {
 	case *kernel == "ref":
-		fft.SetFastKernel(false)
+		fft.SetKernelSet("ref")
 		note = " (forced by -kernel ref)"
 	case *kernel != "fast":
 		fmt.Fprintf(os.Stderr, "strixbench: unknown -kernel %q (want fast or ref)\n", *kernel)

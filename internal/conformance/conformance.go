@@ -173,14 +173,15 @@ func NewFixture(seed int64) (*Fixture, error) {
 		serverBackend{cl: cl},
 		restoredBackend{serverBackend{cl: clRest}},
 		optimizedBackend{schedBackend{r: runner, cfg: sched.Config{Opt: opt}}},
-		referenceKernelBackend{seqBackend{ev: tfhe.NewEvaluator(ek)}},
+		kernelBackend{seqBackend{ev: tfhe.NewEvaluator(ek)}, "reference-kernel", "ref"},
+		kernelBackend{seqBackend{ev: tfhe.NewEvaluator(ek)}, "avx2-kernel", "avx2"},
 		routedBackend{serverBackend{cl: clRouted}},
 		inferBackend{serverBackend{cl: cl}},
 	}
 	return f, nil
 }
 
-// Backends returns the nine backends; index 0 is the sequential
+// Backends returns the ten backends; index 0 is the sequential
 // reference every other backend must match — bitwise when the backend's
 // Bitwise() promise holds, by decoded plaintext otherwise.
 func (f *Fixture) Backends() []Backend { return f.backends }
@@ -439,50 +440,50 @@ type routedBackend struct {
 
 func (routedBackend) Name() string { return "routed-cluster" }
 
-// referenceKernelBackend is the sequential evaluator with the AVX2 bodies
-// — the FFT kernels' and the keyswitch's MulSub — switched off for the
-// duration of each operation, forcing the pure-Go reference. The AVX2
-// path promises bitwise-identical arithmetic, so this backend's contract
-// against the (AVX2) sequential reference is full bitwise equality: the
-// suite pins AVX2 == reference on every public operation. On a host or
-// build without AVX2 the switch is a no-op and the backend degenerates to
-// a second sequential evaluator. The kernel selection is process-global, so this
-// backend must not run concurrently with other backends' operations —
-// the suite runs backends one at a time.
-type referenceKernelBackend struct {
+// kernelBackend is the sequential evaluator with the FFT kernels — and
+// the keyswitch's MulSub — held at one kernel set (fft.SetKernelSet) for
+// the duration of each operation: "ref", every SIMD body off, forcing the
+// pure-Go reference (the reference-kernel backend), or "avx2", the
+// AVX-512 bodies off (the avx2-kernel backend). Every set promises
+// bitwise-identical arithmetic, so the contract against the sequential
+// reference, which runs the host's fastest set, is full bitwise equality:
+// the suite pins each set to the one the host runs by default on every
+// public operation, and so the AVX2 bodies, which every other amd64 host
+// runs, stay checked on an AVX-512 host. Where the host lacks the set, or
+// has nothing above it, the backend degenerates to a second sequential
+// evaluator. The kernel selection is process-global, so this backend
+// must not run concurrently with other backends' operations — the suite
+// runs backends one at a time.
+type kernelBackend struct {
 	seqBackend
+	name, set string
 }
 
-func (referenceKernelBackend) Name() string { return "reference-kernel" }
+func (k kernelBackend) Name() string { return k.name }
 
-func (r referenceKernelBackend) Gate(op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	prev := fft.SetFastKernel(false)
-	defer fft.SetFastKernel(prev)
-	return r.seqBackend.Gate(op, a, b)
+func (k kernelBackend) Gate(op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
+	defer fft.SetKernelSet(fft.SetKernelSet(k.set))
+	return k.seqBackend.Gate(op, a, b)
 }
 
-func (r referenceKernelBackend) LUT(cts []tfhe.LWECiphertext, space int, table []int) ([]tfhe.LWECiphertext, error) {
-	prev := fft.SetFastKernel(false)
-	defer fft.SetFastKernel(prev)
-	return r.seqBackend.LUT(cts, space, table)
+func (k kernelBackend) LUT(cts []tfhe.LWECiphertext, space int, table []int) ([]tfhe.LWECiphertext, error) {
+	defer fft.SetKernelSet(fft.SetKernelSet(k.set))
+	return k.seqBackend.LUT(cts, space, table)
 }
 
-func (r referenceKernelBackend) MultiLUT(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
-	prev := fft.SetFastKernel(false)
-	defer fft.SetFastKernel(prev)
-	return r.seqBackend.MultiLUT(cts, space, tables)
+func (k kernelBackend) MultiLUT(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
+	defer fft.SetKernelSet(fft.SetKernelSet(k.set))
+	return k.seqBackend.MultiLUT(cts, space, tables)
 }
 
-func (r referenceKernelBackend) Circuit(circ *sched.Circuit, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	prev := fft.SetFastKernel(false)
-	defer fft.SetFastKernel(prev)
-	return r.seqBackend.Circuit(circ, inputs)
+func (k kernelBackend) Circuit(circ *sched.Circuit, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
+	defer fft.SetKernelSet(fft.SetKernelSet(k.set))
+	return k.seqBackend.Circuit(circ, inputs)
 }
 
-func (r referenceKernelBackend) Infer(features []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
-	prev := fft.SetFastKernel(false)
-	defer fft.SetFastKernel(prev)
-	return r.seqBackend.Infer(features)
+func (k kernelBackend) Infer(features []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
+	defer fft.SetKernelSet(fft.SetKernelSet(k.set))
+	return k.seqBackend.Infer(features)
 }
 
 // inferBackend is the encrypted-inference service scenario end to end:

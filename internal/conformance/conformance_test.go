@@ -397,16 +397,18 @@ func TestInferSweepService(t *testing.T) {
 	}
 }
 
-// TestBackendNames pins that the nine backends are present, uniquely
+// TestBackendNames pins that the ten backends are present, uniquely
 // named, led by the sequential reference, and that exactly the two
 // optimizing backends relax the bitwise promise. The reference-kernel
 // backend promises bitwise equality while running the pure-Go kernels,
-// which is what holds the fast path to the reference; the routed
+// which is what holds the fast path to the reference, and the avx2-kernel
+// backend while running the AVX2 ones, which holds them to the AVX-512
+// path an AVX-512 host runs by default; the routed
 // cluster promises the hop through the routing tier is bitwise
 // invisible; encrypted-inference rides last and runs the optimizer
 // pass pipeline server-side, so its contract is decode identity.
 func TestBackendNames(t *testing.T) {
-	want := []string{"sequential", "streaming", "scheduled", "server", "restored-server", "optimized-scheduled", "reference-kernel", "routed-cluster", "encrypted-inference"}
+	want := []string{"sequential", "streaming", "scheduled", "server", "restored-server", "optimized-scheduled", "reference-kernel", "avx2-kernel", "routed-cluster", "encrypted-inference"}
 	nonBitwise := map[string]bool{"optimized-scheduled": true, "encrypted-inference": true}
 	bes := fixture.Backends()
 	if len(bes) != len(want) {

@@ -1,12 +1,12 @@
 // Package conformance cross-checks every public FHE operation — boolean
 // gates, lookup tables, multi-value lookup tables, and whole circuits —
-// across the nine execution backends of the repository: the sequential
+// across the ten execution backends of the repository: the sequential
 // evaluator, the streaming engine, the levelizing circuit scheduler (plain
 // and with the optimizer), the networked gate service, a second gate
 // service whose session was restored from a drained durable store (the
 // crash/restart path) rather than registered, the sequential evaluator on
-// the reference FFT kernels, a two-node routed cluster, and the
-// encrypted-inference service scenario.
+// the reference FFT kernels and again on the AVX2 ones, a two-node routed
+// cluster, and the encrypted-inference service scenario.
 //
 // Server-side TFHE is deterministic, and every backend executes the same
 // per-ciphertext computation in the same order, so conformance is defined

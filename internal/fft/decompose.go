@@ -18,7 +18,7 @@ import (
 // The result is bitwise identical to the unfused sequence: digit
 // extraction is exact integer math and the load expression has the same
 // shape as ForwardIntTo's. The reference load extracts digits with
-// Decomposer.DigitsTo; the AVX2 load uses a branchless extractor,
+// Decomposer.DigitsTo; the SIMD loads use a branchless extractor,
 // producing identical digits (pinned by test). dsts
 // must hold exactly dec.Level buffers of size M; each is fully
 // overwritten. src is read-only.
@@ -54,10 +54,10 @@ func (p *Processor) forwardDecompose(dsts []FourierPoly, dec poly.Decomposer, sr
 			panic("fft: ForwardDecompose size mismatch")
 		}
 	}
-	if p.planar() {
-		p.decompLoadPlanar(dsts, dec, src, e, rotSub)
+	if w := p.width(); w > 0 {
+		p.decompLoadPlanar(dsts, dec, src, e, rotSub, w)
 		for l := range dsts {
-			p.forwardPlanar(dsts[l])
+			p.forwardPlanar(dsts[l], w)
 		}
 		return
 	}

@@ -14,9 +14,12 @@
 // stream polynomials with no matrix transposition.
 //
 // The reference kernels (kernel_ref.go) work on interleaved (re, im)
-// values. The AVX2 path keeps a transform's data block-planar — each run
-// of four values as four real parts, then four imaginary parts — so the
-// real and imaginary datapaths stay apart, as in the paper's FFT units,
-// and converts back before a FourierPoly leaves the transform. Both give
-// the same bits; kernel.go has the rules that make them.
+// values. The SIMD paths keep a transform's data block-planar — each
+// block of values as its real parts, then its imaginary parts: four values
+// on the AVX2 path, eight on the AVX-512 path, which runs eight butterfly
+// lanes side by side where the paper's FFT units run many (§V-A, Table
+// VII) — so the real and imaginary datapaths stay apart, as in those
+// units, and convert back before a FourierPoly leaves the transform. All
+// give the same bits; kernel.go has the rules that make them and which
+// body runs where.
 package fft

@@ -3,6 +3,7 @@ package fft
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"repro/internal/poly"
@@ -23,14 +24,17 @@ type FourierPoly []complex128
 // stage is one butterfly pass of the iterative transform. Radix-4 stages
 // carry a packed twiddle table walked sequentially by the inner loop —
 // six floats (w^k, w^2k, w^3k as re/im pairs) per butterfly index k,
-// shared by every block of the stage — and, when q = s/4 ≥ 2, the same
-// twiddles in block-planar order (planarTable) for the AVX2 bodies. The
-// final radix-2 stage of an odd-log2 size (and the trivial first inverse
-// stages) need no twiddles.
+// shared by every block of the stage — and the same twiddles in the
+// block-planar orders the SIMD bodies read (planarTable): in blocks of four
+// values when q = s/4 ≥ 2, and in blocks of eight where the processor has
+// eight-value bodies (Processor.eight) and q ≥ 2. The final radix-2 stage
+// of an odd-log2 size (and the trivial first inverse stages) need no
+// twiddles.
 type stage struct {
-	size   int       // butterfly block size s
-	tw     []float64 // packed twiddles; nil for radix-2
-	planar []float64 // planarTable(tw, 3); nil for q < 2
+	size    int       // butterfly block size s
+	tw      []float64 // packed twiddles; nil for radix-2
+	planar  []float64 // planarTable(tw, 3, 4); nil for q < 2
+	planar8 []float64 // planarTable(tw, 3, 8); nil for q < 2 or without eight-value bodies
 }
 
 // Processor performs folded negacyclic FFTs for a fixed polynomial size N.
@@ -57,15 +61,22 @@ type Processor struct {
 	// twist holds e^(iπ j / N) in two planes, the m real parts and then the
 	// m imaginary parts (twist[j], twist[m+j]); multiplied in during the
 	// forward load/convert pass (folding the two real halves into one
-	// complex polynomial). The decompose load's AVX2 body reads four values
-	// of a plane into each register.
+	// complex polynomial). The decompose load's SIMD bodies read four or
+	// eight values of a plane into each register.
 	twist []float64
 	// untwist holds conj(e^(iπ j / N)) / m as interleaved re/im pairs: the
 	// inverse fold and the 1/m scaling pre-combined, applied inside the
 	// final inverse butterfly stage. untwistPlanar is planarTable(untwist,
-	// 1), the fold's AVX2 body's copy.
-	untwist       []float64
-	untwistPlanar []float64
+	// 1, 4), the fold's AVX2 body's copy, and untwistPlanar8 the eight-value
+	// body's (nil without eight-value bodies).
+	untwist        []float64
+	untwistPlanar  []float64
+	untwistPlanar8 []float64
+
+	// eight reports that the transforms have eight-value bodies at this
+	// size: m = 2·4^j ≥ 32, so every radix-4 stage but the q = 2 one has
+	// q ≥ 8 and the q = 2 stage and the radix-2 pass end the transform.
+	eight bool
 
 	fwd []stage // forward DIF stages, sizes descending m … 4 (then 2)
 	inv []stage // inverse DIT stages, sizes ascending (2) 4 … m
@@ -88,7 +99,7 @@ func NewProcessor(n int) *Processor {
 		panic(fmt.Sprintf("fft: invalid polynomial size %d", n))
 	}
 	m := n / 2
-	p := &Processor{n: n, m: m}
+	p := &Processor{n: n, m: m, eight: m >= 32 && bits.TrailingZeros(uint(m))%2 == 1}
 	p.twist = make([]float64, 2*m)
 	p.untwist = make([]float64, 2*m)
 	invM := 1.0 / float64(m)
@@ -98,9 +109,12 @@ func NewProcessor(n int) *Processor {
 		p.twist[j], p.twist[m+j] = c, s
 		p.untwist[2*j], p.untwist[2*j+1] = c*invM, -s*invM
 	}
-	p.untwistPlanar = planarTable(p.untwist, 1)
-	p.fwd = buildStages(m, +1)
-	p.inv = buildStages(m, -1)
+	p.untwistPlanar = planarTable(p.untwist, 1, 4)
+	if p.eight {
+		p.untwistPlanar8 = planarTable(p.untwist, 1, 8)
+	}
+	p.fwd = buildStages(m, +1, p.eight)
+	p.inv = buildStages(m, -1, p.eight)
 	// The inverse runs the mirrored stage sequence smallest-first.
 	for i, j := 0, len(p.inv)-1; i < j; i, j = i+1, j-1 {
 		p.inv[i], p.inv[j] = p.inv[j], p.inv[i]
@@ -111,8 +125,8 @@ func NewProcessor(n int) *Processor {
 // buildStages precomputes the butterfly passes for FFT size m: radix-4
 // stages of size m, m/4, … and, when log2(m) is odd, one trailing radix-2
 // stage. sign +1 builds the forward twiddles e^(+2πi rk/s); −1 the
-// conjugate inverse tables.
-func buildStages(m int, sign float64) []stage {
+// conjugate inverse tables; eight adds the eight-value planar tables.
+func buildStages(m int, sign float64, eight bool) []stage {
 	var stages []stage
 	s := m
 	for ; s >= 4; s >>= 2 {
@@ -126,7 +140,10 @@ func buildStages(m int, sign float64) []stage {
 		}
 		st := stage{size: s, tw: tw}
 		if q >= 2 {
-			st.planar = planarTable(tw, 3)
+			st.planar = planarTable(tw, 3, 4)
+		}
+		if q >= 2 && eight {
+			st.planar8 = planarTable(tw, 3, 8)
 		}
 		stages = append(stages, st)
 	}
@@ -137,19 +154,20 @@ func buildStages(m int, sign float64) []stage {
 }
 
 // planarTable returns nat, a table of per complex constants (re, im) for
-// each index j, in the block-planar order the AVX2 bodies read: for every
-// run of four indices and each constant c, the four real parts and then the
-// four imaginary parts, one register each. A table of two indices (the
-// q = 2 stage) becomes one run that reads them twice, j = 0, 1, 0, 1: the
-// bodies that take it hold two blocks' butterflies side by side. The table
-// is the size of nat, or twice it for two indices.
-func planarTable(nat []float64, per int) []float64 {
+// each index j, in the block-planar order the SIMD bodies read with
+// blocks of w values: for every run of w indices and each constant c, the
+// w real parts and then the w imaginary parts, one register each. A table
+// of two indices (the q = 2 stage) becomes one run that reads them w/2
+// times, j = 0, 1, 0, 1, …: the bodies that take it hold w/2 blocks'
+// butterflies side by side. The table is the size of nat, or w/2 times it
+// for two indices.
+func planarTable(nat []float64, per, w int) []float64 {
 	n := len(nat) / (2 * per)
-	out := make([]float64, 0, 8*per*max(n/4, 1))
-	for j := 0; j < max(n, 4); j += 4 {
+	out := make([]float64, 0, 2*per*max(n, w))
+	for j := 0; j < max(n, w); j += w {
 		for c := 0; c < per; c++ {
 			for part := 0; part < 2; part++ {
-				for l := 0; l < 4; l++ {
+				for l := 0; l < w; l++ {
 					out = append(out, nat[2*(((j+l)%n)*per+c)+part])
 				}
 			}
@@ -192,12 +210,12 @@ func (p *Processor) getInvScratch() *invScratch {
 func (p *Processor) putInvScratch(s *invScratch) { p.invPool.Put(s) }
 
 // forwardStages runs the forward transform in place on buf, which a load
-// has filled with interleaved values: in the AVX2 layout when the call
-// takes it (planar, kernel_fast.go), else through the reference stages.
+// has filled with interleaved values: in the block-planar layout when the
+// call takes it (width, kernel_fast.go), else through the reference stages.
 func (p *Processor) forwardStages(buf []complex128) {
-	if p.planar() {
-		toPlanar(buf)
-		p.forwardPlanar(buf)
+	if w := p.width(); w > 0 {
+		toPlanar(buf, w)
+		p.forwardPlanar(buf, w)
 		return
 	}
 	p.forwardRef(buf)
@@ -258,11 +276,11 @@ func (p *Processor) InverseTo(dst poly.Poly, fp FourierPoly) {
 // fold — conj(twist)/m, round-to-torus, additive store — fused into its
 // butterflies. scratch must have length m and is fully clobbered.
 // When the transform is a single stage (m ≤ 4) it reads fp and folds
-// directly into dst without touching scratch. The AVX2 layout, when the
-// call takes it, is inversePlanar's.
+// directly into dst without touching scratch. The block-planar layout,
+// when the call takes it, is inversePlanar's.
 func (p *Processor) inverseAccTo(dst []torus.Torus32, fp FourierPoly, scratch []complex128) {
-	if p.planar() {
-		p.inversePlanar(dst, fp, scratch)
+	if w := p.width(); w > 0 {
+		p.inversePlanar(dst, fp, scratch, w)
 		return
 	}
 	stages := p.inv

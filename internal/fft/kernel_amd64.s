@@ -3,13 +3,16 @@
 #include "textflag.h"
 
 // AVX2 bodies of the transforms' passes and the tile MAC (kernel_fast.go),
-// the arithmetic of kernel_ref.go lane for lane. Inside a transform the data
-// is block-planar: a run of four complex values is one register of their
-// real parts and one of their imaginary parts, so a complex multiply is
-// four multiplies, a subtract and an add, and a butterfly moves no value
-// between lanes; only the tail and the head, which convert to and from the
-// interleaved FourierPoly, and the tile MAC, which stays on it, shuffle
-// data. No FMA anywhere
+// the arithmetic of kernel_ref.go lane for lane. The kernel set avx2 runs
+// all of them; avx512 runs the tile MAC here and the transforms' passes
+// here only where a transform has no eight-value bodies (M a power of
+// four, set III; kernel_avx512_amd64.s has the others). Inside a transform
+// the data is block-planar: a block of four complex values is one register
+// of their real parts and one of their imaginary parts, so a complex
+// multiply is four multiplies, a subtract and an add, and a butterfly moves
+// no value between lanes; only the tail and the head, which convert to and
+// from the interleaved FourierPoly, and the tile MAC, which stays on it,
+// shuffle data. No FMA anywhere
 // (make lint: no-fma) — a fused multiply-add rounds once where the
 // reference rounds twice. Every TEXT block ends in VZEROUPPER; RET: a dirty
 // upper half taxes every SSE-encoded float operation Go code runs

@@ -3,9 +3,11 @@ package fft
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -189,12 +191,8 @@ func TestForwardDecomposeRotSubMatchesThreePasses(t *testing.T) {
 	// the small sizes (each wrap and sign case, e = 0 and e = N included),
 	// random e (negative and beyond 2N too) at the paper's sizes, for the
 	// register-held level counts 2 and 3, the general loop, and a gadget
-	// that uses all 32 bits.
+	// that uses all 32 bits, under every kernel set the host has.
 	decs := []poly.Decomposer{poly.NewDecomposer(10, 2), poly.NewDecomposer(8, 3), poly.NewDecomposer(5, 4), poly.NewDecomposer(7, 1), poly.NewDecomposer(16, 2)}
-	kernels := []bool{false}
-	if FastKernelAvailable() {
-		kernels = append(kernels, true)
-	}
 	for _, n := range []int{16, 64, 1024, 2048} {
 		p := NewProcessor(n)
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -214,8 +212,8 @@ func TestForwardDecomposeRotSubMatchesThreePasses(t *testing.T) {
 		for _, dec := range decs {
 			fused := p.NewFourierPolyBatch(dec.Level)
 			want := p.NewFourierPolyBatch(dec.Level)
-			for _, fast := range kernels {
-				withKernel(fast, func() {
+			for _, set := range hostKernelSets() {
+				withKernel(set, func() {
 					for _, e := range es {
 						poly.MulByMonomialTo(rot, src, e)
 						poly.SubTo(rot, src)
@@ -224,7 +222,7 @@ func TestForwardDecomposeRotSubMatchesThreePasses(t *testing.T) {
 						for l := range fused {
 							for j := range fused[l] {
 								if fused[l][j] != want[l][j] {
-									t.Fatalf("n=%d gadget %v fast=%v e=%d level %d slot %d: fused %v != three-pass %v", n, dec, fast, e, l, j, fused[l][j], want[l][j])
+									t.Fatalf("n=%d gadget %v kernel=%s e=%d level %d slot %d: fused %v != three-pass %v", n, dec, set, e, l, j, fused[l][j], want[l][j])
 								}
 							}
 						}
@@ -251,24 +249,26 @@ func TestForwardDecomposeValidation(t *testing.T) {
 	})
 }
 
-// withKernel runs f with the AVX2 bodies on (where the host has them) or
-// off, and restores the previous setting.
-func withKernel(fast bool, f func()) {
-	prev := SetFastKernel(fast)
-	defer SetFastKernel(prev)
-	f()
+func TestDefaultKernelSet(t *testing.T) {
+	// At start-up the kernels are the host's fastest set. The log line is
+	// what make kernels prints (CI's test job, make profile).
+	if got, want := KernelSet(), torus.HostSIMD().String(); got != want {
+		t.Fatalf("kernel set %s at start-up, the host's fastest is %s", got, want)
+	}
+	t.Logf("kernel sets on this host: %s; running %s", strings.Join(hostKernelSets(), " "), KernelSet())
 }
 
 func TestFastMatchesReferenceBitwise(t *testing.T) {
-	bothBodies(t, testFastMatchesReferenceBitwise)
+	eachKernel(t, testFastMatchesReferenceBitwise)
 }
 
 func testFastMatchesReferenceBitwise(t *testing.T) {
 	// Every transform size from 4 to set IV's 16384: every stage size the
 	// kernels see, both tails and heads (q = 2 and q = 1), and the sizes
-	// below the AVX2 path's M ≥ 16, N = 2048 being the only paper set whose
-	// radix-4 ladder ends in a q = 1 stage. The "fast" side runs the
-	// kernels as the caller left them, the other with the AVX2 bodies off.
+	// below the AVX2 path's M ≥ 16 and the AVX-512 path's M ≥ 32, N = 2048
+	// being the only paper set whose radix-4 ladder ends in a q = 1 stage.
+	// The "fast" side runs the kernels as the caller left them, the other
+	// with every SIMD body off.
 	for _, n := range []int{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384} {
 		p := NewProcessor(n)
 		rng := rand.New(rand.NewSource(17))
@@ -293,7 +293,7 @@ func testFastMatchesReferenceBitwise(t *testing.T) {
 		var rTorus, rInt, rAcc FourierPoly
 		var rDec []FourierPoly
 		rInv := poly.New(n)
-		withKernel(false, func() {
+		withKernel("ref", func() {
 			rTorus = fwdTorus(p, src)
 			rInt = fwdInt(p, digits)
 			rAcc = p.NewFourierPoly()
@@ -358,14 +358,15 @@ func sameBits(a, b []complex128) int {
 }
 
 func TestPlanarTablesReorderNatural(t *testing.T) {
-	// Every constant an AVX2 body multiplies by, read back from the slots
-	// that body reads, for every m in 8 … 8192: in each radix-4 stage with
-	// q ≥ 2 of either direction, lane k of the runs of four (k = 0 … 3 when
-	// q = 2, whose runs read k mod 2) takes butterfly k mod q's w^r, its real
-	// part at float 24·(k/4) + 8·(r−1) + k%4 and its imaginary part four
-	// floats later; the untwist of position p has its real part at
-	// 8·(p/4) + p%4 and its imaginary part four floats later. Each must be
-	// the natural table's (re, im).
+	// Every constant a SIMD body multiplies by, read back from the slots
+	// that body reads, for every m in 8 … 8192 and both block widths w, 4
+	// and 8 (where the processor has eight-value bodies): in each radix-4
+	// stage with q ≥ 2 of either direction, lane k of the runs of w (k =
+	// 0 … w−1 when q = 2, whose runs read k mod 2) takes butterfly k mod
+	// q's w^r, its real part at float 6w·(k/w) + 2w·(r−1) + k%w and its
+	// imaginary part w floats later; the untwist of position p has its real
+	// part at 2w·(p/w) + p%w and its imaginary part w floats later. Each
+	// must be the natural table's (re, im).
 	check := func(what string, table []float64, i int, want float64) {
 		t.Helper()
 		if table[i] != want {
@@ -374,80 +375,100 @@ func TestPlanarTablesReorderNatural(t *testing.T) {
 	}
 	for m := 8; m <= 8192; m <<= 1 {
 		p := NewProcessor(2 * m)
-		for _, dir := range []struct {
-			name   string
-			stages []stage
-		}{{"forward", p.fwd}, {"inverse", p.inv}} {
-			for _, st := range dir.stages {
-				q := st.size >> 2
-				if q < 2 {
-					if st.planar != nil {
-						t.Fatalf("m=%d %s s=%d: a planar table no body reads", m, dir.name, st.size)
+		if want := m >= 32 && bits.TrailingZeros(uint(m))%2 == 1; p.eight != want {
+			t.Fatalf("m=%d: eight-value bodies %v, want %v", m, p.eight, want)
+		}
+		for _, w := range []int{4, 8} {
+			for _, dir := range []struct {
+				name   string
+				stages []stage
+			}{{"forward", p.fwd}, {"inverse", p.inv}} {
+				for _, st := range dir.stages {
+					q := st.size >> 2
+					table := st.planar
+					if w == 8 {
+						table = st.planar8
 					}
-					continue
-				}
-				if lanes := max(q, 4); len(st.planar) != 6*lanes {
-					t.Fatalf("m=%d %s s=%d: %d planar floats for %d lanes", m, dir.name, st.size, len(st.planar), lanes)
-				}
-				for k := 0; k < max(q, 4); k++ {
-					for r := 1; r <= 3; r++ {
-						what := fmt.Sprintf("m=%d %s s=%d lane %d w^%d", m, dir.name, st.size, k, r)
-						i, nat := 24*(k/4)+8*(r-1)+k%4, 6*(k%q)+2*(r-1)
-						check(what+" re", st.planar, i, st.tw[nat])
-						check(what+" im", st.planar, i+4, st.tw[nat+1])
+					if q < 2 || w == 8 && !p.eight {
+						if table != nil {
+							t.Fatalf("m=%d %s s=%d w=%d: a planar table no body reads", m, dir.name, st.size, w)
+						}
+						continue
+					}
+					if lanes := max(q, w); len(table) != 6*lanes {
+						t.Fatalf("m=%d %s s=%d w=%d: %d planar floats for %d lanes", m, dir.name, st.size, w, len(table), lanes)
+					}
+					for k := 0; k < max(q, w); k++ {
+						for r := 1; r <= 3; r++ {
+							what := fmt.Sprintf("m=%d %s s=%d w=%d lane %d w^%d", m, dir.name, st.size, w, k, r)
+							i, nat := 6*w*(k/w)+2*w*(r-1)+k%w, 6*(k%q)+2*(r-1)
+							check(what+" re", table, i, st.tw[nat])
+							check(what+" im", table, i+w, st.tw[nat+1])
+						}
 					}
 				}
 			}
-		}
-		if len(p.untwistPlanar) != len(p.untwist) {
-			t.Fatalf("m=%d: %d planar untwist floats for %d untwist floats", m, len(p.untwistPlanar), len(p.untwist))
-		}
-		for pos := 0; pos < m; pos++ {
-			what := fmt.Sprintf("m=%d untwist position %d", m, pos)
-			i := 8*(pos/4) + pos%4
-			check(what+" re", p.untwistPlanar, i, p.untwist[2*pos])
-			check(what+" im", p.untwistPlanar, i+4, p.untwist[2*pos+1])
+			untwist := p.untwistTable(w)
+			if w == 8 && !p.eight {
+				if untwist != nil {
+					t.Fatalf("m=%d: an eight-value untwist no body reads", m)
+				}
+				continue
+			}
+			if len(untwist) != len(p.untwist) {
+				t.Fatalf("m=%d w=%d: %d planar untwist floats for %d untwist floats", m, w, len(untwist), len(p.untwist))
+			}
+			for pos := 0; pos < m; pos++ {
+				what := fmt.Sprintf("m=%d w=%d untwist position %d", m, w, pos)
+				i := 2*w*(pos/w) + pos%w
+				check(what+" re", untwist, i, p.untwist[2*pos])
+				check(what+" im", untwist, i+w, p.untwist[2*pos+1])
+			}
 		}
 	}
 }
 
 func TestPlanarConversionsInvert(t *testing.T) {
-	// toPlanar puts value j's parts at floats 8·(j/4) + j%4 and four on;
-	// toInterleaved restores every bit, zeros' signs and NaNs included.
+	// toPlanar with blocks of w values puts value j's parts at floats
+	// 2w·(j/w) + j%w and w on; toInterleaved restores every bit, zeros'
+	// signs and NaNs included.
 	in := make([]complex128, 64)
 	kernelOperands(rand.New(rand.NewSource(67)), in)
 	in[5] = complex(math.NaN(), math.Copysign(0, -1))
-	buf := append([]complex128(nil), in...)
-	toPlanar(buf)
-	f := unsafe.Slice((*float64)(unsafe.Pointer(&buf[0])), 2*len(buf))
-	for j, v := range in {
-		i := 8*(j/4) + j%4
-		if math.Float64bits(f[i]) != math.Float64bits(real(v)) || math.Float64bits(f[i+4]) != math.Float64bits(imag(v)) {
-			t.Fatalf("value %d: planar floats %d and %d hold %v, %v, want %v", j, i, i+4, f[i], f[i+4], v)
+	for _, w := range []int{4, 8} {
+		buf := append([]complex128(nil), in...)
+		toPlanar(buf, w)
+		f := unsafe.Slice((*float64)(unsafe.Pointer(&buf[0])), 2*len(buf))
+		for j, v := range in {
+			i := 2*w*(j/w) + j%w
+			if math.Float64bits(f[i]) != math.Float64bits(real(v)) || math.Float64bits(f[i+w]) != math.Float64bits(imag(v)) {
+				t.Fatalf("w=%d value %d: planar floats %d and %d hold %v, %v, want %v", w, j, i, i+w, f[i], f[i+w], v)
+			}
 		}
-	}
-	toInterleaved(buf)
-	for j := range in {
-		if math.Float64bits(real(buf[j])) != math.Float64bits(real(in[j])) || math.Float64bits(imag(buf[j])) != math.Float64bits(imag(in[j])) {
-			t.Fatalf("value %d: round trip gives %v, want %v", j, buf[j], in[j])
+		toInterleaved(buf, w)
+		for j := range in {
+			if math.Float64bits(real(buf[j])) != math.Float64bits(real(in[j])) || math.Float64bits(imag(buf[j])) != math.Float64bits(imag(in[j])) {
+				t.Fatalf("w=%d value %d: round trip gives %v, want %v", w, j, buf[j], in[j])
+			}
 		}
 	}
 }
 
 func TestStageKernelsMatchReferenceBitwise(t *testing.T) {
-	// The butterfly passes that have an AVX2 body, called directly on the
-	// layout the transforms hand them, converted at the test's boundary:
-	// every radix-4 stage with q ≥ 4 of every N in 8 … 16384, forward and
-	// inverse tables, block-planar in and out; the forward tail (the q = 2
-	// stage and the radix-2 pass), block-planar in and interleaved out, and
-	// the inverse head (the radix-2 pass and the q = 2 stage), interleaved in
-	// and block-planar out, at every m = 2·4^j from 32 — each at a buffer
-	// offset of zero and of one complex value, one of which is 16- but not
-	// 32-byte aligned whatever the allocator did. With the AVX2 bodies off
-	// both sides run the reference. (The VMA's body is the tile MAC's:
+	// The butterfly passes that have a SIMD body, called directly on the
+	// layout the transforms hand them, converted at the test's boundary,
+	// under each kernel set: the bodies of the block width w the transform
+	// takes (Processor.width) for every radix-4 stage with q ≥ w of every N
+	// in 8 … 16384, forward and inverse tables, block-planar in and out;
+	// the forward tail (the q = 2 stage and the radix-2 pass), block-planar
+	// in and interleaved out, and the inverse head (the radix-2 pass and
+	// the q = 2 stage), interleaved in and block-planar out, at every
+	// m = 2·4^j from 32 — each at a buffer offset of zero and of one complex
+	// value, one of which is 16- but not 32-byte aligned whatever the
+	// allocator did. With every SIMD body off both sides run the reference.
+	// (The VMA's body is the tile MAC's:
 	// TestMulAccTileMatchesReferenceBitwise.)
-	bothBodies(t, func(t *testing.T) {
-		avx := torus.UseAVX2()
+	eachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(31))
 		compare := func(what string, got, want []complex128) {
 			t.Helper()
@@ -456,12 +477,14 @@ func TestStageKernelsMatchReferenceBitwise(t *testing.T) {
 			}
 		}
 		for m := 4; m <= 8192; m <<= 1 {
-			fwd, inv := buildStages(m, +1), buildStages(m, -1)
+			p := NewProcessor(2 * m)
+			w, body := p.width(), bodiesOf[p.width()]
+			fwd, inv := buildStages(m, +1, p.eight), buildStages(m, -1, p.eight)
 			for off := 0; off < 2; off++ {
 				in := make([]complex128, m+off)
 				kernelOperands(rng, in)
 				for i, st := range fwd {
-					if st.size < 16 {
+					if st.size < 4*max(w, 4) {
 						continue
 					}
 					for _, k := range []struct {
@@ -469,17 +492,17 @@ func TestStageKernelsMatchReferenceBitwise(t *testing.T) {
 						body func(buf *complex128, n, s int, tw *float64)
 						ref  func([]complex128, stage)
 						st   stage
-					}{{"fwdStage4", fwdStage4AVX2, fwdStage4Ref, st}, {"invStage4", invStage4AVX2, invStage4Ref, inv[i]}} {
+					}{{"fwdStage4", body.fwdStage4, fwdStage4Ref, st}, {"invStage4", body.invStage4, invStage4Ref, inv[i]}} {
 						got, want := append([]complex128(nil), in...), append([]complex128(nil), in...)
-						if g := got[off:]; avx {
-							toPlanar(g)
-							k.body(unsafe.SliceData(g), m, k.st.size, unsafe.SliceData(k.st.planar))
-							toInterleaved(g)
+						if g := got[off:]; w > 0 {
+							toPlanar(g, w)
+							k.body(unsafe.SliceData(g), m, k.st.size, k.st.table(w))
+							toInterleaved(g, w)
 						} else {
 							k.ref(g, k.st)
 						}
 						k.ref(want[off:], k.st)
-						compare(fmt.Sprintf("%s m=%d s=%d offset %d", k.name, m, st.size, off), got, want)
+						compare(fmt.Sprintf("%s w=%d m=%d s=%d offset %d", k.name, w, m, st.size, off), got, want)
 					}
 				}
 				if m < 32 || fwd[len(fwd)-1].size != 2 {
@@ -487,31 +510,31 @@ func TestStageKernelsMatchReferenceBitwise(t *testing.T) {
 				}
 				tail, head := fwd[len(fwd)-2], inv[len(inv)-2]
 				got, want := append([]complex128(nil), in...), append([]complex128(nil), in...)
-				if g := got[off:]; avx {
-					toPlanar(g)
-					fwdTailAVX2(unsafe.SliceData(g), m, unsafe.SliceData(tail.planar))
+				if g := got[off:]; w > 0 {
+					toPlanar(g, w)
+					body.fwdTail(unsafe.SliceData(g), m, tail.table(w))
 				} else {
 					fwdStage4Ref(g, tail)
 					fwdStage2Ref(g)
 				}
 				fwdStage4Ref(want[off:], tail)
 				fwdStage2Ref(want[off:])
-				compare(fmt.Sprintf("fwdTail m=%d offset %d", m, off), got, want)
+				compare(fmt.Sprintf("fwdTail w=%d m=%d offset %d", w, m, off), got, want)
 
 				kernelOperands(rng, got)
 				copy(want, got)
 				src := append([]complex128(nil), in...)
-				if g := got[off:]; avx {
-					invHeadAVX2(unsafe.SliceData(g), unsafe.SliceData(src[off:]), m, unsafe.SliceData(head.planar))
-					toInterleaved(g)
+				if g := got[off:]; w > 0 {
+					body.invHead(unsafe.SliceData(g), unsafe.SliceData(src[off:]), m, head.table(w))
+					toInterleaved(g, w)
 				} else {
 					invFirstRef(g, src[off:], 2)
 					invStage4Ref(g, head)
 				}
 				invFirstRef(want[off:], in[off:], 2)
 				invStage4Ref(want[off:], head)
-				compare(fmt.Sprintf("invHead m=%d offset %d", m, off), got, want)
-				compare(fmt.Sprintf("invHead m=%d offset %d source", m, off), src, in)
+				compare(fmt.Sprintf("invHead w=%d m=%d offset %d", w, m, off), got, want)
+				compare(fmt.Sprintf("invHead w=%d m=%d offset %d source", w, m, off), src, in)
 			}
 		}
 	})
@@ -524,12 +547,13 @@ func TestDecompLoadMatchesReferenceBitwise(t *testing.T) {
 	// use all 32 bits so rshift = 0), plain and rot-sub with the rotation
 	// stepping through every run shape — the boundary inside a block or on
 	// its edge, a run empty, of one block (the reference's), of exactly the
-	// two blocks an AVX2 step takes, of three (one step and the overlapped
-	// last one), and every length mod 8 on both runs; first half or second
-	// half wrapped; e ≥ N — over sources that mix random words with 0, 2^31
-	// and 2^32 − 1.
+	// two blocks a SIMD step takes, of three (one step and the overlapped
+	// last one), and every length mod two blocks on both runs; first half
+	// or second half wrapped; e ≥ N — over sources that mix random words
+	// with 0, 2^31 and 2^32 − 1, under each kernel set, in the block width
+	// each size takes.
 	decs := []poly.Decomposer{poly.NewDecomposer(10, 2), poly.NewDecomposer(7, 3), poly.NewDecomposer(4, 8), poly.NewDecomposer(1, 32), poly.NewDecomposer(16, 2), poly.NewDecomposer(8, 4)}
-	bothBodies(t, func(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(41))
 		special := []torus.Torus32{0, 1 << 31, 1<<32 - 1, 1<<31 - 1, 1<<31 + 1, 1}
 		for _, n := range []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 16384} {
@@ -543,9 +567,12 @@ func TestDecompLoadMatchesReferenceBitwise(t *testing.T) {
 					mixed.Coeffs[i] = random.Coeffs[i]
 				}
 			}
+			// Rotations within three blocks and one value of either end
+			// give every run shape of the block width this size takes.
+			span := 3*max(p.width(), 4) + 1
 			var es []int
 			for r := 0; r < m; r++ {
-				if r <= 13 || r >= m-13 {
+				if r <= span || r >= m-span {
 					es = append(es, r, r+m, r+n, r+m+n)
 				}
 			}
@@ -557,10 +584,10 @@ func TestDecompLoadMatchesReferenceBitwise(t *testing.T) {
 							got[l][i] = complex(math.NaN(), 1) // a slot the load skips shows
 						}
 					}
-					if p.planar() {
-						p.decompLoadPlanar(got, dec, src, e, rotSub)
+					if w := p.width(); w > 0 {
+						p.decompLoadPlanar(got, dec, src, e, rotSub, w)
 						for l := range got {
-							toInterleaved(got[l])
+							toInterleaved(got[l], w)
 						}
 					} else {
 						p.decompLoadRef(got, dec, src, e, rotSub, 0, m)
@@ -588,68 +615,74 @@ func TestDecompLoadMatchesReferenceBitwise(t *testing.T) {
 }
 
 func TestDecompLoadAVX2WritesOnlyItsRun(t *testing.T) {
-	// The AVX2 body called directly over one run [lo, lo+cnt) of whole
-	// blocks: every level holds decompLoadRef's bits there, block-planar,
-	// and nothing is written outside it, for the plain load (offsets 0 and
-	// m, no sign) and the rot-sub run from k of e = k < m (offsets −k and
-	// m−k, no sign), at four level counts, one step and several, aligned to
-	// eight pairs and not.
-	if !torus.HasAVX2() {
-		t.Skip("no AVX2 body on this build and host")
+	testDecompLoadWritesOnlyItsRun(t, torus.AVX2, 4)
+}
+
+func TestDecompLoadAVX512WritesOnlyItsRun(t *testing.T) {
+	testDecompLoadWritesOnlyItsRun(t, torus.AVX512, 8)
+}
+
+// testDecompLoadWritesOnlyItsRun calls the decompose load's body for blocks
+// of w values directly over one run [lo, lo+cnt) of whole blocks: every
+// level holds decompLoadRef's bits there, block-planar, and nothing is
+// written outside it, for the plain load (offsets 0 and m, no sign) and the
+// rot-sub run from k of e = k < m (offsets −k and m−k, no sign), at four
+// level counts, one step and several, aligned to two blocks and not.
+func testDecompLoadWritesOnlyItsRun(t *testing.T, level torus.SIMD, w int) {
+	if torus.HostSIMD() < level {
+		t.Skipf("no %s body on this build and host", level)
 	}
-	withKernel(true, func() {
-		const n = 256
-		m := n / 2
-		p := NewProcessor(n)
-		src := poly.New(n)
-		poly.Uniform(rand.New(rand.NewSource(59)), src)
-		for _, dec := range []poly.Decomposer{poly.NewDecomposer(10, 2), poly.NewDecomposer(8, 3), poly.NewDecomposer(1, 32), poly.NewDecomposer(4, 5)} {
-			lb, bl := dec.Level, uint32(dec.BaseLog)
-			rshift := 32 - bl*uint32(lb)
-			var rhalf uint32
-			if rshift > 0 {
-				rhalf = 1 << (rshift - 1)
+	const n = 256
+	m, step := n/2, 2*w
+	p := NewProcessor(n)
+	src := poly.New(n)
+	poly.Uniform(rand.New(rand.NewSource(59)), src)
+	for _, dec := range []poly.Decomposer{poly.NewDecomposer(10, 2), poly.NewDecomposer(8, 3), poly.NewDecomposer(1, 32), poly.NewDecomposer(4, 5)} {
+		lb, bl := dec.Level, uint32(dec.BaseLog)
+		rshift := 32 - bl*uint32(lb)
+		var rhalf uint32
+		if rshift > 0 {
+			rhalf = 1 << (rshift - 1)
+		}
+		got, want := p.NewFourierPolyBatch(lb), p.NewFourierPolyBatch(lb)
+		var dp [32]unsafe.Pointer
+		for l := range got {
+			dp[l] = unsafe.Pointer(unsafe.SliceData(got[l]))
+		}
+		for _, k := range []int{0, 3, 37} {
+			rotSub := k != 0
+			var sub uint32
+			if rotSub {
+				sub = ^uint32(0)
 			}
-			got, want := p.NewFourierPolyBatch(lb), p.NewFourierPolyBatch(lb)
-			var dp [32]unsafe.Pointer
-			for l := range got {
-				dp[l] = unsafe.Pointer(unsafe.SliceData(got[l]))
-			}
-			for _, k := range []int{0, 3, 37} {
-				rotSub := k != 0
-				var sub uint32
-				if rotSub {
-					sub = ^uint32(0)
+			p.decompLoadRef(want, dec, src, k, rotSub, 0, m)
+			a := (k + w - 1) &^ (w - 1) // the first block of the run
+			for _, r := range [][2]int{{a, step}, {a + w, 2 * step}, {a + 2*w, 3 * step}, {m - step, step}, {a, (m - a) &^ (step - 1)}} {
+				lo, cnt := r[0], r[1]
+				for l := range got {
+					for i := range got[l] {
+						got[l][i] = complex(math.NaN(), math.NaN())
+					}
 				}
-				p.decompLoadRef(want, dec, src, k, rotSub, 0, m)
-				a := (k + 3) &^ 3 // the first block of the run
-				for _, r := range [][2]int{{a, 8}, {a + 4, 16}, {a + 8, 24}, {m - 8, 8}, {a, (m - a) &^ 7}} {
-					lo, cnt := r[0], r[1]
-					for l := range got {
-						for i := range got[l] {
-							got[l][i] = complex(math.NaN(), math.NaN())
+				word := func(x int) *uint32 { return (*uint32)(&src.Coeffs[x]) }
+				bodiesOf[w].decompLoad(&dp[0], lb, &p.twist[lo], &p.twist[m+lo], word(lo-k), word(lo+m-k), word(lo), word(lo+m), lo, cnt, 0, 0, sub, rhalf, uint32(1)<<bl-1, rshift, bl)
+				for l := range got {
+					toInterleaved(got[l], w)
+				}
+				for l := range got {
+					for j := range got[l] {
+						written := !math.IsNaN(real(got[l][j]))
+						if inside := j >= lo && j < lo+cnt; written != inside {
+							t.Fatalf("w=%d gadget %v k=%d [%d, %d) level %d: slot %d written=%v", w, dec, k, lo, lo+cnt, l, j, written)
 						}
-					}
-					word := func(x int) *uint32 { return (*uint32)(&src.Coeffs[x]) }
-					decompLoadAVX2(&dp[0], lb, &p.twist[lo], &p.twist[m+lo], word(lo-k), word(lo+m-k), word(lo), word(lo+m), lo, cnt, 0, 0, sub, rhalf, uint32(1)<<bl-1, rshift, bl)
-					for l := range got {
-						toInterleaved(got[l])
-					}
-					for l := range got {
-						for j := range got[l] {
-							written := !math.IsNaN(real(got[l][j]))
-							if inside := j >= lo && j < lo+cnt; written != inside {
-								t.Fatalf("gadget %v k=%d [%d, %d) level %d: slot %d written=%v", dec, k, lo, lo+cnt, l, j, written)
-							}
-							if written && sameBits(got[l][j:j+1], want[l][j:j+1]) >= 0 {
-								t.Fatalf("gadget %v k=%d [%d, %d) level %d slot %d: %v, reference %v", dec, k, lo, lo+cnt, l, j, got[l][j], want[l][j])
-							}
+						if written && sameBits(got[l][j:j+1], want[l][j:j+1]) >= 0 {
+							t.Fatalf("w=%d gadget %v k=%d [%d, %d) level %d slot %d: %v, reference %v", w, dec, k, lo, lo+cnt, l, j, got[l][j], want[l][j])
 						}
 					}
 				}
 			}
 		}
-	})
+	}
 }
 
 func TestTwistPlanes(t *testing.T) {
@@ -735,18 +768,22 @@ func foldValues(rng *rand.Rand) []float64 {
 func TestInvFoldMatchesReferenceBitwise(t *testing.T) {
 	// The fold stage called directly, at every transform length and at a
 	// source offset of zero and of one complex value (16- but not 32-byte
-	// aligned), its AVX2 body (m ≥ 16) on the source made block-planar. First through the real tables, with operands of every
-	// binade up to 2^61. Then value by value: with the other three legs'
-	// inputs zero and an all-real untwist table, the four outputs of
-	// butterfly k are all src[k] and its parts reach roundToTorus unchanged,
-	// so every entry of foldValues passes through a rounding lane in every
-	// lane position, and the sum must also be what roundToTorus says.
-	bothBodies(t, func(t *testing.T) {
-		avx := torus.UseAVX2()
+	// aligned), under each kernel set: the body of the block width w the
+	// transform takes (Processor.width) on the source made block-planar.
+	// First through the real tables, with operands of every binade up to
+	// 2^61. Then value by value: with the other three legs' inputs zero and
+	// an all-real untwist table, the four outputs of butterfly k are all
+	// src[k] and its parts reach roundToTorus unchanged, so every entry of
+	// foldValues — exact ties ±(n + ½) up to 2^52 among them, where a
+	// round-to-nearest convert would differ from roundToTorus — passes
+	// through a rounding lane in every lane position, and the sum must also
+	// be what roundToTorus says.
+	eachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(47))
 		vals := foldValues(rng)
 		for m := 2; m <= 8192; m <<= 1 {
 			p := NewProcessor(2 * m)
+			w := p.width()
 			st := p.inv[len(p.inv)-1]
 			q := max(st.size>>2, 1)
 			unit := make([]float64, 2*m)
@@ -757,21 +794,21 @@ func TestInvFoldMatchesReferenceBitwise(t *testing.T) {
 			for i := range init {
 				init[i] = rng.Uint32()
 			}
-			unitPlanar := planarTable(unit, 1)
+			unitPlanar := planarTable(unit, 1, max(w, 4))
 			fold := func(what string, off int, src []complex128, untwist, planar []float64) []torus.Torus32 {
 				got, want := append([]torus.Torus32(nil), init...), append([]torus.Torus32(nil), init...)
-				if avx && m >= 16 {
+				if w > 0 {
 					ps := make([]complex128, m+off)[off:]
 					copy(ps, src)
-					toPlanar(ps)
-					invFoldAVX2(unsafe.SliceData(got), unsafe.SliceData(ps), q, unsafe.SliceData(st.planar), unsafe.SliceData(planar))
+					toPlanar(ps, w)
+					bodiesOf[w].invFold(unsafe.SliceData(got), unsafe.SliceData(ps), q, st.table(w), unsafe.SliceData(planar))
 				} else {
 					invFoldRef(got, src, st, untwist, m)
 				}
 				invFoldRef(want, src, st, untwist, m)
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("m=%d %s: coefficient %d is %#x, reference %#x", m, what, i, got[i], want[i])
+						t.Fatalf("m=%d w=%d %s: coefficient %d is %#x, reference %#x", m, w, what, i, got[i], want[i])
 					}
 				}
 				return want
@@ -784,7 +821,7 @@ func TestInvFoldMatchesReferenceBitwise(t *testing.T) {
 						re, im := vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]
 						src[i] = complex(re*rng.Float64(), im*rng.Float64())
 					}
-					fold(fmt.Sprintf("offset %d, real tables", off), off, src, p.untwist, p.untwistPlanar)
+					fold(fmt.Sprintf("offset %d, real tables", off), off, src, p.untwist, p.untwistTable(max(w, 4)))
 				}
 				for lo := 0; lo < len(vals) && m >= 4; lo += 2 * q {
 					clear(src)
@@ -805,10 +842,11 @@ func TestInvFoldMatchesReferenceBitwise(t *testing.T) {
 }
 
 func TestKernelSwitchMidRun(t *testing.T) {
-	// One goroutine flips the kernels in a loop while two others transform
-	// at N = 1024: whichever layout each call takes, every output must be
-	// the reference's, bit for bit. A transform that read the switch per
-	// pass, not once per call, would mix the two layouts in one buffer.
+	// One goroutine steps the kernels through the sets in a loop while two
+	// others transform at N = 1024: whichever layout each call takes —
+	// eight-value blocks, four-value blocks or interleaved — every output
+	// must be the reference's, bit for bit. A transform that read the switch
+	// per pass, not once per call, would mix two layouts in one buffer.
 	const n = 1024
 	p := NewProcessor(n)
 	dec := poly.NewDecomposer(10, 2)
@@ -824,7 +862,7 @@ func TestKernelSwitchMidRun(t *testing.T) {
 	}
 	wantDec := make([][]FourierPoly, len(es))
 	wantInv := poly.New(n)
-	withKernel(false, func() {
+	withKernel("ref", func() {
 		for i, e := range es {
 			wantDec[i] = p.NewFourierPolyBatch(dec.Level)
 			p.ForwardDecomposeRotSub(wantDec[i], dec, src, e)
@@ -832,8 +870,8 @@ func TestKernelSwitchMidRun(t *testing.T) {
 		p.InverseTo(wantInv, fp)
 	})
 
-	prev := SetFastKernel(true)
-	defer SetFastKernel(prev)
+	prev := SetKernelSet("avx512")
+	defer SetKernelSet(prev)
 	// The workers go on until the switch has moved often while they ran,
 	// however the scheduler interleaves the three goroutines.
 	var flips atomic.Int64
@@ -846,7 +884,7 @@ func TestKernelSwitchMidRun(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				SetFastKernel(flips.Add(1)%2 == 0)
+				SetKernelSet(kernelSets[flips.Add(1)%int64(len(kernelSets))])
 			}
 		}
 	}()
@@ -900,12 +938,12 @@ func TestInverseToNoAlloc(t *testing.T) {
 	}
 }
 
-// benchKernels runs the benchmark under each kernel set: the AVX2 bodies,
-// then the reference.
+// benchKernels runs the benchmark under each kernel set, fastest first,
+// skipping a set the host lacks.
 func benchKernels(b *testing.B, run func(b *testing.B)) {
-	for _, set := range []string{"avx2", "ref"} {
+	for _, set := range slices.Backward(kernelSets) {
 		b.Run("kernel="+set, func(b *testing.B) {
-			withKernel(set == "avx2", func() {
+			withKernel(set, func() {
 				if KernelSet() != set {
 					b.Skipf("this build and host run %q here", KernelSet())
 				}
@@ -998,10 +1036,11 @@ func BenchmarkFFTForwardDecompose(b *testing.B) {
 // decompose load (rot-sub, both levels, the rotation stepping), its
 // radix-4 stages and its tail (the q = 2 stage and the radix-2 pass), and
 // the inverse transform's head (the radix-2 pass and the q = 2 stage), its
-// radix-4 stages and its fold. The AVX2 passes take the block-planar
-// layout the transforms give them. The butterfly buffers hold zeros: a
-// pass's time does not depend on the values, bar subnormals, and zeros do
-// not grow into them over repeated calls.
+// radix-4 stages and its fold. The SIMD passes take the block-planar
+// layout of their width, eight values at avx512 and four at avx2. The
+// butterfly buffers hold zeros: a pass's time does not depend on the
+// values, bar subnormals, and zeros do not grow into them over repeated
+// calls.
 func BenchmarkFFTPasses(b *testing.B) {
 	const n = 1024
 	p := NewProcessor(n)
@@ -1013,55 +1052,70 @@ func BenchmarkFFTPasses(b *testing.B) {
 	buf, scratch := make([]complex128, m), make([]complex128, m)
 	dst := make([]torus.Torus32, n)
 	ptr := func(s []complex128) *complex128 { return unsafe.SliceData(s) }
-	e := 0
 	type pass struct {
-		name     string
-		avx, ref func()
+		name string
+		run  func()
 	}
-	passes := []pass{{"fwd/load",
-		func() { e = (e + 77) % (2 * n); p.decompLoadPlanar(digs, dec, src, e, true) },
-		func() { e = (e + 77) % (2 * n); p.decompLoadRef(digs, dec, src, e, true, 0, m) }}}
-	for _, st := range p.fwd {
-		switch st.size {
-		case 8:
-			passes = append(passes, pass{"fwd/tail",
-				func() { fwdTailAVX2(ptr(buf), m, unsafe.SliceData(st.planar)) },
-				func() { fwdStage4Ref(buf, st); fwdStage2Ref(buf) }})
-		case 2:
-		default:
-			passes = append(passes, pass{fmt.Sprintf("fwd/s=%d", st.size),
-				func() { fwdStage4AVX2(ptr(buf), m, st.size, unsafe.SliceData(st.planar)) },
-				func() { fwdStage4Ref(buf, st) }})
-		}
-	}
-	head, last := p.inv[1], len(p.inv)-1
-	passes = append(passes, pass{"inv/head",
-		func() { invHeadAVX2(ptr(scratch), ptr(buf), m, unsafe.SliceData(head.planar)) },
-		func() { invFirstRef(scratch, buf, 2); invStage4Ref(scratch, head) }})
-	for _, st := range p.inv[2:last] {
-		passes = append(passes, pass{fmt.Sprintf("inv/s=%d", st.size),
-			func() { invStage4AVX2(ptr(scratch), m, st.size, unsafe.SliceData(st.planar)) },
-			func() { invStage4Ref(scratch, st) }})
-	}
-	fold := p.inv[last]
-	passes = append(passes, pass{"inv/fold",
-		func() {
-			invFoldAVX2(unsafe.SliceData(dst), ptr(scratch), m/4, unsafe.SliceData(fold.planar), unsafe.SliceData(p.untwistPlanar))
-		},
-		func() { invFoldRef(dst, scratch, fold, p.untwist, m) }})
-	for _, set := range []string{"avx2", "ref"} {
-		b.Run("kernel="+set, func(b *testing.B) {
-			if set == "avx2" && !FastKernelAvailable() {
-				b.Skip("no AVX2 body on this build and host")
+	// passes lists the passes of blocks of w values, or of the reference
+	// for w = 0.
+	passes := func(w int) []pass {
+		body, e := bodiesOf[w], 0
+		ps := []pass{{"fwd/load", func() {
+			e = (e + 77) % (2 * n)
+			if w > 0 {
+				p.decompLoadPlanar(digs, dec, src, e, true, w)
+			} else {
+				p.decompLoadRef(digs, dec, src, e, true, 0, m)
 			}
-			for _, ps := range passes {
-				run := ps.ref
-				if set == "avx2" {
-					run = ps.avx
-				}
+		}}}
+		for _, st := range p.fwd {
+			switch {
+			case st.size == 2:
+			case st.size == 8 && w > 0:
+				ps = append(ps, pass{"fwd/tail", func() { body.fwdTail(ptr(buf), m, st.table(w)) }})
+			case st.size == 8:
+				ps = append(ps, pass{"fwd/tail", func() { fwdStage4Ref(buf, st); fwdStage2Ref(buf) }})
+			case w > 0:
+				ps = append(ps, pass{fmt.Sprintf("fwd/s=%d", st.size), func() { body.fwdStage4(ptr(buf), m, st.size, st.table(w)) }})
+			default:
+				ps = append(ps, pass{fmt.Sprintf("fwd/s=%d", st.size), func() { fwdStage4Ref(buf, st) }})
+			}
+		}
+		head, last := p.inv[1], len(p.inv)-1
+		if w > 0 {
+			ps = append(ps, pass{"inv/head", func() { body.invHead(ptr(scratch), ptr(buf), m, head.table(w)) }})
+		} else {
+			ps = append(ps, pass{"inv/head", func() { invFirstRef(scratch, buf, 2); invStage4Ref(scratch, head) }})
+		}
+		for _, st := range p.inv[2:last] {
+			if w > 0 {
+				ps = append(ps, pass{fmt.Sprintf("inv/s=%d", st.size), func() { body.invStage4(ptr(scratch), m, st.size, st.table(w)) }})
+			} else {
+				ps = append(ps, pass{fmt.Sprintf("inv/s=%d", st.size), func() { invStage4Ref(scratch, st) }})
+			}
+		}
+		fold := p.inv[last]
+		if w > 0 {
+			untwist := unsafe.SliceData(p.untwistTable(w))
+			ps = append(ps, pass{"inv/fold", func() { body.invFold(unsafe.SliceData(dst), ptr(scratch), m/4, fold.table(w), untwist) }})
+		} else {
+			ps = append(ps, pass{"inv/fold", func() { invFoldRef(dst, scratch, fold, p.untwist, m) }})
+		}
+		return ps
+	}
+	for _, set := range []struct {
+		name  string
+		level torus.SIMD
+		w     int
+	}{{"avx512", torus.AVX512, 8}, {"avx2", torus.AVX2, 4}, {"ref", torus.Ref, 0}} {
+		b.Run("kernel="+set.name, func(b *testing.B) {
+			if torus.HostSIMD() < set.level {
+				b.Skipf("no %s body on this build and host", set.name)
+			}
+			for _, ps := range passes(set.w) {
 				b.Run(ps.name, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						run()
+						ps.run()
 					}
 				})
 			}

@@ -4,16 +4,54 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
+
+	"repro/internal/torus"
 )
 
-// bothBodies runs f as a subtest with the kernels as detected and again
-// with the AVX2 bodies switched off, so the reference route a host without
-// AVX2 takes is exercised on an AVX2 host too (elsewhere the two runs are
-// the same). The second subtest keeps the name "go" from when a portable
-// Go body ran there, so the test ids stay stable.
-func bothBodies(t *testing.T, f func(t *testing.T)) {
+// eachKernel runs f as a subtest under each kernel set: as detected, then
+// at "avx2" with the AVX-512 bodies off, so the AVX2 bodies every other
+// amd64 host runs stay exercised on an AVX-512 host (it is skipped
+// elsewhere, where it would repeat the detected run or the reference), and
+// with every SIMD body off, so the reference route a host without AVX2
+// takes is exercised too. The last subtest keeps the name "go" from when a
+// portable Go body ran there, so the test ids stay stable.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
 	t.Run("detected", f)
-	withKernel(false, func() { t.Run("go", f) })
+	t.Run("avx2", func(t *testing.T) {
+		if torus.HostSIMD() != torus.AVX512 {
+			t.Skipf("the detected set is %s", torus.HostSIMD())
+		}
+		withKernel("avx2", func() { f(t) })
+	})
+	withKernel("ref", func() { t.Run("go", f) })
+}
+
+// withKernel runs f under the named kernel set, clamped to what the host
+// has, and restores the previous set.
+func withKernel(set string, f func()) {
+	prev := SetKernelSet(set)
+	defer SetKernelSet(prev)
+	f()
+}
+
+// hostKernelSets is kernelSets up to the host's: the sets a test can run.
+func hostKernelSets() []string { return kernelSets[:torus.HostSIMD()+1] }
+
+// planarBodies are the block-planar bodies of one block width, for the
+// tests and benchmarks that call them directly.
+type planarBodies struct {
+	fwdStage4, invStage4 func(buf *complex128, n, s int, tw *float64)
+	fwdTail              func(buf *complex128, n int, tw *float64)
+	invHead              func(dst, src *complex128, n int, tw *float64)
+	invFold              func(dst *uint32, src *complex128, q int, tw, untwist *float64)
+	decompLoad           func(dp *unsafe.Pointer, lb int, twr, twi *float64, pa, pb, sa, sb *uint32, lo, cnt int, na, nb, sub, rhalf, mask, rshift, bl uint32)
+}
+
+// bodiesOf maps a block width to its bodies.
+var bodiesOf = map[int]planarBodies{
+	4: {fwdStage4AVX2, invStage4AVX2, fwdTailAVX2, invHeadAVX2, invFoldAVX2, decompLoadAVX2},
+	8: {fwdStage4AVX512, invStage4AVX512, fwdTailAVX512, invHeadAVX512, invFoldAVX512, decompLoadAVX512},
 }
 
 // tileOperands returns members groups of cols·lb digits and cols
@@ -57,7 +95,7 @@ func TestMulAccTileMatchesReferenceBitwise(t *testing.T) {
 	// digits are all zero, operands with both zeros, even, odd and short
 	// lengths, and three columns — odd lengths and three columns are shapes
 	// the AVX2 body (two columns, the paper's k = 1) hands the reference.
-	bothBodies(t, func(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(43))
 		for _, cols := range []int{2, 3} {
 			for _, lb := range []int{2, 3} {
@@ -74,12 +112,12 @@ func TestMulAccTileMatchesReferenceBitwise(t *testing.T) {
 								}
 							}
 						}
-						for _, fast := range []bool{true, false} {
-							withKernel(fast, func() { MulAccTile(accs, digs, key) })
+						for _, set := range hostKernelSets() {
+							withKernel(set, func() { MulAccTile(accs, digs, key) })
 							for m := range accs {
 								for c := range accs[m] {
 									if i := sameBits(accs[m][c], want[m][c]); i >= 0 {
-										t.Fatalf("MulAccTile fast=%v cols=%d lb=%d n=%d members=%d: member %d column %d slot %d differs", fast, cols, lb, n, members, m, c, i)
+										t.Fatalf("MulAccTile kernel=%s cols=%d lb=%d n=%d members=%d: member %d column %d slot %d differs", set, cols, lb, n, members, m, c, i)
 									}
 								}
 							}

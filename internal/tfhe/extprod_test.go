@@ -46,24 +46,22 @@ func TestExternalProductAccNoAlloc(t *testing.T) {
 func TestExternalProductFastMatchesReference(t *testing.T) {
 	// Op-level pin of the kernel contract: the full external product —
 	// fused decompose, forward FFTs, VMA MACs, additive inverse — must be
-	// bitwise identical under the fast and reference kernels.
+	// bitwise identical under every kernel set the host has and the
+	// reference.
 	if !fft.FastKernelAvailable() {
 		t.Skip("no AVX2 bodies on this build and host")
 	}
-	d, g, gadget, proc, buf, outFast := extProdFixture(37)
-	outRef := NewGLWECiphertext(outFast.K(), outFast.PolyN())
-
-	prev := fft.SetFastKernel(true)
-	ExternalProductAcc(outFast, d, g, gadget, proc, buf, nil)
-	fft.SetFastKernel(false)
-	ExternalProductAcc(outRef, d, g, gadget, proc, buf, nil)
-	fft.SetFastKernel(prev)
-
-	for c := range outFast.Polys {
-		for i := range outFast.Polys[c].Coeffs {
-			if outFast.Polys[c].Coeffs[i] != outRef.Polys[c].Coeffs[i] {
-				t.Fatalf("component %d coeff %d: fast %#x != ref %#x", c, i,
-					outFast.Polys[c].Coeffs[i], outRef.Polys[c].Coeffs[i])
+	d, g, gadget, proc, buf, outRef := extProdFixture(37)
+	withKernel("ref", func() { ExternalProductAcc(outRef, d, g, gadget, proc, buf, nil) })
+	for _, set := range []string{"avx512", "avx2"} {
+		out := NewGLWECiphertext(outRef.K(), outRef.PolyN())
+		withKernel(set, func() { ExternalProductAcc(out, d, g, gadget, proc, buf, nil) })
+		for c := range out.Polys {
+			for i := range out.Polys[c].Coeffs {
+				if out.Polys[c].Coeffs[i] != outRef.Polys[c].Coeffs[i] {
+					t.Fatalf("kernel=%s component %d coeff %d: %#x != ref %#x", set, c, i,
+						out.Polys[c].Coeffs[i], outRef.Polys[c].Coeffs[i])
+				}
 			}
 		}
 	}
@@ -77,17 +75,14 @@ func BenchmarkExternalProduct(b *testing.B) {
 			ExternalProductAcc(out, d, g, gadget, proc, buf, nil)
 		}
 	}
-	b.Run("fast", func(b *testing.B) {
-		if !fft.FastKernelAvailable() {
-			b.Skip("no AVX2 bodies on this build and host")
-		}
-		prev := fft.SetFastKernel(true)
-		defer fft.SetFastKernel(prev)
-		run(b)
-	})
-	b.Run("ref", func(b *testing.B) {
-		prev := fft.SetFastKernel(false)
-		defer fft.SetFastKernel(prev)
-		run(b)
-	})
+	for _, set := range []string{"avx512", "avx2", "ref"} {
+		b.Run(set, func(b *testing.B) {
+			withKernel(set, func() {
+				if fft.KernelSet() != set {
+					b.Skipf("no %s bodies on this build and host", set)
+				}
+				run(b)
+			})
+		})
+	}
 }

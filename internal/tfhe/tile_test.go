@@ -10,12 +10,12 @@ import (
 	"repro/internal/torus"
 )
 
-// withKernel runs f with the AVX2 bodies — the FFT kernels' and the
-// keyswitch row update's — on (where the host has them) or off, and
-// restores the previous setting.
-func withKernel(fast bool, f func()) {
-	prev := fft.SetFastKernel(fast)
-	defer fft.SetFastKernel(prev)
+// withKernel runs f under the named kernel set — the FFT kernels' and the
+// keyswitch row update's — clamped to what the host has, and restores the
+// previous set.
+func withKernel(set string, f func()) {
+	prev := fft.SetKernelSet(set)
+	defer fft.SetKernelSet(prev)
 	f()
 }
 
@@ -154,8 +154,8 @@ func TestKeySwitchTileMatchesPerCiphertext(t *testing.T) {
 	// 62 vectors and a 4-word tail), with the row update's AVX2 body as
 	// detected and forced off.
 	skI, ekI := setI()
-	for _, on := range []bool{true, false} {
-		withKernel(on, func() {
+	for _, set := range []string{fft.KernelSet(), "ref"} {
+		withKernel(set, func() {
 			testKeySwitchTile(t, testSK, testEK)
 			testKeySwitchTile(t, skI, ekI)
 		})
@@ -280,15 +280,15 @@ func BenchmarkKeySwitchTile(b *testing.B) {
 		for j := range bigs {
 			bigs[j] = sk.BigLWE.Encrypt(rng, boolMu(true), 1e-8)
 		}
-		for _, body := range []string{"avx2", "go"} {
-			b.Run(fmt.Sprintf("b=%d/%s", size, body), func(b *testing.B) {
-				if body == "avx2" && !torus.HasAVX2() {
+		for _, body := range []struct{ name, set string }{{"avx2", "avx2"}, {"go", "ref"}} {
+			b.Run(fmt.Sprintf("b=%d/%s", size, body.name), func(b *testing.B) {
+				if body.set == "avx2" && !fft.FastKernelAvailable() {
 					b.Skip("no AVX2 body on this build and host")
 				}
 				cs := make([]LWECiphertext, size)
 				b.ReportAllocs()
 				b.ResetTimer()
-				withKernel(body == "avx2", func() {
+				withKernel(body.set, func() {
 					for i := 0; i < b.N; i++ {
 						copy(cs, bigs)
 						ev.KeySwitchTile(ek.KSK, cs)

@@ -12,15 +12,17 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func mulSubAVX2(dst, src *Torus32, n int, d int32)
 
-// detectAVX2 reports AVX2 (leaf 7 EBX bit 5) on a CPU whose OS saves the
-// YMM state (OSXSAVE, leaf 1 ECX bit 27, and XCR0 bits 1–2).
-func detectAVX2() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	_, _, ecx1, _ := cpuid(1, 0)
-	if maxLeaf < 7 || ecx1&(1<<27) == 0 {
-		return false
+// readCPU reads the words simdLevel decides from. XCR0 is read only where
+// OSXSAVE says XGETBV may run, and leaf 7 only where leaf 0 lists it.
+func readCPU() cpuWords {
+	var w cpuWords
+	w.maxLeaf, _, _, _ = cpuid(0, 0)
+	_, _, w.ecx1, _ = cpuid(1, 0)
+	if w.ecx1&(1<<27) != 0 {
+		w.xcr0, _ = xgetbv()
 	}
-	xcr0, _ := xgetbv()
-	_, ebx7, _, _ := cpuid(7, 0)
-	return xcr0&6 == 6 && ebx7&(1<<5) != 0
+	if w.maxLeaf >= 7 {
+		_, w.ebx7, _, _ = cpuid(7, 0)
+	}
+	return w
 }

@@ -169,9 +169,9 @@ func TestMulSubMatchesScalarLoop(t *testing.T) {
 		}
 	}
 	t.Run("detected", run)
-	prev := SetAVX2(false)
+	prev := SetSIMD(Ref)
 	t.Run("go", run)
-	SetAVX2(prev)
+	SetSIMD(prev)
 
 	defer func() {
 		if recover() == nil {
@@ -179,4 +179,64 @@ func TestMulSubMatchesScalarLoop(t *testing.T) {
 		}
 	}()
 	MulSub(make([]Torus32, 8), make([]Torus32, 9), 1)
+}
+
+func TestSIMDLevelFromCPUWords(t *testing.T) {
+	// The decision from the CPUID and XGETBV words: AVX2 needs leaf 7 (in
+	// range), its EBX bit 5, OSXSAVE and XCR0's SSE and AVX bits; AVX-512
+	// also needs EBX bits 16 and 17 (F, DQ) and XCR0's opmask, ZMM_Hi256
+	// and Hi16_ZMM bits. Each row clears one requirement of the level
+	// above it.
+	const (
+		leaf7   = 7
+		osxsave = 1 << 27
+		avx2    = 1 << 5
+		f, dq   = 1 << 16, 1 << 17
+		ymm     = 0x06
+		zmm     = 0xe6
+	)
+	for _, c := range []struct {
+		name string
+		w    cpuWords
+		want SIMD
+	}{
+		{"no features", cpuWords{}, Ref},
+		{"everything", cpuWords{leaf7, osxsave, avx2 | f | dq, zmm}, AVX512},
+		{"every bit set", cpuWords{^uint32(0), ^uint32(0), ^uint32(0), ^uint32(0)}, AVX512},
+		{"AVX2 host", cpuWords{leaf7, osxsave, avx2, ymm}, AVX2},
+		{"leaf 7 out of range", cpuWords{6, osxsave, avx2 | f | dq, zmm}, Ref},
+		{"no OSXSAVE", cpuWords{leaf7, 0, avx2 | f | dq, zmm}, Ref},
+		{"OS saves no YMM state", cpuWords{leaf7, osxsave, avx2 | f | dq, 0x02}, Ref},
+		{"OS saves no SSE state", cpuWords{leaf7, osxsave, avx2 | f | dq, 0xe4}, Ref},
+		{"no AVX2", cpuWords{leaf7, osxsave, f | dq, zmm}, Ref},
+		{"OS saves no ZMM state", cpuWords{leaf7, osxsave, avx2 | f | dq, ymm}, AVX2},
+		{"OS saves no opmask state", cpuWords{leaf7, osxsave, avx2 | f | dq, 0xc6}, AVX2},
+		{"OS saves no ZMM_Hi256 state", cpuWords{leaf7, osxsave, avx2 | f | dq, 0xa6}, AVX2},
+		{"OS saves no Hi16_ZMM state", cpuWords{leaf7, osxsave, avx2 | f | dq, 0x66}, AVX2},
+		{"no AVX-512F", cpuWords{leaf7, osxsave, avx2 | dq, zmm}, AVX2},
+		{"no AVX-512DQ", cpuWords{leaf7, osxsave, avx2 | f, zmm}, AVX2},
+	} {
+		if got := simdLevel(c.w); got != c.want {
+			t.Errorf("%s (%#x): level %v, want %v", c.name, c.w, got, c.want)
+		}
+	}
+}
+
+func TestSetSIMDClampsToHost(t *testing.T) {
+	// SetSIMD never selects a level the host lacks, and returns the level
+	// it replaced.
+	prev := SetSIMD(AVX512)
+	defer SetSIMD(prev)
+	if got := CurrentSIMD(); got != HostSIMD() {
+		t.Fatalf("SetSIMD(AVX512) selected %v on a %v host", got, HostSIMD())
+	}
+	for _, s := range []SIMD{Ref, AVX2, AVX512, AVX512 + 1, -1} {
+		was := CurrentSIMD()
+		if got := SetSIMD(s); got != was {
+			t.Fatalf("SetSIMD(%d) returned %v, the level was %v", s, got, was)
+		}
+		if want := min(max(s, Ref), HostSIMD()); CurrentSIMD() != want {
+			t.Fatalf("SetSIMD(%d) selected %v, want %v", s, CurrentSIMD(), want)
+		}
+	}
 }
