@@ -13,7 +13,7 @@ GO ?= go
 # the floor is the total minus 1.5, rounded down.
 COVER_FLOOR ?= 80.0
 
-.PHONY: all build test test-purego race race-engine cover fuzz-regress bench bench-compare bench-smoke lint fmt fmt-check vet vet-cross no-deprecated no-retired-gate no-retired-ops no-fma docs loc kernels profile
+.PHONY: all build test selfcheck test-purego race race-engine cover fuzz-regress bench bench-compare bench-smoke lint fmt fmt-check vet vet-cross no-deprecated no-retired-gate no-retired-ops no-fma docs loc kernels profile
 
 all: build test
 
@@ -22,6 +22,15 @@ build:
 
 test:
 	$(GO) test ./...
+
+# strixbench's two multi-bit self-checks at parameter set I, where the
+# ROADMAP tracks their correctness: each exits 0 only when its circuit
+# decodes right or the one noise rule refuses it (printing the node, σ and
+# predicted failure), and non-zero on a wrong decode. A refusal comes
+# before any PBS, so this costs two key generations.
+selfcheck:
+	$(GO) run ./cmd/strixbench -circuit 3 -set I
+	$(GO) run ./cmd/strixbench -infer 1 -clients 1 -set I
 
 # The pure-Go build: the `purego` tag excludes only the assembly (and its
 # CPUID probe), so every loop runs its reference body, as on a host

@@ -2,8 +2,12 @@
 // (MICRO 2023) from the models in this repository, and runs the two
 // multi-bit scenarios whose set-I correctness the ROADMAP tracks: a
 // scheduled multi-digit multiply and encrypted inference over the gate
-// service. Engine, scheduler, service and router throughput are measured
-// by the benchmark ledger (benchmark/, `make bench`), not here.
+// service. Each either decodes right or is refused by the one noise rule
+// (noise.Check) before any PBS, printing the refused node, σ and
+// predicted failure and exiting 0; a wrong decode exits 1 (`make
+// selfcheck` runs both at set I). Engine, scheduler, service and router
+// throughput are measured by the benchmark ledger (benchmark/, `make
+// bench`), not here.
 //
 // Usage:
 //
@@ -20,6 +24,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -34,6 +39,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fft"
 	"repro/internal/intops"
+	"repro/internal/noise"
 	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/tfhe"
@@ -112,6 +118,10 @@ func runInfer(set string, count, clients int) error {
 		}
 	}
 	got, err := st0.cl.Infer(sweepCts, server.EvalOpts{Optimize: true})
+	if refused(err) {
+		fmt.Printf("refused  : %v\n", err)
+		return nil
+	}
 	if err != nil {
 		return err
 	}
@@ -230,8 +240,15 @@ func runCircuit(set string, digits, workers int) error {
 	fmt.Printf("plan     : %s\n", schedule)
 
 	// Sequential reference: one evaluator, one PBS at a time, same DAG.
+	// The first run warms the twiddles, or is the one noise rule's
+	// refusal, which comes before any PBS.
 	ev := tfhe.NewEvaluator(ek)
-	if _, err := sched.RunSequential(circ, ev, inputs); err != nil { // warm twiddles
+	_, err = sched.RunSequential(circ, ev, inputs)
+	if refused(err) {
+		fmt.Printf("refused  : %v\n", err)
+		return nil
+	}
+	if err != nil {
 		return err
 	}
 	start = time.Now()
@@ -275,7 +292,7 @@ func runCircuit(set string, digits, workers int) error {
 	// Optimized: the same DAG through the full optimizer pass pipeline
 	// (fewer rotations, same decoded product — not bitwise).
 	opt := sched.OptAll()
-	opt.MultiValueBudget = p.N
+	opt.Params = p
 	optSchedule, err := sched.Compile(circ, sched.Config{Opt: opt})
 	if err != nil {
 		return err
@@ -308,6 +325,16 @@ func runCircuit(set string, digits, workers int) error {
 	fmt.Printf("strix     : predicted %.1f PBS/s  (%.0fx the scheduled path)\n",
 		predicted, predicted/schedRate)
 	return nil
+}
+
+// refused reports whether err is the one noise rule's refusal: a
+// *noise.BudgetError from an in-process check, or the gate service's
+// noise_budget code. A refusal is a correct outcome: the parameter set
+// cannot compute the circuit, and nothing decrypted wrongly.
+func refused(err error) bool {
+	var budget *noise.BudgetError
+	var api *server.APIError
+	return errors.As(err, &budget) || (errors.As(err, &api) && api.Code == server.CodeNoiseBudget)
 }
 
 func main() {

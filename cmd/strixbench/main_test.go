@@ -35,6 +35,19 @@ func TestSmoke(t *testing.T) {
 			"verified : all 256 sweep vectors", "plain    :", "optimized:", "inf/s")
 	})
 
+	// At set I the multiply and the inference sweep are refused by the one
+	// noise rule, before any PBS: each self-check prints the refusal with
+	// its predicted failure and exits 0.
+	t.Run("circuit refused at set I", func(t *testing.T) {
+		out := cmdtest.Run(t, bin, "-circuit", "3", "-set", "I")
+		cmdtest.WantSubstrings(t, out, "refused  : noise: node", "at set I", "predicts failure")
+	})
+
+	t.Run("infer refused at set I", func(t *testing.T) {
+		out := cmdtest.Run(t, bin, "-infer", "1", "-clients", "1", "-set", "I")
+		cmdtest.WantSubstrings(t, out, "refused  :", "predicts failure", "code noise_budget")
+	})
+
 	t.Run("one experiment", func(t *testing.T) {
 		out := cmdtest.Run(t, bin, "-exp", "table5")
 		cmdtest.WantSubstrings(t, out, "TABLE5", "throughput")

@@ -90,11 +90,11 @@ type Fixture struct {
 	tsNodes  [2]*httptest.Server
 }
 
-// NewFixture generates keys for the test parameter set from seed and
-// stands up every backend over them.
-func NewFixture(seed int64) (*Fixture, error) {
+// NewFixture generates keys for parameter set p from seed and stands up
+// every backend over them.
+func NewFixture(seed int64, p tfhe.Params) (*Fixture, error) {
 	rng := rand.New(rand.NewSource(seed))
-	sk, ek := tfhe.GenerateKeys(rng, tfhe.ParamsTest)
+	sk, ek := tfhe.GenerateKeys(rng, p)
 	f := &Fixture{SK: sk, EK: ek}
 
 	srv := server.New(server.Config{})
@@ -161,11 +161,10 @@ func NewFixture(seed int64) (*Fixture, error) {
 
 	stream := engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: 2})
 	runner := &sched.Runner{Stream: stream}
-	// The optimized backend runs the full pass pipeline, with the
-	// multi-value budget bound to the fixture's parameter set so packing
-	// stays inside space·k ≤ N.
+	// The optimized backend runs the full pass pipeline, packing for the
+	// fixture's parameter set.
 	opt := sched.OptAll()
-	opt.MultiValueBudget = tfhe.ParamsTest.N
+	opt.Params = p
 	f.backends = []Backend{
 		seqBackend{ev: tfhe.NewEvaluator(ek)},
 		engineBackend{eng: stream, r: runner},

@@ -15,7 +15,7 @@ import (
 var fixture *Fixture
 
 func TestMain(m *testing.M) {
-	f, err := NewFixture(2026)
+	f, err := NewFixture(2026, tfhe.ParamsTest)
 	if err != nil {
 		panic(err)
 	}
@@ -43,7 +43,7 @@ func encTestInts(seed int64, n, space int) ([]tfhe.LWECiphertext, []int) {
 	pts := make([]int, n)
 	for i := range cts {
 		pts[i] = rng.Intn(space)
-		cts[i] = fixture.SK.LWE.Encrypt(rng, tfhe.EncodePBSMessage(pts[i], space), tfhe.ParamsTest.LWEStdDev)
+		cts[i] = fixture.SK.LWE.Encrypt(rng, tfhe.EncodePBSMessage(pts[i], space), fixture.SK.Params.LWEStdDev)
 	}
 	return cts, pts
 }
@@ -258,7 +258,7 @@ func conformanceCircuit(t *testing.T) (*sched.Circuit, []tfhe.LWECiphertext) {
 	inputs := []tfhe.LWECiphertext{
 		fixture.SK.EncryptBool(rng, true),
 		fixture.SK.EncryptBool(rng, false),
-		fixture.SK.LWE.Encrypt(rng, tfhe.EncodePBSMessage(2, space), tfhe.ParamsTest.LWEStdDev),
+		fixture.SK.LWE.Encrypt(rng, tfhe.EncodePBSMessage(2, space), fixture.SK.Params.LWEStdDev),
 	}
 	return circ, inputs
 }
@@ -317,7 +317,7 @@ func encInferVecs(t *testing.T, seed int64, vecs [][]int) ([]tfhe.LWECiphertext,
 		}
 		scores[i] = want
 		for _, m := range v {
-			cts = append(cts, fixture.SK.LWE.Encrypt(rng, tfhe.EncodePBSMessage(m, workload.InferSpace), tfhe.ParamsTest.LWEStdDev))
+			cts = append(cts, fixture.SK.LWE.Encrypt(rng, tfhe.EncodePBSMessage(m, workload.InferSpace), fixture.SK.Params.LWEStdDev))
 		}
 	}
 	return cts, scores
@@ -448,7 +448,7 @@ func TestEqualLWE(t *testing.T) {
 // TestFixtureClose covers the service teardown path on a throwaway
 // fixture (the shared one closes in TestMain, after coverage is taken).
 func TestFixtureClose(t *testing.T) {
-	f, err := NewFixture(7)
+	f, err := NewFixture(7, tfhe.ParamsTest)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,20 @@
 // rotation, modulus switching and keyswitching, following the analysis of
 // the TFHE papers the Strix paper builds on (refs [17], [43]).
 //
+// It also holds the library's one noise rule, Check: every bootstrap is
+// described by the load its input carries (a multiple of a fresh
+// encryption's variance plus a multiple of a bootstrapped output's) and
+// its decision margin, 1/16 for a gate and 1/(4·space·k) for a k-table
+// lookup; one whose predicted failure probability exceeds MaxFailure
+// (2⁻⁹), or whose tables do not fit the test vector, is refused with a
+// *BudgetError carrying the node, σ and the predicted failure. sched
+// applies it to circuits on the loads their wires carry, and its
+// optimizer packs no multi-value group the rule refuses; the engine's
+// LUT and MultiLUT apply it to a fresh input, the one assumption an
+// operation that cannot see its inputs' history can make.
+//
 // The predictions are validated against Monte-Carlo measurements of the
-// functional library (see noise_test.go), and they justify the parameter
-// choices in internal/tfhe: a gate bootstrap decrypts correctly when the
-// total phase deviation stays below the 1/16 decision margin.
+// functional library (see noise_test.go: the bootstrapped output σ and
+// the σ a LUT on a bootstrapped input decides on, at the test set and at
+// set I).
 package noise

@@ -33,7 +33,7 @@ func gadgetEpsilon2(baseLog, level int) float64 {
 	return q * q / 12
 }
 
-// ExternalProductVariance returns the variance added to a GLWE ciphertext
+// externalProductVariance returns the variance added to a GLWE ciphertext
 // by one external product with a fresh GGSW (per §V of TFHE [17]):
 //
 //	V_add = (k+1)·l·N·(B²/12)·σ_ggsw²  +  (1 + k·N/2)·ε²
@@ -41,7 +41,7 @@ func gadgetEpsilon2(baseLog, level int) float64 {
 // The first term is the decomposed-digit times key-noise contribution; the
 // second is the gadget rounding error propagated through the secret key
 // (binary key: expected weight N/2 per polynomial).
-func (a Analyzer) ExternalProductVariance() float64 {
+func (a Analyzer) externalProductVariance() float64 {
 	p := a.P
 	b2 := math.Pow(2, 2*float64(p.PBSBaseLog)) / 12 // E[digit²] for balanced digits
 	keyTerm := float64((p.K+1)*p.PBSLevel) * float64(p.N) * b2 * p.GLWEStdDev * p.GLWEStdDev
@@ -53,7 +53,7 @@ func (a Analyzer) ExternalProductVariance() float64 {
 // BlindRotateVariance returns the accumulator variance after a full blind
 // rotation: n CMux external products.
 func (a Analyzer) BlindRotateVariance() float64 {
-	return float64(a.P.SmallN) * a.ExternalProductVariance()
+	return float64(a.P.SmallN) * a.externalProductVariance()
 }
 
 // ModSwitchVariance returns the phase variance added by switching the LWE
@@ -85,30 +85,47 @@ func (a Analyzer) BootstrapOutputVariance() float64 {
 	return a.BlindRotateVariance() + a.KeySwitchVariance()
 }
 
-// GateNoiseStdDev returns the predicted phase standard deviation at the
-// *decision point* of a binary gate: two freshly bootstrapped inputs are
-// combined linearly, then the result is modulus-switched for the next
-// blind rotation.
-func (a Analyzer) GateNoiseStdDev() float64 {
-	v := 2*a.BootstrapOutputVariance() + a.ModSwitchVariance()
-	return math.Sqrt(v)
+// Load is the phase variance a PBS input carries into its modulus switch,
+// in the two units every wire of a circuit starts from: Fresh fresh
+// encryptions (FreshLWEVariance) plus Boot bootstrapped outputs
+// (BootstrapOutputVariance). A linear combination Σ cᵢ·xᵢ carries Σ cᵢ²
+// times its operands' loads, so a circuit's loads are known before its
+// parameter set is.
+type Load struct {
+	Fresh, Boot float64
 }
 
-// GateBudget evaluates the gate-bootstrapping error budget: the boolean
-// encoding ±1/8 gives a 1/16 margin around the decision boundary.
-func (a Analyzer) GateBudget() Budget {
-	std := a.GateNoiseStdDev()
-	const margin = 1.0 / 16.0
-	return newBudget(margin, std)
+// Add returns l + c²·m, the load of adding c times a wire of load m.
+func (l Load) Add(c float64, m Load) Load {
+	return Load{Fresh: l.Fresh + c*c*m.Fresh, Boot: l.Boot + c*c*m.Boot}
 }
 
-// LUTBudget evaluates the PBS lookup-table budget for a message space:
-// slots have width 1/(2·space) and the input is centered, so the margin is
-// 1/(4·space).
-func (a Analyzer) LUTBudget(space int) Budget {
-	v := a.FreshLWEVariance() + a.ModSwitchVariance()
-	std := math.Sqrt(v)
-	return newBudget(1.0/float64(4*space), std)
+// The loads of a circuit's two kinds of wire.
+var (
+	FreshLoad = Load{Fresh: 1} // a circuit input: a fresh encryption
+	BootLoad  = Load{Boot: 1}  // a PBS output, whatever its input was
+)
+
+// PBSBudget evaluates the budget of one bootstrap: its input carries load
+// l, the modulus switch adds its rounding, and the test vector decides
+// correctly within margin of the encoded value. A gate on two
+// bootstrapped inputs is PBSBudget(Load{Boot: 2}, GateMargin), a lookup
+// on a fresh input PBSBudget(FreshLoad, LUTMargin(space, 1)), and one on
+// a bootstrapped input PBSBudget(BootLoad, LUTMargin(space, 1)).
+func (a Analyzer) PBSBudget(l Load, margin float64) Budget {
+	v := l.Fresh*a.FreshLWEVariance() + l.Boot*a.BootstrapOutputVariance() + a.ModSwitchVariance()
+	return newBudget(margin, math.Sqrt(v))
+}
+
+// GateMargin is the decision margin of a gate bootstrap: the boolean
+// encoding ±1/8 leaves 1/16 around the decision boundary.
+const GateMargin = 1.0 / 16
+
+// LUTMargin returns the decision margin of a k-table lookup over message
+// space space: slots have width 1/(2·space·k) and the input is centered,
+// so the margin is 1/(4·space·k). A plain LUT is k = 1.
+func LUTMargin(space, k int) float64 {
+	return 1 / float64(4*space*k)
 }
 
 func newBudget(margin, std float64) Budget {
@@ -119,20 +136,4 @@ func newBudget(margin, std float64) Budget {
 		Sigmas:  sig,
 		Failure: math.Erfc(sig / math.Sqrt2),
 	}
-}
-
-// MaxMessageSpace returns the largest power-of-two message space for which
-// the LUT budget keeps at least `sigmas` standard deviations of margin —
-// how much precision a parameter set supports (the reason the paper's set
-// IV exists: "better precision").
-func (a Analyzer) MaxMessageSpace(sigmas float64) int {
-	space := 2
-	for space <= 1<<20 {
-		next := space * 2
-		if a.LUTBudget(next).Sigmas < sigmas {
-			break
-		}
-		space = next
-	}
-	return space
 }

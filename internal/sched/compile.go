@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/engine"
+	"repro/internal/noise"
 )
 
 // Config tunes compilation.
@@ -124,6 +125,11 @@ type Schedule struct {
 	// group waits, and is waited for, through its head.
 	rank, key, deps []int32
 	userAt, users   []int32
+
+	// pbs is the distinct noise requirements of circ's bootstraps, each
+	// on its first node (Circuit.budget): what Check evaluates under a
+	// parameter set.
+	pbs []noise.PBS
 }
 
 // Levels returns the levelized dispatches. The slice is shared, not
@@ -239,7 +245,8 @@ func writeTable(b *strings.Builder, table []int) {
 // Execute dispatches by: each PBS node's rank, the longest PBS path from
 // it to an output, and the dependency tables (the users of every wire,
 // the operands every node waits for). It also levelizes the circuit for
-// the report (Levels, Stats, Describe): a PBS node's level is its
+// the report (Levels, Stats, Describe), and the noise load every
+// bootstrap's input carries (Check): a PBS node's level is its
 // longest-path PBS depth from the inputs (linear nodes are free and add
 // no depth), and within a level nodes group by the test vector an engine
 // call shares across its batch — all binary gates join one dispatch (the
@@ -293,6 +300,7 @@ func Compile(c *Circuit, cfg Config) (*Schedule, error) {
 	}
 	s.stats.OptPasses = passes
 	s.index(exec)
+	s.pbs = exec.budget()
 	// groupIdx[l] maps a dispatch key to its index in levels[l].Dispatches,
 	// so grouping preserves first-appearance (build) order.
 	groupIdx := make([]map[int32]int, maxLvl)

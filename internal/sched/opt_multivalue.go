@@ -1,5 +1,10 @@
 package sched
 
+import (
+	"repro/internal/noise"
+	"repro/internal/tfhe"
+)
+
 // passMultiValue rewrites plain-LUT fan-out into multi-value groups:
 // LUT nodes reading the same input wire with the same message space are
 // collected across the whole DAG (same input implies same PBS level, so
@@ -9,13 +14,15 @@ package sched
 // member's position; later members' consumers follow the wire remap.
 // Leftover runs of one stay plain LUTs. Explicit Builder.MultiLUT groups
 // are left untouched: their packing (and its noise commitment) was the
-// caller's choice. budget > 0 additionally bounds space·k per group so a
-// caller that knows the executing parameter set can make packing
-// parameter-safe (space·k ≤ N). Outputs decode identically to the
-// unpacked schedule but are not bitwise identical (the shared rotation
-// uses a k×-finer packed test vector). Returns the number of LUT nodes
-// packed into groups.
-func passMultiValue(c *Circuit, cap, budget int) (*Circuit, int) {
+// caller's choice. budget > 0 additionally bounds space·k per group, and
+// a parameter set p (N > 0) bounds each group to the widest the one noise
+// rule admits at its input's load: a k-table group decides at 1/k of a
+// plain LUT's margin, so packing must not spend more of the budget than
+// the parameter set leaves. Outputs decode identically to the unpacked
+// schedule but are not bitwise identical (the shared rotation uses a
+// k×-finer packed test vector). Returns the number of LUT nodes packed
+// into groups.
+func passMultiValue(c *Circuit, cap, budget int, p tfhe.Params) (*Circuit, int) {
 	if cap < 2 {
 		return c, 0
 	}
@@ -35,6 +42,10 @@ func passMultiValue(c *Circuit, cap, budget int) (*Circuit, int) {
 		}
 		members[fk] = append(members[fk], Wire(i))
 	}
+	var load []noise.Load
+	if p.N > 0 {
+		load = c.loads(nil)
+	}
 	chunkOf := make(map[Wire][]Wire) // first member → whole chunk
 	headOf := make(map[Wire]Wire)    // member → first member
 	packed := 0
@@ -42,6 +53,9 @@ func passMultiValue(c *Circuit, cap, budget int) (*Circuit, int) {
 		width := cap
 		if budget > 0 && budget/fk.space < width {
 			width = budget / fk.space
+		}
+		for load != nil && width >= 2 && noise.Check(p, noise.PBS{Node: int(fk.in), In: load[fk.in], Space: fk.space, K: width}) != nil {
+			width--
 		}
 		if width < 2 {
 			continue

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 
+	"repro/internal/tfhe"
 	"repro/internal/torus"
 )
 
@@ -24,9 +25,9 @@ import (
 
 // DefaultPackWidth is the OptAll multi-value packing cap: up to this many
 // same-input, same-space LUT outputs share one blind rotation. The
-// executing parameter set must satisfy space·k ≤ N (as for explicit
-// MultiLUT groups); set OptConfig.MultiValueBudget when the parameters
-// are known at compile time.
+// executing parameter set must admit every packed group under the one
+// noise rule (noise.Check), as for explicit MultiLUT groups; set
+// OptConfig.Params when the parameters are known at compile time.
 const DefaultPackWidth = 4
 
 // OptConfig selects which optimizer passes Optimize (and Compile, via
@@ -56,15 +57,21 @@ type OptConfig struct {
 	// MultiValue ≥ 2 rewrites same-input, same-space plain-LUT fan-out
 	// into multi-value groups of up to MultiValue outputs per blind
 	// rotation. Decode-preserving; not bitwise (the shared rotation uses
-	// a k×-finer packed test vector), and the executing parameter set
-	// must satisfy space·k ≤ N. Explicit Builder.MultiLUT groups are
-	// left untouched — their noise commitment was the caller's choice.
+	// a k×-finer packed test vector, whose margin is k× smaller), and
+	// the executing parameter set must admit every group under the one
+	// noise rule. Explicit Builder.MultiLUT groups are left untouched —
+	// their noise commitment was the caller's choice.
 	MultiValue int
-	// MultiValueBudget, when > 0, bounds space·k of every packed group —
-	// set it to the executing parameter set's N to make packing
-	// parameter-safe. 0 applies no bound (circuits are
-	// parameter-agnostic, exactly like explicit MultiLUT groups).
+	// MultiValueBudget, when > 0, bounds space·k of every packed group.
+	// 0 applies no bound (circuits are parameter-agnostic, exactly like
+	// explicit MultiLUT groups). Params, when known, bounds more.
 	MultiValueBudget int
+	// Params, when set (N > 0), is the parameter set the circuit will
+	// run under: packing then builds only groups the one noise rule
+	// (noise.Check) admits at the load their input wire carries, so the
+	// rewrite never turns a circuit the rule admits into one it refuses.
+	// Runner.Run sets it to its engine's parameter set.
+	Params tfhe.Params
 }
 
 // OptAll enables every pass with the default packing cap — the
@@ -149,7 +156,7 @@ func Optimize(c *Circuit, opt OptConfig) (*Circuit, []PassStat, error) {
 	run("cse", opt.CSE, passCSE)
 	run("prune", opt.Prune, passPrune)
 	run("mvpack", opt.MultiValue >= 2, func(c *Circuit) (*Circuit, int) {
-		return passMultiValue(c, opt.MultiValue, opt.MultiValueBudget)
+		return passMultiValue(c, opt.MultiValue, opt.MultiValueBudget, opt.Params)
 	})
 	return cur, stats, nil
 }

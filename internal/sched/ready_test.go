@@ -68,6 +68,8 @@ type fakeExec struct {
 
 func (f fakeExec) concurrentCalls() {}
 
+func (f fakeExec) Params() tfhe.Params { return tfhe.ParamsTest }
+
 func (f fakeExec) Gate(d Dispatch, a, _ []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	return placeholders(len(a)), f.gate(d)
 }

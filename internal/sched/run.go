@@ -5,15 +5,16 @@ import (
 	"slices"
 
 	"repro/internal/engine"
+	"repro/internal/noise"
 	"repro/internal/tfhe"
 )
 
 // Executor runs one dispatch worth of PBS work. Implementations must
 // return exactly one output per input (one output group per input for
 // MultiLUT), in input order, computing the same per-item operation as the
-// sequential evaluator. Execute calls an Executor from a goroutine of its
-// own, one dispatch at a time, unless it is a Runner or embeds one: those
-// take several at once.
+// sequential evaluator, under the parameter set Params reports. Execute
+// calls an Executor from a goroutine of its own, one dispatch at a time,
+// unless it is a Runner or embeds one: those take several at once.
 type Executor interface {
 	// Gate evaluates out[i] = d.Ops[i](a[i], b[i]).
 	Gate(d Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error)
@@ -23,6 +24,9 @@ type Executor interface {
 	// every ciphertext via multi-value PBS: out[g][i] is table i applied
 	// to in[g], all k outputs of a group from one blind rotation.
 	MultiLUT(d Dispatch, in []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error)
+	// Params returns the parameter set the executor computes under, the
+	// one Execute checks the schedule's noise budget against.
+	Params() tfhe.Params
 }
 
 // concurrent is implemented by the executors that run concurrent calls
@@ -75,8 +79,11 @@ func evalLin(n node, vals []tfhe.LWECiphertext, dim int) (tfhe.LWECiphertext, er
 // embeds a Runner gets one dispatch at a time instead, each with every
 // ready node of its key, and runs it by the pool's own tile rule.
 //
-// Wires resolve against the schedule's (possibly optimizer-rewritten)
-// circuit; c must be the source circuit the schedule was compiled from.
+// Before it issues anything, Execute applies the one noise rule
+// (Schedule.Check) under the executor's parameter set, and returns its
+// refusal. Wires resolve against the schedule's (possibly
+// optimizer-rewritten) circuit; c must be the source circuit the schedule
+// was compiled from.
 // Outputs are returned in Output declaration order. Output ciphertexts
 // are fresh except when an output wire is itself an input wire (or, in
 // optimized schedules, when outputs merged into one node). When a
@@ -93,6 +100,9 @@ func Execute(c *Circuit, s *Schedule, inputs []tfhe.LWECiphertext, ex Executor) 
 	}
 	if len(inputs) != len(ec.inputs) {
 		return nil, fmt.Errorf("sched: circuit has %d inputs, got %d", len(ec.inputs), len(inputs))
+	}
+	if err := s.Check(ex.Params()); err != nil {
+		return nil, err
 	}
 	r := &run{s: s, c: ec, ex: ex, dim: -1,
 		vals: make([]tfhe.LWECiphertext, len(ec.nodes)),
@@ -355,10 +365,14 @@ func seqGate(ev *tfhe.Evaluator, op engine.GateOp, a, b tfhe.LWECiphertext) (tfh
 
 // RunSequential evaluates the circuit node by node on one evaluator — the
 // unscheduled reference path every schedule must match bitwise, and the
-// backend of choice when no engine is available.
+// backend of choice when no engine is available. Like Execute, it first
+// applies the one noise rule under the evaluator's parameter set.
 func RunSequential(c *Circuit, ev *tfhe.Evaluator, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	if len(inputs) != len(c.inputs) {
 		return nil, fmt.Errorf("sched: circuit has %d inputs, got %d", len(c.inputs), len(inputs))
+	}
+	if err := noise.Check(ev.Params, c.budget()...); err != nil {
+		return nil, err
 	}
 	vals := make([]tfhe.LWECiphertext, len(c.nodes))
 	dim := -1
@@ -383,24 +397,13 @@ func RunSequential(c *Circuit, ev *tfhe.Evaluator, inputs []tfhe.LWECiphertext) 
 			}
 			vals[i] = v
 		case kindLUT:
-			// The one-table case of the packing bound, checked as the
-			// engine's LUT checks it.
-			if err := ev.Params.ValidateMultiLUT(n.space, 1); err != nil {
-				return nil, err
-			}
 			table := n.table
 			vals[i] = ev.EvalLUTKS(vals[n.in], n.space, func(m int) int { return table[m] })
 		case kindMultiLUT:
 			// The head sibling runs the whole group's shared rotation and
 			// assigns every sibling; non-heads were filled by their head.
-			// Circuits are parameter-agnostic, so the packing bound is
-			// checked here — as an error, matching the engine-backed
-			// Execute path for the same circuit.
 			if n.mvIdx != 0 {
 				continue
-			}
-			if err := ev.Params.ValidateMultiLUT(n.space, len(n.tables)); err != nil {
-				return nil, err
 			}
 			outs := ev.EvalMultiLUTKS(vals[n.in], n.space, tfhe.TableFuncs(n.tables))
 			for j, out := range outs {
@@ -440,6 +443,17 @@ func (r *Runner) ops() (*engine.StreamingEngine, error) {
 	return nil, fmt.Errorf("sched: runner has no engine")
 }
 
+// Params implements Executor: the parameter set of the engine every
+// dispatch runs on; the zero Params, which noise.Check refuses, when the
+// runner has none.
+func (r *Runner) Params() tfhe.Params {
+	o, err := r.ops()
+	if err != nil {
+		return tfhe.Params{}
+	}
+	return o.Params()
+}
+
 // concurrentCalls marks the Runner as concurrent: each dispatch is its
 // own engine operation, and the engine takes concurrent ones.
 func (r *Runner) concurrentCalls() {}
@@ -453,28 +467,35 @@ func (r *Runner) Gate(d Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWECipherte
 	return d.on(o).Gates(d.Ops, a, b)
 }
 
-// LUT implements Executor over the engine.
+// LUT implements Executor over the engine. A dispatch comes from a
+// schedule Execute has checked, or a request the gate service has, so it
+// runs without the engine's own noise check (engine.AdmittedLUT).
 func (r *Runner) LUT(d Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	o, err := r.ops()
 	if err != nil {
 		return nil, err
 	}
-	return d.on(o).LUT(in, d.Space, func(m int) int { return d.Table[m] })
+	return d.on(o).AdmittedLUT(in, d.Space, func(m int) int { return d.Table[m] }), nil
 }
 
 // MultiLUT implements Executor over the engine: one blind rotation per
-// group input, fanned out into the group's table outputs.
+// group input, fanned out into the group's table outputs, unchecked like
+// LUT.
 func (r *Runner) MultiLUT(d Dispatch, in []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
 	o, err := r.ops()
 	if err != nil {
 		return nil, err
 	}
-	return d.on(o).MultiLUT(in, d.Space, tfhe.TableFuncs(d.Tables))
+	return d.on(o).AdmittedMultiLUT(in, d.Space, tfhe.TableFuncs(d.Tables)), nil
 }
 
 // Run compiles the circuit under cfg and executes it — the one-call path
-// for callers that don't reuse schedules.
+// for callers that don't reuse schedules. It compiles for the runner's
+// parameter set: a cfg.Opt without Params packs under it.
 func (r *Runner) Run(c *Circuit, cfg Config, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
+	if cfg.Opt.Params.N == 0 {
+		cfg.Opt.Params = r.Params()
+	}
 	s, err := Compile(c, cfg)
 	if err != nil {
 		return nil, err

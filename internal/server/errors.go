@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"repro/internal/noise"
 )
 
 // Machine-readable error codes: the `code` field of every non-2xx API
@@ -27,6 +29,10 @@ const (
 	// CodeShuttingDown means the server is draining for shutdown and
 	// refuses new work. Retryable (against the restarted server).
 	CodeShuttingDown = "shutting_down"
+	// CodeNoiseBudget means the parameter set cannot compute the request:
+	// a bootstrap's predicted failure exceeds the one noise rule's
+	// threshold (noise.Check), and the message names it. Not retryable.
+	CodeNoiseBudget = "noise_budget"
 	// CodeInternal means a server-side failure (e.g. persistence I/O),
 	// not a problem with the request.
 	CodeInternal = "internal"
@@ -79,9 +85,12 @@ func (e *APIError) Temporary() bool {
 func errorStatus(err error) (int, string) {
 	var tooBig *http.MaxBytesError
 	var api *APIError
+	var budget *noise.BudgetError
 	switch {
 	case errors.As(err, &api):
 		return api.Status, api.Code
+	case errors.As(err, &budget):
+		return http.StatusUnprocessableEntity, CodeNoiseBudget
 	case errors.Is(err, ErrUnknownSession):
 		return http.StatusNotFound, CodeUnknownSession
 	case errors.Is(err, ErrSessionEvicted):

@@ -47,8 +47,9 @@ type EvalOpts struct {
 	// circuit envelope before execution (CSE, pruning, linear folding,
 	// bootstrap fusion, multi-value packing bounded by the session's
 	// parameter set). Outputs decode identically to the unoptimized
-	// circuit but are not bitwise identical. Only valid for circuit and
-	// infer envelopes.
+	// circuit but are not bitwise identical, and the rewrite passes the
+	// one noise rule like any circuit: a packing it refuses comes back
+	// as noise_budget. Only valid for circuit and infer envelopes.
 	Optimize bool `json:"optimize,omitempty"`
 }
 

@@ -46,8 +46,8 @@ func (s *Server) InferBatch(clientID string, features []tfhe.LWECiphertext, opti
 // validateInfer bounds an inference request and compiles the model for
 // its batch size. The circuit is server-built from trusted code, so
 // unlike validateCircuit there is no spec re-validation — only the
-// request-shaped bounds (batch size, ciphertext dimensions) and the
-// parameter-set fit of the model's multi-value stage.
+// request-shaped bounds (batch size, ciphertext dimensions) and the one
+// noise rule, which refuses a model the parameter set cannot compute.
 func (s *session) validateInfer(features []tfhe.LWECiphertext, cfg Config, optimize bool) (*sched.Circuit, *sched.Schedule, error) {
 	fail := func(err error) (*sched.Circuit, *sched.Schedule, error) {
 		s.rejected.Add(1)
@@ -60,9 +60,6 @@ func (s *session) validateInfer(features []tfhe.LWECiphertext, cfg Config, optim
 	if len(features) > cfg.MaxBatch {
 		return fail(fmt.Errorf("%w: %d > %d", ErrBatchTooLarge, len(features), cfg.MaxBatch))
 	}
-	if err := s.params.ValidateMultiLUT(workload.InferPoolSpace, workload.InferClasses); err != nil {
-		return fail(fmt.Errorf("server: inference model does not fit parameter set %s: %w", s.params.Name, err))
-	}
 	if err := s.checkDims(features); err != nil {
 		return fail(err)
 	}
@@ -73,6 +70,9 @@ func (s *session) validateInfer(features []tfhe.LWECiphertext, cfg Config, optim
 	schedule, err := s.compile(circ, optimize)
 	if err != nil {
 		return fail(err)
+	}
+	if err := schedule.Check(s.params); err != nil {
+		return fail(fmt.Errorf("server: inference model does not fit parameter set %s: %w", s.params.Name, err))
 	}
 	return circ, schedule, nil
 }

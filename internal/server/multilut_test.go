@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -172,7 +173,7 @@ func TestHTTPMultiLUTBatch(t *testing.T) {
 	if err := cl.RegisterKey(ek); err != nil {
 		t.Fatal(err)
 	}
-	const space, k = 8, 4
+	const space, k = 8, 3
 	tables := mvTestTables(space, k)
 	msgs := []int{7, 0, 5}
 	cts := encryptInts(sk, 930, msgs, space)
@@ -194,6 +195,14 @@ func TestHTTPMultiLUTBatch(t *testing.T) {
 	// The endpoint validates like the in-process call.
 	if _, err := cl.MultiLUTBatch(cts, 1, [][]int{{0}}); err == nil {
 		t.Fatal("HTTP endpoint accepted space < 2")
+	}
+	// A fourth table shrinks the margin to 1/128, which the test set's
+	// modulus switch leaves at 2.4σ (about one group in 40 decodes
+	// wrong): the one noise rule refuses it.
+	_, err = cl.MultiLUTBatch(cts, space, mvTestTables(space, k+1))
+	var api *APIError
+	if !errors.As(err, &api) || api.Code != CodeNoiseBudget {
+		t.Fatalf("space 8 × 4 tables: got %v, want a noise_budget refusal", err)
 	}
 }
 

@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/noise"
+	"repro/internal/sched"
 	"repro/internal/tfhe"
 	"repro/internal/wire"
 )
@@ -391,6 +393,39 @@ func TestOverloaded(t *testing.T) {
 	}
 }
 
+// TestNoiseRefusalBeforeToken: a circuit the session's parameter set
+// cannot compute is refused by the one noise rule before the request
+// takes a backpressure token, with the offending node, and counts as
+// rejected. The session's queue is saturated, so a refusal that came
+// after the token would read ErrOverloaded instead.
+func TestNoiseRefusalBeforeToken(t *testing.T) {
+	sk, ek := testKeys(t, 1)
+	srv := New(Config{})
+	if err := srv.RegisterKey("alice", ek); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := srv.session("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.release()
+	sess.queueTimeout = time.Millisecond
+	for i := 0; i < cap(sess.slots); i++ {
+		sess.slots <- struct{}{}
+	}
+	// A space-64 lookup on a fresh input: a margin of 1/256 against the
+	// test set's modulus switch, 1.2σ.
+	specs := []sched.NodeSpec{{Kind: sched.SpecInput}, {Kind: sched.SpecLUT, In: 0, Space: 64, Table: make([]int, 64)}}
+	_, err = srv.CircuitBatch("alice", specs, []int{1}, encryptInts(sk, 3, []int{1}, 64), false)
+	var budget *noise.BudgetError
+	if !errors.As(err, &budget) || budget.Node != 1 || budget.Failure <= noise.MaxFailure {
+		t.Fatalf("space-64 LUT circuit: got %v, want a noise refusal at node 1", err)
+	}
+	if n := sess.rejected.Load(); n != 1 {
+		t.Errorf("rejected = %d, want 1", n)
+	}
+}
+
 // TestErrorStatusMapping pins every service error to its HTTP status and
 // machine-readable code.
 func TestErrorStatusMapping(t *testing.T) {
@@ -410,6 +445,7 @@ func TestErrorStatusMapping(t *testing.T) {
 		{errors.New("anything else"), http.StatusBadRequest, CodeBadRequest},
 		{&http.MaxBytesError{Limit: 5}, http.StatusRequestEntityTooLarge, CodeTooLarge},
 		{&APIError{Code: CodeOverloaded, Status: 503}, http.StatusServiceUnavailable, CodeOverloaded},
+		{fmt.Errorf("wrap: %w", &noise.BudgetError{}), http.StatusUnprocessableEntity, CodeNoiseBudget},
 	}
 	for _, c := range cases {
 		status, code := errorStatus(c.err)

@@ -167,8 +167,8 @@ func (s *session) validateLUT(cts []tfhe.LWECiphertext, space int, table []int, 
 	if len(cts) > maxBatch {
 		return fail(fmt.Errorf("%w: %d > %d", ErrBatchTooLarge, len(cts), maxBatch))
 	}
-	if space < 2 || space > s.params.N {
-		return fail(fmt.Errorf("server: LUT space %d out of range [2, %d]", space, s.params.N))
+	if err := s.Stream.CheckLUT(space, 1); err != nil {
+		return fail(err)
 	}
 	if len(table) != space {
 		return fail(fmt.Errorf("server: LUT table has %d entries, want %d", len(table), space))
@@ -194,7 +194,7 @@ func (s *session) validateMultiLUT(cts []tfhe.LWECiphertext, space int, tables [
 		return err
 	}
 	k := len(tables)
-	if err := s.params.ValidateMultiLUT(space, k); err != nil {
+	if err := s.Stream.CheckLUT(space, k); err != nil {
 		return fail(err)
 	}
 	if len(cts)*k > maxBatch {
@@ -219,7 +219,9 @@ func (s *session) validateMultiLUT(cts []tfhe.LWECiphertext, space int, tables [
 // validateCircuit rejects malformed circuit-batch requests and compiles
 // the accepted ones. The circuit is rebuilt through the sched builder (so
 // references, ops, and tables are fully validated against untrusted
-// input), then each compiled dispatch is bounded like a standalone batch.
+// input), then each compiled dispatch is bounded like a standalone batch,
+// and the schedule must pass the one noise rule (Schedule.Check) under
+// the session's parameter set.
 // Node and dispatch bounds apply to the incoming specs and to the
 // schedule that actually executes (see compile for optimize).
 func (s *session) validateCircuit(specs []sched.NodeSpec, outputs []int, inputs []tfhe.LWECiphertext, cfg Config, optimize bool) (*sched.Circuit, *sched.Schedule, error) {
@@ -258,27 +260,22 @@ func (s *session) validateCircuit(specs []sched.NodeSpec, outputs []int, inputs 
 			if len(d.Nodes) > cfg.MaxBatch {
 				return fail(fmt.Errorf("%w: level dispatch of %d > %d", ErrBatchTooLarge, len(d.Nodes), cfg.MaxBatch))
 			}
-			if d.Kind == sched.DispatchLUT && d.Space > s.params.N {
-				return fail(fmt.Errorf("server: LUT space %d out of range [2, %d]", d.Space, s.params.N))
-			}
-			if d.Kind == sched.DispatchMultiLUT {
-				if err := s.params.ValidateMultiLUT(d.Space, len(d.Tables)); err != nil {
-					return fail(err)
-				}
-			}
 		}
+	}
+	if err := schedule.Check(s.params); err != nil {
+		return fail(err)
 	}
 	return circ, schedule, nil
 }
 
 // compile compiles a circuit for this session. optimize enables the
-// full optimizer pass pipeline, with the multi-value budget bound to the
-// session's parameter set so the rewrite never packs past space·k ≤ N.
+// full optimizer pass pipeline, packing for the session's parameter set
+// so the rewrite never builds a group the one noise rule refuses.
 func (s *session) compile(circ *sched.Circuit, optimize bool) (*sched.Schedule, error) {
 	var cfg sched.Config
 	if optimize {
 		cfg.Opt = sched.OptAll()
-		cfg.Opt.MultiValueBudget = s.params.N
+		cfg.Opt.Params = s.params
 	}
 	return sched.Compile(circ, cfg)
 }

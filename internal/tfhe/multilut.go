@@ -18,15 +18,20 @@ import (
 // The price is precision: centering the phase inside a subslot shrinks
 // the tolerated noise from 1/(4·space) to 1/(4·space·k), exactly as if
 // the input were encoded in a message space k times larger. Packing
-// therefore requires space·k ≤ N (at least one coefficient per subslot),
-// and parameter sets must keep input noise below the finer bound.
+// therefore requires space·k ≤ N (at least one coefficient per subslot;
+// ValidateMultiLUT), and the input noise must stay below the finer bound:
+// noise.Check, the one noise rule every engine op, circuit and service
+// request passes, refuses a lookup whose predicted failure at that
+// margin exceeds noise.MaxFailure.
 //
 // With k = 1 the packed test vector, the half-subslot shift, and the
 // single extraction offset all degenerate to the standard EvalLUT path,
 // so EvalMultiLUT with one table is bitwise identical to EvalLUT.
 
 // ValidateMultiLUT checks that k tables over message space `space` can be
-// packed into one test vector under these parameters.
+// packed into one test vector under these parameters: the structural half
+// of the one noise rule (noise.Check), which calls it, and the guard of
+// NewMultiLUTTestVector. It checks no noise.
 func (p Params) ValidateMultiLUT(space, k int) error {
 	switch {
 	case space < 2:

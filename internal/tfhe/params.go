@@ -61,8 +61,8 @@ var ParamsI = Params{
 }
 
 // ParamsII is parameter set II (128-bit, used by XHEC). The keyswitching
-// gadget (lk=3) follows the newer Concrete defaults; this choice also
-// reproduces the paper's published set-II latency (see EXPERIMENTS.md).
+// gadget (lk=3), which Table IV does not print, follows the newer
+// Concrete defaults.
 var ParamsII = Params{
 	Name: "II", N: 1024, K: 1, SmallN: 630, PBSLevel: 3, Security: 128,
 	PBSBaseLog: 7, KSLevel: 3, KSBaseLog: 5,
