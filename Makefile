@@ -191,6 +191,7 @@ no-retired-ops:
 	@! git grep -nE 'lane''Table|untwist''Lanes|stage\.lanes|stage2''AVX2|(fwdStage4|fwdStage2|invFirst|invStage4|invFold|decompLoad)''Fast' -- '*.go' '*.s'
 	@! git grep -nE 'intops\.New''\(|New''Scheduled|New''Optimized|Decode''EvalKey' -- '*.go'
 	@! git grep -nE 'exec''Mu|[Mm]ax''Coalesce|max-''coalesce|group''Result' -- '*.go' README.md docs benchmark/README.md
+	@! git grep -nE 'MultiValue''Budget|DefaultPack''Width|OptConfig\{''[[:space:]]*(Prune|LinFold|Fuse|CSE|MultiValue)' -- '*.go' README.md docs
 
 # No fused multiply-add in any assembly file: it rounds once where the
 # reference kernels round twice, and fast == ref is bitwise. Nor in what the

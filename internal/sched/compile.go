@@ -12,9 +12,9 @@ import (
 
 // Config tunes compilation.
 type Config struct {
-	// Opt selects optimizer passes to run on the circuit before
-	// levelization (see OptConfig and OptAll). The zero value compiles
-	// the circuit exactly as built, bitwise-faithful to RunSequential.
+	// Opt switches on the optimizer pipeline before levelization (OptAll,
+	// with the parameter set it packs for). The zero value compiles the
+	// circuit exactly as built, bitwise-faithful to RunSequential.
 	Opt OptConfig
 }
 
@@ -241,7 +241,7 @@ func writeTable(b *strings.Builder, table []int) {
 	}
 }
 
-// Compile optionally optimizes the circuit (cfg.Opt), then records what
+// Compile optimizes the circuit when cfg.Opt is on, then records what
 // Execute dispatches by: each PBS node's rank, the longest PBS path from
 // it to an output, and the dependency tables (the users of every wire,
 // the operands every node waits for). It also levelizes the circuit for
@@ -254,13 +254,9 @@ func writeTable(b *strings.Builder, table []int) {
 // optimized circuit: Execute is still called with the source circuit,
 // whose inputs and output order the rewrite preserves.
 func Compile(c *Circuit, cfg Config) (*Schedule, error) {
-	exec, passes := c, []PassStat(nil)
-	if cfg.Opt.enabled() {
-		var err error
-		exec, passes, err = Optimize(c, cfg.Opt)
-		if err != nil {
-			return nil, err
-		}
+	exec, passes, err := Optimize(c, cfg.Opt)
+	if err != nil {
+		return nil, err
 	}
 
 	lvl := make([]int, len(exec.nodes))

@@ -16,9 +16,11 @@ type fuzzCircuitJSON struct {
 // the full optimizer pipeline. For every input that parses into a valid
 // circuit, the pipeline must not panic, must produce a circuit that
 // still compiles, must never increase the schedule's TotalPBS, must
-// preserve the input/output counts, and must be deterministic
-// (optimizing twice yields byte-identical plans). Malformed specs must
-// be rejected by FromSpecs with an error, never a panic.
+// preserve the input/output counts, must be deterministic (optimizing
+// twice yields byte-identical plans), and must keep a circuit the one
+// noise rule admits at the test set or set I admitted when optimized for
+// that set. Malformed specs must be rejected by FromSpecs with an error,
+// never a panic.
 func FuzzOptimizePasses(f *testing.F) {
 	seeds := []string{
 		// Gate chain with a dead branch and a swapped duplicate: fuse + cse + prune food.
@@ -36,6 +38,9 @@ func FuzzOptimizePasses(f *testing.F) {
 		// Malformed: forward reference.
 		`{"nodes":[{"kind":"gate","op":"OR","a":0,"b":1},{"kind":"in"},{"kind":"in"}],"outputs":[0]}`,
 		`{}`,
+		// Sum of four identical lookups: CSE would turn it into 4·g, which
+		// set I refuses where it admits the sum of four bootstraps.
+		`{"nodes":[{"kind":"in"},{"kind":"lut","in":0,"space":8,"table":[1,2,3,4,5,6,7,0]},{"kind":"lut","in":0,"space":8,"table":[1,2,3,4,5,6,7,0]},{"kind":"lut","in":0,"space":8,"table":[1,2,3,4,5,6,7,0]},{"kind":"lut","in":0,"space":8,"table":[1,2,3,4,5,6,7,0]},{"kind":"lin","terms":[{"w":1,"c":1},{"w":2,"c":1},{"w":3,"c":1},{"w":4,"c":1}]},{"kind":"lut","in":5,"space":8,"table":[0,1,2,3,4,5,6,7]}],"outputs":[6]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -85,5 +90,6 @@ func FuzzOptimizePasses(f *testing.F) {
 		if a, b := s.Describe(), s2.Describe(); a != b {
 			t.Fatalf("optimizer is nondeterministic:\n%s\nvs\n%s", a, b)
 		}
+		requireOptimizedAdmitted(t, c)
 	})
 }

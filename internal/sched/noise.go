@@ -8,43 +8,49 @@ import (
 )
 
 // loads appends to dst the noise load every wire of c carries, in node
-// order. It needs no parameter set: a circuit input carries a fresh
-// encryption's load, a linear node Σ c² times its operands' loads, and
-// every PBS output a bootstrapped one, whatever its input carried.
-func (c *Circuit) loads(dst []noise.Load) []noise.Load {
-	for _, n := range c.nodes {
+// order, and returns c with its linear nodes flattened (passLinFold; c
+// itself when there is nothing to fold), whose node indices are c's. It
+// needs no parameter set: a circuit input carries a fresh encryption's
+// load, every PBS output a bootstrapped one, whatever its input carried,
+// and a linear node the load of its flattened form, so Lin(g, g) carries
+// 4·L(g), not 2·L(g).
+func (c *Circuit) loads(dst []noise.Load) (*Circuit, []noise.Load) {
+	flat, _ := passLinFold(c)
+	for _, n := range flat.nodes {
 		l := noise.BootLoad
 		switch n.kind {
 		case kindInput:
 			l = noise.FreshLoad
 		case kindLin:
-			l = noise.Load{}
-			for _, t := range n.terms {
-				l = l.Add(float64(t.C), dst[t.W])
-			}
+			l = termsLoad(dst, n.terms)
 		}
 		dst = append(dst, l)
 	}
-	return dst
+	return flat, dst
 }
 
 // budget returns the distinct noise requirements of c's bootstraps in
 // build order, each on the first node that makes it (a multi-value group
 // on its head): the rule refuses a requirement on its first node, so a
 // later node that repeats one adds nothing to check. A gate's linear
-// pre-stage adds its two operands' loads at weight 1: XOR and XNOR double
-// the sum, but also the distance their values keep from the sign test
+// pre-stage computes a + b up to sign and offset: XOR and XNOR double the
+// sum, but also the distance their values keep from the sign test
 // vector's boundary, so every binary gate decides at noise.GateMargin on
-// the sum of its operands' loads.
+// the load of a + b, flattened like a linear node: Gate(op, w, w)
+// computes 2w, which carries 4·L(w).
 func (c *Circuit) budget() []noise.PBS {
 	var small [64]noise.Load // Compile runs per request: keep a small circuit's loads off the heap
-	load := c.loads(small[:0])
+	flat, load := c.loads(small[:0])
 	var pbs []noise.PBS
-	for i, n := range c.nodes {
+	for i, n := range flat.nodes {
 		b := noise.PBS{Node: i}
 		switch {
 		case n.kind == kindGate:
 			b.In = load[n.a].Add(1, load[n.b])
+			if n.a == n.b || flat.nodes[n.a].kind == kindLin || flat.nodes[n.b].kind == kindLin {
+				_, sum := flatten(flat.nodes, 0, []Term{{W: n.a, C: 1}, {W: n.b, C: 1}})
+				b.In = termsLoad(load, sum)
+			}
 		case n.kind == kindLUT:
 			b.In, b.Space, b.K = load[n.in], n.space, 1
 		case n.kind == kindMultiLUT && n.mvIdx == 0:

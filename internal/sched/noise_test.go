@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -104,12 +105,13 @@ func TestCheckRefusesBeforeDispatch(t *testing.T) {
 	}
 }
 
-// TestPackingStaysInBudget: with the executing parameter set known,
-// packing builds only groups the one noise rule admits at their input's
-// load. Four space-8 tables on a fresh input at the test set would decide
-// at 1/128 (2.4σ, refused); three decide at 1/96 (3.2σ), so the fan-out
+// TestPackingStaysInBudget: packing builds only groups the one noise
+// rule admits at their input's load under the executing parameter set.
+// Four space-8 tables on a fresh input at the test set would decide at
+// 1/128 (2.4σ, refused); three decide at 1/96 (3.2σ), so the fan-out
 // packs 3 + 1. Space-16 tables refuse even pairs, so they stay plain, and
 // the optimized circuit passes the check the unoptimized one does.
+// Without a parameter set the rule cannot be evaluated: nothing packs.
 func TestPackingStaysInBudget(t *testing.T) {
 	for _, tc := range []struct{ space, cost int }{{8, 2}, {16, 4}} {
 		b := NewBuilder()
@@ -121,10 +123,10 @@ func TestPackingStaysInBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if oc, _ := mustOptimize(t, c, OptConfig{MultiValue: 4}); pbsCost(oc) != 1 {
-			t.Fatalf("space %d without Params: %d PBS, want one group of 4", tc.space, pbsCost(oc))
+		if oc, _ := mustOptimize(t, c, OptAll()); pbsCost(oc) != 4 {
+			t.Fatalf("space %d without Params: %d PBS, want 4 plain LUTs", tc.space, pbsCost(oc))
 		}
-		opt := OptConfig{MultiValue: 4, Params: tfhe.ParamsTest}
+		opt := optTest()
 		if oc, _ := mustOptimize(t, c, opt); pbsCost(oc) != tc.cost {
 			t.Errorf("space %d with Params: %d PBS, want %d", tc.space, pbsCost(oc), tc.cost)
 		}
@@ -134,6 +136,109 @@ func TestPackingStaysInBudget(t *testing.T) {
 		}
 		if err := s.Check(tfhe.ParamsTest); err != nil {
 			t.Errorf("space %d: packed schedule refused: %v", tc.space, err)
+		}
+	}
+}
+
+// TestRepeatedTermsChargedExactly: a PBS input is charged from its linear
+// form flattened over base wires, so a wire repeated in a sum counts with
+// its merged coefficient. Lin(g, g, g, g) is 4·g and carries 16·L(g), as
+// Lin(4·g) does; both put an 8-space lookup at set I at 1.8σ, which the
+// rule refuses. A gate on (w, w) computes 2w, which carries 4·L(w).
+func TestRepeatedTermsChargedExactly(t *testing.T) {
+	build := func(terms ...Term) (*Circuit, Wire) {
+		b := NewBuilder()
+		g := b.LUT(b.Input(), 8, make([]int, 8))
+		for i := range terms {
+			terms[i].W = g
+		}
+		lut := b.LUT(b.Lin(0, terms...), 8, make([]int, 8))
+		b.Output(lut)
+		c, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, lut
+	}
+	want := noise.PBS{In: noise.Load{Boot: 16}, Space: 8, K: 1}
+	for _, tc := range []struct {
+		name  string
+		terms []Term
+	}{
+		{"split", []Term{{C: 1}, {C: 1}, {C: 1}, {C: 1}}},
+		{"merged", []Term{{C: 4}}},
+		{"mixed", []Term{{C: 3}, {C: 2}, {C: -1}}},
+	} {
+		c, lut := build(tc.terms...)
+		s, err := Compile(c, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Node = int(lut)
+		if got := s.pbs[len(s.pbs)-1]; got != want {
+			t.Errorf("%s: requirement %+v, want %+v", tc.name, got, want)
+		}
+		var budget *noise.BudgetError
+		if err := s.Check(tfhe.ParamsI); !errors.As(err, &budget) || budget.Node != int(lut) || budget.Sigmas > 1.9 || budget.Failure < 0.07 {
+			t.Errorf("%s: set I check = %v, want a refusal at node %d predicting 1.8σ", tc.name, err, lut)
+		}
+	}
+
+	b := NewBuilder()
+	x := b.Input()
+	g := b.Gate(engine.AND, x, x)
+	xor := b.Gate(engine.XOR, g, b.Gate(engine.NOT, g, -1))
+	b.Output(xor)
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Compile(c, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// XOR(g, NOT g) reads g - g: the noise cancels with the message.
+	wantGates := []noise.PBS{{Node: int(g), In: noise.Load{Fresh: 4}}, {Node: int(xor)}}
+	if !reflect.DeepEqual(s.pbs, wantGates) {
+		t.Errorf("gate budget = %+v, want %+v", s.pbs, wantGates)
+	}
+}
+
+// TestOptimizeKeepsAdmittedCircuits: merging duplicate bootstraps that one
+// sum reads raises its load (four lookups summed carry 4·L, their merged
+// copy 4·g carries 16·L), so under a parameter set that admits the sum
+// and refuses the merge, Optimize drops the CSE rewrite and the circuit
+// stays admitted. At set I the four lookups pack into one group instead;
+// at the test set, which admits both, CSE merges them.
+func TestOptimizeKeepsAdmittedCircuits(t *testing.T) {
+	b := NewBuilder()
+	x := b.Input()
+	tab := []int{1, 2, 3, 4, 5, 6, 7, 0}
+	terms := make([]Term, 4)
+	for i := range terms {
+		terms[i] = Term{W: b.LUT(x, 8, tab), C: 1}
+	}
+	b.Output(b.LUT(b.Lin(0, terms...), 8, tab))
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		p   tfhe.Params
+		cse bool
+	}{{tfhe.ParamsI, false}, {tfhe.ParamsTest, true}} {
+		opt := OptAll()
+		opt.Params = tc.p
+		s, err := Compile(c, Config{Opt: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Check(tc.p); err != nil {
+			t.Errorf("set %s: optimized circuit refused: %v\n%s", tc.p.Name, err, s.Describe())
+		}
+		cse := slices.ContainsFunc(s.Stats().OptPasses, func(p PassStat) bool { return p.Name == "cse" })
+		if cse != tc.cse || s.Stats().TotalPBS != 2 {
+			t.Errorf("set %s: plan %v (cse ran: %v), want 2 PBS with cse %v", tc.p.Name, s, cse, tc.cse)
 		}
 	}
 }

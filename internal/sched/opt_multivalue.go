@@ -9,21 +9,20 @@ import (
 // LUT nodes reading the same input wire with the same message space are
 // collected across the whole DAG (same input implies same PBS level, so
 // regrouping never breaks a dependency) and regrouped, in build order,
-// into contiguous kindMultiLUT sibling runs of up to cap outputs per
-// shared blind rotation. A packed group materializes at its first
-// member's position; later members' consumers follow the wire remap.
-// Leftover runs of one stay plain LUTs. Explicit Builder.MultiLUT groups
-// are left untouched: their packing (and its noise commitment) was the
-// caller's choice. budget > 0 additionally bounds space·k per group, and
-// a parameter set p (N > 0) bounds each group to the widest the one noise
-// rule admits at its input's load: a k-table group decides at 1/k of a
-// plain LUT's margin, so packing must not spend more of the budget than
-// the parameter set leaves. Outputs decode identically to the unpacked
-// schedule but are not bitwise identical (the shared rotation uses a
-// k×-finer packed test vector). Returns the number of LUT nodes packed
-// into groups.
-func passMultiValue(c *Circuit, cap, budget int, p tfhe.Params) (*Circuit, int) {
-	if cap < 2 {
+// into contiguous kindMultiLUT sibling runs, each as wide as the one
+// noise rule admits under parameter set p at its input's load, up to
+// packWidth: a k-table group decides at 1/k of a plain LUT's margin, so
+// packing never spends more of the budget than p leaves. Without p
+// (N = 0) the rule cannot be evaluated and nothing packs. A packed group
+// materializes at its first member's position; later members' consumers
+// follow the wire remap. Leftover runs of one stay plain LUTs. Explicit
+// Builder.MultiLUT groups are left untouched: their packing (and its
+// noise commitment) was the caller's choice. Outputs decode identically
+// to the unpacked schedule but are not bitwise identical (the shared
+// rotation uses a k×-finer packed test vector). Returns the number of
+// LUT nodes packed into groups.
+func passMultiValue(c *Circuit, p tfhe.Params) (*Circuit, int) {
+	if p.N == 0 {
 		return c, 0
 	}
 	type fanKey struct {
@@ -42,19 +41,13 @@ func passMultiValue(c *Circuit, cap, budget int, p tfhe.Params) (*Circuit, int) 
 		}
 		members[fk] = append(members[fk], Wire(i))
 	}
-	var load []noise.Load
-	if p.N > 0 {
-		load = c.loads(nil)
-	}
+	_, load := c.loads(nil)
 	chunkOf := make(map[Wire][]Wire) // first member → whole chunk
 	headOf := make(map[Wire]Wire)    // member → first member
 	packed := 0
 	for _, fk := range order {
-		width := cap
-		if budget > 0 && budget/fk.space < width {
-			width = budget / fk.space
-		}
-		for load != nil && width >= 2 && noise.Check(p, noise.PBS{Node: int(fk.in), In: load[fk.in], Space: fk.space, K: width}) != nil {
+		width := packWidth
+		for width >= 2 && noise.Check(p, noise.PBS{Node: int(fk.in), In: load[fk.in], Space: fk.space, K: width}) != nil {
 			width--
 		}
 		if width < 2 {

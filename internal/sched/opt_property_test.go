@@ -17,9 +17,7 @@ import (
 // decoded comparison is meaningful: LUTs only read message wires, gates
 // only boolean wires, and linear nodes only take domain-safe forms.
 
-// propSpace is the message space of the generator's integer wires. With
-// ParamsTest (N=256) a packed group of up to DefaultPackWidth outputs
-// stays within space·k ≤ N.
+// propSpace is the message space of the generator's integer wires.
 const propSpace = 8
 
 // typedWire is one generated wire with its tracked plaintext.
@@ -174,19 +172,19 @@ func (tc *typedCircuit) checkDecoded(t *testing.T, label string, outs []tfhe.LWE
 // TestOptimizePassesPreserveDecoding is the property test: each pass
 // alone and the full pipeline preserve decoded outputs on random typed
 // DAGs, executed both sequentially and through the engine-backed
-// scheduler (run under -race by `make race`).
+// scheduler (run under -race by `make race`), and the pipeline never
+// turns a circuit the one noise rule admits into one it refuses.
 func TestOptimizePassesPreserveDecoding(t *testing.T) {
 	runner := &Runner{Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 2})}
-	configs := []struct {
+	passes := []struct {
 		name string
-		opt  OptConfig
+		run  func(*Circuit) (*Circuit, int)
 	}{
-		{"prune", OptConfig{Prune: true}},
-		{"linfold", OptConfig{LinFold: true}},
-		{"fuse", OptConfig{Fuse: true}},
-		{"cse", OptConfig{CSE: true}},
-		{"mvpack", OptConfig{MultiValue: 3}},
-		{"all", OptAll()},
+		{"prune", passPrune},
+		{"linfold", passLinFold},
+		{"fuse", passFuse},
+		{"cse", passCSE},
+		{"mvpack", func(c *Circuit) (*Circuit, int) { return passMultiValue(c, tfhe.ParamsTest) }},
 	}
 	trials := 4
 	if testing.Short() {
@@ -195,25 +193,62 @@ func TestOptimizePassesPreserveDecoding(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(4100 + int64(trial)))
 		tc := genTypedCircuit(rng, 8+rng.Intn(8))
+		requireOptimizedAdmitted(t, tc.circ)
 		ins := tc.encryptInputs(rng)
 		// Sanity: the unoptimized circuit matches the tracked plaintexts.
 		tc.checkDecoded(t, "unoptimized", seqBits(t, tc.circ, ins))
 		naivePBS := pbsCost(tc.circ)
-		for _, cfg := range configs {
-			oc, _ := mustOptimize(t, tc.circ, cfg.opt)
+		// check runs oc sequentially and sch, a schedule of c, on the
+		// engine.
+		check := func(name string, oc, c *Circuit, sch *Schedule) {
+			t.Helper()
 			if got := pbsCost(oc); got > naivePBS {
-				t.Fatalf("trial %d %s: optimized PBS %d exceeds naive %d", trial, cfg.name, got, naivePBS)
+				t.Fatalf("trial %d %s: optimized PBS %d exceeds naive %d", trial, name, got, naivePBS)
 			}
-			tc.checkDecoded(t, fmt.Sprintf("trial %d %s sequential", trial, cfg.name), seqBits(t, oc, ins))
-			sch, err := Compile(tc.circ, Config{Opt: cfg.opt})
+			tc.checkDecoded(t, fmt.Sprintf("trial %d %s sequential", trial, name), seqBits(t, oc, ins))
+			outs, err := runner.RunSchedule(c, sch, ins)
 			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, cfg.name, err)
+				t.Fatalf("trial %d %s: %v", trial, name, err)
 			}
-			outs, err := runner.RunSchedule(tc.circ, sch, ins)
+			tc.checkDecoded(t, fmt.Sprintf("trial %d %s scheduled", trial, name), outs)
+		}
+		for _, p := range passes {
+			oc, _ := mustPass(t, tc.circ, p.run)
+			sch, err := Compile(oc, Config{})
 			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, cfg.name, err)
+				t.Fatalf("trial %d %s: %v", trial, p.name, err)
 			}
-			tc.checkDecoded(t, fmt.Sprintf("trial %d %s scheduled", trial, cfg.name), outs)
+			check(p.name, oc, oc, sch)
+		}
+		oc, _ := mustOptimize(t, tc.circ, optTest())
+		sch, err := Compile(tc.circ, Config{Opt: optTest()})
+		if err != nil {
+			t.Fatalf("trial %d all: %v", trial, err)
+		}
+		check("all", oc, tc.circ, sch)
+	}
+}
+
+// requireOptimizedAdmitted asserts, at the test set and at set I, that
+// the one noise rule admits c optimized for the set whenever it admits c.
+// The converse does not hold: prune drops dead lookups the rule refuses.
+func requireOptimizedAdmitted(t *testing.T, c *Circuit) {
+	t.Helper()
+	naive, err := Compile(c, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []tfhe.Params{tfhe.ParamsTest, tfhe.ParamsI} {
+		opt := OptAll()
+		opt.Params = p
+		s, err := Compile(c, Config{Opt: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if naive.Check(p) == nil {
+			if err := s.Check(p); err != nil {
+				t.Fatalf("set %s: the rule admits the circuit but refuses it optimized: %v\n%s", p.Name, err, s.Describe())
+			}
 		}
 	}
 }

@@ -54,7 +54,7 @@ func TestStatsFusionThenPacking(t *testing.T) {
 		t.Fatalf("naive plan: %v, want 4 PBS over 2 levels", naive)
 	}
 
-	s, err := Compile(c, Config{Opt: OptAll()})
+	s, err := Compile(c, Config{Opt: optTest()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,20 @@ func TestStatsFusionThenPacking(t *testing.T) {
 	}
 }
 
-// mustOptimizedCircuit runs the full pipeline and returns the circuit.
+// mustOptimizedCircuit runs the full pipeline for the test set and
+// returns the circuit.
 func mustOptimizedCircuit(t *testing.T, c *Circuit) *Circuit {
 	t.Helper()
-	oc, _ := mustOptimize(t, c, OptAll())
+	oc, _ := mustOptimize(t, c, optTest())
 	return oc
+}
+
+// optTest is the pipeline packing for the test set, the one the package
+// keys run under.
+func optTest() OptConfig {
+	opt := OptAll()
+	opt.Params = tfhe.ParamsTest
+	return opt
 }
 
 // TestStatsExplicitGroupsAndPackingCoexist mixes an explicit
@@ -124,7 +133,7 @@ func TestStatsExplicitGroupsAndPackingCoexist(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := Compile(c, Config{Opt: OptAll()})
+	s, err := Compile(c, Config{Opt: optTest()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,40 +163,62 @@ func TestStatsExplicitGroupsAndPackingCoexist(t *testing.T) {
 	}
 }
 
-// TestStatsBudgetSplitsPackedGroups pins the parameter-safety knob:
-// with MultiValueBudget b, a packed group's space·k never exceeds b,
-// splitting wide fan-out into several groups and leaving singletons
-// plain — all visible in the multi-value stats.
-func TestStatsBudgetSplitsPackedGroups(t *testing.T) {
+// TestPackWidthFollowsRule pins that the one noise rule alone sets how
+// wide packing goes, visible in the multi-value stats. Five space-8 LUTs
+// share an input at set I: on a fresh input the rule admits four tables,
+// so they pack as (4, 1); on a bootstrapped input it admits two, so they
+// pack as (2, 2, 1); without a parameter set nothing packs.
+func TestPackWidthFollowsRule(t *testing.T) {
 	const space = 8
 	tabs := statsTables(space, 5)
-	b := NewBuilder()
-	x := b.Input()
-	for _, tab := range tabs {
-		b.Output(b.LUT(x, space, tab))
+	build := func(boot bool) *Circuit {
+		b := NewBuilder()
+		x := b.Input()
+		if boot {
+			x = b.LUT(x, space, tabs[0])
+		}
+		for _, tab := range tabs {
+			b.Output(b.LUT(x, space, tab))
+		}
+		c, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opt := OptAll()
-	opt.MultiValue = 8
-	opt.MultiValueBudget = 2 * space // width 2: groups of (2,2), 1 plain
-	s, err := Compile(c, Config{Opt: opt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.TotalPBS != 3 {
-		t.Fatalf("budgeted plan: %v, want 3 PBS (2+2+plain)", s)
-	}
-	if st.MultiValueOuts != 4 || st.RotationsSaved != 2 {
-		t.Fatalf("MultiValueOuts=%d RotationsSaved=%d, want 4 and 2", st.MultiValueOuts, st.RotationsSaved)
-	}
-	for _, p := range st.OptPasses {
-		if p.Name == "mvpack" && p.PBSRemoved != 2 {
-			t.Fatalf("mvpack removed %d PBS, want 2", p.PBSRemoved)
+	for _, tc := range []struct {
+		name          string
+		boot          bool
+		params        tfhe.Params
+		pbs, outs, mv int // total PBS, multi-value outputs, mvpack PBSRemoved
+	}{
+		{"fresh set I", false, tfhe.ParamsI, 2, 4, 3},
+		{"bootstrapped set I", true, tfhe.ParamsI, 4, 4, 2},
+		{"no params", false, tfhe.Params{}, 5, 0, 0},
+	} {
+		opt := OptAll()
+		opt.Params = tc.params
+		s, err := Compile(build(tc.boot), Config{Opt: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := s.Stats()
+		if st.TotalPBS != tc.pbs || st.MultiValueOuts != tc.outs || st.RotationsSaved != tc.mv {
+			t.Errorf("%s: plan %v with %d multi-value outputs, want %d PBS and %d outputs", tc.name, s, st.MultiValueOuts, tc.pbs, tc.outs)
+		}
+		mv := 0
+		for _, p := range st.OptPasses {
+			if p.Name == "mvpack" {
+				mv = p.PBSRemoved
+			}
+		}
+		if mv != tc.mv {
+			t.Errorf("%s: mvpack removed %d PBS, want %d", tc.name, mv, tc.mv)
+		}
+		if tc.params.N > 0 {
+			if err := s.Check(tc.params); err != nil {
+				t.Errorf("%s: packed plan refused: %v", tc.name, err)
+			}
 		}
 	}
 }

@@ -22,20 +22,43 @@ func encMsg(rng *rand.Rand, m, space int) tfhe.LWECiphertext {
 	return testSK.LWE.Encrypt(rng, tfhe.EncodePBSMessage(m, space), tfhe.ParamsTest.LWEStdDev)
 }
 
-// mustOptimize runs Optimize, failing the test on error.
+// mustOptimize runs the pipeline, failing the test on error.
 func mustOptimize(t *testing.T, c *Circuit, opt OptConfig) (*Circuit, []PassStat) {
 	t.Helper()
 	oc, stats, err := Optimize(c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sameInterface(t, c, oc)
+	return oc, stats
+}
+
+// mustPass runs one pass alone and returns its rewrite and rewrite count.
+func mustPass(t *testing.T, c *Circuit, pass func(*Circuit) (*Circuit, int)) (*Circuit, int) {
+	t.Helper()
+	oc, n := pass(c)
+	sameInterface(t, c, oc)
+	return oc, n
+}
+
+// fusePruned runs fusion and then the prune that banks its savings.
+func fusePruned(t *testing.T, c *Circuit) (*Circuit, int) {
+	t.Helper()
+	oc, n := mustPass(t, c, passFuse)
+	oc, _ = mustPass(t, oc, passPrune)
+	return oc, n
+}
+
+// sameInterface fails the test if the optimizer changed the circuit's
+// input or output count.
+func sameInterface(t *testing.T, c, oc *Circuit) {
+	t.Helper()
 	if oc.NumInputs() != c.NumInputs() {
 		t.Fatalf("optimizer changed input count: %d -> %d", c.NumInputs(), oc.NumInputs())
 	}
 	if len(oc.outputs) != len(c.outputs) {
 		t.Fatalf("optimizer changed output count: %d -> %d", len(c.outputs), len(oc.outputs))
 	}
-	return oc, stats
 }
 
 // seqBits runs the circuit sequentially and returns raw outputs.
@@ -61,12 +84,12 @@ func TestPassPruneDropsDeadKeepsInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oc, stats := mustOptimize(t, c, OptConfig{Prune: true})
+	oc, dropped := mustPass(t, c, passPrune)
 	if len(oc.nodes) != 4 { // 3 inputs + AND
 		t.Fatalf("pruned circuit has %d nodes, want 4", len(oc.nodes))
 	}
-	if len(stats) != 1 || stats[0].Name != "prune" || stats[0].NodesRemoved != 3 || stats[0].PBSRemoved != 2 {
-		t.Fatalf("unexpected prune stats: %+v", stats)
+	if dropped != 3 || pbsCost(c)-pbsCost(oc) != 2 {
+		t.Fatalf("prune dropped %d nodes and %d PBS, want 3 and 2", dropped, pbsCost(c)-pbsCost(oc))
 	}
 	rng := rand.New(rand.NewSource(1))
 	ins := []tfhe.LWECiphertext{encBool(rng, true), encBool(rng, true), encBool(rng, false)}
@@ -91,7 +114,7 @@ func TestPassPruneShrinksMultiLUTGroups(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oc, _ := mustOptimize(t, full, OptConfig{Prune: true})
+		oc, _ := mustPass(t, full, passPrune)
 		return full, oc
 	}
 
@@ -131,7 +154,7 @@ func TestPassPruneShrinksMultiLUTGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oc, _ = mustOptimize(t, c, OptConfig{Prune: true})
+	oc, _ = mustPass(t, c, passPrune)
 	if len(oc.nodes) != 1 {
 		t.Fatalf("dead group left %d nodes, want 1", len(oc.nodes))
 	}
@@ -148,15 +171,15 @@ func TestPassLinFoldFlattensChainsBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oc, stats := mustOptimize(t, c, OptConfig{LinFold: true})
+	oc, folded := mustPass(t, c, passLinFold)
 	// l3 must now be flat: terms reference inputs only.
 	for _, tm := range oc.nodes[l3].terms {
 		if oc.nodes[tm.W].kind != kindInput {
 			t.Fatalf("folded node still references non-input wire %d", tm.W)
 		}
 	}
-	if len(stats) != 1 || stats[0].Name != "linfold" || stats[0].Rewrites == 0 {
-		t.Fatalf("unexpected linfold stats: %+v", stats)
+	if folded == 0 {
+		t.Fatal("linfold reports no rewrite")
 	}
 	rng := rand.New(rand.NewSource(3))
 	ins := []tfhe.LWECiphertext{encBool(rng, true), encBool(rng, false)}
@@ -186,13 +209,13 @@ func TestPassCSEMergesDuplicatesBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oc, stats := mustOptimize(t, c, OptConfig{CSE: true})
+	oc, merged := mustPass(t, c, passCSE)
 	// 2 inputs + gate + lin + LUT + 2-sibling group = 7 nodes.
 	if len(oc.nodes) != 7 {
 		t.Fatalf("CSE left %d nodes, want 7", len(oc.nodes))
 	}
-	if len(stats) != 1 || stats[0].Name != "cse" || stats[0].NodesRemoved != 5 {
-		t.Fatalf("unexpected cse stats: %+v", stats)
+	if merged != 5 {
+		t.Fatalf("CSE merged %d nodes, want 5", merged)
 	}
 	rng := rand.New(rand.NewSource(4))
 	ins := []tfhe.LWECiphertext{encBool(rng, true), encBool(rng, true)}
@@ -268,7 +291,7 @@ func TestPassFuseGateChains(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oc, _ := mustOptimize(t, c, OptConfig{Fuse: true, Prune: true})
+			oc, _ := fusePruned(t, c)
 			if got := pbsCost(oc); got != tc.pbs {
 				t.Fatalf("fused circuit costs %d PBS, want %d", got, tc.pbs)
 			}
@@ -297,14 +320,12 @@ func TestPassFuseRespectsSharedProducers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oc, stats := mustOptimize(t, c, OptConfig{Fuse: true, Prune: true})
+	oc, fused := fusePruned(t, c)
 	if got := pbsCost(oc); got != 3 {
 		t.Fatalf("shared producer circuit costs %d PBS, want 3", got)
 	}
-	for _, p := range stats {
-		if p.Name == "fuse" && p.Rewrites != 0 {
-			t.Fatalf("fuse rewrote a shared producer: %+v", stats)
-		}
+	if fused != 0 {
+		t.Fatalf("fuse rewrote a shared producer %d times", fused)
 	}
 }
 
@@ -320,7 +341,7 @@ func TestPassFuseLUTChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oc, _ := mustOptimize(t, c, OptConfig{Fuse: true, Prune: true})
+	oc, _ := fusePruned(t, c)
 	if got := pbsCost(oc); got != 1 {
 		t.Fatalf("LUT chain fused to %d PBS, want 1", got)
 	}
@@ -342,7 +363,7 @@ func TestPassFuseLUTChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oc, _ = mustOptimize(t, c, OptConfig{Fuse: true, Prune: true})
+	oc, _ = fusePruned(t, c)
 	if got := pbsCost(oc); got != 2 {
 		t.Fatalf("shared LUT chain costs %d PBS, want 2", got)
 	}
@@ -360,12 +381,14 @@ func TestPassMultiValuePacksFanOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oc, stats := mustOptimize(t, c, OptConfig{MultiValue: 2})
-	if got := pbsCost(oc); got != 3 { // chunks of 2+2, leftover 1
-		t.Fatalf("packed circuit costs %d PBS, want 3", got)
+	// The test set admits four space-4 tables on a fresh input (margin
+	// 1/64): a group of four, leftover one.
+	oc, packed := mustPass(t, c, func(c *Circuit) (*Circuit, int) { return passMultiValue(c, tfhe.ParamsTest) })
+	if got := pbsCost(oc); got != 2 {
+		t.Fatalf("packed circuit costs %d PBS, want 2", got)
 	}
-	if len(stats) != 1 || stats[0].Name != "mvpack" || stats[0].Rewrites != 4 || stats[0].PBSRemoved != 2 {
-		t.Fatalf("unexpected mvpack stats: %+v", stats)
+	if packed != 4 {
+		t.Fatalf("mvpack packed %d LUTs, want 4", packed)
 	}
 	rng := rand.New(rand.NewSource(7))
 	for m := 0; m < space; m++ {
@@ -376,17 +399,6 @@ func TestPassMultiValuePacksFanOut(t *testing.T) {
 				t.Fatalf("m=%d table %d: decode %d, want %d", m, i, got, tab[m])
 			}
 		}
-	}
-
-	// The budget caps space·k: budget 8 at space 4 allows only pairs;
-	// budget 4 disables packing entirely.
-	oc, _ = mustOptimize(t, c, OptConfig{MultiValue: 4, MultiValueBudget: 8})
-	if got := pbsCost(oc); got != 3 {
-		t.Fatalf("budget-8 packing costs %d PBS, want 3", got)
-	}
-	oc, _ = mustOptimize(t, c, OptConfig{MultiValue: 4, MultiValueBudget: 4})
-	if got := pbsCost(oc); got != 5 {
-		t.Fatalf("budget-4 packing costs %d PBS, want 5", got)
 	}
 }
 
@@ -400,9 +412,9 @@ func TestPassMultiValueLeavesExplicitGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oc, stats := mustOptimize(t, c, OptConfig{MultiValue: 4})
-	if len(stats) != 0 {
-		t.Fatalf("explicit group was rewritten: %+v", stats)
+	oc, packed := passMultiValue(c, tfhe.ParamsTest)
+	if packed != 0 {
+		t.Fatalf("explicit group was rewritten: %d LUTs packed", packed)
 	}
 	if oc != c {
 		t.Fatal("circuit with only explicit groups should pass through unchanged")
@@ -434,7 +446,8 @@ func TestOptimizeAllPipelineDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oc, stats := mustOptimize(t, c, OptAll())
+	all := optTest()
+	oc, stats := mustOptimize(t, c, all)
 	naive, opt := pbsCost(c), pbsCost(oc)
 	if opt >= naive {
 		t.Fatalf("pipeline did not reduce PBS: %d -> %d", naive, opt)

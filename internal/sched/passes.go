@@ -2,7 +2,9 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/noise"
 	"repro/internal/tfhe"
 	"repro/internal/torus"
 )
@@ -23,68 +25,28 @@ import (
 // that survived. See docs/ARCHITECTURE.md "Optimizer passes" for the
 // legality argument of each pass.
 
-// DefaultPackWidth is the OptAll multi-value packing cap: up to this many
-// same-input, same-space LUT outputs share one blind rotation. The
-// executing parameter set must admit every packed group under the one
-// noise rule (noise.Check), as for explicit MultiLUT groups; set
-// OptConfig.Params when the parameters are known at compile time.
-const DefaultPackWidth = 4
+// packWidth caps multi-value packing: up to this many same-input,
+// same-space LUT outputs share one blind rotation, when the one noise
+// rule admits that many at the group's input load.
+const packWidth = 4
 
-// OptConfig selects which optimizer passes Optimize (and Compile, via
-// Config.Opt) runs. The zero value runs nothing.
+// OptConfig switches the optimizer pipeline on (OptAll) for one parameter
+// set. The zero value runs nothing: Compile then runs the circuit exactly
+// as built.
 type OptConfig struct {
-	// Prune drops nodes no output depends on (inputs are always kept, so
-	// the circuit interface is unchanged) and shrinks multi-value groups
-	// with dead siblings. Decode- and noise-preserving for the surviving
-	// outputs; bitwise-preserving except for shrunk groups.
-	Prune bool
-	// LinFold collapses nested linear-combination chains into one flat
-	// term sum with merged coefficients (wrapping torus arithmetic is
-	// associative and distributive, so folding is bitwise-preserving).
-	LinFold bool
-	// Fuse collapses bootstrap chains into single programmable
-	// bootstraps: a 2-gate chain whose expanded operands span at most two
-	// base wires becomes one gate (through free ±1 linear links, with
-	// boolean-constant folding), and a LUT feeding a same-space LUT with
-	// no other consumer composes into one table. Fusion assumes gate
-	// operands carry the boolean encoding — which Builder circuits
-	// satisfy by construction — and preserves decoded outputs, not bits.
-	Fuse bool
-	// CSE merges structurally identical gate/LUT/multi-LUT/linear nodes
-	// (gates canonicalize their operand order; every binary gate's linear
-	// stage is symmetric). Bitwise-preserving.
-	CSE bool
-	// MultiValue ≥ 2 rewrites same-input, same-space plain-LUT fan-out
-	// into multi-value groups of up to MultiValue outputs per blind
-	// rotation. Decode-preserving; not bitwise (the shared rotation uses
-	// a k×-finer packed test vector, whose margin is k× smaller), and
-	// the executing parameter set must admit every group under the one
-	// noise rule. Explicit Builder.MultiLUT groups are left untouched —
-	// their noise commitment was the caller's choice.
-	MultiValue int
-	// MultiValueBudget, when > 0, bounds space·k of every packed group.
-	// 0 applies no bound (circuits are parameter-agnostic, exactly like
-	// explicit MultiLUT groups). Params, when known, bounds more.
-	MultiValueBudget int
-	// Params, when set (N > 0), is the parameter set the circuit will
-	// run under: packing then builds only groups the one noise rule
-	// (noise.Check) admits at the load their input wire carries, so the
-	// rewrite never turns a circuit the rule admits into one it refuses.
-	// Runner.Run sets it to its engine's parameter set.
+	// Params is the parameter set the circuit will run under. Packing
+	// builds only groups the one noise rule (noise.Check) admits at the
+	// load their input wire carries, so the rewrite never turns a circuit
+	// the rule admits into one it refuses; without Params (N = 0) nothing
+	// packs. Runner.Run sets it to its engine's parameter set.
 	Params tfhe.Params
+	on     bool
 }
 
-// OptAll enables every pass with the default packing cap — the
-// configuration behind the "optimized-scheduled" conformance backend and
-// the server's opt-in circuit optimization.
-func OptAll() OptConfig {
-	return OptConfig{Prune: true, LinFold: true, Fuse: true, CSE: true, MultiValue: DefaultPackWidth}
-}
-
-// enabled reports whether any pass would run.
-func (o OptConfig) enabled() bool {
-	return o.Prune || o.LinFold || o.Fuse || o.CSE || o.MultiValue >= 2
-}
+// OptAll switches on the whole pipeline — the configuration behind the
+// "optimized-scheduled" conformance backend and the gate service's opt-in
+// circuit optimization. Set Params for packing.
+func OptAll() OptConfig { return OptConfig{on: true} }
 
 // PassStat records one optimizer pass's measured effect on the circuit.
 // Rewrites counts the nodes the pass rewrote or folded (its own metric);
@@ -117,47 +79,53 @@ func pbsCost(c *Circuit) int {
 	return cost
 }
 
-// Optimize runs the enabled passes over the circuit and returns the
-// rewritten circuit (the input is never modified; with no passes enabled
-// it is returned as-is) plus per-pass statistics. The optimized circuit
+// Optimize runs the pipeline over the circuit and returns the rewritten
+// circuit (the input is never modified; with the pipeline off it is
+// returned as-is) plus per-pass statistics. The optimized circuit
 // consumes the same inputs and produces outputs that decode identically
 // to the original on well-typed circuits; Compile records the stats so
-// plan summaries show what each pass banked.
+// plan summaries show what each pass banked. Under opt.Params, a circuit
+// the one noise rule admits stays admitted: a pass whose rewrite the
+// rule refuses is dropped. Only CSE can raise a load — merging duplicate
+// bootstraps that one sum reads turns independent noise into a repeated
+// term (Lin(g₁, g₂) carries 2·L, Lin(g, g) 4·L).
 func Optimize(c *Circuit, opt OptConfig) (*Circuit, []PassStat, error) {
 	if c == nil {
 		return nil, nil, fmt.Errorf("sched: Optimize on a nil circuit")
 	}
+	if !opt.on {
+		return c, nil, nil
+	}
+	admitted := func(c *Circuit) bool { return noise.Check(opt.Params, c.budget()...) == nil }
+	mustAdmit := opt.Params.N > 0 && admitted(c)
 	cur := c
 	var stats []PassStat
-	idx := make(map[string]int)
-	run := func(name string, on bool, f func(*Circuit) (*Circuit, int)) {
-		if !on {
-			return
-		}
+	run := func(name string, f func(*Circuit) (*Circuit, int)) {
 		nodesBefore, pbsBefore := len(cur.nodes), pbsCost(cur)
 		next, rewrites := f(cur)
+		if next != cur && mustAdmit && !admitted(next) {
+			return
+		}
 		nr, pr := nodesBefore-len(next.nodes), pbsBefore-pbsCost(next)
 		cur = next
 		if rewrites == 0 && nr == 0 && pr == 0 {
 			return
 		}
-		if j, ok := idx[name]; ok {
-			stats[j].Rewrites += rewrites
-			stats[j].NodesRemoved += nr
-			stats[j].PBSRemoved += pr
+		j := slices.IndexFunc(stats, func(p PassStat) bool { return p.Name == name })
+		if j < 0 {
+			stats = append(stats, PassStat{Name: name, Rewrites: rewrites, NodesRemoved: nr, PBSRemoved: pr})
 			return
 		}
-		idx[name] = len(stats)
-		stats = append(stats, PassStat{Name: name, Rewrites: rewrites, NodesRemoved: nr, PBSRemoved: pr})
+		stats[j].Rewrites += rewrites
+		stats[j].NodesRemoved += nr
+		stats[j].PBSRemoved += pr
 	}
-	run("prune", opt.Prune, passPrune)
-	run("linfold", opt.LinFold, passLinFold)
-	run("fuse", opt.Fuse, passFuse)
-	run("cse", opt.CSE, passCSE)
-	run("prune", opt.Prune, passPrune)
-	run("mvpack", opt.MultiValue >= 2, func(c *Circuit) (*Circuit, int) {
-		return passMultiValue(c, opt.MultiValue, opt.MultiValueBudget, opt.Params)
-	})
+	run("prune", passPrune)
+	run("linfold", passLinFold)
+	run("fuse", passFuse)
+	run("cse", passCSE)
+	run("prune", passPrune)
+	run("mvpack", func(c *Circuit) (*Circuit, int) { return passMultiValue(c, opt.Params) })
 	return cur, stats, nil
 }
 

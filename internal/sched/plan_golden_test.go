@@ -194,7 +194,7 @@ func TestNNOptimized(t *testing.T) {
 	cts := encryptNN(rng, sk, in)
 
 	opt := sched.OptAll()
-	opt.MultiValueBudget = tfhe.ParamsTest.N
+	opt.Params = tfhe.ParamsTest
 	sch, err := sched.Compile(c, sched.Config{Opt: opt})
 	if err != nil {
 		t.Fatal(err)
@@ -226,9 +226,17 @@ func TestNNOptimized(t *testing.T) {
 
 // TestGoldenPlans pins Schedule.Describe for the benchmark circuits,
 // before and after optimization, against committed fixtures. The
-// optimized plans double as a regression floor on what the pipeline
-// achieves: if a pass stops firing, the pass table and PBS counts move.
+// optimized plans are compiled for a named parameter set, as every
+// production caller compiles them, and double as a regression floor on
+// what the pipeline achieves: if a pass stops firing, the pass table and
+// PBS counts move. mul3 at set I packs its fresh-input pairs, the
+// widest groups the noise rule admits there (the mvpack row).
 func TestGoldenPlans(t *testing.T) {
+	optimized := func(p tfhe.Params) sched.Config {
+		opt := sched.OptAll()
+		opt.Params = p
+		return sched.Config{Opt: opt}
+	}
 	cases := []struct {
 		name  string
 		build func(*testing.T) *sched.Circuit
@@ -236,9 +244,9 @@ func TestGoldenPlans(t *testing.T) {
 	}{
 		{"adder4_naive", adderCircuit4, sched.Config{}},
 		{"mul3_naive", mulCircuit3, sched.Config{}},
-		{"mul3_optimized", mulCircuit3, sched.Config{Opt: sched.OptAll()}},
+		{"mul3_optimized", mulCircuit3, optimized(tfhe.ParamsI)},
 		{"nn_naive", nnCircuit, sched.Config{}},
-		{"nn_optimized", nnCircuit, sched.Config{Opt: sched.OptAll()}},
+		{"nn_optimized", nnCircuit, optimized(tfhe.ParamsTest)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -256,7 +256,7 @@ func TestCompletionOrderDoesNotMatter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, opt := range []OptConfig{{}, OptAll()} {
+		for _, opt := range []OptConfig{{}, optTest()} {
 			sch, err := Compile(tc.circ, Config{Opt: opt})
 			if err != nil {
 				t.Fatal(err)
@@ -270,12 +270,12 @@ func TestCompletionOrderDoesNotMatter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			label := fmt.Sprintf("trial %d optimized=%v", trial, opt.enabled())
+			label := fmt.Sprintf("trial %d optimized=%v", trial, opt.on)
 			for i := range want {
 				if !sameCT(got[i], want[i]) {
 					t.Errorf("%s: output %d differs between the delayed and the undelayed run", label, i)
 				}
-				if !opt.enabled() && !sameCT(got[i], seq[i]) {
+				if !opt.on && !sameCT(got[i], seq[i]) {
 					t.Errorf("%s: output %d differs from RunSequential", label, i)
 				}
 			}

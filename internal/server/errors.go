@@ -70,9 +70,10 @@ type APIError struct {
 	RetryAfter time.Duration
 }
 
-// Error implements error.
+// Error implements error: the message, which names its source (the
+// service's own messages start "server: "), then the status and code.
 func (e *APIError) Error() string {
-	return fmt.Sprintf("server: %s (HTTP %d, code %s)", e.Message, e.Status, e.Code)
+	return fmt.Sprintf("%s (HTTP %d, code %s)", e.Message, e.Status, e.Code)
 }
 
 // Temporary reports whether the failure is transient — the server asked

@@ -189,9 +189,12 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("oversized batch: status %d, want 413", resp.StatusCode)
 	}
 
-	// Client-side error surfacing carries the server's message.
+	// Client-side error surfacing carries the server's message, named
+	// once, with its status and code.
 	if _, err := cl.GateBatch(engine.NAND, big, big); err == nil || !strings.Contains(err.Error(), "batch size limit") {
 		t.Errorf("client error = %v, want batch size limit message", err)
+	} else if msg := err.Error(); strings.Count(msg, "server:") != 1 || !strings.Contains(msg, "HTTP 413") || !strings.Contains(msg, "code "+CodeTooLarge) {
+		t.Errorf("client error = %q, want server: once, HTTP 413 and code %s", msg, CodeTooLarge)
 	}
 
 	// Method/path mismatches.

@@ -128,6 +128,9 @@ func TestEvalMultiLUTSingleTableBitwiseEqualsEvalLUT(t *testing.T) {
 // multi-value PBS: for every message in the space and every packed output
 // index, the multi-value result decodes to exactly what an independent
 // EvalLUT of that table decodes to (and to the plaintext table value).
+// The cases keep space·k ≤ 16, shapes the one noise rule admits at the
+// test set; it refuses four space-8 tables there (noise.TestCheck), which
+// decode wrong about once in 40 groups.
 func TestEvalMultiLUTDecodesLikeIndependentLUTs(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	ev := NewEvaluator(testEK)
@@ -136,7 +139,7 @@ func TestEvalMultiLUTDecodesLikeIndependentLUTs(t *testing.T) {
 		space int
 		k     int
 	}{
-		{4, 2}, {4, 4}, {8, 2}, {8, 4}, {2, 3},
+		{4, 2}, {4, 4}, {8, 2}, {2, 3},
 	} {
 		fs := make([]func(int) int, tc.k)
 		for i := range fs {
