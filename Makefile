@@ -26,8 +26,9 @@ test:
 # strixbench's two multi-bit self-checks at parameter set I, where the
 # ROADMAP tracks their correctness: each exits 0 only when its circuit
 # decodes right or the one noise rule refuses it (printing the node, σ and
-# predicted failure), and non-zero on a wrong decode. A refusal comes
-# before any PBS, so this costs two key generations.
+# predicted failure), and non-zero on a wrong decode. The multiply runs
+# at the radix the rule admits at set I (base 2, intops.For) and decodes;
+# the inference's refusal comes before any PBS. A few seconds each.
 selfcheck:
 	$(GO) run ./cmd/strixbench -circuit 3 -set I
 	$(GO) run ./cmd/strixbench -infer 1 -clients 1 -set I
@@ -181,7 +182,10 @@ no-retired-gate:
 # README or docs/ name the gate service's group commit (its engine lock,
 # its result type, its merge bound and that bound's flag), which merged
 # requests a second time above the worker pool's tiles, so that a second
-# merge layer does not come back.
+# merge layer does not come back. Nor may any Go source name the engine's
+# noise-checked lookup twins or the integer circuits' fixed digit base and
+# message space: the engine runs what it is given, and the digit shape is
+# the one noise rule's choice (intops.For).
 no-retired-ops:
 	@! git grep -nE 'BatchGates|(^|[^k])StreamGates|BatchEvalLUT|StreamLUT\(|BatchMultiLUT|StreamMultiLUT|BatchBootstrap|StreamBootstrap|BatchKeySwitch|EvalCircuit|engine\.New\(|engine\.Config([^A-Za-z0-9_]|$$)|DefaultMinStream|BlindRotateBatch|BlindRotateSteps|Runner\{Batch' -- '*.go' ':!benchmark' ':!internal/engine/engine.go'
 	@! git grep -nE 'GGSWFourier\{''Rows|ForwardTorus''BatchTo|ForwardInt''BatchTo|Inverse''BatchTo|mulAcc''Fast|mulAcc''AVX2|fft\.Mul''\(' -- '*.go'
@@ -192,6 +196,7 @@ no-retired-ops:
 	@! git grep -nE 'intops\.New''\(|New''Scheduled|New''Optimized|Decode''EvalKey' -- '*.go'
 	@! git grep -nE 'exec''Mu|[Mm]ax''Coalesce|max-''coalesce|group''Result' -- '*.go' README.md docs benchmark/README.md
 	@! git grep -nE 'MultiValue''Budget|DefaultPack''Width|OptConfig\{''[[:space:]]*(Prune|LinFold|Fuse|CSE|MultiValue)' -- '*.go' README.md docs
+	@! git grep -nE 'Admitted''(Multi)?LUT|Check''LUT|(^|[^A-Za-z0-9_])op''Space|intops\.''Base' -- '*.go'
 
 # No fused multiply-add in any assembly file: it rounds once where the
 # reference kernels round twice, and fast == ref is bitwise. Nor in what the

@@ -1,13 +1,13 @@
 // Command strixbench regenerates the tables and figures of the Strix paper
 // (MICRO 2023) from the models in this repository, and runs the two
 // multi-bit scenarios whose set-I correctness the ROADMAP tracks: a
-// scheduled multi-digit multiply and encrypted inference over the gate
-// service. Each either decodes right or is refused by the one noise rule
-// (noise.Check) before any PBS, printing the refused node, σ and
-// predicted failure and exiting 0; a wrong decode exits 1 (`make
+// scheduled multi-digit multiply at the radix the one noise rule admits
+// (intops.For), which must decode right, and encrypted inference over
+// the gate service, which decodes right or is refused by the rule
+// (noise.Check) before any PBS, printing the node, σ and predicted
+// failure, exit 0. A wrong decode or any other refusal exits 1 (`make
 // selfcheck` runs both at set I). Engine, scheduler, service and router
-// throughput are measured by the benchmark ledger (benchmark/, `make
-// bench`), not here.
+// throughput are measured by the benchmark ledger (benchmark/, `make bench`).
 //
 // Usage:
 //
@@ -27,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"net"
 	"os"
@@ -198,13 +199,16 @@ func runCircuit(set string, digits, workers int) error {
 	if err != nil {
 		return err
 	}
-	// 15 radix-4 digits is already a 2^30 value range; beyond that
-	// MaxValue overflows int anyway.
-	if digits < 1 || digits > 15 {
-		return fmt.Errorf("-circuit digit count must be in [1,15], got %d", digits)
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+	}
+	radix, err := intops.For(p)
+	if err != nil {
+		return err
+	}
+	// At most 30 value bits, so that a product fits an int64.
+	if maxDigits := 30 / bits.Len(uint(radix.Base()-1)); digits < 1 || digits > maxDigits {
+		return fmt.Errorf("-circuit digit count must be in [1,%d] at radix %d, got %d", maxDigits, radix.Base(), digits)
 	}
 
 	fmt.Printf("circuit mode: set %s, %d-digit multiply, %d workers\n", p.Name, digits, workers)
@@ -214,13 +218,13 @@ func runCircuit(set string, digits, workers int) error {
 	sk, ek := tfhe.GenerateKeys(rng, p)
 	fmt.Printf("done (%.2fs)\n", time.Since(start).Seconds())
 
-	vx := rng.Intn(intops.MaxValue(digits) + 1)
-	vy := rng.Intn(intops.MaxValue(digits) + 1)
-	x, err := intops.Encrypt(rng, sk, vx, digits)
+	vx := rng.Intn(radix.MaxValue(digits) + 1)
+	vy := rng.Intn(radix.MaxValue(digits) + 1)
+	x, err := radix.Encrypt(rng, sk, vx, digits)
 	if err != nil {
 		return err
 	}
-	y, err := intops.Encrypt(rng, sk, vy, digits)
+	y, err := radix.Encrypt(rng, sk, vy, digits)
 	if err != nil {
 		return err
 	}
@@ -228,7 +232,7 @@ func runCircuit(set string, digits, workers int) error {
 	inputs = append(inputs, x.Digits...)
 	inputs = append(inputs, y.Digits...)
 
-	circ, err := intops.MulCircuit(digits)
+	circ, err := radix.MulCircuit(digits)
 	if err != nil {
 		return err
 	}
@@ -237,18 +241,12 @@ func runCircuit(set string, digits, workers int) error {
 		return err
 	}
 	st := schedule.Stats()
-	fmt.Printf("plan     : %s\n", schedule)
+	fmt.Printf("plan     : base %d, space %d; %s\n", radix.Base(), radix.Space(), schedule)
 
 	// Sequential reference: one evaluator, one PBS at a time, same DAG.
-	// The first run warms the twiddles, or is the one noise rule's
-	// refusal, which comes before any PBS.
+	// The first run warms the twiddles.
 	ev := tfhe.NewEvaluator(ek)
-	_, err = sched.RunSequential(circ, ev, inputs)
-	if refused(err) {
-		fmt.Printf("refused  : %v\n", err)
-		return nil
-	}
-	if err != nil {
+	if _, err := sched.RunSequential(circ, ev, inputs); err != nil {
 		return err
 	}
 	start = time.Now()
@@ -282,12 +280,12 @@ func runCircuit(set string, digits, workers int) error {
 			return fmt.Errorf("scheduled output %d differs from sequential", i)
 		}
 	}
-	want := (vx * vy) % (intops.MaxValue(digits) + 1)
-	if got := intops.Decrypt(sk, intops.Int{Digits: schedOut}); got != want {
+	want := (vx * vy) % (radix.MaxValue(digits) + 1)
+	if got := radix.Decrypt(sk, intops.Int{Digits: schedOut}); got != want {
 		return fmt.Errorf("decrypted product %d, want %d (%d*%d)", got, want, vx, vy)
 	}
 	fmt.Printf("verified  : %d * %d = %d mod %d, bitwise identical to sequential\n",
-		vx, vy, want, intops.MaxValue(digits)+1)
+		vx, vy, want, radix.MaxValue(digits)+1)
 
 	// Optimized: the same DAG through the full optimizer pass pipeline
 	// (fewer rotations, same decoded product — not bitwise).
@@ -311,7 +309,7 @@ func runCircuit(set string, digits, workers int) error {
 	fmt.Printf("optimized : %d PBS in %v  (%.2fx the naive schedule, -%d PBS)\n",
 		optStats.TotalPBS, optElapsed.Round(time.Millisecond),
 		schedElapsed.Seconds()/optElapsed.Seconds(), st.TotalPBS-optStats.TotalPBS)
-	if got := intops.Decrypt(sk, intops.Int{Digits: optOut}); got != want {
+	if got := radix.Decrypt(sk, intops.Int{Digits: optOut}); got != want {
 		return fmt.Errorf("optimized product %d, want %d (%d*%d)", got, want, vx, vy)
 	}
 	fmt.Printf("verified  : optimized product decodes to %d\n", want)

@@ -35,12 +35,14 @@ func TestSmoke(t *testing.T) {
 			"verified : all 256 sweep vectors", "plain    :", "optimized:", "inf/s")
 	})
 
-	// At set I the multiply and the inference sweep are refused by the one
-	// noise rule, before any PBS: each self-check prints the refusal with
-	// its predicted failure and exits 0.
-	t.Run("circuit refused at set I", func(t *testing.T) {
+	// At set I the multiply runs at the radix the one noise rule chooses
+	// there, base 2, and both its products decode right; the inference
+	// sweep, whose message space is fixed, is refused before any PBS, with
+	// its predicted failure, and exits 0.
+	t.Run("circuit verified at set I", func(t *testing.T) {
 		out := cmdtest.Run(t, bin, "-circuit", "3", "-set", "I")
-		cmdtest.WantSubstrings(t, out, "refused  : noise: node", "at set I", "predicts failure")
+		cmdtest.WantSubstrings(t, out, "plan     : base 2, space 4;",
+			"bitwise identical to sequential", "verified  : optimized product decodes to")
 	})
 
 	t.Run("infer refused at set I", func(t *testing.T) {

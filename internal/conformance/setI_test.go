@@ -17,10 +17,11 @@ import (
 // every benchmark workload runs at. The cases set I computes run
 // unchanged over a set-I fixture: every gate, the LUTs at spaces 4 and
 // 8, the multi-value lookups up to space8-k3 and the mixed circuit, each
-// bitwise through every backend. The circuits it cannot compute, the
-// 3-digit multiply and the inference sweep, must come back right or
-// refused by the one noise rule with their predicted failure, never
-// decoded wrong.
+// bitwise through every backend. The 3-digit multiply, at the radix the
+// one noise rule chooses for the set, must decode right through every
+// backend. The inference sweep, whose message space is still fixed, must
+// come back right or refused by the rule with its predicted failure,
+// never decoded wrong.
 func TestSetIConform(t *testing.T) {
 	f, err := NewFixture(2026, tfhe.ParamsI)
 	if err != nil {
@@ -33,7 +34,7 @@ func TestSetIConform(t *testing.T) {
 	t.Run("lut", TestLUTConform)
 	t.Run("multilut", TestMultiLUTConform)
 	t.Run("circuit", TestCircuitConform)
-	t.Run("multiply", testMultiplyRightOrRefused)
+	t.Run("multiply", testMultiplyRight)
 	t.Run("infer-sweep", testInferSweepRightOrRefused)
 }
 
@@ -58,32 +59,38 @@ func requireRefusal(t *testing.T, backend string, err error) {
 	}
 }
 
-// testMultiplyRightOrRefused runs the 3-digit multiply through every
-// backend of the current fixture.
-func testMultiplyRightOrRefused(t *testing.T) {
-	const digits, vx, vy = 3, 63, 12
-	circ, err := intops.MulCircuit(digits)
+// testMultiplyRight runs the 3-digit multiply, at the fixture's radix,
+// through every backend of the current fixture: each must decode the
+// product, and a refusal fails the test like a wrong decode.
+func testMultiplyRight(t *testing.T) {
+	const digits = 3
+	r, err := intops.For(fixture.SK.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
+	circ, err := r.MulCircuit(digits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := r.MaxValue(digits) + 1
+	vx, vy := mod-1, 12%mod
 	rng := rand.New(rand.NewSource(108))
-	x, err := intops.Encrypt(rng, fixture.SK, vx, digits)
+	x, err := r.Encrypt(rng, fixture.SK, vx, digits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := intops.Encrypt(rng, fixture.SK, vy, digits)
+	y, err := r.Encrypt(rng, fixture.SK, vy, digits)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inputs := append(append([]tfhe.LWECiphertext{}, x.Digits...), y.Digits...)
-	want := vx * vy % (intops.MaxValue(digits) + 1)
+	want := vx * vy % mod
 	for _, be := range fixture.Backends() {
 		got, err := be.Circuit(circ, inputs)
 		if err != nil {
-			requireRefusal(t, be.Name(), err)
-			continue
+			t.Fatalf("%s: %v", be.Name(), err)
 		}
-		if dec := intops.Decrypt(fixture.SK, intops.Int{Digits: got}); dec != want {
+		if dec := r.Decrypt(fixture.SK, intops.Int{Digits: got}); dec != want {
 			t.Fatalf("%s: product decodes to %d, want %d", be.Name(), dec, want)
 		}
 	}

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"repro/internal/noise"
 	"repro/internal/tfhe"
 )
 
@@ -129,55 +128,32 @@ func (s *StreamingEngine) Gates(ops []GateOp, a, b []tfhe.LWECiphertext) ([]tfhe
 // Params returns the parameter set of the engine's keys.
 func (s *StreamingEngine) Params() tfhe.Params { return s.keys.Params }
 
-// CheckLUT applies the one noise rule (noise.Check) to a k-table lookup
-// over message space space, as LUT and MultiLUT do before they run. An
-// engine op cannot see where its inputs come from, so it assumes what a
-// caller that encrypts them does: a fresh input. A circuit checks the
-// loads its wires really carry before it dispatches (sched.Execute).
-func (s *StreamingEngine) CheckLUT(space, k int) error {
-	return noise.Check(s.keys.Params, noise.PBS{Node: -1, In: noise.FreshLoad, Space: space, K: k})
-}
-
 // LUT applies the lookup table f (on {0..space-1}) to every ciphertext:
 // the table is encoded once and shared by the whole batch, and each item
 // is shift → PBS → keyswitch, the full §IV-C pipeline. Dimension-n outputs
-// return in input order. A lookup the parameter set cannot compute on a
-// fresh input (CheckLUT) is an error.
+// return in input order. A space the test vector cannot hold is an error;
+// like every engine op, it applies no noise rule, as its callers do.
 func (s *StreamingEngine) LUT(cts []tfhe.LWECiphertext, space int, f func(int) int) ([]tfhe.LWECiphertext, error) {
-	if err := s.CheckLUT(space, 1); err != nil {
+	if err := s.keys.Params.ValidateMultiLUT(space, 1); err != nil {
 		return nil, err
 	}
-	return s.AdmittedLUT(cts, space, f), nil
-}
-
-// AdmittedLUT is LUT for a caller that has already applied the one noise
-// rule to the loads its inputs carry (sched.Runner, whose dispatches come
-// from a checked schedule or a checked service request): it runs without
-// checking again. A space the test vector cannot hold panics.
-func (s *StreamingEngine) AdmittedLUT(cts []tfhe.LWECiphertext, space int, f func(int) int) []tfhe.LWECiphertext {
 	s.checkDims("LUT", cts)
 	return s.runOne(op{n: len(cts), testVec: s.encoder().LUTTestVector(space, f), keyswitch: true,
 		prepare: func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
 			return ev.ShiftForLUT(cts[i], space), false
-		}})
+		}}), nil
 }
 
 // MultiLUT applies k lookup tables to every ciphertext with one blind
 // rotation per item: the packed test vector is encoded once and shared by
 // the whole batch, and each rotated accumulator fans out into k sample
 // extractions and keyswitches. out[i][j] is table j applied to cts[i], at
-// dimension n. Like LUT, it refuses what CheckLUT refuses.
+// dimension n. Tables that do not fit the test vector are an error.
 func (s *StreamingEngine) MultiLUT(cts []tfhe.LWECiphertext, space int, fs []func(int) int) ([][]tfhe.LWECiphertext, error) {
-	if err := s.CheckLUT(space, len(fs)); err != nil {
+	k := len(fs)
+	if err := s.keys.Params.ValidateMultiLUT(space, k); err != nil {
 		return nil, err
 	}
-	return s.AdmittedMultiLUT(cts, space, fs), nil
-}
-
-// AdmittedMultiLUT is MultiLUT without the check, as AdmittedLUT is LUT:
-// tables that do not fit the packed test vector (space·k > N) panic.
-func (s *StreamingEngine) AdmittedMultiLUT(cts []tfhe.LWECiphertext, space int, fs []func(int) int) [][]tfhe.LWECiphertext {
-	k := len(fs)
 	s.checkDims("MultiLUT", cts)
 	offsets := s.keys.Params.MultiLUTOffsets(space, k)
 	flat := s.exec(op{n: len(cts), k: k, testVec: s.encoder().NewMultiLUTTestVector(space, fs), keyswitch: true,
@@ -191,7 +167,7 @@ func (s *StreamingEngine) AdmittedMultiLUT(cts []tfhe.LWECiphertext, space int, 
 	for i := range out {
 		out[i] = flat[i*k : (i+1)*k : (i+1)*k]
 	}
-	return out
+	return out, nil
 }
 
 // Bootstrap runs the raw programmable bootstrap (Algorithm 1) on every

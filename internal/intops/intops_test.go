@@ -1,10 +1,12 @@
 package intops
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/noise"
 	"repro/internal/sched"
 	"repro/internal/tfhe"
 )
@@ -12,6 +14,8 @@ import (
 var (
 	testSK tfhe.SecretKeys
 	testEK tfhe.EvaluationKeys
+	// radix is the test set's: base 4 over space 16.
+	radix = Radix{4}
 )
 
 func init() {
@@ -23,21 +27,65 @@ func init() {
 // digits then y's, outputs the sum's digits.
 func addCircuit(t *testing.T, n int) *sched.Circuit {
 	t.Helper()
-	c, err := binaryCircuit(n, BuildAdd)
+	c, err := binaryCircuit(n, radix.BuildAdd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
-// mulCircuit is MulCircuit(n), failing the test on error.
-func mulCircuit(t *testing.T, n int) *sched.Circuit {
+// mulCircuit is r.MulCircuit(n), failing the test on error.
+func mulCircuit(t *testing.T, r Radix, n int) *sched.Circuit {
 	t.Helper()
-	c, err := MulCircuit(n)
+	c, err := r.MulCircuit(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestForChoosesFromTheRule pins the radix the one noise rule chooses at
+// every parameter set, without keys: base 4 over space 16 where the rule
+// admits its worst digit lookup, else base 2 over space 4. Every multiply
+// up to 4 digits at the chosen radix passes the rule, and the next larger
+// base does not.
+func TestForChoosesFromTheRule(t *testing.T) {
+	for b, space := range map[int]int{2: 4, 3: 16, 4: 16} {
+		if got := (Radix{b}).Space(); got != space {
+			t.Errorf("radix %d: space %d, want %d", b, got, space)
+		}
+	}
+	for _, tc := range []struct {
+		p           tfhe.Params
+		base, space int
+	}{
+		{tfhe.ParamsTest, 4, 16},
+		{tfhe.ParamsI, 2, 4},
+		{tfhe.ParamsII, 2, 4},
+		{tfhe.ParamsIII, 2, 4},
+		{tfhe.ParamsIV, 4, 16},
+	} {
+		r, err := For(tc.p)
+		if err != nil || r.Base() != tc.base || r.Space() != tc.space {
+			t.Errorf("For(set %s) = base %d, space %d, %v; want base %d, space %d",
+				tc.p.Name, r.Base(), r.Space(), err, tc.base, tc.space)
+			continue
+		}
+		for n := 1; n <= 4; n++ {
+			if err := r.check(n, tc.p); err != nil {
+				t.Errorf("set %s: %d-digit multiply at base %d: %v", tc.p.Name, n, r.Base(), err)
+			}
+		}
+		if r.Base() < 4 {
+			var budget *noise.BudgetError
+			if err := (Radix{r.Base() + 1}).check(3, tc.p); !errors.As(err, &budget) {
+				t.Errorf("set %s: base %d: %v, want a noise refusal", tc.p.Name, r.Base()+1, err)
+			}
+		}
+	}
+	if _, err := For(tfhe.Params{}); err == nil {
+		t.Error("For admitted a radix under the zero Params")
+	}
 }
 
 // newRunner returns a scheduled runner over a fresh streaming engine
@@ -66,11 +114,11 @@ func runSched(r *sched.Runner, cfg sched.Config, c *sched.Circuit, x, y Int) (In
 func TestEncryptDecryptRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, v := range []int{0, 1, 7, 42, 63} {
-		x, err := Encrypt(rng, testSK, v, 3) // 3 digits: 0..63
+		x, err := radix.Encrypt(rng, testSK, v, 3) // 3 digits: 0..63
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := Decrypt(testSK, x); got != v {
+		if got := radix.Decrypt(testSK, x); got != v {
 			t.Errorf("roundtrip(%d) = %d", v, got)
 		}
 	}
@@ -78,17 +126,17 @@ func TestEncryptDecryptRoundtrip(t *testing.T) {
 
 func TestEncryptRangeCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	if _, err := Encrypt(rng, testSK, 64, 3); err == nil {
+	if _, err := radix.Encrypt(rng, testSK, 64, 3); err == nil {
 		t.Error("64 does not fit 3 radix-4 digits")
 	}
-	if _, err := Encrypt(rng, testSK, -1, 3); err == nil {
+	if _, err := radix.Encrypt(rng, testSK, -1, 3); err == nil {
 		t.Error("negative should error")
 	}
 }
 
 func TestMaxValue(t *testing.T) {
-	if MaxValue(3) != 63 || MaxValue(1) != 3 {
-		t.Errorf("MaxValue wrong: %d, %d", MaxValue(3), MaxValue(1))
+	if radix.MaxValue(3) != 63 || radix.MaxValue(1) != 3 {
+		t.Errorf("MaxValue wrong: %d, %d", radix.MaxValue(3), radix.MaxValue(1))
 	}
 }
 
@@ -98,14 +146,14 @@ func TestAddWithCarryChain(t *testing.T) {
 	add := addCircuit(t, 3)
 	cases := [][2]int{{5, 7}, {0, 0}, {63, 1}, {21, 42}, {33, 31}}
 	for _, c := range cases {
-		x, _ := Encrypt(rng, testSK, c[0], 3)
-		y, _ := Encrypt(rng, testSK, c[1], 3)
+		x, _ := radix.Encrypt(rng, testSK, c[0], 3)
+		y, _ := radix.Encrypt(rng, testSK, c[1], 3)
 		sum, err := runSeq(ev, add, x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := (c[0] + c[1]) % 64
-		if got := Decrypt(testSK, sum); got != want {
+		if got := radix.Decrypt(testSK, sum); got != want {
 			t.Errorf("%d+%d = %d, want %d", c[0], c[1], got, want)
 		}
 	}
@@ -115,8 +163,8 @@ func TestAddWithCarryChain(t *testing.T) {
 // built for either width, and both runners refuse the input count.
 func TestAddDigitMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	x, _ := Encrypt(rng, testSK, 1, 2)
-	y, _ := Encrypt(rng, testSK, 1, 3)
+	x, _ := radix.Encrypt(rng, testSK, 1, 2)
+	y, _ := radix.Encrypt(rng, testSK, 1, 3)
 	add := addCircuit(t, x.NumDigits())
 	if _, err := runSeq(tfhe.NewEvaluator(testEK), add, x, y); err == nil {
 		t.Error("sequential: digit mismatch should error")
@@ -126,26 +174,31 @@ func TestAddDigitMismatch(t *testing.T) {
 	}
 }
 
+// TestMul multiplies at the test set's radix and at base 2, whose
+// multiply builds no high partial products.
 func TestMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	ev := tfhe.NewEvaluator(testEK)
-	mul := mulCircuit(t, 3)
-	cases := [][2]int{{0, 0}, {1, 7}, {5, 9}, {11, 13}, {63, 63}, {63, 1}, {8, 8}}
-	for _, c := range cases {
-		x, _ := Encrypt(rng, testSK, c[0], 3)
-		y, _ := Encrypt(rng, testSK, c[1], 3)
-		prod, err := runSeq(ev, mul, x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := (c[0] * c[1]) % 64
-		if got := Decrypt(testSK, prod); got != want {
-			t.Errorf("%d*%d = %d, want %d", c[0], c[1], got, want)
+	for _, r := range []Radix{radix, Radix{2}} {
+		mul := mulCircuit(t, r, 3)
+		mod := r.MaxValue(3) + 1
+		cases := [][2]int{{0, 0}, {1, 7}, {5, 9}, {11, 13}, {63, 63}, {63, 1}, {8, 8}}
+		for _, c := range cases {
+			x, _ := r.Encrypt(rng, testSK, c[0]%mod, 3)
+			y, _ := r.Encrypt(rng, testSK, c[1]%mod, 3)
+			prod, err := runSeq(ev, mul, x, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := (c[0] % mod) * (c[1] % mod) % mod
+			if got := r.Decrypt(testSK, prod); got != want {
+				t.Errorf("base %d: %d*%d = %d, want %d", r.Base(), c[0]%mod, c[1]%mod, got, want)
+			}
 		}
 	}
-	x, _ := Encrypt(rng, testSK, 1, 2)
-	y, _ := Encrypt(rng, testSK, 1, 3)
-	if _, err := runSeq(ev, mulCircuit(t, 2), x, y); err == nil {
+	x, _ := radix.Encrypt(rng, testSK, 1, 2)
+	y, _ := radix.Encrypt(rng, testSK, 1, 3)
+	if _, err := runSeq(ev, mulCircuit(t, radix, 2), x, y); err == nil {
 		t.Error("digit mismatch should error")
 	}
 }
@@ -154,8 +207,8 @@ func TestPBSCountPerAdd(t *testing.T) {
 	// 3-digit add: 2 PBS for digits 0,1 (carry+digit) + 1 for digit 2.
 	rng := rand.New(rand.NewSource(9))
 	ev := tfhe.NewEvaluator(testEK)
-	x, _ := Encrypt(rng, testSK, 5, 3)
-	y, _ := Encrypt(rng, testSK, 6, 3)
+	x, _ := radix.Encrypt(rng, testSK, 5, 3)
+	y, _ := radix.Encrypt(rng, testSK, 6, 3)
 	before := ev.Counters.PBSCount
 	if _, err := runSeq(ev, addCircuit(t, 3), x, y); err != nil {
 		t.Fatal(err)
@@ -199,13 +252,13 @@ func TestScheduledEquivalence(t *testing.T) {
 		want func(x, y int) int
 	}{
 		{"Add", addCircuit(t, 3), func(x, y int) int { return (x + y) % 64 }},
-		{"Mul", mulCircuit(t, 3), func(x, y int) int { return (x * y) % 64 }},
+		{"Mul", mulCircuit(t, radix, 3), func(x, y int) int { return (x * y) % 64 }},
 	}
 
 	vals := [][2]int{{13, 42}, {0, 63}, {63, 63}, {7, 7}}
 	for _, v := range vals {
-		x, _ := Encrypt(rng, testSK, v[0], 3)
-		y, _ := Encrypt(rng, testSK, v[1], 3)
+		x, _ := radix.Encrypt(rng, testSK, v[0], 3)
+		y, _ := radix.Encrypt(rng, testSK, v[1], 3)
 		for _, op := range circuits {
 			s, err1 := runSeq(seq, op.c, x, y)
 			p, err2 := runSched(par, sched.Config{}, op.c, x, y)
@@ -215,7 +268,7 @@ func TestScheduledEquivalence(t *testing.T) {
 			if !sameInt(s, p) {
 				t.Errorf("%s(%d,%d): scheduled differs from sequential", op.name, v[0], v[1])
 			}
-			if got := Decrypt(testSK, p); got != op.want(v[0], v[1]) {
+			if got := radix.Decrypt(testSK, p); got != op.want(v[0], v[1]) {
 				t.Errorf("%s(%d,%d) = %d", op.name, v[0], v[1], got)
 			}
 		}
@@ -226,16 +279,16 @@ func TestScheduledEquivalence(t *testing.T) {
 
 func TestZeroDigitInts(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	x, err := Encrypt(rng, testSK, 0, 0)
+	x, err := radix.Encrypt(rng, testSK, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Decrypt(testSK, x); got != 0 {
+	if got := radix.Decrypt(testSK, x); got != 0 {
 		t.Errorf("zero-digit decrypt = %d", got)
 	}
 	seq := tfhe.NewEvaluator(testEK)
 	par := newRunner()
-	for name, c := range map[string]*sched.Circuit{"add": addCircuit(t, 0), "mul": mulCircuit(t, 0)} {
+	for name, c := range map[string]*sched.Circuit{"add": addCircuit(t, 0), "mul": mulCircuit(t, radix, 0)} {
 		out, err := runSeq(seq, c, x, x)
 		if err != nil || out.NumDigits() != 0 {
 			t.Errorf("seq: zero-digit %s: %v, %d digits", name, err, out.NumDigits())
@@ -255,8 +308,8 @@ func TestMaxValueCarryOverflow(t *testing.T) {
 	// 63+63 wraps to 62; 63+1 wraps to 0 — the longest carry chains.
 	cases := [][3]int{{63, 63, 62}, {63, 1, 0}, {62, 1, 63}, {48, 16, 0}}
 	for _, c := range cases {
-		x, _ := Encrypt(rng, testSK, c[0], 3)
-		y, _ := Encrypt(rng, testSK, c[1], 3)
+		x, _ := radix.Encrypt(rng, testSK, c[0], 3)
+		y, _ := radix.Encrypt(rng, testSK, c[1], 3)
 		s, err := runSeq(seq, add, x, y)
 		if err != nil {
 			t.Fatal(err)
@@ -265,7 +318,7 @@ func TestMaxValueCarryOverflow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := Decrypt(testSK, s); got != c[2] {
+		if got := radix.Decrypt(testSK, s); got != c[2] {
 			t.Errorf("seq %d+%d = %d, want %d", c[0], c[1], got, c[2])
 		}
 		if !sameInt(s, p) {
@@ -278,7 +331,7 @@ func TestMaxValueCarryOverflow(t *testing.T) {
 // products form one wide first level (2·n²−n LUT nodes minus the
 // truncated highs), and the plan PBS total matches what actually runs.
 func TestMulSchedulePlan(t *testing.T) {
-	circ := mulCircuit(t, 3)
+	circ := mulCircuit(t, radix, 3)
 	sch, err := sched.Compile(circ, sched.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -291,8 +344,8 @@ func TestMulSchedulePlan(t *testing.T) {
 	r := newRunner()
 	r.Stream.ResetCounters()
 	rng := rand.New(rand.NewSource(53))
-	x, _ := Encrypt(rng, testSK, 10, 3)
-	y, _ := Encrypt(rng, testSK, 9, 3)
+	x, _ := radix.Encrypt(rng, testSK, 10, 3)
+	y, _ := radix.Encrypt(rng, testSK, 9, 3)
 	if _, err := runSched(r, sched.Config{}, circ, x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -311,22 +364,22 @@ func TestOptimizedEvaluator(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	r := newRunner()
 	cfg := sched.Config{Opt: sched.OptAll()}
-	add, mul := addCircuit(t, 3), mulCircuit(t, 3)
+	add, mul := addCircuit(t, 3), mulCircuit(t, radix, 3)
 	for _, c := range [][2]int{{0, 0}, {5, 9}, {27, 45}, {63, 63}} {
-		x, _ := Encrypt(rng, testSK, c[0], 3)
-		y, _ := Encrypt(rng, testSK, c[1], 3)
+		x, _ := radix.Encrypt(rng, testSK, c[0], 3)
+		y, _ := radix.Encrypt(rng, testSK, c[1], 3)
 		sum, err := runSched(r, cfg, add, x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := Decrypt(testSK, sum), (c[0]+c[1])%64; got != want {
+		if got, want := radix.Decrypt(testSK, sum), (c[0]+c[1])%64; got != want {
 			t.Errorf("optimized %d+%d = %d, want %d", c[0], c[1], got, want)
 		}
 		prod, err := runSched(r, cfg, mul, x, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := Decrypt(testSK, prod), (c[0]*c[1])%64; got != want {
+		if got, want := radix.Decrypt(testSK, prod), (c[0]*c[1])%64; got != want {
 			t.Errorf("optimized %d*%d = %d, want %d", c[0], c[1], got, want)
 		}
 	}

@@ -12,14 +12,14 @@ import (
 // at every set (set I predicts 3.7·10⁻²¹, set III 5·10⁻⁵), and so do the
 // lookups the conformance suite runs at the test set (the widest, three
 // tables at space 8, predicts 1.3·10⁻³). It refuses four tables at space
-// 8 there (1.6·10⁻²; 74 of 3000 seeded groups decoded wrong) and the
-// integer and inference circuits at set I, whose sums of bootstrapped
-// digits predict 2·10⁻² to 0.4. The model is optimistic where the
-// modulus switch dominates: at the test set three tables at space 8
-// decoded wrong in 14 of 3000 groups (4.7·10⁻³). The threshold stays this
-// loose because a tighter one refuses shapes the conformance suite runs,
-// until the parameter sets' gadgets and the circuits' message spaces are
-// chosen from the budget (ROADMAP items 13 and 1 stage B).
+// 8 there (1.6·10⁻²) and, at set I, radix-4 digit sums and the inference
+// circuit (2·10⁻² to 0.4), so intops computes at radix 2 there. The model
+// is optimistic where the modulus switch dominates: at the test set three
+// tables at space 8 decoded wrong in 14 of 3000 groups (4.7·10⁻³). The
+// threshold stays this loose because a tighter one refuses shapes the
+// conformance suite runs, until the parameter sets' gadgets and the
+// inference's message spaces are chosen from the budget (ROADMAP items 13
+// and 1 stage B).
 const MaxFailure = 1.0 / 512
 
 // PBS is one bootstrap's noise requirement, independent of the parameter

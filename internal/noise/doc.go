@@ -10,10 +10,10 @@
 // lookup; one whose predicted failure probability exceeds MaxFailure
 // (2⁻⁹), or whose tables do not fit the test vector, is refused with a
 // *BudgetError carrying the node, σ and the predicted failure. sched
-// applies it to circuits on the loads their wires carry, and its
-// optimizer packs no multi-value group the rule refuses; the engine's
-// LUT and MultiLUT apply it to a fresh input, the one assumption an
-// operation that cannot see its inputs' history can make.
+// applies it once per circuit, on the loads its wires carry, and packs no
+// group it refuses; the gate service applies it to a lookup request on a
+// fresh input; intops chooses its digit radix by it. The engine runs
+// what its callers admitted.
 //
 // The predictions are validated against Monte-Carlo measurements of the
 // functional library (see noise_test.go: the bootstrapped output σ and

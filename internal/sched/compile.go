@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/noise"
+	"repro/internal/tfhe"
 )
 
 // Config tunes compilation.
@@ -130,6 +131,8 @@ type Schedule struct {
 	// on its first node (Circuit.budget): what Check evaluates under a
 	// parameter set.
 	pbs []noise.PBS
+	// admitted is the Config.Opt.Params Compile admitted, for Execute.
+	admitted tfhe.Params
 }
 
 // Levels returns the levelized dispatches. The slice is shared, not
@@ -219,6 +222,7 @@ func (d Dispatch) Key() string {
 	case DispatchGate:
 		return "g"
 	case DispatchLUT:
+		b.Grow(8 + 4*len(d.Table)) // one allocation: Compile spells every LUT node's key
 		b.WriteString("l:")
 		b.WriteString(strconv.Itoa(d.Space))
 		writeTable(&b, d.Table)
@@ -253,7 +257,21 @@ func writeTable(b *strings.Builder, table []int) {
 // sign test vector), LUTs group by exact table. The schedule carries the
 // optimized circuit: Execute is still called with the source circuit,
 // whose inputs and output order the rewrite preserves.
+// Given cfg.Opt.Params, Compile applies the one noise rule (Check) under
+// it and returns its refusal.
 func Compile(c *Circuit, cfg Config) (*Schedule, error) {
+	s, err := plan(c, cfg)
+	if p := cfg.Opt.Params; err == nil && p.N > 0 {
+		if err = s.Check(p); err != nil {
+			return nil, err
+		}
+		s.admitted = p
+	}
+	return s, err
+}
+
+// plan is Compile without the noise rule.
+func plan(c *Circuit, cfg Config) (*Schedule, error) {
 	exec, passes, err := Optimize(c, cfg.Opt)
 	if err != nil {
 		return nil, err

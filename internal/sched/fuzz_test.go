@@ -41,6 +41,9 @@ func FuzzOptimizePasses(f *testing.F) {
 		// Sum of four identical lookups: CSE would turn it into 4·g, which
 		// set I refuses where it admits the sum of four bootstraps.
 		`{"nodes":[{"kind":"in"},{"kind":"lut","in":0,"space":8,"table":[1,2,3,4,5,6,7,0]},{"kind":"lut","in":0,"space":8,"table":[1,2,3,4,5,6,7,0]},{"kind":"lut","in":0,"space":8,"table":[1,2,3,4,5,6,7,0]},{"kind":"lut","in":0,"space":8,"table":[1,2,3,4,5,6,7,0]},{"kind":"lin","terms":[{"w":1,"c":1},{"w":2,"c":1},{"w":3,"c":1},{"w":4,"c":1}]},{"kind":"lut","in":5,"space":8,"table":[0,1,2,3,4,5,6,7]}],"outputs":[6]}`,
+		// One input into a space-64 lookup: the rule refuses it at the
+		// test set and set I, optimized or not.
+		`{"nodes":[{"kind":"in"},{"kind":"lut","in":0,"space":64,"table":[0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7]}],"outputs":[1]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

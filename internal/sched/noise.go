@@ -46,11 +46,8 @@ func (c *Circuit) budget() []noise.PBS {
 		b := noise.PBS{Node: i}
 		switch {
 		case n.kind == kindGate:
-			b.In = load[n.a].Add(1, load[n.b])
-			if n.a == n.b || flat.nodes[n.a].kind == kindLin || flat.nodes[n.b].kind == kindLin {
-				_, sum := flatten(flat.nodes, 0, []Term{{W: n.a, C: 1}, {W: n.b, C: 1}})
-				b.In = termsLoad(load, sum)
-			}
+			_, sum := flatten(flat.nodes, 0, []Term{{W: n.a, C: 1}, {W: n.b, C: 1}})
+			b.In = termsLoad(load, sum)
 		case n.kind == kindLUT:
 			b.In, b.Space, b.K = load[n.in], n.space, 1
 		case n.kind == kindMultiLUT && n.mvIdx == 0:
@@ -68,9 +65,8 @@ func (c *Circuit) budget() []noise.PBS {
 // Check applies the one noise rule (noise.Check) to every bootstrap of
 // the circuit the schedule runs, under parameter set p: it refuses a
 // circuit p cannot compute before any of it runs, with the first
-// offending node. Execute calls it; a caller that wants the refusal
-// before committing resources (the gate service, before it takes a
-// backpressure token) calls it first.
+// offending node. Compile calls it under Config.Opt.Params, and Execute
+// under its executor's set unless Compile admitted that one.
 func (s *Schedule) Check(p tfhe.Params) error {
 	return noise.Check(p, s.pbs...)
 }

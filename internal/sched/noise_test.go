@@ -65,15 +65,7 @@ func TestBudgetPropagation(t *testing.T) {
 // space-32 lookup on a fresh input has a margin of 1/128, which the test
 // set's modulus switch leaves at 2.4σ.
 func TestCheckRefusesBeforeDispatch(t *testing.T) {
-	b := NewBuilder()
-	x, y := b.Input(), b.Input()
-	g := b.Gate(engine.AND, x, y)
-	lut := b.LUT(b.Lin(0, Term{W: g, C: 1}, Term{W: x, C: 1}), 32, make([]int, 32))
-	b.Output(lut)
-	c, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, lut := wideLUTCircuit(t)
 	s, err := Compile(c, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -102,6 +94,63 @@ func TestCheckRefusesBeforeDispatch(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { _ = s.Check(tfhe.ParamsIV) }); n != 0 {
 		t.Errorf("an admitting Check allocates %v times", n)
+	}
+}
+
+// wideLUTCircuit returns TestCheckRefusesBeforeDispatch's circuit, whose
+// space-32 lookup at node lut the test set refuses and set IV admits.
+func wideLUTCircuit(t *testing.T) (*Circuit, Wire) {
+	t.Helper()
+	b := NewBuilder()
+	x, y := b.Input(), b.Input()
+	g := b.Gate(engine.AND, x, y)
+	lut := b.LUT(b.Lin(0, Term{W: g, C: 1}, Term{W: x, C: 1}), 32, make([]int, 32))
+	b.Output(lut)
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, lut
+}
+
+// setExec is fakeExec computing under parameter set p.
+type setExec struct {
+	fakeExec
+	p tfhe.Params
+}
+
+func (e setExec) Params() tfhe.Params { return e.p }
+
+// TestCompileRecordsTheAdmittingSet: given Config.Opt.Params, Compile
+// applies the one noise rule under that set and records it, and Execute
+// trusts the record for that set alone. A schedule compiled for set IV,
+// which admits it, runs on a set-IV executor and is checked again, and
+// refused, on a test-set one; compiled for the test set, Compile returns
+// the refusal alone. A schedule compiled without a set is checked on any
+// executor, one without a set of its own too, which the rule refuses.
+func TestCompileRecordsTheAdmittingSet(t *testing.T) {
+	c, lut := wideLUTCircuit(t)
+	ex := fakeExec{gate: func(Dispatch) error { return nil }}
+	s, err := Compile(c, Config{Opt: OptConfig{Params: tfhe.ParamsIV}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Execute(c, s, placeholders(2), setExec{ex, tfhe.ParamsIV}); err != nil {
+		t.Errorf("set IV schedule on a set IV executor: %v", err)
+	}
+	var budget *noise.BudgetError
+	if _, err := Execute(c, s, placeholders(2), ex); !errors.As(err, &budget) || budget.Node != int(lut) || budget.Set != "test" {
+		t.Errorf("set IV schedule on a test-set executor: %v, want a noise refusal at node %d", err, lut)
+	}
+	if s, err := Compile(c, Config{Opt: OptConfig{Params: tfhe.ParamsTest}}); !errors.As(err, &budget) || s != nil {
+		t.Errorf("Compile for the test set: %v, %v; want the refusal alone", s, err)
+	}
+	s, err = Compile(c, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Execute(c, s, placeholders(2), setExec{ex, tfhe.Params{}}); err == nil {
+		t.Error("a schedule compiled without a set ran on an executor without one")
 	}
 }
 

@@ -43,8 +43,16 @@ func passLinFold(c *Circuit) (*Circuit, int) {
 // already be flat, is inlined (constant and coefficients scaled by the
 // term's coefficient, with wrapping int32 arithmetic — exactly the
 // composition of MulScalar calls), duplicate wires merge their
-// coefficients in first-appearance order, and zero coefficients drop.
+// coefficients in first-appearance order, and zero coefficients drop. A
+// short list that is already flat comes back as is, without allocating.
 func flatten(nodes []node, k torus.Torus32, terms []Term) (torus.Torus32, []Term) {
+	isFlat := len(terms) <= 8 // a short list is scanned for being flat already
+	for i, t := range terms {
+		isFlat = isFlat && t.C != 0 && nodes[t.W].kind != kindLin && !slices.ContainsFunc(terms[:i], func(u Term) bool { return u.W == t.W })
+	}
+	if isFlat {
+		return k, terms
+	}
 	var order []Wire
 	coeff := make(map[Wire]int32)
 	add := func(w Wire, cf int32) {

@@ -230,8 +230,11 @@ func TestOptimizePassesPreserveDecoding(t *testing.T) {
 }
 
 // requireOptimizedAdmitted asserts, at the test set and at set I, that
-// the one noise rule admits c optimized for the set whenever it admits c.
-// The converse does not hold: prune drops dead lookups the rule refuses.
+// Compile for the set returns exactly the one noise rule's verdict on the
+// optimized plan, and that the rule admits c optimized for the set
+// whenever it admits c. Where the rule refuses c, the optimized plan may
+// be refused too. The converse does not hold: prune drops dead lookups
+// the rule refuses.
 func requireOptimizedAdmitted(t *testing.T, c *Circuit) {
 	t.Helper()
 	naive, err := Compile(c, Config{})
@@ -241,14 +244,16 @@ func requireOptimizedAdmitted(t *testing.T, c *Circuit) {
 	for _, p := range []tfhe.Params{tfhe.ParamsTest, tfhe.ParamsI} {
 		opt := OptAll()
 		opt.Params = p
-		s, err := Compile(c, Config{Opt: opt})
+		s, err := plan(c, Config{Opt: opt})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if naive.Check(p) == nil {
-			if err := s.Check(p); err != nil {
-				t.Fatalf("set %s: the rule admits the circuit but refuses it optimized: %v\n%s", p.Name, err, s.Describe())
-			}
+		verdict := s.Check(p)
+		if _, err := Compile(c, Config{Opt: opt}); fmt.Sprint(err) != fmt.Sprint(verdict) {
+			t.Fatalf("set %s: Compile returned %v, the rule's verdict is %v", p.Name, err, verdict)
+		}
+		if verdict != nil && naive.Check(p) == nil {
+			t.Fatalf("set %s: the rule admits the circuit but refuses it optimized: %v\n%s", p.Name, verdict, s.Describe())
 		}
 	}
 }

@@ -34,11 +34,10 @@ const packWidth = 4
 // set. The zero value runs nothing: Compile then runs the circuit exactly
 // as built.
 type OptConfig struct {
-	// Params is the parameter set the circuit will run under. Packing
-	// builds only groups the one noise rule (noise.Check) admits at the
-	// load their input wire carries, so the rewrite never turns a circuit
-	// the rule admits into one it refuses; without Params (N = 0) nothing
-	// packs. Runner.Run sets it to its engine's parameter set.
+	// Params is the parameter set the circuit will run under, which
+	// Compile checks it against (noise.Check), pipeline on or off. Packing
+	// builds only groups the rule admits at their input's load; without
+	// Params (N = 0) nothing packs. Runner.Run sets its engine's set.
 	Params tfhe.Params
 	on     bool
 }

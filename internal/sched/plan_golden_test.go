@@ -53,15 +53,31 @@ func adderCircuit4(t *testing.T) *sched.Circuit {
 	return c
 }
 
-// mulCircuit3 is the 3-digit radix-4 multiplier — the bench circuit the
-// optimized_vs_naive ratio gate runs.
+// mulCircuit3 is the 3-digit multiplier at the test set's radix, base 4
+// over space 16.
 func mulCircuit3(t *testing.T) *sched.Circuit {
 	t.Helper()
-	c, err := intops.MulCircuit(3)
+	r, err := intops.For(tfhe.ParamsTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := r.MulCircuit(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestCompileAllocs pins what compiling the 3-digit multiply for the
+// test set allocates, the per-request cost of a service circuit: a
+// linear node already flat is not copied to compute its load, and each
+// lookup's dispatch key is one allocation. It measures 87.
+func TestCompileAllocs(t *testing.T) {
+	c := mulCircuit3(t)
+	cfg := sched.Config{Opt: sched.OptConfig{Params: tfhe.ParamsTest}}
+	if n := testing.AllocsPerRun(10, func() { _, _ = sched.Compile(c, cfg) }); n > 90 {
+		t.Errorf("Compile(mul3) allocates %v times, want at most 90", n)
+	}
 }
 
 // The mini deep-NN encoding: activations are small digits in
@@ -230,7 +246,10 @@ func TestNNOptimized(t *testing.T) {
 // production caller compiles them, and double as a regression floor on
 // what the pipeline achieves: if a pass stops firing, the pass table and
 // PBS counts move. mul3 at set I packs its fresh-input pairs, the
-// widest groups the noise rule admits there (the mvpack row).
+// widest groups the noise rule admits there (the mvpack row). The plans
+// are built without the rule (PlanUnchecked): mul3 is the test set's
+// radix-4 multiply, whose digit sums the rule refuses at set I, where
+// the multiply runs at radix 2 (intops.For).
 func TestGoldenPlans(t *testing.T) {
 	optimized := func(p tfhe.Params) sched.Config {
 		opt := sched.OptAll()
@@ -250,7 +269,7 @@ func TestGoldenPlans(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := sched.Compile(tc.build(t), tc.cfg)
+			s, err := sched.PlanUnchecked(tc.build(t), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -81,9 +81,9 @@ func evalLin(n node, vals []tfhe.LWECiphertext, dim int) (tfhe.LWECiphertext, er
 //
 // Before it issues anything, Execute applies the one noise rule
 // (Schedule.Check) under the executor's parameter set, and returns its
-// refusal. Wires resolve against the schedule's (possibly
-// optimizer-rewritten) circuit; c must be the source circuit the schedule
-// was compiled from.
+// refusal, unless Compile admitted the schedule under that very set.
+// Wires resolve against the schedule's (possibly optimizer-rewritten)
+// circuit; c must be the source circuit the schedule was compiled from.
 // Outputs are returned in Output declaration order. Output ciphertexts
 // are fresh except when an output wire is itself an input wire (or, in
 // optimized schedules, when outputs merged into one node). When a
@@ -101,8 +101,10 @@ func Execute(c *Circuit, s *Schedule, inputs []tfhe.LWECiphertext, ex Executor) 
 	if len(inputs) != len(ec.inputs) {
 		return nil, fmt.Errorf("sched: circuit has %d inputs, got %d", len(ec.inputs), len(inputs))
 	}
-	if err := s.Check(ex.Params()); err != nil {
-		return nil, err
+	if p := ex.Params(); s.admitted.N == 0 || s.admitted != p {
+		if err := s.Check(p); err != nil {
+			return nil, err
+		}
 	}
 	r := &run{s: s, c: ec, ex: ex, dim: -1,
 		vals: make([]tfhe.LWECiphertext, len(ec.nodes)),
@@ -467,31 +469,28 @@ func (r *Runner) Gate(d Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWECipherte
 	return d.on(o).Gates(d.Ops, a, b)
 }
 
-// LUT implements Executor over the engine. A dispatch comes from a
-// schedule Execute has checked, or a request the gate service has, so it
-// runs without the engine's own noise check (engine.AdmittedLUT).
+// LUT implements Executor over the engine.
 func (r *Runner) LUT(d Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	o, err := r.ops()
 	if err != nil {
 		return nil, err
 	}
-	return d.on(o).AdmittedLUT(in, d.Space, func(m int) int { return d.Table[m] }), nil
+	return d.on(o).LUT(in, d.Space, func(m int) int { return d.Table[m] })
 }
 
 // MultiLUT implements Executor over the engine: one blind rotation per
-// group input, fanned out into the group's table outputs, unchecked like
-// LUT.
+// group input, fanned out into the group's table outputs.
 func (r *Runner) MultiLUT(d Dispatch, in []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
 	o, err := r.ops()
 	if err != nil {
 		return nil, err
 	}
-	return d.on(o).AdmittedMultiLUT(in, d.Space, tfhe.TableFuncs(d.Tables)), nil
+	return d.on(o).MultiLUT(in, d.Space, tfhe.TableFuncs(d.Tables))
 }
 
 // Run compiles the circuit under cfg and executes it — the one-call path
 // for callers that don't reuse schedules. It compiles for the runner's
-// parameter set: a cfg.Opt without Params packs under it.
+// parameter set when cfg.Opt has no Params.
 func (r *Runner) Run(c *Circuit, cfg Config, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	if cfg.Opt.Params.N == 0 {
 		cfg.Opt.Params = r.Params()

@@ -231,15 +231,15 @@ func TestHTTPCircuitBatch(t *testing.T) {
 
 	const digits = 3
 	b := sched.NewBuilder()
-	b.Output(intops.BuildAdd(b, b.Inputs(digits), b.Inputs(digits))...)
+	b.Output(testRadix.BuildAdd(b, b.Inputs(digits), b.Inputs(digits))...)
 	circ, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rng := rand.New(rand.NewSource(81))
-	x, _ := intops.Encrypt(rng, sk, 27, digits)
-	y, _ := intops.Encrypt(rng, sk, 45, digits)
+	x, _ := testRadix.Encrypt(rng, sk, 27, digits)
+	y, _ := testRadix.Encrypt(rng, sk, 45, digits)
 	inputs := append(append([]tfhe.LWECiphertext{}, x.Digits...), y.Digits...)
 
 	got, err := client.CircuitBatch(circ, inputs)
@@ -253,7 +253,7 @@ func TestHTTPCircuitBatch(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Error("HTTP circuit outputs differ from sequential evaluation")
 	}
-	if dec := intops.Decrypt(sk, intops.Int{Digits: got}); dec != (27+45)%64 {
+	if dec := testRadix.Decrypt(sk, intops.Int{Digits: got}); dec != (27+45)%64 {
 		t.Errorf("decrypted sum = %d, want %d", dec, (27+45)%64)
 	}
 
@@ -281,21 +281,21 @@ func TestHTTPCircuitBatchOptimize(t *testing.T) {
 	}
 
 	const digits = 2
-	circ, err := intops.MulCircuit(digits)
+	circ, err := testRadix.MulCircuit(digits)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rng := rand.New(rand.NewSource(82))
-	x, _ := intops.Encrypt(rng, sk, 13, digits)
-	y, _ := intops.Encrypt(rng, sk, 9, digits)
+	x, _ := testRadix.Encrypt(rng, sk, 13, digits)
+	y, _ := testRadix.Encrypt(rng, sk, 9, digits)
 	inputs := append(append([]tfhe.LWECiphertext{}, x.Digits...), y.Digits...)
 
 	got, err := client.CircuitBatchOpts(circ, inputs, EvalOpts{Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec := intops.Decrypt(sk, intops.Int{Digits: got}); dec != (13*9)%16 {
+	if dec := testRadix.Decrypt(sk, intops.Int{Digits: got}); dec != (13*9)%16 {
 		t.Errorf("optimized product = %d, want %d", dec, (13*9)%16)
 	}
 	// The unoptimized path still works side by side on the same session.
@@ -303,7 +303,7 @@ func TestHTTPCircuitBatchOptimize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec := intops.Decrypt(sk, intops.Int{Digits: plain}); dec != (13*9)%16 {
+	if dec := testRadix.Decrypt(sk, intops.Int{Digits: plain}); dec != (13*9)%16 {
 		t.Errorf("unoptimized product = %d, want %d", dec, (13*9)%16)
 	}
 }

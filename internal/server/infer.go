@@ -69,9 +69,6 @@ func (s *session) validateInfer(features []tfhe.LWECiphertext, cfg Config, optim
 	}
 	schedule, err := s.compile(circ, optimize)
 	if err != nil {
-		return fail(err)
-	}
-	if err := schedule.Check(s.params); err != nil {
 		return fail(fmt.Errorf("server: inference model does not fit parameter set %s: %w", s.params.Name, err))
 	}
 	return circ, schedule, nil

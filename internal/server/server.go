@@ -643,9 +643,9 @@ func (s *Server) MultiLUTBatch(clientID string, cts []tfhe.LWECiphertext, space 
 // scheduler's optimizer pass pipeline (CSE, pruning, linear folding,
 // bootstrap fusion, multi-value packing bounded by the session's
 // parameter set); outputs then decode identically but are not bitwise
-// identical. A schedule the one noise rule refuses under the session's
-// parameter set (sched.Schedule.Check) is refused before it queues, with
-// a *noise.BudgetError (code noise_budget over HTTP).
+// identical. The circuit is compiled for the session's parameter set, so
+// one the one noise rule refuses there (sched.Compile) is refused before
+// it queues, with a *noise.BudgetError (code noise_budget over HTTP).
 func (s *Server) CircuitBatch(clientID string, specs []sched.NodeSpec, outputs []int, inputs []tfhe.LWECiphertext, optimize bool) ([]tfhe.LWECiphertext, error) {
 	if err := s.begin(); err != nil {
 		return nil, err

@@ -27,6 +27,15 @@ type keyPair struct {
 	ek tfhe.EvaluationKeys
 }
 
+// testRadix is the integer circuits' radix at the test set, base 4.
+var testRadix = func() intops.Radix {
+	r, err := intops.For(tfhe.ParamsTest)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}()
+
 // testKeys returns deterministic test-set keys for a seed.
 func testKeys(t *testing.T, seed int64) (tfhe.SecretKeys, tfhe.EvaluationKeys) {
 	t.Helper()
@@ -476,14 +485,14 @@ func TestCircuitBatchMatchesSequential(t *testing.T) {
 	}
 
 	const digits = 2
-	circ, err := intops.MulCircuit(digits)
+	circ, err := testRadix.MulCircuit(digits)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rng := rand.New(rand.NewSource(61))
-	x, _ := intops.Encrypt(rng, sk, 7, digits)
-	y, _ := intops.Encrypt(rng, sk, 11, digits)
+	x, _ := testRadix.Encrypt(rng, sk, 7, digits)
+	y, _ := testRadix.Encrypt(rng, sk, 11, digits)
 	inputs := append(append([]tfhe.LWECiphertext{}, x.Digits...), y.Digits...)
 
 	want, err := sched.RunSequential(circ, tfhe.NewEvaluator(ek), inputs)
@@ -497,7 +506,7 @@ func TestCircuitBatchMatchesSequential(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Error("service circuit outputs differ from sequential evaluation")
 	}
-	if dec := intops.Decrypt(sk, intops.Int{Digits: got}); dec != (7*11)%16 {
+	if dec := testRadix.Decrypt(sk, intops.Int{Digits: got}); dec != (7*11)%16 {
 		t.Errorf("decrypted product = %d, want %d", dec, (7*11)%16)
 	}
 
@@ -595,13 +604,13 @@ func TestConcurrentCircuitBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	const digits = 2
-	circ, err := intops.MulCircuit(digits)
+	circ, err := testRadix.MulCircuit(digits)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(71))
-	x, _ := intops.Encrypt(rng, sk, 5, digits)
-	y, _ := intops.Encrypt(rng, sk, 6, digits)
+	x, _ := testRadix.Encrypt(rng, sk, 5, digits)
+	y, _ := testRadix.Encrypt(rng, sk, 6, digits)
 	inputs := append(append([]tfhe.LWECiphertext{}, x.Digits...), y.Digits...)
 	want, err := sched.RunSequential(circ, tfhe.NewEvaluator(ek), inputs)
 	if err != nil {
@@ -645,13 +654,13 @@ func TestCircuitDoesNotRefuseItself(t *testing.T) {
 	sess.queueTimeout = 2 * time.Second
 
 	const digits = 2
-	circ, err := intops.MulCircuit(digits)
+	circ, err := testRadix.MulCircuit(digits)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(83))
-	x, _ := intops.Encrypt(rng, sk, 3, digits)
-	y, _ := intops.Encrypt(rng, sk, 5, digits)
+	x, _ := testRadix.Encrypt(rng, sk, 3, digits)
+	y, _ := testRadix.Encrypt(rng, sk, 5, digits)
 	inputs := append(append([]tfhe.LWECiphertext{}, x.Digits...), y.Digits...)
 	want, err := sched.RunSequential(circ, tfhe.NewEvaluator(ek), inputs)
 	if err != nil {
@@ -695,7 +704,7 @@ func TestCircuitBesideBatches(t *testing.T) {
 	}
 
 	const digits = 2
-	circ, err := intops.MulCircuit(digits)
+	circ, err := testRadix.MulCircuit(digits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -704,8 +713,8 @@ func TestCircuitBesideBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(97))
-	x, _ := intops.Encrypt(rng, sk, 6, digits)
-	y, _ := intops.Encrypt(rng, sk, 7, digits)
+	x, _ := testRadix.Encrypt(rng, sk, 6, digits)
+	y, _ := testRadix.Encrypt(rng, sk, 7, digits)
 	inputs := append(append([]tfhe.LWECiphertext{}, x.Digits...), y.Digits...)
 	want, err := sched.RunSequential(circ, tfhe.NewEvaluator(ek), inputs)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/noise"
 	"repro/internal/sched"
 	"repro/internal/tfhe"
 )
@@ -167,7 +168,8 @@ func (s *session) validateLUT(cts []tfhe.LWECiphertext, space int, table []int, 
 	if len(cts) > maxBatch {
 		return fail(fmt.Errorf("%w: %d > %d", ErrBatchTooLarge, len(cts), maxBatch))
 	}
-	if err := s.Stream.CheckLUT(space, 1); err != nil {
+	// A request cannot show its inputs' history: it is held to fresh ones.
+	if err := noise.Check(s.params, noise.PBS{Node: -1, In: noise.FreshLoad, Space: space, K: 1}); err != nil {
 		return fail(err)
 	}
 	if len(table) != space {
@@ -194,7 +196,7 @@ func (s *session) validateMultiLUT(cts []tfhe.LWECiphertext, space int, tables [
 		return err
 	}
 	k := len(tables)
-	if err := s.Stream.CheckLUT(space, k); err != nil {
+	if err := noise.Check(s.params, noise.PBS{Node: -1, In: noise.FreshLoad, Space: space, K: k}); err != nil {
 		return fail(err)
 	}
 	if len(cts)*k > maxBatch {
@@ -219,9 +221,9 @@ func (s *session) validateMultiLUT(cts []tfhe.LWECiphertext, space int, tables [
 // validateCircuit rejects malformed circuit-batch requests and compiles
 // the accepted ones. The circuit is rebuilt through the sched builder (so
 // references, ops, and tables are fully validated against untrusted
-// input), then each compiled dispatch is bounded like a standalone batch,
-// and the schedule must pass the one noise rule (Schedule.Check) under
-// the session's parameter set.
+// input), compiled for the session's parameter set, which applies the
+// one noise rule to it, and then each compiled dispatch is bounded like a
+// standalone batch.
 // Node and dispatch bounds apply to the incoming specs and to the
 // schedule that actually executes (see compile for optimize).
 func (s *session) validateCircuit(specs []sched.NodeSpec, outputs []int, inputs []tfhe.LWECiphertext, cfg Config, optimize bool) (*sched.Circuit, *sched.Schedule, error) {
@@ -253,7 +255,7 @@ func (s *session) validateCircuit(specs []sched.NodeSpec, outputs []int, inputs 
 	}
 	schedule, err := s.compile(circ, optimize)
 	if err != nil {
-		return fail(fmt.Errorf("server: bad circuit: %w", err))
+		return fail(err)
 	}
 	for _, lvl := range schedule.Levels() {
 		for _, d := range lvl.Dispatches {
@@ -262,21 +264,17 @@ func (s *session) validateCircuit(specs []sched.NodeSpec, outputs []int, inputs 
 			}
 		}
 	}
-	if err := schedule.Check(s.params); err != nil {
-		return fail(err)
-	}
 	return circ, schedule, nil
 }
 
-// compile compiles a circuit for this session. optimize enables the
-// full optimizer pass pipeline, packing for the session's parameter set
-// so the rewrite never builds a group the one noise rule refuses.
+// compile compiles a circuit for this session's parameter set, which
+// applies the one noise rule once. optimize switches the optimizer on.
 func (s *session) compile(circ *sched.Circuit, optimize bool) (*sched.Schedule, error) {
 	var cfg sched.Config
 	if optimize {
 		cfg.Opt = sched.OptAll()
-		cfg.Opt.Params = s.params
 	}
+	cfg.Opt.Params = s.params
 	return sched.Compile(circ, cfg)
 }
 
