@@ -185,7 +185,12 @@ no-retired-gate:
 # merge layer does not come back. Nor may any Go source name the engine's
 # noise-checked lookup twins or the integer circuits' fixed digit base and
 # message space: the engine runs what it is given, and the digit shape is
-# the one noise rule's choice (intops.For).
+# the one noise rule's choice (intops.For). Nor may any Go source name the
+# gate service's per-kind evaluation methods or their validators, nor may
+# the service's non-test code call the noise rule: every /v2/eval kind is
+# a circuit compiled for the session (where sched applies the rule) and
+# run by sched.Execute. Server.GateBatch stays, for benchmark/, as the
+# gate envelope's in-process form on that one path.
 no-retired-ops:
 	@! git grep -nE 'BatchGates|(^|[^k])StreamGates|BatchEvalLUT|StreamLUT\(|BatchMultiLUT|StreamMultiLUT|BatchBootstrap|StreamBootstrap|BatchKeySwitch|EvalCircuit|engine\.New\(|engine\.Config([^A-Za-z0-9_]|$$)|DefaultMinStream|BlindRotateBatch|BlindRotateSteps|Runner\{Batch' -- '*.go' ':!benchmark' ':!internal/engine/engine.go'
 	@! git grep -nE 'GGSWFourier\{''Rows|ForwardTorus''BatchTo|ForwardInt''BatchTo|Inverse''BatchTo|mulAcc''Fast|mulAcc''AVX2|fft\.Mul''\(' -- '*.go'
@@ -197,6 +202,8 @@ no-retired-ops:
 	@! git grep -nE 'exec''Mu|[Mm]ax''Coalesce|max-''coalesce|group''Result' -- '*.go' README.md docs benchmark/README.md
 	@! git grep -nE 'MultiValue''Budget|DefaultPack''Width|OptConfig\{''[[:space:]]*(Prune|LinFold|Fuse|CSE|MultiValue)' -- '*.go' README.md docs
 	@! git grep -nE 'Admitted''(Multi)?LUT|Check''LUT|(^|[^A-Za-z0-9_])op''Space|intops\.''Base' -- '*.go'
+	@! git grep -nE 'func \(s \*Server\) (LUT|MultiLUT|Circuit|Infer)Batch|validate(Gate|LUT|MultiLUT|Circuit|Infer)([^A-Za-z0-9_]|$$)' -- '*.go'
+	@! git grep -n 'noise\.Check' -- 'internal/server/*.go' ':!*_test.go'
 
 # No fused multiply-add in any assembly file: it rounds once where the
 # reference kernels round twice, and fast == ref is bitwise. Nor in what the

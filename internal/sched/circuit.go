@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/torus"
@@ -69,6 +70,9 @@ type Circuit struct {
 
 // NumInputs returns how many input ciphertexts the circuit consumes.
 func (c *Circuit) NumInputs() int { return len(c.inputs) }
+
+// NumOutputs returns how many outputs the circuit declares.
+func (c *Circuit) NumOutputs() int { return len(c.outputs) }
 
 // Builder accumulates a circuit node by node. Every method returns the
 // wire of the node it appended; invalid references or parameters record
@@ -177,13 +181,30 @@ func (b *Builder) checkTable(ctx string, space int, table []int) bool {
 // LUT appends a lookup-table node: one PBS + keyswitch applying table
 // (length space, entries in {0..space-1}) to the message on wire in.
 func (b *Builder) LUT(in Wire, space int, table []int) Wire {
-	if !b.checkRef("LUT", in) {
-		return Wire(-1)
+	if ws := b.LUTs([]Wire{in}, space, table); ws != nil {
+		return ws[0]
+	}
+	return Wire(-1)
+}
+
+// LUTs appends one LUT node per wire of ins, in order, all applying one
+// copy of table: the table is checked and copied once, however many
+// lookups share it.
+func (b *Builder) LUTs(ins []Wire, space int, table []int) []Wire {
+	for _, in := range ins {
+		if !b.checkRef("LUT", in) {
+			return nil
+		}
 	}
 	if !b.checkTable("LUT", space, table) {
-		return Wire(-1)
+		return nil
 	}
-	return b.add(node{kind: kindLUT, in: in, space: space, table: append([]int(nil), table...)})
+	table = slices.Clone(table)
+	ws := make([]Wire, len(ins))
+	for i, in := range ins {
+		ws[i] = b.add(node{kind: kindLUT, in: in, space: space, table: table})
+	}
+	return ws
 }
 
 // MultiLUT appends a multi-value lookup group: k = len(tables) outputs of
@@ -193,8 +214,17 @@ func (b *Builder) LUT(in Wire, space int, table []int) Wire {
 // time, since the circuit is parameter-agnostic) and shrinks the noise
 // margin to 1/(4·space·k) — see the tfhe multi-value documentation.
 func (b *Builder) MultiLUT(in Wire, space int, tables [][]int) []Wire {
-	if !b.checkRef("MultiLUT", in) {
-		return nil
+	return b.MultiLUTs([]Wire{in}, space, tables)
+}
+
+// MultiLUTs appends one multi-value group per wire of ins, in order, all
+// over one copy of tables, and returns their wires input-major: k per
+// input. The tables are checked and copied once.
+func (b *Builder) MultiLUTs(ins []Wire, space int, tables [][]int) []Wire {
+	for _, in := range ins {
+		if !b.checkRef("MultiLUT", in) {
+			return nil
+		}
 	}
 	if len(tables) < 1 {
 		b.fail("MultiLUT: no tables")
@@ -205,11 +235,13 @@ func (b *Builder) MultiLUT(in Wire, space int, tables [][]int) []Wire {
 		if !b.checkTable("MultiLUT", space, table) {
 			return nil
 		}
-		copied[i] = append([]int(nil), table...)
+		copied[i] = slices.Clone(table)
 	}
-	ws := make([]Wire, len(copied))
-	for i := range copied {
-		ws[i] = b.add(node{kind: kindMultiLUT, in: in, space: space, tables: copied, mvIdx: i})
+	ws := make([]Wire, 0, len(ins)*len(copied))
+	for _, in := range ins {
+		for i := range copied {
+			ws = append(ws, b.add(node{kind: kindMultiLUT, in: in, space: space, tables: copied, mvIdx: i}))
+		}
 	}
 	return ws
 }

@@ -222,7 +222,7 @@ func (d Dispatch) Key() string {
 	case DispatchGate:
 		return "g"
 	case DispatchLUT:
-		b.Grow(8 + 4*len(d.Table)) // one allocation: Compile spells every LUT node's key
+		b.Grow(8 + 4*len(d.Table)) // one allocation: Compile spells a key per run of nodes on one table
 		b.WriteString("l:")
 		b.WriteString(strconv.Itoa(d.Space))
 		writeTable(&b, d.Table)
@@ -258,23 +258,18 @@ func writeTable(b *strings.Builder, table []int) {
 // optimized circuit: Execute is still called with the source circuit,
 // whose inputs and output order the rewrite preserves.
 // Given cfg.Opt.Params, Compile applies the one noise rule (Check) under
-// it and returns its refusal.
+// it first, and returns its refusal before it levelizes anything.
 func Compile(c *Circuit, cfg Config) (*Schedule, error) {
-	s, err := plan(c, cfg)
-	if p := cfg.Opt.Params; err == nil && p.N > 0 {
-		if err = s.Check(p); err != nil {
-			return nil, err
-		}
-		s.admitted = p
-	}
-	return s, err
-}
-
-// plan is Compile without the noise rule.
-func plan(c *Circuit, cfg Config) (*Schedule, error) {
 	exec, passes, err := Optimize(c, cfg.Opt)
 	if err != nil {
 		return nil, err
+	}
+	s := &Schedule{nodes: len(c.nodes), circ: exec, pbs: exec.budget()}
+	if p := cfg.Opt.Params; p.N > 0 {
+		if err := s.Check(p); err != nil {
+			return nil, err
+		}
+		s.admitted = p
 	}
 
 	lvl := make([]int, len(exec.nodes))
@@ -307,14 +302,9 @@ func plan(c *Circuit, cfg Config) (*Schedule, error) {
 		}
 	}
 
-	s := &Schedule{
-		levels: make([]Level, maxLvl),
-		nodes:  len(c.nodes),
-		circ:   exec,
-	}
+	s.levels = make([]Level, maxLvl)
 	s.stats.OptPasses = passes
 	s.index(exec)
-	s.pbs = exec.budget()
 	// groupIdx[l] maps a dispatch key to its index in levels[l].Dispatches,
 	// so grouping preserves first-appearance (build) order.
 	groupIdx := make([]map[int32]int, maxLvl)
@@ -454,17 +444,37 @@ func (s *Schedule) index(c *Circuit) {
 		s.rank[i] = r
 	}
 
+	// A run of nodes on one table slice (a batch built by LUTs or
+	// MultiLUTs) spells its key once: a node on the table of the last
+	// dispatched node takes its id. Gates have no table and share the
+	// zero identity.
+	type table struct {
+		p any // the table's first entry, or the table list's
+		n int
+	}
 	s.key = make([]int32, n)
 	ids := make(map[string]int32)
+	last, lastID := table{}, int32(-1)
 	for i, nd := range c.nodes {
 		if !nd.dispatched() {
 			continue
 		}
-		k := nd.dispatch().Key()
-		id, ok := ids[k]
-		if !ok {
-			id = int32(len(ids))
-			ids[k] = id
+		var t table
+		switch nd.kind {
+		case kindLUT:
+			t = table{&nd.table[0], len(nd.table)}
+		case kindMultiLUT:
+			t = table{&nd.tables[0], len(nd.tables)}
+		}
+		id := lastID
+		if t != last || id < 0 {
+			k := nd.dispatch().Key()
+			var ok bool
+			if id, ok = ids[k]; !ok {
+				id = int32(len(ids))
+				ids[k] = id
+			}
+			last, lastID = t, id
 		}
 		s.key[i] = id
 	}

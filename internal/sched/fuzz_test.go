@@ -44,6 +44,10 @@ func FuzzOptimizePasses(f *testing.F) {
 		// One input into a space-64 lookup: the rule refuses it at the
 		// test set and set I, optimized or not.
 		`{"nodes":[{"kind":"in"},{"kind":"lut","in":0,"space":64,"table":[0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7,0,1,2,3,4,5,6,7]}],"outputs":[1]}`,
+		// The summed lookups beside AND(u, v) and AND(v, u): CSE keeps the
+		// gate merge, which every set admits, and drops the lookups' merge
+		// where the rule refuses it.
+		`{"nodes":[{"kind":"in"},{"kind":"in"},{"kind":"in"},{"kind":"lut","in":0,"space":8,"table":[1,2,3,4,5,6,7,0]},{"kind":"lut","in":0,"space":8,"table":[1,2,3,4,5,6,7,0]},{"kind":"lut","in":0,"space":8,"table":[1,2,3,4,5,6,7,0]},{"kind":"lut","in":0,"space":8,"table":[1,2,3,4,5,6,7,0]},{"kind":"lin","terms":[{"w":3,"c":1},{"w":4,"c":1},{"w":5,"c":1},{"w":6,"c":1}]},{"kind":"lut","in":7,"space":8,"table":[1,2,3,4,5,6,7,0]},{"kind":"gate","op":"AND","a":1,"b":2},{"kind":"gate","op":"AND","a":2,"b":1}],"outputs":[8,9,10]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

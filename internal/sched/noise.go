@@ -62,6 +62,52 @@ func (c *Circuit) budget() []noise.PBS {
 	return pbs
 }
 
+// refusedMerges returns the nodes a merge of c's duplicates (m sends each
+// wire of c to its rewrite's) must keep apart under p: for every
+// bootstrap whose flattened input reads two wires m sends to one, at a
+// load p refuses, each such wire but the first in build order, a
+// multi-value sibling by its group's head.
+func (c *Circuit) refusedMerges(m []Wire, p tfhe.Params) []int {
+	flat, load := c.loads(nil)
+	var apart []int
+	for _, n := range flat.nodes {
+		b := noise.PBS{Node: -1}
+		terms := []Term{{W: n.in, C: 1}}
+		switch {
+		case n.kind == kindGate:
+			_, terms = flatten(flat.nodes, 0, []Term{{W: n.a, C: 1}, {W: n.b, C: 1}})
+		case n.kind == kindLUT || (n.kind == kindMultiLUT && n.mvIdx == 0):
+			b.Space, b.K = n.space, max(1, len(n.tables))
+			if in := flat.nodes[n.in]; in.kind == kindLin {
+				terms = in.terms
+			}
+		default:
+			continue
+		}
+		// The merged input: the terms m sends to one wire add up, on the
+		// first of them.
+		var merged []Term
+		var twins []int
+		for _, t := range terms {
+			j := slices.IndexFunc(merged, func(u Term) bool { return m[u.W] == m[t.W] })
+			if j < 0 {
+				merged = append(merged, t)
+				continue
+			}
+			w := max(merged[j].W, t.W)
+			merged[j].W, merged[j].C = min(merged[j].W, t.W), merged[j].C+t.C
+			twins = append(twins, int(w)-flat.nodes[w].mvIdx)
+		}
+		if len(twins) == 0 {
+			continue
+		}
+		if b.In = termsLoad(load, merged); noise.Check(p, b) != nil {
+			apart = append(apart, twins...)
+		}
+	}
+	return apart
+}
+
 // Check applies the one noise rule (noise.Check) to every bootstrap of
 // the circuit the schedule runs, under parameter set p: it refuses a
 // circuit p cannot compute before any of it runs, with the first

@@ -291,3 +291,32 @@ func TestOptimizeKeepsAdmittedCircuits(t *testing.T) {
 		}
 	}
 }
+
+// TestCSEKeepsAdmittedMerges: CSE keeps each merge the rule admits and
+// drops only those it refuses. Beside the four summed lookups, whose
+// merge set I refuses, AND(u, v) and AND(v, u) merge: at set I the plan
+// is the packed lookups, the lookup of their sum and one gate, 3 PBS.
+func TestCSEKeepsAdmittedMerges(t *testing.T) {
+	b := NewBuilder()
+	x, u, v := b.Input(), b.Input(), b.Input()
+	tab := []int{1, 2, 3, 4, 5, 6, 7, 0}
+	terms := make([]Term, 4)
+	for i := range terms {
+		terms[i] = Term{W: b.LUT(x, 8, tab), C: 1}
+	}
+	b.Output(b.LUT(b.Lin(0, terms...), 8, tab), b.Gate(engine.AND, u, v), b.Gate(engine.AND, v, u))
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := OptAll()
+	opt.Params = tfhe.ParamsI
+	s, err := Compile(c, Config{Opt: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cse := slices.IndexFunc(s.Stats().OptPasses, func(p PassStat) bool { return p.Name == "cse" })
+	if st := s.Stats(); st.TotalPBS != 3 || cse < 0 || st.OptPasses[cse].Rewrites != 1 {
+		t.Errorf("set I plan:\n%s want 3 PBS, one cse merge", s.Describe())
+	}
+}

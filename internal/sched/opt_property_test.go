@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/noise"
 	"repro/internal/tfhe"
 )
 
@@ -183,7 +184,7 @@ func TestOptimizePassesPreserveDecoding(t *testing.T) {
 		{"prune", passPrune},
 		{"linfold", passLinFold},
 		{"fuse", passFuse},
-		{"cse", passCSE},
+		{"cse", func(c *Circuit) (*Circuit, int) { return passCSE(c, tfhe.Params{}) }},
 		{"mvpack", func(c *Circuit) (*Circuit, int) { return passMultiValue(c, tfhe.ParamsTest) }},
 	}
 	trials := 4
@@ -244,15 +245,16 @@ func requireOptimizedAdmitted(t *testing.T, c *Circuit) {
 	for _, p := range []tfhe.Params{tfhe.ParamsTest, tfhe.ParamsI} {
 		opt := OptAll()
 		opt.Params = p
-		s, err := plan(c, Config{Opt: opt})
+		oc, _, err := Optimize(c, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		verdict := s.Check(p)
+		verdict := noise.Check(p, oc.budget()...)
 		if _, err := Compile(c, Config{Opt: opt}); fmt.Sprint(err) != fmt.Sprint(verdict) {
 			t.Fatalf("set %s: Compile returned %v, the rule's verdict is %v", p.Name, err, verdict)
 		}
 		if verdict != nil && naive.Check(p) == nil {
+			s, _ := Compile(oc, Config{})
 			t.Fatalf("set %s: the rule admits the circuit but refuses it optimized: %v\n%s", p.Name, verdict, s.Describe())
 		}
 	}

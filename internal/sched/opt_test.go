@@ -209,7 +209,7 @@ func TestPassCSEMergesDuplicatesBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oc, merged := mustPass(t, c, passCSE)
+	oc, merged := mustPass(t, c, func(c *Circuit) (*Circuit, int) { return passCSE(c, tfhe.Params{}) })
 	// 2 inputs + gate + lin + LUT + 2-sibling group = 7 nodes.
 	if len(oc.nodes) != 7 {
 		t.Fatalf("CSE left %d nodes, want 7", len(oc.nodes))

@@ -87,7 +87,8 @@ func pbsCost(c *Circuit) int {
 // the one noise rule admits stays admitted: a pass whose rewrite the
 // rule refuses is dropped. Only CSE can raise a load — merging duplicate
 // bootstraps that one sum reads turns independent noise into a repeated
-// term (Lin(g₁, g₂) carries 2·L, Lin(g, g) 4·L).
+// term (Lin(g₁, g₂) carries 2·L, Lin(g, g) 4·L) — so CSE keeps just the
+// merges the rule admits.
 func Optimize(c *Circuit, opt OptConfig) (*Circuit, []PassStat, error) {
 	if c == nil {
 		return nil, nil, fmt.Errorf("sched: Optimize on a nil circuit")
@@ -122,7 +123,11 @@ func Optimize(c *Circuit, opt OptConfig) (*Circuit, []PassStat, error) {
 	run("prune", passPrune)
 	run("linfold", passLinFold)
 	run("fuse", passFuse)
-	run("cse", passCSE)
+	var rule tfhe.Params // the set CSE's merges must stay admitted under, if any
+	if mustAdmit {
+		rule = opt.Params
+	}
+	run("cse", func(c *Circuit) (*Circuit, int) { return passCSE(c, rule) })
 	run("prune", passPrune)
 	run("mvpack", func(c *Circuit) (*Circuit, int) { return passMultiValue(c, opt.Params) })
 	return cur, stats, nil

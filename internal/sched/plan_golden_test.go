@@ -55,9 +55,16 @@ func adderCircuit4(t *testing.T) *sched.Circuit {
 
 // mulCircuit3 is the 3-digit multiplier at the test set's radix, base 4
 // over space 16.
-func mulCircuit3(t *testing.T) *sched.Circuit {
+func mulCircuit3(t *testing.T) *sched.Circuit { return mulCircuitAt(t, tfhe.ParamsTest) }
+
+// mulCircuit3I is the 3-digit multiplier set I computes, at the radix the
+// noise rule admits there: base 2 over space 4.
+func mulCircuit3I(t *testing.T) *sched.Circuit { return mulCircuitAt(t, tfhe.ParamsI) }
+
+// mulCircuitAt builds the 3-digit multiplier at p's radix (intops.For).
+func mulCircuitAt(t *testing.T, p tfhe.Params) *sched.Circuit {
 	t.Helper()
-	r, err := intops.For(tfhe.ParamsTest)
+	r, err := intops.For(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,15 +75,30 @@ func mulCircuit3(t *testing.T) *sched.Circuit {
 	return c
 }
 
-// TestCompileAllocs pins what compiling the 3-digit multiply for the
-// test set allocates, the per-request cost of a service circuit: a
-// linear node already flat is not copied to compute its load, and each
-// lookup's dispatch key is one allocation. It measures 87.
+// TestCompileAllocs pins what compiling allocates, the per-request cost
+// of a service request. The 3-digit multiply for the test set: a linear
+// node already flat is not copied to compute its load, and each lookup's
+// dispatch key is one allocation; it measures 87. A lookup envelope, 64
+// lookups of one space-16 table for set I: the nodes share one table
+// (Builder.LUTs), whose key is spelled once; it measures 23, against 86
+// with a table copy per lookup (Builder.LUT in a loop).
 func TestCompileAllocs(t *testing.T) {
 	c := mulCircuit3(t)
 	cfg := sched.Config{Opt: sched.OptConfig{Params: tfhe.ParamsTest}}
 	if n := testing.AllocsPerRun(10, func() { _, _ = sched.Compile(c, cfg) }); n > 90 {
 		t.Errorf("Compile(mul3) allocates %v times, want at most 90", n)
+	}
+	for _, items := range []int{4, 64} {
+		b := sched.NewBuilder()
+		b.Output(b.LUTs(b.Inputs(items), 16, make([]int, 16))...)
+		c, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := sched.Config{Opt: sched.OptConfig{Params: tfhe.ParamsI}}
+		if n := testing.AllocsPerRun(10, func() { _, _ = sched.Compile(c, cfg) }); n > 30 {
+			t.Errorf("Compile(%d-item LUT batch) allocates %v times, want at most 30", items, n)
+		}
 	}
 }
 
@@ -245,11 +267,10 @@ func TestNNOptimized(t *testing.T) {
 // optimized plans are compiled for a named parameter set, as every
 // production caller compiles them, and double as a regression floor on
 // what the pipeline achieves: if a pass stops firing, the pass table and
-// PBS counts move. mul3 at set I packs its fresh-input pairs, the
-// widest groups the noise rule admits there (the mvpack row). The plans
-// are built without the rule (PlanUnchecked): mul3 is the test set's
-// radix-4 multiply, whose digit sums the rule refuses at set I, where
-// the multiply runs at radix 2 (intops.For).
+// PBS counts move. mul3 at set I is the multiply set I runs, at radix 2
+// (intops.For), whose fresh-input pairs pack into the widest groups the
+// noise rule admits there (the mvpack row). Every plan is built by
+// Compile, so every optimized plan is one the rule admits at its set.
 func TestGoldenPlans(t *testing.T) {
 	optimized := func(p tfhe.Params) sched.Config {
 		opt := sched.OptAll()
@@ -263,13 +284,13 @@ func TestGoldenPlans(t *testing.T) {
 	}{
 		{"adder4_naive", adderCircuit4, sched.Config{}},
 		{"mul3_naive", mulCircuit3, sched.Config{}},
-		{"mul3_optimized", mulCircuit3, optimized(tfhe.ParamsI)},
+		{"mul3_optimized", mulCircuit3I, optimized(tfhe.ParamsI)},
 		{"nn_naive", nnCircuit, sched.Config{}},
 		{"nn_optimized", nnCircuit, optimized(tfhe.ParamsTest)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := sched.PlanUnchecked(tc.build(t), tc.cfg)
+			s, err := sched.Compile(tc.build(t), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

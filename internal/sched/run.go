@@ -95,9 +95,6 @@ func Execute(c *Circuit, s *Schedule, inputs []tfhe.LWECiphertext, ex Executor) 
 		return nil, fmt.Errorf("sched: schedule was compiled from a %d-node circuit, got %d nodes", s.nodes, len(c.nodes))
 	}
 	ec := s.circ
-	if ec == nil {
-		ec = c
-	}
 	if len(inputs) != len(ec.inputs) {
 		return nil, fmt.Errorf("sched: circuit has %d inputs, got %d", len(ec.inputs), len(inputs))
 	}

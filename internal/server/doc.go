@@ -11,14 +11,15 @@
 // long-running server sheds the key material of idle clients instead of
 // growing without limit.
 //
-// Within a session, each request is its own engine operation, and a
-// circuit request runs its dispatches through sched.Execute with the
-// session as executor (it embeds a sched.Runner over its engine), so
-// concurrent requests and dispatches share the worker pool, which tiles
-// them side by side. Backpressure is a bounded per-session slot count:
-// when too many requests are queued, new ones block until the backlog
-// drains (and are refused with ErrOverloaded once they have waited a
-// minute). Per-session metrics (request/item/engine-call counts plus the
+// Every /v2/eval envelope is a sched.Circuit — a gate, lookup or
+// multi-value batch one level of n nodes — compiled for the session's
+// parameter set, where sched applies the one noise rule, and run by
+// sched.Execute with the session as executor (it embeds a sched.Runner
+// over its engine), so concurrent requests and dispatches share the
+// worker pool, which tiles them side by side. Backpressure is
+// a bounded per-session slot count: when too many requests are queued,
+// new ones block until the backlog drains (and are refused with
+// ErrOverloaded once they have waited a minute). Per-session metrics (request/item/engine-call counts plus the
 // engine's aggregated tfhe.OpCounters) are exported via Stats and the
 // HTTP stats endpoint.
 //

@@ -31,7 +31,8 @@ const (
 	CodeShuttingDown = "shutting_down"
 	// CodeNoiseBudget means the parameter set cannot compute the request:
 	// a bootstrap's predicted failure exceeds the one noise rule's
-	// threshold (noise.Check), and the message names it. Not retryable.
+	// threshold (a *noise.BudgetError from compiling the request), and the
+	// message names it. Not retryable.
 	CodeNoiseBudget = "noise_budget"
 	// CodeInternal means a server-side failure (e.g. persistence I/O),
 	// not a problem with the request.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/sched"
@@ -90,10 +91,11 @@ type EvalResponse struct {
 	K   int      `json:"k"`
 }
 
-// evalOperands is the wire-decoded ciphertext payload of an envelope:
-// the primary batch (a/cts/inputs by kind) and, for binary gates, the
+// evalOperands is the decoded payload of an envelope: a gate envelope's
+// op, the primary batch (a/cts/inputs by kind) and, for binary gates, the
 // second operand batch.
 type evalOperands struct {
+	op   engine.GateOp
 	a, b []tfhe.LWECiphertext
 }
 
@@ -147,8 +149,9 @@ func validateEvalShape(req *EvalRequest) error {
 	return nil
 }
 
-// decodeEvalOperands wire-decodes the ciphertext payload selected by the
-// envelope's kind, after validating the envelope's shape.
+// decodeEvalOperands parses a gate envelope's op and wire-decodes the
+// ciphertext payload selected by the envelope's kind, after validating
+// the envelope's shape.
 func decodeEvalOperands(req *EvalRequest) (evalOperands, error) {
 	if err := validateEvalShape(req); err != nil {
 		return evalOperands{}, err
@@ -157,6 +160,9 @@ func decodeEvalOperands(req *EvalRequest) (evalOperands, error) {
 	var err error
 	switch req.Kind {
 	case EvalKindGate:
+		if ops.op, err = engine.ParseGate(req.Op); err != nil {
+			return evalOperands{}, err
+		}
 		if ops.a, err = decodeCiphertexts(req.A, "a"); err != nil {
 			return evalOperands{}, err
 		}
@@ -175,66 +181,148 @@ func decodeEvalOperands(req *EvalRequest) (evalOperands, error) {
 	return ops, nil
 }
 
-// parseEvalRequest decodes one v2 eval envelope: the JSON frame (unknown
-// fields rejected), the kind/shape validation, and the wire decode of
-// every ciphertext. It performs no session-dependent validation — space,
-// table, and dimension checks need the session's parameter set and
-// happen in the batch methods — but it must never panic on arbitrary
-// bytes: the body is attacker-controlled, and this helper is the fuzzing
-// surface of the whole evaluation API (FuzzEvalDecode).
-func parseEvalRequest(r io.Reader) (EvalRequest, evalOperands, error) {
+// parseEvalRequest decodes the JSON frame of one v2 eval envelope,
+// unknown fields rejected. It and decodeEvalOperands, which Eval runs
+// next, perform no session-dependent validation — the dimension check and
+// the noise rule need the session's parameter set and happen in
+// evalDecoded — but they must never panic on arbitrary bytes: the body is
+// attacker-controlled, and the two are the fuzzing surface of the whole
+// evaluation API (FuzzEvalDecode).
+func parseEvalRequest(r io.Reader) (EvalRequest, error) {
 	var req EvalRequest
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		return EvalRequest{}, evalOperands{}, fmt.Errorf("server: bad eval request: %w", err)
+		return EvalRequest{}, fmt.Errorf("server: bad eval request: %w", err)
 	}
-	ops, err := decodeEvalOperands(&req)
-	if err != nil {
-		return EvalRequest{}, evalOperands{}, err
-	}
-	return req, ops, nil
+	return req, nil
 }
 
-// evalDecoded dispatches one shape-validated, wire-decoded envelope to
-// the session core. It returns the flat output batch and the
-// outputs-per-input count k.
+// evalDecoded runs one shape-validated, wire-decoded envelope on the one
+// path every kind takes: admit the request, look its session up, turn the
+// envelope into a circuit over its ciphertexts (translate, bounds first),
+// check the ciphertexts' dimension, compile the circuit for the session
+// (the one noise rule, once), and run it with sched.Execute on the
+// session under one backpressure token. A circuit without outputs, an
+// empty batch, answers empty without taking one. It returns the flat
+// output batch and the outputs-per-input count k.
 func (s *Server) evalDecoded(req EvalRequest, ops evalOperands) ([]tfhe.LWECiphertext, int, error) {
+	if err := s.begin(); err != nil {
+		return nil, 0, err
+	}
+	defer s.end()
+	sess, err := s.session(req.ClientID)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer sess.release()
+	circ, inputs, k, err := translate(req, ops, s.cfg.MaxBatch)
+	var schedule *sched.Schedule
+	if err == nil {
+		err = sess.checkDims(inputs)
+	}
+	if err == nil {
+		schedule, err = sess.compile(circ, req.Opts.Optimize, s.cfg.MaxBatch)
+	}
+	if err != nil {
+		sess.rejected.Add(1)
+		return nil, 0, err
+	}
+	if circ.NumOutputs() == 0 {
+		return nil, k, nil
+	}
+	if err := sess.acquireSlot(); err != nil {
+		return nil, 0, err
+	}
+	defer sess.releaseSlot()
+	out, err := sched.Execute(circ, schedule, inputs, sess)
+	return out, k, err
+}
+
+// translate turns an envelope into the circuit it evaluates, the inputs
+// of that circuit and the outputs per input k. It checks the request's
+// bounds (ErrBatchTooLarge) before it builds anything, and the circuit's
+// builder checks its ops and tables. A gate batch is n gates over a ++ b,
+// a NOT batch n free negations Lin(0, −a), bitwise tfhe.Evaluator.NOT; a
+// lookup batch is n lookups of one table; a multi-value batch n groups
+// whose outputs come input-major; a circuit envelope its specs; an
+// inference the model workload.BuildInferBatch builds for the batch.
+func translate(req EvalRequest, ops evalOperands, maxBatch int) (*sched.Circuit, []tfhe.LWECiphertext, int, error) {
+	fail := func(err error) (*sched.Circuit, []tfhe.LWECiphertext, int, error) { return nil, nil, 0, err }
+	tooLarge := func(format string, args ...any) (*sched.Circuit, []tfhe.LWECiphertext, int, error) {
+		return fail(fmt.Errorf("%w: "+format, append([]any{ErrBatchTooLarge}, args...)...))
+	}
+	a, b, k := ops.a, sched.NewBuilder(), 1
 	switch req.Kind {
 	case EvalKindGate:
-		op, err := engine.ParseGate(req.Op)
-		if err != nil {
-			return nil, 0, err
+		op := ops.op
+		switch {
+		case len(a) > maxBatch:
+			return tooLarge("%d > %d", len(a), maxBatch)
+		case op == engine.NOT && ops.b != nil:
+			return fail(fmt.Errorf("server: NOT takes one operand list, got a second of length %d", len(ops.b)))
+		case op != engine.NOT && len(ops.b) != len(a):
+			return fail(fmt.Errorf("server: operand length mismatch: %d vs %d", len(a), len(ops.b)))
 		}
-		out, err := s.GateBatch(req.ClientID, op, ops.a, ops.b)
-		return out, 1, err
+		x, y := b.Inputs(len(a)), b.Inputs(len(ops.b))
+		if op == engine.NOT {
+			y = x // Gate lowers NOT to Lin(0, −a) and reads no second operand
+		}
+		for i := range x {
+			b.Output(b.Gate(op, x[i], y[i]))
+		}
+		a = slices.Concat(a, ops.b)
 	case EvalKindLUT:
-		out, err := s.LUTBatch(req.ClientID, ops.a, req.Space, req.Table)
-		return out, 1, err
+		if len(a) > maxBatch {
+			return tooLarge("%d > %d", len(a), maxBatch)
+		}
+		b.Output(b.LUTs(b.Inputs(len(a)), req.Space, req.Table)...)
 	case EvalKindMultiLUT:
-		groups, err := s.MultiLUTBatch(req.ClientID, ops.a, req.Space, req.Tables)
-		if err != nil {
-			return nil, 0, err
+		if k = len(req.Tables); len(a)*k > maxBatch {
+			return tooLarge("%d inputs × %d tables > %d", len(a), k, maxBatch)
 		}
-		k := len(req.Tables)
-		flat := make([]tfhe.LWECiphertext, 0, len(groups)*k)
-		for _, g := range groups {
-			flat = append(flat, g...)
-		}
-		return flat, k, nil
+		b.Output(b.MultiLUTs(b.Inputs(len(a)), req.Space, req.Tables)...)
 	case EvalKindCircuit:
-		out, err := s.CircuitBatch(req.ClientID, req.Nodes, req.Outputs, ops.a, req.Opts.Optimize)
-		return out, 1, err
+		// Outputs amplify the response (each entry re-encodes a
+		// ciphertext), so they are bounded like nodes: a tiny circuit
+		// listing one wire millions of times would balloon server memory.
+		switch {
+		case len(req.Nodes) > maxCircuitNodes:
+			return tooLarge("%d nodes > %d", len(req.Nodes), maxCircuitNodes)
+		case len(req.Outputs) > maxCircuitNodes:
+			return tooLarge("%d outputs > %d", len(req.Outputs), maxCircuitNodes)
+		case len(a) > maxBatch:
+			return tooLarge("%d inputs > %d", len(a), maxBatch)
+		}
+		c, err := sched.FromSpecs(req.Nodes, req.Outputs)
+		if err != nil {
+			return fail(fmt.Errorf("server: bad circuit: %w", err))
+		}
+		if c.NumInputs() != len(a) {
+			return fail(fmt.Errorf("server: circuit has %d inputs, request carries %d", c.NumInputs(), len(a)))
+		}
+		return c, a, 1, nil
 	case EvalKindInfer:
-		out, err := s.InferBatch(req.ClientID, ops.a, req.Opts.Optimize)
-		return out, workload.InferClasses, err
+		if len(a) == 0 || len(a)%workload.InferFeatures != 0 {
+			return fail(fmt.Errorf("server: inference takes a non-empty multiple of %d feature ciphertexts, got %d",
+				workload.InferFeatures, len(a)))
+		}
+		if len(a) > maxBatch {
+			return tooLarge("%d > %d", len(a), maxBatch)
+		}
+		c, err := workload.BuildInferBatch(len(a) / workload.InferFeatures)
+		return c, a, workload.InferClasses, err
+	default:
+		return fail(evalKindError("unknown kind %q", req.Kind))
 	}
-	return nil, 0, evalKindError("unknown kind %q", req.Kind)
+	c, err := b.Build()
+	return c, a, k, err
 }
 
 // Eval executes one v2 evaluation envelope: shape validation, ciphertext
-// decode, dispatch to the session core, and re-encode of the outputs.
-// It is the programmatic form of POST /v2/eval.
+// decode, the one evaluation path (evalDecoded), and re-encode of the
+// outputs. It is the programmatic form of POST /v2/eval, and what that
+// endpoint runs.
 func (s *Server) Eval(req EvalRequest) (EvalResponse, error) {
 	ops, err := decodeEvalOperands(&req)
 	if err != nil {
@@ -247,17 +335,17 @@ func (s *Server) Eval(req EvalRequest) (EvalResponse, error) {
 	return EvalResponse{Out: encodeCiphertexts(out), K: k}, nil
 }
 
-// handleEval decodes, dispatches, and re-encodes one v2 eval envelope.
+// handleEval decodes one v2 eval envelope's frame and runs it through
+// Eval.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
-	req, ops, err := parseEvalRequest(http.MaxBytesReader(w, r.Body, MaxBatchBodyBytes))
+	req, err := parseEvalRequest(http.MaxBytesReader(w, r.Body, MaxBatchBodyBytes))
+	var resp EvalResponse
+	if err == nil {
+		resp, err = s.Eval(req)
+	}
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	out, k, err := s.evalDecoded(req, ops)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, EvalResponse{Out: encodeCiphertexts(out), K: k})
+	writeJSON(w, http.StatusOK, resp)
 }

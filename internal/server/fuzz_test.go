@@ -26,7 +26,11 @@ func FuzzEvalDecode(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, ops, err := parseEvalRequest(bytes.NewReader(data))
+		req, err := parseEvalRequest(bytes.NewReader(data))
+		var ops evalOperands
+		if err == nil {
+			ops, err = decodeEvalOperands(&req)
+		}
 		if err != nil {
 			return
 		}

@@ -73,24 +73,24 @@ func TestInferBatchValidation(t *testing.T) {
 	}
 	good := encryptFeatures(sk, 22, [][]int{{0, 1, 2, 3}})
 
-	if _, err := srv.InferBatch("v", nil, false); err == nil {
+	if _, err := inferBatch(srv, "v", nil, false); err == nil {
 		t.Error("empty feature batch accepted")
 	}
-	if _, err := srv.InferBatch("v", good[:workload.InferFeatures-1], false); err == nil {
+	if _, err := inferBatch(srv, "v", good[:workload.InferFeatures-1], false); err == nil {
 		t.Error("ragged feature batch accepted")
 	}
 	two := encryptFeatures(sk, 23, [][]int{{0, 1, 2, 3}, {1, 1, 1, 1}})
-	if _, err := srv.InferBatch("v", two, false); err == nil || !strings.Contains(err.Error(), "batch size limit") {
+	if _, err := inferBatch(srv, "v", two, false); err == nil || !strings.Contains(err.Error(), "batch size limit") {
 		t.Errorf("oversized batch error = %v, want batch size limit", err)
 	}
 	bad := make([]tfhe.LWECiphertext, workload.InferFeatures)
 	for i := range bad {
 		bad[i] = tfhe.NewLWECiphertext(3)
 	}
-	if _, err := srv.InferBatch("v", bad, false); err == nil {
+	if _, err := inferBatch(srv, "v", bad, false); err == nil {
 		t.Error("wrong-dimension ciphertexts accepted")
 	}
-	if _, err := srv.InferBatch("nobody", good, false); err == nil {
+	if _, err := inferBatch(srv, "nobody", good, false); err == nil {
 		t.Error("unknown session accepted")
 	}
 }

@@ -37,7 +37,7 @@ func TestMultiLUTBatchMatchesInProcess(t *testing.T) {
 	if err := srv.RegisterKey("c1", ek); err != nil {
 		t.Fatal(err)
 	}
-	got, err := srv.MultiLUTBatch("c1", cts, space, tables)
+	got, err := multiLUTBatch(srv, "c1", cts, space, tables)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestConcurrentMultiLUTBatches(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			outs[c], errs[c] = srv.MultiLUTBatch("c1", cts[c], space, tables)
+			outs[c], errs[c] = multiLUTBatch(srv, "c1", cts[c], space, tables)
 		}(c)
 	}
 	wg.Wait()
@@ -128,35 +128,35 @@ func TestMultiLUTValidationServer(t *testing.T) {
 	if err := srv.RegisterKey("c1", ek); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.MultiLUTBatch("nope", cts, space, mvTestTables(space, 2)); err == nil {
+	if _, err := multiLUTBatch(srv, "nope", cts, space, mvTestTables(space, 2)); err == nil {
 		t.Fatal("unknown session accepted")
 	}
-	if _, err := srv.MultiLUTBatch("c1", cts, 1, [][]int{{0}}); err == nil {
+	if _, err := multiLUTBatch(srv, "c1", cts, 1, [][]int{{0}}); err == nil {
 		t.Fatal("space < 2 accepted")
 	}
 	over := make([][]int, tfhe.ParamsTest.N) // space·k > N
 	for i := range over {
 		over[i] = []int{0, 1, 2, 3}
 	}
-	if _, err := srv.MultiLUTBatch("c1", cts, space, over); err == nil {
+	if _, err := multiLUTBatch(srv, "c1", cts, space, over); err == nil {
 		t.Fatal("space·k > N accepted")
 	}
-	if _, err := srv.MultiLUTBatch("c1", cts, space, [][]int{{0, 1}}); err == nil {
+	if _, err := multiLUTBatch(srv, "c1", cts, space, [][]int{{0, 1}}); err == nil {
 		t.Fatal("short table accepted")
 	}
-	if _, err := srv.MultiLUTBatch("c1", cts, space, [][]int{{0, 1, 2, 9}}); err == nil {
+	if _, err := multiLUTBatch(srv, "c1", cts, space, [][]int{{0, 1, 2, 9}}); err == nil {
 		t.Fatal("out-of-range entry accepted")
 	}
 	// k outputs per input amplify the response: 3 inputs × 3 tables = 9 > 8.
 	three := encryptInts(sk, 921, []int{0, 1, 2}, space)
-	if _, err := srv.MultiLUTBatch("c1", three, space, mvTestTables(space, 3)); err == nil {
+	if _, err := multiLUTBatch(srv, "c1", three, space, mvTestTables(space, 3)); err == nil {
 		t.Fatal("amplified batch above MaxBatch accepted")
 	}
 	bad := []tfhe.LWECiphertext{tfhe.NewLWECiphertext(tfhe.ParamsTest.SmallN + 1)}
-	if _, err := srv.MultiLUTBatch("c1", bad, space, mvTestTables(space, 2)); err == nil {
+	if _, err := multiLUTBatch(srv, "c1", bad, space, mvTestTables(space, 2)); err == nil {
 		t.Fatal("wrong-dimension ciphertext accepted")
 	}
-	if out, err := srv.MultiLUTBatch("c1", nil, space, mvTestTables(space, 2)); err != nil || out != nil {
+	if out, err := multiLUTBatch(srv, "c1", nil, space, mvTestTables(space, 2)); err != nil || out != nil {
 		t.Fatalf("empty batch: out=%v err=%v", out, err)
 	}
 }

@@ -416,7 +416,7 @@ func TestNoiseRefusalBeforeToken(t *testing.T) {
 	// A space-64 lookup on a fresh input: a margin of 1/256 against the
 	// test set's modulus switch, 1.2σ.
 	specs := []sched.NodeSpec{{Kind: sched.SpecInput}, {Kind: sched.SpecLUT, In: 0, Space: 64, Table: make([]int, 64)}}
-	_, err = srv.CircuitBatch("alice", specs, []int{1}, encryptInts(sk, 3, []int{1}, 64), false)
+	_, err = circuitBatch(srv, "alice", specs, []int{1}, encryptInts(sk, 3, []int{1}, 64), false)
 	var budget *noise.BudgetError
 	if !errors.As(err, &budget) || budget.Node != 1 || budget.Failure <= noise.MaxFailure {
 		t.Fatalf("space-64 LUT circuit: got %v, want a noise refusal at node 1", err)

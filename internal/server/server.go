@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/sched"
 	"repro/internal/tfhe"
 	"repro/internal/wire"
 )
@@ -57,7 +56,7 @@ func (c Config) withDefaults() Config {
 
 const (
 	// maxCircuitNodes caps the node count, and the output count, of a
-	// circuit-batch request.
+	// circuit envelope.
 	maxCircuitNodes = 4096
 	// queueTimeout bounds how long a request may wait for a session slot
 	// before being refused with ErrOverloaded (HTTP 503, code
@@ -555,116 +554,12 @@ func (s *Server) Evictions() int64 { return s.evictions.Load() }
 // Restores returns how many sessions were rebuilt from the durable tier.
 func (s *Server) Restores() int64 { return s.restores.Load() }
 
-// GateBatch evaluates out[i] = op(a[i], b[i]) on clientID's session. For
-// the unary NOT, b must be nil. The batch is one engine operation;
-// concurrent ones share the worker pool.
+// GateBatch evaluates out[i] = op(a[i], b[i]) on clientID's session; for
+// the unary NOT, b must be nil. It is the gate envelope for in-process
+// callers, on Eval's one path.
 func (s *Server) GateBatch(clientID string, op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	if err := s.begin(); err != nil {
-		return nil, err
-	}
-	defer s.end()
-	sess, err := s.session(clientID)
-	if err != nil {
-		return nil, err
-	}
-	defer sess.release()
-	if err := sess.validateGate(op, a, b, s.cfg.MaxBatch); err != nil {
-		return nil, err
-	}
-	if len(a) == 0 {
-		return nil, nil
-	}
-	if err := sess.acquireSlot(); err != nil {
-		return nil, err
-	}
-	defer sess.releaseSlot()
-	return sess.Gate(sched.Dispatch{Ops: op.Repeat(len(a))}, a, b)
-}
-
-// LUTBatch applies the lookup table (length space, entries in
-// {0..space-1}) to every ciphertext on clientID's session via PBS +
-// keyswitch, as one engine operation.
-func (s *Server) LUTBatch(clientID string, cts []tfhe.LWECiphertext, space int, table []int) ([]tfhe.LWECiphertext, error) {
-	if err := s.begin(); err != nil {
-		return nil, err
-	}
-	defer s.end()
-	sess, err := s.session(clientID)
-	if err != nil {
-		return nil, err
-	}
-	defer sess.release()
-	if err := sess.validateLUT(cts, space, table, s.cfg.MaxBatch); err != nil {
-		return nil, err
-	}
-	if len(cts) == 0 {
-		return nil, nil
-	}
-	if err := sess.acquireSlot(); err != nil {
-		return nil, err
-	}
-	defer sess.releaseSlot()
-	return sess.LUT(sched.Dispatch{Space: space, Table: table}, cts)
-}
-
-// MultiLUTBatch applies the k lookup tables (each length space, entries
-// in {0..space-1}) to every ciphertext on clientID's session via
-// multi-value PBS: one blind rotation per input ciphertext serves all k
-// tables, and out[i][j] is table j applied to cts[i].
-func (s *Server) MultiLUTBatch(clientID string, cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
-	if err := s.begin(); err != nil {
-		return nil, err
-	}
-	defer s.end()
-	sess, err := s.session(clientID)
-	if err != nil {
-		return nil, err
-	}
-	defer sess.release()
-	if err := sess.validateMultiLUT(cts, space, tables, s.cfg.MaxBatch); err != nil {
-		return nil, err
-	}
-	if len(cts) == 0 {
-		return nil, nil
-	}
-	if err := sess.acquireSlot(); err != nil {
-		return nil, err
-	}
-	defer sess.releaseSlot()
-	return sess.MultiLUT(sched.Dispatch{Space: space, Tables: tables}, cts)
-}
-
-// CircuitBatch compiles a schedule for the circuit described by
-// specs/outputs and executes it on clientID's session, one request under
-// one backpressure token. The session is the circuit's executor: each
-// dispatch (ready binary gates, or ready nodes of one exact lookup table)
-// is one engine operation, and sched.Execute runs several at once, each
-// on the CPUs it claimed from the worker pool. optimize first runs the
-// scheduler's optimizer pass pipeline (CSE, pruning, linear folding,
-// bootstrap fusion, multi-value packing bounded by the session's
-// parameter set); outputs then decode identically but are not bitwise
-// identical. The circuit is compiled for the session's parameter set, so
-// one the one noise rule refuses there (sched.Compile) is refused before
-// it queues, with a *noise.BudgetError (code noise_budget over HTTP).
-func (s *Server) CircuitBatch(clientID string, specs []sched.NodeSpec, outputs []int, inputs []tfhe.LWECiphertext, optimize bool) ([]tfhe.LWECiphertext, error) {
-	if err := s.begin(); err != nil {
-		return nil, err
-	}
-	defer s.end()
-	sess, err := s.session(clientID)
-	if err != nil {
-		return nil, err
-	}
-	defer sess.release()
-	circ, schedule, err := sess.validateCircuit(specs, outputs, inputs, s.cfg, optimize)
-	if err != nil {
-		return nil, err
-	}
-	if err := sess.acquireSlot(); err != nil {
-		return nil, err
-	}
-	defer sess.releaseSlot()
-	return sched.Execute(circ, schedule, inputs, sess)
+	out, _, err := s.evalDecoded(EvalRequest{ClientID: clientID, Kind: EvalKindGate}, evalOperands{op, a, b})
+	return out, err
 }
 
 // SessionStats is one session's metrics snapshot.
@@ -673,7 +568,7 @@ type SessionStats struct {
 	Params    string          `json:"params"`
 	Requests  int64           `json:"requests"`  // client requests run; a circuit is one
 	Items     int64           `json:"items"`     // input ciphertexts of the engine calls
-	Streams   int64           `json:"streams"`   // engine calls; a circuit makes one per dispatch
+	Streams   int64           `json:"streams"`   // engine calls, one per dispatch; a NOT batch makes none
 	Coalesced int64           `json:"coalesced"` // always 0; read only by benchmark/ until ROADMAP item 2 deletes it
 	Rejected  int64           `json:"rejected"`  // requests refused by validation or overload
 	Pending   int             `json:"pending"`   // requests currently queued or in flight

@@ -143,7 +143,7 @@ func TestLUTBatchMatchesInProcess(t *testing.T) {
 		cts[i] = sk.LWE.Encrypt(rng, tfhe.EncodePBSMessage(m, space), sk.Params.LWEStdDev)
 	}
 
-	got, err := srv.LUTBatch("alice", cts, space, table)
+	got, err := lutBatch(srv, "alice", cts, space, table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,8 @@ func TestLUTBatchMatchesInProcess(t *testing.T) {
 // TestConcurrentGateBatches runs several gate requests on one session at
 // once, binary gates of one op or of mixed ops and a NOT among them: each
 // caller gets its own slice back, bitwise what the sequential evaluator
-// computes for its op, and each request is one engine call.
+// computes for its op, and each binary request is one engine call. A NOT
+// batch is free negations and makes none.
 func TestConcurrentGateBatches(t *testing.T) {
 	sk, ek := testKeys(t, 1)
 	serial := tfhe.NewEvaluator(ek)
@@ -225,12 +226,18 @@ func TestConcurrentGateBatches(t *testing.T) {
 				}
 			}
 
-			st := srv.Stats().Sessions[0]
-			if st.Requests != int64(len(ops)) || st.Streams != int64(len(ops)) {
-				t.Errorf("%d requests ran %d engine calls, want %d of each", st.Requests, st.Streams, len(ops))
+			binary := 0
+			for _, op := range ops {
+				if op != engine.NOT {
+					binary++
+				}
 			}
-			if st.Items != int64(len(ops)*len(bits)) {
-				t.Errorf("items %d, want %d", st.Items, len(ops)*len(bits))
+			st := srv.Stats().Sessions[0]
+			if st.Requests != int64(len(ops)) || st.Streams != int64(binary) {
+				t.Errorf("%d requests ran %d engine calls, want %d requests and %d calls", st.Requests, st.Streams, len(ops), binary)
+			}
+			if st.Items != int64(binary*len(bits)) {
+				t.Errorf("items %d, want %d", st.Items, binary*len(bits))
 			}
 		})
 	}
@@ -455,16 +462,16 @@ func TestValidation(t *testing.T) {
 	if out, err := srv.GateBatch("alice", engine.NAND, nil, nil); err != nil || out != nil {
 		t.Errorf("empty batch: out=%v err=%v", out, err)
 	}
-	if _, err := srv.LUTBatch("alice", good, 1, []int{0}); err == nil {
+	if _, err := lutBatch(srv, "alice", good, 1, []int{0}); err == nil {
 		t.Error("space below 2 accepted")
 	}
-	if _, err := srv.LUTBatch("alice", good, 8, []int{0}); err == nil {
+	if _, err := lutBatch(srv, "alice", good, 8, []int{0}); err == nil {
 		t.Error("short LUT table accepted")
 	}
-	if _, err := srv.LUTBatch("alice", good, 8, []int{0, 1, 2, 3, 4, 5, 6, 8}); err == nil {
+	if _, err := lutBatch(srv, "alice", good, 8, []int{0, 1, 2, 3, 4, 5, 6, 8}); err == nil {
 		t.Error("out-of-range LUT entry accepted")
 	}
-	if _, err := srv.LUTBatch("alice", good, 1<<20, make([]int, 1<<20)); err == nil {
+	if _, err := lutBatch(srv, "alice", good, 1<<20, make([]int, 1<<20)); err == nil {
 		t.Error("space larger than N accepted")
 	}
 
@@ -499,7 +506,7 @@ func TestCircuitBatchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := srv.CircuitBatch("alice", circ.Specs(), circ.OutputWires(), inputs, false)
+	got, err := circuitBatch(srv, "alice", circ.Specs(), circ.OutputWires(), inputs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,27 +533,27 @@ func TestCircuitBatchValidation(t *testing.T) {
 	}
 	in := encryptBools(sk, 9, []bool{true})
 
-	if _, err := srv.CircuitBatch("nobody", []sched.NodeSpec{{Kind: sched.SpecInput}}, nil, in, false); !errors.Is(err, ErrUnknownSession) {
+	if _, err := circuitBatch(srv, "nobody", []sched.NodeSpec{{Kind: sched.SpecInput}}, nil, in, false); !errors.Is(err, ErrUnknownSession) {
 		t.Errorf("unknown session: %v", err)
 	}
-	if _, err := srv.CircuitBatch("alice", make([]sched.NodeSpec, maxCircuitNodes+1), nil, nil, false); !errors.Is(err, ErrBatchTooLarge) {
+	if _, err := circuitBatch(srv, "alice", make([]sched.NodeSpec, maxCircuitNodes+1), nil, nil, false); !errors.Is(err, ErrBatchTooLarge) {
 		t.Error("oversized circuit accepted")
 	}
 	// Outputs amplify the response; a tiny circuit must not be able to
 	// request the same wire an unbounded number of times.
 	manyOuts := make([]int, maxCircuitNodes+1)
-	if _, err := srv.CircuitBatch("alice", []sched.NodeSpec{{Kind: sched.SpecInput}}, manyOuts, in, false); !errors.Is(err, ErrBatchTooLarge) {
+	if _, err := circuitBatch(srv, "alice", []sched.NodeSpec{{Kind: sched.SpecInput}}, manyOuts, in, false); !errors.Is(err, ErrBatchTooLarge) {
 		t.Error("oversized outputs accepted")
 	}
-	if _, err := srv.CircuitBatch("alice", []sched.NodeSpec{{Kind: "bogus"}}, nil, nil, false); err == nil {
+	if _, err := circuitBatch(srv, "alice", []sched.NodeSpec{{Kind: "bogus"}}, nil, nil, false); err == nil {
 		t.Error("unknown node kind accepted")
 	}
-	if _, err := srv.CircuitBatch("alice", []sched.NodeSpec{{Kind: sched.SpecInput}}, nil, nil, false); err == nil {
+	if _, err := circuitBatch(srv, "alice", []sched.NodeSpec{{Kind: sched.SpecInput}}, nil, nil, false); err == nil {
 		t.Error("input count mismatch accepted")
 	}
 	// Forward wire reference must be rejected by the rebuilt builder.
 	bad := []sched.NodeSpec{{Kind: sched.SpecInput}, {Kind: sched.SpecGate, Op: "AND", A: 0, B: 2}}
-	if _, err := srv.CircuitBatch("alice", bad, nil, in, false); err == nil {
+	if _, err := circuitBatch(srv, "alice", bad, nil, in, false); err == nil {
 		t.Error("forward reference accepted")
 	}
 	// LUT space beyond the parameter set's N must be rejected even though
@@ -556,7 +563,7 @@ func TestCircuitBatchValidation(t *testing.T) {
 		{Kind: sched.SpecInput},
 		{Kind: sched.SpecLUT, In: 0, Space: hugeSpace, Table: make([]int, hugeSpace)},
 	}
-	if _, err := srv.CircuitBatch("alice", spec, []int{1}, in, false); err == nil {
+	if _, err := circuitBatch(srv, "alice", spec, []int{1}, in, false); err == nil {
 		t.Error("LUT space beyond N accepted")
 	}
 	// A level's binary gates are one dispatch whatever their ops, so the
@@ -577,11 +584,11 @@ func TestCircuitBatchValidation(t *testing.T) {
 		return specs, outs
 	}
 	specs, outs := level(3, 2)
-	if _, err := srv.CircuitBatch("alice", specs, outs, in2, false); !errors.Is(err, ErrBatchTooLarge) {
+	if _, err := circuitBatch(srv, "alice", specs, outs, in2, false); !errors.Is(err, ErrBatchTooLarge) {
 		t.Errorf("mixed-op level of 5 over MaxBatch 4: %v, want ErrBatchTooLarge", err)
 	}
 	specs, outs = level(2, 2)
-	if out, err := srv.CircuitBatch("alice", specs, outs, in2, false); err != nil || len(out) != 4 {
+	if out, err := circuitBatch(srv, "alice", specs, outs, in2, false); err != nil || len(out) != 4 {
 		t.Errorf("mixed-op level of 4 at MaxBatch 4: %d outputs, err %v", len(out), err)
 	}
 	// No level is wider than its circuit, so under the defaults the node
@@ -624,7 +631,7 @@ func TestConcurrentCircuitBatches(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i], errs[i] = srv.CircuitBatch("alice", circ.Specs(), circ.OutputWires(), inputs, false)
+			outs[i], errs[i] = circuitBatch(srv, "alice", circ.Specs(), circ.OutputWires(), inputs, false)
 		}(i)
 	}
 	wg.Wait()
@@ -674,7 +681,7 @@ func TestCircuitDoesNotRefuseItself(t *testing.T) {
 	done := make(chan result, 1)
 	unpark := park(sess)
 	go func() {
-		out, err := srv.CircuitBatch("alice", circ.Specs(), circ.OutputWires(), inputs, false)
+		out, err := circuitBatch(srv, "alice", circ.Specs(), circ.OutputWires(), inputs, false)
 		done <- result{out, err}
 	}()
 	waitFor(t, "the circuit to hold the session", func() bool { return sess.key.refs.Load() == 2 })
@@ -729,7 +736,7 @@ func TestCircuitBesideBatches(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		got, err := srv.CircuitBatch("alice", circ.Specs(), circ.OutputWires(), inputs, false)
+		got, err := circuitBatch(srv, "alice", circ.Specs(), circ.OutputWires(), inputs, false)
 		if err == nil && !reflect.DeepEqual(got, want) {
 			err = errors.New("circuit outputs differ from sequential evaluation")
 		}
@@ -763,7 +770,7 @@ func TestCircuitBesideBatches(t *testing.T) {
 			ev := tfhe.NewEvaluator(ek)
 			for r := range rounds {
 				cts := encryptInts(sk, int64(5000+10*c+r), []int{c, r % space}, space)
-				out, err := srv.MultiLUTBatch("alice", cts, space, tables)
+				out, err := multiLUTBatch(srv, "alice", cts, space, tables)
 				if err != nil {
 					errs <- err
 					return

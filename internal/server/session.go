@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/noise"
 	"repro/internal/sched"
 	"repro/internal/tfhe"
 )
@@ -95,14 +94,13 @@ func (s *session) releaseSlot() {
 	s.requests.Add(1)
 }
 
-// The typed batch methods on Server validate and then call the same three
-// methods the scheduler calls for a circuit's dispatches. Each counts one
-// engine call and runs it through the embedded Runner, so each kind's
-// engine call is written once. Concurrent requests and dispatches are
-// separate engine operations; the worker pool tiles them side by side.
+// Every request is a circuit that sched.Execute runs on the session, so
+// the three executor methods below are the session's only engine calls.
+// Each counts one engine call and runs it through the embedded Runner.
+// Concurrent requests and dispatches are separate engine operations; the
+// worker pool tiles them side by side.
 
-// Gate implements sched.Executor: d.Ops[i] over (a[i], b[i]); b is nil
-// for a batch of NOTs.
+// Gate implements sched.Executor: d.Ops[i] over (a[i], b[i]).
 func (s *session) Gate(d sched.Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	s.count(len(a))
 	return s.Runner.Gate(d, a, b)
@@ -127,155 +125,27 @@ func (s *session) count(n int) {
 	s.items.Add(int64(n))
 }
 
-// validateGate rejects malformed gate requests before they take a
-// backpressure token or reach the engine, whose checks panic.
-func (s *session) validateGate(op engine.GateOp, a, b []tfhe.LWECiphertext, maxBatch int) error {
-	fail := func(err error) error {
-		s.rejected.Add(1)
-		return err
-	}
-	if op < engine.NAND || op > engine.NOT {
-		return fail(fmt.Errorf("server: unknown gate op %d", int(op)))
-	}
-	if len(a) > maxBatch {
-		return fail(fmt.Errorf("%w: %d > %d", ErrBatchTooLarge, len(a), maxBatch))
-	}
-	if op == engine.NOT {
-		if b != nil {
-			return fail(fmt.Errorf("server: NOT takes one operand list, got a second of length %d", len(b)))
-		}
-	} else if len(a) != len(b) {
-		return fail(fmt.Errorf("server: operand length mismatch: %d vs %d", len(a), len(b)))
-	}
-	if err := s.checkDims(a); err != nil {
-		return fail(err)
-	}
-	if op != engine.NOT {
-		if err := s.checkDims(b); err != nil {
-			return fail(err)
-		}
-	}
-	return nil
-}
-
-// validateLUT rejects malformed LUT requests before they take a
-// backpressure token or reach the engine.
-func (s *session) validateLUT(cts []tfhe.LWECiphertext, space int, table []int, maxBatch int) error {
-	fail := func(err error) error {
-		s.rejected.Add(1)
-		return err
-	}
-	if len(cts) > maxBatch {
-		return fail(fmt.Errorf("%w: %d > %d", ErrBatchTooLarge, len(cts), maxBatch))
-	}
-	// A request cannot show its inputs' history: it is held to fresh ones.
-	if err := noise.Check(s.params, noise.PBS{Node: -1, In: noise.FreshLoad, Space: space, K: 1}); err != nil {
-		return fail(err)
-	}
-	if len(table) != space {
-		return fail(fmt.Errorf("server: LUT table has %d entries, want %d", len(table), space))
-	}
-	for i, v := range table {
-		if v < 0 || v >= space {
-			return fail(fmt.Errorf("server: LUT entry %d = %d outside {0..%d}", i, v, space-1))
-		}
-	}
-	if err := s.checkDims(cts); err != nil {
-		return fail(err)
-	}
-	return nil
-}
-
-// validateMultiLUT rejects malformed multi-value LUT requests before they
-// take a backpressure token or reach the engine. The response carries k outputs per input,
-// so the amplified total — not the input count — is held to the batch
-// bound.
-func (s *session) validateMultiLUT(cts []tfhe.LWECiphertext, space int, tables [][]int, maxBatch int) error {
-	fail := func(err error) error {
-		s.rejected.Add(1)
-		return err
-	}
-	k := len(tables)
-	if err := noise.Check(s.params, noise.PBS{Node: -1, In: noise.FreshLoad, Space: space, K: k}); err != nil {
-		return fail(err)
-	}
-	if len(cts)*k > maxBatch {
-		return fail(fmt.Errorf("%w: %d inputs × %d tables > %d", ErrBatchTooLarge, len(cts), k, maxBatch))
-	}
-	for ti, table := range tables {
-		if len(table) != space {
-			return fail(fmt.Errorf("server: multi-value table %d has %d entries, want %d", ti, len(table), space))
-		}
-		for i, v := range table {
-			if v < 0 || v >= space {
-				return fail(fmt.Errorf("server: multi-value table %d entry %d = %d outside {0..%d}", ti, i, v, space-1))
-			}
-		}
-	}
-	if err := s.checkDims(cts); err != nil {
-		return fail(err)
-	}
-	return nil
-}
-
-// validateCircuit rejects malformed circuit-batch requests and compiles
-// the accepted ones. The circuit is rebuilt through the sched builder (so
-// references, ops, and tables are fully validated against untrusted
-// input), compiled for the session's parameter set, which applies the
-// one noise rule to it, and then each compiled dispatch is bounded like a
-// standalone batch.
-// Node and dispatch bounds apply to the incoming specs and to the
-// schedule that actually executes (see compile for optimize).
-func (s *session) validateCircuit(specs []sched.NodeSpec, outputs []int, inputs []tfhe.LWECiphertext, cfg Config, optimize bool) (*sched.Circuit, *sched.Schedule, error) {
-	fail := func(err error) (*sched.Circuit, *sched.Schedule, error) {
-		s.rejected.Add(1)
-		return nil, nil, err
-	}
-	if len(specs) > maxCircuitNodes {
-		return fail(fmt.Errorf("%w: %d nodes > %d", ErrBatchTooLarge, len(specs), maxCircuitNodes))
-	}
-	// Outputs amplify the response (each entry re-encodes a ciphertext),
-	// so they are bounded like nodes — otherwise a tiny circuit listing
-	// one wire millions of times would balloon server memory.
-	if len(outputs) > maxCircuitNodes {
-		return fail(fmt.Errorf("%w: %d outputs > %d", ErrBatchTooLarge, len(outputs), maxCircuitNodes))
-	}
-	if len(inputs) > cfg.MaxBatch {
-		return fail(fmt.Errorf("%w: %d inputs > %d", ErrBatchTooLarge, len(inputs), cfg.MaxBatch))
-	}
-	circ, err := sched.FromSpecs(specs, outputs)
-	if err != nil {
-		return fail(fmt.Errorf("server: bad circuit: %w", err))
-	}
-	if circ.NumInputs() != len(inputs) {
-		return fail(fmt.Errorf("server: circuit has %d inputs, request carries %d", circ.NumInputs(), len(inputs)))
-	}
-	if err := s.checkDims(inputs); err != nil {
-		return fail(err)
-	}
-	schedule, err := s.compile(circ, optimize)
-	if err != nil {
-		return fail(err)
-	}
-	for _, lvl := range schedule.Levels() {
-		for _, d := range lvl.Dispatches {
-			if len(d.Nodes) > cfg.MaxBatch {
-				return fail(fmt.Errorf("%w: level dispatch of %d > %d", ErrBatchTooLarge, len(d.Nodes), cfg.MaxBatch))
-			}
-		}
-	}
-	return circ, schedule, nil
-}
-
 // compile compiles a circuit for this session's parameter set, which
-// applies the one noise rule once. optimize switches the optimizer on.
-func (s *session) compile(circ *sched.Circuit, optimize bool) (*sched.Schedule, error) {
+// applies the one noise rule once, and holds each dispatch to the batch
+// bound like a batch of its own. optimize switches the optimizer on.
+func (s *session) compile(circ *sched.Circuit, optimize bool, maxBatch int) (*sched.Schedule, error) {
 	var cfg sched.Config
 	if optimize {
 		cfg.Opt = sched.OptAll()
 	}
 	cfg.Opt.Params = s.params
-	return sched.Compile(circ, cfg)
+	schedule, err := sched.Compile(circ, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, lvl := range schedule.Levels() {
+		for _, d := range lvl.Dispatches {
+			if len(d.Nodes) > maxBatch {
+				return nil, fmt.Errorf("%w: level dispatch of %d > %d", ErrBatchTooLarge, len(d.Nodes), maxBatch)
+			}
+		}
+	}
+	return schedule, nil
 }
 
 // checkDims verifies every ciphertext has the session's LWE dimension.
