@@ -190,7 +190,10 @@ no-retired-gate:
 # the service's non-test code call the noise rule: every /v2/eval kind is
 # a circuit compiled for the session (where sched applies the rule) and
 # run by sched.Execute. Server.GateBatch stays, for benchmark/, as the
-# gate envelope's in-process form on that one path.
+# gate envelope's in-process form on that one path. Nor may Go sources or
+# docs name the unrolled bootstrapping key or its rotations (the §VII
+# comparison is arch's cost model alone) or Runner.RunSchedule (a compiled
+# schedule runs through sched.Execute).
 no-retired-ops:
 	@! git grep -nE 'BatchGates|(^|[^k])StreamGates|BatchEvalLUT|StreamLUT\(|BatchMultiLUT|StreamMultiLUT|BatchBootstrap|StreamBootstrap|BatchKeySwitch|EvalCircuit|engine\.New\(|engine\.Config([^A-Za-z0-9_]|$$)|DefaultMinStream|BlindRotateBatch|BlindRotateSteps|Runner\{Batch' -- '*.go' ':!benchmark' ':!internal/engine/engine.go'
 	@! git grep -nE 'GGSWFourier\{''Rows|ForwardTorus''BatchTo|ForwardInt''BatchTo|Inverse''BatchTo|mulAcc''Fast|mulAcc''AVX2|fft\.Mul''\(' -- '*.go'
@@ -204,6 +207,7 @@ no-retired-ops:
 	@! git grep -nE 'Admitted''(Multi)?LUT|Check''LUT|(^|[^A-Za-z0-9_])op''Space|intops\.''Base' -- '*.go'
 	@! git grep -nE 'func \(s \*Server\) (LUT|MultiLUT|Circuit|Infer)Batch|validate(Gate|LUT|MultiLUT|Circuit|Infer)([^A-Za-z0-9_]|$$)' -- '*.go'
 	@! git grep -n 'noise\.Check' -- 'internal/server/*.go' ':!*_test.go'
+	@! git grep -nE 'UnrolledBSK|BlindRotateUnrolled|BootstrapUnrolled|RunSchedule\(' -- '*.go' README.md docs
 
 # No fused multiply-add in any assembly file: it rounds once where the
 # reference kernels round twice, and fast == ref is bitwise. Nor in what the

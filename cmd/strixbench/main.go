@@ -188,10 +188,10 @@ func runInfer(set string, count, clients int) error {
 	return nil
 }
 
-// runCircuit measures the levelizing circuit scheduler against the
+// runCircuit measures the rank-first circuit scheduler against the
 // unscheduled per-gate path on a multi-digit encrypted multiply — the
-// carry-chain workload whose partial products give the scheduler wide
-// levels to batch. Both paths execute the identical DAG (and produce
+// carry-chain workload whose partial products, all ready at once, give
+// the scheduler wide batches. Both paths execute the identical DAG (and produce
 // bitwise-identical ciphertexts, which is verified); only the dispatch
 // strategy differs, so the speedup is pure scheduling.
 func runCircuit(set string, digits, workers int) error {
@@ -259,13 +259,14 @@ func runCircuit(set string, digits, workers int) error {
 	fmt.Printf("sequential: %d PBS in %v  =  %.1f PBS/s\n",
 		st.TotalPBS, seqElapsed.Round(time.Millisecond), seqRate)
 
-	// Scheduled: levelized dispatches over the streaming engine.
+	// Scheduled: the plan's dispatches, rank first, over the streaming
+	// engine.
 	runner := &sched.Runner{Stream: engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: workers})}
-	if _, err := runner.RunSchedule(circ, schedule, inputs); err != nil { // warm pools
+	if _, err := sched.Execute(circ, schedule, inputs, runner); err != nil { // warm pools
 		return err
 	}
 	start = time.Now()
-	schedOut, err := runner.RunSchedule(circ, schedule, inputs)
+	schedOut, err := sched.Execute(circ, schedule, inputs, runner)
 	if err != nil {
 		return err
 	}
@@ -296,11 +297,11 @@ func runCircuit(set string, digits, workers int) error {
 		return err
 	}
 	fmt.Printf("opt plan  : %s\n", optSchedule)
-	if _, err := runner.RunSchedule(circ, optSchedule, inputs); err != nil { // warm pools
+	if _, err := sched.Execute(circ, optSchedule, inputs, runner); err != nil { // warm pools
 		return err
 	}
 	start = time.Now()
-	optOut, err := runner.RunSchedule(circ, optSchedule, inputs)
+	optOut, err := sched.Execute(circ, optSchedule, inputs, runner)
 	if err != nil {
 		return err
 	}

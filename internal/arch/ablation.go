@@ -10,9 +10,24 @@ import (
 // (the Matcha approach §VII, traded against Strix's two-level batching),
 // the core-level batch size, and the external bandwidth provision.
 
+// UnrolledGGSWCount is how many GGSW ciphertexts the factor-2 unrolled
+// key holds per iteration, against one in the standard key. Bootstrapping
+// key unrolling (BKU, §VII of the Strix paper, the technique Matcha [18]
+// takes from Bourse et al. [51]) folds two LWE key bits into one
+// iteration with
+//
+//	X^(a1·s1 + a2·s2) = 1 + s1(1−s2)(X^a1 − 1)
+//	                      + (1−s1)s2(X^a2 − 1)
+//	                      + s1·s2(X^(a1+a2) − 1),
+//
+// so each iteration takes three external products, with GGSW encryptions
+// of s1(1−s2), (1−s1)s2 and s1·s2: the serial iteration count halves,
+// while the key and the work per iteration grow 1.5×.
+const UnrolledGGSWCount = 3
+
 // UnrolledModel extends Model with factor-2 bootstrapping-key unrolling:
-// ceil(n/2) serial iterations, 3 external products (and 1.5× key bytes)
-// per iteration.
+// ceil(n/2) serial iterations, UnrolledGGSWCount external products (and
+// 1.5× key bytes) per iteration.
 type UnrolledModel struct {
 	Model
 }
@@ -32,7 +47,7 @@ func (u UnrolledModel) Iterations() int { return (u.P.SmallN + 1) / 2 }
 // StageInterval returns the per-LWE per-iteration interval: three external
 // products' worth of transforms spread over the PLP units.
 func (u UnrolledModel) StageInterval() int64 {
-	polys := tfhe.UnrolledGGSWCount * (u.P.K + 1) * u.P.PBSLevel
+	polys := UnrolledGGSWCount * (u.P.K + 1) * u.P.PBSLevel
 	rounds := (polys + u.Cfg.PLP - 1) / u.Cfg.PLP
 	return int64(rounds) * u.FFTCyclesPerPoly()
 }
@@ -40,7 +55,7 @@ func (u UnrolledModel) StageInterval() int64 {
 // BskBytesPerIter returns the key bytes streamed per unrolled iteration:
 // three GGSWs instead of one.
 func (u UnrolledModel) BskBytesPerIter() int64 {
-	return tfhe.UnrolledGGSWCount * u.Model.BskBytesPerIter()
+	return UnrolledGGSWCount * u.Model.BskBytesPerIter()
 }
 
 // LatencyCycles returns single-PBS latency with unrolling.

@@ -300,7 +300,7 @@ func (e engineBackend) Infer(features []tfhe.LWECiphertext) ([][]tfhe.LWECiphert
 	return inferViaCircuit(e, features)
 }
 
-// schedBackend reaches every operation through the levelizing scheduler:
+// schedBackend reaches every operation through the circuit scheduler:
 // each call is built as a one-level circuit, compiled, and dispatched to
 // the engine — the path whole workloads take.
 type schedBackend struct {

@@ -79,8 +79,8 @@ func (r Radix) BuildAdd(b *sched.Builder, x, y []sched.Wire) []sched.Wire {
 
 // BuildMul appends the full encrypted multiply x·y mod Base^n. Every
 // digit pair is packed into one message and split into low/high partial
-// products by two LUTs — all of them independent, so the scheduler's
-// first level is n²-wide — then the n partial-product rows reduce
+// products by two LUTs — all of them independent, so all are ready to
+// the scheduler at once — then the n partial-product rows reduce
 // through a balanced tree of ripple-carry adds. Row digits reach at most
 // (Base-1) + (Base-1)²/Base before reduction, which Space absorbs. At
 // base 2 a digit product's high half is always 0: no lookup builds it.

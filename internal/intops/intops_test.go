@@ -3,6 +3,7 @@ package intops
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -327,9 +328,12 @@ func TestMaxValueCarryOverflow(t *testing.T) {
 	}
 }
 
-// TestMulSchedulePlan pins the multiply's schedule shape: the partial
-// products form one wide first level (2·n²−n LUT nodes minus the
-// truncated highs), and the plan PBS total matches what actually runs.
+// TestMulSchedulePlan pins the multiply's schedule shape. The plan's
+// levels are ranks, the longest PBS path to an output, so the partial
+// products (n=3: 6 lows + 3 highs = 9 pair LUTs, all ready at once) spread
+// over the levels by how far each is from the product: level 1 is the one
+// lookup that heads the longest chain. The plan PBS total matches what
+// actually runs.
 func TestMulSchedulePlan(t *testing.T) {
 	circ := mulCircuit(t, radix, 3)
 	sch, err := sched.Compile(circ, sched.Config{})
@@ -337,9 +341,12 @@ func TestMulSchedulePlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := sch.Stats()
-	// n=3: 6 lows + 3 highs = 9 pair LUTs, all level 1.
-	if st.MaxLevelPBS < 9 {
-		t.Errorf("first level should hold ≥9 parallel pair LUTs, max level = %d", st.MaxLevelPBS)
+	var widths []int
+	for _, lv := range sch.Levels() {
+		widths = append(widths, lv.PBS)
+	}
+	if st.Levels != 5 || st.TotalPBS != 19 || !slices.Equal(widths, []int{1, 5, 7, 3, 3}) {
+		t.Errorf("plan %v: %d levels of %v PBS, want 5 levels of [1 5 7 3 3], 19 PBS", sch, st.Levels, widths)
 	}
 	r := newRunner()
 	r.Stream.ResetCounters()

@@ -13,7 +13,7 @@ import (
 
 // Config tunes compilation.
 type Config struct {
-	// Opt switches on the optimizer pipeline before levelization (OptAll,
+	// Opt switches on the optimizer pipeline before planning (OptAll,
 	// with the parameter set it packs for). The zero value compiles the
 	// circuit exactly as built, bitwise-faithful to RunSequential.
 	Opt OptConfig
@@ -35,11 +35,11 @@ const (
 // batched together. That is binary gates (the sign test vector; Ops[j],
 // node j's op, only selects its free linear pre-stage), or nodes with one
 // exact lookup table or multi-value table list. A Level's dispatch holds
-// every such node of the level; one Execute issues holds the ready ones
-// of one rank. Nodes lists the node wires in build order. For
-// DispatchMultiLUT, Nodes is group-major with stride k = len(Tables):
-// Nodes[g·k+i] receives table i's output for group g, and every node of a
-// group reads the same input wire.
+// every such node of the level's rank; one Execute issues holds the ready
+// ones among them, so it is never larger. Nodes lists the node wires in
+// build order. For DispatchMultiLUT, Nodes is group-major with stride
+// k = len(Tables): Nodes[g·k+i] receives table i's output for group g,
+// and every node of a group reads the same input wire.
 type Dispatch struct {
 	Kind   DispatchKind
 	Ops    []GateOp // DispatchGate; one per node
@@ -74,9 +74,12 @@ func (d Dispatch) Groups() int {
 	return len(d.Nodes)
 }
 
-// Level is one dependency-free layer of the schedule: every dispatch (and
-// every node within each dispatch) depends only on earlier levels, so the
-// whole level could execute concurrently.
+// Level is one rank of the schedule: the PBS nodes whose longest PBS path
+// to an output, themselves included, is the same. Level 1 holds the
+// highest rank and the last level rank 1. A node's operands all have a
+// higher rank, so every dispatch (and every node within each dispatch)
+// depends only on earlier levels, and the whole level could execute
+// concurrently.
 type Level struct {
 	Dispatches []Dispatch
 	PBS        int // total blind rotations in the level
@@ -87,7 +90,7 @@ type Stats struct {
 	Levels      int // PBS depth of the circuit
 	TotalPBS    int // total blind rotations per execution
 	MaxLevelPBS int // widest level (rotations)
-	Dispatches  int // engine calls per execution
+	Dispatches  int // plan dispatches: Execute makes at least this many engine calls
 	// Streamed is always zero: it is read only by benchmark/, and ROADMAP
 	// item 2 deletes it.
 	Streamed    int
@@ -105,7 +108,8 @@ type Stats struct {
 }
 
 // Schedule is a compiled circuit: the tables Execute dispatches by, and
-// the levelized plan that reports the circuit's shape.
+// the plan they make, the levels by rank that Execute's dispatches are
+// drawn from.
 type Schedule struct {
 	levels []Level
 	stats  Stats
@@ -135,8 +139,8 @@ type Schedule struct {
 	admitted tfhe.Params
 }
 
-// Levels returns the levelized dispatches. The slice is shared, not
-// copied — treat it as read-only.
+// Levels returns the plan's dispatches, level by level. The slice is
+// shared, not copied — treat it as read-only.
 func (s *Schedule) Levels() []Level { return s.levels }
 
 // Stats returns the schedule's shape summary.
@@ -247,18 +251,19 @@ func writeTable(b *strings.Builder, table []int) {
 
 // Compile optimizes the circuit when cfg.Opt is on, then records what
 // Execute dispatches by: each PBS node's rank, the longest PBS path from
-// it to an output, and the dependency tables (the users of every wire,
-// the operands every node waits for). It also levelizes the circuit for
-// the report (Levels, Stats, Describe), and the noise load every
-// bootstrap's input carries (Check): a PBS node's level is its
-// longest-path PBS depth from the inputs (linear nodes are free and add
-// no depth), and within a level nodes group by the test vector an engine
-// call shares across its batch — all binary gates join one dispatch (the
-// sign test vector), LUTs group by exact table. The schedule carries the
-// optimized circuit: Execute is still called with the source circuit,
-// whose inputs and output order the rewrite preserves.
+// it to an output (linear nodes are free and add none), and the
+// dependency tables (the users of every wire, the operands every node
+// waits for). From the ranks it builds the plan (Levels, Stats,
+// Describe): level l holds the PBS nodes of rank Levels−l+1, highest
+// rank first, and within a level nodes group by the test vector an
+// engine call shares across its batch — all binary gates join one
+// dispatch (the sign test vector), LUTs group by exact table. Execute
+// issues the ready nodes of one rank and one key at a time, so each of
+// its engine calls is a subset of one of these dispatches. The schedule
+// carries the optimized circuit: Execute is still called with the source
+// circuit, whose inputs and output order the rewrite preserves.
 // Given cfg.Opt.Params, Compile applies the one noise rule (Check) under
-// it first, and returns its refusal before it levelizes anything.
+// it first, and returns its refusal before it plans anything.
 func Compile(c *Circuit, cfg Config) (*Schedule, error) {
 	exec, passes, err := Optimize(c, cfg.Opt)
 	if err != nil {
@@ -272,42 +277,15 @@ func Compile(c *Circuit, cfg Config) (*Schedule, error) {
 		s.admitted = p
 	}
 
-	lvl := make([]int, len(exec.nodes))
-	maxLvl := 0
-	for i, n := range exec.nodes {
-		switch n.kind {
-		case kindInput:
-			lvl[i] = 0
-		case kindLin:
-			d := 0
-			for _, t := range n.terms {
-				if lvl[t.W] > d {
-					d = lvl[t.W]
-				}
-			}
-			lvl[i] = d
-		case kindGate:
-			d := lvl[n.a]
-			if lvl[n.b] > d {
-				d = lvl[n.b]
-			}
-			lvl[i] = d + 1
-		case kindLUT, kindMultiLUT:
-			lvl[i] = lvl[n.in] + 1
-		default:
-			return nil, fmt.Errorf("sched: node %d has unknown kind %d", i, n.kind)
-		}
-		if lvl[i] > maxLvl {
-			maxLvl = lvl[i]
-		}
-	}
-
-	s.levels = make([]Level, maxLvl)
 	s.stats.OptPasses = passes
 	s.index(exec)
-	// groupIdx[l] maps a dispatch key to its index in levels[l].Dispatches,
-	// so grouping preserves first-appearance (build) order.
-	groupIdx := make([]map[int32]int, maxLvl)
+	for _, r := range s.rank {
+		s.stats.Levels = max(s.stats.Levels, int(r))
+	}
+	s.levels = make([]Level, s.stats.Levels)
+	// group maps a unit's level and key to its dispatch's index in the
+	// level, so grouping preserves first-appearance (build) order.
+	group := make(map[int64]int)
 	for i, n := range exec.nodes {
 		if n.kind == kindLin {
 			s.stats.LinearNodes++
@@ -315,33 +293,28 @@ func Compile(c *Circuit, cfg Config) (*Schedule, error) {
 		if !n.dispatched() {
 			continue
 		}
-		l := lvl[i] - 1
-		if groupIdx[l] == nil {
-			groupIdx[l] = make(map[int32]int)
-		}
-		di, ok := groupIdx[l][s.key[i]]
+		l := s.stats.Levels - int(s.rank[i])
+		lv := &s.levels[l]
+		g := int64(l)<<32 | int64(s.key[i])
+		di, ok := group[g]
 		if !ok {
-			di = len(s.levels[l].Dispatches)
-			groupIdx[l][s.key[i]] = di
-			s.levels[l].Dispatches = append(s.levels[l].Dispatches, n.dispatch())
+			di = len(lv.Dispatches)
+			group[g] = di
+			lv.Dispatches = append(lv.Dispatches, n.dispatch())
 		}
-		d := &s.levels[l].Dispatches[di]
-		d.add(exec, Wire(i))
-		s.levels[l].PBS++
+		lv.Dispatches[di].add(exec, Wire(i))
+		lv.PBS++
 		if n.kind == kindMultiLUT {
 			s.stats.MultiValueOuts += len(n.tables)
 			s.stats.RotationsSaved += len(n.tables) - 1
 		}
 	}
 
-	for l := range s.levels {
-		s.stats.Dispatches += len(s.levels[l].Dispatches)
-		if s.levels[l].PBS > s.stats.MaxLevelPBS {
-			s.stats.MaxLevelPBS = s.levels[l].PBS
-		}
-		s.stats.TotalPBS += s.levels[l].PBS
+	for _, lv := range s.levels {
+		s.stats.Dispatches += len(lv.Dispatches)
+		s.stats.MaxLevelPBS = max(s.stats.MaxLevelPBS, lv.PBS)
+		s.stats.TotalPBS += lv.PBS
 	}
-	s.stats.Levels = maxLvl
 	return s, nil
 }
 

@@ -21,10 +21,11 @@
 // the short branches, so the critical path never waits behind work that
 // could run beside it.
 //
-// Compile also levelizes the circuit into maximal dependency-free levels
-// (longest-path PBS depth from the inputs), grouped per test vector. The
-// levels are a report — Stats, Describe and the golden plan tests — and
-// not the order Execute runs in.
+// The ranks are also the plan: Compile puts the PBS nodes of each rank in
+// one level, highest rank first, grouped per test vector. Every dispatch
+// Execute issues is a subset of one level's dispatch, so the plan that
+// Stats, Describe and the golden plan tests report is the one that runs,
+// and a bound on its dispatches bounds every engine call.
 //
 // Every dispatch runs the exact per-item computation of the sequential
 // evaluator (the engines are bitwise-identical to it by construction), and

@@ -70,8 +70,8 @@ func TestCheckRefusesBeforeDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := fakeExec{gate: func(Dispatch) error {
-		t.Error("a refused circuit dispatched a gate")
+	ex := fakeExec{call: func(Dispatch) error {
+		t.Error("a refused circuit dispatched")
 		return nil
 	}}
 	requireBudgetError := func(path string, err error) {
@@ -130,7 +130,7 @@ func (e setExec) Params() tfhe.Params { return e.p }
 // executor, one without a set of its own too, which the rule refuses.
 func TestCompileRecordsTheAdmittingSet(t *testing.T) {
 	c, lut := wideLUTCircuit(t)
-	ex := fakeExec{gate: func(Dispatch) error { return nil }}
+	ex := fakeExec{call: func(Dispatch) error { return nil }}
 	s, err := Compile(c, Config{Opt: OptConfig{Params: tfhe.ParamsIV}})
 	if err != nil {
 		t.Fatal(err)

@@ -207,7 +207,7 @@ func TestOptimizePassesPreserveDecoding(t *testing.T) {
 				t.Fatalf("trial %d %s: optimized PBS %d exceeds naive %d", trial, name, got, naivePBS)
 			}
 			tc.checkDecoded(t, fmt.Sprintf("trial %d %s sequential", trial, name), seqBits(t, oc, ins))
-			outs, err := runner.RunSchedule(c, sch, ins)
+			outs, err := Execute(c, sch, ins, runner)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, name, err)
 			}

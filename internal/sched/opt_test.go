@@ -512,7 +512,7 @@ func TestCompileWithOptRunsEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for m := 0; m < space; m++ {
 		ins := []tfhe.LWECiphertext{encMsg(rng, m, space)}
-		outs, err := r.RunSchedule(c, sch, ins)
+		outs, err := Execute(c, sch, ins, r)
 		if err != nil {
 			t.Fatal(err)
 		}

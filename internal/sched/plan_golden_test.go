@@ -21,14 +21,15 @@ import (
 //
 //	go test ./internal/sched -run TestGoldenPlans -update-plans
 //
-// A diff in these files means the scheduler's levelization, dispatch
+// A diff in these files means the scheduler's plan (ranks), dispatch
 // grouping, or an optimizer pass changed shape — review the new plan
 // before committing it.
 var updatePlans = flag.Bool("update-plans", false, "rewrite the golden plan fixtures")
 
 // adderCircuit4 is the 4-bit ripple-carry adder of the benchmark workload
-// adder4_sched_I: 17 gates of three ops in 7 levels, 8 wide then 2, 1, 2,
-// 1, 2, 1. Its plan pins that a level's gates are one dispatch.
+// adder4_sched_I: 17 gates of three ops in 7 levels by rank, 2 wide (the
+// carry chain's heads) then 2, 2, 2, 2, 2 and 5 (the sum bits and the
+// carry out). Its plan pins that a level's gates are one dispatch.
 func adderCircuit4(t *testing.T) *sched.Circuit {
 	t.Helper()
 	b := sched.NewBuilder()
@@ -247,7 +248,7 @@ func TestNNOptimized(t *testing.T) {
 	}
 
 	r := &sched.Runner{Stream: engine.NewStreaming(ek, engine.StreamConfig{RotateWorkers: 2})}
-	got, err := r.RunSchedule(c, sch, cts)
+	got, err := sched.Execute(c, sch, cts, r)
 	if err != nil {
 		t.Fatal(err)
 	}

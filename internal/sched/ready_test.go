@@ -60,10 +60,10 @@ func adder4(t *testing.T) (c *Circuit, g0, p1 Wire) {
 // computes nothing hands back.
 func placeholders(n int) []tfhe.LWECiphertext { return make([]tfhe.LWECiphertext, n) }
 
-// fakeExec is an Executor that computes nothing: gate hands each
-// dispatch's nodes to a callback and returns placeholders.
+// fakeExec is an Executor that computes nothing: it hands each dispatch
+// to a callback and returns placeholders.
 type fakeExec struct {
-	gate func(d Dispatch) error
+	call func(d Dispatch) error
 }
 
 func (f fakeExec) concurrentCalls() {}
@@ -71,15 +71,15 @@ func (f fakeExec) concurrentCalls() {}
 func (f fakeExec) Params() tfhe.Params { return tfhe.ParamsTest }
 
 func (f fakeExec) Gate(d Dispatch, a, _ []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	return placeholders(len(a)), f.gate(d)
+	return placeholders(len(a)), f.call(d)
 }
 
-func (f fakeExec) LUT(_ Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	return placeholders(len(in)), nil
+func (f fakeExec) LUT(d Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
+	return placeholders(len(in)), f.call(d)
 }
 
 func (f fakeExec) MultiLUT(d Dispatch, in []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
-	return regroupTest(placeholders(len(in)*len(d.Tables)), len(d.Tables)), nil
+	return regroupTest(placeholders(len(in)*len(d.Tables)), len(d.Tables)), f.call(d)
 }
 
 // regroupTest splits a flat slice into groups of k.
@@ -136,7 +136,7 @@ func TestFailureWaitsForDispatchesInFlight(t *testing.T) {
 			started := make(chan struct{})
 			var mu sync.Mutex
 			finished := false
-			ex := fakeExec{gate: func(d Dispatch) error {
+			ex := fakeExec{call: func(d Dispatch) error {
 				switch d.Nodes[0] {
 				case or:
 					select {
@@ -283,6 +283,72 @@ func TestCompletionOrderDoesNotMatter(t *testing.T) {
 	}
 }
 
+// TestDispatchesWithinPlan pins the plan Compile reports to the one
+// Execute runs. An executor records each dispatch of random typed
+// circuits, unoptimized and optimized, at GOMAXPROCS 1 and 2 and wrapped
+// so that it takes one dispatch at a time: the nodes of every dispatch
+// lie inside one dispatch of Levels, and every plan node is issued
+// exactly once. A bound on the plan's dispatches, such as the gate
+// service's batch bound, is then a bound on every engine call.
+func TestDispatchesWithinPlan(t *testing.T) {
+	for _, mode := range []struct {
+		procs  int
+		serial bool
+	}{{1, false}, {2, false}, {2, true}} {
+		t.Run(fmt.Sprintf("procs=%d serial=%v", mode.procs, mode.serial), func(t *testing.T) {
+			withProcs(t, mode.procs)
+			for trial := range 24 {
+				rng := rand.New(rand.NewSource(7300 + int64(trial)))
+				tc := genTypedCircuit(rng, 12+rng.Intn(12))
+				for _, opt := range []OptConfig{{}, optTest()} {
+					sch, err := Compile(tc.circ, Config{Opt: opt})
+					if err != nil {
+						t.Fatal(err)
+					}
+					type at struct{ level, dispatch int }
+					plan := map[Wire]at{}
+					for l, lv := range sch.Levels() {
+						for d, disp := range lv.Dispatches {
+							for _, w := range disp.Nodes {
+								plan[w] = at{l, d}
+							}
+						}
+					}
+					var mu sync.Mutex
+					var calls [][]Wire
+					var ex Executor = fakeExec{call: func(d Dispatch) error {
+						mu.Lock()
+						calls = append(calls, d.Nodes)
+						mu.Unlock()
+						return nil
+					}}
+					if mode.serial {
+						ex = struct{ Executor }{ex}
+					}
+					if _, err := Execute(tc.circ, sch, placeholders(len(tc.inBools)), ex); err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("trial %d optimized=%v", trial, opt.on)
+					issued := 0
+					for _, call := range calls {
+						issued += len(call)
+						want := plan[call[0]]
+						for _, w := range call {
+							if got, ok := plan[w]; !ok || got != want {
+								t.Fatalf("%s: dispatch %v spans plan dispatches (node %d at %+v, node %d at %+v)\n%s",
+									label, call, call[0], want, w, got, sch.Describe())
+							}
+						}
+					}
+					if issued != len(plan) {
+						t.Errorf("%s: Execute issued %d nodes, the plan holds %d", label, issued, len(plan))
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestDispatchByRank drives the adder through a fake executor on a fixed
 // number of CPUs, deterministically: it lets one dispatch complete at a
 // time, oldest first, and only once Execute has issued all it can. The
@@ -290,7 +356,7 @@ func TestCompletionOrderDoesNotMatter(t *testing.T) {
 // rank that share one key, picked one group after another, the first
 // exactly the two rank-7 nodes; and no more run at once than there are
 // CPUs. An executor that does not take concurrent calls gets one dispatch
-// at a time instead, each with every ready gate.
+// at a time, picked as on one CPU, whatever GOMAXPROCS is.
 func TestDispatchByRank(t *testing.T) {
 	for _, tc := range []struct {
 		procs  int
@@ -314,7 +380,7 @@ func TestDispatchByRank(t *testing.T) {
 			var issued [][]Wire
 			acked := true // the last dispatch let go has returned
 			most := 0
-			ex := fakeExec{gate: func(d Dispatch) error {
+			ex := fakeExec{call: func(d Dispatch) error {
 				release := make(chan struct{})
 				mu.Lock()
 				issued = append(issued, d.Nodes)
@@ -351,7 +417,7 @@ func TestDispatchByRank(t *testing.T) {
 					if slots == 1 {
 						first = len(issued) > 0 && slices.Equal(issued[0], []Wire{g0, p1})
 					}
-					if !first && !tc.serial {
+					if !first {
 						t.Errorf("dispatches %v, want the rank-7 nodes [%d %d] first", issued, g0, p1)
 					}
 					if most > slots {
@@ -369,7 +435,7 @@ func TestDispatchByRank(t *testing.T) {
 				fresh := issued[checked:]
 				ready := o.ready()
 				if acked && len(inflight) > 0 && (len(inflight) == slots || len(ready) == countNodes(fresh)) {
-					if want := o.picks(ready, len(fresh), tc.serial); !sameGroups(fresh, want) {
+					if want := o.picks(ready, len(fresh)); !sameGroups(fresh, want) {
 						t.Errorf("after %d dispatches Execute issued %v, want %v", checked, fresh, want)
 					}
 					if checked == 0 {
@@ -478,12 +544,8 @@ func (o *oracle) ready() []Wire {
 }
 
 // picks returns the first k dispatches rank-first order takes from the
-// ready gates: each time, every remaining gate of the highest rank, or,
-// for a serial executor, every ready gate.
-func (o *oracle) picks(ready []Wire, k int, serial bool) [][]Wire {
-	if serial {
-		return [][]Wire{ready}[:k]
-	}
+// ready gates: each time, every remaining gate of the highest rank.
+func (o *oracle) picks(ready []Wire, k int) [][]Wire {
 	var out [][]Wire
 	for range k {
 		top := 0

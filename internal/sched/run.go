@@ -67,17 +67,18 @@ func evalLin(n node, vals []tfhe.LWECiphertext, dim int) (tfhe.LWECiphertext, er
 }
 
 // Execute runs a compiled schedule over the inputs. It dispatches by
-// readiness, not by level: whenever the process's worker pool has a free
-// CPU (engine.Claim), it issues one dispatch, the ready PBS nodes of the
-// highest rank that share one Dispatch.Key, in build order. Each
-// completion unblocks the nodes that wait on it, and a free linear node
-// folds the moment its operands resolve. A dispatch issued while other
-// ready work could take the remaining CPUs runs on one of them, as one
-// tile; one that is the only ready work may split across every free CPU
-// it can fill. With nothing in flight, Execute takes a CPU even when none
-// is free, as an operation alone does. An executor that neither is nor
-// embeds a Runner gets one dispatch at a time instead, each with every
-// ready node of its key, and runs it by the pool's own tile rule.
+// readiness within the schedule's plan: whenever the process's worker pool
+// has a free CPU (engine.Claim), it issues one dispatch, the ready PBS
+// nodes of the highest rank that share one Dispatch.Key, in build order —
+// a subset of one dispatch of Levels. Each completion unblocks the nodes
+// that wait on it, and a free linear node folds the moment its operands
+// resolve. A dispatch issued while other ready work could take the
+// remaining CPUs runs on one of them, as one tile; one that is the only
+// ready work may split across every free CPU it can fill. With nothing in
+// flight, Execute takes a CPU even when none is free, as an operation
+// alone does. An executor that neither is nor embeds a Runner gets one
+// dispatch at a time instead, picked as the Runner's on one CPU, and runs
+// it by the pool's own tile rule.
 //
 // Before it issues anything, Execute applies the one noise rule
 // (Schedule.Check) under the executor's parameter set, and returns its
@@ -209,10 +210,9 @@ func (r *run) fail(err error, panicked any) {
 
 // issue claims CPUs for the next dispatch, the ready units of the highest
 // rank that share the key of the first such in build order, and starts
-// it. It reports false, issuing nothing, when no CPU is free. For an
-// executor that takes one dispatch at a time, nothing could run beside
-// the dispatch, so it takes every ready unit of that key, whatever the
-// rank.
+// it. It reports false, issuing nothing, when no CPU is free. Every
+// executor gets the same pick, so each dispatch is a subset of one plan
+// dispatch, the bound a caller checks Levels against.
 func (r *run) issue() bool {
 	top, first := int32(-1), Wire(-1)
 	for _, w := range r.ready {
@@ -221,7 +221,7 @@ func (r *run) issue() bool {
 		}
 	}
 	key := r.s.key[first]
-	next := func(w Wire) bool { return r.s.key[w] == key && (r.serial || r.s.rank[w] == top) }
+	next := func(w Wire) bool { return r.s.key[w] == key && r.s.rank[w] == top }
 	n := 0
 	for _, w := range r.ready {
 		if next(w) {
@@ -496,10 +496,5 @@ func (r *Runner) Run(c *Circuit, cfg Config, inputs []tfhe.LWECiphertext) ([]tfh
 	if err != nil {
 		return nil, err
 	}
-	return Execute(c, s, inputs, r)
-}
-
-// RunSchedule executes an already-compiled schedule.
-func (r *Runner) RunSchedule(c *Circuit, s *Schedule, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	return Execute(c, s, inputs, r)
 }

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/intops"
@@ -318,6 +319,65 @@ type closeCountingStore struct {
 func (s *closeCountingStore) Close() error {
 	s.closes.Add(1)
 	return s.MemStore.Close()
+}
+
+// TestBatchBoundHoldsEngineCalls: the batch bound the service checks on
+// a circuit's plan bounds every engine call that runs it. AND(x, y) is an
+// output and OR(x, y) feeds two more gates, so the plan is the OR alone,
+// then the AND and the OR's two users, one 3-gate dispatch that runs once
+// the OR resolves. At MaxBatch 2 the service refuses the circuit with 413
+// too_large before it takes a backpressure token: every token is held, so
+// a request that reached for one would answer 503 overloaded. At MaxBatch
+// 3 it runs: its 4 gates go out in at least 2 engine calls, so none is
+// over 3.
+func TestBatchBoundHoldsEngineCalls(t *testing.T) {
+	sk, ek := testKeys(t, 1)
+	b := sched.NewBuilder()
+	x, y := b.Input(), b.Input()
+	and, or := b.Gate(engine.AND, x, y), b.Gate(engine.OR, x, y)
+	b.Output(and, b.Gate(engine.XOR, or, x), b.Gate(engine.NAND, or, y))
+	circ, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := encryptBools(sk, 11, []bool{true, false})
+	for _, maxBatch := range []int{2, 3} {
+		srv := New(Config{MaxBatch: maxBatch})
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		cl := Dial(ts.URL, "alice")
+		cl.SetRetry(0, 0)
+		if err := cl.RegisterKey(ek); err != nil {
+			t.Fatal(err)
+		}
+		if maxBatch == 2 {
+			sess := warmSession(srv, "alice")
+			sess.queueTimeout = time.Millisecond
+			unpark := park(sess)
+			_, err := cl.CircuitBatch(circ, in)
+			unpark()
+			var apiErr *APIError
+			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusRequestEntityTooLarge || apiErr.Code != CodeTooLarge {
+				t.Errorf("MaxBatch 2: %v, want 413 %s", err, CodeTooLarge)
+			}
+			if st := srv.Stats().Sessions[0]; st.Streams != 0 {
+				t.Errorf("MaxBatch 2: the refused circuit made %d engine calls", st.Streams)
+			}
+			continue
+		}
+		out, err := cl.CircuitBatch(circ, in)
+		if err != nil {
+			t.Fatalf("MaxBatch 3: %v", err)
+		}
+		for i, want := range []bool{false, false, true} {
+			if got := sk.DecryptBool(out[i]); got != want {
+				t.Errorf("MaxBatch 3: output %d decrypts to %v, want %v", i, got, want)
+			}
+		}
+		if st := srv.Stats().Sessions[0]; st.Items != 4 || st.Streams < 2 {
+			t.Errorf("MaxBatch 3: %d items in %d engine calls, want 4 in at least 2", st.Items, st.Streams)
+		}
+	}
 }
 
 // TestServeClosesStoreOnEveryExit pins what Serve owns: however it comes

@@ -126,8 +126,10 @@ func (s *session) count(n int) {
 }
 
 // compile compiles a circuit for this session's parameter set, which
-// applies the one noise rule once, and holds each dispatch to the batch
-// bound like a batch of its own. optimize switches the optimizer on.
+// applies the one noise rule once, and holds each dispatch of the plan to
+// the batch bound like a batch of its own. Every engine call Execute makes
+// is a subset of one plan dispatch, so the bound holds for each of them.
+// optimize switches the optimizer on.
 func (s *session) compile(circ *sched.Circuit, optimize bool, maxBatch int) (*sched.Schedule, error) {
 	var cfg sched.Config
 	if optimize {
@@ -138,10 +140,10 @@ func (s *session) compile(circ *sched.Circuit, optimize bool, maxBatch int) (*sc
 	if err != nil {
 		return nil, err
 	}
-	for _, lvl := range schedule.Levels() {
+	for l, lvl := range schedule.Levels() {
 		for _, d := range lvl.Dispatches {
 			if len(d.Nodes) > maxBatch {
-				return nil, fmt.Errorf("%w: level dispatch of %d > %d", ErrBatchTooLarge, len(d.Nodes), maxBatch)
+				return nil, fmt.Errorf("%w: a dispatch of %d at plan level %d > %d", ErrBatchTooLarge, len(d.Nodes), l+1, maxBatch)
 			}
 		}
 	}

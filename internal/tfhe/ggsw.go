@@ -95,16 +95,17 @@ func ExternalProductAcc(out, d GLWECiphertext, g GGSWFourier, gadget poly.Decomp
 	buf.macInverse(outs[:], g, proc, counters)
 }
 
-// ExternalProductRotSubAcc computes out += GGSW ⊡ (src·X^e − src) without
+// ExternalProductRotSubAcc computes acc += GGSW ⊡ (acc·X^e − acc) without
 // forming the rotated difference: rotation and subtraction happen inside
 // the decompose load (fft.Processor.ForwardDecomposeRotSub), bitwise
 // identical to rotating, subtracting and calling ExternalProductAcc. Every
-// load precedes the first inverse transform, so out may be src, which is a
-// blind-rotation iteration (Algorithm 1 lines 6–12): tv ← tv + GGSW(s_i) ⊡
-// (tv·X^e − tv) equals tv·X^e when s_i = 1 and tv when s_i = 0.
-func ExternalProductRotSubAcc(out, src GLWECiphertext, e int, g GGSWFourier, gadget poly.Decomposer, proc *fft.Processor, buf *externalProductBuffers, counters *OpCounters) {
-	buf.loadRotSub(0, src, e, gadget, proc, counters)
-	outs := [1]GLWECiphertext{out}
+// load precedes the first inverse transform, so acc is read whole before
+// it is written. That is a blind-rotation iteration (Algorithm 1 lines
+// 6–12): tv ← tv + GGSW(s_i) ⊡ (tv·X^e − tv) equals tv·X^e when s_i = 1
+// and tv when s_i = 0.
+func ExternalProductRotSubAcc(acc GLWECiphertext, e int, g GGSWFourier, gadget poly.Decomposer, proc *fft.Processor, buf *externalProductBuffers, counters *OpCounters) {
+	buf.loadRotSub(0, acc, e, gadget, proc, counters)
+	outs := [1]GLWECiphertext{acc}
 	buf.macInverse(outs[:], g, proc, counters)
 }
 

@@ -79,7 +79,7 @@ func (e *Evaluator) CMuxAt(acc GLWECiphertext, i, aBar int) {
 		return
 	}
 	e.ensureRotateScratch(1)
-	ExternalProductRotSubAcc(acc, acc, aBar, e.Keys.BSK[i], e.gadget, e.proc, e.epBuf, &e.Counters)
+	ExternalProductRotSubAcc(acc, aBar, e.Keys.BSK[i], e.gadget, e.proc, e.epBuf, &e.Counters)
 }
 
 // BlindRotateTile runs the n CMux iterations on a tile of accumulators,

@@ -185,7 +185,7 @@ func TestCMuxSelects(t *testing.T) {
 	for _, bit := range []int32{0, 1} {
 		tv := key.Encrypt(rng, mu, 1e-9)
 		g := EncryptGGSW(rng, key, bit, p)
-		ExternalProductRotSubAcc(tv, tv, 7, g, gadget, proc, buf, nil)
+		ExternalProductRotSubAcc(tv, 7, g, gadget, proc, buf, nil)
 		phase := key.Phase(tv)
 		want := mu
 		if bit == 1 {
