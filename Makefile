@@ -193,7 +193,11 @@ no-retired-gate:
 # gate envelope's in-process form on that one path. Nor may Go sources or
 # docs name the unrolled bootstrapping key or its rotations (the §VII
 # comparison is arch's cost model alone) or Runner.RunSchedule (a compiled
-# schedule runs through sched.Execute).
+# schedule runs through sched.Execute). Nor may any Go source name the
+# lookup's multi-value twins, which a one-table group replaced at every
+# layer (the node and dispatch kinds, the engine's MultiLUT and any
+# executor's MultiLUT method on a dispatch), the engine's raw Bootstrap or
+# its test-vector check: every engine op is a PBS that ends in a keyswitch.
 no-retired-ops:
 	@! git grep -nE 'BatchGates|(^|[^k])StreamGates|BatchEvalLUT|StreamLUT\(|BatchMultiLUT|StreamMultiLUT|BatchBootstrap|StreamBootstrap|BatchKeySwitch|EvalCircuit|engine\.New\(|engine\.Config([^A-Za-z0-9_]|$$)|DefaultMinStream|BlindRotateBatch|BlindRotateSteps|Runner\{Batch' -- '*.go' ':!benchmark' ':!internal/engine/engine.go'
 	@! git grep -nE 'GGSWFourier\{''Rows|ForwardTorus''BatchTo|ForwardInt''BatchTo|Inverse''BatchTo|mulAcc''Fast|mulAcc''AVX2|fft\.Mul''\(' -- '*.go'
@@ -208,6 +212,7 @@ no-retired-ops:
 	@! git grep -nE 'func \(s \*Server\) (LUT|MultiLUT|Circuit|Infer)Batch|validate(Gate|LUT|MultiLUT|Circuit|Infer)([^A-Za-z0-9_]|$$)' -- '*.go'
 	@! git grep -n 'noise\.Check' -- 'internal/server/*.go' ':!*_test.go'
 	@! git grep -nE 'UnrolledBSK|BlindRotateUnrolled|BootstrapUnrolled|RunSchedule\(' -- '*.go' README.md docs
+	@! git grep -nE '(^|[^A-Za-z0-9_])(kindMultiLUT|DispatchMultiLUT|checkTestVec)([^A-Za-z0-9_]|$$)|func \(s \*StreamingEngine\) (MultiLUT|Bootstrap)\(|MultiLUT\(d (sched\.)?Dispatch' -- '*.go'
 
 # No fused multiply-add in any assembly file: it rounds once where the
 # reference kernels round twice, and fast == ref is bitwise. Nor in what the

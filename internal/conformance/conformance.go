@@ -58,11 +58,17 @@ func inferViaCircuit(be Backend, features []tfhe.LWECiphertext) ([][]tfhe.LWECip
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]tfhe.LWECiphertext, 0, len(flat)/workload.InferClasses)
-	for i := 0; i < len(flat); i += workload.InferClasses {
-		out = append(out, flat[i:i+workload.InferClasses])
+	return perInput(flat, workload.InferClasses), nil
+}
+
+// perInput splits an input-major output batch into its k outputs per
+// input.
+func perInput(flat []tfhe.LWECiphertext, k int) [][]tfhe.LWECiphertext {
+	out := make([][]tfhe.LWECiphertext, len(flat)/k)
+	for i := range out {
+		out[i] = flat[i*k : (i+1)*k]
 	}
-	return out, nil
+	return out
 }
 
 // EqualLWE reports whether two ciphertexts are bitwise identical — the
@@ -285,11 +291,15 @@ func (e engineBackend) Gate(op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe
 }
 
 func (e engineBackend) LUT(cts []tfhe.LWECiphertext, space int, table []int) ([]tfhe.LWECiphertext, error) {
-	return e.eng.LUT(cts, space, func(m int) int { return table[m] })
+	return e.eng.LUT(cts, space, tfhe.TableFuncs([][]int{table}))
 }
 
 func (e engineBackend) MultiLUT(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
-	return e.eng.MultiLUT(cts, space, tfhe.TableFuncs(tables))
+	flat, err := e.eng.LUT(cts, space, tfhe.TableFuncs(tables))
+	if err != nil {
+		return nil, err
+	}
+	return perInput(flat, len(tables)), nil
 }
 
 func (e engineBackend) Circuit(circ *sched.Circuit, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
@@ -359,12 +369,7 @@ func (s schedBackend) MultiLUT(cts []tfhe.LWECiphertext, space int, tables [][]i
 	if err != nil {
 		return nil, err
 	}
-	k := len(tables)
-	out := make([][]tfhe.LWECiphertext, len(cts))
-	for i := range out {
-		out[i] = flat[i*k : (i+1)*k]
-	}
-	return out, nil
+	return perInput(flat, len(tables)), nil
 }
 
 func (s schedBackend) Circuit(circ *sched.Circuit, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {

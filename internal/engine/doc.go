@@ -9,10 +9,13 @@
 // There is one operation vocabulary and one executor under it, both on
 // StreamingEngine. ops.go spells each operation once, as data: the test
 // vector the batch shares, a per-item linear prepare stage (which may
-// finish the item, as the free NOT gate does), the extract fan-out (one
-// output, or k for a multi-value PBS), and whether to keyswitch. Gates,
-// LUT, MultiLUT and Bootstrap are defined there, with operand validation
-// and counter aggregation. The executor (pipeline.go, exec) mirrors the
+// finish the item, as the free NOT gate does) and the extract fan-out
+// (one output, or k for a lookup of k tables). The vocabulary is two
+// operations, Gates and LUT, defined there with operand validation, and
+// every item of either ends in a keyswitch, as every PBS of Strix runs
+// down one PBS→KS datapath. A lookup is a group of k ≥ 1 tables sharing
+// one blind rotation (multi-value PBS); one table is the plain lookup,
+// bitwise tfhe.Evaluator.EvalLUTKS. The executor (pipeline.go, exec) mirrors the
 // paper's streaming architecture with two-level ciphertext batching
 // (§IV): workers, the streaming cores, each claim a tile of consecutive
 // items and run it start to finish — prepare (linear op, modswitch,

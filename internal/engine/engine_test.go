@@ -56,10 +56,6 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 		bits[i] = sk.EncryptBool(rng, pts[i])
 		ints[i] = sk.LWE.Encrypt(rng, tfhe.EncodePBSMessage(rng.Intn(space), space), tfhe.ParamsTest.LWEStdDev)
 	}
-	tv := tfhe.NewGLWECiphertext(tfhe.ParamsTest.K, tfhe.ParamsTest.N)
-	for j := range tv.Body().Coeffs {
-		tv.Body().Coeffs[j] = uint32(j) << 19
-	}
 	table := rng.Perm(space)
 	lut := func(m int) int { return table[m] }
 
@@ -73,7 +69,7 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 		}
 	}
 
-	// one wraps a single-output result in the per-item shape MultiLUT has.
+	// one wraps a single-output result in the per-item shape.
 	one := func(cts []tfhe.LWECiphertext, err error) ([][]tfhe.LWECiphertext, error) {
 		out := make([][]tfhe.LWECiphertext, len(cts))
 		for i, ct := range cts {
@@ -81,9 +77,16 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 		}
 		return out, err
 	}
+	// multi runs a k-table lookup and splits its input-major outputs per
+	// item.
 	multi := func(k int) func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) {
 		return func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) {
-			return o.MultiLUT(ints, space, multiTables(space, k))
+			flat, err := o.LUT(ints, space, multiTables(space, k))
+			out := make([][]tfhe.LWECiphertext, len(flat)/k)
+			for i := range out {
+				out[i] = flat[i*k : (i+1)*k]
+			}
+			return out, err
 		}
 	}
 	type gateCase struct {
@@ -94,11 +97,10 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 		plain func(i int) bool                 // a gate row's plaintext result, or nil
 	}
 	cases := []gateCase{
-		{"Bootstrap",
-			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) { return one(o.Bootstrap(bits, tv), nil) },
-			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.Bootstrap(bits[i], tv)} }, batch, nil},
 		{"LUT",
-			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) { return one(o.LUT(ints, space, lut)) },
+			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) {
+				return one(o.LUT(ints, space, []func(int) int{lut}))
+			},
 			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.EvalLUTKS(ints[i], space, lut)} }, batch, nil},
 		{"MultiLUT-k1", multi(1),
 			func(i int) []tfhe.LWECiphertext { return serial.EvalMultiLUTKS(ints[i], space, multiTables(space, 1)) }, batch, nil},
@@ -119,7 +121,9 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 		// cut them 8+1, 5+4 and 3+3+3 where the ten above go 8+2, 5+5 and
 		// 4+4+2, so full and ragged tiles both occur at every count.
 		{"LUT-9-items",
-			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) { return one(o.LUT(ints[:9], space, lut)) },
+			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) {
+				return one(o.LUT(ints[:9], space, []func(int) int{lut}))
+			},
 			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.EvalLUTKS(ints[i], space, lut)} }, 9, nil},
 	}
 	// Mixed-op gate batches of every width from 1 to 9: at 1–3 workers the
@@ -208,12 +212,12 @@ func TestCounters(t *testing.T) {
 		t.Fatalf("SampleExtracts = %d, want 8", c.SampleExtracts)
 	}
 
-	out := eng.Bootstrap(cts, tfhe.NewGLWECiphertext(tfhe.ParamsTest.K, tfhe.ParamsTest.N))
-	if len(out) != 16 {
-		t.Fatalf("Bootstrap returned %d outputs", len(out))
+	out, err := eng.LUT(cts, 4, multiTables(4, 1))
+	if err != nil || len(out) != 16 {
+		t.Fatalf("LUT returned %d outputs: %v", len(out), err)
 	}
-	if c = eng.Counters(); c.PBSCount != 24 {
-		t.Fatalf("PBSCount = %d, want 24", c.PBSCount)
+	if c = eng.Counters(); c.PBSCount != 24 || c.KSCount != 24 || c.MultiValuePBS != 0 {
+		t.Fatalf("PBSCount=%d KSCount=%d MultiValuePBS=%d, want 24/24/0", c.PBSCount, c.KSCount, c.MultiValuePBS)
 	}
 
 	eng.ResetCounters()
@@ -244,21 +248,19 @@ func TestValidation(t *testing.T) {
 	if out, err := eng.Gates(nil, nil, nil); err != nil || len(out) != 0 {
 		t.Fatalf("empty Gates: %v, %v", out, err)
 	}
-	if out := eng.Bootstrap(nil, tfhe.NewGLWECiphertext(tfhe.ParamsTest.K, tfhe.ParamsTest.N)); len(out) != 0 {
-		t.Fatalf("empty Bootstrap returned %d outputs", len(out))
-	}
 }
 
-// TestDimensionPanics checks that wrong-dimension inputs and malformed
-// test vectors are rejected up front, from the caller's goroutine —
-// recoverable, instead of an unrecoverable panic inside a worker — by
-// every operation.
+// TestDimensionPanics checks that wrong-dimension inputs are rejected up
+// front, from the caller's goroutine — recoverable, instead of an
+// unrecoverable panic inside a worker — by every operation.
 func TestDimensionPanics(t *testing.T) {
 	_, ek, cts, _ := testSetup(t, 13, 4)
 	p := tfhe.ParamsTest
-	tv := tfhe.NewGLWECiphertext(p.K, p.N)
 	o := NewStreaming(ek, StreamConfig{RotateWorkers: 2})
-	big := o.Bootstrap(cts, tv)
+	big := make([]tfhe.LWECiphertext, len(cts)) // the k·N dimension of an unswitched PBS output
+	for i := range big {
+		big[i] = tfhe.NewLWECiphertext(p.K * p.N)
+	}
 	mustPanic := func(api string, f func()) {
 		t.Helper()
 		defer func() {
@@ -268,11 +270,8 @@ func TestDimensionPanics(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("Bootstrap", func() { o.Bootstrap(big, tv) })
-	mustPanic("Bootstrap k+1", func() { o.Bootstrap(cts, tfhe.NewGLWECiphertext(p.K+1, p.N)) })
-	mustPanic("Bootstrap N/2", func() { o.Bootstrap(cts, tfhe.NewGLWECiphertext(p.K, p.N/2)) })
-	mustPanic("LUT", func() { _, _ = o.LUT(big, 8, func(x int) int { return x }) })
-	mustPanic("MultiLUT", func() { _, _ = o.MultiLUT(big, 4, multiTables(4, 2)) })
+	mustPanic("LUT", func() { _, _ = o.LUT(big, 8, multiTables(8, 1)) })
+	mustPanic("LUT k=2", func() { _, _ = o.LUT(big, 4, multiTables(4, 2)) })
 	mustPanic("Gates a", func() { _, _ = o.Gates([]GateOp{AND, AND}, big[:2], cts[2:]) })
 	mustPanic("Gates b", func() { _, _ = o.Gates([]GateOp{NOT, AND}, cts[:2], big[2:]) })
 

@@ -40,7 +40,7 @@ func TestMultiLUTSavesRotations(t *testing.T) {
 	fs := multiTables(space, k)
 
 	eng := NewStreaming(ek, StreamConfig{RotateWorkers: 2})
-	if _, err := eng.MultiLUT(cts, space, fs); err != nil {
+	if _, err := eng.LUT(cts, space, fs); err != nil {
 		t.Fatal(err)
 	}
 	c := eng.Counters()
@@ -61,10 +61,13 @@ func TestMultiLUTValidation(t *testing.T) {
 		over[i] = func(m int) int { return m }
 	}
 	s := NewStreaming(ek, StreamConfig{RotateWorkers: 1})
-	if _, err := s.MultiLUT(cts, 2, over); err == nil {
-		t.Fatal("MultiLUT accepted space·k > N")
+	if _, err := s.LUT(cts, 2, over); err == nil {
+		t.Fatal("LUT accepted space·k > N")
 	}
-	if _, err := s.MultiLUT(cts, 1, multiTables(4, 2)); err == nil {
-		t.Fatal("MultiLUT accepted space < 2")
+	if _, err := s.LUT(cts, 1, multiTables(4, 2)); err == nil {
+		t.Fatal("LUT accepted space < 2")
+	}
+	if _, err := s.LUT(cts, 4, nil); err == nil {
+		t.Fatal("LUT accepted no tables")
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // StreamingEngine is the software mirror of the Strix streaming
 // architecture (§IV) and the one executor of the operation vocabulary
-// (Gates, LUT, MultiLUT, Bootstrap; ops.go), with its two levels of
+// (Gates and LUT; ops.go), with its two levels of
 // batching. Level 1: workers, the TvLP cores, each run a tile of
 // consecutive items start to finish — prepare (linear op, modswitch,
 // initial rotation) → blind rotate → sample extract → keyswitch, the
@@ -259,13 +259,11 @@ func (w *worker) tile(ek tfhe.EvaluationKeys, p op, out []tfhe.LWECiphertext, lo
 		p.extract(ev, w.acc[j], outs)
 		w.ks = append(w.ks, outs...)
 	}
-	if p.keyswitch {
-		// Keyswitch (Algorithm 2, the §IV-C handoff): the whole tile at
-		// once, written back to the items' slots.
-		ev.KeySwitchTile(ek.KSK, w.ks)
-		for j, i := range w.items {
-			copy(out[i*p.k:(i+1)*p.k], w.ks[j*p.k:(j+1)*p.k])
-		}
+	// Keyswitch (Algorithm 2, the §IV-C handoff): the whole tile at once,
+	// written back to the items' slots.
+	ev.KeySwitchTile(ek.KSK, w.ks)
+	for j, i := range w.items {
+		copy(out[i*p.k:(i+1)*p.k], w.ks[j*p.k:(j+1)*p.k])
 	}
 	clear(w.ks) // the scratch must not keep the caller's outputs alive
 }

@@ -136,14 +136,14 @@ func TestStreamValidation(t *testing.T) {
 	if out, err := s.Gates(nil, nil, nil); err != nil || len(out) != 0 {
 		t.Fatalf("empty Gates: %v, %v", out, err)
 	}
-	if out, err := s.LUT(nil, 8, func(x int) int { return x }); err != nil || len(out) != 0 {
+	if out, err := s.LUT(nil, 8, multiTables(8, 1)); err != nil || len(out) != 0 {
 		t.Fatalf("empty LUT stream: %v, %v", out, err)
 	}
-	if _, err := s.LUT(cts[:1], 2*ek.Params.N, func(x int) int { return x }); err == nil {
+	if _, err := s.LUT(cts[:1], 2*ek.Params.N, multiTables(2*ek.Params.N, 1)); err == nil {
 		t.Fatal("LUT accepted a space its test vector cannot hold (space > N)")
 	}
-	if out, err := s.MultiLUT(nil, 4, multiTables(4, 2)); err != nil || len(out) != 0 {
-		t.Fatalf("empty MultiLUT stream: %v, %v", out, err)
+	if out, err := s.LUT(nil, 4, multiTables(4, 2)); err != nil || len(out) != 0 {
+		t.Fatalf("empty multi-value LUT stream: %v, %v", out, err)
 	}
 }
 
@@ -362,7 +362,7 @@ func meetOp(t *testing.T, s *StreamingEngine, a, b []tfhe.LWECiphertext, size in
 		arrived.Wait()
 		close(met)
 	}()
-	return op{n: len(a), testVec: s.signTV, keyswitch: true,
+	return op{n: len(a), k: 1, testVec: s.signTV, extract: extractOne,
 		prepare: func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
 			if i%size == 0 {
 				arrived.Done()
@@ -388,11 +388,11 @@ func TestTilesFollowTheBudget(t *testing.T) {
 		s := NewStreaming(ek, StreamConfig{RotateWorkers: 2})
 		s.tileCap = 8
 		charge(t, runtime.GOMAXPROCS(0))
-		p, counts := tally(op{n: 8, testVec: s.signTV, keyswitch: true,
+		p, counts := tally(op{n: 8, k: 1, testVec: s.signTV, extract: extractOne,
 			prepare: func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
 				return gateInput(ev, NAND, a, b, i)
 			}})
-		s.runOne(p)
+		s.exec(p)
 		if got := counts(); !slices.Equal(got, []int{8}) {
 			t.Errorf("items per worker %v behind a full budget, want [8]: one tile on one worker", got)
 		}
@@ -402,7 +402,7 @@ func TestTilesFollowTheBudget(t *testing.T) {
 			s := NewStreaming(ek, StreamConfig{RotateWorkers: w})
 			s.tileCap = 8
 			p, counts := tally(meetOp(t, s, a, b, 8/w))
-			s.runOne(p)
+			s.exec(p)
 			if got := counts(); len(got) != w || got[0] != 8/w || got[w-1] != 8/w {
 				t.Errorf("items per worker %v alone, want %d workers with one tile of %d each", got, w, 8/w)
 			}
@@ -431,7 +431,7 @@ func TestClaimedHandle(t *testing.T) {
 	defer Unclaim(n)
 	held := heldSlots()
 	p, counts := tally(meetOp(t, s, a, b, 4))
-	s.On(n).runOne(p)
+	s.On(n).exec(p)
 	if got := counts(); !slices.Equal(got, []int{4, 4}) {
 		t.Errorf("items per worker %v on 2 claimed CPUs, want [4 4]", got)
 	}
@@ -459,7 +459,7 @@ func TestPanicReleasesSlots(t *testing.T) {
 						t.Error("the operation did not pass its prepare's panic to the caller")
 					}
 				}()
-				s.runOne(op{n: w, testVec: s.signTV,
+				s.exec(op{n: w, k: 1, testVec: s.signTV, extract: extractOne,
 					prepare: func(_ *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
 						if goid() != caller {
 							close(started)

@@ -29,11 +29,10 @@ type Term struct {
 type nodeKind uint8
 
 const (
-	kindInput    nodeKind = iota // externally supplied ciphertext
-	kindLin                      // linear combination: free, no PBS
-	kindGate                     // binary boolean gate: one PBS + KS
-	kindLUT                      // lookup table: one PBS + KS
-	kindMultiLUT                 // one output of a multi-value LUT group
+	kindInput nodeKind = iota // externally supplied ciphertext
+	kindLin                   // linear combination: free, no PBS
+	kindGate                  // binary boolean gate: one PBS + KS
+	kindLUT                   // one output of a lookup group: one PBS + KS per table
 )
 
 // node is one vertex of the DAG. Exactly the fields of its kind are set.
@@ -48,14 +47,13 @@ type node struct {
 	op   engine.GateOp
 	a, b Wire
 
-	// kindLUT (in, space shared with kindMultiLUT)
-	in    Wire
-	space int
-	table []int
-
-	// kindMultiLUT: a group of k contiguous sibling nodes sharing one
-	// blind rotation. Every sibling holds the same tables slice (table
-	// mvIdx is this node's output); the head sibling has mvIdx 0.
+	// kindLUT: a group of k = len(tables) ≥ 1 contiguous sibling nodes
+	// sharing one blind rotation over the message on wire in. Every
+	// sibling holds the same tables slice (table mvIdx is this node's
+	// output); the head sibling has mvIdx 0. A one-table group is the
+	// plain lookup.
+	in     Wire
+	space  int
 	tables [][]int
 	mvIdx  int
 }
@@ -179,32 +177,31 @@ func (b *Builder) checkTable(ctx string, space int, table []int) bool {
 }
 
 // LUT appends a lookup-table node: one PBS + keyswitch applying table
-// (length space, entries in {0..space-1}) to the message on wire in.
+// (length space, entries in {0..space-1}) to the message on wire in, a
+// one-table group.
 func (b *Builder) LUT(in Wire, space int, table []int) Wire {
-	if ws := b.LUTs([]Wire{in}, space, table); ws != nil {
-		return ws[0]
-	}
-	return Wire(-1)
+	return head(b.LUTs([]Wire{in}, space, table))
 }
 
 // LUTs appends one LUT node per wire of ins, in order, all applying one
 // copy of table: the table is checked and copied once, however many
 // lookups share it.
 func (b *Builder) LUTs(ins []Wire, space int, table []int) []Wire {
-	for _, in := range ins {
-		if !b.checkRef("LUT", in) {
-			return nil
-		}
+	return b.MultiLUTs(ins, space, [][]int{table})
+}
+
+// LUTFunc is LUT with the table materialized from f over {0..space-1}.
+func (b *Builder) LUTFunc(in Wire, space int, f func(int) int) Wire {
+	return head(b.MultiLUTFunc(in, space, f))
+}
+
+// head returns the first wire of ws, or an invalid wire when a failed
+// build step returned none.
+func head(ws []Wire) Wire {
+	if len(ws) == 0 {
+		return Wire(-1)
 	}
-	if !b.checkTable("LUT", space, table) {
-		return nil
-	}
-	table = slices.Clone(table)
-	ws := make([]Wire, len(ins))
-	for i, in := range ins {
-		ws[i] = b.add(node{kind: kindLUT, in: in, space: space, table: table})
-	}
-	return ws
+	return ws[0]
 }
 
 // MultiLUT appends a multi-value lookup group: k = len(tables) outputs of
@@ -212,27 +209,28 @@ func (b *Builder) LUTs(ins []Wire, space int, table []int) []Wire {
 // table in table order. All tables share the message space; packing
 // requires space·k ≤ N of the executing parameter set (checked at run
 // time, since the circuit is parameter-agnostic) and shrinks the noise
-// margin to 1/(4·space·k) — see the tfhe multi-value documentation.
+// margin to 1/(4·space·k) — see the tfhe multi-value documentation. With
+// one table it is LUT.
 func (b *Builder) MultiLUT(in Wire, space int, tables [][]int) []Wire {
 	return b.MultiLUTs([]Wire{in}, space, tables)
 }
 
-// MultiLUTs appends one multi-value group per wire of ins, in order, all
-// over one copy of tables, and returns their wires input-major: k per
-// input. The tables are checked and copied once.
+// MultiLUTs appends one lookup group per wire of ins, in order, all over
+// one copy of tables, and returns their wires input-major: k per input.
+// The tables are checked and copied once.
 func (b *Builder) MultiLUTs(ins []Wire, space int, tables [][]int) []Wire {
 	for _, in := range ins {
-		if !b.checkRef("MultiLUT", in) {
+		if !b.checkRef("LUT", in) {
 			return nil
 		}
 	}
 	if len(tables) < 1 {
-		b.fail("MultiLUT: no tables")
+		b.fail("LUT: no tables")
 		return nil
 	}
 	copied := make([][]int, len(tables))
 	for i, table := range tables {
-		if !b.checkTable("MultiLUT", space, table) {
+		if !b.checkTable("LUT", space, table) {
 			return nil
 		}
 		copied[i] = slices.Clone(table)
@@ -240,7 +238,7 @@ func (b *Builder) MultiLUTs(ins []Wire, space int, tables [][]int) []Wire {
 	ws := make([]Wire, 0, len(ins)*len(copied))
 	for _, in := range ins {
 		for i := range copied {
-			ws = append(ws, b.add(node{kind: kindMultiLUT, in: in, space: space, tables: copied, mvIdx: i}))
+			ws = append(ws, b.add(node{kind: kindLUT, in: in, space: space, tables: copied, mvIdx: i}))
 		}
 	}
 	return ws
@@ -250,7 +248,7 @@ func (b *Builder) MultiLUTs(ins []Wire, space int, tables [][]int) []Wire {
 // {0..space-1}.
 func (b *Builder) MultiLUTFunc(in Wire, space int, fs ...func(int) int) []Wire {
 	if space < 2 {
-		b.fail("MultiLUTFunc: space %d < 2", space)
+		b.fail("LUT: space %d < 2", space)
 		return nil
 	}
 	tables := make([][]int, len(fs))
@@ -261,18 +259,6 @@ func (b *Builder) MultiLUTFunc(in Wire, space int, fs ...func(int) int) []Wire {
 		}
 	}
 	return b.MultiLUT(in, space, tables)
-}
-
-// LUTFunc is LUT with the table materialized from f over {0..space-1}.
-func (b *Builder) LUTFunc(in Wire, space int, f func(int) int) Wire {
-	if space < 2 {
-		return b.fail("LUTFunc: space %d < 2", space)
-	}
-	table := make([]int, space)
-	for m := range table {
-		table[m] = f(m)
-	}
-	return b.LUT(in, space, table)
 }
 
 // Output marks wires as circuit outputs, in order. It may be called

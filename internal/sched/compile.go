@@ -23,29 +23,28 @@ type Config struct {
 type DispatchKind uint8
 
 // The dispatch kinds: boolean gates batched pairwise under one op each,
-// one shared lookup table batched over a ciphertext slice, or one shared
-// multi-value table group batched over the group input ciphertexts.
+// or one shared lookup group of k ≥ 1 tables batched over the group
+// input ciphertexts.
 const (
 	DispatchGate DispatchKind = iota
 	DispatchLUT
-	DispatchMultiLUT
 )
 
 // Dispatch is one engine call: PBS nodes that share a test vector,
 // batched together. That is binary gates (the sign test vector; Ops[j],
-// node j's op, only selects its free linear pre-stage), or nodes with one
-// exact lookup table or multi-value table list. A Level's dispatch holds
-// every such node of the level's rank; one Execute issues holds the ready
-// ones among them, so it is never larger. Nodes lists the node wires in
-// build order. For DispatchMultiLUT, Nodes is group-major with stride
-// k = len(Tables): Nodes[g·k+i] receives table i's output for group g,
-// and every node of a group reads the same input wire.
+// node j's op, only selects its free linear pre-stage), or lookup groups
+// with one exact table list. A Level's dispatch holds every such node of
+// the level's rank; one Execute issues holds the ready ones among them,
+// so it is never larger. Nodes lists the node wires in build order. For
+// DispatchLUT, Nodes is group-major with stride k = len(Tables):
+// Nodes[g·k+i] receives table i's output for group g, and every node of
+// a group reads the same input wire; with one table, each node is a
+// group of its own.
 type Dispatch struct {
 	Kind   DispatchKind
 	Ops    []GateOp // DispatchGate; one per node
-	Space  int      // DispatchLUT, DispatchMultiLUT
-	Table  []int    // DispatchLUT; shared by every node of the dispatch
-	Tables [][]int  // DispatchMultiLUT; shared by every group of the dispatch
+	Space  int      // DispatchLUT
+	Tables [][]int  // DispatchLUT; shared by every group of the dispatch
 	Nodes  []Wire
 	// Stream is always false: it is read only by benchmark/, and ROADMAP
 	// item 2 deletes it.
@@ -65,10 +64,10 @@ func (d Dispatch) on(e *engine.StreamingEngine) *engine.StreamingEngine {
 	return e.On(d.cpus)
 }
 
-// Groups returns how many blind rotations a dispatch costs: one per node,
-// except multi-value dispatches where one rotation serves a whole group.
+// Groups returns how many blind rotations a dispatch costs: one per gate,
+// and one per lookup group, which serves all its tables.
 func (d Dispatch) Groups() int {
-	if d.Kind == DispatchMultiLUT {
+	if d.Kind == DispatchLUT {
 		return len(d.Nodes) / len(d.Tables)
 	}
 	return len(d.Nodes)
@@ -96,8 +95,10 @@ type Stats struct {
 	Streamed    int
 	LinearNodes int // free nodes, folded as their operands resolve
 
-	// Multi-value packing: LUT outputs served by shared rotations and
-	// the rotations those shares saved versus one PBS per output.
+	// Multi-value packing: LUT outputs served by rotations shared by two
+	// or more tables, and the rotations those shares saved versus one PBS
+	// per output. A one-table group is a plain lookup and counts in
+	// neither.
 	MultiValueOuts int
 	RotationsSaved int
 
@@ -187,9 +188,11 @@ func (s *Schedule) Describe() string {
 			case DispatchGate:
 				fmt.Fprintf(&b, "gate x%d (%s)", len(d.Nodes), opMix(d.Ops))
 			case DispatchLUT:
-				fmt.Fprintf(&b, "lut:s%d x%d", d.Space, len(d.Nodes))
-			case DispatchMultiLUT:
-				fmt.Fprintf(&b, "mlut:s%dk%d x%d", d.Space, len(d.Tables), d.Groups())
+				if k := len(d.Tables); k > 1 {
+					fmt.Fprintf(&b, "mlut:s%dk%d x%d", d.Space, k, d.Groups())
+				} else {
+					fmt.Fprintf(&b, "lut:s%d x%d", d.Space, len(d.Nodes))
+				}
 			}
 		}
 		b.WriteByte('\n')
@@ -217,36 +220,24 @@ func opMix(ops []GateOp) string {
 // Key is the dispatch's grouping key: the scheduler merges ready nodes
 // into one dispatch, one engine call, exactly when their keys are equal.
 // Every gate dispatch has the key "g" (they share the sign test vector);
-// a LUT or multi-value key spells the kind, the space and every table
-// entry, so only identical tables (count and order too) share a test
-// vector.
+// a lookup key spells the space and every entry of every table, so only
+// identical table lists (count and order too) share a test vector.
 func (d Dispatch) Key() string {
-	var b strings.Builder
-	switch d.Kind {
-	case DispatchGate:
+	if d.Kind == DispatchGate {
 		return "g"
-	case DispatchLUT:
-		b.Grow(8 + 4*len(d.Table)) // one allocation: Compile spells a key per run of nodes on one table
-		b.WriteString("l:")
-		b.WriteString(strconv.Itoa(d.Space))
-		writeTable(&b, d.Table)
-	default:
-		b.WriteString("m:")
-		b.WriteString(strconv.Itoa(d.Space))
-		for _, table := range d.Tables {
-			b.WriteByte('|')
-			writeTable(&b, table)
+	}
+	var b strings.Builder
+	b.Grow(8 + len(d.Tables)*(1+4*d.Space)) // one allocation: Compile spells a key per run of nodes on one table list
+	b.WriteString("l:")
+	b.WriteString(strconv.Itoa(d.Space))
+	for _, table := range d.Tables {
+		b.WriteByte('|')
+		for _, v := range table {
+			b.WriteByte(':')
+			b.WriteString(strconv.Itoa(v))
 		}
 	}
 	return b.String()
-}
-
-// writeTable appends ":v" for every entry of table.
-func writeTable(b *strings.Builder, table []int) {
-	for _, v := range table {
-		b.WriteByte(':')
-		b.WriteString(strconv.Itoa(v))
-	}
 }
 
 // Compile optimizes the circuit when cfg.Opt is on, then records what
@@ -257,11 +248,12 @@ func writeTable(b *strings.Builder, table []int) {
 // Describe): level l holds the PBS nodes of rank Levels−l+1, highest
 // rank first, and within a level nodes group by the test vector an
 // engine call shares across its batch — all binary gates join one
-// dispatch (the sign test vector), LUTs group by exact table. Execute
-// issues the ready nodes of one rank and one key at a time, so each of
-// its engine calls is a subset of one of these dispatches. The schedule
-// carries the optimized circuit: Execute is still called with the source
-// circuit, whose inputs and output order the rewrite preserves.
+// dispatch (the sign test vector), lookup groups by exact table list, a
+// plain LUT being a group of one table. Execute issues the ready nodes of
+// one rank and one key at a time, so each of its engine calls is a subset
+// of one of these dispatches. The schedule carries the optimized circuit:
+// Execute is still called with the source circuit, whose inputs and
+// output order the rewrite preserves.
 // Given cfg.Opt.Params, Compile applies the one noise rule (Check) under
 // it first, and returns its refusal before it plans anything.
 func Compile(c *Circuit, cfg Config) (*Schedule, error) {
@@ -304,9 +296,9 @@ func Compile(c *Circuit, cfg Config) (*Schedule, error) {
 		}
 		lv.Dispatches[di].add(exec, Wire(i))
 		lv.PBS++
-		if n.kind == kindMultiLUT {
-			s.stats.MultiValueOuts += len(n.tables)
-			s.stats.RotationsSaved += len(n.tables) - 1
+		if k := len(n.tables); k > 1 {
+			s.stats.MultiValueOuts += k
+			s.stats.RotationsSaved += k - 1
 		}
 	}
 
@@ -318,44 +310,36 @@ func Compile(c *Circuit, cfg Config) (*Schedule, error) {
 	return s, nil
 }
 
-// dispatched reports whether node n is a unit of dispatch: a gate, a LUT,
-// or the head of a multi-value group, which carries the whole group.
+// dispatched reports whether node n is a unit of dispatch: a gate, or
+// the head of a lookup group, which carries the whole group.
 func (n node) dispatched() bool {
-	return n.kind == kindGate || n.kind == kindLUT || (n.kind == kindMultiLUT && n.mvIdx == 0)
+	return n.kind == kindGate || (n.kind == kindLUT && n.mvIdx == 0)
 }
 
 // dispatch returns an empty dispatch of the unit n's kind and test vector.
 func (n node) dispatch() Dispatch {
-	switch n.kind {
-	case kindGate:
+	if n.kind == kindGate {
 		return Dispatch{Kind: DispatchGate}
-	case kindLUT:
-		return Dispatch{Kind: DispatchLUT, Space: n.space, Table: n.table}
-	default:
-		return Dispatch{Kind: DispatchMultiLUT, Space: n.space, Tables: n.tables}
 	}
+	return Dispatch{Kind: DispatchLUT, Space: n.space, Tables: n.tables}
 }
 
 // add appends the unit at wire w of c to the dispatch: a gate with its
-// op, a LUT, or a multi-value group's k contiguous wires, which share one
-// rotation.
+// op, or a lookup group's k contiguous wires, which share one rotation.
 func (d *Dispatch) add(c *Circuit, w Wire) {
-	switch d.Kind {
-	case DispatchGate:
+	if d.Kind == DispatchGate {
 		d.Ops = append(d.Ops, c.nodes[w].op)
 		d.Nodes = append(d.Nodes, w)
-	case DispatchLUT:
-		d.Nodes = append(d.Nodes, w)
-	default:
-		for j := range d.Tables {
-			d.Nodes = append(d.Nodes, w+Wire(j))
-		}
+		return
+	}
+	for j := range d.Tables {
+		d.Nodes = append(d.Nodes, w+Wire(j))
 	}
 }
 
 // operands calls f on every wire node n references, once per reference.
-// A multi-value sibling other than the head references none: its group
-// runs with the head.
+// A lookup sibling other than the head references none: its group runs
+// with the head.
 func (n node) operands(f func(Wire)) {
 	switch n.kind {
 	case kindLin:
@@ -366,8 +350,6 @@ func (n node) operands(f func(Wire)) {
 		f(n.a)
 		f(n.b)
 	case kindLUT:
-		f(n.in)
-	case kindMultiLUT:
 		if n.mvIdx == 0 {
 			f(n.in)
 		}
@@ -406,10 +388,10 @@ func (s *Schedule) index(c *Circuit) {
 			r = max(r, s.rank[u])
 		}
 		nd := c.nodes[i]
-		if nd.kind == kindGate || nd.kind == kindLUT || nd.kind == kindMultiLUT {
+		if nd.kind == kindGate || nd.kind == kindLUT {
 			r++
 		}
-		if nd.kind == kindMultiLUT && nd.mvIdx == 0 {
+		if nd.kind == kindLUT && nd.mvIdx == 0 {
 			for j := 1; j < len(nd.tables); j++ {
 				r = max(r, s.rank[i+j])
 			}
@@ -417,12 +399,12 @@ func (s *Schedule) index(c *Circuit) {
 		s.rank[i] = r
 	}
 
-	// A run of nodes on one table slice (a batch built by LUTs or
-	// MultiLUTs) spells its key once: a node on the table of the last
-	// dispatched node takes its id. Gates have no table and share the
-	// zero identity.
+	// A run of groups on one table list (a batch built by LUTs or
+	// MultiLUTs) spells its key once: a group on the table list of the
+	// last dispatched unit takes its id. Gates have no table and share
+	// the zero identity.
 	type table struct {
-		p any // the table's first entry, or the table list's
+		p *[]int // the table list's first table
 		n int
 	}
 	s.key = make([]int32, n)
@@ -433,10 +415,7 @@ func (s *Schedule) index(c *Circuit) {
 			continue
 		}
 		var t table
-		switch nd.kind {
-		case kindLUT:
-			t = table{&nd.table[0], len(nd.table)}
-		case kindMultiLUT:
+		if nd.kind == kindLUT {
 			t = table{&nd.tables[0], len(nd.tables)}
 		}
 		id := lastID

@@ -11,11 +11,14 @@
 // longest PBS path from it to an output, itself included) and the
 // dependency tables (the users of every wire, the operands every node
 // waits for). Execute then dispatches by readiness over any Executor —
-// the in-process Runner, whose every dispatch kind is a single operation
-// of the StreamingEngine, or the gate service's session, which embeds a
-// Runner. Whenever the process's worker pool has a free CPU, it issues the
+// the in-process Runner, whose two dispatch kinds are the StreamingEngine's
+// two operations, Gates and LUT, or the gate service's session, which
+// embeds a Runner. A lookup is one thing at every layer: a group of k ≥ 1
+// tables sharing one blind rotation, the plain LUT being the group of one
+// (Builder.LUT) and a multi-value group the group of k (Builder.MultiLUT).
+// Whenever the process's worker pool has a free CPU, Execute issues the
 // ready nodes of the highest rank that share a test vector (every binary
-// gate shares the sign test vector; lookup tables group by exact table);
+// gate shares the sign test vector; lookup groups by exact table list);
 // each completion unblocks its users, and linear nodes fold the moment
 // their operands resolve. Rank first puts the long chains' heads ahead of
 // the short branches, so the critical path never waits behind work that

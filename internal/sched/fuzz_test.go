@@ -48,6 +48,9 @@ func FuzzOptimizePasses(f *testing.F) {
 		// gate merge, which every set admits, and drops the lookups' merge
 		// where the rule refuses it.
 		`{"nodes":[{"kind":"in"},{"kind":"in"},{"kind":"in"},{"kind":"lut","in":0,"space":8,"table":[1,2,3,4,5,6,7,0]},{"kind":"lut","in":0,"space":8,"table":[1,2,3,4,5,6,7,0]},{"kind":"lut","in":0,"space":8,"table":[1,2,3,4,5,6,7,0]},{"kind":"lut","in":0,"space":8,"table":[1,2,3,4,5,6,7,0]},{"kind":"lin","terms":[{"w":3,"c":1},{"w":4,"c":1},{"w":5,"c":1},{"w":6,"c":1}]},{"kind":"lut","in":7,"space":8,"table":[1,2,3,4,5,6,7,0]},{"kind":"gate","op":"AND","a":1,"b":2},{"kind":"gate","op":"AND","a":2,"b":1}],"outputs":[8,9,10]}`,
+		// An explicit one-table group feeding a same-space LUT: a plain
+		// LUT chain, which fuse composes into one PBS.
+		`{"nodes":[{"kind":"in"},{"kind":"mlut","in":0,"space":4,"tables":[[1,2,3,0]],"index":0},{"kind":"lut","in":1,"space":4,"table":[3,3,0,1]}],"outputs":[2]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

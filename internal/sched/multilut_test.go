@@ -86,7 +86,7 @@ func TestCompileMultiLUTGroup(t *testing.T) {
 		t.Fatalf("stats = %+v, want %d multi-value outputs and %d saved", st, k, k-1)
 	}
 	d := sch.Levels()[0].Dispatches[0]
-	if d.Kind != DispatchMultiLUT || len(d.Tables) != k || len(d.Nodes) != k || d.Groups() != 1 {
+	if d.Kind != DispatchLUT || len(d.Tables) != k || len(d.Nodes) != k || d.Groups() != 1 {
 		t.Fatalf("level-0 dispatch = %+v", d)
 	}
 	if got := sch.String(); !strings.Contains(got, "rotations saved") {
@@ -345,5 +345,71 @@ func TestLUTSpaceBeyondNRefused(t *testing.T) {
 	r := &Runner{Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 1})}
 	if _, err := r.Run(circ, Config{}, ins); err == nil {
 		t.Error("Runner.Run accepted a LUT with space > N")
+	}
+}
+
+// TestOneTableGroupIsALUT: an explicit one-table group is the plain
+// lookup in every pass and in the plan. Fed into a same-space LUT, fuse
+// composes the two into one PBS under OptAll, which decodes to the
+// composed table; beside a plain LUT on the same input and table, it
+// plans, unoptimized, as one lut: dispatch whose outputs are bitwise the
+// sequential reference's.
+func TestOneTableGroupIsALUT(t *testing.T) {
+	const space = 4
+	t1, t2 := []int{1, 2, 3, 0}, []int{3, 3, 0, 1}
+	b := NewBuilder()
+	in := b.Input()
+	b.Output(b.LUT(b.MultiLUT(in, space, [][]int{t1})[0], space, t2))
+	chain, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Compile(chain, Config{Opt: optTest()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.TotalPBS != 1 {
+		t.Fatalf("optimized chain plans %v, want 1 PBS (fused)", s)
+	}
+	r := &Runner{Stream: engine.NewStreaming(testEK, engine.StreamConfig{RotateWorkers: 2})}
+	rng := rand.New(rand.NewSource(66))
+	for m := range space {
+		got, err := Execute(chain, s, []tfhe.LWECiphertext{encMsg(rng, m, space)}, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec := tfhe.DecodePBSMessage(testSK.LWE.Phase(got[0]), space); dec != t2[t1[m]] {
+			t.Fatalf("m=%d: fused chain decodes to %d, want %d", m, dec, t2[t1[m]])
+		}
+	}
+
+	b = NewBuilder()
+	in = b.Input()
+	b.Output(b.LUT(in, space, t1))
+	b.Output(b.MultiLUT(in, space, [][]int{t1})...)
+	twin, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err = Compile(twin, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Describe(), "level 1 (2 PBS): lut:s4 x2\n"; !strings.Contains(got, want) {
+		t.Fatalf("plan:\n%swant the line %q", got, want)
+	}
+	if st := s.Stats(); st.Dispatches != 1 || st.MultiValueOuts != 0 || st.RotationsSaved != 0 {
+		t.Fatalf("stats = %+v, want 1 dispatch and no multi-value outputs", st)
+	}
+	ins := []tfhe.LWECiphertext{encMsg(rng, 2, space)}
+	want := seqBits(t, twin, ins)
+	got, err := Execute(twin, s, ins, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !sameCT(got[i], want[i]) || !sameCT(got[i], want[0]) {
+			t.Fatalf("output %d differs from the sequential reference or its twin", i)
+		}
 	}
 }

@@ -30,7 +30,7 @@ func (c *Circuit) loads(dst []noise.Load) (*Circuit, []noise.Load) {
 }
 
 // budget returns the distinct noise requirements of c's bootstraps in
-// build order, each on the first node that makes it (a multi-value group
+// build order, each on the first node that makes it (a lookup group
 // on its head): the rule refuses a requirement on its first node, so a
 // later node that repeats one adds nothing to check. A gate's linear
 // pre-stage computes a + b up to sign and offset: XOR and XNOR double the
@@ -48,9 +48,7 @@ func (c *Circuit) budget() []noise.PBS {
 		case n.kind == kindGate:
 			_, sum := flatten(flat.nodes, 0, []Term{{W: n.a, C: 1}, {W: n.b, C: 1}})
 			b.In = termsLoad(load, sum)
-		case n.kind == kindLUT:
-			b.In, b.Space, b.K = load[n.in], n.space, 1
-		case n.kind == kindMultiLUT && n.mvIdx == 0:
+		case n.kind == kindLUT && n.mvIdx == 0:
 			b.In, b.Space, b.K = load[n.in], n.space, len(n.tables)
 		default:
 			continue
@@ -66,7 +64,7 @@ func (c *Circuit) budget() []noise.PBS {
 // wire of c to its rewrite's) must keep apart under p: for every
 // bootstrap whose flattened input reads two wires m sends to one, at a
 // load p refuses, each such wire but the first in build order, a
-// multi-value sibling by its group's head.
+// lookup sibling by its group's head.
 func (c *Circuit) refusedMerges(m []Wire, p tfhe.Params) []int {
 	flat, load := c.loads(nil)
 	var apart []int
@@ -76,8 +74,8 @@ func (c *Circuit) refusedMerges(m []Wire, p tfhe.Params) []int {
 		switch {
 		case n.kind == kindGate:
 			_, terms = flatten(flat.nodes, 0, []Term{{W: n.a, C: 1}, {W: n.b, C: 1}})
-		case n.kind == kindLUT || (n.kind == kindMultiLUT && n.mvIdx == 0):
-			b.Space, b.K = n.space, max(1, len(n.tables))
+		case n.kind == kindLUT && n.mvIdx == 0:
+			b.Space, b.K = n.space, len(n.tables)
 			if in := flat.nodes[n.in]; in.kind == kindLin {
 				terms = in.terms
 			}

@@ -16,9 +16,9 @@ import (
 // observe: gate operands sort (every binary gate's linear stage is a
 // symmetric component-wise sum, so G(a,b) and G(b,a) are bitwise
 // identical), and linear terms sort by wire (component-wise addition
-// commutes). Multi-value groups merge only as whole groups with
-// identical table lists. Inputs never merge — each stands for a
-// distinct caller-supplied ciphertext. The pass is bitwise-preserving.
+// commutes). Lookup groups merge only as whole groups with identical
+// table lists. Inputs never merge — each stands for a distinct
+// caller-supplied ciphertext. The pass is bitwise-preserving.
 // Returns the number of duplicate nodes eliminated.
 //
 // Under a parameter set p (N > 0) the pass keeps the merges the one noise
@@ -94,21 +94,11 @@ func cse(c *Circuit, apart []bool) (*Circuit, int, []Wire) {
 			m[i] = emit(node{kind: kindGate, op: n.op, a: a, b: b})
 			first(key, m[i])
 		case kindLUT:
-			in := m[n.in]
-			key := "t:" + strconv.Itoa(int(in)) + ":" + Dispatch{Kind: DispatchLUT, Space: n.space, Table: n.table}.Key()
-			if w, ok := seen[key]; ok && dup(i) {
-				m[i] = w
-				merged++
-				continue
-			}
-			m[i] = emit(node{kind: kindLUT, in: in, space: n.space, table: n.table})
-			first(key, m[i])
-		case kindMultiLUT:
 			// The head carries the whole group; k sibling wires map as a
 			// block onto the kept group's siblings.
 			k := len(n.tables)
 			in := m[n.in]
-			key := "m:" + strconv.Itoa(int(in)) + ":" + Dispatch{Kind: DispatchMultiLUT, Space: n.space, Tables: n.tables}.Key()
+			key := "t:" + strconv.Itoa(int(in)) + ":" + n.dispatch().Key()
 			if w, ok := seen[key]; ok && dup(i) {
 				for j := 0; j < k; j++ {
 					m[i+j] = w + Wire(j)

@@ -5,9 +5,10 @@ import "repro/internal/engine"
 // passFuse collapses bootstrap chains into single programmable
 // bootstraps. Two shapes fuse:
 //
-//   - A LUT whose input is another same-space LUT with no other live
-//     consumer composes the two tables into one (t2∘t1) — one blind
-//     rotation where the chain paid two.
+//   - A LUT (a one-table lookup group, however it was built) whose input
+//     is another same-space LUT with no other live consumer composes the
+//     two tables into one (t2∘t1) — one blind rotation where the chain
+//     paid two.
 //   - A binary gate whose operands, chased through free ±1 linear links
 //     (NOT chains) with boolean constants folded, expand over at most
 //     two distinct base wires: the composed truth table synthesizes back
@@ -53,12 +54,12 @@ func fuseRound(c *Circuit) (*Circuit, int) {
 		n := c.nodes[i]
 		switch n.kind {
 		case kindLUT:
-			if p := c.nodes[n.in]; p.kind == kindLUT && p.space == n.space && uses[n.in] == 1 {
+			if p := c.nodes[n.in]; len(n.tables) == 1 && p.kind == kindLUT && len(p.tables) == 1 && p.space == n.space && uses[n.in] == 1 {
 				comp := make([]int, n.space)
 				for mi := range comp {
-					comp[mi] = n.table[p.table[mi]]
+					comp[mi] = n.tables[0][p.tables[0][mi]]
 				}
-				m[i] = emit(node{kind: kindLUT, in: m[p.in], space: n.space, table: comp})
+				m[i] = emit(node{kind: kindLUT, in: m[p.in], space: n.space, tables: [][]int{comp}})
 				fused++
 				continue
 			}

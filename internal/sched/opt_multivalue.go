@@ -6,18 +6,19 @@ import (
 )
 
 // passMultiValue rewrites plain-LUT fan-out into multi-value groups:
-// LUT nodes reading the same input wire with the same message space are
-// collected across the whole DAG (same input implies same PBS level, so
-// regrouping never breaks a dependency) and regrouped, in build order,
-// into contiguous kindMultiLUT sibling runs, each as wide as the one
+// one-table lookups reading the same input wire with the same message
+// space are collected across the whole DAG (same input implies same PBS
+// level, so regrouping never breaks a dependency) and regrouped, in build
+// order, into contiguous kindLUT sibling runs, each as wide as the one
 // noise rule admits under parameter set p at its input's load, up to
 // packWidth: a k-table group decides at 1/k of a plain LUT's margin, so
 // packing never spends more of the budget than p leaves. Without p
 // (N = 0) the rule cannot be evaluated and nothing packs. A packed group
 // materializes at its first member's position; later members' consumers
-// follow the wire remap. Leftover runs of one stay plain LUTs. Explicit
-// Builder.MultiLUT groups are left untouched: their packing (and its
-// noise commitment) was the caller's choice. Outputs decode identically
+// follow the wire remap. Leftover runs of one stay plain LUTs. Groups of
+// two or more tables are left untouched: their packing (and its noise
+// commitment) was the caller's choice, while a one-table group is a plain
+// LUT however it was built. Outputs decode identically
 // to the unpacked schedule but are not bitwise identical (the shared
 // rotation uses a k×-finer packed test vector). Returns the number of
 // LUT nodes packed into groups.
@@ -32,7 +33,7 @@ func passMultiValue(c *Circuit, p tfhe.Params) (*Circuit, int) {
 	members := make(map[fanKey][]Wire)
 	var order []fanKey
 	for i, n := range c.nodes {
-		if n.kind != kindLUT {
+		if n.kind != kindLUT || len(n.tables) != 1 {
 			continue
 		}
 		fk := fanKey{in: n.in, space: n.space}
@@ -88,10 +89,10 @@ func passMultiValue(c *Circuit, p tfhe.Params) (*Circuit, int) {
 			chunk := chunkOf[head]
 			tables := make([][]int, len(chunk))
 			for j, w := range chunk {
-				tables[j] = c.nodes[w].table
+				tables[j] = c.nodes[w].tables[0]
 			}
 			for j, w := range chunk {
-				m[w] = emit(node{kind: kindMultiLUT, in: m[n.in], space: n.space, tables: tables, mvIdx: j})
+				m[w] = emit(node{kind: kindLUT, in: m[n.in], space: n.space, tables: tables, mvIdx: j})
 			}
 			continue
 		}

@@ -2,9 +2,9 @@ package sched
 
 // passPrune drops every node no output transitively depends on, walking
 // liveness back from the outputs. Input nodes are always kept so the
-// circuit consumes the same input vector. Multi-value groups shrink to
-// their live siblings: a group left with one live output degenerates to a
-// plain LUT (better noise margin, same rotation), and a fully dead group
+// circuit consumes the same input vector. Lookup groups shrink to their
+// live siblings: a group left with one live output degenerates to a plain
+// LUT (better noise margin, same rotation), and a fully dead group
 // vanishes. Returns the rewritten circuit and the number of nodes
 // dropped; with nothing to drop the input circuit is returned unchanged.
 func passPrune(c *Circuit) (*Circuit, int) {
@@ -21,7 +21,7 @@ func passPrune(c *Circuit) (*Circuit, int) {
 	dropped := 0
 	for i := 0; i < len(c.nodes); i++ {
 		n := c.nodes[i]
-		if n.kind == kindMultiLUT {
+		if n.kind == kindLUT {
 			// Handle the whole group at its head.
 			k := len(n.tables)
 			var liveIdx []int
@@ -30,24 +30,20 @@ func passPrune(c *Circuit) (*Circuit, int) {
 					liveIdx = append(liveIdx, j)
 				}
 			}
-			switch {
-			case len(liveIdx) == k:
+			switch len(liveIdx) {
+			case k:
 				for j := 0; j < k; j++ {
 					m[i+j] = emit(remapNode(c.nodes[i+j], m))
 				}
-			case len(liveIdx) == 0:
+			case 0:
 				dropped += k
-			case len(liveIdx) == 1:
-				j := liveIdx[0]
-				m[i+j] = emit(node{kind: kindLUT, in: m[n.in], space: n.space, table: n.tables[j]})
-				dropped += k - 1
 			default:
 				tables := make([][]int, len(liveIdx))
 				for x, j := range liveIdx {
 					tables[x] = n.tables[j]
 				}
 				for x, j := range liveIdx {
-					m[i+j] = emit(node{kind: kindMultiLUT, in: m[n.in], space: n.space, tables: tables, mvIdx: x})
+					m[i+j] = emit(node{kind: kindLUT, in: m[n.in], space: n.space, tables: tables, mvIdx: x})
 				}
 				dropped += k - len(liveIdx)
 			}

@@ -62,17 +62,12 @@ type PassStat struct {
 }
 
 // pbsCost counts the blind rotations one execution of the circuit pays:
-// one per gate or LUT node, one per multi-value group.
+// one per gate node, one per lookup group.
 func pbsCost(c *Circuit) int {
 	cost := 0
 	for _, n := range c.nodes {
-		switch n.kind {
-		case kindGate, kindLUT:
+		if n.dispatched() {
 			cost++
-		case kindMultiLUT:
-			if n.mvIdx == 0 {
-				cost++
-			}
 		}
 	}
 	return cost
@@ -150,7 +145,7 @@ func remapNode(n node, m []Wire) node {
 		n.terms = remapTerms(n.terms, m)
 	case kindGate:
 		n.a, n.b = m[n.a], m[n.b]
-	case kindLUT, kindMultiLUT:
+	case kindLUT:
 		n.in = m[n.in]
 	}
 	return n
@@ -194,7 +189,7 @@ func liveMask(c *Circuit) []bool {
 		case kindGate:
 			live[n.a] = true
 			live[n.b] = true
-		case kindLUT, kindMultiLUT:
+		case kindLUT:
 			live[n.in] = true
 		}
 	}
@@ -219,7 +214,7 @@ func liveUses(c *Circuit) []int {
 		case kindGate:
 			uses[n.a]++
 			uses[n.b]++
-		case kindLUT, kindMultiLUT:
+		case kindLUT:
 			uses[n.in]++
 		}
 	}

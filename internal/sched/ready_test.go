@@ -75,20 +75,7 @@ func (f fakeExec) Gate(d Dispatch, a, _ []tfhe.LWECiphertext) ([]tfhe.LWECiphert
 }
 
 func (f fakeExec) LUT(d Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	return placeholders(len(in)), f.call(d)
-}
-
-func (f fakeExec) MultiLUT(d Dispatch, in []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
-	return regroupTest(placeholders(len(in)*len(d.Tables)), len(d.Tables)), f.call(d)
-}
-
-// regroupTest splits a flat slice into groups of k.
-func regroupTest(flat []tfhe.LWECiphertext, k int) [][]tfhe.LWECiphertext {
-	out := make([][]tfhe.LWECiphertext, len(flat)/k)
-	for g := range out {
-		out[g] = flat[g*k : (g+1)*k]
-	}
-	return out
+	return placeholders(len(in) * len(d.Tables)), f.call(d)
 }
 
 // checkQuiet checks that the pool has every CPU free and that the
@@ -233,11 +220,6 @@ func (d *delayed) Gate(x Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphert
 func (d *delayed) LUT(x Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	d.hold()
 	return d.Executor.LUT(x, in)
-}
-
-func (d *delayed) MultiLUT(x Dispatch, in []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
-	d.hold()
-	return d.Executor.MultiLUT(x, in)
 }
 
 // TestCompletionOrderDoesNotMatter runs random typed circuits (gates,

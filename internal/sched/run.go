@@ -9,21 +9,20 @@ import (
 	"repro/internal/tfhe"
 )
 
-// Executor runs one dispatch worth of PBS work. Implementations must
-// return exactly one output per input (one output group per input for
-// MultiLUT), in input order, computing the same per-item operation as the
-// sequential evaluator, under the parameter set Params reports. Execute
-// calls an Executor from a goroutine of its own, one dispatch at a time,
-// unless it is a Runner or embeds one: those take several at once.
+// Executor runs one dispatch worth of PBS work, every item PBS →
+// keyswitch. Implementations must return one output per node of the
+// dispatch, in Dispatch.Nodes order, computing the same per-item
+// operation as the sequential evaluator, under the parameter set Params
+// reports. Execute calls an Executor from a goroutine of its own, one
+// dispatch at a time, unless it is a Runner or embeds one: those take
+// several at once.
 type Executor interface {
 	// Gate evaluates out[i] = d.Ops[i](a[i], b[i]).
 	Gate(d Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error)
-	// LUT applies d.Table (message space d.Space) to every ciphertext.
+	// LUT applies the k = len(d.Tables) tables (message space d.Space) to
+	// every ciphertext with one blind rotation each: out[g·k+i] is table
+	// i applied to in[g]. With one table it is the plain lookup.
 	LUT(d Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error)
-	// MultiLUT applies the d.Tables group (message space d.Space) to
-	// every ciphertext via multi-value PBS: out[g][i] is table i applied
-	// to in[g], all k outputs of a group from one blind rotation.
-	MultiLUT(d Dispatch, in []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error)
 	// Params returns the parameter set the executor computes under, the
 	// one Execute checks the schedule's noise budget against.
 	Params() tfhe.Params
@@ -277,15 +276,20 @@ func (r *run) issue() bool {
 	return true
 }
 
-// dispatch runs d on its operands in a goroutine of its own, and hands
-// back the outcome, a panic too.
+// dispatch runs d on its operands (b only for gates) in a goroutine of
+// its own, through the executor method of its kind, and hands back the
+// outcome, a panic too.
 func (r *run) dispatch(d Dispatch, a, b []tfhe.LWECiphertext) {
 	f := finished{d: d}
 	defer func() {
 		f.panicked = recover()
 		r.done <- f
 	}()
-	f.out, f.err = d.run(r.ex, a, b)
+	if d.Kind == DispatchGate {
+		f.out, f.err = r.ex.Gate(d, a, b)
+	} else {
+		f.out, f.err = r.ex.LUT(d, a)
+	}
 }
 
 // complete takes in a finished dispatch: its CPUs go back to the pool, and
@@ -315,31 +319,6 @@ func (r *run) drain() {
 	for ; r.inflight > 0; r.inflight-- {
 		engine.Unclaim((<-r.done).d.cpus)
 	}
-}
-
-// run calls the executor method of the dispatch's kind on its gathered
-// operands (b only for gates), flattening multi-value groups into Nodes
-// order.
-func (d Dispatch) run(ex Executor, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	switch d.Kind {
-	case DispatchGate:
-		return ex.Gate(d, a, b)
-	case DispatchLUT:
-		return ex.LUT(d, a)
-	}
-	k := len(d.Tables)
-	groups, err := ex.MultiLUT(d, a)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]tfhe.LWECiphertext, 0, len(d.Nodes))
-	for g, outs := range groups {
-		if len(outs) != k {
-			return nil, fmt.Errorf("sched: executor returned %d outputs for a %d-table group %d", len(outs), k, g)
-		}
-		out = append(out, outs...)
-	}
-	return out, nil
 }
 
 // seqGate dispatches one gate on the sequential evaluator.
@@ -396,9 +375,6 @@ func RunSequential(c *Circuit, ev *tfhe.Evaluator, inputs []tfhe.LWECiphertext) 
 			}
 			vals[i] = v
 		case kindLUT:
-			table := n.table
-			vals[i] = ev.EvalLUTKS(vals[n.in], n.space, func(m int) int { return table[m] })
-		case kindMultiLUT:
 			// The head sibling runs the whole group's shared rotation and
 			// assigns every sibling; non-heads were filled by their head.
 			if n.mvIdx != 0 {
@@ -466,23 +442,14 @@ func (r *Runner) Gate(d Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWECipherte
 	return d.on(o).Gates(d.Ops, a, b)
 }
 
-// LUT implements Executor over the engine.
+// LUT implements Executor over the engine: one blind rotation per group
+// input, fanned out into the group's table outputs.
 func (r *Runner) LUT(d Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	o, err := r.ops()
 	if err != nil {
 		return nil, err
 	}
-	return d.on(o).LUT(in, d.Space, func(m int) int { return d.Table[m] })
-}
-
-// MultiLUT implements Executor over the engine: one blind rotation per
-// group input, fanned out into the group's table outputs.
-func (r *Runner) MultiLUT(d Dispatch, in []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
-	o, err := r.ops()
-	if err != nil {
-		return nil, err
-	}
-	return d.on(o).MultiLUT(in, d.Space, tfhe.TableFuncs(d.Tables))
+	return d.on(o).LUT(in, d.Space, tfhe.TableFuncs(d.Tables))
 }
 
 // Run compiles the circuit under cfg and executes it — the one-call path

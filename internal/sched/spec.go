@@ -46,7 +46,8 @@ type NodeSpec struct {
 }
 
 // Specs serializes the circuit's nodes. Together with OutputWires it
-// round-trips through FromSpecs.
+// round-trips through FromSpecs. A one-table lookup group is an "lut"
+// spec, a group of two or more tables one "mlut" spec per output.
 func (c *Circuit) Specs() []NodeSpec {
 	specs := make([]NodeSpec, len(c.nodes))
 	for i, n := range c.nodes {
@@ -58,9 +59,11 @@ func (c *Circuit) Specs() []NodeSpec {
 		case kindGate:
 			specs[i] = NodeSpec{Kind: SpecGate, Op: n.op.String(), A: int(n.a), B: int(n.b)}
 		case kindLUT:
-			specs[i] = NodeSpec{Kind: SpecLUT, In: int(n.in), Space: n.space, Table: n.table}
-		case kindMultiLUT:
-			specs[i] = NodeSpec{Kind: SpecMultiLUT, In: int(n.in), Space: n.space, Tables: n.tables, Index: n.mvIdx}
+			if len(n.tables) == 1 {
+				specs[i] = NodeSpec{Kind: SpecLUT, In: int(n.in), Space: n.space, Table: n.tables[0]}
+			} else {
+				specs[i] = NodeSpec{Kind: SpecMultiLUT, In: int(n.in), Space: n.space, Tables: n.tables, Index: n.mvIdx}
+			}
 		}
 	}
 	return specs

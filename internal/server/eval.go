@@ -244,9 +244,10 @@ func (s *Server) evalDecoded(req EvalRequest, ops evalOperands) ([]tfhe.LWECiphe
 // bounds (ErrBatchTooLarge) before it builds anything, and the circuit's
 // builder checks its ops and tables. A gate batch is n gates over a ++ b,
 // a NOT batch n free negations Lin(0, −a), bitwise tfhe.Evaluator.NOT; a
-// lookup batch is n lookups of one table; a multi-value batch n groups
-// whose outputs come input-major; a circuit envelope its specs; an
-// inference the model workload.BuildInferBatch builds for the batch.
+// lookup batch is n one-table lookup groups and a multi-value batch n
+// groups of k tables, whose outputs come input-major; a circuit envelope
+// its specs; an inference the model workload.BuildInferBatch builds for
+// the batch.
 func translate(req EvalRequest, ops evalOperands, maxBatch int) (*sched.Circuit, []tfhe.LWECiphertext, int, error) {
 	fail := func(err error) (*sched.Circuit, []tfhe.LWECiphertext, int, error) { return nil, nil, 0, err }
 	tooLarge := func(format string, args ...any) (*sched.Circuit, []tfhe.LWECiphertext, int, error) {
@@ -272,16 +273,15 @@ func translate(req EvalRequest, ops evalOperands, maxBatch int) (*sched.Circuit,
 			b.Output(b.Gate(op, x[i], y[i]))
 		}
 		a = slices.Concat(a, ops.b)
-	case EvalKindLUT:
-		if len(a) > maxBatch {
-			return tooLarge("%d > %d", len(a), maxBatch)
+	case EvalKindLUT, EvalKindMultiLUT:
+		tables := req.Tables
+		if req.Kind == EvalKindLUT {
+			tables = [][]int{req.Table}
 		}
-		b.Output(b.LUTs(b.Inputs(len(a)), req.Space, req.Table)...)
-	case EvalKindMultiLUT:
-		if k = len(req.Tables); len(a)*k > maxBatch {
+		if k = len(tables); len(a)*k > maxBatch {
 			return tooLarge("%d inputs × %d tables > %d", len(a), k, maxBatch)
 		}
-		b.Output(b.MultiLUTs(b.Inputs(len(a)), req.Space, req.Tables)...)
+		b.Output(b.MultiLUTs(b.Inputs(len(a)), req.Space, tables)...)
 	case EvalKindCircuit:
 		// Outputs amplify the response (each entry re-encodes a
 		// ciphertext), so they are bounded like nodes: a tiny circuit

@@ -95,7 +95,7 @@ func (s *session) releaseSlot() {
 }
 
 // Every request is a circuit that sched.Execute runs on the session, so
-// the three executor methods below are the session's only engine calls.
+// the two executor methods below are the session's only engine calls.
 // Each counts one engine call and runs it through the embedded Runner.
 // Concurrent requests and dispatches are separate engine operations; the
 // worker pool tiles them side by side.
@@ -106,17 +106,11 @@ func (s *session) Gate(d sched.Dispatch, a, b []tfhe.LWECiphertext) ([]tfhe.LWEC
 	return s.Runner.Gate(d, a, b)
 }
 
-// LUT implements sched.Executor: d.Table over every input.
+// LUT implements sched.Executor: one blind rotation per input serves all
+// of d.Tables.
 func (s *session) LUT(d sched.Dispatch, in []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
 	s.count(len(in))
 	return s.Runner.LUT(d, in)
-}
-
-// MultiLUT implements sched.Executor: one blind rotation per input serves
-// all of d.Tables.
-func (s *session) MultiLUT(d sched.Dispatch, in []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
-	s.count(len(in))
-	return s.Runner.MultiLUT(d, in)
 }
 
 // count records one engine call over n input ciphertexts.

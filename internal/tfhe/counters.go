@@ -22,8 +22,9 @@ type OpCounters struct {
 	KSMACs         int64 // scalar multiply-accumulates in keyswitching
 	LinearOps      int64 // homomorphic additions/subtractions of LWE
 
-	// Multi-value PBS: blind rotations that served several LUT outputs
-	// (each also counts once in PBSCount) and the outputs they fanned out.
+	// Multi-value PBS: blind rotations that served two or more LUT
+	// outputs (each also counts once in PBSCount) and the outputs they
+	// fanned out. A one-table lookup is a plain PBS and counts in neither.
 	// MultiValueOuts − MultiValuePBS is the number of rotations saved
 	// versus evaluating every output with its own PBS.
 	MultiValuePBS  int64

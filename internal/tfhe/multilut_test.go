@@ -188,7 +188,7 @@ func TestEvalMultiLUTChained(t *testing.T) {
 
 // TestMultiValueCounters pins the rotation accounting: a k-output
 // multi-value bootstrap costs one PBS (one rotation) and records the
-// fan-out.
+// fan-out, and a one-table group counts as the plain lookup.
 func TestMultiValueCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	ev := NewEvaluator(testEK)
@@ -206,6 +206,18 @@ func TestMultiValueCounters(t *testing.T) {
 	}
 	if cnt.SampleExtracts != int64(k) || cnt.KSCount != int64(k) {
 		t.Fatalf("want %d extracts and keyswitches, got %+v", k, cnt)
+	}
+
+	// k = 1: a one-table group is the plain lookup, and counts exactly
+	// what EvalLUTKS counts — no multi-value PBS.
+	one, plain := NewEvaluator(testEK), NewEvaluator(testEK)
+	one.EvalMultiLUTKS(c, space, fs[:1])
+	plain.EvalLUTKS(c, space, fs[0])
+	if one.Counters != plain.Counters {
+		t.Fatalf("one-table group counts %+v, EvalLUTKS %+v", one.Counters, plain.Counters)
+	}
+	if one.Counters.MultiValuePBS != 0 || one.Counters.MultiValueOuts != 0 {
+		t.Fatalf("one-table group counted as multi-value: %+v", one.Counters)
 	}
 }
 

@@ -131,7 +131,8 @@ func (e *Evaluator) Extract(acc GLWECiphertext) LWECiphertext {
 // accumulator yields one LWE ciphertext per offset (MultiLUTOffsets). It
 // closes out a single PBS — the rotation was paid once — while fanning
 // out len(offsets) outputs; the streaming engine places it where the
-// plain Extract stage sits.
+// plain Extract stage sits. One offset is the plain extraction and counts
+// as Extract does: only a fan-out of two or more is a multi-value PBS.
 func (e *Evaluator) ExtractMulti(acc GLWECiphertext, offsets []int) []LWECiphertext {
 	outs := make([]LWECiphertext, len(offsets))
 	for i, t := range offsets {
@@ -139,7 +140,9 @@ func (e *Evaluator) ExtractMulti(acc GLWECiphertext, offsets []int) []LWECiphert
 	}
 	e.Counters.SampleExtracts += int64(len(offsets))
 	e.Counters.PBSCount++
-	e.Counters.MultiValuePBS++
-	e.Counters.MultiValueOuts += int64(len(offsets))
+	if len(offsets) > 1 {
+		e.Counters.MultiValuePBS++
+		e.Counters.MultiValueOuts += int64(len(offsets))
+	}
 	return outs
 }
