@@ -80,8 +80,8 @@ cover:
 
 # The committed fuzz seed corpus in regression mode: every seed under
 # the packages' testdata/fuzz directories must keep passing without
-# -fuzz (wire codec, v2 eval-envelope decoder, packed test-vector
-# builder, scheduler optimizer pipeline).
+# -fuzz (wire codec, eval frame decoder, packed test-vector builder,
+# scheduler optimizer pipeline).
 fuzz-regress:
 	$(GO) test -run '^Fuzz' ./internal/wire/... ./internal/server/... ./internal/tfhe/... ./internal/sched/...
 
@@ -198,6 +198,10 @@ no-retired-gate:
 # layer (the node and dispatch kinds, the engine's MultiLUT and any
 # executor's MultiLUT method on a dispatch), the engine's raw Bootstrap or
 # its test-vector check: every engine op is a PBS that ends in a keyswitch.
+# Nor may any Go source name the JSON eval body the binary eval frame
+# replaced: its route, its decoder, the router's body peek that found the
+# client ID inside it, or the plain lookup kind a one-table multilut
+# replaced on the wire, so that a second eval path does not come back.
 no-retired-ops:
 	@! git grep -nE 'BatchGates|(^|[^k])StreamGates|BatchEvalLUT|StreamLUT\(|BatchMultiLUT|StreamMultiLUT|BatchBootstrap|StreamBootstrap|BatchKeySwitch|EvalCircuit|engine\.New\(|engine\.Config([^A-Za-z0-9_]|$$)|DefaultMinStream|BlindRotateBatch|BlindRotateSteps|Runner\{Batch' -- '*.go' ':!benchmark' ':!internal/engine/engine.go'
 	@! git grep -nE 'GGSWFourier\{''Rows|ForwardTorus''BatchTo|ForwardInt''BatchTo|Inverse''BatchTo|mulAcc''Fast|mulAcc''AVX2|fft\.Mul''\(' -- '*.go'
@@ -213,6 +217,7 @@ no-retired-ops:
 	@! git grep -n 'noise\.Check' -- 'internal/server/*.go' ':!*_test.go'
 	@! git grep -nE 'UnrolledBSK|BlindRotateUnrolled|BootstrapUnrolled|RunSchedule\(' -- '*.go' README.md docs
 	@! git grep -nE '(^|[^A-Za-z0-9_])(kindMultiLUT|DispatchMultiLUT|checkTestVec)([^A-Za-z0-9_]|$$)|func \(s \*StreamingEngine\) (MultiLUT|Bootstrap)\(|MultiLUT\(d (sched\.)?Dispatch' -- '*.go'
+	@! git grep -nE 'clientIDOf|parseEvalRequest|forwardByBody|EvalKindLUT|"POST /v2/eval"' -- '*.go'
 
 # No fused multiply-add in any assembly file: it rounds once where the
 # reference kernels round twice, and fast == ref is bitwise. Nor in what the

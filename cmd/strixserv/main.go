@@ -1,17 +1,18 @@
 // Command strixserv runs the networked FHE gate service: a session-sharded
 // HTTP server that accepts wire-encoded evaluation keys and streams clients'
-// gate/LUT batches through per-session streaming PBS engines. An engine is
+// gate, lookup and circuit batches through per-session streaming PBS
+// engines. An engine is
 // a handle on its session's keys: every session's operations run on the
 // process's one pool of GOMAXPROCS workers, each running a tile of
 // ciphertexts from modulus switch to keyswitch.
 //
 // The trust split is the classic FHE service model: clients keep their
 // secret keys and upload only evaluation keys and ciphertexts; the server
-// computes blindly. Endpoints (JSON frames with base64 ciphertext
-// fields, except the key upload, whose body is the raw wire encoding,
-// streamed and never buffered):
+// computes blindly. Endpoints (JSON, except an evaluation, whose body and
+// reply are binary frames of ciphertext records, and the key upload, whose
+// body is the raw wire encoding, streamed and never buffered):
 //
-//	POST   /v2/eval                every evaluation: kind gate|lut|multilut|circuit|infer + payload + opts
+//	POST   /v2/eval/{id}           every evaluation: a frame of a JSON header (kind gate|multilut|circuit|infer + payload + opts) and ciphertext records (octet-stream, Content-Length required)
 //	POST   /v1/sessions/{id}       upload a client's evaluation keys (octet-stream, Content-Length required)
 //	GET    /v1/stats               per-session metrics (requests, streams, op mix)
 //	GET    /v1/healthz             readiness (503 once draining)

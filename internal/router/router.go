@@ -185,7 +185,7 @@ type ClusterResponse struct {
 // Handler returns the router's HTTP API — the same surface as a single
 // strixserv node, plus GET /v1/cluster for pool introspection:
 //
-//	POST   /v2/eval                  forwarded to the client's shard
+//	POST   /v2/eval/{client_id}      eval frame, forwarded to the client's shard
 //	POST   /v1/sessions/{client_id}  key upload, piped to the shard; pins the session
 //	GET    /v1/stats                 merged across healthy backends
 //	GET    /v1/sessions              merged across healthy backends
@@ -194,7 +194,7 @@ type ClusterResponse struct {
 //	DELETE /v1/sessions/{client_id}  forwarded to the shard; unpins
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v2/eval", r.forwardByBody)
+	mux.HandleFunc("POST /v2/eval/{client_id}", r.handleEval)
 	mux.HandleFunc("POST /v1/sessions/{client_id}", r.handleRegisterKey)
 	mux.HandleFunc("GET /v1/stats", r.handleStats)
 	mux.HandleFunc("GET /v1/sessions", r.handleSessions)
@@ -238,48 +238,30 @@ func (r *Router) admitOne(w http.ResponseWriter) (release func(), ok bool) {
 	return func() { <-r.admit }, true
 }
 
-// clientIDOf extracts the routing key from an evaluation envelope, which
-// carries client_id at the top level.
-func clientIDOf(body []byte) string {
-	var frame struct {
-		ClientID string `json:"client_id"`
-	}
-	if err := json.Unmarshal(body, &frame); err != nil {
-		return ""
-	}
-	return frame.ClientID
-}
-
-// forwardByBody routes one /v2/eval envelope by the client_id inside its
-// JSON body: admission, shard pick, bounded-retry forward, verbatim
-// response passthrough. The body is buffered to find the ID, which also
-// makes it replayable on any attempt.
-func (r *Router) forwardByBody(w http.ResponseWriter, req *http.Request) {
+// handleEval routes one eval frame by the client ID on its request line:
+// admission, shard pick, bounded-retry forward, verbatim response
+// passthrough. The body is read whole, of the size it declares, into one
+// buffer that every attempt replays; nothing in it is parsed here. A
+// missing or oversized declaration is refused before any body byte is
+// read, as the server would refuse it.
+func (r *Router) handleEval(w http.ResponseWriter, req *http.Request) {
 	release, ok := r.admitOne(w)
 	if !ok {
 		return
 	}
 	defer release()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, server.MaxBatchBodyBytes))
+	body, err := server.ReadEvalBody(req)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeRouterError(w, http.StatusRequestEntityTooLarge, server.CodeTooLarge, "request body too large")
-		} else {
-			writeRouterError(w, http.StatusBadRequest, server.CodeBadRequest,
-				fmt.Sprintf("router: reading request body: %v", err))
-		}
+		var api *server.APIError
+		errors.As(err, &api)
+		writeRouterError(w, api.Status, api.Code, api.Message)
 		return
 	}
-	id := clientIDOf(body)
-	if id == "" {
-		writeRouterError(w, http.StatusBadRequest, server.CodeBadRequest, "router: missing client_id")
-		return
-	}
+	id := req.PathValue("client_id")
 	r.forward(w, id, outbound{
-		path:   "/v2/eval",
-		header: http.Header{"Content-Type": {"application/json"}},
+		path:   server.EvalPath(id),
+		header: http.Header{"Content-Type": {"application/octet-stream"}},
 		size:   int64(len(body)),
 		body:   func() io.Reader { return bytes.NewReader(body) },
 	})
@@ -498,18 +480,29 @@ func (ref refusal) writeTo(w http.ResponseWriter) {
 }
 
 // passthrough relays a backend response verbatim — status, content
-// type, and body — so typed error codes survive the hop.
+// type, declared length, and body — so typed error codes survive the hop
+// and a client can size its read of an eval reply.
 func passthrough(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
+	if resp.ContentLength >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+	}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)
 	}
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	buf := copyBufs.Get().(*[32 << 10]byte)
+	defer copyBufs.Put(buf)
+	io.CopyBuffer(struct{ io.Writer }{w}, resp.Body, buf[:])
 }
+
+// copyBufs recycles passthrough's copy buffers. The writer is wrapped to
+// hide its ReadFrom, which for a reply of declared length hands the body to
+// the connection's, and that allocates a fresh buffer for every reply.
+var copyBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
 
 // fanoutGet issues GET path to every healthy backend and returns the
 // decoded bodies that answered 200.

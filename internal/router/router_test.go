@@ -412,7 +412,6 @@ func TestAdmissionControl(t *testing.T) {
 		}
 		<-release
 		w.WriteHeader(http.StatusOK)
-		w.Write([]byte(`{"out":[],"k":1}`))
 	}))
 	defer slow.Close()
 	defer close(release)
@@ -425,8 +424,7 @@ func TestAdmissionControl(t *testing.T) {
 
 	// First request occupies the only slot: it routes to the slow
 	// backend and parks there until release closes at test end.
-	go http.Post(rts.URL+"/v2/eval", "application/json",
-		strings.NewReader(`{"client_id":"occupier","kind":"lut","space":4,"table":[0,1,2,3]}`))
+	go http.Post(rts.URL+server.EvalPath("occupier"), "application/octet-stream", strings.NewReader("a frame"))
 	deadline := time.Now().Add(2 * time.Second)
 	for len(r.admit) == 0 {
 		if time.Now().After(deadline) {
@@ -507,11 +505,11 @@ func stub503(t *testing.T, code string, hits *atomic.Int64) *httptest.Server {
 	return ts
 }
 
-// postEval sends one minimal eval envelope through the router and
-// returns the response status and decoded error frame.
+// postEval sends one eval body through the router, which forwards it
+// unparsed, and returns the response status and decoded error frame.
 func postEval(t *testing.T, url string) (int, server.ErrorResponse) {
 	t.Helper()
-	resp, err := http.Post(url+"/v2/eval", "application/json", strings.NewReader(`{"client_id":"x"}`))
+	resp, err := http.Post(url+server.EvalPath("x"), "application/octet-stream", strings.NewReader("a frame"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,9 +615,9 @@ func TestDeleteSessionEscapesClientID(t *testing.T) {
 }
 
 // TestRouteTable pins the HTTP surface of a node and of the router:
-// /v2/eval is the only evaluation entry, the retired /v1/*-batch and JSON
-// key-upload paths answer the mux's 404, and every surviving route is
-// served. A route
+// /v2/eval/{client_id} is the only evaluation entry, the retired
+// /v1/*-batch, JSON key-upload and bare /v2/eval paths answer the mux's
+// 404, and every surviving route is served. A route
 // counts as served when the reply is one of the API's JSON frames — the
 // mux's own 404 and 405 are text/plain.
 func TestRouteTable(t *testing.T) {
@@ -628,7 +626,7 @@ func TestRouteTable(t *testing.T) {
 
 	type route struct{ method, path string }
 	surviving := []route{
-		{"POST", "/v2/eval"},
+		{"POST", "/v2/eval/ghost"},
 		{"POST", "/v1/sessions/ghost"},
 		{"GET", "/v1/stats"},
 		{"GET", "/v1/healthz"},
@@ -636,7 +634,7 @@ func TestRouteTable(t *testing.T) {
 		{"DELETE", "/v1/sessions/ghost"},
 	}
 	// Retired paths are spelled in pieces so a grep for them stays empty.
-	retired := []route{{"POST", "/v1/register" + "-key"}}
+	retired := []route{{"POST", "/v1/register" + "-key"}, {"POST", "/v2/" + "eval"}}
 	for _, kind := range []string{"gate", "lut", "multilut", "circuit"} {
 		retired = append(retired, route{"POST", "/v1/" + kind + "-batch"})
 	}

@@ -287,8 +287,8 @@ func TestBackendDiesMidUpload(t *testing.T) {
 	}
 }
 
-// TestEvalBodyReadErrorIsBadRequest pins the status of an /v2/eval body
-// the router could not finish reading: a client that sends less than it
+// TestEvalBodyReadErrorIsBadRequest pins the status of an eval body the
+// router could not finish reading: a client that sends less than it
 // declared made a bad request; only a body over the bound is too_large.
 func TestEvalBodyReadErrorIsBadRequest(t *testing.T) {
 	_, ts := newBackend(t)
@@ -299,7 +299,7 @@ func TestEvalBodyReadErrorIsBadRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	fmt.Fprintf(conn, "POST /v2/eval HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"client_id\":")
+	fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: x\r\nContent-Type: application/octet-stream\r\nContent-Length: 100\r\n\r\nSXEV", server.EvalPath("x"))
 	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
 		t.Fatal(err)
 	}
@@ -312,6 +312,94 @@ func TestEvalBodyReadErrorIsBadRequest(t *testing.T) {
 	var er server.ErrorResponse
 	if !strings.HasPrefix(head, "HTTP/1.1 400 ") || json.Unmarshal([]byte(body), &er) != nil || er.Code != server.CodeBadRequest {
 		t.Errorf("truncated eval body answered %q, want 400 %s", reply, server.CodeBadRequest)
+	}
+}
+
+// TestEvalRefusedBeforeBody pins the router's half of the eval body
+// contract: a request that declares no size is refused 411 and one that
+// declares more than server.MaxBatchBodyBytes 413, as the server would
+// refuse them, before a body byte is read and without a forward.
+func TestEvalRefusedBeforeBody(t *testing.T) {
+	var forwards atomic.Int64
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/v1/healthz" {
+			writeOK(w, server.HealthResponse{Status: "ok"})
+			return
+		}
+		forwards.Add(1)
+	}))
+	defer backend.Close()
+	_, rts := newRouter(t, fastConfig(backend.URL))
+	for _, tc := range []struct {
+		name   string
+		size   int64
+		status int
+		code   string
+	}{
+		{"no length", -1, http.StatusLengthRequired, server.CodeBadRequest},
+		{"over the bound", server.MaxBatchBodyBytes + 1, http.StatusRequestEntityTooLarge, server.CodeTooLarge},
+	} {
+		var touched atomic.Bool
+		body := readerFunc(func(p []byte) (int, error) { touched.Store(true); return 0, io.EOF })
+		req, err := http.NewRequest(http.MethodPost, rts.URL+server.EvalPath("alice"), body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.ContentLength = tc.size
+		req.Header.Set("Expect", "100-continue")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er server.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != tc.status || er.Code != tc.code {
+			t.Errorf("%s: HTTP %d %+v (%v), want %d %s", tc.name, resp.StatusCode, er, err, tc.status, tc.code)
+		}
+		if touched.Load() {
+			t.Errorf("%s: the body was read before the refusal", tc.name)
+		}
+	}
+	if n := forwards.Load(); n != 0 {
+		t.Errorf("the backend saw %d forwards of refused requests", n)
+	}
+}
+
+// readerFunc is an io.Reader made of a function.
+type readerFunc func([]byte) (int, error)
+
+// Read implements io.Reader.
+func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
+
+// TestRoutedReplyCarriesContentLength pins that a routed 200 keeps the
+// length its backend declared, so a client can size its read of the reply
+// frame. The reply is larger than the HTTP server's buffer: without the
+// relayed length it would arrive chunked.
+func TestRoutedReplyCarriesContentLength(t *testing.T) {
+	reply := bytes.Repeat([]byte("r"), 10000)
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/v1/healthz" {
+			writeOK(w, server.HealthResponse{Status: "ok"})
+			return
+		}
+		w.Header().Set("Content-Length", fmt.Sprint(len(reply)))
+		w.Write(reply)
+	}))
+	defer backend.Close()
+	_, rts := newRouter(t, fastConfig(backend.URL))
+	resp, err := http.Post(rts.URL+server.EvalPath("alice"), "application/octet-stream", strings.NewReader("a frame"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, reply) {
+		t.Fatalf("routed reply: HTTP %d, %d bytes (%v)", resp.StatusCode, len(got), err)
+	}
+	if resp.ContentLength != int64(len(reply)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("routed reply declared length %d, transfer encoding %v; want %d, none",
+			resp.ContentLength, resp.TransferEncoding, len(reply))
 	}
 }
 

@@ -86,28 +86,27 @@ func retryable(err error) bool {
 	return errors.As(err, &api) && api.Temporary()
 }
 
-// do sends one request with an optional JSON body through retry.
-func (c *Client) do(method, path string, body []byte, out any) error {
+// do sends one bodiless request through retry and decodes its JSON reply
+// into out.
+func (c *Client) do(method, path string, out any) error {
 	return c.retry(func() (*http.Request, error) {
-		if body == nil {
-			return http.NewRequest(method, c.base+path, nil)
-		}
-		req, err := http.NewRequest(method, c.base+path, bytes.NewReader(body))
-		if err == nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		return req, err
-	}, out)
+		return http.NewRequest(method, c.base+path, nil)
+	}, jsonInto(out))
+}
+
+// jsonInto returns the decoder of a JSON reply into out.
+func jsonInto(out any) func([]byte) error {
+	return func(data []byte) error { return json.Unmarshal(data, out) }
 }
 
 // retry sends the request newReq builds — a fresh one per attempt, so its
-// body starts over — retrying temporary refusals, and decodes the reply
-// into out. A Retry-After the server sent with the refusal floors the
-// jittered backoff for that attempt: the server knows how long its
-// overload or drain will last better than the client's schedule does.
-func (c *Client) retry(newReq func() (*http.Request, error), out any) error {
+// body starts over — retrying temporary refusals, and hands the body of a
+// 200 reply to decode. A Retry-After the server sent with the refusal
+// floors the jittered backoff for that attempt: the server knows how long
+// its overload or drain will last better than the client's schedule does.
+func (c *Client) retry(newReq func() (*http.Request, error), decode func([]byte) error) error {
 	for attempt := 0; ; attempt++ {
-		err := c.send(newReq, out)
+		err := c.send(newReq, decode)
 		if err == nil || !retryable(err) || attempt >= c.maxRetries {
 			return err
 		}
@@ -121,7 +120,7 @@ func (c *Client) retry(newReq func() (*http.Request, error), out any) error {
 }
 
 // send sends exactly one request.
-func (c *Client) send(newReq func() (*http.Request, error), out any) error {
+func (c *Client) send(newReq func() (*http.Request, error), decode func([]byte) error) error {
 	req, err := newReq()
 	if err != nil {
 		return err
@@ -131,23 +130,15 @@ func (c *Client) send(newReq func() (*http.Request, error), out any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	return decodeReply(resp, out)
+	return decodeReply(resp, decode)
 }
 
-// post sends one JSON request and decodes the reply into out.
-func (c *Client) post(path string, req, out any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	return c.do(http.MethodPost, path, body, out)
-}
-
-// decodeReply decodes a service reply, surfacing ErrorResponse bodies as
-// typed *APIError values. Replies are batch-sized at most, so the batch
-// body bound applies.
-func decodeReply(resp *http.Response, out any) error {
-	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxBatchBodyBytes))
+// decodeReply hands a 200 reply's body to decode, and surfaces any other
+// reply's ErrorResponse as a typed *APIError. Replies are batch-sized at
+// most, so the batch body bound applies; a reply that declares its size
+// is read into one buffer of that size.
+func decodeReply(resp *http.Response, decode func([]byte) error) error {
+	data, err := readReply(resp)
 	if err != nil {
 		return err
 	}
@@ -166,7 +157,16 @@ func decodeReply(resp *http.Response, out any) error {
 		}
 		return apiErr
 	}
-	return json.Unmarshal(data, out)
+	return decode(data)
+}
+
+// readReply reads a reply's body, of its declared size when it has one.
+func readReply(resp *http.Response) ([]byte, error) {
+	size := resp.ContentLength
+	if size < 0 || size > MaxBatchBodyBytes {
+		return io.ReadAll(io.LimitReader(resp.Body, MaxBatchBodyBytes))
+	}
+	return readDeclared(resp.Body, size)
 }
 
 // ParseRetryAfter parses a response's Retry-After delay. Both the server
@@ -219,30 +219,41 @@ func (c *Client) RegisterKey(ek tfhe.EvaluationKeys) error {
 		req.Header.Set("Content-Type", "application/octet-stream")
 		req.Header.Set("Expect", "100-continue")
 		return req, nil
-	}, &resp)
+	}, jsonInto(&resp))
 }
 
-// eval posts one v2 evaluation envelope under this client's ID and
-// decodes the flat output batch. Every evaluation method — gate, LUT,
-// multi-value LUT, circuit — funnels through here, so retry policy,
+// eval posts one v2 evaluation envelope, req's header over the operand
+// lists a and b, as one frame to this client's eval path and decodes the
+// flat output batch from the reply frame. Every evaluation method — gate,
+// lookup, circuit, inference — funnels through here, so retry policy,
 // error typing, and any future routing concerns live in one place.
-func (c *Client) eval(req EvalRequest) ([]tfhe.LWECiphertext, int, error) {
-	req.ClientID = c.id
-	var resp EvalResponse
-	if err := c.post("/v2/eval", req, &resp); err != nil {
+func (c *Client) eval(req EvalRequest, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, int, error) {
+	if err := checkClientID(c.id); err != nil {
 		return nil, 0, err
 	}
-	out, err := decodeCiphertexts(resp.Out, "out")
+	body, err := appendEvalFrame(req, a, b)
 	if err != nil {
 		return nil, 0, err
 	}
-	return out, resp.K, nil
+	var out []tfhe.LWECiphertext
+	var k int
+	err = c.retry(func() (*http.Request, error) {
+		hr, err := http.NewRequest(http.MethodPost, c.base+EvalPath(c.id), bytes.NewReader(body))
+		if err == nil {
+			hr.Header.Set("Content-Type", "application/octet-stream")
+		}
+		return hr, err
+	}, func(data []byte) (err error) {
+		out, k, err = decodeEvalReply(data)
+		return err
+	})
+	return out, k, err
 }
 
 // evalGrouped is eval for the kinds that answer k outputs per input
 // (multilut, infer): out[i][j] is output j of input i.
-func (c *Client) evalGrouped(req EvalRequest) ([][]tfhe.LWECiphertext, error) {
-	flat, k, err := c.eval(req)
+func (c *Client) evalGrouped(req EvalRequest, a []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {
+	flat, k, err := c.eval(req, a, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -264,11 +275,7 @@ func regroup(flat []tfhe.LWECiphertext, k int) [][]tfhe.LWECiphertext {
 // GateBatch evaluates out[i] = op(a[i], b[i]) on the server. For the unary
 // NOT, b must be nil.
 func (c *Client) GateBatch(op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	req := EvalRequest{Kind: EvalKindGate, Op: op.String(), A: encodeCiphertexts(a)}
-	if b != nil {
-		req.B = encodeCiphertexts(b)
-	}
-	out, _, err := c.eval(req)
+	out, _, err := c.eval(EvalRequest{Kind: EvalKindGate, Op: op.String()}, a, b)
 	return out, err
 }
 
@@ -291,16 +298,16 @@ func (c *Client) CircuitBatchOpts(circ *sched.Circuit, inputs []tfhe.LWECipherte
 		Kind:    EvalKindCircuit,
 		Nodes:   circ.Specs(),
 		Outputs: circ.OutputWires(),
-		Inputs:  encodeCiphertexts(inputs),
 		Opts:    opts,
-	})
+	}, inputs, nil)
 	return out, err
 }
 
 // LUTBatch applies the lookup table (length space, entries in
-// {0..space-1}) to every ciphertext on the server.
+// {0..space-1}) to every ciphertext on the server: a one-table multilut
+// envelope.
 func (c *Client) LUTBatch(cts []tfhe.LWECiphertext, space int, table []int) ([]tfhe.LWECiphertext, error) {
-	out, _, err := c.eval(EvalRequest{Kind: EvalKindLUT, Space: space, Table: table, Cts: encodeCiphertexts(cts)})
+	out, _, err := c.eval(EvalRequest{Kind: EvalKindMultiLUT, Space: space, Tables: [][]int{table}}, cts, nil)
 	return out, err
 }
 
@@ -309,7 +316,7 @@ func (c *Client) LUTBatch(cts []tfhe.LWECiphertext, space int, table []int) ([]t
 // one blind rotation per input serves all k tables. out[i][j] is table j
 // applied to cts[i].
 func (c *Client) MultiLUTBatch(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
-	return c.evalGrouped(EvalRequest{Kind: EvalKindMultiLUT, Space: space, Tables: tables, Cts: encodeCiphertexts(cts)})
+	return c.evalGrouped(EvalRequest{Kind: EvalKindMultiLUT, Space: space, Tables: tables}, cts)
 }
 
 // Infer runs the server's built-in cellCNN-style inference model over a
@@ -321,13 +328,13 @@ func (c *Client) MultiLUTBatch(cts []tfhe.LWECiphertext, space int, tables [][]i
 // opts with Optimize runs the model through the server-side optimizer
 // pass pipeline first.
 func (c *Client) Infer(features []tfhe.LWECiphertext, opts EvalOpts) ([][]tfhe.LWECiphertext, error) {
-	return c.evalGrouped(EvalRequest{Kind: EvalKindInfer, Inputs: encodeCiphertexts(features), Opts: opts})
+	return c.evalGrouped(EvalRequest{Kind: EvalKindInfer, Opts: opts}, features)
 }
 
 // Stats fetches the service metrics snapshot.
 func (c *Client) Stats() (Stats, error) {
 	var st Stats
-	if err := c.do(http.MethodGet, "/v1/stats", nil, &st); err != nil {
+	if err := c.do(http.MethodGet, "/v1/stats", &st); err != nil {
 		return Stats{}, err
 	}
 	return st, nil
@@ -337,7 +344,7 @@ func (c *Client) Stats() (Stats, error) {
 // and durable tiers.
 func (c *Client) Sessions() ([]SessionInfo, error) {
 	var resp SessionsResponse
-	if err := c.do(http.MethodGet, "/v1/sessions", nil, &resp); err != nil {
+	if err := c.do(http.MethodGet, "/v1/sessions", &resp); err != nil {
 		return nil, err
 	}
 	return resp.Sessions, nil
@@ -352,6 +359,6 @@ func (c *Client) DeleteSession(clientID string) (DeleteSessionResponse, error) {
 	if err := checkClientID(clientID); err != nil {
 		return resp, err
 	}
-	err := c.do(http.MethodDelete, SessionPath(clientID), nil, &resp)
+	err := c.do(http.MethodDelete, SessionPath(clientID), &resp)
 	return resp, err
 }

@@ -11,8 +11,8 @@
 // long-running server sheds the key material of idle clients instead of
 // growing without limit.
 //
-// Every /v2/eval envelope is a sched.Circuit — a gate, lookup or
-// multi-value batch one level of n nodes — compiled for the session's
+// Every eval envelope is a sched.Circuit — a gate or lookup batch one
+// level of n nodes — compiled for the session's
 // parameter set, where sched applies the one noise rule, and run by
 // sched.Execute with the session as executor (it embeds a sched.Runner
 // over its engine), so concurrent requests and dispatches share the
@@ -40,12 +40,14 @@
 // run to completion — then closes the store; the healthz endpoint goes
 // not-ready at the flip.
 //
-// The HTTP layer (Handler, Dial) frames the binary wire encoding in JSON:
-// ciphertexts travel as base64 []byte fields, everything else as plain
-// JSON — trivially debuggable with curl, with the hot bytes still in the
-// canonical binary codec. The evaluation key, the one large object, is the
-// exception: POST /v1/sessions/{client_id} takes its raw wire encoding as
-// the body and streams it — the client encodes as the connection takes
+// The HTTP layer (Handler, Dial) moves ciphertexts only as binary
+// records and everything else as JSON. An evaluation, POST
+// /v2/eval/{client_id}, is one frame each way (frame.go): a short prefix,
+// the envelope's JSON header and the ciphertexts as contiguous records, so
+// a batch is copied once into one backing array on each side. The
+// evaluation key, the one large object, travels raw: POST
+// /v1/sessions/{client_id} takes its wire encoding as the body and
+// streams it — the client encodes as the connection takes
 // bytes, the server streams it into the store and views the stored bytes
 // as the key — so no side ever holds the key twice, and restore maps a
 // stored key back without decoding it. Every non-2xx

@@ -85,7 +85,6 @@ func (e *APIError) Temporary() bool {
 
 // errorStatus maps a service error to its HTTP status and machine code.
 func errorStatus(err error) (int, string) {
-	var tooBig *http.MaxBytesError
 	var api *APIError
 	var budget *noise.BudgetError
 	switch {
@@ -97,7 +96,7 @@ func errorStatus(err error) (int, string) {
 		return http.StatusNotFound, CodeUnknownSession
 	case errors.Is(err, ErrSessionEvicted):
 		return http.StatusGone, CodeSessionEvicted
-	case errors.Is(err, ErrBatchTooLarge), errors.As(err, &tooBig):
+	case errors.Is(err, ErrBatchTooLarge):
 		return http.StatusRequestEntityTooLarge, CodeTooLarge
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusServiceUnavailable, CodeOverloaded

@@ -1,11 +1,11 @@
 package server
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
+	"strconv"
 
 	"repro/internal/engine"
 	"repro/internal/sched"
@@ -13,21 +13,21 @@ import (
 	"repro/internal/workload"
 )
 
-// The v2 evaluation envelope: every batch operation — gate, LUT,
-// multi-value LUT, circuit — travels as one versioned frame through
-// POST /v2/eval, so a routing tier can forward, retry, and account for
-// all evaluation traffic uniformly instead of knowing one endpoint per
-// op shape. It is the only evaluation entry of the HTTP API.
+// The v2 evaluation envelope: every batch operation — gate, lookup,
+// circuit, inference — travels as one binary frame (frame.go) through
+// POST /v2/eval/{client_id}, so a routing tier can forward, retry, and
+// account for all evaluation traffic by path, without parsing a body,
+// instead of knowing one endpoint per op shape. It is the only
+// evaluation entry of the HTTP API.
 
 // Eval envelope kinds: the Kind field of an EvalRequest.
 const (
 	// EvalKindGate evaluates a boolean gate batch (Op, A, and B for
 	// binary gates; B absent for the unary NOT).
 	EvalKindGate = "gate"
-	// EvalKindLUT applies one lookup table (Space, Table) to Cts.
-	EvalKindLUT = "lut"
-	// EvalKindMultiLUT applies k lookup tables (Space, Tables) to Cts
-	// via multi-value PBS; the response carries k outputs per input.
+	// EvalKindMultiLUT applies k ≥ 1 lookup tables (Space, Tables) to
+	// Cts via multi-value PBS; the response carries k outputs per input.
+	// A single lookup is the one-table group.
 	EvalKindMultiLUT = "multilut"
 	// EvalKindCircuit executes a serialized circuit DAG (Nodes, Outputs)
 	// over Inputs, optionally through the optimizer pass pipeline.
@@ -54,41 +54,44 @@ type EvalOpts struct {
 	Optimize bool `json:"optimize,omitempty"`
 }
 
-// EvalRequest frames POST /v2/eval: one versioned envelope for every
-// batch evaluation. Kind selects the operation; only that kind's payload
-// fields may be set (stray fields from another kind are rejected, so an
-// envelope always has one unambiguous meaning a router can account for).
+// EvalRequest is one versioned envelope for every batch evaluation. Kind
+// selects the operation; only that kind's payload fields may be set
+// (stray fields from another kind are rejected, so an envelope always has
+// one unambiguous meaning). Its JSON is the header of an eval frame: the
+// client ID travels in the request path and the ciphertexts as the
+// frame's records, so those fields are not part of it. Server.Eval takes
+// the ciphertexts in process as wire-encoded LWE objects.
 type EvalRequest struct {
-	ClientID string `json:"client_id"`
+	ClientID string `json:"-"`
 	Kind     string `json:"kind"`
 
 	// Gate payload.
 	Op string   `json:"op,omitempty"` // gate mnemonic, e.g. "NAND"
-	A  [][]byte `json:"a,omitempty"`  // wire-encoded LWE ciphertexts
-	B  [][]byte `json:"b,omitempty"`  // absent for the unary NOT
+	A  [][]byte `json:"-"`            // the frame's first list
+	B  [][]byte `json:"-"`            // the frame's second list; absent for the unary NOT
 
-	// LUT / multi-value LUT payload.
-	Space  int      `json:"space,omitempty"`  // message space of the table(s)
-	Table  []int    `json:"table,omitempty"`  // lut: length Space, entries in {0..Space-1}
-	Tables [][]int  `json:"tables,omitempty"` // multilut: k tables, each length Space
-	Cts    [][]byte `json:"cts,omitempty"`    // wire-encoded LWE ciphertexts
+	// Multi-value LUT payload.
+	Space  int      `json:"space,omitempty"`  // message space of the tables
+	Tables [][]int  `json:"tables,omitempty"` // k tables, each length Space, entries in {0..Space-1}
+	Cts    [][]byte `json:"-"`                // the frame's first list
 
 	// Circuit payload.
 	Nodes   []sched.NodeSpec `json:"nodes,omitempty"`
 	Outputs []int            `json:"outputs,omitempty"`
-	Inputs  [][]byte         `json:"inputs,omitempty"` // wire-encoded LWE ciphertexts
+	Inputs  [][]byte         `json:"-"` // the frame's first list
 
 	// Opts modifies execution (see EvalOpts).
 	Opts EvalOpts `json:"opts,omitempty"`
 }
 
-// EvalResponse carries the results of one v2 evaluation. Out is flat in
-// input-major order; K is the number of outputs per input (1 for gate,
-// lut, and circuit envelopes; the table count for multilut), so
+// EvalResponse carries the results of one in-process evaluation
+// (Server.Eval) as wire-encoded LWE objects. Out is flat in input-major
+// order; K is the number of outputs per input (1 for gate and circuit
+// envelopes; the table count for multilut, the class count for infer), so
 // Out[i*K+j] is output j of input i.
 type EvalResponse struct {
-	Out [][]byte `json:"out"`
-	K   int      `json:"k"`
+	Out [][]byte
+	K   int
 }
 
 // evalOperands is the decoded payload of an envelope: a gate envelope's
@@ -106,10 +109,12 @@ func evalKindError(format string, args ...any) error {
 	return fmt.Errorf("server: bad eval envelope: "+format, args...)
 }
 
-// validateEvalShape rejects envelopes whose payload fields leak across
+// validateEvalShape rejects envelopes whose header fields leak across
 // kinds, so a request always means exactly one operation. It needs no
 // session state, runs before any ciphertext decode, and must never
-// panic: the envelope is attacker-controlled.
+// panic: the envelope is attacker-controlled. The ciphertext lists are
+// the frame's (decodeEvalFrame refuses a second list on any kind but a
+// gate) and, in process, evalLists'.
 func validateEvalShape(req *EvalRequest) error {
 	type field struct {
 		name string
@@ -117,22 +122,16 @@ func validateEvalShape(req *EvalRequest) error {
 	}
 	fields := []field{
 		{"op", req.Op != ""},
-		{"a", req.A != nil},
-		{"b", req.B != nil},
 		{"space", req.Space != 0},
-		{"table", req.Table != nil},
 		{"tables", req.Tables != nil},
-		{"cts", req.Cts != nil},
 		{"nodes", req.Nodes != nil},
 		{"outputs", req.Outputs != nil},
-		{"inputs", req.Inputs != nil},
 	}
 	allowed := map[string]map[string]bool{
-		EvalKindGate:     {"op": true, "a": true, "b": true},
-		EvalKindLUT:      {"space": true, "table": true, "cts": true},
-		EvalKindMultiLUT: {"space": true, "tables": true, "cts": true},
-		EvalKindCircuit:  {"nodes": true, "outputs": true, "inputs": true},
-		EvalKindInfer:    {"inputs": true},
+		EvalKindGate:     {"op": true},
+		EvalKindMultiLUT: {"space": true, "tables": true},
+		EvalKindCircuit:  {"nodes": true, "outputs": true},
+		EvalKindInfer:    {},
 	}
 	ok, known := allowed[req.Kind]
 	if !known {
@@ -149,53 +148,34 @@ func validateEvalShape(req *EvalRequest) error {
 	return nil
 }
 
-// decodeEvalOperands parses a gate envelope's op and wire-decodes the
-// ciphertext payload selected by the envelope's kind, after validating
-// the envelope's shape.
-func decodeEvalOperands(req *EvalRequest) (evalOperands, error) {
-	if err := validateEvalShape(req); err != nil {
-		return evalOperands{}, err
+// evalLists decodes the wire-encoded ciphertexts of an in-process
+// envelope into the frame's first and second lists: a and b for a gate,
+// cts for a lookup, inputs for a circuit or an inference. A first list of
+// another kind is refused here; b goes as the second list whatever the
+// kind, and the frame decoder refuses it on any kind but a gate.
+func evalLists(req EvalRequest) (first, second []tfhe.LWECiphertext, err error) {
+	named := []struct {
+		name string
+		list [][]byte
+		kind bool
+	}{
+		{"a", req.A, req.Kind == EvalKindGate},
+		{"cts", req.Cts, req.Kind == EvalKindMultiLUT},
+		{"inputs", req.Inputs, req.Kind == EvalKindCircuit || req.Kind == EvalKindInfer},
 	}
-	var ops evalOperands
-	var err error
-	switch req.Kind {
-	case EvalKindGate:
-		if ops.op, err = engine.ParseGate(req.Op); err != nil {
-			return evalOperands{}, err
+	for _, f := range named {
+		switch {
+		case f.kind:
+			first, err = decodeCiphertexts(f.list, f.name)
+		case f.list != nil:
+			err = evalKindError("field %q is not part of a %q envelope", f.name, req.Kind)
 		}
-		if ops.a, err = decodeCiphertexts(req.A, "a"); err != nil {
-			return evalOperands{}, err
-		}
-		if ops.b, err = decodeCiphertexts(req.B, "b"); err != nil {
-			return evalOperands{}, err
-		}
-	case EvalKindLUT, EvalKindMultiLUT:
-		if ops.a, err = decodeCiphertexts(req.Cts, "cts"); err != nil {
-			return evalOperands{}, err
-		}
-	case EvalKindCircuit, EvalKindInfer:
-		if ops.a, err = decodeCiphertexts(req.Inputs, "inputs"); err != nil {
-			return evalOperands{}, err
+		if err != nil {
+			return nil, nil, err
 		}
 	}
-	return ops, nil
-}
-
-// parseEvalRequest decodes the JSON frame of one v2 eval envelope,
-// unknown fields rejected. It and decodeEvalOperands, which Eval runs
-// next, perform no session-dependent validation — the dimension check and
-// the noise rule need the session's parameter set and happen in
-// evalDecoded — but they must never panic on arbitrary bytes: the body is
-// attacker-controlled, and the two are the fuzzing surface of the whole
-// evaluation API (FuzzEvalDecode).
-func parseEvalRequest(r io.Reader) (EvalRequest, error) {
-	var req EvalRequest
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return EvalRequest{}, fmt.Errorf("server: bad eval request: %w", err)
-	}
-	return req, nil
+	second, err = decodeCiphertexts(req.B, "b")
+	return first, second, err
 }
 
 // evalDecoded runs one shape-validated, wire-decoded envelope on the one
@@ -244,10 +224,9 @@ func (s *Server) evalDecoded(req EvalRequest, ops evalOperands) ([]tfhe.LWECiphe
 // bounds (ErrBatchTooLarge) before it builds anything, and the circuit's
 // builder checks its ops and tables. A gate batch is n gates over a ++ b,
 // a NOT batch n free negations Lin(0, −a), bitwise tfhe.Evaluator.NOT; a
-// lookup batch is n one-table lookup groups and a multi-value batch n
-// groups of k tables, whose outputs come input-major; a circuit envelope
-// its specs; an inference the model workload.BuildInferBatch builds for
-// the batch.
+// lookup batch n groups of k ≥ 1 tables, whose outputs come input-major;
+// a circuit envelope its specs; an inference the model
+// workload.BuildInferBatch builds for the batch.
 func translate(req EvalRequest, ops evalOperands, maxBatch int) (*sched.Circuit, []tfhe.LWECiphertext, int, error) {
 	fail := func(err error) (*sched.Circuit, []tfhe.LWECiphertext, int, error) { return nil, nil, 0, err }
 	tooLarge := func(format string, args ...any) (*sched.Circuit, []tfhe.LWECiphertext, int, error) {
@@ -273,15 +252,11 @@ func translate(req EvalRequest, ops evalOperands, maxBatch int) (*sched.Circuit,
 			b.Output(b.Gate(op, x[i], y[i]))
 		}
 		a = slices.Concat(a, ops.b)
-	case EvalKindLUT, EvalKindMultiLUT:
-		tables := req.Tables
-		if req.Kind == EvalKindLUT {
-			tables = [][]int{req.Table}
-		}
-		if k = len(tables); len(a)*k > maxBatch {
+	case EvalKindMultiLUT:
+		if k = len(req.Tables); len(a)*k > maxBatch {
 			return tooLarge("%d inputs × %d tables > %d", len(a), k, maxBatch)
 		}
-		b.Output(b.MultiLUTs(b.Inputs(len(a)), req.Space, tables)...)
+		b.Output(b.MultiLUTs(b.Inputs(len(a)), req.Space, req.Tables)...)
 	case EvalKindCircuit:
 		// Outputs amplify the response (each entry re-encodes a
 		// ciphertext), so they are bounded like nodes: a tiny circuit
@@ -319,33 +294,81 @@ func translate(req EvalRequest, ops evalOperands, maxBatch int) (*sched.Circuit,
 	return c, a, k, err
 }
 
-// Eval executes one v2 evaluation envelope: shape validation, ciphertext
-// decode, the one evaluation path (evalDecoded), and re-encode of the
-// outputs. It is the programmatic form of POST /v2/eval, and what that
-// endpoint runs.
+// Eval executes one v2 evaluation envelope in process, as
+// POST /v2/eval/{client_id} would: the envelope's wire-encoded ciphertexts
+// are decoded into an eval frame, which runs through evalFrame, and the
+// reply frame's outputs come back wire-encoded. Only the wire objects
+// around the frame are its own.
 func (s *Server) Eval(req EvalRequest) (EvalResponse, error) {
-	ops, err := decodeEvalOperands(&req)
+	a, b, err := evalLists(req)
 	if err != nil {
 		return EvalResponse{}, err
 	}
-	out, k, err := s.evalDecoded(req, ops)
+	frame, err := appendEvalFrame(req, a, b)
+	if err != nil {
+		return EvalResponse{}, err
+	}
+	reply, err := s.evalFrame(req.ClientID, frame)
+	if err != nil {
+		return EvalResponse{}, err
+	}
+	out, k, err := decodeEvalReply(reply)
 	if err != nil {
 		return EvalResponse{}, err
 	}
 	return EvalResponse{Out: encodeCiphertexts(out), K: k}, nil
 }
 
-// handleEval decodes one v2 eval envelope's frame and runs it through
-// Eval.
+// handleEval reads one eval frame of its declared size, runs it through
+// evalFrame and answers the reply frame with its Content-Length.
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
-	req, err := parseEvalRequest(http.MaxBytesReader(w, r.Body, MaxBatchBodyBytes))
-	var resp EvalResponse
+	body, err := ReadEvalBody(r)
+	var reply []byte
 	if err == nil {
-		resp, err = s.Eval(req)
+		reply, err = s.evalFrame(r.PathValue("client_id"), body)
 	}
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(reply)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(reply)
+}
+
+// evalFrame decodes one request frame for clientID, runs it on the one
+// evaluation path (evalDecoded) and encodes the reply frame.
+func (s *Server) evalFrame(clientID string, body []byte) ([]byte, error) {
+	req, ops, err := decodeEvalFrame(body, s.cfg.MaxBatch)
+	if errors.Is(err, ErrBatchTooLarge) {
+		return nil, s.reject(clientID, err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	req.ClientID = clientID
+	out, k, err := s.evalDecoded(req, ops)
+	if err != nil {
+		return nil, err
+	}
+	return appendEvalReply(k, out)
+}
+
+// reject answers err, the batch bound decodeEvalFrame checks before it
+// sizes any record, as evalDecoded answers translate's: after admission
+// and the session lookup, whose refusals come first, and counted against
+// the session.
+func (s *Server) reject(clientID string, err error) error {
+	if err := s.begin(); err != nil {
+		return err
+	}
+	defer s.end()
+	sess, lookup := s.session(clientID)
+	if lookup != nil {
+		return lookup
+	}
+	sess.rejected.Add(1)
+	sess.release()
+	return err
 }

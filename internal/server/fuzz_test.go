@@ -2,8 +2,9 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/sched"
@@ -11,117 +12,110 @@ import (
 	"repro/internal/wire"
 )
 
-// FuzzEvalDecode pins the v2 eval envelope decoder's contract: it never
-// panics on arbitrary bytes (the body is attacker-controlled), it only
-// accepts envelopes whose payload matches their kind, and any ciphertext
-// it accepts is canonical under the wire codec. POST /v2/eval is the only
-// evaluation endpoint and this is its parse path, so this is the single
-// fuzz target for the whole evaluation API (the key upload's body is the
-// wire codec's own fuzz surface, FuzzUnmarshalEvalKey).
-// Plain `go test` replays the f.Add seeds plus the committed corpus
-// under testdata/fuzz/ in regression mode; the nightly workflow gives it
-// a real exploration budget.
+// FuzzEvalDecode pins the eval frame decoder's contract: it never panics
+// on arbitrary bytes (the body is attacker-controlled), it only accepts
+// envelopes whose payload matches their kind and whose record lists fit
+// the batch bound, and the records it accepts are exactly the ones its
+// ciphertexts encode back to. An accepted frame re-encodes to a frame
+// that decodes to the same envelope. POST /v2/eval/{client_id} is the
+// only evaluation endpoint and this is its parse path, so this is the
+// single fuzz target for the whole evaluation API (the key upload's body
+// is the wire codec's own fuzz surface, FuzzUnmarshalEvalKey). Plain `go
+// test` replays the f.Add seeds plus the committed corpus under
+// testdata/fuzz/ in regression mode; the nightly workflow gives it a real
+// exploration budget.
 func FuzzEvalDecode(f *testing.F) {
 	for _, seed := range evalFuzzSeeds() {
 		f.Add(seed)
 	}
+	const maxBatch = 4096
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := parseEvalRequest(bytes.NewReader(data))
-		var ops evalOperands
-		if err == nil {
-			ops, err = decodeEvalOperands(&req)
-		}
+		req, ops, err := decodeEvalFrame(data, maxBatch)
 		if err != nil {
 			return
 		}
 		if err := validateEvalShape(&req); err != nil {
 			t.Fatalf("accepted envelope fails shape validation: %v", err)
 		}
-		var blobs [][]byte
-		switch req.Kind {
-		case EvalKindGate:
-			blobs = req.A
-			if len(ops.b) != len(req.B) {
-				t.Fatalf("decoded %d b-operands from %d blobs", len(ops.b), len(req.B))
-			}
-			for i, ct := range ops.b {
-				if again := wire.MarshalLWE(ct); !bytes.Equal(again, req.B[i]) {
-					t.Fatalf("accepted non-canonical b-operand %d", i)
-				}
-			}
-		case EvalKindLUT, EvalKindMultiLUT:
-			blobs = req.Cts
-		case EvalKindCircuit, EvalKindInfer:
-			blobs = req.Inputs
-		default:
-			t.Fatalf("accepted unknown kind %q", req.Kind)
+		if ops.b != nil && req.Kind != EvalKindGate {
+			t.Fatalf("accepted a second operand list on a %q envelope", req.Kind)
 		}
-		if len(ops.a) != len(blobs) {
-			t.Fatalf("decoded %d ciphertexts from %d blobs", len(ops.a), len(blobs))
+		if len(ops.a)+len(ops.b) > 2*maxBatch {
+			t.Fatalf("accepted %d and %d records over the bound 2 × %d", len(ops.a), len(ops.b), maxBatch)
 		}
-		for i, ct := range ops.a {
-			if again := wire.MarshalLWE(ct); !bytes.Equal(again, blobs[i]) {
-				t.Fatalf("accepted non-canonical ciphertext %d", i)
-			}
+		n := int(binary.LittleEndian.Uint32(data[12:]))
+		records, err := wire.AppendLWERecords(nil, n, append(append([]tfhe.LWECiphertext{}, ops.a...), ops.b...))
+		if err != nil {
+			t.Fatalf("accepted records of another dimension than the prefix's %d: %v", n, err)
+		}
+		if !bytes.HasSuffix(data, records) {
+			t.Fatal("accepted records that do not encode back to the frame's")
+		}
+		again, err := appendEvalFrame(req, ops.a, ops.b)
+		if err != nil {
+			t.Fatalf("accepted envelope does not re-encode: %v", err)
+		}
+		req2, ops2, err := decodeEvalFrame(again, maxBatch)
+		if err != nil || !reflect.DeepEqual(req, req2) || !reflect.DeepEqual(ops, ops2) {
+			t.Fatalf("re-encoded frame decodes to %+v, %v; want %+v", req2, err, req)
 		}
 	})
 }
 
-// evalFuzzSeeds returns one valid envelope per kind plus cheap structural
-// mutations (the committed corpus under testdata/fuzz extends these).
+// evalFuzzSeeds returns one valid frame per kind plus hostile mutations
+// of them (the committed corpus under testdata/fuzz extends these).
 func evalFuzzSeeds() [][]byte {
 	rng := rand.New(rand.NewSource(7))
 	sk, _ := tfhe.GenerateKeys(rng, tfhe.ParamsTest)
-	cts := [][]byte{
-		wire.MarshalLWE(sk.LWE.Encrypt(rng, tfhe.EncodePBSMessage(1, 4), tfhe.ParamsTest.LWEStdDev)),
-		wire.MarshalLWE(sk.LWE.Encrypt(rng, tfhe.EncodePBSMessage(3, 4), tfhe.ParamsTest.LWEStdDev)),
+	cts := []tfhe.LWECiphertext{
+		sk.LWE.Encrypt(rng, tfhe.EncodePBSMessage(1, 4), tfhe.ParamsTest.LWEStdDev),
+		sk.LWE.Encrypt(rng, tfhe.EncodePBSMessage(3, 4), tfhe.ParamsTest.LWEStdDev),
 	}
-	mustJSON := func(req EvalRequest) []byte {
-		data, err := json.Marshal(req)
+	frame := func(req EvalRequest, a, b []tfhe.LWECiphertext) []byte {
+		data, err := appendEvalFrame(req, a, b)
 		if err != nil {
 			panic(err)
 		}
 		return data
 	}
-	gate := mustJSON(EvalRequest{ClientID: "fuzz", Kind: EvalKindGate, Op: "NAND", A: cts[:1], B: cts[1:]})
-	lut := mustJSON(EvalRequest{ClientID: "fuzz", Kind: EvalKindLUT, Space: 4, Table: []int{0, 1, 2, 3}, Cts: cts})
-	multilut := mustJSON(EvalRequest{
-		ClientID: "fuzz", Kind: EvalKindMultiLUT,
-		Space: 4, Tables: [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}}, Cts: cts,
-	})
-	circuit := mustJSON(EvalRequest{
-		ClientID: "fuzz", Kind: EvalKindCircuit,
+	// patch returns a copy of data with prefix word i set to v.
+	patch := func(data []byte, i int, v uint32) []byte {
+		c := bytes.Clone(data)
+		binary.LittleEndian.PutUint32(c[4*i:], v)
+		return c
+	}
+	gate := frame(EvalRequest{Kind: EvalKindGate, Op: "NAND"}, cts[:1], cts[1:])
+	not := frame(EvalRequest{Kind: EvalKindGate, Op: "NOT"}, cts, nil)
+	lut := frame(EvalRequest{Kind: EvalKindMultiLUT, Space: 4, Tables: [][]int{{0, 1, 2, 3}}}, cts, nil)
+	multilut := frame(EvalRequest{Kind: EvalKindMultiLUT, Space: 4, Tables: [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}}}, cts, nil)
+	circuit := frame(EvalRequest{
+		Kind: EvalKindCircuit,
 		Nodes: []sched.NodeSpec{
 			{Kind: sched.SpecInput}, {Kind: sched.SpecInput},
 			{Kind: sched.SpecGate, Op: "NAND", A: 0, B: 1},
 		},
 		Outputs: []int{2},
-		Inputs:  cts,
 		Opts:    EvalOpts{Optimize: true},
-	})
-	infer := mustJSON(EvalRequest{
-		ClientID: "fuzz", Kind: EvalKindInfer,
-		Inputs: cts,
-		Opts:   EvalOpts{Optimize: true},
-	})
-	seeds := [][]byte{
-		gate, lut, multilut, circuit, infer,
-		[]byte(`{}`),
-		[]byte(`{"client_id":"x","kind":"gate","op":"NOT","a":[]}`),
-		[]byte(`{"client_id":"x","kind":"lut","space":-1,"table":null,"cts":["AAAA"]}`),
-		[]byte(`{"client_id":"x","kind":"gate","space":4}`),
-		[]byte(`{"client_id":"x","kind":"lut","opts":{"optimize":true}}`),
-		[]byte(`{"client_id":"x","kind":"nonsense"}`),
-		[]byte(`{"unknown_field":1}`),
-		[]byte(`not json at all`),
+	}, cts, nil)
+	infer := frame(EvalRequest{Kind: EvalKindInfer, Opts: EvalOpts{Optimize: true}}, cts, nil)
+	n := uint32(tfhe.ParamsTest.SmallN)
+	return [][]byte{
+		gate, not, lut, multilut, circuit, infer,
 		{},
-		gate[:len(gate)/2],
-		append(bytes.Clone(multilut), '}'),
+		gate[:framePrefix-1],
+		patch(gate, 0, 0x58525453),                   // a wire object's magic
+		patch(gate, 1, frameVersion+1),               // another version
+		patch(gate, 2, uint32(len(gate))),            // header length past the body
+		append(bytes.Clone(gate), 0),                 // trailing byte
+		gate[:len(gate)-1],                           // truncated record
+		patch(multilut, 5, 1),                        // b records on a lookup
+		patch(gate, 3, wire.MaxLWEDim+1),             // n over the bound
+		patch(not, 4, uint32(1<<32/(uint64(n)+1)+1)), // count·(n+1) past 32 bits
+		patch(not, 4, 1<<30),                         // a count past the batch bound
+		frame(EvalRequest{Kind: "lut", Space: 4, Tables: [][]int{{0}}}, cts, nil),
+		frame(EvalRequest{Kind: EvalKindGate, Op: "NOT", Space: 4}, cts, nil),
+		frame(EvalRequest{Kind: EvalKindMultiLUT, Space: 4, Opts: EvalOpts{Optimize: true}}, cts, nil),
+		headerFrame(`{"kind":"gate","op":"NOT","unknown_field":1}`),
+		headerFrame(`not json at all`),
 	}
-	if i := bytes.IndexByte(circuit, '"'); i >= 0 {
-		c := bytes.Clone(circuit)
-		c[i] = '\''
-		seeds = append(seeds, c)
-	}
-	return seeds
 }

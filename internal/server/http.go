@@ -27,9 +27,10 @@ const (
 	// timeouts of ServeHandler keep a slow-drip peer from parking that
 	// indefinitely.
 	MaxKeyBodyBytes = 2 << 30
-	// MaxBatchBodyBytes bounds gate/lut batch requests and replies, which
-	// are buffered and base64-decoded whole: a maximal default batch (4096
-	// set-I ciphertext pairs) is ~22 MB of base64.
+	// MaxBatchBodyBytes bounds the declared size of an eval frame, request
+	// or reply, which is read whole into one buffer that grows with the
+	// bytes that arrive (readDeclared): a maximal default gate batch (4096
+	// set-I ciphertext pairs) is 16.4 MB of records.
 	MaxBatchBodyBytes = 64 << 20
 )
 
@@ -39,20 +40,23 @@ const (
 // The dot segments are escaped too, which PathEscape leaves alone: the
 // server refuses them as IDs, and written out they reach it to be refused
 // instead of being cleaned into another path by a mux on the way.
-func SessionPath(clientID string) string {
+func SessionPath(clientID string) string { return "/v1/sessions/" + idSegment(clientID) }
+
+// idSegment escapes a client ID as one path segment.
+func idSegment(clientID string) string {
 	if dotSegment(clientID) {
-		return "/v1/sessions/" + strings.ReplaceAll(clientID, ".", "%2E")
+		return strings.ReplaceAll(clientID, ".", "%2E")
 	}
-	return "/v1/sessions/" + url.PathEscape(clientID)
+	return url.PathEscape(clientID)
 }
 
 // dotSegment reports whether s is one of the two path segments that
 // request-line cleaning removes.
 func dotSegment(s string) bool { return s == "." || s == ".." }
 
-// The JSON frames of the HTTP API. Ciphertext fields ([]byte) carry the
-// internal/wire encoding and appear as base64 strings on the wire, the
-// standard encoding/json treatment.
+// The JSON frames of the HTTP API: every reply but an evaluation's and a
+// key upload's, and every error. Ciphertexts travel only in eval frames
+// (frame.go).
 
 // RegisterKeyResponse acknowledges a key upload.
 type RegisterKeyResponse struct {
@@ -90,21 +94,23 @@ type DeleteSessionResponse struct {
 
 // Handler returns the HTTP API of the service:
 //
-//	POST   /v2/eval                  EvalRequest         → EvalResponse
+//	POST   /v2/eval/{client_id}      eval frame          → reply frame
 //	POST   /v1/sessions/{client_id}  raw encoded key     → RegisterKeyResponse
 //	GET    /v1/stats                                     → Stats
 //	GET    /v1/healthz                                   → HealthResponse
 //	GET    /v1/sessions                                  → SessionsResponse
 //	DELETE /v1/sessions/{client_id}                      → DeleteSessionResponse
 //
-// /v2/eval is the single versioned evaluation envelope (see eval.go). The
-// key upload is the one non-JSON request: its body is the
-// wire.EncodeEvalKey bytes, Content-Length required (see handleRegisterKey).
+// /v2/eval/{client_id} is the single evaluation envelope, a binary frame
+// (see eval.go and frame.go). The key upload's body is the
+// wire.EncodeEvalKey bytes. Both requests must declare their size
+// (Content-Length), and both are refused unread when it is missing or
+// over their bound (see ReadEvalBody and handleRegisterKey).
 // Every non-2xx reply is an ErrorResponse carrying a machine-readable
 // code (see errors.go); 503 replies also carry a Retry-After header.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v2/eval", s.handleEval)
+	mux.HandleFunc("POST /v2/eval/{client_id}", s.handleEval)
 	mux.HandleFunc("POST /v1/sessions/{client_id}", s.handleRegisterKey)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
@@ -128,7 +134,11 @@ func writeError(w http.ResponseWriter, err error) {
 	if status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, status, ErrorResponse{Error: err.Error(), Code: code})
+	msg := err.Error()
+	if api, ok := err.(*APIError); ok {
+		msg = api.Message // a refusal made in its typed form goes out as made
+	}
+	writeJSON(w, status, ErrorResponse{Error: msg, Code: code})
 }
 
 // decodeCiphertexts decodes a batch of wire-encoded LWE ciphertexts.
@@ -163,14 +173,9 @@ func encodeCiphertexts(cts []tfhe.LWECiphertext) [][]byte {
 // a bad ID are all refused before the first body byte is read, so a peer
 // that waits for 100 Continue never sends the key.
 func (s *Server) handleRegisterKey(w http.ResponseWriter, r *http.Request) {
-	size := r.ContentLength
-	switch {
-	case size <= 0:
-		writeJSON(w, http.StatusLengthRequired, ErrorResponse{
-			Error: "server: key upload needs a Content-Length and a body", Code: CodeBadRequest})
-		return
-	case size > MaxKeyBodyBytes:
-		writeError(w, fmt.Errorf("server: key upload of %d bytes: %w", size, ErrBatchTooLarge))
+	size, err := declaredSize(r, MaxKeyBodyBytes, "key upload")
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	body := &touchReader{r: r.Body}

@@ -163,13 +163,13 @@ func TestHTTPErrors(t *testing.T) {
 	} else if resp.Body.Close(); resp.StatusCode != http.StatusLengthRequired {
 		t.Errorf("chunked key upload: status %d, want 411", resp.StatusCode)
 	}
-	if resp := post("/v2/eval", `{"client_id":"ghost","kind":"gate","op":"NAND","a":[],"b":[]}`); resp.StatusCode != http.StatusNotFound {
+	if resp := post(EvalPath("ghost"), string(headerFrame(`{"kind":"gate","op":"NAND"}`))); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown session: status %d, want 404", resp.StatusCode)
 	}
-	if resp := post("/v2/eval", `{"client_id":"x","kind":"gate","op":"FROB","a":[],"b":[]}`); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(EvalPath("x"), string(headerFrame(`{"kind":"gate","op":"FROB"}`))); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown op: status %d, want 400", resp.StatusCode)
 	}
-	if resp := post("/v2/eval", `{"client_id":"x","kind":"gate","op":"NAND","a":[],"b":[],"zzz":1}`); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(EvalPath("x"), string(headerFrame(`{"kind":"gate","op":"NAND","zzz":1}`))); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
 	}
 
@@ -179,9 +179,11 @@ func TestHTTPErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := encryptBools(sk, 1, []bool{true, true, true})
-	req := EvalRequest{ClientID: "alice", Kind: EvalKindGate, Op: "NAND", A: encodeCiphertexts(big), B: encodeCiphertexts(big)}
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(ts.URL+"/v2/eval", "application/json", bytes.NewReader(body))
+	body, err := appendEvalFrame(EvalRequest{Kind: EvalKindGate, Op: "NAND"}, big, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+EvalPath("alice"), "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +201,7 @@ func TestHTTPErrors(t *testing.T) {
 	}
 
 	// Method/path mismatches.
-	if resp, err := http.Get(ts.URL + "/v2/eval"); err != nil {
+	if resp, err := http.Get(ts.URL + EvalPath("alice")); err != nil {
 		t.Fatal(err)
 	} else {
 		resp.Body.Close()

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -443,7 +442,7 @@ func TestErrorStatusMapping(t *testing.T) {
 		{fmt.Errorf("%w: disk on fire", errStoreFailure), http.StatusInternalServerError, CodeInternal},
 		{ErrEmptyClientID, http.StatusBadRequest, CodeBadRequest},
 		{errors.New("anything else"), http.StatusBadRequest, CodeBadRequest},
-		{&http.MaxBytesError{Limit: 5}, http.StatusRequestEntityTooLarge, CodeTooLarge},
+		{&APIError{Code: CodeBadRequest, Status: http.StatusLengthRequired}, http.StatusLengthRequired, CodeBadRequest},
 		{&APIError{Code: CodeOverloaded, Status: 503}, http.StatusServiceUnavailable, CodeOverloaded},
 		{fmt.Errorf("wrap: %w", &noise.BudgetError{}), http.StatusUnprocessableEntity, CodeNoiseBudget},
 	}
@@ -473,8 +472,8 @@ func TestHTTPErrorCodes(t *testing.T) {
 	}
 
 	gate := func(id string) (int, ErrorResponse) {
-		body := fmt.Sprintf(`{"client_id":%q,"kind":"gate","op":"NAND","a":[],"b":[]}`, id)
-		resp, err := http.Post(ts.URL+"/v2/eval", "application/json", strings.NewReader(body))
+		body := headerFrame(`{"kind":"gate","op":"NAND"}`)
+		resp, err := http.Post(ts.URL+EvalPath(id), "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -486,9 +485,11 @@ func TestHTTPErrorCodes(t *testing.T) {
 
 	// Empty batches short-circuit before session lookup only after the
 	// session resolves; use a one-ciphertext batch for the evicted case.
-	ct := encodeCiphertexts(encryptBools(sk, 1, []bool{true}))
-	evictedBody, _ := json.Marshal(EvalRequest{ClientID: "a", Kind: EvalKindGate, Op: "NOT", A: ct})
-	resp, err := http.Post(ts.URL+"/v2/eval", "application/json", bytes.NewReader(evictedBody))
+	evictedBody, err := appendEvalFrame(EvalRequest{Kind: EvalKindGate, Op: "NOT"}, encryptBools(sk, 1, []bool{true}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+EvalPath("a"), "application/octet-stream", bytes.NewReader(evictedBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +509,7 @@ func TestHTTPErrorCodes(t *testing.T) {
 		t.Errorf("unknown: %d/%s, want 404/%s", status, er.Code, CodeUnknownSession)
 	}
 	// Malformed requests carry bad_request.
-	resp2, err := http.Post(ts.URL+"/v2/eval", "application/json", strings.NewReader("{not json"))
+	resp2, err := http.Post(ts.URL+EvalPath("b"), "application/octet-stream", bytes.NewReader(headerFrame("{not json")))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/tfhe"
 	"repro/internal/torus"
@@ -181,9 +182,13 @@ func MarshalLWE(ct tfhe.LWECiphertext) []byte {
 	return appendLWEPayload(dst, ct)
 }
 
-// appendLWEPayload appends the mask length, mask, and body.
+// appendLWEPayload appends the mask length, then the ciphertext's record.
 func appendLWEPayload(dst []byte, ct tfhe.LWECiphertext) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(ct.N()))
+	return appendLWERecord(binary.LittleEndian.AppendUint32(dst, uint32(ct.N())), ct)
+}
+
+// appendLWERecord appends the mask and the body.
+func appendLWERecord(dst []byte, ct tfhe.LWECiphertext) []byte {
 	for _, a := range ct.A {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(a))
 	}
@@ -216,13 +221,66 @@ func decodeLWEPayload(r *reader) tfhe.LWECiphertext {
 	return ct
 }
 
+// ---------------------------------------------------------------------------
+// LWE records
+
+// LWERecordSize returns the size of one LWE record of mask length n: the
+// mask and the body as n+1 little-endian words, with no header and no
+// length, since the frame that carries a batch of records states n once.
+func LWERecordSize(n int) int { return 4 * (n + 1) }
+
+// AppendLWERecords appends cts as contiguous records of mask length n. It
+// refuses a ciphertext of any other mask length.
+func AppendLWERecords(dst []byte, n int, cts []tfhe.LWECiphertext) ([]byte, error) {
+	for i, ct := range cts {
+		if ct.N() != n {
+			return nil, fmt.Errorf("wire: record %d has mask length %d, want %d", i, ct.N(), n)
+		}
+	}
+	dst = slices.Grow(dst, len(cts)*LWERecordSize(n))
+	for _, ct := range cts {
+		dst = appendLWERecord(dst, ct)
+	}
+	return dst, nil
+}
+
+// ReadLWERecords decodes data as exactly count records of mask length n.
+// The sizes are checked in 64-bit arithmetic before anything is
+// allocated, so no count or dimension can wrap them; data must hold the
+// records and nothing else. The records are copied into one backing array
+// for the whole batch, each ciphertext's mask a slice of it capped at its
+// own end. A count of 0 decodes to nil.
+func ReadLWERecords(data []byte, n, count int) ([]tfhe.LWECiphertext, error) {
+	if n < 0 || n > MaxLWEDim {
+		return nil, fmt.Errorf("wire: LWE dimension %d outside [0, %d]", n, MaxLWEDim)
+	}
+	if size, ok := mulSize(int64(count), int64(LWERecordSize(n))); !ok || size != int64(len(data)) {
+		return nil, fmt.Errorf("wire: %d records of mask length %d do not fill %d bytes", count, n, len(data))
+	}
+	if count == 0 {
+		return nil, nil
+	}
+	words := make([]torus.Torus32, count*(n+1))
+	decodeWords(words, data)
+	cts := make([]tfhe.LWECiphertext, count)
+	for i := range cts {
+		rec := words[i*(n+1):]
+		cts[i] = tfhe.LWECiphertext{A: rec[:n:n], B: rec[n]}
+	}
+	return cts, nil
+}
+
 // readTorusInto fills dst from the cursor. The caller has already
 // bounds-checked the whole run.
 func readTorusInto(r *reader, dst []torus.Torus32) {
-	raw := r.bytes(4 * len(dst))
-	if raw == nil {
-		return
+	if raw := r.bytes(4 * len(dst)); raw != nil {
+		decodeWords(dst, raw)
 	}
+}
+
+// decodeWords fills dst with the little-endian words at the start of raw,
+// which holds at least len(dst) of them.
+func decodeWords(dst []torus.Torus32, raw []byte) {
 	for i := range dst {
 		dst[i] = torus.Torus32(binary.LittleEndian.Uint32(raw[4*i:]))
 	}

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/tfhe"
 	"repro/internal/torus"
@@ -41,6 +42,78 @@ func testKeys(t *testing.T, set string) (tfhe.SecretKeys, tfhe.EvaluationKeys) {
 	sk, ek := tfhe.GenerateKeys(rand.New(rand.NewSource(1)), p)
 	keyCache.Store(set, keyPair{sk, ek})
 	return sk, ek
+}
+
+// TestLWERecords pins the record codec the eval frame carries batches in:
+// a batch round-trips bitwise, each record is a ciphertext's payload
+// without its length, the masks share one backing array in record order,
+// each capped at its own end, decoding allocates twice whatever the batch
+// size, and every size that does not fit the data exactly is refused
+// before anything is allocated.
+func TestLWERecords(t *testing.T) {
+	sk, _ := testKeys(t, "I")
+	rng := rand.New(rand.NewSource(4))
+	n := sk.Params.SmallN
+	cts := make([]tfhe.LWECiphertext, 5)
+	for i := range cts {
+		cts[i] = sk.EncryptBool(rng, i%2 == 0)
+	}
+	data, err := AppendLWERecords([]byte("prefix"), n, cts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = data[len("prefix"):]
+	if len(data) != len(cts)*LWERecordSize(n) {
+		t.Fatalf("%d records are %d bytes, want %d", len(cts), len(data), len(cts)*LWERecordSize(n))
+	}
+	for i, ct := range cts {
+		if rec := data[i*LWERecordSize(n) : (i+1)*LWERecordSize(n)]; !bytes.Equal(rec, MarshalLWE(ct)[headerSize+4:]) {
+			t.Fatalf("record %d is not the ciphertext's payload after its length", i)
+		}
+	}
+	got, err := ReadLWERecords(data, n, len(cts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cts {
+		if !tfhe.EqualLWE(got[i], cts[i]) {
+			t.Fatalf("record %d does not round-trip", i)
+		}
+		if cap(got[i].A) != n {
+			t.Errorf("record %d: mask capacity %d, want %d", i, cap(got[i].A), n)
+		}
+		if i > 0 && uintptr(unsafe.Pointer(&got[i].A[0])) != uintptr(unsafe.Pointer(&got[i-1].A[0]))+uintptr(LWERecordSize(n)) {
+			t.Errorf("record %d does not follow record %d in one backing array", i, i-1)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _, _ = ReadLWERecords(data, n, len(cts)) }); allocs != 2 {
+		t.Errorf("ReadLWERecords allocates %v times, want 2", allocs)
+	}
+	if got, err := ReadLWERecords(nil, n, 0); got != nil || err != nil {
+		t.Errorf("an empty batch decodes to %v, %v; want nil, nil", got, err)
+	}
+	if _, err := AppendLWERecords(nil, n+1, cts); err == nil {
+		t.Error("records of another mask length appended")
+	}
+	for _, tc := range []struct {
+		name     string
+		data     []byte
+		n, count int
+	}{
+		{"short", data[:len(data)-1], n, len(cts)},
+		{"trailing", append(bytes.Clone(data), 0), n, len(cts)},
+		{"count too high", data, n, len(cts) + 1},
+		{"other dimension", data, n - 1, len(cts)},
+		{"negative count", data, n, -1},
+		{"negative dimension", data, -1, len(cts)},
+		{"dimension over the bound", data, MaxLWEDim + 1, 1},
+		{"huge count", data, MaxLWEDim, math.MaxInt / 4},
+		{"size wraps 32 bits", data[:4], n, int((1<<32)/int64(LWERecordSize(n))) + 1},
+	} {
+		if _, err := ReadLWERecords(tc.data, tc.n, tc.count); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
 }
 
 func TestParamsRoundTrip(t *testing.T) {
