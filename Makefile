@@ -202,6 +202,11 @@ no-retired-gate:
 # replaced: its route, its decoder, the router's body peek that found the
 # client ID inside it, or the plain lookup kind a one-table multilut
 # replaced on the wire, so that a second eval path does not come back.
+# Nor may any Go source call a lookup's retired twins, the single-table
+# entry points beside the k ≥ 1 group or the multi-value ones beside the
+# plain (tfhe's, the circuit builder's, the client's), or name the
+# multi-value spec kind: a lookup is a group of k ≥ 1 tables at every
+# entry point, and one table is k = 1.
 no-retired-ops:
 	@! git grep -nE 'BatchGates|(^|[^k])StreamGates|BatchEvalLUT|StreamLUT\(|BatchMultiLUT|StreamMultiLUT|BatchBootstrap|StreamBootstrap|BatchKeySwitch|EvalCircuit|engine\.New\(|engine\.Config([^A-Za-z0-9_]|$$)|DefaultMinStream|BlindRotateBatch|BlindRotateSteps|Runner\{Batch' -- '*.go' ':!benchmark' ':!internal/engine/engine.go'
 	@! git grep -nE 'GGSWFourier\{''Rows|ForwardTorus''BatchTo|ForwardInt''BatchTo|Inverse''BatchTo|mulAcc''Fast|mulAcc''AVX2|fft\.Mul''\(' -- '*.go'
@@ -218,6 +223,7 @@ no-retired-ops:
 	@! git grep -nE 'UnrolledBSK|BlindRotateUnrolled|BootstrapUnrolled|RunSchedule\(' -- '*.go' README.md docs
 	@! git grep -nE '(^|[^A-Za-z0-9_])(kindMultiLUT|DispatchMultiLUT|checkTestVec)([^A-Za-z0-9_]|$$)|func \(s \*StreamingEngine\) (MultiLUT|Bootstrap)\(|MultiLUT\(d (sched\.)?Dispatch' -- '*.go'
 	@! git grep -nE 'clientIDOf|parseEvalRequest|forwardByBody|EvalKindLUT|"POST /v2/eval"' -- '*.go'
+	@! git grep -nE '\.(EvalMulti''LUTKS?|BlindRotate''Multi|NewMulti''LUTTestVector|ShiftForMulti''LUT|NewLUT''TestVector|MultiLUT''Batch|MultiLUT''Func|MultiLUT''s?)\(|SpecMulti''LUT' -- '*.go'
 
 # No fused multiply-add in any assembly file: it rounds once where the
 # reference kernels round twice, and fast == ref is bitwise. Nor in what the

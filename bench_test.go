@@ -102,7 +102,7 @@ func BenchmarkTable5FunctionalPBS(b *testing.B) {
 	ct := sk.LWE.Encrypt(rng, tfhe.EncodePBSMessage(3, 8), tfhe.ParamsTest.LWEStdDev)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev.EvalLUTKS(ct, 8, func(x int) int { return (x + 1) % 8 })
+		ev.EvalLUTKS(ct, 8, []func(int) int{func(x int) int { return (x + 1) % 8 }})
 	}
 }
 
@@ -122,7 +122,7 @@ func BenchmarkPBS(b *testing.B) {
 	ct := sk.LWE.Encrypt(rng, tfhe.EncodePBSMessage(3, 8), tfhe.ParamsTest.LWEStdDev)
 	run := func(b *testing.B) {
 		ev := tfhe.NewEvaluator(ek)
-		tv := ev.LUTTestVector(8, func(x int) int { return (x + 1) % 8 })
+		tv := ev.LUTTestVector(8, []func(int) int{func(x int) int { return (x + 1) % 8 }})
 		ev.Bootstrap(ct, tv) // warm scratch and twiddles off the clock
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -240,10 +240,10 @@ func BenchmarkMultiLUT(b *testing.B) {
 				i := i
 				fs[i] = func(m int) int { return (m*m + i) % space }
 			}
-			ev.EvalMultiLUTKS(ct, space, fs) // warm twiddles off the clock
+			ev.EvalLUTKS(ct, space, fs) // warm twiddles off the clock
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ev.EvalMultiLUTKS(ct, space, fs)
+				ev.EvalLUTKS(ct, space, fs)
 			}
 			b.ReportMetric(float64(b.N*k)/b.Elapsed().Seconds(), "LUT/s")
 		})

@@ -7,7 +7,9 @@
 //
 // It also requires every exported identifier of a checked package to have
 // a caller: some non-test .go file of the module, or any file under
-// benchmark/, must reference it (see unused). An export that only tests
+// benchmark/, must reference it, as go/types resolves the reference, so
+// a method is used on its own receiver and not by its name (see unused).
+// An export that only tests
 // reach is deleted, or its tests move onto the path production runs. The
 // exceptions are the lines of allowlist.txt, beside this file, one
 // "identifier  # reason" each, where the identifier is pkg.Name,

@@ -7,4 +7,9 @@ type hider interface{ Hidden() }
 
 var _ hider = lib.Impl{}
 
-func main() { lib.Used() }
+var _ = lib.Idle{}
+
+func main() {
+	lib.Used()
+	lib.Called{}.Run()
+}

@@ -23,3 +23,16 @@ type Impl struct{}
 // Hidden is selected nowhere, but an interface in app declares it: not
 // reported.
 func (Impl) Hidden() {}
+
+// Called is used from app, which calls its Run.
+type Called struct{}
+
+// Run is called from app on a Called: not reported.
+func (Called) Run() {}
+
+// Idle is used from app, which never calls its Run.
+type Idle struct{}
+
+// Run is selected nowhere on an Idle, only on a Called, whose Run shares
+// its name: reported.
+func (Idle) Run() {}

@@ -4,8 +4,11 @@ import (
 	"bufio"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -33,41 +36,33 @@ type export struct {
 // pkg.Name, or pkg.Type.Method.
 func (e export) key() string { return e.pkg + "." + e.name }
 
-// uses is what the module's caller files reference.
-type uses struct {
-	refs     map[string]bool // "dir\x00Name": a package-level name, by declaring directory
-	selected map[string]bool // every selected name, x.Name
-	iface    map[string]bool // every method an interface declares
-}
-
 // unused returns the exports that no caller file of the module at root
 // references apart from their own declaration. Caller files are the
 // module's non-test .go files plus every .go file under benchmark/, whose
 // tests drive the measured code and may not be edited to call it some
-// other way. A package-level identifier is used when a caller names it,
-// qualified from another package or bare inside its own; a method is used
-// when a caller selects its name or an interface in the module declares
-// it.
+// other way. They are type-checked (go/types, the standard library from
+// source), so every reference resolves to the object it names: a
+// package-level identifier is used when a caller names it, qualified from
+// another package or bare inside its own; a method is used when a caller
+// selects it on its own receiver type (or on a type that embeds it), not
+// merely a method of the same name, or when its type implements an
+// interface in play that declares it — the type of some expression,
+// variable, field or parameter of the caller files, or error or
+// fmt.Stringer, which the standard library calls dynamically.
 func unused(root string, exps []export) ([]export, error) {
 	mod, err := modulePath(root)
 	if err != nil {
 		return nil, err
 	}
-	callers, err := parseCallers(root)
-	if err != nil {
+	l := newLoader(root, mod)
+	if err := l.checkCallers(); err != nil {
 		return nil, err
 	}
-	u := uses{refs: map[string]bool{}, selected: map[string]bool{}, iface: map[string]bool{}}
-	for _, cf := range callers {
-		u.add(cf, mod)
-	}
+	refs := l.refs()
+	ifaces := l.interfaces()
 	var out []export
 	for _, e := range exps {
-		used := u.refs[e.dir+"\x00"+e.name]
-		if e.method != "" {
-			used = u.selected[e.method] || u.iface[e.method]
-		}
-		if !used {
+		if !refs[e.dir+"\x00"+e.name] && !(e.method != "" && l.implements(e, ifaces)) {
 			out = append(out, e)
 		}
 	}
@@ -88,125 +83,255 @@ func modulePath(root string) (string, error) {
 	return "", fmt.Errorf("%s: no module line", filepath.Join(root, "go.mod"))
 }
 
-// callerFile is one parsed caller file and its directory relative to root.
-type callerFile struct {
-	dir string
-	f   *ast.File
+// loader type-checks the module's packages from source. A module import
+// resolves to its directory under root and is checked once, recording
+// into the one shared Info; any other import is the standard library,
+// which go/importer's "source" mode checks from GOROOT, offline.
+type loader struct {
+	root, mod string
+	fset      *token.FileSet
+	std       types.Importer
+	pkgs      map[string]*types.Package // module packages by import path
+	info      *types.Info
+	recv      map[*ast.Ident]bool // receiver type names: they declare, they do not use
 }
 
-// parseCallers parses every caller file of the module under root, skipping
-// testdata, hidden directories and nested modules.
-func parseCallers(root string) ([]callerFile, error) {
+func newLoader(root, mod string) *loader {
 	fset := token.NewFileSet()
-	var files []callerFile
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+	return &loader{
+		root: root, mod: mod, fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil),
+		pkgs: map[string]*types.Package{},
+		info: &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		recv: map[*ast.Ident]bool{},
+	}
+}
+
+// dirOf returns the directory, relative to root, of a module import path.
+func (l *loader) dirOf(path string) (string, bool) {
+	if path == l.mod {
+		return ".", true
+	}
+	return strings.CutPrefix(path, l.mod+"/")
+}
+
+// Import implements types.Importer: a module package's non-test files of
+// the default build, or a standard library package.
+func (l *loader) Import(path string) (*types.Package, error) {
+	dir, ok := l.dirOf(path)
+	if !ok {
+		return l.std.Import(path)
+	}
+	if p, ok := l.pkgs[path]; ok {
+		return p, nil
+	}
+	bp, err := build.ImportDir(filepath.Join(l.root, dir), 0)
+	if err != nil {
+		return nil, err
+	}
+	p, err := l.check(path, dir, bp.GoFiles)
+	l.pkgs[path] = p
+	return p, err
+}
+
+// check parses and type-checks one package from the named files of dir.
+func (l *loader) check(path, dir string, names []string) (*types.Package, error) {
+	files := make([]*ast.File, 0, len(names))
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(l.root, dir, name), nil, parser.SkipObjectResolution)
 		if err != nil {
+			return nil, err
+		}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+				ast.Inspect(fd.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						l.recv[id] = true
+					}
+					return true
+				})
+			}
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: l}
+	return conf.Check(path, l.fset, files, l.info)
+}
+
+// checkCallers type-checks every caller package under root, skipping
+// testdata, hidden directories and nested modules: each package's
+// non-test files, and under benchmark/ its test files too (an external
+// test package on its own).
+func (l *loader) checkCallers() error {
+	return filepath.WalkDir(l.root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		rel, err := filepath.Rel(root, p)
+		rel, err := filepath.Rel(l.root, p)
 		if err != nil {
 			return err
 		}
 		rel = filepath.ToSlash(rel)
-		if d.IsDir() {
-			base := d.Name()
-			if rel != "." && (base == "testdata" || base == "vendor" || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
+		if base := d.Name(); rel != "." {
+			if base == "testdata" || base == "vendor" || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_") {
 				return filepath.SkipDir
 			}
-			if rel != "." {
-				if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
-					return filepath.SkipDir
-				}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+				return filepath.SkipDir
 			}
-			return nil
 		}
-		if !strings.HasSuffix(rel, ".go") {
+		bp, err := build.ImportDir(p, 0)
+		if _, none := err.(*build.NoGoError); none {
 			return nil
-		}
-		if strings.HasSuffix(rel, "_test.go") && !strings.HasPrefix(rel, "benchmark/") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
+		} else if err != nil {
 			return err
 		}
-		files = append(files, callerFile{dir: path.Dir(rel), f: f})
-		return nil
+		path := l.mod
+		if rel != "." {
+			path += "/" + rel
+		}
+		if rel != "benchmark" && !strings.HasPrefix(rel, "benchmark/") {
+			_, err := l.Import(path)
+			return err
+		}
+		if _, err := l.check(path, rel, append(bp.GoFiles, bp.TestGoFiles...)); err != nil {
+			return err
+		}
+		if len(bp.XTestGoFiles) > 0 {
+			_, err = l.check(path+"_test", rel, bp.XTestGoFiles)
+		}
+		return err
 	})
-	return files, err
 }
 
-// add records what one caller file references. A package of the module
-// is named in the file by its import alias, or else by the last element
-// of its path.
-func (u *uses) add(cf callerFile, mod string) {
-	imports := map[string]string{} // local name → directory relative to root
-	for _, im := range cf.f.Imports {
-		p := strings.Trim(im.Path.Value, `"`)
-		dir, ok := strings.CutPrefix(p, mod+"/")
-		if p == mod {
-			dir, ok = ".", true
+// refs returns what the caller files reference, keyed as exports are:
+// "dir\x00Name" for a package-level identifier and "dir\x00Type.Method"
+// for a method, by the directory of the declaring module package.
+func (l *loader) refs() map[string]bool {
+	refs := map[string]bool{}
+	for id, obj := range l.info.Uses {
+		if l.recv[id] || obj.Pkg() == nil {
+			continue
 		}
+		dir, ok := l.dirOf(obj.Pkg().Path())
 		if !ok {
 			continue
 		}
-		name := path.Base(p)
-		if im.Name != nil {
-			name = im.Name.Name
-		}
-		imports[name] = dir
-	}
-	var visit func(ast.Node) bool
-	walk := func(n ast.Node) { ast.Inspect(n, visit) }
-	visit = func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.SelectorExpr:
-			u.selected[x.Sel.Name] = true
-			if id, ok := x.X.(*ast.Ident); ok {
-				if dir, ok := imports[id.Name]; ok {
-					u.refs[dir+"\x00"+x.Sel.Name] = true
-					return false
-				}
-			}
-			walk(x.X)
-			return false
-		case *ast.Ident:
-			u.refs[cf.dir+"\x00"+x.Name] = true
-		case *ast.FuncDecl: // the name and receiver declare; they do not use
-			walk(x.Type)
-			if x.Body != nil {
-				walk(x.Body)
-			}
-			return false
-		case *ast.TypeSpec:
-			if x.TypeParams != nil {
-				walk(x.TypeParams)
-			}
-			walk(x.Type)
-			return false
-		case *ast.ValueSpec:
-			if x.Type != nil {
-				walk(x.Type)
-			}
-			for _, v := range x.Values {
-				walk(v)
-			}
-			return false
-		case *ast.Field: // field and parameter names declare
-			walk(x.Type)
-			return false
-		case *ast.InterfaceType:
-			for _, m := range x.Methods.List {
-				for _, name := range m.Names {
-					u.iface[name.Name] = true
-				}
+		switch {
+		case obj.Parent() == obj.Pkg().Scope():
+			refs[dir+"\x00"+obj.Name()] = true
+		case isMethod(obj):
+			if named := recvNamed(obj.(*types.Func)); named != nil {
+				refs[dir+"\x00"+named.Obj().Name()+"."+obj.Name()] = true
 			}
 		}
-		return true
 	}
-	for _, decl := range cf.f.Decls {
-		walk(decl)
+	return refs
+}
+
+// isMethod reports whether obj is a function with a receiver.
+func isMethod(obj types.Object) bool {
+	f, ok := obj.(*types.Func)
+	return ok && f.Type().(*types.Signature).Recv() != nil
+}
+
+// recvNamed returns the named type a method is declared on, through a
+// pointer receiver, or nil for an interface method.
+func recvNamed(f *types.Func) *types.Named {
+	t := f.Type().(*types.Signature).Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
 	}
+	if n, ok := t.(*types.Named); ok && !types.IsInterface(n) {
+		return n
+	}
+	return nil
+}
+
+// interfaces returns the interfaces in play: every interface type with
+// methods that is, or is reached from, the type of an expression or of an
+// object the caller files declare or use, plus error and fmt.Stringer.
+func (l *loader) interfaces() []*types.Interface {
+	var out []*types.Interface
+	seen := map[types.Type]bool{}
+	var visit func(t types.Type)
+	visit = func(t types.Type) {
+		if t == nil || seen[t] {
+			return
+		}
+		seen[t] = true
+		switch x := t.(type) {
+		case *types.Named:
+			visit(x.Underlying())
+		case *types.Interface:
+			if x.NumMethods() > 0 {
+				out = append(out, x)
+			}
+		case *types.Pointer:
+			visit(x.Elem())
+		case *types.Slice:
+			visit(x.Elem())
+		case *types.Array:
+			visit(x.Elem())
+		case *types.Map:
+			visit(x.Key())
+			visit(x.Elem())
+		case *types.Chan:
+			visit(x.Elem())
+		case *types.Signature:
+			visit(x.Params())
+			visit(x.Results())
+		case *types.Tuple:
+			for i := 0; i < x.Len(); i++ {
+				visit(x.At(i).Type())
+			}
+		case *types.Struct:
+			for i := 0; i < x.NumFields(); i++ {
+				visit(x.Field(i).Type())
+			}
+		}
+	}
+	for _, tv := range l.info.Types {
+		visit(tv.Type)
+	}
+	for _, objs := range []map[*ast.Ident]types.Object{l.info.Defs, l.info.Uses} {
+		for _, obj := range objs {
+			if obj != nil {
+				visit(obj.Type())
+			}
+		}
+	}
+	visit(types.Universe.Lookup("error").Type())
+	if fmtPkg, err := l.Import("fmt"); err == nil {
+		visit(fmtPkg.Scope().Lookup("Stringer").Type())
+	}
+	return out
+}
+
+// implements reports whether method export e's type, or a pointer to it,
+// implements an interface of ifaces that declares the method.
+func (l *loader) implements(e export, ifaces []*types.Interface) bool {
+	path := l.mod
+	if e.dir != "." {
+		path += "/" + e.dir
+	}
+	p := l.pkgs[path]
+	if p == nil {
+		return false
+	}
+	tn, ok := p.Scope().Lookup(strings.TrimSuffix(e.name, "."+e.method)).(*types.TypeName)
+	if !ok {
+		return false
+	}
+	for _, it := range ifaces {
+		if obj, _, _ := types.LookupFieldOrMethod(it, false, nil, e.method); obj == nil {
+			continue
+		}
+		if types.Implements(tn.Type(), it) || types.Implements(types.NewPointer(tn.Type()), it) {
+			return true
+		}
+	}
+	return false
 }
 
 // exportsOf lists the exported identifiers of one package's non-test

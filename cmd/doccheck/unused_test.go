@@ -37,6 +37,8 @@ func TestCallerCheckFixture(t *testing.T) {
 		{"used only from a test file", "exported function lib.TestOnly has no caller", true},
 		{"used from a benchmark test file", "lib.BenchOnly", false},
 		{"method declared by an interface", "lib.Impl.Hidden", false},
+		{"method called on its receiver", "lib.Called.Run", false},
+		{"method of the same name called on another type", "exported method lib.Idle.Run has no caller", true},
 		{"allowlisted", "lib.Allowed", false},
 		{"stale allowlist line", "allowlist.txt:2: stale entry lib.Gone:", true},
 	} {
@@ -48,8 +50,8 @@ func TestCallerCheckFixture(t *testing.T) {
 			t.Errorf("%s: reported = %v, want %v (findings %q)", tc.name, found, tc.reported, got)
 		}
 	}
-	if len(got) != 3 {
-		t.Errorf("got %d findings, want 3: %q", len(got), got)
+	if len(got) != 4 {
+		t.Errorf("got %d findings, want 4: %q", len(got), got)
 	}
 }
 

@@ -115,7 +115,7 @@ func lutCmd(args []string) {
 	ctx := newCtx(*set)
 	ct := ctx.EncryptInt(*m, *space)
 	start := time.Now()
-	out := ctx.Eval.EvalLUTKS(ct, *space, f)
+	out := ctx.Eval.EvalLUTKS(ct, *space, []func(int) int{f})[0]
 	fmt.Printf("%s(%d) mod %d = %d  (programmable bootstrap in %v)\n",
 		*fn, *m, *space, ctx.DecryptInt(out, *space), time.Since(start).Round(time.Microsecond))
 }

@@ -43,8 +43,8 @@ func main() {
 	for _, v := range []int{-7, -3, -1, 0, 1, 4, 7} {
 		ct := ctx.EncryptInt(enc(v), space)
 
-		r := ctx.Eval.EvalLUTKS(ct, space, relu)
-		s := ctx.Eval.EvalLUTKS(ct, space, sign)
+		r := ctx.Eval.EvalLUTKS(ct, space, []func(int) int{relu})[0]
+		s := ctx.Eval.EvalLUTKS(ct, space, []func(int) int{sign})[0]
 
 		gotR := dec(ctx.DecryptInt(r, space))
 		gotS := dec(ctx.DecryptInt(s, space))

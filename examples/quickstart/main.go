@@ -33,7 +33,7 @@ func main() {
 	// A programmable bootstrap can evaluate ANY univariate function while
 	// refreshing noise — here, squaring mod 8.
 	ct := ctx.EncryptInt(5, 8)
-	sq := ctx.Eval.EvalLUTKS(ct, 8, func(x int) int { return x * x % 8 })
+	sq := ctx.Eval.EvalLUTKS(ct, 8, []func(int) int{func(x int) int { return x * x % 8 }})[0]
 	fmt.Printf("5^2 mod 8        = %d (computed under encryption)\n", ctx.DecryptInt(sq, 8))
 
 	// --- Strix accelerator model -----------------------------------------

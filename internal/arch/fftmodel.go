@@ -50,12 +50,6 @@ func (f FFTUnitModel) AreaMM2() float64 {
 		float64(f.Stages())*fftAreaPerTwiddleMM2
 }
 
-// LatencyCycles returns the pipeline fill latency, dominated by the delay
-// lines: ≈ M / CLP cycles.
-func (f FFTUnitModel) LatencyCycles() int {
-	return f.Points/f.CLP + f.Stages()
-}
-
 // fftUnitArea is the helper used by the area model.
 func fftUnitArea(points, clp int) float64 {
 	return FFTUnitModel{Points: points, CLP: clp}.AreaMM2()

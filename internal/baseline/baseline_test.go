@@ -35,11 +35,11 @@ func TestCPUThroughputIsInverseLatency(t *testing.T) {
 
 func TestCPURunPBSSerial(t *testing.T) {
 	c := NewCPUModel()
-	secs, err := c.RunPBS("I", 1000)
+	thr, err := c.ThroughputPBS("I")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(secs-14.0) > 0.01 {
+	if secs := 1000 / thr; math.Abs(secs-14.0) > 0.01 {
 		t.Errorf("1000 PBS = %v s, want 14 s", secs)
 	}
 }
@@ -47,11 +47,11 @@ func TestCPURunPBSSerial(t *testing.T) {
 func TestCPUThreadsScale(t *testing.T) {
 	c := NewCPUModel()
 	c.Threads = 32
-	secs, err := c.RunPBS("I", 3200)
+	thr, err := c.ThroughputPBS("I")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(secs-1.4) > 0.01 {
+	if secs := 3200 / thr; math.Abs(secs-1.4) > 0.01 {
 		t.Errorf("3200 PBS on 32 threads = %v s, want 1.4 s", secs)
 	}
 }

@@ -50,16 +50,6 @@ func (c CPUModel) ThroughputPBS(set string) (float64, error) {
 	return float64(threads) * 1000.0 / ms, nil
 }
 
-// RunPBS returns the execution time in seconds for count independent PBS
-// operations.
-func (c CPUModel) RunPBS(set string, count int) (float64, error) {
-	thr, err := c.ThroughputPBS(set)
-	if err != nil {
-		return 0, err
-	}
-	return float64(count) / thr, nil
-}
-
 // CostWeights are relative per-element CPU costs used to convert operation
 // counts into a time breakdown (arbitrary units; only ratios matter).
 // An FFT of M points costs M·log2(M) units; scalar ops cost 1.

@@ -28,11 +28,11 @@ type Backend interface {
 	Bitwise() bool
 	// Gate evaluates out[i] = op(a[i], b[i]); b is nil for the unary NOT.
 	Gate(op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error)
-	// LUT applies table (message space space) to every ciphertext.
-	LUT(cts []tfhe.LWECiphertext, space int, table []int) ([]tfhe.LWECiphertext, error)
-	// MultiLUT applies the k tables to every ciphertext via multi-value
-	// PBS: out[i][j] is tables[j] applied to cts[i].
-	MultiLUT(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error)
+	// LUT applies the k ≥ 1 tables (message space space) to every
+	// ciphertext, one shared blind rotation per ciphertext (multi-value
+	// PBS; one table is the plain lookup): out[i][j] is tables[j] applied
+	// to cts[i].
+	LUT(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error)
 	// Circuit executes a built circuit over the inputs.
 	Circuit(circ *sched.Circuit, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error)
 	// Infer runs the built-in cellCNN-style inference model over a batch
@@ -250,18 +250,10 @@ func (s seqBackend) Gate(op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LW
 	return out, nil
 }
 
-func (s seqBackend) LUT(cts []tfhe.LWECiphertext, space int, table []int) ([]tfhe.LWECiphertext, error) {
-	out := make([]tfhe.LWECiphertext, len(cts))
-	for i, ct := range cts {
-		out[i] = s.ev.EvalLUTKS(ct, space, func(m int) int { return table[m] })
-	}
-	return out, nil
-}
-
-func (s seqBackend) MultiLUT(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
+func (s seqBackend) LUT(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
 	out := make([][]tfhe.LWECiphertext, len(cts))
 	for i, ct := range cts {
-		out[i] = s.ev.EvalMultiLUTKS(ct, space, tfhe.TableFuncs(tables))
+		out[i] = s.ev.EvalLUTKS(ct, space, tfhe.TableFuncs(tables))
 	}
 	return out, nil
 }
@@ -290,11 +282,7 @@ func (e engineBackend) Gate(op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe
 	return e.eng.Gates(op.Repeat(len(a)), a, b)
 }
 
-func (e engineBackend) LUT(cts []tfhe.LWECiphertext, space int, table []int) ([]tfhe.LWECiphertext, error) {
-	return e.eng.LUT(cts, space, tfhe.TableFuncs([][]int{table}))
-}
-
-func (e engineBackend) MultiLUT(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
+func (e engineBackend) LUT(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
 	flat, err := e.eng.LUT(cts, space, tfhe.TableFuncs(tables))
 	if err != nil {
 		return nil, err
@@ -344,22 +332,10 @@ func (s schedBackend) Gate(op engine.GateOp, a, bs []tfhe.LWECiphertext) ([]tfhe
 	return s.r.Run(circ, s.cfg, inputs)
 }
 
-func (s schedBackend) LUT(cts []tfhe.LWECiphertext, space int, table []int) ([]tfhe.LWECiphertext, error) {
+func (s schedBackend) LUT(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
 	b := sched.NewBuilder()
 	for range cts {
-		b.Output(b.LUT(b.Input(), space, table))
-	}
-	circ, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	return s.r.Run(circ, s.cfg, cts)
-}
-
-func (s schedBackend) MultiLUT(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
-	b := sched.NewBuilder()
-	for range cts {
-		b.Output(b.MultiLUT(b.Input(), space, tables)...)
+		b.Output(b.LUT(b.Input(), space, tables...)...)
 	}
 	circ, err := b.Build()
 	if err != nil {
@@ -395,12 +371,8 @@ func (s serverBackend) Gate(op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe
 	return s.cl.GateBatch(op, a, b)
 }
 
-func (s serverBackend) LUT(cts []tfhe.LWECiphertext, space int, table []int) ([]tfhe.LWECiphertext, error) {
-	return s.cl.LUTBatch(cts, space, table)
-}
-
-func (s serverBackend) MultiLUT(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
-	return s.cl.MultiLUTBatch(cts, space, tables)
+func (s serverBackend) LUT(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
+	return s.cl.LUTBatch(cts, space, tables...)
 }
 
 func (s serverBackend) Circuit(circ *sched.Circuit, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
@@ -470,14 +442,9 @@ func (k kernelBackend) Gate(op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe
 	return k.seqBackend.Gate(op, a, b)
 }
 
-func (k kernelBackend) LUT(cts []tfhe.LWECiphertext, space int, table []int) ([]tfhe.LWECiphertext, error) {
+func (k kernelBackend) LUT(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
 	defer fft.SetKernelSet(fft.SetKernelSet(k.set))
-	return k.seqBackend.LUT(cts, space, table)
-}
-
-func (k kernelBackend) MultiLUT(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
-	defer fft.SetKernelSet(fft.SetKernelSet(k.set))
-	return k.seqBackend.MultiLUT(cts, space, tables)
+	return k.seqBackend.LUT(cts, space, tables)
 }
 
 func (k kernelBackend) Circuit(circ *sched.Circuit, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {

@@ -146,20 +146,22 @@ func TestLUTConform(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cts, pts := encTestInts(103, 4, tc.space)
 			ref := fixture.Backends()[0]
-			want, err := ref.LUT(cts, tc.space, tc.table)
+			groups, err := ref.LUT(cts, tc.space, [][]int{tc.table})
 			if err != nil {
 				t.Fatal(err)
 			}
+			want := oneTable(t, ref.Name(), groups)
 			for i := range want {
 				if got := tfhe.DecodePBSMessage(fixture.SK.LWE.Phase(want[i]), tc.space); got != tc.table[pts[i]] {
 					t.Fatalf("sequential LUT item %d decodes to %d, want %d", i, got, tc.table[pts[i]])
 				}
 			}
 			for _, be := range fixture.Backends()[1:] {
-				got, err := be.LUT(cts, tc.space, tc.table)
+				groups, err := be.LUT(cts, tc.space, [][]int{tc.table})
 				if err != nil {
 					t.Fatalf("%s: %v", be.Name(), err)
 				}
+				got := oneTable(t, be.Name(), groups)
 				if be.Bitwise() {
 					requireSame(t, be.Name(), got, want)
 					continue
@@ -172,6 +174,20 @@ func TestLUTConform(t *testing.T) {
 			}
 		})
 	}
+}
+
+// oneTable flattens one-table lookup groups to their outputs, one per
+// input, failing unless every group holds exactly one.
+func oneTable(t *testing.T, name string, groups [][]tfhe.LWECiphertext) []tfhe.LWECiphertext {
+	t.Helper()
+	out := make([]tfhe.LWECiphertext, len(groups))
+	for i, g := range groups {
+		if len(g) != 1 {
+			t.Fatalf("%s: input %d has %d outputs, want 1", name, i, len(g))
+		}
+		out[i] = g[0]
+	}
+	return out
 }
 
 // TestMultiLUTConform runs multi-value lookups (including the k=1
@@ -195,7 +211,7 @@ func TestMultiLUTConform(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cts, pts := encTestInts(104, 3, tc.space)
 			ref := fixture.Backends()[0]
-			want, err := ref.MultiLUT(cts, tc.space, tc.tables)
+			want, err := ref.LUT(cts, tc.space, tc.tables)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,7 +223,7 @@ func TestMultiLUTConform(t *testing.T) {
 				}
 			}
 			for _, be := range fixture.Backends()[1:] {
-				got, err := be.MultiLUT(cts, tc.space, tc.tables)
+				got, err := be.LUT(cts, tc.space, tc.tables)
 				if err != nil {
 					t.Fatalf("%s: %v", be.Name(), err)
 				}
@@ -247,9 +263,9 @@ func conformanceCircuit(t *testing.T) (*sched.Circuit, []tfhe.LWECiphertext) {
 	b.Output(b.Gate(engine.NAND, s, c))
 	b.Output(b.Gate(engine.NOT, c, -1))
 	b.Output(b.Gate(engine.NOR, o, c))
-	ws := b.MultiLUT(v, space, [][]int{{1, 2, 3, 0}, {0, 0, 2, 2}, {3, 3, 3, 3}})
+	ws := b.LUT(v, space, []int{1, 2, 3, 0}, []int{0, 0, 2, 2}, []int{3, 3, 3, 3})
 	b.Output(ws...)
-	b.Output(b.LUT(ws[0], space, []int{3, 2, 1, 0}))
+	b.Output(b.LUT(ws[0], space, []int{3, 2, 1, 0})...)
 	circ, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +289,7 @@ func TestCircuitConform(t *testing.T) {
 	}
 	// Plaintext reference: x=1 y=0 v=2.
 	// s = XOR = 1, c = AND = 0, o = OR = 1, NAND(s,c) = 1, NOT(c) = 1,
-	// NOR(o,c) = 0, mlut(2) = {3, 2, 3}, LUT[3..0](3) = 0.
+	// NOR(o,c) = 0, the three-table lookup of 2 = {3, 2, 3}, LUT[3..0](3) = 0.
 	wantBits := []bool{true, true, false}
 	for i, wb := range wantBits {
 		if got := fixture.SK.DecryptBool(want[i]); got != wb {

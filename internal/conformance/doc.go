@@ -1,6 +1,6 @@
 // Package conformance cross-checks every public FHE operation — boolean
-// gates, lookup tables, multi-value lookup tables, and whole circuits —
-// across the ten execution backends of the repository: the sequential
+// gates, lookups (a group of k ≥ 1 tables, one Backend.LUT), and whole
+// circuits — across the ten execution backends of the repository: the sequential
 // evaluator, the streaming engine, the circuit scheduler (plain
 // and with the optimizer), the networked gate service, a second gate
 // service whose session was restored from a drained durable store (the

@@ -14,8 +14,8 @@
 // operations, Gates and LUT, defined there with operand validation, and
 // every item of either ends in a keyswitch, as every PBS of Strix runs
 // down one PBS→KS datapath. A lookup is a group of k ≥ 1 tables sharing
-// one blind rotation (multi-value PBS); one table is the plain lookup,
-// bitwise tfhe.Evaluator.EvalLUTKS. The executor (pipeline.go, exec) mirrors the
+// one blind rotation (multi-value PBS), bitwise tfhe.Evaluator.EvalLUTKS,
+// the one lookup of every layer; one table is the plain lookup. The executor (pipeline.go, exec) mirrors the
 // paper's streaming architecture with two-level ciphertext batching
 // (§IV): workers, the streaming cores, each claim a tile of consecutive
 // items and run it start to finish — prepare (linear op, modswitch,

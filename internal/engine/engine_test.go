@@ -101,11 +101,11 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) {
 				return one(o.LUT(ints, space, []func(int) int{lut}))
 			},
-			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.EvalLUTKS(ints[i], space, lut)} }, batch, nil},
+			func(i int) []tfhe.LWECiphertext { return serial.EvalLUTKS(ints[i], space, []func(int) int{lut}) }, batch, nil},
 		{"MultiLUT-k1", multi(1),
-			func(i int) []tfhe.LWECiphertext { return serial.EvalMultiLUTKS(ints[i], space, multiTables(space, 1)) }, batch, nil},
+			func(i int) []tfhe.LWECiphertext { return serial.EvalLUTKS(ints[i], space, multiTables(space, 1)) }, batch, nil},
 		{"MultiLUT-k3", multi(3),
-			func(i int) []tfhe.LWECiphertext { return serial.EvalMultiLUTKS(ints[i], space, multiTables(space, 3)) }, batch, nil},
+			func(i int) []tfhe.LWECiphertext { return serial.EvalLUTKS(ints[i], space, multiTables(space, 3)) }, batch, nil},
 		{"Gates-mixed",
 			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) { return one(o.Gates(gates, bits, b)) },
 			func(i int) []tfhe.LWECiphertext {
@@ -124,7 +124,7 @@ func TestMatchesSerialEvaluator(t *testing.T) {
 			func(o *StreamingEngine) ([][]tfhe.LWECiphertext, error) {
 				return one(o.LUT(ints[:9], space, []func(int) int{lut}))
 			},
-			func(i int) []tfhe.LWECiphertext { return []tfhe.LWECiphertext{serial.EvalLUTKS(ints[i], space, lut)} }, 9, nil},
+			func(i int) []tfhe.LWECiphertext { return serial.EvalLUTKS(ints[i], space, []func(int) int{lut}) }, 9, nil},
 	}
 	// Mixed-op gate batches of every width from 1 to 9: at 1–3 workers the
 	// tiles hold 1 to 8 items, so a CMux step's tile MAC runs every group

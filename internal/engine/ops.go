@@ -111,8 +111,8 @@ func (s *StreamingEngine) Params() tfhe.Params { return s.keys.Params }
 // every ciphertext with one blind rotation per item, the multi-value PBS:
 // the packed test vector is encoded once and shared by the whole batch,
 // and each item is shift → PBS → k extractions → k keyswitches, the full
-// §IV-C pipeline. With one table it is the plain lookup, bitwise
-// tfhe.Evaluator.EvalLUTKS. The k·len(cts) dimension-n outputs return
+// §IV-C pipeline, bitwise tfhe.Evaluator.EvalLUTKS for every k; one table
+// is the plain lookup. The k·len(cts) dimension-n outputs return
 // input-major: out[i·k+j] is table j applied to cts[i]. Tables the test
 // vector cannot hold are an error; like every engine op, LUT applies no
 // noise rule, as its callers do.
@@ -123,9 +123,9 @@ func (s *StreamingEngine) LUT(cts []tfhe.LWECiphertext, space int, fs []func(int
 	}
 	s.checkDims("LUT", cts)
 	offsets := s.keys.Params.MultiLUTOffsets(space, k)
-	return s.exec(op{n: len(cts), k: k, testVec: s.encoder().NewMultiLUTTestVector(space, fs),
+	return s.exec(op{n: len(cts), k: k, testVec: s.encoder().LUTTestVector(space, fs),
 		prepare: func(ev *tfhe.Evaluator, i int) (tfhe.LWECiphertext, bool) {
-			return ev.ShiftForMultiLUT(cts[i], space, k), false
+			return ev.ShiftForLUT(cts[i], space, k), false
 		},
 		extract: func(ev *tfhe.Evaluator, acc tfhe.GLWECiphertext, outs []tfhe.LWECiphertext) {
 			copy(outs, ev.ExtractMulti(acc, offsets))

@@ -172,6 +172,42 @@ func TestNegacyclicProductMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestExternalProductExactAtRealDegrees pins the float FFT's exactness
+// where the parameter sets run it: one external-product output polynomial
+// sums (k+1)·lb products of a uniform torus polynomial and a polynomial of
+// balanced gadget digits, 6 at set III (N = 2048, Bg = 2⁸, lb = 3) and 4
+// at set IV (N = 16384, Bg = 2¹⁰, lb = 2), accumulated through MulAcc in
+// the Fourier domain and inverted once. The result equals the schoolbook
+// sum bit for bit: no rounding drift reaches the torus.
+func TestExternalProductExactAtRealDegrees(t *testing.T) {
+	for _, tc := range []struct{ n, logBg, rows int }{
+		{2048, 8, 6},
+		{16384, 10, 4},
+	} {
+		if raceEnabled && tc.n > 2048 {
+			continue // one goroutine: the detector adds nothing but 25× to the schoolbook product
+		}
+		p := NewProcessor(tc.n)
+		rng := rand.New(rand.NewSource(int64(tc.n)))
+		half := 1 << (tc.logBg - 1)
+		want := poly.New(tc.n)
+		acc := p.NewFourierPoly()
+		a := poly.New(tc.n)
+		digits := make([]int32, tc.n)
+		for range tc.rows {
+			poly.Uniform(rng, a)
+			for i := range digits {
+				digits[i] = int32(rng.Intn(2*half) - half) // balanced: [-Bg/2, Bg/2)
+			}
+			poly.AddTo(want, poly.MulNaive(a, digits))
+			MulAcc(acc, fwdTorus(p, a), fwdInt(p, digits))
+		}
+		if got := inverse(p, acc); !got.Equal(want) {
+			t.Errorf("N=%d Bg=2^%d: %d-row external product drifts %v from the schoolbook sum", tc.n, tc.logBg, tc.rows, poly.MaxDistance(got, want))
+		}
+	}
+}
+
 func TestNegacyclicWraparoundSign(t *testing.T) {
 	// X^(N-1) * X = X^N = -1: verify the negacyclic sign comes out of the
 	// Fourier path.

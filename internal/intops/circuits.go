@@ -70,9 +70,9 @@ func (r Radix) BuildAdd(b *sched.Builder, x, y []sched.Wire) []sched.Wire {
 		}
 		s := b.Lin(0, terms...)
 		if i+1 < n {
-			carry = b.LUT(s, space, tblCarry)
+			carry = b.LUT(s, space, tblCarry)[0]
 		}
-		out[i] = b.LUT(s, space, tblDigit)
+		out[i] = b.LUT(s, space, tblDigit)[0]
 	}
 	return out
 }
@@ -102,9 +102,9 @@ func (r Radix) BuildMul(b *sched.Builder, x, y []sched.Wire) []sched.Wire {
 		highs := make([]sched.Wire, 0, n-j)
 		for i := 0; i+j < n; i++ {
 			p := r.pair(b, x[i], y[j])
-			lows = append(lows, b.LUT(p, space, tblPairLow))
+			lows = append(lows, b.LUT(p, space, tblPairLow)...)
 			if withHighs && i+j+1 < n {
-				highs = append(highs, b.LUT(p, space, tblPairHigh))
+				highs = append(highs, b.LUT(p, space, tblPairHigh)...)
 			}
 		}
 		row := make([]sched.Wire, n)

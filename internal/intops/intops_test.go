@@ -64,7 +64,7 @@ func TestForChoosesFromTheRule(t *testing.T) {
 		{tfhe.ParamsI, 2, 4},
 		{tfhe.ParamsII, 2, 4},
 		{tfhe.ParamsIII, 2, 4},
-		{tfhe.ParamsIV, 4, 16},
+		{tfhe.ParamsIV, 2, 4},
 	} {
 		r, err := For(tc.p)
 		if err != nil || r.Base() != tc.base || r.Space() != tc.space {

@@ -102,7 +102,10 @@ func TestMonteCarloBlindRotateVariance(t *testing.T) {
 
 	pred := math.Sqrt(Analyzer{P: p}.BlindRotateVariance())
 	mu := torus.FromFloat(0.125)
-	tv := ev.NewLUTTestVector(1, func(int) torus.Torus32 { return mu })
+	tv := tfhe.NewGLWECiphertext(p.K, p.N) // trivial: every body coefficient mu
+	for j := range tv.Body().Coeffs {
+		tv.Body().Coeffs[j] = mu
+	}
 
 	got := measureStd(40, func(i int) float64 {
 		ct := sk.LWE.Encrypt(rng, torus.FromFloat(0.25), p.LWEStdDev)

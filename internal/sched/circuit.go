@@ -176,62 +176,37 @@ func (b *Builder) checkTable(ctx string, space int, table []int) bool {
 	return true
 }
 
-// LUT appends a lookup-table node: one PBS + keyswitch applying table
-// (length space, entries in {0..space-1}) to the message on wire in, a
-// one-table group.
-func (b *Builder) LUT(in Wire, space int, table []int) Wire {
-	return head(b.LUTs([]Wire{in}, space, table))
+// LUT appends a lookup group: k = len(tables) ≥ 1 outputs of one shared
+// blind rotation over the message on wire in, one wire per table in table
+// order. Every table has length space and entries in {0..space-1}; one
+// table is the plain lookup. Packing requires space·k ≤ N of the
+// executing parameter set (checked at run time, since the circuit is
+// parameter-agnostic) and shrinks the noise margin to 1/(4·space·k) — see
+// the tfhe lookup documentation.
+func (b *Builder) LUT(in Wire, space int, tables ...[]int) []Wire {
+	return b.LUTs([]Wire{in}, space, tables...)
 }
 
-// LUTs appends one LUT node per wire of ins, in order, all applying one
-// copy of table: the table is checked and copied once, however many
-// lookups share it.
-func (b *Builder) LUTs(ins []Wire, space int, table []int) []Wire {
-	return b.MultiLUTs(ins, space, [][]int{table})
-}
-
-// LUTFunc is LUT with the table materialized from f over {0..space-1}.
-func (b *Builder) LUTFunc(in Wire, space int, f func(int) int) Wire {
-	return head(b.MultiLUTFunc(in, space, f))
-}
-
-// head returns the first wire of ws, or an invalid wire when a failed
-// build step returned none.
-func head(ws []Wire) Wire {
-	if len(ws) == 0 {
-		return Wire(-1)
-	}
-	return ws[0]
-}
-
-// MultiLUT appends a multi-value lookup group: k = len(tables) outputs of
-// one shared blind rotation over the message on wire in, one wire per
-// table in table order. All tables share the message space; packing
-// requires space·k ≤ N of the executing parameter set (checked at run
-// time, since the circuit is parameter-agnostic) and shrinks the noise
-// margin to 1/(4·space·k) — see the tfhe multi-value documentation. With
-// one table it is LUT.
-func (b *Builder) MultiLUT(in Wire, space int, tables [][]int) []Wire {
-	return b.MultiLUTs([]Wire{in}, space, tables)
-}
-
-// MultiLUTs appends one lookup group per wire of ins, in order, all over
-// one copy of tables, and returns their wires input-major: k per input.
-// The tables are checked and copied once.
-func (b *Builder) MultiLUTs(ins []Wire, space int, tables [][]int) []Wire {
+// LUTs appends one lookup group per wire of ins, in order, all over one
+// copy of tables, and returns their wires input-major: k per input. The
+// tables are checked and copied once, however many groups share them. A
+// failed step returns k invalid wires per input, so its outputs index as
+// a built group's do.
+func (b *Builder) LUTs(ins []Wire, space int, tables ...[]int) []Wire {
+	invalid := func() []Wire { return slices.Repeat([]Wire{-1}, len(ins)*max(len(tables), 1)) }
 	for _, in := range ins {
 		if !b.checkRef("LUT", in) {
-			return nil
+			return invalid()
 		}
 	}
 	if len(tables) < 1 {
 		b.fail("LUT: no tables")
-		return nil
+		return invalid()
 	}
 	copied := make([][]int, len(tables))
 	for i, table := range tables {
 		if !b.checkTable("LUT", space, table) {
-			return nil
+			return invalid()
 		}
 		copied[i] = slices.Clone(table)
 	}
@@ -244,12 +219,11 @@ func (b *Builder) MultiLUTs(ins []Wire, space int, tables [][]int) []Wire {
 	return ws
 }
 
-// MultiLUTFunc is MultiLUT with the tables materialized from fs over
-// {0..space-1}.
-func (b *Builder) MultiLUTFunc(in Wire, space int, fs ...func(int) int) []Wire {
+// LUTFunc is LUT with the tables materialized from fs over {0..space-1}.
+func (b *Builder) LUTFunc(in Wire, space int, fs ...func(int) int) []Wire {
 	if space < 2 {
 		b.fail("LUT: space %d < 2", space)
-		return nil
+		return slices.Repeat([]Wire{-1}, max(len(fs), 1))
 	}
 	tables := make([][]int, len(fs))
 	for i, f := range fs {
@@ -258,7 +232,7 @@ func (b *Builder) MultiLUTFunc(in Wire, space int, fs ...func(int) int) []Wire {
 			tables[i][m] = f(m)
 		}
 	}
-	return b.MultiLUT(in, space, tables)
+	return b.LUT(in, space, tables...)
 }
 
 // Output marks wires as circuit outputs, in order. It may be called

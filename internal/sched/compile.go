@@ -399,8 +399,8 @@ func (s *Schedule) index(c *Circuit) {
 		s.rank[i] = r
 	}
 
-	// A run of groups on one table list (a batch built by LUTs or
-	// MultiLUTs) spells its key once: a group on the table list of the
+	// A run of groups on one table list (a batch built by LUTs) spells
+	// its key once: a group on the table list of the
 	// last dispatched unit takes its id. Gates have no table and share
 	// the zero identity.
 	type table struct {

@@ -14,8 +14,8 @@
 // the in-process Runner, whose two dispatch kinds are the StreamingEngine's
 // two operations, Gates and LUT, or the gate service's session, which
 // embeds a Runner. A lookup is one thing at every layer: a group of k ≥ 1
-// tables sharing one blind rotation, the plain LUT being the group of one
-// (Builder.LUT) and a multi-value group the group of k (Builder.MultiLUT).
+// tables sharing one blind rotation, built by Builder.LUT (k wires per
+// input) and spelled as k "lut" specs; the plain LUT is the group of one.
 // Whenever the process's worker pool has a free CPU, Execute issues the
 // ready nodes of the highest rank that share a test vector (every binary
 // gate shares the sign test vector; lookup groups by exact table list);

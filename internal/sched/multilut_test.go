@@ -22,22 +22,22 @@ func mvTables(space, k int) [][]int {
 }
 
 // mvCircuit builds the fan-out shape multi-value PBS exists for: one
-// input feeding an explicit k-way MultiLUT group, whose outputs feed a
+// input feeding an explicit k-way lookup group, whose outputs feed a
 // second LUT level.
 func mvCircuit(t *testing.T, space, k int) *Circuit {
 	t.Helper()
 	b := NewBuilder()
 	in := b.Input()
-	ws := b.MultiLUT(in, space, mvTables(space, k))
+	ws := b.LUT(in, space, mvTables(space, k)...)
 	if len(ws) != k {
-		t.Fatalf("MultiLUT returned %d wires, want %d", len(ws), k)
+		t.Fatalf("LUT returned %d wires, want %d", len(ws), k)
 	}
 	b.Output(ws...)
 	inc := make([]int, space)
 	for m := range inc {
 		inc[m] = (m + 1) % space
 	}
-	b.Output(b.LUT(ws[0], space, inc))
+	b.Output(b.LUT(ws[0], space, inc)...)
 	circ, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -50,11 +50,11 @@ func TestMultiLUTBuilderValidation(t *testing.T) {
 		name  string
 		build func(b *Builder)
 	}{
-		{"bad wire", func(b *Builder) { b.MultiLUT(7, 4, mvTables(4, 2)) }},
-		{"no tables", func(b *Builder) { b.MultiLUT(0, 4, nil) }},
-		{"short table", func(b *Builder) { b.MultiLUT(0, 4, [][]int{{0, 1}}) }},
-		{"bad entry", func(b *Builder) { b.MultiLUT(0, 4, [][]int{{0, 1, 2, 4}}) }},
-		{"tiny space", func(b *Builder) { b.MultiLUT(0, 1, [][]int{{0}}) }},
+		{"bad wire", func(b *Builder) { b.LUT(7, 4, mvTables(4, 2)...) }},
+		{"no tables", func(b *Builder) { b.LUT(0, 4) }},
+		{"short table", func(b *Builder) { b.LUT(0, 4, []int{0, 1}) }},
+		{"bad entry", func(b *Builder) { b.LUT(0, 4, []int{0, 1, 2, 4}) }},
+		{"tiny space", func(b *Builder) { b.LUT(0, 1, []int{0}) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -141,9 +141,9 @@ func TestMultiValueFanOutFusing(t *testing.T) {
 	tabs := mvTables(space, 5)
 	var ws []Wire
 	for i := 0; i < 5; i++ {
-		ws = append(ws, b.LUT(in, space, tabs[i]))
+		ws = append(ws, b.LUT(in, space, tabs[i])[0])
 	}
-	lone := b.LUT(other, space, tabs[0]) // different input: must not fuse in
+	lone := b.LUT(other, space, tabs[0])[0] // different input: must not fuse in
 	b.Output(ws...)
 	b.Output(lone)
 	circ, err := b.Build()
@@ -240,7 +240,7 @@ func TestMultiLUTSpecsRoundTrip(t *testing.T) {
 	if _, err := FromSpecs(truncated, nil); err == nil {
 		t.Fatal("truncated multi-value group accepted")
 	}
-	orphan := []NodeSpec{{Kind: SpecInput}, {Kind: SpecMultiLUT, In: 0, Space: space, Tables: mvTables(space, 2), Index: 1}}
+	orphan := []NodeSpec{{Kind: SpecInput}, {Kind: SpecLUT, In: 0, Space: space, Tables: mvTables(space, 2), Index: 1}}
 	if _, err := FromSpecs(orphan, nil); err == nil {
 		t.Fatal("orphan multi-value sibling accepted")
 	}
@@ -273,12 +273,12 @@ func TestMultiLUTFunc(t *testing.T) {
 		return c
 	}
 	viaFunc := build(func(b *Builder, in Wire) []Wire {
-		return b.MultiLUTFunc(in, space,
+		return b.LUTFunc(in, space,
 			func(m int) int { return (m + 1) % space },
 			func(m int) int { return (3 * m) % space })
 	})
 	viaTables := build(func(b *Builder, in Wire) []Wire {
-		return b.MultiLUT(in, space, [][]int{{1, 2, 3, 0}, {0, 3, 2, 1}})
+		return b.LUT(in, space, []int{1, 2, 3, 0}, []int{0, 3, 2, 1})
 	})
 	sf, st := viaFunc.Specs(), viaTables.Specs()
 	if len(sf) != len(st) {
@@ -286,15 +286,20 @@ func TestMultiLUTFunc(t *testing.T) {
 	}
 	for i := range sf {
 		if !tablesEqual(sf[i].Tables, st[i].Tables) || sf[i].Index != st[i].Index {
-			t.Fatalf("node %d differs between MultiLUTFunc and MultiLUT", i)
+			t.Fatalf("node %d differs between LUTFunc and LUT", i)
 		}
 	}
 
 	bad := NewBuilder()
 	bad.Input()
-	bad.MultiLUTFunc(0, 1, func(m int) int { return m })
+	if ws := bad.LUTFunc(0, 1, func(m int) int { return m }); len(ws) != 1 || ws[0] != -1 {
+		t.Fatalf("failed LUTFunc returned %v, want one invalid wire", ws)
+	}
+	if ws := bad.LUT(7, 4, mvTables(4, 2)...); len(ws) != 2 || ws[0] != -1 || ws[1] != -1 {
+		t.Fatalf("failed LUT returned %v, want k = 2 invalid wires", ws)
+	}
 	if _, err := bad.Build(); err == nil {
-		t.Fatal("MultiLUTFunc accepted space < 2")
+		t.Fatal("LUTFunc accepted space < 2")
 	}
 }
 
@@ -309,7 +314,7 @@ func TestRunSequentialRejectsOverpackedGroup(t *testing.T) {
 	}
 	b := NewBuilder()
 	in := b.Input()
-	b.Output(b.MultiLUT(in, space, over)...)
+	b.Output(b.LUT(in, space, over...)...)
 	circ, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +337,7 @@ func TestLUTSpaceBeyondNRefused(t *testing.T) {
 		table[m] = (m + 1) % space
 	}
 	b := NewBuilder()
-	b.Output(b.LUT(b.Input(), space, table))
+	b.Output(b.LUT(b.Input(), space, table)...)
 	circ, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -359,7 +364,7 @@ func TestOneTableGroupIsALUT(t *testing.T) {
 	t1, t2 := []int{1, 2, 3, 0}, []int{3, 3, 0, 1}
 	b := NewBuilder()
 	in := b.Input()
-	b.Output(b.LUT(b.MultiLUT(in, space, [][]int{t1})[0], space, t2))
+	b.Output(b.LUT(b.LUT(in, space, t1)[0], space, t2)...)
 	chain, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -385,8 +390,8 @@ func TestOneTableGroupIsALUT(t *testing.T) {
 
 	b = NewBuilder()
 	in = b.Input()
-	b.Output(b.LUT(in, space, t1))
-	b.Output(b.MultiLUT(in, space, [][]int{t1})...)
+	b.Output(b.LUT(in, space, t1)...)
+	b.Output(b.LUT(in, space, t1)...)
 	twin, err := b.Build()
 	if err != nil {
 		t.Fatal(err)

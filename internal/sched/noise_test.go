@@ -20,11 +20,11 @@ func TestBudgetPropagation(t *testing.T) {
 	b := NewBuilder()
 	x, y := b.Input(), b.Input()
 	pair := b.Lin(0, Term{W: x, C: 1}, Term{W: y, C: 4})      // 17 fresh
-	lut := b.LUT(pair, 16, make([]int, 16))                   // node 3
+	lut := b.LUT(pair, 16, make([]int, 16))[0]                // node 3
 	xor := b.Gate(engine.XOR, lut, b.Gate(engine.NOT, x, -1)) // NOT is linear: node 4; XOR node 5
-	ws := b.MultiLUT(b.Lin(0, Term{W: lut, C: 2}, Term{W: xor, C: -1}), 8, [][]int{make([]int, 8), make([]int, 8)})
+	ws := b.LUT(b.Lin(0, Term{W: lut, C: 2}, Term{W: xor, C: -1}), 8, make([]int, 8), make([]int, 8))
 	b.Output(ws...)
-	b.Output(b.LUT(pair, 16, make([]int, 16))) // lut's requirement again: recorded once
+	b.Output(b.LUT(pair, 16, make([]int, 16))...) // lut's requirement again: recorded once
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func wideLUTCircuit(t *testing.T) (*Circuit, Wire) {
 	b := NewBuilder()
 	x, y := b.Input(), b.Input()
 	g := b.Gate(engine.AND, x, y)
-	lut := b.LUT(b.Lin(0, Term{W: g, C: 1}, Term{W: x, C: 1}), 32, make([]int, 32))
+	lut := b.LUT(b.Lin(0, Term{W: g, C: 1}, Term{W: x, C: 1}), 32, make([]int, 32))[0]
 	b.Output(lut)
 	c, err := b.Build()
 	if err != nil {
@@ -166,7 +166,7 @@ func TestPackingStaysInBudget(t *testing.T) {
 		b := NewBuilder()
 		in := b.Input()
 		for _, tab := range mvTables(tc.space, 4) {
-			b.Output(b.LUT(in, tc.space, tab))
+			b.Output(b.LUT(in, tc.space, tab)...)
 		}
 		c, err := b.Build()
 		if err != nil {
@@ -197,11 +197,11 @@ func TestPackingStaysInBudget(t *testing.T) {
 func TestRepeatedTermsChargedExactly(t *testing.T) {
 	build := func(terms ...Term) (*Circuit, Wire) {
 		b := NewBuilder()
-		g := b.LUT(b.Input(), 8, make([]int, 8))
+		g := b.LUT(b.Input(), 8, make([]int, 8))[0]
 		for i := range terms {
 			terms[i].W = g
 		}
-		lut := b.LUT(b.Lin(0, terms...), 8, make([]int, 8))
+		lut := b.LUT(b.Lin(0, terms...), 8, make([]int, 8))[0]
 		b.Output(lut)
 		c, err := b.Build()
 		if err != nil {
@@ -265,9 +265,9 @@ func TestOptimizeKeepsAdmittedCircuits(t *testing.T) {
 	tab := []int{1, 2, 3, 4, 5, 6, 7, 0}
 	terms := make([]Term, 4)
 	for i := range terms {
-		terms[i] = Term{W: b.LUT(x, 8, tab), C: 1}
+		terms[i] = Term{W: b.LUT(x, 8, tab)[0], C: 1}
 	}
-	b.Output(b.LUT(b.Lin(0, terms...), 8, tab))
+	b.Output(b.LUT(b.Lin(0, terms...), 8, tab)...)
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -302,9 +302,9 @@ func TestCSEKeepsAdmittedMerges(t *testing.T) {
 	tab := []int{1, 2, 3, 4, 5, 6, 7, 0}
 	terms := make([]Term, 4)
 	for i := range terms {
-		terms[i] = Term{W: b.LUT(x, 8, tab), C: 1}
+		terms[i] = Term{W: b.LUT(x, 8, tab)[0], C: 1}
 	}
-	b.Output(b.LUT(b.Lin(0, terms...), 8, tab), b.Gate(engine.AND, u, v), b.Gate(engine.AND, v, u))
+	b.Output(b.LUT(b.Lin(0, terms...), 8, tab)[0], b.Gate(engine.AND, u, v), b.Gate(engine.AND, v, u))
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)

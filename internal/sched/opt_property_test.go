@@ -88,14 +88,14 @@ func genTypedCircuit(rng *rand.Rand, steps int) *typedCircuit {
 		case 2: // plain LUT
 			a := pickM()
 			tab := randTable()
-			w := b.LUT(a.w, propSpace, tab)
+			w := b.LUT(a.w, propSpace, tab)[0]
 			msgs = append(msgs, typedWire{w: w, mval: tab[a.mval]})
 		case 3: // same-input LUT fan-out: packing food
 			a := pickM()
 			n := 2 + rng.Intn(3)
 			for j := 0; j < n; j++ {
 				tab := randTable()
-				w := b.LUT(a.w, propSpace, tab)
+				w := b.LUT(a.w, propSpace, tab)[0]
 				msgs = append(msgs, typedWire{w: w, mval: tab[a.mval]})
 			}
 		case 4: // explicit multi-value group
@@ -105,7 +105,7 @@ func genTypedCircuit(rng *rand.Rand, steps int) *typedCircuit {
 			for j := range tabs {
 				tabs[j] = randTable()
 			}
-			ws := b.MultiLUT(a.w, propSpace, tabs)
+			ws := b.LUT(a.w, propSpace, tabs...)
 			for j, w := range ws {
 				msgs = append(msgs, typedWire{w: w, mval: tabs[j][a.mval]})
 			}
@@ -257,5 +257,37 @@ func requireOptimizedAdmitted(t *testing.T, c *Circuit) {
 			s, _ := Compile(oc, Config{})
 			t.Fatalf("set %s: the rule admits the circuit but refuses it optimized: %v\n%s", p.Name, verdict, s.Describe())
 		}
+	}
+}
+
+// TestFuseRaisesNoLoad pins why passFuse needs no noise-rule call: over
+// the seeded typed circuits above, no bootstrap of the fused circuit reads
+// a larger input load than the largest a bootstrap of the unfused circuit
+// reads, at every standard set and the test set. A LUT∘LUT fusion reads
+// the inner lookup's input, and a fused gate the base wires its producer
+// read, so a fused load is one the circuit already carried.
+func TestFuseRaisesNoLoad(t *testing.T) {
+	largest := func(c *Circuit, a noise.Analyzer) float64 {
+		v := 0.0
+		for _, b := range c.budget() {
+			v = max(v, b.In.Fresh*a.FreshLWEVariance()+b.In.Boot*a.BootstrapOutputVariance())
+		}
+		return v
+	}
+	fused := 0
+	for seed := int64(4100); seed < 4164; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := genTypedCircuit(rng, 8+rng.Intn(8)).circ
+		oc, n := mustPass(t, c, passFuse)
+		fused += n
+		for _, p := range append(tfhe.StandardSets(), tfhe.ParamsTest) {
+			a := noise.Analyzer{P: p}
+			if got, bound := largest(oc, a), largest(c, a); got > bound {
+				t.Errorf("seed %d set %s: fused circuit's largest PBS input variance %.3g exceeds the unfused %.3g", seed, p.Name, got, bound)
+			}
+		}
+	}
+	if fused == 0 {
+		t.Fatal("no seed fused a node: the property was not exercised")
 	}
 }

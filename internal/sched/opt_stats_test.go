@@ -37,10 +37,10 @@ func TestStatsFusionThenPacking(t *testing.T) {
 	tabs := statsTables(space, 4)
 	b := NewBuilder()
 	x := b.Input()
-	mid := b.LUT(x, space, tabs[0])      // L1, single consumer
-	b.Output(b.LUT(mid, space, tabs[1])) // L2: fuses into L2∘L1 on x
-	b.Output(b.LUT(x, space, tabs[2]))   // L3
-	b.Output(b.LUT(x, space, tabs[3]))   // L4
+	mid := b.LUT(x, space, tabs[0])[0]      // L1, single consumer
+	b.Output(b.LUT(mid, space, tabs[1])...) // L2: fuses into L2∘L1 on x
+	b.Output(b.LUT(x, space, tabs[2])...)   // L3
+	b.Output(b.LUT(x, space, tabs[3])...)   // L4
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func optTest() OptConfig {
 }
 
 // TestStatsExplicitGroupsAndPackingCoexist mixes an explicit
-// Builder.MultiLUT group with packable plain fan-out on the same input:
+// Builder.LUT group of two tables with packable plain fan-out on the same input:
 // the explicit group keeps its shape, the plain LUTs pack separately,
 // and the multi-value stats cover both groups.
 func TestStatsExplicitGroupsAndPackingCoexist(t *testing.T) {
@@ -122,11 +122,11 @@ func TestStatsExplicitGroupsAndPackingCoexist(t *testing.T) {
 	tabs := statsTables(space, 5)
 	b := NewBuilder()
 	x := b.Input()
-	for _, w := range b.MultiLUT(x, space, tabs[:2]) { // explicit k=2 group
+	for _, w := range b.LUT(x, space, tabs[:2]...) { // explicit k=2 group
 		b.Output(w)
 	}
 	for _, tab := range tabs[2:] { // 3 plain LUTs: packing food
-		b.Output(b.LUT(x, space, tab))
+		b.Output(b.LUT(x, space, tab)...)
 	}
 	c, err := b.Build()
 	if err != nil {
@@ -175,10 +175,10 @@ func TestPackWidthFollowsRule(t *testing.T) {
 		b := NewBuilder()
 		x := b.Input()
 		if boot {
-			x = b.LUT(x, space, tabs[0])
+			x = b.LUT(x, space, tabs[0])[0]
 		}
 		for _, tab := range tabs {
-			b.Output(b.LUT(x, space, tab))
+			b.Output(b.LUT(x, space, tab)...)
 		}
 		c, err := b.Build()
 		if err != nil {

@@ -106,7 +106,7 @@ func TestPassPruneShrinksMultiLUTGroups(t *testing.T) {
 		// full: a 3-table group with only `keep` outputs used.
 		b := NewBuilder()
 		in := b.Input()
-		ws := b.MultiLUT(in, space, mvTables(space, 3))
+		ws := b.LUT(in, space, mvTables(space, 3)...)
 		for _, j := range keep {
 			b.Output(ws[j])
 		}
@@ -148,7 +148,7 @@ func TestPassPruneShrinksMultiLUTGroups(t *testing.T) {
 	// A fully dead group vanishes.
 	b := NewBuilder()
 	in := b.Input()
-	b.MultiLUT(in, space, mvTables(space, 3))
+	b.LUT(in, space, mvTables(space, 3)...)
 	b.Output(in)
 	c, err := b.Build()
 	if err != nil {
@@ -198,10 +198,10 @@ func TestPassCSEMergesDuplicatesBitwise(t *testing.T) {
 	g2 := b.Gate(engine.AND, y, x) // same gate, swapped operands
 	l1 := b.Lin(5, Term{W: x, C: 1}, Term{W: y, C: 2})
 	l2 := b.Lin(5, Term{W: y, C: 2}, Term{W: x, C: 1}) // same sum, reordered
-	u1 := b.LUT(g1, 4, table)
-	u2 := b.LUT(g2, 4, table) // identical once g2 merges into g1
-	m1 := b.MultiLUT(g1, 4, mvTables(4, 2))
-	m2 := b.MultiLUT(g1, 4, mvTables(4, 2))
+	u1 := b.LUT(g1, 4, table)[0]
+	u2 := b.LUT(g2, 4, table)[0] // identical once g2 merges into g1
+	m1 := b.LUT(g1, 4, mvTables(4, 2)...)
+	m2 := b.LUT(g1, 4, mvTables(4, 2)...)
 	b.Output(g1, g2, l1, l2, u1, u2)
 	b.Output(m1...)
 	b.Output(m2...)
@@ -336,7 +336,7 @@ func TestPassFuseLUTChains(t *testing.T) {
 	t3 := []int{7, 6, 5, 4, 3, 2, 1, 0}
 	b := NewBuilder()
 	in := b.Input()
-	b.Output(b.LUT(b.LUT(b.LUT(in, space, t1), space, t2), space, t3))
+	b.Output(b.LUT(b.LUT(b.LUT(in, space, t1)[0], space, t2)[0], space, t3)...)
 	c, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -357,8 +357,8 @@ func TestPassFuseLUTChains(t *testing.T) {
 	// A shared intermediate LUT must not fuse away.
 	b = NewBuilder()
 	in = b.Input()
-	mid := b.LUT(in, space, t1)
-	b.Output(b.LUT(mid, space, t2), mid)
+	mid := b.LUT(in, space, t1)[0]
+	b.Output(b.LUT(mid, space, t2)[0], mid)
 	c, err = b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +375,7 @@ func TestPassMultiValuePacksFanOut(t *testing.T) {
 	in := b.Input()
 	tabs := mvTables(space, 5)
 	for _, tab := range tabs {
-		b.Output(b.LUT(in, space, tab))
+		b.Output(b.LUT(in, space, tab)...)
 	}
 	c, err := b.Build()
 	if err != nil {
@@ -406,7 +406,7 @@ func TestPassMultiValueLeavesExplicitGroups(t *testing.T) {
 	const space = 4
 	b := NewBuilder()
 	in := b.Input()
-	ws := b.MultiLUT(in, space, mvTables(space, 2))
+	ws := b.LUT(in, space, mvTables(space, 2)...)
 	b.Output(ws...)
 	c, err := b.Build()
 	if err != nil {
@@ -437,9 +437,9 @@ func TestOptimizeAllPipelineDecode(t *testing.T) {
 	s1 := b.Gate(engine.XOR, x, y)
 	s2 := b.Gate(engine.XOR, y, x) // CSE victim
 	b.Output(b.Gate(engine.AND, s1, s2))
-	u1 := b.LUT(v, space, sq)
-	b.Output(b.LUT(u1, space, neg)) // fuses, then packs with u2
-	u2 := b.LUT(v, space, neg)
+	u1 := b.LUT(v, space, sq)[0]
+	b.Output(b.LUT(u1, space, neg)...) // fuses, then packs with u2
+	u2 := b.LUT(v, space, neg)[0]
 	b.Output(u2)
 	b.LUT(v, space, sq) // dead
 	c, err := b.Build()
@@ -485,8 +485,8 @@ func TestCompileWithOptRunsEndToEnd(t *testing.T) {
 	tab := []int{3, 1, 4, 1, 5, 0, 2, 6}
 	b := NewBuilder()
 	v := b.Input()
-	u1 := b.LUT(v, space, tab)
-	u2 := b.LUT(v, space, tab) // CSE victim
+	u1 := b.LUT(v, space, tab)[0]
+	u2 := b.LUT(v, space, tab)[0] // CSE victim
 	b.Output(u1, u2)
 	c, err := b.Build()
 	if err != nil {

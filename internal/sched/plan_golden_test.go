@@ -131,7 +131,7 @@ func buildNN(b *sched.Builder, inputs []sched.Wire, layers []int) []sched.Wire {
 			a := prev[k%len(prev)]
 			c := prev[(k+1)%len(prev)]
 			s := b.Lin(0, sched.Term{W: a, C: 1}, sched.Term{W: c, C: 1})
-			cur[k] = b.LUTFunc(s, nnSpace, nnActivation)
+			cur[k] = b.LUTFunc(s, nnSpace, nnActivation)[0]
 		}
 		prev = cur
 	}

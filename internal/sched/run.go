@@ -380,7 +380,7 @@ func RunSequential(c *Circuit, ev *tfhe.Evaluator, inputs []tfhe.LWECiphertext) 
 			if n.mvIdx != 0 {
 				continue
 			}
-			outs := ev.EvalMultiLUTKS(vals[n.in], n.space, tfhe.TableFuncs(n.tables))
+			outs := ev.EvalLUTKS(vals[n.in], n.space, tfhe.TableFuncs(n.tables))
 			for j, out := range outs {
 				vals[i+j] = out
 			}

@@ -67,7 +67,7 @@ func TestCompileLevels(t *testing.T) {
 	s := b.Gate(engine.XOR, x, y)
 	c := b.Gate(engine.AND, x, y)
 	n := b.Gate(engine.NAND, s, c)
-	sq := b.LUTFunc(n, 4, func(m int) int { return (m * m) % 4 })
+	sq := b.LUTFunc(n, 4, func(m int) int { return (m * m) % 4 })[0]
 	b.Output(sq)
 	circ, err := b.Build()
 	if err != nil {
@@ -102,9 +102,9 @@ func TestCompileGroupsLUTsByTable(t *testing.T) {
 	inc := func(m int) int { return (m + 1) % 8 }
 	for i, w := range in {
 		if i%2 == 0 {
-			b.Output(b.LUTFunc(w, 8, sq))
+			b.Output(b.LUTFunc(w, 8, sq)...)
 		} else {
-			b.Output(b.LUTFunc(w, 8, inc))
+			b.Output(b.LUTFunc(w, 8, inc)...)
 		}
 	}
 	circ, err := b.Build()
@@ -168,9 +168,9 @@ func randomCircuit(t *testing.T, rng *rand.Rand, inputs, extra int) *Circuit {
 		case 0:
 			w = b.Gate(ops[rng.Intn(len(ops))], pick(), pick())
 		case 1:
-			w = b.LUTFunc(pick(), 8, func(m int) int { return (m * 3) % 8 })
+			w = b.LUTFunc(pick(), 8, func(m int) int { return (m * 3) % 8 })[0]
 		case 2:
-			w = b.LUTFunc(pick(), 8, func(m int) int { return (m + 5) % 8 })
+			w = b.LUTFunc(pick(), 8, func(m int) int { return (m + 5) % 8 })[0]
 		default:
 			w = b.Lin(torus.Torus32(rng.Uint32()),
 				Term{W: pick(), C: 1}, Term{W: pick(), C: -1}, Term{W: pick(), C: 2})
@@ -280,7 +280,7 @@ func TestFromSpecsRejectsInvalid(t *testing.T) {
 		{"unknown kind", []NodeSpec{{Kind: "bogus"}}, nil},
 		{"unknown op", []NodeSpec{{Kind: SpecInput}, {Kind: SpecGate, Op: "FROB", A: 0, B: 0}}, nil},
 		{"forward ref", []NodeSpec{{Kind: SpecInput}, {Kind: SpecGate, Op: "AND", A: 0, B: 2}}, nil},
-		{"bad table", []NodeSpec{{Kind: SpecInput}, {Kind: SpecLUT, In: 0, Space: 4, Table: []int{0, 0, 0, 9}}}, nil},
+		{"bad table", []NodeSpec{{Kind: SpecInput}, {Kind: SpecLUT, In: 0, Space: 4, Tables: [][]int{{0, 0, 0, 9}}}}, nil},
 		{"bad output", []NodeSpec{{Kind: SpecInput}}, []int{3}},
 	}
 	for _, tc := range cases {

@@ -9,11 +9,10 @@ import (
 
 // The NodeSpec kind strings.
 const (
-	SpecInput    = "in"
-	SpecLin      = "lin"
-	SpecGate     = "gate"
-	SpecLUT      = "lut"
-	SpecMultiLUT = "mlut"
+	SpecInput = "in"
+	SpecLin   = "lin"
+	SpecGate  = "gate"
+	SpecLUT   = "lut"
 )
 
 // NodeSpec is the serializable form of one circuit node: what the gate
@@ -33,21 +32,19 @@ type NodeSpec struct {
 	A  int    `json:"a,omitempty"`
 	B  int    `json:"b,omitempty"`
 
-	// SpecLUT (In, Space shared with SpecMultiLUT)
-	In    int   `json:"in,omitempty"`
-	Space int   `json:"space,omitempty"`
-	Table []int `json:"table,omitempty"`
-
-	// SpecMultiLUT: one node per group output. Every sibling repeats the
-	// group's full table list and carries its output index, so a spec
-	// stream can be validated without trusting cross-node invariants.
+	// SpecLUT: one node per output of a group of k ≥ 1 tables. Every
+	// sibling repeats the group's full table list and carries its output
+	// index, so a spec stream can be validated without trusting
+	// cross-node invariants.
+	In     int     `json:"in,omitempty"`
+	Space  int     `json:"space,omitempty"`
 	Tables [][]int `json:"tables,omitempty"`
 	Index  int     `json:"index,omitempty"`
 }
 
 // Specs serializes the circuit's nodes. Together with OutputWires it
-// round-trips through FromSpecs. A one-table lookup group is an "lut"
-// spec, a group of two or more tables one "mlut" spec per output.
+// round-trips through FromSpecs. A lookup group of k tables is k "lut"
+// specs, one per output.
 func (c *Circuit) Specs() []NodeSpec {
 	specs := make([]NodeSpec, len(c.nodes))
 	for i, n := range c.nodes {
@@ -59,11 +56,7 @@ func (c *Circuit) Specs() []NodeSpec {
 		case kindGate:
 			specs[i] = NodeSpec{Kind: SpecGate, Op: n.op.String(), A: int(n.a), B: int(n.b)}
 		case kindLUT:
-			if len(n.tables) == 1 {
-				specs[i] = NodeSpec{Kind: SpecLUT, In: int(n.in), Space: n.space, Table: n.tables[0]}
-			} else {
-				specs[i] = NodeSpec{Kind: SpecMultiLUT, In: int(n.in), Space: n.space, Tables: n.tables, Index: n.mvIdx}
-			}
+			specs[i] = NodeSpec{Kind: SpecLUT, In: int(n.in), Space: n.space, Tables: n.tables, Index: n.mvIdx}
 		}
 	}
 	return specs
@@ -98,25 +91,25 @@ func tablesEqual(a, b [][]int) bool {
 }
 
 // FromSpecs rebuilds a circuit from serialized nodes and output indices,
-// validating every reference, op, and table through the Builder. A
-// multi-value group must arrive as k contiguous "mlut" specs with
-// indices 0..k-1 that agree on input, space, and the full table list —
-// the builder appends the whole group at the head spec and the sibling
-// specs are checked against it, so a malformed stream cannot desynchronize
-// spec indices from wires.
+// validating every reference, op, and table through the Builder. A lookup
+// group of k tables must arrive as k contiguous "lut" specs with indices
+// 0..k-1 that agree on input, space, and the full table list — the
+// builder appends the whole group at the head spec and the sibling specs
+// are checked against it, so a malformed stream cannot desynchronize spec
+// indices from wires. A one-table group is a head with no siblings.
 func FromSpecs(specs []NodeSpec, outputs []int) (*Circuit, error) {
 	b := NewBuilder()
-	// Open multi-value group: siblings expected before any other node.
-	var mvHead *NodeSpec
-	var mvLeft int
+	// Open lookup group: siblings expected before any other node.
+	var head *NodeSpec
+	var left int
 	for i := range specs {
 		s := specs[i]
-		if mvLeft > 0 {
-			if s.Kind != SpecMultiLUT || s.Index != len(mvHead.Tables)-mvLeft ||
-				s.In != mvHead.In || s.Space != mvHead.Space || !tablesEqual(s.Tables, mvHead.Tables) {
-				return nil, fmt.Errorf("sched: node %d: expected sibling %d of the multi-value group at node %d", i, len(mvHead.Tables)-mvLeft, i-(len(mvHead.Tables)-mvLeft))
+		if left > 0 {
+			if s.Kind != SpecLUT || s.Index != len(head.Tables)-left ||
+				s.In != head.In || s.Space != head.Space || !tablesEqual(s.Tables, head.Tables) {
+				return nil, fmt.Errorf("sched: node %d: expected sibling %d of the lookup group at node %d", i, len(head.Tables)-left, i-(len(head.Tables)-left))
 			}
-			mvLeft--
+			left--
 			continue
 		}
 		switch s.Kind {
@@ -131,19 +124,17 @@ func FromSpecs(specs []NodeSpec, outputs []int) (*Circuit, error) {
 			}
 			b.Gate(op, Wire(s.A), Wire(s.B))
 		case SpecLUT:
-			b.LUT(Wire(s.In), s.Space, s.Table)
-		case SpecMultiLUT:
 			if s.Index != 0 {
-				return nil, fmt.Errorf("sched: node %d: multi-value sibling %d without a group head", i, s.Index)
+				return nil, fmt.Errorf("sched: node %d: lookup sibling %d without a group head", i, s.Index)
 			}
-			b.MultiLUT(Wire(s.In), s.Space, s.Tables)
-			mvHead, mvLeft = &specs[i], len(s.Tables)-1
+			b.LUT(Wire(s.In), s.Space, s.Tables...)
+			head, left = &specs[i], len(s.Tables)-1
 		default:
 			return nil, fmt.Errorf("sched: node %d has unknown kind %q", i, s.Kind)
 		}
 	}
-	if mvLeft > 0 {
-		return nil, fmt.Errorf("sched: truncated multi-value group: %d sibling specs missing", mvLeft)
+	if left > 0 {
+		return nil, fmt.Errorf("sched: truncated lookup group: %d sibling specs missing", left)
 	}
 	for _, o := range outputs {
 		b.Output(Wire(o))

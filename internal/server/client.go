@@ -303,19 +303,11 @@ func (c *Client) CircuitBatchOpts(circ *sched.Circuit, inputs []tfhe.LWECipherte
 	return out, err
 }
 
-// LUTBatch applies the lookup table (length space, entries in
-// {0..space-1}) to every ciphertext on the server: a one-table multilut
-// envelope.
-func (c *Client) LUTBatch(cts []tfhe.LWECiphertext, space int, table []int) ([]tfhe.LWECiphertext, error) {
-	out, _, err := c.eval(EvalRequest{Kind: EvalKindMultiLUT, Space: space, Tables: [][]int{table}}, cts, nil)
-	return out, err
-}
-
-// MultiLUTBatch applies k lookup tables (each length space, entries in
-// {0..space-1}) to every ciphertext on the server via multi-value PBS —
-// one blind rotation per input serves all k tables. out[i][j] is table j
-// applied to cts[i].
-func (c *Client) MultiLUTBatch(cts []tfhe.LWECiphertext, space int, tables [][]int) ([][]tfhe.LWECiphertext, error) {
+// LUTBatch applies the k ≥ 1 lookup tables (each length space, entries in
+// {0..space-1}) to every ciphertext on the server, one blind rotation per
+// input serving all k (multi-value PBS; one table is the plain lookup): a
+// multilut envelope. out[i][j] is table j applied to cts[i].
+func (c *Client) LUTBatch(cts []tfhe.LWECiphertext, space int, tables ...[]int) ([][]tfhe.LWECiphertext, error) {
 	return c.evalGrouped(EvalRequest{Kind: EvalKindMultiLUT, Space: space, Tables: tables}, cts)
 }
 

@@ -136,9 +136,6 @@ func OpenDiskStore(dir string) (*DiskStore, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *DiskStore) Dir() string { return s.dir }
-
 // gcOrphans removes files not referenced by any live manifest row:
 // leftovers of replaced registrations, crashed puts or deletes, and the
 // .params sidecar that older versions of the store wrote beside each key.

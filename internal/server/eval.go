@@ -256,7 +256,7 @@ func translate(req EvalRequest, ops evalOperands, maxBatch int) (*sched.Circuit,
 		if k = len(req.Tables); len(a)*k > maxBatch {
 			return tooLarge("%d inputs × %d tables > %d", len(a), k, maxBatch)
 		}
-		b.Output(b.MultiLUTs(b.Inputs(len(a)), req.Space, req.Tables)...)
+		b.Output(b.LUTs(b.Inputs(len(a)), req.Space, req.Tables...)...)
 	case EvalKindCircuit:
 		// Outputs amplify the response (each entry re-encodes a
 		// ciphertext), so they are bounded like nodes: a tiny circuit

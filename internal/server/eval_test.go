@@ -129,6 +129,41 @@ func TestEvalHTTPValidation(t *testing.T) {
 	}
 }
 
+// TestRetiredLookupSpecsRefused pins that a circuit spells a lookup one
+// way, a "lut" node carrying tables and index: a node with the retired
+// one-table field or the retired multi-value kind is a bad circuit, 400
+// bad_request naming it, on a session that would run the circuit.
+func TestRetiredLookupSpecsRefused(t *testing.T) {
+	_, ek := testKeys(t, 1)
+	srv := New(Config{})
+	if err := srv.RegisterKey("alice", ek); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	n := ek.Params.SmallN
+	record := make([]byte, 4*(n+1))
+	for _, tc := range []struct{ name, node, want string }{
+		{"table field", `{"kind":"lut","in":0,"space":4,"table":[0,1,2,3]}`, `unknown field "table"`},
+		{"mlut kind", `{"kind":"mlut","in":0,"space":4,"tables":[[0,1,2,3]],"index":0}`, `unknown kind "mlut"`},
+	} {
+		header := `{"kind":"circuit","nodes":[{"kind":"in"},` + tc.node + `],"outputs":[1]}`
+		resp, err := http.Post(ts.URL+EvalPath("alice"), "application/octet-stream", bytes.NewReader(rawFrame(header, n, 1, 0, record)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+			t.Fatalf("%s: decode error body: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || er.Code != CodeBadRequest || !strings.Contains(er.Error, tc.want) {
+			t.Errorf("%s: HTTP %d code %q %q, want 400 bad_request naming %s", tc.name, resp.StatusCode, er.Code, er.Error, tc.want)
+		}
+	}
+}
+
 // TestEvalRefusedBeforeBody pins the body contract an eval request shares
 // with a key upload: a request that declares no size is refused 411 and
 // one that declares more than MaxBatchBodyBytes 413, both before a body
@@ -356,7 +391,7 @@ func TestEvalLimits(t *testing.T) {
 	_, overOuts := chain(1, maxCircuitNodes+1)
 	maxLevel, maxLevelOuts := level(maxBatch)
 	overLevel, overLevelOuts := level(maxBatch + 1)
-	wide := []sched.NodeSpec{{Kind: sched.SpecInput}, {Kind: sched.SpecLUT, In: 0, Space: 64, Table: table(64)}}
+	wide := []sched.NodeSpec{{Kind: sched.SpecInput}, {Kind: sched.SpecLUT, In: 0, Space: 64, Tables: [][]int{table(64)}}}
 	manyIn := func(n int) ([]sched.NodeSpec, []int) {
 		specs := make([]sched.NodeSpec, n)
 		for i := range specs {

@@ -71,7 +71,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, m := range rngMsgs {
-		if dec := decryptInt(sk, lut[i], 8); dec != table[m] {
+		if dec := decryptInt(sk, lut[i][0], 8); dec != table[m] {
 			t.Errorf("LUT item %d: decrypted %d, want %d", i, dec, table[m])
 		}
 	}

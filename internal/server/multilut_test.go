@@ -104,7 +104,7 @@ func TestConcurrentMultiLUTBatches(t *testing.T) {
 			t.Fatal(errs[c])
 		}
 		for i := range msgs[c] {
-			want := ev.EvalMultiLUTKS(cts[c][i], space, tfhe.TableFuncs(tables))
+			want := ev.EvalLUTKS(cts[c][i], space, tfhe.TableFuncs(tables))
 			for j := 0; j < k; j++ {
 				if !tfhe.EqualLWE(outs[c][i][j], want[j]) {
 					t.Fatalf("caller %d output [%d][%d] differs bitwise from the sequential evaluator", c, i, j)
@@ -177,7 +177,7 @@ func TestHTTPMultiLUTBatch(t *testing.T) {
 	tables := mvTestTables(space, k)
 	msgs := []int{7, 0, 5}
 	cts := encryptInts(sk, 930, msgs, space)
-	out, err := cl.MultiLUTBatch(cts, space, tables)
+	out, err := cl.LUTBatch(cts, space, tables...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,13 +193,13 @@ func TestHTTPMultiLUTBatch(t *testing.T) {
 	}
 
 	// The endpoint validates like the in-process call.
-	if _, err := cl.MultiLUTBatch(cts, 1, [][]int{{0}}); err == nil {
+	if _, err := cl.LUTBatch(cts, 1, []int{0}); err == nil {
 		t.Fatal("HTTP endpoint accepted space < 2")
 	}
 	// A fourth table shrinks the margin to 1/128, which the test set's
 	// modulus switch leaves at 2.4σ (about one group in 40 decodes
 	// wrong): the one noise rule refuses it.
-	_, err = cl.MultiLUTBatch(cts, space, mvTestTables(space, k+1))
+	_, err = cl.LUTBatch(cts, space, mvTestTables(space, k+1)...)
 	var api *APIError
 	if !errors.As(err, &api) || api.Code != CodeNoiseBudget {
 		t.Fatalf("space 8 × 4 tables: got %v, want a noise_budget refusal", err)
@@ -215,9 +215,9 @@ func TestCircuitMultiLUTGroup(t *testing.T) {
 	const space = 4
 	b := sched.NewBuilder()
 	in := b.Input()
-	ws := b.MultiLUT(in, space, mvTestTables(space, 3))
+	ws := b.LUT(in, space, mvTestTables(space, 3)...)
 	b.Output(ws...)
-	b.Output(b.LUT(ws[1], space, []int{3, 2, 1, 0}))
+	b.Output(b.LUT(ws[1], space, []int{3, 2, 1, 0})...)
 	circ, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestCircuitMultiLUTGroup(t *testing.T) {
 	for i := range overTables {
 		overTables[i] = []int{0, 1, 2, 3}
 	}
-	over.Output(over.MultiLUT(oin, space, overTables)...)
+	over.Output(over.LUT(oin, space, overTables...)...)
 	overCirc, err := over.Build()
 	if err != nil {
 		t.Fatal(err)

@@ -86,8 +86,8 @@ func TestEvictionTransparentWithStore(t *testing.T) {
 	if err := srv.RegisterKey("b", ek2); err != nil { // evicts "a"
 		t.Fatal(err)
 	}
-	if srv.Evictions() != 1 {
-		t.Fatalf("evictions = %d, want 1", srv.Evictions())
+	if got := srv.Stats().Evictions; got != 1 {
+		t.Fatalf("evictions = %d, want 1", got)
 	}
 	out, err := srv.GateBatch("a", engine.NOT, encryptBools(sk1, 1, []bool{true}), nil)
 	if err != nil {
@@ -414,7 +414,7 @@ func TestNoiseRefusalBeforeToken(t *testing.T) {
 	}
 	// A space-64 lookup on a fresh input: a margin of 1/256 against the
 	// test set's modulus switch, 1.2σ.
-	specs := []sched.NodeSpec{{Kind: sched.SpecInput}, {Kind: sched.SpecLUT, In: 0, Space: 64, Table: make([]int, 64)}}
+	specs := []sched.NodeSpec{{Kind: sched.SpecInput}, {Kind: sched.SpecLUT, In: 0, Space: 64, Tables: [][]int{make([]int, 64)}}}
 	_, err = circuitBatch(srv, "alice", specs, []int{1}, encryptInts(sk, 3, []int{1}, 64), false)
 	var budget *noise.BudgetError
 	if !errors.As(err, &budget) || budget.Node != 1 || budget.Failure <= noise.MaxFailure {

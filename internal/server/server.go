@@ -133,9 +133,6 @@ func Open(cfg Config) (*Server, error) {
 	return New(cfg), nil
 }
 
-// Config returns the effective (defaulted) configuration.
-func (s *Server) Config() Config { return s.cfg }
-
 // Store returns the durable tier, or nil when running without one.
 func (s *Server) Store() SessionStore { return s.store }
 
@@ -547,9 +544,6 @@ func sortSessionInfos(infos []SessionInfo) {
 		}
 	}
 }
-
-// Evictions returns how many sessions the warm-tier LRU bound has evicted.
-func (s *Server) Evictions() int64 { return s.evictions.Load() }
 
 // Restores returns how many sessions were rebuilt from the durable tier.
 func (s *Server) Restores() int64 { return s.restores.Load() }

@@ -149,7 +149,7 @@ func TestLUTBatchMatchesInProcess(t *testing.T) {
 	}
 	ev := tfhe.NewEvaluator(ek)
 	for i, m := range msgs {
-		want := ev.EvalLUTKS(cts[i], space, func(x int) int { return table[x] })
+		want := ev.EvalLUTKS(cts[i], space, tfhe.TableFuncs([][]int{table}))[0]
 		if !reflect.DeepEqual(got[i], want) {
 			t.Errorf("item %d: service ciphertext differs from EvalLUTKS", i)
 		}
@@ -405,8 +405,8 @@ func TestLRUEviction(t *testing.T) {
 	if got := srv.Sessions(); !reflect.DeepEqual(got, []string{"c", "a"}) {
 		t.Errorf("sessions after eviction: %v, want [c a]", got)
 	}
-	if srv.Evictions() != 1 {
-		t.Errorf("evictions = %d, want 1", srv.Evictions())
+	if got := srv.Stats().Evictions; got != 1 {
+		t.Errorf("evictions = %d, want 1", got)
 	}
 	// Without a store, eviction is lossy and reported as such — the
 	// specific "re-upload your key" error, not the generic unknown.
@@ -561,7 +561,7 @@ func TestCircuitBatchValidation(t *testing.T) {
 	hugeSpace := 2 * ek.Params.N
 	spec := []sched.NodeSpec{
 		{Kind: sched.SpecInput},
-		{Kind: sched.SpecLUT, In: 0, Space: hugeSpace, Table: make([]int, hugeSpace)},
+		{Kind: sched.SpecLUT, In: 0, Space: hugeSpace, Tables: [][]int{make([]int, hugeSpace)}},
 	}
 	if _, err := circuitBatch(srv, "alice", spec, []int{1}, in, false); err == nil {
 		t.Error("LUT space beyond N accepted")
@@ -776,7 +776,7 @@ func TestCircuitBesideBatches(t *testing.T) {
 					return
 				}
 				for i := range out {
-					if !reflect.DeepEqual(out[i], ev.EvalMultiLUTKS(cts[i], space, tfhe.TableFuncs(tables))) {
+					if !reflect.DeepEqual(out[i], ev.EvalLUTKS(cts[i], space, tfhe.TableFuncs(tables))) {
 						errs <- fmt.Errorf("multi-value caller %d round %d input %d differs from the sequential evaluator", c, r, i)
 						return
 					}

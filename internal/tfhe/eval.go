@@ -145,52 +145,3 @@ func EncodePBSMessage(m, space int) torus.Torus32 {
 func DecodePBSMessage(t torus.Torus32, space int) int {
 	return torus.DecodeMessage(t, 2*space) % space
 }
-
-// NewLUTTestVector builds the GLWE test vector for a lookup table
-// f: {0..space-1} → Torus32. Slot j of the body holds f(⌊j·space/N⌋); the
-// caller must pre-shift the ciphertext phase by half a slot (EvalLUT does
-// this) so noise is centered inside the slot.
-func (e *Evaluator) NewLUTTestVector(space int, f func(int) torus.Torus32) GLWECiphertext {
-	p := e.Params
-	tv := NewGLWECiphertext(p.K, p.N)
-	body := tv.Body()
-	for j := 0; j < p.N; j++ {
-		m := j * space / p.N
-		body.Coeffs[j] = f(m % space)
-	}
-	return tv
-}
-
-// LUTTestVector builds the encoded test vector for the integer lookup
-// table f: {0..space-1} → {0..space-1}. It is read-only during PBS, so one
-// encoding can be shared across a whole stream of ciphertexts (the
-// streaming engine's level-2 LUT sharing).
-func (e *Evaluator) LUTTestVector(space int, f func(int) int) GLWECiphertext {
-	return e.NewLUTTestVector(space, func(m int) torus.Torus32 {
-		return EncodePBSMessage(f(m), space)
-	})
-}
-
-// ShiftForLUT returns c shifted by half a slot, the LUT pre-processing of
-// EvalLUT: centering each encoded message inside its slot lets the lookup
-// tolerate noise up to 1/(4·space).
-func (e *Evaluator) ShiftForLUT(c LWECiphertext, space int) LWECiphertext {
-	shifted := c.Copy()
-	shifted.AddPlain(torus.EncodeMessage(1, 4*space))
-	e.Counters.LinearOps++
-	return shifted
-}
-
-// EvalLUT applies the univariate function f (on {0..space-1}) to the
-// encrypted message via programmable bootstrapping, returning a ciphertext
-// of dimension k·N encoding f(m) with the same padding-bit encoding.
-// The output of f must itself be in {0..space-1}.
-func (e *Evaluator) EvalLUT(c LWECiphertext, space int, f func(int) int) LWECiphertext {
-	return e.Bootstrap(e.ShiftForLUT(c, space), e.LUTTestVector(space, f))
-}
-
-// EvalLUTKS is EvalLUT followed by keyswitching back to dimension n, the
-// PBS→KS sequence of §IV-C that the accelerator pipelines.
-func (e *Evaluator) EvalLUTKS(c LWECiphertext, space int, f func(int) int) LWECiphertext {
-	return e.KeySwitch(e.EvalLUT(c, space, f))
-}

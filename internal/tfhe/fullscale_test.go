@@ -30,7 +30,7 @@ func TestFullScaleSetIGates(t *testing.T) {
 	f := func(x int) int { return (x*3 + 1) % space }
 	for _, m := range []int{0, 3, 7} {
 		ct := sk.LWE.Encrypt(rng, EncodePBSMessage(m, space), ParamsI.LWEStdDev)
-		out := ev.EvalLUTKS(ct, space, f)
+		out := ev.EvalLUTKS(ct, space, []func(int) int{f})[0]
 		if got := DecodePBSMessage(sk.LWE.Phase(out), space); got != f(m) {
 			t.Fatalf("set I LUT(%d) = %d, want %d", m, got, f(m))
 		}

@@ -34,7 +34,7 @@ func FuzzMultiLUTTestVector(f *testing.F) {
 			}
 		}
 		ev := NewEvaluator(testEK)
-		tv := ev.NewMultiLUTTestVector(space, TableFuncs(tables))
+		tv := ev.LUTTestVector(space, TableFuncs(tables))
 
 		for i := 0; i < tv.K(); i++ {
 			for j := 0; j < p.N; j++ {

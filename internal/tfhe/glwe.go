@@ -35,36 +35,6 @@ func (c GLWECiphertext) PolyN() int { return c.Polys[0].N() }
 // Body returns the body polynomial B.
 func (c GLWECiphertext) Body() poly.Poly { return c.Polys[c.K()] }
 
-// Copy returns a deep copy.
-func (c GLWECiphertext) Copy() GLWECiphertext {
-	out := GLWECiphertext{Polys: make([]poly.Poly, len(c.Polys))}
-	for i := range c.Polys {
-		out.Polys[i] = c.Polys[i].Copy()
-	}
-	return out
-}
-
-// Clear zeroes all components.
-func (c GLWECiphertext) Clear() {
-	for _, p := range c.Polys {
-		p.Clear()
-	}
-}
-
-// AddTo sets c += d.
-func (c GLWECiphertext) AddTo(d GLWECiphertext) {
-	for i := range c.Polys {
-		poly.AddTo(c.Polys[i], d.Polys[i])
-	}
-}
-
-// SubTo sets c -= d.
-func (c GLWECiphertext) SubTo(d GLWECiphertext) {
-	for i := range c.Polys {
-		poly.SubTo(c.Polys[i], d.Polys[i])
-	}
-}
-
 // RotateTo sets dst = c * X^e (component-wise negacyclic rotation) — the
 // Rotator Unit operation. dst must not alias c.
 func (c GLWECiphertext) RotateTo(dst GLWECiphertext, e int) {
@@ -93,9 +63,6 @@ func NewGLWEKey(rng *rand.Rand, k, n int) GLWEKey {
 
 // K returns the mask length.
 func (k GLWEKey) K() int { return len(k.Polys) }
-
-// PolyN returns the polynomial size.
-func (k GLWEKey) PolyN() int { return k.n }
 
 // Encrypt encrypts the message polynomial mu with noise stddev sigma.
 // The a·s products use the exact FFT fast path (binary keys keep product

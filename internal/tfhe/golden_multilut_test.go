@@ -32,7 +32,7 @@ var update = flag.Bool("update", false, "rewrite the multi-value golden fixture"
 // is a trivial GLWE built from parameters and tables alone — so layout
 // regressions are caught without any key generation. The digest is
 // SHA-256 over the packed GLWE's glweBytes; the shift
-// is the raw torus constant ShiftForMultiLUT adds; the offsets are the
+// is the raw torus constant ShiftForLUT adds; the offsets are the
 // sample-extraction coefficients.
 type multiLUTVector struct {
 	Set     string  `json:"set"`
@@ -73,13 +73,13 @@ func computeMultiLUTGolden(t *testing.T, v multiLUTVector) multiLUTVector {
 		t.Fatalf("set %s space %d k %d: %v", v.Set, v.Space, k, err)
 	}
 	ev := tfhe.NewEvaluator(tfhe.EvaluationKeys{Params: p})
-	tv := ev.NewMultiLUTTestVector(v.Space, tfhe.TableFuncs(v.Tables))
+	tv := ev.LUTTestVector(v.Space, tfhe.TableFuncs(v.Tables))
 	sum := sha256.Sum256(glweBytes(tv))
 	v.Digest = hex.EncodeToString(sum[:])
 	v.Offsets = p.MultiLUTOffsets(v.Space, k)
 
 	zero := tfhe.NewLWECiphertext(p.SmallN)
-	shifted := ev.ShiftForMultiLUT(zero, v.Space, k)
+	shifted := ev.ShiftForLUT(zero, v.Space, k)
 	v.Shift = uint32(shifted.B)
 	return v
 }

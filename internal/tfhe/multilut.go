@@ -6,8 +6,9 @@ import (
 	"repro/internal/torus"
 )
 
-// Multi-value programmable bootstrapping: one blind rotation evaluating k
-// lookup tables over the same encrypted input. The k tables are packed
+// A lookup is a group of k ≥ 1 tables over one encrypted input, evaluated
+// by multi-value programmable bootstrapping: one blind rotation serves all
+// k (Carpov, Izabachène and Mollimard, CT-RSA 2019). The k tables are packed
 // into a single test vector on a k×-finer slot grid — each message window
 // of width N/space is split into k subslots, subslot i holding table i's
 // output — so the rotation that would serve one LUT serves all k, and the
@@ -25,13 +26,13 @@ import (
 // margin exceeds noise.MaxFailure.
 //
 // With k = 1 the packed test vector, the half-subslot shift, and the
-// single extraction offset all degenerate to the standard EvalLUT path,
-// so EvalMultiLUT with one table is bitwise identical to EvalLUT.
+// single extraction offset are the plain lookup's: one lookup API serves
+// every k ≥ 1.
 
 // ValidateMultiLUT checks that k tables over message space `space` can be
 // packed into one test vector under these parameters: the structural half
 // of the one noise rule (noise.Check), which calls it, and the guard of
-// NewMultiLUTTestVector. It checks no noise.
+// LUTTestVector. It checks no noise.
 func (p Params) ValidateMultiLUT(space, k int) error {
 	switch {
 	case space < 2:
@@ -55,13 +56,14 @@ func (p Params) MultiLUTOffsets(space, k int) []int {
 	return offsets
 }
 
-// NewMultiLUTTestVector builds the packed test vector for the k integer
+// LUTTestVector builds the packed test vector for the k = len(fs) integer
 // lookup tables fs (each on {0..space-1}): coefficient j falls in message
 // window m = ⌊j·space/N⌋ and subslot i = ⌊j·space·k/N⌋ mod k, and holds
-// the encoded fs[i](m). Like every test vector it is read-only during
-// PBS, so one packing can be shared across a whole stream. With k = 1
-// this is exactly LUTTestVector.
-func (e *Evaluator) NewMultiLUTTestVector(space int, fs []func(int) int) GLWECiphertext {
+// the encoded fs[i](m). With one table every window is one subslot, the
+// plain lookup's test vector. Like every test vector it is read-only
+// during PBS, so one packing can be shared across a whole stream (the
+// streaming engine's level-2 LUT sharing).
+func (e *Evaluator) LUTTestVector(space int, fs []func(int) int) GLWECiphertext {
 	p := e.Params
 	k := len(fs)
 	if err := p.ValidateMultiLUT(space, k); err != nil {
@@ -76,41 +78,33 @@ func (e *Evaluator) NewMultiLUTTestVector(space int, fs []func(int) int) GLWECip
 	return tv
 }
 
-// ShiftForMultiLUT returns c shifted by half a subslot — the multi-value
-// analogue of ShiftForLUT. Centering the phase inside the k×-finer
+// ShiftForLUT returns c shifted by half a subslot of a k-table group, the
+// lookup's pre-processing: centering the phase inside the k×-finer
 // subslot grid keeps every extraction offset inside the input's message
 // window for noise up to 1/(4·space·k).
-func (e *Evaluator) ShiftForMultiLUT(c LWECiphertext, space, k int) LWECiphertext {
+func (e *Evaluator) ShiftForLUT(c LWECiphertext, space, k int) LWECiphertext {
 	shifted := c.Copy()
 	shifted.AddPlain(torus.EncodeMessage(1, 4*space*k))
 	e.Counters.LinearOps++
 	return shifted
 }
 
-// BlindRotateMulti is the multi-value Bootstrap: one blind rotation of
-// the packed test vector driven by c, then one sample extraction per
-// offset — k LWE outputs (dimension k·N) for the cost of a single
-// rotation. offsets come from MultiLUTOffsets.
-func (e *Evaluator) BlindRotateMulti(c LWECiphertext, testVec GLWECiphertext, offsets []int) []LWECiphertext {
-	return e.ExtractMulti(e.BlindRotate(c, testVec), offsets)
-}
-
-// EvalMultiLUT applies the k univariate functions fs (each on
-// {0..space-1}, outputs in {0..space-1}) to the one encrypted message via
-// a single multi-value bootstrap, returning k ciphertexts of dimension
-// k·N where output i encodes fs[i](m). With one table it is bitwise
-// identical to EvalLUT.
-func (e *Evaluator) EvalMultiLUT(c LWECiphertext, space int, fs []func(int) int) []LWECiphertext {
+// EvalLUT applies the k univariate functions fs (each on {0..space-1},
+// outputs in {0..space-1}) to the one encrypted message via a single
+// bootstrap: one blind rotation of the packed test vector, then one
+// sample extraction per offset (MultiLUTOffsets). It returns k
+// ciphertexts of dimension k·N where output i encodes fs[i](m) with the
+// same padding-bit encoding; one table is the plain lookup.
+func (e *Evaluator) EvalLUT(c LWECiphertext, space int, fs []func(int) int) []LWECiphertext {
 	k := len(fs)
-	tv := e.NewMultiLUTTestVector(space, fs)
-	return e.BlindRotateMulti(e.ShiftForMultiLUT(c, space, k), tv, e.Params.MultiLUTOffsets(space, k))
+	tv := e.LUTTestVector(space, fs)
+	return e.ExtractMulti(e.BlindRotate(e.ShiftForLUT(c, space, k), tv), e.Params.MultiLUTOffsets(space, k))
 }
 
-// EvalMultiLUTKS is EvalMultiLUT with every output keyswitched back to
-// dimension n — one blind rotation fanned out into k full §IV-C PBS→KS
-// results.
-func (e *Evaluator) EvalMultiLUTKS(c LWECiphertext, space int, fs []func(int) int) []LWECiphertext {
-	outs := e.EvalMultiLUT(c, space, fs)
+// EvalLUTKS is EvalLUT with every output keyswitched back to dimension n
+// — one blind rotation fanned out into k full §IV-C PBS→KS results.
+func (e *Evaluator) EvalLUTKS(c LWECiphertext, space int, fs []func(int) int) []LWECiphertext {
+	outs := e.EvalLUT(c, space, fs)
 	for i, big := range outs {
 		outs[i] = e.KeySwitch(big)
 	}

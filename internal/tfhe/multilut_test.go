@@ -53,10 +53,10 @@ func TestSampleExtractAt(t *testing.T) {
 	space := 8
 	ev := NewEvaluator(testEK)
 	f := func(m int) int { return (3 * m) % space }
-	tv := ev.LUTTestVector(space, f) // trivial GLWE: mask 0, body = table
+	tv := ev.LUTTestVector(space, []func(int) int{f}) // trivial GLWE: mask 0, body = table
 	// Add encryption noise so the mask actually participates.
 	enc := testSK.GLWE.EncryptZero(rng, ParamsTest.GLWEStdDev)
-	enc.AddTo(tv)
+	addGLWE(enc, tv)
 	for _, off := range []int{0, 1, 17, ParamsTest.N / 2, ParamsTest.N - 1} {
 		out := SampleExtractAt(enc, off)
 		wantMsg := f(off * space / ParamsTest.N % space)
@@ -85,7 +85,7 @@ func TestMultiLUTPackingLayout(t *testing.T) {
 		func(m int) int { return m },
 		func(m int) int { return (m + 1) % space },
 	}
-	tv := ev.NewMultiLUTTestVector(space, fs)
+	tv := ev.LUTTestVector(space, fs)
 	body := tv.Body()
 	n := ParamsTest.N
 	for j := 0; j < n; j++ {
@@ -105,21 +105,27 @@ func TestMultiLUTPackingLayout(t *testing.T) {
 }
 
 // TestEvalMultiLUTSingleTableBitwiseEqualsEvalLUT is the k=1 degeneration
-// contract: with one table the packed path IS the standard EvalLUT path,
-// bit for bit (same shift, same test vector, same rotation, same
-// extraction offset).
+// contract: a one-table EvalLUT is, bit for bit, the plain bootstrap the
+// stage primitives compose — the half-slot shift, the one-table test
+// vector, one rotation and the extraction at offset 0 — counting the same.
 func TestEvalMultiLUTSingleTableBitwiseEqualsEvalLUT(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	space := 8
-	f := func(m int) int { return (m*m + 1) % space }
+	fs := []func(int) int{func(m int) int { return (m*m + 1) % space }}
+	if off := ParamsTest.MultiLUTOffsets(space, 1); len(off) != 1 || off[0] != 0 {
+		t.Fatalf("one-table offsets = %v, want [0]", off)
+	}
 	for m := 0; m < space; m++ {
 		c := testSK.LWE.Encrypt(rng, EncodePBSMessage(m, space), ParamsTest.LWEStdDev)
 		evA := NewEvaluator(testEK)
 		evB := NewEvaluator(testEK)
-		single := evA.EvalLUT(c, space, f)
-		multi := evB.EvalMultiLUT(c, space, []func(int) int{f})
-		if len(multi) != 1 || !sameLWE(single, multi[0]) {
-			t.Fatalf("m=%d: EvalMultiLUT k=1 not bitwise equal to EvalLUT", m)
+		group := evA.EvalLUT(c, space, fs)
+		plain := evB.Bootstrap(evB.ShiftForLUT(c, space, 1), evB.LUTTestVector(space, fs))
+		if len(group) != 1 || !sameLWE(group[0], plain) {
+			t.Fatalf("m=%d: one-table EvalLUT not bitwise equal to Bootstrap of the shifted input", m)
+		}
+		if evA.Counters != evB.Counters {
+			t.Fatalf("m=%d: one-table EvalLUT counts %+v, the plain bootstrap %+v", m, evA.Counters, evB.Counters)
 		}
 	}
 }
@@ -148,13 +154,13 @@ func TestEvalMultiLUTDecodesLikeIndependentLUTs(t *testing.T) {
 		}
 		for m := 0; m < tc.space; m++ {
 			c := testSK.LWE.Encrypt(rng, EncodePBSMessage(m, tc.space), ParamsTest.LWEStdDev)
-			outs := ev.EvalMultiLUTKS(c, tc.space, fs)
+			outs := ev.EvalLUTKS(c, tc.space, fs)
 			if len(outs) != tc.k {
 				t.Fatalf("space=%d k=%d: got %d outputs", tc.space, tc.k, len(outs))
 			}
 			for i, out := range outs {
 				got := DecodePBSMessage(testSK.LWE.Phase(out), tc.space)
-				indep := ref.EvalLUTKS(c, tc.space, fs[i])
+				indep := ref.EvalLUTKS(c, tc.space, fs[i:i+1])[0]
 				want := DecodePBSMessage(testSK.LWE.Phase(indep), tc.space)
 				if want != fs[i](m) {
 					t.Fatalf("space=%d k=%d m=%d: independent EvalLUT decodes to %d, want %d", tc.space, tc.k, m, want, fs[i](m))
@@ -178,8 +184,8 @@ func TestEvalMultiLUTChained(t *testing.T) {
 		func(m int) int { return (3 * m) % space },
 	}
 	c := testSK.LWE.Encrypt(rng, EncodePBSMessage(2, space), ParamsTest.LWEStdDev)
-	outs := ev.EvalMultiLUTKS(c, space, fs)
-	next := ev.EvalLUTKS(outs[1], space, func(m int) int { return (m + 1) % space })
+	outs := ev.EvalLUTKS(c, space, fs)
+	next := ev.EvalLUTKS(outs[1], space, []func(int) int{func(m int) int { return (m + 1) % space }})[0]
 	// (3·2 mod 4) + 1 = 3
 	if got := DecodePBSMessage(testSK.LWE.Phase(next), space); got != 3 {
 		t.Fatalf("chained multi-value output decodes to %d, want 3", got)
@@ -199,7 +205,7 @@ func TestMultiValueCounters(t *testing.T) {
 		fs[i] = func(m int) int { return (m + i) % space }
 	}
 	c := testSK.LWE.Encrypt(rng, EncodePBSMessage(1, space), ParamsTest.LWEStdDev)
-	ev.EvalMultiLUTKS(c, space, fs)
+	ev.EvalLUTKS(c, space, fs)
 	cnt := ev.Counters
 	if cnt.PBSCount != 1 || cnt.MultiValuePBS != 1 || cnt.MultiValueOuts != int64(k) {
 		t.Fatalf("counters after one k=%d multi-value PBS: %+v", k, cnt)
@@ -209,12 +215,12 @@ func TestMultiValueCounters(t *testing.T) {
 	}
 
 	// k = 1: a one-table group is the plain lookup, and counts exactly
-	// what EvalLUTKS counts — no multi-value PBS.
+	// what its shift, bootstrap and keyswitch count — no multi-value PBS.
 	one, plain := NewEvaluator(testEK), NewEvaluator(testEK)
-	one.EvalMultiLUTKS(c, space, fs[:1])
-	plain.EvalLUTKS(c, space, fs[0])
+	one.EvalLUTKS(c, space, fs[:1])
+	plain.KeySwitch(plain.Bootstrap(plain.ShiftForLUT(c, space, 1), plain.LUTTestVector(space, fs[:1])))
 	if one.Counters != plain.Counters {
-		t.Fatalf("one-table group counts %+v, EvalLUTKS %+v", one.Counters, plain.Counters)
+		t.Fatalf("one-table group counts %+v, the plain lookup %+v", one.Counters, plain.Counters)
 	}
 	if one.Counters.MultiValuePBS != 0 || one.Counters.MultiValueOuts != 0 {
 		t.Fatalf("one-table group counted as multi-value: %+v", one.Counters)
@@ -232,5 +238,5 @@ func TestNewMultiLUTTestVectorRejectsOverpacking(t *testing.T) {
 			t.Fatal("expected panic for space·k > N")
 		}
 	}()
-	ev.NewMultiLUTTestVector(2, fs)
+	ev.LUTTestVector(2, fs)
 }

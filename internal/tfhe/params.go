@@ -24,7 +24,15 @@ type Params struct {
 	GLWEStdDev float64 // fresh GLWE noise (bootstrapping key noise)
 }
 
-// Validate checks structural parameter constraints.
+// NoiseFloor is the least fresh-noise standard deviation a key may be
+// sampled with, in units of 2⁻³² of the torus: the σ ≈ 3.2 of the
+// Homomorphic Encryption Security Standard (Albrecht et al., 2018).
+// torus.Gaussian32 rounds σ·2³²·z to an integer, so below about one unit
+// most draws round to zero and the key is a noiseless encryption.
+const NoiseFloor = 3.2
+
+// Validate checks structural parameter constraints and that both key
+// noises reach NoiseFloor.
 func (p Params) Validate() error {
 	switch {
 	case p.N < 4 || p.N&(p.N-1) != 0:
@@ -39,8 +47,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("tfhe: invalid PBS gadget (lb=%d, Bg=2^%d)", p.PBSLevel, p.PBSBaseLog)
 	case p.KSLevel < 1 || p.KSBaseLog < 1 || p.KSLevel > 32/p.KSBaseLog:
 		return fmt.Errorf("tfhe: invalid KS gadget (lk=%d, base=2^%d)", p.KSLevel, p.KSBaseLog)
-	case p.LWEStdDev < 0 || p.GLWEStdDev < 0:
-		return fmt.Errorf("tfhe: negative noise stddev")
+	case p.LWEStdDev*(1<<32) < NoiseFloor || p.GLWEStdDev*(1<<32) < NoiseFloor:
+		return fmt.Errorf("tfhe: noise stddev (LWE %.3g, GLWE %.3g) below the floor of %g/2^32", p.LWEStdDev, p.GLWEStdDev, NoiseFloor)
 	}
 	return nil
 }
@@ -69,19 +77,21 @@ var ParamsII = Params{
 	LWEStdDev: 1.5e-5, GLWEStdDev: 7.18e-9,
 }
 
-// ParamsIII is parameter set III (128-bit, used by YKP).
+// ParamsIII is parameter set III (128-bit, used by YKP). Its GLWE noise
+// is NoiseFloor (7.45·10⁻¹⁰).
 var ParamsIII = Params{
 	Name: "III", N: 2048, K: 1, SmallN: 592, PBSLevel: 3, Security: 128,
 	PBSBaseLog: 8, KSLevel: 3, KSBaseLog: 5,
-	LWEStdDev: 1.5e-5, GLWEStdDev: 1.0e-10,
+	LWEStdDev: 1.5e-5, GLWEStdDev: NoiseFloor / (1 << 32),
 }
 
 // ParamsIV is parameter set IV — the new high-precision set the paper
-// introduces for Strix (largest polynomial degree).
+// introduces for Strix (largest polynomial degree). Its GLWE noise is
+// NoiseFloor (7.45·10⁻¹⁰).
 var ParamsIV = Params{
 	Name: "IV", N: 16384, K: 1, SmallN: 991, PBSLevel: 2, Security: 128,
 	PBSBaseLog: 10, KSLevel: 2, KSBaseLog: 8,
-	LWEStdDev: 1.0e-7, GLWEStdDev: 1.0e-11,
+	LWEStdDev: 1.0e-7, GLWEStdDev: NoiseFloor / (1 << 32),
 }
 
 // ParamsTest is a deliberately small, low-noise parameter set for fast unit

@@ -95,8 +95,8 @@ func TestPropertyLUTComposition(t *testing.T) {
 	f := func(m uint8) bool {
 		mm := int(m) % space
 		ct := testSK.LWE.Encrypt(rng, EncodePBSMessage(mm, space), ParamsTest.LWEStdDev)
-		step1 := ev.EvalLUTKS(ct, space, fFn)
-		step2 := ev.EvalLUTKS(step1, space, gFn)
+		step1 := ev.EvalLUTKS(ct, space, []func(int) int{fFn})[0]
+		step2 := ev.EvalLUTKS(step1, space, []func(int) int{gFn})[0]
 		return DecodePBSMessage(testSK.LWE.Phase(step2), space) == gFn(fFn(mm))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {

@@ -1,6 +1,7 @@
 package tfhe
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -36,6 +37,40 @@ func TestParamsValidate(t *testing.T) {
 	bad.PBSLevel = 2
 	if bad.Validate() == nil {
 		t.Error("gadget wider than 32 bits should fail validation")
+	}
+	// 1.0e-11 is 0.043/2^32: every draw rounds to zero.
+	for name, quiet := range map[string]func(p *Params){
+		"LWE":  func(p *Params) { p.LWEStdDev = 1.0e-11 },
+		"GLWE": func(p *Params) { p.GLWEStdDev = 1.0e-11 },
+	} {
+		bad = ParamsI
+		quiet(&bad)
+		if bad.Validate() == nil {
+			t.Errorf("%s noise below the floor should fail validation", name)
+		}
+	}
+}
+
+// TestGLWEKeyNoiseAtStandardSets checks that a fresh GLWE encryption of
+// zero at each standard set carries the noise its parameters name: the
+// sample σ of its N phase coefficients is within 10 % of GLWEStdDev. A σ
+// below torus.Gaussian32's integer rounding reads near zero here.
+func TestGLWEKeyNoiseAtStandardSets(t *testing.T) {
+	for _, p := range StandardSets() {
+		rng := rand.New(rand.NewSource(int64(p.N)))
+		key := NewGLWEKey(rng, p.K, p.N)
+		phase := key.Phase(key.EncryptZero(rng, p.GLWEStdDev))
+		var sum, sq float64
+		for _, c := range phase.Coeffs {
+			e := float64(int32(c))
+			sum += e
+			sq += e * e
+		}
+		n := float64(p.N)
+		got := math.Sqrt(sq/n-(sum/n)*(sum/n)) / (1 << 32)
+		if math.Abs(got-p.GLWEStdDev) > 0.1*p.GLWEStdDev {
+			t.Errorf("set %s: GLWE noise σ %.3g, want %.3g within 10%%", p.Name, got, p.GLWEStdDev)
+		}
 	}
 }
 
@@ -314,7 +349,7 @@ func TestEvalLUTIdentity(t *testing.T) {
 	space := 4
 	for m := 0; m < space; m++ {
 		c := testSK.LWE.Encrypt(rng, EncodePBSMessage(m, space), ParamsTest.LWEStdDev)
-		out := ev.EvalLUT(c, space, func(x int) int { return x })
+		out := ev.EvalLUT(c, space, []func(int) int{func(x int) int { return x }})[0]
 		got := DecodePBSMessage(testSK.BigLWE.Phase(out), space)
 		if got != m {
 			t.Fatalf("identity LUT(%d) = %d", m, got)
@@ -329,7 +364,7 @@ func TestEvalLUTArbitraryFunction(t *testing.T) {
 	f := func(x int) int { return (x*x + 3) % space }
 	for m := 0; m < space; m++ {
 		c := testSK.LWE.Encrypt(rng, EncodePBSMessage(m, space), ParamsTest.LWEStdDev)
-		out := ev.EvalLUTKS(c, space, f)
+		out := ev.EvalLUTKS(c, space, []func(int) int{f})[0]
 		got := DecodePBSMessage(testSK.LWE.Phase(out), space)
 		if got != f(m) {
 			t.Fatalf("LUT(%d) = %d, want %d", m, got, f(m))
@@ -344,8 +379,8 @@ func TestEvalLUTChained(t *testing.T) {
 	space := 4
 	inc := func(x int) int { return (x + 1) % space }
 	c := testSK.LWE.Encrypt(rng, EncodePBSMessage(1, space), ParamsTest.LWEStdDev)
-	c = ev.EvalLUTKS(c, space, inc) // 2
-	c = ev.EvalLUTKS(c, space, inc) // 3
+	c = ev.EvalLUTKS(c, space, []func(int) int{inc})[0] // 2
+	c = ev.EvalLUTKS(c, space, []func(int) int{inc})[0] // 3
 	got := DecodePBSMessage(testSK.LWE.Phase(c), space)
 	if got != 3 {
 		t.Fatalf("chained LUT = %d, want 3", got)

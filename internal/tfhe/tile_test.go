@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/fft"
+	"repro/internal/poly"
 	"repro/internal/torus"
 )
 
@@ -17,6 +18,28 @@ func withKernel(set string, f func()) {
 	prev := fft.SetKernelSet(set)
 	defer fft.SetKernelSet(prev)
 	f()
+}
+
+// copyGLWE returns a deep copy of c.
+func copyGLWE(c GLWECiphertext) GLWECiphertext {
+	out := GLWECiphertext{Polys: make([]poly.Poly, len(c.Polys))}
+	for i := range c.Polys {
+		out.Polys[i] = c.Polys[i].Copy()
+	}
+	return out
+}
+
+// addGLWE sets c += d and subGLWE c -= d, component by component.
+func addGLWE(c, d GLWECiphertext) {
+	for i := range c.Polys {
+		poly.AddTo(c.Polys[i], d.Polys[i])
+	}
+}
+
+func subGLWE(c, d GLWECiphertext) {
+	for i := range c.Polys {
+		poly.SubTo(c.Polys[i], d.Polys[i])
+	}
 }
 
 func equalGLWE(a, b GLWECiphertext) bool {
@@ -53,9 +76,9 @@ func TestBlindRotateTileMatchesOneAtATime(t *testing.T) {
 	t.Run("test", func(t *testing.T) {
 		ev := NewEvaluator(testEK)
 		offsets := ParamsTest.MultiLUTOffsets(space, k)
-		testBlindRotateTile(t, testSK, testEK, ev.NewMultiLUTTestVector(space, fs),
+		testBlindRotateTile(t, testSK, testEK, ev.LUTTestVector(space, fs),
 			func(rng *rand.Rand, j int) LWECiphertext {
-				return ev.ShiftForMultiLUT(testSK.LWE.Encrypt(rng, EncodePBSMessage(j%space, space), ParamsTest.LWEStdDev), space, k)
+				return ev.ShiftForLUT(testSK.LWE.Encrypt(rng, EncodePBSMessage(j%space, space), ParamsTest.LWEStdDev), space, k)
 			},
 			func(j int, acc GLWECiphertext) error {
 				for o, out := range ev.ExtractMulti(acc, offsets) {
@@ -204,10 +227,10 @@ func TestExternalProductRotSubMatchesThreePasses(t *testing.T) {
 	for _, e := range []int{1, 7, ParamsTest.N - 1, ParamsTest.N, ParamsTest.N + 9, 2*ParamsTest.N - 1} {
 		diff := NewGLWECiphertext(src.K(), src.PolyN())
 		src.RotateTo(diff, e)
-		diff.SubTo(src)
-		want := src.Copy()
+		subGLWE(diff, src)
+		want := copyGLWE(src)
 		ExternalProductAcc(want, diff, g, gadget, proc, buf, nil)
-		got := src.Copy()
+		got := copyGLWE(src)
 		ExternalProductRotSubAcc(got, e, g, gadget, proc, buf, nil)
 		if !equalGLWE(got, want) {
 			t.Fatalf("e=%d: fused CMux step differs from rotate, subtract, external product", e)

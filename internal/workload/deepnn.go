@@ -57,7 +57,7 @@ func (nn DeepNN) TotalPBS() int {
 // NNParams returns the TFHE parameters for the Fig 7 polynomial degrees.
 // The paper reuses the parameters of [34] with N = 1024, 2048, 4096;
 // N=1024 and N=2048 coincide with the paper's sets II and III, and N=4096
-// extends set III (same gadget, doubled degree, adjusted n).
+// extends set III (same gadget and key noise, doubled degree, adjusted n).
 func NNParams(n int) (tfhe.Params, error) {
 	switch n {
 	case 1024:
@@ -69,7 +69,6 @@ func NNParams(n int) (tfhe.Params, error) {
 		p.Name = "NN4096"
 		p.N = 4096
 		p.SmallN = 700
-		p.GLWEStdDev = 1.0e-11
 		return p, nil
 	default:
 		return tfhe.Params{}, fmt.Errorf("workload: no NN parameters for N=%d", n)

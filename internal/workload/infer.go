@@ -113,7 +113,7 @@ func clampDigit(v int) int {
 //	       the average folds into the next stage's tables),
 //	dense: per filter one space-InferPoolSpace multi-value bootstrap
 //	       whose InferClasses tables share the blind rotation
-//	       (Builder.MultiLUTFunc) at full single-LUT noise margin,
+//	       (Builder.LUTFunc) at full single-LUT noise margin,
 //	logit: per class a free linear sum of contributions plus one
 //	       requantizing bootstrap back in InferSpace.
 func BuildInfer(b *sched.Builder, features []sched.Wire) ([]sched.Wire, error) {
@@ -128,7 +128,7 @@ func BuildInfer(b *sched.Builder, features []sched.Wire) ([]sched.Wire, error) {
 			for m := 0; m < InferMarkers; m++ {
 				terms[m] = sched.Term{W: features[c*InferMarkers+m], C: int32(inferConvW[f][m])}
 			}
-			conv[c][f] = b.LUTFunc(b.Lin(0, terms...), InferSpace, inferConvEnc(f))
+			conv[c][f] = b.LUTFunc(b.Lin(0, terms...), InferSpace, inferConvEnc(f))[0]
 		}
 	}
 	// Average pool + dense: pool[f] is a free sum; one blind rotation per
@@ -144,7 +144,7 @@ func BuildInfer(b *sched.Builder, features []sched.Wire) ([]sched.Wire, error) {
 		for k := range fs {
 			fs[k] = inferDenseTab(f, k)
 		}
-		contrib[f] = b.MultiLUTFunc(pool, InferPoolSpace, fs...)
+		contrib[f] = b.LUTFunc(pool, InferPoolSpace, fs...)
 	}
 	// Logits: score[k] = logit(Σ_f contrib[f][k]).
 	scores := make([]sched.Wire, InferClasses)
@@ -153,7 +153,7 @@ func BuildInfer(b *sched.Builder, features []sched.Wire) ([]sched.Wire, error) {
 		for f := 0; f < InferFilters; f++ {
 			terms[f] = sched.Term{W: contrib[f][k], C: 1}
 		}
-		scores[k] = b.LUTFunc(b.Lin(0, terms...), InferSpace, inferLogitEnc)
+		scores[k] = b.LUTFunc(b.Lin(0, terms...), InferSpace, inferLogitEnc)[0]
 	}
 	return scores, nil
 }

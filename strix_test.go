@@ -23,7 +23,7 @@ func TestFHEContextIntLUT(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := ctx.EncryptInt(3, 8)
-	out := ctx.Eval.EvalLUTKS(ct, 8, func(x int) int { return (2 * x) % 8 })
+	out := ctx.Eval.EvalLUTKS(ct, 8, []func(int) int{func(x int) int { return (2 * x) % 8 }})[0]
 	if got := ctx.DecryptInt(out, 8); got != 6 {
 		t.Errorf("2*3 mod 8 = %d", got)
 	}
