@@ -80,8 +80,8 @@ cover:
 
 # The committed fuzz seed corpus in regression mode: every seed under
 # the packages' testdata/fuzz directories must keep passing without
-# -fuzz (wire codec, eval frame decoder, packed test-vector builder,
-# scheduler optimizer pipeline).
+# -fuzz (wire codec, eval frame decoder, key-file trailer decoder, packed
+# test-vector builder, scheduler optimizer pipeline).
 fuzz-regress:
 	$(GO) test -run '^Fuzz' ./internal/wire/... ./internal/server/... ./internal/tfhe/... ./internal/sched/...
 
@@ -206,7 +206,9 @@ no-retired-gate:
 # entry points beside the k ≥ 1 group or the multi-value ones beside the
 # plain (tfhe's, the circuit builder's, the client's), or name the
 # multi-value spec kind: a lookup is a group of k ≥ 1 tables at every
-# entry point, and one table is k = 1.
+# entry point, and one table is k = 1. Nor may the disk store's
+# write-ahead log come back: a key file's rename into keys/ is the commit,
+# and its trailer the record.
 no-retired-ops:
 	@! git grep -nE 'BatchGates|(^|[^k])StreamGates|BatchEvalLUT|StreamLUT\(|BatchMultiLUT|StreamMultiLUT|BatchBootstrap|StreamBootstrap|BatchKeySwitch|EvalCircuit|engine\.New\(|engine\.Config([^A-Za-z0-9_]|$$)|DefaultMinStream|BlindRotateBatch|BlindRotateSteps|Runner\{Batch' -- '*.go' ':!benchmark' ':!internal/engine/engine.go'
 	@! git grep -nE 'GGSWFourier\{''Rows|ForwardTorus''BatchTo|ForwardInt''BatchTo|Inverse''BatchTo|mulAcc''Fast|mulAcc''AVX2|fft\.Mul''\(' -- '*.go'
@@ -223,6 +225,7 @@ no-retired-ops:
 	@! git grep -nE 'UnrolledBSK|BlindRotateUnrolled|BootstrapUnrolled|RunSchedule\(' -- '*.go' README.md docs
 	@! git grep -nE '(^|[^A-Za-z0-9_])(kindMultiLUT|DispatchMultiLUT|checkTestVec)([^A-Za-z0-9_]|$$)|func \(s \*StreamingEngine\) (MultiLUT|Bootstrap)\(|MultiLUT\(d (sched\.)?Dispatch' -- '*.go'
 	@! git grep -nE 'clientIDOf|parseEvalRequest|forwardByBody|EvalKindLUT|"POST /v2/eval"' -- '*.go'
+	@! git grep -nE 'wal''Record|replay''WAL|appendWAL''Record|wal''FileName' -- '*.go'
 	@! git grep -nE '\.(EvalMulti''LUTKS?|BlindRotate''Multi|NewMulti''LUTTestVector|ShiftForMulti''LUT|NewLUT''TestVector|MultiLUT''Batch|MultiLUT''Func|MultiLUT''s?)\(|SpecMulti''LUT' -- '*.go'
 
 # No fused multiply-add in any assembly file: it rounds once where the

@@ -20,8 +20,8 @@
 //	DELETE /v1/sessions/{id}       evict a session everywhere
 //
 // With -data, registered evaluation keys are persisted to a crash-safe
-// on-disk store (wire-codec key files plus a checksummed write-ahead
-// log). A restarted server pointed at the same directory serves its old
+// on-disk store (one wire-codec key file per session, with a checksummed
+// trailer naming its client; the file's rename into place commits it). A restarted server pointed at the same directory serves its old
 // sessions again — bitwise-identical results, no key re-upload — and
 // SIGINT/SIGTERM trigger a graceful drain: in-flight batches finish and
 // the store is flushed before the process exits.

@@ -10,9 +10,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -115,8 +115,8 @@ func TestRouterPipesUpload(t *testing.T) {
 
 // TestUploadClientDisconnect cuts an upload off halfway, dialled direct
 // and through the router. Nothing of it may remain: no session swap — the
-// ID's previous session still answers under its own keys — no WAL record,
-// no temp file in keys/, and the router's inflight slot comes back.
+// ID's previous session still answers under its own keys — no new key
+// file, no temp file in keys/, and the router's inflight slot comes back.
 func TestUploadClientDisconnect(t *testing.T) {
 	sk, ek := testKeys(t)
 	_, ek2 := tfhe.GenerateKeys(rand.New(rand.NewSource(2)), tfhe.ParamsTest)
@@ -124,10 +124,11 @@ func TestUploadClientDisconnect(t *testing.T) {
 	for _, mode := range []string{"direct", "routed"} {
 		t.Run(mode, func(t *testing.T) {
 			dir := t.TempDir()
-			srv, err := server.Open(server.Config{DataDir: dir})
+			store, err := server.OpenDiskStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
+			srv := server.New(server.Config{Store: store})
 			defer srv.Drain()
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
@@ -142,11 +143,11 @@ func TestUploadClientDisconnect(t *testing.T) {
 			if err := cl.RegisterKey(ek); err != nil {
 				t.Fatal(err)
 			}
-			walPath := filepath.Join(dir, "wal")
-			before, err := os.Stat(walPath)
-			if err != nil {
-				t.Fatal(err)
+			keyFiles := func() []string {
+				names, _ := filepath.Glob(filepath.Join(dir, "keys", "*"))
+				return names
 			}
+			before := keyFiles()
 
 			// Half a replacement key over a raw connection, then hang up.
 			conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
@@ -169,10 +170,10 @@ func TestUploadClientDisconnect(t *testing.T) {
 				eventually(t, "the router releases the inflight slot", func() bool { return len(r.admit) == 0 })
 			}
 
-			if after, err := os.Stat(walPath); err != nil || after.Size() != before.Size() {
-				t.Errorf("WAL grew from %d to %d bytes (%v) on an aborted upload", before.Size(), after.Size(), err)
+			if after := keyFiles(); !slices.Equal(after, before) {
+				t.Errorf("keys/ went from %v to %v on an aborted upload", before, after)
 			}
-			if list := srv.Store().List(); len(list) != 1 || list[0].ClientID != "alice" {
+			if list := store.List(); len(list) != 1 || list[0].ClientID != "alice" {
 				t.Errorf("store lists %+v, want alice alone", list)
 			}
 			bits := []bool{true, false}

@@ -344,7 +344,7 @@ func (c *Client) Sessions() ([]SessionInfo, error) {
 
 // DeleteSession evicts clientID's session from every tier: the warm
 // engine cache and, when the server persists keys, the durable store
-// (via a WAL tombstone). Deleting an unknown session returns an
+// (its key file renamed out). Deleting an unknown session returns an
 // *APIError with code unknown_session.
 func (c *Client) DeleteSession(clientID string) (DeleteSessionResponse, error) {
 	var resp DeleteSessionResponse

@@ -1,166 +1,169 @@
 package server
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/tfhe"
 )
 
-// DiskStore is the durable SessionStore: evaluation keys as wire-codec
-// files on disk (one .key blob per session, in the internal/wire
-// encoding) fronted by the checksummed write-ahead log of wal.go, whose
-// records carry everything else a listing or restore needs. Durability
-// discipline, in commit order:
+// DiskStore is the durable SessionStore: one file per session under
+// keys/, the evaluation key's wire-codec bytes followed by a trailer
+// (keyTrailer) that names the client ID and the parameter set and records
+// the key's length and CRC-32. The file's name is the commit record: a
+// key file takes its name s<seq>.key, under a sequence number higher than
+// any before it, only once its bytes and trailer are durable, and a
+// client's key is the file of the highest sequence number whose trailer
+// names the client. Durability discipline, in commit order:
 //
-//  1. the key file is written to a temp name, fsynced, and renamed into
-//     keys/ (a crash here leaves only an orphan file);
-//  2. the keys/ directory is fsynced so the rename is durable;
-//  3. the WAL record referencing the key file is appended and fsynced —
-//     only now is the registration committed.
+//  1. the key and then its trailer are written to a temp file in keys/
+//     and fsynced (a crash here leaves only the temp file);
+//  2. the file is renamed to its .key name and keys/ is fsynced — only
+//     now is the registration committed;
+//  3. the file it supersedes is renamed out of keys/ into gone/, and
+//     removed from there in the background. A later fsync of keys/ makes
+//     the rename durable; until then a crash leaves both files, and the
+//     newer one wins.
 //
-// A key file that a replacement or a delete leaves unreferenced is removed
-// in the background after the commit; Close waits for those removals, and
-// one a crash cuts off is garbage the next open collects.
-//
-// Open replays the WAL: the longest valid record prefix is the committed
-// state, a torn or corrupt tail is truncated away, records pointing at
-// missing key files are dropped, and orphan key files not referenced by
-// any live record are garbage collected. Get re-verifies the blob's
-// recorded CRC-32 so silent file corruption surfaces as an error instead
-// of a poisoned session.
+// A delete renames the client's file into gone/ and fsyncs keys/. Open
+// reads every trailer, keeps the newest file per client and removes
+// every other name: temp files, files whose trailer fails its checks,
+// superseded files a crash kept under their .key name, and all of gone/.
+// Get re-verifies the key's CRC-32 so silent file corruption surfaces as
+// an error instead of a poisoned session.
 type DiskStore struct {
 	dir string
 
 	mu      sync.Mutex
-	wal     walFile
-	walSize int64 // bytes of committed records (and header) in the WAL
-	broken  error // why the WAL could not be repaired after a failed append
 	seq     uint32
 	entries map[string]diskEntry
 	closed  bool
 
-	remove   func(name string) error // os.Remove; a test seam
-	removing sync.WaitGroup          // removals handed off and not yet done
-}
+	// Filesystem operations; test seams.
+	rename  func(from, to string) error
+	syncDir func(dir string) error
+	remove  func(name string) error
 
-// walFile is the WAL's open file, appended to by Write.
-type walFile interface {
-	io.Writer
-	Sync() error
-	Truncate(size int64) error
-	Close() error
+	removing sync.WaitGroup // removals handed off and not yet done
 }
 
 // diskEntry is the in-memory manifest row for one persisted session.
 type diskEntry struct {
-	file     string // key blob file name, relative to keys/
-	params   string
-	keyBytes int64
-	keyCRC   uint32
+	file string // key file name, relative to keys/
+	size int64  // the file's length: key and trailer
+	keyTrailer
 }
 
-// Store file names.
+// Store file and directory names.
 const (
-	walFileName = "wal"
 	keysDirName = "keys"
+	goneDirName = "gone"
+	// oldLogName is the write-ahead log of the store's earlier format,
+	// which named the live key files; this store does not read it.
+	oldLogName = "wal"
 )
 
 // OpenDiskStore opens (creating if needed) a durable session store
-// rooted at dir, replaying and repairing its write-ahead log.
+// rooted at dir: the newest key file of each client is its key, and
+// every other file is removed.
 func OpenDiskStore(dir string) (*DiskStore, error) {
-	keysDir := filepath.Join(dir, keysDirName)
-	if err := os.MkdirAll(keysDir, 0o755); err != nil {
+	if _, err := os.Lstat(filepath.Join(dir, oldLogName)); !errors.Is(err, os.ErrNotExist) {
+		if err == nil {
+			err = errors.New("the write-ahead log of an older store format, which this store does not read")
+		}
+		return nil, fmt.Errorf("server: open disk store: %s: %w", filepath.Join(dir, oldLogName), err)
+	}
+	keysDir, goneDir := filepath.Join(dir, keysDirName), filepath.Join(dir, goneDirName)
+	for _, d := range []string{keysDir, goneDir} {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			return nil, fmt.Errorf("server: open disk store: %w", err)
+		}
+	}
+	s := &DiskStore{
+		dir: dir, entries: make(map[string]diskEntry),
+		rename: os.Rename, syncDir: syncDir, remove: os.Remove,
+	}
+	gone, err := os.ReadDir(goneDir)
+	if err != nil {
 		return nil, fmt.Errorf("server: open disk store: %w", err)
 	}
-	walPath := filepath.Join(dir, walFileName)
-
-	data, err := os.ReadFile(walPath)
-	switch {
-	case os.IsNotExist(err):
-		if err := writeFileSync(walPath, appendWALHeader(nil)); err != nil {
-			return nil, fmt.Errorf("server: init WAL: %w", err)
-		}
-		data = appendWALHeader(nil)
-	case err != nil:
-		return nil, fmt.Errorf("server: read WAL: %w", err)
-	}
-
-	recs, valid, err := replayWAL(data)
-	if err != nil {
-		return nil, err
-	}
-	if valid < int64(len(data)) {
-		// Torn or corrupt tail: truncate to the committed prefix so the
-		// next append starts on a record boundary (appendSync keeps it so).
-		if err := os.Truncate(walPath, valid); err != nil {
-			return nil, fmt.Errorf("server: truncate torn WAL tail: %w", err)
-		}
-	}
-
-	s := &DiskStore{dir: dir, entries: make(map[string]diskEntry), remove: os.Remove}
-	for _, rec := range recs {
-		if rec.Seq > s.seq {
-			s.seq = rec.Seq
-		}
-		switch rec.Op {
-		case walOpRegister:
-			s.entries[rec.ClientID] = diskEntry{
-				file: rec.File, params: rec.Params,
-				keyBytes: rec.KeyBytes, keyCRC: rec.KeyCRC,
-			}
-		case walOpDelete:
-			delete(s.entries, rec.ClientID)
-		}
-	}
-	// Drop manifest rows whose key file vanished (a delete that crashed
-	// after removing the file, or external damage): better an explicit
-	// re-register than a session that errors on every restore.
-	for id, e := range s.entries {
-		if _, err := os.Stat(filepath.Join(keysDir, e.file)); err != nil {
-			delete(s.entries, id)
-		}
-	}
-	s.gcOrphans(keysDir)
-
-	wal, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("server: open WAL for append: %w", err)
-	}
-	s.wal, s.walSize = wal, valid
-	return s, nil
-}
-
-// gcOrphans removes files not referenced by any live manifest row:
-// leftovers of replaced registrations, crashed puts or deletes, and the
-// .params sidecar that older versions of the store wrote beside each key.
-func (s *DiskStore) gcOrphans(keysDir string) {
-	live := make(map[string]bool, len(s.entries))
-	for _, e := range s.entries {
-		live[e.file] = true
+	var doomed []string
+	for _, de := range gone {
+		doomed = append(doomed, filepath.Join(goneDir, de.Name()))
 	}
 	names, err := os.ReadDir(keysDir)
 	if err != nil {
-		return
+		return nil, fmt.Errorf("server: open disk store: %w", err)
 	}
 	for _, de := range names {
-		if !live[de.Name()] {
-			_ = os.Remove(filepath.Join(keysDir, de.Name()))
+		path := filepath.Join(keysDir, de.Name())
+		seq, ok := seqOf(de.Name())
+		if !ok {
+			doomed = append(doomed, path) // a temp file, or not the store's
+			continue
+		}
+		s.seq = max(s.seq, seq)
+		t, size, err := readKeyFile(path)
+		if err != nil {
+			doomed = append(doomed, path)
+			continue
+		}
+		if old, ok := s.entries[t.clientID]; ok {
+			if oldSeq, _ := seqOf(old.file); oldSeq > seq {
+				doomed = append(doomed, path)
+				continue
+			}
+			doomed = append(doomed, filepath.Join(keysDir, old.file))
+		}
+		s.entries[t.clientID] = diskEntry{file: de.Name(), size: size, keyTrailer: t}
+	}
+	// A file left behind must go before anything commits: an older key
+	// file of a client deleted after this open would bring the client back.
+	for _, path := range doomed {
+		if err := os.Remove(path); err != nil {
+			return nil, fmt.Errorf("server: open disk store: %w", err)
 		}
 	}
+	return s, nil
 }
 
-// keyFileFor returns the key blob file name for a sequence number.
+// keyFileFor returns the key file name for a sequence number.
 func keyFileFor(seq uint32) string { return fmt.Sprintf("s%08d.key", seq) }
 
-// Put implements SessionStore: key file first, WAL record second, so a
-// crash between the two leaves an orphan file (collected on next open),
-// never a committed record pointing at missing bytes. In order:
+// seqOf returns the sequence number of a key file name, and whether name
+// is one.
+func seqOf(name string) (seq uint32, ok bool) {
+	_, err := fmt.Sscanf(name, "s%d.key", &seq)
+	return seq, err == nil && keyFileFor(seq) == name
+}
+
+// readKeyFile reads the trailer of the key file at path, and the file's
+// size.
+func readKeyFile(path string) (keyTrailer, int64, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return keyTrailer{}, 0, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return keyTrailer{}, 0, err
+	}
+	t, err := readKeyTrailer(f, fi.Size())
+	return t, fi.Size(), err
+}
+
+// Put implements SessionStore: key file first, then its name, so a crash
+// before the rename leaves only a temp file (removed on the next open),
+// never a key file with missing bytes. In order:
 //
 //  1. the key streams into a temp file outside the lock — that is the
 //     49 MB part — so listings, restores and other uploads proceed
@@ -169,12 +172,14 @@ func keyFileFor(seq uint32) string { return fmt.Sprintf("s%08d.key", seq) }
 //     still streams in (writeBehind);
 //  2. the file is mapped (mapKey) and the mapping checked — the caller
 //     views the key there — while it is fsynced;
-//  3. only a key that passes both is committed, under the lock: sequence
-//     number, rename, directory sync, WAL append;
-//  4. the file the commit superseded, if any, is removed in the
-//     background (removeBehind), after the lock is released.
+//  3. only a key that passes both gets its trailer, fsynced in turn, still
+//     outside the lock;
+//  4. the commit, under the lock: sequence number, rename, directory
+//     sync, and the superseded file, if any, renamed out (retire);
+//  5. that file is removed in the background (removeBehind), after the
+//     lock is released.
 //
-// A Put that fails at any step leaves no temp file, no record and no
+// A Put that fails at any step leaves no temp file, no key file and no
 // mapping.
 func (s *DiskStore) Put(clientID string, size int64, key io.Reader, check func(b []byte) (tfhe.Params, error)) (_ *StoredKey, err error) {
 	keysDir := filepath.Join(s.dir, keysDirName)
@@ -212,6 +217,17 @@ func (s *DiskStore) Put(clientID string, size int64, key io.Reader, check func(b
 	if err != nil {
 		return nil, err
 	}
+	t := keyTrailer{clientID: clientID, params: p.Name, keyBytes: size, keyCRC: crc.Sum32()}
+	trailer, err := appendKeyTrailer(nil, t)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := f.Write(trailer); err != nil {
+		return nil, err
+	}
+	if err := f.Sync(); err != nil {
+		return nil, err
+	}
 	if err := f.Close(); err != nil {
 		return nil, err
 	}
@@ -224,56 +240,52 @@ func (s *DiskStore) Put(clientID string, size int64, key io.Reader, check func(b
 		return nil, ErrStoreClosed
 	}
 	s.seq++
-	rec := walRecord{
-		Op: walOpRegister, Seq: s.seq, ClientID: clientID,
-		File: keyFileFor(s.seq), KeyBytes: size,
-		KeyCRC: crc.Sum32(), Params: p.Name,
-	}
-	framed, err := appendWALRecord(nil, rec)
-	if err != nil {
-		return nil, err
-	}
-	if err := os.Rename(f.Name(), filepath.Join(keysDir, rec.File)); err != nil {
+	file := keyFileFor(s.seq)
+	path := filepath.Join(keysDir, file)
+	if err := s.rename(f.Name(), path); err != nil {
 		return nil, fmt.Errorf("server: persist key for %q: %w", clientID, err)
 	}
-	if err := syncDir(keysDir); err != nil {
+	if err := s.syncDir(keysDir); err != nil {
+		// The rename is not known to be durable: take it back, so that
+		// the directory holds the previous key, as the manifest does.
+		os.Remove(path)
 		return nil, fmt.Errorf("server: sync key dir: %w", err)
 	}
-	if err := s.appendSync(framed); err != nil {
-		return nil, err
+	if old, ok := s.entries[clientID]; ok {
+		stale = s.retire(old.file)
 	}
-
-	if old, ok := s.entries[clientID]; ok && old.file != rec.File {
-		// The replacement is committed; the old file is now an orphan.
-		stale = s.handOff(old.file)
-	}
-	s.entries[clientID] = diskEntry{file: rec.File, params: rec.Params, keyBytes: rec.KeyBytes, keyCRC: rec.KeyCRC}
+	s.entries[clientID] = diskEntry{file: file, size: size + int64(len(trailer)), keyTrailer: t}
 	return stored, nil
 }
 
-// handOff registers the removal of a key file that no committed record
-// references any more and returns its name, for removeBehind once mu is
-// released. Registering under mu is what lets Close wait for every
-// removal: Close sets closed under the same lock, so no removal is
-// registered after it starts waiting. Called with mu held.
-func (s *DiskStore) handOff(file string) string {
+// retire renames a superseded key file out of keys/ into gone/, so that
+// no later open can take it for a live key, and registers its removal;
+// it returns the path for removeBehind once mu is released. A file that
+// cannot be renamed is removed where it is. Registering under mu is what
+// lets Close wait for every removal: Close sets closed under the same
+// lock, so no removal is registered after it starts waiting. Called with
+// mu held.
+func (s *DiskStore) retire(file string) string {
+	from, to := filepath.Join(s.dir, keysDirName, file), filepath.Join(s.dir, goneDirName, file)
+	if s.rename(from, to) != nil {
+		to = from
+	}
 	s.removing.Add(1)
-	return file
+	return to
 }
 
-// removeBehind removes a handed-off key file in the background, so the
+// removeBehind removes a retired key file in the background, so the
 // request that superseded or deleted it does not wait on the filesystem
 // freeing its blocks (14–23 ms for a set-I key on ext4 on a virtio disk,
 // 2-vCPU VM). The removal is best-effort: if it fails or a crash cuts it
-// off, the next open's gcOrphans collects the file. An empty name is a
-// no-op.
-func (s *DiskStore) removeBehind(file string) {
-	if file == "" {
+// off, the next open removes the file. An empty path is a no-op.
+func (s *DiskStore) removeBehind(path string) {
+	if path == "" {
 		return
 	}
 	go func() {
 		defer s.removing.Done()
-		_ = s.remove(filepath.Join(s.dir, keysDirName, file))
+		_ = s.remove(path)
 	}()
 }
 
@@ -319,35 +331,10 @@ func (w *writeBehind) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// appendSync appends framed bytes to the WAL and fsyncs. An append that
-// fails — a short write on a full disk, or a failed fsync — is cut off
-// again, back to the last committed record, and that is made durable:
-// replay stops at the first bad frame, so a torn frame left in place would
-// hide every record appended behind it. If the WAL cannot be cut back,
-// the store fails closed: every later Put and Delete fails. Called with
-// mu held.
-func (s *DiskStore) appendSync(framed []byte) error {
-	if s.broken != nil {
-		return fmt.Errorf("server: WAL failed closed: %w", s.broken)
-	}
-	_, err := s.wal.Write(framed)
-	if err == nil {
-		if err = s.wal.Sync(); err == nil {
-			s.walSize += int64(len(framed))
-			return nil
-		}
-	}
-	if terr := s.wal.Truncate(s.walSize); terr != nil {
-		s.broken = terr
-	} else if serr := s.wal.Sync(); serr != nil {
-		s.broken = serr
-	}
-	return fmt.Errorf("server: append WAL: %w", err)
-}
-
 // Get implements SessionStore: the key file mapped, and checked against
-// the length and CRC-32 the WAL committed for it — silent corruption must
-// not become a poisoned session.
+// the length and CRC-32 its trailer records — silent corruption must not
+// become a poisoned session. The file is opened under the lock, so a
+// commit that renames it out meanwhile does not take it away.
 func (s *DiskStore) Get(clientID string) (*StoredKey, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -355,11 +342,15 @@ func (s *DiskStore) Get(clientID string) (*StoredKey, error) {
 		return nil, ErrStoreClosed
 	}
 	e, ok := s.entries[clientID]
+	var f *os.File
+	var err error
+	if ok {
+		f, err = os.Open(filepath.Join(s.dir, keysDirName, e.file))
+	}
 	s.mu.Unlock()
 	if !ok {
 		return nil, ErrNotPersisted
 	}
-	f, err := os.Open(filepath.Join(s.dir, keysDirName, e.file))
 	if err != nil {
 		return nil, fmt.Errorf("server: read persisted key for %q: %w", clientID, err)
 	}
@@ -368,7 +359,7 @@ func (s *DiskStore) Get(clientID string) (*StoredKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: read persisted key for %q: %w", clientID, err)
 	}
-	if fi.Size() != e.keyBytes {
+	if fi.Size() != e.size {
 		return nil, errChecksum(clientID, fi.Size())
 	}
 	key, err := mapKey(f, e.keyBytes)
@@ -382,15 +373,15 @@ func (s *DiskStore) Get(clientID string) (*StoredKey, error) {
 	return key, nil
 }
 
-// errChecksum reports a key file that no longer matches its WAL record.
+// errChecksum reports a key file that no longer matches its trailer.
 func errChecksum(clientID string, n int64) error {
 	return fmt.Errorf("server: persisted key for %q fails its checksum (%d bytes)", clientID, n)
 }
 
-// Delete implements SessionStore: the tombstone record commits the
-// delete; file removal after it is best-effort cleanup, handed to the
-// background (removeBehind), and a crash before it is done leaves an
-// orphan for the next open's GC.
+// Delete implements SessionStore: renaming the client's key file out of
+// keys/ and syncing the directory commits the delete; the file's removal
+// after it is handed to the background (removeBehind), and a crash before
+// it is done leaves the file in gone/ for the next open.
 func (s *DiskStore) Delete(clientID string) (bool, error) {
 	var stale string
 	defer func() { s.removeBehind(stale) }() // deferred first, so it runs after the unlock
@@ -403,16 +394,16 @@ func (s *DiskStore) Delete(clientID string) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	s.seq++
-	framed, err := appendWALRecord(nil, walRecord{Op: walOpDelete, Seq: s.seq, ClientID: clientID})
-	if err != nil {
-		return false, err
-	}
-	if err := s.appendSync(framed); err != nil {
-		return false, err
+	keysDir, gone := filepath.Join(s.dir, keysDirName), filepath.Join(s.dir, goneDirName, e.file)
+	if err := s.rename(filepath.Join(keysDir, e.file), gone); err != nil {
+		return false, fmt.Errorf("server: delete key of %q: %w", clientID, err)
 	}
 	delete(s.entries, clientID)
-	stale = s.handOff(e.file)
+	s.removing.Add(1)
+	stale = gone
+	if err := s.syncDir(keysDir); err != nil {
+		return true, fmt.Errorf("server: sync key dir: %w", err)
+	}
 	return true, nil
 }
 
@@ -424,63 +415,19 @@ func (s *DiskStore) List() []StoreEntry {
 	for id, e := range s.entries {
 		entries = append(entries, StoreEntry{ClientID: id, Params: e.params, KeyBytes: e.keyBytes})
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ClientID < entries[j].ClientID })
+	slices.SortFunc(entries, func(a, b StoreEntry) int { return strings.Compare(a.ClientID, b.ClientID) })
 	return entries
 }
 
-// Close implements SessionStore: a final fsync, then the WAL handle is
-// released, and Close returns once the key-file removals handed off before
-// it are done. The directory can be re-opened by a later OpenDiskStore.
+// Close implements SessionStore: every commit is durable already, so
+// Close only returns once the key-file removals handed off before it are
+// done. The directory can be re-opened by a later OpenDiskStore.
 func (s *DiskStore) Close() error {
-	defer s.removing.Wait() // after the unlock below: removals take no lock
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
 	s.closed = true
-	if err := s.wal.Sync(); err != nil {
-		s.wal.Close()
-		return fmt.Errorf("server: sync WAL on close: %w", err)
-	}
-	return s.wal.Close()
-}
-
-// writeTempSync creates a temp file in dir, lets write fill it, fsyncs and
-// closes it, and returns its name for the caller to rename into place.
-// On failure the file is removed.
-func writeTempSync(dir string, write func(f *os.File) error) (name string, err error) {
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return "", err
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err := write(tmp); err != nil {
-		return "", err
-	}
-	if err := tmp.Sync(); err != nil {
-		return "", err
-	}
-	return tmp.Name(), tmp.Close()
-}
-
-// writeFileSync writes data to path atomically: temp file in the same
-// directory, fsync, rename. Readers never observe a half-written file.
-func writeFileSync(path string, data []byte) error {
-	tmp, err := writeTempSync(filepath.Dir(path), func(f *os.File) error {
-		_, err := f.Write(data)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp)
-	return os.Rename(tmp, path)
+	s.mu.Unlock()
+	s.removing.Wait()
+	return nil
 }
 
 // syncDir fsyncs a directory so completed renames inside it are durable.
@@ -491,4 +438,84 @@ func syncDir(dir string) error {
 	}
 	defer d.Close()
 	return d.Sync()
+}
+
+// keyTrailer is what a key file records after the key's bytes: whose key
+// it is, and what to check the key against. On disk, little-endian:
+//
+//	trailer := body | len(body) u32 | crc32(body) u32 | magic u32 ("SKTR")
+//	body    := keyBytes u64 | keyCRC u32 | idLen u16 | id | paramsLen u8 | params
+//
+// The trailer is read from the end of the file, so a torn or foreign
+// tail fails the magic, the length or the CRC. The key's bytes are the
+// keyBytes bytes before it, and the file holds nothing else.
+type keyTrailer struct {
+	clientID string
+	params   string
+	keyBytes int64
+	keyCRC   uint32
+}
+
+const (
+	// trailerMagic ends every key file ("SKTR", little-endian).
+	trailerMagic uint32 = 0x52544B53
+	// trailerFooter is the length, CRC and magic after the body.
+	trailerFooter = 12
+	// maxTrailerBody bounds a trailer body: a client ID of at most
+	// MaxClientIDBytes and a parameter-set name of at most 255 bytes.
+	maxTrailerBody = 8 + 4 + 2 + MaxClientIDBytes + 1 + 255
+)
+
+// errBadTrailer reports a key file whose trailer fails its checks.
+var errBadTrailer = errors.New("server: key file has no valid trailer")
+
+// appendKeyTrailer appends the encoding of t.
+func appendKeyTrailer(dst []byte, t keyTrailer) ([]byte, error) {
+	if t.clientID == "" || len(t.clientID) > MaxClientIDBytes || len(t.params) > 255 || t.keyBytes < 0 {
+		return nil, fmt.Errorf("server: key trailer out of bounds (id %d bytes, params %d bytes, key %d bytes)",
+			len(t.clientID), len(t.params), t.keyBytes)
+	}
+	body := binary.LittleEndian.AppendUint64(nil, uint64(t.keyBytes))
+	body = binary.LittleEndian.AppendUint32(body, t.keyCRC)
+	body = binary.LittleEndian.AppendUint16(body, uint16(len(t.clientID)))
+	body = append(append(body, t.clientID...), byte(len(t.params)))
+	body = append(body, t.params...)
+	dst = append(dst, body...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
+	return binary.LittleEndian.AppendUint32(dst, trailerMagic), nil
+}
+
+// readKeyTrailer reads the trailer of a size-byte key file. It reads the
+// footer, then a body of at most maxTrailerBody bytes: the bytes come
+// from disk, so no length in them decides more than that.
+func readKeyTrailer(f io.ReaderAt, size int64) (keyTrailer, error) {
+	var foot [trailerFooter]byte
+	if size < trailerFooter {
+		return keyTrailer{}, errBadTrailer
+	}
+	if _, err := f.ReadAt(foot[:], size-trailerFooter); err != nil {
+		return keyTrailer{}, err
+	}
+	n := int64(binary.LittleEndian.Uint32(foot[:]))
+	if binary.LittleEndian.Uint32(foot[8:]) != trailerMagic || n < 15 || n > maxTrailerBody || n > size-trailerFooter {
+		return keyTrailer{}, errBadTrailer
+	}
+	body := make([]byte, n)
+	if _, err := f.ReadAt(body, size-trailerFooter-n); err != nil {
+		return keyTrailer{}, err
+	}
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(foot[4:]) {
+		return keyTrailer{}, errBadTrailer
+	}
+	t := keyTrailer{keyBytes: int64(binary.LittleEndian.Uint64(body)), keyCRC: binary.LittleEndian.Uint32(body[8:])}
+	id, rest := int(binary.LittleEndian.Uint16(body[12:])), body[14:]
+	if id == 0 || id > MaxClientIDBytes || len(rest) < id+1 || len(rest) != id+1+int(rest[id]) {
+		return keyTrailer{}, errBadTrailer
+	}
+	t.clientID, t.params = string(rest[:id]), string(rest[id+1:])
+	if t.keyBytes != size-trailerFooter-n {
+		return keyTrailer{}, errBadTrailer
+	}
+	return t, nil
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -183,9 +185,9 @@ func TestDiskStoreReopen(t *testing.T) {
 // TestDiskStorePutAcrossWriteBackWindows streams a key of a few MB that
 // crosses several write-back windows and ends inside one, in writes that
 // straddle the window edges: it reads back byte for byte, before and after
-// a reopen, under the CRC-32 the WAL recorded. A fill that fails after
-// 2 MB, with write-back already started on the temp file, leaves no temp
-// file and no WAL record.
+// a reopen, under the CRC-32 its trailer recorded. A fill that fails
+// after 2 MB, with write-back already started on the temp file, leaves no
+// temp file and no key file.
 func TestDiskStorePutAcrossWriteBackWindows(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenDiskStore(dir)
@@ -221,35 +223,19 @@ func TestDiskStorePutAcrossWriteBackWindows(t *testing.T) {
 			wb.written, wb.started, len(payload), 3*writeBackWindow)
 	}
 	if got, want := s.entries["big"].keyCRC, crc32.ChecksumIEEE(payload); got != want {
-		t.Errorf("WAL recorded CRC-32 %#x, want %#x", got, want)
+		t.Errorf("trailer recorded CRC-32 %#x, want %#x", got, want)
 	}
 	if got, err := getBlob(s, "big"); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read back %d bytes (error %v), want the %d written", len(got), err, len(payload))
 	}
 
-	walPath := filepath.Join(dir, walFileName)
-	walBefore, err := os.Stat(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	failed := errors.New("upload cut")
 	_, err = s.Put("cut", int64(len(payload)), io.MultiReader(bytes.NewReader(payload[:2<<20]), iotest.ErrReader(failed)), acceptBlob)
 	if !errors.Is(err, failed) {
 		t.Fatalf("Put with a failing fill: %v, want %v", err, failed)
 	}
-	names, err := os.ReadDir(filepath.Join(dir, keysDirName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 || filepath.Ext(names[0].Name()) != ".key" {
-		var ls []string
-		for _, de := range names {
-			ls = append(ls, de.Name())
-		}
-		t.Errorf("keys/ after a failed Put has %v, want only the committed .key", ls)
-	}
-	if walAfter, err := os.Stat(walPath); err != nil || walAfter.Size() != walBefore.Size() {
-		t.Errorf("WAL grew from %d bytes across a failed Put (%v)", walBefore.Size(), err)
+	if names := keyFiles(t, dir); len(names) != 1 || names[0] != s.entries["big"].file {
+		t.Errorf("keys/ after a failed Put has %v, want only the committed %s", names, s.entries["big"].file)
 	}
 
 	if err := s.Close(); err != nil {
@@ -262,81 +248,16 @@ func TestDiskStorePutAcrossWriteBackWindows(t *testing.T) {
 		t.Errorf("reopened store lists %v, want only big", ids)
 	}
 	if got, want := s.entries["big"].keyCRC, crc32.ChecksumIEEE(payload); got != want {
-		t.Errorf("replayed WAL holds CRC-32 %#x, want %#x", got, want)
+		t.Errorf("reopened trailer holds CRC-32 %#x, want %#x", got, want)
 	}
 	if got, err := getBlob(s, "big"); err != nil || !bytes.Equal(got, payload) {
 		t.Errorf("reopened store read back %d bytes (error %v), want the %d written", len(got), err, len(payload))
 	}
 }
 
-// TestDiskStoreTornWALTail simulates a crash mid-append: extra garbage
-// and a half-written record after the last commit must be truncated on
-// open, and every fully committed session must survive.
-func TestDiskStoreTornWALTail(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := putBlob(s, "alice", storeBlob(1, 40)); err != nil {
-		t.Fatal(err)
-	}
-	if err := putBlob(s, "bob", storeBlob(2, 40)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	walPath := filepath.Join(dir, walFileName)
-	clean, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Torn tail: the first half of what would have been a third record.
-	torn := append(bytes.Clone(clean), 0x11, 0x22, 0x33, 0x44, 0x30, 0x00)
-	if err := os.WriteFile(walPath, torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := OpenDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []string{"alice", "bob"} {
-		if _, err := getBlob(r, id); err != nil {
-			t.Errorf("session %s lost to a torn tail: %v", id, err)
-		}
-	}
-	// The tail must be gone from disk, so the next append lands on a
-	// record boundary.
-	repaired, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(repaired, clean) {
-		t.Errorf("WAL after repair is %d bytes, want the clean %d", len(repaired), len(clean))
-	}
-	// And the store must keep working after the repair.
-	if err := putBlob(r, "carol", storeBlob(3, 40)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := OpenDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	if _, err := getBlob(r2, "carol"); err != nil {
-		t.Errorf("post-repair registration lost: %v", err)
-	}
-}
-
 // TestDiskStoreCorruptKeyFile proves Get detects silent key-file
-// corruption via the WAL's recorded CRC instead of restoring a poisoned
-// session.
+// corruption via the CRC its trailer recorded instead of restoring a
+// poisoned session.
 func TestDiskStoreCorruptKeyFile(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenDiskStore(dir)
@@ -371,8 +292,8 @@ func TestDiskStoreCorruptKeyFile(t *testing.T) {
 	}
 }
 
-// TestDiskStoreMissingKeyFile proves a committed record whose key file
-// vanished is dropped on open (re-register beats restore-that-errors).
+// TestDiskStoreMissingKeyFile proves a session whose key file vanished
+// is unknown after a reopen (re-register beats restore-that-errors).
 func TestDiskStoreMissingKeyFile(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenDiskStore(dir)
@@ -406,9 +327,10 @@ func TestDiskStoreMissingKeyFile(t *testing.T) {
 }
 
 // TestDiskStoreOrphanGC proves unreferenced files in keys/ are collected
-// on open: the orphan a crashed put leaves, and the .params sidecar older
-// versions of the store kept beside a live key. Such a directory still
-// opens, and its sessions list and restore from the WAL record alone.
+// on open: a key file whose trailer is not one, and the .params sidecar
+// older versions of the store kept beside a live key. Such a directory
+// still opens, and its sessions list and restore from their key files'
+// trailers alone.
 func TestDiskStoreOrphanGC(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenDiskStore(dir)
@@ -602,7 +524,8 @@ func TestCopyWindowsWritesWholeWindows(t *testing.T) {
 // BenchmarkDiskStorePut re-registers one client's set-I-sized key into a
 // DiskStore, read from a stream without a WriteTo as an HTTP upload is, so
 // every iteration after the first supersedes the file of the one before:
-// temp write, fsync, rename, directory sync, WAL append. Reports ms/op.
+// temp write, fsync, trailer and its fsync, rename, directory sync.
+// Reports ms/op.
 func BenchmarkDiskStorePut(b *testing.B) {
 	s, err := OpenDiskStore(b.TempDir())
 	if err != nil {
@@ -625,4 +548,275 @@ func BenchmarkDiskStorePut(b *testing.B) {
 		key.Release()
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+}
+
+// keyFileImage returns a key file of id's blob as Put leaves it: the
+// blob, then its trailer.
+func keyFileImage(t *testing.T, id string, blob []byte) []byte {
+	t.Helper()
+	data, err := appendKeyTrailer(bytes.Clone(blob), keyTrailer{
+		clientID: id, params: tfhe.ParamsTest.Name,
+		keyBytes: int64(len(blob)), keyCRC: crc32.ChecksumIEEE(blob),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// trailerOf reads the trailer of a key file image.
+func trailerOf(data []byte) (keyTrailer, error) {
+	return readKeyTrailer(bytes.NewReader(data), int64(len(data)))
+}
+
+// framedTrailer returns the bytes before a trailer body, the body, and
+// the footer over it, with a valid length, CRC and magic.
+func framedTrailer(head, body []byte) []byte {
+	data := append(bytes.Clone(head), body...)
+	data = binary.LittleEndian.AppendUint32(data, uint32(len(body)))
+	data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(body))
+	return binary.LittleEndian.AppendUint32(data, trailerMagic)
+}
+
+// TestKeyTrailerRoundTrip pins encode → read over the full field set, an
+// empty key and an ID of the maximum length included.
+func TestKeyTrailerRoundTrip(t *testing.T) {
+	for _, want := range []keyTrailer{
+		{clientID: "alice", params: "I", keyBytes: 100, keyCRC: 0xdeadbeef},
+		{clientID: "b", keyBytes: 0, keyCRC: 7},
+		{clientID: strings.Repeat("x", MaxClientIDBytes), params: strings.Repeat("p", 255), keyBytes: 3, keyCRC: 1},
+	} {
+		data, err := appendKeyTrailer(make([]byte, want.keyBytes), want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := trailerOf(data); err != nil || got != want {
+			t.Errorf("read %+v (error %v), want %+v", got, err, want)
+		}
+	}
+}
+
+// TestKeyTrailerTorn reads every truncation of a key file: none has a
+// trailer, whether the cut falls in the key or in the trailer.
+func TestKeyTrailerTorn(t *testing.T) {
+	data := keyFileImage(t, "alice", storeBlob(1, 40))
+	for cut := range len(data) {
+		if got, err := trailerOf(data[:cut]); err == nil {
+			t.Fatalf("cut at %d of %d: read %+v", cut, len(data), got)
+		}
+	}
+}
+
+// TestKeyTrailerBitFlip flips each bit of a trailer in turn: the body's
+// CRC, its length or the magic refuses every one.
+func TestKeyTrailerBitFlip(t *testing.T) {
+	blob := storeBlob(1, 40)
+	data := keyFileImage(t, "alice", blob)
+	for off := len(blob); off < len(data); off++ {
+		for bit := range 8 {
+			flipped := bytes.Clone(data)
+			flipped[off] ^= 1 << bit
+			if got, err := trailerOf(flipped); err == nil {
+				t.Fatalf("flip of bit %d at %d: read %+v", bit, off, got)
+			}
+		}
+	}
+}
+
+// readCounter is an io.ReaderAt over b that counts the bytes asked of it.
+type readCounter struct {
+	b    []byte
+	read int
+}
+
+// ReadAt implements io.ReaderAt.
+func (r *readCounter) ReadAt(p []byte, off int64) (int, error) {
+	r.read += len(p)
+	return bytes.NewReader(r.b).ReadAt(p, off)
+}
+
+// TestKeyTrailerHostileLength: a footer whose length field claims 4 GB
+// drives neither a giant read nor a panic.
+func TestKeyTrailerHostileLength(t *testing.T) {
+	data := keyFileImage(t, "alice", storeBlob(1, 40))
+	binary.LittleEndian.PutUint32(data[len(data)-trailerFooter:], 0xffffffff)
+	r := &readCounter{b: data}
+	if got, err := readKeyTrailer(r, int64(len(data))); err == nil {
+		t.Fatalf("read %+v", got)
+	}
+	if r.read > trailerFooter {
+		t.Errorf("read %d bytes for a trailer whose length is out of bounds", r.read)
+	}
+}
+
+// TestKeyTrailerRejectsMalformedBodies: bodies under a valid footer and
+// CRC whose fields do not fit are refused.
+func TestKeyTrailerRejectsMalformedBodies(t *testing.T) {
+	key := storeBlob(1, 10)
+	body := func(keyBytes uint64, id string, idLen uint16, params string, extra ...byte) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, keyBytes)
+		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(key))
+		b = binary.LittleEndian.AppendUint16(b, idLen)
+		b = append(append(b, id...), byte(len(params)))
+		return append(append(b, params...), extra...)
+	}
+	long := strings.Repeat("x", MaxClientIDBytes+1)
+	for name, b := range map[string][]byte{
+		"empty id":          body(10, "", 0, "test"),
+		"id over the bound": body(10, long, uint16(len(long)), "test"),
+		"id past the body":  body(10, "alice", 200, "test"),
+		"params past body":  body(10, "alice", 5, "test")[:23],
+		"trailing byte":     body(10, "alice", 5, "test", 0),
+		"key longer":        body(11, "alice", 5, "test"),
+		"key shorter":       body(9, "alice", 5, "test"),
+		"negative key":      body(1<<63, "alice", 5, "test"),
+		"short body":        body(10, "alice", 5, "test")[:14],
+	} {
+		if got, err := trailerOf(framedTrailer(key, b)); err == nil {
+			t.Errorf("%s: read %+v", name, got)
+		}
+	}
+	if _, err := trailerOf(framedTrailer(key, body(10, "alice", 5, "test"))); err != nil {
+		t.Errorf("the well-formed body the cases mutate: %v", err)
+	}
+}
+
+// TestKeyTrailerFieldBounds: fields a trailer cannot hold are refused at
+// encode time.
+func TestKeyTrailerFieldBounds(t *testing.T) {
+	for name, tr := range map[string]keyTrailer{
+		"empty id":         {params: "test"},
+		"over-long id":     {clientID: strings.Repeat("x", MaxClientIDBytes+1)},
+		"over-long params": {clientID: "x", params: strings.Repeat("p", 256)},
+		"negative key":     {clientID: "x", keyBytes: -1},
+	} {
+		if _, err := appendKeyTrailer(nil, tr); err == nil {
+			t.Errorf("%s: encoded", name)
+		}
+	}
+}
+
+// TestDiskStoreCrashStates reopens the directory a crash leaves at each
+// step boundary of a fresh Put of alice, a replacing Put of alice (whose
+// key was s00000001.key) and a Delete of alice, beside bob's untouched
+// key. Each must open to the store as it was before the operation or
+// after it: bob and alice's acknowledged key read back, no older file
+// brings a deleted alice back, keys/ holds the live key files alone and
+// gone/ nothing; and a Put after the reopen commits over it. A directory
+// holding the write-ahead log of the store's earlier format is refused
+// with an error naming it, and left as it was.
+func TestDiskStoreCrashStates(t *testing.T) {
+	old, cur, bob := storeBlob(1, 64), storeBlob(2, 64), storeBlob(3, 64)
+	const bobFile = "s00000009.key"
+	torn := func(t *testing.T, b []byte) []byte { return b[:len(b)-trailerFooter/2] }
+	badCRC := func(t *testing.T, b []byte) []byte {
+		b[len(b)-trailerFooter-1] ^= 1 // the last body byte: the trailer's CRC fails
+		return b
+	}
+	type file struct {
+		path  string // relative to the store directory
+		blob  []byte // alice's key, or bob's in bobFile
+		spoil func(*testing.T, []byte) []byte
+	}
+	for _, c := range []struct {
+		name  string
+		files []file
+		live  string // alice's key file after the reopen, "" for none
+		alice []byte
+	}{
+		{"put: the temp file, its trailer torn", []file{{"keys/.tmp-1", cur, torn}}, "", nil},
+		{"put: the temp file", []file{{"keys/.tmp-1", cur, nil}}, "", nil},
+		{"put: renamed in", []file{{"keys/s00000002.key", cur, nil}}, "s00000002.key", cur},
+		{"put: a trailer that fails its CRC", []file{{"keys/s00000002.key", cur, badCRC}}, "", nil},
+		{"replace: the temp file", []file{{"keys/s00000001.key", old, nil}, {"keys/.tmp-1", cur, nil}}, "s00000001.key", old},
+		{"replace: renamed in, the old file still a key", []file{{"keys/s00000001.key", old, nil}, {"keys/s00000002.key", cur, nil}}, "s00000002.key", cur},
+		{"replace: the old file renamed out", []file{{"gone/s00000001.key", old, nil}, {"keys/s00000002.key", cur, nil}}, "s00000002.key", cur},
+		{"replace: a trailer that fails its CRC", []file{{"keys/s00000001.key", old, nil}, {"keys/s00000002.key", cur, badCRC}}, "s00000001.key", old},
+		{"delete: renamed out", []file{{"gone/s00000001.key", old, nil}, {"gone/s00000002.key", cur, nil}}, "", nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for _, d := range []string{keysDirName, goneDirName} {
+				if err := os.Mkdir(filepath.Join(dir, d), 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+			files := append(c.files, file{"keys/" + bobFile, bob, nil})
+			for _, f := range files {
+				id := "alice"
+				if f.path == "keys/"+bobFile {
+					id = "bob"
+				}
+				data := keyFileImage(t, id, f.blob)
+				if f.spoil != nil {
+					data = f.spoil(t, data)
+				}
+				if err := os.WriteFile(filepath.Join(dir, f.path), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(s *DiskStore, want map[string][]byte) {
+				t.Helper()
+				for _, id := range []string{"alice", "bob", "carol"} {
+					got, err := getBlob(s, id)
+					switch {
+					case want[id] == nil && !errors.Is(err, ErrNotPersisted):
+						t.Errorf("%s: %v, want ErrNotPersisted", id, err)
+					case want[id] != nil && (err != nil || !bytes.Equal(got, want[id])):
+						t.Errorf("%s reads back %d bytes (error %v), want the %d of its acknowledged key", id, len(got), err, len(want[id]))
+					}
+				}
+				if gone, err := os.ReadDir(filepath.Join(dir, goneDirName)); err != nil || len(gone) != 0 {
+					t.Errorf("gone/ holds %d files (%v) after the reopen", len(gone), err)
+				}
+			}
+			s, err := OpenDiskStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string][]byte{"alice": c.alice, "bob": bob}
+			check(s, want)
+			live := []string{bobFile}
+			if c.live != "" {
+				live = append(live, c.live)
+			}
+			slices.Sort(live)
+			if got := keyFiles(t, dir); !slices.Equal(got, live) {
+				t.Errorf("keys/ holds %v after the reopen, want %v", got, live)
+			}
+			if err := putBlob(s, "carol", cur); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if s, err = OpenDiskStore(dir); err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			want["carol"] = cur
+			check(s, want)
+		})
+	}
+
+	t.Run("the earlier format's write-ahead log", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := os.Mkdir(filepath.Join(dir, keysDirName), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range map[string][]byte{oldLogName: []byte("SWAL\x01\x00\x00\x00"), "keys/s00000001.key": old} {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s, err := OpenDiskStore(dir); err == nil || !strings.Contains(err.Error(), filepath.Join(dir, oldLogName)) {
+			if s != nil {
+				s.Close()
+			}
+			t.Fatalf("OpenDiskStore over an earlier format: %v, want an error naming its log", err)
+		}
+		if got := keyFiles(t, dir); !slices.Equal(got, []string{"s00000001.key"}) {
+			t.Errorf("the refused directory's keys/ holds %v, want its key file untouched", got)
+		}
+	})
 }

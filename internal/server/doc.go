@@ -32,11 +32,13 @@
 // re-upload. A stored key's bytes are the session's key: its slabs are
 // views of them (wire.ViewEvalKey), held by reference (StoredKey) by the
 // warm tier and by each request in flight, so a session holds its key
-// once. DiskStore pairs CRC-checked key files, mapped read-only as
-// sessions' keys, with an append-only WAL (fsync-ordered so a record
-// never points at missing bytes) and replays the longest valid prefix on
-// open, truncating torn tails. Drain flips the server to
-// draining — new work refused with ErrShuttingDown, in-flight requests
+// once. DiskStore keeps one file per key, mapped read-only as the
+// session's key, and the file is its own commit record: a trailer under
+// its own CRC-32 names the client and records the key's length and CRC,
+// and the file is renamed to its s<seq>.key name, and the directory
+// synced, only once key and trailer are durable. Open keeps each client's
+// newest key file and removes every other name. Drain flips the server
+// to draining — new work refused with ErrShuttingDown, in-flight requests
 // run to completion — then closes the store; the healthz endpoint goes
 // not-ready at the flip.
 //

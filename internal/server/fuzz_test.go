@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -118,4 +119,37 @@ func evalFuzzSeeds() [][]byte {
 		headerFrame(`{"kind":"gate","op":"NOT","unknown_field":1}`),
 		headerFrame(`not json at all`),
 	}
+}
+
+// FuzzKeyTrailer pins the key-file trailer decoder's contract. Its bytes
+// come from disk, so on any file image it never panics and asks for no
+// more than the footer and one body of at most maxTrailerBody bytes, and
+// a trailer it accepts re-encodes to exactly the file's bytes after the
+// key. The committed corpus under testdata/fuzz holds a torn trailer, a
+// bit-flipped one, one whose ID is over-long under a valid CRC, and an
+// empty file.
+func FuzzKeyTrailer(f *testing.F) {
+	blob := []byte("key bytes")
+	data, err := appendKeyTrailer(bytes.Clone(blob), keyTrailer{clientID: "alice", params: "I", keyBytes: int64(len(blob)), keyCRC: crc32.ChecksumIEEE(blob)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := &readCounter{b: data}
+		tr, err := readKeyTrailer(r, int64(len(data)))
+		if r.read > trailerFooter+maxTrailerBody {
+			t.Fatalf("read %d bytes, over the footer and the largest body", r.read)
+		}
+		if err != nil {
+			return
+		}
+		again, err := appendKeyTrailer(nil, tr)
+		if err != nil {
+			t.Fatalf("accepted trailer %+v does not re-encode: %v", tr, err)
+		}
+		if tr.keyBytes+int64(len(again)) != int64(len(data)) || !bytes.Equal(data[tr.keyBytes:], again) {
+			t.Fatalf("accepted trailer %+v re-encodes to other bytes than the file's", tr)
+		}
+	})
 }

@@ -179,7 +179,7 @@ func (s *Server) handleRegisterKey(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := &touchReader{r: r.Body}
-	p, err := s.registerFrom(r.PathValue("client_id"), size, body)
+	p, err := s.register(r.PathValue("client_id"), size, body, nil)
 	if err != nil {
 		if body.touched {
 			// The peer is still sending. Answering now would close the

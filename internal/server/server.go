@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,9 +66,9 @@ const (
 	queueTimeout = time.Minute
 )
 
-// MaxClientIDBytes bounds a client ID. IDs are keys in the session map,
-// the WAL, and on-disk manifests; a megabyte "ID" is hostile input, not
-// a name.
+// MaxClientIDBytes bounds a client ID. IDs are keys in the session map
+// and are recorded in each key file's trailer; a megabyte "ID" is hostile
+// input, not a name.
 const MaxClientIDBytes = 256
 
 // Service errors. ErrUnknownSession means no session — warm or persisted
@@ -132,9 +134,6 @@ func Open(cfg Config) (*Server, error) {
 	cfg.DataDir = ""
 	return New(cfg), nil
 }
-
-// Store returns the durable tier, or nil when running without one.
-func (s *Server) Store() SessionStore { return s.store }
 
 // begin admits one request unless the server is draining; every admitted
 // request must call end. The read lock pairs with Drain's write lock so
@@ -219,15 +218,7 @@ func (s *Server) RegisterKey(clientID string, ek tfhe.EvaluationKeys) error {
 // RegisterKeyEncoded registers a wire-encoded evaluation key. Returns the
 // decoded parameter set for the acknowledgment.
 func (s *Server) RegisterKeyEncoded(clientID string, blob []byte) (tfhe.Params, error) {
-	return s.registerFrom(clientID, int64(len(blob)), bytes.NewReader(blob))
-}
-
-// registerFrom registers the size-byte wire encoding that body yields,
-// without ever holding it but where the session will use it: in the
-// store, or in memory read straight from the stream. It is the path of
-// the HTTP upload.
-func (s *Server) registerFrom(clientID string, size int64, body io.Reader) (tfhe.Params, error) {
-	return s.register(clientID, size, body, nil)
+	return s.register(clientID, int64(len(blob)), bytes.NewReader(blob), nil)
 }
 
 // upload is the body of a key registration: the size bytes its sender
@@ -268,6 +259,9 @@ func (u *upload) Read(p []byte) (int, error) {
 // and only then make the session visible. ek, when the caller holds the
 // keys already, is what a storeless session computes on. Nothing changes
 // unless every step succeeds: the ID's previous session keeps serving.
+// Without ek, the key is never held but where the session will use it:
+// in the store, or in memory read straight from the stream (the path of
+// the HTTP upload).
 func (s *Server) register(clientID string, size int64, body io.Reader, ek *tfhe.EvaluationKeys) (tfhe.Params, error) {
 	if err := s.begin(); err != nil {
 		return tfhe.Params{}, err
@@ -285,8 +279,9 @@ func (s *Server) register(clientID string, size int64, body io.Reader, ek *tfhe.
 	var stored *StoredKey
 	switch {
 	case s.store != nil:
-		// Durable-first: the WAL record commits before the session is
-		// visible, so no acknowledged registration can be lost.
+		// Durable-first: the key file's rename commits before the
+		// session is visible, so no acknowledged registration can be
+		// lost.
 		var viewErr error
 		stored, err = s.store.Put(clientID, size, src, func(b []byte) (tfhe.Params, error) {
 			keys, viewErr = wire.ViewEvalKey(b)
@@ -532,17 +527,8 @@ func (s *Server) SessionList() []SessionInfo {
 	for _, pe := range persisted {
 		cold = append(cold, SessionInfo{ID: pe.ClientID, Params: pe.Params, KeyBytes: pe.KeyBytes, Persisted: true})
 	}
-	sortSessionInfos(cold)
+	slices.SortFunc(cold, func(a, b SessionInfo) int { return strings.Compare(a.ID, b.ID) })
 	return append(infos, cold...)
-}
-
-// sortSessionInfos orders rows by ID.
-func sortSessionInfos(infos []SessionInfo) {
-	for i := 1; i < len(infos); i++ {
-		for j := i; j > 0 && infos[j].ID < infos[j-1].ID; j-- {
-			infos[j], infos[j-1] = infos[j-1], infos[j]
-		}
-	}
 }
 
 // Restores returns how many sessions were rebuilt from the durable tier.

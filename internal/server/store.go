@@ -4,7 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/tfhe"
@@ -148,7 +149,7 @@ func (m *MemStore) List() []StoreEntry {
 	for id, e := range m.blobs {
 		entries = append(entries, StoreEntry{ClientID: id, Params: e.params, KeyBytes: int64(len(e.blob))})
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ClientID < entries[j].ClientID })
+	slices.SortFunc(entries, func(a, b StoreEntry) int { return strings.Compare(a.ClientID, b.ClientID) })
 	return entries
 }
 

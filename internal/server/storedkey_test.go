@@ -134,14 +134,15 @@ func TestLiveMappingsFollowWarmTier(t *testing.T) {
 func TestDiskStoreCloseWithWarmMappedSession(t *testing.T) {
 	sk, ek := testKeys(t, 1)
 	base := liveMaps.Load()
-	srv, err := Open(Config{DataDir: t.TempDir()})
+	store, err := OpenDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := New(Config{Store: store})
 	if err := srv.RegisterKey("a", ek); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Store().Close(); err != nil {
+	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
 	out, err := srv.GateBatch("a", engine.NAND, encryptBools(sk, 1, []bool{true}), encryptBools(sk, 2, []bool{true}))
@@ -156,99 +157,125 @@ func TestDiskStoreCloseWithWarmMappedSession(t *testing.T) {
 	}
 }
 
-// tornWAL is a WAL whose next Write, when tear is set, writes half its
-// frame and fails, as on a full disk, and whose Truncate fails with
-// truncErr when that is set.
-type tornWAL struct {
-	walFile
-	tear     bool
-	truncErr error
-}
-
-func (w *tornWAL) Write(p []byte) (int, error) {
-	if !w.tear {
-		return w.walFile.Write(p)
+// faultFirst makes the first rename (step "rename") or the first
+// directory sync (step "sync") of store fail with an I/O error.
+func faultFirst(store *DiskStore, step string) {
+	failed := false
+	fault := func() error {
+		if failed {
+			return nil
+		}
+		failed = true
+		return errors.New("I/O error")
 	}
-	w.tear = false
-	n, _ := w.walFile.Write(p[:len(p)/2])
-	return n, errors.New("no space left on device")
-}
-
-func (w *tornWAL) Truncate(size int64) error {
-	if w.truncErr != nil {
-		return w.truncErr
+	switch step {
+	case "rename":
+		store.rename = func(from, to string) error {
+			if err := fault(); err != nil {
+				return err
+			}
+			return os.Rename(from, to)
+		}
+	case "sync":
+		store.syncDir = func(dir string) error {
+			if err := fault(); err != nil {
+				return err
+			}
+			return syncDir(dir)
+		}
 	}
-	return w.walFile.Truncate(size)
 }
 
-// TestWALAppendFailureLosesNothing: a WAL append that fails half-written
-// fails its registration, and the registration acknowledged after it
-// survives a reopen, restored bitwise. Replay stops at the first bad
-// frame, so the half frame must not stay in front of it. When the WAL
-// cannot be cut back, the store fails closed instead.
-func TestWALAppendFailureLosesNothing(t *testing.T) {
+// keyFiles lists the names in a DiskStore directory's keys/.
+func keyFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := os.ReadDir(filepath.Join(dir, keysDirName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ls []string
+	for _, de := range names {
+		ls = append(ls, de.Name())
+	}
+	return ls
+}
+
+// TestCommitFailureLosesNothing: a registration whose rename into keys/,
+// or whose directory sync, fails is a store failure and leaves keys/ as
+// it was, and the registration acknowledged after it survives a reopen,
+// restored bitwise, while the failed one is unknown. A delete whose
+// rename fails keeps the key; one whose directory sync fails is reported,
+// and the key is as gone after a reopen as before it.
+func TestCommitFailureLosesNothing(t *testing.T) {
 	skA, ekA := testKeys(t, 1)
 	skB, ekB := testKeys(t, 2)
 	x := encryptBools(skB, 1, []bool{true, false, true})
 	y := encryptBools(skB, 2, []bool{true, true, false})
 
-	dir := t.TempDir()
-	store, err := OpenDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.wal = &tornWAL{walFile: store.wal, tear: true}
-	srv := New(Config{Store: store})
-	if err := srv.RegisterKey("a", ekA); !errors.Is(err, errStoreFailure) {
-		t.Fatalf("registration over a failing WAL append: %v, want a store failure", err)
-	}
-	if err := srv.RegisterKey("b", ekB); err != nil {
-		t.Fatalf("registration after a failed WAL append: %v", err)
-	}
-	pre, err := srv.GateBatch("b", engine.NAND, x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Drain(); err != nil {
-		t.Fatal(err)
+	for _, step := range []string{"rename", "sync"} {
+		t.Run(step, func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := OpenDiskStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			faultFirst(store, step)
+			srv := New(Config{Store: store})
+			if err := srv.RegisterKey("a", ekA); !errors.Is(err, errStoreFailure) {
+				t.Fatalf("registration over a failing %s: %v, want a store failure", step, err)
+			}
+			if got := keyFiles(t, dir); len(got) != 0 {
+				t.Errorf("the failed registration left %v in keys/", got)
+			}
+			if err := srv.RegisterKey("b", ekB); err != nil {
+				t.Fatalf("registration after a failed %s: %v", step, err)
+			}
+			pre, err := srv.GateBatch("b", engine.NAND, x, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Drain(); err != nil {
+				t.Fatal(err)
+			}
+
+			srv, err = Open(Config{DataDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Drain()
+			post, err := srv.GateBatch("b", engine.NAND, x, y)
+			if err != nil {
+				t.Fatalf("the registration acknowledged after the failed %s is lost: %v", step, err)
+			}
+			for i := range pre {
+				if !tfhe.EqualLWE(pre[i], post[i]) {
+					t.Errorf("restored NAND %d differs from the one before the reopen", i)
+				}
+			}
+			if _, err := srv.GateBatch("a", engine.NOT, encryptBools(skA, 3, []bool{true}), nil); !errors.Is(err, ErrUnknownSession) {
+				t.Errorf("the failed registration: %v, want %v", err, ErrUnknownSession)
+			}
+		})
 	}
 
-	srv, err = Open(Config{DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Drain()
-	post, err := srv.GateBatch("b", engine.NAND, x, y)
-	if err != nil {
-		t.Fatalf("the registration acknowledged after the failed append is lost: %v", err)
-	}
-	for i := range pre {
-		if !tfhe.EqualLWE(pre[i], post[i]) {
-			t.Errorf("restored NAND %d differs from the one before the reopen", i)
-		}
-	}
-	if _, err := srv.GateBatch("a", engine.NOT, encryptBools(skA, 3, []bool{true}), nil); !errors.Is(err, ErrUnknownSession) {
-		t.Errorf("the failed registration: %v, want %v", err, ErrUnknownSession)
-	}
-
-	t.Run("cut back fails", func(t *testing.T) {
+	t.Run("delete", func(t *testing.T) {
 		dir := t.TempDir()
 		store, err := OpenDiskStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := putBlob(store, "kept", storeBlob(1, 64)); err != nil {
-			t.Fatal(err)
+		for _, id := range []string{"kept", "gone"} {
+			if err := putBlob(store, id, storeBlob(1, 64)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		store.wal = &tornWAL{walFile: store.wal, tear: true, truncErr: errors.New("I/O error")}
-		if err := putBlob(store, "a", storeBlob(2, 64)); err == nil {
-			t.Fatal("Put over a failing WAL append succeeded")
-		}
-		if err := putBlob(store, "b", storeBlob(3, 64)); err == nil {
-			t.Error("Put after the WAL could not be cut back succeeded")
-		}
+		faultFirst(store, "rename")
 		if _, err := store.Delete("kept"); err == nil {
-			t.Error("Delete after the WAL could not be cut back succeeded")
+			t.Fatal("Delete over a failing rename succeeded")
+		}
+		faultFirst(store, "sync")
+		if ok, err := store.Delete("gone"); !ok || err == nil {
+			t.Errorf("Delete over a failing directory sync = %v, %v; want true and the error", ok, err)
 		}
 		if err := store.Close(); err != nil {
 			t.Fatal(err)
@@ -258,7 +285,7 @@ func TestWALAppendFailureLosesNothing(t *testing.T) {
 		}
 		defer store.Close()
 		if got := store.List(); len(got) != 1 || got[0].ClientID != "kept" {
-			t.Errorf("reopened store lists %+v, want only the key committed before the failure", got)
+			t.Errorf("reopened store lists %+v, want only the key whose delete failed", got)
 		}
 	})
 }
@@ -288,8 +315,8 @@ func TestMemStoreRegisterChecksHeaderFirst(t *testing.T) {
 
 // TestDiskStoreRegisterChecksHeaderFirst: the header-only set IV upload of
 // TestMemStoreRegisterChecksHeaderFirst, into a DiskStore server, buys
-// neither memory (the pooled copy buffer counted) nor a file or record:
-// it leaves no temp file and the WAL as it was.
+// neither memory (the pooled copy buffer counted) nor a file: it leaves
+// keys/ as it was.
 func TestDiskStoreRegisterChecksHeaderFirst(t *testing.T) {
 	dir := t.TempDir()
 	srv, err := Open(Config{DataDir: dir})
@@ -297,21 +324,13 @@ func TestDiskStoreRegisterChecksHeaderFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Drain()
-	walPath := filepath.Join(dir, walFileName)
-	walBefore, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Two collections empty the copy-buffer pool, so the upload's buffer
 	// is allocated inside the measurement.
 	runtime.GC()
 	runtime.GC()
 	headerOnlyUpload(t, srv)
-	if names := tempFiles(t, dir); len(names) != 0 {
-		t.Errorf("a refused upload left temp files %v", names)
-	}
-	if walAfter, err := os.ReadFile(walPath); err != nil || !bytes.Equal(walAfter, walBefore) {
-		t.Errorf("a refused upload changed the WAL from %d to %d bytes (%v)", len(walBefore), len(walAfter), err)
+	if names := keyFiles(t, dir); len(names) != 0 {
+		t.Errorf("a refused upload left %v in keys/", names)
 	}
 }
 
@@ -330,7 +349,7 @@ func headerOnlyUpload(t *testing.T, srv *Server) {
 	size, _ := wire.EvalKeySize(tfhe.ParamsIV)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err = srv.registerFrom("a", size, bytes.NewReader(header))
+	_, err = srv.register("a", size, bytes.NewReader(header), nil)
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "short") {
 		t.Fatalf("a header-only set IV upload: %v, want one refused as short", err)

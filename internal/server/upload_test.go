@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -63,14 +62,15 @@ func within(t *testing.T, what string, do func() error) {
 // body and requires the rest of a disk-backed server to carry on: stats
 // and the session listing (both read the store's manifest) and the
 // restore of another client's session from disk. The store used to hold
-// its lock from the first byte of a key file to the WAL fsync.
+// its lock from the first byte of a key file to its commit.
 func TestStalledUploadBlocksNothing(t *testing.T) {
 	sk, ek := testKeys(t, 1)
 	dir := t.TempDir()
-	srv, err := Open(Config{DataDir: dir, MaxSessions: 1})
+	store, err := OpenDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := New(Config{Store: store, MaxSessions: 1})
 	defer srv.Drain()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -133,7 +133,7 @@ func TestStalledUploadBlocksNothing(t *testing.T) {
 	if err := <-uploaded; err != nil {
 		t.Fatalf("stalled upload, once resumed: %v", err)
 	}
-	if got := len(srv.Store().List()); got != 3 {
+	if got := len(store.List()); got != 3 {
 		t.Errorf("%d sessions persisted after the upload, want 3", got)
 	}
 }
@@ -265,8 +265,7 @@ func TestRegisterKeyRefusesNonFiniteKey(t *testing.T) {
 // contract on both implementations: a key stream that fails, or that
 // yields a different length than declared, and a key that its check
 // refuses (the server's view), store nothing — the ID's previous key stays
-// readable, no temp file is left in keys/, and the WAL does not grow by a
-// byte.
+// readable, and keys/ holds the committed key file and nothing else.
 func TestPutAbortedLeavesPreviousKey(t *testing.T) {
 	dir := t.TempDir()
 	disk, err := OpenDiskStore(dir)
@@ -277,10 +276,6 @@ func TestPutAbortedLeavesPreviousKey(t *testing.T) {
 	for name, s := range map[string]SessionStore{"mem": NewMemStore(), "disk": disk} {
 		first := storeBlob(1, 500)
 		if err := putBlob(s, "alice", first); err != nil {
-			t.Fatal(err)
-		}
-		wal, err := os.Stat(filepath.Join(dir, walFileName))
-		if err != nil {
 			t.Fatal(err)
 		}
 
@@ -308,12 +303,8 @@ func TestPutAbortedLeavesPreviousKey(t *testing.T) {
 		if left := tempFiles(t, dir); len(left) != 0 {
 			t.Errorf("aborted Puts left %v", left)
 		}
-		now, err := os.Stat(filepath.Join(dir, walFileName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if now.Size() != wal.Size() {
-			t.Errorf("aborted Puts grew the WAL from %d to %d bytes", wal.Size(), now.Size())
+		if got, want := keyFiles(t, dir), []string{disk.entries["alice"].file}; !slices.Equal(got, want) {
+			t.Errorf("keys/ after aborted Puts holds %v, want %v", got, want)
 		}
 	}
 }
