@@ -227,6 +227,7 @@ no-retired-ops:
 	@! git grep -nE 'clientIDOf|parseEvalRequest|forwardByBody|EvalKindLUT|"POST /v2/eval"' -- '*.go'
 	@! git grep -nE 'wal''Record|replay''WAL|appendWAL''Record|wal''FileName' -- '*.go'
 	@! git grep -nE '\.(EvalMulti''LUTKS?|BlindRotate''Multi|NewMulti''LUTTestVector|ShiftForMulti''LUT|NewLUT''TestVector|MultiLUT''Batch|MultiLUT''Func|MultiLUT''s?)\(|SpecMulti''LUT' -- '*.go'
+	@! git grep -nE 'Unrolled''Model|New''Chip|arch\.''Chip([^A-Za-z0-9_]|$$)|CircuitBatch''Opts' -- '*.go' README.md docs
 
 # No fused multiply-add in any assembly file: it rounds once where the
 # reference kernels round twice, and fast == ref is bitwise. Nor in what the

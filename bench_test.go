@@ -47,16 +47,14 @@ func BenchmarkFig1WorkloadBreakdown(b *testing.B) {
 // fragmentation equations over the Fig 2 x-axis.
 func BenchmarkFig2GPUFragmentation(b *testing.B) {
 	gpu := baseline.NewGPUModel()
+	bt := gpu.BatchMs["I"]
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		for x := 1; x <= 288; x++ {
-			t, _ := gpu.RunPBS("I", x)
-			sink += t
+			sink += gpu.RunPBS(bt, x)
 		}
 	}
-	s73, _ := gpu.RunPBS("I", 73)
-	s72, _ := gpu.RunPBS("I", 72)
-	b.ReportMetric(s73/s72, "slowdown@73LWE")
+	b.ReportMetric(gpu.RunPBS(bt, 73)/gpu.RunPBS(bt, 72), "slowdown@73LWE")
 	_ = sink
 }
 
@@ -179,28 +177,44 @@ func BenchmarkTable7Sweep(b *testing.B) {
 }
 
 // BenchmarkFig7DeepNN schedules all nine Fig 7 model/degree combinations
-// on the Strix chip model.
+// on the Strix model and on the 20-thread CPU and the GPU baselines, as
+// the registered Fig 7 does.
 func BenchmarkFig7DeepNN(b *testing.B) {
 	models, err := workload.Fig7Models()
 	if err != nil {
 		b.Fatal(err)
 	}
-	var total float64
+	cpu := baseline.NewCPUModel()
+	cpu.Threads = 20
+	gpu := baseline.NewGPUModel()
+	var strixMs, cpuMs, gpuMs float64
 	for i := 0; i < b.N; i++ {
-		total = 0
+		strixMs, cpuMs, gpuMs = 0, 0, 0
 		for _, nn := range models {
-			chip, err := arch.NewChip(arch.DefaultConfig(), nn.Params)
+			m, err := arch.NewModel(arch.DefaultConfig(), nn.Params)
 			if err != nil {
 				b.Fatal(err)
 			}
-			r, err := chip.RunLayers(nn.LayerPBS())
+			r, err := m.RunLayers(nn.LayerPBS())
 			if err != nil {
 				b.Fatal(err)
 			}
-			total += r.Seconds
+			c, err := cpu.RunLayers(nn.Params, nn.LayerPBS())
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, err := gpu.RunLayers(nn.Params, nn.LayerPBS())
+			if err != nil {
+				b.Fatal(err)
+			}
+			strixMs += r.Seconds * 1e3
+			cpuMs += c
+			gpuMs += g
 		}
 	}
-	b.ReportMetric(total*1e3, "ms-all-9")
+	b.ReportMetric(strixMs, "ms-all-9")
+	b.ReportMetric(cpuMs, "cpu-ms-all-9")
+	b.ReportMetric(gpuMs, "gpu-ms-all-9")
 }
 
 // BenchmarkFig8CycleSim runs the cycle-level HSC simulation that produces

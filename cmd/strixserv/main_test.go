@@ -56,6 +56,23 @@ func startServer(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
 	}
 }
 
+// getJSON reads one of the service's JSON routes, GET /v1/stats or GET
+// /v1/sessions, into out; any reply but 200 fails the test.
+func getJSON(t *testing.T, url string, out any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+}
+
 // stopServer SIGTERMs the process and requires a clean drain + exit.
 func stopServer(t *testing.T, cmd *exec.Cmd) {
 	t.Helper()
@@ -106,11 +123,9 @@ func TestRestartPersistence(t *testing.T) {
 	cmd2, addr2 := startServer(t, bin, "-addr", "127.0.0.1:0", "-data", dataDir)
 	cl2 := server.Dial("http://"+addr2, "durable-client")
 
-	infos, err := cl2.Sessions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 1 || infos[0].ID != "durable-client" || !infos[0].Persisted || infos[0].Warm {
+	var list server.SessionsResponse
+	getJSON(t, "http://"+addr2+"/v1/sessions", &list)
+	if infos := list.Sessions; len(infos) != 1 || infos[0].ID != "durable-client" || !infos[0].Persisted || infos[0].Warm {
 		t.Fatalf("sessions after restart = %+v, want one cold persisted durable-client", infos)
 	}
 
@@ -165,20 +180,8 @@ func TestSmoke(t *testing.T) {
 		t.Fatal("server never announced its address")
 	}
 
-	resp, err := http.Get("http://" + addr + "/v1/stats")
-	if err != nil {
-		t.Fatalf("GET /v1/stats: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats status %d", resp.StatusCode)
-	}
-	var stats struct {
-		MaxSessions int `json:"max_sessions"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
+	var stats server.Stats
+	getJSON(t, "http://"+addr+"/v1/stats", &stats)
 	if stats.MaxSessions != 4 {
 		t.Errorf("max_sessions = %d, want the configured 4", stats.MaxSessions)
 	}

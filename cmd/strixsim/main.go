@@ -59,8 +59,7 @@ func main() {
 		s.RequiredBWGBs, boundKind(s.MemoryBound))
 
 	if *count > 0 {
-		chip := arch.Chip{Model: m}
-		res, err := chip.RunPBS(*count)
+		res, err := m.RunPBS(*count)
 		if err != nil {
 			fail(err)
 		}

@@ -42,27 +42,19 @@ func main() {
 
 	// GPU baseline: per-layer blind-rotation fragmentation (72 SMs).
 	gpu := baseline.NewGPUModel()
-	batchMs, err := gpu.ScaledBatchMs("I", 1024, p.N)
+	gpuMs, err := gpu.RunLayers(p, layers)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var gpuMs float64
-	for _, l := range layers {
-		gpuMs += float64(gpu.Fragments(l)+1) * batchMs
-	}
-	fmt.Printf("GPU (NuFHE): %8.1f ms  — layer of %d LWEs fragments %dx on 72 SMs\n",
-		gpuMs, layers[0], gpu.Fragments(layers[0])+1)
+	fmt.Printf("GPU (NuFHE): %8.1f ms  — layer of %d LWEs fragments %d times on %d SMs\n",
+		gpuMs, layers[0], gpu.Fragments(layers[0]), gpu.SMs)
 
 	// CPU baseline (20 threads).
 	cpu := baseline.NewCPUModel()
 	cpu.Threads = 20
-	perPBS, err := cpu.PBSLatencyMs("II")
+	cpuMs, err := cpu.RunLayers(p, layers)
 	if err != nil {
 		log.Fatal(err)
-	}
-	var cpuMs float64
-	for _, l := range layers {
-		cpuMs += float64((l+cpu.Threads-1)/cpu.Threads) * perPBS
 	}
 	fmt.Printf("CPU (x20):   %8.1f ms\n\n", cpuMs)
 

@@ -43,6 +43,9 @@ func TestExamples(t *testing.T) {
 		{"deepnn", []string{
 			"bootstraps per inference",
 			"TvLP/CLP sweep",
+			// Fig 7's NN-20/N=1024 cells: the same baseline models.
+			"GPU (NuFHE):   1820.0 ms",
+			"CPU (x20):     2603.0 ms",
 		}},
 	}
 	for _, tc := range cases {

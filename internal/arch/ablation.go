@@ -25,86 +25,12 @@ import (
 // while the key and the work per iteration grow 1.5×.
 const UnrolledGGSWCount = 3
 
-// UnrolledModel extends Model with factor-2 bootstrapping-key unrolling:
-// ceil(n/2) serial iterations, UnrolledGGSWCount external products (and
-// 1.5× key bytes) per iteration.
-type UnrolledModel struct {
-	Model
-}
-
-// NewUnrolledModel builds the unrolled variant.
-func NewUnrolledModel(cfg Config, p tfhe.Params) (UnrolledModel, error) {
+// unrolledModel builds the factor-2 unrolled design: ⌈n/2⌉ serial
+// iterations, each streaming and multiplying by UnrolledGGSWCount GGSWs.
+func unrolledModel(cfg Config, p tfhe.Params) (Model, error) {
 	m, err := NewModel(cfg, p)
-	if err != nil {
-		return UnrolledModel{}, err
-	}
-	return UnrolledModel{Model: m}, nil
-}
-
-// Iterations returns the serial blind-rotation iteration count.
-func (u UnrolledModel) Iterations() int { return (u.P.SmallN + 1) / 2 }
-
-// StageInterval returns the per-LWE per-iteration interval: three external
-// products' worth of transforms spread over the PLP units.
-func (u UnrolledModel) StageInterval() int64 {
-	polys := UnrolledGGSWCount * (u.P.K + 1) * u.P.PBSLevel
-	rounds := (polys + u.Cfg.PLP - 1) / u.Cfg.PLP
-	return int64(rounds) * u.FFTCyclesPerPoly()
-}
-
-// BskBytesPerIter returns the key bytes streamed per unrolled iteration:
-// three GGSWs instead of one.
-func (u UnrolledModel) BskBytesPerIter() int64 {
-	return UnrolledGGSWCount * u.Model.BskBytesPerIter()
-}
-
-// LatencyCycles returns single-PBS latency with unrolling.
-func (u UnrolledModel) LatencyCycles() int64 {
-	si := u.StageInterval()
-	fetch := u.bskFetchCyclesUnrolled()
-	iter := si
-	if fetch > iter {
-		iter = fetch
-	}
-	return int64(u.Iterations())*iter + u.KSCyclesPerLWE()
-}
-
-// bskFetchCyclesUnrolled is the streaming time of one unrolled iteration's
-// key (3 GGSWs).
-func (u UnrolledModel) bskFetchCyclesUnrolled() int64 {
-	secs := float64(u.BskBytesPerIter()) / u.Cfg.bskBytesPerSec()
-	return int64(secs * u.Cfg.FreqHz)
-}
-
-// ThroughputPBS returns sustained PBS/s with unrolling.
-func (u UnrolledModel) ThroughputPBS() float64 {
-	b := u.CoreBatchUnrolled()
-	si := u.StageInterval()
-	iter := int64(b) * si
-	if f := u.bskFetchCyclesUnrolled(); f > iter {
-		iter = f
-	}
-	cycles := int64(u.Iterations()) * iter
-	return float64(b) / (float64(cycles) / u.Cfg.FreqHz) * float64(u.Cfg.TvLP)
-}
-
-// CoreBatchUnrolled mirrors Model.CoreBatch for the unrolled intervals.
-func (u UnrolledModel) CoreBatchUnrolled() int {
-	maxB := u.Cfg.MaxCoreBatch(u.P)
-	si := u.StageInterval()
-	need := int((u.bskFetchCyclesUnrolled() + si - 1) / si)
-	if need < 1 {
-		need = 1
-	}
-	if need > maxB {
-		need = maxB
-	}
-	return need
-}
-
-// KeyBytesTotal returns the full unrolled key size (1.5× standard).
-func (u UnrolledModel) KeyBytesTotal() int64 {
-	return int64(u.Iterations()) * u.BskBytesPerIter()
+	m.unrolled = true
+	return m, err
 }
 
 // UnrollingComparison reports standard vs unrolled Strix for a config.
@@ -123,18 +49,17 @@ func CompareUnrolling(cfg Config, p tfhe.Params) (UnrollingComparison, error) {
 	if err != nil {
 		return UnrollingComparison{}, err
 	}
-	unr, err := NewUnrolledModel(cfg, p)
+	unr, err := unrolledModel(cfg, p)
 	if err != nil {
 		return UnrollingComparison{}, err
 	}
-	stdKeyBytes := std.BskBytesPerIter() * int64(p.SmallN)
 	return UnrollingComparison{
 		Set:                p.Name,
 		StdLatencyMs:       std.LatencySeconds() * 1e3,
-		UnrolledLatencyMs:  float64(unr.LatencyCycles()) / cfg.FreqHz * 1e3,
+		UnrolledLatencyMs:  unr.LatencySeconds() * 1e3,
 		StdThroughput:      std.ThroughputPBS(),
 		UnrolledThroughput: unr.ThroughputPBS(),
-		KeyBytesRatio:      float64(unr.KeyBytesTotal()) / float64(stdKeyBytes),
+		KeyBytesRatio:      float64(unr.bskBytesTotal()) / float64(std.bskBytesTotal()),
 	}, nil
 }
 

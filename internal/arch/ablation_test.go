@@ -7,11 +7,11 @@ import (
 )
 
 func TestUnrollingHalvesIterations(t *testing.T) {
-	u, err := NewUnrolledModel(DefaultConfig(), tfhe.ParamsI)
+	u, err := unrolledModel(DefaultConfig(), tfhe.ParamsI)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := u.Iterations(); got != 250 {
+	if got := u.iterations(); got != 250 {
 		t.Errorf("unrolled iterations = %d, want 250", got)
 	}
 }

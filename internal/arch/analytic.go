@@ -17,9 +17,17 @@ import (
 //
 // where Npoint is N/2 with the folding scheme and N without it. The model
 // and the cycle simulator (hsc.go) are property-tested against each other.
+//
+// Every formula takes the blind rotation's shape from two inputs: the
+// serial iteration count (iterations) and the GGSW ciphertexts each
+// iteration multiplies by (ggsws). Strix runs n iterations of one GGSW;
+// the key-unrolled design of the §VII ablation runs ⌈n/2⌉ of
+// UnrolledGGSWCount (unrolledModel).
 type Model struct {
 	Cfg Config
 	P   tfhe.Params
+
+	unrolled bool // factor-2 bootstrapping-key unrolling (ablation.go)
 }
 
 // NewModel validates and builds a model.
@@ -35,6 +43,24 @@ func NewModel(cfg Config, p tfhe.Params) (Model, error) {
 			cfg.LocalScratchpadBytes, p.Name)
 	}
 	return Model{Cfg: cfg, P: p}, nil
+}
+
+// iterations returns the serial blind-rotation iteration count: n, or
+// ⌈n/2⌉ with the key unrolled.
+func (m Model) iterations() int {
+	if m.unrolled {
+		return (m.P.SmallN + 1) / 2
+	}
+	return m.P.SmallN
+}
+
+// ggsws returns the GGSW ciphertexts, so external products, per
+// iteration: one, or UnrolledGGSWCount with the key unrolled.
+func (m Model) ggsws() int {
+	if m.unrolled {
+		return UnrolledGGSWCount
+	}
+	return 1
 }
 
 // FFTPoints returns the FFT length per polynomial: N/2 folded, N unfolded.
@@ -53,17 +79,18 @@ func (m Model) FFTCyclesPerPoly() int64 {
 
 // StageInterval returns SI: the pipeline initiation interval in cycles for
 // one LWE in one blind-rotation iteration. The FFT stage is the pacing
-// unit: (k+1)·lb polynomials spread over PLP units.
+// unit: (k+1)·lb polynomials per GGSW spread over PLP units.
 func (m Model) StageInterval() int64 {
-	polys := (m.P.K + 1) * m.P.PBSLevel
+	polys := m.ggsws() * (m.P.K + 1) * m.P.PBSLevel
 	rounds := (polys + m.Cfg.PLP - 1) / m.Cfg.PLP
 	return int64(rounds) * m.FFTCyclesPerPoly()
 }
 
 // BskBytesPerIter returns the bootstrapping-key bytes streamed per
-// blind-rotation iteration: one GGSW of (k+1)·lb·(k+1) Fourier polynomials.
+// blind-rotation iteration: each GGSW holds (k+1)·lb·(k+1) Fourier
+// polynomials.
 func (m Model) BskBytesPerIter() int64 {
-	polys := int64(m.P.K+1) * int64(m.P.PBSLevel) * int64(m.P.K+1)
+	polys := int64(m.ggsws()) * int64(m.P.K+1) * int64(m.P.PBSLevel) * int64(m.P.K+1)
 	return polys * int64(m.P.N/2) * int64(m.Cfg.BskComplexBytes)
 }
 
@@ -109,9 +136,9 @@ func (m Model) IterIntervalCycles(b int) int64 {
 }
 
 // BlindRotateCycles returns cycles for a full blind rotation of a core
-// batch of B LWEs: n iterations at the steady-state interval.
+// batch of B LWEs: every iteration at the steady-state interval.
 func (m Model) BlindRotateCycles(b int) int64 {
-	return int64(m.P.SmallN) * m.IterIntervalCycles(b)
+	return int64(m.iterations()) * m.IterIntervalCycles(b)
 }
 
 // KSCyclesPerLWE returns the keyswitch-cluster cycles for one LWE:
@@ -150,6 +177,11 @@ func (m Model) KSHidden() bool {
 	return b*m.KSCyclesPerLWE() <= m.BlindRotateCycles(int(b))
 }
 
+// bskBytesTotal returns the whole bootstrapping key's size.
+func (m Model) bskBytesTotal() int64 {
+	return int64(m.iterations()) * m.BskBytesPerIter()
+}
+
 // KskBytesTotal returns the keyswitching-key size streamed per epoch.
 func (m Model) KskBytesTotal() int64 {
 	return int64(m.P.ExtractedN()) * int64(m.P.KSLevel) * int64(m.P.SmallN+1) * 4
@@ -164,7 +196,7 @@ func (m Model) RequiredBandwidth() float64 {
 	si := float64(m.StageInterval()) / m.Cfg.FreqHz
 	bsk := float64(m.BskBytesPerIter()) / si
 
-	epoch := float64(m.P.SmallN) * si
+	epoch := float64(m.iterations()) * si
 	ksk := float64(m.KskBytesTotal()) / epoch
 
 	// Ciphertext traffic: per epoch, TvLP LWEs in (n+1 words) and out
@@ -213,4 +245,78 @@ func (m Model) Summary() PerfSummary {
 		EpochLWECount:   b * m.Cfg.TvLP,
 		LatencyCycles64: m.LatencyCycles(),
 	}
+}
+
+// WorkloadResult reports the simulated execution of a workload.
+type WorkloadResult struct {
+	PBSCount      int
+	Epochs        int
+	Cycles        int64
+	Seconds       float64
+	ThroughputPBS float64
+}
+
+// RunPBS schedules count independent PBS+KS operations on the device —
+// TvLP HSCs fed by the multicast NoC from the global scratchpad — as
+// epochs (§IV-C), and returns the end-to-end execution time. Each epoch
+// carries up to TvLP · CoreBatch LWEs (device-level × core-level
+// batching); keyswitching of epoch e overlaps the blind rotation of
+// epoch e+1, so only the final epoch's keyswitch is on the critical path.
+func (m Model) RunPBS(count int) (WorkloadResult, error) {
+	if count < 0 {
+		return WorkloadResult{}, fmt.Errorf("arch: negative PBS count %d", count)
+	}
+	if count == 0 {
+		return WorkloadResult{}, nil
+	}
+	b := m.CoreBatch()
+	perEpoch := b * m.Cfg.TvLP
+
+	full := count / perEpoch
+	rem := count % perEpoch
+
+	var cycles int64
+	cycles += int64(full) * m.BlindRotateCycles(b)
+	epochs := full
+	// The last epoch's keyswitch cannot hide behind a subsequent blind
+	// rotation: add the per-core KS tail (B LWEs serially per cluster).
+	tailB := b
+	if rem > 0 {
+		// Partial epoch: cores share the remainder; the slowest core
+		// carries ceil(rem/TvLP) LWEs.
+		tailB = (rem + m.Cfg.TvLP - 1) / m.Cfg.TvLP
+		cycles += m.BlindRotateCycles(tailB)
+		epochs++
+	}
+	cycles += int64(tailB) * m.KSCyclesPerLWE()
+
+	secs := float64(cycles) / m.Cfg.FreqHz
+	return WorkloadResult{
+		PBSCount:      count,
+		Epochs:        epochs,
+		Cycles:        cycles,
+		Seconds:       secs,
+		ThroughputPBS: float64(count) / secs,
+	}, nil
+}
+
+// RunLayers schedules a sequence of dependent layers (e.g. a neural
+// network): layer i+1's PBS operations cannot start before layer i fully
+// completes, so each layer pays its own keyswitch tail.
+func (m Model) RunLayers(layerPBS []int) (WorkloadResult, error) {
+	var total WorkloadResult
+	for i, n := range layerPBS {
+		r, err := m.RunPBS(n)
+		if err != nil {
+			return WorkloadResult{}, fmt.Errorf("arch: layer %d: %w", i, err)
+		}
+		total.PBSCount += r.PBSCount
+		total.Epochs += r.Epochs
+		total.Cycles += r.Cycles
+	}
+	total.Seconds = float64(total.Cycles) / m.Cfg.FreqHz
+	if total.Seconds > 0 {
+		total.ThroughputPBS = float64(total.PBSCount) / total.Seconds
+	}
+	return total, nil
 }

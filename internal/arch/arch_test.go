@@ -270,24 +270,18 @@ func TestSimulateBlindRotateValidation(t *testing.T) {
 }
 
 func TestChipRunPBSThroughput(t *testing.T) {
-	chip, err := NewChip(DefaultConfig(), tfhe.ParamsI)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustModel(t, DefaultConfig(), tfhe.ParamsI)
 	// A large batch should approach the model's sustained throughput.
-	r, err := chip.RunPBS(100000)
+	r, err := m.RunPBS(100000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	within(t, "chip sustained throughput", r.ThroughputPBS, chip.Model.ThroughputPBS(), 0.02)
+	within(t, "chip sustained throughput", r.ThroughputPBS, m.ThroughputPBS(), 0.02)
 }
 
 func TestChipRunPBSSmall(t *testing.T) {
-	chip, err := NewChip(DefaultConfig(), tfhe.ParamsI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := chip.RunPBS(1)
+	m := mustModel(t, DefaultConfig(), tfhe.ParamsI)
+	r, err := m.RunPBS(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,25 +289,22 @@ func TestChipRunPBSSmall(t *testing.T) {
 		t.Errorf("1 PBS = %d epochs, want 1", r.Epochs)
 	}
 	// One PBS on the chip costs at least the single-PBS latency.
-	if r.Seconds < chip.Model.LatencySeconds()*0.9 {
-		t.Errorf("single PBS %.3g s below latency %.3g s", r.Seconds, chip.Model.LatencySeconds())
+	if r.Seconds < m.LatencySeconds()*0.9 {
+		t.Errorf("single PBS %.3g s below latency %.3g s", r.Seconds, m.LatencySeconds())
 	}
-	zero, err := chip.RunPBS(0)
+	zero, err := m.RunPBS(0)
 	if err != nil || zero.Cycles != 0 {
 		t.Errorf("RunPBS(0) = %+v, %v", zero, err)
 	}
-	if _, err := chip.RunPBS(-1); err == nil {
+	if _, err := m.RunPBS(-1); err == nil {
 		t.Error("negative count should error")
 	}
 }
 
 func TestChipRunLayersSequential(t *testing.T) {
-	chip, err := NewChip(DefaultConfig(), tfhe.ParamsI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := chip.RunPBS(92)
-	layers, err := chip.RunLayers([]int{92, 92, 92})
+	m := mustModel(t, DefaultConfig(), tfhe.ParamsI)
+	a, _ := m.RunPBS(92)
+	layers, err := m.RunLayers([]int{92, 92, 92})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,15 +68,11 @@ func TestGPUFragmentsEquation2(t *testing.T) {
 	}
 }
 
-// normalizedRun returns RunPBS(set I, count) in units of one blind-rotation
-// batch, the y-axis of Fig 2.
+// normalizedRun returns RunPBS at set I's batch time in units of one
+// blind-rotation batch, the y-axis of Fig 2.
 func normalizedRun(t *testing.T, g GPUModel, count int) float64 {
 	t.Helper()
-	secs, err := g.RunPBS("I", count)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return (secs*1e3 - g.LaunchOverheadMs) / g.BatchMs["I"]
+	return (g.RunPBS(g.BatchMs["I"], count) - g.LaunchOverheadMs) / g.BatchMs["I"]
 }
 
 func TestGPUDeviceLevelStepFunction(t *testing.T) {
@@ -121,35 +117,69 @@ func TestGPUTableVNumbers(t *testing.T) {
 	if err != nil || math.Abs(thr2-500) > 1 {
 		t.Errorf("set II throughput %v err %v, want 500", thr2, err)
 	}
-	if _, err := g.RunPBS("IV", 10); err == nil {
+	if _, err := g.ThroughputPBS("IV"); err == nil {
 		t.Error("NuFHE should reject set IV")
 	}
 }
 
 func TestGPURunPBSAppliesEquation1(t *testing.T) {
 	g := NewGPUModel()
-	t1, _ := g.RunPBS("I", 72)
-	t2, _ := g.RunPBS("I", 73)
+	bt := g.BatchMs["I"]
+	t1 := g.RunPBS(bt, 72)
+	t2 := g.RunPBS(bt, 73)
 	if ratio := t2 / t1; ratio < 1.9 || ratio > 2.1 {
 		t.Errorf("fragmentation should double time at 73 LWEs: ratio %v", ratio)
 	}
-	zero, err := g.RunPBS("I", 0)
-	if err != nil || zero != 0 {
-		t.Errorf("RunPBS(0) = %v, %v", zero, err)
+	if zero := g.RunPBS(bt, 0); zero != 0 {
+		t.Errorf("RunPBS(0) = %v", zero)
+	}
+	// Table V's single-PBS latency is equation (1) at one ciphertext.
+	if lat, _ := g.PBSLatencyMs("I"); lat != g.RunPBS(bt, 1) {
+		t.Errorf("set I latency %v != RunPBS(1) %v", lat, g.RunPBS(bt, 1))
 	}
 }
 
 func TestGPUScaledBatch(t *testing.T) {
 	g := NewGPUModel()
-	// Same degree → same time.
-	same, err := g.ScaledBatchMs("I", 1024, 1024)
-	if err != nil || math.Abs(same-36) > 1e-9 {
-		t.Errorf("self-scaled batch %v, err %v", same, err)
+	// At set I's degree a layer of one full batch takes set I's batch
+	// plus the launch: 37 ms.
+	same, err := g.RunLayers(tfhe.ParamsII, []int{72})
+	if err != nil || math.Abs(same-37) > 1e-9 {
+		t.Errorf("N=1024 layer %v ms, err %v; want 37", same, err)
 	}
-	// Doubling N more than doubles time (N log N).
-	big, _ := g.ScaledBatchMs("I", 1024, 2048)
-	if big <= 2*36 {
-		t.Errorf("N=2048 batch %v should exceed 72 ms", big)
+	// Doubling N more than doubles the batch (N log N).
+	big, err := g.RunLayers(tfhe.ParamsIII, []int{72})
+	if err != nil || big-g.LaunchOverheadMs <= 2*36 {
+		t.Errorf("N=2048 layer %v ms, err %v; its batch should exceed 72 ms", big, err)
+	}
+	if got, want := fftScaled(36, 1024, 2048), 36*2048*11/(1024*10.0); math.Abs(got-want) > 1e-9 {
+		t.Errorf("fftScaled(36, 1024, 2048) = %v, want %v", got, want)
+	}
+	// Each dependent layer fragments and pays the launch on its own:
+	// 840 LWEs are 12 batches, 92 are 2.
+	layers, err := g.RunLayers(tfhe.ParamsII, []int{840, 92})
+	if want := (12*36 + 1) + (2*36 + 1.0); err != nil || math.Abs(layers-want) > 1e-9 {
+		t.Errorf("layers 840, 92 take %v ms, err %v; want %v", layers, err, want)
+	}
+}
+
+func TestCPURunLayers(t *testing.T) {
+	c := NewCPUModel()
+	c.Threads = 20
+	// ⌈840/20⌉ + ⌈92/20⌉ = 42 + 5 rounds of set II's 19 ms.
+	ms, err := c.RunLayers(tfhe.ParamsII, []int{840, 92})
+	if err != nil || ms != 47*19 {
+		t.Errorf("set II layers take %v ms, err %v; want %v", ms, err, 47*19)
+	}
+	// A degree past set III's extrapolates set III by N·log2 N and n.
+	p := tfhe.ParamsIII
+	p.Name, p.N, p.SmallN = "N4096", 4096, 700
+	one, err := c.RunLayers(p, []int{1})
+	if want := 38 * (4096 * 12.0 / (2048 * 11)) * (700 / 592.0); err != nil || math.Abs(one-want) > 1e-9 {
+		t.Errorf("N=4096 PBS %v ms, err %v; want %v", one, err, want)
+	}
+	if _, err := c.RunLayers(tfhe.ParamsTest, []int{1}); err == nil {
+		t.Error("the uncalibrated test set should error")
 	}
 }
 

@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/tfhe"
 )
@@ -43,11 +44,54 @@ func (c CPUModel) ThroughputPBS(set string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	threads := c.Threads
-	if threads < 1 {
-		threads = 1
+	return float64(c.threads()) * 1000.0 / ms, nil
+}
+
+// RunLayers returns the execution time in ms of dependent layers of PBS
+// at p: the threads share a layer, so it takes ⌈l/threads⌉ PBS latencies,
+// and a layer starts when the one before it ends.
+func (c CPUModel) RunLayers(p tfhe.Params, layers []int) (float64, error) {
+	perPBS, err := c.latencyAt(p)
+	if err != nil {
+		return 0, err
 	}
-	return float64(threads) * 1000.0 / ms, nil
+	threads := c.threads()
+	var ms float64
+	for _, l := range layers {
+		ms += float64((l+threads-1)/threads) * perPBS
+	}
+	return ms, nil
+}
+
+// latencyAt returns the PBS latency at p: its set's calibration, or, for
+// a degree above set III's (the Fig 7 N=4096 network extends set III),
+// set III's extrapolated by the FFT work N·log2(N) and linearly in n.
+func (c CPUModel) latencyAt(p tfhe.Params) (float64, error) {
+	if ms, ok := c.GateMs[p.Name]; ok {
+		return ms, nil
+	}
+	base := tfhe.ParamsIII
+	if p.N <= base.N {
+		return 0, fmt.Errorf("baseline: CPU model has no calibration for set %q", p.Name)
+	}
+	ms, err := c.PBSLatencyMs(base.Name)
+	if err != nil {
+		return 0, err
+	}
+	return fftScaled(ms, base.N, p.N) * float64(p.SmallN) / float64(base.SmallN), nil
+}
+
+// threads returns the thread count, at least one.
+func (c CPUModel) threads() int {
+	return max(c.Threads, 1)
+}
+
+// fftScaled extrapolates a time measured at polynomial degree from to
+// degree to by the FFT work, N·log2(N) — the one extrapolation both
+// baselines make beyond their measured degrees.
+func fftScaled(ms float64, from, to int) float64 {
+	work := func(n int) float64 { return float64(n) * math.Log2(float64(n)) }
+	return ms * work(to) / work(from)
 }
 
 // CostWeights are relative per-element CPU costs used to convert operation

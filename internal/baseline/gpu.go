@@ -2,7 +2,8 @@ package baseline
 
 import (
 	"fmt"
-	"math"
+
+	"repro/internal/tfhe"
 )
 
 // GPUModel models NuFHE on a 72-SM GPU (Titan RTX). Its central behaviour
@@ -65,18 +66,35 @@ func (g GPUModel) Fragments(ciphertexts int) int {
 	return (ciphertexts+g.SMs-1)/g.SMs - 1
 }
 
-// RunPBS returns the execution time in seconds for count PBS operations —
-// equation (1).
-func (g GPUModel) RunPBS(set string, count int) (float64, error) {
-	if count == 0 {
-		return 0, nil
+// RunPBS returns the execution time in ms of count independent PBS when
+// one fully batched blind-rotation pass takes batchMs — equation (1) with
+// the kernel-launch overhead:
+//
+//	total = (#fragments + 1) · batchMs + launch.
+func (g GPUModel) RunPBS(batchMs float64, count int) float64 {
+	if count <= 0 {
+		return 0
 	}
-	bt, err := g.batchTime(set)
+	return float64(g.Fragments(count)+1)*batchMs + g.LaunchOverheadMs
+}
+
+// RunLayers returns the execution time in ms of dependent layers of PBS at
+// p's polynomial degree (the Fig 7 neural networks run N = 1024/2048/4096):
+// one RunPBS per layer with set I's measured kernel extrapolated to p.N.
+// NuFHE's blind-rotation kernel was measured at N=1024 only; the n and lb
+// dependence is already inside the measured kernel shape, and the paper
+// likewise extrapolates its GPU bars for N > 1024.
+func (g GPUModel) RunLayers(p tfhe.Params, layers []int) (float64, error) {
+	bt, err := g.batchTime(tfhe.ParamsI.Name)
 	if err != nil {
 		return 0, err
 	}
-	frag := g.Fragments(count)
-	return (float64(frag+1)*bt + g.LaunchOverheadMs) / 1e3, nil
+	batchMs := fftScaled(bt, tfhe.ParamsI.N, p.N)
+	var ms float64
+	for _, l := range layers {
+		ms += g.RunPBS(batchMs, l)
+	}
+	return ms, nil
 }
 
 // PBSLatencyMs returns the single-PBS latency (one batch + overhead, or
@@ -89,7 +107,7 @@ func (g GPUModel) PBSLatencyMs(set string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return bt + g.LaunchOverheadMs, nil
+	return g.RunPBS(bt, 1), nil
 }
 
 // ThroughputPBS returns the sustained PBS/s with full batches.
@@ -99,20 +117,4 @@ func (g GPUModel) ThroughputPBS(set string) (float64, error) {
 		return 0, err
 	}
 	return float64(g.SMs) / (bt / 1e3), nil
-}
-
-// ScaledBatchMs extrapolates the per-batch time to a different polynomial
-// degree (used by the Fig 7 neural-network experiment, which runs
-// N = 1024/2048/4096). NuFHE's blind-rotation kernel was measured at
-// N=1024 only; the per-SM FFT work scales as N·log2(N), which is the
-// scaling applied here. (The n and lb dependence is already inside the
-// measured kernel shape; the paper likewise extrapolates its GPU bars for
-// N > 1024.)
-func (g GPUModel) ScaledBatchMs(baseSet string, baseN, n2 int) (float64, error) {
-	bt, err := g.batchTime(baseSet)
-	if err != nil {
-		return 0, err
-	}
-	work := func(n int) float64 { return float64(n) * math.Log2(float64(n)) }
-	return bt * work(n2) / work(baseN), nil
 }

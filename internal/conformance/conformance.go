@@ -376,7 +376,7 @@ func (s serverBackend) LUT(cts []tfhe.LWECiphertext, space int, tables [][]int) 
 }
 
 func (s serverBackend) Circuit(circ *sched.Circuit, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	return s.cl.CircuitBatch(circ, inputs)
+	return s.cl.CircuitBatch(circ, inputs, server.EvalOpts{})
 }
 
 func (s serverBackend) Infer(features []tfhe.LWECiphertext) ([][]tfhe.LWECiphertext, error) {

@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"math/rand"
+	"net/http"
 	"testing"
 
 	"repro/internal/engine"
@@ -469,7 +470,8 @@ func TestFixtureClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := f.Backends()[3].(serverBackend).cl.Stats(); err == nil {
+	if resp, err := http.Get(f.ts.URL + "/v1/stats"); err == nil {
+		resp.Body.Close()
 		t.Fatal("service still reachable after Close")
 	}
 }

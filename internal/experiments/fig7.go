@@ -14,8 +14,9 @@ import (
 // within a layer all PBS are independent.
 //
 // The CPU reference uses cpuThreads worker threads (the Zama deep-NN
-// baseline of ref [34] is a multicore CPU run; 32 threads lands in the
-// paper's reported 33–38x Strix speedup band).
+// baseline of ref [34] is a multicore CPU run). The registry runs
+// Fig7(20), whose report reads 38–45x Strix over CPU, above the paper's
+// 33–38x band.
 func Fig7(cpuThreads int) (Report, error) {
 	cpu := baseline.NewCPUModel()
 	cpu.Threads = cpuThreads
@@ -34,48 +35,19 @@ func Fig7(cpuThreads int) (Report, error) {
 	for _, nn := range models {
 		p := nn.Params
 		layers := nn.LayerPBS()
-
-		// CPU: perPBS extrapolated by FFT work from the calibrated sets.
-		cpuSet := p.Name
-		if cpuSet == "NN4096" {
-			cpuSet = "III" // scaled below
-		}
-		perPBS, err := cpu.PBSLatencyMs(cpuSet)
+		cpuMs, err := cpu.RunLayers(p, layers)
 		if err != nil {
 			return Report{}, err
 		}
-		if p.Name == "NN4096" {
-			// N doubles vs set III: N·log2(N) work ratio, n ratio.
-			perPBS *= (4096.0 * 12 / (2048.0 * 11)) * (float64(p.SmallN) / 592.0)
-		}
-		threads := cpu.Threads
-		if threads < 1 {
-			threads = 1
-		}
-		var cpuMs float64
-		for _, l := range layers {
-			// ceil(l/threads) rounds up per dependent layer.
-			cpuMs += float64((l+threads-1)/threads) * perPBS
-		}
-
-		// GPU: per-layer fragmentation with batch time scaled to the NN
-		// polynomial degree from the calibrated set I kernel.
-		batchMs, err := gpu.ScaledBatchMs("I", 1024, p.N)
+		gpuMs, err := gpu.RunLayers(p, layers)
 		if err != nil {
 			return Report{}, err
 		}
-		var gpuMs float64
-		for _, l := range layers {
-			gpuMs += float64(gpu.Fragments(l)+1) * batchMs
-		}
-		gpuMs += gpu.LaunchOverheadMs * float64(len(layers))
-
-		// Strix: the epoch scheduler with dependent layers.
-		chip, err := arch.NewChip(arch.DefaultConfig(), p)
+		m, err := arch.NewModel(arch.DefaultConfig(), p)
 		if err != nil {
 			return Report{}, err
 		}
-		res, err := chip.RunLayers(layers)
+		res, err := m.RunLayers(layers)
 		if err != nil {
 			return Report{}, err
 		}

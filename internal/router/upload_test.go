@@ -434,7 +434,8 @@ func TestClientIDsWithURLMetacharacters(t *testing.T) {
 				if err != nil || sk.DecryptBool(out[0]) {
 					t.Errorf("GateBatch as %q: %v", id, err)
 				}
-				if resp, err := cl.DeleteSession(id); err != nil || !resp.Warm {
+				var resp server.DeleteSessionResponse
+				if err := httpJSON(t, http.MethodDelete, base+server.SessionPath(id), nil, &resp); err != nil || !resp.Warm {
 					t.Errorf("DeleteSession(%q) = %+v, %v", id, resp, err)
 				}
 				delete(want, id)
@@ -448,10 +449,11 @@ func TestClientIDsWithURLMetacharacters(t *testing.T) {
 
 // TestDotClientIDsRefused pins that "." and ".." are not client IDs on
 // any path in: a mux cleans either out of a request line, so such a
-// session could be neither addressed nor deleted over HTTP. In process,
-// from the Go client, and from a peer that escapes the dots so that they
-// do reach the handler, direct and routed, register and delete answer
-// bad_request and register nothing.
+// session could be neither addressed nor deleted over HTTP. In process
+// (register and delete), from the Go client (register), and from a peer
+// that escapes the dots so that they do reach the handler (register and
+// delete), direct and routed, each answers bad_request and registers
+// nothing.
 func TestDotClientIDsRefused(t *testing.T) {
 	_, ek := testKeys(t)
 	blob := encodedKey(t, ek)
@@ -471,26 +473,6 @@ func TestDotClientIDsRefused(t *testing.T) {
 			t.Fatalf("after %s: sessions %v, want %v", what, got, want)
 		}
 	}
-	// raw sends the request a peer would that escapes the dots, and
-	// returns the reply as the Go client would have decoded it.
-	raw := func(method, base, id string, body []byte) error {
-		t.Helper()
-		req, err := http.NewRequest(method, base+"/v1/sessions/"+strings.ReplaceAll(id, ".", "%2E"), bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Expect", "100-continue") // a refused key is never sent
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var er server.ErrorResponse
-		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-			return fmt.Errorf("HTTP %d with no error frame: %v", resp.StatusCode, err)
-		}
-		return &server.APIError{Code: er.Code, Status: resp.StatusCode, Message: er.Error}
-	}
 	for _, id := range []string{".", ".."} {
 		err := srv.RegisterKey(id, ek)
 		if err == nil {
@@ -505,10 +487,10 @@ func TestDotClientIDsRefused(t *testing.T) {
 		for _, front := range []struct{ name, base string }{{"direct", ts.URL}, {"routed", rts.URL}} {
 			cl := server.Dial(front.base, id)
 			check(fmt.Sprintf("%s Client.RegisterKey as %q", front.name, id), cl.RegisterKey(ek))
-			_, err := cl.DeleteSession(id)
-			check(fmt.Sprintf("%s Client.DeleteSession(%q)", front.name, id), err)
-			check(fmt.Sprintf("%s escaped POST %q", front.name, id), raw(http.MethodPost, front.base, id, blob))
-			check(fmt.Sprintf("%s escaped DELETE %q", front.name, id), raw(http.MethodDelete, front.base, id, nil))
+			// A peer that escapes the dots (server.SessionPath does).
+			url := front.base + server.SessionPath(id)
+			check(fmt.Sprintf("%s escaped POST %q", front.name, id), httpJSON(t, http.MethodPost, url, blob, nil))
+			check(fmt.Sprintf("%s escaped DELETE %q", front.name, id), httpJSON(t, http.MethodDelete, url, nil, nil))
 		}
 	}
 }

@@ -86,14 +86,6 @@ func retryable(err error) bool {
 	return errors.As(err, &api) && api.Temporary()
 }
 
-// do sends one bodiless request through retry and decodes its JSON reply
-// into out.
-func (c *Client) do(method, path string, out any) error {
-	return c.retry(func() (*http.Request, error) {
-		return http.NewRequest(method, c.base+path, nil)
-	}, jsonInto(out))
-}
-
 // jsonInto returns the decoder of a JSON reply into out.
 func jsonInto(out any) func([]byte) error {
 	return func(data []byte) error { return json.Unmarshal(data, out) }
@@ -281,19 +273,13 @@ func (c *Client) GateBatch(op engine.GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.
 
 // CircuitBatch runs a built circuit on the server: the DAG ships as
 // serialized node specs, and the server compiles it and runs its
-// dispatches on the session's engine. Outputs return in the
-// circuit's Output declaration order.
-func (c *Client) CircuitBatch(circ *sched.Circuit, inputs []tfhe.LWECiphertext) ([]tfhe.LWECiphertext, error) {
-	return c.CircuitBatchOpts(circ, inputs, EvalOpts{})
-}
-
-// CircuitBatchOpts is CircuitBatch with the envelope options exposed:
-// EvalOpts{Optimize: true} runs the server-side optimizer pass pipeline
-// (CSE, pruning, linear folding, bootstrap fusion, multi-value packing
-// within the session's parameter set) before execution. Optimized
-// outputs decode identically to unoptimized ones but are not bitwise
-// identical to them.
-func (c *Client) CircuitBatchOpts(circ *sched.Circuit, inputs []tfhe.LWECiphertext, opts EvalOpts) ([]tfhe.LWECiphertext, error) {
+// dispatches on the session's engine. Outputs return in the circuit's
+// Output declaration order. EvalOpts{Optimize: true} runs the server-side
+// optimizer pass pipeline (CSE, pruning, linear folding, bootstrap fusion,
+// multi-value packing within the session's parameter set) first;
+// optimized outputs decode identically to unoptimized ones but are not
+// bitwise identical to them.
+func (c *Client) CircuitBatch(circ *sched.Circuit, inputs []tfhe.LWECiphertext, opts EvalOpts) ([]tfhe.LWECiphertext, error) {
 	out, _, err := c.eval(EvalRequest{
 		Kind:    EvalKindCircuit,
 		Nodes:   circ.Specs(),
@@ -321,36 +307,4 @@ func (c *Client) LUTBatch(cts []tfhe.LWECiphertext, space int, tables ...[]int) 
 // pass pipeline first.
 func (c *Client) Infer(features []tfhe.LWECiphertext, opts EvalOpts) ([][]tfhe.LWECiphertext, error) {
 	return c.evalGrouped(EvalRequest{Kind: EvalKindInfer, Opts: opts}, features)
-}
-
-// Stats fetches the service metrics snapshot.
-func (c *Client) Stats() (Stats, error) {
-	var st Stats
-	if err := c.do(http.MethodGet, "/v1/stats", &st); err != nil {
-		return Stats{}, err
-	}
-	return st, nil
-}
-
-// Sessions lists every live session on the server, across both the warm
-// and durable tiers.
-func (c *Client) Sessions() ([]SessionInfo, error) {
-	var resp SessionsResponse
-	if err := c.do(http.MethodGet, "/v1/sessions", &resp); err != nil {
-		return nil, err
-	}
-	return resp.Sessions, nil
-}
-
-// DeleteSession evicts clientID's session from every tier: the warm
-// engine cache and, when the server persists keys, the durable store
-// (its key file renamed out). Deleting an unknown session returns an
-// *APIError with code unknown_session.
-func (c *Client) DeleteSession(clientID string) (DeleteSessionResponse, error) {
-	var resp DeleteSessionResponse
-	if err := checkClientID(clientID); err != nil {
-		return resp, err
-	}
-	err := c.do(http.MethodDelete, SessionPath(clientID), &resp)
-	return resp, err
 }

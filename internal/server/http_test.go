@@ -77,8 +77,8 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 
 	// Stats over HTTP.
-	st, err := client.Stats()
-	if err != nil {
+	var st Stats
+	if err := callJSON(client, http.MethodGet, "/v1/stats", &st); err != nil {
 		t.Fatal(err)
 	}
 	if len(st.Sessions) != 1 || st.Sessions[0].ID != "alice" {
@@ -245,7 +245,7 @@ func TestHTTPCircuitBatch(t *testing.T) {
 	y, _ := testRadix.Encrypt(rng, sk, 45, digits)
 	inputs := append(append([]tfhe.LWECiphertext{}, x.Digits...), y.Digits...)
 
-	got, err := client.CircuitBatch(circ, inputs)
+	got, err := client.CircuitBatch(circ, inputs, EvalOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestHTTPCircuitBatch(t *testing.T) {
 	}
 
 	// Malformed circuit over HTTP surfaces as a 400-class error.
-	if _, err := client.CircuitBatch(circ, inputs[:2]); err == nil {
+	if _, err := client.CircuitBatch(circ, inputs[:2], EvalOpts{}); err == nil {
 		t.Error("input count mismatch accepted over HTTP")
 	}
 }
@@ -294,7 +294,7 @@ func TestHTTPCircuitBatchOptimize(t *testing.T) {
 	y, _ := testRadix.Encrypt(rng, sk, 9, digits)
 	inputs := append(append([]tfhe.LWECiphertext{}, x.Digits...), y.Digits...)
 
-	got, err := client.CircuitBatchOpts(circ, inputs, EvalOpts{Optimize: true})
+	got, err := client.CircuitBatch(circ, inputs, EvalOpts{Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestHTTPCircuitBatchOptimize(t *testing.T) {
 		t.Errorf("optimized product = %d, want %d", dec, (13*9)%16)
 	}
 	// The unoptimized path still works side by side on the same session.
-	plain, err := client.CircuitBatch(circ, inputs)
+	plain, err := client.CircuitBatch(circ, inputs, EvalOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestBatchBoundHoldsEngineCalls(t *testing.T) {
 			sess := warmSession(srv, "alice")
 			sess.queueTimeout = time.Millisecond
 			unpark := park(sess)
-			_, err := cl.CircuitBatch(circ, in)
+			_, err := cl.CircuitBatch(circ, in, EvalOpts{})
 			unpark()
 			var apiErr *APIError
 			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusRequestEntityTooLarge || apiErr.Code != CodeTooLarge {
@@ -367,7 +367,7 @@ func TestBatchBoundHoldsEngineCalls(t *testing.T) {
 			}
 			continue
 		}
-		out, err := cl.CircuitBatch(circ, in)
+		out, err := cl.CircuitBatch(circ, in, EvalOpts{})
 		if err != nil {
 			t.Fatalf("MaxBatch 3: %v", err)
 		}
@@ -424,6 +424,16 @@ func TestServeClosesStoreOnEveryExit(t *testing.T) {
 }
 
 // getHealthz fetches base's /v1/healthz: the decoded body and the status.
+// callJSON sends a bodiless request for path through cl's retry loop and
+// decodes a 200 reply's JSON into out; a refusal returns its *APIError.
+// Tests read the operator routes through it — GET /v1/stats, GET
+// /v1/sessions, DELETE /v1/sessions/{id} — which no client method wraps.
+func callJSON(cl *Client, method, path string, out any) error {
+	return cl.retry(func() (*http.Request, error) {
+		return http.NewRequest(method, cl.base+path, nil)
+	}, jsonInto(out))
+}
+
 func getHealthz(t *testing.T, base string) (HealthResponse, int) {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/healthz")

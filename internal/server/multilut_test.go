@@ -232,7 +232,7 @@ func TestCircuitMultiLUTGroup(t *testing.T) {
 	}
 
 	inputs := encryptInts(sk, 940, []int{2}, space)
-	got, err := cl.CircuitBatch(circ, inputs)
+	got, err := cl.CircuitBatch(circ, inputs, EvalOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestCircuitMultiLUTGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.CircuitBatch(overCirc, inputs); err == nil {
+	if _, err := cl.CircuitBatch(overCirc, inputs, EvalOpts{}); err == nil {
 		t.Fatal("unpackable multi-value circuit accepted")
 	}
 }

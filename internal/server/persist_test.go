@@ -536,22 +536,22 @@ func TestHTTPLifecycle(t *testing.T) {
 	if err := cl.RegisterKey(ek); err != nil {
 		t.Fatal(err)
 	}
-	infos, err := cl.Sessions()
-	if err != nil {
+	var list SessionsResponse
+	if err := callJSON(cl, http.MethodGet, "/v1/sessions", &list); err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 1 || infos[0].ID != "alice" || !infos[0].Warm || !infos[0].Persisted || infos[0].KeyBytes <= 0 {
-		t.Errorf("Sessions = %+v, want one warm persisted alice with a key size", infos)
+	if infos := list.Sessions; len(infos) != 1 || infos[0].ID != "alice" || !infos[0].Warm || !infos[0].Persisted || infos[0].KeyBytes <= 0 {
+		t.Errorf("Sessions = %+v, want one warm persisted alice with a key size", list.Sessions)
 	}
 
-	del, err := cl.DeleteSession("alice")
-	if err != nil || !del.Warm || !del.Persisted {
+	var del DeleteSessionResponse
+	if err := callJSON(cl, http.MethodDelete, SessionPath("alice"), &del); err != nil || !del.Warm || !del.Persisted {
 		t.Fatalf("DeleteSession = %+v, %v", del, err)
 	}
 	if _, err := cl.GateBatch(engine.NOT, encryptBools(sk, 1, []bool{true}), nil); !isAPICode(err, CodeUnknownSession) {
 		t.Errorf("gate after delete: %v, want APIError unknown_session", err)
 	}
-	if _, err := cl.DeleteSession("alice"); !isAPICode(err, CodeUnknownSession) {
+	if err := callJSON(cl, http.MethodDelete, SessionPath("alice"), &del); !isAPICode(err, CodeUnknownSession) {
 		t.Errorf("double delete: %v, want APIError unknown_session", err)
 	}
 
@@ -585,8 +585,8 @@ func TestClientRetry(t *testing.T) {
 
 	cl := Dial(ts.URL, "x")
 	cl.SetRetry(3, time.Millisecond)
-	st, err := cl.Stats()
-	if err != nil {
+	var st Stats
+	if err := callJSON(cl, http.MethodGet, "/v1/stats", &st); err != nil {
 		t.Fatalf("Stats with retries: %v", err)
 	}
 	if st.MaxSessions != 7 {
@@ -605,7 +605,7 @@ func TestClientRetry(t *testing.T) {
 	defer always.Close()
 	cl2 := Dial(always.URL, "x")
 	cl2.SetRetry(2, time.Millisecond)
-	_, err = cl2.Stats()
+	err := callJSON(cl2, http.MethodGet, "/v1/stats", &st)
 	var api *APIError
 	if !errors.As(err, &api) || !api.Temporary() || api.Code != CodeShuttingDown {
 		t.Errorf("exhausted retries: %v, want temporary shutting_down APIError", err)
@@ -620,7 +620,7 @@ func TestClientRetry(t *testing.T) {
 	defer perm.Close()
 	cl3 := Dial(perm.URL, "x")
 	cl3.SetRetry(3, time.Millisecond)
-	if _, err := cl3.Stats(); !isAPICode(err, CodeUnknownSession) {
+	if err := callJSON(cl3, http.MethodGet, "/v1/stats", &st); !isAPICode(err, CodeUnknownSession) {
 		t.Errorf("permanent error: %v", err)
 	}
 	if permHits != 1 {

@@ -107,11 +107,12 @@ func TestStalledUploadBlocksNothing(t *testing.T) {
 	}
 
 	cl := Dial(ts.URL, "cold")
-	within(t, "GET /v1/stats", func() error { _, err := cl.Stats(); return err })
+	within(t, "GET /v1/stats", func() error { return callJSON(cl, http.MethodGet, "/v1/stats", &Stats{}) })
 	within(t, "GET /v1/sessions", func() error {
-		infos, err := cl.Sessions()
-		if err == nil && len(infos) != 2 {
-			err = fmt.Errorf("%d sessions listed, want the 2 committed ones", len(infos))
+		var list SessionsResponse
+		err := callJSON(cl, http.MethodGet, "/v1/sessions", &list)
+		if err == nil && len(list.Sessions) != 2 {
+			err = fmt.Errorf("%d sessions listed, want the 2 committed ones", len(list.Sessions))
 		}
 		return err
 	})

@@ -141,9 +141,7 @@ func (c *FHEContext) BatchGate(op GateOp, a, b []tfhe.LWECiphertext) ([]tfhe.LWE
 
 // Accelerator wraps the Strix performance model and epoch scheduler.
 type Accelerator struct {
-	Config arch.Config
-	Model  arch.Model
-	Chip   arch.Chip
+	Model arch.Model
 }
 
 // NewAccelerator builds the default 8-HSC Strix for a parameter set.
@@ -157,11 +155,11 @@ func NewAcceleratorWithConfig(cfg arch.Config, set string) (*Accelerator, error)
 	if err != nil {
 		return nil, err
 	}
-	chip, err := arch.NewChip(cfg, p)
+	m, err := arch.NewModel(cfg, p)
 	if err != nil {
 		return nil, err
 	}
-	return &Accelerator{Config: cfg, Model: chip.Model, Chip: chip}, nil
+	return &Accelerator{Model: m}, nil
 }
 
 // ThroughputPBS returns sustained PBS/s.
@@ -172,10 +170,10 @@ func (a *Accelerator) LatencyMs() float64 { return a.Model.LatencySeconds() * 1e
 
 // RunPBS schedules count independent PBS+KS operations.
 func (a *Accelerator) RunPBS(count int) (arch.WorkloadResult, error) {
-	return a.Chip.RunPBS(count)
+	return a.Model.RunPBS(count)
 }
 
 // RunLayers schedules dependent layers (e.g. a neural network).
 func (a *Accelerator) RunLayers(layers []int) (arch.WorkloadResult, error) {
-	return a.Chip.RunLayers(layers)
+	return a.Model.RunLayers(layers)
 }
